@@ -3,9 +3,8 @@
 // a seeded mix of graphs, queries, and coloring seeds, and the run ends in
 // a machine-readable JSON report (throughput, latency percentiles, cache
 // hit and coalesce rates, and the server's own shard/lock-wait counters).
-// The workload is deterministic given its flags: scripts/bench.sh replays
-// the same mix on every CI run, so reports are comparable across commits
-// and BENCH_*.json becomes a benchmark trajectory.
+// The workload is deterministic given its flags, so reports of the same
+// mix are comparable across commits.
 //
 // The cache-hit ratio is a first-class knob because it decides what is
 // being measured: at -hit-ratio 1 every request after warmup is pure
@@ -13,7 +12,7 @@
 // the hot path the sharded registry/cache exist for — while at 0 every
 // request runs the solver and the report measures estimation throughput.
 //
-//	sgload -addr 127.0.0.1:8080 -c 32 -duration 10s -hit-ratio 0.9 -out BENCH_pr3.json
+//	sgload -addr 127.0.0.1:8080 -c 32 -duration 10s -hit-ratio 0.9 -out report.json
 //
 // A target hit ratio h is achieved by drawing, with probability h, a
 // coloring seed from a small hot set (cached after first touch) and
@@ -22,7 +21,7 @@
 // Against a cluster (sgserve -peers), -endpoints round-robins every
 // request across the replicas and the report grows a cluster section:
 // per-endpoint throughput plus the cluster-wide forward and cache-hit
-// rates, which is how bench.sh measures serving-tier scaling.
+// rates, which is how to measure serving-tier scaling.
 //
 //	sgload -endpoints 127.0.0.1:8081,127.0.0.1:8082,127.0.0.1:8083 -c 32 -duration 10s
 package main
@@ -140,8 +139,8 @@ type latencySummary struct {
 
 // clusterClientStats is the report's cluster-mode section (-endpoints):
 // per-endpoint client throughput plus the cluster-wide forward and
-// cache-hit rates aggregated from every replica's /v1/stats. It is what
-// bench.sh reads to prove (or refute) serving-tier scaling.
+// cache-hit rates aggregated from every replica's /v1/stats: the numbers
+// that prove (or refute) serving-tier scaling.
 type clusterClientStats struct {
 	Endpoints []endpointReport `json:"endpoints"`
 	// ForwardRate is forwards / client requests across the cluster: the
@@ -238,7 +237,7 @@ type serverSide struct {
 	// Durable mirrors the append-only trial/job log's counters when the
 	// server runs with -data-dir; absent on in-memory servers. A serving
 	// benchmark against a durable server is only meaningful if Appends
-	// moved — bench.sh gates on it.
+	// moved.
 	Durable *struct {
 		Appends       uint64 `json:"appends"`
 		Lag           int64  `json:"lag"`
@@ -277,8 +276,7 @@ type metricsCheck struct {
 	Match          bool   `json:"match"`
 }
 
-// report is the machine-readable output: everything scripts/bench.sh and
-// the CI regression gate need, in one flat document.
+// report is the machine-readable output, in one flat document.
 type report struct {
 	Label         string         `json:"label,omitempty"`
 	Config        config         `json:"config"`

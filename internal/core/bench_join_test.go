@@ -12,21 +12,16 @@ import (
 	"repro/internal/table"
 )
 
-// Microbenchmarks for the solver's hot join loops, comparing the flat
-// signature-major layout (the shipping path) against the previous
-// hash-table-and-map layout, which is re-created inline here so the two
-// can be benchstat'd side by side. The workloads mirror a mid-size walk
-// extension: a walk table of partial paths joined against the data graph's
-// edges (edgeJoin) or a unary child table (nodeJoin).
+// Microbenchmarks for the solver's hot join loops over the flat
+// signature-major layout. The workloads mirror a mid-size walk extension:
+// a walk table of partial paths joined against the data graph's edges
+// (edgeJoin) or a unary child table (nodeJoin).
 
-// benchFixture holds one deterministic join workload in both layouts.
+// benchFixture holds one deterministic join workload.
 type benchFixture struct {
-	s     *solver
-	cur   *engine.Sharded // walk table, flat layout
-	curT  *table.T        // same walk table, hash layout
-	ann   *decomp.Block   // unary child annotation, s.tables[ann] populated
-	annT  *table.T        // same child table, hash layout
-	nKeys int
+	s   *solver
+	cur *engine.Sharded // walk table
+	ann *decomp.Block   // unary child annotation, s.tables[ann] populated
 }
 
 func newBenchFixture(b *testing.B) *benchFixture {
@@ -42,98 +37,45 @@ func newBenchFixture(b *testing.B) *benchFixture {
 	s := newSolver(context.Background(), g, colors, be, DB)
 
 	cur := engine.NewSharded(be)
-	curT := table.New(1 << 12)
 	for i := 0; i < 20000; i++ {
 		u := uint32(rng.Intn(n))
 		v := uint32(rng.Intn(n))
-		k := table.Binary(u, v, sig.Of(colors[u]).Add(colors[v]))
-		cur.Add(be.Owner(v), k, 1)
-		curT.Add(k, 1)
+		cur.Add(be.Owner(v), table.Binary(u, v, sig.Of(colors[u]).Add(colors[v])), 1)
 	}
 
 	ann := &decomp.Block{Kind: decomp.LeafEdge, Nodes: []int{0, 1}, Boundary: []int{0}}
 	child := engine.NewSharded(be)
-	annT := table.New(1 << 12)
 	for i := 0; i < 12000; i++ {
 		u := uint32(rng.Intn(n))
-		k := table.Unary(u, sig.Of(colors[u]).Add(uint8(rng.Intn(5))))
-		child.Add(be.Owner(u), k, 1)
-		annT.Add(k, 1)
+		child.Add(be.Owner(u), table.Unary(u, sig.Of(colors[u]).Add(uint8(rng.Intn(5)))), 1)
 	}
 	s.tables[ann] = child
-	return &benchFixture{s: s, cur: cur, curT: curT, ann: ann, annT: annT, nKeys: curT.Len()}
+	return &benchFixture{s: s, cur: cur, ann: ann}
 }
 
-// BenchmarkNodeJoinInner compares nodeJoin's inner loop: the old shape
-// rebuilds a map[uint32][]sigCount from the child per invocation and
-// probes it per walk entry through hash iteration; the flat shape scans
-// the dense walk slice against the cached CSR index.
+// BenchmarkNodeJoinInner times nodeJoin's inner loop: a scan of the dense
+// walk slice against the cached CSR index of the child.
 func BenchmarkNodeJoinInner(b *testing.B) {
 	fx := newBenchFixture(b)
-	s := fx.s
-	b.Run("hash", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			idx := make(map[uint32][]sigCount)
-			fx.annT.Iter(func(k table.Key, c uint64) bool {
-				idx[k.U] = append(idx[k.U], sigCount{s: k.S, c: c})
-				return true
-			})
-			out := table.New(16)
-			fx.curT.Iter(func(k table.Key, c uint64) bool {
-				for _, e := range idx[k.V] {
-					if k.S.Inter(e.s) != s.colorOf(k.V) {
-						continue
-					}
-					out.Add(table.Key{U: k.U, V: k.V, X: k.X, Y: k.Y, S: k.S.Union(e.s)}, c*e.c)
-				}
-				return true
-			})
-		}
-	})
-	b.Run("flat", func(b *testing.B) {
-		// Warm the per-block CSR cache once; steady state reuses it, which
-		// is the shipping shape (the DB solver joins the same annotation
-		// across all L splits).
-		s.groupUnary(fx.ann)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.nodeJoin(fx.cur, fx.ann)
-		}
-	})
+	// Warm the per-block CSR cache once; steady state reuses it, which is
+	// the shipping shape (the DB solver joins the same annotation across
+	// all L splits).
+	fx.s.groupUnary(fx.ann)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fx.s.nodeJoin(fx.cur, fx.ann)
+	}
 }
 
-// BenchmarkEdgeJoinInner compares edgeJoin's data-edge extension loop:
-// hash iteration emitting one message per neighbor via a closure, versus
-// the flat scan emitting batched runs.
+// BenchmarkEdgeJoinInner times edgeJoin's data-edge extension loop: a
+// flat scan emitting batched runs.
 func BenchmarkEdgeJoinInner(b *testing.B) {
 	fx := newBenchFixture(b)
-	s := fx.s
-	spec := pathSpec{}
-	st := pathStep{}
-	b.Run("hash", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out := table.New(16)
-			fx.curT.Iter(func(k table.Key, c uint64) bool {
-				for _, nb := range s.g.Neighbors(k.V) {
-					cn := s.colorOf(nb)
-					if !k.S.Disjoint(cn) {
-						continue
-					}
-					out.Add(table.Key{U: k.U, V: nb, X: k.X, Y: k.Y, S: k.S.Union(cn)}, c)
-				}
-				return true
-			})
-		}
-	})
-	b.Run("flat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.edgeJoin(fx.cur, spec, st)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fx.s.edgeJoin(fx.cur, pathSpec{}, pathStep{})
+	}
 }
 
 // The batched emission path must not allocate per message: the solver's

@@ -1,6 +1,7 @@
 // Package core implements the paper's contribution: colorful subgraph
-// counting for treewidth-2 queries over a simulated distributed engine.
-// The decomposition tree is traversed bottom-up (§4.2); leaf-edge blocks
+// counting for treewidth-2 queries, written once against engine.Backend
+// and run unchanged on the sim, parallel and dist runtimes. The
+// decomposition tree is traversed bottom-up (§4.2); leaf-edge blocks
 // and cycle blocks are solved by join operations over projection tables
 // (§4.3, §5), with two interchangeable cycle solvers:
 //
@@ -57,14 +58,17 @@ func (a Algorithm) String() string {
 type Options struct {
 	Algorithm Algorithm
 	// Backend selects the execution runtime: "sim" (default; the paper's
-	// simulated distributed engine, metrics-faithful for Figure 11) or
-	// "parallel" (real shared-memory workers with direct table merges).
-	// Counts are bit-identical across backends; only Stats differ. An
-	// empty name falls back to $SUBGRAPH_BACKEND, then "sim".
+	// §7 runtime simulated in one process, metrics-faithful for Figure
+	// 11), "parallel" (real shared-memory workers with direct table
+	// merges) or "dist" (worker processes; valid only where dist.Enable
+	// has registered a worker topology). Counts are bit-identical across
+	// backends; only Stats differ. An empty name falls back to
+	// $SUBGRAPH_BACKEND, then "sim".
 	Backend string
 	// Workers is the execution width: simulated ranks for the sim
 	// backend (≤ 0 means 4), real worker goroutines for parallel (≤ 0
-	// means GOMAXPROCS).
+	// means GOMAXPROCS), total partitions for dist (≤ 0 means 4 per
+	// worker process).
 	Workers int
 	// Plan overrides the decomposition tree; nil uses the calibrated §6
 	// planner (PickPlan).
@@ -79,12 +83,12 @@ type Options struct {
 // metric (projection-function operations, Figure 11), communication volume,
 // and table pressure.
 type Stats struct {
-	Backend      string // canonical backend name ("sim" or "parallel")
+	Backend      string // canonical backend name ("sim", "parallel" or "dist")
 	Workers      int
 	MaxLoad      int64
 	AvgLoad      float64
 	TotalLoad    int64
-	Messages     int64 // simulated messages; always 0 for parallel
+	Messages     int64 // sim: every emitted count; dist: counts sent to another process; parallel: 0
 	Steals       int64 // stolen partition tasks; always 0 for sim
 	Supersteps   int64 // supersteps executed; identical across backends
 	TableEntries int64 // total projection-table entries materialized
@@ -172,7 +176,8 @@ func (s *solver) stats() Stats {
 	if h, ok := s.be.(interface{ TableEntriesHint() int64 }); ok {
 		entries += h.TableEntriesHint()
 	}
-	max, avg, total := s.be.LoadStats()
+	loads := s.be.Loads()
+	max, avg, total := engine.LoadStats(loads)
 	return Stats{
 		Backend:      s.be.Name(),
 		Workers:      s.be.Workers(),
@@ -183,7 +188,7 @@ func (s *solver) stats() Stats {
 		Steals:       s.be.Steals(),
 		Supersteps:   s.be.Steps(),
 		TableEntries: entries,
-		Loads:        s.be.Loads(),
+		Loads:        loads,
 	}
 }
 

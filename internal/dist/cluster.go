@@ -330,7 +330,7 @@ func (c *Cluster) NewJob(workers int, job engine.Job) (engine.Backend, error) {
 		}
 	}()
 
-	return &Coord{t: t, job: j}, nil
+	return &Coord{topo: t, Counters: engine.NewCounters(parts, t.ranks), job: j}, nil
 }
 
 // cjob is the coordinator-side state of one in-flight job.

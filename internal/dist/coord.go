@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -13,40 +12,20 @@ import (
 // no-ops here (all partition work happens on the workers), its Step and
 // Deliver calls block at the global superstep barrier — so a trace span
 // around them measures the real distributed phase — and Reduce gathers
-// the per-rank answers into the global one.
+// the per-rank answers into the global one. Its own counters stay zero
+// until then; gather fills them from the rank reports, so Loads is per
+// worker node and Messages is the number of keyed counts that crossed a
+// process boundary (each counted once, at its sender). That is not the
+// sim backend's Messages, which also counts every count a rank keeps.
 type Coord struct {
-	t     topo
-	job   *cjob
-	steps atomic.Int64
-
-	mu  sync.Mutex
-	res *gathered // set once by Reduce/ReduceVec
-}
-
-// gathered is the digested set of rank reports.
-type gathered struct {
-	loads   []int64 // per rank
-	msgs    int64
-	entries int64
+	topo
+	engine.Counters
+	job     *cjob
+	entries atomic.Int64 // table entries on the workers; set by gather
 }
 
 // Name returns "dist".
 func (d *Coord) Name() string { return engine.DistName }
-
-// P returns the global partition count.
-func (d *Coord) P() int { return d.t.parts }
-
-// Workers returns the worker-process count.
-func (d *Coord) Workers() int { return d.t.ranks }
-
-// N returns the vertex-space size.
-func (d *Coord) N() int { return d.t.n }
-
-// Owner returns the partition owning vertex v.
-func (d *Coord) Owner(v uint32) int { return d.t.owner(v) }
-
-// Range returns the vertex interval of partition w.
-func (d *Coord) Range(w int) (lo, hi uint32) { return d.t.partRange(w) }
 
 // Owned returns the empty interval: the coordinator executes no
 // partitions itself.
@@ -58,21 +37,18 @@ func (d *Coord) Owned() (lo, hi uint32) { return 0, 0 }
 // at the next superstep barrier.
 func (d *Coord) Run(func(w int)) {}
 
-// Step advances the superstep counter and blocks until every rank has
-// finished producing (and therefore sent) this superstep's batches. The
-// out table stays untouched — no partition is owned here. A failed job
-// returns immediately; the failure surfaces in Reduce.
+// Step is Deliver: no partition is owned here, so out stays untouched.
 func (d *Coord) Step(out *engine.Sharded, produce func(w int, emit engine.Emit)) {
-	_ = d.job.barrier(d.steps.Add(1))
+	d.Deliver(produce, out.Accumulate)
 }
 
-// Deliver is Step with a custom consumer; neither runs locally.
+// Deliver advances the superstep counter and blocks until every rank has
+// finished producing (and therefore sent) this superstep's batches;
+// neither produce nor consume runs locally. A failed job returns
+// immediately; the failure surfaces in Reduce.
 func (d *Coord) Deliver(produce func(w int, emit engine.Emit), consume func(dst int, run []engine.Msg)) {
-	_ = d.job.barrier(d.steps.Add(1))
+	_ = d.job.barrier(d.Begin())
 }
-
-// AddLoad is a no-op: the coordinator performs no projection operations.
-func (d *Coord) AddLoad(w int, di int64) {}
 
 // Reduce gathers every rank's final report and returns the global count.
 // This is where a lost worker, a remote error, or an SPMD divergence
@@ -110,14 +86,16 @@ func (d *Coord) ReduceVec(local []uint64) ([]uint64, error) {
 }
 
 // gather waits for all rank reports, validates the SPMD invariant
-// (identical superstep counts everywhere), digests the counters, and
-// retires the job.
+// (identical superstep counts everywhere), takes the reported counters
+// over as its own, and retires the job. Each rank's load is charged to
+// the first partition of its block, which Loads folds back onto that
+// rank.
 func (d *Coord) gather() (map[int]*jobDoneMsg, error) {
 	dones, err := d.job.gather()
 	if err != nil {
 		return nil, err
 	}
-	steps := d.steps.Load()
+	steps := d.Steps()
 	for rank, m := range dones {
 		if m.Steps != steps {
 			err := fmt.Errorf("dist: worker %d ran %d supersteps, coordinator ran %d (SPMD divergence)", rank, m.Steps, steps)
@@ -125,73 +103,18 @@ func (d *Coord) gather() (map[int]*jobDoneMsg, error) {
 			return nil, err
 		}
 	}
-	g := &gathered{loads: make([]int64, d.t.ranks)}
 	for rank, m := range dones {
-		g.loads[rank] = m.Load
-		g.msgs += m.Msgs
-		g.entries += m.Entries
+		if lo, hi := d.rankParts(rank); lo < hi {
+			d.AddLoad(lo, m.Load)
+		}
+		d.Sent(int(m.Msgs))
+		d.entries.Add(m.Entries)
 	}
-	d.mu.Lock()
-	d.res = g
-	d.mu.Unlock()
 	d.job.c.removeJob(d.job.id)
 	return dones, nil
 }
 
-func (d *Coord) snapshot() *gathered {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.res
-}
-
-// Loads returns per-worker-node load counters (zero until Reduce has
-// gathered the rank reports).
-func (d *Coord) Loads() []int64 {
-	if g := d.snapshot(); g != nil {
-		out := make([]int64, len(g.loads))
-		copy(out, g.loads)
-		return out
-	}
-	return make([]int64, d.t.ranks)
-}
-
-// LoadStats returns (max, avg, total) over the per-node loads.
-func (d *Coord) LoadStats() (max int64, avg float64, total int64) {
-	for _, l := range d.Loads() {
-		total += l
-		if l > max {
-			max = l
-		}
-	}
-	return max, float64(total) / float64(d.t.ranks), total
-}
-
-// Messages returns the number of real cross-process messages exchanged
-// (each keyed count addressed to a remote partition, counted once at its
-// sender). Comparable with the sim backend's simulated count for the same
-// plan and partition count — the paper's predicted-vs-actual harness.
-func (d *Coord) Messages() int64 {
-	if g := d.snapshot(); g != nil {
-		return g.msgs
-	}
-	return 0
-}
-
-// Steals returns 0: partition ownership is static, as on the paper's
-// cluster.
-func (d *Coord) Steals() int64 { return 0 }
-
-// Steps returns the superstep count — identical across all three backends
-// for a given plan, and verified against every rank's own count at
-// gather time.
-func (d *Coord) Steps() int64 { return d.steps.Load() }
-
 // TableEntriesHint reports the projection-table entries materialized on
 // the workers (the coordinator's own shards stay empty); core adds it to
 // its local count when snapshotting Stats.
-func (d *Coord) TableEntriesHint() int64 {
-	if g := d.snapshot(); g != nil {
-		return g.entries
-	}
-	return 0
-}
+func (d *Coord) TableEntriesHint() int64 { return d.entries.Load() }

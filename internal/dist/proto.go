@@ -197,66 +197,26 @@ func decodePlan(w planWire, q *query.Graph) (*decomp.Tree, error) {
 }
 
 // topo is the partition topology shared verbatim by the coordinator and
-// every worker rank: parts contiguous vertex partitions block-assigned to
-// ranks. Both sides derive ownership from the same four integers, so no
-// assignment table ever travels.
+// every worker rank: the engine's block map of vertices onto partitions,
+// plus the contiguous block-assignment of those partitions to ranks. Both
+// sides derive ownership from the same three integers, so no assignment
+// table ever travels.
 type topo struct {
+	engine.Blocks
 	ranks int
-	parts int
-	n     int
-	chunk int
 }
 
 func newTopo(ranks, parts, n int) topo {
-	chunk := (n + parts - 1) / parts
-	if chunk < 1 {
-		chunk = 1
-	}
-	return topo{ranks: ranks, parts: parts, n: n, chunk: chunk}
-}
-
-// owner returns the partition owning vertex v (same math as the
-// single-process backends: 1D block distribution).
-func (t topo) owner(v uint32) int {
-	w := int(v) / t.chunk
-	if w >= t.parts {
-		w = t.parts - 1
-	}
-	return w
-}
-
-// partRange returns the half-open vertex interval of partition w.
-func (t topo) partRange(w int) (lo, hi uint32) {
-	l := w * t.chunk
-	h := l + t.chunk
-	if w == t.parts-1 || h > t.n {
-		h = t.n
-	}
-	if l > t.n {
-		l = t.n
-	}
-	return uint32(l), uint32(h)
+	return topo{Blocks: engine.NewBlocks(parts, n), ranks: ranks}
 }
 
 // rankOf returns the rank executing partition w (contiguous blocks of
 // partitions per rank).
-func (t topo) rankOf(w int) int { return w * t.ranks / t.parts }
+func (t topo) rankOf(w int) int { return w * t.ranks / t.P() }
 
 // rankParts returns the half-open partition interval executed by rank r.
 func (t topo) rankParts(r int) (lo, hi int) {
-	return (r*t.parts + t.ranks - 1) / t.ranks, ((r+1)*t.parts + t.ranks - 1) / t.ranks
-}
-
-// rankOwned returns the half-open vertex interval rank r's partitions
-// cover (empty when the rank owns no partitions).
-func (t topo) rankOwned(r int) (lo, hi uint32) {
-	pLo, pHi := t.rankParts(r)
-	if pLo >= pHi {
-		return 0, 0
-	}
-	lo, _ = t.partRange(pLo)
-	_, hi = t.partRange(pHi - 1)
-	return lo, hi
+	return (r*t.P() + t.ranks - 1) / t.ranks, ((r+1)*t.P() + t.ranks - 1) / t.ranks
 }
 
 // jobSpec is the validated, wire-ready form of an engine.Job.
@@ -273,7 +233,7 @@ func makeJobStart(t topo, job engine.Job) (jobStartMsg, error) {
 	}
 	return jobStartMsg{
 		Ranks:      int32(t.ranks),
-		Parts:      int32(t.parts),
+		Parts:      int32(t.P()),
 		N:          int64(job.N),
 		GraphFP:    job.Graph.Fingerprint(),
 		Colors:     job.Colors,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 )
@@ -14,26 +13,17 @@ import (
 // of partitions assigned to this rank. Emits to locally owned partitions
 // merge directly under per-partition locks; emits to remote partitions
 // are buffered per destination rank and shipped as one batch each at the
-// superstep barrier.
+// superstep barrier. Its Messages are the keyed counts it addressed to
+// other ranks — unlike sim's, counts that stay on the rank are not
+// messages.
 type rank struct {
-	t    topo
+	topo
+	engine.Counters
 	rank int
 	j    *wjob
 	conc int
 
 	pLo, pHi int // owned partition interval
-
-	locks []paddedMutex  // per owned partition, guards local merges
-	loads []atomic.Int64 // per owned partition
-	steps atomic.Int64
-	msgs  atomic.Int64 // keyed counts addressed to remote ranks
-}
-
-// paddedMutex keeps each partition lock on its own cache line (same
-// rationale as the parallel backend's).
-type paddedMutex struct {
-	sync.Mutex
-	_ [56]byte
 }
 
 func newRank(t topo, r int, j *wjob, conc int) *rank {
@@ -41,115 +31,53 @@ func newRank(t topo, r int, j *wjob, conc int) *rank {
 		conc = runtime.GOMAXPROCS(0)
 	}
 	pLo, pHi := t.rankParts(r)
-	n := pHi - pLo
-	if n < 0 {
-		n = 0
-	}
 	return &rank{
-		t: t, rank: r, j: j, conc: conc,
-		pLo: pLo, pHi: pHi,
-		locks: make([]paddedMutex, n),
-		loads: make([]atomic.Int64, n),
+		topo: t, Counters: engine.NewCounters(t.P(), t.ranks),
+		rank: r, j: j, conc: conc, pLo: pLo, pHi: pHi,
 	}
 }
 
 // Name returns "dist".
 func (r *rank) Name() string { return engine.DistName }
 
-// P returns the global partition count.
-func (r *rank) P() int { return r.t.parts }
-
-// Workers returns the global rank count.
-func (r *rank) Workers() int { return r.t.ranks }
-
-// N returns the vertex-space size.
-func (r *rank) N() int { return r.t.n }
-
-// Owner returns the (global) partition owning vertex v.
-func (r *rank) Owner(v uint32) int { return r.t.owner(v) }
-
-// Range returns the vertex interval of (global) partition w.
-func (r *rank) Range(w int) (lo, hi uint32) { return r.t.partRange(w) }
-
-// Owned returns the vertex interval covered by this rank's partitions.
-func (r *rank) Owned() (lo, hi uint32) { return r.t.rankOwned(r.rank) }
-
-// Run executes f over this rank's owned partitions with conc goroutines
-// pulling from a shared cursor.
-func (r *rank) Run(f func(w int)) {
-	n := r.pHi - r.pLo
-	if n <= 0 {
-		return
+// Owned returns the vertex interval covered by this rank's partitions
+// (empty when it owns none).
+func (r *rank) Owned() (lo, hi uint32) {
+	if r.pLo < r.pHi {
+		lo, _ = r.Range(r.pLo)
+		_, hi = r.Range(r.pHi - 1)
 	}
-	workers := r.conc
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for w := r.pLo; w < r.pHi; w++ {
-			f(w)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				w := r.pLo + int(cursor.Add(1)) - 1
-				if w >= r.pHi {
-					return
-				}
-				f(w)
-			}
-		}()
-	}
-	wg.Wait()
+	return lo, hi
 }
 
-// Step runs the produce phase over owned partitions, exchanges remote
-// batches at the barrier, and merges incoming counts into out.
+// Run executes f over this rank's owned partitions on conc goroutines.
+func (r *rank) Run(f func(w int)) { engine.RunEach(r.conc, r.pLo, r.pHi, f) }
+
+// Step runs one superstep whose deliveries accumulate into out.
 func (r *rank) Step(out *engine.Sharded, produce func(w int, emit engine.Emit)) {
-	st := r.steps.Add(1)
-	merge := func(dst int, run []engine.Msg) {
-		sh := out.Shard(dst)
-		for i := range run {
-			sh.Add(run[i].K, run[i].C)
-		}
-	}
-	bufs := r.produceLocal(st, produce, merge)
-	r.exchange(st, bufs, merge)
+	r.Deliver(produce, out.Accumulate)
 }
 
-// Deliver is Step with a custom consumer instead of a table merge.
+// Deliver runs produce over owned partitions, exchanges remote batches at
+// the barrier, and hands incoming counts to consume. Runs emitted to
+// local destinations are consumed immediately under the destination
+// partition's lock (the consume contract — never concurrent for one dst —
+// holds because remote batches are applied strictly after all local
+// production). Runs emitted to remote destinations are buffered into the
+// per-destination-rank wire batch under one lock acquisition.
 func (r *rank) Deliver(produce func(w int, emit engine.Emit), consume func(dst int, run []engine.Msg)) {
-	st := r.steps.Add(1)
-	bufs := r.produceLocal(st, produce, consume)
-	r.exchange(st, bufs, consume)
-}
-
-// produceLocal runs produce over owned partitions. Runs emitted to local
-// destinations are applied immediately under the destination partition's
-// lock, taken once per run (the consume contract — never concurrent for
-// one dst — holds because apply of remote batches is strictly after all
-// local production). Runs emitted to remote destinations are buffered
-// into the per-destination-rank wire batch under one lock acquisition.
-func (r *rank) produceLocal(st int64, produce func(w int, emit engine.Emit), local func(dst int, run []engine.Msg)) [][]wireMsg {
-	bufs := make([][]wireMsg, r.t.ranks)
-	bufMu := make([]sync.Mutex, r.t.ranks)
+	st := r.Begin()
+	local := r.Locked(consume)
+	bufs := make([][]wireMsg, r.ranks)
+	bufMu := make([]sync.Mutex, r.ranks)
 	r.Run(func(w int) {
 		produce(w, func(dst int, run []engine.Msg) {
-			dr := r.t.rankOf(dst)
+			dr := r.rankOf(dst)
 			if dr == r.rank {
-				mu := &r.locks[dst-r.pLo]
-				mu.Lock()
 				local(dst, run)
-				mu.Unlock()
 				return
 			}
-			r.msgs.Add(int64(len(run)))
+			r.Sent(len(run))
 			bufMu[dr].Lock()
 			for i := range run {
 				bufs[dr] = append(bufs[dr], wireMsg{Dst: int32(dst), K: run[i].K, C: run[i].C})
@@ -157,7 +85,7 @@ func (r *rank) produceLocal(st int64, produce func(w int, emit engine.Emit), loc
 			bufMu[dr].Unlock()
 		})
 	})
-	return bufs
+	r.exchange(st, bufs, consume)
 }
 
 // exchange sends one batch per other rank (empty included — the batch is
@@ -169,7 +97,7 @@ func (r *rank) produceLocal(st int64, produce func(w int, emit engine.Emit), loc
 // failure, which cancels the job context; the solver unwinds at its next
 // poll and the error surfaces in the coordinator's Reduce.
 func (r *rank) exchange(st int64, bufs [][]wireMsg, apply func(dst int, run []engine.Msg)) {
-	for dr := 0; dr < r.t.ranks; dr++ {
+	for dr := 0; dr < r.ranks; dr++ {
 		if dr == r.rank {
 			continue
 		}
@@ -219,13 +147,6 @@ func (r *rank) exchange(st int64, bufs [][]wireMsg, apply func(dst int, run []en
 	}
 }
 
-// AddLoad accumulates load for an owned partition.
-func (r *rank) AddLoad(w int, di int64) {
-	if w >= r.pLo && w < r.pHi {
-		r.loads[w-r.pLo].Add(di)
-	}
-}
-
 // Reduce is the identity worker-side: the global reduction happens on the
 // coordinator, which gathers this rank's JobDone report.
 func (r *rank) Reduce(local uint64) (uint64, error) { return local, nil }
@@ -233,37 +154,3 @@ func (r *rank) Reduce(local uint64) (uint64, error) { return local, nil }
 // ReduceVec is the identity worker-side; the owned block is extracted
 // from the full-length vector when building the JobDone report.
 func (r *rank) ReduceVec(local []uint64) ([]uint64, error) { return local, nil }
-
-// Loads returns per-owned-partition loads (local view only).
-func (r *rank) Loads() []int64 {
-	out := make([]int64, len(r.loads))
-	for i := range r.loads {
-		out[i] = r.loads[i].Load()
-	}
-	return out
-}
-
-// LoadStats returns (max, avg, total) over this rank's partitions.
-func (r *rank) LoadStats() (max int64, avg float64, total int64) {
-	loads := r.Loads()
-	for _, l := range loads {
-		total += l
-		if l > max {
-			max = l
-		}
-	}
-	if len(loads) > 0 {
-		avg = float64(total) / float64(len(loads))
-	}
-	return max, avg, total
-}
-
-// Messages returns the keyed counts this rank addressed to remote ranks.
-func (r *rank) Messages() int64 { return r.msgs.Load() }
-
-// Steals returns 0: block ownership is static.
-func (r *rank) Steals() int64 { return 0 }
-
-// Steps returns this rank's superstep count; the coordinator verifies it
-// against its own at gather time (SPMD divergence check).
-func (r *rank) Steps() int64 { return r.steps.Load() }

@@ -244,8 +244,8 @@ func (w *workerConn) runJob(j *wjob, rank int, m jobStartMsg) {
 
 	rk := newRank(t, rank, j, w.opts.Conc)
 	done := w.execute(ctx, rk, m)
-	done.Steps = rk.steps.Load()
-	done.Msgs = rk.msgs.Load()
+	done.Steps = rk.Steps()
+	done.Msgs = rk.Messages()
 	payload, err := encodePayload(done)
 	if err != nil {
 		w.logger.Warn("dist worker: encoding jobDone", "job", id, "err", err)

@@ -16,7 +16,9 @@ import (
 // The algorithm layer (internal/core) is written entirely against this
 // interface: a backend owns the vertex space in P contiguous partitions,
 // runs partition tasks, and delivers keyed counts emitted during a
-// superstep to the partition that owns them. Three implementations exist:
+// superstep to the partition that owns them. Every implementation embeds
+// the same block map and counters (Blocks, Counters) and differs only in
+// how a superstep moves the counts. Three implementations exist:
 //
 //   - "sim" (Cluster): the paper's §7 distributed runtime simulated in
 //     shared memory — P goroutine "ranks", per-superstep message buffers,
@@ -49,8 +51,6 @@ type Backend interface {
 	// pool size, with P partitions multiplexed onto it; for dist it is
 	// the worker-process count.
 	Workers() int
-	// N is the vertex-space size.
-	N() int
 	// Owner returns the partition owning vertex v (1D block distribution).
 	Owner(v uint32) int
 	// Range returns the half-open vertex interval [lo, hi) owned by
@@ -78,12 +78,12 @@ type Backend interface {
 	// that received it; producers that generate messages one at a time
 	// should coalesce them through a Batcher.
 	Step(out *Sharded, produce func(w int, emit Emit))
-	// Deliver is Step with a custom delivery: each emitted run is handed
-	// to consume at its destination partition instead of being merged into
-	// a table. The run slice is only valid during the consume call.
-	// consume(dst, run) calls for one dst never run concurrently with
-	// each other, so per-partition consumer state needs no locking; calls
-	// for different dsts may run concurrently.
+	// Deliver is the superstep itself — Step is Deliver(produce,
+	// out.Accumulate): each emitted run is handed to consume at its
+	// destination partition. The run slice is only valid during the
+	// consume call. consume(dst, run) calls for one dst never run
+	// concurrently with each other, so per-partition consumer state needs
+	// no locking; calls for different dsts may run concurrently.
 	Deliver(produce func(w int, emit Emit), consume func(dst int, run []Msg))
 	// Reduce combines per-process partial totals into the global total:
 	// single-process backends return local unchanged; the dist
@@ -100,13 +100,14 @@ type Backend interface {
 	AddLoad(w int, d int64)
 	// Loads returns a per-worker snapshot of the load counters (partition
 	// loads folded onto the worker whose band owns them; per worker node
-	// for dist).
+	// for dist). LoadStats summarizes it.
 	Loads() []int64
-	// LoadStats returns (max, avg, total) over the per-worker loads.
-	LoadStats() (max int64, avg float64, total int64)
-	// Messages is the number of messages exchanged: simulated messages
-	// for sim, real cross-process messages for dist; a backend that
-	// merges tables directly (parallel) reports 0.
+	// Messages is the number of keyed counts exchanged as messages, and
+	// means something different on each backend: sim counts every emitted
+	// count, including those a rank addresses to itself; dist counts only
+	// counts addressed to a partition of another process; parallel merges
+	// tables directly and reports 0. The sim and dist numbers are not
+	// comparable with each other.
 	Messages() int64
 	// Steals is the number of partition tasks executed by a worker other
 	// than the partition's home worker; always 0 for sim and dist.
@@ -222,35 +223,38 @@ func init() {
 // how CI exercises tier-1 tests under every runtime.
 const BackendEnv = "SUBGRAPH_BACKEND"
 
-// Canonical resolves a backend name to its canonical form: an empty name
-// falls back to $SUBGRAPH_BACKEND and then to "sim"; names without a
+// resolve maps a backend name to its canonical form and factory: an empty
+// name falls back to $SUBGRAPH_BACKEND and then to "sim"; names without a
 // registered factory are errors (so "dist" is rejected on processes with
 // no worker topology configured). The env var is read per call — it
 // resolves once per solver construction, not on a hot path, and caching
 // it would make t.Setenv in tests silently ineffective.
-func Canonical(name string) (string, error) {
+func resolve(name string) (string, Factory, error) {
 	if name == "" {
 		name = os.Getenv(BackendEnv)
 	}
 	if name == "" {
-		return SimName, nil
+		name = SimName
 	}
-	if _, ok := lookup(name); !ok {
-		return "", fmt.Errorf("engine: unknown backend %q (registered: %v)", name, Names())
+	f, ok := lookup(name)
+	if !ok {
+		return "", nil, fmt.Errorf("engine: unknown backend %q (registered: %v)", name, Names())
 	}
-	return name, nil
+	return name, f, nil
+}
+
+// Canonical resolves a backend name to its canonical form (see resolve).
+func Canonical(name string) (string, error) {
+	name, _, err := resolve(name)
+	return name, err
 }
 
 // New builds the named backend for one run. workers ≤ 0 picks the
 // backend's default concurrency, decided by the backend's own factory.
 func New(name string, workers int, job Job) (Backend, error) {
-	canonical, err := Canonical(name)
+	_, f, err := resolve(name)
 	if err != nil {
 		return nil, err
-	}
-	f, ok := lookup(canonical)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown backend %q (registered: %v)", canonical, Names())
 	}
 	return f(workers, job)
 }

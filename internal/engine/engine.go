@@ -1,83 +1,37 @@
 // Package engine provides the pluggable execution runtimes behind the
-// solver (the Backend interface). The sim backend (Cluster) simulates the
-// paper's distributed runtime (§7) in shared memory: P workers
-// (goroutines) stand in for MPI ranks, vertices are block-distributed
-// (1D decomposition), projection tables are sharded by vertex owner, and
-// every solver phase is a superstep — workers scan their shards, emit
-// keyed messages to destination owners, barrier, and owners merge.
-// Per-worker load counters reproduce the paper's "projection function
-// operations" metric (Figure 11), and message counters expose
-// communication volume. The parallel backend (Parallel) executes the same
-// supersteps as real shared-memory table merges with no message
-// simulation; both produce bit-identical counts.
+// solver (the Backend interface), all built on one superstep core
+// (runtime.go): the paper's 1D block distribution of vertices (Blocks)
+// and the counters a superstep keeps (Counters — the Figure 11 load
+// metric, superstep and message totals, per-partition delivery locks).
+// A superstep is produce / barrier / owner-side merge (§7): partition
+// tasks scan their table shards and emit keyed counts addressed to the
+// partition owning each key's home vertex, and the owner accumulates
+// them. The sim backend (Cluster) materializes every count as a message
+// between P goroutine "ranks" and counts it; the parallel backend
+// (Parallel) merges emitted runs straight into the destination shard;
+// internal/dist runs the same supersteps across worker processes. All
+// produce bit-identical counts.
 package engine
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/table"
-)
+import "repro/internal/table"
 
 // Cluster is the sim backend: a fixed set of P simulated ranks (one
 // goroutine each) owning an n-vertex space in contiguous blocks, with
 // per-superstep message accounting faithful to the paper's metrics.
 type Cluster struct {
-	p     int
-	n     int
-	chunk int
-	loads []atomic.Int64
-	msgs  atomic.Int64
-	steps atomic.Int64
+	Blocks
+	Counters
 }
 
 // NewCluster returns a cluster of p workers over n vertices. p is clamped
 // to at least 1.
 func NewCluster(p, n int) *Cluster {
-	if p < 1 {
-		p = 1
-	}
-	chunk := (n + p - 1) / p
-	if chunk < 1 {
-		chunk = 1
-	}
-	return &Cluster{p: p, n: n, chunk: chunk, loads: make([]atomic.Int64, p)}
+	b := NewBlocks(p, n)
+	return &Cluster{Blocks: b, Counters: NewCounters(b.parts, b.parts)}
 }
 
 // Name returns "sim".
 func (c *Cluster) Name() string { return SimName }
-
-// P returns the worker count.
-func (c *Cluster) P() int { return c.p }
-
-// Workers returns the worker count (every simulated rank is a real
-// goroutine, so concurrency equals P).
-func (c *Cluster) Workers() int { return c.p }
-
-// N returns the vertex-space size.
-func (c *Cluster) N() int { return c.n }
-
-// Owner returns the worker owning vertex v (1D block distribution).
-func (c *Cluster) Owner(v uint32) int {
-	w := int(v) / c.chunk
-	if w >= c.p {
-		w = c.p - 1
-	}
-	return w
-}
-
-// Range returns the half-open vertex interval [lo, hi) owned by worker w.
-func (c *Cluster) Range(w int) (lo, hi uint32) {
-	l := w * c.chunk
-	h := l + c.chunk
-	if w == c.p-1 || h > c.n {
-		h = c.n
-	}
-	if l > c.n {
-		l = c.n
-	}
-	return uint32(l), uint32(h)
-}
 
 // Owned returns the whole vertex space: a single-process backend executes
 // every partition itself.
@@ -89,60 +43,44 @@ func (c *Cluster) Reduce(local uint64) (uint64, error) { return local, nil }
 // ReduceVec returns local unchanged.
 func (c *Cluster) ReduceVec(local []uint64) ([]uint64, error) { return local, nil }
 
-// Run executes f(w) for every worker w on its own goroutine and waits.
-func (c *Cluster) Run(f func(w int)) {
-	var wg sync.WaitGroup
-	wg.Add(c.p)
-	for w := 0; w < c.p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			f(w)
-		}(w)
-	}
-	wg.Wait()
+// Run executes f(w) for every rank w, concurrently (one goroutine per
+// rank), and waits.
+func (c *Cluster) Run(f func(w int)) { RunEach(c.parts, 0, c.parts, f) }
+
+// Step runs one superstep whose deliveries accumulate into out.
+func (c *Cluster) Step(out *Sharded, produce func(w int, emit Emit)) {
+	c.Deliver(produce, out.Accumulate)
 }
 
-// AddLoad charges d projection-function operations to worker w.
-func (c *Cluster) AddLoad(w int, d int64) { c.loads[w].Add(d) }
-
-// Loads returns a snapshot of the per-worker load counters.
-func (c *Cluster) Loads() []int64 {
-	out := make([]int64, c.p)
-	for i := range out {
-		out[i] = c.loads[i].Load()
-	}
-	return out
-}
-
-// LoadStats returns (max, avg, total) over the per-worker loads.
-func (c *Cluster) LoadStats() (max int64, avg float64, total int64) {
-	for i := 0; i < c.p; i++ {
-		l := c.loads[i].Load()
-		total += l
-		if l > max {
-			max = l
+// Deliver runs one message-faithful superstep: produce runs on every rank
+// and its emitted runs are copied into per-(source, destination) buffers;
+// after the barrier every buffered count — self-sends included — is
+// counted as a message, and consume runs on every rank with the buffers
+// addressed to it, in source-rank order (so the step is deterministic).
+func (c *Cluster) Deliver(produce func(w int, emit Emit), consume func(dst int, run []Msg)) {
+	c.Begin()
+	out := make([][][]Msg, c.parts)
+	c.Run(func(w int) {
+		bufs := make([][]Msg, c.parts)
+		produce(w, func(dst int, run []Msg) {
+			bufs[dst] = append(bufs[dst], run...)
+		})
+		out[w] = bufs
+	})
+	sent := 0
+	for _, bufs := range out {
+		for _, b := range bufs {
+			sent += len(b)
 		}
 	}
-	return max, float64(total) / float64(c.p), total
-}
-
-// Messages returns the number of messages exchanged so far.
-func (c *Cluster) Messages() int64 { return c.msgs.Load() }
-
-// Steals returns 0: the sim backend's ranks never steal work (static 1D
-// block distribution, as on the paper's cluster).
-func (c *Cluster) Steals() int64 { return 0 }
-
-// Steps returns the number of supersteps (Exchanges) run so far.
-func (c *Cluster) Steps() int64 { return c.steps.Load() }
-
-// ResetCounters clears load, message, and superstep counters.
-func (c *Cluster) ResetCounters() {
-	for i := range c.loads {
-		c.loads[i].Store(0)
-	}
-	c.msgs.Store(0)
-	c.steps.Store(0)
+	c.Sent(sent)
+	c.Run(func(w int) {
+		for src := 0; src < c.parts; src++ {
+			if msgs := out[src][w]; len(msgs) > 0 {
+				consume(w, msgs)
+			}
+		}
+	})
 }
 
 // Msg is one keyed count in flight between workers.
@@ -158,57 +96,6 @@ type Msg struct {
 // overhead (a buffer append, a stripe lock, a wire frame) once per run
 // instead of once per message.
 type Emit = func(dst int, run []Msg)
-
-// Exchange runs one superstep: produce runs on every worker and emits
-// runs of messages addressed to destination workers; after a barrier,
-// consume runs on every worker with the concatenation of messages
-// addressed to it (in source-worker order, so the step is deterministic).
-// produce's emit closure is only valid during the call and only from that
-// worker's goroutine.
-func (c *Cluster) Exchange(
-	produce func(w int, emit Emit),
-	consume func(w int, msgs []Msg),
-) {
-	c.steps.Add(1)
-	out := make([][][]Msg, c.p)
-	c.Run(func(w int) {
-		bufs := make([][]Msg, c.p)
-		produce(w, func(dst int, run []Msg) {
-			bufs[dst] = append(bufs[dst], run...)
-		})
-		out[w] = bufs
-	})
-	var sent int64
-	for _, bufs := range out {
-		for _, b := range bufs {
-			sent += int64(len(b))
-		}
-	}
-	c.msgs.Add(sent)
-	c.Run(func(w int) {
-		for src := 0; src < c.p; src++ {
-			if msgs := out[src][w]; len(msgs) > 0 {
-				consume(w, msgs)
-			}
-		}
-	})
-}
-
-// Step runs one superstep on the sim backend: an Exchange whose consume
-// phase accumulates every delivered message into out. This is the
-// message-faithful realization of the Backend contract.
-func (c *Cluster) Step(out *Sharded, produce func(w int, emit Emit)) {
-	c.Exchange(produce, out.Accumulate)
-}
-
-// Deliver runs one superstep delivering the messages addressed to each
-// rank to consume as a single run (message-counted, like every sim
-// superstep).
-func (c *Cluster) Deliver(produce func(w int, emit Emit), consume func(dst int, run []Msg)) {
-	c.Exchange(produce, func(w int, msgs []Msg) {
-		consume(w, msgs)
-	})
-}
 
 // batchRun is the Batcher's flush threshold. Large enough to amortize the
 // per-run delivery cost (a stripe lock, a buffer append), small enough to
@@ -264,21 +151,17 @@ func (b *Batcher) Flush() {
 // each entry to the shard of the owner of its home vertex (the paper
 // stores (u,v,α) at the owner of v).
 type Sharded struct {
-	be     Backend
 	shards []*table.Flat
 }
 
 // NewSharded returns an empty sharded table on be.
 func NewSharded(be Backend) *Sharded {
-	s := &Sharded{be: be, shards: make([]*table.Flat, be.P())}
+	s := &Sharded{shards: make([]*table.Flat, be.P())}
 	for i := range s.shards {
 		s.shards[i] = &table.Flat{}
 	}
 	return s
 }
-
-// Backend returns the owning backend.
-func (s *Sharded) Backend() Backend { return s.be }
 
 // Shard returns worker w's shard.
 func (s *Sharded) Shard(w int) *table.Flat { return s.shards[w] }

@@ -3,28 +3,10 @@ package engine
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/sig"
 	"repro/internal/table"
 )
-
-func TestOwnerPartition(t *testing.T) {
-	for _, tc := range []struct{ p, n int }{{1, 10}, {4, 10}, {3, 100}, {16, 5}, {7, 7}} {
-		c := NewCluster(tc.p, tc.n)
-		prev := 0
-		for v := 0; v < tc.n; v++ {
-			w := c.Owner(uint32(v))
-			if w < 0 || w >= c.P() {
-				t.Fatalf("p=%d n=%d: owner(%d) = %d out of range", tc.p, tc.n, v, w)
-			}
-			if w < prev {
-				t.Fatalf("ownership not monotone at %d", v)
-			}
-			prev = w
-		}
-	}
-}
 
 func TestRunVisitsAllWorkers(t *testing.T) {
 	c := NewCluster(8, 100)
@@ -37,63 +19,30 @@ func TestRunVisitsAllWorkers(t *testing.T) {
 	}
 }
 
-func TestExchangeRoutesAndCounts(t *testing.T) {
-	c := NewCluster(4, 40)
-	got := make([][]Msg, 4)
-	c.Exchange(
-		func(w int, emit Emit) {
-			// Every worker sends its id+1 as a count to every worker.
-			for dst := 0; dst < 4; dst++ {
-				emit(dst, []Msg{{K: table.Unary(uint32(w), sig.Of(0)), C: uint64(w + 1)}})
-			}
-		},
-		func(w int, msgs []Msg) { got[w] = append(got[w], msgs...) },
-	)
-	for w := 0; w < 4; w++ {
-		if len(got[w]) != 4 {
-			t.Fatalf("worker %d received %d msgs", w, len(got[w]))
-		}
-		// Deterministic source order.
-		for src := 0; src < 4; src++ {
-			if got[w][src].K.U != uint32(src) || got[w][src].C != uint64(src+1) {
-				t.Fatalf("worker %d msg %d = %+v", w, src, got[w][src])
-			}
-		}
-	}
-	if c.Messages() != 16 {
-		t.Fatalf("Messages = %d, want 16", c.Messages())
-	}
-}
-
 func TestLoadAccounting(t *testing.T) {
 	c := NewCluster(3, 30)
 	c.Run(func(w int) { c.AddLoad(w, int64(w)*10) })
-	max, avg, total := c.LoadStats()
+	max, avg, total := LoadStats(c.Loads())
 	if max != 20 || total != 30 || avg != 10 {
 		t.Fatalf("stats = %d %f %d", max, avg, total)
 	}
-	c.ResetCounters()
-	max, _, total = c.LoadStats()
-	if max != 0 || total != 0 || c.Messages() != 0 {
-		t.Fatal("ResetCounters incomplete")
+	if max, avg, total := LoadStats(nil); max != 0 || avg != 0 || total != 0 {
+		t.Fatalf("stats of no workers = %d %f %d", max, avg, total)
 	}
 }
 
 func TestShardedAccumulate(t *testing.T) {
 	c := NewCluster(4, 40)
 	s := NewSharded(c)
-	// Route (v, v) unary entries to their owner via an exchange.
-	c.Exchange(
-		func(w int, emit Emit) {
-			if w != 0 {
-				return
-			}
-			for v := 0; v < 40; v++ {
-				emit(c.Owner(uint32(v)), []Msg{{K: table.Unary(uint32(v), sig.Of(0)), C: 2}})
-			}
-		},
-		s.Accumulate,
-	)
+	// Route (v, v) unary entries to their owner via a superstep.
+	c.Step(s, func(w int, emit Emit) {
+		if w != 0 {
+			return
+		}
+		for v := 0; v < 40; v++ {
+			emit(c.Owner(uint32(v)), []Msg{{K: table.Unary(uint32(v), sig.Of(0)), C: 2}})
+		}
+	})
 	if s.Len() != 40 || s.Total() != 80 {
 		t.Fatalf("Len=%d Total=%d", s.Len(), s.Total())
 	}
@@ -110,55 +59,5 @@ func TestShardedAccumulate(t *testing.T) {
 	s.Iter(func(table.Key, uint64) bool { n++; return n < 10 })
 	if n != 10 {
 		t.Fatalf("early stop visited %d", n)
-	}
-}
-
-// Property: exchanges conserve messages — total emitted equals total
-// consumed, for arbitrary worker counts and fan-outs.
-func TestQuickExchangeConservation(t *testing.T) {
-	f := func(pRaw, fanRaw uint8) bool {
-		p := 1 + int(pRaw%8)
-		fan := int(fanRaw % 32)
-		c := NewCluster(p, 100)
-		var consumed atomic.Int64
-		c.Exchange(
-			func(w int, emit Emit) {
-				for i := 0; i < fan; i++ {
-					emit((w+i)%p, []Msg{{K: table.Unary(uint32(i), 0), C: 1}})
-				}
-			},
-			func(_ int, msgs []Msg) { consumed.Add(int64(len(msgs))) },
-		)
-		return consumed.Load() == int64(p*fan) && c.Messages() == int64(p*fan)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Range partitions the vertex space exactly, consistently with
-// Owner.
-func TestQuickRangeOwnerConsistency(t *testing.T) {
-	f := func(pRaw, nRaw uint16) bool {
-		p := 1 + int(pRaw%32)
-		n := int(nRaw % 2000)
-		c := NewCluster(p, n)
-		covered := 0
-		for w := 0; w < p; w++ {
-			lo, hi := c.Range(w)
-			if hi < lo {
-				return false
-			}
-			covered += int(hi - lo)
-			for v := lo; v < hi; v++ {
-				if c.Owner(v) != w {
-					return false
-				}
-			}
-		}
-		return covered == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }

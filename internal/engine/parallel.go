@@ -13,14 +13,6 @@ import (
 // count, so concurrent emits rarely collide on one shard.
 const oversubscription = 4
 
-// paddedMutex keeps each partition lock on its own cache line: the locks
-// sit in one array and are hammered from every worker, so false sharing
-// between neighboring partitions would serialize unrelated merges.
-type paddedMutex struct {
-	sync.Mutex
-	_ [56]byte
-}
-
 // Parallel is the real shared-memory backend: P = workers ×
 // oversubscription vertex partitions executed by a pool of `workers`
 // goroutines with band stealing, and superstep deliveries merged directly
@@ -28,14 +20,8 @@ type paddedMutex struct {
 // message buffers, no simulated ranks. Counts are bit-identical to the
 // sim backend because every delivery is a commutative accumulation.
 type Parallel struct {
-	workers int
-	parts   int
-	n       int
-	chunk   int
-	loads   []atomic.Int64 // per partition
-	steals  atomic.Int64
-	steps   atomic.Int64
-	locks   []paddedMutex // per partition, guards Step merges
+	Blocks
+	Counters
 }
 
 // NewParallel returns a parallel backend of the given worker count over n
@@ -48,54 +34,11 @@ func NewParallel(workers, n int) *Parallel {
 	if workers > 1 {
 		parts = workers * oversubscription
 	}
-	chunk := (n + parts - 1) / parts
-	if chunk < 1 {
-		chunk = 1
-	}
-	return &Parallel{
-		workers: workers,
-		parts:   parts,
-		n:       n,
-		chunk:   chunk,
-		loads:   make([]atomic.Int64, parts),
-		locks:   make([]paddedMutex, parts),
-	}
+	return &Parallel{Blocks: NewBlocks(parts, n), Counters: NewCounters(parts, workers)}
 }
 
 // Name returns "parallel".
 func (p *Parallel) Name() string { return ParallelName }
-
-// P returns the partition count (workers × oversubscription).
-func (p *Parallel) P() int { return p.parts }
-
-// Workers returns the real worker-goroutine count.
-func (p *Parallel) Workers() int { return p.workers }
-
-// N returns the vertex-space size.
-func (p *Parallel) N() int { return p.n }
-
-// Owner returns the partition owning vertex v (1D block distribution).
-func (p *Parallel) Owner(v uint32) int {
-	w := int(v) / p.chunk
-	if w >= p.parts {
-		w = p.parts - 1
-	}
-	return w
-}
-
-// Range returns the half-open vertex interval [lo, hi) owned by
-// partition w.
-func (p *Parallel) Range(w int) (lo, hi uint32) {
-	l := w * p.chunk
-	h := l + p.chunk
-	if w == p.parts-1 || h > p.n {
-		h = p.n
-	}
-	if l > p.n {
-		l = p.n
-	}
-	return uint32(l), uint32(h)
-}
 
 // Owned returns the whole vertex space: a single-process backend executes
 // every partition itself.
@@ -111,9 +54,6 @@ func (p *Parallel) ReduceVec(local []uint64) ([]uint64, error) { return local, n
 func (p *Parallel) band(g int) (lo, hi int) {
 	return g * p.parts / p.workers, (g + 1) * p.parts / p.workers
 }
-
-// homeWorker returns the worker whose band contains partition w.
-func (p *Parallel) homeWorker(w int) int { return w * p.workers / p.parts }
 
 // Run executes f(w) exactly once for every partition w: each worker
 // drains its own band through an atomic cursor, then steals from the
@@ -153,102 +93,22 @@ func (p *Parallel) Run(f func(w int)) {
 	wg.Wait()
 }
 
-// Step runs one superstep with direct shared-table merging: every emitted
-// run locks the destination partition's stripe once and accumulates its
-// messages straight into out's shard. Nothing is buffered, counted, or
-// re-delivered — this is the backend the sim's message machinery exists
-// to simulate — and batching means the stripe lock is paid per run, not
-// per message.
+// Step runs one superstep whose deliveries accumulate into out.
 func (p *Parallel) Step(out *Sharded, produce func(w int, emit Emit)) {
-	p.steps.Add(1)
-	if p.workers == 1 {
-		for w := 0; w < p.parts; w++ {
-			produce(w, func(dst int, run []Msg) {
-				sh := out.shards[dst]
-				for i := range run {
-					sh.Add(run[i].K, run[i].C)
-				}
-			})
-		}
-		return
-	}
-	p.Run(func(w int) {
-		produce(w, func(dst int, run []Msg) {
-			sh := out.shards[dst]
-			mu := &p.locks[dst]
-			mu.Lock()
-			for i := range run {
-				sh.Add(run[i].K, run[i].C)
-			}
-			mu.Unlock()
-		})
-	})
+	p.Deliver(produce, out.Accumulate)
 }
 
-// Deliver runs one superstep handing each emitted run to consume under
-// the destination partition's lock — the same direct, bufferless delivery
-// as Step, with user code instead of a table merge at the receiving end.
+// Deliver runs one superstep with direct, bufferless delivery: every
+// emitted run is handed to consume under the destination partition's
+// lock. Nothing is buffered, counted or re-delivered — this is the
+// backend the sim's message machinery exists to simulate. A single worker
+// runs partitions one after another (see Run), so it delivers without
+// the locks.
 func (p *Parallel) Deliver(produce func(w int, emit Emit), consume func(dst int, run []Msg)) {
-	p.steps.Add(1)
-	if p.workers == 1 {
-		for w := 0; w < p.parts; w++ {
-			produce(w, func(dst int, run []Msg) { consume(dst, run) })
-		}
-		return
+	p.Begin()
+	deliver := consume
+	if p.workers > 1 {
+		deliver = p.Locked(consume)
 	}
-	p.Run(func(w int) {
-		produce(w, func(dst int, run []Msg) {
-			mu := &p.locks[dst]
-			mu.Lock()
-			consume(dst, run)
-			mu.Unlock()
-		})
-	})
-}
-
-// AddLoad charges d projection-function operations to partition w.
-func (p *Parallel) AddLoad(w int, d int64) { p.loads[w].Add(d) }
-
-// Loads returns per-worker load counters: each partition's load is folded
-// onto its home worker's entry, so the slice length matches Workers and
-// is comparable with the sim backend's per-rank loads.
-func (p *Parallel) Loads() []int64 {
-	out := make([]int64, p.workers)
-	for w := 0; w < p.parts; w++ {
-		out[p.homeWorker(w)] += p.loads[w].Load()
-	}
-	return out
-}
-
-// LoadStats returns (max, avg, total) over the per-worker loads.
-func (p *Parallel) LoadStats() (max int64, avg float64, total int64) {
-	for _, l := range p.Loads() {
-		total += l
-		if l > max {
-			max = l
-		}
-	}
-	return max, float64(total) / float64(p.workers), total
-}
-
-// Messages returns 0: the parallel backend exchanges no messages.
-func (p *Parallel) Messages() int64 { return 0 }
-
-// Steals returns how many partition tasks ran on a worker other than
-// their home worker.
-func (p *Parallel) Steals() int64 { return p.steals.Load() }
-
-// Steps returns the number of supersteps (Step and Deliver calls) run so
-// far. It matches the sim backend's count for the same plan: both
-// backends count one step per superstep call site, so the metric compares
-// runtimes without exposing their internals.
-func (p *Parallel) Steps() int64 { return p.steps.Load() }
-
-// ResetCounters clears load, steal, and superstep counters.
-func (p *Parallel) ResetCounters() {
-	for i := range p.loads {
-		p.loads[i].Store(0)
-	}
-	p.steals.Store(0)
-	p.steps.Store(0)
+	p.Run(func(w int) { produce(w, deliver) })
 }

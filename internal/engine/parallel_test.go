@@ -1,18 +1,20 @@
-package engine
+package engine_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 
+	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/sig"
 	"repro/internal/table"
 )
 
 func TestParallelRunVisitsEveryPartitionOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
-		p := NewParallel(workers, 1000)
+		p := engine.NewParallel(workers, 1000)
 		visits := make([]atomic.Int32, p.P())
 		p.Run(func(w int) { visits[w].Add(1) })
 		for w := range visits {
@@ -23,110 +25,18 @@ func TestParallelRunVisitsEveryPartitionOnce(t *testing.T) {
 	}
 }
 
-func TestParallelOwnerRangeConsistency(t *testing.T) {
-	f := func(wRaw, nRaw uint16) bool {
-		workers := 1 + int(wRaw%16)
-		n := int(nRaw % 2000)
-		p := NewParallel(workers, n)
-		covered := 0
-		for w := 0; w < p.P(); w++ {
-			lo, hi := p.Range(w)
-			if hi < lo {
-				return false
-			}
-			covered += int(hi - lo)
-			for v := lo; v < hi; v++ {
-				if p.Owner(v) != w {
-					return false
-				}
-			}
-		}
-		return covered == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a Step on the parallel backend produces exactly the table the
-// sim backend's message exchange produces, for random emission patterns,
-// worker counts, and partition layouts — merge order cannot matter.
-func TestParallelStepMatchesSimExchange(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		n := 50 + rng.Intn(200)
-		simWorkers := 1 + rng.Intn(6)
-		parWorkers := 1 + rng.Intn(6)
-		emissions := make([][]Msg, 0, 64)
-		for i := 0; i < 40+rng.Intn(60); i++ {
-			var batch []Msg
-			for j := 0; j < rng.Intn(8); j++ {
-				k := table.Binary(uint32(rng.Intn(n)), uint32(rng.Intn(n)), sig.Of(uint8(rng.Intn(5))))
-				batch = append(batch, Msg{K: k, C: uint64(1 + rng.Intn(9))})
-			}
-			emissions = append(emissions, batch)
-		}
-		// Every backend emits the same multiset: each partition w emits the
-		// batches whose index ≡ w mod P, addressed to the key's V owner.
-		produce := func(be Backend) func(w int, emit Emit) {
-			return func(w int, emit Emit) {
-				for i := w; i < len(emissions); i += be.P() {
-					for _, m := range emissions[i] {
-						emit(be.Owner(m.K.V), []Msg{m})
-					}
-				}
-			}
-		}
-		sim := NewCluster(simWorkers, n)
-		simOut := NewSharded(sim)
-		sim.Step(simOut, produce(sim))
-
-		par := NewParallel(parWorkers, n)
-		parOut := NewSharded(par)
-		par.Step(parOut, produce(par))
-
-		if simOut.Total() != parOut.Total() || simOut.Len() != parOut.Len() {
-			t.Fatalf("trial %d: sim (%d entries, total %d) != parallel (%d entries, total %d)",
-				trial, simOut.Len(), simOut.Total(), parOut.Len(), parOut.Total())
-		}
-		// Entry-for-entry: every sim entry appears in the parallel table
-		// with the same count, in the shard owning its V.
-		simOut.Iter(func(k table.Key, c uint64) bool {
-			if got := parOut.Shard(par.Owner(k.V)).Get(k); got != c {
-				t.Fatalf("trial %d: key %+v: sim %d, parallel %d", trial, k, c, got)
-			}
-			return true
-		})
-		if par.Messages() != 0 {
-			t.Fatalf("parallel backend counted %d messages", par.Messages())
-		}
-	}
-}
-
 func TestParallelLoadsFoldToWorkers(t *testing.T) {
-	p := NewParallel(4, 400)
+	p := engine.NewParallel(4, 400)
 	p.Run(func(w int) { p.AddLoad(w, int64(w+1)) })
 	loads := p.Loads()
 	if len(loads) != 4 {
 		t.Fatalf("len(Loads) = %d, want workers=4", len(loads))
 	}
-	var want, got int64
-	for w := 0; w < p.P(); w++ {
-		want += int64(w + 1)
-	}
-	for _, l := range loads {
-		got += l
-	}
-	if got != want {
-		t.Fatalf("folded loads total %d, want %d", got, want)
-	}
-	max, avg, total := p.LoadStats()
-	if total != want || max <= 0 || avg <= 0 {
-		t.Fatalf("LoadStats = (%d, %f, %d)", max, avg, total)
-	}
-	p.ResetCounters()
-	if _, _, total := p.LoadStats(); total != 0 || p.Steals() != 0 {
-		t.Fatal("ResetCounters incomplete")
+	// Partitions 4g..4g+3 are worker g's band: loads 4g+1..4g+4.
+	for g, l := range loads {
+		if want := int64(16*g + 10); l != want {
+			t.Fatalf("worker %d load = %d, want %d", g, l, want)
+		}
 	}
 }
 
@@ -135,7 +45,7 @@ func TestParallelLoadsFoldToWorkers(t *testing.T) {
 // other partition has completed — possible only because whichever worker
 // is not stuck keeps claiming tasks from both bands.
 func TestParallelStealsImbalancedBands(t *testing.T) {
-	p := NewParallel(2, 2000)
+	p := engine.NewParallel(2, 2000)
 	others := int32(p.P() - 1)
 	var done atomic.Int32
 	release := make(chan struct{})
@@ -154,73 +64,215 @@ func TestParallelStealsImbalancedBands(t *testing.T) {
 }
 
 func TestCanonicalAndNew(t *testing.T) {
-	if name, err := Canonical("sim"); err != nil || name != SimName {
+	if name, err := engine.Canonical("sim"); err != nil || name != engine.SimName {
 		t.Fatalf("Canonical(sim) = %q, %v", name, err)
 	}
-	if name, err := Canonical("parallel"); err != nil || name != ParallelName {
+	if name, err := engine.Canonical("parallel"); err != nil || name != engine.ParallelName {
 		t.Fatalf("Canonical(parallel) = %q, %v", name, err)
 	}
-	if _, err := Canonical("mpi"); err == nil {
+	if _, err := engine.Canonical("mpi"); err == nil {
 		t.Fatal("Canonical accepted an unknown backend")
 	}
-	be, err := New("parallel", 0, Job{N: 100})
+	be, err := engine.New("parallel", 0, engine.Job{N: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if be.Name() != ParallelName || be.Workers() < 1 {
+	if be.Name() != engine.ParallelName || be.Workers() < 1 {
 		t.Fatalf("New(parallel): name %q workers %d", be.Name(), be.Workers())
 	}
-	sim, err := New("sim", 0, Job{N: 100})
+	sim, err := engine.New("sim", 0, engine.Job{N: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.Name() != SimName || sim.Workers() != 4 {
+	if sim.Name() != engine.SimName || sim.Workers() != 4 {
 		t.Fatalf("New(sim): name %q workers %d, want sim/4", sim.Name(), sim.Workers())
 	}
-	if _, err := New("mpi", 2, Job{N: 100}); err == nil {
+	if _, err := engine.New("mpi", 2, engine.Job{N: 100}); err == nil {
 		t.Fatal("New accepted an unknown backend")
 	}
 }
 
-// Deliver must hand every emission to its destination partition exactly
-// once, with per-destination mutual exclusion (the consumer state below
-// is unsynchronized on purpose), on both backends.
+// The conformance table: every runtime takes the same cases. width is
+// simulated ranks for sim, worker goroutines for parallel, and partitions
+// for the dist rank (the single rank of a loopback session, which owns
+// them all).
+var runtimes = []struct {
+	name   string
+	widths []int
+	mk     func(t *testing.T, width, n int) engine.Backend
+}{
+	{"sim", []int{1, 4}, func(_ *testing.T, width, n int) engine.Backend { return engine.NewCluster(width, n) }},
+	{"parallel", []int{1, 3}, func(_ *testing.T, width, n int) engine.Backend { return engine.NewParallel(width, n) }},
+	{"dist rank", []int{1, 7}, func(t *testing.T, width, n int) engine.Backend {
+		be, stop := dist.LoopbackRank(width, n)
+		t.Cleanup(stop)
+		return be
+	}},
+}
+
+var conformance = []struct {
+	name  string
+	check func(t *testing.T, be engine.Backend, n int)
+}{
+	{"Owner and Range tile [0,N) exactly", checkTiling},
+	{"Deliver hands every count to its dst once, one run per dst at a time", checkDeliver},
+	{"Step accumulates every count into its dst shard", checkStep},
+	{"Loads sums to what AddLoad charged", checkLoads},
+}
+
 func TestDeliverRoutesEveryEmission(t *testing.T) {
-	for _, be := range []Backend{NewCluster(4, 400), NewParallel(3, 400)} {
-		sums := make([]uint64, be.P())
-		perDst := make([]map[uint32]int, be.P())
-		for i := range perDst {
-			perDst[i] = make(map[uint32]int)
+	for _, rt := range runtimes {
+		for _, width := range rt.widths {
+			for _, c := range conformance {
+				t.Run(fmt.Sprintf("%s/width %d/%s", rt.name, width, c.name), func(t *testing.T) {
+					c.check(t, rt.mk(t, width, 400), 400)
+				})
+			}
 		}
-		be.Deliver(func(w int, emit Emit) {
-			lo, hi := be.Range(w)
-			for v := lo; v < hi; v++ {
-				dst := be.Owner(uint32(int(v+7) % be.N()))
-				emit(dst, []Msg{{K: table.Unary(v, sig.Of(0)), C: uint64(v) + 1}})
+		// The block map again, over layouts the fixed size above misses:
+		// more partitions than vertices, no vertices, ragged last blocks.
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 60; i++ {
+			width, n := 1+rng.Intn(32), rng.Intn(2000)
+			if i < 8 {
+				n = i / 2 // 0..3 vertices
 			}
-		}, func(dst int, run []Msg) {
-			for _, m := range run {
-				sums[dst] += m.C
-				perDst[dst][m.K.U]++
+			t.Run(fmt.Sprintf("%s/width %d/%d vertices tile", rt.name, width, n), func(t *testing.T) {
+				checkTiling(t, rt.mk(t, width, n), n)
+			})
+		}
+	}
+}
+
+func checkTiling(t *testing.T, be engine.Backend, n int) {
+	next := uint32(0)
+	for w := 0; w < be.P(); w++ {
+		lo, hi := be.Range(w)
+		if lo != next || hi < lo {
+			t.Errorf("partition %d is [%d,%d), want it to start at %d", w, lo, hi, next)
+		}
+		for v := lo; v < hi; v++ {
+			if be.Owner(v) != w {
+				t.Errorf("Owner(%d) = %d, but partition %d's range holds it", v, be.Owner(v), w)
 			}
-		})
-		var total uint64
-		seen := 0
-		for dst := range sums {
-			total += sums[dst]
-			for v, n := range perDst[dst] {
-				if n != 1 {
-					t.Fatalf("%s: vertex %d delivered %d times to partition %d", be.Name(), v, n, dst)
+		}
+		next = hi
+	}
+	if int(next) != n {
+		t.Errorf("ranges cover [0,%d), want [0,%d)", next, n)
+	}
+}
+
+// checkDeliver has every vertex v send two counts, one to a near vertex's
+// owner (mostly v's own partition: self-sends) and one scattered, so
+// every destination hears from several producers at once. The consumer
+// state is unsynchronized on purpose: the contract is that calls for one
+// dst never overlap.
+func checkDeliver(t *testing.T, be engine.Backend, n int) {
+	targets := func(v uint32) [2]uint32 { return [2]uint32{(v + 7) % uint32(n), (v * 31) % uint32(n)} }
+	got := make([]map[table.Key]uint64, be.P())
+	srcs := make([][]uint32, be.P()) // producing partition of each count, in arrival order
+	busy := make([]atomic.Int32, be.P())
+	for i := range got {
+		got[i] = make(map[table.Key]uint64)
+	}
+	steps := be.Steps()
+	be.Deliver(func(w int, emit engine.Emit) {
+		lo, hi := be.Range(w)
+		for v := lo; v < hi; v++ {
+			for i, to := range targets(v) {
+				emit(be.Owner(to), []engine.Msg{{K: table.Key{U: v, V: to, X: uint32(i), Y: uint32(w)}, C: uint64(v) + 1}})
+			}
+		}
+	}, func(dst int, run []engine.Msg) {
+		if busy[dst].Add(1) != 1 {
+			t.Errorf("two consume calls for partition %d overlap", dst)
+		}
+		for _, m := range run {
+			got[dst][m.K] += m.C
+			srcs[dst] = append(srcs[dst], m.K.Y)
+		}
+		busy[dst].Add(-1)
+	})
+	if be.Steps() != steps+1 {
+		t.Errorf("Steps went %d → %d over one Deliver", steps, be.Steps())
+	}
+	delivered := 0
+	for dst := range got {
+		delivered += len(got[dst])
+		for k, c := range got[dst] {
+			if be.Owner(k.V) != dst || targets(k.U)[k.X] != k.V || c != uint64(k.U)+1 {
+				t.Errorf("partition %d consumed %+v ×%d", dst, k, c)
+			}
+		}
+		if be.Name() == engine.SimName {
+			// sim alone promises an order: buffers arrive by source rank.
+			for i := 1; i < len(srcs[dst]); i++ {
+				if srcs[dst][i] < srcs[dst][i-1] {
+					t.Errorf("sim rank %d consumed source %d after %d", dst, srcs[dst][i], srcs[dst][i-1])
 				}
-				if be.Owner(uint32(int(v+7)%be.N())) != dst {
-					t.Fatalf("%s: vertex %d delivered to wrong partition %d", be.Name(), v, dst)
-				}
-				seen++
 			}
 		}
-		want := uint64(be.N()) * uint64(be.N()+1) / 2
-		if total != want || seen != be.N() {
-			t.Fatalf("%s: delivered %d entries summing %d, want %d summing %d", be.Name(), seen, total, be.N(), want)
+	}
+	if delivered != 2*n {
+		t.Errorf("%d distinct counts delivered, want %d", delivered, 2*n)
+	}
+	// What a message is differs by runtime: sim counts every emitted
+	// count, self-sends included; parallel exchanges none; a dist rank
+	// counts only what leaves it, and this one has no peer.
+	want := int64(0)
+	if be.Name() == engine.SimName {
+		want = int64(2 * n)
+	}
+	if be.Messages() != want {
+		t.Errorf("Messages = %d after emitting %d counts, want %d", be.Messages(), 2*n, want)
+	}
+}
+
+// checkStep emits a random multiset of binary keys, duplicates included,
+// and compares the table Step builds against a builtin map.
+func checkStep(t *testing.T, be engine.Backend, n int) {
+	rng := rand.New(rand.NewSource(11))
+	want := make(map[table.Key]uint64)
+	batches := make([][]engine.Msg, 100)
+	for i := range batches {
+		for j := rng.Intn(8); j > 0; j-- {
+			k := table.Binary(uint32(rng.Intn(n)), uint32(rng.Intn(n/8)), sig.Of(uint8(rng.Intn(5))))
+			m := engine.Msg{K: k, C: uint64(1 + rng.Intn(9))}
+			batches[i] = append(batches[i], m)
+			want[k] += m.C
 		}
+	}
+	out := engine.NewSharded(be)
+	steps := be.Steps()
+	be.Step(out, func(w int, emit engine.Emit) {
+		for i := w; i < len(batches); i += be.P() {
+			for _, m := range batches[i] {
+				emit(be.Owner(m.K.V), []engine.Msg{m})
+			}
+		}
+	})
+	if be.Steps() != steps+1 {
+		t.Errorf("Steps went %d → %d over one Step", steps, be.Steps())
+	}
+	if out.Len() != len(want) {
+		t.Errorf("table holds %d entries, want %d", out.Len(), len(want))
+	}
+	for k, c := range want {
+		if got := out.Shard(be.Owner(k.V)).Get(k); got != c {
+			t.Errorf("key %+v: %d in its owner's shard, want %d", k, got, c)
+		}
+	}
+}
+
+func checkLoads(t *testing.T, be engine.Backend, _ int) {
+	be.Run(func(w int) { be.AddLoad(w, int64(w+1)) })
+	loads := be.Loads()
+	if len(loads) != be.Workers() {
+		t.Errorf("len(Loads) = %d, Workers = %d", len(loads), be.Workers())
+	}
+	_, _, total := engine.LoadStats(loads)
+	if want := int64(be.P() * (be.P() + 1) / 2); total != want {
+		t.Errorf("Loads sums to %d, AddLoad charged %d", total, want)
 	}
 }

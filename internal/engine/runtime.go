@@ -1,0 +1,175 @@
+package engine
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// Blocks is the paper's 1D block distribution (§7): n vertices in parts
+// contiguous partitions of ⌈n/parts⌉ vertices. It is the one place that
+// decides how vertices map to partitions; every backend embeds it, and
+// the processes of a dist run derive identical ownership from the same
+// two integers, so no assignment table is ever stored or shipped.
+type Blocks struct {
+	parts, n, chunk int
+}
+
+// NewBlocks returns the block map of n vertices over parts partitions
+// (clamped to at least 1).
+func NewBlocks(parts, n int) Blocks {
+	if parts < 1 {
+		parts = 1
+	}
+	chunk := (n + parts - 1) / parts
+	if chunk < 1 {
+		chunk = 1
+	}
+	return Blocks{parts: parts, n: n, chunk: chunk}
+}
+
+// P returns the partition count.
+func (b Blocks) P() int { return b.parts }
+
+// Owner returns the partition owning vertex v.
+func (b Blocks) Owner(v uint32) int {
+	w := int(v) / b.chunk
+	if w >= b.parts {
+		w = b.parts - 1
+	}
+	return w
+}
+
+// Range returns the half-open vertex interval [lo, hi) owned by
+// partition w.
+func (b Blocks) Range(w int) (lo, hi uint32) {
+	l := w * b.chunk
+	h := l + b.chunk
+	if w == b.parts-1 || h > b.n {
+		h = b.n
+	}
+	if l > b.n {
+		l = b.n
+	}
+	return uint32(l), uint32(h)
+}
+
+// paddedMutex keeps each partition lock on its own cache line: the locks
+// sit in one array and are hammered from every worker, so false sharing
+// between neighboring partitions would serialize unrelated merges.
+type paddedMutex struct {
+	sync.Mutex
+	_ [56]byte
+}
+
+// Counters is what a superstep counts, embedded by every backend: the
+// per-partition load counters of the paper's Figure 11, the superstep,
+// message and steal totals, and the per-partition delivery locks. Begin,
+// Sent and Locked are the driving side, called by the embedding backend's
+// own Deliver; the rest is the Backend interface's read side.
+type Counters struct {
+	workers int
+	loads   []atomic.Int64 // per partition
+	locks   []paddedMutex  // per partition
+	steps   atomic.Int64
+	msgs    atomic.Int64
+	steals  atomic.Int64
+}
+
+// NewCounters returns zeroed counters for parts partitions executed by
+// workers workers (goroutines, simulated ranks or processes): partition
+// w's load folds onto worker w·workers/parts, the worker whose contiguous
+// band of partitions contains w.
+func NewCounters(parts, workers int) Counters {
+	return Counters{
+		workers: workers,
+		loads:   make([]atomic.Int64, parts),
+		locks:   make([]paddedMutex, parts),
+	}
+}
+
+// Workers returns the execution width the loads fold onto.
+func (c *Counters) Workers() int { return c.workers }
+
+// AddLoad charges d projection-function operations to partition w.
+func (c *Counters) AddLoad(w int, d int64) { c.loads[w].Add(d) }
+
+// Loads returns a per-worker snapshot of the load counters.
+func (c *Counters) Loads() []int64 {
+	out := make([]int64, c.workers)
+	for w := range c.loads {
+		out[w*c.workers/len(c.loads)] += c.loads[w].Load()
+	}
+	return out
+}
+
+// Steps returns the number of supersteps begun so far.
+func (c *Counters) Steps() int64 { return c.steps.Load() }
+
+// Messages returns the keyed counts recorded by Sent.
+func (c *Counters) Messages() int64 { return c.msgs.Load() }
+
+// Steals returns the partition tasks run off their home worker.
+func (c *Counters) Steals() int64 { return c.steals.Load() }
+
+// Begin counts one superstep and returns its 1-based ordinal.
+func (c *Counters) Begin() int64 { return c.steps.Add(1) }
+
+// Sent counts n keyed counts as exchanged messages.
+func (c *Counters) Sent(n int) { c.msgs.Add(int64(n)) }
+
+// Locked wraps consume so that calls for one destination partition never
+// overlap: each run is delivered under that partition's lock, taken once
+// per run, not per message.
+func (c *Counters) Locked(consume func(dst int, run []Msg)) Emit {
+	return func(dst int, run []Msg) {
+		mu := &c.locks[dst]
+		mu.Lock()
+		consume(dst, run)
+		mu.Unlock()
+	}
+}
+
+// RunEach calls f(w) exactly once for every partition w in [lo, hi), on
+// up to workers goroutines pulling from one shared cursor, and waits. A
+// single worker (or a single partition) runs inline.
+func RunEach(workers, lo, hi int, f func(w int)) {
+	if workers > hi-lo {
+		workers = hi - lo
+	}
+	if workers <= 1 {
+		for w := lo; w < hi; w++ {
+			f(w)
+		}
+		return
+	}
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go func() {
+			defer wg.Done()
+			for {
+				w := lo + int(cursor.Add(1)) - 1
+				if w >= hi {
+					return
+				}
+				f(w)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// LoadStats returns (max, avg, total) over per-worker loads.
+func LoadStats(loads []int64) (max int64, avg float64, total int64) {
+	for _, l := range loads {
+		total += l
+		if l > max {
+			max = l
+		}
+	}
+	if len(loads) > 0 {
+		avg = float64(total) / float64(len(loads))
+	}
+	return max, avg, total
+}

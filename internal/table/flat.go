@@ -1,9 +1,9 @@
 // Flat is the signature-major projection table used on the solver's hot
-// path. Where T hashes each key independently (so entries for one vertex
-// scatter across the backing array), Flat keeps entries in one dense slice
-// sorted by (home vertex, other boundary, recorded vertices, signature
-// rank): all entries sharing a vertex sit contiguously, and within a
-// vertex group consecutive signature ranks (sig.Rank) are adjacent. Join
+// path. Where a hash table scatters the entries of one vertex across its
+// backing array, Flat keeps entries in one dense slice sorted by (home
+// vertex, other boundary, recorded vertices, signature rank): all entries
+// sharing a vertex sit contiguously, and within a vertex group
+// consecutive signature ranks (sig.Rank) are adjacent. Join
 // loops then run as linear scans and merge-joins over plain slices —
 // no hashing, no per-entry map or closure overhead, and inner accumulate
 // loops the compiler can keep in registers.

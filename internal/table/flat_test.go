@@ -22,38 +22,40 @@ func randKey(rng *rand.Rand, space int) Key {
 	return k
 }
 
-// Flat must agree with the hash table T on every operation, for arbitrary
-// accumulation sequences (including heavy duplication, which exercises
-// both the pending-region fold and the merge with the sorted prefix).
+// Flat must agree with a builtin map — a reference that shares no code
+// with it — on every operation, for arbitrary accumulation sequences
+// (including heavy duplication, which exercises both the pending-region
+// fold and the merge with the sorted prefix).
 func TestFlatMatchesHashTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
-		h := New(8)
+		h := make(map[Key]uint64)
 		var f Flat // zero value must be ready
 		n := rng.Intn(3 * pendingMin)
 		space := 1 + rng.Intn(40)
 		for i := 0; i < n; i++ {
 			k := randKey(rng, space)
 			c := uint64(1 + rng.Intn(9))
-			h.Add(k, c)
+			h[k] += c
 			f.Add(k, c)
 			if rng.Intn(64) == 0 {
 				// Interleave reads so compaction happens mid-build too.
-				if got, want := f.Get(k), h.Get(k); got != want {
+				if got, want := f.Get(k), h[k]; got != want {
 					t.Fatalf("trial %d: mid-build Get(%+v) = %d, want %d", trial, k, got, want)
 				}
 			}
 		}
-		if f.Len() != h.Len() || f.Total() != h.Total() {
-			t.Fatalf("trial %d: flat Len=%d Total=%d, hash Len=%d Total=%d",
-				trial, f.Len(), f.Total(), h.Len(), h.Total())
-		}
-		h.Iter(func(k Key, c uint64) bool {
+		var total uint64
+		for k, c := range h {
+			total += c
 			if got := f.Get(k); got != c {
 				t.Fatalf("trial %d: Get(%+v) = %d, want %d", trial, k, got, c)
 			}
-			return true
-		})
+		}
+		if f.Len() != len(h) || f.Total() != total {
+			t.Fatalf("trial %d: flat Len=%d Total=%d, map Len=%d Total=%d",
+				trial, f.Len(), f.Total(), len(h), total)
+		}
 	}
 }
 
@@ -180,96 +182,4 @@ func TestFlatZeroAllocsPerEntry(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("hot path allocated %.0f times for %d entries; want 0", allocs, n)
 	}
-}
-
-// benchKeys builds a deterministic workload: nKeys distinct keys cycled
-// nOps times, giving every layout the same mix of inserts and duplicate
-// accumulations.
-func benchKeys(nKeys int) []Key {
-	rng := rand.New(rand.NewSource(77))
-	keys := make([]Key, nKeys)
-	for i := range keys {
-		keys[i] = randKey(rng, nKeys)
-	}
-	return keys
-}
-
-func BenchmarkTableAdd(b *testing.B) {
-	keys := benchKeys(1 << 14)
-	b.Run("hash", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t := New(len(keys))
-			for _, k := range keys {
-				t.Add(k, 1)
-			}
-		}
-	})
-	b.Run("flat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t := NewFlat(len(keys))
-			for _, k := range keys {
-				t.Add(k, 1)
-			}
-			t.compact()
-		}
-	})
-}
-
-func BenchmarkTableGet(b *testing.B) {
-	keys := benchKeys(1 << 14)
-	h := New(len(keys))
-	f := NewFlat(len(keys))
-	for _, k := range keys {
-		h.Add(k, 1)
-		f.Add(k, 1)
-	}
-	f.compact()
-	b.Run("hash", func(b *testing.B) {
-		b.ReportAllocs()
-		var sum uint64
-		for i := 0; i < b.N; i++ {
-			sum += h.Get(keys[i%len(keys)])
-		}
-		_ = sum
-	})
-	b.Run("flat", func(b *testing.B) {
-		b.ReportAllocs()
-		var sum uint64
-		for i := 0; i < b.N; i++ {
-			sum += f.Get(keys[i%len(keys)])
-		}
-		_ = sum
-	})
-}
-
-func BenchmarkTableIter(b *testing.B) {
-	keys := benchKeys(1 << 14)
-	h := New(len(keys))
-	f := NewFlat(len(keys))
-	for _, k := range keys {
-		h.Add(k, 1)
-		f.Add(k, 1)
-	}
-	f.compact()
-	b.Run("hash", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var sum uint64
-			h.Iter(func(_ Key, c uint64) bool { sum += c; return true })
-			_ = sum
-		}
-	})
-	b.Run("flat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var sum uint64
-			ents := f.Ents()
-			for j := range ents {
-				sum += ents[j].C
-			}
-			_ = sum
-		}
-	})
 }
