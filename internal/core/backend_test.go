@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/query"
 )
@@ -49,6 +51,44 @@ func TestBackendEquivalenceRandomized(t *testing.T) {
 		got := count(t, g, q, colors, Options{Algorithm: alg, Backend: "parallel", Workers: 1 + rng.Intn(6)})
 		if got != want {
 			t.Fatalf("trial %d: %s on %s: parallel %d != sim %d", trial, alg, q.Name, got, want)
+		}
+	}
+}
+
+// The parallel backend sizes its partitions from the vertex count, not the
+// worker count, so the two no longer divide: up to 143 vertices make 8
+// partitions — more partitions than vertices below 8 — and 1000 make 62,
+// a multiple of none of the worker counts above 2. On both sides of those
+// edges, at every worker count, its counts must equal sim's and the exact
+// enumerator's, in scalar and in per-vertex mode.
+func TestParallelGrainEdgesMatchSimAndExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, n := range []int{0, 1, 2, 7, 8, 9, 1000} {
+		g := gen.ErdosRenyi("er", n, int64(3*(n/2*2)), rng) // no edge to draw on 0 or 1 vertices
+		for _, qn := range []string{"path3", "cycle4", "glet1", "brain1", "satellite"} {
+			q := query.MustByName(qn)
+			colors := randColors(n, q.K, rng)
+			want := exact.ColorfulMatches(g, q, colors)
+			if got := count(t, g, q, colors, Options{Backend: "sim", Workers: 3}); got != want {
+				t.Fatalf("%s on %d vertices: sim counted %d, exact enumeration %d", qn, n, got, want)
+			}
+			var wantPer []uint64 // for the plan's default anchor, known after the first run
+			for _, workers := range []int{1, 2, 3, 5, 8} {
+				opts := Options{Backend: "parallel", Workers: workers}
+				if got := count(t, g, q, colors, opts); got != want {
+					t.Errorf("%s on %d vertices: parallel w=%d counted %d, exact enumeration %d", qn, n, workers, got, want)
+				}
+				per, anchor, _, err := CountColorfulPerVertex(g, q, colors, -1, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantPer == nil {
+					wantPer = exact.ColorfulMatchesPerVertex(g, q, colors, anchor)
+				}
+				if !slices.Equal(per, wantPer) {
+					t.Errorf("%s on %d vertices: parallel w=%d per-vertex counts differ from exact enumeration", qn, n, workers)
+				}
+			}
 		}
 	}
 }

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/decomp"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/query"
 	"repro/internal/sig"
 	"repro/internal/table"
 )
@@ -78,15 +80,17 @@ func BenchmarkEdgeJoinInner(b *testing.B) {
 	}
 }
 
-// The batched emission path must not allocate per message: the solver's
-// per-partition Batcher reuses one run buffer, and the parallel backend
-// merges runs in place. An allocation creeping into Emit would be paid
-// once per walk extension — exactly what batching exists to avoid.
+// The batched emission path must not allocate per message, nor per task:
+// a Batcher borrows its run buffer from a pool at the first Emit and
+// returns it in Flush. An allocation creeping into Emit would be paid once
+// per walk extension — exactly what batching exists to avoid.
 func TestBatcherZeroAllocsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
 	var got int
 	sink := func(dst int, run []engine.Msg) { got += len(run) }
 	var eb engine.Batcher
-	eb.Bind(sink) // first Bind allocates the run buffer
 	const n = 8192
 	m := engine.Msg{K: table.Unary(7, 1), C: 1}
 	allocs := testing.AllocsPerRun(10, func() {
@@ -101,5 +105,84 @@ func TestBatcherZeroAllocsPerMessage(t *testing.T) {
 	}
 	if got == 0 {
 		t.Fatal("sink never ran")
+	}
+}
+
+// BenchmarkTrial times whole colourful counts on the benchmark's solver
+// instances (DB on `parallel`, one colouring): the three paper-regime
+// workloads on enron stand-ins at 1/scale, and the ms-scale solve the
+// serving workloads make (scale 0: a 1000-vertex power-law graph).
+// Workers follow GOMAXPROCS, so `-cpu 1,2` is the backend's scaling curve.
+func BenchmarkTrial(b *testing.B) {
+	for _, c := range []struct {
+		name, query string
+		scale       int
+	}{
+		{"cycle10-3k", "brain3", 64},
+		{"cycle5-90k", "glet2", 2},
+		{"tree8-90k", "bintree8", 2},
+		{"serve-1k", "cycle4", 0},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g := gen.PowerLawGraph("load", 1000, 1.6, rand.New(rand.NewSource(1)))
+			if c.scale > 0 {
+				var ok bool
+				if g, ok = gen.StandinByName("enron", c.scale, 1); !ok {
+					b.Fatal("no enron stand-in")
+				}
+			}
+			q := query.MustByName(c.query)
+			colors := randColors(g.N(), q.K, rand.New(rand.NewSource(1)))
+			opts := Options{Algorithm: DB, Backend: "parallel"}
+			want := count(b, g, q, colors, opts) // also warms the plan cache and the heap
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := count(b, g, q, colors, opts); got != want {
+					b.Fatalf("trial %d counted %d, the first counted %d", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// Tables are built in slabs that dead tables gave back (table/slab.go), so
+// once a first count has stocked the pool another one on the same
+// instance allocates next to nothing: less than its mean table's bytes,
+// where a solver that made every table from fresh memory would allocate
+// all 71 of them (and one that also grew them by doubling, as this one
+// did, ten times that).
+func TestRepeatedCountAllocatesLessThanOneTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	g, ok := gen.StandinByName("enron", 64, 1)
+	if !ok {
+		t.Fatal("no enron stand-in")
+	}
+	q := query.MustByName("brain2")
+	colors := randColors(g.N(), q.K, rand.New(rand.NewSource(1)))
+	opts := Options{Algorithm: DB, Backend: "parallel", Workers: 2}
+	want := count(t, g, q, colors, opts)
+	// The pool is a sync.Pool: two collections in a row empty it. The best
+	// of three counts is one no such pair fell into.
+	const entBytes = 32
+	var alloc, tables, meanTable uint64
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, st, err := CountColorful(g, q, colors, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil || got != want {
+			t.Fatalf("count %d: %d, %v; the first counted %d", try+2, got, err, want)
+		}
+		tables = uint64(st.TableEntries) * entBytes
+		meanTable = tables / uint64(st.Supersteps)
+		if a := after.TotalAlloc - before.TotalAlloc; try == 0 || a < alloc {
+			alloc = a
+		}
+	}
+	if alloc > meanTable {
+		t.Errorf("a repeated count allocated %d KiB to build %d KiB of tables (mean table %d KiB)", alloc>>10, tables>>10, meanTable>>10)
 	}
 }

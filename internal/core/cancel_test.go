@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/query"
+	"repro/internal/table"
 )
 
 // TestCountColorfulContextPreCanceled: an already-canceled context must
@@ -80,6 +83,78 @@ func TestCountColorfulContextMatchesPlain(t *testing.T) {
 			}
 			if got != plain {
 				t.Errorf("%s/%v: context count %d != plain %d", name, alg, got, plain)
+			}
+		}
+	}
+}
+
+// pollCanceled is a context that cancels itself the n-th time a worker
+// polls it, so a test can land the cancellation inside one chosen phase.
+type pollCanceled struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func cancelAtPoll(n int64) *pollCanceled {
+	c := &pollCanceled{}
+	c.Context, c.cancel = context.WithCancel(context.Background())
+	c.left.Store(n)
+	return c
+}
+
+func (c *pollCanceled) Done() <-chan struct{} {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Done()
+}
+
+// TestCancelMidBuild: a superstep's table is built — sorted and folded,
+// shard by shard — after its joins have run, and on a big table that is
+// most of the superstep. A cancellation landing there must stop the build
+// at the next shard, not after the last: with 512 shards and the cancel
+// at the 100th poll, roughly the first hundred are built and the rest are
+// left as they were.
+func TestCancelMidBuild(t *testing.T) {
+	const n, perVertex = 1 << 14, 80 // 512 partitions, 1.3 M distinct entries
+	be := engine.NewParallel(2, n)
+	out := engine.NewSharded(be)
+	for v := uint32(0); v < n; v++ {
+		for u := uint32(0); u < perVertex; u++ {
+			out.Add(be.Owner(v), table.Binary(u, v, 1), 1)
+		}
+	}
+	ctx := cancelAtPoll(100)
+	s := newSolver(ctx, nil, nil, be, DB)
+	s.track(out)
+	if !s.stop.Load() || !errors.Is(ctx.Err(), context.Canceled) {
+		t.Fatal("the build phase never polled the context")
+	}
+	if s.entries == 0 || s.entries > n*perVertex/2 {
+		t.Errorf("a cancel at the 100th of %d shards left %d of %d entries built", be.P(), s.entries, n*perVertex)
+	}
+}
+
+// TestCancelAtAnyPoll lands the cancellation on the n-th context poll of a
+// run, for n across the whole run — between blocks, inside join loops,
+// between the shards of a table build — and wants ctx.Err() every time,
+// never a count from a run that stopped early.
+func TestCancelAtAnyPoll(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := gen.PowerLawGraph("pl", 2000, 1.5, rng)
+	q := query.MustByName("wiki")
+	colors := randColors(g.N(), q.K, rng)
+	for _, backend := range []string{"sim", "parallel"} {
+		whole := cancelAtPoll(1 << 60)
+		if _, _, err := CountColorfulContext(whole, g, q, colors, Options{Backend: backend, Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		polls := 1<<60 - whole.left.Load()
+		for n := int64(1); n < polls; n += 1 + polls/40 {
+			ctx := cancelAtPoll(n)
+			if c, _, err := CountColorfulContext(ctx, g, q, colors, Options{Backend: backend, Workers: 2}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: canceled at poll %d of %d, got count %d and error %v", backend, n, polls, c, err)
 			}
 		}
 	}

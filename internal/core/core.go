@@ -213,42 +213,34 @@ func validate(g *graph.Graph, q *query.Graph, colors []uint8, plan *decomp.Tree)
 	return nil
 }
 
-// solver carries the per-run state: the block result tables, the cached
-// CSR groupings of child tables used by joins, and one emission batcher
-// per partition (a superstep's produce task has exclusive use of its
-// partition's batcher, and supersteps never overlap, so the batchers are
-// reused for the whole run without synchronization).
+// solver carries the per-run state: the block result tables and the cached
+// CSR groupings of child tables used by joins.
 type solver struct {
-	ctx      context.Context
-	tr       *obs.Trace  // nil when the run carries no trace; all methods tolerate nil
-	stop     atomic.Bool // latched ctx cancellation, visible to every worker
-	g        *graph.Graph
-	colors   []uint8
-	be       engine.Backend
-	alg      Algorithm
-	tables   map[*decomp.Block]*engine.Sharded
-	grouped  map[groupKey][]*groupedIdx
-	unary    map[*decomp.Block][]*nodeIdx
-	batchers []*engine.Batcher
-	entries  int64
+	ctx     context.Context
+	tr      *obs.Trace  // nil when the run carries no trace; all methods tolerate nil
+	stop    atomic.Bool // latched ctx cancellation, visible to every worker
+	g       *graph.Graph
+	colors  []uint8
+	be      engine.Backend
+	alg     Algorithm
+	tables  map[*decomp.Block]*engine.Sharded
+	grouped map[groupKey]regrouped
+	unary   map[*decomp.Block][]*rowIdx
+	entries int64
 }
 
 // newSolver assembles the per-run solver state over a ready backend.
 func newSolver(ctx context.Context, g *graph.Graph, colors []uint8, be engine.Backend, alg Algorithm) *solver {
 	s := &solver{
-		ctx:      ctx,
-		tr:       obs.FromContext(ctx),
-		g:        g,
-		colors:   colors,
-		be:       be,
-		alg:      alg,
-		tables:   make(map[*decomp.Block]*engine.Sharded),
-		grouped:  make(map[groupKey][]*groupedIdx),
-		unary:    make(map[*decomp.Block][]*nodeIdx),
-		batchers: make([]*engine.Batcher, be.P()),
-	}
-	for i := range s.batchers {
-		s.batchers[i] = &engine.Batcher{}
+		ctx:     ctx,
+		tr:      obs.FromContext(ctx),
+		g:       g,
+		colors:  colors,
+		be:      be,
+		alg:     alg,
+		tables:  make(map[*decomp.Block]*engine.Sharded),
+		grouped: make(map[groupKey]regrouped),
+		unary:   make(map[*decomp.Block][]*rowIdx),
 	}
 	return s
 }
@@ -290,9 +282,19 @@ func (s *solver) aborted() bool {
 	}
 }
 
-// track records a freshly built table's size for the stats.
+// track finishes a freshly built table: every partition compacts its own
+// shard (the sort and fold a superstep's appends have been waiting for),
+// in parallel and inside the superstep's span, and the table's size goes
+// into the stats. A canceled run skips the shards not yet started; the
+// caller discards the table.
 func (s *solver) track(t *engine.Sharded) *engine.Sharded {
-	s.entries += int64(t.Len())
+	var entries atomic.Int64
+	s.be.Run(func(w int) {
+		if !s.aborted() {
+			entries.Add(int64(t.Shard(w).Len()))
+		}
+	})
+	s.entries += entries.Load()
 	return t
 }
 
@@ -326,11 +328,19 @@ func (s *solver) run(plan *decomp.Tree) uint64 {
 				answer = s.tables[b.Children[0]].Total()
 			}
 		}
-		// Children's tables are dead once their parent is solved.
-		for _, c := range b.Children {
-			delete(s.tables, c)
-			s.dropGroups(c)
-		}
+		s.dropChildren(b)
 	}
 	return answer
+}
+
+// dropChildren releases the tables and cached groupings of b's children:
+// they are dead once their parent is solved.
+func (s *solver) dropChildren(b *decomp.Block) {
+	for _, c := range b.Children {
+		if t := s.tables[c]; t != nil {
+			t.Release()
+		}
+		delete(s.tables, c)
+		s.dropGroups(c)
+	}
 }

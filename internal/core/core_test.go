@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/decomp"
+	"repro/internal/engine"
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/query"
+	"repro/internal/table"
 )
 
 func randColors(n, k int, rng *rand.Rand) []uint8 {
@@ -20,7 +24,7 @@ func randColors(n, k int, rng *rand.Rand) []uint8 {
 }
 
 // count runs CountColorful and fails the test on error.
-func count(t *testing.T, g *graph.Graph, q *query.Graph, colors []uint8, opts Options) uint64 {
+func count(t testing.TB, g *graph.Graph, q *query.Graph, colors []uint8, opts Options) uint64 {
 	t.Helper()
 	got, _, err := CountColorful(g, q, colors, opts)
 	if err != nil {
@@ -236,5 +240,77 @@ func TestDBPrunesLoad(t *testing.T) {
 	// count is fixed at connect time), so check consistency, not the knob.
 	if sDB.MaxLoad <= 0 || sDB.Workers <= 0 || len(sDB.Loads) != sDB.Workers {
 		t.Errorf("stats malformed: %+v", sDB)
+	}
+}
+
+// Tables go back to the slab pool the moment the solver knows them dead,
+// and the pool hands their memory to the next table: a table released
+// while a walk still reads it would show the next table's entries. A
+// child block's table is read by every walk of every split of its parent;
+// it must keep its total and its entries until the parent is solved,
+// however many walk tables are built and released in between.
+func TestChildTableSurvivesItsParentsWalks(t *testing.T) {
+	// wiki's 3-cycle folds a unary child in at a node (the row index aliases
+	// the child's shards); glet1's 4-cycle crosses a binary child on an edge.
+	for _, qn := range []string{"wiki", "glet1"} {
+		rng := rand.New(rand.NewSource(9))
+		g := gen.PowerLawGraph("pl", 300, 1.5, rng)
+		q := query.MustByName(qn)
+		colors := randColors(g.N(), q.K, rng)
+		plan, err := PickPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		be, err := engine.New("parallel", 3, engine.Job{N: g.N()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newSolver(context.Background(), g, colors, be, DB)
+		type snapshot struct {
+			total uint64
+			ents  map[table.Key]uint64
+		}
+		snap := func(b *decomp.Block) snapshot {
+			sn := snapshot{total: s.tables[b].Total(), ents: map[table.Key]uint64{}}
+			s.tables[b].Iter(func(k table.Key, c uint64) bool { sn.ents[k] = c; return true })
+			return sn
+		}
+		checked := 0
+		for _, b := range plan.Blocks {
+			switch {
+			case b.Kind == decomp.LeafEdge:
+				s.tables[b] = s.solveLeaf(b)
+			case b.Kind == decomp.CycleBlock && len(b.Children) == 0:
+				s.tables[b] = s.solveCycle(b)
+			case b.Kind == decomp.CycleBlock:
+				before := make(map[*decomp.Block]snapshot)
+				for _, c := range b.Children {
+					before[c] = snap(c)
+					if len(before[c].ents) == 0 {
+						t.Fatalf("%s: child block %v has an empty table; the test needs entries to lose", qn, c.Nodes)
+					}
+				}
+				out := engine.NewSharded(be)
+				for i, sp := range s.splits(b) {
+					plus := s.buildPath(sp.plus)
+					minus := s.buildPath(sp.minus)
+					s.joinSplit(b, sp, plus, minus, out, make([]uint64, be.P()))
+					plus.Release()
+					minus.Release()
+					for _, c := range b.Children {
+						if after := snap(c); after.total != before[c].total || !reflect.DeepEqual(after.ents, before[c].ents) {
+							t.Fatalf("%s: child block %v changed under split %d of its parent: total %d → %d, %d → %d entries",
+								qn, c.Nodes, i, before[c].total, after.total, len(before[c].ents), len(after.ents))
+						}
+						checked++
+					}
+				}
+				s.tables[b] = s.track(out)
+			}
+			s.dropChildren(b)
+		}
+		if checked == 0 {
+			t.Fatalf("%s: the plan has no cycle block with children", qn)
+		}
 	}
 }

@@ -47,6 +47,8 @@ func (s *solver) solveCycle(b *decomp.Block) *engine.Sharded {
 		plus := s.buildPath(sp.plus)
 		minus := s.buildPath(sp.minus)
 		s.joinSplit(b, sp, plus, minus, out, nil)
+		plus.Release()
+		minus.Release()
 	}
 	return s.track(out)
 }
@@ -62,6 +64,8 @@ func (s *solver) solveRootCycle(b *decomp.Block) uint64 {
 		plus := s.buildPath(sp.plus)
 		minus := s.buildPath(sp.minus)
 		s.joinSplit(b, sp, plus, minus, nil, partial)
+		plus.Release()
+		minus.Release()
 	}
 	var total uint64
 	for _, p := range partial {
@@ -106,6 +110,7 @@ func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 		}
 		s.be.AddLoad(w, load)
 	})
+	walk.Release()
 	return s.track(out)
 }
 
@@ -222,8 +227,8 @@ func (s *solver) makeSplit(b *decomp.Block, start, end int, ordered bool) split 
 // signature filter scans adjacent memory on both sides.
 func (s *solver) joinSplit(b *decomp.Block, sp split, plus, minus *engine.Sharded, out *engine.Sharded, partial []uint64) {
 	produce := func(w int, emit engine.Emit) {
-		eb := s.batchers[w].Bind(emit)
-		defer eb.Flush()
+		var eb engine.Batcher
+		defer eb.Bind(emit).Flush()
 		pe := plus.Shard(w).Ents()
 		me := minus.Shard(w).Ents()
 		var load int64

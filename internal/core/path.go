@@ -18,7 +18,7 @@ import (
 // The joins run over the flat signature-major layout (table.Flat): each
 // shard's entries are one dense slice grouped by the home vertex V, so an
 // inner loop is a linear scan, the child side is probed through a
-// CSR-style index (groupedIdx/nodeIdx) instead of a hash map, and
+// CSR-style index (rowIdx) instead of a hash map, and
 // emissions are coalesced into per-destination runs by an engine.Batcher.
 
 // pathStep extends the walk by one cycle node.
@@ -49,7 +49,7 @@ func (s *solver) buildPath(spec pathSpec) *engine.Sharded {
 	} else {
 		cur = s.initEdge(spec, spec.steps[0])
 		if spec.steps[0].nodeAnn != nil {
-			cur = s.nodeJoin(cur, spec.steps[0].nodeAnn)
+			cur = replaced(cur, s.nodeJoin(cur, spec.steps[0].nodeAnn))
 		}
 		rest = spec.steps[1:]
 	}
@@ -57,12 +57,19 @@ func (s *solver) buildPath(spec pathSpec) *engine.Sharded {
 		if s.aborted() {
 			return cur
 		}
-		cur = s.edgeJoin(cur, spec, st)
+		cur = replaced(cur, s.edgeJoin(cur, spec, st))
 		if st.nodeAnn != nil {
-			cur = s.nodeJoin(cur, st.nodeAnn)
+			cur = replaced(cur, s.nodeJoin(cur, st.nodeAnn))
 		}
 	}
 	return cur
+}
+
+// replaced releases a walk table its successor has been built from and
+// returns the successor.
+func replaced(old, next *engine.Sharded) *engine.Sharded {
+	old.Release()
+	return next
 }
 
 func applyRecord(k *table.Key, record int, v uint32) {
@@ -82,8 +89,8 @@ func (s *solver) initEdge(spec pathSpec, st pathStep) *engine.Sharded {
 	defer s.tr.Start(PhasePathJoin)()
 	if st.edgeAnn == nil {
 		s.be.Step(out, func(w int, emit engine.Emit) {
-			eb := s.batchers[w].Bind(emit)
-			defer eb.Flush()
+			var eb engine.Batcher
+			defer eb.Bind(emit).Flush()
 			lo, hi := s.be.Range(w)
 			var load int64
 			var poll int
@@ -115,8 +122,8 @@ func (s *solver) initEdge(spec pathSpec, st pathStep) *engine.Sharded {
 	}
 	child := s.tables[st.edgeAnn]
 	s.be.Step(out, func(w int, emit engine.Emit) {
-		eb := s.batchers[w].Bind(emit)
-		defer eb.Flush()
+		var eb engine.Batcher
+		defer eb.Bind(emit).Flush()
 		var load int64
 		var poll int
 		ents := child.Shard(w).Ents()
@@ -168,8 +175,8 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathSpec, st pathStep) *engi
 	if st.edgeAnn == nil {
 		defer s.tr.Start(PhasePathJoin)()
 		s.be.Step(out, func(w int, emit engine.Emit) {
-			eb := s.batchers[w].Bind(emit)
-			defer eb.Flush()
+			var eb engine.Batcher
+			defer eb.Bind(emit).Flush()
 			var load int64
 			var poll int
 			ents := cur.Shard(w).Ents()
@@ -202,8 +209,8 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathSpec, st pathStep) *engi
 	grouped := s.groupBinary(st.edgeAnn, st.edgeFromFirst)
 	defer s.tr.Start(PhasePathJoin)()
 	s.be.Step(out, func(w int, emit engine.Emit) {
-		eb := s.batchers[w].Bind(emit)
-		defer eb.Flush()
+		var eb engine.Batcher
+		defer eb.Bind(emit).Flush()
 		var load int64
 		var poll int
 		idx := grouped[w]
@@ -220,16 +227,17 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathSpec, st pathStep) *engi
 					break scan
 				}
 				e := &row[j]
-				if spec.ordered && !s.g.Higher(u, e.to) {
+				to := e.U()
+				if spec.ordered && !s.g.Higher(u, to) {
 					continue
 				}
 				// The walk and the child share exactly the query node at v.
-				if k.S.Inter(e.s) != cv {
+				if k.S.Inter(e.S) != cv {
 					continue
 				}
-				nk := table.Key{U: u, V: e.to, X: k.X(), Y: k.Y(), S: k.S.Union(e.s)}
-				applyRecord(&nk, st.record, e.to)
-				eb.Emit(s.be.Owner(e.to), engine.Msg{K: nk, C: k.C * e.c})
+				nk := table.Key{U: u, V: to, X: k.X(), Y: k.Y(), S: k.S.Union(e.S)}
+				applyRecord(&nk, st.record, to)
+				eb.Emit(s.be.Owner(to), engine.Msg{K: nk, C: k.C * e.C})
 			}
 		}
 		s.be.AddLoad(w, load)
@@ -264,10 +272,10 @@ func (s *solver) nodeJoin(cur *engine.Sharded, ann *decomp.Block) *engine.Sharde
 					break scan
 				}
 				e := &row[j]
-				if k.S.Inter(e.s) != cv {
+				if k.S.Inter(e.S) != cv {
 					continue
 				}
-				sh.Add(table.Key{U: k.U(), V: v, X: k.X(), Y: k.Y(), S: k.S.Union(e.s)}, k.C*e.c)
+				sh.Add(table.Key{U: k.U(), V: v, X: k.X(), Y: k.Y(), S: k.S.Union(e.S)}, k.C*e.C)
 			}
 		}
 		s.be.AddLoad(w, load)
@@ -275,72 +283,76 @@ func (s *solver) nodeJoin(cur *engine.Sharded, ann *decomp.Block) *engine.Sharde
 	return s.track(out)
 }
 
-type sigCount struct {
-	s sig.Sig
-	c uint64
-}
-
-type toEntry struct {
-	to uint32
-	s  sig.Sig
-	c  uint64
-}
-
 type groupKey struct {
 	block     *decomp.Block
 	fromFirst bool
 }
 
-// groupedIdx indexes one partition's share of a regrouped binary child
-// table by the "from" endpoint, CSR-style: the entries whose from-vertex
-// is v occupy ents[rows[v-lo] : rows[v-lo+1]]. Row lookup is two loads —
-// no hashing, no map — and a vertex's entries are contiguous.
-type groupedIdx struct {
+// rowIdx indexes one partition's shard of a child table by the vertex the
+// shard is sorted on, CSR-style: the entries of vertex v are
+// ents[rows[v-lo] : rows[v-lo+1]]. ents is the shard's own storage, so the
+// index costs one offset per vertex and no copy; it dies with the table.
+type rowIdx struct {
 	lo   uint32
 	rows []int32 // len = partition size + 1
-	ents []toEntry
+	ents []table.Ent
 }
 
 // at returns the entries indexed under vertex v, which must lie in the
 // partition's vertex range.
-func (ix *groupedIdx) at(v uint32) []toEntry {
+func (ix *rowIdx) at(v uint32) []table.Ent {
 	i := v - ix.lo
 	return ix.ents[ix.rows[i]:ix.rows[i+1]]
 }
 
-// nodeIdx is groupedIdx for a unary child table: entries carry only
-// (signature, count), indexed by the single boundary vertex U.
-type nodeIdx struct {
-	lo   uint32
-	rows []int32
-	ents []sigCount
+// indexRows builds the row index of every shard of t, whose entries are
+// homed — and therefore sorted — by the vertex home extracts: a single
+// linear walk per partition, no redistribution and no sort.
+func (s *solver) indexRows(t *engine.Sharded, home func(*table.Ent) uint32) []*rowIdx {
+	g := make([]*rowIdx, s.be.P())
+	defer s.tr.Start(PhaseTableMerge)()
+	s.be.Run(func(w int) {
+		lo, hi := s.be.Range(w)
+		n := max(int(hi)-int(lo), 0)
+		ix := &rowIdx{lo: lo, rows: make([]int32, n+1), ents: t.Shard(w).Ents()}
+		j := 0
+		for r := 0; r < n; r++ {
+			ix.rows[r] = int32(j)
+			for v := lo + uint32(r); j < len(ix.ents) && home(&ix.ents[j]) == v; j++ {
+			}
+		}
+		ix.rows[n] = int32(j)
+		g[w] = ix
+	})
+	return g
 }
 
-func (ix *nodeIdx) at(v uint32) []sigCount {
-	i := v - ix.lo
-	return ix.ents[ix.rows[i]:ix.rows[i+1]]
+// regrouped is a binary child table rebuilt at the owners of its "from"
+// endpoints, with the row index over it.
+type regrouped struct {
+	byFrom *engine.Sharded
+	idx    []*rowIdx
 }
 
 // groupBinary redistributes a child block's binary table so every entry is
 // indexed, at the owner of its "from" endpoint, by that endpoint — the
 // paper's "communication to bring the two entries to a common processor"
-// (§7). Deliver collects each partition's reoriented entries, then a local
-// counting sort lays them out as a CSR index (entry order within one
-// vertex may vary under the parallel backend, but joins only sum over a
-// row, so counts cannot). Results are cached per (block, orientation): the
-// DB solver reuses them across its L splits.
-func (s *solver) groupBinary(b *decomp.Block, fromFirst bool) []*groupedIdx {
+// (§7). One superstep rebuilds the table with its entries turned round,
+// (to, from, α) homed at from, and the rebuilt shards are indexed where
+// they lie: a row holds the entries leaving one vertex, their U the far
+// endpoint. Results are cached per (block, orientation) — the DB solver
+// reuses them across its L splits — until dropGroups.
+func (s *solver) groupBinary(b *decomp.Block, fromFirst bool) []*rowIdx {
 	key := groupKey{block: b, fromFirst: fromFirst}
 	if g, ok := s.grouped[key]; ok {
-		return g
+		return g.idx
 	}
 	child := s.tables[b]
-	raw := make([][]toEntry, s.be.P())
-	fromOf := make([][]uint32, s.be.P())
+	byFrom := engine.NewSharded(s.be)
 	end := s.tr.Start(PhaseTableMerge)
-	s.be.Deliver(func(w int, emit engine.Emit) {
-		eb := s.batchers[w].Bind(emit)
-		defer eb.Flush()
+	s.be.Step(byFrom, func(w int, emit engine.Emit) {
+		var eb engine.Batcher
+		defer eb.Bind(emit).Flush()
 		var poll int
 		ents := child.Shard(w).Ents()
 		for i := range ents {
@@ -352,83 +364,36 @@ func (s *solver) groupBinary(b *decomp.Block, fromFirst bool) []*groupedIdx {
 			if !fromFirst {
 				from, to = to, from
 			}
-			eb.Emit(s.be.Owner(from), engine.Msg{K: table.Binary(from, to, e.S), C: e.C})
-		}
-	}, func(w int, run []engine.Msg) {
-		for i := range run {
-			raw[w] = append(raw[w], toEntry{to: run[i].K.V, s: run[i].K.S, c: run[i].C})
-			fromOf[w] = append(fromOf[w], run[i].K.U)
+			eb.Emit(s.be.Owner(from), engine.Msg{K: table.Binary(to, from, e.S), C: e.C})
 		}
 	})
 	end()
-	g := make([]*groupedIdx, s.be.P())
-	defer s.tr.Start(PhaseTableMerge)()
-	s.be.Run(func(w int) {
-		lo, hi := s.be.Range(w)
-		n := int(hi) - int(lo)
-		if n < 0 {
-			n = 0
-		}
-		ix := &groupedIdx{lo: lo, rows: make([]int32, n+1), ents: make([]toEntry, len(raw[w]))}
-		// Counting sort by from-vertex: histogram, prefix-sum, place.
-		for _, f := range fromOf[w] {
-			ix.rows[f-lo+1]++
-		}
-		for i := 1; i <= n; i++ {
-			ix.rows[i] += ix.rows[i-1]
-		}
-		next := make([]int32, n)
-		for i, f := range fromOf[w] {
-			r := f - lo
-			ix.ents[ix.rows[r]+next[r]] = raw[w][i]
-			next[r]++
-		}
-		raw[w], fromOf[w] = nil, nil
-		g[w] = ix
-	})
+	g := regrouped{byFrom: byFrom, idx: s.indexRows(byFrom, (*table.Ent).V)}
 	s.grouped[key] = g
-	return g
+	return g.idx
 }
 
-// groupUnary builds (and caches) the CSR index of a unary child table used
+// groupUnary builds (and caches) the row index of a unary child table used
 // by nodeJoin: entries are already homed at the owner of their boundary
-// vertex U and the flat shards keep them sorted by U, so the index is a
-// single linear walk per partition — no redistribution superstep, no sort.
-// The cache is released by dropGroups when the block's parent is solved.
-func (s *solver) groupUnary(b *decomp.Block) []*nodeIdx {
+// vertex U and sorted by it. The cache is released by dropGroups when the
+// block's parent is solved.
+func (s *solver) groupUnary(b *decomp.Block) []*rowIdx {
 	if g, ok := s.unary[b]; ok {
 		return g
 	}
-	child := s.tables[b]
-	g := make([]*nodeIdx, s.be.P())
-	defer s.tr.Start(PhaseTableMerge)()
-	s.be.Run(func(w int) {
-		lo, hi := s.be.Range(w)
-		n := int(hi) - int(lo)
-		if n < 0 {
-			n = 0
-		}
-		ents := child.Shard(w).Ents()
-		ix := &nodeIdx{lo: lo, rows: make([]int32, n+1), ents: make([]sigCount, len(ents))}
-		j := 0
-		for r := 0; r < n; r++ {
-			ix.rows[r] = int32(j)
-			u := lo + uint32(r)
-			for j < len(ents) && ents[j].U() == u {
-				ix.ents[j] = sigCount{s: ents[j].S, c: ents[j].C}
-				j++
-			}
-		}
-		ix.rows[n] = int32(j)
-		g[w] = ix
-	})
+	g := s.indexRows(s.tables[b], (*table.Ent).U)
 	s.unary[b] = g
 	return g
 }
 
 // dropGroups releases cached groupings of a finished block.
 func (s *solver) dropGroups(b *decomp.Block) {
-	delete(s.grouped, groupKey{block: b, fromFirst: true})
-	delete(s.grouped, groupKey{block: b, fromFirst: false})
+	for _, fromFirst := range []bool{true, false} {
+		key := groupKey{block: b, fromFirst: fromFirst}
+		if g, ok := s.grouped[key]; ok {
+			g.byFrom.Release()
+			delete(s.grouped, key)
+		}
+	}
 	delete(s.unary, b)
 }

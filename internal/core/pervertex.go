@@ -106,10 +106,7 @@ func (s *solver) runPerVertex(plan *decomp.Tree, anchor int) []uint64 {
 			case decomp.CycleBlock:
 				s.tables[b] = s.solveCycle(b)
 			}
-			for _, c := range b.Children {
-				delete(s.tables, c)
-				s.dropGroups(c)
-			}
+			s.dropChildren(b)
 			continue
 		}
 		var unary *engine.Sharded
@@ -149,6 +146,10 @@ func (s *solver) runPerVertex(plan *decomp.Tree, anchor int) []uint64 {
 			return true
 		})
 		end()
+		if b.Kind == decomp.CycleBlock {
+			unary.Release() // the anchored root table; a singleton's is its child's
+		}
+		s.dropChildren(b)
 	}
 	return per
 }

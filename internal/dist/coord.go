@@ -104,7 +104,7 @@ func (d *Coord) gather() (map[int]*jobDoneMsg, error) {
 		}
 	}
 	for rank, m := range dones {
-		if lo, hi := d.rankParts(rank); lo < hi {
+		if lo, hi := d.Band(rank); lo < hi {
 			d.AddLoad(lo, m.Load)
 		}
 		d.Sent(int(m.Msgs))

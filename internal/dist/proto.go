@@ -198,9 +198,10 @@ func decodePlan(w planWire, q *query.Graph) (*decomp.Tree, error) {
 
 // topo is the partition topology shared verbatim by the coordinator and
 // every worker rank: the engine's block map of vertices onto partitions,
-// plus the contiguous block-assignment of those partitions to ranks. Both
-// sides derive ownership from the same three integers, so no assignment
-// table ever travels.
+// plus the number of ranks those partitions are dealt to in contiguous
+// bands (engine.Counters.Band / WorkerOf, built from the same integers).
+// Both sides derive ownership from the same three integers, so no
+// assignment table ever travels.
 type topo struct {
 	engine.Blocks
 	ranks int
@@ -208,15 +209,6 @@ type topo struct {
 
 func newTopo(ranks, parts, n int) topo {
 	return topo{Blocks: engine.NewBlocks(parts, n), ranks: ranks}
-}
-
-// rankOf returns the rank executing partition w (contiguous blocks of
-// partitions per rank).
-func (t topo) rankOf(w int) int { return w * t.ranks / t.P() }
-
-// rankParts returns the half-open partition interval executed by rank r.
-func (t topo) rankParts(r int) (lo, hi int) {
-	return (r*t.P() + t.ranks - 1) / t.ranks, ((r+1)*t.P() + t.ranks - 1) / t.ranks
 }
 
 // jobSpec is the validated, wire-ready form of an engine.Job.

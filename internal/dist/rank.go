@@ -30,11 +30,9 @@ func newRank(t topo, r int, j *wjob, conc int) *rank {
 	if conc <= 0 {
 		conc = runtime.GOMAXPROCS(0)
 	}
-	pLo, pHi := t.rankParts(r)
-	return &rank{
-		topo: t, Counters: engine.NewCounters(t.P(), t.ranks),
-		rank: r, j: j, conc: conc, pLo: pLo, pHi: pHi,
-	}
+	rk := &rank{topo: t, Counters: engine.NewCounters(t.P(), t.ranks), rank: r, j: j, conc: conc}
+	rk.pLo, rk.pHi = rk.Band(r)
+	return rk
 }
 
 // Name returns "dist".
@@ -72,7 +70,7 @@ func (r *rank) Deliver(produce func(w int, emit engine.Emit), consume func(dst i
 	bufMu := make([]sync.Mutex, r.ranks)
 	r.Run(func(w int) {
 		produce(w, func(dst int, run []engine.Msg) {
-			dr := r.rankOf(dst)
+			dr := r.WorkerOf(dst)
 			if dr == r.rank {
 				local(dst, run)
 				return

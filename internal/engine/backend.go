@@ -24,11 +24,12 @@ import (
 //     shared memory — P goroutine "ranks", per-superstep message buffers,
 //     a barrier, and owner-side merges. Message and load counters are
 //     faithful to the paper's metrics (Figure 11).
-//   - "parallel" (Parallel): a real shared-memory runtime — partitions
-//     are oversubscribed over GOMAXPROCS-scaled workers with band
-//     stealing, and emitted counts are merged straight into the
-//     destination table shard under a per-partition lock, skipping
-//     message materialization entirely.
+//   - "parallel" (Parallel): a real shared-memory runtime — vertex-grained
+//     partitions (sized from the vertex count, not the worker count) run
+//     on GOMAXPROCS-scaled workers with band stealing, and emitted counts
+//     are staged per worker and destination, then handed to the
+//     destination table shard after a barrier: no message
+//     materialization, no lock.
 //   - "dist" (internal/dist): real multi-process supersteps — partitions
 //     are block-assigned to worker processes reached over a
 //     length-prefixed wire protocol, every process runs the same solver
@@ -48,8 +49,9 @@ type Backend interface {
 	P() int
 	// Workers is the real execution concurrency. For sim it equals P
 	// (one goroutine per simulated rank); for parallel it is the worker
-	// pool size, with P partitions multiplexed onto it; for dist it is
-	// the worker-process count.
+	// pool size, with P partitions — as many as the vertex count asks
+	// for, more or fewer than workers — multiplexed onto it; for dist it
+	// is the worker-process count.
 	Workers() int
 	// Owner returns the partition owning vertex v (1D block distribution).
 	Owner(v uint32) int
@@ -78,12 +80,15 @@ type Backend interface {
 	// that received it; producers that generate messages one at a time
 	// should coalesce them through a Batcher.
 	Step(out *Sharded, produce func(w int, emit Emit))
-	// Deliver is the superstep itself — Step is Deliver(produce,
-	// out.Accumulate): each emitted run is handed to consume at its
-	// destination partition. The run slice is only valid during the
-	// consume call. consume(dst, run) calls for one dst never run
-	// concurrently with each other, so per-partition consumer state needs
-	// no locking; calls for different dsts may run concurrently.
+	// Deliver is the superstep for an arbitrary consumer (Step is
+	// Deliver(produce, out.Accumulate) in effect everywhere, and in code
+	// on sim and dist): every emitted count reaches consume at its
+	// destination partition, in runs. A backend may fold the counts
+	// emitted for one key into their sum before delivering them
+	// (parallel does). The run slice is only valid during the consume
+	// call. consume(dst, run) calls for one dst never run concurrently
+	// with each other, so per-partition consumer state needs no locking;
+	// calls for different dsts may run concurrently.
 	Deliver(produce func(w int, emit Emit), consume func(dst int, run []Msg))
 	// Reduce combines per-process partial totals into the global total:
 	// single-process backends return local unchanged; the dist

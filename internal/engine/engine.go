@@ -8,12 +8,17 @@
 // partition owning each key's home vertex, and the owner accumulates
 // them. The sim backend (Cluster) materializes every count as a message
 // between P goroutine "ranks" and counts it; the parallel backend
-// (Parallel) merges emitted runs straight into the destination shard;
-// internal/dist runs the same supersteps across worker processes. All
-// produce bit-identical counts.
+// (Parallel) stages emitted runs per worker and hands the stages to the
+// destination shards whole; internal/dist runs the same supersteps
+// across worker processes. All produce bit-identical counts.
 package engine
 
-import "repro/internal/table"
+import (
+	"sync"
+	"unsafe"
+
+	"repro/internal/table"
+)
 
 // Cluster is the sim backend: a fixed set of P simulated ranks (one
 // goroutine each) owning an n-vertex space in contiguous blocks, with
@@ -93,56 +98,73 @@ type Msg struct {
 // superstep's produce phase. The run slice is only valid during the call
 // — backends copy or merge its contents before returning — and must not
 // be retained. Batching is the point: a backend pays its per-delivery
-// overhead (a buffer append, a stripe lock, a wire frame) once per run
+// overhead (a lane lookup, a buffer append, a wire frame) once per run
 // instead of once per message.
 type Emit = func(dst int, run []Msg)
 
 // batchRun is the Batcher's flush threshold. Large enough to amortize the
-// per-run delivery cost (a stripe lock, a buffer append), small enough to
-// stay resident in L1 while a run is being built (256 × 32 B = 8 KiB).
+// per-run delivery cost (a lane lookup, a buffer append, a wire frame),
+// small enough to stay resident in L1 while a run is being built
+// (256 × 32 B = 8 KiB).
 const batchRun = 256
+
+// runPool recycles the Batchers' run buffers: a buffer is held only
+// between a task's first Emit and its final Flush, so a process needs as
+// many as it has tasks running at once, not one per partition.
+var runPool = sync.Pool{New: func() any { return new([batchRun]Msg) }}
 
 // Batcher accumulates per-message emissions into destination runs for a
 // backend's batched Emit. Producers that naturally generate messages one
 // at a time wrap emit in a Batcher; messages to the same destination
 // coalesce into one run, and a destination switch or a full buffer
-// flushes. A Batcher is single-task state: use it only inside the
-// produce(w, …) call that Bound it, and Flush before returning. The
-// solver keeps one per partition and rebinds it each superstep, so the
-// steady state allocates nothing.
+// flushes. A Batcher is single-task state: declare one inside the
+// produce(w, …) call, Bind it, and Flush before returning. The zero value
+// is ready to Bind; it borrows its run buffer from a process-wide pool at
+// the first Emit and returns it in Flush, so the steady state allocates
+// nothing.
 type Batcher struct {
 	emit Emit
 	dst  int
-	buf  []Msg
+	buf  *[batchRun]Msg
+	n    int
 }
 
 // Bind points the batcher at a superstep's emit and returns it. Any
 // buffered messages from a previous binding must already be flushed.
 func (b *Batcher) Bind(emit Emit) *Batcher {
 	b.emit = emit
-	b.dst = -1
-	if b.buf == nil {
-		b.buf = make([]Msg, 0, batchRun)
-	}
 	return b
 }
 
-// Emit appends m to the current run, flushing first if m's destination
-// differs or the run is full.
+// Emit appends m to the current run, handing the run to the bound emit
+// first if m's destination differs or the run is full.
 func (b *Batcher) Emit(dst int, m Msg) {
-	if dst != b.dst || len(b.buf) == cap(b.buf) {
-		b.Flush()
+	if dst != b.dst || b.n == batchRun {
+		b.send()
 		b.dst = dst
 	}
-	b.buf = append(b.buf, m)
+	if b.buf == nil {
+		b.buf = runPool.Get().(*[batchRun]Msg)
+	}
+	b.buf[b.n] = m
+	b.n++
 }
 
-// Flush hands the buffered run to the bound emit and empties the buffer.
-// Must be called before the enclosing produce task returns.
+// send hands the buffered run to the bound emit.
+func (b *Batcher) send() {
+	if b.n > 0 {
+		b.emit(b.dst, b.buf[:b.n])
+		b.n = 0
+	}
+}
+
+// Flush hands the buffered run to the bound emit and gives the run buffer
+// back. Must be called before the enclosing produce task returns.
 func (b *Batcher) Flush() {
-	if len(b.buf) > 0 {
-		b.emit(b.dst, b.buf)
-		b.buf = b.buf[:0]
+	b.send()
+	if b.buf != nil {
+		runPool.Put(b.buf)
+		b.buf = nil
 	}
 }
 
@@ -151,20 +173,24 @@ func (b *Batcher) Flush() {
 // each entry to the shard of the owner of its home vertex (the paper
 // stores (u,v,α) at the owner of v).
 type Sharded struct {
-	shards []*table.Flat
+	shards []shard
+}
+
+// shard keeps each partition's table on a cache line of its own: the
+// tables sit in one array, every Add writes its table's header, and
+// neighbouring partitions run on different workers.
+type shard struct {
+	table.Flat
+	_ [64 - unsafe.Sizeof(table.Flat{})%64]byte
 }
 
 // NewSharded returns an empty sharded table on be.
-func NewSharded(be Backend) *Sharded {
-	s := &Sharded{shards: make([]*table.Flat, be.P())}
-	for i := range s.shards {
-		s.shards[i] = &table.Flat{}
-	}
-	return s
-}
+func NewSharded(be Backend) *Sharded { return newSharded(be.P()) }
+
+func newSharded(parts int) *Sharded { return &Sharded{shards: make([]shard, parts)} }
 
 // Shard returns worker w's shard.
-func (s *Sharded) Shard(w int) *table.Flat { return s.shards[w] }
+func (s *Sharded) Shard(w int) *table.Flat { return &s.shards[w].Flat }
 
 // Add accumulates directly into worker w's shard (only from w's goroutine,
 // or sequentially).
@@ -173,8 +199,8 @@ func (s *Sharded) Add(w int, k table.Key, cnt uint64) { s.shards[w].Add(k, cnt) 
 // Len returns the total number of distinct entries.
 func (s *Sharded) Len() int {
 	n := 0
-	for _, sh := range s.shards {
-		n += sh.Len()
+	for i := range s.shards {
+		n += s.shards[i].Len()
 	}
 	return n
 }
@@ -182,17 +208,17 @@ func (s *Sharded) Len() int {
 // Total returns the sum of all counts across shards.
 func (s *Sharded) Total() uint64 {
 	var t uint64
-	for _, sh := range s.shards {
-		t += sh.Total()
+	for i := range s.shards {
+		t += s.shards[i].Total()
 	}
 	return t
 }
 
 // Iter visits every entry across shards (sequentially; unspecified order).
 func (s *Sharded) Iter(f func(table.Key, uint64) bool) {
-	for _, sh := range s.shards {
+	for i := range s.shards {
 		stop := false
-		sh.Iter(func(k table.Key, c uint64) bool {
+		s.shards[i].Iter(func(k table.Key, c uint64) bool {
 			if !f(k, c) {
 				stop = true
 				return false
@@ -208,8 +234,17 @@ func (s *Sharded) Iter(f func(table.Key, uint64) bool) {
 // Accumulate is a ready-made consume phase that merges messages into the
 // destination shard.
 func (s *Sharded) Accumulate(w int, msgs []Msg) {
-	sh := s.shards[w]
+	sh := &s.shards[w].Flat
 	for _, m := range msgs {
 		sh.Add(m.K, m.C)
+	}
+}
+
+// Release returns every shard's storage to the table slab pool and leaves
+// the table empty. Call it when the table is dead: no slice obtained from
+// a shard's Ents may be read afterwards.
+func (s *Sharded) Release() {
+	for i := range s.shards {
+		s.shards[i].Release()
 	}
 }

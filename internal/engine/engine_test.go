@@ -61,3 +61,58 @@ func TestShardedAccumulate(t *testing.T) {
 		t.Fatalf("early stop visited %d", n)
 	}
 }
+
+// Band and WorkerOf must be each other's inverse for every partition and
+// worker count — multiples of one another or not: the bands tile the
+// partitions in order, and a partition's home worker is the one whose band
+// holds it.
+func TestBandsPairWithWorkerOf(t *testing.T) {
+	for parts := 1; parts <= 40; parts++ {
+		for workers := 1; workers <= 9; workers++ {
+			c := NewCounters(parts, workers)
+			next := 0
+			for g := 0; g < workers; g++ {
+				lo, hi := c.Band(g)
+				if lo != next || hi < lo {
+					t.Fatalf("parts=%d workers=%d: band %d is [%d,%d), want it to start at %d", parts, workers, g, lo, hi, next)
+				}
+				for w := lo; w < hi; w++ {
+					if c.WorkerOf(w) != g {
+						t.Fatalf("parts=%d workers=%d: partition %d is in band %d, WorkerOf says %d", parts, workers, w, g, c.WorkerOf(w))
+					}
+				}
+				next = hi
+			}
+			if next != parts {
+				t.Fatalf("parts=%d workers=%d: bands cover [0,%d)", parts, workers, next)
+			}
+		}
+	}
+}
+
+// With a partition count that is no multiple of the worker count (10 over
+// 3: bands of 4, 3 and 3), a partition's load must land on the worker in
+// whose band it runs, and a steal is exactly a task run outside the
+// running worker's band.
+func TestParallelLoadsAndStealsOffMultiple(t *testing.T) {
+	p := NewParallel(3, 160)
+	if p.P() != 10 {
+		t.Fatalf("P = %d, want 10", p.P())
+	}
+	var offBand atomic.Int64
+	p.run(func(g, w int) {
+		p.AddLoad(w, int64(1)<<(4*w))
+		if lo, hi := p.Band(g); w < lo || w >= hi {
+			offBand.Add(1)
+		}
+	})
+	want := []int64{0x1111, 0x111_0000, 0x111_0000000}
+	for g, l := range p.Loads() {
+		if l != want[g] {
+			t.Errorf("worker %d load = %#x, want %#x (partitions of its band)", g, l, want[g])
+		}
+	}
+	if p.Steals() != offBand.Load() {
+		t.Errorf("Steals = %d, but %d tasks ran outside their worker's band", p.Steals(), offBand.Load())
+	}
+}

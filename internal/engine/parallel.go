@@ -6,19 +6,31 @@ import (
 	"sync/atomic"
 )
 
-// oversubscription is how many ownership partitions a parallel backend
-// creates per worker. Finer partitions serve two purposes: band stealing
-// has spare tasks to rebalance when the vertex blocks carry skewed work,
-// and the per-partition merge locks stripe more finely than the worker
-// count, so concurrent emits rarely collide on one shard.
-const oversubscription = 4
+// The grain rule: a parallel backend cuts the vertex space into
+// partitions of partVertices vertices, whatever the worker count. A
+// partition is at once the unit of scheduling (one task per superstep
+// phase), of delivery (one staging lane per worker) and of table building
+// (one shard, one sort), so on a skewed graph the hub block is many tasks
+// and many cache-resident sorts rather than one of each. minParts keeps a
+// tiny graph at a handful of partitions, each costing a task per phase
+// whether or not it holds anything; maxParts bounds the lanes a producer
+// appends to in turn — 512 tails of one cache line each are what an L1
+// holds — and past it partitions grow with the graph.
+const (
+	partVertices = 16
+	minParts     = 8
+	maxParts     = 512
+)
 
-// Parallel is the real shared-memory backend: P = workers ×
-// oversubscription vertex partitions executed by a pool of `workers`
-// goroutines with band stealing, and superstep deliveries merged directly
-// into the destination table shard under a per-partition lock — no
-// message buffers, no simulated ranks. Counts are bit-identical to the
-// sim backend because every delivery is a commutative accumulation.
+func partsFor(n int) int { return min(max(n/partVertices, minParts), maxParts) }
+
+// Parallel is the real shared-memory backend: partsFor(n) vertex
+// partitions executed by a pool of worker goroutines with band stealing.
+// A superstep has two phases with a barrier between them and no locks in
+// either: producers append what they emit to their own worker's staging
+// lane for the destination, then every destination takes over the lanes
+// addressed to it. Counts are bit-identical to the sim backend because
+// every delivery is a commutative accumulation.
 type Parallel struct {
 	Blocks
 	Counters
@@ -30,10 +42,7 @@ func NewParallel(workers, n int) *Parallel {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	parts := workers
-	if workers > 1 {
-		parts = workers * oversubscription
-	}
+	parts := partsFor(n)
 	return &Parallel{Blocks: NewBlocks(parts, n), Counters: NewCounters(parts, workers)}
 }
 
@@ -50,9 +59,10 @@ func (p *Parallel) Reduce(local uint64) (uint64, error) { return local, nil }
 // ReduceVec returns local unchanged.
 func (p *Parallel) ReduceVec(local []uint64) ([]uint64, error) { return local, nil }
 
-// band returns the half-open partition interval a worker drains first.
-func (p *Parallel) band(g int) (lo, hi int) {
-	return g * p.parts / p.workers, (g + 1) * p.parts / p.workers
+// paddedCursor keeps each band's task cursor on its own cache line.
+type paddedCursor struct {
+	atomic.Int64
+	_ [56]byte
 }
 
 // Run executes f(w) exactly once for every partition w: each worker
@@ -61,54 +71,87 @@ func (p *Parallel) band(g int) (lo, hi int) {
 // a partition never affects results — partition state stays exclusive to
 // the single f(w) call — so stealing trades determinism of schedule, not
 // of outcome, for balance.
-func (p *Parallel) Run(f func(w int)) {
-	if p.workers == 1 {
-		for w := 0; w < p.parts; w++ {
-			f(w)
+func (p *Parallel) Run(f func(w int)) { p.run(func(_, w int) { f(w) }) }
+
+// run is Run for tasks that also want to know which worker g executes
+// them. The calling goroutine is worker 0, so a single worker starts no
+// goroutine at all.
+func (p *Parallel) run(f func(g, w int)) {
+	cursors := make([]paddedCursor, p.workers)
+	work := func(g int) {
+		for i := 0; i < p.workers; i++ {
+			b := (g + i) % p.workers
+			lo, hi := p.Band(b)
+			for {
+				w := lo + int(cursors[b].Add(1)) - 1
+				if w >= hi {
+					break
+				}
+				if b != g {
+					p.steals.Add(1)
+				}
+				f(g, w)
+			}
 		}
-		return
 	}
-	cursors := make([]atomic.Int64, p.workers)
 	var wg sync.WaitGroup
-	wg.Add(p.workers)
-	for g := 0; g < p.workers; g++ {
+	wg.Add(p.workers - 1)
+	for g := 1; g < p.workers; g++ {
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < p.workers; i++ {
-				b := (g + i) % p.workers
-				lo, hi := p.band(b)
-				for {
-					w := lo + int(cursors[b].Add(1)) - 1
-					if w >= hi {
-						break
-					}
-					if b != g {
-						p.steals.Add(1)
-					}
-					f(w)
-				}
-			}
+			work(g)
 		}(g)
 	}
+	work(0)
 	wg.Wait()
 }
 
-// Step runs one superstep whose deliveries accumulate into out.
+// Step runs one superstep whose deliveries build out: every worker stages
+// what its tasks emit in a table of its own — a lane per destination,
+// written by that worker alone — and after the barrier each destination
+// shard absorbs the lanes addressed to it as its pending region. Worker 0
+// stages in out itself, so what it emits is never moved at all. Nothing is
+// sorted until a shard is read.
 func (p *Parallel) Step(out *Sharded, produce func(w int, emit Emit)) {
-	p.Deliver(produce, out.Accumulate)
+	p.Begin()
+	stages := make([]*Sharded, p.workers)
+	emits := make([]Emit, p.workers)
+	for g := range stages {
+		stages[g] = out
+		if g > 0 {
+			stages[g] = newSharded(p.parts)
+		}
+		emits[g] = stages[g].Accumulate
+	}
+	p.run(func(g, w int) { produce(w, emits[g]) })
+	p.Run(func(dst int) {
+		sh := out.Shard(dst)
+		for _, st := range stages[1:] {
+			sh.Absorb(st.Shard(dst))
+		}
+	})
 }
 
-// Deliver runs one superstep with direct, bufferless delivery: every
-// emitted run is handed to consume under the destination partition's
-// lock. Nothing is buffered, counted or re-delivered — this is the
-// backend the sim's message machinery exists to simulate. A single worker
-// runs partitions one after another (see Run), so it delivers without
-// the locks.
+// Deliver runs one superstep for an arbitrary consumer over the same
+// path: Step builds a scratch table, then each destination's task replays
+// its shard to consume in runs — every key once, with the sum of the
+// counts emitted for it — and the scratch table goes back to the slab
+// pool. One task per destination means consume calls for one dst never
+// overlap.
 func (p *Parallel) Deliver(produce func(w int, emit Emit), consume func(dst int, run []Msg)) {
-	p.Begin()
-	deliver := consume
-	if p.workers > 1 {
-		deliver = p.Locked(consume)
-	}
-	p.Run(func(w int) { produce(w, deliver) })
+	staged := newSharded(p.parts)
+	p.Step(staged, produce)
+	p.Run(func(dst int) {
+		var run [batchRun]Msg
+		ents := staged.Shard(dst).Ents()
+		for len(ents) > 0 {
+			n := min(len(ents), len(run))
+			for i, e := range ents[:n] {
+				run[i] = Msg{K: e.Key(), C: e.C}
+			}
+			consume(dst, run[:n])
+			ents = ents[n:]
+		}
+	})
+	staged.Release()
 }

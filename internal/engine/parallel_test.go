@@ -25,17 +25,17 @@ func TestParallelRunVisitsEveryPartitionOnce(t *testing.T) {
 	}
 }
 
-func TestParallelLoadsFoldToWorkers(t *testing.T) {
-	p := engine.NewParallel(4, 400)
-	p.Run(func(w int) { p.AddLoad(w, int64(w+1)) })
-	loads := p.Loads()
-	if len(loads) != 4 {
-		t.Fatalf("len(Loads) = %d, want workers=4", len(loads))
-	}
-	// Partitions 4g..4g+3 are worker g's band: loads 4g+1..4g+4.
-	for g, l := range loads {
-		if want := int64(16*g + 10); l != want {
-			t.Fatalf("worker %d load = %d, want %d", g, l, want)
+// The grain rule follows the vertex count alone: a handful of partitions
+// for a tiny graph, one per 16 vertices after that, 512 at most — at every
+// worker count, one included.
+func TestParallelGrainFollowsVertexCount(t *testing.T) {
+	for _, c := range []struct{ n, parts int }{
+		{0, 8}, {1, 8}, {7, 8}, {128, 8}, {160, 10}, {562, 35}, {1000, 62}, {8192, 512}, {18000, 512}, {1 << 20, 512},
+	} {
+		for _, workers := range []int{1, 2, 5} {
+			if got := engine.NewParallel(workers, c.n).P(); got != c.parts {
+				t.Errorf("%d vertices, %d workers: %d partitions, want %d", c.n, workers, got, c.parts)
+			}
 		}
 	}
 }
@@ -102,7 +102,7 @@ var runtimes = []struct {
 	mk     func(t *testing.T, width, n int) engine.Backend
 }{
 	{"sim", []int{1, 4}, func(_ *testing.T, width, n int) engine.Backend { return engine.NewCluster(width, n) }},
-	{"parallel", []int{1, 3}, func(_ *testing.T, width, n int) engine.Backend { return engine.NewParallel(width, n) }},
+	{"parallel", []int{1, 3, 8}, func(_ *testing.T, width, n int) engine.Backend { return engine.NewParallel(width, n) }},
 	{"dist rank", []int{1, 7}, func(t *testing.T, width, n int) engine.Backend {
 		be, stop := dist.LoopbackRank(width, n)
 		t.Cleanup(stop)

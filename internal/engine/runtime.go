@@ -76,9 +76,8 @@ type Counters struct {
 }
 
 // NewCounters returns zeroed counters for parts partitions executed by
-// workers workers (goroutines, simulated ranks or processes): partition
-// w's load folds onto worker w·workers/parts, the worker whose contiguous
-// band of partitions contains w.
+// workers workers (goroutines, simulated ranks or processes), each the
+// home of one contiguous band of partitions (Band, WorkerOf).
 func NewCounters(parts, workers int) Counters {
 	return Counters{
 		workers: workers,
@@ -90,6 +89,20 @@ func NewCounters(parts, workers int) Counters {
 // Workers returns the execution width the loads fold onto.
 func (c *Counters) Workers() int { return c.workers }
 
+// WorkerOf returns the home worker of partition w: ⌊w·workers/parts⌋.
+// Loads charges w's load to it, parallel's workers drain their own band
+// before stealing, and a dist rank executes exactly its band.
+func (c *Counters) WorkerOf(w int) int { return w * c.workers / len(c.loads) }
+
+// Band returns the half-open interval of partitions whose home worker is
+// g — the inverse of WorkerOf for any partition count, multiple of the
+// worker count or not: WorkerOf(w) = g iff ⌈g·parts/workers⌉ ≤ w <
+// ⌈(g+1)·parts/workers⌉.
+func (c *Counters) Band(g int) (lo, hi int) {
+	parts := len(c.loads)
+	return (g*parts + c.workers - 1) / c.workers, ((g+1)*parts + c.workers - 1) / c.workers
+}
+
 // AddLoad charges d projection-function operations to partition w.
 func (c *Counters) AddLoad(w int, d int64) { c.loads[w].Add(d) }
 
@@ -97,7 +110,7 @@ func (c *Counters) AddLoad(w int, d int64) { c.loads[w].Add(d) }
 func (c *Counters) Loads() []int64 {
 	out := make([]int64, c.workers)
 	for w := range c.loads {
-		out[w*c.workers/len(c.loads)] += c.loads[w].Load()
+		out[c.WorkerOf(w)] += c.loads[w].Load()
 	}
 	return out
 }

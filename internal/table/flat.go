@@ -8,15 +8,24 @@
 // no hashing, no per-entry map or closure overhead, and inner accumulate
 // loops the compiler can keep in registers.
 //
-// Writes are buffered appends: Add places entries in an unsorted pending
-// region and the table re-establishes the sorted layout lazily (sort the
-// pending region, fold duplicates, then a single two-way merge with the
-// sorted prefix). The solver's tables are built by a burst of Adds during
-// one superstep and then scanned read-only by the next join, so in the
-// typical lifecycle each table is compacted exactly once.
+// Writes are buffered appends: Add places entries in unsorted pending
+// chunks and nothing is sorted until the first read, which compacts the
+// table — one radix sort gathers every chunk into a single slab and folds
+// duplicate keys. The solver's tables are built by a burst of Adds during
+// one superstep and then scanned read-only by the next join, so each table
+// is compacted exactly once.
+//
+// Storage comes from, and goes back to, a process-wide pool of entry
+// slabs (slab.go). A table that fills its chunk chains it and takes
+// another — nothing is copied to grow — Absorb moves another table's
+// chunks over by relinking them, compaction borrows its sort buffers, and
+// Release hands everything back when the owner knows the table is dead, so
+// the next table starts from recycled memory instead of doubling from
+// nothing.
 package table
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/sig"
@@ -82,212 +91,389 @@ func cmpEnt(a, b Ent) int {
 	return 0
 }
 
-// pendingMin is the smallest pending region worth compacting eagerly.
-// Below it, appends stay cheap and compaction waits for a reader. Above
-// it, compaction triggers once the pending region would outgrow the
-// sorted prefix, which keeps total compaction work O(n log n) while
-// bounding buffered memory to roughly the table size.
-const pendingMin = 4096
-
 // Flat is a projection table stored as a sorted dense slice of Ent (see
 // the package comment on flat.go). The zero value is an empty table ready
 // for use. Not safe for concurrent mutation; the engine gives each
 // partition its own shard.
 type Flat struct {
-	ents    []Ent // ents[:nSorted] sorted & deduped; ents[nSorted:] pending
-	nSorted int
-	scratch []Ent // reusable merge buffer
+	sorted   *slab // the compacted entries, sorted & deduped; nil if none
+	fill     []Ent // fillSlab's entries so far: the pending chunk Add appends to
+	fillSlab *slab
+	full     *slab // pending chunks that filled up or were absorbed
 }
+
+// chunkEnts is the size of a pending chunk: 256 entries, 8 KiB. One size
+// makes every idle chunk fit every table that needs one — a superstep has
+// a lane per worker and partition open at once — and keeps the room the
+// last chunk of each wastes small.
+const chunkEnts = 1 << 8
 
 // NewFlat returns a table pre-sized for at least capacity entries.
 func NewFlat(capacity int) *Flat {
-	return &Flat{ents: make([]Ent, 0, capacity)}
-}
-
-// Grow ensures capacity for n additional entries without reallocating.
-func (t *Flat) Grow(n int) {
-	t.ents = slices.Grow(t.ents, n)
+	t := &Flat{fillSlab: getSlab(capacity)}
+	t.fill = t.fillSlab.ents
+	return t
 }
 
 // Add accumulates c into the entry for k (inserting it if absent). The
-// entry lands in the pending region; duplicate keys are folded together
-// at the next compaction.
+// entry lands in a pending chunk; duplicate keys are folded together when
+// the table is compacted.
 func (t *Flat) Add(k Key, c uint64) {
-	t.ents = append(t.ents, entOf(k, c))
-	if p := len(t.ents) - t.nSorted; p >= pendingMin && p >= t.nSorted {
-		t.compact()
+	if len(t.fill) == cap(t.fill) {
+		t.nextChunk()
 	}
+	t.fill = append(t.fill, entOf(k, c))
 }
 
-// keyByte extracts byte `level` of an entry's composite sort key, numbered
-// from the least-significant end: levels 0–3 are the signature rank,
-// 4–11 the packed XY word, 12–19 the packed VU word. Sorting stably by
-// ascending level (LSD radix) therefore realizes exactly cmpEnt's
-// (VU, XY, rank) order.
-func keyByte(e *Ent, level uint) uint8 {
-	switch {
-	case level < 4:
-		return uint8(e.S.Rank() >> (8 * level))
-	case level < 12:
-		return uint8(e.XY >> (8 * (level - 4)))
-	default:
-		return uint8(e.VU >> (8 * (level - 12)))
-	}
+// nextChunk chains the fill chunk, which is full, and starts another.
+func (t *Flat) nextChunk() {
+	t.retire()
+	t.fillSlab = getSlab(chunkEnts)
+	t.fill = t.fillSlab.ents
 }
 
-// radixSort sorts ents by (VU, XY, signature rank) with an LSD byte radix,
-// using buf (same length) as the ping-pong buffer, and returns the sorted
-// slice (either ents or buf — whichever holds the final pass). Byte levels
-// that are constant across the slice — most of them, in practice: vertex
-// ids span the graph size, X/Y are usually None, signatures fit the color
-// count — are skipped entirely, so a typical table sorts in 4–6 counting
-// passes of pure sequential access, with no comparator calls.
-func radixSort(ents, buf []Ent) []Ent {
-	if len(ents) < 48 {
-		// Too small for counting passes to pay off.
-		slices.SortFunc(ents, cmpEnt)
-		return ents
-	}
-	// One cheap scan finds which key bytes vary at all: XOR against the
-	// first entry, OR the differences together. A constant byte needs no
-	// radix pass.
-	e0 := &ents[0]
-	var dVU, dXY uint64
-	var dS uint32
-	for i := 1; i < len(ents); i++ {
-		e := &ents[i]
-		dVU |= e.VU ^ e0.VU
-		dXY |= e.XY ^ e0.XY
-		dS |= e.S.Rank() ^ e0.S.Rank()
-	}
-	src, dst := ents, buf
-	var count [256]int32
-	for level := uint(0); level < 20; level++ {
-		var varies bool
-		switch {
-		case level < 4:
-			varies = uint8(dS>>(8*level)) != 0
-		case level < 12:
-			varies = uint8(dXY>>(8*(level-4))) != 0
-		default:
-			varies = uint8(dVU>>(8*(level-12))) != 0
-		}
-		if !varies {
-			continue
-		}
-		clear(count[:])
-		for i := range src {
-			count[keyByte(&src[i], level)]++
-		}
-		var pos int32
-		for b := range count {
-			c := count[b]
-			count[b] = pos
-			pos += c
-		}
-		for i := range src {
-			b := keyByte(&src[i], level)
-			dst[count[b]] = src[i]
-			count[b]++
-		}
-		src, dst = dst, src
-	}
-	return src
-}
-
-// compact restores the invariant ents == sorted(dedup(ents)): sort the
-// pending region, fold its duplicates in place, then merge it with the
-// sorted prefix (accumulating counts of equal keys) into scratch and swap.
-func (t *Flat) compact() {
-	if t.nSorted == len(t.ents) {
+// retire moves the fill chunk, if any, onto the list of full chunks (an
+// empty one goes back to the pool: the list holds no empty chunk).
+func (t *Flat) retire() {
+	s := t.fillSlab
+	if s == nil {
 		return
 	}
-	if cap(t.scratch) < cap(t.ents) {
-		t.scratch = make([]Ent, 0, cap(t.ents))
+	if s.ents = t.fill; len(s.ents) > 0 {
+		s.next, t.full = t.full, s
+	} else {
+		putSlab(s)
 	}
-	// The radix ping-pong buffer shares scratch's tail so that the merge
-	// below can build its output in scratch's head: the merge write cursor
-	// (≤ i+j) never catches up to pending entry j at offset nSorted+j.
-	full := t.scratch[:cap(t.scratch)]
-	pend := radixSort(t.ents[t.nSorted:], full[t.nSorted:len(t.ents)])
-	// Fold runs of equal keys in the pending region.
+	t.fillSlab, t.fill = nil, nil
+}
+
+// Absorb moves every entry of src into t's pending chunks and leaves src
+// empty. The chunks themselves change hands: a table staged elsewhere is
+// handed over, not copied.
+func (t *Flat) Absorb(src *Flat) {
+	src.retire()
+	if src.sorted != nil {
+		// Compacted entries are just more pending entries here.
+		src.sorted.next, src.full = src.full, src.sorted
+	}
+	for s := src.full; s != nil; {
+		next := s.next
+		s.next, t.full = t.full, s
+		s = next
+	}
+	*src = Flat{}
+}
+
+// Release empties the table and returns its slabs to the pool. The caller
+// must hold no slice obtained from Ents: the memory is reused by the next
+// table that asks for it.
+func (t *Flat) Release() {
+	t.retire()
+	putSlab(t.sorted)
+	putSlabs(t.full)
+	*t = Flat{}
+}
+
+// digit is the sort key of one counting pass: a few adjacent bits of one of
+// the three words cmpEnt compares.
+type digit struct {
+	word  uint8 // 0: signature rank, 1: XY, 2: VU — ascending significance
+	shift uint8
+	mask  uint32
+}
+
+func (d digit) of(e *Ent) uint32 {
+	switch d.word {
+	case 0:
+		return e.S.Rank() >> d.shift & d.mask
+	case 1:
+		return uint32(e.XY>>d.shift) & d.mask
+	}
+	return uint32(e.VU>>d.shift) & d.mask
+}
+
+// maxDigits bounds a digit list: 160 key bits in digits of at least 8.
+const maxDigits = 20
+
+// varying is what one scan over pending entries learns: the key bits that
+// differ between some two of them, and whether they came grouped.
+type varying struct {
+	vu, xy uint64
+	rank   uint32
+	// ungrouped is set once an entry's (VU, XY) is lower than that of the
+	// entry before it. Entries appended by a task that walked a sorted
+	// shard and extended each entry in place never set it: only their
+	// signatures are out of order, and only within one (VU, XY) group.
+	ungrouped      bool
+	lastVU, lastXY uint64
+}
+
+// scan folds ents, the entries after those already scanned, into v. ref is
+// any one fixed entry: a key bit varies iff it differs from ref's
+// somewhere.
+func (v *varying) scan(ents []Ent, ref *Ent) {
+	for i := range ents {
+		e := &ents[i]
+		v.vu |= e.VU ^ ref.VU
+		v.xy |= e.XY ^ ref.XY
+		v.rank |= e.S.Rank() ^ ref.S.Rank()
+		if e.VU < v.lastVU || e.VU == v.lastVU && e.XY < v.lastXY {
+			v.ungrouped = true
+		}
+		v.lastVU, v.lastXY = e.VU, e.XY
+	}
+}
+
+// digits cuts the varying bits into the counting passes that sort n
+// entries, least significant digit first. A digit starts at the lowest
+// varying bit not yet covered, so runs of constant bits — the top of every
+// vertex id, a shard's home vertices beyond its partition, the unused X/Y
+// slots, colours beyond k — cost no pass.
+func (v varying) digits(buf *[maxDigits]digit, n int) []digit {
+	// A pass pays for its buckets (clear, prefix sum) as well as for its
+	// entries: 2048 buckets only pay off against thousands of entries.
+	width := uint(narrowBits)
+	if n >= wideMin {
+		width = wideBits
+	}
+	ds := buf[:0]
+	for word, bitset := range [...]uint64{uint64(v.rank), v.xy, v.vu} {
+		for bitset != 0 {
+			lo := uint(bits.TrailingZeros64(bitset))
+			mask := uint64(1)<<width - 1
+			ds = append(ds, digit{word: uint8(word), shift: uint8(lo), mask: uint32(mask)})
+			bitset &^= mask << lo
+		}
+	}
+	return ds
+}
+
+const (
+	// radixMin is the smallest slice worth counting passes; below it a
+	// comparison sort in place wins.
+	radixMin = 48
+	// Digits are narrowBits wide for slices shorter than wideMin, wideBits
+	// from there on.
+	wideMin    = 4096
+	narrowBits = 8
+	wideBits   = 11
+)
+
+// counts is one pass's histogram, then its output cursors.
+type counts [1 << wideBits]int32
+
+// tally counts the entries of ents by digit d.
+func (c *counts) tally(ents []Ent, d digit) {
+	for i := range ents {
+		c[d.of(&ents[i])]++
+	}
+}
+
+// starts turns the histogram of digit d into each bucket's first output
+// position.
+func (c *counts) starts(d digit) {
+	var pos int32
+	for b, n := range c[:d.mask+1] {
+		c[b] = pos
+		pos += n
+	}
+}
+
+// scatter moves the entries of ents to their buckets in dst, in order;
+// afterwards c[b] is the end of bucket b.
+func (c *counts) scatter(dst, ents []Ent, d digit) {
+	for i := range ents {
+		b := d.of(&ents[i])
+		dst[c[b]] = ents[i]
+		c[b]++
+	}
+}
+
+// sortLSD sorts src by the digits ds, least significant first, with one
+// stable counting pass per digit, ping-ponging between src and tmp (a
+// slice of the same length); it reports whether the last pass landed in
+// tmp.
+func sortLSD(src, tmp []Ent, ds []digit) bool {
+	var c counts
+	for _, d := range ds {
+		clear(c[:d.mask+1])
+		c.tally(src, d)
+		c.starts(d)
+		c.scatter(tmp, src, d)
+		src, tmp = tmp, src
+	}
+	return len(ds)%2 == 1
+}
+
+// sortChunks returns one slab holding the entries of the chunk list — in
+// the order they were appended — sorted by (VU, XY, signature rank) with
+// equal keys folded into one entry, and releases the chunks. The sort is a
+// radix sort over the key bits that vary at all — few, in practice: vertex
+// ids span the graph size, a shard's home vertices span its partition, X/Y
+// are usually None, signatures fit the colour count — so a typical shard
+// sorts in 3–5 counting passes of pure sequential access, with no
+// comparator calls. The first pass reads the chunks where they lie and
+// scatters them into one slab, so gathering costs no pass of its own.
+// Entries that arrive grouped by (VU, XY) already are only copied
+// together and sorted by signature within each group.
+func sortChunks(chunks *slab) *slab {
+	n := 0
+	var v varying
+	for c := chunks; c != nil; c = c.next {
+		n += len(c.ents)
+		v.scan(c.ents, &chunks.ents[0])
+	}
+	if n < radixMin || !v.ungrouped {
+		// Too few entries for counting passes over the whole key, or none
+		// needed: copy the chunks together and sort what is left to sort.
+		out := chunks
+		if chunks.next != nil {
+			out = getSlab(n)
+			for c := chunks; c != nil; c = c.next {
+				out.ents = append(out.ents, c.ents...)
+			}
+			putSlabs(chunks)
+		}
+		if v.ungrouped {
+			slices.SortFunc(out.ents, cmpEnt)
+		} else {
+			sortGroups(out.ents, v.rank)
+		}
+		return fold(out)
+	}
+
+	// The first pass gathers: it counts and scatters straight out of the
+	// chunks. The others ping-pong between two slabs. (Ungrouped entries
+	// differ in some key bit, so there is a first digit.)
+	var dbuf [maxDigits]digit
+	ds := v.digits(&dbuf, n)
+	var cnt counts
+	for c := chunks; c != nil; c = c.next {
+		cnt.tally(c.ents, ds[0])
+	}
+	cnt.starts(ds[0])
+	a := getSlab(n)
+	a.ents = a.ents[:n]
+	for c := chunks; c != nil; c = c.next {
+		cnt.scatter(a.ents, c.ents, ds[0])
+	}
+	putSlabs(chunks)
+	if rest := ds[1:]; len(rest) > 0 {
+		b := getSlab(n)
+		b.ents = b.ents[:n]
+		if sortLSD(a.ents, b.ents, rest) {
+			a, b = b, a
+		}
+		putSlab(b)
+	}
+	return fold(a)
+}
+
+// sortGroups sorts ents, which are grouped by (VU, XY) in ascending order,
+// by signature rank within each group; rank holds the rank bits that vary.
+// A group is at most one vertex pair's signatures times the entries that
+// produced them: small ones are sorted by comparison, a hub's by counting
+// passes over the rank alone.
+func sortGroups(ents []Ent, rank uint32) {
+	var tmp *slab // scratch for the counting passes, sized by the first group that needs it
+	for lo := 0; lo < len(ents); {
+		hi := lo + 1
+		for hi < len(ents) && ents[hi].VU == ents[lo].VU && ents[hi].XY == ents[lo].XY {
+			hi++
+		}
+		switch group := ents[lo:hi]; {
+		case len(group) < radixMin:
+			slices.SortFunc(group, cmpEnt)
+		default:
+			if tmp == nil {
+				tmp = getSlab(len(ents) - lo)
+			}
+			var dbuf [maxDigits]digit
+			ds := varying{rank: rank}.digits(&dbuf, len(group))
+			if scratch := tmp.ents[:len(group)]; sortLSD(group, scratch, ds) {
+				copy(group, scratch)
+			}
+		}
+		lo = hi
+	}
+	putSlab(tmp)
+}
+
+// fold sums runs of equal keys in a sorted slab into one entry each. A
+// slab left less than half full by that moves its entries to one that
+// fits, so a long-lived table does not sit on its build's high-water mark.
+func fold(s *slab) *slab {
+	ents := s.ents
 	w := 0
-	for r := 1; r < len(pend); r++ {
-		if pend[r].VU == pend[w].VU && pend[r].XY == pend[w].XY && pend[r].S == pend[w].S {
-			pend[w].C += pend[r].C
+	for r := 1; r < len(ents); r++ {
+		if ents[r].VU == ents[w].VU && ents[r].XY == ents[w].XY && ents[r].S == ents[w].S {
+			ents[w].C += ents[r].C
 		} else {
 			w++
-			pend[w] = pend[r]
+			ents[w] = ents[r]
 		}
 	}
-	if len(pend) > 0 {
-		pend = pend[:w+1]
+	s.ents = ents[:w+1]
+	if 2*len(s.ents) <= cap(s.ents) && cap(s.ents) > chunkEnts {
+		fit := getSlab(len(s.ents))
+		fit.ents = append(fit.ents, s.ents...)
+		putSlab(s)
+		return fit
 	}
-	if t.nSorted == 0 {
-		// pend may live in either buffer after the radix ping-pong; copy is
-		// a no-op when it already sits at the head of ents.
-		t.ents = append(t.ents[:0], pend...)
-		t.nSorted = len(pend)
+	return s
+}
+
+// compact restores the invariant that every entry is in sorted, once: it
+// sorts and folds the pending chunks. Only a table that was read and then
+// written again already has compacted entries; they are sorted again with
+// the rest.
+func (t *Flat) compact() {
+	if t.full == nil && len(t.fill) == 0 {
 		return
 	}
-	// Two-way merge of the sorted prefix with the deduped pending run.
-	a, b := t.ents[:t.nSorted], pend
-	if cap(t.scratch) < len(a)+len(b) {
-		t.scratch = make([]Ent, 0, len(a)+len(b))
+	t.retire()
+	if t.sorted != nil {
+		t.sorted.next, t.full, t.sorted = t.full, t.sorted, nil
 	}
-	out := t.scratch[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch c := cmpEnt(a[i], b[j]); {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			e := a[i]
-			e.C += b[j].C
-			out = append(out, e)
-			i, j = i+1, j+1
-		}
+	// The list is newest first; sortChunks wants the entries as appended.
+	var chunks *slab
+	for c := t.full; c != nil; {
+		next := c.next
+		c.next, chunks = chunks, c
+		c = next
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	t.scratch = t.ents[:0]
-	t.ents = out
-	t.nSorted = len(out)
+	t.sorted, t.full = sortChunks(chunks), nil
 }
 
 // Len returns the number of distinct keys stored.
-func (t *Flat) Len() int {
-	t.compact()
-	return len(t.ents)
-}
+func (t *Flat) Len() int { return len(t.Ents()) }
 
 // Get returns the count stored for k (0 if absent).
 func (t *Flat) Get(k Key) uint64 {
-	t.compact()
-	if i, ok := slices.BinarySearchFunc(t.ents, entOf(k, 0), cmpEnt); ok {
-		return t.ents[i].C
+	ents := t.Ents()
+	if i, ok := slices.BinarySearchFunc(ents, entOf(k, 0), cmpEnt); ok {
+		return ents[i].C
 	}
 	return 0
 }
 
 // Ents returns the table's entries sorted by (VU, XY, signature rank),
 // deduped. The slice aliases the table's storage: callers must treat it
-// as read-only and must not Add to the table while holding it.
+// as read-only and must not Add to, Absorb into or Release the table while
+// holding it.
 func (t *Flat) Ents() []Ent {
 	t.compact()
-	return t.ents
+	if t.sorted == nil {
+		return nil
+	}
+	return t.sorted.ents
 }
 
 // Iter calls f for every entry in sorted (VU, XY, signature-rank) order;
 // iteration stops if f returns false. The table must not be mutated
 // during iteration.
 func (t *Flat) Iter(f func(Key, uint64) bool) {
-	t.compact()
-	for _, e := range t.ents {
+	for _, e := range t.Ents() {
 		if !f(e.Key(), e.C) {
 			return
 		}
@@ -298,14 +484,17 @@ func (t *Flat) Iter(f func(Key, uint64) bool) {
 // folded ones, so no compaction is needed.
 func (t *Flat) Total() uint64 {
 	var total uint64
-	for i := range t.ents {
-		total += t.ents[i].C
+	sum := func(ents []Ent) {
+		for i := range ents {
+			total += ents[i].C
+		}
+	}
+	if t.sorted != nil {
+		sum(t.sorted.ents)
+	}
+	sum(t.fill)
+	for c := t.full; c != nil; c = c.next {
+		sum(c.ents)
 	}
 	return total
-}
-
-// Reset empties the table, keeping its capacity.
-func (t *Flat) Reset() {
-	t.ents = t.ents[:0]
-	t.nSorted = 0
 }

@@ -1,0 +1,53 @@
+package table
+
+import (
+	"math/bits"
+	"sync"
+)
+
+// The slab pool recycles the backing arrays of tables across supersteps,
+// trials and requests. A slab holds 2^c entries for some class c, and
+// there is one sync.Pool per class: a request is served by a slab of the
+// smallest class that fits it. What the pool retains is what tables held
+// at once, class by class, and have since released — the solver itself
+// allocates next to nothing between collections, so nothing piles up
+// behind it — until the garbage collector has seen it idle for two
+// cycles: an idle process gives everything back.
+
+// slab is one pooled backing array, together with the link that lets a
+// table chain its pending chunks without allocating a list.
+type slab struct {
+	ents []Ent
+	next *slab
+}
+
+var slabPools [bits.UintSize]sync.Pool
+
+// getSlab returns an empty slab with capacity for at least n entries. Its
+// spare capacity holds stale entries of whoever used it last.
+func getSlab(n int) *slab {
+	c := bits.Len(uint(max(n, chunkEnts) - 1)) // smallest c with 2^c ≥ n
+	if s, _ := slabPools[c].Get().(*slab); s != nil {
+		return s
+	}
+	return &slab{ents: make([]Ent, 0, 1<<c)}
+}
+
+// putSlab returns a slab (nil is fine) to the pool. The caller must not
+// touch it again.
+func putSlab(s *slab) {
+	if s == nil {
+		return
+	}
+	s.ents, s.next = s.ents[:0], nil
+	slabPools[bits.Len(uint(cap(s.ents)))-1].Put(s)
+}
+
+// putSlabs returns a whole chunk list to the pool.
+func putSlabs(s *slab) {
+	for s != nil {
+		next := s.next
+		putSlab(s)
+		s = next
+	}
+}
