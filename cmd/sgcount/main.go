@@ -98,8 +98,8 @@ func main() {
 	}
 	if *stats {
 		s := est.Stats
-		fmt.Printf("engine: %s backend, %d workers, total load %d, max load %d, messages %d, steals %d, table entries %d\n",
-			s.Backend, s.Workers, s.TotalLoad, s.MaxLoad, s.Messages, s.Steals, s.TableEntries)
+		fmt.Printf("engine: %s backend, %d workers, total load %d, max load %d, messages %d, table entries %d\n",
+			s.Backend, s.Workers, s.TotalLoad, s.MaxLoad, s.Messages, s.TableEntries)
 	}
 	if *exact {
 		want := subgraph.ExactCount(g, q)

@@ -77,11 +77,11 @@ type Estimate struct {
 	// the query: Matches / aut(Q).
 	Subgraphs float64
 
-	// Stats are the engine counters accumulated across trials. Every
-	// result-bearing field of an Estimate is bit-identical across
-	// backends, worker counts, and repeated runs; within Stats, Steals is
-	// the one exception — it is scheduling telemetry, and two fresh runs
-	// on the parallel backend may steal differently.
+	// Stats are the engine counters accumulated across trials. Like every
+	// other field of an Estimate they are bit-identical across worker
+	// counts and repeated runs, so an Estimate can be cached, logged and
+	// compared byte for byte; Steals, the one counter that depends on
+	// scheduling, is left out (zero) — Session.ComputedStats reports it.
 	Stats core.Stats
 }
 
@@ -218,7 +218,6 @@ func accumulate(dst *core.Stats, s core.Stats) {
 	dst.MaxLoad += s.MaxLoad
 	dst.AvgLoad += s.AvgLoad
 	dst.Messages += s.Messages
-	dst.Steals += s.Steals
 	dst.Supersteps += s.Supersteps
 	dst.TableEntries += s.TableEntries
 }

@@ -212,11 +212,13 @@ func Assemble(graphName string, q *query.Graph, counts []uint64, stats []core.St
 }
 
 // AccumulateStats folds a slice of per-trial engine stats into one rollup,
-// in trial order — the same fold Assemble applies.
+// in trial order — the same fold Assemble applies, plus the scheduling
+// telemetry (Steals) an Estimate leaves out.
 func AccumulateStats(stats []core.Stats) core.Stats {
 	var out core.Stats
 	for _, st := range stats {
 		accumulate(&out, st)
+		out.Steals += st.Steals
 	}
 	return out
 }
@@ -379,9 +381,14 @@ func (s *Session) Computed() int { return len(s.counts) - s.preloaded }
 func (s *Session) Counts() []uint64 { return s.counts }
 
 // Run returns copies of the accumulated per-trial counts and stats, for
-// storage in a trial-granular cache.
+// storage in a trial-granular cache or log: what a replay needs to
+// reproduce the estimate, so without the scheduling telemetry (Steals).
 func (s *Session) Run() ([]uint64, []core.Stats) {
-	return append([]uint64(nil), s.counts...), append([]core.Stats(nil), s.stats...)
+	stats := append([]core.Stats(nil), s.stats...)
+	for i := range stats {
+		stats[i].Steals = 0
+	}
+	return append([]uint64(nil), s.counts...), stats
 }
 
 // ComputedStats accumulates the engine stats of only the trials this

@@ -164,7 +164,7 @@ func TestBackendUnknownRejected(t *testing.T) {
 func TestParallelBackendCancelMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := gen.PowerLawGraph("pl", 30000, 1.5, rng)
-	q := query.MustByName("brain1")
+	q := query.MustByName("brain3") // ~0.4 s uncanceled
 	colors := randColors(g.N(), q.K, rand.New(rand.NewSource(3)))
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -9,6 +9,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/sig"
 	"repro/internal/table"
@@ -76,7 +77,7 @@ func BenchmarkEdgeJoinInner(b *testing.B) {
 	fx := newBenchFixture(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fx.s.edgeJoin(fx.cur, pathSpec{}, pathStep{})
+		fx.s.edgeJoin(fx.cur, pathStart{}, pathStep{})
 	}
 }
 
@@ -150,8 +151,10 @@ func BenchmarkTrial(b *testing.B) {
 // once a first count has stocked the pool another one on the same
 // instance allocates next to nothing: less than its mean table's bytes,
 // where a solver that made every table from fresh memory would allocate
-// all 71 of them (and one that also grew them by doubling, as this one
-// did, ten times that).
+// all of them (and one that also grew them by doubling, as this one did,
+// ten times that). The tables are counted where they are made — one per
+// walk-step or leaf-projection span and one per cycle block under the root
+// — not inferred from the superstep count, which sharing moves.
 func TestRepeatedCountAllocatesLessThanOneTable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -163,7 +166,19 @@ func TestRepeatedCountAllocatesLessThanOneTable(t *testing.T) {
 	q := query.MustByName("brain2")
 	colors := randColors(g.N(), q.K, rand.New(rand.NewSource(1)))
 	opts := Options{Algorithm: DB, Backend: "parallel", Workers: 2}
-	want := count(t, g, q, colors, opts)
+	tr := obs.NewTrace(t.Name())
+	want, _, err := CountColorfulContext(obs.WithTrace(context.Background(), tr), g, q, colors, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _ := PickPlan(q)
+	phases := tr.Snapshot().Phases
+	built := uint64(phases[PhasePathJoin].Count + phases[PhaseLeafJoin].Count)
+	for _, b := range plan.Blocks {
+		if b.Kind == decomp.CycleBlock && b != plan.Root {
+			built++
+		}
+	}
 	// The pool is a sync.Pool: two collections in a row empty it. The best
 	// of three counts is one no such pair fell into.
 	const entBytes = 32
@@ -177,7 +192,7 @@ func TestRepeatedCountAllocatesLessThanOneTable(t *testing.T) {
 			t.Fatalf("count %d: %d, %v; the first counted %d", try+2, got, err, want)
 		}
 		tables = uint64(st.TableEntries) * entBytes
-		meanTable = tables / uint64(st.Supersteps)
+		meanTable = tables / built
 		if a := after.TotalAlloc - before.TotalAlloc; try == 0 || a < alloc {
 			alloc = a
 		}

@@ -36,10 +36,10 @@ func TestCountColorfulContextPreCanceled(t *testing.T) {
 // that).
 func TestCountColorfulContextCancelMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// brain1 on this graph runs for hundreds of milliseconds; the cancel
-	// lands mid-solve.
+	// brain3 on this graph runs for most of a second (half of one on
+	// parallel); the cancel lands mid-solve.
 	g := gen.PowerLawGraph("pl", 30000, 1.5, rng)
-	q := query.MustByName("brain1")
+	q := query.MustByName("brain3")
 	colors := randColors(g.N(), q.K, rand.New(rand.NewSource(3)))
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -155,6 +155,60 @@ func TestCancelAtAnyPoll(t *testing.T) {
 			ctx := cancelAtPoll(n)
 			if c, _, err := CountColorfulContext(ctx, g, q, colors, Options{Backend: backend, Workers: 2}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: canceled at poll %d of %d, got count %d and error %v", backend, n, polls, c, err)
+			}
+		}
+	}
+}
+
+// Sharing gives a canceled run something new to get wrong: a prefix other
+// splits still wait for is alive when the cancellation lands, and the step
+// that saw it has built half a table. The run must return ctx's error —
+// never join, extend or store that table — and hand every slab back: the
+// walks', the solved blocks' and the regrouped children's. First with the
+// cancellation placed at the end of the superstep that leaves a shared
+// prefix with extensions to come, then at polls across the whole run.
+func TestCancelInsideSharedPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := gen.PowerLawGraph("pl", 2000, 1.5, rng)
+	q := query.MustByName("brain1")
+	colors := randColors(g.N(), q.K, rng)
+	plan, err := PickPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []string{"sim", "parallel"} {
+		held := table.SlabsOut()
+		ctx, cancel := context.WithCancel(context.Background())
+		shared := 0
+		s := tracedSolver(t, ctx, backend, g, colors, func(s *solver, _ string) {
+			for _, n := range s.walks {
+				if n.table != nil && n.uses > 1 {
+					shared++
+					cancel()
+				}
+			}
+		})
+		s.run(plan)
+		if shared != 1 || !s.stop.Load() {
+			t.Fatalf("%s: the run went on past %d shared prefixes, canceled %v", backend, shared, s.stop.Load())
+		}
+		if left := table.SlabsOut() - held; left != 0 || s.walks.live() != 0 {
+			t.Fatalf("%s: canceled inside a shared prefix, the run kept %d slabs and %d walk tables", backend, left, s.walks.live())
+		}
+
+		whole := cancelAtPoll(1 << 60)
+		opts := Options{Backend: backend, Workers: 2, Plan: plan}
+		if _, _, err := CountColorfulContext(whole, g, q, colors, opts); err != nil {
+			t.Fatal(err)
+		}
+		polls := 1<<60 - whole.left.Load()
+		for n := int64(1); n < polls; n += 1 + polls/60 {
+			c, _, err := CountColorfulContext(cancelAtPoll(n), g, q, colors, opts)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: canceled at poll %d of %d, got count %d and error %v", backend, n, polls, c, err)
+			}
+			if left := table.SlabsOut() - held; left != 0 {
+				t.Fatalf("%s: canceled at poll %d of %d, the run kept %d slabs", backend, n, polls, left)
 			}
 		}
 	}

@@ -226,6 +226,7 @@ type solver struct {
 	tables  map[*decomp.Block]*engine.Sharded
 	grouped map[groupKey]regrouped
 	unary   map[*decomp.Block][]*rowIdx
+	walks   walkTrie // the walks of the block being solved (path.go)
 	entries int64
 }
 
@@ -305,6 +306,7 @@ func (s *solver) run(plan *decomp.Tree) uint64 {
 	var answer uint64
 	for _, b := range plan.Blocks {
 		if s.aborted() {
+			s.drop(plan.Blocks) // whatever the blocks solved so far left behind
 			return 0
 		}
 		isRoot := b == plan.Root
@@ -328,15 +330,16 @@ func (s *solver) run(plan *decomp.Tree) uint64 {
 				answer = s.tables[b.Children[0]].Total()
 			}
 		}
-		s.dropChildren(b)
+		s.drop(b.Children)
 	}
 	return answer
 }
 
-// dropChildren releases the tables and cached groupings of b's children:
-// they are dead once their parent is solved.
-func (s *solver) dropChildren(b *decomp.Block) {
-	for _, c := range b.Children {
+// drop releases the tables and cached groupings of blocks: a solved
+// block's children, which are dead once their parent is solved, or every
+// block's when the run is canceled.
+func (s *solver) drop(blocks []*decomp.Block) {
+	for _, c := range blocks {
 		if t := s.tables[c]; t != nil {
 			t.Release()
 		}

@@ -292,11 +292,12 @@ func TestChildTableSurvivesItsParentsWalks(t *testing.T) {
 				}
 				out := engine.NewSharded(be)
 				for i, sp := range s.splits(b) {
-					plus := s.buildPath(sp.plus)
-					minus := s.buildPath(sp.minus)
-					s.joinSplit(b, sp, plus, minus, out, make([]uint64, be.P()))
-					plus.Release()
-					minus.Release()
+					if !s.buildPath(sp.plus) || !s.buildPath(sp.minus) {
+						t.Fatal("an uncanceled run failed to build a walk")
+					}
+					s.joinSplit(b, sp, out, make([]uint64, be.P()))
+					sp.plus.done()
+					sp.minus.done()
 					for _, c := range b.Children {
 						if after := snap(c); after.total != before[c].total || !reflect.DeepEqual(after.ents, before[c].ents) {
 							t.Fatalf("%s: child block %v changed under split %d of its parent: total %d → %d, %d → %d entries",
@@ -307,7 +308,7 @@ func TestChildTableSurvivesItsParentsWalks(t *testing.T) {
 				}
 				s.tables[b] = s.track(out)
 			}
-			s.dropChildren(b)
+			s.drop(b.Children)
 		}
 		if checked == 0 {
 			t.Fatalf("%s: the plan has no cycle block with children", qn)

@@ -16,6 +16,11 @@ import (
 // highest position h, at (h, h⊕⌊L/2⌋) — with the high-starting order
 // constraint, and aggregates (Figure 6, Equation 1). Annotation convention
 // (§5.2): P+ includes only the end node's annotation, P− only the start's.
+//
+// The splits' 2L walks go into the block's walk trie (path.go) before the
+// first is built, so Equation 1 is evaluated with every distinct walk built
+// once; and the terms of a root cycle's sum that join the same two walks
+// are equal, so one is joined and counted as many times as it occurs.
 
 // bndLoc says where a boundary node's mapped vertex is found after the
 // final join of one split.
@@ -32,41 +37,39 @@ const (
 
 // split is one (start,end) cycle split with boundary locations resolved.
 type split struct {
-	plus, minus pathSpec
+	plus, minus *walk    // the split's two walks, in the block's trie
 	locs        []bndLoc // parallel to block.Boundary
+	times       uint64   // how many of the block's splits this one stands for
 }
 
 // solveCycle computes the projection table of a non-root cycle block:
 // unary for one boundary node, binary (Boundary[0], Boundary[1]) for two.
 func (s *solver) solveCycle(b *decomp.Block) *engine.Sharded {
 	out := engine.NewSharded(s.be)
+	s.joinSplits(b, out, nil)
+	return s.track(out)
+}
+
+// joinSplits builds and joins the walks of each of b's splits in turn, into
+// out or partial as joinSplit does. A canceled run stops at the walk that
+// could not be built.
+func (s *solver) joinSplits(b *decomp.Block, out *engine.Sharded, partial []uint64) {
 	for _, sp := range s.splits(b) {
-		if s.aborted() {
+		if !s.buildPath(sp.plus) || !s.buildPath(sp.minus) {
 			break
 		}
-		plus := s.buildPath(sp.plus)
-		minus := s.buildPath(sp.minus)
-		s.joinSplit(b, sp, plus, minus, out, nil)
-		plus.Release()
-		minus.Release()
+		s.joinSplit(b, sp, out, partial)
+		sp.plus.done()
+		sp.minus.done()
 	}
-	return s.track(out)
+	s.walks.release()
 }
 
 // solveRootCycle computes the total colorful-match count of a root cycle
 // block (no boundary nodes, §5.2 end).
 func (s *solver) solveRootCycle(b *decomp.Block) uint64 {
 	partial := make([]uint64, s.be.P())
-	for _, sp := range s.splits(b) {
-		if s.aborted() {
-			break
-		}
-		plus := s.buildPath(sp.plus)
-		minus := s.buildPath(sp.minus)
-		s.joinSplit(b, sp, plus, minus, nil, partial)
-		plus.Release()
-		minus.Release()
-	}
+	s.joinSplits(b, nil, partial)
 	var total uint64
 	for _, p := range partial {
 		total += p
@@ -78,28 +81,27 @@ func (s *solver) solveRootCycle(b *decomp.Block) uint64 {
 // (a,b): a single-edge walk from the leaf node to the boundary node,
 // folding in both node annotations, then projected onto π(a) (§5.2).
 func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
-	boundary, leaf := b.Nodes[0], b.Nodes[1]
-	spec := pathSpec{
-		start:    leaf,
-		startAnn: b.NodeAnn[1],
-		steps: []pathStep{{
-			node:    boundary,
-			edgeAnn: b.EdgeAnn[0],
-			nodeAnn: b.NodeAnn[0],
-		}},
+	step := pathStep{edgeAnn: b.EdgeAnn[0], nodeAnn: b.NodeAnn[0]}
+	if step.edgeAnn != nil {
+		step.edgeFromFirst = step.edgeAnn.Boundary[0] == b.Nodes[1]
 	}
-	if spec.steps[0].edgeAnn != nil {
-		spec.steps[0].edgeFromFirst = spec.steps[0].edgeAnn.Boundary[0] == leaf
-	}
-	walk := s.buildPath(spec)
-	// Project (π(leaf), π(a), α) ↦ (π(a), α): local, entries live at owner(V).
+	// The projection keeps the walk's end and drops its start, so the walk
+	// is start-free: (leaf, boundary) pairs fold into boundary rows in the
+	// walk's first table, not here.
+	s.walks = walkTrie{}
+	defer s.walks.release()
+	walk := s.walks.add(pathStart{startAnn: b.NodeAnn[1], free: true}, step)
 	out := engine.NewSharded(s.be)
+	if !s.buildPath(walk) {
+		return out
+	}
+	// Project (π(a), α) out of the walk's keys: local, entries live at owner(V).
 	defer s.tr.Start(PhaseLeafJoin)()
 	s.be.Run(func(w int) {
 		sh := out.Shard(w)
 		var load int64
 		var poll int
-		ents := walk.Shard(w).Ents()
+		ents := walk.table.Shard(w).Ents()
 		for i := range ents {
 			e := &ents[i]
 			load++
@@ -110,13 +112,14 @@ func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 		}
 		s.be.AddLoad(w, load)
 	})
-	walk.Release()
+	walk.done()
 	return s.track(out)
 }
 
-// splits enumerates the algorithm's cycle splits with fully built path
-// specs: one for PS, L for DB.
+// splits enumerates the algorithm's cycle splits — one for PS, L for DB —
+// with their walks laid into a fresh trie, s.walks.
 func (s *solver) splits(b *decomp.Block) []split {
+	s.walks = walkTrie{}
 	l := b.Len()
 	pos := make(map[int]int, l) // query node id → cycle position
 	for i, n := range b.Nodes {
@@ -140,15 +143,26 @@ func (s *solver) splits(b *decomp.Block) []split {
 	}
 	// DB: every position is a candidate highest node (Equation 1).
 	splits := make([]split, 0, l)
+	first := make(map[[2]*walk]int, l) // (P+, P−) → the first split that joins them
 	for h := 0; h < l; h++ {
-		splits = append(splits, s.makeSplit(b, h, (h+l/2)%l, true))
+		sp := s.makeSplit(b, h, (h+l/2)%l, true)
+		pair := [2]*walk{sp.plus, sp.minus}
+		if i, seen := first[pair]; seen && len(b.Boundary) == 0 {
+			// No boundary mapping tells the two splits' products apart.
+			splits[i].times++
+			sp.plus.uses--
+			sp.minus.uses--
+			continue
+		}
+		first[pair] = len(splits)
+		splits = append(splits, sp)
 	}
 	return splits
 }
 
-// makeSplit constructs the P+ (clockwise) and P− (counter-clockwise) path
-// specs for splitting cycle b at positions (start, end), and resolves where
-// each boundary node's mapping will be found. Boundary nodes that fall
+// makeSplit lays the P+ (clockwise) and P− (counter-clockwise) walks for
+// splitting cycle b at positions (start, end) into s.walks, and resolves
+// where each boundary node's mapping will be found. Boundary nodes that fall
 // strictly inside a walk are recorded in its X then Y key fields, in walk
 // order — this uniformly realizes the six §5.1 configurations.
 func (s *solver) makeSplit(b *decomp.Block, start, end int, ordered bool) split {
@@ -168,15 +182,16 @@ func (s *solver) makeSplit(b *decomp.Block, start, end int, ordered bool) split 
 	locOf(b.Nodes[start], locStart)
 	locOf(b.Nodes[end], locEnd)
 
-	buildWalk := func(dir int, isPlus bool) pathSpec {
-		spec := pathSpec{start: b.Nodes[start], ordered: ordered}
+	layWalk := func(dir int, isPlus bool) *walk {
+		from := pathStart{ordered: ordered}
 		if !isPlus {
-			spec.startAnn = b.NodeAnn[start] // P− owns the start annotation
+			from.startAnn = b.NodeAnn[start] // P− owns the start annotation
 		}
+		var steps []pathStep
 		nextRecord := 1
 		for p := start; p != end; {
 			np := ((p+dir)%l + l) % l
-			st := pathStep{node: b.Nodes[np]}
+			var st pathStep
 			// Cycle edge between positions p and np: EdgeAnn[i] annotates
 			// (Nodes[i], Nodes[i+1]); going clockwise that's index p, going
 			// counter-clockwise it's index np.
@@ -202,16 +217,12 @@ func (s *solver) makeSplit(b *decomp.Block, start, end int, ordered bool) split 
 			} else if isPlus {
 				st.nodeAnn = b.NodeAnn[end] // P+ owns the end annotation
 			}
-			spec.steps = append(spec.steps, st)
+			steps = append(steps, st)
 			p = np
 		}
-		return spec
+		return s.walks.add(from, steps...)
 	}
-	return split{
-		plus:  buildWalk(+1, true),
-		minus: buildWalk(-1, false),
-		locs:  locs,
-	}
+	return split{plus: layWalk(+1, true), minus: layWalk(-1, false), locs: locs, times: 1}
 }
 
 // joinSplit joins the P+ and P− tables of one split (Figure 4/6
@@ -225,12 +236,12 @@ func (s *solver) makeSplit(b *decomp.Block, start, end int, ordered bool) split 
 // sorted merge: advance two cursors to each common (U,V) group and cross
 // the groups' contiguous entry runs — no per-split hash index, and the
 // signature filter scans adjacent memory on both sides.
-func (s *solver) joinSplit(b *decomp.Block, sp split, plus, minus *engine.Sharded, out *engine.Sharded, partial []uint64) {
+func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, partial []uint64) {
 	produce := func(w int, emit engine.Emit) {
 		var eb engine.Batcher
 		defer eb.Bind(emit).Flush()
-		pe := plus.Shard(w).Ents()
-		me := minus.Shard(w).Ents()
+		pe := sp.plus.table.Shard(w).Ents()
+		me := sp.minus.table.Shard(w).Ents()
 		var load int64
 		var poll int
 		var sum uint64
@@ -285,7 +296,7 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, plus, minus *engine.Sharde
 	done:
 		s.be.AddLoad(w, load)
 		if partial != nil {
-			partial[w] += sum
+			partial[w] += sum * sp.times
 		}
 	}
 	defer s.tr.Start(PhaseCycleJoin)()

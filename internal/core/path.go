@@ -15,6 +15,14 @@ import (
 // optional recorded boundary mappings in X/Y (the §5.1 configurations), and
 // entries live at the owner of V, as in the paper's engine (§7).
 //
+// A walk's table is a function of its spec alone — where it starts and the
+// child blocks, orientations and record slots of its steps, never the query
+// node ids it passes — and across the 2L walks of a DB block's splits those
+// specs repeat. So a block's walks are laid into a prefix trie (walkTrie)
+// before any is built: each distinct prefix is built once, from its parent
+// prefix, and the trie owns every walk table's lifetime, releasing a node's
+// table after the last extension or join that reads it.
+//
 // The joins run over the flat signature-major layout (table.Flat): each
 // shard's entries are one dense slice grouped by the home vertex V, so an
 // inner loop is a linear scan, the child side is probed through a
@@ -23,53 +31,135 @@ import (
 
 // pathStep extends the walk by one cycle node.
 type pathStep struct {
-	node          int           // query node id being added
 	edgeAnn       *decomp.Block // child block annotating the traversed edge; nil = data-graph edge
 	edgeFromFirst bool          // traversal enters the child at Boundary[0]
 	nodeAnn       *decomp.Block // unary child annotating the added node; nil = none
 	record        int           // 0 = none, 1 = record mapped vertex in X, 2 = in Y
 }
 
-// pathSpec describes a whole walk.
-type pathSpec struct {
-	start    int           // query node id of the walk's first node
+// pathStart is where a walk begins: everything its table depends on besides
+// its steps.
+type pathStart struct {
 	startAnn *decomp.Block // unary child annotating the start node (P− convention)
-	steps    []pathStep
-	ordered  bool // DB: every added cycle vertex must rank below π(start)
+	ordered  bool          // DB: every added cycle vertex must rank below π(start)
+	// free marks a walk whose start nothing downstream reads (a leaf
+	// block's): its keys carry U = None from the first table on, so entries
+	// that differ only in π(start) fold together as soon as they are built.
+	free bool
 }
 
-// buildPath materializes the walk's projection table. A canceled run
-// stops between join steps (each step's own loops also poll mid-step) and
-// returns the partial table, which the caller discards.
-func (s *solver) buildPath(spec pathSpec) *engine.Sharded {
-	var cur *engine.Sharded
-	rest := spec.steps
-	if spec.startAnn != nil {
-		cur = s.lift(s.tables[spec.startAnn])
-	} else {
-		cur = s.initEdge(spec, spec.steps[0])
-		if spec.steps[0].nodeAnn != nil {
-			cur = replaced(cur, s.nodeJoin(cur, spec.steps[0].nodeAnn))
-		}
-		rest = spec.steps[1:]
-	}
-	for _, st := range rest {
-		if s.aborted() {
-			return cur
-		}
-		cur = replaced(cur, s.edgeJoin(cur, spec, st))
-		if st.nodeAnn != nil {
-			cur = replaced(cur, s.nodeJoin(cur, st.nodeAnn))
-		}
-	}
-	return cur
+// walk is one node of a block's walk trie: one distinct walk prefix and,
+// between its build and its last use, that prefix's table.
+type walk struct {
+	pathStart
+	parent *walk    // the prefix one step shorter; nil at a walk's start
+	step   pathStep // the step that extends parent; zero at a walk's start
+	table  *engine.Sharded
+	uses   int // extensions to build from the table and joins to read it, still to come
 }
 
-// replaced releases a walk table its successor has been built from and
-// returns the successor.
-func replaced(old, next *engine.Sharded) *engine.Sharded {
-	old.Release()
-	return next
+// walkKey identifies a trie node by structure: child block identity,
+// orientation, record slot and the start's fields — two walks that agree on
+// all of it build the same table.
+type walkKey struct {
+	parent *walk
+	start  pathStart // set at a walk's start only; steps inherit it through parent
+	step   pathStep
+}
+
+// walkTrie holds the walks of the block being solved.
+type walkTrie map[walkKey]*walk
+
+// add lays a walk into the trie and returns its last node, with one more
+// use pending on it — the caller's join.
+func (t walkTrie) add(start pathStart, steps ...pathStep) *walk {
+	n := t.node(walkKey{start: start})
+	for _, st := range steps {
+		n = t.node(walkKey{parent: n, step: st})
+	}
+	n.uses++
+	return n
+}
+
+func (t walkTrie) node(k walkKey) *walk {
+	n := t[k]
+	if n == nil {
+		n = &walk{pathStart: k.start, parent: k.parent, step: k.step}
+		if k.parent != nil {
+			n.pathStart = k.parent.pathStart
+			k.parent.uses++
+		}
+		t[k] = n
+	}
+	return n
+}
+
+// done ends one pending use of the walk's table and releases the table to
+// the slab pool after the last.
+func (n *walk) done() {
+	if n.uses--; n.uses == 0 {
+		n.drop()
+	}
+}
+
+func (n *walk) drop() {
+	if n.table != nil {
+		n.table.Release()
+		n.table = nil
+	}
+}
+
+// release drops whatever tables a canceled run left in the trie.
+func (t walkTrie) release() {
+	for _, n := range t {
+		n.drop()
+	}
+}
+
+// buildPath makes sure the walk's table exists, building the prefixes of it
+// that no earlier walk of the block left behind. It reports false when the
+// run is canceled: a table whose build saw the cancellation is partial, so
+// it is released on the spot, never stored for another walk to extend.
+func (s *solver) buildPath(n *walk) bool {
+	if n.table != nil {
+		return true
+	}
+	p := n.parent
+	var t *engine.Sharded
+	switch {
+	case p == nil && n.startAnn == nil:
+		return true // a bare start has no table: its first edge seeds the walk
+	case p == nil:
+		t = s.lift(n.pathStart)
+	case !s.buildPath(p) || s.aborted():
+		return false
+	case p.table == nil:
+		t = s.initEdge(n.pathStart, n.step)
+	default:
+		t = s.edgeJoin(p.table, n.pathStart, n.step)
+	}
+	if n.step.nodeAnn != nil {
+		edge := t
+		t = s.nodeJoin(edge, n.step.nodeAnn)
+		edge.Release()
+	}
+	if p != nil {
+		p.done()
+	}
+	if s.stop.Load() {
+		t.Release()
+		return false
+	}
+	n.table = t
+	return true
+}
+
+// startKey is the U a walk that starts at vertex u carries in its keys.
+func (p pathStart) startKey(u uint32) uint32 {
+	if p.free {
+		return table.None
+	}
+	return u
 }
 
 func applyRecord(k *table.Key, record int, v uint32) {
@@ -84,7 +174,7 @@ func applyRecord(k *table.Key, record int, v uint32) {
 // initEdge seeds the walk's table from its first edge: either the data
 // graph's edges (count 1 per edge per direction, signature {χ(u),χ(v)},
 // Figure 4/6 Procedure 1 line 1) or the annotating child block's table.
-func (s *solver) initEdge(spec pathSpec, st pathStep) *engine.Sharded {
+func (s *solver) initEdge(spec pathStart, st pathStep) *engine.Sharded {
 	out := engine.NewSharded(s.be)
 	defer s.tr.Start(PhasePathJoin)()
 	if st.edgeAnn == nil {
@@ -111,7 +201,7 @@ func (s *solver) initEdge(spec pathSpec, st pathStep) *engine.Sharded {
 					if s.colors[v] == cu {
 						continue
 					}
-					k := table.Binary(u, v, sig.Of(cu).Add(s.colors[v]))
+					k := table.Binary(spec.startKey(u), v, sig.Of(cu).Add(s.colors[v]))
 					applyRecord(&k, st.record, v)
 					eb.Emit(s.be.Owner(v), engine.Msg{K: k, C: 1})
 				}
@@ -140,7 +230,7 @@ func (s *solver) initEdge(spec pathSpec, st pathStep) *engine.Sharded {
 			if spec.ordered && !s.g.Higher(from, to) {
 				continue
 			}
-			nk := table.Binary(from, to, e.S)
+			nk := table.Binary(spec.startKey(from), to, e.S)
 			applyRecord(&nk, st.record, to)
 			eb.Emit(s.be.Owner(to), engine.Msg{K: nk, C: e.C})
 		}
@@ -149,9 +239,11 @@ func (s *solver) initEdge(spec pathSpec, st pathStep) *engine.Sharded {
 	return s.track(out)
 }
 
-// lift turns a unary child table (u,α) into the degenerate walk table
-// (u,u,α), seeding a path that includes the start node's annotation.
-func (s *solver) lift(child *engine.Sharded) *engine.Sharded {
+// lift turns the unary table (u,α) of the child annotating the start node
+// into the degenerate walk table (u,u,α), seeding a path that includes that
+// annotation.
+func (s *solver) lift(spec pathStart) *engine.Sharded {
+	child := s.tables[spec.startAnn]
 	out := engine.NewSharded(s.be)
 	defer s.tr.Start(PhasePathJoin)()
 	s.be.Run(func(w int) {
@@ -159,7 +251,7 @@ func (s *solver) lift(child *engine.Sharded) *engine.Sharded {
 		ents := child.Shard(w).Ents()
 		for i := range ents {
 			e := &ents[i]
-			sh.Add(table.Binary(e.U(), e.U(), e.S), e.C)
+			sh.Add(table.Binary(spec.startKey(e.U()), e.U(), e.S), e.C)
 		}
 	})
 	return s.track(out)
@@ -170,7 +262,7 @@ func (s *solver) lift(child *engine.Sharded) *engine.Sharded {
 // Procedure 1); for an annotated edge, by each child entry incident to v
 // whose signature meets α exactly at χ(v) (Figure 7 EdgeJoin). Under the DB
 // order constraint, only vertices ranking below u extend the walk.
-func (s *solver) edgeJoin(cur *engine.Sharded, spec pathSpec, st pathStep) *engine.Sharded {
+func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *engine.Sharded {
 	out := engine.NewSharded(s.be)
 	if st.edgeAnn == nil {
 		defer s.tr.Start(PhasePathJoin)()

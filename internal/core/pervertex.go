@@ -106,7 +106,7 @@ func (s *solver) runPerVertex(plan *decomp.Tree, anchor int) []uint64 {
 			case decomp.CycleBlock:
 				s.tables[b] = s.solveCycle(b)
 			}
-			s.dropChildren(b)
+			s.drop(b.Children)
 			continue
 		}
 		var unary *engine.Sharded
@@ -149,7 +149,7 @@ func (s *solver) runPerVertex(plan *decomp.Tree, anchor int) []uint64 {
 		if b.Kind == decomp.CycleBlock {
 			unary.Release() // the anchored root table; a singleton's is its child's
 		}
-		s.dropChildren(b)
+		s.drop(b.Children)
 	}
 	return per
 }

@@ -106,3 +106,25 @@ func TestPerVertexDefaultAnchorAndErrors(t *testing.T) {
 		}
 	}
 }
+
+// Counts do not depend on the plan PickPlan chooses; the per-vertex default
+// anchor — the first node of that plan's root block — does, and PickPlan
+// ranks plans by a load that moves whenever the solver learns to do less.
+// These are the anchors a caller passing -1 gets for the catalog: a change
+// here changes what such callers' vectors mean, so it belongs in CHANGES.md.
+func TestCatalogDefaultAnchors(t *testing.T) {
+	want := map[string]int{
+		"dros": 5, "ecoli1": 4, "ecoli2": 2, "brain1": 0, "brain2": 0, "brain3": 0,
+		"glet1": 0, "glet2": 0, "wiki": 5, "youtube": 0,
+	}
+	for _, q := range query.Catalog() {
+		plan, err := PickPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		anchor, pinned := want[q.Name]
+		if !pinned || plan.Root.Nodes[0] != anchor {
+			t.Errorf("%s: default anchor %d (plan %s); pinned: %d, %v", q.Name, plan.Root.Nodes[0], plan.Encode(), anchor, pinned)
+		}
+	}
+}

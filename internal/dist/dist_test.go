@@ -2,10 +2,12 @@ package dist_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/query"
+	"repro/internal/table"
 )
 
 func randColors(n, k int, rng *rand.Rand) []uint8 {
@@ -269,6 +272,76 @@ func TestCancelPropagates(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("canceled run hung")
+	}
+}
+
+// pollCanceled is a context that cancels itself the n-th time it is polled.
+type pollCanceled struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func cancelAtPoll(n int64) *pollCanceled {
+	c := &pollCanceled{}
+	c.Context, c.cancel = context.WithCancel(context.Background())
+	c.left.Store(n)
+	return c
+}
+
+func (c *pollCanceled) Done() <-chan struct{} {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Done()
+}
+
+// The dist leg of core's TestCancelInsideSharedPrefix: brain1's walks share
+// prefixes, every rank lays the same trie from the same plan, and a
+// cancellation reaches the ranks whenever its frame does — mid-step on
+// one, between steps on another. Wherever it lands the coordinator must
+// return context.Canceled, no rank may hang at a barrier the others have
+// left, and once the ranks have unwound every slab their tables held must
+// be back in the pool.
+func TestCancelInsideSharedPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := gen.PowerLawGraph("pl", 2000, 1.5, rng)
+	q := query.MustByName("brain1")
+	colors := randColors(g.N(), q.K, rng)
+	c := loopback(t, 2)
+	plan, err := core.PickPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(ctx context.Context) error {
+		be, err := c.NewJob(0, engine.Job{N: g.N(), Graph: g, Colors: colors, Query: q, Plan: plan, Ctx: ctx})
+		if err != nil {
+			return err
+		}
+		_, _, err = core.CountColorfulContext(ctx, g, q, colors, core.Options{Plan: plan, Engine: be})
+		return err
+	}
+	// The ranks of the tests before this one may still be unwinding.
+	held := table.SlabsOut()
+	for settled := time.Now(); time.Since(settled) < 50*time.Millisecond; time.Sleep(time.Millisecond) {
+		if now := table.SlabsOut(); now != held {
+			held, settled = now, time.Now()
+		}
+	}
+	whole := cancelAtPoll(1 << 60)
+	if err := run(whole); err != nil {
+		t.Fatal(err)
+	}
+	polls := 1<<60 - whole.left.Load()
+	for n := int64(1); n < polls; n += 1 + polls/40 {
+		if err := run(cancelAtPoll(n)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled at poll %d of %d, got error %v", n, polls, err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); table.SlabsOut() != held; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("canceled at poll %d of %d, the ranks still hold %d slabs", n, polls, table.SlabsOut()-held)
+			}
+		}
 	}
 }
 

@@ -14,14 +14,10 @@ import (
 // sameEstimate compares two estimates for result equality: every
 // result-bearing field (counts, matches, CV, trials, names) and the
 // deterministic engine counters must match bit for bit. Scheduling
-// telemetry (Stats.Steals) is excluded: on the parallel backend it
-// depends on which worker happened to steal which partition, so two
-// fresh computations of the same request legitimately differ there —
-// and nowhere else.
-func sameEstimate(a, b subgraph.Estimation) bool {
-	a.Stats.Steals, b.Stats.Steals = 0, 0
-	return reflect.DeepEqual(a, b)
-}
+// telemetry (Stats.Steals) is not part of an estimate: it depends on
+// which worker happened to steal which partition, and is reported by
+// /v1/stats and /metrics only.
+func sameEstimate(a, b subgraph.Estimation) bool { return reflect.DeepEqual(a, b) }
 
 // TestBackendsBitIdenticalThroughService: the same request served under
 // the sim and the parallel backend must produce identical counts; the two

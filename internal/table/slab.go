@@ -3,6 +3,7 @@ package table
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // The slab pool recycles the backing arrays of tables across supersteps,
@@ -23,9 +24,18 @@ type slab struct {
 
 var slabPools [bits.UintSize]sync.Pool
 
+// slabsOut counts the slabs handed out and not yet given back.
+var slabsOut atomic.Int64
+
+// SlabsOut returns how many slabs tables hold right now, process-wide. A
+// solver that has released every table it built — finished or canceled —
+// leaves it where it found it.
+func SlabsOut() int64 { return slabsOut.Load() }
+
 // getSlab returns an empty slab with capacity for at least n entries. Its
 // spare capacity holds stale entries of whoever used it last.
 func getSlab(n int) *slab {
+	slabsOut.Add(1)
 	c := bits.Len(uint(max(n, chunkEnts) - 1)) // smallest c with 2^c ≥ n
 	if s, _ := slabPools[c].Get().(*slab); s != nil {
 		return s
@@ -39,6 +49,7 @@ func putSlab(s *slab) {
 	if s == nil {
 		return
 	}
+	slabsOut.Add(-1)
 	s.ents, s.next = s.ents[:0], nil
 	slabPools[bits.Len(uint(cap(s.ents)))-1].Put(s)
 }
