@@ -71,41 +71,49 @@ func BenchmarkNodeJoinInner(b *testing.B) {
 	}
 }
 
-// BenchmarkEdgeJoinInner times edgeJoin's data-edge extension loop: a
-// flat scan emitting batched runs.
+// BenchmarkEdgeJoinInner times edgeJoin's data-edge extension: a flat scan
+// that packs each extended entry once and appends it to the lane of its new
+// end vertex, and the sort and fold of the table that makes.
 func BenchmarkEdgeJoinInner(b *testing.B) {
 	fx := newBenchFixture(b)
+	fx.cur.Len() // compact the walk table outside the timer
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.s.edgeJoin(fx.cur, pathStart{}, pathStep{})
+		fx.s.edgeJoin(fx.cur, pathStart{}, pathStep{}).Release()
 	}
 }
 
-// The batched emission path must not allocate per message, nor per task:
-// a Batcher borrows its run buffer from a pool at the first Emit and
-// returns it in Flush. An allocation creeping into Emit would be paid once
-// per walk extension — exactly what batching exists to avoid.
-func TestBatcherZeroAllocsPerMessage(t *testing.T) {
+// A warm lane step must not allocate per entry, nor per task: a lane takes
+// its chunks from the slab pool and the table gives them back, so what a
+// superstep allocates is its own bookkeeping, whatever it appends. An
+// allocation creeping into At or AddEnt would be paid once per walk
+// extension.
+func TestLaneStepZeroAllocsPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
-	var got int
-	sink := func(dst int, run []engine.Msg) { got += len(run) }
-	var eb engine.Batcher
-	const n = 8192
-	m := engine.Msg{K: table.Unary(7, 1), C: 1}
-	allocs := testing.AllocsPerRun(10, func() {
-		eb.Bind(sink)
-		for i := 0; i < n; i++ {
-			eb.Emit(i%3, m)
-		}
-		eb.Flush()
-	})
-	if allocs != 0 {
-		t.Fatalf("Batcher allocated %.0f times for %d messages; want 0", allocs, n)
+	const n, perTask = 8192, 1024
+	be := engine.NewParallel(1, n)
+	var got uint64
+	step := func() {
+		out := engine.NewSharded(be)
+		be.Step(out, func(w int, to *engine.Lanes) {
+			for i := uint32(0); i < perTask; i++ {
+				v := (uint32(w)*perTask + i*2654435761) % n
+				to.At(v).AddEnt(table.BinaryEnt(i, v, 1, 1))
+			}
+		})
+		got = out.Total()
+		out.Release()
 	}
-	if got == 0 {
-		t.Fatal("sink never ran")
+	step() // stock the slab pool
+	entries := be.P() * perTask
+	if allocs := testing.AllocsPerRun(10, step); allocs > 16 {
+		t.Fatalf("a warm step allocated %.0f times to append %d entries; want a handful, none per entry", allocs, entries)
+	}
+	if got != uint64(entries) {
+		t.Fatalf("the step delivered %d of %d entries", got, entries)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -176,11 +177,15 @@ func TestCancelInsideSharedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{"sim", "parallel"} {
+	for _, rt := range []struct {
+		backend string
+		workers int
+	}{{"sim", 2}, {"sim", 4}, {"parallel", 2}} {
+		backend := fmt.Sprintf("%s@%d", rt.backend, rt.workers)
 		held := table.SlabsOut()
 		ctx, cancel := context.WithCancel(context.Background())
 		shared := 0
-		s := tracedSolver(t, ctx, backend, g, colors, func(s *solver, _ string) {
+		s := tracedSolver(t, ctx, rt.backend, rt.workers, g, colors, func(s *solver, _ string) {
 			for _, n := range s.walks {
 				if n.table != nil && n.uses > 1 {
 					shared++
@@ -197,9 +202,12 @@ func TestCancelInsideSharedPrefix(t *testing.T) {
 		}
 
 		whole := cancelAtPoll(1 << 60)
-		opts := Options{Backend: backend, Workers: 2, Plan: plan}
+		opts := Options{Backend: rt.backend, Workers: rt.workers, Plan: plan}
 		if _, _, err := CountColorfulContext(whole, g, q, colors, opts); err != nil {
 			t.Fatal(err)
+		}
+		if left := table.SlabsOut() - held; left != 0 {
+			t.Fatalf("%s: a finished run kept %d slabs", backend, left)
 		}
 		polls := 1<<60 - whole.left.Load()
 		for n := int64(1); n < polls; n += 1 + polls/60 {

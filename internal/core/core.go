@@ -88,7 +88,7 @@ type Stats struct {
 	MaxLoad      int64
 	AvgLoad      float64
 	TotalLoad    int64
-	Messages     int64 // sim: every emitted count; dist: counts sent to another process; parallel: 0
+	Messages     int64 // sim: every appended entry; dist: entries sent to another process; parallel: 0
 	Steals       int64 // stolen partition tasks; always 0 for sim
 	Supersteps   int64 // supersteps executed; identical across backends
 	TableEntries int64 // total projection-table entries materialized
@@ -96,8 +96,8 @@ type Stats struct {
 }
 
 // Trace phase names. Every span the solver records wraps exactly one
-// backend superstep (Step, Deliver, or Run call), named for the phase
-// that issued it — so spans never nest, and a trace's per-phase totals
+// backend superstep (Step or Run call), named for the phase that issued
+// it — so spans never nest, and a trace's per-phase totals
 // sum to at most the run's wall time.
 const (
 	PhasePathJoin      = "pathJoin"      // path builder: init/edge/node joins (§5.2 Figure 7)

@@ -108,7 +108,7 @@ func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 			if s.canceled(&poll) {
 				break
 			}
-			sh.Add(table.Unary(e.V(), e.S), e.C)
+			sh.AddEnt(table.UnaryEnt(e.V(), e.S, e.C))
 		}
 		s.be.AddLoad(w, load)
 	})
@@ -237,9 +237,7 @@ func (s *solver) makeSplit(b *decomp.Block, start, end int, ordered bool) split 
 // the groups' contiguous entry runs — no per-split hash index, and the
 // signature filter scans adjacent memory on both sides.
 func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, partial []uint64) {
-	produce := func(w int, emit engine.Emit) {
-		var eb engine.Batcher
-		defer eb.Bind(emit).Flush()
+	produce := func(w int, to *engine.Lanes) {
 		pe := sp.plus.table.Shard(w).Ents()
 		me := sp.minus.table.Shard(w).Ents()
 		var load int64
@@ -283,11 +281,11 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 						sum += total
 					case 1:
 						va := vertexAt(sp.locs[0], kp, e)
-						eb.Emit(s.be.Owner(va), engine.Msg{K: table.Unary(va, comb), C: total})
+						to.At(va).AddEnt(table.UnaryEnt(va, comb, total))
 					case 2:
 						va := vertexAt(sp.locs[0], kp, e)
 						vb := vertexAt(sp.locs[1], kp, e)
-						eb.Emit(s.be.Owner(vb), engine.Msg{K: table.Binary(va, vb, comb), C: total})
+						to.At(vb).AddEnt(table.BinaryEnt(va, vb, comb, total))
 					}
 				}
 			}
@@ -305,12 +303,9 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 		return
 	}
 	// Root cycle (no boundary): every product folds into the local partial
-	// sum, so nothing is ever emitted — run the join without a superstep.
-	s.be.Run(func(w int) {
-		produce(w, func(int, []engine.Msg) {
-			panic("core: root-cycle join emitted an entry")
-		})
-	})
+	// sum, so nothing is ever appended — run the join without a superstep,
+	// and without lanes.
+	s.be.Run(func(w int) { produce(w, nil) })
 }
 
 // vertexAt extracts a boundary node's mapped vertex from the joined pair of

@@ -25,9 +25,13 @@ import (
 //
 // The joins run over the flat signature-major layout (table.Flat): each
 // shard's entries are one dense slice grouped by the home vertex V, so an
-// inner loop is a linear scan, the child side is probed through a
-// CSR-style index (rowIdx) instead of a hash map, and
-// emissions are coalesced into per-destination runs by an engine.Batcher.
+// inner loop is a linear scan and the child side is probed through a
+// CSR-style index (rowIdx) instead of a hash map. A join writes each entry
+// it produces once, packed as the table stores it (table.Ent: V high and U
+// low in one word, X high and Y low in the other), straight into the lane
+// of the partition that owns its home vertex (engine.Lanes); whatever does
+// not change along a neighbour scan — the walk's start, its recorded
+// vertices, signature and count — is read once per source entry.
 
 // pathStep extends the walk by one cycle node.
 type pathStep struct {
@@ -162,13 +166,30 @@ func (p pathStart) startKey(u uint32) uint32 {
 	return u
 }
 
-func applyRecord(k *table.Key, record int, v uint32) {
+// recordSlot is where a step records the vertex it adds, in terms of an
+// entry's XY word (X high, Y low): keep masks the half the step leaves
+// alone — all of the word for a step that records nothing — and shift
+// moves a vertex into the other half.
+type recordSlot struct {
+	keep  uint64
+	shift uint
+}
+
+func slotOf(record int) recordSlot {
 	switch record {
 	case 1:
-		k.X = v
+		return recordSlot{keep: 1<<32 - 1, shift: 32}
 	case 2:
-		k.Y = v
+		return recordSlot{keep: ^uint64(1<<32 - 1)}
 	}
+	return recordSlot{keep: ^uint64(0)}
+}
+
+// ent packs the entry of a walk from start that the step has taken to end
+// (VU: V high, U low). kept is the XY word of the entry it extends, under
+// r.keep — r.keep itself for a walk's first step, which extends nothing.
+func (r recordSlot) ent(start, end uint32, kept uint64, s sig.Sig, c uint64) table.Ent {
+	return table.Ent{VU: uint64(end)<<32 | uint64(start), XY: kept | uint64(end)<<r.shift&^r.keep, S: s, C: c}
 }
 
 // initEdge seeds the walk's table from its first edge: either the data
@@ -176,11 +197,10 @@ func applyRecord(k *table.Key, record int, v uint32) {
 // Figure 4/6 Procedure 1 line 1) or the annotating child block's table.
 func (s *solver) initEdge(spec pathStart, st pathStep) *engine.Sharded {
 	out := engine.NewSharded(s.be)
+	slot := slotOf(st.record)
 	defer s.tr.Start(PhasePathJoin)()
 	if st.edgeAnn == nil {
-		s.be.Step(out, func(w int, emit engine.Emit) {
-			var eb engine.Batcher
-			defer eb.Bind(emit).Flush()
+		s.be.Step(out, func(w int, to *engine.Lanes) {
 			lo, hi := s.be.Range(w)
 			var load int64
 			var poll int
@@ -190,6 +210,7 @@ func (s *solver) initEdge(spec pathStart, st pathStep) *engine.Sharded {
 			// every cancelInterval neighbor ops, once per vertex.
 			for u := lo; u < hi && !s.stop.Load(); u++ {
 				cu := s.colors[u]
+				su, start := sig.Of(cu), spec.startKey(u)
 				for _, v := range s.g.Neighbors(u) {
 					load++
 					if s.canceled(&poll) {
@@ -201,9 +222,7 @@ func (s *solver) initEdge(spec pathStart, st pathStep) *engine.Sharded {
 					if s.colors[v] == cu {
 						continue
 					}
-					k := table.Binary(spec.startKey(u), v, sig.Of(cu).Add(s.colors[v]))
-					applyRecord(&k, st.record, v)
-					eb.Emit(s.be.Owner(v), engine.Msg{K: k, C: 1})
+					to.At(v).AddEnt(slot.ent(start, v, slot.keep, su.Add(s.colors[v]), 1))
 				}
 			}
 			s.be.AddLoad(w, load)
@@ -211,9 +230,7 @@ func (s *solver) initEdge(spec pathStart, st pathStep) *engine.Sharded {
 		return s.track(out)
 	}
 	child := s.tables[st.edgeAnn]
-	s.be.Step(out, func(w int, emit engine.Emit) {
-		var eb engine.Batcher
-		defer eb.Bind(emit).Flush()
+	s.be.Step(out, func(w int, to *engine.Lanes) {
 		var load int64
 		var poll int
 		ents := child.Shard(w).Ents()
@@ -223,16 +240,14 @@ func (s *solver) initEdge(spec pathStart, st pathStep) *engine.Sharded {
 			if s.canceled(&poll) {
 				break
 			}
-			from, to := e.U(), e.V()
+			from, end := e.U(), e.V()
 			if !st.edgeFromFirst {
-				from, to = to, from
+				from, end = end, from
 			}
-			if spec.ordered && !s.g.Higher(from, to) {
+			if spec.ordered && !s.g.Higher(from, end) {
 				continue
 			}
-			nk := table.Binary(spec.startKey(from), to, e.S)
-			applyRecord(&nk, st.record, to)
-			eb.Emit(s.be.Owner(to), engine.Msg{K: nk, C: e.C})
+			to.At(end).AddEnt(slot.ent(spec.startKey(from), end, slot.keep, e.S, e.C))
 		}
 		s.be.AddLoad(w, load)
 	})
@@ -251,7 +266,7 @@ func (s *solver) lift(spec pathStart) *engine.Sharded {
 		ents := child.Shard(w).Ents()
 		for i := range ents {
 			e := &ents[i]
-			sh.Add(table.Binary(spec.startKey(e.U()), e.U(), e.S), e.C)
+			sh.AddEnt(table.BinaryEnt(spec.startKey(e.U()), e.U(), e.S, e.C))
 		}
 	})
 	return s.track(out)
@@ -264,19 +279,18 @@ func (s *solver) lift(spec pathStart) *engine.Sharded {
 // order constraint, only vertices ranking below u extend the walk.
 func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *engine.Sharded {
 	out := engine.NewSharded(s.be)
+	slot := slotOf(st.record)
 	if st.edgeAnn == nil {
 		defer s.tr.Start(PhasePathJoin)()
-		s.be.Step(out, func(w int, emit engine.Emit) {
-			var eb engine.Batcher
-			defer eb.Bind(emit).Flush()
+		s.be.Step(out, func(w int, to *engine.Lanes) {
 			var load int64
 			var poll int
 			ents := cur.Shard(w).Ents()
 		scan:
 			for i := range ents {
 				k := &ents[i]
-				u, v := k.U(), k.V()
-				for _, nb := range s.g.Neighbors(v) {
+				u, xy, ks, kc := k.U(), k.XY&slot.keep, k.S, k.C
+				for _, nb := range s.g.Neighbors(k.V()) {
 					load++
 					if s.canceled(&poll) {
 						break scan
@@ -285,12 +299,10 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *eng
 						continue
 					}
 					cn := s.colorOf(nb)
-					if !k.S.Disjoint(cn) {
+					if !ks.Disjoint(cn) {
 						continue
 					}
-					nk := table.Key{U: u, V: nb, X: k.X(), Y: k.Y(), S: k.S.Union(cn)}
-					applyRecord(&nk, st.record, nb)
-					eb.Emit(s.be.Owner(nb), engine.Msg{K: nk, C: k.C})
+					to.At(nb).AddEnt(slot.ent(u, nb, xy, ks.Union(cn), kc))
 				}
 			}
 			s.be.AddLoad(w, load)
@@ -300,9 +312,7 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *eng
 	// groupBinary runs (and traces) its own supersteps; span only ours.
 	grouped := s.groupBinary(st.edgeAnn, st.edgeFromFirst)
 	defer s.tr.Start(PhasePathJoin)()
-	s.be.Step(out, func(w int, emit engine.Emit) {
-		var eb engine.Batcher
-		defer eb.Bind(emit).Flush()
+	s.be.Step(out, func(w int, to *engine.Lanes) {
 		var load int64
 		var poll int
 		idx := grouped[w]
@@ -310,26 +320,24 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *eng
 	scan:
 		for i := range ents {
 			k := &ents[i]
-			u, v := k.U(), k.V()
-			cv := s.colorOf(v)
-			row := idx.at(v)
+			u, xy, ks, kc := k.U(), k.XY&slot.keep, k.S, k.C
+			cv := s.colorOf(k.V())
+			row := idx.at(k.V())
 			for j := range row {
 				load++
 				if s.canceled(&poll) {
 					break scan
 				}
 				e := &row[j]
-				to := e.U()
-				if spec.ordered && !s.g.Higher(u, to) {
+				end := e.U()
+				if spec.ordered && !s.g.Higher(u, end) {
 					continue
 				}
 				// The walk and the child share exactly the query node at v.
-				if k.S.Inter(e.S) != cv {
+				if ks.Inter(e.S) != cv {
 					continue
 				}
-				nk := table.Key{U: u, V: to, X: k.X(), Y: k.Y(), S: k.S.Union(e.S)}
-				applyRecord(&nk, st.record, to)
-				eb.Emit(s.be.Owner(to), engine.Msg{K: nk, C: k.C * e.C})
+				to.At(end).AddEnt(slot.ent(u, end, xy, ks.Union(e.S), kc*e.C))
 			}
 		}
 		s.be.AddLoad(w, load)
@@ -355,9 +363,8 @@ func (s *solver) nodeJoin(cur *engine.Sharded, ann *decomp.Block) *engine.Sharde
 	scan:
 		for i := range ents {
 			k := &ents[i]
-			v := k.V()
-			cv := s.colorOf(v)
-			row := idx.at(v)
+			cv := s.colorOf(k.V())
+			row := idx.at(k.V())
 			for j := range row {
 				load++
 				if s.canceled(&poll) {
@@ -367,7 +374,7 @@ func (s *solver) nodeJoin(cur *engine.Sharded, ann *decomp.Block) *engine.Sharde
 				if k.S.Inter(e.S) != cv {
 					continue
 				}
-				sh.Add(table.Key{U: k.U(), V: v, X: k.X(), Y: k.Y(), S: k.S.Union(e.S)}, k.C*e.C)
+				sh.AddEnt(table.Ent{VU: k.VU, XY: k.XY, S: k.S.Union(e.S), C: k.C * e.C})
 			}
 		}
 		s.be.AddLoad(w, load)
@@ -442,9 +449,7 @@ func (s *solver) groupBinary(b *decomp.Block, fromFirst bool) []*rowIdx {
 	child := s.tables[b]
 	byFrom := engine.NewSharded(s.be)
 	end := s.tr.Start(PhaseTableMerge)
-	s.be.Step(byFrom, func(w int, emit engine.Emit) {
-		var eb engine.Batcher
-		defer eb.Bind(emit).Flush()
+	s.be.Step(byFrom, func(w int, to *engine.Lanes) {
 		var poll int
 		ents := child.Shard(w).Ents()
 		for i := range ents {
@@ -452,11 +457,11 @@ func (s *solver) groupBinary(b *decomp.Block, fromFirst bool) []*rowIdx {
 			if s.canceled(&poll) {
 				break
 			}
-			from, to := e.U(), e.V()
+			from, end := e.U(), e.V()
 			if !fromFirst {
-				from, to = to, from
+				from, end = end, from
 			}
-			eb.Emit(s.be.Owner(from), engine.Msg{K: table.Binary(to, from, e.S), C: e.C})
+			to.At(from).AddEnt(table.BinaryEnt(end, from, e.S, e.C))
 		}
 	})
 	end()

@@ -45,12 +45,12 @@ func (t walkTrie) live() int {
 	return c
 }
 
-// tracedSolver returns a solver on backend over g, bounded by ctx, whose
-// every span end — one per superstep — calls atSpan first, on the solver's
-// own goroutine.
-func tracedSolver(t *testing.T, ctx context.Context, backend string, g *graph.Graph, colors []uint8, atSpan func(s *solver, phase string)) *solver {
+// tracedSolver returns a solver on backend, workers wide, over g, bounded by
+// ctx, whose every span end — one per superstep — calls atSpan first, on
+// the solver's own goroutine.
+func tracedSolver(t *testing.T, ctx context.Context, backend string, workers int, g *graph.Graph, colors []uint8, atSpan func(s *solver, phase string)) *solver {
 	t.Helper()
-	be, err := engine.New(backend, 2, engine.Job{N: g.N()})
+	be, err := engine.New(backend, workers, engine.Job{N: g.N()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestWalkSharedPrefixLivesUntilItsLastUse(t *testing.T) {
 		}
 		var first map[*walk]*seen
 		shared, checks := 0, 0
-		s := tracedSolver(t, context.Background(), "parallel", g, randColors(g.N(), q.K, rng), func(s *solver, _ string) {
+		s := tracedSolver(t, context.Background(), "parallel", 2, g, randColors(g.N(), q.K, rng), func(s *solver, _ string) {
 			for _, n := range s.walks {
 				was := first[n]
 				switch {
@@ -229,7 +229,7 @@ func TestWalkLiveTablesBrain3(t *testing.T) {
 		t.Fatal(err)
 	}
 	peak := 0
-	s := tracedSolver(t, context.Background(), "sim", g, randColors(g.N(), q.K, rng), func(s *solver, _ string) {
+	s := tracedSolver(t, context.Background(), "sim", 2, g, randColors(g.N(), q.K, rng), func(s *solver, _ string) {
 		peak = max(peak, s.walks.live())
 	})
 	root := s.solveBelowRoot(plan)
@@ -259,7 +259,7 @@ func TestLeafWalkTablesAreBoundaryRows(t *testing.T) {
 		}
 		var sizes []int64 // of the tables the walk steps of the current block built
 		var last int64
-		s := tracedSolver(t, context.Background(), "parallel", g, randColors(g.N(), q.K, rng), func(s *solver, phase string) {
+		s := tracedSolver(t, context.Background(), "parallel", 2, g, randColors(g.N(), q.K, rng), func(s *solver, phase string) {
 			if phase == PhasePathJoin {
 				sizes = append(sizes, s.entries-last)
 			}
@@ -326,7 +326,7 @@ func TestLeafWalkKeysCarryNoStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	inLeaf, checked := false, 0
-	s := tracedSolver(t, context.Background(), "sim", g, randColors(g.N(), q.K, rng), func(s *solver, _ string) {
+	s := tracedSolver(t, context.Background(), "sim", 2, g, randColors(g.N(), q.K, rng), func(s *solver, _ string) {
 		for _, n := range s.walks {
 			if !inLeaf || n.table == nil {
 				continue

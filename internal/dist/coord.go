@@ -9,14 +9,14 @@ import (
 
 // Coord is the engine.Backend the coordinator process hands to its local
 // solver: a rank that owns zero partitions. The solver's Run calls are
-// no-ops here (all partition work happens on the workers), its Step and
-// Deliver calls block at the global superstep barrier — so a trace span
-// around them measures the real distributed phase — and Reduce gathers
-// the per-rank answers into the global one. Its own counters stay zero
-// until then; gather fills them from the rank reports, so Loads is per
-// worker node and Messages is the number of keyed counts that crossed a
-// process boundary (each counted once, at its sender). That is not the
-// sim backend's Messages, which also counts every count a rank keeps.
+// no-ops here (all partition work happens on the workers), its Step calls
+// block at the global superstep barrier — so a trace span around them
+// measures the real distributed phase — and Reduce gathers the per-rank
+// answers into the global one. Its own counters stay zero until then;
+// gather fills them from the rank reports, so Loads is per worker node and
+// Messages is the number of entries that crossed a process boundary (each
+// counted once, at its sender). That is not the sim backend's Messages,
+// which also counts every entry a rank keeps.
 type Coord struct {
 	topo
 	engine.Counters
@@ -37,16 +37,11 @@ func (d *Coord) Owned() (lo, hi uint32) { return 0, 0 }
 // at the next superstep barrier.
 func (d *Coord) Run(func(w int)) {}
 
-// Step is Deliver: no partition is owned here, so out stays untouched.
-func (d *Coord) Step(out *engine.Sharded, produce func(w int, emit engine.Emit)) {
-	d.Deliver(produce, out.Accumulate)
-}
-
-// Deliver advances the superstep counter and blocks until every rank has
-// finished producing (and therefore sent) this superstep's batches;
-// neither produce nor consume runs locally. A failed job returns
-// immediately; the failure surfaces in Reduce.
-func (d *Coord) Deliver(produce func(w int, emit engine.Emit), consume func(dst int, run []engine.Msg)) {
+// Step advances the superstep counter and blocks until every rank has
+// finished producing (and therefore sent) this superstep's batches; no
+// partition is owned here, so produce never runs and out stays untouched.
+// A failed job returns immediately; the failure surfaces in Reduce.
+func (d *Coord) Step(*engine.Sharded, func(w int, to *engine.Lanes)) {
 	_ = d.job.barrier(d.Begin())
 }
 

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
@@ -188,13 +189,39 @@ func TestLoopbackConcurrentJobs(t *testing.T) {
 	wg.Wait()
 }
 
+// settledSlabs waits until table.SlabsOut has stood still for 50 ms — the
+// ranks of the tests before this one may still be unwinding — and returns it.
+func settledSlabs() int64 {
+	held := table.SlabsOut()
+	for settled := time.Now(); time.Since(settled) < 50*time.Millisecond; time.Sleep(time.Millisecond) {
+		if now := table.SlabsOut(); now != held {
+			held, settled = now, time.Now()
+		}
+	}
+	return held
+}
+
+// awaitSlabs waits for the ranks to unwind and hand back every slab they
+// took since held was read.
+func awaitSlabs(t *testing.T, held int64, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); table.SlabsOut() != held; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s, the ranks still hold %d slabs", when, table.SlabsOut()-held)
+		}
+	}
+}
+
 // A worker lost mid-superstep must fail the run cleanly — an error from
-// the solver, not a hang.
+// the solver, not a hang — and the surviving rank, whose step failed at
+// the barrier with lanes staged for the lost one, must hand every chunk
+// back.
 func TestWorkerCrashMidSuperstep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := gen.PowerLawGraph("pl", 400, 1.5, rng)
 	q := query.MustByName("brain1")
 	colors := randColors(g.N(), q.K, rng)
+	held := settledSlabs()
 
 	// Rank 1 is a real ServeConn; rank 0's "worker" half is held by the
 	// test and slammed shut as soon as the coordinator starts the job.
@@ -238,6 +265,7 @@ func TestWorkerCrashMidSuperstep(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("count hung after worker crash")
 	}
+	awaitSlabs(t, held, "a worker crashed mid-superstep")
 }
 
 // Canceling the caller's context mid-run unwinds both sides.
@@ -321,27 +349,18 @@ func TestCancelInsideSharedPrefix(t *testing.T) {
 		_, _, err = core.CountColorfulContext(ctx, g, q, colors, core.Options{Plan: plan, Engine: be})
 		return err
 	}
-	// The ranks of the tests before this one may still be unwinding.
-	held := table.SlabsOut()
-	for settled := time.Now(); time.Since(settled) < 50*time.Millisecond; time.Sleep(time.Millisecond) {
-		if now := table.SlabsOut(); now != held {
-			held, settled = now, time.Now()
-		}
-	}
+	held := settledSlabs()
 	whole := cancelAtPoll(1 << 60)
 	if err := run(whole); err != nil {
 		t.Fatal(err)
 	}
+	awaitSlabs(t, held, "the run finished")
 	polls := 1<<60 - whole.left.Load()
 	for n := int64(1); n < polls; n += 1 + polls/40 {
 		if err := run(cancelAtPoll(n)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled at poll %d of %d, got error %v", n, polls, err)
 		}
-		for deadline := time.Now().Add(10 * time.Second); table.SlabsOut() != held; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("canceled at poll %d of %d, the ranks still hold %d slabs", n, polls, table.SlabsOut()-held)
-			}
-		}
+		awaitSlabs(t, held, fmt.Sprintf("canceled at poll %d of %d", n, polls))
 	}
 }
 

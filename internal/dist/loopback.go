@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"io"
 	"net"
 
 	"repro/internal/engine"
@@ -29,15 +28,41 @@ func Loopback(ranks int, opts WorkerOptions) (*Cluster, error) {
 	return NewWithConns(conns, addrs, Options{})
 }
 
-// LoopbackRank returns the worker-side backend of a one-rank loopback
-// session that has no solver attached, so a caller can drive its
-// supersteps directly: the engine conformance table runs the same cases
-// on it as on the in-process backends. Its barrier frames cross the real
-// codec to a peer that discards them. stop closes the session.
-func LoopbackRank(parts, n int) (be engine.Backend, stop func()) {
-	coordSide, workerSide := net.Pipe()
-	go io.Copy(io.Discard, coordSide)
-	w := &workerConn{conn: &conn{c: workerSide}, jobs: make(map[uint64]*wjob)}
-	rk := newRank(newTopo(1, parts, n), 0, w.registerJob(1, 1), 0)
-	return rk, func() { coordSide.Close(); workerSide.Close() }
+// LoopbackRanks returns the worker-side backends of a loopback session
+// that has no solver attached, so a caller can drive their supersteps
+// directly — the same Step on every rank at once, as SPMD solvers would:
+// the engine conformance table runs the same cases on them as on the
+// in-process backends. Every frame crosses the real codec to a relay that
+// queues a batch at its destination rank and discards the rest. stop
+// closes the session.
+func LoopbackRanks(ranks, parts, n int) (bes []engine.Backend, stop func()) {
+	t := newTopo(ranks, parts, n)
+	jobs := make([]*wjob, ranks)
+	pipes := make([]net.Conn, 0, 2*ranks)
+	for r := range jobs {
+		coordSide, workerSide := net.Pipe()
+		pipes = append(pipes, coordSide, workerSide)
+		w := &workerConn{conn: &conn{c: workerSide}, jobs: make(map[uint64]*wjob)}
+		jobs[r] = w.registerJob(1, ranks)
+		bes = append(bes, newRank(t, r, jobs[r], 0))
+	}
+	for r := range jobs {
+		relay := &conn{c: pipes[2*r]}
+		go func() {
+			for {
+				f, err := relay.readFrame()
+				if err != nil {
+					return
+				}
+				if f.Kind == kStepBatch {
+					jobs[f.Dst].enqueue(f.Step, f.Payload)
+				}
+			}
+		}()
+	}
+	return bes, func() {
+		for _, p := range pipes {
+			p.Close()
+		}
+	}
 }

@@ -40,15 +40,15 @@ type graphDataMsg struct {
 	G  *graph.Graph
 }
 
-// wireMsg is one keyed count addressed to a destination partition.
-type wireMsg struct {
-	Dst int32
-	K   table.Key
-	C   uint64
+// wireLane is one staged chunk of packed entries addressed to a
+// destination partition.
+type wireLane struct {
+	Dst  int32
+	Ents []table.Ent
 }
 
 type batchMsg struct {
-	Msgs []wireMsg
+	Lanes []wireLane
 }
 
 type jobDoneMsg struct {

@@ -3,19 +3,19 @@ package dist
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/engine"
+	"repro/internal/table"
 )
 
 // rank is the worker-side engine.Backend: the same global partition
 // topology as the coordinator's Coord, but executing the contiguous block
-// of partitions assigned to this rank. Emits to locally owned partitions
-// merge directly under per-partition locks; emits to remote partitions
-// are buffered per destination rank and shipped as one batch each at the
-// superstep barrier. Its Messages are the keyed counts it addressed to
-// other ranks — unlike sim's, counts that stay on the rank are not
-// messages.
+// of partitions assigned to this rank. Every task appends to lanes of its
+// own; at the superstep barrier the lanes of locally owned partitions are
+// absorbed into their shards and the others are encoded, a chunk at a
+// time, into one batch per destination rank. Its Messages are the entries
+// it addressed to other ranks — unlike sim's, entries that stay on the
+// rank are not messages.
 type rank struct {
 	topo
 	engine.Counters
@@ -51,55 +51,52 @@ func (r *rank) Owned() (lo, hi uint32) {
 // Run executes f over this rank's owned partitions on conc goroutines.
 func (r *rank) Run(f func(w int)) { engine.RunEach(r.conc, r.pLo, r.pHi, f) }
 
-// Step runs one superstep whose deliveries accumulate into out.
-func (r *rank) Step(out *engine.Sharded, produce func(w int, emit engine.Emit)) {
-	r.Deliver(produce, out.Accumulate)
-}
-
-// Deliver runs produce over owned partitions, exchanges remote batches at
-// the barrier, and hands incoming counts to consume. Runs emitted to
-// local destinations are consumed immediately under the destination
-// partition's lock (the consume contract — never concurrent for one dst —
-// holds because remote batches are applied strictly after all local
-// production). Runs emitted to remote destinations are buffered into the
-// per-destination-rank wire batch under one lock acquisition.
-func (r *rank) Deliver(produce func(w int, emit engine.Emit), consume func(dst int, run []engine.Msg)) {
+// Step runs produce over owned partitions, each task appending to a stage
+// of its own (so nothing is locked), then hands the stages over: lanes of
+// owned partitions are absorbed into out, the rest go to their ranks at the
+// barrier, and the other ranks' entries for this one are appended as they
+// arrive. Whatever happens at the barrier, every staged chunk is back in
+// the slab pool when Step returns.
+func (r *rank) Step(out *engine.Sharded, produce func(w int, to *engine.Lanes)) {
 	st := r.Begin()
-	local := r.Locked(consume)
-	bufs := make([][]wireMsg, r.ranks)
-	bufMu := make([]sync.Mutex, r.ranks)
+	stages := make([]*engine.Sharded, r.pHi-r.pLo)
 	r.Run(func(w int) {
-		produce(w, func(dst int, run []engine.Msg) {
-			dr := r.WorkerOf(dst)
-			if dr == r.rank {
-				local(dst, run)
-				return
-			}
-			r.Sent(len(run))
-			bufMu[dr].Lock()
-			for i := range run {
-				bufs[dr] = append(bufs[dr], wireMsg{Dst: int32(dst), K: run[i].K, C: run[i].C})
-			}
-			bufMu[dr].Unlock()
-		})
+		stages[w-r.pLo] = engine.NewSharded(r)
+		produce(w, stages[w-r.pLo].Lanes(r.Blocks))
 	})
-	r.exchange(st, bufs, consume)
+	r.Run(func(dst int) {
+		for _, stage := range stages {
+			out.Shard(dst).Absorb(stage.Shard(dst))
+		}
+	})
+	r.exchange(st, stages, out)
+	for _, stage := range stages {
+		stage.Release()
+	}
 }
 
 // exchange sends one batch per other rank (empty included — the batch is
-// the barrier token), signals StepDone to the coordinator, then awaits
-// the other ranks' batches for this superstep and applies them
-// single-threaded, regrouping consecutive same-destination wire messages
-// into runs over a reusable scratch buffer so the consumer sees the same
-// batched shape local emits have. Any transport failure latches the job
-// failure, which cancels the job context; the solver unwinds at its next
-// poll and the error surfaces in the coordinator's Reduce.
-func (r *rank) exchange(st int64, bufs [][]wireMsg, apply func(dst int, run []engine.Msg)) {
+// the barrier token) holding the staged chunks of that rank's partitions,
+// signals StepDone to the coordinator, then awaits the other ranks'
+// batches for this superstep and appends their entries to out's shards,
+// single-threaded. Any transport failure latches the job failure, which
+// cancels the job context; the solver unwinds at its next poll and the
+// error surfaces in the coordinator's Reduce.
+func (r *rank) exchange(st int64, stages []*engine.Sharded, out *engine.Sharded) {
 	for dr := 0; dr < r.ranks; dr++ {
 		if dr == r.rank {
 			continue
 		}
-		payload, err := encodePayload(batchMsg{Msgs: bufs[dr]})
+		var bm batchMsg
+		for dst, hi := r.Band(dr); dst < hi; dst++ {
+			for _, stage := range stages {
+				stage.Shard(dst).Chunks(func(ents []table.Ent) {
+					bm.Lanes = append(bm.Lanes, wireLane{Dst: int32(dst), Ents: ents})
+					r.Sent(len(ents))
+				})
+			}
+		}
+		payload, err := encodePayload(bm)
 		if err != nil {
 			r.j.fail(err)
 			return
@@ -119,28 +116,22 @@ func (r *rank) exchange(st int64, bufs [][]wireMsg, apply func(dst int, run []en
 	if err != nil {
 		return // already latched
 	}
-	var scratch []engine.Msg
 	for _, p := range payloads {
 		var bm batchMsg
 		if err := decodePayload(p, &bm); err != nil {
 			r.j.fail(fmt.Errorf("dist: bad step batch: %w", err))
 			return
 		}
-		msgs := bm.Msgs
-		for i := 0; i < len(msgs); {
-			dst := int(msgs[i].Dst)
+		for _, l := range bm.Lanes {
+			dst := int(l.Dst)
 			if dst < r.pLo || dst >= r.pHi {
-				r.j.fail(fmt.Errorf("dist: received count for partition %d outside owned [%d,%d)", dst, r.pLo, r.pHi))
+				r.j.fail(fmt.Errorf("dist: received entries for partition %d outside owned [%d,%d)", dst, r.pLo, r.pHi))
 				return
 			}
-			scratch = scratch[:0]
-			j := i
-			for j < len(msgs) && int(msgs[j].Dst) == dst {
-				scratch = append(scratch, engine.Msg{K: msgs[j].K, C: msgs[j].C})
-				j++
+			sh := out.Shard(dst)
+			for _, e := range l.Ents {
+				sh.AddEnt(e)
 			}
-			apply(dst, scratch)
-			i = j
 		}
 	}
 }

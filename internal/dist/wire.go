@@ -9,16 +9,16 @@
 // The solver's phases are closures over in-process state, so they cannot
 // ship over a wire. Instead the design is SPMD: every worker process runs
 // the *same* deterministic solver (internal/core) over the full plan, but
-// its backend owns only a contiguous block of the vertex partitions.
-// Superstep counts emitted to locally owned partitions merge directly;
-// counts addressed to remote partitions are buffered per destination rank
-// and exchanged at the superstep barrier as one batch per (source,
-// destination) pair. Because the solver's superstep sequence is a pure
-// function of the plan — never of the data distribution — all ranks
-// execute the identical Step/Deliver sequence, and because every table
-// operation is a commutative uint64 accumulation, counts are bit-identical
-// to the sim and parallel backends for every query shape, worker count,
-// and partition count.
+// its backend owns only a contiguous block of the vertex partitions. A
+// superstep's tasks append packed entries to per-task lanes; lanes of
+// locally owned partitions are absorbed into their shards, and the chunks
+// of lanes addressed to remote partitions are exchanged at the superstep
+// barrier as one batch per (source, destination) pair. Because the
+// solver's superstep sequence is a pure function of the plan — never of
+// the data distribution — all ranks execute the identical Step sequence,
+// and because every table operation is a commutative uint64 accumulation,
+// counts are bit-identical to the sim and parallel backends for every
+// query shape, worker count, and partition count.
 //
 // The coordinator (the process calling engine.New) is itself a rank that
 // owns zero partitions: it implements engine.Backend as a barrier master
@@ -31,7 +31,7 @@
 //
 // Graphs ship to workers once per structural fingerprint and are cached
 // worker-side (LRU), so per-trial jobs exchange only the coloring and
-// keyed counts.
+// table entries.
 package dist
 
 import (
@@ -42,8 +42,10 @@ import (
 	"sync/atomic"
 )
 
-// protoVersion guards against mixed binaries on the two conn ends.
-const protoVersion = 1
+// protoVersion guards against mixed binaries on the two conn ends. 2: a
+// step batch carries lanes of packed table entries, not keyed counts — gob
+// would decode either as an empty batch of the other.
+const protoVersion = 2
 
 // Frame kinds.
 const (

@@ -15,28 +15,30 @@ import (
 // Backend is the pluggable execution runtime behind the solver phases.
 // The algorithm layer (internal/core) is written entirely against this
 // interface: a backend owns the vertex space in P contiguous partitions,
-// runs partition tasks, and delivers keyed counts emitted during a
-// superstep to the partition that owns them. Every implementation embeds
-// the same block map and counters (Blocks, Counters) and differs only in
-// how a superstep moves the counts. Three implementations exist:
+// runs partition tasks, and moves the entries a superstep's tasks append
+// to their destination lanes (Lanes) into the table shard of the partition
+// that owns them. Every implementation embeds the same block map and
+// counters (Blocks, Counters) and differs only in whose lanes a task
+// appends to and how they reach their owner. Three implementations exist:
 //
 //   - "sim" (Cluster): the paper's §7 distributed runtime simulated in
-//     shared memory — P goroutine "ranks", per-superstep message buffers,
-//     a barrier, and owner-side merges. Message and load counters are
-//     faithful to the paper's metrics (Figure 11).
+//     shared memory — P goroutine "ranks", a set of lanes per source
+//     rank, a barrier, and owner-side absorption in source-rank order.
+//     Message and load counters are faithful to the paper's metrics
+//     (Figure 11).
 //   - "parallel" (Parallel): a real shared-memory runtime — vertex-grained
 //     partitions (sized from the vertex count, not the worker count) run
-//     on GOMAXPROCS-scaled workers with band stealing, and emitted counts
-//     are staged per worker and destination, then handed to the
-//     destination table shard after a barrier: no message
+//     on GOMAXPROCS-scaled workers with band stealing, every worker
+//     appends to lanes of its own, and each destination shard takes the
+//     lanes addressed to it over after a barrier: no message
 //     materialization, no lock.
 //   - "dist" (internal/dist): real multi-process supersteps — partitions
 //     are block-assigned to worker processes reached over a
 //     length-prefixed wire protocol, every process runs the same solver
-//     over its owned block (SPMD), and per-superstep emissions to remote
-//     partitions are batched per destination and exchanged at the
-//     superstep barrier. Registered only when a worker topology is
-//     configured (dist.Enable).
+//     over its owned block (SPMD), and the lanes of partitions another
+//     process owns are encoded into one batch per destination process and
+//     exchanged at the superstep barrier. Registered only when a worker
+//     topology is configured (dist.Enable).
 //
 // Counts are bit-identical across backends, partition counts, and worker
 // counts: every table operation is a commutative uint64 accumulation, so
@@ -70,26 +72,17 @@ type Backend interface {
 	// shards, partial slots indexed by w) for the duration of its call.
 	Run(f func(w int))
 	// Step runs one superstep: produce runs for every owned partition and
-	// emits runs of keyed counts addressed to destination partitions (see
-	// Emit); when Step returns, every count emitted by this process has
-	// been accumulated into out's destination shard (locally owned
-	// destinations) or handed to the owning process (remote destinations),
-	// and every count addressed to a locally owned partition — by any
-	// process — has been merged. The emit closure and the run slices
-	// passed to it are only valid during the call and only from the task
-	// that received it; producers that generate messages one at a time
-	// should coalesce them through a Batcher.
-	Step(out *Sharded, produce func(w int, emit Emit))
-	// Deliver is the superstep for an arbitrary consumer (Step is
-	// Deliver(produce, out.Accumulate) in effect everywhere, and in code
-	// on sim and dist): every emitted count reaches consume at its
-	// destination partition, in runs. A backend may fold the counts
-	// emitted for one key into their sum before delivering them
-	// (parallel does). The run slice is only valid during the consume
-	// call. consume(dst, run) calls for one dst never run concurrently
-	// with each other, so per-partition consumer state needs no locking;
-	// calls for different dsts may run concurrently.
-	Deliver(produce func(w int, emit Emit), consume func(dst int, run []Msg))
+	// appends packed entries to the lanes it is handed, each to the lane of
+	// its home vertex (to.At(v).AddEnt(e)); when Step returns, every entry
+	// appended by this process is pending in out's destination shard
+	// (locally owned destinations) or has been handed to the owning process
+	// (remote destinations), and every entry addressed to a locally owned
+	// partition — by any process — is pending in its shard. Entries with
+	// equal keys are summed when the shard is first read. The lanes are
+	// only valid during the call and only from the task that received
+	// them. A step whose tasks stop early (a canceled run) still moves
+	// what was appended into out: no staged chunk outlives Step.
+	Step(out *Sharded, produce func(w int, to *Lanes))
 	// Reduce combines per-process partial totals into the global total:
 	// single-process backends return local unchanged; the dist
 	// coordinator gathers every rank's contribution and sums. It is
@@ -107,18 +100,17 @@ type Backend interface {
 	// loads folded onto the worker whose band owns them; per worker node
 	// for dist). LoadStats summarizes it.
 	Loads() []int64
-	// Messages is the number of keyed counts exchanged as messages, and
-	// means something different on each backend: sim counts every emitted
-	// count, including those a rank addresses to itself; dist counts only
-	// counts addressed to a partition of another process; parallel merges
-	// tables directly and reports 0. The sim and dist numbers are not
+	// Messages is the number of entries exchanged as messages, and means
+	// something different on each backend: sim counts every appended
+	// entry, including those a rank addresses to itself; dist counts only
+	// entries addressed to a partition of another process; parallel hands
+	// lanes over whole and reports 0. The sim and dist numbers are not
 	// comparable with each other.
 	Messages() int64
 	// Steals is the number of partition tasks executed by a worker other
 	// than the partition's home worker; always 0 for sim and dist.
 	Steals() int64
-	// Steps is the number of supersteps executed so far (Step and Deliver
-	// calls). The count is deterministic for a given plan — it depends only
+	// Steps is the number of supersteps executed so far (Step calls). The count is deterministic for a given plan — it depends only
 	// on the solver's phase structure, not on scheduling — and identical
 	// across backends, which makes it the natural x-axis for per-superstep
 	// telemetry (the paper's Figures 11–15) and a unit of work for the

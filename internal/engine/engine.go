@@ -2,19 +2,21 @@
 // solver (the Backend interface), all built on one superstep core
 // (runtime.go): the paper's 1D block distribution of vertices (Blocks)
 // and the counters a superstep keeps (Counters — the Figure 11 load
-// metric, superstep and message totals, per-partition delivery locks).
-// A superstep is produce / barrier / owner-side merge (§7): partition
-// tasks scan their table shards and emit keyed counts addressed to the
-// partition owning each key's home vertex, and the owner accumulates
-// them. The sim backend (Cluster) materializes every count as a message
-// between P goroutine "ranks" and counts it; the parallel backend
-// (Parallel) stages emitted runs per worker and hands the stages to the
-// destination shards whole; internal/dist runs the same supersteps
-// across worker processes. All produce bit-identical counts.
+// metric, superstep, message and steal totals). A superstep is produce /
+// barrier / owner-side merge (§7): partition tasks scan their table
+// shards and append packed entries (table.Ent) to the lane of the
+// partition owning each entry's home vertex (Lanes), and after the
+// barrier the owner takes the lanes addressed to it over whole, chunk by
+// chunk. An entry is written once, in its stored form, at its
+// destination; what differs between backends is whose lanes a task
+// appends to. The sim backend (Cluster) stages per simulated rank and
+// counts every staged entry as a message; the parallel backend
+// (Parallel) stages per worker goroutine; internal/dist stages per task
+// and puts the lanes of partitions another process owns on the wire. All
+// produce bit-identical counts.
 package engine
 
 import (
-	"sync"
 	"unsafe"
 
 	"repro/internal/table"
@@ -52,121 +54,67 @@ func (c *Cluster) ReduceVec(local []uint64) ([]uint64, error) { return local, ni
 // rank), and waits.
 func (c *Cluster) Run(f func(w int)) { RunEach(c.parts, 0, c.parts, f) }
 
-// Step runs one superstep whose deliveries accumulate into out.
-func (c *Cluster) Step(out *Sharded, produce func(w int, emit Emit)) {
-	c.Deliver(produce, out.Accumulate)
-}
-
-// Deliver runs one message-faithful superstep: produce runs on every rank
-// and its emitted runs are copied into per-(source, destination) buffers;
-// after the barrier every buffered count — self-sends included — is
-// counted as a message, and consume runs on every rank with the buffers
-// addressed to it, in source-rank order (so the step is deterministic).
-func (c *Cluster) Deliver(produce func(w int, emit Emit), consume func(dst int, run []Msg)) {
+// Step runs one message-faithful superstep: every rank appends to lanes of
+// its own, one per destination rank; after the barrier every rank takes
+// over the lanes addressed to it, in source-rank order (so the step is
+// deterministic), and every entry that changes hands — a rank's to itself
+// included — is counted as a message.
+func (c *Cluster) Step(out *Sharded, produce func(w int, to *Lanes)) {
 	c.Begin()
-	out := make([][][]Msg, c.parts)
+	stages := make([]*Sharded, c.parts)
 	c.Run(func(w int) {
-		bufs := make([][]Msg, c.parts)
-		produce(w, func(dst int, run []Msg) {
-			bufs[dst] = append(bufs[dst], run...)
-		})
-		out[w] = bufs
+		stages[w] = newSharded(c.parts)
+		produce(w, stages[w].Lanes(c.Blocks))
 	})
-	sent := 0
-	for _, bufs := range out {
-		for _, b := range bufs {
-			sent += len(b)
-		}
-	}
-	c.Sent(sent)
-	c.Run(func(w int) {
-		for src := 0; src < c.parts; src++ {
-			if msgs := out[src][w]; len(msgs) > 0 {
-				consume(w, msgs)
-			}
+	c.Run(func(dst int) {
+		for _, st := range stages {
+			c.Sent(out.Shard(dst).Absorb(st.Shard(dst)))
 		}
 	})
 }
 
-// Msg is one keyed count in flight between workers.
+// Lanes is what a superstep hands a producing task: one append-only lane
+// per destination partition, written by that task's worker alone. The
+// producer packs each entry itself and appends it to the lane of its home
+// vertex — to.At(v).AddEnt(e), both inlined into the join loop — and the
+// backend moves the lanes to their owners after the barrier. A *Lanes is
+// only valid during the produce call that received it.
+type Lanes struct {
+	Blocks
+	shards []shard
+}
+
+// At returns the lane of the partition owning vertex v.
+func (l *Lanes) At(v uint32) *table.Flat { return &l.shards[l.Owner(v)].Flat }
+
+// Emit, Msg and Batcher are the producer's side of a superstep as it was
+// before lanes — keyed counts handed over in per-destination runs — kept
+// as a shim over Lanes for benchmark/probes.go, which a PR that claims a
+// gain may not edit: Emit is the lanes themselves, and a Batcher packs
+// each message into its destination's lane. Nothing else may use them;
+// they go when probeEngine moves onto Lanes (ROADMAP, ledger round 2).
+type Emit = *Lanes
+
+// Msg is one keyed count.
 type Msg struct {
 	K table.Key
 	C uint64
 }
 
-// Emit delivers a run of messages, all addressed to partition dst, from a
-// superstep's produce phase. The run slice is only valid during the call
-// — backends copy or merge its contents before returning — and must not
-// be retained. Batching is the point: a backend pays its per-delivery
-// overhead (a lane lookup, a buffer append, a wire frame) once per run
-// instead of once per message.
-type Emit = func(dst int, run []Msg)
+// Batcher appends messages to the lanes it is bound to.
+type Batcher struct{ to *Lanes }
 
-// batchRun is the Batcher's flush threshold. Large enough to amortize the
-// per-run delivery cost (a lane lookup, a buffer append, a wire frame),
-// small enough to stay resident in L1 while a run is being built
-// (256 × 32 B = 8 KiB).
-const batchRun = 256
-
-// runPool recycles the Batchers' run buffers: a buffer is held only
-// between a task's first Emit and its final Flush, so a process needs as
-// many as it has tasks running at once, not one per partition.
-var runPool = sync.Pool{New: func() any { return new([batchRun]Msg) }}
-
-// Batcher accumulates per-message emissions into destination runs for a
-// backend's batched Emit. Producers that naturally generate messages one
-// at a time wrap emit in a Batcher; messages to the same destination
-// coalesce into one run, and a destination switch or a full buffer
-// flushes. A Batcher is single-task state: declare one inside the
-// produce(w, …) call, Bind it, and Flush before returning. The zero value
-// is ready to Bind; it borrows its run buffer from a process-wide pool at
-// the first Emit and returns it in Flush, so the steady state allocates
-// nothing.
-type Batcher struct {
-	emit Emit
-	dst  int
-	buf  *[batchRun]Msg
-	n    int
-}
-
-// Bind points the batcher at a superstep's emit and returns it. Any
-// buffered messages from a previous binding must already be flushed.
+// Bind points the batcher at a superstep's lanes and returns it.
 func (b *Batcher) Bind(emit Emit) *Batcher {
-	b.emit = emit
+	b.to = emit
 	return b
 }
 
-// Emit appends m to the current run, handing the run to the bound emit
-// first if m's destination differs or the run is full.
-func (b *Batcher) Emit(dst int, m Msg) {
-	if dst != b.dst || b.n == batchRun {
-		b.send()
-		b.dst = dst
-	}
-	if b.buf == nil {
-		b.buf = runPool.Get().(*[batchRun]Msg)
-	}
-	b.buf[b.n] = m
-	b.n++
-}
+// Emit appends m to the lane of partition dst.
+func (b *Batcher) Emit(dst int, m Msg) { b.to.shards[dst].AddEnt(m.K.Ent(m.C)) }
 
-// send hands the buffered run to the bound emit.
-func (b *Batcher) send() {
-	if b.n > 0 {
-		b.emit(b.dst, b.buf[:b.n])
-		b.n = 0
-	}
-}
-
-// Flush hands the buffered run to the bound emit and gives the run buffer
-// back. Must be called before the enclosing produce task returns.
-func (b *Batcher) Flush() {
-	b.send()
-	if b.buf != nil {
-		runPool.Put(b.buf)
-		b.buf = nil
-	}
-}
+// Flush does nothing: an appended message is already where it belongs.
+func (b *Batcher) Flush() {}
 
 // Sharded is a projection table distributed over a backend: one flat
 // signature-major shard (table.Flat) per partition. The solver routes
@@ -188,6 +136,10 @@ type shard struct {
 func NewSharded(be Backend) *Sharded { return newSharded(be.P()) }
 
 func newSharded(parts int) *Sharded { return &Sharded{shards: make([]shard, parts)} }
+
+// Lanes returns s's shards as the lanes of a task that stages in s, routed
+// by the block map b (which must have as many partitions as s has shards).
+func (s *Sharded) Lanes(b Blocks) *Lanes { return &Lanes{Blocks: b, shards: s.shards} }
 
 // Shard returns worker w's shard.
 func (s *Sharded) Shard(w int) *table.Flat { return &s.shards[w].Flat }
@@ -228,15 +180,6 @@ func (s *Sharded) Iter(f func(table.Key, uint64) bool) {
 		if stop {
 			return
 		}
-	}
-}
-
-// Accumulate is a ready-made consume phase that merges messages into the
-// destination shard.
-func (s *Sharded) Accumulate(w int, msgs []Msg) {
-	sh := &s.shards[w].Flat
-	for _, m := range msgs {
-		sh.Add(m.K, m.C)
 	}
 }
 

@@ -35,12 +35,12 @@ func TestShardedAccumulate(t *testing.T) {
 	c := NewCluster(4, 40)
 	s := NewSharded(c)
 	// Route (v, v) unary entries to their owner via a superstep.
-	c.Step(s, func(w int, emit Emit) {
+	c.Step(s, func(w int, to *Lanes) {
 		if w != 0 {
 			return
 		}
-		for v := 0; v < 40; v++ {
-			emit(c.Owner(uint32(v)), []Msg{{K: table.Unary(uint32(v), sig.Of(0)), C: 2}})
+		for v := uint32(0); v < 40; v++ {
+			to.At(v).AddEnt(table.Unary(v, sig.Of(0)).Ent(2))
 		}
 	})
 	if s.Len() != 40 || s.Total() != 80 {

@@ -106,52 +106,25 @@ func (p *Parallel) run(f func(g, w int)) {
 	wg.Wait()
 }
 
-// Step runs one superstep whose deliveries build out: every worker stages
-// what its tasks emit in a table of its own — a lane per destination,
-// written by that worker alone — and after the barrier each destination
-// shard absorbs the lanes addressed to it as its pending region. Worker 0
-// stages in out itself, so what it emits is never moved at all. Nothing is
-// sorted until a shard is read.
-func (p *Parallel) Step(out *Sharded, produce func(w int, emit Emit)) {
+// Step runs one superstep that builds out: every worker appends to lanes
+// of its own — a table it alone writes, whichever tasks it runs — and
+// after the barrier each destination shard absorbs the lanes addressed to
+// it as its pending region. Worker 0's lanes are out's own shards, so what
+// it appends is never moved at all. Nothing is sorted until a shard is read.
+func (p *Parallel) Step(out *Sharded, produce func(w int, to *Lanes)) {
 	p.Begin()
-	stages := make([]*Sharded, p.workers)
-	emits := make([]Emit, p.workers)
-	for g := range stages {
-		stages[g] = out
+	lanes := make([]*Lanes, p.workers)
+	for g := range lanes {
+		stage := out
 		if g > 0 {
-			stages[g] = newSharded(p.parts)
+			stage = newSharded(p.parts)
 		}
-		emits[g] = stages[g].Accumulate
+		lanes[g] = stage.Lanes(p.Blocks)
 	}
-	p.run(func(g, w int) { produce(w, emits[g]) })
+	p.run(func(g, w int) { produce(w, lanes[g]) })
 	p.Run(func(dst int) {
-		sh := out.Shard(dst)
-		for _, st := range stages[1:] {
-			sh.Absorb(st.Shard(dst))
+		for _, l := range lanes[1:] {
+			out.Shard(dst).Absorb(&l.shards[dst].Flat)
 		}
 	})
-}
-
-// Deliver runs one superstep for an arbitrary consumer over the same
-// path: Step builds a scratch table, then each destination's task replays
-// its shard to consume in runs — every key once, with the sum of the
-// counts emitted for it — and the scratch table goes back to the slab
-// pool. One task per destination means consume calls for one dst never
-// overlap.
-func (p *Parallel) Deliver(produce func(w int, emit Emit), consume func(dst int, run []Msg)) {
-	staged := newSharded(p.parts)
-	p.Step(staged, produce)
-	p.Run(func(dst int) {
-		var run [batchRun]Msg
-		ents := staged.Shard(dst).Ents()
-		for len(ents) > 0 {
-			n := min(len(ents), len(run))
-			for i, e := range ents[:n] {
-				run[i] = Msg{K: e.Key(), C: e.C}
-			}
-			consume(dst, run[:n])
-			ents = ents[n:]
-		}
-	})
-	staged.Release()
 }

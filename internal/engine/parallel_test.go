@@ -3,6 +3,7 @@ package engine_test
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -92,31 +93,34 @@ func TestCanonicalAndNew(t *testing.T) {
 	}
 }
 
-// The conformance table: every runtime takes the same cases. width is
-// simulated ranks for sim, worker goroutines for parallel, and partitions
-// for the dist rank (the single rank of a loopback session, which owns
-// them all).
+// The conformance table: every runtime takes the same cases. A rig is the
+// backends of one run, one per process: a single one for sim and parallel,
+// the two ranks of a solverless dist loopback session. width is simulated
+// ranks for sim, worker goroutines for parallel, and partitions for dist
+// (dealt to the two ranks in bands; one partition leaves a rank with none).
+type rig []engine.Backend
+
 var runtimes = []struct {
 	name   string
 	widths []int
-	mk     func(t *testing.T, width, n int) engine.Backend
+	mk     func(t *testing.T, width, n int) rig
 }{
-	{"sim", []int{1, 4}, func(_ *testing.T, width, n int) engine.Backend { return engine.NewCluster(width, n) }},
-	{"parallel", []int{1, 3, 8}, func(_ *testing.T, width, n int) engine.Backend { return engine.NewParallel(width, n) }},
-	{"dist rank", []int{1, 7}, func(t *testing.T, width, n int) engine.Backend {
-		be, stop := dist.LoopbackRank(width, n)
+	{"sim", []int{1, 4}, func(_ *testing.T, width, n int) rig { return rig{engine.NewCluster(width, n)} }},
+	{"parallel", []int{1, 2, 3, 8}, func(_ *testing.T, width, n int) rig { return rig{engine.NewParallel(width, n)} }},
+	{"dist rank", []int{1, 7}, func(t *testing.T, width, n int) rig {
+		bes, stop := dist.LoopbackRanks(2, width, n)
 		t.Cleanup(stop)
-		return be
+		return bes
 	}},
 }
 
 var conformance = []struct {
 	name  string
-	check func(t *testing.T, be engine.Backend, n int)
+	check func(t *testing.T, r rig, n int)
 }{
 	{"Owner and Range tile [0,N) exactly", checkTiling},
-	{"Deliver hands every count to its dst once, one run per dst at a time", checkDeliver},
-	{"Step accumulates every count into its dst shard", checkStep},
+	{"Deliver hands every count to its dst shard exactly once", checkLanes},
+	{"Step accumulates every count into its dst shard, from lanes and from the Emit shim alike", checkStep},
 	{"Loads sums to what AddLoad charged", checkLoads},
 }
 
@@ -144,94 +148,116 @@ func TestDeliverRoutesEveryEmission(t *testing.T) {
 	}
 }
 
-func checkTiling(t *testing.T, be engine.Backend, n int) {
-	next := uint32(0)
-	for w := 0; w < be.P(); w++ {
-		lo, hi := be.Range(w)
-		if lo != next || hi < lo {
-			t.Errorf("partition %d is [%d,%d), want it to start at %d", w, lo, hi, next)
-		}
-		for v := lo; v < hi; v++ {
-			if be.Owner(v) != w {
-				t.Errorf("Owner(%d) = %d, but partition %d's range holds it", v, be.Owner(v), w)
-			}
-		}
-		next = hi
+// step runs one superstep on every process of the rig at once, as the
+// replicated solvers of a run do, each into a table of its own.
+func (r rig) step(produce func(be engine.Backend, w int, to *engine.Lanes)) []*engine.Sharded {
+	outs := make([]*engine.Sharded, len(r))
+	var wg sync.WaitGroup
+	for i, be := range r {
+		outs[i] = engine.NewSharded(be)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			be.Step(outs[i], func(w int, to *engine.Lanes) { produce(be, w, to) })
+		}()
 	}
-	if int(next) != n {
-		t.Errorf("ranges cover [0,%d), want [0,%d)", next, n)
+	wg.Wait()
+	return outs
+}
+
+// home returns the index of the process that executes partition w.
+func (r rig) home(w int) int {
+	lo, hi := r[0].Range(w)
+	for i, be := range r {
+		if olo, ohi := be.Owned(); lo < hi && olo <= lo && hi <= ohi {
+			return i
+		}
+	}
+	return 0 // an empty partition: nothing is produced in it or addressed to it
+}
+
+func (r rig) sum(f func(be engine.Backend) int64) (total int64) {
+	for _, be := range r {
+		total += f(be)
+	}
+	return total
+}
+
+func checkTiling(t *testing.T, r rig, n int) {
+	for _, be := range r {
+		next := uint32(0)
+		for w := 0; w < be.P(); w++ {
+			lo, hi := be.Range(w)
+			if lo != next || hi < lo {
+				t.Errorf("partition %d is [%d,%d), want it to start at %d", w, lo, hi, next)
+			}
+			for v := lo; v < hi; v++ {
+				if be.Owner(v) != w {
+					t.Errorf("Owner(%d) = %d, but partition %d's range holds it", v, be.Owner(v), w)
+				}
+			}
+			next = hi
+		}
+		if int(next) != n {
+			t.Errorf("ranges cover [0,%d), want [0,%d)", next, n)
+		}
 	}
 }
 
-// checkDeliver has every vertex v send two counts, one to a near vertex's
-// owner (mostly v's own partition: self-sends) and one scattered, so
-// every destination hears from several producers at once. The consumer
-// state is unsynchronized on purpose: the contract is that calls for one
-// dst never overlap.
-func checkDeliver(t *testing.T, be engine.Backend, n int) {
+// checkLanes has every vertex v append two entries, one homed at a near
+// vertex (mostly in v's own partition: self-sends) and one scattered, so
+// every destination hears from several producers at once; each entry names
+// the partition that produced it. Every entry must turn up once, in the
+// shard of its home vertex's partition, on the process that executes it.
+func checkLanes(t *testing.T, r rig, n int) {
 	targets := func(v uint32) [2]uint32 { return [2]uint32{(v + 7) % uint32(n), (v * 31) % uint32(n)} }
-	got := make([]map[table.Key]uint64, be.P())
-	srcs := make([][]uint32, be.P()) // producing partition of each count, in arrival order
-	busy := make([]atomic.Int32, be.P())
-	for i := range got {
-		got[i] = make(map[table.Key]uint64)
-	}
-	steps := be.Steps()
-	be.Deliver(func(w int, emit engine.Emit) {
+	steps := r[0].Steps()
+	outs := r.step(func(be engine.Backend, w int, to *engine.Lanes) {
 		lo, hi := be.Range(w)
 		for v := lo; v < hi; v++ {
-			for i, to := range targets(v) {
-				emit(be.Owner(to), []engine.Msg{{K: table.Key{U: v, V: to, X: uint32(i), Y: uint32(w)}, C: uint64(v) + 1}})
+			for i, home := range targets(v) {
+				to.At(home).AddEnt(table.Key{U: v, V: home, X: uint32(i), Y: uint32(w)}.Ent(uint64(v) + 1))
 			}
 		}
-	}, func(dst int, run []engine.Msg) {
-		if busy[dst].Add(1) != 1 {
-			t.Errorf("two consume calls for partition %d overlap", dst)
-		}
-		for _, m := range run {
-			got[dst][m.K] += m.C
-			srcs[dst] = append(srcs[dst], m.K.Y)
-		}
-		busy[dst].Add(-1)
 	})
-	if be.Steps() != steps+1 {
-		t.Errorf("Steps went %d → %d over one Deliver", steps, be.Steps())
-	}
-	delivered := 0
-	for dst := range got {
-		delivered += len(got[dst])
-		for k, c := range got[dst] {
-			if be.Owner(k.V) != dst || targets(k.U)[k.X] != k.V || c != uint64(k.U)+1 {
-				t.Errorf("partition %d consumed %+v ×%d", dst, k, c)
-			}
+	delivered, crossed := 0, int64(0)
+	for i, be := range r {
+		if be.Steps() != steps+1 {
+			t.Errorf("Steps went %d → %d over one Step", steps, be.Steps())
 		}
-		if be.Name() == engine.SimName {
-			// sim alone promises an order: buffers arrive by source rank.
-			for i := 1; i < len(srcs[dst]); i++ {
-				if srcs[dst][i] < srcs[dst][i-1] {
-					t.Errorf("sim rank %d consumed source %d after %d", dst, srcs[dst][i], srcs[dst][i-1])
+		for dst := 0; dst < be.P(); dst++ {
+			ents := outs[i].Shard(dst).Ents()
+			if len(ents) > 0 && r.home(dst) != i {
+				t.Errorf("process %d holds %d entries of partition %d, which process %d executes", i, len(ents), dst, r.home(dst))
+			}
+			delivered += len(ents)
+			for _, e := range ents {
+				k := e.Key()
+				if be.Owner(k.V) != dst || targets(k.U)[k.X] != k.V || e.C != uint64(k.U)+1 {
+					t.Errorf("partition %d holds %+v ×%d", dst, k, e.C)
+				}
+				if r.home(int(k.Y)) != i {
+					crossed++
 				}
 			}
 		}
 	}
 	if delivered != 2*n {
-		t.Errorf("%d distinct counts delivered, want %d", delivered, 2*n)
+		t.Errorf("%d distinct entries delivered, want %d", delivered, 2*n)
 	}
-	// What a message is differs by runtime: sim counts every emitted
-	// count, self-sends included; parallel exchanges none; a dist rank
-	// counts only what leaves it, and this one has no peer.
-	want := int64(0)
-	if be.Name() == engine.SimName {
-		want = int64(2 * n)
-	}
-	if be.Messages() != want {
-		t.Errorf("Messages = %d after emitting %d counts, want %d", be.Messages(), 2*n, want)
+	// What a message is differs by runtime: sim counts every appended
+	// entry, self-sends included; parallel exchanges none; a dist rank
+	// counts what leaves its process.
+	want := map[string]int64{engine.SimName: int64(2 * n), engine.ParallelName: 0, engine.DistName: crossed}[r[0].Name()]
+	if got := r.sum(engine.Backend.Messages); got != want {
+		t.Errorf("Messages = %d after appending %d entries, want %d", got, 2*n, want)
 	}
 }
 
-// checkStep emits a random multiset of binary keys, duplicates included,
-// and compares the table Step builds against a builtin map.
-func checkStep(t *testing.T, be engine.Backend, n int) {
+// checkStep appends a random multiset of binary keys, duplicates included,
+// once straight to the lanes and once through the Emit/Batcher shim, and
+// compares both tables against a builtin map.
+func checkStep(t *testing.T, r rig, n int) {
 	rng := rand.New(rand.NewSource(11))
 	want := make(map[table.Key]uint64)
 	batches := make([][]engine.Msg, 100)
@@ -243,36 +269,56 @@ func checkStep(t *testing.T, be engine.Backend, n int) {
 			want[k] += m.C
 		}
 	}
-	out := engine.NewSharded(be)
-	steps := be.Steps()
-	be.Step(out, func(w int, emit engine.Emit) {
+	each := func(be engine.Backend, w int, f func(m engine.Msg)) {
 		for i := w; i < len(batches); i += be.P() {
 			for _, m := range batches[i] {
-				emit(be.Owner(m.K.V), []engine.Msg{m})
+				f(m)
 			}
 		}
-	})
-	if be.Steps() != steps+1 {
-		t.Errorf("Steps went %d → %d over one Step", steps, be.Steps())
 	}
-	if out.Len() != len(want) {
-		t.Errorf("table holds %d entries, want %d", out.Len(), len(want))
-	}
-	for k, c := range want {
-		if got := out.Shard(be.Owner(k.V)).Get(k); got != c {
-			t.Errorf("key %+v: %d in its owner's shard, want %d", k, got, c)
+	for form, produce := range map[string]func(be engine.Backend, w int, to *engine.Lanes){
+		"lanes": func(be engine.Backend, w int, to *engine.Lanes) {
+			each(be, w, func(m engine.Msg) { to.At(m.K.V).AddEnt(m.K.Ent(m.C)) })
+		},
+		"Emit shim": func(be engine.Backend, w int, emit engine.Emit) {
+			b := (&engine.Batcher{}).Bind(emit)
+			each(be, w, func(m engine.Msg) { b.Emit(be.Owner(m.K.V), m) })
+			b.Flush()
+		},
+	} {
+		steps := r[0].Steps()
+		outs := r.step(produce)
+		if r[0].Steps() != steps+1 {
+			t.Errorf("%s: Steps went %d → %d over one Step", form, steps, r[0].Steps())
+		}
+		held := 0
+		for _, out := range outs {
+			held += out.Len()
+		}
+		if held != len(want) {
+			t.Errorf("%s: tables hold %d entries, want %d", form, held, len(want))
+		}
+		for k, c := range want {
+			dst := r[0].Owner(k.V)
+			if got := outs[r.home(dst)].Shard(dst).Get(k); got != c {
+				t.Errorf("%s: key %+v: %d in its owner's shard, want %d", form, k, got, c)
+			}
 		}
 	}
 }
 
-func checkLoads(t *testing.T, be engine.Backend, _ int) {
-	be.Run(func(w int) { be.AddLoad(w, int64(w+1)) })
-	loads := be.Loads()
-	if len(loads) != be.Workers() {
-		t.Errorf("len(Loads) = %d, Workers = %d", len(loads), be.Workers())
+func checkLoads(t *testing.T, r rig, _ int) {
+	for _, be := range r {
+		be.Run(func(w int) { be.AddLoad(w, int64(w+1)) })
+		if loads := be.Loads(); len(loads) != be.Workers() {
+			t.Errorf("len(Loads) = %d, Workers = %d", len(loads), be.Workers())
+		}
 	}
-	_, _, total := engine.LoadStats(loads)
-	if want := int64(be.P() * (be.P() + 1) / 2); total != want {
-		t.Errorf("Loads sums to %d, AddLoad charged %d", total, want)
+	total := r.sum(func(be engine.Backend) int64 {
+		_, _, total := engine.LoadStats(be.Loads())
+		return total
+	})
+	if p := r[0].P(); total != int64(p*(p+1)/2) {
+		t.Errorf("Loads sums to %d, AddLoad charged %d", total, p*(p+1)/2)
 	}
 }

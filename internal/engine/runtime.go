@@ -53,23 +53,14 @@ func (b Blocks) Range(w int) (lo, hi uint32) {
 	return uint32(l), uint32(h)
 }
 
-// paddedMutex keeps each partition lock on its own cache line: the locks
-// sit in one array and are hammered from every worker, so false sharing
-// between neighboring partitions would serialize unrelated merges.
-type paddedMutex struct {
-	sync.Mutex
-	_ [56]byte
-}
-
 // Counters is what a superstep counts, embedded by every backend: the
-// per-partition load counters of the paper's Figure 11, the superstep,
-// message and steal totals, and the per-partition delivery locks. Begin,
-// Sent and Locked are the driving side, called by the embedding backend's
-// own Deliver; the rest is the Backend interface's read side.
+// per-partition load counters of the paper's Figure 11 and the superstep,
+// message and steal totals. Begin and Sent are the driving side, called by
+// the embedding backend's own Step; the rest is the Backend interface's
+// read side.
 type Counters struct {
 	workers int
 	loads   []atomic.Int64 // per partition
-	locks   []paddedMutex  // per partition
 	steps   atomic.Int64
 	msgs    atomic.Int64
 	steals  atomic.Int64
@@ -79,11 +70,7 @@ type Counters struct {
 // workers workers (goroutines, simulated ranks or processes), each the
 // home of one contiguous band of partitions (Band, WorkerOf).
 func NewCounters(parts, workers int) Counters {
-	return Counters{
-		workers: workers,
-		loads:   make([]atomic.Int64, parts),
-		locks:   make([]paddedMutex, parts),
-	}
+	return Counters{workers: workers, loads: make([]atomic.Int64, parts)}
 }
 
 // Workers returns the execution width the loads fold onto.
@@ -118,7 +105,7 @@ func (c *Counters) Loads() []int64 {
 // Steps returns the number of supersteps begun so far.
 func (c *Counters) Steps() int64 { return c.steps.Load() }
 
-// Messages returns the keyed counts recorded by Sent.
+// Messages returns the entries recorded by Sent.
 func (c *Counters) Messages() int64 { return c.msgs.Load() }
 
 // Steals returns the partition tasks run off their home worker.
@@ -127,20 +114,8 @@ func (c *Counters) Steals() int64 { return c.steals.Load() }
 // Begin counts one superstep and returns its 1-based ordinal.
 func (c *Counters) Begin() int64 { return c.steps.Add(1) }
 
-// Sent counts n keyed counts as exchanged messages.
+// Sent counts n entries as exchanged messages.
 func (c *Counters) Sent(n int) { c.msgs.Add(int64(n)) }
-
-// Locked wraps consume so that calls for one destination partition never
-// overlap: each run is delivered under that partition's lock, taken once
-// per run, not per message.
-func (c *Counters) Locked(consume func(dst int, run []Msg)) Emit {
-	return func(dst int, run []Msg) {
-		mu := &c.locks[dst]
-		mu.Lock()
-		consume(dst, run)
-		mu.Unlock()
-	}
-}
 
 // RunEach calls f(w) exactly once for every partition w in [lo, hi), on
 // up to workers goroutines pulling from one shared cursor, and waits. A

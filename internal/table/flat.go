@@ -44,8 +44,8 @@ type Ent struct {
 	C  uint64
 }
 
-// entOf packs k and c into an Ent.
-func entOf(k Key, c uint64) Ent {
+// Ent packs k and c into an Ent.
+func (k Key) Ent(c uint64) Ent {
 	return Ent{
 		VU: uint64(k.V)<<32 | uint64(k.U),
 		XY: uint64(k.X)<<32 | uint64(k.Y),
@@ -53,6 +53,17 @@ func entOf(k Key, c uint64) Ent {
 		C:  c,
 	}
 }
+
+// BinaryEnt packs the two-boundary entry (u, v, s) ↦ c, homed at v. It is
+// Binary(u, v, s).Ent(c) for the join loops: a Key has too many fields for
+// the compiler to keep in registers, so building one per entry means
+// narrow stores read straight back as wide words.
+func BinaryEnt(u, v uint32, s sig.Sig, c uint64) Ent {
+	return Ent{VU: uint64(v)<<32 | uint64(u), XY: ^uint64(0), S: s, C: c}
+}
+
+// UnaryEnt packs the single-boundary entry (u, s) ↦ c: Unary(u, s).Ent(c).
+func UnaryEnt(u uint32, s sig.Sig, c uint64) Ent { return BinaryEnt(u, None, s, c) }
 
 // U returns the key's U vertex.
 func (e Ent) U() uint32 { return uint32(e.VU) }
@@ -115,14 +126,18 @@ func NewFlat(capacity int) *Flat {
 	return t
 }
 
-// Add accumulates c into the entry for k (inserting it if absent). The
-// entry lands in a pending chunk; duplicate keys are folded together when
-// the table is compacted.
-func (t *Flat) Add(k Key, c uint64) {
+// Add accumulates c into the entry for k (inserting it if absent).
+func (t *Flat) Add(k Key, c uint64) { t.AddEnt(k.Ent(c)) }
+
+// AddEnt accumulates e.C into the entry for e's key (inserting it if
+// absent). The entry lands in a pending chunk; duplicate keys are folded
+// together when the table is compacted. It is the join loops' one write, a
+// bounds check and an append, and must stay inlinable.
+func (t *Flat) AddEnt(e Ent) {
 	if len(t.fill) == cap(t.fill) {
 		t.nextChunk()
 	}
-	t.fill = append(t.fill, entOf(k, c))
+	t.fill = append(t.fill, e)
 }
 
 // nextChunk chains the fill chunk, which is full, and starts another.
@@ -147,10 +162,10 @@ func (t *Flat) retire() {
 	t.fillSlab, t.fill = nil, nil
 }
 
-// Absorb moves every entry of src into t's pending chunks and leaves src
-// empty. The chunks themselves change hands: a table staged elsewhere is
-// handed over, not copied.
-func (t *Flat) Absorb(src *Flat) {
+// Absorb moves every entry of src into t's pending chunks, leaves src empty
+// and returns how many entries moved. The chunks themselves change hands: a
+// table staged elsewhere is handed over, not copied.
+func (t *Flat) Absorb(src *Flat) (moved int) {
 	src.retire()
 	if src.sorted != nil {
 		// Compacted entries are just more pending entries here.
@@ -159,9 +174,11 @@ func (t *Flat) Absorb(src *Flat) {
 	for s := src.full; s != nil; {
 		next := s.next
 		s.next, t.full = t.full, s
+		moved += len(s.ents)
 		s = next
 	}
 	*src = Flat{}
+	return moved
 }
 
 // Release empties the table and returns its slabs to the pool. The caller
@@ -451,7 +468,7 @@ func (t *Flat) Len() int { return len(t.Ents()) }
 // Get returns the count stored for k (0 if absent).
 func (t *Flat) Get(k Key) uint64 {
 	ents := t.Ents()
-	if i, ok := slices.BinarySearchFunc(ents, entOf(k, 0), cmpEnt); ok {
+	if i, ok := slices.BinarySearchFunc(ents, k.Ent(0), cmpEnt); ok {
 		return ents[i].C
 	}
 	return 0
@@ -480,21 +497,29 @@ func (t *Flat) Iter(f func(Key, uint64) bool) {
 	}
 }
 
+// Chunks calls f with the table's entries as they lie — compacted or
+// pending, duplicates unfolded, one non-empty chunk at a time in no
+// particular order — without sorting anything. The slices alias the
+// table's storage.
+func (t *Flat) Chunks(f func(ents []Ent)) {
+	if t.sorted != nil {
+		f(t.sorted.ents)
+	}
+	if len(t.fill) > 0 {
+		f(t.fill)
+	}
+	for c := t.full; c != nil; c = c.next {
+		f(c.ents)
+	}
+}
+
 // Total returns the sum of all counts. Pending duplicates sum the same as
 // folded ones, so no compaction is needed.
-func (t *Flat) Total() uint64 {
-	var total uint64
-	sum := func(ents []Ent) {
+func (t *Flat) Total() (total uint64) {
+	t.Chunks(func(ents []Ent) {
 		for i := range ents {
 			total += ents[i].C
 		}
-	}
-	if t.sorted != nil {
-		sum(t.sorted.ents)
-	}
-	sum(t.fill)
-	for c := t.full; c != nil; c = c.next {
-		sum(c.ents)
-	}
+	})
 	return total
 }
