@@ -2,15 +2,15 @@
 // number of workers each issue one /v1/estimate request at a time against
 // a seeded mix of graphs, queries, and coloring seeds, and the run ends in
 // a machine-readable JSON report (throughput, latency percentiles, cache
-// hit and coalesce rates, and the server's own shard/lock-wait counters).
+// hit and coalesce rates, and the server's own lock-wait counters).
 // The workload is deterministic given its flags, so reports of the same
 // mix are comparable across commits.
 //
 // The cache-hit ratio is a first-class knob because it decides what is
 // being measured: at -hit-ratio 1 every request after warmup is pure
-// serving-layer work (registry acquire, cache lookup, job bookkeeping) —
-// the hot path the sharded registry/cache exist for — while at 0 every
-// request runs the solver and the report measures estimation throughput.
+// serving-layer work (registry acquire, cache lookup, job bookkeeping),
+// while at 0 every request runs the solver and the report measures
+// estimation throughput.
 //
 //	sgload -addr 127.0.0.1:8080 -c 32 -duration 10s -hit-ratio 0.9 -out report.json
 //
@@ -173,9 +173,6 @@ type endpointReport struct {
 // serverSide is the slice of /v1/stats the report embeds, so a BENCH file
 // is self-describing about what the server did during the run.
 type serverSide struct {
-	Shards struct {
-		Count int `json:"count"`
-	} `json:"shards"`
 	Registry struct {
 		Hits       uint64  `json:"hits"`
 		Loads      uint64  `json:"loads"`
@@ -202,7 +199,6 @@ type serverSide struct {
 		LockWaitMS   float64 `json:"lockWaitMs"`
 		Singleflight struct {
 			Keys       int     `json:"keys"`
-			Shards     int     `json:"shards"`
 			LockWaits  uint64  `json:"lockWaits"`
 			LockWaitMS float64 `json:"lockWaitMs"`
 		} `json:"singleflight"`
@@ -447,7 +443,7 @@ func main() {
 	flag.Float64Var(&cfg.HitRatio, "hit-ratio", 0.9, "target cache-hit ratio in [0,1]")
 	flag.IntVar(&cfg.HotSeeds, "hot", 64, "size of the hot key set backing the hit ratio")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "workload RNG seed (equal seeds replay the same mix)")
-	flag.StringVar(&cfg.Label, "label", "", "label recorded in the report (e.g. sharded/unsharded)")
+	flag.StringVar(&cfg.Label, "label", "", "label recorded in the report (e.g. parent/change)")
 	flag.Float64Var(&cfg.RelErr, "relerr", 0, "send every request with this precision target instead of fixed trials")
 	flag.Float64Var(&cfg.Confidence, "confidence", 0, "confidence level sent with precision requests (0 = server default 0.95)")
 	flag.StringVar(&cfg.PrecisionMix, "precision-mix", "", "mixed precision tiers, e.g. '0:0.4,0.1:0.3,0.02:0.3' (relErr:weight; relErr 0 = fixed-trial tier)")

@@ -76,7 +76,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "estimation worker goroutines (0 = NumCPU)")
 		queue     = flag.Int("queue", 1024, "max queued jobs before shedding load")
 		cacheCap  = flag.Int("cache", 4096, "result cache capacity (entries)")
-		shards    = flag.Int("shards", 0, "registry/cache shard count (0 = 2×NumCPU clamped to [8,32]; 1 = unsharded)")
 		budgetMB  = flag.Int64("graph-budget-mb", 1024, "graph registry memory budget (MiB)")
 		trials    = flag.Int("trials", 3, "default trials per estimate")
 		maxTr     = flag.Int("max-trials", 1024, "reject requests asking for more trials than this")
@@ -179,7 +178,6 @@ func main() {
 		Workers:          *workers,
 		QueueDepth:       *queue,
 		CacheCapacity:    *cacheCap,
-		Shards:           *shards,
 		GraphBudgetBytes: *budgetMB << 20,
 		DefaultTrials:    *trials,
 		Backend:          *backend,

@@ -112,7 +112,7 @@ func TestBackendValidation(t *testing.T) {
 // query, and the per-query knob must override it — proven through the
 // stats counters, which only the engine that really ran can bump.
 func TestBatchBackendInheritance(t *testing.T) {
-	svc := subgraph.NewService(subgraph.ServiceOptions{Workers: 2, Shards: 2})
+	svc := subgraph.NewService(subgraph.ServiceOptions{Workers: 2})
 	defer svc.Close()
 	if _, err := svc.AddGraph(subgraph.GraphSpec{PowerLawN: 300, Alpha: 1.6, Seed: 4, Name: "bb"}); err != nil {
 		t.Fatal(err)

@@ -7,19 +7,14 @@ import (
 	"repro/internal/core"
 )
 
-// Parallel microbenchmarks of the serving hot path's shared structures.
-// These isolate lock structure from HTTP and solver cost: on multicore
-// hardware the sharded variants scale with cores while the 1-shard
-// variants serialize, which is the effect `sgload` measures end to end.
+// Parallel microbenchmarks of the serving hot path's shared structures,
+// isolated from HTTP and solver cost: what one Get or one Acquire/Release
+// pair costs behind its single mutex as cores are added.
 //
-//	go test -bench 'Shards' -cpu 1,4,8 ./internal/service/
-//
-// On a single-core machine the variants converge — waiting on a lock
-// costs no throughput when only one goroutine can run anyway.
+//	go test -run '^$' -bench 'CacheGet|RegistryAcquire' -cpu 1,2,4 ./internal/service/
 
-func benchmarkCacheGet(b *testing.B, shards int) {
-	c := NewCache(4096, shards)
-	defer c.Close()
+func BenchmarkCacheGet(b *testing.B) {
+	c := NewCache(4096, 0)
 	const keys = 512
 	for i := 0; i < keys; i++ {
 		c.Put(TrialKey{Graph: uint64(i), Query: "k3:6:5:3", Seed: 1, Ranks: 4},
@@ -40,13 +35,8 @@ func benchmarkCacheGet(b *testing.B, shards int) {
 	})
 }
 
-func BenchmarkCacheGetShards1(b *testing.B)  { benchmarkCacheGet(b, 1) }
-func BenchmarkCacheGetShards8(b *testing.B)  { benchmarkCacheGet(b, 8) }
-func BenchmarkCacheGetShards32(b *testing.B) { benchmarkCacheGet(b, 32) }
-
-func benchmarkRegistryAcquire(b *testing.B, shards int) {
-	r := NewRegistry(0, shards)
-	defer r.Close()
+func BenchmarkRegistryAcquire(b *testing.B) {
+	r := NewRegistry(0)
 	const graphs = 8
 	refs := make([]string, graphs)
 	for i := 0; i < graphs; i++ {
@@ -72,7 +62,3 @@ func benchmarkRegistryAcquire(b *testing.B, shards int) {
 		}
 	})
 }
-
-func BenchmarkRegistryAcquireShards1(b *testing.B)  { benchmarkRegistryAcquire(b, 1) }
-func BenchmarkRegistryAcquireShards8(b *testing.B)  { benchmarkRegistryAcquire(b, 8) }
-func BenchmarkRegistryAcquireShards32(b *testing.B) { benchmarkRegistryAcquire(b, 32) }

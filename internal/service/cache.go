@@ -2,15 +2,8 @@ package service
 
 import (
 	"container/list"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
-	"math"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/query"
@@ -41,34 +34,6 @@ type Key struct {
 	MinTrials  int
 }
 
-// hash folds every key field into one FNV-1a value for shard selection.
-// It must cover all fields Key equality covers, or two distinct keys on
-// one shard could look balanced while a real workload pins one stripe.
-func (k Key) hash() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], k.Graph)
-	h.Write(b[:])
-	io.WriteString(h, k.Query) //nolint:errcheck // fnv never fails
-	binary.LittleEndian.PutUint64(b[:], uint64(k.Algorithm))
-	h.Write(b[:])
-	io.WriteString(h, k.Backend) //nolint:errcheck // fnv never fails
-	h.Write([]byte{0})           // terminator: Backend and the next field must not blur
-	binary.LittleEndian.PutUint64(b[:], uint64(k.Trials))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(k.Seed))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(k.Ranks))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(k.RelErr))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(k.Confidence))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(k.MinTrials))
-	h.Write(b[:])
-	return h.Sum64()
-}
-
 // TrialKey identifies one seeded trial stream: every field that changes
 // the per-trial colorful counts or their engine stats — and nothing that
 // only changes how many of those trials a request consumes. Trial i's
@@ -97,25 +62,6 @@ func (k Key) TrialKey() TrialKey {
 		Seed:      k.Seed,
 		Ranks:     k.Ranks,
 	}
-}
-
-// hash folds every TrialKey field into one FNV-1a value for shard
-// selection; same coverage rule as Key.hash.
-func (k TrialKey) hash() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], k.Graph)
-	h.Write(b[:])
-	io.WriteString(h, k.Query) //nolint:errcheck // fnv never fails
-	binary.LittleEndian.PutUint64(b[:], uint64(k.Algorithm))
-	h.Write(b[:])
-	io.WriteString(h, k.Backend) //nolint:errcheck // fnv never fails
-	h.Write([]byte{0})
-	binary.LittleEndian.PutUint64(b[:], uint64(k.Seed))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(k.Ranks))
-	h.Write(b[:])
-	return h.Sum64()
 }
 
 // TrialRun is the accumulated state of one seeded trial stream:
@@ -180,28 +126,13 @@ func QuerySignature(q *query.Graph) string {
 	return b.String()
 }
 
-// CacheStats are the cache's observability counters, rolled up across
-// shards. Hits count lookups that found an entry (of any length — the
-// caller may still extend it); Extended counts entries grown in place by
-// a later run reusing the cached prefix.
+// CacheStats are the cache's observability counters. Hits count lookups
+// that found an entry (of any length — the caller may still extend it);
+// Extended counts entries grown in place by a later run reusing the
+// cached prefix.
 type CacheStats struct {
-	Entries    int    `json:"entries"`
-	Trials     int    `json:"trials"` // accumulated trials across entries
-	Capacity   int    `json:"capacity"`
-	Hits       uint64 `json:"hits"`
-	Misses     uint64 `json:"misses"`
-	Extended   uint64 `json:"extended"`
-	Evictions  uint64 `json:"evictions"`
-	Shards     int    `json:"shards"`
-	Rebalances uint64 `json:"rebalances"`
-	LockWait
-}
-
-// CacheShardStats is one shard's slice of the cache counters, for the
-// /v1/stats shards section.
-type CacheShardStats struct {
 	Entries   int    `json:"entries"`
-	Trials    int    `json:"trials"`
+	Trials    int    `json:"trials"` // accumulated trials across entries
 	Capacity  int    `json:"capacity"`
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -215,9 +146,15 @@ type centry struct {
 	val TrialRun
 }
 
-// cacheShard is one stripe of the cache: its own LRU list, index, and
-// capacity allotment (settled by the rebalancer).
-type cacheShard struct {
+// Cache is a bounded LRU map from trial-stream keys to accumulated
+// per-trial runs: one mutex, one index, one recency list. Entries are
+// trial-granular: Put merges by keeping the longest run (per-trial counts
+// over one TrialKey are deterministic, so a longer run strictly extends a
+// shorter one), and Get serves any prefix. The capacity is exact: the
+// cache holds up to capacity runs and evicts only when a new key arrives
+// at a full cache, always the least recently used one. It is safe for
+// concurrent use; hits refresh recency.
+type Cache struct {
 	mu  waitMutex
 	cap int
 	m   map[TrialKey]*list.Element
@@ -228,95 +165,43 @@ type cacheShard struct {
 	extended  uint64
 	evictions uint64
 	trials    int // accumulated trials across resident entries
-	// demand is hits+inserts observed since the last rebalance; the
-	// rebalancer reads and resets it to apportion capacity by recent use.
-	demand uint64
 }
-
-// Cache is a bounded LRU map from trial-stream keys to accumulated
-// per-trial runs, partitioned across shards by key hash so concurrent
-// hits on different keys do not contend on one mutex. Entries are
-// trial-granular: Put merges by keeping the longest run (per-trial counts
-// over one TrialKey are deterministic, so a longer run strictly extends a
-// shorter one), and Get serves any prefix. The capacity is global: shards
-// start with an even split, and with more than one shard a background
-// rebalancer re-settles the per-shard allotments toward recent demand, so
-// a skewed key distribution doesn't waste the quiet shards' capacity. It
-// is safe for concurrent use; hits refresh recency within a shard.
-type Cache struct {
-	totalCap int
-	shards   []*cacheShard
-
-	rebalances atomic.Uint64
-	stop       chan struct{}
-	stopOnce   sync.Once
-}
-
-// cacheRebalanceEvery is the cadence of the background capacity
-// rebalancer.
-const cacheRebalanceEvery = time.Second
 
 // NewCache returns a cache holding up to capacity trial runs (≤ 0 means
-// 4096) across shards stripes (≤ 0 means DefaultShards; clamped so every
-// shard holds at least one entry). Close the cache when done: with more
-// than one shard it runs a background capacity rebalancer.
-func NewCache(capacity, shards int) *Cache {
+// 4096). The second argument is ignored: it was a shard count, and
+// benchmark/serving_probes.go (not editable outside a [benchmark] PR)
+// still passes one — ROADMAP "Ledger round 2 (g)" deletes it.
+func NewCache(capacity, _ int) *Cache {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	n := normShards(shards)
-	if n > capacity {
-		n = capacity
-	}
-	c := &Cache{
-		totalCap: capacity,
-		shards:   make([]*cacheShard, n),
-		stop:     make(chan struct{}),
-	}
-	for i := range c.shards {
-		cp := capacity / n
-		if i < capacity%n {
-			cp++
-		}
-		c.shards[i] = &cacheShard{cap: cp, m: make(map[TrialKey]*list.Element), lru: list.New()}
-	}
-	if n > 1 {
-		go c.rebalanceLoop()
-	}
-	return c
+	return &Cache{cap: capacity, m: make(map[TrialKey]*list.Element), lru: list.New()}
 }
 
-// Close stops the background rebalancer. The cache stays usable; its
-// per-shard allotments simply stop adapting.
-func (c *Cache) Close() {
-	c.stopOnce.Do(func() { close(c.stop) })
-}
-
-func (c *Cache) shardFor(k TrialKey) *cacheShard {
-	return c.shards[k.hash()%uint64(len(c.shards))]
-}
+// Close does nothing: the cache owns no goroutine. It survives only
+// because benchmark/serving_probes.go still calls it (ROADMAP "Ledger
+// round 2 (g)").
+func (c *Cache) Close() {}
 
 // Get returns the cached trial run for k, if present — limited to the
 // first limit trials when limit > 0 (a request never needs trials past
 // its own bound, so the copy stays proportional to the request). The
-// result is the caller's to mutate: the deep copy happens after the shard
-// unlocks — safe because a stored run's backing arrays are only ever
+// result is the caller's to mutate: the deep copy happens after the
+// unlock — safe because a stored run's backing arrays are only ever
 // replaced (Put installs a fresh clone), never mutated in place — so the
-// shard's critical section allocates nothing.
+// critical section allocates nothing.
 func (c *Cache) Get(k TrialKey, limit int) (TrialRun, bool) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	el, ok := sh.m[k]
+	c.mu.Lock()
+	el, ok := c.m[k]
 	if !ok {
-		sh.misses++
-		sh.mu.Unlock()
+		c.misses++
+		c.mu.Unlock()
 		return TrialRun{}, false
 	}
-	sh.hits++
-	sh.demand++
-	sh.lru.MoveToFront(el)
+	c.hits++
+	c.lru.MoveToFront(el)
 	v := el.Value.(*centry).val
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	return v.prefix(limit).clone(), true
 }
 
@@ -329,16 +214,15 @@ func (c *Cache) Get(k TrialKey, limit int) (TrialRun, bool) {
 // but leaves the hit/miss counters to the Get (or the flight's Get) that
 // follows, so each request still counts exactly once.
 func (c *Cache) Counts(k TrialKey, limit int) ([]uint64, bool) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	el, ok := sh.m[k]
+	c.mu.Lock()
+	el, ok := c.m[k]
 	if !ok {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return nil, false
 	}
-	sh.lru.MoveToFront(el)
+	c.lru.MoveToFront(el)
 	v := el.Value.(*centry).val
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	counts := v.Counts
 	if limit > 0 && limit < len(counts) {
 		counts = counts[:limit]
@@ -346,53 +230,35 @@ func (c *Cache) Counts(k TrialKey, limit int) ([]uint64, bool) {
 	return append([]uint64(nil), counts...), true
 }
 
-// Put stores a copy of the run under k, evicting the shard's
-// least-recently-used entries if full. Runs merge by length: a run no
-// longer than the resident one only refreshes recency (the resident
-// prefix is bit-identical by determinism), a longer one replaces it —
-// counted as an extension when it grew a nonempty entry, the trial-reuse
-// event the redesign exists for.
+// Put stores a copy of the run under k, evicting the least-recently-used
+// entry if the cache is full. Runs merge by length: a run no longer than
+// the resident one only refreshes recency (the resident prefix is
+// bit-identical by determinism), a longer one replaces it — counted as an
+// extension when it grew a nonempty entry, the trial-reuse event the
+// trial-granular cache exists for.
 func (c *Cache) Put(k TrialKey, v TrialRun) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.m[k]; ok {
-		// A refresh is demand too: NoCache recomputes re-Put the same
-		// keys without a Get, and their shard must not read as idle to
-		// the rebalancer while its working set is the hottest one.
-		sh.demand++
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[k]; ok {
 		ce := el.Value.(*centry)
 		if cur := ce.val.Len(); cur < v.Len() {
 			if cur > 0 {
-				sh.extended++
+				c.extended++
 			}
-			sh.trials += v.Len() - cur
+			c.trials += v.Len() - cur
 			ce.val = v.clone()
 		}
-		sh.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 		return
 	}
-	sh.demand++
-	// The emptiness guard is defense in depth: the rebalancer never
-	// allots below 1, but a zero cap here would otherwise spin forever
-	// against an empty LRU while holding the shard mutex.
-	for sh.lru.Len() >= sh.cap && sh.lru.Len() > 0 {
-		sh.evictOldestLocked()
+	if c.lru.Len() >= c.cap {
+		ce := c.lru.Remove(c.lru.Back()).(*centry)
+		c.trials -= ce.val.Len()
+		delete(c.m, ce.key)
+		c.evictions++
 	}
-	sh.m[k] = sh.lru.PushFront(&centry{key: k, val: v.clone()})
-	sh.trials += v.Len()
-}
-
-func (sh *cacheShard) evictOldestLocked() {
-	oldest := sh.lru.Back()
-	if oldest == nil {
-		return
-	}
-	sh.lru.Remove(oldest)
-	ce := oldest.Value.(*centry)
-	sh.trials -= ce.val.Len()
-	delete(sh.m, ce.key)
-	sh.evictions++
+	c.m[k] = c.lru.PushFront(&centry{key: k, val: v.clone()})
+	c.trials += v.Len()
 }
 
 // ExportedRun pairs a trial stream's key with its accumulated run, for
@@ -406,175 +272,31 @@ type ExportedRun struct {
 // share the cache's backing arrays. Safe to read concurrently with
 // serving traffic because stored runs are only ever replaced whole (Put
 // installs a fresh clone), never mutated in place — but callers must not
-// write through them. Entries come out oldest-first per shard, matching
-// eviction order.
+// write through them. Entries come out oldest-first, matching eviction
+// order.
 func (c *Cache) Export() []ExportedRun {
-	var out []ExportedRun
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Back(); el != nil; el = el.Prev() {
-			ce := el.Value.(*centry)
-			out = append(out, ExportedRun{Key: ce.key, Run: ce.val})
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]ExportedRun, 0, c.lru.Len())
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		ce := el.Value.(*centry)
+		out = append(out, ExportedRun{Key: ce.key, Run: ce.val})
 	}
 	return out
 }
 
-// rebalanceLoop periodically re-settles the per-shard capacity allotments.
-func (c *Cache) rebalanceLoop() {
-	t := time.NewTicker(cacheRebalanceEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-			c.rebalance()
-		}
-	}
-}
-
-// rebalance redistributes the global capacity proportional to each
-// shard's demand (hits + inserts) since the last pass, with a floor of
-// 1/(4·shards) so a cold shard keeps admitting. Two invariants hold at
-// all times: the allotments sum to at most the configured capacity (so
-// shard-local Put eviction preserves the global bound), and — matching
-// the unsharded cache, which only ever evicted when full — no entry is
-// evicted while the cache as a whole is under capacity: while there is
-// global headroom, a shard whose demand went quiet keeps at least its
-// population, funded by reclaiming other shards' unused headroom. Only
-// a globally full cache shrinks quiet shards below their population,
-// which is what lets a hot shard grow at stale entries' expense
-// (approximating global LRU).
-func (c *Cache) rebalance() {
-	n := len(c.shards)
-	demand := make([]uint64, n)
-	lens := make([]int, n)
-	var totalDemand uint64
-	totalLen := 0
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		demand[i] = sh.demand
-		sh.demand = 0
-		lens[i] = sh.lru.Len()
-		sh.mu.Unlock()
-		totalDemand += demand[i]
-		totalLen += lens[i]
-	}
-	floor := c.totalCap / (4 * n)
-	if floor < 1 {
-		floor = 1
-	}
-	avail := c.totalCap - n*floor
-	if avail < 0 {
-		avail = 0
-	}
-	caps := make([]int, n)
-	for i := range caps {
-		caps[i] = floor
-		if totalDemand > 0 {
-			caps[i] += int(float64(avail) * float64(demand[i]) / float64(totalDemand))
-		} else {
-			caps[i] += avail / n
-		}
-	}
-	if totalLen < c.totalCap {
-		// Global headroom: protect populations. Every shard keeps at
-		// least max(population, 1) — never 1 entry less, and never a zero
-		// cap, which would make the next Put spin forever on an empty
-		// LRU. The raise is paid back by shaving shards still above their
-		// own minimum, one entry per pass, until the caps sum back to the
-		// global capacity.
-		excess := -c.totalCap
-		for i := range caps {
-			if min := max(lens[i], 1); caps[i] < min {
-				caps[i] = min
-			}
-			excess += caps[i]
-		}
-		for excess > 0 {
-			shaved := false
-			for i := range caps {
-				if excess == 0 {
-					break
-				}
-				if caps[i] > max(lens[i], 1) {
-					caps[i]--
-					excess--
-					shaved = true
-				}
-			}
-			if !shaved {
-				break
-			}
-		}
-		// Degenerate near-full case: the 1-entry floors alone exceed the
-		// capacity's remainder. Shave above the floor — a few evictions,
-		// exactly when the cache is effectively full anyway.
-		for excess > 0 {
-			shaved := false
-			for i := range caps {
-				if excess == 0 {
-					break
-				}
-				if caps[i] > 1 {
-					caps[i]--
-					excess--
-					shaved = true
-				}
-			}
-			if !shaved {
-				break
-			}
-		}
-	}
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		sh.cap = caps[i]
-		for sh.lru.Len() > sh.cap {
-			sh.evictOldestLocked()
-		}
-		sh.mu.Unlock()
-	}
-	c.rebalances.Add(1)
-}
-
-// Stats returns the cache counters rolled up across shards.
+// Stats returns the cache counters.
 func (c *Cache) Stats() CacheStats {
-	st := CacheStats{
-		Capacity:   c.totalCap,
-		Shards:     len(c.shards),
-		Rebalances: c.rebalances.Load(),
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{
+		Entries:   c.lru.Len(),
+		Trials:    c.trials,
+		Capacity:  c.cap,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Extended:  c.extended,
+		Evictions: c.evictions,
+		LockWait:  c.mu.wait(),
 	}
-	for _, ss := range c.ShardStats() {
-		st.Entries += ss.Entries
-		st.Trials += ss.Trials
-		st.Hits += ss.Hits
-		st.Misses += ss.Misses
-		st.Extended += ss.Extended
-		st.Evictions += ss.Evictions
-		st.LockWait.add(ss.LockWait)
-	}
-	return st
-}
-
-// ShardStats returns each shard's slice of the counters, in shard order.
-func (c *Cache) ShardStats() []CacheShardStats {
-	out := make([]CacheShardStats, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		out[i] = CacheShardStats{
-			Entries:   sh.lru.Len(),
-			Trials:    sh.trials,
-			Capacity:  sh.cap,
-			Hits:      sh.hits,
-			Misses:    sh.misses,
-			Extended:  sh.extended,
-			Evictions: sh.evictions,
-		}
-		sh.mu.Unlock()
-		out[i].LockWait = sh.mu.wait()
-	}
-	return out
 }

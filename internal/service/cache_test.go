@@ -1,6 +1,8 @@
 package service_test
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -24,7 +26,7 @@ func run(i, n int) service.TrialRun {
 }
 
 func TestCacheLRUEvictionOrder(t *testing.T) {
-	c := service.NewCache(2, 1)
+	c := service.NewCache(2, 0)
 	c.Put(key(1), run(1, 3))
 	c.Put(key(2), run(2, 3))
 	if _, ok := c.Get(key(1), 0); !ok { // refresh 1: now 2 is the LRU entry
@@ -52,12 +54,55 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestCacheHoldsExactlyCapacity: the capacity is a count of runs, not an
+// expectation over hash buckets — a capacity-64 cache keeps any 64 keys
+// with no eviction, and the 65th evicts exactly the least recently used.
+func TestCacheHoldsExactlyCapacity(t *testing.T) {
+	const capacity = 64
+	rng := rand.New(rand.NewSource(19))
+	c := service.NewCache(capacity, 0)
+	keys := make([]service.TrialKey, capacity+1)
+	for i := range keys {
+		keys[i] = service.TrialKey{
+			Graph: rng.Uint64(),
+			Query: fmt.Sprintf("k%d:%x", 3+rng.Intn(8), rng.Uint32()),
+			Seed:  rng.Int63(),
+			Ranks: 1 + rng.Intn(8),
+		}
+	}
+	for i, k := range keys[:capacity] {
+		c.Put(k, run(i, 1+i%3))
+	}
+	if st := c.Stats(); st.Entries != capacity || st.Evictions != 0 {
+		t.Fatalf("after %d puts into capacity %d: %d entries, %d evictions",
+			capacity, capacity, st.Entries, st.Evictions)
+	}
+	// Touch every key but keys[5], in order: keys[5] is now the LRU entry.
+	for i, k := range keys[:capacity] {
+		if i == 5 {
+			continue
+		}
+		if _, ok := c.Get(k, 0); !ok {
+			t.Fatalf("key %d missing from a cache that never evicted", i)
+		}
+	}
+	c.Put(keys[capacity], run(capacity, 1))
+	if st := c.Stats(); st.Entries != capacity || st.Evictions != 1 {
+		t.Fatalf("the 65th key should evict exactly one: %+v", st)
+	}
+	for i, k := range keys {
+		if _, ok := c.Counts(k, 0); ok == (i == 5) {
+			t.Errorf("key %d resident = %v; only the least recently used (5) should be gone", i, ok)
+		}
+	}
+}
+
 // TestCacheMergeKeepsLongestRun is the trial-granular contract: a longer
 // run extends the entry (counted as an extension), an equal or shorter
 // one only refreshes recency — the resident prefix is already identical
 // by determinism, so nothing is overwritten or truncated.
 func TestCacheMergeKeepsLongestRun(t *testing.T) {
-	c := service.NewCache(4, 1)
+	c := service.NewCache(4, 0)
 	c.Put(key(1), run(1, 3))
 	c.Put(key(1), run(1, 8)) // extension: 3 → 8 trials
 	if v, _ := c.Get(key(1), 0); v.Len() != 8 {
@@ -85,7 +130,7 @@ func TestCacheMergeKeepsLongestRun(t *testing.T) {
 // TestCacheGetPrefixLimit: a bounded Get copies only the requested
 // prefix — a request never pays for trials past its own bound.
 func TestCacheGetPrefixLimit(t *testing.T) {
-	c := service.NewCache(4, 1)
+	c := service.NewCache(4, 0)
 	c.Put(key(1), run(1, 10))
 	v, ok := c.Get(key(1), 4)
 	if !ok || v.Len() != 4 || len(v.Stats) != 4 {
@@ -109,7 +154,7 @@ func TestCacheConcurrent(t *testing.T) {
 		keys    = 24 // working set fits the cache, so hits occur
 		cap     = 32
 	)
-	c := service.NewCache(cap, 1)
+	c := service.NewCache(cap, 0)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -145,7 +190,7 @@ func TestCacheConcurrent(t *testing.T) {
 // TestCacheIsolatesSlices checks callers and the cache never share
 // backing arrays in either direction — counts and per-trial stats both.
 func TestCacheIsolatesSlices(t *testing.T) {
-	c := service.NewCache(4, 1)
+	c := service.NewCache(4, 0)
 	orig := service.TrialRun{
 		Counts: []uint64{1, 2, 3},
 		Stats:  []core.Stats{{Loads: []int64{7}}, {}, {}},

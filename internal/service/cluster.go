@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -89,6 +91,27 @@ func (s *Service) routeKey(req EstimateRequest) (TrialKey, bool) {
 	}
 	defer h.Release()
 	return s.key(h.Fingerprint(), q, alg, nreq).TrialKey(), true
+}
+
+// hash folds every TrialKey field into the FNV-1a value the ring places
+// keys by. Every replica — across restarts and versions — must compute
+// the same value for the same key, or a key's home moves and its cached
+// runs are stranded; the bytes hashed here are frozen.
+func (k TrialKey) hash() uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], k.Graph)
+	h.Write(b[:])
+	io.WriteString(h, k.Query) //nolint:errcheck // fnv never fails
+	binary.LittleEndian.PutUint64(b[:], uint64(k.Algorithm))
+	h.Write(b[:])
+	io.WriteString(h, k.Backend) //nolint:errcheck // fnv never fails
+	h.Write([]byte{0})           // terminator: Backend and the next field must not blur
+	binary.LittleEndian.PutUint64(b[:], uint64(k.Seed))
+	h.Write(b[:])
+	binary.LittleEndian.PutUint64(b[:], uint64(k.Ranks))
+	h.Write(b[:])
+	return h.Sum64()
 }
 
 // maybeForward routes one estimate/job request: if the cluster says its

@@ -4,7 +4,29 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/core"
 )
+
+// TestTrialKeyHashIsFrozen pins the ring's placement hash to the values
+// it has had since the ring shipped: a key whose hash moves changes home,
+// and every replica's cached runs for it are stranded.
+func TestTrialKeyHashIsFrozen(t *testing.T) {
+	for _, c := range []struct {
+		key  TrialKey
+		want uint64
+	}{
+		{TrialKey{}, 0xcbf7a16bc31f675f},
+		{TrialKey{Graph: 0xfeedfacecafebeef, Query: "k5:1e:1d:1b:17:f", Algorithm: core.DB,
+			Backend: "parallel", Seed: -7, Ranks: 4}, 0x30b9ea9ce513f7c4},
+		{TrialKey{Graph: 1, Query: "k3:6:5:3", Algorithm: core.PS,
+			Backend: "sim", Seed: 1 << 40, Ranks: 1}, 0x5e417dcd673976ee},
+	} {
+		if got := c.key.hash(); got != c.want {
+			t.Errorf("hash(%+v) = %#x, want %#x", c.key, got, c.want)
+		}
+	}
+}
 
 // TestReadyzReportsHandoffReplay: /readyz flips to 503 (with Retry-After)
 // exactly while a handoff import replay is in flight, and back to 200

@@ -114,7 +114,7 @@ func persistable(j *job) bool {
 
 // durableSnapshot supplies the compaction state: every resident cache
 // run plus every retained terminal job. Runs on the log's writer
-// goroutine; the exports take the cache shard locks and the jobs mutex
+// goroutine; the exports take the cache mutex and the jobs mutex
 // briefly and hand back live slices, safe because stored runs and
 // terminal estimates are replaced, never mutated in place.
 func (s *Service) durableSnapshot() ([]durable.RunRecord, []durable.JobRecord) {

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,6 +97,76 @@ func TestRestartBitIdentity(t *testing.T) {
 		}
 		if !res.Cached {
 			t.Errorf("request %d not served from the replayed cache", i)
+		}
+	}
+	if got := svc2.Stats().Estimates; got != 0 {
+		t.Errorf("restart recomputed %d estimates; warm replay must compute none", got)
+	}
+}
+
+// TestRestartReplaysFullCache: a cache filled to exactly its capacity
+// comes back whole — boot replay must not drop a run the cache has room
+// for. 64 distinct streams (random seeds: consecutive ones spread too
+// evenly under any hash to tell a bucketed cache from an exact one) into
+// a capacity-64 cache, restart, and all 64 are served from the replayed
+// cache bit-identically.
+func TestRestartReplaysFullCache(t *testing.T) {
+	const capacity = 64
+	dir := t.TempDir()
+	open := func() *subgraph.Service {
+		svc, err := subgraph.OpenService(subgraph.ServiceOptions{
+			Workers: 2, CacheCapacity: capacity,
+			Durability: subgraph.DurabilityOptions{Dir: dir, Fsync: "always"},
+		})
+		if err != nil {
+			t.Fatalf("OpenService: %v", err)
+		}
+		if _, err := svc.AddGraph(subgraph.GraphSpec{Standin: "enron", Scale: 512, Seed: 1, Name: "g"}); err != nil {
+			svc.Close()
+			t.Fatalf("AddGraph: %v", err)
+		}
+		return svc
+	}
+	rng := rand.New(rand.NewSource(19))
+	seeds := make([]int64, capacity)
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
+	req := func(i int) subgraph.EstimateRequest {
+		return subgraph.EstimateRequest{Graph: "g", Query: "path3", Trials: 2, Seed: seeds[i]}
+	}
+
+	svc := open()
+	want := make([]subgraph.EstimateResult, capacity)
+	for i := range want {
+		res, err := svc.Estimate(context.Background(), req(i))
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		want[i] = res
+	}
+	if st := svc.Stats().Cache; st.Entries != capacity || st.Evictions != 0 {
+		t.Errorf("first life: %d entries, %d evictions in a capacity-%d cache", st.Entries, st.Evictions, capacity)
+	}
+	svc.Close()
+
+	svc2 := open()
+	defer svc2.Close()
+	st := svc2.Stats()
+	if st.Durable.ReplayedRuns != capacity || st.Cache.Entries != capacity || st.Cache.Evictions != 0 {
+		t.Errorf("replayed %d runs into %d entries with %d evictions, want %d/%d/0",
+			st.Durable.ReplayedRuns, st.Cache.Entries, st.Cache.Evictions, capacity, capacity)
+	}
+	for i := range want {
+		res, err := svc2.Estimate(context.Background(), req(i))
+		if err != nil {
+			t.Fatalf("replayed seed %d: %v", i, err)
+		}
+		if !res.Cached {
+			t.Errorf("seed %d recomputed after restart; the cache had room for it", i)
+		}
+		if !reflect.DeepEqual(res.Estimate, want[i].Estimate) {
+			t.Errorf("seed %d: restarted estimate diverges", i)
 		}
 	}
 	if got := svc2.Stats().Estimates; got != 0 {

@@ -24,9 +24,9 @@ import (
 //	GET    /metrics             Prometheus text-format exposition: request/trial/
 //	                            phase latency histograms recorded live, plus every
 //	                            /v1/stats counter bridged at scrape time
-//	GET    /v1/stats            counters of every layer (registry, cache, scheduler, jobs),
-//	                            plus a per-shard breakdown with lock-wait counters
-//	                            under "shards", per-execution-backend engine
+//	GET    /v1/stats            counters of every layer (registry, cache, scheduler, jobs)
+//	                            with each one's lock-wait counters,
+//	                            per-execution-backend engine
 //	                            counters under "engine", and per-endpoint /
 //	                            per-backend latency quantiles under "http" and
 //	                            "trialLatency"

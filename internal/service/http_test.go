@@ -132,6 +132,38 @@ func TestEstimateCacheHit(t *testing.T) {
 	}
 }
 
+// TestStatsLockWaitSection checks /v1/stats reports one lock per serving
+// structure — lock-wait counters on the registry, the cache, the job
+// manager and its singleflight index — and no per-shard breakdown.
+func TestStatsLockWaitSection(t *testing.T) {
+	ts, _ := newServer(t)
+	post(t, ts, "/v1/estimate", `{"graph":"bench","query":"path3","trials":1,"seed":1}`, http.StatusOK)
+
+	var st map[string]json.RawMessage
+	get(t, ts, "/v1/stats", &st)
+	if _, ok := st["shards"]; ok {
+		t.Error("/v1/stats still has a shards section")
+	}
+	var jobs map[string]json.RawMessage
+	if err := json.Unmarshal(st["jobs"], &jobs); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string]json.RawMessage{
+		"registry": st["registry"], "cache": st["cache"], "jobs": st["jobs"], "jobs.singleflight": jobs["singleflight"],
+	} {
+		var row map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &row); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if row["lockWaits"] == nil || row["lockWaitMs"] == nil {
+			t.Errorf("%s is missing lockWaits/lockWaitMs: %s", name, raw)
+		}
+		if row["shards"] != nil {
+			t.Errorf("%s still reports a shard count: %s", name, raw)
+		}
+	}
+}
+
 // TestBatchFigure8Catalog runs the paper's ten Figure 8 queries as one
 // batch and checks each result equals the direct library call with the
 // same seed, and that queries with matching node counts shared colorings.

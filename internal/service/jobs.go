@@ -161,10 +161,8 @@ type job struct {
 }
 
 // JobsStats are the job manager's observability counters. LockWait
-// measures contention on the manager's own mutex (job ids and lifecycle
-// are still global); the singleflight index has been split onto its own
-// keyed-hash shards, reported separately, so index lookups on distinct
-// keys no longer queue behind job bookkeeping.
+// measures contention on the manager's own mutex (job ids and lifecycle);
+// the singleflight index has its own lock, reported separately.
 type JobsStats struct {
 	Submitted uint64 `json:"submitted"`
 	Coalesced uint64 `json:"coalesced"`
@@ -176,81 +174,42 @@ type JobsStats struct {
 	Singleflight SingleflightStats `json:"singleflight"`
 }
 
-// SingleflightStats describe the sharded in-flight index: how many keys
-// are currently flying and how contended the shard locks are.
+// SingleflightStats describe the in-flight index: how many keys are
+// currently flying and how contended its lock is.
 type SingleflightStats struct {
-	Keys   int `json:"keys"`
-	Shards int `json:"shards"`
+	Keys int `json:"keys"`
 	LockWait
 }
 
-// singleflightIndex is the in-flight key → flight map, split off the job
-// manager's global mutex into keyed-hash shards with their own locks: a
-// submission only serializes with submissions (and completions) whose
-// keys land on the same shard, so the manager mutex stops being the last
-// global lock crossed by every cache-missing request. The locking
-// protocol is strictly shard-before-manager: any path that needs both
-// takes the key's shard lock first, then jobManager.mu — a flight found
-// in the index under its shard lock therefore cannot finish (finishFlight
-// removes it under the same shard lock before settling waiters), which is
-// what makes attach-on-lookup race-free.
-type singleflightIndex struct {
-	shards []singleflightShard
-}
-
-type singleflightShard struct {
-	mu waitMutex
-	m  map[Key]*flight
-}
-
-func newSingleflightIndex(shards int) *singleflightIndex {
-	if shards < 1 {
-		shards = 1
-	}
-	ix := &singleflightIndex{shards: make([]singleflightShard, shards)}
-	for i := range ix.shards {
-		ix.shards[i].m = make(map[Key]*flight)
-	}
-	return ix
-}
-
-func (ix *singleflightIndex) shardFor(k Key) *singleflightShard {
-	return &ix.shards[k.hash()%uint64(len(ix.shards))]
-}
-
-func (ix *singleflightIndex) stats() SingleflightStats {
-	st := SingleflightStats{Shards: len(ix.shards)}
-	for i := range ix.shards {
-		sh := &ix.shards[i]
-		sh.mu.Lock()
-		st.Keys += len(sh.m)
-		sh.mu.Unlock()
-		st.LockWait.add(sh.mu.wait())
-	}
-	return st
-}
-
 // jobManager tracks every job by id, the in-flight singleflight index,
-// and TTL'd retention of finished jobs. Its mutex is the serving path's
-// one global lock, so the per-request critical sections (submission,
+// and TTL'd retention of finished jobs. Two locks, one per structure: mu
+// guards the jobs, inflightMu the key → flight index. mu is crossed by
+// every request, so its per-request critical sections (submission,
 // cache-hit registration, result fetch) allocate nothing: ids come from
 // an atomic counter and estimates are cloned outside — an allocation
-// that hits a GC assist while holding a hot global mutex convoys every
+// that hits a GC assist while holding a hot mutex convoys every
 // concurrent request behind it. Flight completion (finishFlight) does
 // still clone per attached job under the lock; it runs once per
 // computed estimate, so its rate is bounded by the worker pool, not by
 // request throughput.
+//
+// The lock order is strictly inflightMu before mu: any path that needs
+// both takes inflightMu first. A flight found in the index under
+// inflightMu therefore cannot finish (finishFlight removes it under the
+// same lock before settling waiters), which is what makes
+// attach-on-lookup race-free.
 type jobManager struct {
-	mu        waitMutex
-	byID      map[string]*job
-	order     []*job // submission order: oldest first, for sweeps and listings
-	inflight  *singleflightIndex
-	nextID    atomic.Uint64
-	ttl       time.Duration
-	maxJobs   int
-	terminal  int       // finished jobs currently retained
-	nextSweep time.Time // earliest time the next time-based sweep runs
-	sweepGap  time.Duration
+	mu         waitMutex
+	byID       map[string]*job
+	order      []*job // submission order: oldest first, for sweeps and listings
+	inflightMu waitMutex
+	inflight   map[Key]*flight
+	nextID     atomic.Uint64
+	ttl        time.Duration
+	maxJobs    int
+	terminal   int       // finished jobs currently retained
+	nextSweep  time.Time // earliest time the next time-based sweep runs
+	sweepGap   time.Duration
 
 	submitted uint64
 	coalesced uint64
@@ -264,7 +223,7 @@ type jobManager struct {
 	onTerminal func(*job)
 }
 
-func newJobManager(ttl time.Duration, maxJobs, sfShards int) *jobManager {
+func newJobManager(ttl time.Duration, maxJobs int) *jobManager {
 	gap := ttl / 4
 	if gap > time.Minute {
 		gap = time.Minute
@@ -274,7 +233,7 @@ func newJobManager(ttl time.Duration, maxJobs, sfShards int) *jobManager {
 	}
 	return &jobManager{
 		byID:     make(map[string]*job),
-		inflight: newSingleflightIndex(sfShards),
+		inflight: make(map[Key]*flight),
 		ttl:      ttl,
 		maxJobs:  maxJobs,
 		sweepGap: gap,
@@ -366,21 +325,20 @@ func (m *jobManager) flightStarted(fl *flight) {
 // finishFlight settles a flight exactly once: the first caller (the
 // worker's fn with the real outcome, or the scheduler's drop path with a
 // cancellation) wins, every still-attached job is finalized with it, and
-// the flight leaves the singleflight index. The key's shard lock is taken
-// before the manager mutex (the index's locking protocol), so the removal
-// and the settling are atomic with respect to attach-on-lookup.
+// the flight leaves the singleflight index. The index lock is taken
+// before the manager mutex (the lock order), so the removal and the
+// settling are atomic with respect to attach-on-lookup.
 func (m *jobManager) finishFlight(fl *flight, est coloring.Estimate, err error) {
-	sh := m.inflight.shardFor(fl.key)
-	sh.mu.Lock()
+	m.inflightMu.Lock()
 	m.mu.Lock()
 	if fl.finished {
 		m.mu.Unlock()
-		sh.mu.Unlock()
+		m.inflightMu.Unlock()
 		return
 	}
 	fl.finished = true
-	if sh.m[fl.key] == fl {
-		delete(sh.m, fl.key)
+	if m.inflight[fl.key] == fl {
+		delete(m.inflight, fl.key)
 	}
 	now := time.Now()
 	for _, j := range fl.jobs {
@@ -390,7 +348,7 @@ func (m *jobManager) finishFlight(fl *flight, est coloring.Estimate, err error) 
 	}
 	fl.jobs = nil
 	m.mu.Unlock()
-	sh.mu.Unlock()
+	m.inflightMu.Unlock()
 	fl.cancel() // release the flight context's resources
 }
 
@@ -457,28 +415,18 @@ func (m *jobManager) finalizeOwnedLocked(j *job, est coloring.Estimate, err erro
 // new arrivals start fresh instead of attaching to a dying run. Reports
 // whether the job was still live.
 func (m *jobManager) detach(j *job, cause error) bool {
-	// j.fl is written once, before the job is published under m.mu, and
-	// every caller reached j through an acquisition of m.mu — safe to read
-	// here to pick the shard lock, which must come before the manager
-	// mutex.
-	fl := j.fl
-	var sh *singleflightShard
-	if fl != nil {
-		sh = m.inflight.shardFor(fl.key)
-		sh.mu.Lock()
-	}
+	m.inflightMu.Lock()
 	m.mu.Lock()
 	if j.state.Terminal() {
 		m.mu.Unlock()
-		if sh != nil {
-			sh.mu.Unlock()
-		}
+		m.inflightMu.Unlock()
 		return false
 	}
 	m.finalizeLocked(j, coloring.Estimate{}, cause, time.Now())
 	if errors.Is(cause, context.Canceled) {
 		m.canceled++
 	}
+	fl := j.fl
 	var cancelFlight bool
 	if fl != nil && !fl.finished {
 		live := fl.jobs[:0]
@@ -490,15 +438,13 @@ func (m *jobManager) detach(j *job, cause error) bool {
 		fl.jobs = live
 		if len(live) == 0 {
 			cancelFlight = true
-			if sh.m[fl.key] == fl {
-				delete(sh.m, fl.key)
+			if m.inflight[fl.key] == fl {
+				delete(m.inflight, fl.key)
 			}
 		}
 	}
 	m.mu.Unlock()
-	if sh != nil {
-		sh.mu.Unlock()
-	}
+	m.inflightMu.Unlock()
 	if cancelFlight {
 		fl.cancel()
 	}
@@ -700,9 +646,9 @@ func (m *jobManager) shutdown() {
 }
 
 func (m *jobManager) stats() JobsStats {
-	// The index rollup takes shard locks; the protocol is shard before
-	// manager, so collect it before acquiring m.mu.
-	sf := m.inflight.stats()
+	m.inflightMu.Lock()
+	sf := SingleflightStats{Keys: len(m.inflight), LockWait: m.inflightMu.wait()}
+	m.inflightMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return JobsStats{

@@ -10,12 +10,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -180,71 +177,21 @@ func approxBytes(g *graph.Graph) int64 {
 	return entryOverhead + 8*int64(g.N()+1) + 8*g.M() + 4*int64(g.N())
 }
 
-// shardDefaults bounds the shard counts a caller can pick. Sharding by
-// hash only pays while shards outnumber cores by a small factor; past
-// maxShards the per-shard maps are so sparse the extra indirection is
-// pure overhead.
-const maxShards = 256
-
-// DefaultShards is the shard count used when a caller leaves it ≤ 0:
-// twice the core count, clamped to [8, 32]. Twice the cores keeps the
-// collision probability of concurrent hot-path acquisitions low; the
-// floor of 8 keeps small machines observably sharded (CI runners included)
-// and costs only a few empty maps.
-func DefaultShards() int {
-	n := 2 * runtime.NumCPU()
-	if n < 8 {
-		n = 8
-	}
-	if n > 32 {
-		n = 32
-	}
-	return n
-}
-
-func normShards(n int) int {
-	if n <= 0 {
-		n = DefaultShards()
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	return n
-}
-
-// stringShard picks a shard for a string key by FNV-1a.
-func stringShard(s string, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(s)) //nolint:errcheck // fnv never fails
-	return int(h.Sum64() % uint64(n))
-}
-
 // gentry is one registered graph. refs counts outstanding Handles; an
-// entry is evictable only at refs == 0. All mutable fields are guarded by
-// the owning shard's mutex; the name index may hold pointers to an entry
-// whose shard has since evicted it, so readers must re-check evicted under
-// the shard lock.
+// entry is evictable only at refs == 0. Every mutable field is guarded by
+// the registry's mutex.
 type gentry struct {
 	id          string
 	name        string
-	names       []string // every name-index key pointing here (id, name, aliases)
+	names       []string // every byRef key pointing here (id, name, aliases)
 	sourceKey   string
-	spec        GraphSpec
 	g           *graph.Graph
+	stats       graph.Stats // computed once at load: the listing must not scan under the lock
 	fingerprint uint64
 	bytes       int64
 	refs        int
-	seq         uint64 // global registration order, for List
-	shard       *regShard
-	// LRU position: younger entries have larger ticks (per shard).
+	// LRU position: younger entries have larger ticks.
 	lruTick uint64
-	// evicted is atomic because it is the one field read across locks:
-	// claimName (holding only a name-shard mutex) must recognize an entry
-	// that its shard is mid-way through evicting — marked dead but its
-	// names not yet dropped — or a registration racing that eviction
-	// would fail with a spurious name conflict. All writes happen under
-	// the owning shard's mutex; eviction is permanent.
-	evicted atomic.Bool
 }
 
 // Handle is a reference-counted lease on a registered graph. The graph is
@@ -253,8 +200,7 @@ type gentry struct {
 type Handle struct {
 	r        *Registry
 	e        *gentry
-	released bool
-	mu       sync.Mutex
+	released bool // guarded by r.mu
 }
 
 // Graph returns the held graph.
@@ -268,34 +214,19 @@ func (h *Handle) ID() string { return h.e.id }
 
 // Release returns the lease. Releasing twice is a no-op.
 func (h *Handle) Release() {
-	h.mu.Lock()
+	r := h.r
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if h.released {
-		h.mu.Unlock()
 		return
 	}
 	h.released = true
-	h.mu.Unlock()
-	h.r.release(h.e)
+	h.e.refs--
+	r.evictLocked()
 }
 
-// RegistryStats are the registry's observability counters, rolled up
-// across shards.
+// RegistryStats are the registry's observability counters.
 type RegistryStats struct {
-	Graphs      int    `json:"graphs"`
-	Bytes       int64  `json:"bytes"`
-	BudgetBytes int64  `json:"budgetBytes"`
-	Loads       uint64 `json:"loads"`
-	Hits        uint64 `json:"hits"`
-	Evictions   uint64 `json:"evictions"`
-	Shards      int    `json:"shards"`
-	Rebalances  uint64 `json:"rebalances"`
-	LockWait
-}
-
-// RegistryShardStats is one shard's slice of the registry counters, for
-// the /v1/stats shards section: skew across entries reveals hot shards,
-// and LockWait reveals whether the shard count is high enough.
-type RegistryShardStats struct {
 	Graphs      int    `json:"graphs"`
 	Bytes       int64  `json:"bytes"`
 	BudgetBytes int64  `json:"budgetBytes"`
@@ -318,167 +249,41 @@ type GraphInfo struct {
 	Refs        int     `json:"refs"`
 }
 
-// regShard owns the entries whose source key hashes to it: their bySrc
-// index, their LRU ordering, their byte accounting, and a local budget
-// (settled by the rebalancer) that decides where eviction happens.
-type regShard struct {
+// Registry loads each graph once and keeps it behind reference-counted
+// handles. One mutex guards two maps (by source key and by ref: id, name,
+// aliases) and one LRU order; graphs are built outside it. The memory
+// budget is exact: whenever resident bytes exceed it — on the Add that
+// goes over, or the Release that makes a graph idle — the least recently
+// used idle graphs are evicted until the registry fits or only graphs
+// held by running jobs remain, which are never evicted out from under
+// them.
+type Registry struct {
 	mu      waitMutex
 	budget  int64
 	bytes   int64
 	tick    uint64
+	nextID  uint64
 	bySrc   map[string]*gentry
-	entries []*gentry // registration order within the shard
-
-	// activity accumulates the bytes of entries acquired since the last
-	// rebalance — the demand signal. Resident bytes would be circular:
-	// eviction shrinks them, which shrinks the next allotment, which
-	// evicts more, converging every shard back to the even split under
-	// sustained pressure. Acquisition activity is driven by the workload
-	// alone, so a hot shard's allotment tracks its traffic.
-	activity int64
-	// pinned is the resident bytes of entries with outstanding handles,
-	// maintained incrementally on the refs 0↔1 transitions so the
-	// rebalancer reads it in O(1) instead of walking the shard's entries
-	// under the mutex the hot path contends on.
-	pinned int64
+	byRef   map[string]*gentry
+	entries []*gentry // registration order
 
 	loads     uint64
 	hits      uint64
 	evictions uint64
 }
 
-// nameShard is one stripe of the ref index (id and name both resolve
-// here). It is sharded independently of the entry shards because a ref
-// string gives no clue which entry shard owns the graph.
-type nameShard struct {
-	mu waitMutex
-	m  map[string]*gentry
-}
-
-// Registry loads each graph once and keeps it behind reference-counted
-// handles, partitioned across shards by source-key hash so registration,
-// lookup, and eviction on different graphs do not contend on one mutex.
-// The memory budget is global: each shard evicts its own least-recently-
-// used idle entries only while the registry as a whole is over budget and
-// the shard is over its local allotment, and a background rebalancer
-// re-settles the per-shard allotments proportional to demand so a skewed
-// workload is not evicted against an even split. Graphs held by running
-// jobs are never evicted out from under them.
-//
-// Lock ordering: a shard mutex may be taken while holding nothing, and a
-// name-shard mutex may be taken while holding a shard mutex — never the
-// reverse. Readers resolving a ref therefore release the name shard
-// before locking the entry's shard, and must treat an entry that became
-// evicted in between as a miss.
-type Registry struct {
-	budget int64
-	bytes  atomic.Int64 // resident bytes across all shards
-	nextID atomic.Uint64
-	seq    atomic.Uint64
-	shards []*regShard
-	names  []*nameShard
-
-	rebalances atomic.Uint64
-	stop       chan struct{}
-	stopOnce   sync.Once
-}
-
-// regRebalanceEvery is the cadence of the background budget rebalancer.
-const regRebalanceEvery = 500 * time.Millisecond
-
 // NewRegistry returns a registry with the given memory budget in bytes
-// (≤ 0 means 1 GiB) split across shards (≤ 0 means DefaultShards). A
-// single graph larger than the budget is still admitted; the budget
-// bounds what is kept around. Close the registry when done: with more
-// than one shard it runs a background budget rebalancer.
-func NewRegistry(budgetBytes int64, shards int) *Registry {
+// (≤ 0 means 1 GiB). A single graph larger than the budget is still
+// admitted; the budget bounds what is kept around.
+func NewRegistry(budgetBytes int64) *Registry {
 	if budgetBytes <= 0 {
 		budgetBytes = 1 << 30
 	}
-	n := normShards(shards)
-	r := &Registry{
+	return &Registry{
 		budget: budgetBytes,
-		shards: make([]*regShard, n),
-		names:  make([]*nameShard, n),
-		stop:   make(chan struct{}),
+		bySrc:  make(map[string]*gentry),
+		byRef:  make(map[string]*gentry),
 	}
-	for i := range r.shards {
-		r.shards[i] = &regShard{budget: budgetBytes / int64(n), bySrc: make(map[string]*gentry)}
-		r.names[i] = &nameShard{m: make(map[string]*gentry)}
-	}
-	r.shards[0].budget += budgetBytes % int64(n)
-	if n > 1 {
-		go r.rebalanceLoop()
-	}
-	return r
-}
-
-// Close stops the background rebalancer. The registry stays usable (its
-// per-shard budgets simply stop adapting), so a forgotten Close degrades
-// gracefully.
-func (r *Registry) Close() {
-	r.stopOnce.Do(func() { close(r.stop) })
-}
-
-func (r *Registry) shardFor(src string) *regShard {
-	return r.shards[stringShard(src, len(r.shards))]
-}
-
-func (r *Registry) nameShardFor(name string) *nameShard {
-	return r.names[stringShard(name, len(r.names))]
-}
-
-// claim outcomes for name-index insertion.
-type claimResult int
-
-const (
-	claimedNew   claimResult = iota // name inserted, now points at e
-	claimOurs                       // name already pointed at e
-	claimTakenBy                    // name held by a different live entry
-)
-
-// claimName atomically points name at e in the ref index unless another
-// live entry holds it. An evicted holder is overwritten: its shard is
-// between marking it dead and dropping its names, and dropNamesOf only
-// deletes keys still pointing at the victim, so the overwrite sticks.
-func (r *Registry) claimName(name string, e *gentry) claimResult {
-	ns := r.nameShardFor(name)
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	if cur, ok := ns.m[name]; ok {
-		if cur == e {
-			return claimOurs
-		}
-		if !cur.evicted.Load() {
-			return claimTakenBy
-		}
-	}
-	ns.m[name] = e
-	return claimedNew
-}
-
-// dropNamesOf removes every ref-index key of e that still points at e.
-// Callers hold e's shard mutex (never a name-shard mutex), matching the
-// registry's lock order.
-func (r *Registry) dropNamesOf(e *gentry) {
-	for _, n := range e.names {
-		ns := r.nameShardFor(n)
-		ns.mu.Lock()
-		if ns.m[n] == e {
-			delete(ns.m, n)
-		}
-		ns.mu.Unlock()
-	}
-}
-
-// lookupRef reads the ref index. The returned entry may have been evicted
-// (or be mid-eviction) — callers must re-check under its shard lock.
-func (r *Registry) lookupRef(ref string) (*gentry, bool) {
-	ns := r.nameShardFor(ref)
-	ns.mu.Lock()
-	e, ok := ns.m[ref]
-	ns.mu.Unlock()
-	return e, ok
 }
 
 // Add registers (or re-resolves) the graph described by spec and returns a
@@ -490,15 +295,14 @@ func (r *Registry) Add(spec GraphSpec) (*Handle, error) {
 		return nil, err
 	}
 	src := spec.sourceKey()
-	sh := r.shardFor(src)
 
-	sh.mu.Lock()
-	if e, ok := sh.bySrc[src]; ok {
-		h, err := r.aliasAcquireLocked(sh, e, spec.Name)
-		sh.mu.Unlock()
+	r.mu.Lock()
+	if e, ok := r.bySrc[src]; ok {
+		h, err := r.aliasAcquireLocked(e, spec.Name)
+		r.mu.Unlock()
 		return h, err
 	}
-	sh.mu.Unlock()
+	r.mu.Unlock()
 
 	// Load outside the lock: generators and disk reads can take seconds and
 	// must not block unrelated lookups.
@@ -506,304 +310,146 @@ func (r *Registry) Add(spec GraphSpec) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp := Fingerprint(g)
+	fp, stats := Fingerprint(g), g.Stats()
 
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.bySrc[src]; ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e, ok := r.bySrc[src]; ok {
 		// Lost a race with a concurrent Add of the same source; the
 		// requested name must still become an alias of the winner.
-		return r.aliasAcquireLocked(sh, e, spec.Name)
+		return r.aliasAcquireLocked(e, spec.Name)
 	}
-	name := spec.Name
-	if name == "" {
-		name = g.Name
+	// An explicitly requested name that is already taken fails the whole
+	// registration, before an id is burned on it.
+	if _, taken := r.byRef[spec.Name]; taken { // "" is never a key
+		return nil, fmt.Errorf("service: graph name %q already in use", spec.Name)
 	}
 	e := &gentry{
 		sourceKey:   src,
-		spec:        spec,
 		g:           g,
+		stats:       stats,
 		fingerprint: fp,
 		bytes:       approxBytes(g),
-		seq:         r.seq.Add(1),
-		shard:       sh,
 	}
-	// An explicitly requested name that is already taken by a live entry
-	// fails the whole registration (checked again at claim time — this
-	// early check just avoids burning an id on the common, unraced
-	// conflict). A mid-eviction holder is not a conflict: claimName will
-	// overwrite it.
-	if spec.Name != "" {
-		if cur, taken := r.lookupRef(spec.Name); taken && !cur.evicted.Load() {
-			return nil, fmt.Errorf("service: graph name %q already in use", name)
-		}
-	}
-	// Claim an auto id, skipping any a user has squatted on with an
-	// explicit name ("g3"): the atomic claim makes the skip race-free.
+	// Draw an auto id, skipping any a user has squatted on with an explicit
+	// name ("g3").
 	for {
-		e.id = fmt.Sprintf("g%d", r.nextID.Add(1))
-		if r.claimName(e.id, e) == claimedNew {
+		r.nextID++
+		e.id = fmt.Sprintf("g%d", r.nextID)
+		if _, taken := r.byRef[e.id]; !taken {
 			break
 		}
 	}
-	e.names = append(e.names, e.id)
-	if name == "" {
-		name = e.id
+	e.name = spec.Name
+	if e.name == "" {
+		e.name = g.Name
 	}
-	if name != e.id {
-		switch r.claimName(name, e) {
-		case claimedNew:
-			e.names = append(e.names, name)
-		case claimTakenBy:
-			if spec.Name != "" {
-				// Lost a naming race after the early check: roll the id
-				// claim back and report the conflict. The entry is marked
-				// evicted first so a concurrent Acquire that read the id
-				// from the ref index treats it as the miss it is.
-				e.evicted.Store(true)
-				r.dropNamesOf(e)
-				return nil, fmt.Errorf("service: graph name %q already in use", name)
-			}
-			// Auto-derived names (generators reuse display names like
-			// "powerlaw500") must not conflict: fall back to the unique id.
-			name = e.id
+	// Auto-derived names (generators reuse display names like
+	// "powerlaw500") must not conflict: fall back to the unique id.
+	if _, taken := r.byRef[e.name]; taken || e.name == "" {
+		e.name = e.id
+	}
+	for _, n := range []string{e.id, e.name} {
+		if r.byRef[n] != e {
+			r.byRef[n] = e
+			e.names = append(e.names, n)
 		}
 	}
-	e.name = name
-	sh.bySrc[src] = e
-	sh.entries = append(sh.entries, e)
-	sh.bytes += e.bytes
-	r.bytes.Add(e.bytes)
-	sh.loads++
-	h := r.acquireLocked(sh, e)
-	r.evictShardLocked(sh)
+	r.bySrc[src] = e
+	r.entries = append(r.entries, e)
+	r.bytes += e.bytes
+	r.loads++
+	h := r.acquireLocked(e)
+	r.evictLocked()
 	return h, nil
 }
 
 // aliasAcquireLocked resolves a registration that hit an existing entry:
 // the requested name (if any) becomes one more alias, and the entry is
-// acquired. Callers hold sh.mu.
-func (r *Registry) aliasAcquireLocked(sh *regShard, e *gentry, name string) (*Handle, error) {
-	if name != "" && name != e.name {
-		switch r.claimName(name, e) {
-		case claimedNew:
+// acquired.
+func (r *Registry) aliasAcquireLocked(e *gentry, name string) (*Handle, error) {
+	if name != "" {
+		switch cur, taken := r.byRef[name]; {
+		case !taken:
+			r.byRef[name] = e
 			e.names = append(e.names, name)
-		case claimTakenBy:
+		case cur != e:
 			return nil, fmt.Errorf("service: graph name %q already in use", name)
 		}
 	}
-	sh.hits++
-	return r.acquireLocked(sh, e), nil
+	r.hits++
+	return r.acquireLocked(e), nil
 }
 
-// Acquire resolves a registered graph by id or name. A lookup that races
-// an eviction retries once: the name may resolve to a freshly re-
-// registered entry.
+// Acquire resolves a registered graph by id or name.
 func (r *Registry) Acquire(ref string) (*Handle, bool) {
-	for attempt := 0; attempt < 2; attempt++ {
-		e, ok := r.lookupRef(ref)
-		if !ok {
-			return nil, false
-		}
-		sh := e.shard
-		sh.mu.Lock()
-		if e.evicted.Load() {
-			sh.mu.Unlock()
-			continue
-		}
-		sh.hits++
-		h := r.acquireLocked(sh, e)
-		sh.mu.Unlock()
-		return h, true
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.byRef[ref]
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	r.hits++
+	return r.acquireLocked(e), true
 }
 
-func (r *Registry) acquireLocked(sh *regShard, e *gentry) *Handle {
+func (r *Registry) acquireLocked(e *gentry) *Handle {
 	e.refs++
-	if e.refs == 1 {
-		sh.pinned += e.bytes
-	}
-	sh.tick++
-	e.lruTick = sh.tick
-	sh.activity += e.bytes
+	r.tick++
+	e.lruTick = r.tick
 	return &Handle{r: r, e: e}
 }
 
-func (r *Registry) release(e *gentry) {
-	sh := e.shard
-	sh.mu.Lock()
-	e.refs--
-	if e.refs == 0 {
-		sh.pinned -= e.bytes
-	}
-	r.evictShardLocked(sh)
-	sh.mu.Unlock()
-}
-
-// evictShardLocked drops this shard's least-recently-used idle entries
-// while the registry as a whole is over its global budget and the shard is
-// over its local allotment (or until nothing here is evictable). The
-// global condition means a shard with free budget headroom never evicts
-// just because its neighbors are full; the local condition means pressure
-// on one shard cannot evict another shard's graphs — each shard only ever
-// evicts its own. Every ref-index alias of a victim is removed, so an
-// evicted entry (its graph released for GC) can never be resolved again,
-// and dead entries are compacted out of the registration list so
-// long-lived registries don't scan tombstones.
-func (r *Registry) evictShardLocked(sh *regShard) {
-	evicted := false
-	for r.bytes.Load() > r.budget && sh.bytes > sh.budget {
-		var victim *gentry
-		for _, e := range sh.entries {
-			if e.evicted.Load() || e.refs > 0 {
-				continue
-			}
-			if victim == nil || e.lruTick < victim.lruTick {
-				victim = e
+// evictLocked drops the least-recently-used idle entries while the
+// registry is over budget (or until nothing is evictable). Every byRef
+// key of a victim is removed, so an evicted entry can never be resolved
+// again and its graph is free for GC.
+func (r *Registry) evictLocked() {
+	for r.bytes > r.budget {
+		vi := -1
+		for i, e := range r.entries {
+			if e.refs == 0 && (vi < 0 || e.lruTick < r.entries[vi].lruTick) {
+				vi = i
 			}
 		}
-		if victim == nil {
-			break
-		}
-		victim.evicted.Store(true)
-		victim.g = nil
-		sh.bytes -= victim.bytes
-		r.bytes.Add(-victim.bytes)
-		delete(sh.bySrc, victim.sourceKey)
-		r.dropNamesOf(victim)
-		sh.evictions++
-		evicted = true
-	}
-	if evicted {
-		live := sh.entries[:0]
-		for _, e := range sh.entries {
-			if !e.evicted.Load() {
-				live = append(live, e)
-			}
-		}
-		for i := len(live); i < len(sh.entries); i++ {
-			sh.entries[i] = nil
-		}
-		sh.entries = live
-	}
-}
-
-// rebalanceLoop periodically re-settles the per-shard budget allotments.
-func (r *Registry) rebalanceLoop() {
-	t := time.NewTicker(regRebalanceEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
+		if vi < 0 {
 			return
-		case <-t.C:
-			r.rebalance()
 		}
-	}
-}
-
-// rebalance redistributes the global budget across shards: each shard is
-// allotted its pinned bytes (entries with outstanding handles, which it
-// could not evict anyway) plus a share of the remaining budget
-// proportional to its acquisition activity since the last pass (falling
-// back to resident bytes on an idle interval, so a quiet system keeps
-// allotments matching what is loaded), with a floor of 1/(4·shards) so a
-// cold shard can always admit new graphs without immediately evicting
-// them. Covering pinned bytes first is what preserves the global budget
-// contract: when one shard's residents are all referenced, the
-// unevictable overhang shrinks every other shard's allotment, so their
-// idle entries are evicted instead of the registry sitting over budget
-// until the pins release — which is what the unsharded registry's global
-// LRU did. After the new allotments land, shards over theirs evict (only
-// while the registry is globally over budget) — so under a skewed
-// workload the busy shard inherits the idle shards' headroom instead of
-// thrashing against an even split.
-func (r *Registry) rebalance() {
-	n := len(r.shards)
-	demand := make([]int64, n)
-	resident := make([]int64, n)
-	pinned := make([]int64, n)
-	var total, totalResident, totalPinned int64
-	for i, sh := range r.shards {
-		sh.mu.Lock()
-		demand[i] = sh.activity
-		sh.activity = 0
-		resident[i] = sh.bytes
-		pinned[i] = sh.pinned
-		sh.mu.Unlock()
-		total += demand[i]
-		totalResident += resident[i]
-		totalPinned += pinned[i]
-	}
-	if total == 0 {
-		demand, total = resident, totalResident
-	}
-	floor := r.budget / int64(4*n)
-	if floor < 1 {
-		floor = 1
-	}
-	avail := r.budget - totalPinned - int64(n)*floor
-	if avail < 0 {
-		avail = 0
-	}
-	for i, sh := range r.shards {
-		b := pinned[i] + floor
-		if total > 0 {
-			b += int64(float64(avail) * float64(demand[i]) / float64(total))
-		} else {
-			b += avail / int64(n)
+		victim := r.entries[vi]
+		r.entries = slices.Delete(r.entries, vi, vi+1)
+		delete(r.bySrc, victim.sourceKey)
+		for _, n := range victim.names {
+			delete(r.byRef, n)
 		}
-		sh.mu.Lock()
-		sh.budget = b
-		r.evictShardLocked(sh)
-		sh.mu.Unlock()
+		r.bytes -= victim.bytes
+		r.evictions++
 	}
-	r.rebalances.Add(1)
 }
 
 // List returns the live entries in registration order.
 func (r *Registry) List() []GraphInfo {
-	type seqInfo struct {
-		seq  uint64
-		info GraphInfo
-	}
-	var all []seqInfo
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.evicted.Load() {
-				continue
-			}
-			all = append(all, seqInfo{seq: e.seq, info: infoLocked(e)})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var out []GraphInfo
-	for _, si := range all {
-		out = append(out, si.info)
+	for _, e := range r.entries {
+		out = append(out, infoLocked(e))
 	}
 	return out
 }
 
 // Info returns the listing entry for one graph by id or name.
 func (r *Registry) Info(ref string) (GraphInfo, bool) {
-	e, ok := r.lookupRef(ref)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.byRef[ref]
 	if !ok {
-		return GraphInfo{}, false
-	}
-	sh := e.shard
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e.evicted.Load() {
 		return GraphInfo{}, false
 	}
 	return infoLocked(e), true
 }
 
 func infoLocked(e *gentry) GraphInfo {
-	st := e.g.Stats()
+	st := e.stats
 	return GraphInfo{
 		ID:          e.id,
 		Name:        e.name,
@@ -817,49 +463,19 @@ func infoLocked(e *gentry) GraphInfo {
 	}
 }
 
-// Stats returns the registry counters rolled up across shards.
+// Stats returns the registry counters.
 func (r *Registry) Stats() RegistryStats {
-	st := RegistryStats{
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return RegistryStats{
+		Graphs:      len(r.entries),
+		Bytes:       r.bytes,
 		BudgetBytes: r.budget,
-		Shards:      len(r.shards),
-		Rebalances:  r.rebalances.Load(),
+		Loads:       r.loads,
+		Hits:        r.hits,
+		Evictions:   r.evictions,
+		LockWait:    r.mu.wait(),
 	}
-	for _, ss := range r.ShardStats() {
-		st.Graphs += ss.Graphs
-		st.Bytes += ss.Bytes
-		st.Loads += ss.Loads
-		st.Hits += ss.Hits
-		st.Evictions += ss.Evictions
-		st.LockWait.add(ss.LockWait)
-	}
-	for _, ns := range r.names {
-		st.LockWait.add(ns.mu.wait())
-	}
-	return st
-}
-
-// ShardStats returns each shard's slice of the counters, in shard order.
-func (r *Registry) ShardStats() []RegistryShardStats {
-	out := make([]RegistryShardStats, len(r.shards))
-	for i, sh := range r.shards {
-		sh.mu.Lock()
-		ss := RegistryShardStats{
-			Bytes:       sh.bytes,
-			BudgetBytes: sh.budget,
-			Loads:       sh.loads,
-			Hits:        sh.hits,
-			Evictions:   sh.evictions,
-		}
-		for _, e := range sh.entries {
-			if !e.evicted.Load() {
-				ss.Graphs++
-			}
-		}
-		sh.mu.Unlock()
-		ss.LockWait = sh.mu.wait()
-		out[i] = ss
-	}
-	return out
 }
 
 // StandinNames returns the known stand-in graph names, for error messages.

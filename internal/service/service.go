@@ -37,13 +37,6 @@ type Options struct {
 	QueueDepth int
 	// CacheCapacity bounds the result cache in entries (≤ 0 means 4096).
 	CacheCapacity int
-	// Shards is the number of independent stripes the graph registry and
-	// result cache are partitioned into; registrations, handle acquires,
-	// and cache lookups on different shards never contend on one mutex
-	// (≤ 0 means DefaultShards: twice the core count, clamped to [8, 32]).
-	// Results are bit-identical at every shard count — sharding changes
-	// lock structure, not cache keys or values.
-	Shards int
 	// GraphBudgetBytes bounds the registry's resident graph memory
 	// (≤ 0 means 1 GiB).
 	GraphBudgetBytes int64
@@ -119,7 +112,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheCapacity <= 0 {
 		o.CacheCapacity = 4096
 	}
-	o.Shards = normShards(o.Shards)
 	if o.GraphBudgetBytes <= 0 {
 		o.GraphBudgetBytes = 1 << 30
 	}
@@ -214,10 +206,10 @@ func Open(opts Options) (*Service, error) {
 	}
 	s := &Service{
 		opts:    opts,
-		reg:     NewRegistry(opts.GraphBudgetBytes, opts.Shards),
-		cache:   NewCache(opts.CacheCapacity, opts.Shards),
+		reg:     NewRegistry(opts.GraphBudgetBytes),
+		cache:   NewCache(opts.CacheCapacity, 0),
 		sched:   NewScheduler(opts.Workers, opts.QueueDepth),
-		jobs:    newJobManager(opts.JobTTL, opts.MaxJobs, opts.Shards),
+		jobs:    newJobManager(opts.JobTTL, opts.MaxJobs),
 		engine:  newEngineTracker(),
 		metrics: newMetricsRecorder(),
 		logger:  logger,
@@ -229,8 +221,6 @@ func Open(opts Options) (*Service, error) {
 	}
 	if err := s.setupDurable(); err != nil {
 		s.sched.Close()
-		s.reg.Close()
-		s.cache.Close()
 		return nil, err
 	}
 	return s, nil
@@ -244,8 +234,6 @@ func Open(opts Options) (*Service, error) {
 func (s *Service) Close() {
 	s.jobs.shutdown()
 	s.sched.Close()
-	s.reg.Close()
-	s.cache.Close()
 	// The log closes last: the shutdown sweep above may still finalize
 	// jobs (filtered from persistence) and Close flushes everything the
 	// serving paths enqueued.
@@ -739,9 +727,10 @@ func (s *Service) submitJob(req EstimateRequest, colorings func() [][]uint8) (*j
 		}
 	}
 
-	// Singleflight: the key's shard lock (held through flight creation)
-	// serializes only submissions and completions of keys on this shard —
-	// the jobs mutex is taken briefly inside, never the other way around.
+	// Singleflight: the index lock (held through flight creation)
+	// serializes cache-missing submissions with each other and with
+	// completions — the jobs mutex is taken briefly inside, never the
+	// other way around.
 	// NoCache requests bypass the index entirely: they never coalesce and
 	// their flights are never findable. Flights are keyed by the full
 	// request Key (trial bound and precision target included), not the
@@ -753,32 +742,31 @@ func (s *Service) submitJob(req EstimateRequest, colorings func() [][]uint8) (*j
 	// per-TrialKey flight with per-waiter stop resolution is the known
 	// next step if tier races show up in real traffic.
 	jobs := s.jobs
-	var shard *singleflightShard
-	if !req.NoCache {
-		shard = jobs.inflight.shardFor(key)
-		shard.mu.Lock()
-		if fl := shard.m[key]; fl != nil {
-			// Found under the shard lock ⇒ the flight cannot finish before
+	indexed := !req.NoCache
+	if indexed {
+		jobs.inflightMu.Lock()
+		if fl := jobs.inflight[key]; fl != nil {
+			// Found under the index lock ⇒ the flight cannot finish before
 			// we attach (finishFlight removes it under this same lock
 			// before settling waiters).
 			jobs.mu.Lock()
 			jobs.attachLocked(fl, j)
 			jobs.registerLocked(j)
 			jobs.mu.Unlock()
-			shard.mu.Unlock()
+			jobs.inflightMu.Unlock()
 			h.Release()
 			s.armDeadline(j, req)
 			return j, nil
 		}
 		// An identical flight may have finished between the unlocked cache
-		// check above and taking the shard lock (its Put lands before it
+		// check above and taking the index lock (its Put lands before it
 		// leaves the inflight index); re-check so the just-cached result
 		// is replayed instead of recomputed.
 		begin := time.Now()
 		est, ok := s.tryReplay(key.TrialKey(), q, req)
 		tr.Add(spanCacheReplay, begin, time.Now())
 		if ok {
-			shard.mu.Unlock()
+			jobs.inflightMu.Unlock()
 			h.Release()
 			s.jobs.addCached(j, est)
 			return j, nil
@@ -816,20 +804,20 @@ func (s *Service) submitJob(req EstimateRequest, colorings func() [][]uint8) (*j
 	})
 	if err != nil {
 		jobs.mu.Unlock()
-		if shard != nil {
-			shard.mu.Unlock()
+		if indexed {
+			jobs.inflightMu.Unlock()
 		}
 		cancel()
 		h.Release()
 		return nil, err
 	}
-	if shard != nil {
-		shard.m[key] = fl
+	if indexed {
+		jobs.inflight[key] = fl
 	}
 	jobs.registerLocked(j)
 	jobs.mu.Unlock()
-	if shard != nil {
-		shard.mu.Unlock()
+	if indexed {
+		jobs.inflightMu.Unlock()
 	}
 	s.armDeadline(j, req)
 	return j, nil
@@ -1140,20 +1128,6 @@ func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]Batch
 	return items, nil
 }
 
-// ShardsStats is the per-shard breakdown of the registry and cache: one
-// entry per stripe, in shard order. Aggregate counters live in the
-// Registry/Cache rollups; this section exists to make skew and contention
-// visible — a hot shard shows up as an outlier row, and nonzero lock-wait
-// on many shards says the shard count is too low. Count is the registry's
-// stripe count (the resolved Options.Shards); the cache may run fewer
-// stripes when its capacity is smaller than the shard count (len(Cache)
-// and the cache rollup's own shards field are authoritative for it).
-type ShardsStats struct {
-	Count    int                  `json:"count"`
-	Registry []RegistryShardStats `json:"registry"`
-	Cache    []CacheShardStats    `json:"cache"`
-}
-
 // PrecisionStats describe the adaptive stopping decisions: how many
 // precision-targeted requests the service resolved, how many stopped
 // below their MaxTrials bound, and how many trials those early stops
@@ -1178,7 +1152,6 @@ type Stats struct {
 	Scheduler       SchedulerStats `json:"scheduler"`
 	Jobs            JobsStats      `json:"jobs"`
 	Engine          EngineStats    `json:"engine"`
-	Shards          ShardsStats    `json:"shards"`
 	// Durable is the persistence layer's counters; nil (omitted) when the
 	// service runs in-memory.
 	Durable *DurableStats `json:"durable,omitempty"`
@@ -1221,11 +1194,6 @@ func (s *Service) Stats() Stats {
 			Workers:  s.opts.DefaultRanks,
 			Backends: s.engine.snapshot(),
 			Dist:     s.distStats(),
-		},
-		Shards: ShardsStats{
-			Count:    len(s.reg.shards),
-			Registry: s.reg.ShardStats(),
-			Cache:    s.cache.ShardStats(),
 		},
 		HTTP:         s.metrics.httpSummary(),
 		TrialLatency: s.metrics.trialSummary(),

@@ -8,11 +8,12 @@ import (
 
 // waitMutex is a sync.Mutex that measures its own contention: every Lock
 // that could not be satisfied immediately counts as one wait and adds the
-// time spent blocked. The shard structures use it so /v1/stats can report
+// time spent blocked. Every serving structure (registry, cache, job
+// manager, singleflight index) sits behind one, so /v1/stats can report
 // how much of the serving hot path is lost to lock handoff — the number
-// that justifies (or refutes) a shard count. The uncontended fast path is
-// a single TryLock, so instrumenting costs nothing when there is no
-// contention to observe.
+// that would justify splitting a lock, should it ever stop being zero.
+// The uncontended fast path is a single TryLock, so instrumenting costs
+// nothing when there is no contention to observe.
 type waitMutex struct {
 	mu     sync.Mutex
 	waits  atomic.Uint64
@@ -43,9 +44,4 @@ func (m *waitMutex) wait() LockWait {
 		Waits:  m.waits.Load(),
 		WaitMS: float64(m.waitNS.Load()) / 1e6,
 	}
-}
-
-func (w *LockWait) add(o LockWait) {
-	w.Waits += o.Waits
-	w.WaitMS += o.WaitMS
 }

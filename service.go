@@ -9,11 +9,10 @@ import (
 // reference-counted, LRU-evicted registry), whole estimations (an LRU
 // result cache keyed by graph fingerprint + query signature + estimation
 // knobs), and concurrency (a bounded priority-scheduled worker pool) over
-// Estimate. The registry and cache are sharded (ServiceOptions.Shards)
-// so the hot path — handle acquires and cache lookups — does not
-// serialize on one mutex under concurrent load; results are bit-identical
-// at every shard count, and per-shard stats plus lock-wait counters make
-// residual contention observable. Every estimation runs as a cancellable, observable job:
+// Estimate. The registry, the cache, the job manager and its singleflight
+// index each sit behind one mutex whose contention /v1/stats reports
+// (lockWaits, lockWaitMs). Every estimation runs as a cancellable,
+// observable job:
 // Service.Estimate is a submit-and-wait wrapper, and SubmitEstimateJob /
 // Job / WaitJob / CancelJob / JobResult expose the async lifecycle
 // (states queued → running → done|failed|canceled, per-trial progress,
