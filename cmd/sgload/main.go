@@ -43,6 +43,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	subgraph "repro"
 )
 
 type config struct {
@@ -170,93 +172,6 @@ type endpointReport struct {
 	LocalFallbacks  uint64 `json:"localFallbacks"`
 }
 
-// serverSide is the slice of /v1/stats the report embeds, so a BENCH file
-// is self-describing about what the server did during the run.
-type serverSide struct {
-	Registry struct {
-		Hits       uint64  `json:"hits"`
-		Loads      uint64  `json:"loads"`
-		LockWaits  uint64  `json:"lockWaits"`
-		LockWaitMS float64 `json:"lockWaitMs"`
-	} `json:"registry"`
-	Cache struct {
-		Hits       uint64  `json:"hits"`
-		Misses     uint64  `json:"misses"`
-		Extended   uint64  `json:"extended"`
-		Evictions  uint64  `json:"evictions"`
-		LockWaits  uint64  `json:"lockWaits"`
-		LockWaitMS float64 `json:"lockWaitMs"`
-	} `json:"cache"`
-	Precision struct {
-		Requests    uint64 `json:"requests"`
-		EarlyStops  uint64 `json:"earlyStops"`
-		TrialsSaved uint64 `json:"trialsSaved"`
-	} `json:"precision"`
-	Jobs struct {
-		Submitted    uint64  `json:"submitted"`
-		Coalesced    uint64  `json:"coalesced"`
-		LockWaits    uint64  `json:"lockWaits"`
-		LockWaitMS   float64 `json:"lockWaitMs"`
-		Singleflight struct {
-			Keys       int     `json:"keys"`
-			LockWaits  uint64  `json:"lockWaits"`
-			LockWaitMS float64 `json:"lockWaitMs"`
-		} `json:"singleflight"`
-	} `json:"jobs"`
-	Engine struct {
-		Backend  string `json:"backend"`
-		Workers  int    `json:"workers"`
-		Backends map[string]struct {
-			Runs       uint64 `json:"runs"`
-			Workers    int    `json:"workers"`
-			TotalLoad  int64  `json:"totalLoad"`
-			MaxLoad    int64  `json:"maxLoad"`
-			Messages   int64  `json:"messages"`
-			Steals     int64  `json:"steals"`
-			Supersteps int64  `json:"supersteps"`
-		} `json:"backends"`
-		// Dist lists the distributed backend's worker nodes when the
-		// server runs one (sgserve -dist-workers): per-node transport
-		// volume and executed load, so a BENCH file records how evenly a
-		// dist run spread its work.
-		Dist []struct {
-			Rank      int    `json:"rank"`
-			Addr      string `json:"addr"`
-			Alive     bool   `json:"alive"`
-			BytesSent int64  `json:"bytesSent"`
-			BytesRecv int64  `json:"bytesRecv"`
-			Exchanges int64  `json:"exchanges"`
-			Load      int64  `json:"load"`
-			Jobs      int64  `json:"jobs"`
-		} `json:"dist,omitempty"`
-	} `json:"engine"`
-	// Durable mirrors the append-only trial/job log's counters when the
-	// server runs with -data-dir; absent on in-memory servers. A serving
-	// benchmark against a durable server is only meaningful if Appends
-	// moved.
-	Durable *struct {
-		Appends       uint64 `json:"appends"`
-		Lag           int64  `json:"lag"`
-		ReplayedRuns  uint64 `json:"replayedRuns"`
-		ReplayedJobs  uint64 `json:"replayedJobs"`
-		Compactions   uint64 `json:"compactions"`
-		Fsyncs        uint64 `json:"fsyncs"`
-		WriteErrors   uint64 `json:"writeErrors"`
-		WalBytes      int64  `json:"walBytes"`
-		SnapshotBytes int64  `json:"snapshotBytes"`
-	} `json:"durable,omitempty"`
-	// Cluster mirrors the replica's forwarding counters when the server
-	// runs in cluster mode (sgserve -peers); absent on single nodes.
-	Cluster *struct {
-		Self            string `json:"self"`
-		Forwards        uint64 `json:"forwards"`
-		ForwardErrors   uint64 `json:"forwardErrors"`
-		LocalFallbacks  uint64 `json:"localFallbacks"`
-		ForwardedServed uint64 `json:"forwardedServed"`
-	} `json:"cluster,omitempty"`
-	Estimates uint64 `json:"estimates"`
-}
-
 // metricsCheck cross-checks the server's own request accounting against
 // the client's: the delta of subgraph_requests_total{endpoint="/v1/estimate"}
 // across the measured window (scraped from /metrics before and after)
@@ -289,9 +204,11 @@ type report struct {
 	// run: trials the server's adaptive stops skipped versus the requests'
 	// worst-case bounds, and the share of cache lookups that found a
 	// reusable-but-short entry and extended it instead of recomputing.
-	TrialsSaved  uint64     `json:"trialsSaved,omitempty"`
-	ExtendedRate float64    `json:"extendedRate,omitempty"`
-	Server       serverSide `json:"server"`
+	TrialsSaved  uint64  `json:"trialsSaved,omitempty"`
+	ExtendedRate float64 `json:"extendedRate,omitempty"`
+	// Server is the server's own /v1/stats document at the end of the run,
+	// so a report is self-describing about what the server did.
+	Server subgraph.ServiceStats `json:"server"`
 	// LatencyByTier breaks the client-observed latency out per precision
 	// tier of the mix ("fixed" for fixed-trial requests): the tiers share
 	// one trial cache, so their relative percentiles show what a tight
@@ -812,8 +729,8 @@ func clusterRollup(client *http.Client, bases []string, workers []*worker, durat
 // fetchServerStats embeds the server's own view of the run; the coalesce
 // rate is derived from it (coalescing happens server-side, invisibly to
 // one client).
-func fetchServerStats(client *http.Client, base string) serverSide {
-	var st serverSide
+func fetchServerStats(client *http.Client, base string) subgraph.ServiceStats {
+	var st subgraph.ServiceStats
 	resp, err := client.Get(base + "/v1/stats")
 	if err != nil {
 		log.Printf("sgload: stats fetch failed: %v", err)

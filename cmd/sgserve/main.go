@@ -125,19 +125,7 @@ func main() {
 		}
 		defer cluster.Close()
 		dist.Enable(cluster)
-		distStats = func() []subgraph.DistNodeStats {
-			nodes := cluster.NodeStats()
-			out := make([]subgraph.DistNodeStats, len(nodes))
-			for i, n := range nodes {
-				out[i] = subgraph.DistNodeStats{
-					Rank: n.Rank, Addr: n.Addr, Alive: n.Alive,
-					BytesSent: n.BytesSent, BytesRecv: n.BytesRecv,
-					FramesSent: n.FramesSent, FramesRecv: n.FramesRecv,
-					Exchanges: n.Exchanges, Load: n.Load, Jobs: n.Jobs,
-				}
-			}
-			return out
-		}
+		distStats = cluster.NodeStats
 		logger.Info("dist cluster connected", "workers", len(addrs))
 	} else if *backend == "dist" {
 		fatal("backend dist needs -dist-workers")

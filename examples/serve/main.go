@@ -43,8 +43,7 @@ func main() {
 		info.Name, info.ID, info.Nodes, info.Edges, info.Fingerprint)
 
 	// One batch: the ten Figure 8 catalog queries, scheduled concurrently
-	// across the worker pool. Queries with equal node counts share the
-	// pre-drawn colorings, since the seeds align.
+	// across the worker pool.
 	var queries bytes.Buffer
 	for i, q := range subgraph.Queries() {
 		if i > 0 {
@@ -93,8 +92,8 @@ func main() {
 
 	var stats subgraph.ServiceStats
 	getJSON(base+"/v1/stats", &stats)
-	fmt.Printf("service stats: %d estimates computed, cache %d/%d hit/miss, %d colorings shared, %d workers\n",
-		stats.Estimates, stats.Cache.Hits, stats.Cache.Misses, stats.ColoringsShared, stats.Scheduler.Workers)
+	fmt.Printf("service stats: %d estimates computed, cache %d/%d hit/miss, %d workers\n",
+		stats.Estimates, stats.Cache.Hits, stats.Cache.Misses, stats.Scheduler.Workers)
 }
 
 func postJSON[T any](url, body string) T {

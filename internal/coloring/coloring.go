@@ -2,6 +2,13 @@
 // random colorings, the k^k/k! unbiased estimator for match counts, and
 // multi-trial statistics (mean, variance, and the paper's coefficient of
 // variation).
+//
+// The loop is written once. Session (session.go) is the only estimator:
+// colorings come from one Stream, Session.ExtendTo is the only code that
+// calls the solver, Adaptive is the only stopping rule (a fixed-trial run
+// is the rule with no target) and Assemble the only place counts become an
+// Estimate. Run, the library's Estimate and the service's jobs are each
+// "NewSession, RunUntil, EstimateAt".
 package coloring
 
 import (
@@ -9,13 +16,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/query"
 )
 
@@ -38,20 +41,18 @@ func ScaleFactor(k int) float64 {
 	return f
 }
 
+// DefaultTrials is the trial count of a fixed-trial run that names none.
+const DefaultTrials = 3
+
 // Options configures an estimation run.
 type Options struct {
 	Core   core.Options
-	Trials int   // number of independent colorings; ≤ 0 means 3
+	Trials int   // number of independent colorings; ≤ 0 means DefaultTrials
 	Seed   int64 // RNG seed for the colorings
 	// Parallel runs up to this many trials concurrently (each with its own
-	// simulated cluster). Colorings are pre-drawn sequentially from Seed,
-	// so results are identical to the serial run. ≤ 1 means serial.
+	// simulated cluster). Colorings are drawn sequentially from Seed, so
+	// results are identical to the serial run. ≤ 1 means serial.
 	Parallel int
-	// Progress, when non-nil, is called after each completed trial with the
-	// number of finished trials so far and the total. Calls arrive from
-	// trial goroutines (concurrently when Parallel > 1) and must be cheap
-	// and non-blocking; done values are unique but not ordered.
-	Progress func(done, total int)
 }
 
 // Estimate is the result of a multi-trial color-coding estimation.
@@ -85,19 +86,17 @@ type Estimate struct {
 	Stats core.Stats
 }
 
-// Draw pre-draws the trials independent colorings Run would use for an
-// n-vertex graph and a k-node query: drawn sequentially from seed, so the
-// result depends only on (n, k, trials, seed). Callers running several
-// queries with equal k over the same graph and seed can draw once and pass
-// the shared slice to RunWith; trials ≤ 0 means 3, matching Run.
+// Draw returns the first trials colorings of the Stream a Session over an
+// n-vertex graph and a k-node query draws from at seed; trials ≤ 0 means
+// DefaultTrials.
 func Draw(n, k, trials int, seed int64) [][]uint8 {
 	if trials <= 0 {
-		trials = 3
+		trials = DefaultTrials
 	}
-	rng := rand.New(rand.NewSource(seed))
+	st := NewStream(n, k, seed)
 	colorings := make([][]uint8, trials)
 	for i := range colorings {
-		colorings[i] = Random(n, k, rng)
+		colorings[i] = st.Next()
 	}
 	return colorings
 }
@@ -110,105 +109,18 @@ func Run(g *graph.Graph, q *query.Graph, opts Options) (Estimate, error) {
 
 // RunContext is Run bounded by ctx: a canceled or deadline-expired run
 // stops mid-trial (the solver polls ctx inside its worker loops) and
-// returns ctx's error.
+// returns ctx's error. It is a Session advanced to opts.Trials and
+// snapshotted there.
 func RunContext(ctx context.Context, g *graph.Graph, q *query.Graph, opts Options) (Estimate, error) {
-	return RunWithContext(ctx, g, q, Draw(g.N(), q.K, opts.Trials, opts.Seed), opts)
-}
-
-// RunWith is Run with the colorings supplied by the caller, one per trial
-// (the trial count is len(colorings)). Colorings are read-only and may be
-// shared across concurrent calls. RunWith with Draw-n colorings is
-// bit-for-bit identical to Run. A non-zero opts.Trials that disagrees
-// with len(colorings) is an error rather than a silent precision change.
-func RunWith(g *graph.Graph, q *query.Graph, colorings [][]uint8, opts Options) (Estimate, error) {
-	return RunWithContext(context.Background(), g, q, colorings, opts)
-}
-
-// RunWithContext is RunWith bounded by ctx (see RunContext).
-func RunWithContext(ctx context.Context, g *graph.Graph, q *query.Graph, colorings [][]uint8, opts Options) (Estimate, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	sess, err := NewSession(g, q, opts)
+	if err != nil {
+		return Estimate{}, err
 	}
-	trials := len(colorings)
-	if trials == 0 {
-		return Estimate{}, fmt.Errorf("coloring: no colorings supplied")
+	stop, err := sess.RunUntil(ctx, Adaptive{MaxTrials: opts.Trials}, opts.Parallel, 0)
+	if err != nil {
+		return Estimate{}, err
 	}
-	if opts.Trials > 0 && opts.Trials != trials {
-		return Estimate{}, fmt.Errorf("coloring: opts.Trials %d disagrees with %d supplied colorings", opts.Trials, trials)
-	}
-	counts := make([]uint64, trials)
-	// Resolve the plan once up front: trials share it, and the calibration
-	// behind the default planner should not run concurrently per trial.
-	copts := opts.Core
-	if copts.Plan == nil {
-		plan, err := core.PickPlan(q)
-		if err != nil {
-			return Estimate{}, err
-		}
-		copts.Plan = plan
-	}
-	parallel := opts.Parallel
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > trials {
-		parallel = trials
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     atomic.Int64
-		finished atomic.Int64
-	)
-	stats := make([]core.Stats, trials)
-	wg.Add(parallel)
-	for w := 0; w < parallel; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= trials {
-					return
-				}
-				// Between trials a plain poll suffices; mid-trial the solver
-				// polls ctx itself via CountColorfulContext.
-				if err := ctx.Err(); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				begin := time.Now()
-				cnt, st, err := core.CountColorfulContext(ctx, g, q, colorings[i], copts)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("coloring: trial %d: %w", i, err)
-					}
-					mu.Unlock()
-					return
-				}
-				obs.FromContext(ctx).Observe(TrialMeasurement, time.Since(begin))
-				counts[i] = cnt
-				stats[i] = st
-				if opts.Progress != nil {
-					opts.Progress(int(finished.Add(1)), trials)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return Estimate{}, firstErr
-	}
-	// Assemble is the single place counts become an Estimate: batch runs,
-	// incremental Sessions, and cache-replayed prefixes all produce their
-	// results through it, so "bit-identical at equal trial counts" holds by
-	// construction rather than by parallel implementations agreeing.
-	return Assemble(g.Name, q, counts, stats), nil
+	return sess.EstimateAt(stop), nil
 }
 
 func accumulate(dst *core.Stats, s core.Stats) {

@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -183,59 +181,61 @@ func TestRunContextMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelBetweenTrials: a cancellation during a multi-trial
-// run surfaces context.Canceled instead of finishing the remaining
-// trials.
+// TestRunContextCancelBetweenTrials: a cancellation between two trials of
+// a chunk surfaces ctx's error instead of finishing the remaining trials,
+// and rolls the whole chunk back — the session keeps what it held before.
 func TestRunContextCancelBetweenTrials(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	g := gen.ErdosRenyi("er", 60, 240, rng)
 	q := query.MustByName("brain1")
+	sess, err := NewSession(g, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.ExtendTo(context.Background(), 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	held := sess.Estimate()
 	ctx, cancel := context.WithCancel(context.Background())
-	var once sync.Once
-	_, err := RunContext(ctx, g, q, Options{
-		Trials: 64,
-		Progress: func(done, total int) {
-			// Cancel as soon as the first trial lands; the remaining 63
-			// must not run to completion.
-			once.Do(cancel)
-		},
+	landed := 0
+	sess.OnTrial(func(done int, _, _ float64) {
+		// Cancel as soon as the chunk's first trial lands; the remaining 61
+		// must not run to completion.
+		landed++
+		cancel()
 	})
-	if !errors.Is(err, context.Canceled) {
+	if err := sess.ExtendTo(ctx, 64, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if landed != 1 {
+		t.Errorf("%d trials landed after the cancel, want only the first", landed)
+	}
+	if sess.Trials() != 2 || !reflect.DeepEqual(sess.Estimate(), held) {
+		t.Errorf("canceled chunk left %d trials, want the 2 held before it, unchanged", sess.Trials())
+	}
+	if _, err := RunContext(ctx, g, q, Options{Trials: 64}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext on a canceled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
-// TestRunProgressReporting: every trial reports exactly once and the
-// final done count equals the trial count, serial and parallel.
+// TestRunProgressReporting: every trial reports exactly once through
+// Session.OnTrial, in done order, serial and parallel.
 func TestRunProgressReporting(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := gen.ErdosRenyi("er", 40, 160, rng)
 	q := query.MustByName("wiki")
 	for _, parallel := range []int{1, 4} {
-		var calls atomic.Int64
-		var max atomic.Int64
-		_, err := Run(g, q, Options{
-			Trials:   6,
-			Parallel: parallel,
-			Progress: func(done, total int) {
-				calls.Add(1)
-				if total != 6 {
-					t.Errorf("parallel=%d: total = %d, want 6", parallel, total)
-				}
-				for {
-					m := max.Load()
-					if int64(done) <= m || max.CompareAndSwap(m, int64(done)) {
-						break
-					}
-				}
-			},
-		})
+		sess, err := NewSession(g, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if calls.Load() != 6 || max.Load() != 6 {
-			t.Errorf("parallel=%d: %d progress calls, max done %d; want 6 and 6",
-				parallel, calls.Load(), max.Load())
+		var dones []int // the callback is serialized by the session
+		sess.OnTrial(func(done int, _, _ float64) { dones = append(dones, done) })
+		if err := sess.ExtendTo(context.Background(), 6, parallel); err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(dones, want) {
+			t.Errorf("parallel=%d: trials reported done = %v, want %v", parallel, dones, want)
 		}
 	}
 }

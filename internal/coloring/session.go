@@ -15,15 +15,17 @@ import (
 	"repro/internal/query"
 )
 
-// Precision-targeted estimation: the estimate is an average of i.i.d.
-// per-coloring counts, so the number of trials needed for a target
-// relative error at a target confidence can be decided while running from
-// the observed variance (§3; Malík et al. 2019 stop by sample-variance
-// confidence intervals). This file provides the pieces: a deterministic
-// coloring Stream (the lazy form of Draw), a Session accumulating one
-// trial at a time, the Adaptive stopping rule, and Assemble — the one
-// place multi-trial counts become an Estimate, shared by the batch Run
-// path and the incremental path so both are bit-identical by construction.
+// The estimator is one loop (§2): draw a coloring, count its colorful
+// matches exactly, repeat, scale. Session is that loop. Its colorings come
+// from one deterministic Stream, every trial it runs is run by ExtendTo,
+// when it stops is decided by one rule — Adaptive, walked over the counts
+// so far — and its counts become an Estimate in Assemble. A fixed-trial
+// run is the rule with no Precision target, which fires at MaxTrials and
+// nowhere earlier; a precision-targeted run can stop before it because the
+// estimate is an average of i.i.d. per-coloring counts, so the trials a
+// target relative error needs can be decided while running from the
+// observed variance (§3; Malík et al. 2019 stop by sample-variance
+// confidence intervals).
 
 // Defaults of the adaptive stopping rule.
 const (
@@ -69,16 +71,19 @@ func (p Precision) z() float64 {
 	return math.Sqrt2 * math.Erfinv(c)
 }
 
-// Adaptive bounds an adaptive (precision-targeted) run: the stopping rule
-// fires at the first trial count in [MinTrials, MaxTrials] whose observed
-// CI meets the Precision target, and at MaxTrials regardless.
+// Adaptive is the stopping rule of every run: it fires at the first trial
+// count in [MinTrials, MaxTrials] whose observed CI meets the Precision
+// target, and at MaxTrials regardless. With no target declared (Precision
+// not Enabled) it fires at MaxTrials and nowhere earlier — a fixed-trial
+// run.
 type Adaptive struct {
 	Precision
 	// MinTrials is the earliest trial the rule may fire at (≤ 0 means
 	// DefaultMinTrials, clamped to ≥ 2 — below two trials there is no
 	// variance estimate).
 	MinTrials int
-	// MaxTrials caps the run (≤ 0 means DefaultMaxTrials).
+	// MaxTrials caps the run (≤ 0 means DefaultMaxTrials, or DefaultTrials
+	// with no target declared).
 	MaxTrials int
 }
 
@@ -91,6 +96,9 @@ func (a Adaptive) withDefaults() Adaptive {
 	}
 	if a.MaxTrials <= 0 {
 		a.MaxTrials = DefaultMaxTrials
+		if !a.Enabled() {
+			a.MaxTrials = DefaultTrials
+		}
 	}
 	if a.MinTrials > a.MaxTrials {
 		a.MinTrials = a.MaxTrials
@@ -101,17 +109,17 @@ func (a Adaptive) withDefaults() Adaptive {
 // StopAt applies the stopping rule to a prefix of per-trial colorful
 // counts: it returns the first trial count t in [MinTrials, min(len,
 // MaxTrials)] at which z·s/√t ≤ RelErr·mean (a zero-variance prefix —
-// including the all-zero one — always qualifies), or MaxTrials when the
-// prefix already spans the cap. It is a pure function of the count
-// sequence, which is what makes adaptive runs replayable: walking the
-// rule over cached trials stops at exactly the trial the original run
-// stopped at.
+// including the all-zero one — always qualifies; with no target declared
+// nothing does), or MaxTrials when the prefix already spans the cap. It is
+// a pure function of the count sequence, which is what makes runs
+// replayable: walking the rule over cached trials stops at exactly the
+// trial the original run stopped at.
 func (a Adaptive) StopAt(counts []uint64) (int, bool) {
 	a = a.withDefaults()
 	z := a.z()
-	n := len(counts)
-	if n > a.MaxTrials {
-		n = a.MaxTrials
+	n := min(len(counts), a.MaxTrials)
+	if !a.Enabled() {
+		n = 0 // no target to meet: only the cap below fires
 	}
 	var mean, m2 float64 // Welford running mean and sum of squared deviations
 	for t := 1; t <= n; t++ {
@@ -153,10 +161,9 @@ func (e Estimate) RelCI(confidence float64) float64 {
 	return z * math.Sqrt(e.VarColorful/float64(e.Trials)) / e.MeanColorful
 }
 
-// Stream is the lazy form of Draw: a deterministic sequence of colorings
-// drawn one at a time. The i-th coloring of a Stream equals
-// Draw(n, k, i+1, seed)[i], so batch and incremental runs over the same
-// seed see identical trials.
+// Stream is the one source of colorings: a deterministic sequence drawn
+// one at a time, a function of (n, k, seed) alone, so every run over the
+// same seed sees identical trials.
 type Stream struct {
 	n, k  int
 	rng   *rand.Rand
@@ -176,8 +183,7 @@ func (s *Stream) Next() []uint8 {
 }
 
 // Skip advances the stream past the next trials colorings without
-// materializing them (the RNG still advances identically, so the stream
-// stays aligned with Draw).
+// materializing them (the RNG advances exactly as Next would).
 func (s *Stream) Skip(trials int) {
 	for i := 0; i < trials; i++ {
 		s.drawn++
@@ -190,12 +196,12 @@ func (s *Stream) Skip(trials int) {
 // Drawn reports how many colorings have been drawn or skipped.
 func (s *Stream) Drawn() int { return s.drawn }
 
-// Assemble builds the Estimate that a batch run over exactly these
-// per-trial counts and engine stats would return: counts are copied,
-// stats accumulated in trial order, and the §2 scaling applied. Run,
-// Session, and the service's trial-granular cache all go through this one
-// function, so a prefix-sliced or cache-extended estimate is bit-identical
-// to a cold batch run with the same effective trial count.
+// Assemble builds the Estimate over exactly these per-trial counts and
+// engine stats: counts are copied, stats accumulated in trial order, and
+// the §2 scaling applied. It is the single place counts become an
+// Estimate — a Session's snapshots and the service's cache replays both
+// come through it — so a prefix-sliced or cache-extended estimate is
+// bit-identical to a cold run with the same effective trial count.
 func Assemble(graphName string, q *query.Graph, counts []uint64, stats []core.Stats) Estimate {
 	est := Estimate{
 		Query:  q.Name,
@@ -223,22 +229,20 @@ func AccumulateStats(stats []core.Stats) core.Stats {
 	return out
 }
 
-// Session is an incremental estimation handle: it runs one deterministic
-// coloring trial at a time from a seeded trial stream and snapshots the
-// estimate at any prefix. A Session advanced T times yields an Estimate
-// bit-identical to a batch Run with Trials: T and the same seed (both
-// draw the same colorings and assemble through Assemble). Sessions are
-// not safe for concurrent use; ExtendTo's internal workers are the one
-// sanctioned concurrency.
+// Session is the estimator: it runs deterministic coloring trials from a
+// seeded trial stream and snapshots the estimate at any prefix. However a
+// Session reaches T trials — one Next at a time, one ExtendTo at any
+// parallelism, preloaded from a cache and extended — its estimate at T is
+// the same, bit for bit. Sessions are not safe for concurrent use;
+// ExtendTo's internal workers are the one sanctioned concurrency.
 type Session struct {
 	g     *graph.Graph
 	q     *query.Graph
 	copts core.Options
 	seed  int64
 
-	predrawn  [][]uint8 // optional caller-supplied colorings for trials 0..len-1
-	stream    *Stream   // lazily seeded and skipped to the next trial index
-	preloaded int       // trials seeded from a cache rather than computed here
+	stream    *Stream // lazily seeded and skipped to the next trial index
+	preloaded int     // trials seeded from a cache rather than computed here
 
 	counts []uint64
 	stats  []core.Stats
@@ -250,10 +254,10 @@ type Session struct {
 	onTrial func(done int, mean, cv float64)
 }
 
-// NewSession prepares an incremental estimation of q in g. Only Seed and
-// Core are read from opts (the plan is resolved once up front, exactly as
-// Run does); Trials, Parallel, and Progress belong to the batch entry
-// points.
+// NewSession prepares an estimation of q in g. Only Seed and Core are read
+// from opts; Trials and Parallel belong to Run. The plan is resolved once
+// up front: trials share it, and the calibration behind the default
+// planner should not run concurrently per trial.
 func NewSession(g *graph.Graph, q *query.Graph, opts Options) (*Session, error) {
 	copts := opts.Core
 	if copts.Plan == nil {
@@ -273,13 +277,6 @@ func NewSession(g *graph.Graph, q *query.Graph, opts Options) (*Session, error) 
 // serialized and in done order — so it must be cheap and must not call
 // back into the session.
 func (s *Session) OnTrial(fn func(done int, mean, cv float64)) { s.onTrial = fn }
-
-// Predraw supplies already-drawn colorings for the session's first trials
-// (trial i uses colorings[i]); trials beyond len(colorings) fall back to
-// the seeded stream. The colorings must equal what the stream would draw
-// — i.e. come from Draw with the session's seed — or determinism is lost;
-// this exists so batch callers can share one Draw across sessions.
-func (s *Session) Predraw(colorings [][]uint8) { s.predrawn = colorings }
 
 // Preload seeds the session with trials 0..len(counts)-1 computed earlier
 // (by another session or run over the same trial stream): the coloring
@@ -357,9 +354,6 @@ func (s *Session) land(x uint64) {
 // sequentially; the stream is (re)aligned by skipping when needed, so a
 // rolled-back chunk cannot desynchronize it.
 func (s *Session) coloringAt(i int) []uint8 {
-	if i < len(s.predrawn) {
-		return s.predrawn[i]
-	}
 	if s.stream == nil || s.stream.Drawn() != i {
 		s.stream = NewStream(s.g.N(), s.q.K, s.seed)
 		s.stream.Skip(i)
@@ -400,26 +394,17 @@ func (s *Session) ComputedStats() core.Stats {
 
 // Next runs one more trial and returns its colorful count.
 func (s *Session) Next(ctx context.Context) (uint64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	i := len(s.counts)
-	colors := s.coloringAt(i)
-	begin := time.Now()
-	cnt, st, err := core.CountColorfulContext(ctx, s.g, s.q, colors, s.copts)
-	if err != nil {
-		return 0, fmt.Errorf("coloring: trial %d: %w", i, err)
+	if err := s.ExtendTo(ctx, i+1, 1); err != nil {
+		return 0, err
 	}
-	obs.FromContext(ctx).Observe(TrialMeasurement, time.Since(begin))
-	s.counts = append(s.counts, cnt)
-	s.stats = append(s.stats, st)
-	s.land(cnt)
-	return cnt, nil
+	return s.counts[i], nil
 }
 
 // ExtendTo advances the session to the given trial count, running up to
 // parallel trials concurrently (≤ 1 means serial); a session already at
-// or past it is a no-op. Results are bit-identical at any parallelism:
+// or past it is a no-op. It is the one trial loop — the only caller of the
+// solver in this package. Results are bit-identical at any parallelism:
 // colorings are drawn sequentially up front and counts land at their
 // trial index. On error (including cancellation) the whole chunk is
 // rolled back and the session stays at its prior trial count.
@@ -494,14 +479,15 @@ func (s *Session) ExtendTo(ctx context.Context, trials, parallel int) error {
 	return nil
 }
 
-// RunUntil advances the session until the adaptive stopping rule fires or
-// ad.MaxTrials is reached, and returns the stopping trial count — the
-// prefix EstimateAt should snapshot. With parallel > 1 trials run in
-// chunks; a chunk that overshoots the stopping trial leaves the extra
-// trials in the session (valid cached work) but the returned stop point
-// is the rule's, so the estimate matches a serial adaptive run exactly.
+// RunUntil advances the session until the stopping rule fires and returns
+// the stopping trial count — the prefix EstimateAt should snapshot. A rule
+// with a target is consulted after every chunk of max(parallel, 1) trials;
+// a chunk that overshoots the stopping trial leaves the extra trials in
+// the session (valid cached work) but the returned stop point is the
+// rule's, so the estimate matches a serial run exactly. A rule without one
+// can only fire at MaxTrials, so the run is a single chunk up to there.
 // A positive budget bounds the wall-clock time: once exceeded the session
-// stops at its current trial count (at least one trial always runs);
+// stops at its current trial count (at least one chunk always runs);
 // budget stops are a time-based safety valve and are not replayable the
 // way rule stops are.
 func (s *Session) RunUntil(ctx context.Context, ad Adaptive, parallel int, budget time.Duration) (int, error) {
@@ -517,13 +503,9 @@ func (s *Session) RunUntil(ctx context.Context, ad Adaptive, parallel int, budge
 		if !deadline.IsZero() && !time.Now().Before(deadline) && len(s.counts) > 0 {
 			return len(s.counts), nil
 		}
-		chunk := 1
-		if parallel > 1 {
-			chunk = parallel
-		}
-		next := len(s.counts) + chunk
-		if next > ad.MaxTrials {
-			next = ad.MaxTrials
+		next := ad.MaxTrials
+		if ad.Enabled() {
+			next = min(len(s.counts)+max(parallel, 1), ad.MaxTrials)
 		}
 		if err := s.ExtendTo(ctx, next, parallel); err != nil {
 			return 0, err
@@ -535,8 +517,8 @@ func (s *Session) RunUntil(ctx context.Context, ad Adaptive, parallel int, budge
 func (s *Session) Estimate() Estimate { return s.EstimateAt(len(s.counts)) }
 
 // EstimateAt snapshots the estimate over the first t trials — bit-identical
-// to a batch Run with Trials: t at the same seed. t is clamped to the
-// accumulated trial count.
+// to Run with Trials: t at the same seed. t is clamped to the accumulated
+// trial count.
 func (s *Session) EstimateAt(t int) Estimate {
 	if t > len(s.counts) {
 		t = len(s.counts)

@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,8 +13,8 @@ import (
 	"repro/internal/query"
 )
 
-// TestStreamMatchesDraw: the lazy stream and the batch Draw are the same
-// coloring sequence, and Skip keeps them aligned.
+// TestStreamMatchesDraw: Draw is a prefix of the stream, and Skip keeps a
+// stream aligned with it.
 func TestStreamMatchesDraw(t *testing.T) {
 	const n, k, trials, seed = 200, 5, 7, 42
 	batch := Draw(n, k, trials, seed)
@@ -42,32 +43,56 @@ func sameEstimate(t *testing.T, label string, a, b Estimate) {
 	}
 }
 
-// TestSessionMatchesBatch is the incremental-path determinism invariant:
-// a Session advanced T times equals a batch Run with Trials: T
-// bit-for-bit, on both backends.
+// TestSessionMatchesBatch is the determinism invariant of the one trial
+// loop: however a run reaches T trials — Run, a Session advanced by Next T
+// times, one ExtendTo serial or parallel, RunUntil under a rule without a
+// target — the estimate at T is the same, bit for bit, on both backends.
+// (The library and service paths join this table in internal/service's
+// TestEstimateMatchesLibraryBitForBit.)
 func TestSessionMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := gen.PowerLawGraph("pl", 300, 1.6, rng)
 	q := query.MustByName("glet1")
+	ctx := context.Background()
 	for _, backend := range []string{"sim", "parallel"} {
 		opts := Options{Seed: 11, Core: core.Options{Algorithm: core.DB, Backend: backend, Workers: 3}}
-		sess, err := NewSession(g, q, opts)
+		stepped, err := NewSession(g, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for T := 1; T <= 6; T++ {
-			if _, err := sess.Next(context.Background()); err != nil {
+			if _, err := stepped.Next(ctx); err != nil {
 				t.Fatal(err)
 			}
 			opts.Trials = T
-			batch, err := Run(g, q, opts)
+			want, err := Run(g, q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameEstimate(t, backend, sess.EstimateAt(T), batch)
+			sameEstimate(t, backend+"/Next", stepped.EstimateAt(T), want)
+			for name, advance := range map[string]func(*Session) error{
+				"ExtendTo/1": func(s *Session) error { return s.ExtendTo(ctx, T, 1) },
+				"ExtendTo/4": func(s *Session) error { return s.ExtendTo(ctx, T, 4) },
+				"RunUntil": func(s *Session) error {
+					stop, err := s.RunUntil(ctx, Adaptive{MaxTrials: T}, 2, 0)
+					if err == nil && stop != T {
+						err = fmt.Errorf("a rule without a target stopped at %d, want %d", stop, T)
+					}
+					return err
+				},
+			} {
+				sess, err := NewSession(g, q, opts)
+				if err == nil {
+					err = advance(sess)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameEstimate(t, backend+"/"+name, sess.Estimate(), want)
+			}
 		}
-		if sess.Trials() != 6 {
-			t.Fatalf("session holds %d trials, want 6", sess.Trials())
+		if stepped.Trials() != 6 {
+			t.Fatalf("session holds %d trials, want 6", stepped.Trials())
 		}
 	}
 }
@@ -187,7 +212,8 @@ func TestAdaptiveStopDeterminism(t *testing.T) {
 }
 
 // TestStopAtRule covers the stopping rule's edges: too few trials, a
-// zero-variance prefix, the all-zero stream, and the MaxTrials backstop.
+// zero-variance prefix, the all-zero stream, the MaxTrials backstop, and
+// the rule with no target.
 func TestStopAtRule(t *testing.T) {
 	ad := Adaptive{Precision: Precision{RelErr: 0.1}, MinTrials: 3, MaxTrials: 8}
 	if _, ok := ad.StopAt([]uint64{5, 5}); ok {
@@ -222,6 +248,26 @@ func TestStopAtRule(t *testing.T) {
 	}
 	if !lOK {
 		t.Errorf("loose target unmet on tight counts (stop=%d)", lStop)
+	}
+	// A rule with no target is a fixed-trial run: it never fires before
+	// MaxTrials — not on a zero-variance prefix either, which meets every
+	// target — and fires there whatever the counts.
+	fixed := Adaptive{MaxTrials: 5}
+	for _, counts := range [][]uint64{{5, 5, 5, 5}, {0, 0, 0}, spread[:4], nil} {
+		if stop, ok := fixed.StopAt(counts); ok {
+			t.Errorf("no target, %d of 5 trials %v: fired at %d", len(counts), counts, stop)
+		}
+	}
+	for _, counts := range [][]uint64{{5, 5, 5, 5, 5}, spread} {
+		if stop, ok := fixed.StopAt(counts); !ok || stop != 5 {
+			t.Errorf("no target, %d trials: stop=%d ok=%v, want MaxTrials 5", len(counts), stop, ok)
+		}
+	}
+	if stop, ok := (Adaptive{}).StopAt(spread); !ok || stop != DefaultTrials {
+		t.Errorf("no target and no cap: stop=%d ok=%v, want DefaultTrials", stop, ok)
+	}
+	if stop, ok := (Adaptive{MaxTrials: 1}).StopAt([]uint64{7}); !ok || stop != 1 {
+		t.Errorf("no target, one trial: stop=%d ok=%v, want 1", stop, ok)
 	}
 }
 

@@ -137,26 +137,54 @@ func TestCancelMidBuild(t *testing.T) {
 	}
 }
 
-// TestCancelAtAnyPoll lands the cancellation on the n-th context poll of a
-// run, for n across the whole run — between blocks, inside join loops,
-// between the shards of a table build — and wants ctx.Err() every time,
-// never a count from a run that stopped early.
+// cancelEverywhere lands the cancellation on the n-th context poll of run,
+// for n across the whole run — between blocks, inside join loops, between
+// the shards of a table build — and wants ctx.Err() every time, never an
+// answer from a run that stopped early, and every slab handed back. run
+// reports whether it returned an answer.
+func cancelEverywhere(t *testing.T, name string, points int64, run func(ctx context.Context) (answered bool, err error)) {
+	t.Helper()
+	held := table.SlabsOut()
+	whole := cancelAtPoll(1 << 60)
+	if _, err := run(whole); err != nil {
+		t.Fatal(err)
+	}
+	if left := table.SlabsOut() - held; left != 0 {
+		t.Fatalf("%s: a finished run kept %d slabs", name, left)
+	}
+	polls := 1<<60 - whole.left.Load()
+	for n := int64(1); n < polls; n += 1 + polls/points {
+		answered, err := run(cancelAtPoll(n))
+		if !errors.Is(err, context.Canceled) || answered {
+			t.Fatalf("%s: canceled at poll %d of %d, got an answer (%v) and error %v", name, n, polls, answered, err)
+		}
+		if left := table.SlabsOut() - held; left != 0 {
+			t.Fatalf("%s: canceled at poll %d of %d, the run kept %d slabs", name, n, polls, left)
+		}
+	}
+}
+
+// TestCancelAtAnyPoll cancels both public entries everywhere: the scalar
+// count and the per-vertex vector share one prologue and one block loop, so
+// a cancellation must reach the per-vertex run at the same points — on a
+// query with tails under a cycle (wiki), a pure tree whose root table is a
+// child's (bintree8) and a root cycle solved anchored (glet2).
 func TestCancelAtAnyPoll(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := gen.PowerLawGraph("pl", 2000, 1.5, rng)
-	q := query.MustByName("wiki")
-	colors := randColors(g.N(), q.K, rng)
-	for _, backend := range []string{"sim", "parallel"} {
-		whole := cancelAtPoll(1 << 60)
-		if _, _, err := CountColorfulContext(whole, g, q, colors, Options{Backend: backend, Workers: 2}); err != nil {
-			t.Fatal(err)
-		}
-		polls := 1<<60 - whole.left.Load()
-		for n := int64(1); n < polls; n += 1 + polls/40 {
-			ctx := cancelAtPoll(n)
-			if c, _, err := CountColorfulContext(ctx, g, q, colors, Options{Backend: backend, Workers: 2}); !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s: canceled at poll %d of %d, got count %d and error %v", backend, n, polls, c, err)
-			}
+	for _, qn := range []string{"wiki", "bintree8", "glet2"} {
+		q := query.MustByName(qn)
+		colors := randColors(g.N(), q.K, rng)
+		for _, backend := range []string{"sim", "parallel"} {
+			opts := Options{Backend: backend, Workers: 2}
+			cancelEverywhere(t, qn+"/"+backend+"/count", 30, func(ctx context.Context) (bool, error) {
+				c, _, err := CountColorfulContext(ctx, g, q, colors, opts)
+				return c != 0, err
+			})
+			cancelEverywhere(t, qn+"/"+backend+"/perVertex", 30, func(ctx context.Context) (bool, error) {
+				per, _, _, err := CountColorfulPerVertexContext(ctx, g, q, colors, -1, opts)
+				return per != nil, err
+			})
 		}
 	}
 }
@@ -193,7 +221,7 @@ func TestCancelInsideSharedPrefix(t *testing.T) {
 				}
 			}
 		})
-		s.run(plan)
+		s.run(plan, 0, nil)
 		if shared != 1 || !s.stop.Load() {
 			t.Fatalf("%s: the run went on past %d shared prefixes, canceled %v", backend, shared, s.stop.Load())
 		}
@@ -201,23 +229,14 @@ func TestCancelInsideSharedPrefix(t *testing.T) {
 			t.Fatalf("%s: canceled inside a shared prefix, the run kept %d slabs and %d walk tables", backend, left, s.walks.live())
 		}
 
-		whole := cancelAtPoll(1 << 60)
 		opts := Options{Backend: rt.backend, Workers: rt.workers, Plan: plan}
-		if _, _, err := CountColorfulContext(whole, g, q, colors, opts); err != nil {
-			t.Fatal(err)
-		}
-		if left := table.SlabsOut() - held; left != 0 {
-			t.Fatalf("%s: a finished run kept %d slabs", backend, left)
-		}
-		polls := 1<<60 - whole.left.Load()
-		for n := int64(1); n < polls; n += 1 + polls/60 {
-			c, _, err := CountColorfulContext(cancelAtPoll(n), g, q, colors, opts)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s: canceled at poll %d of %d, got count %d and error %v", backend, n, polls, c, err)
-			}
-			if left := table.SlabsOut() - held; left != 0 {
-				t.Fatalf("%s: canceled at poll %d of %d, the run kept %d slabs", backend, n, polls, left)
-			}
-		}
+		cancelEverywhere(t, backend+"/count", 60, func(ctx context.Context) (bool, error) {
+			c, _, err := CountColorfulContext(ctx, g, q, colors, opts)
+			return c != 0, err
+		})
+		cancelEverywhere(t, backend+"/perVertex", 60, func(ctx context.Context) (bool, error) {
+			per, _, _, err := CountColorfulPerVertexContext(ctx, g, q, colors, -1, opts)
+			return per != nil, err
+		})
 	}
 }

@@ -12,11 +12,18 @@
 //     algorithm; partitions colorful matches by the position of their
 //     highest vertex in the degree order and counts only high-starting
 //     paths, pruning the search around high-degree vertices.
+//
+// There is one way in: CountColorfulContext and
+// CountColorfulPerVertexContext both go through solve — the one place
+// inputs are validated and the backend built — and solver.run, the one
+// loop over the plan's blocks. A per-vertex run differs from a scalar one
+// in the root block alone (solveRoot).
 package core
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/decomp"
@@ -25,6 +32,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/sig"
+	"repro/internal/table"
 )
 
 // Algorithm selects the cycle solver.
@@ -124,47 +132,84 @@ func CountColorful(g *graph.Graph, q *query.Graph, colors []uint8, opts Options)
 // leafJoin, tableMerge, perVertexJoin) — counting itself stays
 // bit-identical with or without a trace attached.
 func CountColorfulContext(ctx context.Context, g *graph.Graph, q *query.Graph, colors []uint8, opts Options) (uint64, Stats, error) {
+	res, err := solve(ctx, g, q, colors, opts, engine.ModeCount, 0)
+	return res.count, res.stats, err
+}
+
+// result is what one solver run produces: the scalar count, or in
+// ModePerVertex the vector and the anchor it is grouped by.
+type result struct {
+	count  uint64
+	per    []uint64
+	anchor int
+	stats  Stats
+}
+
+// solve is the one path from either public entry to the block loop: it
+// resolves the plan, validates the inputs, builds the backend, runs the
+// blocks and reduces the answer across ranks. mode and anchor are the only
+// inputs the entries differ in; anchor is read in ModePerVertex alone,
+// where -1 picks the root block's first node.
+func solve(ctx context.Context, g *graph.Graph, q *query.Graph, colors []uint8, opts Options, mode engine.JobMode, anchor int) (result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return 0, Stats{}, err
+		return result{}, err
 	}
 	plan := opts.Plan
 	if plan == nil {
 		var err error
 		plan, err = PickPlan(q)
 		if err != nil {
-			return 0, Stats{}, err
+			return result{}, err
 		}
 	}
 	if err := validate(g, q, colors, plan); err != nil {
-		return 0, Stats{}, err
+		return result{}, err
+	}
+	var per []uint64
+	if mode == engine.ModePerVertex {
+		if anchor < 0 {
+			anchor = plan.Root.Nodes[0]
+		}
+		if !slices.Contains(plan.Root.Nodes, anchor) {
+			return result{}, fmt.Errorf(
+				"core: anchor %d is not in the plan's root block %v; pass a plan whose root contains it", anchor, plan.Root.Nodes)
+		}
+		per = make([]uint64, g.N())
 	}
 	be := opts.Engine
 	if be == nil {
 		var err error
 		be, err = engine.New(opts.Backend, opts.Workers, engine.Job{
 			N: g.N(), Graph: g, Colors: colors, Query: q, Plan: plan,
-			Algorithm: int(opts.Algorithm), Mode: engine.ModeCount, Ctx: ctx,
+			Algorithm: int(opts.Algorithm), Mode: mode, Anchor: anchor, Ctx: ctx,
 		})
 		if err != nil {
-			return 0, Stats{}, err
+			return result{}, err
 		}
 	}
 	s := newSolver(ctx, g, colors, be, opts.Algorithm)
-	count := s.run(plan)
+	count := s.run(plan, anchor, per)
 	if err := ctx.Err(); err != nil {
-		return 0, Stats{}, err
+		return result{}, err
 	}
 	// On a multi-process backend every rank holds only its partitions'
-	// share of the answer; Reduce sums them (and surfaces a lost worker
-	// or remote failure). Single-process backends return count unchanged.
-	count, err := be.Reduce(count)
-	if err != nil {
-		return 0, Stats{}, err
+	// share of the answer — a partial sum, or the vector slots of its owned
+	// vertices (entries are homed at the anchor mapping's owner). Reduce and
+	// ReduceVec assemble the global answer (and surface a lost worker or
+	// remote failure); on a single-process backend they are the identity.
+	var err error
+	if per != nil {
+		per, err = be.ReduceVec(per)
+	} else {
+		count, err = be.Reduce(count)
 	}
-	return count, s.stats(), nil
+	if err != nil {
+		return result{}, err
+	}
+	return result{count: count, per: per, anchor: anchor, stats: s.stats()}, nil
 }
 
 // stats snapshots the backend counters of a finished run. A backend that
@@ -301,38 +346,73 @@ func (s *solver) track(t *engine.Sharded) *engine.Sharded {
 
 // run traverses the decomposition tree bottom-up (§4.2), solving each block
 // from its children's projection tables, and returns the count produced by
-// the root block.
-func (s *solver) run(plan *decomp.Tree) uint64 {
+// the root block — or, given a per vector, folds the root's anchored table
+// into it. It is the one block loop: scalar and per-vertex runs poll for
+// cancellation and drop dead tables at the same points.
+func (s *solver) run(plan *decomp.Tree, anchor int, per []uint64) uint64 {
 	var answer uint64
 	for _, b := range plan.Blocks {
 		if s.aborted() {
 			s.drop(plan.Blocks) // whatever the blocks solved so far left behind
 			return 0
 		}
-		isRoot := b == plan.Root
-		switch b.Kind {
-		case decomp.LeafEdge:
+		switch {
+		case b == plan.Root:
+			answer = s.solveRoot(b, anchor, per)
+		case b.Kind == decomp.LeafEdge:
 			s.tables[b] = s.solveLeaf(b)
-		case decomp.CycleBlock:
-			if isRoot {
-				answer = s.solveRootCycle(b)
-			} else {
-				s.tables[b] = s.solveCycle(b)
-			}
-		case decomp.SingletonRoot:
-			if len(b.Children) == 0 {
-				// A 1-node query: every vertex is a colorful match. Count
-				// only owned vertices so multi-process ranks contribute
-				// disjoint shares to the Reduce.
-				lo, hi := s.be.Owned()
-				answer = uint64(hi - lo)
-			} else {
-				answer = s.tables[b.Children[0]].Total()
-			}
+		case b.Kind == decomp.CycleBlock:
+			s.tables[b] = s.solveCycle(b)
 		}
 		s.drop(b.Children)
 	}
 	return answer
+}
+
+// solveRoot solves the root block — a cycle or a singleton, never a leaf
+// edge: contraction always leaves a singleton after the last leaf — the
+// one block whose output depends on what the run computes: the total
+// colorful-match count when per is nil, otherwise the per-vertex counts —
+// the root solved as if anchor were its boundary node, and the resulting
+// unary table folded into per.
+func (s *solver) solveRoot(b *decomp.Block, anchor int, per []uint64) uint64 {
+	var unary *engine.Sharded
+	switch {
+	case b.Kind == decomp.CycleBlock && per == nil:
+		return s.solveRootCycle(b)
+	case b.Kind == decomp.CycleBlock:
+		// Identical joins, but mappings of the anchor are carried to the
+		// output (§5.2's one-boundary case).
+		unary = s.solveCycle(&decomp.Block{
+			Kind:     b.Kind,
+			Nodes:    b.Nodes,
+			Boundary: []int{anchor},
+			NodeAnn:  b.NodeAnn,
+			EdgeAnn:  b.EdgeAnn,
+			Children: b.Children,
+		})
+		defer unary.Release() // a singleton's table is its child's, dropped with it
+	case len(b.Children) == 0:
+		// A 1-node query: every vertex is one colorful match. Only owned
+		// vertices, so multi-process ranks contribute disjoint shares to
+		// Reduce and fill disjoint slots for ReduceVec.
+		lo, hi := s.be.Owned()
+		for v := lo; per != nil && v < hi; v++ {
+			per[v] = 1
+		}
+		return uint64(hi - lo)
+	default:
+		unary = s.tables[b.Children[0]]
+	}
+	if per == nil {
+		return unary.Total()
+	}
+	defer s.tr.Start(PhasePerVertexJoin)()
+	unary.Iter(func(k table.Key, c uint64) bool {
+		per[k.U] += c
+		return true
+	})
+	return 0
 }
 
 // drop releases the tables and cached groupings of blocks: a solved

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/exact"
@@ -61,7 +62,7 @@ func TestPerVertexDefaultAnchorAndErrors(t *testing.T) {
 		t.Fatalf("shape wrong: %d %+v", len(per), stats)
 	}
 	plan, _ := PickPlan(q)
-	if !contains(plan.Root.Nodes, anchor) {
+	if !slices.Contains(plan.Root.Nodes, anchor) {
 		t.Fatalf("default anchor %d not in root block", anchor)
 	}
 	// A node outside the root block must be rejected.

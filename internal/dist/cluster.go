@@ -476,18 +476,19 @@ func (j *cjob) gather() (map[int]*jobDoneMsg, error) {
 }
 
 // NodeStats is one worker process's transport-level counters, cumulative
-// over the cluster's lifetime (all jobs).
+// over the cluster's lifetime (all jobs). The tags are its /v1/stats form
+// (engine.dist, one row per node).
 type NodeStats struct {
-	Rank       int
-	Addr       string
-	Alive      bool
-	BytesSent  int64 // bytes the coordinator sent to this node
-	BytesRecv  int64 // bytes received from this node
-	FramesSent int64
-	FramesRecv int64
-	Exchanges  int64 // superstep completions (StepDone frames)
-	Load       int64 // cumulative projection-function operations reported
-	Jobs       int64 // finished job reports
+	Rank       int    `json:"rank"`
+	Addr       string `json:"addr"`
+	Alive      bool   `json:"alive"`
+	BytesSent  int64  `json:"bytesSent"` // bytes the coordinator sent to this node
+	BytesRecv  int64  `json:"bytesRecv"` // bytes received from this node
+	FramesSent int64  `json:"framesSent"`
+	FramesRecv int64  `json:"framesRecv"`
+	Exchanges  int64  `json:"exchanges"` // superstep completions (StepDone frames)
+	Load       int64  `json:"load"`      // cumulative projection-function operations reported
+	Jobs       int64  `json:"jobs"`      // finished job reports
 }
 
 // NodeStats snapshots every worker node's counters.

@@ -89,20 +89,22 @@ const maxRecord = 1 << 28
 // both amd64 and arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// RunRecord persists one trial stream's accumulated state: the stream
-// identity (mirroring the service cache's TrialKey field for field) and
-// the per-trial counts and engine stats. Trials over one stream are
+// RunRecord is one trial stream's accumulated state, in the log and on
+// the wire: the stream identity (mirroring the service cache's TrialKey
+// field for field) and the per-trial counts and engine stats. The log
+// gob-encodes it (field names; the tags are not read), the cluster handoff
+// body JSON-encodes it under the tags. Trials over one stream are
 // deterministic, so a longer record strictly extends a shorter one and
 // replay merges records longest-wins.
 type RunRecord struct {
-	Graph     uint64 // data-graph fingerprint
-	Query     string // canonical query signature
-	Algorithm int
-	Backend   string
-	Seed      int64
-	Ranks     int
-	Counts    []uint64
-	Stats     []core.Stats
+	Graph     uint64       `json:"graph"` // data-graph fingerprint
+	Query     string       `json:"query"` // canonical query signature
+	Algorithm int          `json:"algorithm"`
+	Backend   string       `json:"backend"`
+	Seed      int64        `json:"seed"`
+	Ranks     int          `json:"ranks"`
+	Counts    []uint64     `json:"counts"`
+	Stats     []core.Stats `json:"stats"`
 }
 
 // streamKey identifies a RunRecord's trial stream for the replay merge.

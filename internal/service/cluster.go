@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/durable"
 )
 
@@ -215,43 +214,6 @@ func (s *Service) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// wireRun is the JSON handoff form of one trial stream, mirroring
-// durable.RunRecord field for field.
-type wireRun struct {
-	Graph     uint64       `json:"graph"`
-	Query     string       `json:"query"`
-	Algorithm int          `json:"algorithm"`
-	Backend   string       `json:"backend"`
-	Seed      int64        `json:"seed"`
-	Ranks     int          `json:"ranks"`
-	Counts    []uint64     `json:"counts"`
-	Stats     []core.Stats `json:"stats"`
-}
-
-func toWireRun(tk TrialKey, run TrialRun) wireRun {
-	return wireRun{
-		Graph:     tk.Graph,
-		Query:     tk.Query,
-		Algorithm: int(tk.Algorithm),
-		Backend:   tk.Backend,
-		Seed:      tk.Seed,
-		Ranks:     tk.Ranks,
-		Counts:    run.Counts,
-		Stats:     run.Stats,
-	}
-}
-
-func (r wireRun) trialKey() TrialKey {
-	return TrialKey{
-		Graph:     r.Graph,
-		Query:     r.Query,
-		Algorithm: core.Algorithm(r.Algorithm),
-		Backend:   r.Backend,
-		Seed:      r.Seed,
-		Ranks:     r.Ranks,
-	}
-}
-
 // maxHandoffBody bounds one handoff import request (64 MiB): run
 // batches are peer-to-peer, but the endpoint still must not be a
 // memory-exhaustion vector.
@@ -263,7 +225,7 @@ const maxHandoffBody = 64 << 20
 // reports itself unready (/readyz 503) while the replay runs.
 func (s *Service) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 	var body struct {
-		Runs []wireRun `json:"runs"`
+		Runs []durable.RunRecord `json:"runs"`
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxHandoffBody))
 	if err := dec.Decode(&body); err != nil {
@@ -272,9 +234,9 @@ func (s *Service) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 	}
 	s.handoffActive.Add(1)
 	defer s.handoffActive.Add(-1)
-	for _, wr := range body.Runs {
-		tk := wr.trialKey()
-		run := TrialRun{Counts: wr.Counts, Stats: wr.Stats}
+	for _, rec := range body.Runs {
+		tk := trialKeyOf(rec)
+		run := TrialRun{Counts: rec.Counts, Stats: rec.Stats}
 		s.cache.Put(tk, run)
 		s.persistRun(tk, run)
 	}
@@ -311,7 +273,7 @@ func (s *Service) handleClusterRebalance(w http.ResponseWriter, r *http.Request)
 			}
 		}
 	}
-	byHome := make(map[string][]wireRun)
+	byHome := make(map[string][]durable.RunRecord)
 	kept := 0
 	for tk, run := range merged {
 		home := s.cluster.Owner(tk.hash())
@@ -319,7 +281,7 @@ func (s *Service) handleClusterRebalance(w http.ResponseWriter, r *http.Request)
 			kept++
 			continue
 		}
-		byHome[home] = append(byHome[home], toWireRun(tk, run))
+		byHome[home] = append(byHome[home], runRecord(tk, run))
 	}
 	exported := 0
 	peerResults := make(map[string]string)
@@ -347,7 +309,7 @@ func (s *Service) handleClusterRebalance(w http.ResponseWriter, r *http.Request)
 }
 
 // pushRuns ships one batch of runs to a peer's import endpoint.
-func (s *Service) pushRuns(r *http.Request, home string, runs []wireRun) error {
+func (s *Service) pushRuns(r *http.Request, home string, runs []durable.RunRecord) error {
 	body, err := json.Marshal(map[string]any{"runs": runs})
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 )
 
 // EngineBackendStats are one execution backend's counters accumulated
@@ -28,18 +29,7 @@ type EngineBackendStats struct {
 // DistNodeStats is one distributed worker node's transport counters,
 // cumulative since the process connected to it. Populated only when the
 // server runs with a dist cluster (Options.DistStats).
-type DistNodeStats struct {
-	Rank       int    `json:"rank"`
-	Addr       string `json:"addr"`
-	Alive      bool   `json:"alive"`
-	BytesSent  int64  `json:"bytesSent"` // coordinator → node
-	BytesRecv  int64  `json:"bytesRecv"` // node → coordinator
-	FramesSent int64  `json:"framesSent"`
-	FramesRecv int64  `json:"framesRecv"`
-	Exchanges  int64  `json:"exchanges"` // superstep completions reported
-	Load       int64  `json:"load"`      // projection operations executed on the node
-	Jobs       int64  `json:"jobs"`      // finished rank reports
-}
+type DistNodeStats = dist.NodeStats
 
 // EngineStats is the /v1/stats "engine" section: which backend the
 // service runs by default, at what width, and what every backend that has

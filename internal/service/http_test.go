@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	subgraph "repro"
+	"repro/internal/coloring"
+	"repro/internal/core"
 )
 
 // newServer starts a fresh service behind httptest with the "enron"
@@ -75,31 +78,119 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestEstimateMatchesLibraryBitForBit is the end-to-end contract: the
-// served estimate equals a direct subgraph.Estimate call with the same
-// algorithm, trials, and seed, field for field.
+// TestEstimateMatchesLibraryBitForBit is the end-to-end contract: there is
+// one estimator, so every way of asking for T trials at one seed — the
+// coloring layer's Run, a Session advanced by Next or by ExtendTo at any
+// parallelism, the library's Estimate with a fixed count or with a Spec
+// that stops at T, and the service's sync, cached, job and batch paths —
+// marshals to the same bytes.
 func TestEstimateMatchesLibraryBitForBit(t *testing.T) {
 	ts, g := newServer(t)
-	raw, header := post(t, ts, "/v1/estimate",
-		`{"graph":"bench","query":"glet1","trials":4,"seed":9}`, http.StatusOK)
-	if got := header.Get("X-Cache"); got != "MISS" {
-		t.Errorf("first request X-Cache = %q, want MISS", got)
-	}
-	var served subgraph.Estimation
-	if err := json.Unmarshal(raw, &served); err != nil {
-		t.Fatal(err)
-	}
-
+	const T, seed = 4, 9
 	q, err := subgraph.QueryByName("glet1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := subgraph.Estimate(g, q, subgraph.EstimateOptions{Trials: 4, Seed: 9, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	marshal := func(est subgraph.Estimation, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
 	}
-	if !sameEstimate(served, direct) {
-		t.Errorf("served estimate differs from direct call:\nserved: %+v\ndirect: %+v", served, direct)
+	copts := coloring.Options{Trials: T, Seed: seed, Core: core.Options{Workers: 4}}
+	session := func(advance func(*coloring.Session) error) []byte {
+		t.Helper()
+		sess, err := coloring.NewSession(g, q, copts)
+		if err == nil {
+			err = advance(sess)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return marshal(sess.Estimate(), nil)
+	}
+	served := func(path, body string, status int) []byte {
+		t.Helper()
+		raw, _ := post(t, ts, path, body, status)
+		return bytes.TrimSpace(raw)
+	}
+	body := fmt.Sprintf(`{"graph":"bench","query":"glet1","trials":%d,"seed":%d}`, T, seed)
+	fresh := body[:len(body)-1] + `,"noCache":true}`
+	paths := []struct {
+		name string
+		run  func() []byte
+	}{
+		{"coloring.Run", func() []byte { return marshal(coloring.Run(g, q, copts)) }},
+		{"Session.Next×T", func() []byte {
+			return session(func(s *coloring.Session) error {
+				for i := 0; i < T; i++ {
+					if _, err := s.Next(ctx); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}},
+		{"Session.ExtendTo/1", func() []byte {
+			return session(func(s *coloring.Session) error { return s.ExtendTo(ctx, T, 1) })
+		}},
+		{"Session.ExtendTo/4", func() []byte {
+			return session(func(s *coloring.Session) error { return s.ExtendTo(ctx, T, 4) })
+		}},
+		{"subgraph.Estimate/fixed", func() []byte {
+			return marshal(subgraph.Estimate(g, q, subgraph.EstimateOptions{Trials: T, Seed: seed, Workers: 4}))
+		}},
+		{"subgraph.Estimate/spec", func() []byte {
+			// A target no T trials can meet: the rule stops at its cap.
+			spec := subgraph.Spec{Precision: subgraph.Precision{RelErr: 1e-9}, MaxTrials: T}
+			return marshal(subgraph.Estimate(g, q, subgraph.EstimateOptions{Seed: seed, Workers: 4, Spec: spec, Parallel: 3}))
+		}},
+		{"service/sync", func() []byte { return served("/v1/estimate", body, http.StatusOK) }},
+		{"service/cached", func() []byte { return served("/v1/estimate", body, http.StatusOK) }},
+		{"service/job", func() []byte {
+			var job subgraph.JobInfo
+			if err := json.Unmarshal(served("/v1/jobs", fresh, http.StatusAccepted), &job); err != nil {
+				t.Fatal(err)
+			}
+			if status, raw, _ := do(t, ts, "GET", "/v1/jobs/"+job.ID+"?wait=30s"); status != http.StatusOK {
+				t.Fatalf("poll status %d: %s", status, raw)
+			}
+			status, raw, _ := do(t, ts, "GET", "/v1/jobs/"+job.ID+"/result")
+			if status != http.StatusOK {
+				t.Fatalf("result status %d: %s", status, raw)
+			}
+			return bytes.TrimSpace(raw)
+		}},
+		{"service/batch", func() []byte {
+			var resp struct {
+				Results []struct {
+					Estimate json.RawMessage `json:"estimate"`
+					Error    string          `json:"error"`
+				} `json:"results"`
+			}
+			raw := served("/v1/batch", fmt.Sprintf(`{"graph":"bench","trials":%d,"seed":%d,"noCache":true,"queries":[{"query":"glet1"}]}`, T, seed), http.StatusOK)
+			if err := json.Unmarshal(raw, &resp); err != nil || len(resp.Results) != 1 || resp.Results[0].Error != "" {
+				t.Fatalf("batch response %s: %v", raw, err)
+			}
+			return resp.Results[0].Estimate
+		}},
+	}
+	want := paths[0].run()
+	for _, p := range paths[1:] {
+		if got := p.run(); !bytes.Equal(got, want) {
+			t.Errorf("%s differs from %s:\n got: %s\nwant: %s", p.name, paths[0].name, got, want)
+		}
+	}
+	var st subgraph.ServiceStats
+	get(t, ts, "/v1/stats", &st)
+	if st.Estimates != 3 || st.Cache.Hits != 1 {
+		t.Errorf("computed %d estimates with %d cache hits, want 3 (sync, job, batch) and 1", st.Estimates, st.Cache.Hits)
 	}
 }
 
@@ -166,7 +257,7 @@ func TestStatsLockWaitSection(t *testing.T) {
 
 // TestBatchFigure8Catalog runs the paper's ten Figure 8 queries as one
 // batch and checks each result equals the direct library call with the
-// same seed, and that queries with matching node counts shared colorings.
+// same seed.
 func TestBatchFigure8Catalog(t *testing.T) {
 	ts, g := newServer(t)
 	queries := subgraph.Queries()
@@ -219,13 +310,8 @@ func TestBatchFigure8Catalog(t *testing.T) {
 		}
 	}
 
-	// Catalog node counts: 5,5 / 6 / 7,7 / 8,8 / 9,9 / 10 — four queries
-	// ride on another query's colorings.
 	var st subgraph.ServiceStats
 	get(t, ts, "/v1/stats", &st)
-	if st.ColoringsShared != 4 {
-		t.Errorf("coloringsShared = %d, want 4", st.ColoringsShared)
-	}
 	if st.Batches != 1 {
 		t.Errorf("batches = %d, want 1", st.Batches)
 	}

@@ -216,7 +216,6 @@ func (m *metricsRecorder) bridge(st Stats) {
 	gauge("subgraph_uptime_seconds", "Seconds since the service started.", nil, st.UptimeSeconds)
 	counter("subgraph_estimates_total", "Estimations actually computed (cache replays excluded).", nil, st.Estimates)
 	counter("subgraph_batches_total", "Batch requests served.", nil, st.Batches)
-	counter("subgraph_colorings_shared_total", "Batch jobs that reused another job's pre-drawn colorings.", nil, st.ColoringsShared)
 
 	counter("subgraph_precision_requests_total", "Precision-targeted requests resolved.", nil, st.Precision.Requests)
 	counter("subgraph_precision_early_stops_total", "Precision requests that stopped below their MaxTrials bound.", nil, st.Precision.EarlyStops)

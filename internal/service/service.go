@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,14 +43,16 @@ type Options struct {
 	// matching subgraph.Estimate).
 	DefaultTrials int
 	// Backend is the execution backend used when a request leaves Backend
-	// empty: "sim" (the paper's simulated distributed engine) or
-	// "parallel" (real shared-memory workers). Empty falls back to
-	// $SUBGRAPH_BACKEND, then "sim". Estimates are bit-identical across
-	// backends; only engine stats differ, so the backend is part of the
-	// result-cache key.
+	// empty: "sim" (the paper's simulated distributed engine), "parallel"
+	// (real shared-memory workers) or "dist" (worker processes; valid only
+	// in a process that has connected a worker topology, as sgserve
+	// -dist-workers does). Empty falls back to $SUBGRAPH_BACKEND, then
+	// "sim". Estimates are bit-identical across backends; only engine
+	// stats differ, so the backend is part of the result-cache key.
 	Backend string
-	// DefaultRanks is the engine rank/worker count when a request leaves
-	// Ranks ≤ 0 (≤ 0 means 4, matching the core sim default).
+	// DefaultRanks is the execution width when a request leaves Ranks ≤ 0
+	// (≤ 0 means 4, matching the core sim default); see
+	// EstimateRequest.Ranks for what it counts on each backend.
 	DefaultRanks int
 	// MaxTrials bounds the per-request trial count; requests beyond it are
 	// rejected rather than allowed to allocate trials×n bytes of colorings
@@ -163,9 +164,8 @@ type Service struct {
 
 	reqIDs atomic.Uint64 // X-Request-ID sequence
 
-	estimates       atomic.Uint64 // estimations actually computed
-	batches         atomic.Uint64
-	coloringsShared atomic.Uint64 // batch jobs that reused another job's colorings
+	estimates atomic.Uint64 // estimations actually computed
+	batches   atomic.Uint64
 
 	precisionReqs atomic.Uint64 // precision-targeted requests resolved
 	earlyStops    atomic.Uint64 // ...that stopped below their MaxTrials bound
@@ -325,18 +325,21 @@ type EstimateRequest struct {
 
 	// Algorithm is "DB" (default), "PS", or "PSEven".
 	Algorithm string `json:"algorithm,omitempty"`
-	// Backend is the execution backend: "sim" or "parallel" ("" means the
-	// service default). Estimates are bit-identical across backends; the
-	// engine stats embedded in the result differ, so the backend is part
-	// of the cache key.
+	// Backend is the execution backend: "sim", "parallel", or — on a
+	// server connected to worker processes — "dist" ("" means the service
+	// default). Estimates are bit-identical across backends; the engine
+	// stats embedded in the result differ, so the backend is part of the
+	// cache key.
 	Backend string `json:"backend,omitempty"`
 	// Trials is the number of independent colorings (≤ 0 means the service
 	// default, itself defaulting to 3).
 	Trials int `json:"trials,omitempty"`
 	// Seed feeds the coloring RNG; equal seeds give bit-identical results.
 	Seed int64 `json:"seed,omitempty"`
-	// Ranks is the simulated engine rank count (≤ 0 means the service
-	// default, itself defaulting to 4).
+	// Ranks is the execution width (≤ 0 means the service default, itself
+	// defaulting to 4): simulated ranks under "sim", worker goroutines
+	// under "parallel", total partitions spread over the worker processes
+	// under "dist".
 	Ranks int `json:"ranks,omitempty"`
 	// Parallel runs up to this many trials concurrently inside the job;
 	// results are bit-identical to serial (≤ 1 means serial).
@@ -375,14 +378,16 @@ type PrecisionSpec struct {
 	MaxTrials int `json:"maxTrials,omitempty"`
 }
 
-// adaptive converts a normalized spec (plus the request's effective
-// trial bound) to the coloring layer's stopping rule.
-func (p PrecisionSpec) adaptive(maxTrials int) coloring.Adaptive {
-	return coloring.Adaptive{
-		Precision: coloring.Precision{RelErr: p.RelErr, Confidence: p.Confidence},
-		MinTrials: p.MinTrials,
-		MaxTrials: maxTrials,
+// rule is a normalized request's stopping rule, capped at its effective
+// trial bound: the declared target's, or — a fixed-trial request — the
+// rule with no target, which fires at Trials and nowhere earlier.
+func (req EstimateRequest) rule() coloring.Adaptive {
+	ad := coloring.Adaptive{MaxTrials: req.Trials}
+	if p := req.Precision; p != nil {
+		ad.Precision = coloring.Precision{RelErr: p.RelErr, Confidence: p.Confidence}
+		ad.MinTrials = p.MinTrials
 	}
+	return ad
 }
 
 // EstimateResult is one finished estimation.
@@ -548,25 +553,10 @@ func (s *Service) key(fp uint64, q *query.Graph, alg core.Algorithm, req Estimat
 	return k
 }
 
-// resolveTrials decides a normalized request's effective trial count from
-// the trials accumulated so far: the fixed count, or — for a precision
-// request — the adaptive stopping rule walked over the counts. The rule
-// is a pure function of the count prefix, so replaying it over cached
-// trials stops at exactly the trial a live run stopped at.
-func resolveTrials(req EstimateRequest, counts []uint64) (int, bool) {
-	if p := req.Precision; p != nil {
-		return p.adaptive(req.Trials).StopAt(counts)
-	}
-	if len(counts) >= req.Trials {
-		return req.Trials, true
-	}
-	return 0, false
-}
-
-// tryReplay answers a request purely from cached trials: a fixed-trial
-// request whose count is already accumulated is prefix-sliced, a
-// precision request whose target is met within the cached trials stops
-// where a live run would have. The assembled estimate is bit-identical to
+// tryReplay answers a request purely from cached trials: the request's
+// stopping rule is walked over the cached counts and, if it fires within
+// them, stops where a live run would have — the rule is a pure function
+// of the count prefix. The assembled estimate is bit-identical to
 // an uncached run at the same effective trial count (same counts, same
 // Assemble). The boolean is false when the cache cannot fully answer —
 // the flight then extends the cached trials instead of starting over.
@@ -580,7 +570,7 @@ func (s *Service) tryReplay(tk TrialKey, q *query.Graph, req EstimateRequest) (c
 	if !ok {
 		return coloring.Estimate{}, false
 	}
-	used, ok := resolveTrials(req, counts)
+	used, ok := req.rule().StopAt(counts)
 	if !ok {
 		return coloring.Estimate{}, false
 	}
@@ -609,15 +599,15 @@ func (s *Service) notePrecision(req EstimateRequest, used int) {
 	}
 }
 
-// run executes one estimation as an incremental trial session: cached
-// trials for the same stream are preloaded (the extension path — only the
-// missing trials run), the session advances to the fixed trial count or
-// until the adaptive stopping rule fires, and the accumulated trials go
-// back to the cache so the next request starts where this one stopped.
+// run executes one estimation as a trial session: cached trials for the
+// same stream are preloaded (the extension path — only the missing trials
+// run), the session advances until the request's stopping rule fires, and
+// the accumulated trials go back to the cache so the next request starts
+// where this one stopped.
 // It is the only place estimates are computed, and every path assembles
 // through coloring.Assemble, so cached, extended, and fresh results are
 // bit-identical by construction.
-func (s *Service) run(ctx context.Context, h *Handle, q *query.Graph, alg core.Algorithm, req EstimateRequest, key Key, colorings [][]uint8, onTrial func(done int, mean, cv float64)) (coloring.Estimate, error) {
+func (s *Service) run(ctx context.Context, h *Handle, q *query.Graph, alg core.Algorithm, req EstimateRequest, key Key, onTrial func(done int, mean, cv float64)) (coloring.Estimate, error) {
 	sess, err := coloring.NewSession(h.Graph(), q, coloring.Options{
 		Seed: req.Seed,
 		Core: core.Options{
@@ -630,9 +620,6 @@ func (s *Service) run(ctx context.Context, h *Handle, q *query.Graph, alg core.A
 		return coloring.Estimate{}, err
 	}
 	sess.OnTrial(onTrial)
-	if colorings != nil {
-		sess.Predraw(colorings)
-	}
 	tr := obs.FromContext(ctx)
 	if !req.NoCache {
 		end := tr.Start(spanCacheLookup)
@@ -644,12 +631,7 @@ func (s *Service) run(ctx context.Context, h *Handle, q *query.Graph, alg core.A
 			}
 		}
 	}
-	used := req.Trials
-	if p := req.Precision; p != nil {
-		used, err = sess.RunUntil(ctx, p.adaptive(req.Trials), req.Parallel, 0)
-	} else {
-		err = sess.ExtendTo(ctx, req.Trials, req.Parallel)
-	}
+	used, err := sess.RunUntil(ctx, req.rule(), req.Parallel, 0)
 	if err != nil {
 		return coloring.Estimate{}, err
 	}
@@ -674,10 +656,9 @@ func (s *Service) run(ctx context.Context, h *Handle, q *query.Graph, alg core.A
 // submitJob validates and registers one estimation job, then either
 // replays it from the result cache (the job is born done), attaches it to
 // an identical in-flight job (singleflight), or schedules a fresh flight
-// on the worker pool. colorings, when non-nil, lazily supplies pre-drawn
-// colorings for the flight (batch sharing). The job's deadline watchdog
-// is armed before returning.
-func (s *Service) submitJob(req EstimateRequest, colorings func() [][]uint8) (*job, error) {
+// on the worker pool. The job's deadline watchdog is armed before
+// returning.
+func (s *Service) submitJob(req EstimateRequest) (*job, error) {
 	req, err := s.normalize(req)
 	if err != nil {
 		return nil, err
@@ -787,11 +768,7 @@ func (s *Service) submitJob(req EstimateRequest, colorings func() [][]uint8) (*j
 		// Queue wait: submission to worker pickup, the first section of
 		// every computed job's timeline.
 		tr.Add(spanQueueWait, submitted, time.Now())
-		var cs [][]uint8
-		if colorings != nil {
-			cs = colorings()
-		}
-		est, err := s.run(obs.WithTrace(ctx, tr), h, q, alg, req, key, cs, func(done int, mean, cv float64) {
+		est, err := s.run(obs.WithTrace(ctx, tr), h, q, alg, req, key, func(done int, mean, cv float64) {
 			fl.prog.Store(&flightProgress{done: done, mean: mean, cv: cv})
 		})
 		s.jobs.finishFlight(fl, est, err)
@@ -855,7 +832,7 @@ func (s *Service) waitJob(ctx context.Context, j *job) (EstimateResult, error) {
 // sync and async results are bit-identical.
 func (s *Service) Estimate(ctx context.Context, req EstimateRequest) (EstimateResult, error) {
 	start := time.Now()
-	j, err := s.submitJob(req, nil)
+	j, err := s.submitJob(req)
 	if err != nil {
 		return EstimateResult{}, err
 	}
@@ -873,7 +850,7 @@ func (s *Service) Estimate(ctx context.Context, req EstimateRequest) (EstimateRe
 // fingerprint, query signature, and knobs) is coalesced onto one
 // computation unless NoCache is set.
 func (s *Service) SubmitEstimateJob(req EstimateRequest) (JobInfo, error) {
-	j, err := s.submitJob(req, nil)
+	j, err := s.submitJob(req)
 	if err != nil {
 		return JobInfo{}, err
 	}
@@ -990,29 +967,11 @@ func relabel(est *coloring.Estimate, queryName, graphName string) {
 	est.Graph = graphName
 }
 
-// colorGroup lazily draws one set of colorings shared by every batch job
-// with the same (k, trials, seed): the colorings subgraph.Estimate would
-// draw depend only on those values (and the graph's vertex count), so jobs
-// whose seeds align reuse one draw instead of redrawing per query. uses
-// counts actual fetches, so sharing is metered on jobs that really ran —
-// not on items that were replayed from cache or coalesced away.
-type colorGroup struct {
-	once sync.Once
-	cs   [][]uint8
-	uses atomic.Int64
-}
-
-func (cg *colorGroup) colorings(n, k, trials int, seed int64) [][]uint8 {
-	cg.once.Do(func() { cg.cs = coloring.Draw(n, k, trials, seed) })
-	return cg.cs
-}
-
 // EstimateBatch resolves the batch's graph once and submits every query
-// as its own job, so a batch of N queries occupies up to N workers
-// concurrently; queries whose (k, trials, seed) align share one pre-drawn
-// set of colorings, and identical queries coalesce onto one flight.
-// Results keep the request order; per-item errors do not fail the batch
-// (a batch-level error means nothing ran).
+// as its own job — exactly as a standalone estimate is — so a batch of N
+// queries occupies up to N workers concurrently, and identical queries
+// coalesce onto one flight. Results keep the request order; per-item
+// errors do not fail the batch (a batch-level error means nothing ran).
 func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]BatchItem, error) {
 	if len(breq.Queries) == 0 {
 		return nil, fmt.Errorf("service: batch has no queries")
@@ -1024,7 +983,6 @@ func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]Batch
 		return nil, fmt.Errorf("%w %q (register it first)", ErrUnknownGraph, breq.Graph)
 	}
 	defer h.Release()
-	n := h.Graph().N()
 	s.batches.Add(1)
 
 	items := make([]BatchItem, len(breq.Queries))
@@ -1034,11 +992,6 @@ func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]Batch
 		start time.Time
 	}
 	var pending []pendingJob
-	type batchGroupKey struct {
-		k, trials int
-		seed      int64
-	}
-	groups := make(map[batchGroupKey]*colorGroup)
 	for i, qreq := range breq.Queries {
 		start := time.Now()
 		if qreq.Graph != "" && qreq.Graph != breq.Graph {
@@ -1076,8 +1029,7 @@ func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]Batch
 		}
 		qreq.NoCache = qreq.NoCache || breq.NoCache
 		// Resolve the query here (submitJob will again, cheaply) to name
-		// the item and to group colorings by (k, trials, seed) before
-		// submission.
+		// the item whatever becomes of its submission.
 		nreq, err := s.normalize(qreq)
 		if err != nil {
 			items[i] = BatchItem{Query: label(qreq, i), Err: err}
@@ -1089,27 +1041,7 @@ func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]Batch
 			continue
 		}
 		items[i].Query = q.Name
-		// Precision-targeted queries skip coloring sharing: their trial
-		// bound is the adaptive worst case, and predrawing MaxTrials
-		// colorings up front would cost more than the redraw it saves —
-		// the session draws lazily from its stream instead.
-		var colorings func() [][]uint8
-		if nreq.Precision == nil {
-			gk := batchGroupKey{k: q.K, trials: nreq.Trials, seed: nreq.Seed}
-			grp, seen := groups[gk]
-			if !seen {
-				grp = &colorGroup{}
-				groups[gk] = grp
-			}
-			k, trials, seed := q.K, nreq.Trials, nreq.Seed
-			colorings = func() [][]uint8 {
-				if grp.uses.Add(1) > 1 {
-					s.coloringsShared.Add(1)
-				}
-				return grp.colorings(n, k, trials, seed)
-			}
-		}
-		j, err := s.submitJob(qreq, colorings)
+		j, err := s.submitJob(qreq)
 		if err != nil {
 			items[i] = BatchItem{Query: q.Name, Err: err}
 			continue
@@ -1142,16 +1074,15 @@ type PrecisionStats struct {
 
 // Stats is the service-wide observability snapshot.
 type Stats struct {
-	UptimeSeconds   float64        `json:"uptimeSeconds"`
-	Estimates       uint64         `json:"estimates"`
-	Batches         uint64         `json:"batches"`
-	ColoringsShared uint64         `json:"coloringsShared"`
-	Precision       PrecisionStats `json:"precision"`
-	Registry        RegistryStats  `json:"registry"`
-	Cache           CacheStats     `json:"cache"`
-	Scheduler       SchedulerStats `json:"scheduler"`
-	Jobs            JobsStats      `json:"jobs"`
-	Engine          EngineStats    `json:"engine"`
+	UptimeSeconds float64        `json:"uptimeSeconds"`
+	Estimates     uint64         `json:"estimates"`
+	Batches       uint64         `json:"batches"`
+	Precision     PrecisionStats `json:"precision"`
+	Registry      RegistryStats  `json:"registry"`
+	Cache         CacheStats     `json:"cache"`
+	Scheduler     SchedulerStats `json:"scheduler"`
+	Jobs          JobsStats      `json:"jobs"`
+	Engine        EngineStats    `json:"engine"`
 	// Durable is the persistence layer's counters; nil (omitted) when the
 	// service runs in-memory.
 	Durable *DurableStats `json:"durable,omitempty"`
@@ -1174,12 +1105,11 @@ func (s *Service) Stats() Stats {
 		dur = &d
 	}
 	return Stats{
-		Durable:         dur,
-		Cluster:         s.clusterStats(),
-		UptimeSeconds:   time.Since(s.start).Seconds(),
-		Estimates:       s.estimates.Load(),
-		Batches:         s.batches.Load(),
-		ColoringsShared: s.coloringsShared.Load(),
+		Durable:       dur,
+		Cluster:       s.clusterStats(),
+		UptimeSeconds: time.Since(s.start).Seconds(),
+		Estimates:     s.estimates.Load(),
+		Batches:       s.batches.Load(),
 		Precision: PrecisionStats{
 			Requests:    s.precisionReqs.Load(),
 			EarlyStops:  s.earlyStops.Load(),

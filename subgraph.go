@@ -3,9 +3,9 @@
 // IPDPS 2016): approximate subgraph counting for treewidth-2 query graphs
 // via color coding, with the paper's degree-based (DB) cycle solver and the
 // path-splitting (PS) baseline, over pluggable execution backends — the
-// paper's simulated distributed engine ("sim", metrics-faithful) or a real
-// shared-memory parallel runtime ("parallel"); counts are bit-identical
-// across backends.
+// paper's simulated distributed engine ("sim", metrics-faithful), a real
+// shared-memory parallel runtime ("parallel") or worker processes
+// ("dist"); counts are bit-identical across backends.
 //
 // Typical use:
 //
@@ -121,7 +121,7 @@ func Plan(q *Query) (*PlanTree, error) { return core.PickPlan(q) }
 func EnumeratePlans(q *Query) ([]*PlanTree, error) { return decomp.Enumerate(q) }
 
 // CanonicalBackend resolves an execution backend name to its canonical
-// form ("sim" or "parallel"): an empty name falls back to
+// form ("sim", "parallel" or "dist"): an empty name falls back to
 // $SUBGRAPH_BACKEND, then "sim"; unknown names are errors. Servers should
 // validate their configured default with it at startup, so a typo fails
 // fast instead of turning every request into a 400.
@@ -177,23 +177,33 @@ type Spec struct {
 	Budget time.Duration
 }
 
-// adaptive converts the spec to the coloring layer's stopping-rule bounds.
-func (sp Spec) adaptive() coloring.Adaptive {
-	return coloring.Adaptive{Precision: sp.Precision, MinTrials: sp.MinTrials, MaxTrials: sp.MaxTrials}
+// rule is the run's stopping rule: the Spec's bounds when it declares a
+// target, otherwise "exactly Trials" — a rule with no target fires at its
+// cap and nowhere earlier.
+func (o EstimateOptions) rule() coloring.Adaptive {
+	ad := coloring.Adaptive{Precision: o.Spec.Precision, MinTrials: o.Spec.MinTrials, MaxTrials: o.Spec.MaxTrials}
+	if !ad.Enabled() {
+		ad.MaxTrials = o.Trials
+	}
+	return ad
 }
 
 // EstimateOptions configures the multi-trial estimator.
 type EstimateOptions struct {
 	Algorithm Algorithm
 	// Backend selects the execution runtime for the inner solver: "sim"
-	// (default; the paper's simulated distributed engine) or "parallel"
-	// (real shared-memory workers merging projection tables directly).
-	// Estimates are bit-identical across backends and worker counts; only
-	// the engine stats differ.
+	// (default; the paper's simulated distributed engine), "parallel"
+	// (real shared-memory workers merging projection tables directly) or
+	// "dist" (worker processes; valid only in a process that has connected
+	// a worker topology, as sgserve -dist-workers does). Estimates are
+	// bit-identical across backends and worker counts; only the engine
+	// stats differ. An empty name falls back to $SUBGRAPH_BACKEND, then
+	// "sim".
 	Backend string
 	// Workers is the execution width: simulated ranks under "sim" (≤ 0
 	// means 4), real worker goroutines under "parallel" (≤ 0 means
-	// GOMAXPROCS).
+	// GOMAXPROCS), total partitions spread over the worker processes under
+	// "dist" (≤ 0 means 4 per process).
 	Workers int
 	// Trials is the fixed number of independent colorings (≤ 0 means 3).
 	// It is the compatibility alias for a fixed-trial Spec: when
@@ -215,8 +225,9 @@ type EstimateOptions struct {
 }
 
 // Estimate approximates the number of matches (and distinct subgraphs) of
-// q in g by color coding: Trials independent colorings, each counted
-// exactly and scaled by k^k/k! (§2).
+// q in g by color coding: independent colorings, each counted exactly and
+// scaled by k^k/k! (§2) — Trials of them, or as many as Spec's target
+// needs. Either way it is a Session run to its stopping rule.
 func Estimate(g *Graph, q *Query, opts EstimateOptions) (Estimation, error) {
 	return EstimateContext(context.Background(), g, q, opts)
 }
@@ -227,29 +238,11 @@ func Estimate(g *Graph, q *Query, opts EstimateOptions) (Estimation, error) {
 // running every remaining trial to completion. Results of uncanceled runs
 // are bit-identical to Estimate.
 func EstimateContext(ctx context.Context, g *Graph, q *Query, opts EstimateOptions) (Estimation, error) {
-	copts := coloring.Options{
-		Trials:   opts.Trials,
-		Seed:     opts.Seed,
-		Parallel: opts.Parallel,
-		Core: core.Options{
-			Algorithm: opts.Algorithm,
-			Backend:   opts.Backend,
-			Workers:   opts.Workers,
-			Plan:      opts.Plan,
-		},
-	}
-	if !opts.Spec.Precision.Enabled() {
-		return coloring.RunContext(ctx, g, q, copts)
-	}
-	sess, err := coloring.NewSession(g, q, copts)
+	sess, err := NewSession(g, q, opts)
 	if err != nil {
 		return Estimation{}, err
 	}
-	stop, err := sess.RunUntil(ctx, opts.Spec.adaptive(), opts.Parallel, opts.Spec.Budget)
-	if err != nil {
-		return Estimation{}, err
-	}
-	return sess.EstimateAt(stop), nil
+	return sess.run(ctx)
 }
 
 // Session is an incremental estimation handle: Next runs one more
@@ -261,8 +254,7 @@ func EstimateContext(ctx context.Context, g *Graph, q *Query, opts EstimateOptio
 // batch run would give. Sessions are not safe for concurrent use.
 type Session struct {
 	inner *coloring.Session
-	spec  Spec
-	par   int
+	opts  EstimateOptions
 }
 
 // NewSession starts an incremental estimation of q in g. Trials is
@@ -281,7 +273,7 @@ func NewSession(g *Graph, q *Query, opts EstimateOptions) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{inner: inner, spec: opts.Spec, par: opts.Parallel}, nil
+	return &Session{inner: inner, opts: opts}, nil
 }
 
 // Next runs one more coloring trial and returns its colorful count.
@@ -310,10 +302,16 @@ func (s *Session) Met(p Precision) bool {
 // no precision target errors out rather than silently running to the
 // default trial cap.
 func (s *Session) RunToSpec(ctx context.Context) (Estimation, error) {
-	if !s.spec.Precision.Enabled() {
+	if !s.opts.Spec.Precision.Enabled() {
 		return Estimation{}, fmt.Errorf("subgraph: RunToSpec on a session with no precision target (Spec.Precision.RelErr is 0)")
 	}
-	stop, err := s.inner.RunUntil(ctx, s.spec.adaptive(), s.par, s.spec.Budget)
+	return s.run(ctx)
+}
+
+// run advances the session to its options' stopping rule and snapshots the
+// estimate there.
+func (s *Session) run(ctx context.Context) (Estimation, error) {
+	stop, err := s.inner.RunUntil(ctx, s.opts.rule(), s.opts.Parallel, s.opts.Spec.Budget)
 	if err != nil {
 		return Estimation{}, err
 	}
