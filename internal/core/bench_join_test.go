@@ -37,7 +37,7 @@ func newBenchFixture(b *testing.B) *benchFixture {
 		colors[i] = uint8(rng.Intn(5))
 	}
 	be := engine.NewParallel(1, n)
-	s := newSolver(context.Background(), g, colors, be, DB)
+	s := newSolver(context.Background(), g, colors, 5, be, DB)
 
 	cur := engine.NewSharded(be)
 	for i := 0; i < 20000; i++ {
@@ -67,7 +67,7 @@ func BenchmarkNodeJoinInner(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.s.nodeJoin(fx.cur, fx.ann)
+		fx.s.nodeJoin(fx.cur, pathStart{}, fx.ann)
 	}
 }
 

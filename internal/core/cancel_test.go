@@ -127,13 +127,60 @@ func TestCancelMidBuild(t *testing.T) {
 		}
 	}
 	ctx := cancelAtPoll(100)
-	s := newSolver(ctx, nil, nil, be, DB)
+	s := newSolver(ctx, nil, nil, 1, be, DB)
 	s.track(out)
 	if !s.stop.Load() || !errors.Is(ctx.Err(), context.Canceled) {
 		t.Fatal("the build phase never polled the context")
 	}
 	if s.entries == 0 || s.entries > n*perVertex/2 {
 		t.Errorf("a cancel at the 100th of %d shards left %d of %d entries built", be.P(), s.entries, n*perVertex)
+	}
+	out.Release()
+
+	// Inside one shard too: a hub's shard of 1.3 M entries is tens of
+	// milliseconds of compaction, which polls between its passes. Canceled at
+	// any of those polls it gives its buffers back and leaves the shard
+	// unread; so does a box, whose sweep — 256 KiB at most — polls once.
+	one := engine.NewCluster(1, n)
+	for name, fill := range map[string]func() *engine.Sharded{
+		"chunks": func() *engine.Sharded {
+			hub := engine.NewSharded(one)
+			for v := uint32(0); v < n; v++ {
+				for u := uint32(0); u < perVertex; u++ {
+					hub.Shard(0).AddEnt(table.BinaryEnt(u*7919%n, v, 1, 1))
+				}
+			}
+			return hub
+		},
+		"a box": func() *engine.Sharded {
+			box := engine.NewMatrix(engine.NewCluster(1, 256), 8, false)
+			for i := uint32(0); i < 1<<16; i++ {
+				box.Shard(0).AddEnt(table.UnaryEnt(i%256, 0b1111, 1))
+			}
+			return box
+		},
+	} {
+		held := table.SlabsOut()
+		for poll := int64(2); ; poll++ { // track's own poll, before the shard, is the first
+			hub := fill()
+			ctx := cancelAtPoll(poll)
+			s := newSolver(ctx, nil, nil, 1, one, DB)
+			s.track(hub)
+			canceled := errors.Is(ctx.Err(), context.Canceled)
+			if canceled != (s.entries == 0) || canceled != s.stop.Load() {
+				t.Fatalf("%s, poll %d: canceled %v, latched %v, %d entries counted", name, poll, canceled, s.stop.Load(), s.entries)
+			}
+			hub.Release()
+			if left := table.SlabsOut() - held; left != 0 {
+				t.Fatalf("%s, canceled at poll %d: %d slabs kept", name, poll, left)
+			}
+			if !canceled {
+				if polls := poll - 2; polls < 1 || name == "chunks" && polls < 3 {
+					t.Errorf("%s: the compaction polled %d times", name, polls)
+				}
+				break
+			}
+		}
 	}
 }
 
@@ -213,7 +260,7 @@ func TestCancelInsideSharedPrefix(t *testing.T) {
 		held := table.SlabsOut()
 		ctx, cancel := context.WithCancel(context.Background())
 		shared := 0
-		s := tracedSolver(t, ctx, rt.backend, rt.workers, g, colors, func(s *solver, _ string) {
+		s := tracedSolver(t, ctx, rt.backend, rt.workers, g, colors, q.K, func(s *solver, _ string) {
 			for _, n := range s.walks {
 				if n.table != nil && n.uses > 1 {
 					shared++

@@ -190,7 +190,7 @@ func solve(ctx context.Context, g *graph.Graph, q *query.Graph, colors []uint8, 
 			return result{}, err
 		}
 	}
-	s := newSolver(ctx, g, colors, be, opts.Algorithm)
+	s := newSolver(ctx, g, colors, q.K, be, opts.Algorithm)
 	count := s.run(plan, anchor, per)
 	if err := ctx.Err(); err != nil {
 		return result{}, err
@@ -266,6 +266,7 @@ type solver struct {
 	stop    atomic.Bool // latched ctx cancellation, visible to every worker
 	g       *graph.Graph
 	colors  []uint8
+	k       int // colours: the query's node count
 	be      engine.Backend
 	alg     Algorithm
 	tables  map[*decomp.Block]*engine.Sharded
@@ -275,13 +276,15 @@ type solver struct {
 	entries int64
 }
 
-// newSolver assembles the per-run solver state over a ready backend.
-func newSolver(ctx context.Context, g *graph.Graph, colors []uint8, be engine.Backend, alg Algorithm) *solver {
+// newSolver assembles the per-run solver state over a ready backend, for a
+// colouring with k colours.
+func newSolver(ctx context.Context, g *graph.Graph, colors []uint8, k int, be engine.Backend, alg Algorithm) *solver {
 	s := &solver{
 		ctx:     ctx,
 		tr:      obs.FromContext(ctx),
 		g:       g,
 		colors:  colors,
+		k:       k,
 		be:      be,
 		alg:     alg,
 		tables:  make(map[*decomp.Block]*engine.Sharded),
@@ -329,15 +332,18 @@ func (s *solver) aborted() bool {
 }
 
 // track finishes a freshly built table: every partition compacts its own
-// shard (the sort and fold a superstep's appends have been waiting for),
-// in parallel and inside the superstep's span, and the table's size goes
-// into the stats. A canceled run skips the shards not yet started; the
-// caller discards the table.
+// shard (the sweep, or sort and fold, a superstep's adds have been waiting
+// for), in parallel and inside the superstep's span, and the table's size
+// goes into the stats. A canceled run skips the shards not yet started and
+// stops the one it is in at its next pass over the entries — a hub's shard
+// of a million entries is tens of milliseconds of compaction — leaving it
+// unread; the caller discards the table.
 func (s *solver) track(t *engine.Sharded) *engine.Sharded {
 	var entries atomic.Int64
 	s.be.Run(func(w int) {
 		if !s.aborted() {
-			entries.Add(int64(t.Shard(w).Len()))
+			n, _ := t.Shard(w).Build(s.aborted)
+			entries.Add(int64(n))
 		}
 	})
 	s.entries += entries.Load()

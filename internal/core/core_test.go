@@ -265,7 +265,7 @@ func TestChildTableSurvivesItsParentsWalks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := newSolver(context.Background(), g, colors, be, DB)
+		s := newSolver(context.Background(), g, colors, q.K, be, DB)
 		type snapshot struct {
 			total uint64
 			ents  map[table.Key]uint64

@@ -45,7 +45,12 @@ type split struct {
 // solveCycle computes the projection table of a non-root cycle block:
 // unary for one boundary node, binary (Boundary[0], Boundary[1]) for two.
 func (s *solver) solveCycle(b *decomp.Block) *engine.Sharded {
-	out := engine.NewSharded(s.be)
+	var out *engine.Sharded
+	if len(b.Boundary) == 1 {
+		out = engine.NewMatrix(s.be, s.k, false) // (π(boundary), α) ↦ count
+	} else {
+		out = engine.NewSharded(s.be)
+	}
 	s.joinSplits(b, out, nil)
 	return s.track(out)
 }
@@ -91,7 +96,7 @@ func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 	s.walks = walkTrie{}
 	defer s.walks.release()
 	walk := s.walks.add(pathStart{startAnn: b.NodeAnn[1], free: true}, step)
-	out := engine.NewSharded(s.be)
+	out := engine.NewMatrix(s.be, s.k, false)
 	if !s.buildPath(walk) {
 		return out
 	}

@@ -29,9 +29,12 @@ import (
 // CSR-style index (rowIdx) instead of a hash map. A join writes each entry
 // it produces once, packed as the table stores it (table.Ent: V high and U
 // low in one word, X high and Y low in the other), straight into the lane
-// of the partition that owns its home vertex (engine.Lanes); whatever does
-// not change along a neighbour scan — the walk's start, its recorded
-// vertices, signature and count — is read once per source entry.
+// of the partition that owns its home vertex (engine.Lanes). The edge
+// loops run run-major: for each run of source entries that share their end
+// vertex, for each neighbour, the neighbour's colour, lane and — in a
+// start-free walk's table, a vertex×signature matrix (engine.NewMatrix) —
+// row of counts are found once, and the run's entries land there back to
+// back.
 
 // pathStep extends the walk by one cycle node.
 type pathStep struct {
@@ -144,7 +147,7 @@ func (s *solver) buildPath(n *walk) bool {
 	}
 	if n.step.nodeAnn != nil {
 		edge := t
-		t = s.nodeJoin(edge, n.step.nodeAnn)
+		t = s.nodeJoin(edge, n.pathStart, n.step.nodeAnn)
 		edge.Release()
 	}
 	if p != nil {
@@ -156,6 +159,25 @@ func (s *solver) buildPath(n *walk) bool {
 	}
 	n.table = t
 	return true
+}
+
+// newTable returns the empty table of a walk from spec: a start-free walk's
+// keys are (None, end vertex, signature) and nothing else, which the table
+// is told.
+func (s *solver) newTable(spec pathStart) *engine.Sharded {
+	if spec.free {
+		return engine.NewMatrix(s.be, s.k, true)
+	}
+	return engine.NewSharded(s.be)
+}
+
+// runOf returns the end of the run of entries starting at ents[i] that
+// share its V: a shard is sorted by V first.
+func runOf(ents []table.Ent, i int) int {
+	v := ents[i].V()
+	for i++; i < len(ents) && ents[i].V() == v; i++ {
+	}
+	return i
 }
 
 // startKey is the U a walk that starts at vertex u carries in its keys.
@@ -196,7 +218,7 @@ func (r recordSlot) ent(start, end uint32, kept uint64, s sig.Sig, c uint64) tab
 // graph's edges (count 1 per edge per direction, signature {χ(u),χ(v)},
 // Figure 4/6 Procedure 1 line 1) or the annotating child block's table.
 func (s *solver) initEdge(spec pathStart, st pathStep) *engine.Sharded {
-	out := engine.NewSharded(s.be)
+	out := s.newTable(spec)
 	slot := slotOf(st.record)
 	defer s.tr.Start(PhasePathJoin)()
 	if st.edgeAnn == nil {
@@ -259,7 +281,7 @@ func (s *solver) initEdge(spec pathStart, st pathStep) *engine.Sharded {
 // annotation.
 func (s *solver) lift(spec pathStart) *engine.Sharded {
 	child := s.tables[spec.startAnn]
-	out := engine.NewSharded(s.be)
+	out := s.newTable(spec)
 	defer s.tr.Start(PhasePathJoin)()
 	s.be.Run(func(w int) {
 		sh := out.Shard(w)
@@ -278,7 +300,7 @@ func (s *solver) lift(spec pathStart) *engine.Sharded {
 // whose signature meets α exactly at χ(v) (Figure 7 EdgeJoin). Under the DB
 // order constraint, only vertices ranking below u extend the walk.
 func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *engine.Sharded {
-	out := engine.NewSharded(s.be)
+	out := s.newTable(spec)
 	slot := slotOf(st.record)
 	if st.edgeAnn == nil {
 		defer s.tr.Start(PhasePathJoin)()
@@ -287,22 +309,25 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *eng
 			var poll int
 			ents := cur.Shard(w).Ents()
 		scan:
-			for i := range ents {
-				k := &ents[i]
-				u, xy, ks, kc := k.U(), k.XY&slot.keep, k.S, k.C
-				for _, nb := range s.g.Neighbors(k.V()) {
-					load++
-					if s.canceled(&poll) {
-						break scan
+			for i, j := 0, 0; i < len(ents); i = j {
+				j = runOf(ents, i)
+				run := ents[i:j]
+				for _, nb := range s.g.Neighbors(run[0].V()) {
+					cn, dst := s.colorOf(nb), to.At(nb)
+					for r := range run {
+						k := &run[r]
+						load++
+						if s.canceled(&poll) {
+							break scan
+						}
+						if spec.ordered && !s.g.Higher(k.U(), nb) {
+							continue
+						}
+						if !k.S.Disjoint(cn) {
+							continue
+						}
+						dst.AddEnt(slot.ent(k.U(), nb, k.XY&slot.keep, k.S.Union(cn), k.C))
 					}
-					if spec.ordered && !s.g.Higher(u, nb) {
-						continue
-					}
-					cn := s.colorOf(nb)
-					if !ks.Disjoint(cn) {
-						continue
-					}
-					to.At(nb).AddEnt(slot.ent(u, nb, xy, ks.Union(cn), kc))
 				}
 			}
 			s.be.AddLoad(w, load)
@@ -318,26 +343,29 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *eng
 		idx := grouped[w]
 		ents := cur.Shard(w).Ents()
 	scan:
-		for i := range ents {
-			k := &ents[i]
-			u, xy, ks, kc := k.U(), k.XY&slot.keep, k.S, k.C
-			cv := s.colorOf(k.V())
-			row := idx.at(k.V())
-			for j := range row {
-				load++
-				if s.canceled(&poll) {
-					break scan
-				}
-				e := &row[j]
+		for i, j := 0, 0; i < len(ents); i = j {
+			j = runOf(ents, i)
+			run := ents[i:j]
+			v := run[0].V()
+			cv := s.colorOf(v)
+			for _, e := range idx.at(v) {
 				end := e.U()
-				if spec.ordered && !s.g.Higher(u, end) {
-					continue
+				dst := to.At(end)
+				for r := range run {
+					k := &run[r]
+					load++
+					if s.canceled(&poll) {
+						break scan
+					}
+					if spec.ordered && !s.g.Higher(k.U(), end) {
+						continue
+					}
+					// The walk and the child share exactly the query node at v.
+					if k.S.Inter(e.S) != cv {
+						continue
+					}
+					dst.AddEnt(slot.ent(k.U(), end, k.XY&slot.keep, k.S.Union(e.S), k.C*e.C))
 				}
-				// The walk and the child share exactly the query node at v.
-				if ks.Inter(e.S) != cv {
-					continue
-				}
-				to.At(end).AddEnt(slot.ent(u, end, xy, ks.Union(e.S), kc*e.C))
 			}
 		}
 		s.be.AddLoad(w, load)
@@ -349,8 +377,8 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *eng
 // (Figure 7 NodeJoin). Both tables are homed at the owner of v, so the join
 // is communication-free. The child index is built once per block by
 // groupUnary and reused across every split that folds the same annotation.
-func (s *solver) nodeJoin(cur *engine.Sharded, ann *decomp.Block) *engine.Sharded {
-	out := engine.NewSharded(s.be)
+func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block) *engine.Sharded {
+	out := s.newTable(spec)
 	// groupUnary runs (and traces) its own superstep; span only ours.
 	grouped := s.groupUnary(ann)
 	defer s.tr.Start(PhasePathJoin)()
@@ -406,14 +434,19 @@ func (ix *rowIdx) at(v uint32) []table.Ent {
 
 // indexRows builds the row index of every shard of t, whose entries are
 // homed — and therefore sorted — by the vertex home extracts: a single
-// linear walk per partition, no redistribution and no sort.
+// linear walk per partition, no redistribution and no sort. The indexes and
+// their offsets are two allocations, whatever the partition count:
+// partition w's n+1 offsets start at lo+w.
 func (s *solver) indexRows(t *engine.Sharded, home func(*table.Ent) uint32) []*rowIdx {
 	g := make([]*rowIdx, s.be.P())
+	idx := make([]rowIdx, len(g))
+	rows := make([]int32, s.g.N()+len(g))
 	defer s.tr.Start(PhaseTableMerge)()
 	s.be.Run(func(w int) {
 		lo, hi := s.be.Range(w)
-		n := max(int(hi)-int(lo), 0)
-		ix := &rowIdx{lo: lo, rows: make([]int32, n+1), ents: t.Shard(w).Ents()}
+		n := int(hi - lo)
+		ix := &idx[w]
+		*ix = rowIdx{lo: lo, rows: rows[int(lo)+w:][:n+1], ents: t.Shard(w).Ents()}
 		j := 0
 		for r := 0; r < n; r++ {
 			ix.rows[r] = int32(j)

@@ -15,6 +15,41 @@ import (
 	"repro/internal/query"
 )
 
+// backend is one runtime an equivalence test runs an instance on: opts
+// returns the options that select it for job.
+type backend struct {
+	name string
+	opts func(job engine.Job) core.Options
+}
+
+func local(name string, workers int) backend {
+	return backend{fmt.Sprintf("%s@%d", name, workers), func(engine.Job) core.Options {
+		return core.Options{Backend: name, Workers: workers}
+	}}
+}
+
+// equivalenceBackends returns the runtimes whose counts and content-
+// determined counters must agree: sim at four ranks (the reference) and at
+// one, parallel at one, two and three workers, and a two-rank loopback
+// cluster that lives as long as the test.
+func equivalenceBackends(t *testing.T) []backend {
+	cluster, err := dist.Loopback(2, dist.WorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	return []backend{
+		local("sim", 4), local("sim", 1), local("parallel", 1), local("parallel", 2), local("parallel", 3),
+		{"dist@2", func(job engine.Job) core.Options {
+			be, err := cluster.NewJob(5, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return core.Options{Engine: be}
+		}},
+	}
+}
+
 // Building each distinct walk once, joining identical splits once and
 // dropping the start from leaf walks change how often a table is built and
 // how much an entry carries — never a count, and never differently on one
@@ -30,31 +65,7 @@ func TestSharingIsInvisible(t *testing.T) {
 	if core.RaceEnabled || testing.Short() {
 		draws = 20
 	}
-	cluster, err := dist.Loopback(2, dist.WorkerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-
-	type backend struct {
-		name string
-		opts func(job engine.Job) core.Options
-	}
-	local := func(name string, workers int) backend {
-		return backend{fmt.Sprintf("%s@%d", name, workers), func(engine.Job) core.Options {
-			return core.Options{Backend: name, Workers: workers}
-		}}
-	}
-	backends := []backend{
-		local("sim", 4), local("sim", 1), local("parallel", 1), local("parallel", 2), local("parallel", 3),
-		{"dist@2", func(job engine.Job) core.Options {
-			be, err := cluster.NewJob(5, job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return core.Options{Engine: be}
-		}},
-	}
+	backends := equivalenceBackends(t)
 
 	rng := rand.New(rand.NewSource(16))
 	check := func(g *graph.Graph, q *query.Graph) {

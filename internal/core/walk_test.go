@@ -48,14 +48,14 @@ func (t walkTrie) live() int {
 // tracedSolver returns a solver on backend, workers wide, over g, bounded by
 // ctx, whose every span end — one per superstep — calls atSpan first, on
 // the solver's own goroutine.
-func tracedSolver(t *testing.T, ctx context.Context, backend string, workers int, g *graph.Graph, colors []uint8, atSpan func(s *solver, phase string)) *solver {
+func tracedSolver(t *testing.T, ctx context.Context, backend string, workers int, g *graph.Graph, colors []uint8, k int, atSpan func(s *solver, phase string)) *solver {
 	t.Helper()
 	be, err := engine.New(backend, workers, engine.Job{N: g.N()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace(t.Name())
-	s := newSolver(obs.WithTrace(ctx, tr), g, colors, be, DB)
+	s := newSolver(obs.WithTrace(ctx, tr), g, colors, k, be, DB)
 	tr.SetSink(func(phase string, _ float64) { atSpan(s, phase) })
 	return s
 }
@@ -104,7 +104,7 @@ func TestWalkTrieSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := newSolver(context.Background(), nil, nil, engine.NewCluster(1, 1), DB)
+		s := newSolver(context.Background(), nil, nil, 1, engine.NewCluster(1, 1), DB)
 		tables, steps, rootJoins := 0, 0, 0
 		for _, b := range plan.Blocks {
 			if b.Kind != decomp.CycleBlock {
@@ -155,7 +155,7 @@ func TestWalkSharedPrefixLivesUntilItsLastUse(t *testing.T) {
 		}
 		var first map[*walk]*seen
 		shared, checks := 0, 0
-		s := tracedSolver(t, context.Background(), "parallel", 2, g, randColors(g.N(), q.K, rng), func(s *solver, _ string) {
+		s := tracedSolver(t, context.Background(), "parallel", 2, g, randColors(g.N(), q.K, rng), q.K, func(s *solver, _ string) {
 			for _, n := range s.walks {
 				was := first[n]
 				switch {
@@ -229,7 +229,7 @@ func TestWalkLiveTablesBrain3(t *testing.T) {
 		t.Fatal(err)
 	}
 	peak := 0
-	s := tracedSolver(t, context.Background(), "sim", 2, g, randColors(g.N(), q.K, rng), func(s *solver, _ string) {
+	s := tracedSolver(t, context.Background(), "sim", 2, g, randColors(g.N(), q.K, rng), q.K, func(s *solver, _ string) {
 		peak = max(peak, s.walks.live())
 	})
 	root := s.solveBelowRoot(plan)
@@ -259,7 +259,7 @@ func TestLeafWalkTablesAreBoundaryRows(t *testing.T) {
 		}
 		var sizes []int64 // of the tables the walk steps of the current block built
 		var last int64
-		s := tracedSolver(t, context.Background(), "parallel", 2, g, randColors(g.N(), q.K, rng), func(s *solver, phase string) {
+		s := tracedSolver(t, context.Background(), "parallel", 2, g, randColors(g.N(), q.K, rng), q.K, func(s *solver, phase string) {
 			if phase == PhasePathJoin {
 				sizes = append(sizes, s.entries-last)
 			}
@@ -326,7 +326,7 @@ func TestLeafWalkKeysCarryNoStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	inLeaf, checked := false, 0
-	s := tracedSolver(t, context.Background(), "sim", 2, g, randColors(g.N(), q.K, rng), func(s *solver, _ string) {
+	s := tracedSolver(t, context.Background(), "sim", 2, g, randColors(g.N(), q.K, rng), q.K, func(s *solver, _ string) {
 		for _, n := range s.walks {
 			if !inLeaf || n.table == nil {
 				continue

@@ -78,9 +78,12 @@ type Backend interface {
 	// (locally owned destinations) or has been handed to the owning process
 	// (remote destinations), and every entry addressed to a locally owned
 	// partition — by any process — is pending in its shard. Entries with
-	// equal keys are summed when the shard is first read. The lanes are
-	// only valid during the call and only from the task that received
-	// them. A step whose tasks stop early (a canceled run) still moves
+	// equal keys are summed when the shard is first read — or as they land,
+	// where out is a vertex×signature matrix (NewMatrix): sim and parallel
+	// then stage in boxes of out's shape and add them in cell by cell, dist
+	// stages chunks, as it puts on the wire, and adds them entry by entry.
+	// The lanes are only valid during the call and only from the task that
+	// received them. A step whose tasks stop early (a canceled run) still moves
 	// what was appended into out: no staged chunk outlives Step.
 	Step(out *Sharded, produce func(w int, to *Lanes))
 	// Reduce combines per-process partial totals into the global total:

@@ -17,6 +17,7 @@
 package engine
 
 import (
+	"sync"
 	"unsafe"
 
 	"repro/internal/table"
@@ -55,15 +56,16 @@ func (c *Cluster) ReduceVec(local []uint64) ([]uint64, error) { return local, ni
 func (c *Cluster) Run(f func(w int)) { RunEach(c.parts, 0, c.parts, f) }
 
 // Step runs one message-faithful superstep: every rank appends to lanes of
-// its own, one per destination rank; after the barrier every rank takes
-// over the lanes addressed to it, in source-rank order (so the step is
-// deterministic), and every entry that changes hands — a rank's to itself
-// included — is counted as a message.
+// its own, one per destination rank and of out's form; after the barrier
+// every rank takes over the lanes addressed to it, in source-rank order (so
+// the step is deterministic), and every entry that changes hands — a
+// rank's to itself included, and each one added to a box, however many
+// share its cell — is counted as a message.
 func (c *Cluster) Step(out *Sharded, produce func(w int, to *Lanes)) {
 	c.Begin()
 	stages := make([]*Sharded, c.parts)
 	c.Run(func(w int) {
-		stages[w] = newSharded(c.parts)
+		stages[w] = out.stage()
 		produce(w, stages[w].Lanes(c.Blocks))
 	})
 	c.Run(func(dst int) {
@@ -71,6 +73,9 @@ func (c *Cluster) Step(out *Sharded, produce func(w int, to *Lanes)) {
 			c.Sent(out.Shard(dst).Absorb(st.Shard(dst)))
 		}
 	})
+	for _, st := range stages {
+		st.Release()
+	}
 }
 
 // Lanes is what a superstep hands a producing task: one append-only lane
@@ -121,8 +126,23 @@ func (b *Batcher) Flush() {}
 // each entry to the shard of the owner of its home vertex (the paper
 // stores (u,v,α) at the owner of v).
 type Sharded struct {
-	shards []shard
+	*shardArrays      // nil once released
+	matrix       bool // NewMatrix made the table: the shards are declared
 }
+
+// shardArrays is a table's storage: its shards and, once it has been a
+// matrix, their box headers.
+type shardArrays struct {
+	shards []shard
+	boxes  []table.Box
+}
+
+// arraysPool recycles released tables' arrays — the arrays only: a *Sharded
+// belongs to whoever made it, so a stale one can never reach another
+// table's shards. A superstep makes a table and a stage per worker, 64
+// bytes a shard and as much again for a matrix's headers: at 512
+// partitions, the bulk of what a trial would otherwise allocate.
+var arraysPool sync.Pool
 
 // shard keeps each partition's table on a cache line of its own: the
 // tables sit in one array, every Add writes its table's header, and
@@ -135,7 +155,56 @@ type shard struct {
 // NewSharded returns an empty sharded table on be.
 func NewSharded(be Backend) *Sharded { return newSharded(be.P()) }
 
-func newSharded(parts int) *Sharded { return &Sharded{shards: make([]shard, parts)} }
+func newSharded(parts int) *Sharded {
+	a, _ := arraysPool.Get().(*shardArrays)
+	if a == nil || len(a.shards) != parts {
+		a = &shardArrays{shards: make([]shard, parts)}
+	}
+	return &Sharded{shardArrays: a}
+}
+
+// NewMatrix returns an empty sharded table on be whose every key will be
+// one vertex and a signature over k colours — a start-free walk's table
+// (inV: the vertex is the key's V, its U is None) or a unary projection
+// (the vertex is U, V is None): the |V| × C(k,h) count matrix of the tree
+// DP. The caller answers for that: an entry with a vertex in the other half
+// or a recorded X or Y has no cell to land in, and only the first entry of
+// each box is checked (table.Shape). Each shard is told its partition's
+// rows and accumulates them in place where they fit a box; readers see the
+// same sorted entries either way.
+func NewMatrix(be Backend, k int, inV bool) *Sharded {
+	shape := table.Shape{K: uint8(k)}
+	if inV {
+		shape.Shift = 32
+	}
+	return newSharded(be.P()).declare(func(w int) table.Shape {
+		lo, hi := be.Range(w)
+		shape.Lo, shape.N = lo, hi-lo
+		return shape
+	})
+}
+
+// declare tells every shard of s, which is empty, its shape.
+func (s *Sharded) declare(shape func(w int) table.Shape) *Sharded {
+	if s.boxes == nil {
+		s.boxes = make([]table.Box, len(s.shards))
+	}
+	s.matrix = true
+	for w := range s.shards {
+		s.shards[w].SetBox(&s.boxes[w], shape(w))
+	}
+	return s
+}
+
+// stage returns an empty table of s's form for a producer to append to in
+// s's stead: a box is absorbed into a box cell by cell.
+func (s *Sharded) stage() *Sharded {
+	st := newSharded(len(s.shards))
+	if s.matrix {
+		st.declare(func(w int) table.Shape { return s.boxes[w].Shape })
+	}
+	return st
+}
 
 // Lanes returns s's shards as the lanes of a task that stages in s, routed
 // by the block map b (which must have as many partitions as s has shards).
@@ -183,11 +252,20 @@ func (s *Sharded) Iter(f func(table.Key, uint64) bool) {
 	}
 }
 
-// Release returns every shard's storage to the table slab pool and leaves
-// the table empty. Call it when the table is dead: no slice obtained from
-// a shard's Ents may be read afterwards.
+// Release returns every shard's storage to the table slab pool and the
+// shard arrays, emptied and undeclared, to the pool the next table's come
+// from. Call it when the table is dead: no slice obtained from a shard's
+// Ents may be used afterwards, and any use of s but another Release, which
+// does nothing, panics on the missing arrays.
 func (s *Sharded) Release() {
-	for i := range s.shards {
-		s.shards[i].Release()
+	a := s.shardArrays
+	if a == nil {
+		return
 	}
+	s.shardArrays, s.matrix = nil, false
+	for i := range a.shards {
+		a.shards[i].Release()
+		a.shards[i].Flat = table.Flat{}
+	}
+	arraysPool.Put(a)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -59,6 +60,69 @@ func TestShardedAccumulate(t *testing.T) {
 	s.Iter(func(table.Key, uint64) bool { n++; return n < 10 })
 	if n != 10 {
 		t.Fatalf("early stop visited %d", n)
+	}
+}
+
+// Released arrays are recycled, the table that held them is not: a second
+// Release does nothing — it must not hand the arrays of whichever table
+// took them next back to the pool for a third to share — and any other use
+// of a released table panics.
+func TestReleaseTwiceSharesNoArrays(t *testing.T) {
+	c := NewCluster(4, 40)
+	dead := NewMatrix(c, 4, false)
+	dead.Add(1, table.Unary(12, 0b11), 1)
+	dead.Release()
+	a := NewSharded(c)
+	dead.Release()
+	b := NewSharded(c)
+	if &a.shards[0] == &b.shards[0] {
+		t.Fatal("two live tables share one shard array")
+	}
+	a.Add(0, table.Unary(3, 1), 7)
+	if a.Total() != 7 || b.Len() != 0 {
+		t.Fatalf("a totals %d, b holds %d entries: want 7 and 0", a.Total(), b.Len())
+	}
+	a.Release()
+	b.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a released table could still be read")
+		}
+	}()
+	dead.Shard(0)
+}
+
+// Owner divides by multiplying with a reciprocal; it must agree with the
+// division it replaces for every block size — 1, where the reciprocal
+// wraps, powers of two, and sizes around 2^20 — on the vertices either side
+// of every partition boundary, the last vertices of the id space, and
+// random ones.
+func TestOwnerMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	chunks := []int{1<<20 - 1, 1 << 20, 1<<20 + 1}
+	for c := 1; c <= 4096; c++ {
+		chunks = append(chunks, c)
+	}
+	for _, chunk := range chunks {
+		for _, parts := range []int{1, 3, 512} {
+			b := NewBlocks(parts, parts*chunk)
+			if b.chunk != chunk {
+				t.Fatalf("NewBlocks(%d, %d) cut blocks of %d, want %d", parts, parts*chunk, b.chunk, chunk)
+			}
+			vs := []uint32{0, ^uint32(0), ^uint32(0) - 1, 1 << 31}
+			for w := 0; w <= parts; w++ {
+				edge := uint32(w * chunk)
+				vs = append(vs, edge-1, edge, edge+1)
+			}
+			for i := 0; i < 16; i++ {
+				vs = append(vs, rng.Uint32(), uint32(rng.Intn(parts*chunk)))
+			}
+			for _, v := range vs {
+				if got, want := b.Owner(v), min(int(v)/chunk, parts-1); got != want {
+					t.Fatalf("%d partitions of %d: Owner(%d) = %d, division says %d", parts, chunk, v, got, want)
+				}
+			}
+		}
 	}
 }
 

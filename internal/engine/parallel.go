@@ -107,24 +107,29 @@ func (p *Parallel) run(f func(g, w int)) {
 }
 
 // Step runs one superstep that builds out: every worker appends to lanes
-// of its own — a table it alone writes, whichever tasks it runs — and
-// after the barrier each destination shard absorbs the lanes addressed to
-// it as its pending region. Worker 0's lanes are out's own shards, so what
-// it appends is never moved at all. Nothing is sorted until a shard is read.
+// of its own — a table of out's form that it alone writes, whichever tasks
+// it runs — and after the barrier each destination shard absorbs the lanes
+// addressed to it: chunks relinked as its pending region, a box added to its
+// own cell by cell. Worker 0's lanes are out's own shards, so what it
+// appends is never moved at all. Nothing is sorted until a shard is read.
 func (p *Parallel) Step(out *Sharded, produce func(w int, to *Lanes)) {
 	p.Begin()
+	stages := make([]*Sharded, p.workers)
 	lanes := make([]*Lanes, p.workers)
 	for g := range lanes {
-		stage := out
+		stages[g] = out
 		if g > 0 {
-			stage = newSharded(p.parts)
+			stages[g] = out.stage()
 		}
-		lanes[g] = stage.Lanes(p.Blocks)
+		lanes[g] = stages[g].Lanes(p.Blocks)
 	}
 	p.run(func(g, w int) { produce(w, lanes[g]) })
 	p.Run(func(dst int) {
-		for _, l := range lanes[1:] {
-			out.Shard(dst).Absorb(&l.shards[dst].Flat)
+		for _, st := range stages[1:] {
+			out.Shard(dst).Absorb(st.Shard(dst))
 		}
 	})
+	for _, st := range stages[1:] {
+		st.Release()
+	}
 }

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,6 +122,7 @@ var conformance = []struct {
 	{"Owner and Range tile [0,N) exactly", checkTiling},
 	{"Deliver hands every count to its dst shard exactly once", checkLanes},
 	{"Step accumulates every count into its dst shard, from lanes and from the Emit shim alike", checkStep},
+	{"Step accumulates a vertex×signature matrix in boxes and in chunks alike", checkMatrix},
 	{"Loads sums to what AddLoad charged", checkLoads},
 }
 
@@ -151,10 +153,15 @@ func TestDeliverRoutesEveryEmission(t *testing.T) {
 // step runs one superstep on every process of the rig at once, as the
 // replicated solvers of a run do, each into a table of its own.
 func (r rig) step(produce func(be engine.Backend, w int, to *engine.Lanes)) []*engine.Sharded {
+	return r.stepInto(engine.NewSharded, produce)
+}
+
+// stepInto is step into tables made by mk.
+func (r rig) stepInto(mk func(engine.Backend) *engine.Sharded, produce func(be engine.Backend, w int, to *engine.Lanes)) []*engine.Sharded {
 	outs := make([]*engine.Sharded, len(r))
 	var wg sync.WaitGroup
 	for i, be := range r {
-		outs[i] = engine.NewSharded(be)
+		outs[i] = mk(be)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -303,6 +310,51 @@ func checkStep(t *testing.T, r rig, n int) {
 			if got := outs[r.home(dst)].Shard(dst).Get(k); got != c {
 				t.Errorf("%s: key %+v: %d in its owner's shard, want %d", form, k, got, c)
 			}
+		}
+	}
+}
+
+// checkMatrix has every partition add (vertex, signature) counts for
+// vertices all over the graph — every destination row hears from every
+// producer, so on parallel several workers' boxes are added into one — into
+// a table declared a matrix (the vertex in V, then in U) and into a plain
+// one. With 252 signatures to a row a partition of up to 130 vertices
+// keeps a box and a larger one chunks, which the widths here put on both
+// sides. The two tables must hold the same entries, and sim must count
+// every add as a message whichever form took it.
+func checkMatrix(t *testing.T, r rig, n int) {
+	const k, h, perTask = 10, 5, 300
+	sigs := sig.RankingOf(k, h).Sigs
+	for _, inV := range []bool{true, false} {
+		produce := func(be engine.Backend, w int, to *engine.Lanes) {
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < perTask; i++ {
+				v, s, c := uint32(rng.Intn(n)), sigs[rng.Intn(40)], uint64(1+rng.Intn(9))
+				e := table.UnaryEnt(v, s, c)
+				if inV {
+					e = table.BinaryEnt(table.None, v, s, c)
+				}
+				for dup := 0; dup < 3; dup++ {
+					to.At(v).AddEnt(e)
+				}
+			}
+		}
+		msgs := r.sum(engine.Backend.Messages)
+		boxed := r.stepInto(func(be engine.Backend) *engine.Sharded { return engine.NewMatrix(be, k, inV) }, produce)
+		msgs = r.sum(engine.Backend.Messages) - msgs
+		plain := r.step(produce)
+		for i, be := range r {
+			for dst := 0; dst < be.P(); dst++ {
+				got, want := boxed[i].Shard(dst).Ents(), plain[i].Shard(dst).Ents()
+				if !slices.Equal(got, want) {
+					t.Errorf("inV=%v partition %d: the matrix holds %d entries, the plain table %d (or they differ)", inV, dst, len(got), len(want))
+				}
+			}
+			boxed[i].Release()
+			plain[i].Release()
+		}
+		if r[0].Name() == engine.SimName && msgs != int64(3*perTask*r[0].P()) {
+			t.Errorf("inV=%v: sim counted %d messages for %d adds", inV, msgs, 3*perTask*r[0].P())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -12,6 +13,11 @@ import (
 // two integers, so no assignment table is ever stored or shipped.
 type Blocks struct {
 	parts, n, chunk int
+	// recip is ⌊(2^64−1)/chunk⌋ + 1: the high word of recip·v is v/chunk for
+	// every 32-bit v (the error recip·chunk − 2^64 is at most chunk, and
+	// v·chunk < 2^64), so routing an entry costs a multiplication, not a
+	// 64-bit division. chunk = 1 wraps it to 0: Owner branches on that.
+	recip uint64
 }
 
 // NewBlocks returns the block map of n vertices over parts partitions
@@ -24,7 +30,7 @@ func NewBlocks(parts, n int) Blocks {
 	if chunk < 1 {
 		chunk = 1
 	}
-	return Blocks{parts: parts, n: n, chunk: chunk}
+	return Blocks{parts: parts, n: n, chunk: chunk, recip: ^uint64(0)/uint64(chunk) + 1}
 }
 
 // P returns the partition count.
@@ -32,7 +38,11 @@ func (b Blocks) P() int { return b.parts }
 
 // Owner returns the partition owning vertex v.
 func (b Blocks) Owner(v uint32) int {
-	w := int(v) / b.chunk
+	w := int(v)
+	if b.recip != 0 {
+		hi, _ := bits.Mul64(b.recip, uint64(v))
+		w = int(hi)
+	}
 	if w >= b.parts {
 		w = b.parts - 1
 	}

@@ -6,7 +6,10 @@
 // colors used by a (partial) colorful match.
 package sig
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // MaxColors is the largest number of colors supported. Queries larger than
 // this are rejected up front; the paper's queries have at most 11 nodes.
@@ -51,7 +54,8 @@ func (s Sig) Size() int { return bits.OnesCount32(uint32(s)) }
 // over k colors, which for a bitmap encoding is the bitmap value itself.
 // Flat tables order entries that share a vertex by ascending Rank, so
 // consecutive signatures sit adjacent in memory and the join loops scan
-// them as one contiguous run.
+// them as one contiguous run. A table that holds signatures of one size
+// only can be indexed more tightly: see Ranking.
 func (s Sig) Rank() uint32 { return uint32(s) }
 
 // Colors returns the colors in s in increasing order, appended to dst.
@@ -62,4 +66,48 @@ func (s Sig) Colors(dst []uint8) []uint8 {
 		s &= s - 1
 	}
 	return dst
+}
+
+// MaxRankedColors is the largest colour count a Ranking is built for: the
+// solver's own bound on query size. C(16,8) = 12870 positions fit a uint16
+// with room for the NoRank sentinel.
+const MaxRankedColors = 16
+
+// NoRank fills the slots of Ranking.Rank that belong to signatures of
+// another size. It is larger than any C(k,h) a Ranking is built for, so
+// indexing a row of C(k,h) counts with it is out of range — a signature of
+// the wrong size panics, it never aliases another signature's slot.
+const NoRank = ^uint16(0)
+
+// Ranking is the dense order of the C(k,h) signatures of exactly h colours
+// out of k: the signature axis of a vertex×signature count matrix (the
+// |V| × C(k,h) table of the tree DP), where Rank() — the bitmap itself —
+// would leave 2^k − C(k,h) slots of every row unused. Positions ascend with
+// the bitmap, so a row swept in position order comes out in Rank() order.
+type Ranking struct {
+	Rank []uint16 // indexed by bitmap, len 1<<k: the signature's position, or NoRank
+	Sigs []Sig    // the C(k,h) signatures in ascending order: Sigs[Rank[s]] == s
+}
+
+var rankings [MaxRankedColors + 1][MaxRankedColors + 1]atomic.Pointer[Ranking]
+
+// RankingOf returns the ranking of the size-h signatures over k colours,
+// 0 ≤ h ≤ k ≤ MaxRankedColors. Each is built once per process and read
+// without a lock from then on (two first callers may both build it; one
+// copy is kept).
+func RankingOf(k, h int) *Ranking {
+	slot := &rankings[k][h]
+	if r := slot.Load(); r != nil {
+		return r
+	}
+	r := &Ranking{Rank: make([]uint16, 1<<k)}
+	for s := range r.Rank {
+		r.Rank[s] = NoRank
+		if bits.OnesCount(uint(s)) == h {
+			r.Rank[s] = uint16(len(r.Sigs))
+			r.Sigs = append(r.Sigs, Sig(s))
+		}
+	}
+	slot.CompareAndSwap(nil, r)
+	return slot.Load()
 }

@@ -8,24 +8,30 @@
 // no hashing, no per-entry map or closure overhead, and inner accumulate
 // loops the compiler can keep in registers.
 //
-// Writes are buffered appends: Add places entries in unsorted pending
-// chunks and nothing is sorted until the first read, which compacts the
-// table — one radix sort gathers every chunk into a single slab and folds
-// duplicate keys. The solver's tables are built by a burst of Adds during
-// one superstep and then scanned read-only by the next join, so each table
-// is compacted exactly once.
+// Writes are pending until the first read, in one of two forms. A shard
+// declared as a vertex×signature matrix (SetBox: every key is one vertex
+// of the shard's partition and a signature of one size) accumulates in
+// place, row[rank] += c, in a box of counts (box.go) once it has been
+// handed enough to repay one: no append, no sort, no fold. Any other shard
+// appends entries to unsorted chunks, and the first read compacts them by
+// a packed key (compact.go) — indexed into a dense array of counts where
+// the keys that arrived span few enough values, radix-sorted as (key,
+// count) records otherwise. Either way the first read leaves one sorted,
+// folded slab of entries, the only form a reader ever sees. The solver's
+// tables are built by a burst of adds during one superstep and then
+// scanned read-only by the next join, so each table is compacted exactly
+// once.
 //
 // Storage comes from, and goes back to, a process-wide pool of entry
 // slabs (slab.go). A table that fills its chunk chains it and takes
 // another — nothing is copied to grow — Absorb moves another table's
-// chunks over by relinking them, compaction borrows its sort buffers, and
+// chunks over by relinking them, compaction borrows its buffers, and
 // Release hands everything back when the owner knows the table is dead, so
 // the next table starts from recycled memory instead of doubling from
 // nothing.
 package table
 
 import (
-	"math/bits"
 	"slices"
 
 	"repro/internal/sig"
@@ -106,11 +112,18 @@ func cmpEnt(a, b Ent) int {
 // the package comment on flat.go). The zero value is an empty table ready
 // for use. Not safe for concurrent mutation; the engine gives each
 // partition its own shard.
+//
+// An entry whose count is 0 is absent: a box cell that holds 0 is an empty
+// cell, so every form drops a key whose counts sum — wrap — to exactly 0.
 type Flat struct {
 	sorted   *slab // the compacted entries, sorted & deduped; nil if none
 	fill     []Ent // fillSlab's entries so far: the pending chunk Add appends to
 	fillSlab *slab
 	full     *slab // pending chunks that filled up or were absorbed
+	// box is set on a shard declared a vertex×signature matrix (SetBox).
+	// Once open it takes every add and the chunk fields above stay empty,
+	// with len(fill) == cap(fill) == 0 steering AddEnt to it.
+	box *Box
 }
 
 // chunkEnts is the size of a pending chunk: 256 entries, 8 KiB. One size
@@ -130,21 +143,30 @@ func NewFlat(capacity int) *Flat {
 func (t *Flat) Add(k Key, c uint64) { t.AddEnt(k.Ent(c)) }
 
 // AddEnt accumulates e.C into the entry for e's key (inserting it if
-// absent). The entry lands in a pending chunk; duplicate keys are folded
-// together when the table is compacted. It is the join loops' one write, a
-// bounds check and an append, and must stay inlinable.
+// absent). The entry lands in a pending chunk — duplicate keys are folded
+// together when the table is compacted — or, off the inlined path, in the
+// shard's box. It is the join loops' one write, a bounds check and an
+// append, and must stay inlinable.
 func (t *Flat) AddEnt(e Ent) {
 	if len(t.fill) == cap(t.fill) {
-		t.nextChunk()
+		t.addFull(e)
+		return
 	}
 	t.fill = append(t.fill, e)
 }
 
-// nextChunk chains the fill chunk, which is full, and starts another.
-func (t *Flat) nextChunk() {
+// addFull is AddEnt with no room in the fill chunk: the shard has a box
+// open, or is due one, and the entry goes into it, or the chunk is full, or
+// the first, and chains.
+func (t *Flat) addFull(e Ent) {
+	if b := t.box; b != nil && (b.words != nil || t.boxDue(e)) {
+		b.add(e)
+		b.adds++
+		return
+	}
 	t.retire()
 	t.fillSlab = getSlab(chunkEnts)
-	t.fill = t.fillSlab.ents
+	t.fill = append(t.fillSlab.ents, e)
 }
 
 // retire moves the fill chunk, if any, onto the list of full chunks (an
@@ -162,10 +184,24 @@ func (t *Flat) retire() {
 	t.fillSlab, t.fill = nil, nil
 }
 
-// Absorb moves every entry of src into t's pending chunks, leaves src empty
-// and returns how many entries moved. The chunks themselves change hands: a
-// table staged elsewhere is handed over, not copied.
+// Absorb moves every entry of src into t's pending form, leaves src empty
+// and returns how many entries moved — for a box, as many as were added to
+// it, however many cells they share. A box is added to a box of the same
+// shape cell by cell; chunks change hands whole when t keeps chunks — a
+// table staged elsewhere is handed over, not copied — and are added entry
+// by entry when t keeps a box.
 func (t *Flat) Absorb(src *Flat) (moved int) {
+	if sb := src.box; sb != nil && sb.words != nil {
+		if tb := t.box; tb != nil && tb.Shape == sb.Shape {
+			if tb.words == nil {
+				t.openBox(sb.rk) // what filled src's box is added to t: t is as due
+			}
+			moved = sb.adds
+			tb.merge(sb)
+		} else {
+			src.compact(nil) // forms differ: the box's entries move as a chunk
+		}
+	}
 	src.retire()
 	if src.sorted != nil {
 		// Compacted entries are just more pending entries here.
@@ -173,11 +209,18 @@ func (t *Flat) Absorb(src *Flat) (moved int) {
 	}
 	for s := src.full; s != nil; {
 		next := s.next
-		s.next, t.full = t.full, s
 		moved += len(s.ents)
+		if t.box != nil {
+			for _, e := range s.ents {
+				t.AddEnt(e)
+			}
+			putSlab(s)
+		} else {
+			s.next, t.full = t.full, s
+		}
 		s = next
 	}
-	*src = Flat{}
+	*src = Flat{box: src.box}
 	return moved
 }
 
@@ -188,278 +231,46 @@ func (t *Flat) Release() {
 	t.retire()
 	putSlab(t.sorted)
 	putSlabs(t.full)
-	*t = Flat{}
-}
-
-// digit is the sort key of one counting pass: a few adjacent bits of one of
-// the three words cmpEnt compares.
-type digit struct {
-	word  uint8 // 0: signature rank, 1: XY, 2: VU — ascending significance
-	shift uint8
-	mask  uint32
-}
-
-func (d digit) of(e *Ent) uint32 {
-	switch d.word {
-	case 0:
-		return e.S.Rank() >> d.shift & d.mask
-	case 1:
-		return uint32(e.XY>>d.shift) & d.mask
+	if t.box != nil {
+		t.box.close()
 	}
-	return uint32(e.VU>>d.shift) & d.mask
-}
-
-// maxDigits bounds a digit list: 160 key bits in digits of at least 8.
-const maxDigits = 20
-
-// varying is what one scan over pending entries learns: the key bits that
-// differ between some two of them, and whether they came grouped.
-type varying struct {
-	vu, xy uint64
-	rank   uint32
-	// ungrouped is set once an entry's (VU, XY) is lower than that of the
-	// entry before it. Entries appended by a task that walked a sorted
-	// shard and extended each entry in place never set it: only their
-	// signatures are out of order, and only within one (VU, XY) group.
-	ungrouped      bool
-	lastVU, lastXY uint64
-}
-
-// scan folds ents, the entries after those already scanned, into v. ref is
-// any one fixed entry: a key bit varies iff it differs from ref's
-// somewhere.
-func (v *varying) scan(ents []Ent, ref *Ent) {
-	for i := range ents {
-		e := &ents[i]
-		v.vu |= e.VU ^ ref.VU
-		v.xy |= e.XY ^ ref.XY
-		v.rank |= e.S.Rank() ^ ref.S.Rank()
-		if e.VU < v.lastVU || e.VU == v.lastVU && e.XY < v.lastXY {
-			v.ungrouped = true
-		}
-		v.lastVU, v.lastXY = e.VU, e.XY
-	}
-}
-
-// digits cuts the varying bits into the counting passes that sort n
-// entries, least significant digit first. A digit starts at the lowest
-// varying bit not yet covered, so runs of constant bits — the top of every
-// vertex id, a shard's home vertices beyond its partition, the unused X/Y
-// slots, colours beyond k — cost no pass.
-func (v varying) digits(buf *[maxDigits]digit, n int) []digit {
-	// A pass pays for its buckets (clear, prefix sum) as well as for its
-	// entries: 2048 buckets only pay off against thousands of entries.
-	width := uint(narrowBits)
-	if n >= wideMin {
-		width = wideBits
-	}
-	ds := buf[:0]
-	for word, bitset := range [...]uint64{uint64(v.rank), v.xy, v.vu} {
-		for bitset != 0 {
-			lo := uint(bits.TrailingZeros64(bitset))
-			mask := uint64(1)<<width - 1
-			ds = append(ds, digit{word: uint8(word), shift: uint8(lo), mask: uint32(mask)})
-			bitset &^= mask << lo
-		}
-	}
-	return ds
-}
-
-const (
-	// radixMin is the smallest slice worth counting passes; below it a
-	// comparison sort in place wins.
-	radixMin = 48
-	// Digits are narrowBits wide for slices shorter than wideMin, wideBits
-	// from there on.
-	wideMin    = 4096
-	narrowBits = 8
-	wideBits   = 11
-)
-
-// counts is one pass's histogram, then its output cursors.
-type counts [1 << wideBits]int32
-
-// tally counts the entries of ents by digit d.
-func (c *counts) tally(ents []Ent, d digit) {
-	for i := range ents {
-		c[d.of(&ents[i])]++
-	}
-}
-
-// starts turns the histogram of digit d into each bucket's first output
-// position.
-func (c *counts) starts(d digit) {
-	var pos int32
-	for b, n := range c[:d.mask+1] {
-		c[b] = pos
-		pos += n
-	}
-}
-
-// scatter moves the entries of ents to their buckets in dst, in order;
-// afterwards c[b] is the end of bucket b.
-func (c *counts) scatter(dst, ents []Ent, d digit) {
-	for i := range ents {
-		b := d.of(&ents[i])
-		dst[c[b]] = ents[i]
-		c[b]++
-	}
-}
-
-// sortLSD sorts src by the digits ds, least significant first, with one
-// stable counting pass per digit, ping-ponging between src and tmp (a
-// slice of the same length); it reports whether the last pass landed in
-// tmp.
-func sortLSD(src, tmp []Ent, ds []digit) bool {
-	var c counts
-	for _, d := range ds {
-		clear(c[:d.mask+1])
-		c.tally(src, d)
-		c.starts(d)
-		c.scatter(tmp, src, d)
-		src, tmp = tmp, src
-	}
-	return len(ds)%2 == 1
-}
-
-// sortChunks returns one slab holding the entries of the chunk list — in
-// the order they were appended — sorted by (VU, XY, signature rank) with
-// equal keys folded into one entry, and releases the chunks. The sort is a
-// radix sort over the key bits that vary at all — few, in practice: vertex
-// ids span the graph size, a shard's home vertices span its partition, X/Y
-// are usually None, signatures fit the colour count — so a typical shard
-// sorts in 3–5 counting passes of pure sequential access, with no
-// comparator calls. The first pass reads the chunks where they lie and
-// scatters them into one slab, so gathering costs no pass of its own.
-// Entries that arrive grouped by (VU, XY) already are only copied
-// together and sorted by signature within each group.
-func sortChunks(chunks *slab) *slab {
-	n := 0
-	var v varying
-	for c := chunks; c != nil; c = c.next {
-		n += len(c.ents)
-		v.scan(c.ents, &chunks.ents[0])
-	}
-	if n < radixMin || !v.ungrouped {
-		// Too few entries for counting passes over the whole key, or none
-		// needed: copy the chunks together and sort what is left to sort.
-		out := chunks
-		if chunks.next != nil {
-			out = getSlab(n)
-			for c := chunks; c != nil; c = c.next {
-				out.ents = append(out.ents, c.ents...)
-			}
-			putSlabs(chunks)
-		}
-		if v.ungrouped {
-			slices.SortFunc(out.ents, cmpEnt)
-		} else {
-			sortGroups(out.ents, v.rank)
-		}
-		return fold(out)
-	}
-
-	// The first pass gathers: it counts and scatters straight out of the
-	// chunks. The others ping-pong between two slabs. (Ungrouped entries
-	// differ in some key bit, so there is a first digit.)
-	var dbuf [maxDigits]digit
-	ds := v.digits(&dbuf, n)
-	var cnt counts
-	for c := chunks; c != nil; c = c.next {
-		cnt.tally(c.ents, ds[0])
-	}
-	cnt.starts(ds[0])
-	a := getSlab(n)
-	a.ents = a.ents[:n]
-	for c := chunks; c != nil; c = c.next {
-		cnt.scatter(a.ents, c.ents, ds[0])
-	}
-	putSlabs(chunks)
-	if rest := ds[1:]; len(rest) > 0 {
-		b := getSlab(n)
-		b.ents = b.ents[:n]
-		if sortLSD(a.ents, b.ents, rest) {
-			a, b = b, a
-		}
-		putSlab(b)
-	}
-	return fold(a)
-}
-
-// sortGroups sorts ents, which are grouped by (VU, XY) in ascending order,
-// by signature rank within each group; rank holds the rank bits that vary.
-// A group is at most one vertex pair's signatures times the entries that
-// produced them: small ones are sorted by comparison, a hub's by counting
-// passes over the rank alone.
-func sortGroups(ents []Ent, rank uint32) {
-	var tmp *slab // scratch for the counting passes, sized by the first group that needs it
-	for lo := 0; lo < len(ents); {
-		hi := lo + 1
-		for hi < len(ents) && ents[hi].VU == ents[lo].VU && ents[hi].XY == ents[lo].XY {
-			hi++
-		}
-		switch group := ents[lo:hi]; {
-		case len(group) < radixMin:
-			slices.SortFunc(group, cmpEnt)
-		default:
-			if tmp == nil {
-				tmp = getSlab(len(ents) - lo)
-			}
-			var dbuf [maxDigits]digit
-			ds := varying{rank: rank}.digits(&dbuf, len(group))
-			if scratch := tmp.ents[:len(group)]; sortLSD(group, scratch, ds) {
-				copy(group, scratch)
-			}
-		}
-		lo = hi
-	}
-	putSlab(tmp)
-}
-
-// fold sums runs of equal keys in a sorted slab into one entry each. A
-// slab left less than half full by that moves its entries to one that
-// fits, so a long-lived table does not sit on its build's high-water mark.
-func fold(s *slab) *slab {
-	ents := s.ents
-	w := 0
-	for r := 1; r < len(ents); r++ {
-		if ents[r].VU == ents[w].VU && ents[r].XY == ents[w].XY && ents[r].S == ents[w].S {
-			ents[w].C += ents[r].C
-		} else {
-			w++
-			ents[w] = ents[r]
-		}
-	}
-	s.ents = ents[:w+1]
-	if 2*len(s.ents) <= cap(s.ents) && cap(s.ents) > chunkEnts {
-		fit := getSlab(len(s.ents))
-		fit.ents = append(fit.ents, s.ents...)
-		putSlab(s)
-		return fit
-	}
-	return s
+	*t = Flat{box: t.box}
 }
 
 // compact restores the invariant that every entry is in sorted, once: it
-// sorts and folds the pending chunks. Only a table that was read and then
-// written again already has compacted entries; they are sorted again with
-// the rest.
-func (t *Flat) compact() {
+// sweeps the pending box or sorts and folds the pending chunks. Only a
+// table that was read and then written again already has compacted
+// entries; they are folded in with the rest. stop, if not nil, is polled
+// between the passes over the entries; once it returns true compact gives
+// its buffers back, leaves the pending entries pending and reports false.
+func (t *Flat) compact(stop func() bool) bool {
+	if t.box != nil && t.box.words != nil {
+		return t.sweepBox(stop)
+	}
 	if t.full == nil && len(t.fill) == 0 {
-		return
+		return true
 	}
 	t.retire()
 	if t.sorted != nil {
 		t.sorted.next, t.full, t.sorted = t.full, t.sorted, nil
 	}
-	// The list is newest first; sortChunks wants the entries as appended.
-	var chunks *slab
-	for c := t.full; c != nil; {
-		next := c.next
-		c.next, chunks = chunks, c
-		c = next
+	out := sortChunks(t.full, stop)
+	if out == nil {
+		return false
 	}
-	t.sorted, t.full = sortChunks(chunks), nil
+	t.sorted, t.full = out, nil
+	return true
+}
+
+// Build compacts the table as its first read would and returns the number
+// of distinct keys — unless stop, polled between the passes of the
+// compaction, returns true first: then the table is left unread, as
+// pending as it was, and ok is false.
+func (t *Flat) Build(stop func() bool) (n int, ok bool) {
+	if !t.compact(stop) {
+		return 0, false
+	}
+	return len(t.Ents()), true
 }
 
 // Len returns the number of distinct keys stored.
@@ -479,7 +290,7 @@ func (t *Flat) Get(k Key) uint64 {
 // as read-only and must not Add to, Absorb into or Release the table while
 // holding it.
 func (t *Flat) Ents() []Ent {
-	t.compact()
+	t.compact(nil)
 	if t.sorted == nil {
 		return nil
 	}
@@ -499,9 +310,13 @@ func (t *Flat) Iter(f func(Key, uint64) bool) {
 
 // Chunks calls f with the table's entries as they lie — compacted or
 // pending, duplicates unfolded, one non-empty chunk at a time in no
-// particular order — without sorting anything. The slices alias the
-// table's storage.
+// particular order — without sorting anything. (A pending box has no
+// entries lying anywhere: it is swept first.) The slices alias the table's
+// storage.
 func (t *Flat) Chunks(f func(ents []Ent)) {
+	if t.box != nil && t.box.words != nil {
+		t.compact(nil)
+	}
 	if t.sorted != nil {
 		f(t.sorted.ents)
 	}
@@ -514,7 +329,7 @@ func (t *Flat) Chunks(f func(ents []Ent)) {
 }
 
 // Total returns the sum of all counts. Pending duplicates sum the same as
-// folded ones, so no compaction is needed.
+// folded ones, so chunks need no compaction.
 func (t *Flat) Total() (total uint64) {
 	t.Chunks(func(ents []Ent) {
 		for i := range ents {

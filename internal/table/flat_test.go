@@ -2,6 +2,7 @@ package table
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -61,11 +62,9 @@ func TestFlatMatchesHashTable(t *testing.T) {
 }
 
 // Entries appended grouped by (VU, XY) — what a task that walks a sorted
-// shard and extends each entry in place produces — take compaction's
-// other path: no counting pass over the vertices, a sort by signature
-// within each group. Groups of one, small groups and a hub's group of
-// hundreds (sorted by counting passes on the rank) must all come out as
-// the builtin map has them.
+// shard and extends each entry in place produces: only their signatures
+// arrive out of order. Groups of one, small groups and a hub's group of
+// hundreds must all come out as the builtin map has them.
 func TestFlatGroupedAppendsMatchHashTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
@@ -280,28 +279,48 @@ func TestSlabPoolSharedByConcurrentTables(t *testing.T) {
 // BenchmarkFlatBuild times one table's life on the solver's hot path — a
 // burst of Adds, the compaction the first read triggers, Release — over
 // keys shaped like one partition's shard of a walk table: a few home
-// vertices V, start vertices U from the whole graph, k-colour signatures.
+// vertices V, start vertices U from the whole graph, k-colour signatures;
+// with a vertex recorded in X as well (a DB walk past a boundary node); and
+// like a start-free walk's shard, (vertex, size-4 signature) only and each
+// key five times over, through a box.
 func BenchmarkFlatBuild(b *testing.B) {
 	for _, c := range []struct {
 		name          string
 		n, verts, k   int
 		homeLo, homes uint32
+		recorded, box bool
 	}{
-		{"shard4k/n562/k10", 4 << 10, 562, 10, 48, 16},
-		{"shard64k/n18k/k5", 64 << 10, 18000, 5, 4090, 36},
-		{"table1M/n18k/k8", 1 << 20, 18000, 8, 0, 18000},
+		{name: "shard4k/n562/k10", n: 4 << 10, verts: 562, k: 10, homeLo: 48, homes: 16},
+		{name: "shard64k/n18k/k5", n: 64 << 10, verts: 18000, k: 5, homeLo: 4090, homes: 36},
+		{name: "recorded64k/n18k/k5", n: 64 << 10, verts: 18000, k: 5, homeLo: 4090, homes: 36, recorded: true},
+		{name: "dense64k/n50/k5", n: 64 << 10, verts: 50, k: 5, homeLo: 4090, homes: 36}, // 17 key bits, as cycle5-90k's largest shards: the dense index
+		{name: "table1M/n18k/k8", n: 1 << 20, verts: 18000, k: 8, homes: 18000},
+		{name: "box36/n18k/k8", n: 5 * 36 * 70 / 2, k: 8, homeLo: 4090, homes: 36, box: true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			keys := make([]Key, c.n)
+			sized := sig.RankingOf(c.k, 4).Sigs
 			for i := range keys {
-				keys[i] = Binary(uint32(rng.Intn(c.verts)), c.homeLo+uint32(rng.Intn(int(c.homes))), sig.Sig(1+rng.Intn(1<<c.k-1)))
+				home := c.homeLo + uint32(rng.Intn(int(c.homes)))
+				if c.box { // half of the box's cells, five times each
+					keys[i] = Binary(None, home, sized[rng.Intn(len(sized))])
+					continue
+				}
+				keys[i] = Binary(uint32(rng.Intn(c.verts)), home, sig.Sig(1+rng.Intn(1<<c.k-1)))
+				if c.recorded {
+					keys[i].X = uint32(rng.Intn(c.verts))
+				}
 			}
+			var box Box
 			b.SetBytes(int64(c.n) * 32) // an Ent is 32 bytes
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var f Flat
+				if c.box {
+					f.SetBox(&box, Shape{Lo: c.homeLo, N: c.homes, K: uint8(c.k), Shift: 32})
+				}
 				for _, k := range keys {
 					f.Add(k, 1)
 				}
@@ -311,5 +330,323 @@ func BenchmarkFlatBuild(b *testing.B) {
 				f.Release()
 			}
 		})
+	}
+}
+
+// boxed returns an empty table declared a vertex×signature shard over the
+// vertices [lo, lo+n) and k colours, the vertex in V (inV) or in U.
+func boxed(lo, n uint32, k int, inV bool) *Flat {
+	s := Shape{Lo: lo, N: n, K: uint8(k)}
+	if inV {
+		s.Shift = 32
+	}
+	t := new(Flat)
+	t.SetBox(new(Box), s)
+	return t
+}
+
+// sameTable fails the test unless a and b hold the same entries and agree
+// on every read.
+func sameTable(t *testing.T, what string, a, b *Flat) {
+	t.Helper()
+	if !slices.Equal(a.Ents(), b.Ents()) || a.Len() != b.Len() || a.Total() != b.Total() {
+		t.Fatalf("%s: boxed table has %d entries totalling %d, plain one %d totalling %d (or they differ)",
+			what, a.Len(), a.Total(), b.Len(), b.Total())
+	}
+	for _, e := range b.Ents() {
+		if a.Get(e.Key()) != e.C {
+			t.Fatalf("%s: boxed Get(%+v) = %d, plain %d", what, e.Key(), a.Get(e.Key()), e.C)
+		}
+	}
+}
+
+// A shard declared a vertex×signature matrix accumulates in a box once it
+// is due one; one that is not appends and sorts. Nothing a reader can see
+// may differ: random (vertex, signature, count) streams — vertex in V or in
+// U, heavy duplication, boxes that open at once, after some chunks or not
+// at all — through both, across Absorb box←box and box←chunks, a box read
+// and then written again, Release, and a box nothing was added to.
+func TestBoxMatchesChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 60; trial++ {
+		k, inV := 3+rng.Intn(8), rng.Intn(2) == 0
+		h := 1 + rng.Intn(k-1)
+		lo, n := uint32(rng.Intn(1000)), uint32(1+rng.Intn(40))
+		sigs := sig.RankingOf(k, h).Sigs
+		ent := func() Ent {
+			v, s, c := lo+uint32(rng.Intn(int(n))), sigs[rng.Intn(len(sigs))], uint64(1+rng.Intn(9))
+			if inV {
+				return BinaryEnt(None, v, s, c)
+			}
+			return UnaryEnt(v, s, c)
+		}
+		box, plain := boxed(lo, n, k, inV), new(Flat)
+		sameTable(t, "nothing added", box, plain)
+		fill := func(dst ...*Flat) (adds int) {
+			adds = rng.Intn(3000)
+			for i := 0; i < adds; i++ {
+				e := ent()
+				for _, t := range dst {
+					t.AddEnt(e)
+				}
+			}
+			return adds
+		}
+		fill(box, plain)
+		if box.box.words != nil && (box.fill != nil || box.full != nil) {
+			t.Fatal("a shard with its box open kept chunks")
+		}
+		sameTable(t, "adds", box, plain)
+		fill(box, plain) // read, then written again: the sorted entries fold back in
+		sameTable(t, "adds after a read", box, plain)
+
+		stageBox, stageChunks := boxed(lo, n, k, inV), new(Flat)
+		adds := fill(stageBox, stageChunks)
+		if moved := box.Absorb(stageBox); moved != adds || stageBox.Len() != 0 {
+			t.Fatalf("Absorb box←box moved %d of %d added entries and left %d behind", moved, adds, stageBox.Len())
+		}
+		plain.Absorb(stageChunks)
+		sameTable(t, "Absorb box←box", box, plain)
+		fill(stageChunks, plain)
+		stageChunks.Len() // a stage with compacted entries and pending ones
+		fill(stageChunks, plain)
+		box.Absorb(stageChunks)
+		sameTable(t, "Absorb box←chunks", box, plain)
+		plain.Absorb(box) // and chunks←box: the box's entries move as a chunk
+		if box.Len() != 0 {
+			t.Fatal("Absorb chunks←box left entries behind")
+		}
+
+		held := SlabsOut() // the box is empty: it holds none of them
+		fill(box)
+		box.Release()
+		if box.Len() != 0 || box.Total() != 0 || SlabsOut() != held {
+			t.Fatalf("Release left a box behind: %d entries, %d slabs", box.Len(), SlabsOut()-held)
+		}
+		fill(box, stageBox)
+		sameTable(t, "after Release", box, stageBox)
+		box.Release()
+		stageBox.Release()
+		plain.Release()
+	}
+}
+
+// A signature of another size than the box was opened for, or a vertex of
+// another partition, must panic — never land in some other key's cell.
+func TestBoxRejectsWhatItCannotIndex(t *testing.T) {
+	for name, e := range map[string]Ent{
+		"a signature of another size": UnaryEnt(12, 0b0111, 1),
+		"a signature beyond k":        UnaryEnt(12, 1<<6|1, 1),
+		"a vertex below the range":    UnaryEnt(9, 0b0011, 1),
+		"a vertex above the range":    UnaryEnt(20, 0b0011, 1),
+	} {
+		func() {
+			box := boxed(10, 10, 6, false)
+			defer box.Release()
+			box.AddEnt(UnaryEnt(12, 0b0101, 1))
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s was added to a box of size-2 signatures over [10,20)", name)
+				}
+			}()
+			box.AddEnt(e)
+		}()
+	}
+	// What a cell cannot hold is caught on the entry a box opens on.
+	for name, e := range map[string]Ent{
+		"a start vertex":    BinaryEnt(12, 3, 0b0101, 1),
+		"a recorded vertex": Key{U: 12, V: None, X: 4, Y: None, S: 0b0101}.Ent(1),
+	} {
+		func() {
+			box := boxed(10, 10, 6, false)
+			defer box.Release()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s opened a box of (U, signature) cells", name)
+				}
+			}()
+			box.AddEnt(e)
+		}()
+	}
+}
+
+// A box opens once it is no more than twice the bytes of the chunks its
+// shard has filled and the one it would take next: at the first add if it
+// is no larger than two chunks, at the add that would chain a fifth chunk
+// for 40 rows of 252 — and then holds everything added so far.
+func TestBoxOpensWhenDue(t *testing.T) {
+	sigs := sig.RankingOf(10, 5).Sigs
+	for _, c := range []struct {
+		rows uint32
+		at   int // the add that opens the box
+	}{{8, 1}, {9, 257}, {40, 1025}} {
+		box := boxed(0, c.rows, 10, true)
+		for i := 1; i <= c.at+10; i++ {
+			box.AddEnt(BinaryEnt(None, uint32(i)%c.rows, sigs[i%len(sigs)], 1))
+			if open := box.box.words != nil; open != (i >= c.at) {
+				t.Fatalf("%d rows of 252: box open = %v after %d adds, want it opened by add %d", c.rows, open, i, c.at)
+			}
+		}
+		if box.fill != nil || box.full != nil || box.box.adds != c.at+10 || box.Total() != uint64(c.at+10) {
+			t.Fatalf("%d rows of 252: the open box holds %d of %d adds", c.rows, box.box.adds, c.at+10)
+		}
+		box.Release()
+	}
+}
+
+// A box larger than boxCap is never opened: the shard appends, and reads
+// the same.
+func TestBoxOverCapKeepsChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	sigs := sig.RankingOf(10, 5).Sigs // 252 to a row: 131 rows exceed the cap, 130 do not
+	for _, n := range []uint32{130, 131} {
+		box, plain := boxed(0, n, 10, true), new(Flat)
+		for i := 0; i < 5000; i++ {
+			e := BinaryEnt(None, uint32(rng.Intn(int(n))), sigs[rng.Intn(len(sigs))], 1)
+			box.AddEnt(e)
+			plain.AddEnt(e)
+		}
+		if kept := box.box != nil; kept != (n == 130) {
+			t.Fatalf("%d rows of 252: box kept = %v", n, kept)
+		}
+		sameTable(t, "over the cap", box, plain)
+		box.Release()
+		plain.Release()
+	}
+}
+
+// A count that wraps to exactly 0 is an empty cell, in every pending form:
+// the key is absent afterwards.
+func TestZeroSumIsAbsent(t *testing.T) {
+	wrap := func(t *Flat, e Ent) {
+		e.C = 1 << 63
+		t.AddEnt(e)
+		t.AddEnt(e)
+	}
+	box := boxed(0, 4, 4, false)
+	wrap(box, UnaryEnt(1, 0b11, 0))
+	box.AddEnt(UnaryEnt(2, 0b11, 5))
+	small, dense, sorted := new(Flat), new(Flat), new(Flat)
+	wrap(small, Binary(1, 2, 3).Ent(0))
+	small.Add(Binary(1, 2, 4), 5)
+	for i := 0; i < 200; i++ {
+		wrap(dense, Binary(uint32(i%10), uint32(i%7), 3).Ent(0))
+		wrap(sorted, Binary(uint32(i*97), uint32(i*89), 3).Ent(0))
+	}
+	dense.Add(Binary(1, 2, 3), 5)
+	sorted.Add(Binary(97, 89, 3), 5)
+	for name, f := range map[string]*Flat{"box": box, "comparison sort": small, "dense index": dense, "records": sorted} {
+		if f.Len() != 1 || f.Total() != 5 {
+			t.Errorf("%s: %d entries totalling %d, want the one whose count is 5", name, f.Len(), f.Total())
+		}
+		f.Release()
+	}
+}
+
+// Every tier of compaction against a builtin map: the dense index, the
+// record sort — narrow keys, keys of nearly 64 bits (X and Y recorded on a
+// 2^20-vertex id range), all keys equal, ids straddling a power of two —
+// the comparison sort of keys wider than a word, and of too few entries.
+func TestCompactionTiers(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	in := func(lo, n int) uint32 { return uint32(lo + rng.Intn(n)) }
+	for _, c := range []struct {
+		name string
+		n    int
+		w    uint // the packed key's width; 0 = don't check
+		tier string
+		key  func() Key
+	}{
+		{"dense", 4000, 12, "index", func() Key { return Binary(in(100, 16), in(48, 16), sig.Sig(in(0, 16))) }},
+		{"all keys equal", 300, 0, "index", func() Key { return Binary(7, 9, 3) }},
+		{"ids straddling a power of two", 500, 6, "index", func() Key { return Unary(in(4095, 37), 5) }},
+		{"records", 4000, 38, "records", func() Key { return Binary(in(0, 18000), in(0, 18000), sig.Sig(in(1, 255))) }},
+		{"records past wideMin", 9000, 38, "records", func() Key { return Binary(in(0, 18000), in(0, 18000), sig.Sig(in(1, 255))) }},
+		{"wide records", 3000, 64, "records", func() Key {
+			return Key{U: in(0, 1<<20), V: in(1<<19, 16), X: in(0, 1<<20), Y: in(0, 1<<18), S: sig.Sig(in(0, 4))}
+		}},
+		{"wider than a word", 3000, 84, "comparison", func() Key {
+			return Key{U: in(0, 1<<20), V: in(0, 1<<20), X: in(0, 1<<20), Y: in(0, 1<<20), S: sig.Sig(in(0, 16))}
+		}},
+		{"a slot that is None only sometimes", 1000, 0, "comparison", func() Key { return randKey(rng, 30) }},
+		{"too few", radixMin - 1, 0, "comparison", func() Key { return Binary(in(0, 5), in(0, 5), sig.Sig(in(0, 4))) }},
+	} {
+		want := make(map[Key]uint64)
+		var f Flat
+		for i := 0; i < c.n; i++ {
+			k, cnt := c.key(), uint64(1+rng.Intn(9))
+			for dup := 1 + rng.Intn(3); dup > 0; dup-- {
+				want[k] += cnt
+				f.Add(k, cnt)
+			}
+		}
+		f.retire()
+		p := scanChunks(f.full)
+		tier := "records"
+		switch {
+		case c.n < radixMin || p.w > 64:
+			tier = "comparison"
+		case p.w < 40 && 1<<p.w <= denseFactor*3*c.n: // every key was added up to three times
+			tier = "index"
+		}
+		if c.w != 0 && p.w != c.w || tier != c.tier {
+			t.Errorf("%s: keys pack into %d bits and compact by %s, want %d bits and %s", c.name, p.w, tier, c.w, c.tier)
+		}
+		ents := f.Ents()
+		if len(ents) != len(want) {
+			t.Fatalf("%s: %d entries, the map has %d", c.name, len(ents), len(want))
+		}
+		for i, e := range ents {
+			if i > 0 && cmpEnt(ents[i-1], e) >= 0 {
+				t.Fatalf("%s: entries %d and %d out of order: %+v, %+v", c.name, i-1, i, ents[i-1], e)
+			}
+			if want[e.Key()] != e.C {
+				t.Fatalf("%s: %+v has count %d, the map %d", c.name, e.Key(), e.C, want[e.Key()])
+			}
+		}
+		f.Release()
+	}
+}
+
+// A compaction polls stop between its passes and, once it fires, gives
+// back what it borrowed and leaves the table as pending as it was — at any
+// poll, in any tier, and for a box.
+func TestBuildStopsBetweenPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sigs := sig.RankingOf(6, 3).Sigs
+	for name, add := range map[string]func(f *Flat){
+		"records": func(f *Flat) { f.Add(Binary(uint32(rng.Intn(5000)), uint32(rng.Intn(5000)), 1), 1) },
+		"index":   func(f *Flat) { f.Add(Binary(uint32(rng.Intn(20)), uint32(rng.Intn(20)), 1), 1) },
+		"box":     func(f *Flat) { f.AddEnt(UnaryEnt(uint32(rng.Intn(30)), sigs[rng.Intn(len(sigs))], 1)) },
+	} {
+		f := new(Flat)
+		if name == "box" {
+			f = boxed(0, 30, 6, false)
+		}
+		const n = 5000
+		for polls := 1; ; polls++ {
+			for i := 0; i < n; i++ {
+				add(f)
+			}
+			held, left := SlabsOut(), polls
+			got, ok := f.Build(func() bool { left--; return left == 0 })
+			if ok {
+				if left <= 0 || got == 0 || f.Total() != n {
+					t.Fatalf("%s: a build that polled %d times of %d allowed finished with %d entries totalling %d", name, polls-left, polls, got, f.Total())
+				}
+				if polls == 1 {
+					t.Fatalf("%s: the build never polled", name)
+				}
+				f.Release()
+				break
+			}
+			if got != 0 || SlabsOut() != held || f.Total() != n {
+				t.Fatalf("%s: stopped at poll %d: %d entries reported, %d slabs kept, total %d of %d", name, polls, got, SlabsOut()-held, f.Total(), n)
+			}
+			if f.Len() == 0 || f.Total() != n { // the next read builds it after all
+				t.Fatalf("%s: stopped at poll %d, the table is unreadable", name, polls)
+			}
+			f.Release()
+		}
 	}
 }

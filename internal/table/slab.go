@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // The slab pool recycles the backing arrays of tables across supersteps,
@@ -52,6 +53,19 @@ func putSlab(s *slab) {
 	slabsOut.Add(-1)
 	s.ents, s.next = s.ents[:0], nil
 	slabPools[bits.Len(uint(cap(s.ents)))-1].Put(s)
+}
+
+// entWords is the size of an Ent in 8-byte words.
+const entWords = int(unsafe.Sizeof(Ent{}) / 8)
+
+// getWords returns a slab whose array is viewed as n uint64 words — a box
+// of counts, a compaction's records — holding whatever its last user left
+// there. An Ent is four aligned words and no pointer, so the same pool and
+// the same SlabsOut count cover entries and words alike; the slab goes
+// back with putSlab.
+func getWords(n int) (*slab, []uint64) {
+	s := getSlab((n + entWords - 1) / entWords)
+	return s, unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s.ents))), n)
 }
 
 // putSlabs returns a whole chunk list to the pool.
