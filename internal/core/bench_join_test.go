@@ -67,7 +67,7 @@ func BenchmarkNodeJoinInner(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.s.nodeJoin(fx.cur, pathStart{}, fx.ann)
+		fx.s.nodeJoin(fx.cur, pathStart{}, fx.ann, false)
 	}
 }
 
@@ -80,7 +80,7 @@ func BenchmarkEdgeJoinInner(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.s.edgeJoin(fx.cur, pathStart{}, pathStep{}).Release()
+		fx.s.edgeJoin(fx.cur, pathStart{}, pathStep{}, false).Release()
 	}
 }
 

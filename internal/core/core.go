@@ -89,7 +89,12 @@ type Options struct {
 
 // Stats reports the engine-level counters of one run: the paper's load
 // metric (projection-function operations, Figure 11), communication volume,
-// and table pressure.
+// and table pressure. An operation of the load is a pair of entries a join
+// examines — except in a root cycle's join, whose signature match is one
+// lookup per entry of the walk table it streams (joinSplit): there it is an
+// entry streamed, unfolded duplicates included. That streamed table is never
+// compacted, and TableEntries counts compacted tables: it is counted in the
+// load only.
 type Stats struct {
 	Backend      string // canonical backend name ("sim", "parallel" or "dist")
 	Workers      int
@@ -99,7 +104,7 @@ type Stats struct {
 	Messages     int64 // sim: every appended entry; dist: entries sent to another process; parallel: 0
 	Steals       int64 // stolen partition tasks; always 0 for sim
 	Supersteps   int64 // supersteps executed; identical across backends
-	TableEntries int64 // total projection-table entries materialized
+	TableEntries int64 // distinct entries of the projection tables that were compacted
 	Loads        []int64
 }
 
@@ -298,9 +303,9 @@ func (s *solver) colorOf(v uint32) sig.Sig { return sig.Of(s.colors[v]) }
 
 // cancelInterval is how many inner-loop operations a worker performs
 // between context polls: frequent enough that a canceled run frees its
-// workers within milliseconds, rare enough that the poll (a counter mask
+// workers within milliseconds, rare enough that the poll (a counter compare
 // plus, every interval, an atomic load and a channel select) is invisible
-// next to the join work itself. Must be a power of two.
+// next to the join work itself.
 const cancelInterval = 1 << 12
 
 // canceled is the worker-loop cancellation poll. Callers keep a per-loop
@@ -308,11 +313,17 @@ const cancelInterval = 1 << 12
 // operations it checks the latched stop flag and polls ctx, latching a
 // cancellation so every other worker's next poll sees it without touching
 // the context again.
-func (s *solver) canceled(n *int) bool {
-	*n++
-	if *n&(cancelInterval-1) != 0 {
+func (s *solver) canceled(n *int) bool { return s.canceledAfter(n, 1) }
+
+// canceledAfter is canceled for a loop that keeps its books in bulk: ops
+// operations — a whole run of entries against one neighbour, say — count
+// towards the next poll in one addition, and the poll falls at the first
+// call that takes the counter to cancelInterval or past it.
+func (s *solver) canceledAfter(n *int, ops int) bool {
+	if *n += ops; *n < cancelInterval {
 		return false
 	}
+	*n = 0
 	return s.aborted()
 }
 
@@ -348,6 +359,19 @@ func (s *solver) track(t *engine.Sharded) *engine.Sharded {
 	})
 	s.entries += entries.Load()
 	return t
+}
+
+// finish is track for a walk's table, which a root cycle's join may want
+// pending (buildPath): left as its superstep's adds lie — not compacted, so
+// never scanned for its key ranges, packed, sorted, folded or rebuilt, and
+// not counted in the stats' table entries, which are entries of compacted
+// tables. Its entries are counted once, in the load of the join that
+// streams them.
+func (s *solver) finish(t *engine.Sharded, pend bool) *engine.Sharded {
+	if pend {
+		return t
+	}
+	return s.track(t)
 }
 
 // run traverses the decomposition tree bottom-up (§4.2), solving each block

@@ -292,12 +292,9 @@ func TestChildTableSurvivesItsParentsWalks(t *testing.T) {
 				}
 				out := engine.NewSharded(be)
 				for i, sp := range s.splits(b) {
-					if !s.buildPath(sp.plus) || !s.buildPath(sp.minus) {
+					if !s.joinSplit(b, sp, out, make([]uint64, be.P())) {
 						t.Fatal("an uncanceled run failed to build a walk")
 					}
-					s.joinSplit(b, sp, out, make([]uint64, be.P()))
-					sp.plus.done()
-					sp.minus.done()
 					for _, c := range b.Children {
 						if after := snap(c); after.total != before[c].total || !reflect.DeepEqual(after.ents, before[c].ents) {
 							t.Fatalf("%s: child block %v changed under split %d of its parent: total %d → %d, %d → %d entries",

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/decomp"
 	"repro/internal/engine"
+	"repro/internal/sig"
 	"repro/internal/table"
 )
 
@@ -55,19 +56,33 @@ func (s *solver) solveCycle(b *decomp.Block) *engine.Sharded {
 	return s.track(out)
 }
 
-// joinSplits builds and joins the walks of each of b's splits in turn, into
-// out or partial as joinSplit does. A canceled run stops at the walk that
-// could not be built.
+// joinSplits joins b's splits in turn, into out or partial as joinSplit
+// does. A canceled run stops at the split whose walks could not be built.
 func (s *solver) joinSplits(b *decomp.Block, out *engine.Sharded, partial []uint64) {
 	for _, sp := range s.splits(b) {
-		if !s.buildPath(sp.plus) || !s.buildPath(sp.minus) {
+		if !s.joinSplit(b, sp, out, partial) {
 			break
 		}
-		s.joinSplit(b, sp, out, partial)
-		sp.plus.done()
-		sp.minus.done()
 	}
 	s.walks.release()
+}
+
+// sides says which of a split's walks its join streams and which it indexes,
+// and whether the streamed one's table may be left pending — built by its
+// last superstep and never compacted. It may in a root block, whose join
+// makes a number, if this join is all that is still to read it: the walk's
+// table is not built yet, no other walk extends it and no other split joins
+// it (one use left), and it has a step to be built by. If exactly one walk
+// may pend, it streams; if both may or neither, the one with more steps —
+// the larger table, as a rule: the index then is the smaller — and of two
+// equally long ones P−. The trie decides, nothing else: there is no option.
+func (sp split) sides(root bool) (stream, index *walk, pend bool) {
+	mayPend := func(n *walk) bool { return root && n.uses == 1 && n.table == nil && n.parent != nil }
+	stream, index = sp.minus, sp.plus
+	if p, m := mayPend(sp.plus), mayPend(sp.minus); p && !m || p == m && sp.plus.steps() > sp.minus.steps() {
+		stream, index = sp.plus, sp.minus
+	}
+	return stream, index, mayPend(stream)
 }
 
 // solveRootCycle computes the total colorful-match count of a root cycle
@@ -97,7 +112,7 @@ func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 	defer s.walks.release()
 	walk := s.walks.add(pathStart{startAnn: b.NodeAnn[1], free: true}, step)
 	out := engine.NewMatrix(s.be, s.k, false)
-	if !s.buildPath(walk) {
+	if !s.buildPath(walk, false) {
 		return out
 	}
 	// Project (π(a), α) out of the walk's keys: local, entries live at owner(V).
@@ -230,54 +245,80 @@ func (s *solver) makeSplit(b *decomp.Block, start, end int, ordered bool) split 
 	return split{plus: layWalk(+1, true), minus: layWalk(-1, false), locs: locs, times: 1}
 }
 
-// joinSplit joins the P+ and P− tables of one split (Figure 4/6
-// Procedure 2): entries agree on (U,V), signatures must intersect exactly
-// in {χ(U), χ(V)}, and products are emitted keyed by the block's boundary
-// mappings — into out for 1/2-boundary blocks, or summed into partial for
-// a root cycle. Both tables are homed at the owner of V, so the join
-// itself is local; only the output entries travel.
+// joinSplit builds the P+ and P− tables of one split — the one the join
+// indexes first, the one it streams last, left pending if it may be (sides)
+// — and joins them (Figure 4/6 Procedure 2): entries agree on (U,V),
+// signatures must intersect exactly in {χ(U), χ(V)}, and products are
+// emitted keyed by the block's boundary mappings — into out for
+// 1/2-boundary blocks, or summed into partial for a root cycle. Both tables
+// are homed at the owner of V, so the join itself is local; only the output
+// entries travel. It reports false, having joined nothing, if the run was
+// canceled before both tables were built.
 //
-// Both flat shards are sorted by the packed (V,U) word, so the join is a
-// sorted merge: advance two cursors to each common (U,V) group and cross
-// the groups' contiguous entry runs — no per-split hash index, and the
-// signature filter scans adjacent memory on both sides.
-func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, partial []uint64) {
+// There is one join, and it streams one table against an index of the
+// other: each partition takes the chunks of stream's shard as they lie
+// (table.Flat.Chunks), finds every entry's (V,U) group in index's sorted
+// shard (groupIdx, built here and given back here; not at all where nothing
+// is streamed) and meets the entry with the group. A table that was
+// compacted arrives as one sorted chunk and the cursor reads it as a merge;
+// a pending one arrives as its superstep appended it, duplicates unfolded,
+// which a sum cannot tell from folded — Σ c·c′ distributes — so a root
+// block's largest table is read once, here, and never sorted.
+//
+// In a root block the two walks cover every colour between them and share
+// χ(U) and χ(V) alone, so an entry's partner signature is forced and the
+// match is one lookup in the group (withSig); an operation of the load is
+// an entry streamed. With boundary nodes the subquery is smaller than the
+// query, the partner is any signature that meets the entry's in exactly
+// {χ(U), χ(V)}, and the group is scanned; an operation is a pair examined.
+func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, partial []uint64) bool {
+	root, full := len(b.Boundary) == 0, sig.Full(s.k)
+	stream, index, pend := sp.sides(root)
+	if !s.buildPath(index, false) || !s.buildPath(stream, pend) {
+		return false
+	}
+	defer sp.plus.done()
+	defer sp.minus.done()
+	streamPlus := stream == sp.plus
 	produce := func(w int, to *engine.Lanes) {
-		pe := sp.plus.table.Shard(w).Ents()
-		me := sp.minus.table.Shard(w).Ents()
 		var load int64
 		var poll int
 		var sum uint64
-		i, j := 0, 0
-		for i < len(pe) && j < len(me) {
-			uv := pe[i].VU
-			if uv < me[j].VU {
-				i++
-				continue
+		var ix groupIdx
+		var cur groupCursor
+		var need sig.Sig
+		stopped := false
+		stream.table.Shard(w).Chunks(func(chunk []table.Ent) {
+			if stopped {
+				return
 			}
-			if me[j].VU < uv {
-				j++
-				continue
+			if ix.rows == nil {
+				lo, hi := s.be.Range(w)
+				ix = indexGroups(lo, hi, index.table.Shard(w).Ents())
+				cur = ix.cursor()
 			}
-			i2 := i + 1
-			for i2 < len(pe) && pe[i2].VU == uv {
-				i2++
-			}
-			j2 := j + 1
-			for j2 < len(me) && me[j2].VU == uv {
-				j2++
-			}
-			need := s.colorOf(uint32(uv)).Union(s.colorOf(uint32(uv >> 32)))
-			for a := i; a < i2; a++ {
-				kp := &pe[a]
-				for m := j; m < j2; m++ {
+			for i := range chunk {
+				k := &chunk[i]
+				if k.VU != cur.vu {
+					need = s.colorOf(k.U()).Union(s.colorOf(k.V()))
+				}
+				grp := cur.seek(k.VU)
+				if root {
+					grp = withSig(grp, full.Without(k.S).Union(need))
 					load++
-					if s.canceled(&poll) {
-						goto done
-					}
-					e := &me[m]
+				} else {
+					load += int64(len(grp))
+				}
+				if stopped = s.canceledAfter(&poll, 1+len(grp)); stopped {
+					return
+				}
+				for j := range grp {
+					kp, e := k, &grp[j]
 					if kp.S.Inter(e.S) != need {
 						continue
+					}
+					if !streamPlus {
+						kp, e = e, kp
 					}
 					total := kp.C * e.C
 					comb := kp.S.Union(e.S)
@@ -294,9 +335,8 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 					}
 				}
 			}
-			i, j = i2, j2
-		}
-	done:
+		})
+		ix.release()
 		s.be.AddLoad(w, load)
 		if partial != nil {
 			partial[w] += sum * sp.times
@@ -305,12 +345,13 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 	defer s.tr.Start(PhaseCycleJoin)()
 	if out != nil {
 		s.be.Step(out, produce)
-		return
+		return true
 	}
 	// Root cycle (no boundary): every product folds into the local partial
 	// sum, so nothing is ever appended — run the join without a superstep,
 	// and without lanes.
 	s.be.Run(func(w int) { produce(w, nil) })
+	return true
 }
 
 // vertexAt extracts a boundary node's mapped vertex from the joined pair of

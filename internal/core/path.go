@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"repro/internal/decomp"
 	"repro/internal/engine"
 	"repro/internal/sig"
@@ -101,6 +103,15 @@ func (t walkTrie) node(k walkKey) *walk {
 	return n
 }
 
+// steps returns how many steps lead to the walk's node.
+func (n *walk) steps() int {
+	d := 0
+	for ; n.parent != nil; n = n.parent {
+		d++
+	}
+	return d
+}
+
 // done ends one pending use of the walk's table and releases the table to
 // the slab pool after the last.
 func (n *walk) done() {
@@ -127,27 +138,34 @@ func (t walkTrie) release() {
 // that no earlier walk of the block left behind. It reports false when the
 // run is canceled: a table whose build saw the cancellation is partial, so
 // it is released on the spot, never stored for another walk to extend.
-func (s *solver) buildPath(n *walk) bool {
+//
+// pend leaves the walk's own table — the last one built, never a prefix's —
+// as its superstep left it: chunks of entries in the order they were
+// appended, duplicates unfolded (track). Only a reader that wants neither
+// order nor folded counts may ask for that; the one there is is a root
+// cycle's join (split.sides).
+func (s *solver) buildPath(n *walk, pend bool) bool {
 	if n.table != nil {
 		return true
 	}
 	p := n.parent
+	last := n.step.nodeAnn == nil // the step's edge table is the walk's
 	var t *engine.Sharded
 	switch {
 	case p == nil && n.startAnn == nil:
 		return true // a bare start has no table: its first edge seeds the walk
 	case p == nil:
 		t = s.lift(n.pathStart)
-	case !s.buildPath(p) || s.aborted():
+	case !s.buildPath(p, false) || s.aborted():
 		return false
 	case p.table == nil:
-		t = s.initEdge(n.pathStart, n.step)
+		t = s.initEdge(n.pathStart, n.step, pend && last)
 	default:
-		t = s.edgeJoin(p.table, n.pathStart, n.step)
+		t = s.edgeJoin(p.table, n.pathStart, n.step, pend && last)
 	}
-	if n.step.nodeAnn != nil {
+	if !last {
 		edge := t
-		t = s.nodeJoin(edge, n.pathStart, n.step.nodeAnn)
+		t = s.nodeJoin(edge, n.pathStart, n.step.nodeAnn, pend)
 		edge.Release()
 	}
 	if p != nil {
@@ -217,7 +235,7 @@ func (r recordSlot) ent(start, end uint32, kept uint64, s sig.Sig, c uint64) tab
 // initEdge seeds the walk's table from its first edge: either the data
 // graph's edges (count 1 per edge per direction, signature {χ(u),χ(v)},
 // Figure 4/6 Procedure 1 line 1) or the annotating child block's table.
-func (s *solver) initEdge(spec pathStart, st pathStep) *engine.Sharded {
+func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharded {
 	out := s.newTable(spec)
 	slot := slotOf(st.record)
 	defer s.tr.Start(PhasePathJoin)()
@@ -249,7 +267,7 @@ func (s *solver) initEdge(spec pathStart, st pathStep) *engine.Sharded {
 			}
 			s.be.AddLoad(w, load)
 		})
-		return s.track(out)
+		return s.finish(out, pend)
 	}
 	child := s.tables[st.edgeAnn]
 	s.be.Step(out, func(w int, to *engine.Lanes) {
@@ -273,7 +291,7 @@ func (s *solver) initEdge(spec pathStart, st pathStep) *engine.Sharded {
 		}
 		s.be.AddLoad(w, load)
 	})
-	return s.track(out)
+	return s.finish(out, pend)
 }
 
 // lift turns the unary table (u,α) of the child annotating the start node
@@ -299,7 +317,11 @@ func (s *solver) lift(spec pathStart) *engine.Sharded {
 // Procedure 1); for an annotated edge, by each child entry incident to v
 // whose signature meets α exactly at χ(v) (Figure 7 EdgeJoin). Under the DB
 // order constraint, only vertices ranking below u extend the walk.
-func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *engine.Sharded {
+//
+// The books are kept per (run, neighbour) pair, not per entry: the pair's
+// len(run) operations go onto the load, and towards the next cancellation
+// poll, in one addition, and the neighbour's rank is read once.
+func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend bool) *engine.Sharded {
 	out := s.newTable(spec)
 	slot := slotOf(st.record)
 	if st.edgeAnn == nil {
@@ -313,14 +335,14 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *eng
 				j = runOf(ents, i)
 				run := ents[i:j]
 				for _, nb := range s.g.Neighbors(run[0].V()) {
-					cn, dst := s.colorOf(nb), to.At(nb)
+					load += int64(len(run))
+					if s.canceledAfter(&poll, len(run)) {
+						break scan
+					}
+					cn, rank, dst := s.colorOf(nb), s.g.Rank(nb), to.At(nb)
 					for r := range run {
 						k := &run[r]
-						load++
-						if s.canceled(&poll) {
-							break scan
-						}
-						if spec.ordered && !s.g.Higher(k.U(), nb) {
+						if spec.ordered && s.g.Rank(k.U()) <= rank {
 							continue
 						}
 						if !k.S.Disjoint(cn) {
@@ -332,7 +354,7 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *eng
 			}
 			s.be.AddLoad(w, load)
 		})
-		return s.track(out)
+		return s.finish(out, pend)
 	}
 	// groupBinary runs (and traces) its own supersteps; span only ours.
 	grouped := s.groupBinary(st.edgeAnn, st.edgeFromFirst)
@@ -349,15 +371,15 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *eng
 			v := run[0].V()
 			cv := s.colorOf(v)
 			for _, e := range idx.at(v) {
+				load += int64(len(run))
+				if s.canceledAfter(&poll, len(run)) {
+					break scan
+				}
 				end := e.U()
-				dst := to.At(end)
+				rank, dst := s.g.Rank(end), to.At(end)
 				for r := range run {
 					k := &run[r]
-					load++
-					if s.canceled(&poll) {
-						break scan
-					}
-					if spec.ordered && !s.g.Higher(k.U(), end) {
+					if spec.ordered && s.g.Rank(k.U()) <= rank {
 						continue
 					}
 					// The walk and the child share exactly the query node at v.
@@ -370,14 +392,14 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *eng
 		}
 		s.be.AddLoad(w, load)
 	})
-	return s.track(out)
+	return s.finish(out, pend)
 }
 
 // nodeJoin folds a unary child table into the walk at its current end node
 // (Figure 7 NodeJoin). Both tables are homed at the owner of v, so the join
 // is communication-free. The child index is built once per block by
 // groupUnary and reused across every split that folds the same annotation.
-func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block) *engine.Sharded {
+func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block, pend bool) *engine.Sharded {
 	out := s.newTable(spec)
 	// groupUnary runs (and traces) its own superstep; span only ours.
 	grouped := s.groupUnary(ann)
@@ -407,7 +429,7 @@ func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block
 		}
 		s.be.AddLoad(w, load)
 	})
-	return s.track(out)
+	return s.finish(out, pend)
 }
 
 type groupKey struct {
@@ -457,6 +479,107 @@ func (s *solver) indexRows(t *engine.Sharded, home func(*table.Ent) uint32) []*r
 		g[w] = ix
 	})
 	return g
+}
+
+// groupIdx indexes one sorted shard of a walk table by the (V, U) pair its
+// entries are grouped under — rowIdx taken one level down, for the cycle
+// join, which meets two walks on both their ends. groups[rows[v-lo] :
+// rows[v-lo+1]] are the groups homed at vertex v, U ascending, one word
+// each: the group's U in the high half, the offset of its first entry in
+// the low. A group's entries end where the next group's begin, the last
+// one's at a sentinel word. Rows and groups are one run of pooled words
+// (table.BorrowWords) that release gives back, before the task that built
+// the index ends.
+type groupIdx struct {
+	lo      uint32
+	rows    []uint64 // len = partition size + 1
+	groups  []uint64 // len = groups + 1
+	ents    []table.Ent
+	scratch table.Scratch
+}
+
+// indexGroups indexes ents, a shard sorted by (V, U) whose home vertices lie
+// in [lo, hi): one linear walk.
+func indexGroups(lo, hi uint32, ents []table.Ent) groupIdx {
+	n := int(hi - lo)
+	scratch := table.BorrowWords(n + 1 + len(ents) + 1) // no more groups than entries
+	ix := groupIdx{lo: lo, rows: scratch.Words[:n+1], groups: scratch.Words[n+1:], ents: ents, scratch: scratch}
+	g, j := 0, 0
+	for r := 0; r < n; r++ {
+		ix.rows[r] = uint64(g)
+		for v := lo + uint32(r); j < len(ents) && ents[j].V() == v; g++ {
+			vu := ents[j].VU
+			ix.groups[g] = vu<<32 | uint64(j) // U moves up, V falls off
+			for j++; j < len(ents) && ents[j].VU == vu; j++ {
+			}
+		}
+	}
+	ix.rows[n] = uint64(g)
+	ix.groups[g] = uint64(len(ents))
+	ix.groups = ix.groups[:g+1]
+	return ix
+}
+
+func (ix *groupIdx) release() { ix.scratch.Return() }
+
+// groupCursor finds in a groupIdx the group of each entry of a stream. A
+// lane's chunks arrive as the edge loops appended them — V repeating while
+// U ascends, one (run, neighbour) pair after another — and a sorted shard
+// arrives in the index's own order, so the group sought is the one last
+// found, or a little past it: the search gallops forward from where the
+// last one ended, and goes back to the start of a row only when V changes
+// or U falls. Against a sorted stream that is a merge.
+type groupCursor struct {
+	ix      *groupIdx
+	vu      uint64      // the pair last sought
+	at, end int         // in ix.groups: where that search ended, where V's row does
+	found   []table.Ent // what it found
+}
+
+func (ix *groupIdx) cursor() groupCursor {
+	return groupCursor{ix: ix, vu: ^uint64(0)} // (None, None) is no entry's pair
+}
+
+// seek returns the entries grouped under vu, nil if there are none.
+func (c *groupCursor) seek(vu uint64) []table.Ent {
+	if vu == c.vu {
+		return c.found
+	}
+	ix := c.ix
+	if vu>>32 != c.vu>>32 || vu < c.vu {
+		r := uint32(vu>>32) - ix.lo
+		c.at, c.end = int(ix.rows[r]), int(ix.rows[r+1])
+	}
+	c.vu = vu
+	// The first group of the row at or after c.at — every group before it
+	// has a smaller U than the last one sought — whose U is not below u.
+	g, u, i := ix.groups, vu&(1<<32-1), c.at
+	if i < c.end && g[i]>>32 < u {
+		step := 1
+		for i+step < c.end && g[i+step]>>32 < u {
+			i += step
+			step <<= 1
+		}
+		lo, hi := i+1, min(i+step, c.end)
+		lo += sort.Search(hi-lo, func(k int) bool { return g[lo+k]>>32 >= u })
+		i = lo
+	}
+	c.at, c.found = i, nil
+	if i < c.end && g[i]>>32 == u {
+		c.found = ix.ents[uint32(g[i]):uint32(g[i+1])]
+	}
+	return c.found
+}
+
+// withSig returns the entries of grp — one at most — whose signature is
+// want. grp must be one (V, U) group of a table that records no vertices:
+// its entries then differ in their signatures alone and ascend with them.
+func withSig(grp []table.Ent, want sig.Sig) []table.Ent {
+	i := sort.Search(len(grp), func(i int) bool { return grp[i].S >= want })
+	if i < len(grp) && grp[i].S == want {
+		return grp[i : i+1]
+	}
+	return nil
 }
 
 // regrouped is a binary child table rebuilt at the owners of its "from"

@@ -14,15 +14,6 @@ import (
 	"repro/internal/table"
 )
 
-// steps returns how many steps lead to a trie node.
-func (n *walk) steps() int {
-	d := 0
-	for ; n.parent != nil; n = n.parent {
-		d++
-	}
-	return d
-}
-
 // built returns the trie's step nodes — the tables a block's walks cost.
 func (t walkTrie) built() int {
 	c := 0

@@ -650,3 +650,66 @@ func TestBuildStopsBetweenPasses(t *testing.T) {
 		}
 	}
 }
+
+// A pending shard can be read where it lies: Chunks over appended and
+// absorbed chunks hands out every entry, duplicates unfolded, and takes no
+// slab — nothing is compacted, before the Release that follows either — so
+// a reader that wants a sum of products, not order, never pays for a sort.
+// Scratch borrowed beside it is a slab like any other until it is returned.
+func TestChunksOverPendingNeverCompacts(t *testing.T) {
+	start := SlabsOut()
+	rng := rand.New(rand.NewSource(5))
+	var f, lane Flat
+	want := map[Key]uint64{}
+	const n = 5*chunkEnts + 17
+	for i := 0; i < n; i++ {
+		k := Binary(uint32(rng.Intn(40)), uint32(rng.Intn(40)), sig.Sig(1+rng.Intn(7)))
+		if want[k]++; i%3 == 0 {
+			lane.Add(k, 1)
+		} else {
+			f.Add(k, 1)
+		}
+	}
+	if moved := f.Absorb(&lane); moved != (n+2)/3 {
+		t.Fatalf("Absorb moved %d of %d entries", moved, (n+2)/3)
+	}
+	if len(want) == n {
+		t.Fatal("the test needs duplicate keys")
+	}
+
+	held := SlabsOut()
+	scratch := BorrowWords(1000)
+	if len(scratch.Words) != 1000 || SlabsOut() != held+1 {
+		t.Fatalf("BorrowWords(1000) lent %d words in %d slabs", len(scratch.Words), SlabsOut()-held)
+	}
+	got, entries := map[Key]uint64{}, 0
+	f.Chunks(func(ents []Ent) {
+		if len(ents) == 0 {
+			t.Error("Chunks handed out an empty chunk")
+		}
+		for _, e := range ents {
+			got[e.Key()] += e.C
+		}
+		entries += len(ents)
+	})
+	scratch.Return()
+	if entries != n || len(got) != len(want) {
+		t.Fatalf("Chunks handed out %d entries under %d keys; %d were added under %d", entries, len(got), n, len(want))
+	}
+	for k, c := range want {
+		if got[k] != c {
+			t.Fatalf("key %+v: chunks sum to %d, %d were added", k, got[k], c)
+		}
+	}
+	if f.sorted != nil || SlabsOut() != held {
+		t.Fatalf("reading the pending chunks compacted them: sorted slab %v, %d slabs taken", f.sorted != nil, SlabsOut()-held)
+	}
+	f.Release()
+	if f.sorted != nil || SlabsOut() != start {
+		t.Fatalf("Release after Chunks: sorted slab %v, %d slabs out", f.sorted != nil, SlabsOut()-start)
+	}
+	(Scratch{}).Return() // the zero Scratch holds nothing
+	if SlabsOut() != start {
+		t.Fatal("returning the zero Scratch moved the slab count")
+	}
+}

@@ -68,6 +68,28 @@ func getWords(n int) (*slab, []uint64) {
 	return s, unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s.ents))), n)
 }
 
+// Scratch is a run of pooled words lent to a caller outside the package —
+// an index over a shard, say — under the same rules as every slab: it holds
+// whatever its last user left there, it counts in SlabsOut until it is
+// returned, and it must be returned, by the task that borrowed it, before
+// the run that task belongs to ends. Scratch made with make instead is
+// garbage by the megabyte per trial, and the collections it brings on empty
+// the slab pool itself.
+type Scratch struct {
+	Words []uint64
+	slab  *slab
+}
+
+// BorrowWords returns n pooled words.
+func BorrowWords(n int) Scratch {
+	s, words := getWords(n)
+	return Scratch{Words: words, slab: s}
+}
+
+// Return gives the words back to the pool. The zero Scratch holds nothing
+// and returns nothing.
+func (s Scratch) Return() { putSlab(s.slab) }
+
 // putSlabs returns a whole chunk list to the pool.
 func putSlabs(s *slab) {
 	for s != nil {
