@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/exp"
 )
@@ -62,8 +61,6 @@ func main() {
 
 func run(cmd string, cfg exp.Config) error {
 	w := os.Stdout
-	start := time.Now()
-	defer func() { fmt.Fprintf(w, "[%s took %v]\n", cmd, time.Since(start).Round(time.Millisecond)) }()
 	switch cmd {
 	case "table1":
 		exp.Table1(w, cfg)

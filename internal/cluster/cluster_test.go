@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -149,6 +152,62 @@ func TestClusterHealthProbes(t *testing.T) {
 	c.CheckOnce()
 	if !c.Allow("b:2") {
 		t.Fatal("recovered peer still rejected")
+	}
+}
+
+// healthLoops counts the live goroutines running a cluster's health loop.
+func healthLoops() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "cluster.(*Cluster).healthLoop(")
+}
+
+// TestHealthLoopFollowsPeerUntilClose: with a cadence set, the background
+// checker — not a CheckOnce the caller makes — marks a peer down when its
+// probe fails and up again when it recovers, and Close returns only once
+// that goroutine has exited.
+func TestHealthLoopFollowsPeerUntilClose(t *testing.T) {
+	before := healthLoops()
+	var down atomic.Bool
+	down.Store(true)
+	c, err := New(Options{
+		Self:        "a:1",
+		Members:     []string{"a:1", "b:2"},
+		HealthEvery: 5 * time.Millisecond,
+		Probe: func(addr string) error {
+			if down.Load() {
+				return fmt.Errorf("probe: %s down", addr)
+			}
+			return nil
+		},
+		Logger: quiet(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitUp := func(want bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); c.Stats().Peers[0].Up != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				c.Close()
+				t.Fatalf("the health loop never reported up=%v", want)
+			}
+		}
+	}
+	awaitUp(false) // peers start up: only a probe from the loop can have said otherwise
+	if got := healthLoops(); got != before+1 {
+		t.Errorf("%d health loops running, want %d", got, before+1)
+	}
+	down.Store(false)
+	awaitUp(true)
+	c.Close()
+	// Close has seen the loop's last deferred call; the goroutine is gone a
+	// few instructions later.
+	for i := 0; i < 100 && healthLoops() > before; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if got := healthLoops(); got != before {
+		t.Errorf("%d health loops outlive Close, want %d", got, before)
 	}
 }
 

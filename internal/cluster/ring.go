@@ -115,6 +115,3 @@ func (r *Ring) Owner(keyHash uint64) string {
 // Members returns the ring's member addresses, sorted. The slice is
 // shared; callers must not mutate it.
 func (r *Ring) Members() []string { return r.members }
-
-// Size returns the member count.
-func (r *Ring) Size() int { return len(r.members) }

@@ -129,9 +129,6 @@ func NewWithConns(conns []net.Conn, addrs []string, opts Options) (*Cluster, err
 	return c, nil
 }
 
-// Ranks returns the worker-process count.
-func (c *Cluster) Ranks() int { return len(c.nodes) }
-
 // Close tears the cluster down: every in-flight job fails, and the worker
 // connections close.
 func (c *Cluster) Close() error {

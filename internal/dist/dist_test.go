@@ -1,7 +1,9 @@
 package dist_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -408,4 +410,40 @@ func readFull(c net.Conn, b []byte) (int, error) {
 		}
 	}
 	return total, nil
+}
+
+// A worker process keeps one graph cache across coordinator sessions
+// (sgworker -graph-cache): a coordinator that reconnects ships a graph the
+// workers already hold only by fingerprint, and counts the same.
+func TestSharedGraphCacheOutlivesSession(t *testing.T) {
+	g := gen.PowerLawGraph("pl", 3000, 1.6, rand.New(rand.NewSource(4)))
+	q := query.MustByName("path3")
+	colors := randColors(g.N(), q.K, rand.New(rand.NewSource(5)))
+	cache := dist.NewGraphCache(2)
+	session := func() (count uint64, sent int64) {
+		c, err := dist.Loopback(2, dist.WorkerOptions{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		count, _ = countVia(t, c, 2, g, q, colors, core.DB)
+		for _, n := range c.NodeStats() {
+			sent += n.BytesSent
+		}
+		return count, sent
+	}
+	first, cold := session()
+	second, warm := session()
+	if first != second || first == 0 {
+		t.Errorf("counted %d, then %d over the cached graph", first, second)
+	}
+	var wire bytes.Buffer
+	if err := gob.NewEncoder(&wire).Encode(g); err != nil {
+		t.Fatal(err)
+	}
+	// Cold, the graph goes to one rank at least (the other may find it in
+	// the cache the first filled); warm, to neither.
+	if shipped := int64(wire.Len()); cold-warm < shipped {
+		t.Errorf("coordinator sent %d bytes to cold workers and %d to warm ones: the graph (%d bytes) was shipped again", cold, warm, shipped)
+	}
 }

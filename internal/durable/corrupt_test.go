@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -216,4 +217,72 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		l2.Close()
 	})
+}
+
+// TestReadRunsLeavesDirectoryAsItLies: the handoff exporter's read of a
+// data directory — a snapshot, a WAL over it, a torn frame at the WAL's
+// end — merges run records longest-wins per stream across both files in
+// first-appearance order, skips job records, exports nothing of the torn
+// frame, and, unlike Open, truncates nothing: both files keep their bytes.
+func TestReadRunsLeavesDirectoryAsItLies(t *testing.T) {
+	dir := t.TempDir()
+	record := func(apps ...func(l *Log)) {
+		l, _ := openT(t, dir, Options{Fsync: FsyncAlways})
+		for _, app := range apps {
+			app(l)
+		}
+		l.Close()
+	}
+	// A snapshot is frames, as the WAL is: record one and rename it.
+	record(
+		func(l *Log) { l.AppendRun(testRun(1, 3)) },
+		func(l *Log) { l.AppendJob(testJob("j1")) },
+		func(l *Log) { l.AppendRun(testRun(2, 2)) },
+	)
+	wal, snap := filepath.Join(dir, walName), filepath.Join(dir, snapName)
+	if err := os.Rename(wal, snap); err != nil {
+		t.Fatal(err)
+	}
+	record(
+		func(l *Log) { l.AppendRun(testRun(2, 5)) }, // extends the snapshot's stream
+		func(l *Log) { l.AppendJob(testJob("j2")) },
+		func(l *Log) { l.AppendRun(testRun(3, 2)) },
+		func(l *Log) { l.AppendRun(testRun(1, 2)) }, // shorter than the snapshot's: must not shrink it
+	)
+	whole, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(func(l *Log) { l.AppendRun(testRun(4, 1)) }) // the frame to tear
+	torn, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(torn) <= len(whole)+5 {
+		t.Fatalf("the last frame is %d bytes", len(torn)-len(whole))
+	}
+	torn = torn[:len(torn)-5]
+	if err := os.WriteFile(wal, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snapBytes, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := ReadRuns(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []RunRecord{testRun(1, 3), testRun(2, 5), testRun(3, 2)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("exported %d runs %+v, want streams 1, 2, 3 at 3, 5 and 2 trials", len(got), got)
+	}
+	for path, before := range map[string][]byte{wal: torn, snap: snapBytes} {
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s: %d bytes before the read, %d after (err %v)", filepath.Base(path), len(before), len(after), err)
+		}
+	}
+	if runs, err := ReadRuns(t.TempDir()); err != nil || len(runs) != 0 {
+		t.Errorf("an empty directory exports %d runs, err %v", len(runs), err)
+	}
 }

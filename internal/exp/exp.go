@@ -3,14 +3,16 @@
 // the sgbench CLI and the repository's benchmarks. Each experiment prints a
 // table shaped like the paper's and returns structured results so tests can
 // assert the qualitative claims (who wins, by roughly what factor, where
-// the crossovers fall).
+// the crossovers fall). What it reports is the deterministic load model
+// (per-worker projection operations), the scale-free signal on a small
+// host: output depends on (scale, seed, backend, workers) alone. Solver
+// wall time is measured by the benchmark (benchmark/solver.go), not here.
 package exp
 
 import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"repro/internal/coloring"
 	"repro/internal/core"
@@ -107,13 +109,12 @@ func (c Config) comboSeed(g, q string) int64 {
 	return h
 }
 
-// Run is one measured solver execution.
+// Run is one solver execution.
 type Run struct {
 	Graph, Query string
 	Alg          core.Algorithm
 	Workers      int
 	Count        uint64
-	Time         time.Duration
 	Stats        core.Stats
 }
 
@@ -122,7 +123,6 @@ type Run struct {
 func (c Config) runOnce(g *graph.Graph, q *query.Graph, alg core.Algorithm, workers int, plan *decomp.Tree) (Run, error) {
 	rng := rand.New(rand.NewSource(c.comboSeed(g.Name, q.Name)))
 	colors := coloring.Random(g.N(), q.K, rng)
-	start := time.Now()
 	count, stats, err := core.CountColorful(g, q, colors, core.Options{
 		Algorithm: alg,
 		Backend:   c.Backend,
@@ -134,7 +134,7 @@ func (c Config) runOnce(g *graph.Graph, q *query.Graph, alg core.Algorithm, work
 	}
 	return Run{
 		Graph: g.Name, Query: q.Name, Alg: alg, Workers: workers,
-		Count: count, Time: time.Since(start), Stats: stats,
+		Count: count, Stats: stats,
 	}, nil
 }
 

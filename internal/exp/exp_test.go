@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"io"
 	"strings"
 	"testing"
@@ -44,8 +45,8 @@ func TestFigure9(t *testing.T) {
 	if len(res.Runs) != 9 {
 		t.Fatalf("runs = %d", len(res.Runs))
 	}
-	if len(res.PerGraph) != 3 || len(res.PerQuery) != 3 {
-		t.Fatalf("averages missing: %v %v", res.PerGraph, res.PerQuery)
+	if len(res.LoadGraph) != 3 || len(res.LoadQuery) != 3 {
+		t.Fatalf("averages missing: %v %v", res.LoadGraph, res.LoadQuery)
 	}
 	for g, l := range res.LoadGraph {
 		if l <= 0 {
@@ -271,5 +272,40 @@ func TestTreeVsCycle(t *testing.T) {
 	if loads["bintree12"]*2 > loads["brain3"] {
 		t.Errorf("tree query not clearly cheaper: tree %d vs brain3 %d",
 			loads["bintree12"], loads["brain3"])
+	}
+}
+
+// Every sgbench target reports the load model and nothing a stopwatch
+// read, so what it prints depends on (scale, seed, backend, workers)
+// alone: two runs of the whole suite are byte-equal.
+func TestSuiteOutputIsDeterministic(t *testing.T) {
+	targets := []struct {
+		name string
+		run  func(io.Writer, Config) error
+	}{
+		{"table1", func(w io.Writer, c Config) error { Table1(w, c); return nil }},
+		{"fig9", func(w io.Writer, c Config) error { _, err := Figure9(w, c); return err }},
+		{"fig10", func(w io.Writer, c Config) error { _, err := Figure10(w, c); return err }},
+		{"fig11", func(w io.Writer, c Config) error { _, err := Figure11(w, c); return err }},
+		{"fig12", func(w io.Writer, c Config) error { _, err := Figure12(w, c); return err }},
+		{"fig13 strong", func(w io.Writer, c Config) error { _, err := Figure13Strong(w, c); return err }},
+		{"fig13 weak", func(w io.Writer, c Config) error { _, err := Figure13Weak(w, c); return err }},
+		{"fig14", func(w io.Writer, c Config) error { _, err := Figure14(w, c); return err }},
+		{"fig15", func(w io.Writer, c Config) error { _, err := Figure15(w, c); return err }},
+		{"ablation", func(w io.Writer, c Config) error { _, err := Ablation(w, c); return err }},
+		{"treecycle", func(w io.Writer, c Config) error { _, err := TreeVsCycle(w, c); return err }},
+		{"theory", func(w io.Writer, c Config) error { _, err := Theory(w, c); return err }},
+	}
+	for _, tg := range targets {
+		var a, b bytes.Buffer
+		if err := tg.run(&a, tiny()); err != nil {
+			t.Fatalf("%s: %v", tg.name, err)
+		}
+		if err := tg.run(&b, tiny()); err != nil {
+			t.Fatalf("%s: %v", tg.name, err)
+		}
+		if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: two runs at one config print different bytes:\n%s\n---\n%s", tg.name, a.String(), b.String())
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -12,10 +11,8 @@ import (
 )
 
 // This file regenerates Table 1 and Figures 9–13: graph characteristics,
-// average DB runtimes, the PS-vs-DB improvement factor, load balance, and
-// strong/weak scaling. Wall times are reported alongside the deterministic
-// load model (per-worker projection operations): on a small host the load
-// model is the scale-free signal, as the figures' captions note.
+// average DB cost, the PS-vs-DB improvement factor, load balance, and
+// strong/weak scaling, all in the load model.
 
 // Table1 prints the stand-in graph characteristics in the paper's Table 1
 // shape ("Avg Deg" is m/n as in the paper) and returns the rows.
@@ -41,23 +38,19 @@ func Table1(w io.Writer, cfg Config) []graph.Stats {
 	return rows
 }
 
-// Figure9Result holds the per-graph and per-query average DB runtimes.
+// Figure9Result holds the per-graph and per-query average DB loads.
 type Figure9Result struct {
 	Runs      []Run
-	PerGraph  map[string]time.Duration
-	PerQuery  map[string]time.Duration
 	LoadGraph map[string]int64 // average total load per graph
 	LoadQuery map[string]int64
 }
 
 // Figure9 runs DB (heuristic plan) on every graph-query combination and
-// prints average execution time per graph (across queries) and per query
-// (across graphs), the paper's Figure 9.
+// prints the average total load per graph (across queries) and per query
+// (across graphs), the paper's Figure 9 in the load model.
 func Figure9(w io.Writer, cfg Config) (Figure9Result, error) {
 	cfg = cfg.withDefaults()
 	res := Figure9Result{
-		PerGraph:  map[string]time.Duration{},
-		PerQuery:  map[string]time.Duration{},
 		LoadGraph: map[string]int64{},
 		LoadQuery: map[string]int64{},
 	}
@@ -69,28 +62,24 @@ func Figure9(w io.Writer, cfg Config) (Figure9Result, error) {
 				return res, err
 			}
 			res.Runs = append(res.Runs, r)
-			res.PerGraph[g.Name] += r.Time
-			res.PerQuery[q.Name] += r.Time
 			res.LoadGraph[g.Name] += r.Stats.TotalLoad
 			res.LoadQuery[q.Name] += r.Stats.TotalLoad
 		}
 	}
-	for k := range res.PerGraph {
-		res.PerGraph[k] /= time.Duration(len(qs))
+	for k := range res.LoadGraph {
 		res.LoadGraph[k] /= int64(len(qs))
 	}
-	for k := range res.PerQuery {
-		res.PerQuery[k] /= time.Duration(len(gs))
+	for k := range res.LoadQuery {
 		res.LoadQuery[k] /= int64(len(gs))
 	}
-	header(w, fmt.Sprintf("Figure 9: average DB execution time (%d ranks)", cfg.Workers))
-	fmt.Fprintf(w, "%-12s %12s %14s\n", "Graph", "avg time", "avg load")
+	header(w, fmt.Sprintf("Figure 9: average DB total load (%d ranks)", cfg.Workers))
+	fmt.Fprintf(w, "%-12s %14s\n", "Graph", "avg load")
 	for _, g := range gs {
-		fmt.Fprintf(w, "%-12s %12v %14d\n", g.Name, res.PerGraph[g.Name].Round(time.Millisecond), res.LoadGraph[g.Name])
+		fmt.Fprintf(w, "%-12s %14d\n", g.Name, res.LoadGraph[g.Name])
 	}
-	fmt.Fprintf(w, "%-12s %12s %14s\n", "Query", "avg time", "avg load")
+	fmt.Fprintf(w, "%-12s %14s\n", "Query", "avg load")
 	for _, q := range qs {
-		fmt.Fprintf(w, "%-12s %12v %14d\n", q.Name, res.PerQuery[q.Name].Round(time.Millisecond), res.LoadQuery[q.Name])
+		fmt.Fprintf(w, "%-12s %14d\n", q.Name, res.LoadQuery[q.Name])
 	}
 	return res, nil
 }
@@ -98,8 +87,8 @@ func Figure9(w io.Writer, cfg Config) (Figure9Result, error) {
 // IFCell is one Figure 10 matrix cell: the improvement factor of DB over
 // PS on a graph-query combination.
 type IFCell struct {
-	Graph, Query   string
-	IFTime, IFLoad float64 // time(PS)/time(DB), maxload(PS)/maxload(DB)
+	Graph, Query string
+	IFLoad       float64 // maxload(PS)/maxload(DB)
 }
 
 // Figure10Result summarizes the improvement-factor matrix at one rank count.
@@ -113,15 +102,14 @@ type Figure10Result struct {
 
 // Figure10 compares PS and DB on every combination at the low and high
 // rank counts, printing the improvement-factor matrices (Figure 10a/b).
-// Both algorithms run the same per-combo coloring; the load-based IF is
-// deterministic and is used for the summary statistics.
+// Both algorithms run the same per-combo coloring.
 func Figure10(w io.Writer, cfg Config) ([2]Figure10Result, error) {
 	cfg = cfg.withDefaults()
 	var out [2]Figure10Result
 	for i, workers := range []int{cfg.WorkersLow, cfg.Workers} {
 		res := Figure10Result{Workers: workers}
 		header(w, fmt.Sprintf("Figure 10%c: improvement factor of DB over PS (%d ranks)", 'a'+i, workers))
-		fmt.Fprintf(w, "%-12s %-10s %10s %10s\n", "Graph", "Query", "IF(time)", "IF(load)")
+		fmt.Fprintf(w, "%-12s %-10s %10s\n", "Graph", "Query", "IF(load)")
 		for _, g := range cfg.graphs() {
 			for _, q := range cfg.queries() {
 				ps, err := cfg.runOnce(g, q, core.PS, workers, nil)
@@ -138,11 +126,10 @@ func Figure10(w io.Writer, cfg Config) ([2]Figure10Result, error) {
 				cell := IFCell{
 					Graph:  g.Name,
 					Query:  q.Name,
-					IFTime: ratio(float64(ps.Time), float64(db.Time)),
 					IFLoad: ratio(float64(ps.Stats.MaxLoad), float64(db.Stats.MaxLoad)),
 				}
 				res.Cells = append(res.Cells, cell)
-				fmt.Fprintf(w, "%-12s %-10s %10.2f %10.2f\n", g.Name, q.Name, cell.IFTime, cell.IFLoad)
+				fmt.Fprintf(w, "%-12s %-10s %10.2f\n", g.Name, q.Name, cell.IFLoad)
 			}
 		}
 		wins := 0
@@ -175,16 +162,14 @@ func ratio(a, b float64) float64 {
 // Figure11Row compares PS and DB load balance for one query on the enron
 // stand-in (normalized as in the paper's Figure 11).
 type Figure11Row struct {
-	Query                 string
-	TimePS, TimeDB        time.Duration
-	MaxLoadPS, MaxLoadDB  int64
-	AvgLoadPS, AvgLoadDB  float64
-	NormTimeDB, NormMaxDB float64 // DB value / PS value (PS normalized to 1)
-	NormAvgDB             float64
+	Query                string
+	MaxLoadPS, MaxLoadDB int64
+	AvgLoadPS, AvgLoadDB float64
+	NormMaxDB, NormAvgDB float64 // DB value / PS value (PS normalized to 1)
 }
 
-// Figure11 reproduces the load-balance study: normalized execution time,
-// maximum load and average load of DB vs PS on the enron stand-in
+// Figure11 reproduces the load-balance study: normalized maximum load and
+// average load of DB vs PS on the enron stand-in
 // (the paper uses the nine queries of its Figure 11).
 func Figure11(w io.Writer, cfg Config) ([]Figure11Row, error) {
 	cfg = cfg.withDefaults()
@@ -192,8 +177,8 @@ func Figure11(w io.Writer, cfg Config) ([]Figure11Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("exp: enron stand-in missing")
 	}
-	header(w, fmt.Sprintf("Figure 11: normalized time / max load / avg load on %s (%d ranks), PS=1.0", g.Name, cfg.Workers))
-	fmt.Fprintf(w, "%-10s %10s %10s %10s\n", "Query", "time(DB)", "max(DB)", "avg(DB)")
+	header(w, fmt.Sprintf("Figure 11: normalized max load / avg load on %s (%d ranks), PS=1.0", g.Name, cfg.Workers))
+	fmt.Fprintf(w, "%-10s %10s %10s\n", "Query", "max(DB)", "avg(DB)")
 	var rows []Figure11Row
 	for _, q := range cfg.queries() {
 		if q.Name == "brain3" {
@@ -208,16 +193,14 @@ func Figure11(w io.Writer, cfg Config) ([]Figure11Row, error) {
 			return rows, err
 		}
 		row := Figure11Row{
-			Query:  q.Name,
-			TimePS: ps.Time, TimeDB: db.Time,
+			Query:     q.Name,
 			MaxLoadPS: ps.Stats.MaxLoad, MaxLoadDB: db.Stats.MaxLoad,
 			AvgLoadPS: ps.Stats.AvgLoad, AvgLoadDB: db.Stats.AvgLoad,
-			NormTimeDB: ratio(float64(db.Time), float64(ps.Time)),
-			NormMaxDB:  ratio(float64(db.Stats.MaxLoad), float64(ps.Stats.MaxLoad)),
-			NormAvgDB:  ratio(db.Stats.AvgLoad, ps.Stats.AvgLoad),
+			NormMaxDB: ratio(float64(db.Stats.MaxLoad), float64(ps.Stats.MaxLoad)),
+			NormAvgDB: ratio(db.Stats.AvgLoad, ps.Stats.AvgLoad),
 		}
 		rows = append(rows, row)
-		fmt.Fprintf(w, "%-10s %10.3f %10.3f %10.3f\n", q.Name, row.NormTimeDB, row.NormMaxDB, row.NormAvgDB)
+		fmt.Fprintf(w, "%-10s %10.3f %10.3f\n", q.Name, row.NormMaxDB, row.NormAvgDB)
 	}
 	return rows, nil
 }
@@ -272,7 +255,6 @@ func Figure12(w io.Writer, cfg Config) (Figure12Result, error) {
 type ScalingPoint struct {
 	Workers int
 	Query   string
-	Time    time.Duration
 	MaxLoad int64
 	Speedup float64 // modeled, relative to the smallest rank count
 }
@@ -306,7 +288,7 @@ func Figure13Strong(w io.Writer, cfg Config) ([]ScalingPoint, error) {
 				base = run.Stats.MaxLoad
 			}
 			sp := ratio(float64(base), float64(run.Stats.MaxLoad))
-			pts = append(pts, ScalingPoint{Workers: r, Query: q.Name, Time: run.Time, MaxLoad: run.Stats.MaxLoad, Speedup: sp})
+			pts = append(pts, ScalingPoint{Workers: r, Query: q.Name, MaxLoad: run.Stats.MaxLoad, Speedup: sp})
 			fmt.Fprintf(w, " %8.2fx", sp)
 		}
 		fmt.Fprintln(w)
@@ -343,7 +325,7 @@ func Figure13Weak(w io.Writer, cfg Config) ([]ScalingPoint, error) {
 			if err != nil {
 				return pts, err
 			}
-			pts = append(pts, ScalingPoint{Workers: r, Query: q.Name, Time: run.Time, MaxLoad: run.Stats.MaxLoad})
+			pts = append(pts, ScalingPoint{Workers: r, Query: q.Name, MaxLoad: run.Stats.MaxLoad})
 			fmt.Fprintf(w, " %10d", run.Stats.MaxLoad)
 		}
 		fmt.Fprintln(w)

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/query"
@@ -20,7 +19,6 @@ type TreeVsCycleRow struct {
 	Query   string
 	K       int
 	Cycles  bool
-	AvgTime time.Duration
 	AvgLoad int64
 }
 
@@ -36,7 +34,7 @@ func TreeVsCycle(w io.Writer, cfg Config) ([]TreeVsCycleRow, error) {
 		query.MustByName("brain2"),
 	}
 	header(w, fmt.Sprintf("§8.2: tree queries vs cyclic queries (%d ranks, avg over %d graphs)", cfg.Workers, len(gs)))
-	fmt.Fprintf(w, "%-10s %3s %7s %12s %14s\n", "Query", "k", "cyclic", "avg time", "avg load")
+	fmt.Fprintf(w, "%-10s %3s %7s %14s\n", "Query", "k", "cyclic", "avg load")
 	var rows []TreeVsCycleRow
 	for _, q := range queries {
 		row := TreeVsCycleRow{Query: q.Name, K: q.K, Cycles: !q.IsTree()}
@@ -45,14 +43,11 @@ func TreeVsCycle(w io.Writer, cfg Config) ([]TreeVsCycleRow, error) {
 			if err != nil {
 				return rows, err
 			}
-			row.AvgTime += r.Time
 			row.AvgLoad += r.Stats.TotalLoad
 		}
-		row.AvgTime /= time.Duration(len(gs))
 		row.AvgLoad /= int64(len(gs))
 		rows = append(rows, row)
-		fmt.Fprintf(w, "%-10s %3d %7v %12v %14d\n",
-			row.Query, row.K, row.Cycles, row.AvgTime.Round(time.Millisecond), row.AvgLoad)
+		fmt.Fprintf(w, "%-10s %3d %7v %14d\n", row.Query, row.K, row.Cycles, row.AvgLoad)
 	}
 	fmt.Fprintln(w, "(the paper: the 12-node tree is ~60x cheaper than the 10-node brain3)")
 	return rows, nil

@@ -65,16 +65,6 @@ func (s StandinSpec) Build(scale int, seed int64) *graph.Graph {
 	return ChungLu(s.Name, w, rng)
 }
 
-// Standins builds all ten Table 1 stand-ins at the given scale divisor.
-func Standins(scale int, seed int64) []*graph.Graph {
-	specs := StandinSpecs()
-	gs := make([]*graph.Graph, len(specs))
-	for i, s := range specs {
-		gs[i] = s.Build(scale, seed)
-	}
-	return gs
-}
-
 // StandinByName builds a single named stand-in.
 func StandinByName(name string, scale int, seed int64) (*graph.Graph, bool) {
 	for _, s := range StandinSpecs() {

@@ -23,7 +23,7 @@ import (
 const forwardHeader = "X-Subgraph-Forward"
 
 // homeHeader tells the client which replica actually served a forwarded
-// request, for debugging and for sgload's per-endpoint accounting.
+// request, for debugging and for the benchmark's forward-hop probe.
 const homeHeader = "X-Subgraph-Home"
 
 // ClusterStats is the /v1/stats cluster section: the cluster layer's

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -109,24 +110,13 @@ func TestRestartBitIdentity(t *testing.T) {
 // for. 64 distinct streams (random seeds: consecutive ones spread too
 // evenly under any hash to tell a bucketed cache from an exact one) into
 // a capacity-64 cache, restart, and all 64 are served from the replayed
-// cache bit-identically.
+// cache bit-identically. Once from the log alone and once with a
+// compaction threshold the first life crosses many times over, so the
+// second boots from a snapshot the service itself supplied (its cache
+// export and its terminal jobs) plus a log tail: both must restore the
+// same runs and the same jobs.
 func TestRestartReplaysFullCache(t *testing.T) {
 	const capacity = 64
-	dir := t.TempDir()
-	open := func() *subgraph.Service {
-		svc, err := subgraph.OpenService(subgraph.ServiceOptions{
-			Workers: 2, CacheCapacity: capacity,
-			Durability: subgraph.DurabilityOptions{Dir: dir, Fsync: "always"},
-		})
-		if err != nil {
-			t.Fatalf("OpenService: %v", err)
-		}
-		if _, err := svc.AddGraph(subgraph.GraphSpec{Standin: "enron", Scale: 512, Seed: 1, Name: "g"}); err != nil {
-			svc.Close()
-			t.Fatalf("AddGraph: %v", err)
-		}
-		return svc
-	}
 	rng := rand.New(rand.NewSource(19))
 	seeds := make([]int64, capacity)
 	for i := range seeds {
@@ -135,42 +125,86 @@ func TestRestartReplaysFullCache(t *testing.T) {
 	req := func(i int) subgraph.EstimateRequest {
 		return subgraph.EstimateRequest{Graph: "g", Query: "path3", Trials: 2, Seed: seeds[i]}
 	}
+	// What a second life holds, without the clock: its cached runs by key
+	// and, per restored job in order, its identity, state and result.
+	type restored struct {
+		runs map[string]any
+		jobs []any
+	}
+	lives := map[string]restored{}
+	for name, compactBytes := range map[string]int64{"log only": 0, "compacted": 2 << 10} {
+		dir := t.TempDir()
+		open := func() *subgraph.Service {
+			svc, err := subgraph.OpenService(subgraph.ServiceOptions{
+				Workers: 2, CacheCapacity: capacity,
+				Durability: subgraph.DurabilityOptions{Dir: dir, Fsync: "always", CompactBytes: compactBytes},
+			})
+			if err != nil {
+				t.Fatalf("%s: OpenService: %v", name, err)
+			}
+			if _, err := svc.AddGraph(subgraph.GraphSpec{Standin: "enron", Scale: 512, Seed: 1, Name: "g"}); err != nil {
+				svc.Close()
+				t.Fatalf("%s: AddGraph: %v", name, err)
+			}
+			return svc
+		}
 
-	svc := open()
-	want := make([]subgraph.EstimateResult, capacity)
-	for i := range want {
-		res, err := svc.Estimate(context.Background(), req(i))
-		if err != nil {
-			t.Fatalf("seed %d: %v", i, err)
+		svc := open()
+		want := make([]subgraph.EstimateResult, capacity)
+		for i := range want {
+			res, err := svc.Estimate(context.Background(), req(i))
+			if err != nil {
+				t.Fatalf("%s: seed %d: %v", name, i, err)
+			}
+			want[i] = res
 		}
-		want[i] = res
-	}
-	if st := svc.Stats().Cache; st.Entries != capacity || st.Evictions != 0 {
-		t.Errorf("first life: %d entries, %d evictions in a capacity-%d cache", st.Entries, st.Evictions, capacity)
-	}
-	svc.Close()
+		if st := svc.Stats().Cache; st.Entries != capacity || st.Evictions != 0 {
+			t.Errorf("%s: first life: %d entries, %d evictions in a capacity-%d cache", name, st.Entries, st.Evictions, capacity)
+		}
+		svc.Close() // drains the log's queue: every append and compaction it owes has happened
+		if got := svc.Stats().Durable.Compactions; (got > 0) != (compactBytes > 0) {
+			t.Errorf("%s: %d compactions with a threshold of %d bytes", name, got, compactBytes)
+		}
 
-	svc2 := open()
-	defer svc2.Close()
-	st := svc2.Stats()
-	if st.Durable.ReplayedRuns != capacity || st.Cache.Entries != capacity || st.Cache.Evictions != 0 {
-		t.Errorf("replayed %d runs into %d entries with %d evictions, want %d/%d/0",
-			st.Durable.ReplayedRuns, st.Cache.Entries, st.Cache.Evictions, capacity, capacity)
+		svc2 := open()
+		st := svc2.Stats()
+		if st.Durable.ReplayedRuns != capacity || st.Cache.Entries != capacity || st.Cache.Evictions != 0 {
+			t.Errorf("%s: replayed %d runs into %d entries with %d evictions, want %d/%d/0",
+				name, st.Durable.ReplayedRuns, st.Cache.Entries, st.Cache.Evictions, capacity, capacity)
+		}
+		life := restored{runs: map[string]any{}}
+		for _, e := range svc2.Cache().Export() {
+			life.runs[fmt.Sprint(e.Key)] = e.Run
+		}
+		for _, j := range svc2.Jobs() {
+			res, err := svc2.JobResult(j.ID)
+			if err != nil {
+				t.Errorf("%s: restored job %s has no result: %v", name, j.ID, err)
+			}
+			life.jobs = append(life.jobs, []any{j.ID, j.State, j.Query, j.Progress, res.Estimate})
+		}
+		lives[name] = life
+		for i := range want {
+			res, err := svc2.Estimate(context.Background(), req(i))
+			if err != nil {
+				t.Fatalf("%s: replayed seed %d: %v", name, i, err)
+			}
+			if !res.Cached {
+				t.Errorf("%s: seed %d recomputed after restart; the cache had room for it", name, i)
+			}
+			if !reflect.DeepEqual(res.Estimate, want[i].Estimate) {
+				t.Errorf("%s: seed %d: restarted estimate diverges", name, i)
+			}
+		}
+		if got := svc2.Stats().Estimates; got != 0 {
+			t.Errorf("%s: restart recomputed %d estimates; warm replay must compute none", name, got)
+		}
+		svc2.Close()
 	}
-	for i := range want {
-		res, err := svc2.Estimate(context.Background(), req(i))
-		if err != nil {
-			t.Fatalf("replayed seed %d: %v", i, err)
-		}
-		if !res.Cached {
-			t.Errorf("seed %d recomputed after restart; the cache had room for it", i)
-		}
-		if !reflect.DeepEqual(res.Estimate, want[i].Estimate) {
-			t.Errorf("seed %d: restarted estimate diverges", i)
-		}
-	}
-	if got := svc2.Stats().Estimates; got != 0 {
-		t.Errorf("restart recomputed %d estimates; warm replay must compute none", got)
+	if a, b := lives["log only"], lives["compacted"]; len(a.runs) != capacity || len(a.jobs) != capacity ||
+		!reflect.DeepEqual(a.runs, b.runs) || !reflect.DeepEqual(a.jobs, b.jobs) {
+		t.Errorf("a compacted directory restores %d runs and %d jobs, its log-only twin %d and %d, or they differ",
+			len(b.runs), len(b.jobs), len(a.runs), len(a.jobs))
 	}
 }
 

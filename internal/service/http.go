@@ -445,23 +445,12 @@ func (s *Service) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// ListenAndServe runs the API on addr until ctx is canceled, then shuts
-// down gracefully: in-flight requests get grace to finish, the worker
-// pool drains, and the listener closes. Used by cmd/sgserve; tests use
-// Handler with httptest instead.
-func (s *Service) ListenAndServe(ctx context.Context, addr string, grace time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		s.Close() // don't leak the worker pool on a bind failure
-		return err
-	}
-	return s.Serve(ctx, ln, grace)
-}
-
-// Serve is ListenAndServe on a caller-provided listener, for callers that
-// bind the port themselves — e.g. cmd/sgserve on ":0", where the bound
-// address must be known (and written to an -addr-file) before serving.
-// Serve owns ln and the service: both are closed before it returns.
+// Serve runs the API on ln until ctx is canceled, then shuts down
+// gracefully: in-flight requests get grace to finish, the worker pool
+// drains, and the listener closes. The caller binds the port — cmd/sgserve
+// on ":0" must know the bound address (and write it to an -addr-file)
+// before serving; tests use Handler with httptest instead. Serve owns ln
+// and the service: both are closed before it returns.
 func (s *Service) Serve(ctx context.Context, ln net.Listener, grace time.Duration) error {
 	srv := &http.Server{
 		Handler:           s.Handler(),

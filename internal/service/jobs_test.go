@@ -358,3 +358,51 @@ func TestCloseCancelsRunningFlights(t *testing.T) {
 		t.Errorf("JobResult after Close = %v, want scheduler-closed error", err)
 	}
 }
+
+// TestMaxJobsSweepDrainsToLowWater: finished jobs beyond MaxJobs are
+// evicted oldest first, down to the low-water mark an eighth below the cap
+// (so a saturated manager is not rescanned on every submission), and a job
+// still running is never among them, however old.
+func TestMaxJobsSweepDrainsToLowWater(t *testing.T) {
+	svc := subgraph.NewService(subgraph.ServiceOptions{Workers: 1, MaxJobs: 8})
+	t.Cleanup(svc.Close)
+	for _, spec := range []subgraph.GraphSpec{
+		{PowerLawN: 8000, Alpha: 1.5, Seed: 2, Name: "slowg"},
+		{Standin: "enron", Scale: 512, Seed: 1, Name: "quickg"},
+	} {
+		if _, err := svc.AddGraph(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quick := subgraph.EstimateRequest{Graph: "quickg", Query: "path3", Trials: 1, Seed: 1}
+	if _, err := svc.Estimate(context.Background(), quick); err != nil { // j1, computed
+		t.Fatal(err)
+	}
+	slow, err := svc.SubmitEstimateJob(slowReq()) // j2, running on the only worker throughout
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJobState(t, svc, slow.ID, subgraph.JobRunning)
+	// j3…j11 are answered from the cache, born finished: ten finished jobs
+	// in all. j11 registers with nine retained, over the cap; the sweep
+	// leaves seven, and j11 makes eight.
+	for i := 0; i < 9; i++ {
+		if _, err := svc.SubmitEstimateJob(quick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ids []string
+	for _, j := range svc.Jobs() {
+		ids = append(ids, j.ID)
+		if (j.ID == slow.ID) == j.State.Terminal() {
+			t.Errorf("job %s is %s", j.ID, j.State)
+		}
+	}
+	want := []string{"j11", "j10", "j9", "j8", "j7", "j6", "j5", "j4", "j2"} // newest first
+	if !reflect.DeepEqual(ids, want) {
+		t.Errorf("retained %v, want %v: the running job and the eight newest finished ones", ids, want)
+	}
+	if st := svc.Stats().Jobs; st.Expired != 2 {
+		t.Errorf("%d jobs evicted, want 2 (a sweep to the cap itself would evict 1)", st.Expired)
+	}
+}

@@ -113,6 +113,9 @@ func TestRegistryRejectsAmbiguousSpec(t *testing.T) {
 	if _, err := r.Add(service.GraphSpec{Standin: "enron", PowerLawN: 100}); err == nil {
 		t.Error("double-source spec accepted")
 	}
+	if _, err := r.Add(service.GraphSpec{Standin: "enrno"}); err == nil || !strings.Contains(err.Error(), "enron") {
+		t.Errorf("unknown stand-in: %v, want an error that lists the known names", err)
+	}
 }
 
 func TestRegistryLRUEvictionRespectsRefsAndRecency(t *testing.T) {

@@ -26,9 +26,6 @@ type Job struct {
 	err     error
 }
 
-// Err returns the job's outcome once done is closed.
-func (j *Job) Err() error { return j.err }
-
 // Wait blocks until the job completes (returning its error) or the job's
 // context fires first (returning the context error; the job itself may
 // still be dequeued and discarded later). Completion wins ties: a job

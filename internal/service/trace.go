@@ -3,8 +3,6 @@ package service
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // TraceSpan is one timed section of a job's timeline, in milliseconds
@@ -78,8 +76,3 @@ func (s *Service) JobTrace(id string) (TraceInfo, error) {
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// Metrics exposes the service's metrics registry, for embedding callers
-// that want to register their own families alongside the service's or
-// render the exposition themselves.
-func (s *Service) Metrics() *obs.Registry { return s.metrics.reg }

@@ -101,12 +101,17 @@ const (
 	// denseFactor: keys index an array when it has at most this many cells
 	// per entry. At 4 the array is no larger than the entries it replaces
 	// (8 bytes a cell, 32 an entry) and its sweep reads less than one
-	// sorting pass over records would write. Of the benchmark's workloads
-	// only cycle5-90k has such shards: 114 of the 58 k it compacts in 6 s,
-	// two to a trial, with 5% of its entries — its largest, 64 k entries
-	// each, probably the ones the end of a superstep waits for. Sorting
-	// them as records instead costs it 7% of ops_per_s (6.62 against 7.10,
-	// behind in 10 of 10 alternating pairs) and 3 MB of peak RSS.
+	// sorting pass over records would write. No shard of `parallel` gets
+	// here (its 36-vertex shards are boxed, and the streamed table of a
+	// root cycle is not compacted at all), so the benchmark never enters
+	// this tier. `sim` and `dist` do: their shards, a rank's 4.5 k vertices
+	// on a 90 k-edge graph, are over boxCap, and the vertex × signature
+	// tables of the rank that holds the hubs arrive as 0.5–1.7 M entries
+	// over 20–21 key bits. On bintree8 that is three shards a trial and a
+	// third of all entries compacted, the ones the end of a superstep
+	// waits for; sorting them as records instead costs `sim` at 4 ranks
+	// 31% per trial (306 ms against 234, behind in 10 of 10 alternating
+	// pairs).
 	denseFactor = 4
 )
 

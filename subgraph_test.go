@@ -2,6 +2,10 @@ package subgraph
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,10 +85,41 @@ func TestFacadeHelpers(t *testing.T) {
 	if err != nil || g.M() != 2 {
 		t.Fatalf("ReadGraph: %v %v", g, err)
 	}
+	path := filepath.Join(t.TempDir(), "r.edges")
+	if err := os.WriteFile(path, []byte("# a path\n0 1\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if fromDisk, err := LoadGraph(path); err != nil || fromDisk.Fingerprint() != g.Fingerprint() {
+		t.Fatalf("LoadGraph: %v %v, want the graph ReadGraph made", fromDisk, err)
+	}
+	if _, err := LoadGraph(path + ".missing"); err == nil {
+		t.Fatal("LoadGraph of a missing file succeeded")
+	}
 	tiny := NewGraph("tiny", 3, [][2]uint32{{0, 1}, {1, 2}, {0, 2}})
 	tri := NewQuery("tri", 3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
 	if got := ExactCount(tiny, tri); got != 6 {
 		t.Fatalf("ExactCount = %d", got)
+	}
+	read, err := ReadQuery("tri", strings.NewReader("# a triangle\n0 1\n1 2\n0 2\n"))
+	if err != nil || read.String() != tri.String() {
+		t.Fatalf("ReadQuery: %v %v, want %v", read, err, tri)
+	}
+	if _, err := ReadQuery("bad", strings.NewReader("0 x\n")); err == nil {
+		t.Fatal("ReadQuery accepted a non-numeric node")
+	}
+	if b, err := CanonicalBackend("parallel"); err != nil || b != "parallel" {
+		t.Fatalf("CanonicalBackend(parallel) = %q, %v", b, err)
+	}
+	if _, err := CanonicalBackend("paralel"); err == nil {
+		t.Fatal("CanonicalBackend accepted a typo")
+	}
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := CountColorfulContext(gone, tiny, tri, []uint8{0, 1, 2}, CountOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CountColorfulContext under a canceled context: %v", err)
+	}
+	if c, _, err := CountColorfulContext(context.Background(), tiny, tri, []uint8{0, 1, 2}, CountOptions{}); err != nil || c != 6 {
+		t.Fatalf("CountColorfulContext = %d, %v, want the triangle's 6 colourful matches", c, err)
 	}
 	rm := GenerateRMAT("rm", 8, 4, 3)
 	if rm.N() != 256 {
@@ -110,6 +145,9 @@ func TestSessionMatchesEstimate(t *testing.T) {
 			if _, err := sess.Next(context.Background()); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if sess.Trials() != 5 {
+			t.Errorf("%s: session reports %d trials after 5", backend, sess.Trials())
 		}
 		opts.Trials = 5
 		batch, err := Estimate(g, q, opts)
@@ -212,6 +250,34 @@ func TestEstimateBackendEquivalence(t *testing.T) {
 			if par.Stats.Backend != "parallel" || par.Stats.Messages != 0 {
 				t.Errorf("%s w=%d: parallel stats malformed: %+v", qn, workers, par.Stats)
 			}
+		}
+	}
+}
+
+// What the CLIs and examples print of a query, a graph, a plan and an
+// estimate is each type's String form; one small instance of each, pinned.
+func TestStringForms(t *testing.T) {
+	g := NewGraph("tiny", 4, [][2]uint32{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
+	q := NewQuery("paw", 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
+	plan, err := Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		got  fmt.Stringer
+		want string
+	}{
+		{"query", q, "paw(k=4): 0-1 1-2 0-2 2-3"},
+		{"graph stats", g.Stats(), "tiny                   4 nodes          4 edges  avg   2.0  max      3"},
+		{"block kind", plan.Root.Kind, "singleton"},
+		{"block", plan.Root, "singleton[2] bnd[]"},
+		{"plan", plan, "singleton[2] bnd[]\n  leaf[2 3] bnd[2]\n    cycle[0 1 2] bnd[2]\n"},
+		{"estimate", Estimation{Graph: "tiny", Query: "paw", Trials: 3, Matches: 12.5, Subgraphs: 6.25, CV: 0.5},
+			"paw on tiny: ≈12.5 matches (≈6.2 subgraphs) from 3 trials, CV 0.500"},
+	} {
+		if got := c.got.String(); got != c.want {
+			t.Errorf("%s prints %q, want %q", c.name, got, c.want)
 		}
 	}
 }
