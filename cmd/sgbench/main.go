@@ -23,9 +23,9 @@ import (
 func main() {
 	var (
 		scale      = flag.Int("scale", 0, "stand-in size divisor (default 512)")
-		backend    = flag.String("backend", "", "execution backend: sim (default; metrics-faithful) or parallel")
-		workers    = flag.Int("workers", 0, "high simulated rank count (default 8)")
-		workersLow = flag.Int("workerslow", 0, "low simulated rank count (default 2)")
+		backend    = flag.String("backend", "", "execution backend: sim (default; metrics-faithful: ranks are bands of vertex partitions, every table entry handed over is a message) or parallel (the same runtime, nothing counted)")
+		workers    = flag.Int("workers", 0, "high simulated rank count (default 8); under parallel, worker goroutines")
+		workersLow = flag.Int("workerslow", 0, "low simulated rank count (default 2); under parallel, worker goroutines")
 		seed       = flag.Int64("seed", 1, "random seed")
 		trials     = flag.Int("trials", 0, "Figure 15 trials per combo (default 10)")
 		relerr     = flag.Float64("relerr", 0, "Figure 15 precision target: report the trial count at which the (relerr, confidence) stopping rule fires")

@@ -80,8 +80,8 @@ func main() {
 		trials    = flag.Int("trials", 3, "default trials per estimate")
 		maxTr     = flag.Int("max-trials", 1024, "reject requests asking for more trials than this")
 		maxRk     = flag.Int("max-ranks", 256, "reject requests asking for more engine ranks/workers than this")
-		ranks     = flag.Int("ranks", 4, "default engine ranks (sim) or workers (parallel) per estimate")
-		backend   = flag.String("backend", "", "default execution backend: sim (paper's simulated engine: the instrumented reference, messages and per-rank load), parallel (shared-memory: the one to serve with, 1.6-2.5x per trial on 90k-edge graphs), or dist (requires -dist-workers); empty = $SUBGRAPH_BACKEND or sim")
+		ranks     = flag.Int("ranks", 4, "default engine ranks (sim) or workers (parallel) per estimate: bands of the same vertex partitions, whose number follows the graph")
+		backend   = flag.String("backend", "", "default execution backend: sim (paper's simulated engine: the instrumented reference, messages and per-rank load), parallel (the same shared-memory runtime with nothing counted and GOMAXPROCS workers by default; within 10% of sim per trial on 90k-edge graphs), or dist (requires -dist-workers); empty = $SUBGRAPH_BACKEND or sim")
 		distAddrs = flag.String("dist-workers", "", "comma-separated sgworker addresses; connecting enables the dist backend (rank order = address order)")
 		selfAddr  = flag.String("self", "", "this replica's advertised address for cluster mode (host:port reachable by peers); requires -peers")
 		peerAddrs = flag.String("peers", "", "comma-separated advertised addresses of every cluster replica (self included or not); enables consistent-hash routing of trial streams across replicas")

@@ -118,10 +118,13 @@ func TestLaneStepZeroAllocsPerEntry(t *testing.T) {
 }
 
 // BenchmarkTrial times whole colourful counts on the benchmark's solver
-// instances (DB on `parallel`, one colouring): the three paper-regime
-// workloads on enron stand-ins at 1/scale, and the ms-scale solve the
-// serving workloads make (scale 0: a 1000-vertex power-law graph).
-// Workers follow GOMAXPROCS, so `-cpu 1,2` is the backend's scaling curve.
+// instances (DB, one colouring): the three paper-regime workloads on enron
+// stand-ins at 1/scale, and the ms-scale solve the serving workloads make
+// (scale 0: a 1000-vertex power-law graph) — on `parallel`, which the
+// benchmark's workloads run, and on `sim`, the default backend, which none
+// does: this is its standing timing. parallel's workers follow GOMAXPROCS,
+// so `-cpu 1,2` is its scaling curve; sim simulates its default 4 ranks on
+// as many goroutines.
 func BenchmarkTrial(b *testing.B) {
 	for _, c := range []struct {
 		name, query string
@@ -132,26 +135,28 @@ func BenchmarkTrial(b *testing.B) {
 		{"tree8-90k", "bintree8", 2},
 		{"serve-1k", "cycle4", 0},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			g := gen.PowerLawGraph("load", 1000, 1.6, rand.New(rand.NewSource(1)))
-			if c.scale > 0 {
-				var ok bool
-				if g, ok = gen.StandinByName("enron", c.scale, 1); !ok {
-					b.Fatal("no enron stand-in")
-				}
+		g := gen.PowerLawGraph("load", 1000, 1.6, rand.New(rand.NewSource(1)))
+		if c.scale > 0 {
+			var ok bool
+			if g, ok = gen.StandinByName("enron", c.scale, 1); !ok {
+				b.Fatal("no enron stand-in")
 			}
-			q := query.MustByName(c.query)
-			colors := randColors(g.N(), q.K, rand.New(rand.NewSource(1)))
-			opts := Options{Algorithm: DB, Backend: "parallel"}
-			want := count(b, g, q, colors, opts) // also warms the plan cache and the heap
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := count(b, g, q, colors, opts); got != want {
-					b.Fatalf("trial %d counted %d, the first counted %d", i, got, want)
+		}
+		q := query.MustByName(c.query)
+		colors := randColors(g.N(), q.K, rand.New(rand.NewSource(1)))
+		for _, backend := range []string{engine.ParallelName, engine.SimName} {
+			b.Run(c.name+"/"+backend, func(b *testing.B) {
+				opts := Options{Algorithm: DB, Backend: backend}
+				want := count(b, g, q, colors, opts) // also warms the plan cache and the heap
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if got := count(b, g, q, colors, opts); got != want {
+						b.Fatalf("trial %d counted %d, the first counted %d", i, got, want)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -141,7 +141,7 @@ func TestCancelMidBuild(t *testing.T) {
 	// milliseconds of compaction, which polls between its passes. Canceled at
 	// any of those polls it gives its buffers back and leaves the shard
 	// unread; so does a box, whose sweep — 256 KiB at most — polls once.
-	one := engine.NewCluster(1, n)
+	one := engine.NewRuntime(engine.SimName, 1, 1, n)
 	for name, fill := range map[string]func() *engine.Sharded{
 		"chunks": func() *engine.Sharded {
 			hub := engine.NewSharded(one)
@@ -153,7 +153,7 @@ func TestCancelMidBuild(t *testing.T) {
 			return hub
 		},
 		"a box": func() *engine.Sharded {
-			box := engine.NewMatrix(engine.NewCluster(1, 256), 8, false)
+			box := engine.NewMatrix(engine.NewRuntime(engine.SimName, 1, 1, 256), 8, false)
 			for i := uint32(0); i < 1<<16; i++ {
 				box.Shard(0).AddEnt(table.UnaryEnt(i%256, 0b1111, 1))
 			}

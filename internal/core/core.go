@@ -65,17 +65,19 @@ func (a Algorithm) String() string {
 // Options configures a counting run.
 type Options struct {
 	Algorithm Algorithm
-	// Backend selects the execution runtime: "sim" (default; the paper's
-	// §7 runtime simulated in one process, metrics-faithful for Figure
-	// 11), "parallel" (real shared-memory workers with direct table
-	// merges) or "dist" (worker processes; valid only where dist.Enable
-	// has registered a worker topology). Counts are bit-identical across
-	// backends; only Stats differ. An empty name falls back to
-	// $SUBGRAPH_BACKEND, then "sim".
+	// Backend selects what the one execution runtime (engine.Runtime)
+	// takes for workers: "sim" (default; the paper's §7 ranks simulated in
+	// one process, every table entry a rank is handed counted as a message,
+	// metrics-faithful for Figure 11), "parallel" (shared-memory worker
+	// goroutines, nothing counted) or "dist" (worker processes; valid only
+	// where dist.Enable has registered a worker topology). Counts are
+	// bit-identical across backends; only Stats differ. An empty name
+	// falls back to $SUBGRAPH_BACKEND, then "sim".
 	Backend string
 	// Workers is the execution width: simulated ranks for the sim
 	// backend (≤ 0 means 4), real worker goroutines for parallel (≤ 0
-	// means GOMAXPROCS), total partitions for dist (≤ 0 means 4 per
+	// means GOMAXPROCS) — either way bands of the partitions the vertex
+	// count alone decides — and total partitions for dist (≤ 0 means 4 per
 	// worker process).
 	Workers int
 	// Plan overrides the decomposition tree; nil uses the calibrated §6
@@ -102,7 +104,7 @@ type Stats struct {
 	AvgLoad      float64
 	TotalLoad    int64
 	Messages     int64 // sim: every appended entry; dist: entries sent to another process; parallel: 0
-	Steals       int64 // stolen partition tasks; always 0 for sim
+	Steals       int64 // stolen partition tasks; always 0 for sim and dist
 	Supersteps   int64 // supersteps executed; identical across backends
 	TableEntries int64 // distinct entries of the projection tables that were compacted
 	Loads        []int64

@@ -275,8 +275,7 @@ func (c *Cluster) NewJob(workers int, job engine.Job) (engine.Backend, error) {
 	if parts <= 0 {
 		parts = 4 * len(c.nodes)
 	}
-	t := newTopo(len(c.nodes), parts, job.N)
-	start, err := makeJobStart(t, job)
+	start, err := makeJobStart(len(c.nodes), parts, job)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +326,7 @@ func (c *Cluster) NewJob(workers int, job engine.Job) (engine.Backend, error) {
 		}
 	}()
 
-	return &Coord{topo: t, Counters: engine.NewCounters(parts, t.ranks), job: j}, nil
+	return newCoord(len(c.nodes), parts, job.N, j), nil
 }
 
 // cjob is the coordinator-side state of one in-flight job.

@@ -8,41 +8,30 @@ import (
 )
 
 // Coord is the engine.Backend the coordinator process hands to its local
-// solver: a rank that owns zero partitions. The solver's Run calls are
-// no-ops here (all partition work happens on the workers), its Step calls
-// block at the global superstep barrier — so a trace span around them
-// measures the real distributed phase — and Reduce gathers the per-rank
-// answers into the global one. Its own counters stay zero until then;
-// gather fills them from the rank reports, so Loads is per worker node and
-// Messages is the number of entries that crossed a process boundary (each
-// counted once, at its sender). That is not the sim backend's Messages,
-// which also counts every entry a rank keeps.
+// solver: the engine's runtime with an empty band, a rank that owns zero
+// partitions. The solver's Run calls are no-ops here (all partition work
+// happens on the workers, whose replicated solvers make the same calls over
+// their own partitions; local-only phases are observed at the next
+// barrier), its Step calls run nothing and block at the global superstep
+// barrier — so a trace span around them measures the real distributed
+// phase; a failed job returns at once and the failure surfaces in Reduce —
+// and Reduce gathers the per-rank answers into the global one. Its own
+// counters stay zero until then; gather fills them from the rank reports,
+// so Loads is per worker node and Messages is the number of entries that
+// crossed a process boundary (each counted once, at its sender). That is
+// not the sim backend's Messages, which also counts every entry a rank
+// keeps.
 type Coord struct {
-	topo
-	engine.Counters
+	*engine.Runtime
 	job     *cjob
 	entries atomic.Int64 // table entries on the workers; set by gather
 }
 
-// Name returns "dist".
-func (d *Coord) Name() string { return engine.DistName }
-
-// Owned returns the empty interval: the coordinator executes no
-// partitions itself.
-func (d *Coord) Owned() (lo, hi uint32) { return 0, 0 }
-
-// Run is a no-op: partition tasks run on the workers, whose replicated
-// solvers make the same Run call over their own partitions. Local-only
-// phases therefore cost the coordinator nothing; their time is observed
-// at the next superstep barrier.
-func (d *Coord) Run(func(w int)) {}
-
-// Step advances the superstep counter and blocks until every rank has
-// finished producing (and therefore sent) this superstep's batches; no
-// partition is owned here, so produce never runs and out stays untouched.
-// A failed job returns immediately; the failure surfaces in Reduce.
-func (d *Coord) Step(*engine.Sharded, func(w int, to *engine.Lanes)) {
-	_ = d.job.barrier(d.Begin())
+// newCoord returns the coordinator's backend for job j, over the topology
+// its ranks derive from the same three integers.
+func newCoord(ranks, parts, n int, j *cjob) *Coord {
+	barrier := func(step int64, _ []*engine.Sharded, _ *engine.Sharded) { _ = j.barrier(step) }
+	return &Coord{Runtime: engine.NewRuntime(engine.DistName, parts, ranks, n).Wired(0, 0, 1, barrier), job: j}
 }
 
 // Reduce gathers every rank's final report and returns the global count.

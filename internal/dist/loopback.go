@@ -33,10 +33,10 @@ func Loopback(ranks int, opts WorkerOptions) (*Cluster, error) {
 // directly — the same Step on every rank at once, as SPMD solvers would:
 // the engine conformance table runs the same cases on them as on the
 // in-process backends. Every frame crosses the real codec to a relay that
-// queues a batch at its destination rank and discards the rest. stop
-// closes the session.
-func LoopbackRanks(ranks, parts, n int) (bes []engine.Backend, stop func()) {
-	t := newTopo(ranks, parts, n)
+// queues a batch at its destination rank and discards the rest. Each rank
+// runs its tasks on conc goroutines (WorkerOptions.Conc). stop closes the
+// session.
+func LoopbackRanks(ranks, parts, n, conc int) (bes []engine.Backend, stop func()) {
 	jobs := make([]*wjob, ranks)
 	pipes := make([]net.Conn, 0, 2*ranks)
 	for r := range jobs {
@@ -44,7 +44,7 @@ func LoopbackRanks(ranks, parts, n int) (bes []engine.Backend, stop func()) {
 		pipes = append(pipes, coordSide, workerSide)
 		w := &workerConn{conn: &conn{c: workerSide}, jobs: make(map[uint64]*wjob)}
 		jobs[r] = w.registerJob(1, ranks)
-		bes = append(bes, newRank(t, r, jobs[r], 0))
+		bes = append(bes, newRank(ranks, parts, n, r, jobs[r], conc))
 	}
 	for r := range jobs {
 		relay := &conn{c: pipes[2*r]}

@@ -196,23 +196,11 @@ func decodePlan(w planWire, q *query.Graph) (*decomp.Tree, error) {
 	return &decomp.Tree{Query: q, Root: blocks[w.Root], Blocks: blocks}, nil
 }
 
-// topo is the partition topology shared verbatim by the coordinator and
-// every worker rank: the engine's block map of vertices onto partitions,
-// plus the number of ranks those partitions are dealt to in contiguous
-// bands (engine.Counters.Band / WorkerOf, built from the same integers).
-// Both sides derive ownership from the same three integers, so no
-// assignment table ever travels.
-type topo struct {
-	engine.Blocks
-	ranks int
-}
-
-func newTopo(ranks, parts, n int) topo {
-	return topo{Blocks: engine.NewBlocks(parts, n), ranks: ranks}
-}
-
-// jobSpec is the validated, wire-ready form of an engine.Job.
-func makeJobStart(t topo, job engine.Job) (jobStartMsg, error) {
+// makeJobStart returns the validated, wire-ready form of an engine.Job. The
+// partition topology travels as three integers — ranks, parts, N — from
+// which the coordinator and every rank build the same engine.Runtime block
+// map and bands (newCoord, newRank): no assignment table ever travels.
+func makeJobStart(ranks, parts int, job engine.Job) (jobStartMsg, error) {
 	if job.Graph == nil || job.Query == nil || job.Plan == nil || job.Colors == nil {
 		return jobStartMsg{}, fmt.Errorf("dist: backend needs the full job context (graph, query, plan, colors)")
 	}
@@ -224,8 +212,8 @@ func makeJobStart(t topo, job engine.Job) (jobStartMsg, error) {
 		return jobStartMsg{}, err
 	}
 	return jobStartMsg{
-		Ranks:      int32(t.ranks),
-		Parts:      int32(t.P()),
+		Ranks:      int32(ranks),
+		Parts:      int32(parts),
 		N:          int64(job.N),
 		GraphFP:    job.Graph.Fingerprint(),
 		Colors:     job.Colors,

@@ -8,82 +8,44 @@ import (
 	"repro/internal/table"
 )
 
-// rank is the worker-side engine.Backend: the same global partition
-// topology as the coordinator's Coord, but executing the contiguous block
-// of partitions assigned to this rank. Every task appends to lanes of its
-// own; at the superstep barrier the lanes of locally owned partitions are
-// absorbed into their shards and the others are encoded, a chunk at a
-// time, into one batch per destination rank. Its Messages are the entries
-// it addressed to other ranks — unlike sim's, entries that stay on the
-// rank are not messages.
+// rank is the worker-side engine.Backend: the engine's runtime over the
+// same global partition topology as the coordinator's Coord, executing the
+// contiguous band of partitions assigned to this rank and wired to
+// exchange. At the superstep barrier the staged lanes of the band's
+// partitions have been absorbed into their shards; the others are encoded,
+// a chunk at a time, into one batch per destination rank. Its Messages are
+// the entries it addressed to other ranks — unlike sim's, entries that stay
+// on the rank are not messages.
 type rank struct {
-	topo
-	engine.Counters
+	*engine.Runtime
 	rank int
 	j    *wjob
-	conc int
-
-	pLo, pHi int // owned partition interval
 }
 
-func newRank(t topo, r int, j *wjob, conc int) *rank {
+// newRank returns rank r of a job whose n vertices are cut into parts
+// partitions dealt to ranks ranks, running its tasks on conc goroutines
+// (≤ 0: GOMAXPROCS).
+func newRank(ranks, parts, n, r int, j *wjob, conc int) *rank {
 	if conc <= 0 {
 		conc = runtime.GOMAXPROCS(0)
 	}
-	rk := &rank{topo: t, Counters: engine.NewCounters(t.P(), t.ranks), rank: r, j: j, conc: conc}
-	rk.pLo, rk.pHi = rk.Band(r)
+	rk := &rank{Runtime: engine.NewRuntime(engine.DistName, parts, ranks, n), rank: r, j: j}
+	lo, hi := rk.Band(r)
+	rk.Wired(lo, hi, conc, rk.exchange)
 	return rk
-}
-
-// Name returns "dist".
-func (r *rank) Name() string { return engine.DistName }
-
-// Owned returns the vertex interval covered by this rank's partitions
-// (empty when it owns none).
-func (r *rank) Owned() (lo, hi uint32) {
-	if r.pLo < r.pHi {
-		lo, _ = r.Range(r.pLo)
-		_, hi = r.Range(r.pHi - 1)
-	}
-	return lo, hi
-}
-
-// Run executes f over this rank's owned partitions on conc goroutines.
-func (r *rank) Run(f func(w int)) { engine.RunEach(r.conc, r.pLo, r.pHi, f) }
-
-// Step runs produce over owned partitions, each task appending to a stage
-// of its own (so nothing is locked), then hands the stages over: lanes of
-// owned partitions are absorbed into out, the rest go to their ranks at the
-// barrier, and the other ranks' entries for this one are appended as they
-// arrive. Whatever happens at the barrier, every staged chunk is back in
-// the slab pool when Step returns.
-func (r *rank) Step(out *engine.Sharded, produce func(w int, to *engine.Lanes)) {
-	st := r.Begin()
-	stages := make([]*engine.Sharded, r.pHi-r.pLo)
-	r.Run(func(w int) {
-		stages[w-r.pLo] = engine.NewSharded(r)
-		produce(w, stages[w-r.pLo].Lanes(r.Blocks))
-	})
-	r.Run(func(dst int) {
-		for _, stage := range stages {
-			out.Shard(dst).Absorb(stage.Shard(dst))
-		}
-	})
-	r.exchange(st, stages, out)
-	for _, stage := range stages {
-		stage.Release()
-	}
 }
 
 // exchange sends one batch per other rank (empty included — the batch is
 // the barrier token) holding the staged chunks of that rank's partitions,
 // signals StepDone to the coordinator, then awaits the other ranks'
 // batches for this superstep and appends their entries to out's shards,
-// single-threaded. Any transport failure latches the job failure, which
-// cancels the job context; the solver unwinds at its next poll and the
-// error surfaces in the coordinator's Reduce.
+// single-threaded. Whatever happens here, the runtime has every staged
+// chunk back in the slab pool when its Step returns. Any transport failure
+// latches the job failure, which cancels the job context; the solver
+// unwinds at its next poll and the error surfaces in the coordinator's
+// Reduce.
 func (r *rank) exchange(st int64, stages []*engine.Sharded, out *engine.Sharded) {
-	for dr := 0; dr < r.ranks; dr++ {
+	for dr := 0; dr < r.Workers(); dr++ {
 		if dr == r.rank {
 			continue
 		}
@@ -124,8 +86,8 @@ func (r *rank) exchange(st int64, stages []*engine.Sharded, out *engine.Sharded)
 		}
 		for _, l := range bm.Lanes {
 			dst := int(l.Dst)
-			if dst < r.pLo || dst >= r.pHi {
-				r.j.fail(fmt.Errorf("dist: received entries for partition %d outside owned [%d,%d)", dst, r.pLo, r.pHi))
+			if lo, hi := r.Band(r.rank); dst < lo || dst >= hi {
+				r.j.fail(fmt.Errorf("dist: received entries for partition %d outside owned [%d,%d)", dst, lo, hi))
 				return
 			}
 			sh := out.Shard(dst)
@@ -135,11 +97,3 @@ func (r *rank) exchange(st int64, stages []*engine.Sharded, out *engine.Sharded)
 		}
 	}
 }
-
-// Reduce is the identity worker-side: the global reduction happens on the
-// coordinator, which gathers this rank's JobDone report.
-func (r *rank) Reduce(local uint64) (uint64, error) { return local, nil }
-
-// ReduceVec is the identity worker-side; the owned block is extracted
-// from the full-length vector when building the JobDone report.
-func (r *rank) ReduceVec(local []uint64) ([]uint64, error) { return local, nil }

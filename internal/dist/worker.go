@@ -233,7 +233,6 @@ func (w *workerConn) registerJob(id uint64, ranks int) *wjob {
 // this rank's partition block.
 func (w *workerConn) runJob(j *wjob, rank int, m jobStartMsg) {
 	id := j.id
-	t := newTopo(int(m.Ranks), int(m.Parts), int(m.N))
 	ctx := j.ctx
 	defer func() {
 		w.mu.Lock()
@@ -242,7 +241,7 @@ func (w *workerConn) runJob(j *wjob, rank int, m jobStartMsg) {
 		j.cancel()
 	}()
 
-	rk := newRank(t, rank, j, w.opts.Conc)
+	rk := newRank(int(m.Ranks), int(m.Parts), int(m.N), rank, j, w.opts.Conc)
 	done := w.execute(ctx, rk, m)
 	done.Steps = rk.Steps()
 	done.Msgs = rk.Messages()

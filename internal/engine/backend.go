@@ -17,28 +17,31 @@ import (
 // interface: a backend owns the vertex space in P contiguous partitions,
 // runs partition tasks, and moves the entries a superstep's tasks append
 // to their destination lanes (Lanes) into the table shard of the partition
-// that owns them. Every implementation embeds the same block map and
-// counters (Blocks, Counters) and differs only in whose lanes a task
-// appends to and how they reach their owner. Three implementations exist:
+// that owns them. There is one implementation, Runtime: vertex-grained
+// partitions dealt to workers in contiguous bands, a band's tasks run on a
+// pool of goroutines that steal from one another, every goroutine appends
+// to lanes of its own, and each destination shard takes the lanes addressed
+// to it over after a barrier — no lock, nothing sorted until a shard is
+// read. A worker's vertices are its band's. The three backends are that
+// runtime, each with its own choice of what a worker is and what becomes of
+// the lanes:
 //
-//   - "sim" (Cluster): the paper's §7 distributed runtime simulated in
-//     shared memory — P goroutine "ranks", a set of lanes per source
-//     rank, a barrier, and owner-side absorption in source-rank order.
-//     Message and load counters are faithful to the paper's metrics
-//     (Figure 11).
-//   - "parallel" (Parallel): a real shared-memory runtime — vertex-grained
-//     partitions (sized from the vertex count, not the worker count) run
-//     on GOMAXPROCS-scaled workers with band stealing, every worker
-//     appends to lanes of its own, and each destination shard takes the
-//     lanes addressed to it over after a barrier: no message
-//     materialization, no lock.
-//   - "dist" (internal/dist): real multi-process supersteps — partitions
-//     are block-assigned to worker processes reached over a
-//     length-prefixed wire protocol, every process runs the same solver
-//     over its owned block (SPMD), and the lanes of partitions another
+//   - "sim" (NewCluster): the paper's §7 distributed runtime simulated in
+//     shared memory. The workers are P simulated ranks, each a band of the
+//     partitions the grain rule cuts from the vertex count (partsFor), on a
+//     goroutine each; every goroutine stages, and every staged entry is
+//     counted as a message as its owner absorbs it. Message and load
+//     counters are faithful to the paper's metrics (Figure 11).
+//   - "parallel" (NewParallel): the real shared-memory runtime — the same
+//     partitions on GOMAXPROCS-scaled worker goroutines; goroutine 0
+//     appends to the output's own shards, nothing is counted.
+//   - "dist" (internal/dist): real multi-process supersteps — the workers
+//     are processes reached over a length-prefixed wire protocol, every
+//     process runs the same solver (SPMD) on a runtime that executes its
+//     rank's band alone, and the staged lanes of partitions another
 //     process owns are encoded into one batch per destination process and
-//     exchanged at the superstep barrier. Registered only when a worker
-//     topology is configured (dist.Enable).
+//     exchanged at the superstep barrier (Runtime.Wired). Registered only
+//     when a worker topology is configured (dist.Enable).
 //
 // Counts are bit-identical across backends, partition counts, and worker
 // counts: every table operation is a commutative uint64 accumulation, so
@@ -49,11 +52,11 @@ type Backend interface {
 	// P is the number of vertex-ownership partitions (= table shards).
 	// Run and Step index tasks and shards by partition.
 	P() int
-	// Workers is the real execution concurrency. For sim it equals P
-	// (one goroutine per simulated rank); for parallel it is the worker
-	// pool size, with P partitions — as many as the vertex count asks
-	// for, more or fewer than workers — multiplexed onto it; for dist it
-	// is the worker-process count.
+	// Workers is the number of workers the P partitions — as many as the
+	// vertex count asks for, more or fewer than workers — are dealt to in
+	// bands, and the length of Loads: simulated ranks for sim (a goroutine
+	// each, as far as there are partitions to give them), worker goroutines
+	// for parallel, worker processes for dist.
 	Workers() int
 	// Owner returns the partition owning vertex v (1D block distribution).
 	Owner(v uint32) int
@@ -111,7 +114,9 @@ type Backend interface {
 	// comparable with each other.
 	Messages() int64
 	// Steals is the number of partition tasks executed by a worker other
-	// than the partition's home worker; always 0 for sim and dist.
+	// than the partition's home worker; always 0 for sim and dist, whose
+	// workers are ranks: the goroutines that run a rank's partitions steal
+	// from one another all the same, and no rank runs another's.
 	Steals() int64
 	// Steps is the number of supersteps executed so far (Step calls). The count is deterministic for a given plan — it depends only
 	// on the solver's phase structure, not on scheduling — and identical

@@ -1,18 +1,19 @@
-// Package engine provides the pluggable execution runtimes behind the
-// solver (the Backend interface), all built on one superstep core
-// (runtime.go): the paper's 1D block distribution of vertices (Blocks)
-// and the counters a superstep keeps (Counters — the Figure 11 load
-// metric, superstep, message and steal totals). A superstep is produce /
-// barrier / owner-side merge (§7): partition tasks scan their table
-// shards and append packed entries (table.Ent) to the lane of the
-// partition owning each entry's home vertex (Lanes), and after the
-// barrier the owner takes the lanes addressed to it over whole, chunk by
-// chunk. An entry is written once, in its stored form, at its
-// destination; what differs between backends is whose lanes a task
-// appends to. The sim backend (Cluster) stages per simulated rank and
-// counts every staged entry as a message; the parallel backend
-// (Parallel) stages per worker goroutine; internal/dist stages per task
-// and puts the lanes of partitions another process owns on the wire. All
+// Package engine provides the execution runtime behind the solver (the
+// Backend interface; Runtime, in runtime.go, is its one implementation):
+// the paper's 1D block distribution of vertices (Blocks), the counters a
+// superstep keeps (Counters — the Figure 11 load metric, superstep,
+// message and steal totals), a band of partitions to execute and a pool of
+// goroutines that execute it, stealing across sub-bands. A superstep is
+// produce / barrier / owner-side merge (§7): partition tasks scan their
+// table shards and append packed entries (table.Ent) to the lane of the
+// partition owning each entry's home vertex (Lanes), every goroutine to
+// lanes of its own, and after the barrier the owner takes the lanes
+// addressed to it over whole, chunk by chunk. An entry is written once, in
+// its stored form, at its destination. The backends are that one runtime
+// and choose two things about its lanes: sim (NewCluster) has ranks for
+// workers and counts every staged entry as a message; parallel
+// (NewParallel) counts nothing; internal/dist runs a band per process and
+// puts the lanes of partitions another process owns on the wire. All
 // produce bit-identical counts.
 package engine
 
@@ -22,61 +23,6 @@ import (
 
 	"repro/internal/table"
 )
-
-// Cluster is the sim backend: a fixed set of P simulated ranks (one
-// goroutine each) owning an n-vertex space in contiguous blocks, with
-// per-superstep message accounting faithful to the paper's metrics.
-type Cluster struct {
-	Blocks
-	Counters
-}
-
-// NewCluster returns a cluster of p workers over n vertices. p is clamped
-// to at least 1.
-func NewCluster(p, n int) *Cluster {
-	b := NewBlocks(p, n)
-	return &Cluster{Blocks: b, Counters: NewCounters(b.parts, b.parts)}
-}
-
-// Name returns "sim".
-func (c *Cluster) Name() string { return SimName }
-
-// Owned returns the whole vertex space: a single-process backend executes
-// every partition itself.
-func (c *Cluster) Owned() (lo, hi uint32) { return 0, uint32(c.n) }
-
-// Reduce returns local unchanged: one process holds every partial total.
-func (c *Cluster) Reduce(local uint64) (uint64, error) { return local, nil }
-
-// ReduceVec returns local unchanged.
-func (c *Cluster) ReduceVec(local []uint64) ([]uint64, error) { return local, nil }
-
-// Run executes f(w) for every rank w, concurrently (one goroutine per
-// rank), and waits.
-func (c *Cluster) Run(f func(w int)) { RunEach(c.parts, 0, c.parts, f) }
-
-// Step runs one message-faithful superstep: every rank appends to lanes of
-// its own, one per destination rank and of out's form; after the barrier
-// every rank takes over the lanes addressed to it, in source-rank order (so
-// the step is deterministic), and every entry that changes hands — a
-// rank's to itself included, and each one added to a box, however many
-// share its cell — is counted as a message.
-func (c *Cluster) Step(out *Sharded, produce func(w int, to *Lanes)) {
-	c.Begin()
-	stages := make([]*Sharded, c.parts)
-	c.Run(func(w int) {
-		stages[w] = out.stage()
-		produce(w, stages[w].Lanes(c.Blocks))
-	})
-	c.Run(func(dst int) {
-		for _, st := range stages {
-			c.Sent(out.Shard(dst).Absorb(st.Shard(dst)))
-		}
-	})
-	for _, st := range stages {
-		st.Release()
-	}
-}
 
 // Lanes is what a superstep hands a producing task: one append-only lane
 // per destination partition, written by that task's worker alone. The
@@ -205,10 +151,6 @@ func (s *Sharded) stage() *Sharded {
 	}
 	return st
 }
-
-// Lanes returns s's shards as the lanes of a task that stages in s, routed
-// by the block map b (which must have as many partitions as s has shards).
-func (s *Sharded) Lanes(b Blocks) *Lanes { return &Lanes{Blocks: b, shards: s.shards} }
 
 // Shard returns worker w's shard.
 func (s *Sharded) Shard(w int) *table.Flat { return &s.shards[w].Flat }

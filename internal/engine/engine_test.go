@@ -10,18 +10,18 @@ import (
 )
 
 func TestRunVisitsAllWorkers(t *testing.T) {
-	c := NewCluster(8, 100)
-	var visited [8]atomic.Bool
+	c := NewCluster(3, 1000)
+	visited := make([]atomic.Bool, c.P())
 	c.Run(func(w int) { visited[w].Store(true) })
 	for w := range visited {
 		if !visited[w].Load() {
-			t.Fatalf("worker %d not run", w)
+			t.Fatalf("partition %d not run", w)
 		}
 	}
 }
 
 func TestLoadAccounting(t *testing.T) {
-	c := NewCluster(3, 30)
+	c := NewRuntime(SimName, 3, 3, 30) // three ranks of one partition each
 	c.Run(func(w int) { c.AddLoad(w, int64(w)*10) })
 	max, avg, total := LoadStats(c.Loads())
 	if max != 20 || total != 30 || avg != 10 {
@@ -48,7 +48,7 @@ func TestShardedAccumulate(t *testing.T) {
 		t.Fatalf("Len=%d Total=%d", s.Len(), s.Total())
 	}
 	// Every entry must live in its owner's shard.
-	for w := 0; w < 4; w++ {
+	for w := 0; w < c.P(); w++ {
 		s.Shard(w).Iter(func(k table.Key, _ uint64) bool {
 			if c.Owner(k.U) != w {
 				t.Errorf("entry %d in shard %d, owner %d", k.U, w, c.Owner(k.U))
@@ -68,7 +68,7 @@ func TestShardedAccumulate(t *testing.T) {
 // took them next back to the pool for a third to share — and any other use
 // of a released table panics.
 func TestReleaseTwiceSharesNoArrays(t *testing.T) {
-	c := NewCluster(4, 40)
+	c := NewRuntime(SimName, 4, 4, 40) // four partitions of ten vertices
 	dead := NewMatrix(c, 4, false)
 	dead.Add(1, table.Unary(12, 0b11), 1)
 	dead.Release()

@@ -45,23 +45,72 @@ func TestParallelGrainFollowsVertexCount(t *testing.T) {
 // A worker stuck on a long task must not strand the rest of the run: the
 // other worker steals across bands. Partition 0's task blocks until every
 // other partition has completed — possible only because whichever worker
-// is not stuck keeps claiming tasks from both bands.
+// is not stuck keeps claiming tasks from both bands. sim's tasks go through
+// the same stealing pool, but its workers are ranks, not goroutines: it
+// finishes too, and reports no steal.
 func TestParallelStealsImbalancedBands(t *testing.T) {
-	p := engine.NewParallel(2, 2000)
-	others := int32(p.P() - 1)
-	var done atomic.Int32
-	release := make(chan struct{})
-	p.Run(func(w int) {
-		if w == 0 {
-			<-release
-			return
+	for _, p := range []*engine.Runtime{engine.NewParallel(2, 2000), engine.NewCluster(2, 2000)} {
+		others := int32(p.P() - 1)
+		var done atomic.Int32
+		release := make(chan struct{})
+		p.Run(func(w int) {
+			if w == 0 {
+				<-release
+				return
+			}
+			if done.Add(1) == others {
+				close(release)
+			}
+		})
+		if stole := p.Steals() != 0; stole != (p.Name() == engine.ParallelName) {
+			t.Errorf("%s: Steals = %d with a blocked worker", p.Name(), p.Steals())
 		}
-		if done.Add(1) == others {
-			close(release)
+	}
+}
+
+// A simulated rank is a band of the grain rule's partitions: sim cuts the
+// partitions parallel cuts, at any rank count — more ranks than partitions
+// included, the idle ones at no load — its per-rank Loads are the loads of
+// Band(r)'s partitions, and every entry appended is a message, those of
+// goroutine 0 and those a rank keeps included, where parallel counts none.
+func TestSimRanksAreBands(t *testing.T) {
+	for _, c := range []struct{ ranks, n int }{{1, 400}, {3, 400}, {4, 2000}, {8, 100}, {256, 100}, {300, 1000}} {
+		sim, par := engine.NewCluster(c.ranks, c.n), engine.NewParallel(c.ranks, c.n)
+		if sim.P() != par.P() || sim.Workers() != c.ranks {
+			t.Fatalf("%d ranks over %d vertices: P = %d (parallel %d), Workers = %d", c.ranks, c.n, sim.P(), par.P(), sim.Workers())
 		}
-	})
-	if p.Steals() == 0 {
-		t.Error("no steals recorded despite a blocked worker")
+		for _, be := range []*engine.Runtime{sim, par} {
+			out := engine.NewSharded(be)
+			be.Step(out, func(w int, to *engine.Lanes) {
+				be.AddLoad(w, int64(1+w*w))
+				lo, hi := be.Range(w)
+				for v := lo; v < hi; v++ {
+					to.At(v).AddEnt(table.UnaryEnt(v, 1, 1))
+					to.At(v * 31 % uint32(c.n)).AddEnt(table.UnaryEnt(v, 2, 1))
+				}
+			})
+			if out.Len() != 2*c.n {
+				t.Errorf("%s, %d ranks: the step delivered %d of %d entries", be.Name(), c.ranks, out.Len(), 2*c.n)
+			}
+			out.Release()
+		}
+		loads := sim.Loads()
+		if len(loads) != c.ranks {
+			t.Fatalf("%d ranks: len(Loads) = %d", c.ranks, len(loads))
+		}
+		for r, got := range loads {
+			var want int64
+			for lo, hi := sim.Band(r); lo < hi; lo++ {
+				want += int64(1 + lo*lo)
+			}
+			if got != want {
+				t.Errorf("%d ranks over %d vertices: rank %d's load = %d, its band's partitions were charged %d", c.ranks, c.n, r, got, want)
+			}
+		}
+		if sim.Messages() != int64(2*c.n) || par.Messages() != 0 || sim.Steals() != 0 {
+			t.Errorf("%d ranks: sim counted %d messages for %d entries and %d steals; parallel %d messages",
+				c.ranks, sim.Messages(), 2*c.n, sim.Steals(), par.Messages())
+		}
 	}
 }
 
@@ -97,8 +146,10 @@ func TestCanonicalAndNew(t *testing.T) {
 // The conformance table: every runtime takes the same cases. A rig is the
 // backends of one run, one per process: a single one for sim and parallel,
 // the two ranks of a solverless dist loopback session. width is simulated
-// ranks for sim, worker goroutines for parallel, and partitions for dist
-// (dealt to the two ranks in bands; one partition leaves a rank with none).
+// ranks for sim (300: more than the 25 partitions), worker goroutines for
+// parallel, and partitions for dist, dealt to the two ranks in bands and
+// run by three goroutines each: one partition leaves a rank with none, 24
+// give every goroutine several to stage in one set of lanes.
 type rig []engine.Backend
 
 var runtimes = []struct {
@@ -106,10 +157,10 @@ var runtimes = []struct {
 	widths []int
 	mk     func(t *testing.T, width, n int) rig
 }{
-	{"sim", []int{1, 4}, func(_ *testing.T, width, n int) rig { return rig{engine.NewCluster(width, n)} }},
+	{"sim", []int{1, 3, 4, 8, 300}, func(_ *testing.T, width, n int) rig { return rig{engine.NewCluster(width, n)} }},
 	{"parallel", []int{1, 2, 3, 8}, func(_ *testing.T, width, n int) rig { return rig{engine.NewParallel(width, n)} }},
-	{"dist rank", []int{1, 7}, func(t *testing.T, width, n int) rig {
-		bes, stop := dist.LoopbackRanks(2, width, n)
+	{"dist rank", []int{1, 7, 24}, func(t *testing.T, width, n int) rig {
+		bes, stop := dist.LoopbackRanks(2, width, n, 3)
 		t.Cleanup(stop)
 		return bes
 	}},

@@ -52,7 +52,8 @@ type Options struct {
 	Backend string
 	// DefaultRanks is the execution width when a request leaves Ranks ≤ 0
 	// (≤ 0 means 4, matching the core sim default); see
-	// EstimateRequest.Ranks for what it counts on each backend.
+	// EstimateRequest.Ranks for what it counts on each backend. It never
+	// decides how finely a single-process backend cuts the graph.
 	DefaultRanks int
 	// MaxTrials bounds the per-request trial count; requests beyond it are
 	// rejected rather than allowed to allocate trials×n bytes of colorings
@@ -338,8 +339,9 @@ type EstimateRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Ranks is the execution width (≤ 0 means the service default, itself
 	// defaulting to 4): simulated ranks under "sim", worker goroutines
-	// under "parallel", total partitions spread over the worker processes
-	// under "dist".
+	// under "parallel" — bands of the same vertex partitions, whose number
+	// follows the graph, not this — and total partitions spread over the
+	// worker processes under "dist".
 	Ranks int `json:"ranks,omitempty"`
 	// Parallel runs up to this many trials concurrently inside the job;
 	// results are bit-identical to serial (≤ 1 means serial).

@@ -101,17 +101,18 @@ const (
 	// denseFactor: keys index an array when it has at most this many cells
 	// per entry. At 4 the array is no larger than the entries it replaces
 	// (8 bytes a cell, 32 an entry) and its sweep reads less than one
-	// sorting pass over records would write. No shard of `parallel` gets
-	// here (its 36-vertex shards are boxed, and the streamed table of a
-	// root cycle is not compacted at all), so the benchmark never enters
-	// this tier. `sim` and `dist` do: their shards, a rank's 4.5 k vertices
-	// on a 90 k-edge graph, are over boxCap, and the vertex × signature
-	// tables of the rank that holds the hubs arrive as 0.5–1.7 M entries
-	// over 20–21 key bits. On bintree8 that is three shards a trial and a
-	// third of all entries compacted, the ones the end of a superstep
-	// waits for; sorting them as records instead costs `sim` at 4 ranks
-	// 31% per trial (306 ms against 234, behind in 10 of 10 alternating
-	// pairs).
+	// sorting pass over records would write. No shard of `sim` or
+	// `parallel` gets here (their 36-vertex shards are boxed, and the
+	// streamed table of a root cycle is not compacted at all), so the
+	// benchmark never enters this tier. `dist` does: it cuts as many
+	// partitions as the request asks for, a shard of 2 ranks' 8 holds
+	// 2.3 k vertices of a 90 k-edge graph and is over boxCap, and the
+	// vertex × signature tables of the shards that hold the hubs arrive as
+	// up to 2.1 M entries over 22 key bits. On bintree8 that is three
+	// shards a trial and 44% of all entries compacted, the ones the end of
+	// a superstep waits for; sorting them as records instead costs `dist`
+	// at 2 ranks 31% per trial (711 ms against 541, behind in 5 of 5
+	// alternating pairs).
 	denseFactor = 4
 )
 
