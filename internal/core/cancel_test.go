@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/table"
 )
@@ -233,6 +234,79 @@ func TestCancelAtAnyPoll(t *testing.T) {
 				return per != nil, err
 			})
 		}
+	}
+}
+
+// A leaf block's matrices are read where they lie: the walk's last table is
+// projected by moving its shards' open boxes, the edge table a nodeJoin
+// follows is read row by row, and a pending shard whose box never opened
+// is compacted by that reader, polling as track does. A bintree8 run — leaf
+// blocks alone — on box_test.go's 1405-vertex graph, under sim at three
+// ranks: as NewCluster cuts it, 87 partitions of 16 vertices whose boxes
+// all open, and as it was cut before PR 24, a partition a rank (469, 469
+// and 467 vertices: at 70 signatures to a row, bintree8's widest, the first
+// two shards are over the cap of 2^15 cells and the third is not). Between
+// them all three readers are live, which an uncanceled run of each checks
+// first; then each is canceled at polls across the whole run, and must
+// return ctx's error and hand every slab back.
+func TestCancelThroughBoxRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	gen.ErdosRenyi("small", 60, 150, rng) // box_test.go draws it first
+	g := gen.ErdosRenyi("mixed", 1405, 1800, rng)
+	q := query.MustByName("bintree8")
+	colors := randColors(g.N(), q.K, rng)
+	plan, err := PickPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, want := range []uint32{469, 469, 467} {
+		if lo, hi := engine.NewRuntime(engine.SimName, 3, 3, g.N()).Range(w); hi-lo != want {
+			t.Fatalf("partition %d of 3 holds %d vertices, want %d", w, hi-lo, want)
+		}
+	}
+	// Edge steps' tables with a box, moved by the projection or read by a
+	// nodeJoin, and their shards that hold entries and no box.
+	var moved, readInPlace, unboxed int
+	for name, sim3 := range map[string]func() engine.Backend{
+		"sim@3":                   func() engine.Backend { return engine.NewCluster(3, g.N()) },
+		"sim@3, a partition each": func() engine.Backend { return engine.NewRuntime(engine.SimName, 3, 3, g.N()) },
+	} {
+		be := &stepped{Backend: sim3()}
+		tr := obs.NewTrace(t.Name())
+		s := newSolver(obs.WithTrace(context.Background(), tr), g, colors, q.K, be, DB)
+		edgeBoxed := false // the last edge step left a box its block has not read yet
+		tr.SetSink(func(phase string, _ float64) {
+			switch {
+			case phase == PhaseLeafJoin: // the projection: it moves what is boxed
+				if edgeBoxed {
+					moved++
+				}
+				edgeBoxed = false
+			case phase != PhasePathJoin:
+			case be.out != nil: // an edge step's table, left pending
+				for w := 0; w < be.P(); w++ {
+					lo, _ := be.Range(w)
+					if row, _ := be.out.Shard(w).Row(lo); row != nil {
+						edgeBoxed = true
+					} else if be.out.Shard(w).Len() > 0 {
+						unboxed++
+					}
+				}
+			case edgeBoxed: // no superstep, after an edge step: the nodeJoin that read it
+				readInPlace++
+				edgeBoxed = false
+			}
+			be.out = nil
+		})
+		s.run(plan, 0, nil)
+
+		cancelEverywhere(t, "bintree8/"+name, 80, func(ctx context.Context) (bool, error) {
+			c, _, err := CountColorfulContext(ctx, g, q, colors, Options{Engine: sim3()})
+			return c != 0, err
+		})
+	}
+	if moved == 0 || readInPlace == 0 || unboxed == 0 {
+		t.Fatalf("%d boxes moved, %d read in place, %d pending shards without a box; the test needs each", moved, readInPlace, unboxed)
 	}
 }
 

@@ -96,7 +96,10 @@ type Options struct {
 // lookup per entry of the walk table it streams (joinSplit): there it is an
 // entry streamed, unfolded duplicates included. That streamed table is never
 // compacted, and TableEntries counts compacted tables: it is counted in the
-// load only.
+// load only. So are a leaf block's walk tables that are read as they lie —
+// the walk's last, whose boxes the projection moves, and the edge table its
+// nodeJoin reads row by row — whose operations count a box cell that holds
+// a count as the entry it stands for.
 type Stats struct {
 	Backend      string // canonical backend name ("sim", "parallel" or "dist")
 	Workers      int
@@ -363,12 +366,13 @@ func (s *solver) track(t *engine.Sharded) *engine.Sharded {
 	return t
 }
 
-// finish is track for a walk's table, which a root cycle's join may want
-// pending (buildPath): left as its superstep's adds lie — not compacted, so
-// never scanned for its key ranges, packed, sorted, folded or rebuilt, and
+// finish is track for a walk's table, which a root cycle's join or a leaf
+// block's projection or nodeJoin may want pending (buildPath): left as its
+// superstep's adds lie — chunks or open boxes, not compacted, so never
+// scanned for its key ranges, packed, sorted, folded, swept or rebuilt, and
 // not counted in the stats' table entries, which are entries of compacted
-// tables. Its entries are counted once, in the load of the join that
-// streams them.
+// tables. Its entries are counted once, in the load of the join that reads
+// them.
 func (s *solver) finish(t *engine.Sharded, pend bool) *engine.Sharded {
 	if pend {
 		return t

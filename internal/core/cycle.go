@@ -112,23 +112,32 @@ func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 	defer s.walks.release()
 	walk := s.walks.add(pathStart{startAnn: b.NodeAnn[1], free: true}, step)
 	out := engine.NewMatrix(s.be, s.k, false)
-	if !s.buildPath(walk, false) {
+	if !s.buildPath(walk, true) {
 		return out
 	}
-	// Project (π(a), α) out of the walk's keys: local, entries live at owner(V).
+	// Project (π(a), α) out of the walk's keys: local, entries live at
+	// owner(V). (None, v, α) ↦ (v, None, α) keeps the partition, the rows and
+	// the signatures, so the walk's table is left pending and a shard's open
+	// box moves over whole, its cells the entries projected; a shard whose
+	// box never opened is compacted here, polling as track does, and its
+	// entries are added one by one.
 	defer s.tr.Start(PhaseLeafJoin)()
 	s.be.Run(func(w int) {
-		sh := out.Shard(w)
+		sh, src := out.Shard(w), walk.table.Shard(w)
 		var load int64
 		var poll int
-		ents := walk.table.Shard(w).Ents()
-		for i := range ents {
-			e := &ents[i]
-			load++
-			if s.canceled(&poll) {
-				break
+		if cells, ok := sh.MoveBox(src); ok {
+			load = int64(cells)
+		} else if _, ok := src.Build(s.aborted); ok {
+			ents := src.Ents()
+			for i := range ents {
+				e := &ents[i]
+				load++
+				if s.canceled(&poll) {
+					break
+				}
+				sh.AddEnt(table.UnaryEnt(e.V(), e.S, e.C))
 			}
-			sh.AddEnt(table.UnaryEnt(e.V(), e.S, e.C))
 		}
 		s.be.AddLoad(w, load)
 	})

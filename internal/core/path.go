@@ -36,7 +36,8 @@ import (
 // vertex, for each neighbour, the neighbour's colour, lane and — in a
 // start-free walk's table, a vertex×signature matrix (engine.NewMatrix) —
 // row of counts are found once, and the run's entries land there back to
-// back.
+// back: as row adds where the lane's box is open (table.Flat.Row), packed
+// entries where it is not.
 
 // pathStep extends the walk by one cycle node.
 type pathStep struct {
@@ -141,15 +142,22 @@ func (t walkTrie) release() {
 //
 // pend leaves the walk's own table — the last one built, never a prefix's —
 // as its superstep left it: chunks of entries in the order they were
-// appended, duplicates unfolded (track). Only a reader that wants neither
-// order nor folded counts may ask for that; the one there is is a root
-// cycle's join (split.sides).
+// appended, duplicates unfolded, or an open box (track). Only a reader that
+// wants neither order nor folded counts may ask for that, or one that reads
+// a box as it lies: a root cycle's join (split.sides) and a leaf block's
+// projection (solveLeaf). A start-free walk's edge table whose step goes on
+// to a nodeJoin is left pending too: that join, its one reader, reads the
+// box rows in place.
 func (s *solver) buildPath(n *walk, pend bool) bool {
 	if n.table != nil {
 		return true
 	}
 	p := n.parent
 	last := n.step.nodeAnn == nil // the step's edge table is the walk's
+	edgePend := pend
+	if !last {
+		edgePend = n.free
+	}
 	var t *engine.Sharded
 	switch {
 	case p == nil && n.startAnn == nil:
@@ -159,9 +167,9 @@ func (s *solver) buildPath(n *walk, pend bool) bool {
 	case !s.buildPath(p, false) || s.aborted():
 		return false
 	case p.table == nil:
-		t = s.initEdge(n.pathStart, n.step, pend && last)
+		t = s.initEdge(n.pathStart, n.step, edgePend)
 	default:
-		t = s.edgeJoin(p.table, n.pathStart, n.step, pend && last)
+		t = s.edgeJoin(p.table, n.pathStart, n.step, edgePend)
 	}
 	if !last {
 		edge := t
@@ -234,7 +242,9 @@ func (r recordSlot) ent(start, end uint32, kept uint64, s sig.Sig, c uint64) tab
 
 // initEdge seeds the walk's table from its first edge: either the data
 // graph's edges (count 1 per edge per direction, signature {χ(u),χ(v)},
-// Figure 4/6 Procedure 1 line 1) or the annotating child block's table.
+// Figure 4/6 Procedure 1 line 1) or the annotating child block's table. A
+// start-free walk's data edge is a row add where its lane has a box open,
+// as in edgeJoin.
 func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharded {
 	out := s.newTable(spec)
 	slot := slotOf(st.record)
@@ -262,7 +272,13 @@ func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharde
 					if s.colors[v] == cu {
 						continue
 					}
-					to.At(v).AddEnt(slot.ent(start, v, slot.keep, su.Add(s.colors[v]), 1))
+					dst := to.At(v)
+					if row, rk := dst.Row(v); row != nil { // a start-free walk's open box
+						row[rk.Rank[su.Add(s.colors[v])]]++
+						dst.Added(1)
+						continue
+					}
+					dst.AddEnt(slot.ent(start, v, slot.keep, su.Add(s.colors[v]), 1))
 				}
 			}
 			s.be.AddLoad(w, load)
@@ -320,7 +336,11 @@ func (s *solver) lift(spec pathStart) *engine.Sharded {
 //
 // The books are kept per (run, neighbour) pair, not per entry: the pair's
 // len(run) operations go onto the load, and towards the next cancellation
-// poll, in one addition, and the neighbour's rank is read once.
+// poll, in one addition, and the neighbour's rank is read once. So is its
+// row, where the walk is start-free and its lane has a box open: the run's
+// entries are then row adds (table.Flat.Row) — a start-free walk records
+// nothing and is never ordered, so the row's vertex and a signature are
+// the whole key.
 func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend bool) *engine.Sharded {
 	out := s.newTable(spec)
 	slot := slotOf(st.record)
@@ -340,6 +360,17 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 						break scan
 					}
 					cn, rank, dst := s.colorOf(nb), s.g.Rank(nb), to.At(nb)
+					if row, rk := dst.Row(nb); row != nil {
+						adds := 0
+						for r := range run {
+							if k := &run[r]; k.S.Disjoint(cn) {
+								row[rk.Rank[k.S.Union(cn)]] += k.C
+								adds++
+							}
+						}
+						dst.Added(adds)
+						continue
+					}
 					for r := range run {
 						k := &run[r]
 						if spec.ordered && s.g.Rank(k.U()) <= rank {
@@ -377,6 +408,17 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 				}
 				end := e.U()
 				rank, dst := s.g.Rank(end), to.At(end)
+				if row, rk := dst.Row(end); row != nil {
+					adds := 0
+					for r := range run {
+						if k := &run[r]; k.S.Inter(e.S) == cv {
+							row[rk.Rank[k.S.Union(e.S)]] += k.C * e.C
+							adds++
+						}
+					}
+					dst.Added(adds)
+					continue
+				}
 				for r := range run {
 					k := &run[r]
 					if spec.ordered && s.g.Rank(k.U()) <= rank {
@@ -399,6 +441,13 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 // (Figure 7 NodeJoin). Both tables are homed at the owner of v, so the join
 // is communication-free. The child index is built once per block by
 // groupUnary and reused across every split that folds the same annotation.
+//
+// A start-free walk's edge table is read by this join alone, and is left
+// pending for it (buildPath): a shard with a box open is read row by row
+// where it lies, a cell that holds a count standing for the entry a sweep
+// would have made of it; a shard whose box never opened is compacted here,
+// polling as track does, and read as entries. Into a start-free walk's
+// table the entries of one vertex are row adds once its box is open.
 func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block, pend bool) *engine.Sharded {
 	out := s.newTable(spec)
 	// groupUnary runs (and traces) its own superstep; span only ours.
@@ -408,28 +457,69 @@ func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block
 		idx := grouped[w]
 		var load int64
 		var poll int
-		sh := out.Shard(w)
-		ents := cur.Shard(w).Ents()
-	scan:
-		for i := range ents {
-			k := &ents[i]
-			cv := s.colorOf(k.V())
-			row := idx.at(k.V())
-			for j := range row {
-				load++
-				if s.canceled(&poll) {
-					break scan
-				}
-				e := &row[j]
-				if k.S.Inter(e.S) != cv {
+		src, sh := cur.Shard(w), out.Shard(w)
+		lo, hi := s.be.Range(w)
+		if _, srk := src.Row(lo); srk != nil {
+			for v := lo; v < hi && !s.stop.Load(); v++ {
+				child := idx.at(v)
+				if len(child) == 0 {
 					continue
 				}
-				sh.AddEnt(table.Ent{VU: k.VU, XY: k.XY, S: k.S.Union(e.S), C: k.C * e.C})
+				cells, _ := src.Row(v)
+				row, rk := sh.Row(v)
+				for j, c := range cells {
+					if c == 0 {
+						continue
+					}
+					load += int64(len(child))
+					if s.canceledAfter(&poll, len(child)) {
+						break
+					}
+					nodeCell(sh, row, rk, child, s.colorOf(v), table.BinaryEnt(table.None, v, srk.Sigs[j], c))
+				}
+			}
+		} else if _, ok := src.Build(s.aborted); ok {
+			ents := src.Ents()
+		scan:
+			for i, j := 0, 0; i < len(ents); i = j {
+				j = runOf(ents, i)
+				v := ents[i].V()
+				child := idx.at(v)
+				row, rk := sh.Row(v)
+				for r := i; r < j; r++ {
+					load += int64(len(child))
+					if s.canceledAfter(&poll, len(child)) {
+						break scan
+					}
+					nodeCell(sh, row, rk, child, s.colorOf(v), ents[r])
+				}
 			}
 		}
 		s.be.AddLoad(w, load)
 	})
 	return s.finish(out, pend)
+}
+
+// nodeCell joins the walk entry k with child, the unary child's entries at
+// k's end vertex, whose colour is cv: into row, ranked by rk, where the
+// output shard sh has its box open (Row), else through AddEnt.
+func nodeCell(sh *table.Flat, row []uint64, rk *sig.Ranking, child []table.Ent, cv sig.Sig, k table.Ent) {
+	adds := 0
+	for i := range child {
+		e := &child[i]
+		if k.S.Inter(e.S) != cv {
+			continue
+		}
+		if row != nil {
+			row[rk.Rank[k.S.Union(e.S)]] += k.C * e.C
+			adds++
+			continue
+		}
+		sh.AddEnt(table.Ent{VU: k.VU, XY: k.XY, S: k.S.Union(e.S), C: k.C * e.C})
+	}
+	if adds > 0 {
+		sh.Added(adds)
+	}
 }
 
 type groupKey struct {

@@ -146,7 +146,12 @@ func TestPendingWalksCoverEveryBuilder(t *testing.T) {
 // merge did: their supersteps, load, table entries and sim messages are the
 // parent commit's, value for value (below: the blocks under the root; per:
 // the whole per-vertex run, anchored at the root's first node; sim@4, an
-// 80-vertex graph).
+// 80-vertex graph). The one exception is ecoli1's table entries, in its
+// leaf blocks, not its cycles: since PR 25 a leaf walk's last table, which
+// the projection takes over box by box, and the edge table a leaf walk's
+// nodeJoin reads row by row are left pending, so they are not counted —
+// 2858 entries, 15 267 → 12 409 under DB and 18 643 → 15 785 under PS and
+// PSEven. Supersteps, load and messages are the parent's there too.
 func TestBoundaryBlocksCostWhatTheyDid(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	g := gen.ErdosRenyi("er", 80, 400, rng)
@@ -169,9 +174,9 @@ func TestBoundaryBlocksCostWhatTheyDid(t *testing.T) {
 			{PSEven, [4]int64{3, 6791, 3250, 3554}, [4]int64{7, 11501, 4829, 5294}},
 		}},
 		{query.MustByName("ecoli1"), []golden{ // the root is a singleton: below is the whole run
-			{DB, [4]int64{21, 47573, 15267, 17147}, [4]int64{21, 47573, 15267, 17147}},
-			{PS, [4]int64{12, 47063, 18643, 20697}, [4]int64{12, 47063, 18643, 20697}},
-			{PSEven, [4]int64{12, 47063, 18643, 20697}, [4]int64{12, 47063, 18643, 20697}},
+			{DB, [4]int64{21, 47573, 12409, 17147}, [4]int64{21, 47573, 12409, 17147}},
+			{PS, [4]int64{12, 47063, 15785, 20697}, [4]int64{12, 47063, 15785, 20697}},
+			{PSEven, [4]int64{12, 47063, 15785, 20697}, [4]int64{12, 47063, 15785, 20697}},
 		}},
 		{query.MustByName("glet1"), []golden{
 			{DB, [4]int64{7, 6937, 2687, 2813}, [4]int64{22, 19582, 5801, 6907}},

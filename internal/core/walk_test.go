@@ -235,10 +235,52 @@ func TestWalkLiveTablesBrain3(t *testing.T) {
 	}
 }
 
+// stepped is a backend that keeps the table its last superstep built, for a
+// test to size before any reader takes it.
+type stepped struct {
+	engine.Backend
+	out *engine.Sharded
+}
+
+func (b *stepped) Step(out *engine.Sharded, produce func(w int, to *engine.Lanes)) {
+	b.Backend.Step(out, produce)
+	b.out = out
+}
+
+// pendingRows counts the entries of a table its superstep left pending
+// without sweeping a box into entries, which would take the box from the
+// reader that reads it in place: the cells of an open box that hold a
+// count, the entries of a shard whose box never opened.
+func pendingRows(be engine.Backend, t *engine.Sharded) (n int64) {
+	for w := 0; w < be.P(); w++ {
+		lo, hi := be.Range(w)
+		sh := t.Shard(w)
+		if row, _ := sh.Row(lo); row == nil {
+			n += int64(sh.Len())
+			continue
+		}
+		for v := lo; v < hi; v++ {
+			row, _ := sh.Row(v)
+			for _, c := range row {
+				if c != 0 {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
 // A leaf block's walk is start-free, so each of its tables holds boundary
 // rows — at most one entry per vertex and colour set of the size the walk
 // has reached — however many (leaf, boundary) pairs the graph has. The
 // graph is dense enough that the pairs outnumber the rows at every step.
+// A walk's tables are sized where they are made: a lift's, compacted, by
+// the entries it adds to the stats; an edge step's, left pending for the
+// nodeJoin or the projection that reads it, by its open boxes' cells and
+// its other shards' entries, as its superstep ends; a nodeJoin's, the
+// walk's last and pending, by the projection, whose keys are its keys with
+// the vertex moved to the other half.
 func TestLeafWalkTablesAreBoundaryRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := gen.ErdosRenyi("er", 100, 3000, rng)
@@ -249,12 +291,21 @@ func TestLeafWalkTablesAreBoundaryRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sizes []int64 // of the tables the walk steps of the current block built
-		var last int64
-		s := tracedSolver(t, context.Background(), "parallel", 2, g, randColors(g.N(), q.K, rng), q.K, func(s *solver, phase string) {
-			if phase == PhasePathJoin {
+		var last, projected int64
+		be := &stepped{Backend: engine.NewParallel(2, g.N())}
+		tr := obs.NewTrace(t.Name())
+		s := newSolver(obs.WithTrace(context.Background(), tr), g, randColors(g.N(), q.K, rng), q.K, be, DB)
+		tr.SetSink(func(phase string, _ float64) {
+			switch {
+			case phase == PhaseLeafJoin:
+				projected = s.entries - last
+			case phase != PhasePathJoin:
+			case be.out != nil:
+				sizes = append(sizes, pendingRows(be, be.out))
+			case s.entries > last:
 				sizes = append(sizes, s.entries-last)
 			}
-			last = s.entries
+			be.out, last = nil, s.entries
 		})
 		leaves := 0
 		for _, b := range plan.Blocks {
@@ -264,6 +315,12 @@ func TestLeafWalkTablesAreBoundaryRows(t *testing.T) {
 				s.tables[b] = s.solveCycle(b)
 			case decomp.LeafEdge:
 				s.tables[b] = s.solveLeaf(b)
+				switch {
+				case b.NodeAnn[0] != nil:
+					sizes = append(sizes, projected)
+				case len(sizes) > 0 && sizes[len(sizes)-1] != projected:
+					t.Errorf("%s: leaf block %v projected %d entries out of a walk table of %d", q.Name, b.Nodes, projected, sizes[len(sizes)-1])
+				}
 				// The colour-set sizes the walk passes through: the start's
 				// subquery, plus the edge's, plus the boundary's.
 				var reach []int

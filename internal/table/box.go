@@ -22,7 +22,8 @@ type Shape struct {
 // sig.Ranking position) and accumulated in place. The header is the
 // caller's to allocate (one array per sharded table); the counts are a
 // pooled slab viewed as words, taken when the box is due (boxDue) and given
-// back by the sweep that turns them into sorted entries.
+// back by the sweep that turns them into sorted entries — or by the reader
+// that takes the rows as they lie (Row, MoveBox) and then releases them.
 type Box struct {
 	Shape
 	rk    *sig.Ranking // of the open box's signature size
@@ -31,19 +32,21 @@ type Box struct {
 	adds  int          // entries added to the open box
 }
 
-// boxCap bounds a box: 2^15 words, 256 KiB — what stays L2-resident beside
-// the source rows a join reads. A shard whose box would be larger keeps
-// chunks, and compaction sorts the keys that actually arrived. With 512
-// partitions an 18 k-vertex graph at k = 8 is far below it (36 rows of 70)
-// and a million vertices at k = 10 far above (1954 rows of 252). Measured
-// on tree8-90k: adds into one 10 MB matrix per table miss cache on every
-// row, 16 ns each; into per-shard boxes of this size, 2–3. The benchmark
-// has no workload near the cap. By hand (CHANGES.md, PR 21): just under
-// it, on a dense R-MAT graph of 2^16 vertices at k = 10 (128 rows of 252),
-// a trial is ×4 faster than at the parent commit, which sorted chunks,
-// and peaks at a third of the memory; just over it nothing has been
-// measured but the sparse graph boxDue quotes, and what the cap should be
-// there is open.
+// boxCap bounds one box: 2^15 words, 256 KiB. It does not bound what a
+// join touches: a superstep's destination working set is a box per
+// destination partition per staging goroutine — on tree8-90k 512 boxes of
+// 36 rows × 70, about 10 MB, written one (run, neighbour) row at a time. A
+// shard whose box would be larger keeps chunks, and compaction sorts the
+// keys that actually arrived. With 512 partitions an 18 k-vertex graph at
+// k = 8 is far below it (36 rows of 70) and a million vertices at k = 10
+// far above (1954 rows of 252). Measured on tree8-90k: adds into one 10 MB
+// matrix per table miss cache on every row, 16 ns each; into per-shard
+// boxes of this size, 2–3. The benchmark has no workload near the cap. By
+// hand (CHANGES.md, PR 21): just under it, on a dense R-MAT graph of 2^16
+// vertices at k = 10 (128 rows of 252), a trial is ×4 faster than at the
+// parent commit, which sorted chunks, and peaks at a third of the memory;
+// just over it nothing has been measured but the sparse graph boxDue
+// quotes, and what the cap should be there is open.
 const boxCap = 1 << 15
 
 // SetBox declares t, which must be empty, a shard of shape s with b as its
@@ -132,6 +135,73 @@ func (b *Box) add(e Ent) {
 	row[b.rk.Rank[e.S]] += e.C
 }
 
+// Row returns the row of vertex v in t's open box — v's counts, indexed by
+// rk.Rank of a signature — and the box's ranking, or nil and nil if t has
+// no box open. It is AddEnt for a join that writes many entries to one
+// vertex of a matrix: each becomes row[rk.Rank[s]] += c, with no entry
+// packed and no call made, and the writer books them with Added. A reader
+// of a pending matrix takes its rows here too, as they lie, instead of
+// sweeping them into entries. A vertex outside the partition, or a
+// signature of another size than the box's, indexes out of range and
+// panics, as through AddEnt. Entries compacted before the box opened — a
+// table read and then written again — are not in the row. Row must stay
+// inlinable.
+func (t *Flat) Row(v uint32) (row []uint64, rk *sig.Ranking) {
+	b := t.box
+	if b == nil || b.words == nil {
+		return nil, nil
+	}
+	w := len(b.rk.Sigs)
+	i := int(v-b.Lo) * w
+	return b.words[i : i+w], b.rk
+}
+
+// Added books n entries written into rows of t's open box (Row) as adds, so
+// that Absorb reports them moved, as it would have had AddEnt written them.
+func (t *Flat) Added(n int) { t.box.adds += n }
+
+// MoveBox hands src's open box, whole, to t — an empty shard declared with
+// the same rows (Lo, N, K), whichever half of VU holds their vertex — and
+// returns the cells that hold a count: the entries t then has. It reports
+// false, moving nothing, if src has no box open. It is the projection that
+// keeps the vertex and the signature and moves the vertex to the other key
+// half — a start-free walk's table (None, v, α) becoming a leaf block's
+// (v, None, α) — done by handing the slab over, where a projection entry by
+// entry adds every cell again; the cells are read once, to be counted. A
+// box of other rows would be read at other vertices or signatures, and a
+// shard with entries of its own would lose them: either panics. src is
+// left empty.
+func (t *Flat) MoveBox(src *Flat) (cells int, ok bool) {
+	sb := src.box
+	if sb == nil || sb.words == nil {
+		return 0, false
+	}
+	tb := t.box
+	if tb == nil || tb.Lo != sb.Lo || tb.N != sb.N || tb.K != sb.K {
+		panic("table: a box moved into a shard of other rows")
+	}
+	if t.retire(); tb.words != nil || t.full != nil || t.sorted != nil {
+		panic("table: a box moved into a shard that holds entries")
+	}
+	src.foldSorted()
+	tb.rk, tb.words, tb.slab, tb.adds = sb.rk, sb.words, sb.slab, sb.adds
+	*sb = Box{Shape: sb.Shape}
+	return nonZero(tb.words), true
+}
+
+// foldSorted adds the entries t compacted before its box opened back into
+// the box.
+func (t *Flat) foldSorted() {
+	if t.sorted == nil {
+		return
+	}
+	for _, e := range t.sorted.ents {
+		t.box.add(e)
+	}
+	putSlab(t.sorted)
+	t.sorted = nil
+}
+
 // merge adds src's open box, of the same shape, into b's cell by cell and
 // closes it.
 func (b *Box) merge(src *Box) {
@@ -150,13 +220,7 @@ func (b *Box) merge(src *Box) {
 // with the bitmap, so cells swept in order are entries in cmpEnt's order.
 func (t *Flat) sweepBox(stop func() bool) bool {
 	b := t.box
-	if t.sorted != nil {
-		for _, e := range t.sorted.ents {
-			b.add(e)
-		}
-		putSlab(t.sorted)
-		t.sorted = nil
-	}
+	t.foldSorted()
 	if stop != nil && stop() {
 		return false
 	}

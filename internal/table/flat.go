@@ -12,15 +12,19 @@
 // declared as a vertex×signature matrix (SetBox: every key is one vertex
 // of the shard's partition and a signature of one size) accumulates in
 // place, row[rank] += c, in a box of counts (box.go) once it has been
-// handed enough to repay one: no append, no sort, no fold. Any other shard
-// appends entries to unsorted chunks, and the first read compacts them by
-// a packed key (compact.go) — indexed into a dense array of counts where
-// the keys that arrived span few enough values, radix-sorted as (key,
-// count) records otherwise. Either way the first read leaves one sorted,
-// folded slab of entries, the only form a reader ever sees. The solver's
-// tables are built by a burst of adds during one superstep and then
-// scanned read-only by the next join, so each table is compacted exactly
-// once.
+// handed enough to repay one: no append, no sort, no fold — and a join
+// that writes many entries to one vertex takes the vertex's row (Row) and
+// adds into it itself. Any other shard appends entries to unsorted chunks,
+// and the first read compacts them by a packed key (compact.go) — indexed
+// into a dense array of counts where the keys that arrived span few enough
+// values, radix-sorted as (key, count) records otherwise. Either way the
+// first read through Ents leaves one sorted, folded slab of entries. That
+// is the form readers see, but for three that take a table as it lies:
+// Chunks hands out pending chunks unsorted, Row an open box's rows, and
+// MoveBox an open box whole to another matrix shard of the same rows. The
+// solver's tables are built by a burst of adds during one superstep and
+// then scanned read-only by the next join, so each table is compacted at
+// most once.
 //
 // Storage comes from, and goes back to, a process-wide pool of entry
 // slabs (slab.go). A table that fills its chunk chains it and takes
@@ -310,9 +314,9 @@ func (t *Flat) Iter(f func(Key, uint64) bool) {
 
 // Chunks calls f with the table's entries as they lie — compacted or
 // pending, duplicates unfolded, one non-empty chunk at a time in no
-// particular order — without sorting anything. (A pending box has no
-// entries lying anywhere: it is swept first.) The slices alias the table's
-// storage.
+// particular order — without sorting anything. A pending box has no
+// entries lying anywhere: it is swept first (its rows as they lie are
+// Row's and MoveBox's to hand out). The slices alias the table's storage.
 func (t *Flat) Chunks(f func(ents []Ent)) {
 	if t.box != nil && t.box.words != nil {
 		t.compact(nil)

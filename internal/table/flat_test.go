@@ -282,13 +282,15 @@ func TestSlabPoolSharedByConcurrentTables(t *testing.T) {
 // vertices V, start vertices U from the whole graph, k-colour signatures;
 // with a vertex recorded in X as well (a DB walk past a boundary node); and
 // like a start-free walk's shard, (vertex, size-4 signature) only and each
-// key five times over, through a box.
+// key five times over, through a box — entry by entry, and the same keys
+// in runs of one vertex, a row taken per run (Row), as the edge loops write
+// a matrix.
 func BenchmarkFlatBuild(b *testing.B) {
 	for _, c := range []struct {
-		name          string
-		n, verts, k   int
-		homeLo, homes uint32
-		recorded, box bool
+		name                string
+		n, verts, k         int
+		homeLo, homes       uint32
+		recorded, box, rows bool
 	}{
 		{name: "shard4k/n562/k10", n: 4 << 10, verts: 562, k: 10, homeLo: 48, homes: 16},
 		{name: "shard64k/n18k/k5", n: 64 << 10, verts: 18000, k: 5, homeLo: 4090, homes: 36},
@@ -296,6 +298,7 @@ func BenchmarkFlatBuild(b *testing.B) {
 		{name: "dense64k/n50/k5", n: 64 << 10, verts: 50, k: 5, homeLo: 4090, homes: 36}, // 17 key bits, as cycle5-90k's largest shards: the dense index
 		{name: "table1M/n18k/k8", n: 1 << 20, verts: 18000, k: 8, homes: 18000},
 		{name: "box36/n18k/k8", n: 5 * 36 * 70 / 2, k: 8, homeLo: 4090, homes: 36, box: true},
+		{name: "box36rows/n18k/k8", n: 5 * 36 * 70 / 2, k: 8, homeLo: 4090, homes: 36, box: true, rows: true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
@@ -312,6 +315,9 @@ func BenchmarkFlatBuild(b *testing.B) {
 					keys[i].X = uint32(rng.Intn(c.verts))
 				}
 			}
+			if c.rows {
+				slices.SortStableFunc(keys, func(a, b Key) int { return int(a.V) - int(b.V) })
+			}
 			var box Box
 			b.SetBytes(int64(c.n) * 32) // an Ent is 32 bytes
 			b.ReportAllocs()
@@ -321,8 +327,12 @@ func BenchmarkFlatBuild(b *testing.B) {
 				if c.box {
 					f.SetBox(&box, Shape{Lo: c.homeLo, N: c.homes, K: uint8(c.k), Shift: 32})
 				}
-				for _, k := range keys {
-					f.Add(k, 1)
+				if c.rows {
+					addRuns(&f, keys)
+				} else {
+					for _, k := range keys {
+						f.Add(k, 1)
+					}
 				}
 				if f.Len() == 0 {
 					b.Fatal("empty table")
@@ -330,6 +340,26 @@ func BenchmarkFlatBuild(b *testing.B) {
 				f.Release()
 			}
 		})
+	}
+}
+
+// addRuns adds 1 under each of keys, which are sorted by V, a run of one V
+// at a time: into the V's row where f has a box open, else by Add.
+func addRuns(f *Flat, keys []Key) {
+	for i, j := 0, 0; i < len(keys); i = j {
+		for j = i + 1; j < len(keys) && keys[j].V == keys[i].V; j++ {
+		}
+		row, rk := f.Row(keys[i].V)
+		if row == nil {
+			for _, k := range keys[i:j] {
+				f.Add(k, 1)
+			}
+			continue
+		}
+		for _, k := range keys[i:j] {
+			row[rk.Rank[k.S]]++
+		}
+		f.Added(j - i)
 	}
 }
 
@@ -491,6 +521,175 @@ func TestBoxOpensWhenDue(t *testing.T) {
 			t.Fatalf("%d rows of 252: the open box holds %d of %d adds", c.rows, box.box.adds, c.at+10)
 		}
 		box.Release()
+	}
+}
+
+// A join that writes many entries to one vertex of a matrix takes the
+// vertex's row once and adds into it (Row, Added) where the shard has its
+// box open, and appends the entries where it has not. That must be the same
+// table as AddEnt makes of the same entries, for every outcome of the due
+// rule — a box at the first add, one opened at a later chunk fill with the
+// filled chunks moved in, none over boxCap — with the same Absorb count into
+// a declared destination, which is what sim counts as messages. And a row
+// is handed out only while a box is open.
+func TestRowWritesAreEntryAdds(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	sigs := sig.RankingOf(10, 5).Sigs // 252 to a row
+	for _, c := range []struct {
+		name string
+		rows uint32
+	}{{"box at the first add", 8}, {"box at a chunk fill", 40}, {"over the cap", 131}} {
+		// Runs of entries that share their vertex, as a run-major join
+		// writes them.
+		type run struct {
+			v    uint32
+			ents []Ent
+		}
+		var runs []run
+		total := 0
+		for total < 6000 {
+			r := run{v: uint32(rng.Intn(int(c.rows)))}
+			for i := rng.Intn(12); i >= 0; i-- {
+				r.ents = append(r.ents, BinaryEnt(None, r.v, sigs[rng.Intn(len(sigs))], uint64(1+rng.Intn(9))))
+			}
+			runs = append(runs, r)
+			total += len(r.ents)
+		}
+		// write makes the table twice over, by AddEnt and by rows, and
+		// returns how many rows it was handed.
+		write := func() (byEnt, byRow *Flat, rowsTaken int) {
+			byEnt, byRow = boxed(0, c.rows, 10, true), boxed(0, c.rows, 10, true)
+			for _, r := range runs {
+				for _, e := range r.ents {
+					byEnt.AddEnt(e)
+				}
+				open := byRow.box != nil && byRow.box.words != nil
+				row, rk := byRow.Row(r.v)
+				if (row != nil) != open || (rk != nil) != open {
+					t.Fatalf("%s: Row handed out a row %v, a ranking %v, with the box open %v", c.name, row != nil, rk != nil, open)
+				}
+				if row == nil {
+					for _, e := range r.ents {
+						byRow.AddEnt(e)
+					}
+					continue
+				}
+				for _, e := range r.ents {
+					row[rk.Rank[e.S]] += e.C
+				}
+				byRow.Added(len(r.ents))
+				rowsTaken++
+			}
+			return byEnt, byRow, rowsTaken
+		}
+		held := SlabsOut()
+		byEnt, byRow, rowsTaken := write()
+		if kept := byRow.box != nil; kept != (rowsTaken > 0) || kept != (c.rows != 131) {
+			t.Fatalf("%s: %d rows taken, a box kept %v", c.name, rowsTaken, kept)
+		}
+		if c.rows == 40 && rowsTaken == len(runs) {
+			t.Fatalf("%s: the box was open at the first add", c.name)
+		}
+		sameTable(t, c.name, byRow, byEnt)
+		byEnt.Release()
+		byRow.Release()
+
+		// The same again, read by Absorb into declared destinations instead.
+		byEnt, byRow, _ = write()
+		intoEnt, intoRow := boxed(0, c.rows, 10, true), boxed(0, c.rows, 10, true)
+		if movedEnt, movedRow := intoEnt.Absorb(byEnt), intoRow.Absorb(byRow); movedEnt != total || movedRow != total {
+			t.Fatalf("%s: Absorb moved %d entries written as rows and %d added; %d were written", c.name, movedRow, movedEnt, total)
+		}
+		sameTable(t, c.name+", absorbed", intoRow, intoEnt)
+		for _, f := range []*Flat{byEnt, byRow, intoEnt, intoRow} {
+			f.Release()
+		}
+		if SlabsOut() != held {
+			t.Fatalf("%s: %d slabs kept", c.name, SlabsOut()-held)
+		}
+	}
+}
+
+// A leaf block's projection moves each shard's open box, whole, from the
+// walk's table (None, v, α) to the block's (v, None, α): the entries must be
+// exactly those a projection entry by entry makes, the walk's shard left
+// empty and releasable, and every slab given back. A box moved into a shard
+// of other rows — another partition, row count or colour count — or into
+// one that holds entries must panic and leave the box where it was: read
+// at other rows it would alias their cells.
+func TestMoveBoxIsTheProjection(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	held := SlabsOut()
+	for trial := 0; trial < 30; trial++ {
+		k := 3 + rng.Intn(8)
+		h := 1 + rng.Intn(k-1)
+		lo, n := uint32(rng.Intn(1000)), uint32(1+rng.Intn(40))
+		sigs := sig.RankingOf(k, h).Sigs
+		walk, entries := boxed(lo, n, k, true), new(Flat)
+		adds := rng.Intn(3000)
+		for i := 0; i <= adds; i++ {
+			if i == adds/2 && trial%2 == 1 {
+				walk.Len() // read, then written again: the move folds what was compacted back in
+			}
+			e := BinaryEnt(None, lo+uint32(rng.Intn(int(n))), sigs[rng.Intn(len(sigs))], uint64(1+rng.Intn(9)))
+			walk.AddEnt(e)
+			entries.AddEnt(e)
+		}
+		want := new(Flat)
+		for _, e := range entries.Ents() {
+			want.AddEnt(UnaryEnt(e.V(), e.S, e.C))
+		}
+		open := walk.box.words != nil
+
+		for name, dst := range map[string]*Flat{
+			"another partition": boxed(lo+1, n, k, false),
+			"more rows":         boxed(lo, n+1, k, false),
+			"another k":         boxed(lo, n, k+1, false),
+			"an undeclared one": new(Flat),
+			"one with entries":  boxed(lo, n, k, false),
+		} {
+			if name == "one with entries" {
+				dst.AddEnt(UnaryEnt(lo, sigs[0], 1))
+			}
+			func() {
+				defer func() {
+					if recover() == nil && open {
+						t.Errorf("a box was moved into %s", name)
+					}
+				}()
+				if _, ok := dst.MoveBox(walk); ok != open {
+					t.Errorf("MoveBox into %s reported %v with the box open %v", name, ok, open)
+				}
+			}()
+			if walk.box.words == nil && open {
+				t.Fatalf("a refused move into %s took the box", name)
+			}
+			dst.Release()
+		}
+
+		out := boxed(lo, n, k, false)
+		cells, ok := out.MoveBox(walk)
+		if ok != open || ok && cells != want.Len() {
+			t.Fatalf("trial %d: MoveBox moved %v, %d cells; the box was open %v, the projection has %d entries", trial, ok, cells, open, want.Len())
+		}
+		if ok && (walk.Len() != 0 || walk.Total() != 0 || walk.box.words != nil) {
+			t.Fatalf("trial %d: the moved box left %d entries behind", trial, walk.Len())
+		}
+		if !ok { // a shard whose box never opened is projected entry by entry
+			for _, e := range walk.Ents() {
+				out.AddEnt(UnaryEnt(e.V(), e.S, e.C))
+			}
+		}
+		sameTable(t, "moved box", out, want)
+		out.AddEnt(UnaryEnt(lo, sigs[0], 1)) // a moved box takes adds as its own
+		want.AddEnt(UnaryEnt(lo, sigs[0], 1))
+		sameTable(t, "moved box, added to", out, want)
+		for _, f := range []*Flat{walk, entries, want, out} {
+			f.Release()
+		}
+		if SlabsOut() != held {
+			t.Fatalf("trial %d: %d slabs kept", trial, SlabsOut()-held)
+		}
 	}
 }
 
