@@ -361,3 +361,84 @@ func TestCancelInsideSharedPrefix(t *testing.T) {
 		})
 	}
 }
+
+// A root join's index lays out partner rows in pooled words, and a worker
+// that stops mid-join must give them back with the rest. brain3 on the enron
+// stand-in at scale 64 — the benchmark's cycle10-3k, whose probed groups are
+// dense — ends with its root cycle's last join. An uncanceled run first
+// checks that the tables that join reads give dense groups rows. Then, on
+// sim and parallel (parallel alone under -race), the context is armed at the
+// end of the span before that join, so the first poll that sees it is a join
+// worker's, with its index built. The run must return ctx's error and no count, the join's span must
+// be the one the cancellation ended, and every slab must be back.
+func TestCancelThroughPartnerRows(t *testing.T) {
+	g, ok := gen.StandinByName("enron", 64, 1)
+	if !ok {
+		t.Fatal("no enron stand-in")
+	}
+	q := query.MustByName("brain3")
+	colors := randColors(g.N(), q.K, rand.New(rand.NewSource(1)))
+	plan, err := PickPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []string
+	var rows []int // per span: dense groups among the walk tables built by then
+	s := tracedSolver(t, context.Background(), "parallel", 2, g, colors, q.K, func(s *solver, phase string) {
+		spans = append(spans, phase)
+		rows = append(rows, 0)
+		if phase != PhasePathJoin {
+			return
+		}
+		for _, n := range s.walks {
+			if n.table == nil {
+				continue
+			}
+			for w := 0; w < s.be.P(); w++ {
+				lo, hi := s.be.Range(w)
+				ix := indexGroups(lo, hi, n.table.Shard(w).Ents(), colors, q.K)
+				for _, at := range ix.at {
+					if at != noRow {
+						rows[len(rows)-1]++
+					}
+				}
+				ix.release()
+			}
+		}
+	})
+	s.run(plan, 0, nil)
+	last := len(spans)
+	if spans[last-1] != PhaseCycleJoin || rows[last-2] == 0 {
+		t.Fatalf("spans %v, %d dense groups before the last; want a run that ends with a join of rowed tables", spans, rows[last-2])
+	}
+
+	backends := []string{"sim", "parallel"}
+	if raceEnabled {
+		backends = backends[1:]
+	}
+	for _, backend := range backends {
+		held := table.SlabsOut()
+		ctx := &armedCancel{}
+		ctx.Context, ctx.cancel = context.WithCancel(context.Background())
+		tr := obs.NewTrace(t.Name())
+		n, canceledAt := 0, ""
+		tr.SetSink(func(phase string, _ float64) {
+			if n++; n == last-1 {
+				ctx.armed.Store(true)
+			}
+			if canceledAt == "" && ctx.Context.Err() != nil {
+				canceledAt = phase
+			}
+		})
+		got, _, err := CountColorfulContext(obs.WithTrace(ctx, tr), g, q, colors, Options{Backend: backend, Workers: 2, Plan: plan})
+		if !errors.Is(err, context.Canceled) || got != 0 {
+			t.Fatalf("%s: canceled in the root join, the run returned %d and %v", backend, got, err)
+		}
+		if n != last || canceledAt != PhaseCycleJoin {
+			t.Fatalf("%s: %d spans of %d, the cancellation seen at the end of %q; want the last join canceled", backend, n, last, canceledAt)
+		}
+		if left := table.SlabsOut() - held; left != 0 {
+			t.Fatalf("%s: canceled in the root join, the run kept %d slabs", backend, left)
+		}
+	}
+}

@@ -275,11 +275,12 @@ func (s *solver) makeSplit(b *decomp.Block, start, end int, ordered bool) split 
 // block's largest table is read once, here, and never sorted.
 //
 // In a root block the two walks cover every colour between them and share
-// χ(U) and χ(V) alone, so an entry's partner signature is forced and the
-// match is one lookup in the group (withSig); an operation of the load is
-// an entry streamed. With boundary nodes the subquery is smaller than the
-// query, the partner is any signature that meets the entry's in exactly
-// {χ(U), χ(V)}, and the group is scanned; an operation is a pair examined.
+// χ(U) and χ(V) alone, so an entry's partner signature is forced: the match
+// is one load in a dense group's partner row (groupIdx.partner), a binary
+// search elsewhere (withSig); an operation of the load is an entry streamed.
+// With boundary nodes the subquery is smaller than the query, the partner is
+// any signature that meets the entry's in exactly {χ(U), χ(V)}, and the
+// group is scanned; an operation is a pair examined.
 func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, partial []uint64) bool {
 	root, full := len(b.Boundary) == 0, sig.Full(s.k)
 	stream, index, pend := sp.sides(root)
@@ -289,6 +290,10 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 	defer sp.plus.done()
 	defer sp.minus.done()
 	streamPlus := stream == sp.plus
+	var colors []uint8 // a root join's index lays out partner rows
+	if root {
+		colors = s.colors
+	}
 	produce := func(w int, to *engine.Lanes) {
 		var load int64
 		var poll int
@@ -296,6 +301,7 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 		var ix groupIdx
 		var cur groupCursor
 		var need sig.Sig
+		var cu, cv uint8 // χ(U), χ(V)
 		stopped := false
 		stream.table.Shard(w).Chunks(func(chunk []table.Ent) {
 			if stopped {
@@ -303,18 +309,24 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 			}
 			if ix.rows == nil {
 				lo, hi := s.be.Range(w)
-				ix = indexGroups(lo, hi, index.table.Shard(w).Ents())
+				ix = indexGroups(lo, hi, index.table.Shard(w).Ents(), colors, s.k)
 				cur = ix.cursor()
 			}
 			for i := range chunk {
 				k := &chunk[i]
 				if k.VU != cur.vu {
-					need = s.colorOf(k.U()).Union(s.colorOf(k.V()))
+					cu, cv = s.colors[k.U()], s.colors[k.V()]
+					need = sig.Of(cu).Union(sig.Of(cv))
 				}
-				grp := cur.seek(k.VU)
+				grp, g := cur.seek(k.VU)
 				if root {
-					grp = withSig(grp, full.Without(k.S).Union(need))
 					load++
+					if c, ok := ix.partner(g, drop(k.S, cu, cv)); ok {
+						sum += k.C * c
+						grp = nil
+					} else {
+						grp = withSig(grp, full.Without(k.S).Union(need))
+					}
 				} else {
 					load += int64(len(grp))
 				}

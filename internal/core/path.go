@@ -580,17 +580,38 @@ func (s *solver) indexRows(t *engine.Sharded, home func(*table.Ent) uint32) []*r
 // one's at a sentinel word. Rows and groups are one run of pooled words
 // (table.BorrowWords) that release gives back, before the task that built
 // the index ends.
+//
+// A root join's index also gives every dense group a partner row: the
+// group's counts laid out by signature, so that the one partner an entry can
+// have is one load (partner) instead of a binary search (withSig). Every
+// signature of a root group holds χ(U) and χ(V) and has the shard's size h,
+// so a row has width = C(k−2, h−2) cells, one per signature with the two
+// fixed bits dropped (drop). A group is dense when 4·len(group) ≥ width: a
+// row then takes no more words than the group's 32-byte entries, and the
+// index at most doubles. Other groups are searched. at and cells are a
+// second run of pooled words, given back by release too.
 type groupIdx struct {
 	lo      uint32
 	rows    []uint64 // len = partition size + 1
 	groups  []uint64 // len = groups + 1
 	ents    []table.Ent
 	scratch table.Scratch
+
+	at    []uint64     // per group: where its row starts in cells, or noRow
+	cells []uint64     // the dense groups' rows, width cells each
+	rk    *sig.Ranking // of the size-(h−2) signatures over k−2 colours
+	full  sig.Sig      // all k−2 colours
+	rowed table.Scratch
 }
 
+// noRow marks a group that is searched instead.
+const noRow = ^uint64(0)
+
 // indexGroups indexes ents, a shard sorted by (V, U) whose home vertices lie
-// in [lo, hi): one linear walk.
-func indexGroups(lo, hi uint32, ents []table.Ent) groupIdx {
+// in [lo, hi): one linear walk. Given the colouring of a root join over k
+// colours, it lays out the dense groups' partner rows as well; given nil, it
+// lays out none.
+func indexGroups(lo, hi uint32, ents []table.Ent, colors []uint8, k int) groupIdx {
 	n := int(hi - lo)
 	scratch := table.BorrowWords(n + 1 + len(ents) + 1) // no more groups than entries
 	ix := groupIdx{lo: lo, rows: scratch.Words[:n+1], groups: scratch.Words[n+1:], ents: ents, scratch: scratch}
@@ -607,10 +628,74 @@ func indexGroups(lo, hi uint32, ents []table.Ent) groupIdx {
 	ix.rows[n] = uint64(g)
 	ix.groups[g] = uint64(len(ents))
 	ix.groups = ix.groups[:g+1]
+	if colors != nil && g > 0 {
+		ix.layRows(colors, k)
+	}
 	return ix
 }
 
-func (ix *groupIdx) release() { ix.scratch.Return() }
+// layRows gives every dense group its partner row.
+func (ix *groupIdx) layRows(colors []uint8, k int) {
+	h := ix.ents[0].S.Size()
+	ix.rk, ix.full = sig.RankingOf(k-2, h-2), sig.Full(k-2)
+	width := uint64(len(ix.rk.Sigs))
+	g := len(ix.groups) - 1
+	size := func(i int) uint64 { return uint64(uint32(ix.groups[i+1]) - uint32(ix.groups[i])) }
+	dense := 0
+	for i := 0; i < g; i++ {
+		if 4*size(i) >= width {
+			dense++
+		}
+	}
+	ix.rowed = table.BorrowWords(g + dense*int(width))
+	ix.at, ix.cells = ix.rowed.Words[:g], ix.rowed.Words[g:]
+	clear(ix.cells)
+	next := uint64(0)
+	for i := 0; i < g; i++ {
+		if 4*size(i) < width {
+			ix.at[i] = noRow
+			continue
+		}
+		ix.at[i] = next
+		grp := ix.ents[uint32(ix.groups[i]):uint32(ix.groups[i+1])]
+		cu, cv := colors[grp[0].U()], colors[grp[0].V()]
+		for e := range grp {
+			ix.cells[next+uint64(ix.rk.Rank[drop(grp[e].S, cu, cv)])] = grp[e].C
+		}
+		next += width
+	}
+}
+
+func (ix *groupIdx) release() {
+	ix.scratch.Return()
+	ix.rowed.Return()
+}
+
+// partner returns the count, in group g's row, of the signature that
+// completes an entry's to every colour, given the entry's signature with
+// χ(U) and χ(V) dropped (drop); ok is false if g is no group (-1) or has no
+// row. The count is 0 if the group has no such entry.
+func (ix *groupIdx) partner(g int, dropped sig.Sig) (c uint64, ok bool) {
+	if g < 0 || ix.at[g] == noRow {
+		return 0, false
+	}
+	return ix.cells[ix.at[g]+uint64(ix.rk.Rank[ix.full&^dropped])], true
+}
+
+// drop removes colour bits a and b, both of which s holds, from s: the bits
+// above each move down. The higher goes first, so the lower is still where
+// it was.
+func drop(s sig.Sig, a, b uint8) sig.Sig {
+	if a < b {
+		a, b = b, a
+	}
+	return dropBit(dropBit(s, a), b)
+}
+
+func dropBit(s sig.Sig, c uint8) sig.Sig {
+	low := sig.Sig(1)<<c - 1
+	return s&low | s>>1&^low
+}
 
 // groupCursor finds in a groupIdx the group of each entry of a stream. A
 // lane's chunks arrive as the edge loops appended them — V repeating while
@@ -624,16 +709,18 @@ type groupCursor struct {
 	vu      uint64      // the pair last sought
 	at, end int         // in ix.groups: where that search ended, where V's row does
 	found   []table.Ent // what it found
+	g       int         // the group it found, -1 for none
 }
 
 func (ix *groupIdx) cursor() groupCursor {
-	return groupCursor{ix: ix, vu: ^uint64(0)} // (None, None) is no entry's pair
+	return groupCursor{ix: ix, vu: ^uint64(0), g: -1} // (None, None) is no entry's pair
 }
 
-// seek returns the entries grouped under vu, nil if there are none.
-func (c *groupCursor) seek(vu uint64) []table.Ent {
+// seek returns the entries grouped under vu and their group's number, or
+// nil and -1 if there are none.
+func (c *groupCursor) seek(vu uint64) ([]table.Ent, int) {
 	if vu == c.vu {
-		return c.found
+		return c.found, c.g
 	}
 	ix := c.ix
 	if vu>>32 != c.vu>>32 || vu < c.vu {
@@ -654,16 +741,17 @@ func (c *groupCursor) seek(vu uint64) []table.Ent {
 		lo += sort.Search(hi-lo, func(k int) bool { return g[lo+k]>>32 >= u })
 		i = lo
 	}
-	c.at, c.found = i, nil
+	c.at, c.found, c.g = i, nil, -1
 	if i < c.end && g[i]>>32 == u {
-		c.found = ix.ents[uint32(g[i]):uint32(g[i+1])]
+		c.found, c.g = ix.ents[uint32(g[i]):uint32(g[i+1])], i
 	}
-	return c.found
+	return c.found, c.g
 }
 
 // withSig returns the entries of grp — one at most — whose signature is
 // want. grp must be one (V, U) group of a table that records no vertices:
 // its entries then differ in their signatures alone and ascend with them.
+// A root join searches the groups too sparse for a partner row with it.
 func withSig(grp []table.Ent, want sig.Sig) []table.Ent {
 	i := sort.Search(len(grp), func(i int) bool { return grp[i].S >= want })
 	if i < len(grp) && grp[i].S == want {
