@@ -365,12 +365,13 @@ func TestCancelInsideSharedPrefix(t *testing.T) {
 // A root join's index lays out partner rows in pooled words, and a worker
 // that stops mid-join must give them back with the rest. brain3 on the enron
 // stand-in at scale 64 — the benchmark's cycle10-3k, whose probed groups are
-// dense — ends with its root cycle's last join. An uncanceled run first
-// checks that the tables that join reads give dense groups rows. Then, on
-// sim and parallel (parallel alone under -race), the context is armed at the
-// end of the span before that join, so the first poll that sees it is a join
-// worker's, with its index built. The run must return ctx's error and no count, the join's span must
-// be the one the cancellation ended, and every slab must be back.
+// dense — ends with its root cycle's last join. The root's splits are first
+// joined by hand, to check that the table the last join indexes gives dense
+// groups rows. Then, on sim and parallel (parallel alone under -race), the
+// context is armed at the end of the span before that join, so the first
+// poll that sees it is a join worker's, with its index built. The run must
+// return ctx's error and no count, the join's span must be the one the
+// cancellation ended, and every slab must be back.
 func TestCancelThroughPartnerRows(t *testing.T) {
 	g, ok := gen.StandinByName("enron", 64, 1)
 	if !ok {
@@ -383,33 +384,38 @@ func TestCancelThroughPartnerRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	var spans []string
-	var rows []int // per span: dense groups among the walk tables built by then
-	s := tracedSolver(t, context.Background(), "parallel", 2, g, colors, q.K, func(s *solver, phase string) {
+	s := tracedSolver(t, context.Background(), "parallel", 2, g, colors, q.K, func(_ *solver, phase string) {
 		spans = append(spans, phase)
-		rows = append(rows, 0)
-		if phase != PhasePathJoin {
-			return
-		}
-		for _, n := range s.walks {
-			if n.table == nil {
-				continue
-			}
-			for w := 0; w < s.be.P(); w++ {
-				lo, hi := s.be.Range(w)
-				ix := indexGroups(lo, hi, n.table.Shard(w).Ents(), colors, q.K)
-				for _, at := range ix.at {
-					if at != noRow {
-						rows[len(rows)-1]++
-					}
-				}
-				ix.release()
-			}
-		}
 	})
 	s.run(plan, 0, nil)
 	last := len(spans)
-	if spans[last-1] != PhaseCycleJoin || rows[last-2] == 0 {
-		t.Fatalf("spans %v, %d dense groups before the last; want a run that ends with a join of rowed tables", spans, rows[last-2])
+	if spans[last-1] != PhaseCycleJoin {
+		t.Fatalf("spans %v; want a run that ends with a join", spans)
+	}
+	// The root's splits joined by hand, the last one's index sized first.
+	s = tracedSolver(t, context.Background(), "parallel", 2, g, colors, q.K, func(*solver, string) {})
+	root := s.solveBelowRoot(plan)
+	splits, partial := s.splits(root), make([]uint64, s.be.P())
+	for _, sp := range splits[:len(splits)-1] {
+		s.joinSplit(root, sp, nil, partial)
+	}
+	_, index, _ := splits[len(splits)-1].sides(true)
+	s.buildPath(index, false)
+	rows := 0
+	for w := 0; w < s.be.P(); w++ {
+		lo, hi := s.be.Range(w)
+		ix := indexGroups(lo, hi, index.table.Shard(w).Ents(), colors, q.K)
+		for _, at := range ix.at {
+			if at != noRow {
+				rows++
+			}
+		}
+		ix.release()
+	}
+	s.joinSplit(root, splits[len(splits)-1], nil, partial)
+	s.walks.release()
+	if rows == 0 {
+		t.Fatal("the root's last join indexes a table with no dense group")
 	}
 
 	backends := []string{"sim", "parallel"}

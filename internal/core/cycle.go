@@ -301,7 +301,6 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 		var ix groupIdx
 		var cur groupCursor
 		var need sig.Sig
-		var cu, cv uint8 // χ(U), χ(V)
 		stopped := false
 		stream.table.Shard(w).Chunks(func(chunk []table.Ent) {
 			if stopped {
@@ -315,13 +314,12 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 			for i := range chunk {
 				k := &chunk[i]
 				if k.VU != cur.vu {
-					cu, cv = s.colors[k.U()], s.colors[k.V()]
-					need = sig.Of(cu).Union(sig.Of(cv))
+					need = s.colorOf(k.U()).Union(s.colorOf(k.V()))
 				}
 				grp, g := cur.seek(k.VU)
 				if root {
 					load++
-					if c, ok := ix.partner(g, drop(k.S, cu, cv)); ok {
+					if c, ok := ix.partner(g, k.S, need); ok {
 						sum += k.C * c
 						grp = nil
 					} else {

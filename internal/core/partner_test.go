@@ -28,11 +28,11 @@ func undrop(r sig.Sig, a, b uint8) sig.Sig {
 // A root join's partner row must answer as the binary search does: for
 // random root-shaped shards — every signature of a (V, U) group holds χ(U)
 // and χ(V) and has the shard's size h — over k ∈ {3, 5, 10, 16} colours and
-// every 2 ≤ h ≤ k, with groups on both sides of the 4·len ≥ width rule
-// (width 1 at h = 2 and h = k), every signature an entry streamed against
-// the group can have finds the same count in the row as withSig finds, or
-// finds 0 where withSig finds nothing. Only the dense groups have a row, and
-// release gives back every slab the index took.
+// every 2 ≤ h ≤ k, with groups on both sides of the rowed rule (no group is
+// rowed below width 4, and width is 1 at h = 2 and h = k), every signature
+// an entry streamed against the group can have finds the same count in the
+// row as withSig finds, or finds 0 where withSig finds nothing. Only the
+// dense groups have a row, and release gives back every slab the index took.
 func TestPartnerRowsMatchSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	const lo, hi, nv = 4, 10, 24
@@ -41,7 +41,7 @@ func TestPartnerRowsMatchSearch(t *testing.T) {
 		for h := 2; h <= k; h++ {
 			rows := sig.RankingOf(k-2, h-2)
 			width := len(rows.Sigs)
-			threshold := (width + 3) / 4 // the fewest entries a dense group has
+			threshold := max(4, (width+3)/4) // the fewest entries a dense group has
 			sizes := []int{1, threshold - 1, threshold, width}
 			colors := make([]uint8, nv)
 			for v := range colors {
@@ -51,7 +51,7 @@ func TestPartnerRowsMatchSearch(t *testing.T) {
 			for v := uint32(lo); v < hi; v++ {
 				for u := uint32(0); u < nv; u++ {
 					size := sizes[rng.Intn(len(sizes))]
-					if colors[u] == colors[v] || size < 1 || rng.Intn(3) == 0 {
+					if colors[u] == colors[v] || size < 1 || size > width || rng.Intn(3) == 0 {
 						continue
 					}
 					var grp []table.Ent
@@ -68,7 +68,7 @@ func TestPartnerRowsMatchSearch(t *testing.T) {
 			ix := indexGroups(lo, hi, ents, colors, k)
 			cur := ix.cursor()
 			streamed := sig.RankingOf(k-2, k-h).Sigs
-			var rowed, searched int
+			var withRow, searched int
 			for j := 0; j < len(ents); {
 				grp, g := cur.seek(ents[j].VU)
 				if g < 0 || &grp[0] != &ents[j] {
@@ -78,8 +78,8 @@ func TestPartnerRowsMatchSearch(t *testing.T) {
 				need := sig.Of(cu).Union(sig.Of(cv))
 				for _, r := range streamed {
 					s := undrop(r, cu, cv)
-					c, ok := ix.partner(g, drop(s, cu, cv))
-					if ok != (4*len(grp) >= width) {
+					c, ok := ix.partner(g, s, need)
+					if ok != rowed(uint64(len(grp)), uint64(width)) {
 						t.Fatalf("k=%d h=%d: a group of %d entries at width %d has a row: %v", k, h, len(grp), width, ok)
 					}
 					if !ok {
@@ -94,8 +94,8 @@ func TestPartnerRowsMatchSearch(t *testing.T) {
 							k, h, ents[j].V(), ents[j].U(), len(grp), c, s, want)
 					}
 				}
-				if 4*len(grp) >= width {
-					rowed++
+				if rowed(uint64(len(grp)), uint64(width)) {
+					withRow++
 				} else {
 					searched++
 				}
@@ -108,8 +108,8 @@ func TestPartnerRowsMatchSearch(t *testing.T) {
 			if left := table.SlabsOut() - held; left != 0 {
 				t.Fatalf("k=%d h=%d: the index kept %d slabs", k, h, left)
 			}
-			if rowed == 0 || searched == 0 && threshold > 1 {
-				t.Fatalf("k=%d h=%d, width %d: %d groups with a row, %d searched; the test needs both", k, h, width, rowed, searched)
+			if withRow == 0 && threshold <= width || searched == 0 {
+				t.Fatalf("k=%d h=%d, width %d: %d groups with a row, %d searched; the test needs both", k, h, width, withRow, searched)
 			}
 		}
 	}

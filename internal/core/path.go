@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/decomp"
@@ -581,15 +582,14 @@ func (s *solver) indexRows(t *engine.Sharded, home func(*table.Ent) uint32) []*r
 // (table.BorrowWords) that release gives back, before the task that built
 // the index ends.
 //
-// A root join's index also gives every dense group a partner row: the
-// group's counts laid out by signature, so that the one partner an entry can
-// have is one load (partner) instead of a binary search (withSig). Every
+// A root join's index also gives every dense group (rowed) a partner row:
+// the group's counts laid out by signature, so that the one partner an entry
+// can have is one load (partner) instead of a binary search (withSig). Every
 // signature of a root group holds χ(U) and χ(V) and has the shard's size h,
 // so a row has width = C(k−2, h−2) cells, one per signature with the two
-// fixed bits dropped (drop). A group is dense when 4·len(group) ≥ width: a
-// row then takes no more words than the group's 32-byte entries, and the
-// index at most doubles. Other groups are searched. at and cells are a
-// second run of pooled words, given back by release too.
+// fixed bits dropped (drop). Other groups are searched. at and cells are a
+// second run of pooled words, given back by release too; a shard with no
+// dense group borrows none.
 type groupIdx struct {
 	lo      uint32
 	rows    []uint64 // len = partition size + 1
@@ -606,6 +606,17 @@ type groupIdx struct {
 
 // noRow marks a group that is searched instead.
 const noRow = ^uint64(0)
+
+// rowed says whether a root group of n entries gets a partner row of width
+// cells. A row is laid out once and read once per entry streamed against
+// the group, and a small group has few: on cycle5-90k (glet2, width 3)
+// every group holds 1–3 entries and 1.3–1.5 entries stream per group, and a
+// row read that rarely costs more than the one or two probes a search of
+// the group takes (1.3–1.9× per streamed entry at one read per group). So a
+// row needs a group a search would probe 3 times: 4 entries or more. 4·n ≥
+// width keeps a row within the group's 32-byte entries, so the index at
+// most doubles; on cycle10-3k (width 56) that is the rule that binds.
+func rowed(n, width uint64) bool { return n >= 4 && 4*n >= width }
 
 // indexGroups indexes ents, a shard sorted by (V, U) whose home vertices lie
 // in [lo, hi): one linear walk. Given the colouring of a root join over k
@@ -643,24 +654,27 @@ func (ix *groupIdx) layRows(colors []uint8, k int) {
 	size := func(i int) uint64 { return uint64(uint32(ix.groups[i+1]) - uint32(ix.groups[i])) }
 	dense := 0
 	for i := 0; i < g; i++ {
-		if 4*size(i) >= width {
+		if rowed(size(i), width) {
 			dense++
 		}
+	}
+	if dense == 0 {
+		return
 	}
 	ix.rowed = table.BorrowWords(g + dense*int(width))
 	ix.at, ix.cells = ix.rowed.Words[:g], ix.rowed.Words[g:]
 	clear(ix.cells)
 	next := uint64(0)
 	for i := 0; i < g; i++ {
-		if 4*size(i) < width {
+		if !rowed(size(i), width) {
 			ix.at[i] = noRow
 			continue
 		}
 		ix.at[i] = next
 		grp := ix.ents[uint32(ix.groups[i]):uint32(ix.groups[i+1])]
-		cu, cv := colors[grp[0].U()], colors[grp[0].V()]
+		need := sig.Of(colors[grp[0].U()]).Union(sig.Of(colors[grp[0].V()]))
 		for e := range grp {
-			ix.cells[next+uint64(ix.rk.Rank[drop(grp[e].S, cu, cv)])] = grp[e].C
+			ix.cells[next+uint64(ix.rk.Rank[drop(grp[e].S, need)])] = grp[e].C
 		}
 		next += width
 	}
@@ -672,24 +686,22 @@ func (ix *groupIdx) release() {
 }
 
 // partner returns the count, in group g's row, of the signature that
-// completes an entry's to every colour, given the entry's signature with
-// χ(U) and χ(V) dropped (drop); ok is false if g is no group (-1) or has no
-// row. The count is 0 if the group has no such entry.
-func (ix *groupIdx) partner(g int, dropped sig.Sig) (c uint64, ok bool) {
-	if g < 0 || ix.at[g] == noRow {
+// completes s to every colour, s being an entry's signature and need its
+// {χ(U), χ(V)}; ok is false if g is no group (-1) or has no row. The count
+// is 0 if the group has no such entry.
+func (ix *groupIdx) partner(g int, s, need sig.Sig) (c uint64, ok bool) {
+	if g < 0 || ix.at == nil || ix.at[g] == noRow {
 		return 0, false
 	}
-	return ix.cells[ix.at[g]+uint64(ix.rk.Rank[ix.full&^dropped])], true
+	return ix.cells[ix.at[g]+uint64(ix.rk.Rank[ix.full&^drop(s, need)])], true
 }
 
-// drop removes colour bits a and b, both of which s holds, from s: the bits
-// above each move down. The higher goes first, so the lower is still where
-// it was.
-func drop(s sig.Sig, a, b uint8) sig.Sig {
-	if a < b {
-		a, b = b, a
-	}
-	return dropBit(dropBit(s, a), b)
+// drop removes from s the two colour bits of pair, both of which s holds:
+// the bits above each move down. The higher goes first, so the lower is
+// still where it was.
+func drop(s, pair sig.Sig) sig.Sig {
+	hi, lo := uint8(bits.Len32(uint32(pair))-1), uint8(bits.TrailingZeros32(uint32(pair)))
+	return dropBit(dropBit(s, hi), lo)
 }
 
 func dropBit(s sig.Sig, c uint8) sig.Sig {
