@@ -13,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/sig"
 	"repro/internal/table"
 )
 
@@ -141,8 +142,11 @@ func TestCancelMidBuild(t *testing.T) {
 	// Inside one shard too: a hub's shard of 1.3 M entries is tens of
 	// milliseconds of compaction, which polls between its passes. Canceled at
 	// any of those polls it gives its buffers back and leaves the shard
-	// unread; so does a box, whose sweep — 256 KiB at most — polls once.
+	// unread; so does a box, whose sweep polls once — one opened as it was
+	// written, and one over boxCap (1024 rows of 70) that the compaction
+	// opens because its 2^16 entries fill a quarter of it, and leaves open.
 	one := engine.NewRuntime(engine.SimName, 1, 1, n)
+	sigs := sig.RankingOf(8, 4).Sigs
 	for name, fill := range map[string]func() *engine.Sharded{
 		"chunks": func() *engine.Sharded {
 			hub := engine.NewSharded(one)
@@ -160,16 +164,28 @@ func TestCancelMidBuild(t *testing.T) {
 			}
 			return box
 		},
+		"a box opened at compaction": func() *engine.Sharded {
+			box := engine.NewMatrix(engine.NewRuntime(engine.SimName, 1, 1, 1024), 8, false)
+			for i := uint32(0); i < 1<<16; i++ {
+				box.Shard(0).AddEnt(table.UnaryEnt(i%1024, sigs[i%uint32(len(sigs))], 1))
+			}
+			return box
+		},
 	} {
 		held := table.SlabsOut()
 		for poll := int64(2); ; poll++ { // track's own poll, before the shard, is the first
 			hub := fill()
 			ctx := cancelAtPoll(poll)
 			s := newSolver(ctx, nil, nil, 1, one, DB)
+			boxOpen := func() bool { row, _ := hub.Shard(0).Row(0); return row != nil }
+			before := boxOpen()
 			s.track(hub)
 			canceled := errors.Is(ctx.Err(), context.Canceled)
 			if canceled != (s.entries == 0) || canceled != s.stop.Load() {
 				t.Fatalf("%s, poll %d: canceled %v, latched %v, %d entries counted", name, poll, canceled, s.stop.Load(), s.entries)
+			}
+			if name == "a box opened at compaction" && (before || boxOpen() != canceled) {
+				t.Fatalf("%s, poll %d: a box open before the build %v, after it %v", name, poll, before, boxOpen())
 			}
 			hub.Release()
 			if left := table.SlabsOut() - held; left != 0 {

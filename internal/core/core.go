@@ -77,8 +77,8 @@ type Options struct {
 	// Workers is the execution width: simulated ranks for the sim
 	// backend (≤ 0 means 4), real worker goroutines for parallel (≤ 0
 	// means GOMAXPROCS) — either way bands of the partitions the vertex
-	// count alone decides — and total partitions for dist (≤ 0 means 4 per
-	// worker process).
+	// count alone decides. Under dist the width is the worker processes,
+	// and Workers is ignored.
 	Workers int
 	// Plan overrides the decomposition tree; nil uses the calibrated §6
 	// planner (PickPlan).

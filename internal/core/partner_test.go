@@ -5,9 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/engine"
-	"repro/internal/gen"
-	"repro/internal/query"
 	"repro/internal/sig"
 	"repro/internal/table"
 )
@@ -110,48 +107,6 @@ func TestPartnerRowsMatchSearch(t *testing.T) {
 			}
 			if withRow == 0 && threshold <= width || searched == 0 {
 				t.Fatalf("k=%d h=%d, width %d: %d groups with a row, %d searched; the test needs both", k, h, width, withRow, searched)
-			}
-		}
-	}
-}
-
-// Colours are names: relabelling them by a permutation π of [k] maps every
-// colourful match to one, so count(g, q, π∘χ) = count(g, q, χ). A
-// permutation moves every rank and every bit a partner row drops, so this is
-// what a row laid out or read at the wrong cell breaks. The instances are
-// the benchmark's two cycle workloads — brain3 on the enron stand-in at
-// scale 64 and glet2 at scale 2 — on sim and parallel; -short and -race
-// count each twice, once as coloured and once relabelled.
-func TestRelabelKeepsCount(t *testing.T) {
-	for _, c := range []struct {
-		query string
-		scale int
-	}{{"brain3", 64}, {"glet2", 2}} {
-		g, ok := gen.StandinByName("enron", c.scale, 1)
-		if !ok {
-			t.Fatal("no enron stand-in")
-		}
-		q := query.MustByName(c.query)
-		rng := rand.New(rand.NewSource(int64(c.scale)))
-		colors := randColors(g.N(), q.K, rng)
-		backends, perms := []string{engine.SimName, engine.ParallelName}, 2
-		if testing.Short() || raceEnabled {
-			backends, perms = backends[:1], 1
-		}
-		want := count(t, g, q, colors, Options{Backend: backends[0], Workers: 2})
-		if want == 0 {
-			t.Fatalf("%s: no colourful match to relabel", c.query)
-		}
-		for _, backend := range backends {
-			for p := 0; p < perms; p++ {
-				pi := rng.Perm(q.K)
-				relabelled := make([]uint8, len(colors))
-				for v, c := range colors {
-					relabelled[v] = uint8(pi[c])
-				}
-				if got := count(t, g, q, relabelled, Options{Backend: backend, Workers: 2}); got != want {
-					t.Fatalf("%s on %s, colours relabelled by %v: counted %d, %d as coloured", c.query, backend, pi, got, want)
-				}
 			}
 		}
 	}

@@ -30,8 +30,9 @@ func local(name string, workers int) backend {
 
 // equivalenceBackends returns the runtimes whose counts and content-
 // determined counters must agree: sim at four ranks (the reference) and at
-// one, parallel at one, two and three workers, and a two-rank loopback
-// cluster that lives as long as the test.
+// one, parallel at one, two and three workers, sim at two ranks over five
+// partitions (bands of three and two, where the grain rule cuts eight), and
+// a two-rank loopback cluster that lives as long as the test.
 func equivalenceBackends(t *testing.T) []backend {
 	cluster, err := dist.Loopback(2, dist.WorkerOptions{})
 	if err != nil {
@@ -40,8 +41,11 @@ func equivalenceBackends(t *testing.T) []backend {
 	t.Cleanup(func() { cluster.Close() })
 	return []backend{
 		local("sim", 4), local("sim", 1), local("parallel", 1), local("parallel", 2), local("parallel", 3),
+		{"sim@2 over 5 partitions", func(job engine.Job) core.Options {
+			return core.Options{Engine: engine.NewRuntime(engine.SimName, 5, 2, job.N)}
+		}},
 		{"dist@2", func(job engine.Job) core.Options {
-			be, err := cluster.NewJob(5, job)
+			be, err := cluster.NewJob(0, job)
 			if err != nil {
 				t.Fatal(err)
 			}

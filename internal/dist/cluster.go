@@ -14,9 +14,6 @@ import (
 
 // Options configures a coordinator cluster.
 type Options struct {
-	// Parts is the default total partition count when a job does not
-	// request one (engine workers ≤ 0); 0 means 4 per worker node.
-	Parts int
 	// Logger receives node-lifecycle warnings; nil discards them.
 	Logger *slog.Logger
 }
@@ -258,24 +255,18 @@ func (c *Cluster) sendGraph(n *node, j *cjob) {
 }
 
 // NewJob starts one counting run across the cluster and returns the
-// coordinator backend driving it. workers ≤ 0 means the cluster default
-// partition count (Options.Parts, else 4 per node); otherwise workers is
-// the total partition count, mirroring the sim backend's rank count.
-func (c *Cluster) NewJob(workers int, job engine.Job) (engine.Backend, error) {
+// coordinator backend driving it. The run's workers are the cluster's
+// worker processes, each a band of the partitions the engine's grain rule
+// cuts from job.N, as sim's ranks and parallel's goroutines are: the workers
+// argument, a width for the other backends, decides nothing here.
+func (c *Cluster) NewJob(_ int, job engine.Job) (engine.Backend, error) {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
 		return nil, fmt.Errorf("dist: cluster is closed")
 	}
-	parts := workers
-	if parts <= 0 {
-		parts = c.opts.Parts
-	}
-	if parts <= 0 {
-		parts = 4 * len(c.nodes)
-	}
-	start, err := makeJobStart(len(c.nodes), parts, job)
+	start, err := makeJobStart(len(c.nodes), job)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +317,7 @@ func (c *Cluster) NewJob(workers int, job engine.Job) (engine.Backend, error) {
 		}
 	}()
 
-	return newCoord(len(c.nodes), parts, job.N, j), nil
+	return newCoord(len(c.nodes), job.N, j), nil
 }
 
 // cjob is the coordinator-side state of one in-flight job.

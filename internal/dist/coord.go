@@ -28,10 +28,10 @@ type Coord struct {
 }
 
 // newCoord returns the coordinator's backend for job j, over the topology
-// its ranks derive from the same three integers.
-func newCoord(ranks, parts, n int, j *cjob) *Coord {
+// its ranks derive from the same two integers.
+func newCoord(ranks, n int, j *cjob) *Coord {
 	barrier := func(step int64, _ []*engine.Sharded, _ *engine.Sharded) { _ = j.barrier(step) }
-	return &Coord{Runtime: engine.NewRuntime(engine.DistName, parts, ranks, n).Wired(0, 0, 1, barrier), job: j}
+	return &Coord{Runtime: engine.NewRuntime(engine.DistName, 0, ranks, n).Wired(0, 0, 1, barrier), job: j}
 }
 
 // Reduce gathers every rank's final report and returns the global count.

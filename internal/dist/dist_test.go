@@ -45,13 +45,13 @@ func loopback(t *testing.T, ranks int) *dist.Cluster {
 	return c
 }
 
-func countVia(t *testing.T, c *dist.Cluster, parts int, g *graph.Graph, q *query.Graph, colors []uint8, alg core.Algorithm) (uint64, core.Stats) {
+func countVia(t *testing.T, c *dist.Cluster, g *graph.Graph, q *query.Graph, colors []uint8, alg core.Algorithm) (uint64, core.Stats) {
 	t.Helper()
 	plan, err := core.PickPlan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := c.NewJob(parts, engine.Job{
+	be, err := c.NewJob(0, engine.Job{
 		N: g.N(), Graph: g, Colors: colors, Query: q, Plan: plan,
 		Algorithm: int(alg), Mode: engine.ModeCount,
 	})
@@ -65,8 +65,59 @@ func countVia(t *testing.T, c *dist.Cluster, parts int, g *graph.Graph, q *query
 	return count, stats
 }
 
-// The PR's correctness bar: the dist backend is bit-identical to sim and
-// parallel on every catalog query, for several rank and partition counts.
+// onRanks runs solve on every rank of a solverless loopback session —
+// parts partitions dealt to ranks ranks, at a partition count a job's grain
+// rule would not cut — at once, as the worker processes of a job run the
+// solver (SPMD), and returns what each returned.
+func onRanks[T any](t *testing.T, ranks, parts, n int, solve func(be engine.Backend) (T, error)) []T {
+	t.Helper()
+	bes, stop := dist.LoopbackRanks(ranks, parts, n, 2)
+	defer stop()
+	out, errs := make([]T, ranks), make([]error, ranks)
+	var wg sync.WaitGroup
+	for r, be := range bes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[r], errs[r] = solve(be)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// countOnRanks is countVia on onRanks' rig: the count is the sum of the
+// ranks', and the supersteps are every rank's.
+func countOnRanks(t *testing.T, ranks, parts int, g *graph.Graph, q *query.Graph, colors []uint8, alg core.Algorithm) (count uint64, steps int64) {
+	t.Helper()
+	plan, err := core.PickPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		count uint64
+		steps int64
+	}
+	for _, r := range onRanks(t, ranks, parts, g.N(), func(be engine.Backend) (result, error) {
+		c, st, err := core.CountColorful(g, q, colors, core.Options{Algorithm: alg, Plan: plan, Engine: be})
+		return result{c, st.Supersteps}, err
+	}) {
+		if steps != 0 && r.steps != steps {
+			t.Fatalf("%s on %d ranks of %d partitions: the ranks ran %d and %d supersteps", q.Name, ranks, parts, steps, r.steps)
+		}
+		count, steps = count+r.count, r.steps
+	}
+	return count, steps
+}
+
+// The dist backend is bit-identical to sim on every catalog query at one,
+// two and three ranks: a job's, at the grain rule's partition count, and the
+// ranks' alone at one partition (some ranks own none) and at seven.
 func TestLoopbackEquivalenceCatalog(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := gen.PowerLawGraph("pl", 400, 1.5, rng)
@@ -84,14 +135,14 @@ func TestLoopbackEquivalenceCatalog(t *testing.T) {
 				t.Fatal(err)
 			}
 			for ranks, c := range clusters {
-				for _, parts := range []int{0, 1, 7} {
-					got, stats := countVia(t, c, parts, g, q, colors, alg)
-					if got != want {
-						t.Errorf("%s %s ranks=%d parts=%d: dist %d, sim %d", q.Name, alg, ranks, parts, got, want)
-					}
-					if stats.Supersteps != wantStats.Supersteps {
-						t.Errorf("%s %s ranks=%d parts=%d: dist ran %d supersteps, sim %d",
-							q.Name, alg, ranks, parts, stats.Supersteps, wantStats.Supersteps)
+				got, stats := countVia(t, c, g, q, colors, alg)
+				if got != want || stats.Supersteps != wantStats.Supersteps {
+					t.Errorf("%s %s ranks=%d: dist %d in %d supersteps, sim %d in %d", q.Name, alg, ranks, got, stats.Supersteps, want, wantStats.Supersteps)
+				}
+				for _, parts := range []int{1, 7} {
+					got, steps := countOnRanks(t, ranks, parts, g, q, colors, alg)
+					if got != want || steps != wantStats.Supersteps {
+						t.Errorf("%s %s ranks=%d parts=%d: the ranks count %d in %d supersteps, sim %d in %d", q.Name, alg, ranks, parts, got, steps, want, wantStats.Supersteps)
 					}
 				}
 			}
@@ -100,7 +151,8 @@ func TestLoopbackEquivalenceCatalog(t *testing.T) {
 }
 
 // Per-vertex mode: the assembled vector must match sim exactly, block by
-// block.
+// block — a job's, and the sum of two ranks' over five partitions, bands of
+// three and two.
 func TestLoopbackEquivalencePerVertex(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := gen.PowerLawGraph("pl", 300, 1.6, rng)
@@ -116,7 +168,7 @@ func TestLoopbackEquivalencePerVertex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		be, err := c.NewJob(5, engine.Job{
+		be, err := c.NewJob(0, engine.Job{
 			N: g.N(), Graph: g, Colors: colors, Query: q, Plan: plan,
 			Mode: engine.ModePerVertex, Anchor: simAnchor,
 		})
@@ -132,6 +184,18 @@ func TestLoopbackEquivalencePerVertex(t *testing.T) {
 		}
 		if !reflect.DeepEqual(simPer, distPer) {
 			t.Errorf("%s: per-vertex counts diverged between sim and dist", qn)
+		}
+		ranksPer := make([]uint64, g.N())
+		for _, per := range onRanks(t, 2, 5, g.N(), func(be engine.Backend) ([]uint64, error) {
+			per, _, _, err := core.CountColorfulPerVertex(g, q, colors, simAnchor, core.Options{Plan: plan, Engine: be})
+			return per, err
+		}) {
+			for v, n := range per {
+				ranksPer[v] += n
+			}
+		}
+		if !reflect.DeepEqual(simPer, ranksPer) {
+			t.Errorf("%s: per-vertex counts diverged between sim and two ranks of five partitions", qn)
 		}
 	}
 }
@@ -150,9 +214,11 @@ func TestLoopbackEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := countVia(t, c, 1+rng.Intn(9), g, q, colors, alg)
-		if got != want {
-			t.Fatalf("trial %d: %s on %s: dist %d != sim %d", trial, alg, q.Name, got, want)
+		parts := 1 + rng.Intn(9)
+		got, _ := countVia(t, c, g, q, colors, alg)
+		ranksGot, _ := countOnRanks(t, 3, parts, g, q, colors, alg)
+		if got != want || ranksGot != want {
+			t.Fatalf("trial %d: %s on %s: dist %d, three ranks of %d partitions %d, sim %d", trial, alg, q.Name, got, parts, ranksGot, want)
 		}
 	}
 }
@@ -182,7 +248,7 @@ func TestLoopbackConcurrentJobs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _ := countVia(t, c, 4+i, g, jb.q, jb.colors, core.PS)
+			got, _ := countVia(t, c, g, jb.q, jb.colors, core.PS)
 			if got != jb.want {
 				t.Errorf("job %d (%s): dist %d != sim %d", i, jb.q.Name, got, jb.want)
 			}
@@ -421,12 +487,14 @@ func TestSharedGraphCacheOutlivesSession(t *testing.T) {
 	colors := randColors(g.N(), q.K, rand.New(rand.NewSource(5)))
 	cache := dist.NewGraphCache(2)
 	session := func() (count uint64, sent int64) {
-		c, err := dist.Loopback(2, dist.WorkerOptions{Cache: cache})
+		// One goroutine a rank stages its lanes in one order, so both
+		// sessions relay byte-identical step batches and differ by the graph.
+		c, err := dist.Loopback(2, dist.WorkerOptions{Cache: cache, Conc: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		count, _ = countVia(t, c, 2, g, q, colors, core.DB)
+		count, _ = countVia(t, c, g, q, colors, core.DB)
 		for _, n := range c.NodeStats() {
 			sent += n.BytesSent
 		}

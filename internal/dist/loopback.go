@@ -32,10 +32,11 @@ func Loopback(ranks int, opts WorkerOptions) (*Cluster, error) {
 // that has no solver attached, so a caller can drive their supersteps
 // directly — the same Step on every rank at once, as SPMD solvers would:
 // the engine conformance table runs the same cases on them as on the
-// in-process backends. Every frame crosses the real codec to a relay that
-// queues a batch at its destination rank and discards the rest. Each rank
-// runs its tasks on conc goroutines (WorkerOptions.Conc). stop closes the
-// session.
+// in-process backends, and a test can run a solver on each at a partition
+// count, parts, no job would cut. Every frame crosses the real codec to a
+// relay that queues a batch at its destination rank and discards the rest.
+// Each rank runs its tasks on conc goroutines (WorkerOptions.Conc). stop
+// closes the session.
 func LoopbackRanks(ranks, parts, n, conc int) (bes []engine.Backend, stop func()) {
 	jobs := make([]*wjob, ranks)
 	pipes := make([]net.Conn, 0, 2*ranks)

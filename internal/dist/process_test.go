@@ -34,7 +34,7 @@ func TestThreeBackendStepsDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			distCount, distStats := countVia(t, c, 3, g, q, colors, alg)
+			distCount, distStats := countVia(t, c, g, q, colors, alg)
 			if simCount != parCount || simCount != distCount {
 				t.Errorf("%s %s: counts diverge sim=%d parallel=%d dist=%d", q.Name, alg, simCount, parCount, distCount)
 			}
@@ -92,7 +92,7 @@ func TestTwoProcessWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := countVia(t, c, 5, g, q, colors, core.PS)
+		got, _ := countVia(t, c, g, q, colors, core.PS)
 		if got != want {
 			t.Errorf("%s over TCP: dist %d, sim %d", q.Name, got, want)
 		}

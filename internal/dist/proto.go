@@ -22,7 +22,6 @@ type helloMsg struct {
 
 type jobStartMsg struct {
 	Ranks      int32
-	Parts      int32
 	N          int64
 	GraphFP    uint64
 	Colors     []uint8
@@ -197,10 +196,11 @@ func decodePlan(w planWire, q *query.Graph) (*decomp.Tree, error) {
 }
 
 // makeJobStart returns the validated, wire-ready form of an engine.Job. The
-// partition topology travels as three integers — ranks, parts, N — from
-// which the coordinator and every rank build the same engine.Runtime block
-// map and bands (newCoord, newRank): no assignment table ever travels.
-func makeJobStart(ranks, parts int, job engine.Job) (jobStartMsg, error) {
+// partition topology travels as two integers — ranks and N — from which the
+// coordinator and every rank build the same engine.Runtime block map, the
+// grain rule's partitions, and bands (newCoord, newRank): no assignment
+// table ever travels.
+func makeJobStart(ranks int, job engine.Job) (jobStartMsg, error) {
 	if job.Graph == nil || job.Query == nil || job.Plan == nil || job.Colors == nil {
 		return jobStartMsg{}, fmt.Errorf("dist: backend needs the full job context (graph, query, plan, colors)")
 	}
@@ -213,7 +213,6 @@ func makeJobStart(ranks, parts int, job engine.Job) (jobStartMsg, error) {
 	}
 	return jobStartMsg{
 		Ranks:      int32(ranks),
-		Parts:      int32(parts),
 		N:          int64(job.N),
 		GraphFP:    job.Graph.Fingerprint(),
 		Colors:     job.Colors,

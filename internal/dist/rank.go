@@ -23,8 +23,8 @@ type rank struct {
 }
 
 // newRank returns rank r of a job whose n vertices are cut into parts
-// partitions dealt to ranks ranks, running its tasks on conc goroutines
-// (≤ 0: GOMAXPROCS).
+// partitions (≤ 0: the grain rule's, as a job's are) dealt to ranks ranks,
+// running its tasks on conc goroutines (≤ 0: GOMAXPROCS).
 func newRank(ranks, parts, n, r int, j *wjob, conc int) *rank {
 	if conc <= 0 {
 		conc = runtime.GOMAXPROCS(0)

@@ -44,8 +44,10 @@ import (
 
 // protoVersion guards against mixed binaries on the two conn ends. 2: a
 // step batch carries lanes of packed table entries, not keyed counts — gob
-// would decode either as an empty batch of the other.
-const protoVersion = 2
+// would decode either as an empty batch of the other. 3: a job start carries
+// no partition count — gob would drop an old coordinator's, and the two ends
+// would cut the vertices differently.
+const protoVersion = 3
 
 // Frame kinds.
 const (

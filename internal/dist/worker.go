@@ -241,7 +241,7 @@ func (w *workerConn) runJob(j *wjob, rank int, m jobStartMsg) {
 		j.cancel()
 	}()
 
-	rk := newRank(int(m.Ranks), int(m.Parts), int(m.N), rank, j, w.opts.Conc)
+	rk := newRank(int(m.Ranks), 0, int(m.N), rank, j, w.opts.Conc)
 	done := w.execute(ctx, rk, m)
 	done.Steps = rk.Steps()
 	done.Msgs = rk.Messages()

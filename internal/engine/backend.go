@@ -172,8 +172,8 @@ type Job struct {
 }
 
 // Factory builds a backend for one run. workers ≤ 0 means the backend's
-// own default topology (4 simulated ranks for sim, GOMAXPROCS workers for
-// parallel, 4 partitions per node for dist).
+// own default width (4 simulated ranks for sim, GOMAXPROCS workers for
+// parallel); dist's width is its worker processes, whatever workers says.
 type Factory func(workers int, job Job) (Backend, error)
 
 var (

@@ -20,11 +20,11 @@ type Blocks struct {
 	recip uint64
 }
 
-// NewBlocks returns the block map of n vertices over parts partitions
-// (clamped to at least 1).
+// NewBlocks returns the block map of n vertices over parts partitions, or,
+// for parts ≤ 0, over as many as the grain rule cuts (partsFor).
 func NewBlocks(parts, n int) Blocks {
 	if parts < 1 {
-		parts = 1
+		parts = partsFor(n)
 	}
 	chunk := (n + parts - 1) / parts
 	if chunk < 1 {
@@ -143,9 +143,9 @@ type Runtime struct {
 }
 
 // NewRuntime returns a runtime called name over n vertices in parts
-// partitions, dealt in bands to workers workers (at least 1) whose loads
-// Loads reports. It executes every partition, on a goroutine per worker, and
-// hands lanes over in memory — counted, if its name is SimName.
+// partitions (NewBlocks), dealt in bands to workers workers (at least 1)
+// whose loads Loads reports. It executes every partition, on a goroutine per
+// worker, and hands lanes over in memory — counted, if its name is SimName.
 func NewRuntime(name string, parts, workers, n int) *Runtime {
 	b, workers := NewBlocks(parts, n), max(workers, 1)
 	return &Runtime{Blocks: b, Counters: NewCounters(b.parts, workers), name: name, hi: b.parts, conc: workers, counted: name == SimName}

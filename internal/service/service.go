@@ -340,8 +340,8 @@ type EstimateRequest struct {
 	// Ranks is the execution width (≤ 0 means the service default, itself
 	// defaulting to 4): simulated ranks under "sim", worker goroutines
 	// under "parallel" — bands of the same vertex partitions, whose number
-	// follows the graph, not this — and total partitions spread over the
-	// worker processes under "dist".
+	// follows the graph, not this. Under "dist" the width is the worker
+	// processes, and Ranks is ignored.
 	Ranks int `json:"ranks,omitempty"`
 	// Parallel runs up to this many trials concurrently inside the job;
 	// results are bit-identical to serial (≤ 1 means serial).

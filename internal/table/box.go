@@ -36,43 +36,47 @@ type Box struct {
 // join touches: a superstep's destination working set is a box per
 // destination partition per staging goroutine — on tree8-90k 512 boxes of
 // 36 rows × 70, about 10 MB, written one (run, neighbour) row at a time. A
-// shard whose box would be larger keeps chunks, and compaction sorts the
-// keys that actually arrived. With 512 partitions an 18 k-vertex graph at
-// k = 8 is far below it (36 rows of 70) and a million vertices at k = 10
-// far above (1954 rows of 252). Measured on tree8-90k: adds into one 10 MB
-// matrix per table miss cache on every row, 16 ns each; into per-shard
-// boxes of this size, 2–3. The benchmark has no workload near the cap. By
-// hand (CHANGES.md, PR 21): just under it, on a dense R-MAT graph of 2^16
-// vertices at k = 10 (128 rows of 252), a trial is ×4 faster than at the
-// parent commit, which sorted chunks, and peaks at a third of the memory;
-// just over it nothing has been measured but the sparse graph boxDue
-// quotes, and what the cap should be there is open.
+// shard whose box would be larger keeps chunks while it is written, boxed at
+// compaction if dense by then (boxDense). With 512 partitions an 18 k-vertex
+// graph at k = 8 is far below it (36 rows of 70) and a million vertices at
+// k = 10 far above (1954 rows of 252). Measured on tree8-90k: adds into one
+// 10 MB matrix per table miss cache on every row, 16 ns each; into
+// per-shard boxes of this size, 2–3. The benchmark has no workload near the
+// cap. By hand (CHANGES.md), bintree10 on dense R-MAT graphs: just under it
+// (2^16 vertices, 128 rows of 252) a trial is ×4 faster than when the
+// shards sorted chunks, at a third of the memory; just over it (2^17, 256
+// rows) boxing at compaction takes a 2-worker trial from 7.5 s to 6.2 on
+// parallel and 6.4 on sim, at the same peak memory. Where the cap should be
+// is open.
 const boxCap = 1 << 15
 
 // SetBox declares t, which must be empty, a shard of shape s with b as its
 // header. Adds accumulate in a box once boxDue opens it, in chunks until
-// then.
+// then; chunks still pending at compaction go into the box if boxDense
+// opens it. The declaration holds for the table's life.
 func (t *Flat) SetBox(b *Box, s Shape) {
 	*b = Box{Shape: s}
 	t.box = b
 }
 
-// ranking returns the ranking a box of shape s opens with on e, its first
-// entry. It panics if e has a vertex in the other half of VU or a recorded
-// X or Y: added to a box, those would be dropped and the entry aliased onto
-// its (vertex, signature) cell.
-func (s Shape) ranking(e Ent) *sig.Ranking {
+// ranking returns the ranking a box of shape s opens with on e, an entry of
+// the shard, and the cells the box then has. It panics if e has a vertex in
+// the other half of VU or a recorded X or Y: added to a box, those would be
+// dropped and the entry aliased onto its (vertex, signature) cell.
+func (s Shape) ranking(e Ent) (rk *sig.Ranking, cells int) {
 	if e.XY != ^uint64(0) || uint32(e.VU>>(32-s.Shift)) != None {
 		panic("table: a key with a second or a recorded vertex in a shard declared a vertex×signature matrix")
 	}
-	return sig.RankingOf(int(s.K), e.S.Size())
+	rk = sig.RankingOf(int(s.K), e.S.Size())
+	return rk, int(s.N) * len(rk.Sigs)
 }
 
 // boxDue decides, for a declared shard with no box open that is out of room
 // — at its first add, e, and whenever a chunk fills — whether to open the
-// box now, and does. A box over boxCap never opens: the declaration is
-// dropped. Otherwise it opens once it would take at most twice the bytes of
-// the chunks the shard has filled plus the one it would take next, which
+// box now, and does. A box over boxCap does not open while the shard is
+// written: it keeps chunks, and compaction boxes it if it is dense by then
+// (boxDense). Otherwise it opens once it would take at most twice the bytes
+// of the chunks the shard has filled plus the one it would take next, which
 // are added to it: at the first add if it is no larger than two chunks,
 // never in a shard that is handed next to nothing. So a table's boxes hold
 // at most twice what its chunks would have, however few of its cells are
@@ -83,22 +87,52 @@ func (s Shape) ranking(e Ent) *sig.Ranking {
 // first add, 244 / 243 MB under this rule (300 / 376 MB at four times the
 // bytes); on tree8-90k the wait costs 5–8% of the boxes' gain.
 func (t *Flat) boxDue(e Ent) bool {
-	b := t.box
-	rk := b.ranking(e)
-	cells := int(b.N) * len(rk.Sigs)
-	if cells > boxCap {
-		t.box = nil
-		return false
-	}
-	pending := len(t.fill) + chunkEnts
-	for c := t.full; c != nil; c = c.next {
-		pending += len(c.ents)
-	}
-	if cells > 2*entWords*pending {
+	rk, cells := t.box.ranking(e)
+	if cells > boxCap || cells > 2*entWords*(len(t.fill)+chunkEnts+t.chained()) {
 		return false
 	}
 	t.openBox(rk)
 	return true
+}
+
+// boxDense is boxDue at compaction, the other half of the one decision
+// between dense and sparse: it opens the box of a declared shard with none
+// open once the pending entries are at least a quarter of its cells, over
+// boxCap or not. The box is then no larger than the entries it replaces (8
+// bytes a cell, 32 an entry), and sweeping it reads less than one pass of a
+// record sort would write. boxDue opens a shard within boxCap at half this
+// density, so what opens here is one over the cap: on R-MAT 2^17 at k = 10
+// (256 rows of 252 to a shard) 2048 shards a bintree10 trial, once indexed
+// by packed key (978) or sorted as records.
+func (t *Flat) boxDense() bool {
+	t.retire()
+	if t.full == nil || len(t.full.ents) == 0 { // an empty slab: compacted entries that summed to 0
+		return false
+	}
+	rk, cells := t.box.ranking(t.full.ents[0])
+	if cells > entWords*t.chained() {
+		return false
+	}
+	t.openBox(rk)
+	return true
+}
+
+// keepsChunks reports whether t takes chunks of entries like e whole: it has
+// no box open and none a chunk fill could open (undeclared, or over boxCap).
+func (t *Flat) keepsChunks(e Ent) bool {
+	if t.box == nil || t.box.words != nil {
+		return t.box == nil
+	}
+	_, cells := t.box.ranking(e)
+	return cells > boxCap
+}
+
+// chained counts the entries of t's full chunks.
+func (t *Flat) chained() (n int) {
+	for c := t.full; c != nil; c = c.next {
+		n += len(c.ents)
+	}
+	return n
 }
 
 // openBox opens t's box for signatures ranked by rk and moves the pending
@@ -200,6 +234,16 @@ func (t *Flat) foldSorted() {
 	}
 	putSlab(t.sorted)
 	t.sorted = nil
+}
+
+// nonZero counts the cells that hold a count: the entries a sweep will
+// make. Most cells of a box are empty, so the test is arithmetic, not a
+// branch: c|−c has its top bit set iff c ≠ 0.
+func nonZero(cells []uint64) (n int) {
+	for _, c := range cells {
+		n += int((c | -c) >> 63)
+	}
+	return n
 }
 
 // merge adds src's open box, of the same shape, into b's cell by cell and

@@ -7,21 +7,21 @@ import (
 	"repro/internal/sig"
 )
 
-// Compaction of pending chunks. A key is five fields — V, U, X, Y and the
-// signature rank, in cmpEnt's order of significance — and in any one shard
-// most of their 160 bits never change: a shard's home vertices span its
-// partition, the others the graph, unused slots are None, signatures fit
-// the colour count. One scan learns each field's minimum and maximum, and
-// every key then packs, in cmpEnt order, into one word of
-// w = Σ bits.Len(max − min) bits. What happens next depends on w alone:
+// Compaction of pending chunks that are sparse: a dense vertex × signature
+// shard is a box (box.go), opened as it is written or at compaction, and
+// never gets here. A key is five fields — V, U, X, Y and the signature
+// rank, in cmpEnt's order of significance — and in any one shard most of
+// their 160 bits never change: a shard's home vertices span its partition,
+// the others the graph, unused slots are None, signatures fit the colour
+// count. One scan learns each field's minimum and maximum, and every key
+// then packs, in cmpEnt order, into one word of w = Σ bits.Len(max − min)
+// bits. What happens next depends on w alone:
 //
-//   - 2^w ≤ 4·n: the keys index an array of 2^w counts, accumulated in place
-//     and swept in order — a box found at compaction time;
-//   - otherwise, w ≤ 64: the n entries become n (key, count) records of two
-//     words, radix-sorted on the key's w bits — 16 bytes moved per entry
-//     and pass where the entries themselves are 32, and no pass over bits
-//     that never change — and each folded entry is rebuilt from its key
-//     and the sum of its run's counts;
+//   - w ≤ 64: the n entries become n (key, count) records of two words,
+//     radix-sorted on the key's w bits — 16 bytes moved per entry and pass
+//     where the entries themselves are 32, and no pass over bits that never
+//     change — and each folded entry is rebuilt from its key and the sum of
+//     its run's counts;
 //   - w > 64 (vertices recorded in both X and Y on a graph of millions, a
 //     slot that is None in some entries only), or too few entries to repay
 //     any of this: a comparison sort.
@@ -98,22 +98,6 @@ const (
 	wideMin    = 4096
 	narrowBits = 8
 	wideBits   = 11
-	// denseFactor: keys index an array when it has at most this many cells
-	// per entry. At 4 the array is no larger than the entries it replaces
-	// (8 bytes a cell, 32 an entry) and its sweep reads less than one
-	// sorting pass over records would write. No shard of `sim` or
-	// `parallel` gets here (their 36-vertex shards are boxed, and the
-	// streamed table of a root cycle is not compacted at all), so the
-	// benchmark never enters this tier. `dist` does: it cuts as many
-	// partitions as the request asks for, a shard of 2 ranks' 8 holds
-	// 2.3 k vertices of a 90 k-edge graph and is over boxCap, and the
-	// vertex × signature tables of the shards that hold the hubs arrive as
-	// up to 2.1 M entries over 22 key bits. On bintree8 that is three
-	// shards a trial and 44% of all entries compacted, the ones the end of
-	// a superstep waits for; sorting them as records instead costs `dist`
-	// at 2 ranks 31% per trial (711 ms against 541, behind in 5 of 5
-	// alternating pairs).
-	denseFactor = 4
 )
 
 func polled(stop func() bool) bool { return stop != nil && stop() }
@@ -136,56 +120,19 @@ func sortChunks(chunks *slab, stop func() bool) *slab {
 			return nil
 		}
 	}
-	switch {
-	case n < radixMin || p.w > 64:
-		if chunks.next != nil {
-			all := getSlab(n)
-			for c := chunks; c != nil; c = c.next {
-				all.ents = append(all.ents, c.ents...)
-			}
-			putSlabs(chunks)
-			chunks = all
+	if n >= radixMin && p.w <= 64 {
+		return p.sortRecords(chunks, n, stop)
+	}
+	if chunks.next != nil {
+		all := getSlab(n)
+		for c := chunks; c != nil; c = c.next {
+			all.ents = append(all.ents, c.ents...)
 		}
-		slices.SortFunc(chunks.ents, cmpEnt)
-		return fold(chunks)
-	case p.w < 40 && 1<<p.w <= denseFactor*n:
-		return p.index(chunks, stop)
+		putSlabs(chunks)
+		chunks = all
 	}
-	return p.sortRecords(chunks, n, stop)
-}
-
-// index accumulates the chunks' counts into an array indexed by packed key
-// and sweeps it, in key order, into a slab.
-func (p *packing) index(chunks *slab, stop func() bool) *slab {
-	buf, cells := getWords(1 << p.w)
-	defer putSlab(buf)
-	clear(cells)
-	for c := chunks; c != nil; c = c.next {
-		for i := range c.ents {
-			cells[p.key(&c.ents[i])] += c.ents[i].C
-		}
-	}
-	if polled(stop) {
-		return nil
-	}
-	putSlabs(chunks)
-	out := getSlab(nonZero(cells))
-	for k, c := range cells {
-		if c != 0 {
-			out.ents = append(out.ents, p.ent(uint64(k), c))
-		}
-	}
-	return out
-}
-
-// nonZero counts the cells that hold a count: the entries a sweep will
-// make. Most cells of a box are empty, so the test is arithmetic, not a
-// branch: c|−c has its top bit set iff c ≠ 0.
-func nonZero(cells []uint64) (n int) {
-	for _, c := range cells {
-		n += int((c | -c) >> 63)
-	}
-	return n
+	slices.SortFunc(chunks.ents, cmpEnt)
+	return fold(chunks)
 }
 
 // sortRecords turns every entry into a (packed key, count) pair of words,

@@ -15,11 +15,13 @@
 // handed enough to repay one: no append, no sort, no fold — and a join
 // that writes many entries to one vertex takes the vertex's row (Row) and
 // adds into it itself. Any other shard appends entries to unsorted chunks,
-// and the first read compacts them by a packed key (compact.go) — indexed
-// into a dense array of counts where the keys that arrived span few enough
-// values, radix-sorted as (key, count) records otherwise. Either way the
-// first read through Ents leaves one sorted, folded slab of entries. That
-// is the form readers see, but for three that take a table as it lies:
+// and so does a declared one until its box is due — while it is written, a
+// box over boxCap never is. The first read boxes a declared shard's chunks
+// after all if they are dense by then; whatever is sparse it compacts by a
+// packed key (compact.go), radix-sorted as (key, count) records. Box.go
+// alone decides which is which. Either way the first read through Ents
+// leaves one sorted, folded slab of entries. That is the form readers
+// see, but for three that take a table as it lies:
 // Chunks hands out pending chunks unsorted, Row an open box's rows, and
 // MoveBox an open box whole to another matrix shard of the same rows. The
 // solver's tables are built by a burst of adds during one superstep and
@@ -193,18 +195,15 @@ func (t *Flat) retire() {
 // it, however many cells they share. A box is added to a box of the same
 // shape cell by cell; chunks change hands whole when t keeps chunks — a
 // table staged elsewhere is handed over, not copied — and are added entry
-// by entry when t keeps a box.
+// by entry when t has a box open or one a chunk fill may open (keepsChunks).
 func (t *Flat) Absorb(src *Flat) (moved int) {
 	if sb := src.box; sb != nil && sb.words != nil {
-		if tb := t.box; tb != nil && tb.Shape == sb.Shape {
-			if tb.words == nil {
-				t.openBox(sb.rk) // what filled src's box is added to t: t is as due
-			}
-			moved = sb.adds
-			tb.merge(sb)
-		} else {
-			src.compact(nil) // forms differ: the box's entries move as a chunk
+		tb := t.box // src was staged for t: the same shape
+		if tb.words == nil {
+			t.openBox(sb.rk) // what filled src's box is added to t: t is as due
 		}
+		moved = sb.adds
+		tb.merge(sb)
 	}
 	src.retire()
 	if src.sorted != nil {
@@ -214,13 +213,13 @@ func (t *Flat) Absorb(src *Flat) (moved int) {
 	for s := src.full; s != nil; {
 		next := s.next
 		moved += len(s.ents)
-		if t.box != nil {
+		if len(s.ents) > 0 && t.keepsChunks(s.ents[0]) {
+			s.next, t.full = t.full, s
+		} else {
 			for _, e := range s.ents {
 				t.AddEnt(e)
 			}
 			putSlab(s)
-		} else {
-			s.next, t.full = t.full, s
 		}
 		s = next
 	}
@@ -242,13 +241,15 @@ func (t *Flat) Release() {
 }
 
 // compact restores the invariant that every entry is in sorted, once: it
-// sweeps the pending box or sorts and folds the pending chunks. Only a
+// sweeps the pending box — one opened now, if a declared shard's chunks are
+// dense enough (boxDense) — or sorts and folds the pending chunks. Only a
 // table that was read and then written again already has compacted
 // entries; they are folded in with the rest. stop, if not nil, is polled
 // between the passes over the entries; once it returns true compact gives
-// its buffers back, leaves the pending entries pending and reports false.
+// its buffers back, leaves the pending entries pending — in the box, if it
+// opened one — and reports false.
 func (t *Flat) compact(stop func() bool) bool {
-	if t.box != nil && t.box.words != nil {
+	if t.box != nil && (t.box.words != nil || t.boxDense()) {
 		return t.sweepBox(stop)
 	}
 	if t.full == nil && len(t.fill) == 0 {

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -295,7 +296,7 @@ func BenchmarkFlatBuild(b *testing.B) {
 		{name: "shard4k/n562/k10", n: 4 << 10, verts: 562, k: 10, homeLo: 48, homes: 16},
 		{name: "shard64k/n18k/k5", n: 64 << 10, verts: 18000, k: 5, homeLo: 4090, homes: 36},
 		{name: "recorded64k/n18k/k5", n: 64 << 10, verts: 18000, k: 5, homeLo: 4090, homes: 36, recorded: true},
-		{name: "dense64k/n50/k5", n: 64 << 10, verts: 50, k: 5, homeLo: 4090, homes: 36}, // 17 key bits, as cycle5-90k's largest shards: the dense index
+		{name: "dense64k/n50/k5", n: 64 << 10, verts: 50, k: 5, homeLo: 4090, homes: 36}, // 17 key bits, as cycle5-90k's largest shards: records of two digits
 		{name: "table1M/n18k/k8", n: 1 << 20, verts: 18000, k: 8, homes: 18000},
 		{name: "box36/n18k/k8", n: 5 * 36 * 70 / 2, k: 8, homeLo: 4090, homes: 36, box: true},
 		{name: "box36rows/n18k/k8", n: 5 * 36 * 70 / 2, k: 8, homeLo: 4090, homes: 36, box: true, rows: true},
@@ -442,10 +443,7 @@ func TestBoxMatchesChunks(t *testing.T) {
 		fill(stageChunks, plain)
 		box.Absorb(stageChunks)
 		sameTable(t, "Absorb box←chunks", box, plain)
-		plain.Absorb(box) // and chunks←box: the box's entries move as a chunk
-		if box.Len() != 0 {
-			t.Fatal("Absorb chunks←box left entries behind")
-		}
+		box.Release()
 
 		held := SlabsOut() // the box is empty: it holds none of them
 		fill(box)
@@ -529,7 +527,8 @@ func TestBoxOpensWhenDue(t *testing.T) {
 // box open, and appends the entries where it has not. That must be the same
 // table as AddEnt makes of the same entries, for every outcome of the due
 // rule — a box at the first add, one opened at a later chunk fill with the
-// filled chunks moved in, none over boxCap — with the same Absorb count into
+// filled chunks moved in, none while a shard over boxCap is written, whose
+// declaration holds all the same — with the same Absorb count into
 // a declared destination, which is what sim counts as messages. And a row
 // is handed out only while a box is open.
 func TestRowWritesAreEntryAdds(t *testing.T) {
@@ -584,8 +583,8 @@ func TestRowWritesAreEntryAdds(t *testing.T) {
 		}
 		held := SlabsOut()
 		byEnt, byRow, rowsTaken := write()
-		if kept := byRow.box != nil; kept != (rowsTaken > 0) || kept != (c.rows != 131) {
-			t.Fatalf("%s: %d rows taken, a box kept %v", c.name, rowsTaken, kept)
+		if byRow.box == nil || (rowsTaken > 0) != (c.rows != 131) {
+			t.Fatalf("%s: %d rows taken, the declaration kept %v", c.name, rowsTaken, byRow.box != nil)
 		}
 		if c.rows == 40 && rowsTaken == len(runs) {
 			t.Fatalf("%s: the box was open at the first add", c.name)
@@ -693,22 +692,63 @@ func TestMoveBoxIsTheProjection(t *testing.T) {
 	}
 }
 
-// A box larger than boxCap is never opened: the shard appends, and reads
-// the same.
+// A box larger than boxCap is not opened while its shard is written: the
+// shard appends, keeping its declaration, and its chunks change hands whole
+// when another shard of the shape absorbs it. Compaction then boxes them if
+// the entries are at least a quarter of the cells (4·n ≥ 131·252 = 33 012:
+// 10 000 entries, not 5 000), folding in what an earlier read compacted,
+// and sorts them otherwise. Either way the shard reads as an undeclared one
+// does.
 func TestBoxOverCapKeepsChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	sigs := sig.RankingOf(10, 5).Sigs // 252 to a row: 131 rows exceed the cap, 130 do not
-	for _, n := range []uint32{130, 131} {
-		box, plain := boxed(0, n, 10, true), new(Flat)
-		for i := 0; i < 5000; i++ {
-			e := BinaryEnt(None, uint32(rng.Intn(int(n))), sigs[rng.Intn(len(sigs))], 1)
-			box.AddEnt(e)
+	for _, c := range []struct {
+		rows        uint32
+		n           int
+		readAt      int  // the add before which the shard is read, if any
+		whileFilled bool // the box opens as the shard is written
+		atCompact   bool // the box opens when the shard is compacted
+	}{
+		{130, 5000, 0, true, false},
+		{131, 5000, 0, false, false},
+		{131, 10000, 0, false, true},
+		{131, 10000, 2500, false, true}, // 1 250 entries sorted, then 8 750 more boxed
+	} {
+		name := fmt.Sprintf("%d rows of 252, %d entries, read at %d", c.rows, c.n, c.readAt)
+		box, stage, plain := boxed(0, c.rows, 10, true), boxed(0, c.rows, 10, true), new(Flat)
+		for i := 0; i < c.n; i++ {
+			if i == c.readAt && i > 0 {
+				box.Len()
+			}
+			e := BinaryEnt(None, uint32(rng.Intn(int(c.rows))), sigs[rng.Intn(len(sigs))], 1)
+			if i%2 == 0 {
+				box.AddEnt(e)
+			} else {
+				stage.AddEnt(e)
+			}
 			plain.AddEnt(e)
 		}
-		if kept := box.box != nil; kept != (n == 130) {
-			t.Fatalf("%d rows of 252: box kept = %v", n, kept)
+		chunk := stage.full
+		box.Absorb(stage)
+		if box.box == nil {
+			t.Fatalf("%s: the declaration was dropped", name)
 		}
-		sameTable(t, "over the cap", box, plain)
+		open := box.box.words != nil
+		if open != c.whileFilled {
+			t.Fatalf("%s: box open while written %v", name, open)
+		}
+		relinked := false
+		for s := box.full; s != nil; s = s.next {
+			relinked = relinked || s == chunk
+		}
+		if relinked == c.whileFilled {
+			t.Fatalf("%s: the stage's chunks relinked %v", name, relinked)
+		}
+		box.compact(func() bool { open = box.box.words != nil; return false })
+		if open != (c.whileFilled || c.atCompact) {
+			t.Fatalf("%s: compacted from a box %v", name, open)
+		}
+		sameTable(t, name, box, plain)
 		box.Release()
 		plain.Release()
 	}
@@ -725,16 +765,20 @@ func TestZeroSumIsAbsent(t *testing.T) {
 	box := boxed(0, 4, 4, false)
 	wrap(box, UnaryEnt(1, 0b11, 0))
 	box.AddEnt(UnaryEnt(2, 0b11, 5))
-	small, dense, sorted := new(Flat), new(Flat), new(Flat)
+	small, sorted := new(Flat), new(Flat)
 	wrap(small, Binary(1, 2, 3).Ent(0))
 	small.Add(Binary(1, 2, 4), 5)
 	for i := 0; i < 200; i++ {
-		wrap(dense, Binary(uint32(i%10), uint32(i%7), 3).Ent(0))
 		wrap(sorted, Binary(uint32(i*97), uint32(i*89), 3).Ent(0))
 	}
-	dense.Add(Binary(1, 2, 3), 5)
 	sorted.Add(Binary(97, 89, 3), 5)
-	for name, f := range map[string]*Flat{"box": box, "comparison sort": small, "dense index": dense, "records": sorted} {
+	// Over boxCap (131 rows of 252), boxed at compaction: 10 001 entries.
+	late, sigs := boxed(0, 131, 10, false), sig.RankingOf(10, 5).Sigs
+	for i := 0; i < 5000; i++ {
+		wrap(late, UnaryEnt(uint32(i%131), sigs[i%len(sigs)], 0))
+	}
+	late.AddEnt(UnaryEnt(3, sigs[0], 5))
+	for name, f := range map[string]*Flat{"box": box, "comparison sort": small, "records": sorted, "box at compaction": late} {
 		if f.Len() != 1 || f.Total() != 5 {
 			t.Errorf("%s: %d entries totalling %d, want the one whose count is 5", name, f.Len(), f.Total())
 		}
@@ -742,10 +786,10 @@ func TestZeroSumIsAbsent(t *testing.T) {
 	}
 }
 
-// Every tier of compaction against a builtin map: the dense index, the
-// record sort — narrow keys, keys of nearly 64 bits (X and Y recorded on a
-// 2^20-vertex id range), all keys equal, ids straddling a power of two —
-// the comparison sort of keys wider than a word, and of too few entries.
+// Both tiers of compaction against a builtin map: the record sort — keys of
+// a few bits, keys of nearly 64 bits (X and Y recorded on a 2^20-vertex id
+// range), all keys equal (a key of no bits), ids straddling a power of two —
+// and the comparison sort of keys wider than a word, and of too few entries.
 func TestCompactionTiers(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	in := func(lo, n int) uint32 { return uint32(lo + rng.Intn(n)) }
@@ -756,9 +800,9 @@ func TestCompactionTiers(t *testing.T) {
 		tier string
 		key  func() Key
 	}{
-		{"dense", 4000, 12, "index", func() Key { return Binary(in(100, 16), in(48, 16), sig.Sig(in(0, 16))) }},
-		{"all keys equal", 300, 0, "index", func() Key { return Binary(7, 9, 3) }},
-		{"ids straddling a power of two", 500, 6, "index", func() Key { return Unary(in(4095, 37), 5) }},
+		{"narrow", 4000, 12, "records", func() Key { return Binary(in(100, 16), in(48, 16), sig.Sig(in(0, 16))) }},
+		{"all keys equal", 300, 0, "records", func() Key { return Binary(7, 9, 3) }},
+		{"ids straddling a power of two", 500, 6, "records", func() Key { return Unary(in(4095, 37), 5) }},
 		{"records", 4000, 38, "records", func() Key { return Binary(in(0, 18000), in(0, 18000), sig.Sig(in(1, 255))) }},
 		{"records past wideMin", 9000, 38, "records", func() Key { return Binary(in(0, 18000), in(0, 18000), sig.Sig(in(1, 255))) }},
 		{"wide records", 3000, 64, "records", func() Key {
@@ -782,11 +826,8 @@ func TestCompactionTiers(t *testing.T) {
 		f.retire()
 		p := scanChunks(f.full)
 		tier := "records"
-		switch {
-		case c.n < radixMin || p.w > 64:
+		if c.n < radixMin || p.w > 64 {
 			tier = "comparison"
-		case p.w < 40 && 1<<p.w <= denseFactor*3*c.n: // every key was added up to three times
-			tier = "index"
 		}
 		if c.w != 0 && p.w != c.w || tier != c.tier {
 			t.Errorf("%s: keys pack into %d bits and compact by %s, want %d bits and %s", c.name, p.w, tier, c.w, c.tier)
@@ -809,21 +850,27 @@ func TestCompactionTiers(t *testing.T) {
 
 // A compaction polls stop between its passes and, once it fires, gives
 // back what it borrowed and leaves the table as pending as it was — at any
-// poll, in any tier, and for a box.
+// poll, in any tier, and for a box. A box compaction opened over boxCap
+// (131 rows of 252, a third full) is the pending form it leaves: the chunks
+// are in it, and it is all the table holds.
 func TestBuildStopsBetweenPasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	sigs := sig.RankingOf(6, 3).Sigs
+	sigs, wide := sig.RankingOf(6, 3).Sigs, sig.RankingOf(10, 5).Sigs
 	for name, add := range map[string]func(f *Flat){
-		"records": func(f *Flat) { f.Add(Binary(uint32(rng.Intn(5000)), uint32(rng.Intn(5000)), 1), 1) },
-		"index":   func(f *Flat) { f.Add(Binary(uint32(rng.Intn(20)), uint32(rng.Intn(20)), 1), 1) },
-		"box":     func(f *Flat) { f.AddEnt(UnaryEnt(uint32(rng.Intn(30)), sigs[rng.Intn(len(sigs))], 1)) },
+		"records":           func(f *Flat) { f.Add(Binary(uint32(rng.Intn(5000)), uint32(rng.Intn(5000)), 1), 1) },
+		"box":               func(f *Flat) { f.AddEnt(UnaryEnt(uint32(rng.Intn(30)), sigs[rng.Intn(len(sigs))], 1)) },
+		"box at compaction": func(f *Flat) { f.AddEnt(UnaryEnt(uint32(rng.Intn(131)), wide[rng.Intn(len(wide))], 1)) },
 	} {
 		f := new(Flat)
-		if name == "box" {
+		switch name {
+		case "box":
 			f = boxed(0, 30, 6, false)
+		case "box at compaction":
+			f = boxed(0, 131, 10, false)
 		}
-		const n = 5000
+		const n = 10000
 		for polls := 1; ; polls++ {
+			empty := SlabsOut()
 			for i := 0; i < n; i++ {
 				add(f)
 			}
@@ -838,6 +885,12 @@ func TestBuildStopsBetweenPasses(t *testing.T) {
 				}
 				f.Release()
 				break
+			}
+			if name == "box at compaction" {
+				if f.box.words == nil || f.full != nil {
+					t.Fatalf("%s: stopped at poll %d with the box open %v, chunks left %v", name, polls, f.box.words != nil, f.full != nil)
+				}
+				held = empty + 1
 			}
 			if got != 0 || SlabsOut() != held || f.Total() != n {
 				t.Fatalf("%s: stopped at poll %d: %d entries reported, %d slabs kept, total %d of %d", name, polls, got, SlabsOut()-held, f.Total(), n)

@@ -202,8 +202,8 @@ type EstimateOptions struct {
 	Backend string
 	// Workers is the execution width: simulated ranks under "sim" (≤ 0
 	// means 4), real worker goroutines under "parallel" (≤ 0 means
-	// GOMAXPROCS), total partitions spread over the worker processes under
-	// "dist" (≤ 0 means 4 per process).
+	// GOMAXPROCS). Under "dist" the width is the worker processes, and
+	// Workers is ignored.
 	Workers int
 	// Trials is the fixed number of independent colorings (≤ 0 means 3).
 	// It is the compatibility alias for a fixed-trial Spec: when
