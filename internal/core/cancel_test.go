@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/decomp"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/obs"
@@ -323,6 +324,72 @@ func TestCancelThroughBoxRows(t *testing.T) {
 	}
 	if moved == 0 || readInPlace == 0 || unboxed == 0 {
 		t.Fatalf("%d boxes moved, %d read in place, %d pending shards without a box; the test needs each", moved, readInPlace, unboxed)
+	}
+}
+
+// A leaf block's output is left pending for its one reader, which compacts a
+// shard whose box never opened as it takes it (table.Rows), polling as a
+// build does. bintree8 on the graph above, on one partition: an output's
+// one shard is over boxCap and, the graph being sparse, reaches its reader
+// as chunks. The lift that starts the next leaf walk is canceled at each
+// poll of that compaction in turn: it must latch the stop, leave the output
+// as pending as it was and give back every slab it took; the first poll
+// that lets it finish must find the output's whole count in the walk's
+// table.
+func TestCancelWhileReadingAPendingLeafOutput(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	gen.ErdosRenyi("small", 60, 150, rng) // TestCancelThroughBoxRows' draws
+	g := gen.ErdosRenyi("mixed", 1405, 1800, rng)
+	q := query.MustByName("bintree8")
+	colors := randColors(g.N(), q.K, rng)
+	plan, err := PickPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := table.SlabsOut()
+	one := engine.NewRuntime(engine.SimName, 1, 1, g.N())
+	s := newSolver(context.Background(), g, colors, q.K, one, DB)
+	var ann *decomp.Block // the pending output a lift reads
+	for _, b := range plan.Blocks {
+		if ann = b.NodeAnn[1]; b.Kind == decomp.LeafEdge && ann != nil {
+			break
+		}
+		s.tables[b] = s.solveLeaf(b)
+		s.drop(b.Children)
+	}
+	out := s.tables[ann].Shard(0)
+	chunks := func() (n int) {
+		out.Chunks(func([]table.Ent) { n++ })
+		return n
+	}
+	pending, total := chunks(), out.Total()
+	if row, _ := out.Row(0); row != nil || pending < 2 {
+		t.Fatalf("the output reaches its reader with a box %v, in %d chunks; the test needs chunks", row != nil, pending)
+	}
+	held := table.SlabsOut()
+	for poll := int64(1); ; poll++ {
+		ctx := cancelAtPoll(poll)
+		r := newSolver(ctx, g, colors, q.K, one, DB)
+		r.tables = s.tables
+		walk := r.lift(pathStart{startAnn: ann, free: true})
+		got := walk.Total()
+		walk.Release()
+		if !r.stop.Load() {
+			if got != total || poll < 3 {
+				t.Fatalf("the lift finished at poll %d with %d of the output's %d", poll, got, total)
+			}
+			break
+		}
+		if !errors.Is(ctx.Err(), context.Canceled) || chunks() != pending || out.Total() != total {
+			t.Fatalf("canceled at poll %d: ctx %v, the output in %d chunks totalling %d, was %d totalling %d", poll, ctx.Err(), chunks(), out.Total(), pending, total)
+		}
+		if left := table.SlabsOut() - held; left != 0 {
+			t.Fatalf("canceled at poll %d, the lift kept %d slabs", poll, left)
+		}
+	}
+	s.drop(plan.Blocks)
+	if left := table.SlabsOut() - start; left != 0 {
+		t.Fatalf("%d slabs kept", left)
 	}
 }
 

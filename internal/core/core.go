@@ -32,7 +32,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/sig"
-	"repro/internal/table"
 )
 
 // Algorithm selects the cycle solver.
@@ -95,11 +94,13 @@ type Options struct {
 // examines — except in a root cycle's join, whose signature match is one
 // lookup per entry of the walk table it streams (joinSplit): there it is an
 // entry streamed, unfolded duplicates included. That streamed table is never
-// compacted, and TableEntries counts compacted tables: it is counted in the
-// load only. So are a leaf block's walk tables that are read as they lie —
-// the walk's last, whose boxes the projection moves, and the edge table its
-// nodeJoin reads row by row — whose operations count a box cell that holds
-// a count as the entry it stands for.
+// compacted, and TableEntries counts the tables the solver compacts as they
+// are built: it is counted in the load only. So are a leaf block's tables,
+// every one of which is read as it lies — its walk's, and its output, whose
+// boxes move into the walk its parent starts there, or whose rows a nodeJoin
+// or the per-vertex fold reads, or whose cells the root's Total sums — and
+// whose operations count a box cell that holds a count as the entry it
+// stands for. A tree query's run counts no table entries at all.
 type Stats struct {
 	Backend      string // canonical backend name ("sim", "parallel" or "dist")
 	Workers      int
@@ -109,7 +110,7 @@ type Stats struct {
 	Messages     int64 // sim: every appended entry; dist: entries sent to another process; parallel: 0
 	Steals       int64 // stolen partition tasks; always 0 for sim and dist
 	Supersteps   int64 // supersteps executed; identical across backends
-	TableEntries int64 // distinct entries of the projection tables that were compacted
+	TableEntries int64 // distinct entries of the projection tables compacted as they were built
 	Loads        []int64
 }
 
@@ -280,9 +281,8 @@ type solver struct {
 	be      engine.Backend
 	alg     Algorithm
 	tables  map[*decomp.Block]*engine.Sharded
-	grouped map[groupKey]regrouped
-	unary   map[*decomp.Block][]*rowIdx
-	walks   walkTrie // the walks of the block being solved (path.go)
+	grouped map[groupKey]*engine.Sharded // binary children homed at their "from" ends (groupBinary)
+	walks   walkTrie                     // the walks of the block being solved (path.go)
 	entries int64
 }
 
@@ -298,8 +298,7 @@ func newSolver(ctx context.Context, g *graph.Graph, colors []uint8, k int, be en
 		be:      be,
 		alg:     alg,
 		tables:  make(map[*decomp.Block]*engine.Sharded),
-		grouped: make(map[groupKey]regrouped),
-		unary:   make(map[*decomp.Block][]*rowIdx),
+		grouped: make(map[groupKey]*engine.Sharded),
 	}
 	return s
 }
@@ -366,13 +365,12 @@ func (s *solver) track(t *engine.Sharded) *engine.Sharded {
 	return t
 }
 
-// finish is track for a walk's table, which a root cycle's join or a leaf
-// block's projection or nodeJoin may want pending (buildPath): left as its
-// superstep's adds lie — chunks or open boxes, not compacted, so never
-// scanned for its key ranges, packed, sorted, folded, swept or rebuilt, and
-// not counted in the stats' table entries, which are entries of compacted
-// tables. Its entries are counted once, in the load of the join that reads
-// them.
+// finish is track for a walk's table, which a root cycle's join or a
+// start-free walk's reader may want pending (buildPath): left as its
+// superstep's adds lie — chunks or open boxes, not compacted here, so not
+// counted in the stats' table entries, which are entries of the tables
+// track compacts. Its entries are counted once, in the load of the join
+// that reads them.
 func (s *solver) finish(t *engine.Sharded, pend bool) *engine.Sharded {
 	if pend {
 		return t
@@ -441,12 +439,17 @@ func (s *solver) solveRoot(b *decomp.Block, anchor int, per []uint64) uint64 {
 		unary = s.tables[b.Children[0]]
 	}
 	if per == nil {
-		return unary.Total()
+		return unary.Total() // a box's cells are summed, not swept
 	}
 	defer s.tr.Start(PhasePerVertexJoin)()
-	unary.Iter(func(k table.Key, c uint64) bool {
-		per[k.U] += c
-		return true
+	s.be.Run(func(w int) {
+		rows := unary.Shard(w).Rows(s.aborted)
+		for run := rows.Next(); len(run) > 0; run = rows.Next() {
+			for i := range run {
+				per[run[i].U()] += run[i].C
+			}
+		}
+		rows.Close()
 	})
 	return 0
 }

@@ -272,7 +272,11 @@ func TestChildTableSurvivesItsParentsWalks(t *testing.T) {
 		}
 		snap := func(b *decomp.Block) snapshot {
 			sn := snapshot{total: s.tables[b].Total(), ents: map[table.Key]uint64{}}
-			s.tables[b].Iter(func(k table.Key, c uint64) bool { sn.ents[k] = c; return true })
+			for w := range s.be.P() {
+				for _, e := range s.tables[b].Shard(w).Ents() {
+					sn.ents[e.Key()] = e.C
+				}
+			}
 			return sn
 		}
 		checked := 0

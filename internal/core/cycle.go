@@ -99,7 +99,9 @@ func (s *solver) solveRootCycle(b *decomp.Block) uint64 {
 
 // solveLeaf computes the unary projection table of a leaf-edge block
 // (a,b): a single-edge walk from the leaf node to the boundary node,
-// folding in both node annotations, then projected onto π(a) (§5.2).
+// folding in both node annotations, then projected onto π(a) (§5.2). The
+// table is left pending: its one reader — the parent's lift or nodeJoin,
+// the per-vertex fold or the root's Total — takes it as it lies.
 func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 	step := pathStep{edgeAnn: b.EdgeAnn[0], nodeAnn: b.NodeAnn[0]}
 	if step.edgeAnn != nil {
@@ -119,8 +121,8 @@ func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 	// owner(V). (None, v, α) ↦ (v, None, α) keeps the partition, the rows and
 	// the signatures, so the walk's table is left pending and a shard's open
 	// box moves over whole, its cells the entries projected; a shard whose
-	// box never opened is compacted here, polling as track does, and its
-	// entries are added one by one.
+	// box never opened is read a vertex at a time (table.Rows), compacted
+	// first, polling as track does, and its entries are added one by one.
 	defer s.tr.Start(PhaseLeafJoin)()
 	s.be.Run(func(w int) {
 		sh, src := out.Shard(w), walk.table.Shard(w)
@@ -128,21 +130,24 @@ func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 		var poll int
 		if cells, ok := sh.MoveBox(src); ok {
 			load = int64(cells)
-		} else if _, ok := src.Build(s.aborted); ok {
-			ents := src.Ents()
-			for i := range ents {
-				e := &ents[i]
-				load++
-				if s.canceled(&poll) {
-					break
+		} else {
+			rows := src.Rows(s.aborted)
+		scan:
+			for run := rows.Next(); len(run) > 0; run = rows.Next() {
+				for i := range run {
+					load++
+					if s.canceled(&poll) {
+						break scan
+					}
+					sh.AddEnt(table.UnaryEnt(run[i].V(), run[i].S, run[i].C))
 				}
-				sh.AddEnt(table.UnaryEnt(e.V(), e.S, e.C))
 			}
+			rows.Close()
 		}
 		s.be.AddLoad(w, load)
 	})
 	walk.done()
-	return s.track(out)
+	return out
 }
 
 // splits enumerates the algorithm's cycle splits — one for PS, L for DB —

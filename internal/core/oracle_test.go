@@ -1,0 +1,175 @@
+package core_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/exact"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/query"
+)
+
+// treeMatches is a second oracle for tree queries, sharing no code with the
+// solver or with internal/exact: the split-an-edge dynamic program of the
+// colour-coding literature (Alon et al.), memoised per (subtree, root,
+// vertex) and kept as counts per colour set rather than as sets of colour
+// sets. The colourful
+// maps of a subtree T rooted at r with r ↦ v, by colour set, are those of
+// the two halves an edge (r, x) of T splits it into — r's half at v, x's at
+// a neighbour u of v — paired over disjoint colour sets; one node at v has
+// the one colour set {χ(v)}. Colourful maps are injective, so the total over
+// every v at the full colour set is the number of colourful matches.
+func treeMatches(g *graph.Graph, q *query.Graph, colors []uint8) uint64 {
+	type half struct {
+		nodes uint32 // query nodes of the subtree, a bitmap
+		root  int
+		v     uint32
+	}
+	type counted struct {
+		set uint32
+		n   uint64
+	}
+	memo := map[half][]counted{}
+	var maps func(h half) []counted
+	maps = func(h half) []counted {
+		if got, ok := memo[h]; ok {
+			return got
+		}
+		by := map[uint32]uint64{}
+		if h.nodes == 1<<h.root {
+			by[1<<colors[h.v]] = 1
+		} else {
+			x := -1 // r's first neighbour inside the subtree, and x's side of the edge
+			for _, y := range q.Neighbors(h.root) {
+				if x < 0 && h.nodes>>y&1 == 1 {
+					x = y
+				}
+			}
+			far := uint32(1) << x
+			for grew := true; grew; {
+				grew = false
+				for a := 0; a < q.K; a++ {
+					for _, b := range q.Neighbors(a) {
+						if far>>a&1 == 1 && b != h.root && h.nodes>>b&1 == 1 && far>>b&1 == 0 {
+							far, grew = far|1<<b, true
+						}
+					}
+				}
+			}
+			near := maps(half{h.nodes &^ far, h.root, h.v})
+			for _, u := range g.Neighbors(h.v) {
+				for _, a := range near {
+					for _, b := range maps(half{far, x, u}) {
+						if a.set&b.set == 0 {
+							by[a.set|b.set] += a.n * b.n
+						}
+					}
+				}
+			}
+		}
+		var got []counted
+		for set, n := range by {
+			got = append(got, counted{set, n})
+		}
+		memo[h] = got
+		return got
+	}
+	var total uint64
+	for v := 0; v < g.N(); v++ {
+		for _, c := range maps(half{1<<q.K - 1, 0, uint32(v)}) {
+			if c.set == 1<<q.K-1 {
+				total += c.n
+			}
+		}
+	}
+	return total
+}
+
+// pruferTree returns the labelled tree on k ≥ 2 nodes that a random Prüfer
+// sequence encodes: every labelled tree is equally likely.
+func pruferTree(k int, rng *rand.Rand) *query.Graph {
+	seq := make([]int, k-2)
+	degree := make([]int, k)
+	for i := range seq {
+		seq[i] = rng.Intn(k)
+		degree[seq[i]]++
+	}
+	var edges [][2]int
+	for _, a := range seq {
+		for leaf := 0; ; leaf++ {
+			if degree[leaf] == 0 {
+				edges = append(edges, [2]int{leaf, a})
+				degree[leaf], degree[a] = -1, degree[a]-1
+				break
+			}
+		}
+	}
+	var last []int
+	for n := range degree {
+		if degree[n] == 0 {
+			last = append(last, n)
+		}
+	}
+	return query.FromEdges(fmt.Sprintf("prufer%d%v", k, seq), k, append(edges, [2]int{last[0], last[1]}))
+}
+
+// Tree queries against two oracles that share no code with each other or
+// with the solver: random generated graphs, binary trees, stars, paths and
+// random Prüfer trees of up to nine nodes, random colourings, counted on sim
+// and parallel at two workers and on a two-rank loopback cluster — every
+// table a tree query builds is a leaf block's, read where it lies. The
+// colour-set DP must agree with the backtracking enumerator first, or the
+// test proves nothing about either.
+func TestTreesAgreeWithSecondOracle(t *testing.T) {
+	backends := []backend{local(engine.SimName, 2), local(engine.ParallelName, 2), loopback2(t)}
+	draws := 40
+	if testing.Short() || core.RaceEnabled {
+		draws = 8
+	}
+	rng := rand.New(rand.NewSource(28))
+	none := 0
+	defer func() {
+		if 2*none > draws {
+			t.Errorf("%d of %d draws have no colourful match; the test needs matches to miscount", none, draws)
+		}
+	}()
+	for i := 0; i < draws; i++ {
+		k := 2 + rng.Intn(8)
+		q := []*query.Graph{query.BinaryTree(k), query.Star(k), query.PathGraph(k), pruferTree(k, rng)}[i%4]
+		if !q.IsTree() {
+			t.Fatalf("%s is no tree", q)
+		}
+		n := 20 + rng.Intn(30)
+		g := gen.ErdosRenyi("er", n, int64(n*(2+rng.Intn(3))), rng)
+		colors := make([]uint8, n)
+		for v := range colors {
+			colors[v] = uint8(rng.Intn(q.K))
+		}
+		want := treeMatches(g, q, colors)
+		if want == 0 {
+			none++
+		}
+		if enumerated := exact.ColorfulMatches(g, q, colors); enumerated != want {
+			t.Fatalf("%s on %d vertices: the colour-set DP counts %d, the enumerator %d", q, n, want, enumerated)
+		}
+		plan, err := core.PickPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, be := range backends {
+			opts := be.opts(engine.Job{N: n, Graph: g, Colors: colors, Query: q, Plan: plan, Mode: engine.ModeCount})
+			opts.Plan = plan
+			got, _, err := core.CountColorful(g, q, colors, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s on %d vertices, %s: counted %d, both oracles %d", q, n, be.name, got, want)
+			}
+		}
+	}
+}

@@ -27,9 +27,10 @@ import (
 // table after the last extension or join that reads it.
 //
 // The joins run over the flat signature-major layout (table.Flat): each
-// shard's entries are one dense slice grouped by the home vertex V, so an
-// inner loop is a linear scan and the child side is probed through a
-// CSR-style index (rowIdx) instead of a hash map. A join writes each entry
+// shard's entries are grouped by the home vertex, and a join reads both its
+// sides a vertex at a time (table.Rows) — a sorted shard's runs, a pending
+// matrix's rows — so an inner loop is a linear scan and the child side needs
+// no hash map and no index. A join writes each entry
 // it produces once, packed as the table stores it (table.Ent: V high and U
 // low in one word, X high and Y low in the other), straight into the lane
 // of the partition that owns its home vertex (engine.Lanes). The edge
@@ -144,21 +145,18 @@ func (t walkTrie) release() {
 // pend leaves the walk's own table — the last one built, never a prefix's —
 // as its superstep left it: chunks of entries in the order they were
 // appended, duplicates unfolded, or an open box (track). Only a reader that
-// wants neither order nor folded counts may ask for that, or one that reads
-// a box as it lies: a root cycle's join (split.sides) and a leaf block's
-// projection (solveLeaf). A start-free walk's edge table whose step goes on
-// to a nodeJoin is left pending too: that join, its one reader, reads the
-// box rows in place.
+// wants neither order nor folded counts may ask for that: a root cycle's
+// join (split.sides). A start-free walk's tables are all left pending,
+// whatever is asked: each has one reader — a join or the projection — and
+// every one takes a table as it lies (table.Rows, MoveBox).
 func (s *solver) buildPath(n *walk, pend bool) bool {
 	if n.table != nil {
 		return true
 	}
 	p := n.parent
 	last := n.step.nodeAnn == nil // the step's edge table is the walk's
-	edgePend := pend
-	if !last {
-		edgePend = n.free
-	}
+	pend = pend || n.free
+	edgePend := pend && (last || n.free)
 	var t *engine.Sharded
 	switch {
 	case p == nil && n.startAnn == nil:
@@ -196,15 +194,6 @@ func (s *solver) newTable(spec pathStart) *engine.Sharded {
 		return engine.NewMatrix(s.be, s.k, true)
 	}
 	return engine.NewSharded(s.be)
-}
-
-// runOf returns the end of the run of entries starting at ents[i] that
-// share its V: a shard is sorted by V first.
-func runOf(ents []table.Ent, i int) int {
-	v := ents[i].V()
-	for i++; i < len(ents) && ents[i].V() == v; i++ {
-	}
-	return i
 }
 
 // startKey is the U a walk that starts at vertex u carries in its keys.
@@ -313,20 +302,31 @@ func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharde
 
 // lift turns the unary table (u,α) of the child annotating the start node
 // into the degenerate walk table (u,u,α), seeding a path that includes that
-// annotation.
+// annotation. A start-free walk's is (None,u,α), the child's rows with the
+// vertex in the other key half: a shard's open box moves over whole
+// (table.Flat.MoveBox) — the child annotates this one place, and nothing
+// reads it after — and the table is left pending for its next step.
 func (s *solver) lift(spec pathStart) *engine.Sharded {
 	child := s.tables[spec.startAnn]
 	out := s.newTable(spec)
 	defer s.tr.Start(PhasePathJoin)()
 	s.be.Run(func(w int) {
-		sh := out.Shard(w)
-		ents := child.Shard(w).Ents()
-		for i := range ents {
-			e := &ents[i]
-			sh.AddEnt(table.BinaryEnt(spec.startKey(e.U()), e.U(), e.S, e.C))
+		sh, src := out.Shard(w), child.Shard(w)
+		if spec.free {
+			if _, moved := sh.MoveBox(src); moved {
+				return
+			}
 		}
+		rows := src.Rows(s.aborted)
+		for run := rows.Next(); len(run) > 0; run = rows.Next() {
+			for i := range run {
+				e := &run[i]
+				sh.AddEnt(table.BinaryEnt(spec.startKey(e.U()), e.U(), e.S, e.C))
+			}
+		}
+		rows.Close()
 	})
-	return s.track(out)
+	return s.finish(out, spec.free)
 }
 
 // edgeJoin extends every walk entry (u,v,…,α) across the step's edge: for a
@@ -341,7 +341,8 @@ func (s *solver) lift(spec pathStart) *engine.Sharded {
 // row, where the walk is start-free and its lane has a box open: the run's
 // entries are then row adds (table.Flat.Row) — a start-free walk records
 // nothing and is never ordered, so the row's vertex and a signature are
-// the whole key.
+// the whole key. A run is a vertex's entries as table.Rows serves them: a
+// start-free walk's source is pending, and its runs are its box rows.
 func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend bool) *engine.Sharded {
 	out := s.newTable(spec)
 	slot := slotOf(st.record)
@@ -350,11 +351,10 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 		s.be.Step(out, func(w int, to *engine.Lanes) {
 			var load int64
 			var poll int
-			ents := cur.Shard(w).Ents()
+			src := cur.Shard(w).Rows(s.aborted)
+			defer src.Close()
 		scan:
-			for i, j := 0, 0; i < len(ents); i = j {
-				j = runOf(ents, i)
-				run := ents[i:j]
+			for run := src.Next(); len(run) > 0; run = src.Next() {
 				for _, nb := range s.g.Neighbors(run[0].V()) {
 					load += int64(len(run))
 					if s.canceledAfter(&poll, len(run)) {
@@ -389,20 +389,19 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 		return s.finish(out, pend)
 	}
 	// groupBinary runs (and traces) its own supersteps; span only ours.
-	grouped := s.groupBinary(st.edgeAnn, st.edgeFromFirst)
+	byFrom := s.groupBinary(st.edgeAnn, st.edgeFromFirst)
 	defer s.tr.Start(PhasePathJoin)()
 	s.be.Step(out, func(w int, to *engine.Lanes) {
 		var load int64
 		var poll int
-		idx := grouped[w]
-		ents := cur.Shard(w).Ents()
+		src, edges := cur.Shard(w).Rows(s.aborted), byFrom.Shard(w).Rows(s.aborted)
+		defer src.Close()
+		defer edges.Close()
 	scan:
-		for i, j := 0, 0; i < len(ents); i = j {
-			j = runOf(ents, i)
-			run := ents[i:j]
+		for run := src.Next(); len(run) > 0; run = src.Next() {
 			v := run[0].V()
 			cv := s.colorOf(v)
-			for _, e := range idx.at(v) {
+			for _, e := range edges.At(v) {
 				load += int64(len(run))
 				if s.canceledAfter(&poll, len(run)) {
 					break scan
@@ -440,60 +439,38 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 
 // nodeJoin folds a unary child table into the walk at its current end node
 // (Figure 7 NodeJoin). Both tables are homed at the owner of v, so the join
-// is communication-free. The child index is built once per block by
-// groupUnary and reused across every split that folds the same annotation.
-//
-// A start-free walk's edge table is read by this join alone, and is left
-// pending for it (buildPath): a shard with a box open is read row by row
-// where it lies, a cell that holds a count standing for the entry a sweep
-// would have made of it; a shard whose box never opened is compacted here,
-// polling as track does, and read as entries. Into a start-free walk's
-// table the entries of one vertex are row adds once its box is open.
+// is communication-free, and both are read a vertex at a time (table.Rows):
+// the walk's run or row at each v, the child's entries at v. Either may be
+// pending — a start-free walk's edge table is, and so is a leaf block's
+// output — and is then read where it lies, a box cell that holds a count
+// standing for the entry a sweep would have made of it, or compacted here,
+// polling as track does. Into a start-free walk's table the entries of one
+// vertex are row adds once its box is open.
 func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block, pend bool) *engine.Sharded {
 	out := s.newTable(spec)
-	// groupUnary runs (and traces) its own superstep; span only ours.
-	grouped := s.groupUnary(ann)
+	child := s.tables[ann]
 	defer s.tr.Start(PhasePathJoin)()
 	s.be.Run(func(w int) {
-		idx := grouped[w]
 		var load int64
 		var poll int
-		src, sh := cur.Shard(w), out.Shard(w)
-		lo, hi := s.be.Range(w)
-		if _, srk := src.Row(lo); srk != nil {
-			for v := lo; v < hi && !s.stop.Load(); v++ {
-				child := idx.at(v)
-				if len(child) == 0 {
-					continue
-				}
-				cells, _ := src.Row(v)
-				row, rk := sh.Row(v)
-				for j, c := range cells {
-					if c == 0 {
-						continue
-					}
-					load += int64(len(child))
-					if s.canceledAfter(&poll, len(child)) {
-						break
-					}
-					nodeCell(sh, row, rk, child, s.colorOf(v), table.BinaryEnt(table.None, v, srk.Sigs[j], c))
-				}
+		sh := out.Shard(w)
+		src, kids := cur.Shard(w).Rows(s.aborted), child.Shard(w).Rows(s.aborted)
+		defer src.Close()
+		defer kids.Close()
+	scan:
+		for run := src.Next(); len(run) > 0; run = src.Next() {
+			v := run[0].V()
+			at := kids.At(v)
+			if len(at) == 0 {
+				continue
 			}
-		} else if _, ok := src.Build(s.aborted); ok {
-			ents := src.Ents()
-		scan:
-			for i, j := 0, 0; i < len(ents); i = j {
-				j = runOf(ents, i)
-				v := ents[i].V()
-				child := idx.at(v)
-				row, rk := sh.Row(v)
-				for r := i; r < j; r++ {
-					load += int64(len(child))
-					if s.canceledAfter(&poll, len(child)) {
-						break scan
-					}
-					nodeCell(sh, row, rk, child, s.colorOf(v), ents[r])
+			row, rk := sh.Row(v)
+			for r := range run {
+				load += int64(len(at))
+				if s.canceledAfter(&poll, len(at)) {
+					break scan
 				}
+				nodeCell(sh, row, rk, at, s.colorOf(v), run[r])
 			}
 		}
 		s.be.AddLoad(w, load)
@@ -528,53 +505,9 @@ type groupKey struct {
 	fromFirst bool
 }
 
-// rowIdx indexes one partition's shard of a child table by the vertex the
-// shard is sorted on, CSR-style: the entries of vertex v are
-// ents[rows[v-lo] : rows[v-lo+1]]. ents is the shard's own storage, so the
-// index costs one offset per vertex and no copy; it dies with the table.
-type rowIdx struct {
-	lo   uint32
-	rows []int32 // len = partition size + 1
-	ents []table.Ent
-}
-
-// at returns the entries indexed under vertex v, which must lie in the
-// partition's vertex range.
-func (ix *rowIdx) at(v uint32) []table.Ent {
-	i := v - ix.lo
-	return ix.ents[ix.rows[i]:ix.rows[i+1]]
-}
-
-// indexRows builds the row index of every shard of t, whose entries are
-// homed — and therefore sorted — by the vertex home extracts: a single
-// linear walk per partition, no redistribution and no sort. The indexes and
-// their offsets are two allocations, whatever the partition count:
-// partition w's n+1 offsets start at lo+w.
-func (s *solver) indexRows(t *engine.Sharded, home func(*table.Ent) uint32) []*rowIdx {
-	g := make([]*rowIdx, s.be.P())
-	idx := make([]rowIdx, len(g))
-	rows := make([]int32, s.g.N()+len(g))
-	defer s.tr.Start(PhaseTableMerge)()
-	s.be.Run(func(w int) {
-		lo, hi := s.be.Range(w)
-		n := int(hi - lo)
-		ix := &idx[w]
-		*ix = rowIdx{lo: lo, rows: rows[int(lo)+w:][:n+1], ents: t.Shard(w).Ents()}
-		j := 0
-		for r := 0; r < n; r++ {
-			ix.rows[r] = int32(j)
-			for v := lo + uint32(r); j < len(ix.ents) && home(&ix.ents[j]) == v; j++ {
-			}
-		}
-		ix.rows[n] = int32(j)
-		g[w] = ix
-	})
-	return g
-}
-
 // groupIdx indexes one sorted shard of a walk table by the (V, U) pair its
-// entries are grouped under — rowIdx taken one level down, for the cycle
-// join, which meets two walks on both their ends. groups[rows[v-lo] :
+// entries are grouped under, CSR-style, for the cycle join, which meets two
+// walks on both their ends. groups[rows[v-lo] :
 // rows[v-lo+1]] are the groups homed at vertex v, U ascending, one word
 // each: the group's U in the high half, the offset of its first entry in
 // the low. A group's entries end where the next group's begin, the last
@@ -772,25 +705,18 @@ func withSig(grp []table.Ent, want sig.Sig) []table.Ent {
 	return nil
 }
 
-// regrouped is a binary child table rebuilt at the owners of its "from"
-// endpoints, with the row index over it.
-type regrouped struct {
-	byFrom *engine.Sharded
-	idx    []*rowIdx
-}
-
 // groupBinary redistributes a child block's binary table so every entry is
-// indexed, at the owner of its "from" endpoint, by that endpoint — the
-// paper's "communication to bring the two entries to a common processor"
-// (§7). One superstep rebuilds the table with its entries turned round,
-// (to, from, α) homed at from, and the rebuilt shards are indexed where
-// they lie: a row holds the entries leaving one vertex, their U the far
-// endpoint. Results are cached per (block, orientation) — the DB solver
-// reuses them across its L splits — until dropGroups.
-func (s *solver) groupBinary(b *decomp.Block, fromFirst bool) []*rowIdx {
+// homed at the owner of its "from" endpoint — the paper's "communication to
+// bring the two entries to a common processor" (§7). One superstep rebuilds
+// the table with its entries turned round, (to, from, α) homed at from, so
+// that a vertex's entries (table.Rows) are the entries leaving it, their U
+// the far endpoint; its first reader compacts it. Results are cached per
+// (block, orientation) — the DB solver reuses them across its L splits —
+// until dropGroups.
+func (s *solver) groupBinary(b *decomp.Block, fromFirst bool) *engine.Sharded {
 	key := groupKey{block: b, fromFirst: fromFirst}
 	if g, ok := s.grouped[key]; ok {
-		return g.idx
+		return g
 	}
 	child := s.tables[b]
 	byFrom := engine.NewSharded(s.be)
@@ -811,22 +737,8 @@ func (s *solver) groupBinary(b *decomp.Block, fromFirst bool) []*rowIdx {
 		}
 	})
 	end()
-	g := regrouped{byFrom: byFrom, idx: s.indexRows(byFrom, (*table.Ent).V)}
-	s.grouped[key] = g
-	return g.idx
-}
-
-// groupUnary builds (and caches) the row index of a unary child table used
-// by nodeJoin: entries are already homed at the owner of their boundary
-// vertex U and sorted by it. The cache is released by dropGroups when the
-// block's parent is solved.
-func (s *solver) groupUnary(b *decomp.Block) []*rowIdx {
-	if g, ok := s.unary[b]; ok {
-		return g
-	}
-	g := s.indexRows(s.tables[b], (*table.Ent).U)
-	s.unary[b] = g
-	return g
+	s.grouped[key] = byFrom
+	return byFrom
 }
 
 // dropGroups releases cached groupings of a finished block.
@@ -834,9 +746,8 @@ func (s *solver) dropGroups(b *decomp.Block) {
 	for _, fromFirst := range []bool{true, false} {
 		key := groupKey{block: b, fromFirst: fromFirst}
 		if g, ok := s.grouped[key]; ok {
-			g.byFrom.Release()
+			g.Release()
 			delete(s.grouped, key)
 		}
 	}
-	delete(s.unary, b)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/query"
@@ -25,18 +24,7 @@ import (
 // written). -short and -race count each instance twice: as coloured on its
 // first leg, relabelled on its last.
 func TestRelabelKeepsCount(t *testing.T) {
-	cluster, err := dist.Loopback(2, dist.WorkerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cluster.Close() })
-	dist2 := backend{"dist@2", func(job engine.Job) core.Options {
-		be, err := cluster.NewJob(0, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return core.Options{Engine: be}
-	}}
+	dist2 := loopback2(t)
 	onePartition := backend{"sim, one partition over boxCap", func(job engine.Job) core.Options {
 		return core.Options{Engine: engine.NewRuntime(engine.SimName, 1, 1, job.N)}
 	}}

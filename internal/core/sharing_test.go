@@ -34,24 +34,30 @@ func local(name string, workers int) backend {
 // partitions (bands of three and two, where the grain rule cuts eight), and
 // a two-rank loopback cluster that lives as long as the test.
 func equivalenceBackends(t *testing.T) []backend {
-	cluster, err := dist.Loopback(2, dist.WorkerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cluster.Close() })
 	return []backend{
 		local("sim", 4), local("sim", 1), local("parallel", 1), local("parallel", 2), local("parallel", 3),
 		{"sim@2 over 5 partitions", func(job engine.Job) core.Options {
 			return core.Options{Engine: engine.NewRuntime(engine.SimName, 5, 2, job.N)}
 		}},
-		{"dist@2", func(job engine.Job) core.Options {
-			be, err := cluster.NewJob(0, job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return core.Options{Engine: be}
-		}},
+		loopback2(t),
 	}
+}
+
+// loopback2 returns a two-rank loopback cluster that lives as long as the
+// test.
+func loopback2(t *testing.T) backend {
+	cluster, err := dist.Loopback(2, dist.WorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	return backend{"dist@2", func(job engine.Job) core.Options {
+		be, err := cluster.NewJob(0, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.Options{Engine: be}
+	}}
 }
 
 // Building each distinct walk once, joining identical splits once and

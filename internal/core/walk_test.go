@@ -275,12 +275,12 @@ func pendingRows(be engine.Backend, t *engine.Sharded) (n int64) {
 // rows — at most one entry per vertex and colour set of the size the walk
 // has reached — however many (leaf, boundary) pairs the graph has. The
 // graph is dense enough that the pairs outnumber the rows at every step.
-// A walk's tables are sized where they are made: a lift's, compacted, by
-// the entries it adds to the stats; an edge step's, left pending for the
-// nodeJoin or the projection that reads it, by its open boxes' cells and
-// its other shards' entries, as its superstep ends; a nodeJoin's, the
-// walk's last and pending, by the projection, whose keys are its keys with
-// the vertex moved to the other half.
+// Every table of a leaf block is left pending for the one reader that takes
+// it as it lies, and is sized that way (pendingRows): an edge step's as its
+// superstep ends; a lift's, into which the child's boxes move, by the
+// child's output as that was solved; a nodeJoin's, the walk's last, by the
+// block's output, whose keys are its keys with the vertex moved to the
+// other half. No table of a leaf block adds to the stats' table entries.
 func TestLeafWalkTablesAreBoundaryRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := gen.ErdosRenyi("er", 100, 3000, rng)
@@ -291,30 +291,32 @@ func TestLeafWalkTablesAreBoundaryRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sizes []int64 // of the tables the walk steps of the current block built
-		var last, projected int64
 		be := &stepped{Backend: engine.NewParallel(2, g.N())}
 		tr := obs.NewTrace(t.Name())
 		s := newSolver(obs.WithTrace(context.Background(), tr), g, randColors(g.N(), q.K, rng), q.K, be, DB)
 		tr.SetSink(func(phase string, _ float64) {
-			switch {
-			case phase == PhaseLeafJoin:
-				projected = s.entries - last
-			case phase != PhasePathJoin:
-			case be.out != nil:
+			if phase == PhasePathJoin && be.out != nil {
 				sizes = append(sizes, pendingRows(be, be.out))
-			case s.entries > last:
-				sizes = append(sizes, s.entries-last)
 			}
-			be.out, last = nil, s.entries
+			be.out = nil
 		})
+		outputs := map[*decomp.Block]int64{} // the solved blocks' tables, as they lie
 		leaves := 0
 		for _, b := range plan.Blocks {
-			sizes, last = sizes[:0], s.entries // a cycle block's own table is counted after its last span
+			sizes = sizes[:0]
 			switch b.Kind {
 			case decomp.CycleBlock:
 				s.tables[b] = s.solveCycle(b)
 			case decomp.LeafEdge:
+				counted := s.entries
 				s.tables[b] = s.solveLeaf(b)
+				if s.entries != counted {
+					t.Errorf("%s: leaf block %v counted %d table entries", q.Name, b.Nodes, s.entries-counted)
+				}
+				if ann := b.NodeAnn[1]; ann != nil {
+					sizes = append([]int64{outputs[ann]}, sizes...)
+				}
+				projected := pendingRows(be, s.tables[b])
 				switch {
 				case b.NodeAnn[0] != nil:
 					sizes = append(sizes, projected)
@@ -346,6 +348,9 @@ func TestLeafWalkTablesAreBoundaryRows(t *testing.T) {
 					}
 				}
 				leaves++
+			}
+			if out := s.tables[b]; out != nil {
+				outputs[b] = pendingRows(be, out)
 			}
 			s.drop(b.Children)
 		}
@@ -379,13 +384,14 @@ func TestLeafWalkKeysCarryNoStart(t *testing.T) {
 			if !inLeaf || n.table == nil {
 				continue
 			}
-			n.table.Iter(func(k table.Key, _ uint64) bool {
-				if k.U != table.None {
-					t.Fatalf("a leaf walk's table holds the key %+v", k)
+			for w := range s.be.P() {
+				for _, e := range n.table.Shard(w).Ents() {
+					if e.U() != table.None {
+						t.Fatalf("a leaf walk's table holds the key %+v", e.Key())
+					}
+					checked++
 				}
-				checked++
-				return true
-			})
+			}
 		}
 	})
 	for _, b := range plan.Blocks {

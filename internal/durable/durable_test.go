@@ -1,7 +1,11 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -240,4 +244,64 @@ func TestAppendAfterClose(t *testing.T) {
 	l.Close()
 	l.AppendRun(testRun(1, 1)) // must not panic or block
 	l.Close()                  // double close must be safe
+}
+
+// freshFrame frames q as a gob.Encoder made for that record alone writes
+// it: the layout replay reads, each payload self-describing.
+func freshFrame(t *testing.T, q *queued) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	payload.WriteByte(q.kind)
+	enc := gob.NewEncoder(&payload)
+	var err error
+	if q.kind == kindRun {
+		err = enc.Encode(&q.run)
+	} else {
+		err = enc.Encode(&q.job)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [frameHeader]byte
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
+	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload.Bytes(), crcTable))
+	return append(hdr[:], payload.Bytes()...)
+}
+
+// TestFramesAreFreshEncodings: a frame written by the writer's long-lived
+// encoders is byte for byte the frame a new encoder per record writes,
+// whatever the record holds and in whatever order the kinds come, and a
+// warm frame costs a few allocations, not a new encoder's dozens.
+func TestFramesAreFreshEncodings(t *testing.T) {
+	failed := testJob("j3")
+	failed.State, failed.Error, failed.Estimate = "failed", "deadline exceeded", nil
+	records := []queued{
+		{kind: kindJob, job: testJob("j1")},
+		{kind: kindRun, run: testRun(1, 3)},
+		{kind: kindRun, run: RunRecord{}},
+		{kind: kindJob, job: failed},
+		{kind: kindRun, run: testRun(2, 0)},
+		{kind: kindJob, job: JobRecord{}},
+		{kind: kindRun, run: testRun(3, 9)},
+		{kind: kindJob, job: testJob("j4")},
+	}
+	var fr frames
+	for i := range records {
+		var buf bytes.Buffer
+		if err := fr.appendFrame(&buf, &records[i]); err != nil {
+			t.Fatal(err)
+		}
+		if want := freshFrame(t, &records[i]); !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("record %d (kind %d): frame differs from a fresh encoder's\n got %x\nwant %x", i, records[i].kind, buf.Bytes(), want)
+		}
+	}
+	var buf bytes.Buffer
+	allocs := testing.AllocsPerRun(100, func() {
+		buf.Reset()
+		fr.appendFrame(&buf, &records[1])
+		fr.appendFrame(&buf, &records[0])
+	})
+	if allocs > 20 { // a new encoder a record: about 70
+		t.Errorf("two warm frames allocate %.0f times, want ≤ 20", allocs)
+	}
 }

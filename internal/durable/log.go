@@ -42,11 +42,13 @@
 package durable
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -233,6 +235,7 @@ type Log struct {
 	done   chan struct{} // writer exited
 
 	f        *os.File // WAL, append-only; owned by the writer goroutine after Open
+	frames   frames   // the writer goroutine's
 	walBytes atomic.Int64
 	snapshot atomic.Int64 // snapshot file size
 
@@ -464,7 +467,7 @@ func (l *Log) writer() {
 func (l *Log) writeBatch(batch []queued) {
 	var buf bytes.Buffer
 	for i := range batch {
-		if err := appendFrame(&buf, &batch[i]); err != nil {
+		if err := l.frames.appendFrame(&buf, &batch[i]); err != nil {
 			// Encoding is infallible for these types in practice; a
 			// failure here is a programming error worth surfacing loudly.
 			l.writeErrors.Add(1)
@@ -492,31 +495,52 @@ func (l *Log) sync() {
 	l.fsyncs.Add(1)
 }
 
-// appendFrame appends one framed record to buf.
-func appendFrame(buf *bytes.Buffer, q *queued) error {
-	var payload bytes.Buffer
-	payload.WriteByte(q.kind)
-	enc := gob.NewEncoder(&payload)
-	var err error
-	switch q.kind {
-	case kindRun:
-		err = enc.Encode(&q.run)
-	case kindJob:
-		err = enc.Encode(&q.job)
-	default:
-		err = fmt.Errorf("durable: unknown record kind %d", q.kind)
+// frames is the writer goroutine's encoder. Replay decodes each payload
+// with a fresh gob.Decoder, so each holds its type's descriptors. A
+// gob.Encoder sends them with its first value only: frames keeps one per
+// kind and the descriptors it sent, and puts them before every later value —
+// the bytes a new encoder per record writes, without its garbage.
+type frames struct {
+	out   bytes.Buffer
+	enc   [kindJob + 1]*gob.Encoder
+	types [kindJob + 1][]byte
+}
+
+// appendFrame writes one framed record to w.
+func (fr *frames) appendFrame(w io.Writer, q *queued) error {
+	v := any(&q.run)
+	if q.kind == kindJob {
+		v = &q.job
 	}
-	if err != nil {
-		return err
+	fr.out.Reset()
+	fr.out.WriteByte(q.kind)
+	if enc := fr.enc[q.kind]; enc != nil {
+		fr.out.Write(fr.types[q.kind])
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+	} else {
+		// Sent twice, with its descriptors and without: they are the difference.
+		enc = gob.NewEncoder(&fr.out)
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+		n := fr.out.Len()
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+		fr.enc[q.kind], fr.types[q.kind] = enc, bytes.Clone(fr.out.Bytes()[1:2*n-fr.out.Len()])
+		fr.out.Truncate(n)
 	}
-	if payload.Len() > maxRecord {
+	payload := fr.out.Bytes()
+	if len(payload) > maxRecord {
 		return fmt.Errorf("durable: record exceeds %d bytes", maxRecord)
 	}
 	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload.Bytes(), crcTable))
-	buf.Write(hdr[:])
-	buf.Write(payload.Bytes())
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	w.Write(hdr[:])
+	w.Write(payload)
 	return nil
 }
 
@@ -540,28 +564,31 @@ func (l *Log) compact() error {
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	for i := range runs {
-		if err := appendFrame(&buf, &queued{kind: kindRun, run: runs[i]}); err != nil {
-			f.Close()
-			return err
-		}
+	// The snapshot streams out through a small buffer (its write errors
+	// stick, for Flush to report): one built whole in memory would be a
+	// second copy of the state, garbage the size of the file.
+	w := bufio.NewWriterSize(f, 64<<10)
+	for i := 0; i < len(runs) && err == nil; i++ {
+		err = l.frames.appendFrame(w, &queued{kind: kindRun, run: runs[i]})
 	}
-	for i := range jobs {
-		if err := appendFrame(&buf, &queued{kind: kindJob, job: jobs[i]}); err != nil {
-			f.Close()
-			return err
-		}
+	for i := 0; i < len(jobs) && err == nil; i++ {
+		err = l.frames.appendFrame(w, &queued{kind: kindJob, job: jobs[i]})
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = w.Flush()
+	}
+	var size int64
+	if err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
 	}
 	// The snapshot must be durably complete before it replaces the old
 	// one, and durably *named* before the WAL it subsumes is truncated —
 	// a crash between the two replays new snapshot + old WAL, which
 	// merges to the same state (replay is idempotent).
-	if err := f.Sync(); err != nil {
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -578,10 +605,10 @@ func (l *Log) compact() error {
 	}
 	l.sync()
 	l.walBytes.Store(0)
-	l.snapshot.Store(int64(buf.Len()))
+	l.snapshot.Store(size)
 	l.compactions.Add(1)
 	l.logger.Info("durable: compacted",
-		"snapshotBytes", buf.Len(), "runs", len(runs), "jobs", len(jobs))
+		"snapshotBytes", size, "runs", len(runs), "jobs", len(jobs))
 	return nil
 }
 

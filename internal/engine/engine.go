@@ -177,23 +177,6 @@ func (s *Sharded) Total() uint64 {
 	return t
 }
 
-// Iter visits every entry across shards (sequentially; unspecified order).
-func (s *Sharded) Iter(f func(table.Key, uint64) bool) {
-	for i := range s.shards {
-		stop := false
-		s.shards[i].Iter(func(k table.Key, c uint64) bool {
-			if !f(k, c) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
-		}
-	}
-}
-
 // Release returns every shard's storage to the table slab pool and the
 // shard arrays, emptied and undeclared, to the pool the next table's come
 // from. Call it when the table is dead: no slice obtained from a shard's

@@ -22,8 +22,8 @@ type Shape struct {
 // sig.Ranking position) and accumulated in place. The header is the
 // caller's to allocate (one array per sharded table); the counts are a
 // pooled slab viewed as words, taken when the box is due (boxDue) and given
-// back by the sweep that turns them into sorted entries — or by the reader
-// that takes the rows as they lie (Row, MoveBox) and then releases them.
+// back by the sweep that turns them into sorted entries — or by the Release
+// of a table whose readers took the rows as they lie (Rows, Total, MoveBox).
 type Box struct {
 	Shape
 	rk    *sig.Ranking // of the open box's signature size
@@ -173,13 +173,11 @@ func (b *Box) add(e Ent) {
 // rk.Rank of a signature — and the box's ranking, or nil and nil if t has
 // no box open. It is AddEnt for a join that writes many entries to one
 // vertex of a matrix: each becomes row[rk.Rank[s]] += c, with no entry
-// packed and no call made, and the writer books them with Added. A reader
-// of a pending matrix takes its rows here too, as they lie, instead of
-// sweeping them into entries. A vertex outside the partition, or a
-// signature of another size than the box's, indexes out of range and
-// panics, as through AddEnt. Entries compacted before the box opened — a
-// table read and then written again — are not in the row. Row must stay
-// inlinable.
+// packed and no call made, and the writer books them with Added. A vertex
+// outside the partition, or a signature of another size than the box's,
+// indexes out of range and panics, as through AddEnt. Entries compacted
+// before the box opened — a table read and then written again — are not in
+// the row. Row must stay inlinable.
 func (t *Flat) Row(v uint32) (row []uint64, rk *sig.Ranking) {
 	b := t.box
 	if b == nil || b.words == nil {
@@ -200,11 +198,12 @@ func (t *Flat) Added(n int) { t.box.adds += n }
 // false, moving nothing, if src has no box open. It is the projection that
 // keeps the vertex and the signature and moves the vertex to the other key
 // half — a start-free walk's table (None, v, α) becoming a leaf block's
-// (v, None, α) — done by handing the slab over, where a projection entry by
-// entry adds every cell again; the cells are read once, to be counted. A
-// box of other rows would be read at other vertices or signatures, and a
-// shard with entries of its own would lose them: either panics. src is
-// left empty.
+// (v, None, α), and back, a leaf block's becoming the first table of the
+// start-free walk it annotates — done by handing the slab over, where a
+// projection entry by entry adds every cell again; the cells are read once,
+// to be counted. A box of other rows would be read at other vertices or
+// signatures, and a shard with entries of its own would lose them: either
+// panics. src is left empty.
 func (t *Flat) MoveBox(src *Flat) (cells int, ok bool) {
 	sb := src.box
 	if sb == nil || sb.words == nil {
@@ -270,20 +269,23 @@ func (t *Flat) sweepBox(stop func() bool) bool {
 	}
 	if n := nonZero(b.words); n > 0 {
 		t.sorted = getSlab(n)
-		ents := t.sorted.ents
-		// The vertex in its half of VU, None in the other.
-		none := uint64(None) << (32 - b.Shift)
-		w := len(b.rk.Sigs)
 		for r := 0; r < int(b.N); r++ {
-			vu := uint64(b.Lo+uint32(r))<<b.Shift | none
-			for j, c := range b.words[r*w : (r+1)*w] {
-				if c != 0 {
-					ents = append(ents, Ent{VU: vu, XY: ^uint64(0), S: b.rk.Sigs[j], C: c})
-				}
-			}
+			t.sorted.ents = b.appendRow(t.sorted.ents, r)
 		}
-		t.sorted.ents = ents
 	}
 	b.close()
 	return true
+}
+
+// appendRow appends to ents the entries row r of the open box stands for:
+// one per cell that holds a count, in cmpEnt's order.
+func (b *Box) appendRow(ents []Ent, r int) []Ent {
+	w := len(b.rk.Sigs)
+	vu := uint64(b.Lo+uint32(r))<<b.Shift | uint64(None)<<(32-b.Shift) // None in the other half
+	for j, c := range b.words[r*w : (r+1)*w] {
+		if c != 0 {
+			ents = append(ents, Ent{VU: vu, XY: ^uint64(0), S: b.rk.Sigs[j], C: c})
+		}
+	}
+	return ents
 }

@@ -20,13 +20,12 @@
 // after all if they are dense by then; whatever is sparse it compacts by a
 // packed key (compact.go), radix-sorted as (key, count) records. Box.go
 // alone decides which is which. Either way the first read through Ents
-// leaves one sorted, folded slab of entries. That is the form readers
-// see, but for three that take a table as it lies:
-// Chunks hands out pending chunks unsorted, Row an open box's rows, and
-// MoveBox an open box whole to another matrix shard of the same rows. The
-// solver's tables are built by a burst of adds during one superstep and
-// then scanned read-only by the next join, so each table is compacted at
-// most once.
+// leaves one sorted, folded slab of entries. Four readers take a table as it
+// lies instead: Rows serves a vertex's entries — a sorted run, or a box row
+// gathered — Total sums chunks and box cells, Chunks hands out pending
+// chunks, and MoveBox an open box whole to another shard of the same rows.
+// The solver's tables are built by a burst of adds during one superstep and
+// then read by the next join, so each table is compacted at most once.
 //
 // Storage comes from, and goes back to, a process-wide pool of entry
 // slabs (slab.go). A table that fills its chunk chains it and takes
@@ -302,22 +301,11 @@ func (t *Flat) Ents() []Ent {
 	return t.sorted.ents
 }
 
-// Iter calls f for every entry in sorted (VU, XY, signature-rank) order;
-// iteration stops if f returns false. The table must not be mutated
-// during iteration.
-func (t *Flat) Iter(f func(Key, uint64) bool) {
-	for _, e := range t.Ents() {
-		if !f(e.Key(), e.C) {
-			return
-		}
-	}
-}
-
 // Chunks calls f with the table's entries as they lie — compacted or
 // pending, duplicates unfolded, one non-empty chunk at a time in no
 // particular order — without sorting anything. A pending box has no
 // entries lying anywhere: it is swept first (its rows as they lie are
-// Row's and MoveBox's to hand out). The slices alias the table's storage.
+// Rows' and MoveBox's to hand out). The slices alias the table's storage.
 func (t *Flat) Chunks(f func(ents []Ent)) {
 	if t.box != nil && t.box.words != nil {
 		t.compact(nil)
@@ -334,12 +322,92 @@ func (t *Flat) Chunks(f func(ents []Ent)) {
 }
 
 // Total returns the sum of all counts. Pending duplicates sum the same as
-// folded ones, so chunks need no compaction.
+// folded ones, and an open box's cells as the entries a sweep would make of
+// them, so nothing is compacted.
 func (t *Flat) Total() (total uint64) {
+	if b := t.box; b != nil && b.words != nil {
+		t.foldSorted() // an open box holds every entry but those read before it opened
+		for _, c := range b.words {
+			total += c
+		}
+		return total
+	}
 	t.Chunks(func(ents []Ent) {
 		for i := range ents {
 			total += ents[i].C
 		}
 	})
 	return total
+}
+
+// Rows reads a shard a vertex at a time — the vertex it is partitioned on: a
+// matrix's declared one, else a walk's end V — ascending, and hands out each
+// vertex's entries as Ents has them: a sorted shard's run, or an open box's
+// row, its cells that hold a count gathered into a pooled scratch as wide as
+// a row, so a box is never swept for it. It belongs to the task that took
+// it, which must Close it. What it hands out holds until its next call.
+type Rows struct {
+	ents  []Ent // a sorted shard's entries from the next vertex on
+	shift uint8 // where VU holds the vertex
+	box   *Box  // the open box read, or nil
+	next  int   // the box row Next reads next
+	row   []Ent // the gathered row, in slab
+	slab  *slab
+}
+
+// Rows returns t's reader. Pending chunks are compacted first — into the
+// box, if boxDense opens it — polling stop; once stop returns true the shard
+// is left as pending as it was and the reader hands out nothing.
+func (t *Flat) Rows(stop func() bool) (r Rows) {
+	if b := t.box; b != nil && (b.words != nil || t.boxDense()) {
+		t.foldSorted()
+		s := getSlab(len(b.rk.Sigs))
+		return Rows{shift: b.Shift, box: b, row: s.ents, slab: s}
+	}
+	if t.compact(stop) {
+		if r.shift = 32; t.box != nil {
+			r.shift = t.box.Shift
+		}
+		r.ents = t.Ents()
+	}
+	return r
+}
+
+// Next returns the entries of the next vertex that has any, none at the end.
+func (r *Rows) Next() []Ent {
+	for b := r.box; b != nil && r.next < int(b.N); {
+		v := b.Lo + uint32(r.next)
+		if r.next++; len(r.At(v)) > 0 {
+			return r.row
+		}
+	}
+	if len(r.ents) == 0 {
+		return nil
+	}
+	return r.At(uint32(r.ents[0].VU >> r.shift))
+}
+
+// At returns the entries of vertex v, which must lie in the shard's
+// partition and above every vertex read before.
+func (r *Rows) At(v uint32) []Ent {
+	if b := r.box; b != nil {
+		r.row = b.appendRow(r.row[:0], int(v-b.Lo))
+		return r.row
+	}
+	for len(r.ents) > 0 && uint32(r.ents[0].VU>>r.shift) < v {
+		r.ents = r.ents[1:]
+	}
+	i := 0
+	for i < len(r.ents) && uint32(r.ents[i].VU>>r.shift) == v {
+		i++
+	}
+	run := r.ents[:i]
+	r.ents = r.ents[i:]
+	return run
+}
+
+// Close gives the scratch back.
+func (r *Rows) Close() {
+	putSlab(r.slab)
+	r.slab = nil
 }

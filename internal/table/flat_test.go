@@ -105,8 +105,8 @@ func TestFlatGroupedAppendsMatchHashTable(t *testing.T) {
 	}
 }
 
-// Iter and Ents must present entries in ascending (VU, XY, signature-rank)
-// order with no duplicate keys.
+// Ents must present entries in ascending (VU, XY, signature-rank) order
+// with no duplicate keys.
 func TestFlatIterSortedAndDeduped(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var f Flat
@@ -121,20 +121,6 @@ func TestFlatIterSortedAndDeduped(t *testing.T) {
 		if cmpEnt(ents[i-1], ents[i]) >= 0 {
 			t.Fatalf("entries %d and %d out of order: %+v, %+v", i-1, i, ents[i-1], ents[i])
 		}
-	}
-	var prev *Ent
-	f.Iter(func(k Key, c uint64) bool {
-		e := k.Ent(c)
-		if prev != nil && cmpEnt(*prev, e) >= 0 {
-			t.Fatalf("Iter out of order at %+v", k)
-		}
-		prev = &e
-		return true
-	})
-	stopped := 0
-	f.Iter(func(Key, uint64) bool { stopped++; return stopped < 5 })
-	if stopped != 5 {
-		t.Fatalf("early stop visited %d entries", stopped)
 	}
 }
 
@@ -683,11 +669,124 @@ func TestMoveBoxIsTheProjection(t *testing.T) {
 		out.AddEnt(UnaryEnt(lo, sigs[0], 1)) // a moved box takes adds as its own
 		want.AddEnt(UnaryEnt(lo, sigs[0], 1))
 		sameTable(t, "moved box, added to", out, want)
-		for _, f := range []*Flat{walk, entries, want, out} {
+
+		// And back, a U-shift shard into a V-shift one: a leaf block's output
+		// becoming the first table of the start-free walk it annotates. It was
+		// read above; more adds reopen its box, and the move folds what the
+		// read compacted back in.
+		for i := rng.Intn(3000); i >= 0; i-- {
+			e := UnaryEnt(lo+uint32(rng.Intn(int(n))), sigs[rng.Intn(len(sigs))], uint64(1+rng.Intn(9)))
+			out.AddEnt(e)
+			want.AddEnt(e)
+		}
+		lifted, back := new(Flat), boxed(lo, n, k, true)
+		for _, e := range want.Ents() {
+			lifted.AddEnt(BinaryEnt(None, e.U(), e.S, e.C))
+		}
+		open = out.box.words != nil
+		if _, ok := back.MoveBox(out); ok != open {
+			t.Fatalf("trial %d: MoveBox back moved %v with the box open %v", trial, ok, open)
+		} else if !ok {
+			for _, e := range out.Ents() {
+				back.AddEnt(BinaryEnt(None, e.U(), e.S, e.C))
+			}
+		}
+		sameTable(t, "moved back", back, lifted)
+		for _, f := range []*Flat{walk, entries, want, out, lifted, back} {
 			f.Release()
 		}
 		if SlabsOut() != held {
 			t.Fatalf("trial %d: %d slabs kept", trial, SlabsOut()-held)
+		}
+	}
+}
+
+// Rows hands out, vertex by vertex, exactly the runs Ents has, in every form
+// a shard can be read in: a box open while written, a box opened at
+// compaction (boxDense, over boxCap and a quarter full), chunks sorted by
+// packed key, an over-cap declared shard too sparse to box, an undeclared
+// walk shard keyed by V, and a box compacted and then written again — read
+// by Next, and by At at every vertex of the partition. Total sums an open
+// box's cells without sweeping it, and the scratch goes back on Close.
+func TestRowsAreEntsRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	wide, narrow := sig.RankingOf(10, 5).Sigs, sig.RankingOf(6, 3).Sigs
+	const lo = 500
+	for _, c := range []struct {
+		name           string
+		rows           uint32
+		n              int
+		inV, undecl    bool
+		readAt         int // the add before which the shard is read, if any
+		sigs           []sig.Sig
+		boxedWhenRead  bool
+		boxedAfterRead bool // the read opened a box it did not sweep
+	}{
+		{name: "box open while written", rows: 30, n: 4000, sigs: narrow, boxedWhenRead: true},
+		{name: "box opened at compaction", rows: 131, n: 10000, inV: true, sigs: wide, boxedAfterRead: true},
+		{name: "chunks sorted", rows: 40, n: 500, sigs: wide},
+		{name: "over the cap, sparse", rows: 131, n: 5000, sigs: wide},
+		{name: "a walk's shard, undeclared", rows: 40, n: 3000, inV: true, undecl: true, sigs: wide},
+		{name: "compacted, then written", rows: 30, n: 4000, readAt: 1500, sigs: narrow, boxedWhenRead: true},
+	} {
+		for _, read := range []string{"Next", "At"} {
+			held := SlabsOut()
+			f, plain := new(Flat), new(Flat)
+			if !c.undecl {
+				f = boxed(lo, c.rows, 10, c.inV)
+			}
+			for i := 0; i < c.n; i++ {
+				if i == c.readAt && i > 0 {
+					f.Len()
+				}
+				v, s, n := lo+uint32(rng.Intn(int(c.rows))), c.sigs[rng.Intn(len(c.sigs))], uint64(1+rng.Intn(9))
+				e := UnaryEnt(v, s, n)
+				if c.inV {
+					e = BinaryEnt(None, v, s, n)
+				}
+				f.AddEnt(e)
+				plain.AddEnt(e)
+			}
+			if open := f.box != nil && f.box.words != nil; open != c.boxedWhenRead {
+				t.Fatalf("%s: box open before the read %v", c.name, open)
+			}
+			if got, want := f.Total(), plain.Total(); got != want || f.sorted != nil && c.boxedWhenRead {
+				t.Fatalf("%s: Total %d, want %d; swept %v", c.name, got, want, f.sorted != nil)
+			}
+			want := plain.Ents()
+			rows := f.Rows(nil)
+			if open := f.box != nil && f.box.words != nil; open != (c.boxedWhenRead || c.boxedAfterRead) {
+				t.Fatalf("%s: read from a box %v", c.name, open)
+			}
+			var got []Ent
+			home := func(e Ent) uint32 { return uint32(e.VU >> rows.shift) }
+			for v := uint32(lo); v < lo+c.rows; v++ {
+				var run []Ent
+				if read == "At" {
+					run = rows.At(v)
+				} else if run = rows.Next(); len(run) == 0 {
+					break
+				}
+				for _, e := range run {
+					if home(e) != home(run[0]) || read == "At" && home(e) != v {
+						t.Fatalf("%s, %s: a run of vertex %d holds %+v", c.name, read, home(run[0]), e)
+					}
+				}
+				got = append(got, run...)
+			}
+			if read == "Next" && len(rows.Next()) != 0 {
+				t.Fatalf("%s: Next read past the last vertex", c.name)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, %s: the rows hold %d entries, Ents %d, or they differ", c.name, read, len(got), len(want))
+			}
+			rows.Close()
+			sameTable(t, c.name+", after its rows were read", f, plain)
+			f.Release()
+			plain.Release()
+			if SlabsOut() != held {
+				t.Fatalf("%s, %s: %d slabs kept", c.name, read, SlabsOut()-held)
+			}
 		}
 	}
 }
