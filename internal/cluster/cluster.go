@@ -143,21 +143,21 @@ type peer struct {
 	failures atomic.Uint64 // transport-level forward failures
 }
 
-// PeerStats is one peer's snapshot for /v1/stats.
+// PeerStats is one peer's snapshot for /v1/stats and, by its tags, /metrics.
 type PeerStats struct {
-	Addr        string `json:"addr"`
-	Up          bool   `json:"up"`
-	BreakerOpen bool   `json:"breakerOpen"`
-	Trips       uint64 `json:"breakerTrips"`
-	Forwards    uint64 `json:"forwards"`
-	Failures    uint64 `json:"failures"`
+	Addr        string `json:"addr" metric:"{peer}"`
+	Up          bool   `json:"up" metric:"cluster_peer_up" help:"Whether the peer's last readiness probe (or forward) succeeded."`
+	BreakerOpen bool   `json:"breakerOpen" metric:"cluster_peer_breaker_open" help:"Whether the peer's circuit breaker is open (forwards fail fast to local execution)."`
+	Trips       uint64 `json:"breakerTrips" metric:"cluster_peer_breaker_trips_total" help:"Times the peer's circuit breaker opened."`
+	Forwards    uint64 `json:"forwards" metric:"cluster_peer_forwards_total" help:"Requests forwarded to the peer."`
+	Failures    uint64 `json:"failures" metric:"cluster_peer_failures_total" help:"Transport-level failures forwarding to the peer."`
 	LastError   string `json:"lastError,omitempty"`
 }
 
 // Stats is the cluster layer's snapshot for /v1/stats.
 type Stats struct {
 	Self    string      `json:"self"`
-	Members []string    `json:"members"`
+	Members []string    `json:"members" metric:"cluster_members" help:"Configured cluster members (self included)."`
 	Peers   []PeerStats `json:"peers"`
 }
 

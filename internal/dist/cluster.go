@@ -463,19 +463,20 @@ func (j *cjob) gather() (map[int]*jobDoneMsg, error) {
 }
 
 // NodeStats is one worker process's transport-level counters, cumulative
-// over the cluster's lifetime (all jobs). The tags are its /v1/stats form
-// (engine.dist, one row per node).
+// over the cluster's lifetime (all jobs). The json tags are its /v1/stats
+// form (engine.dist, one row per node); the metric tags name its /metrics
+// families (the service adds the subgraph_ prefix), labelled by Rank.
 type NodeStats struct {
-	Rank       int    `json:"rank"`
+	Rank       int    `json:"rank" metric:"{node}"`
 	Addr       string `json:"addr"`
-	Alive      bool   `json:"alive"`
-	BytesSent  int64  `json:"bytesSent"` // bytes the coordinator sent to this node
-	BytesRecv  int64  `json:"bytesRecv"` // bytes received from this node
-	FramesSent int64  `json:"framesSent"`
-	FramesRecv int64  `json:"framesRecv"`
-	Exchanges  int64  `json:"exchanges"` // superstep completions (StepDone frames)
-	Load       int64  `json:"load"`      // cumulative projection-function operations reported
-	Jobs       int64  `json:"jobs"`      // finished job reports
+	Alive      bool   `json:"alive" metric:"dist_node_up" help:"Whether the dist worker node's connection is alive."`
+	BytesSent  int64  `json:"bytesSent" metric:"dist_node_bytes_sent_total" help:"Bytes the coordinator sent to the dist worker node."`
+	BytesRecv  int64  `json:"bytesRecv" metric:"dist_node_bytes_recv_total" help:"Bytes the coordinator received from the dist worker node."`
+	FramesSent int64  `json:"framesSent" metric:"dist_node_frames_sent_total" help:"Protocol frames sent to the dist worker node."`
+	FramesRecv int64  `json:"framesRecv" metric:"dist_node_frames_recv_total" help:"Protocol frames received from the dist worker node."`
+	Exchanges  int64  `json:"exchanges" metric:"dist_node_exchanges_total" help:"Superstep completions the dist worker node reported."`
+	Load       int64  `json:"load" metric:"dist_node_load_total" help:"Projection operations executed on the dist worker node."`
+	Jobs       int64  `json:"jobs" metric:"dist_node_jobs_total" help:"Finished rank reports from the dist worker node."`
 }
 
 // NodeStats snapshots every worker node's counters.

@@ -199,19 +199,20 @@ type State struct {
 	TruncatedBytes int64
 }
 
-// Stats are the log's observability counters. Lag is the append queue
-// depth: records accepted but not yet durably written.
+// Stats are the log's observability counters; the metric tags name their
+// /metrics families. Lag is the append queue depth: records accepted but
+// not yet durably written.
 type Stats struct {
-	Appends        uint64 `json:"appends"`
-	Lag            int    `json:"lag"`
-	ReplayedRuns   uint64 `json:"replayedRuns"`
-	ReplayedJobs   uint64 `json:"replayedJobs"`
-	TruncatedBytes int64  `json:"truncatedBytes"`
-	Compactions    uint64 `json:"compactions"`
-	Fsyncs         uint64 `json:"fsyncs"`
-	WriteErrors    uint64 `json:"writeErrors"`
-	WalBytes       int64  `json:"walBytes"`
-	SnapshotBytes  int64  `json:"snapshotBytes"`
+	Appends        uint64 `json:"appends" metric:"durable_appends_total" help:"Records durably appended to the trial/job log."`
+	Lag            int    `json:"lag" metric:"durable_lag" help:"Records accepted by the durable log but not yet written."`
+	ReplayedRuns   uint64 `json:"replayedRuns" metric:"durable_replayed_runs_total" help:"Trial-cache runs replayed from the log at boot."`
+	ReplayedJobs   uint64 `json:"replayedJobs" metric:"durable_replayed_jobs_total" help:"Terminal jobs replayed from the log at boot."`
+	TruncatedBytes int64  `json:"truncatedBytes" metric:"durable_truncated_bytes_total" help:"Torn or corrupt log-tail bytes dropped during replay."`
+	Compactions    uint64 `json:"compactions" metric:"durable_compactions_total" help:"Snapshot+truncate compactions of the durable log."`
+	Fsyncs         uint64 `json:"fsyncs" metric:"durable_fsyncs_total" help:"fsync calls issued by the durable log."`
+	WriteErrors    uint64 `json:"writeErrors" metric:"durable_write_errors_total" help:"Failed durable-log writes, encodes, or syncs."`
+	WalBytes       int64  `json:"walBytes" metric:"durable_wal_bytes" help:"Current size of the durable write-ahead log."`
+	SnapshotBytes  int64  `json:"snapshotBytes" metric:"durable_snapshot_bytes" help:"Current size of the durable snapshot file."`
 }
 
 // queued is one record accepted for writing but not yet encoded.

@@ -5,10 +5,10 @@
 // manager and coloring session into the solver's supersteps.
 //
 // The package deliberately has no third-party dependencies and no
-// knowledge of the service layer: the service registers the metric
-// families it cares about and bridges its cumulative counters at scrape
-// time, and the solver records spans through a Trace it finds on the
-// request context. Everything here is safe for concurrent use.
+// knowledge of the service layer: the service registers its live
+// histograms, publishes each stats field under the family its metric tag
+// names at scrape time, and the solver records spans through a Trace it
+// finds on the request context. Everything here is safe for concurrent use.
 package obs
 
 import (

@@ -131,14 +131,14 @@ func QuerySignature(q *query.Graph) string {
 // Extended counts entries grown in place by a later run reusing the
 // cached prefix.
 type CacheStats struct {
-	Entries   int    `json:"entries"`
-	Trials    int    `json:"trials"` // accumulated trials across entries
-	Capacity  int    `json:"capacity"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Extended  uint64 `json:"extended"`
-	Evictions uint64 `json:"evictions"`
-	LockWait
+	Entries   int    `json:"entries" metric:"cache_entries" help:"Resident result-cache entries."`
+	Trials    int    `json:"trials" metric:"cache_trials" help:"Trials accumulated across resident cache entries."`
+	Capacity  int    `json:"capacity" metric:"cache_capacity" help:"Trial runs the result cache holds before it evicts."`
+	Hits      uint64 `json:"hits" metric:"cache_hits_total" help:"Result-cache hits."`
+	Misses    uint64 `json:"misses" metric:"cache_misses_total" help:"Result-cache misses."`
+	Extended  uint64 `json:"extended" metric:"cache_extended_total" help:"Cache entries extended in place with freshly computed trials."`
+	Evictions uint64 `json:"evictions" metric:"cache_evictions_total" help:"Result-cache evictions."`
+	LockWait  `metric:"{layer=cache}"`
 }
 
 type centry struct {

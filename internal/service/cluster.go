@@ -32,23 +32,23 @@ const homeHeader = "X-Subgraph-Home"
 type ClusterStats struct {
 	cluster.Stats
 	// Forwards counts requests this replica proxied to their home.
-	Forwards uint64 `json:"forwards"`
+	Forwards uint64 `json:"forwards" metric:"cluster_forwards_total" help:"Requests proxied to their ring-home replica."`
 	// ForwardErrors counts transport-level forward failures (the request
 	// then ran locally).
-	ForwardErrors uint64 `json:"forwardErrors"`
+	ForwardErrors uint64 `json:"forwardErrors" metric:"cluster_forward_errors_total" help:"Transport-level forward failures (request then ran locally)."`
 	// LocalFallbacks counts non-owned requests served locally because the
 	// home was unreachable, unhealthy, or circuit-broken.
-	LocalFallbacks uint64 `json:"localFallbacks"`
+	LocalFallbacks uint64 `json:"localFallbacks" metric:"cluster_local_fallbacks_total" help:"Non-owned requests served locally because their home was unavailable."`
 	// ForwardedServed counts requests that arrived with a forward header
 	// (another replica proxied them here).
-	ForwardedServed uint64 `json:"forwardedServed"`
+	ForwardedServed uint64 `json:"forwardedServed" metric:"cluster_forwarded_served_total" help:"Requests served here after another replica forwarded them."`
 	// HandoffExported / HandoffImported count trial runs shipped to new
 	// homes and received from old ones during rebalancing.
-	HandoffExported uint64 `json:"handoffExported"`
-	HandoffImported uint64 `json:"handoffImported"`
+	HandoffExported uint64 `json:"handoffExported" metric:"cluster_handoff_exported_total" help:"Trial runs pushed to their new home during rebalancing."`
+	HandoffImported uint64 `json:"handoffImported" metric:"cluster_handoff_imported_total" help:"Trial runs received from a peer during rebalancing."`
 	// HandoffActive reports an import replay in progress (readyz is 503
 	// while it runs).
-	HandoffActive bool `json:"handoffActive"`
+	HandoffActive bool `json:"handoffActive" metric:"cluster_handoff_active" help:"Whether a handoff replay is importing runs right now (readyz is 503)."`
 }
 
 // newForwardClient builds the proxy client: dials fail fast (a dead

@@ -14,16 +14,16 @@ import (
 // communication volume (always 0 for parallel); Steals is stolen
 // partition tasks (always 0 for sim).
 type EngineBackendStats struct {
-	Runs      uint64 `json:"runs"`
-	Workers   int    `json:"workers"` // worker/rank count of the latest run
-	TotalLoad int64  `json:"totalLoad"`
-	MaxLoad   int64  `json:"maxLoad"`
-	Messages  int64  `json:"messages"`
-	Steals    int64  `json:"steals"`
+	Runs      uint64 `json:"runs" metric:"engine_runs_total" help:"Estimations computed, by execution backend."`
+	Workers   int    `json:"workers" metric:"engine_workers" help:"Worker/rank count of the latest run, by execution backend."`
+	TotalLoad int64  `json:"totalLoad" metric:"engine_load_total" help:"Projection-function operations executed, by execution backend."`
+	MaxLoad   int64  `json:"maxLoad" metric:"engine_max_load" help:"Largest per-rank load of any run, by execution backend."`
+	Messages  int64  `json:"messages" metric:"engine_messages_total" help:"Simulated messages exchanged, by execution backend."`
+	Steals    int64  `json:"steals" metric:"engine_steals_total" help:"Partition tasks stolen, by execution backend."`
 	// Supersteps counts executed engine supersteps — deterministic for a
 	// given plan and identical across backends, so it is the natural unit
 	// for the planned cost model (work per superstep, not per wall-second).
-	Supersteps int64 `json:"supersteps"`
+	Supersteps int64 `json:"supersteps" metric:"engine_supersteps_total" help:"Engine supersteps executed, by execution backend."`
 }
 
 // DistNodeStats is one distributed worker node's transport counters,
@@ -36,8 +36,8 @@ type DistNodeStats = dist.NodeStats
 // actually run has done so far.
 type EngineStats struct {
 	Backend  string                        `json:"backend"` // service default
-	Workers  int                           `json:"workers"` // default ranks/workers per request
-	Backends map[string]EngineBackendStats `json:"backends"`
+	Workers  int                           `json:"workers" metric:"engine_default_workers" help:"Ranks/workers a request runs on when it names none."`
+	Backends map[string]EngineBackendStats `json:"backends" metric:"{backend}"`
 	// Dist lists the distributed backend's worker nodes, present only
 	// when the process is wired to a dist cluster.
 	Dist []DistNodeStats `json:"dist,omitempty"`

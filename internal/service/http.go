@@ -22,8 +22,8 @@ import (
 //	                            happens before the listener binds, so a cold
 //	                            replica reads as connection-refused instead
 //	GET    /metrics             Prometheus text-format exposition: request/trial/
-//	                            phase latency histograms recorded live, plus every
-//	                            /v1/stats counter bridged at scrape time
+//	                            phase latency histograms recorded live, plus the
+//	                            /v1/stats snapshot walked at scrape time
 //	GET    /v1/stats            counters of every layer (registry, cache, scheduler, jobs)
 //	                            with each one's lock-wait counters,
 //	                            per-execution-backend engine
@@ -164,9 +164,9 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 }
 
 // handleMetrics serves the Prometheus text-format exposition. The
-// live-recorded histograms are always current; the layers' cumulative
-// counters are bridged from the same snapshot /v1/stats would serve,
-// immediately before rendering.
+// live-recorded histograms are always current; immediately before
+// rendering, bridge walks the snapshot /v1/stats would serve and sets each
+// field's series in the family its metric tag names.
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.metrics.bridge(s.Stats())
 	w.Header().Set("Content-Type", obs.ExpositionContentType)

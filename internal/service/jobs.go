@@ -164,21 +164,21 @@ type job struct {
 // measures contention on the manager's own mutex (job ids and lifecycle);
 // the singleflight index has its own lock, reported separately.
 type JobsStats struct {
-	Submitted uint64 `json:"submitted"`
-	Coalesced uint64 `json:"coalesced"`
-	Canceled  uint64 `json:"canceled"`
-	Expired   uint64 `json:"expired"`
-	Active    int    `json:"active"`   // queued or running
-	Retained  int    `json:"retained"` // all jobs still addressable by id
-	LockWait
+	Submitted    uint64 `json:"submitted" metric:"jobs_submitted_total" help:"Jobs registered with the job manager."`
+	Coalesced    uint64 `json:"coalesced" metric:"jobs_coalesced_total" help:"Jobs attached to an identical in-flight computation."`
+	Canceled     uint64 `json:"canceled" metric:"jobs_canceled_total" help:"Jobs canceled by clients."`
+	Expired      uint64 `json:"expired" metric:"jobs_expired_total" help:"Finished jobs dropped from retention."`
+	Active       int    `json:"active" metric:"jobs_active" help:"Jobs currently queued or running."`
+	Retained     int    `json:"retained" metric:"jobs_retained" help:"Jobs still addressable by id."`
+	LockWait     `metric:"{layer=jobs}"`
 	Singleflight SingleflightStats `json:"singleflight"`
 }
 
 // SingleflightStats describe the in-flight index: how many keys are
 // currently flying and how contended its lock is.
 type SingleflightStats struct {
-	Keys int `json:"keys"`
-	LockWait
+	Keys     int `json:"keys" metric:"jobs_singleflight_keys" help:"Distinct computations in flight (keys of the singleflight index)."`
+	LockWait `metric:"{layer=singleflight}"`
 }
 
 // jobManager tracks every job by id, the in-flight singleflight index,

@@ -1,7 +1,11 @@
 package service
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/coloring"
@@ -10,8 +14,10 @@ import (
 
 // Metric family names. The request and trial latency families are the
 // contract the load generator and smoke test scrape for; renaming them is
-// a wire-format change.
+// a wire-format change. Every other family is named by a Stats field's
+// metric tag, after metricPrefix.
 const (
+	metricPrefix         = "subgraph_"
 	metricRequestsTotal  = "subgraph_requests_total"
 	metricRequestSeconds = "subgraph_request_seconds"
 	metricTrialSeconds   = "subgraph_trial_seconds"
@@ -36,8 +42,9 @@ const (
 // is two map lookups under a small mutex at worst and usually none (the
 // handle cache hits). Cumulative counters that already live in the
 // layers' own stats structs (cache hits, lock waits, engine load…) are
-// not double-tracked: bridge copies them into counter series at scrape
-// time, so /metrics and /v1/stats can never disagree.
+// not double-tracked: at scrape time bridge walks the Stats snapshot and
+// publishes each field under the family its metric tag names, so
+// /metrics and /v1/stats can never disagree.
 type metricsRecorder struct {
 	reg *obs.Registry
 
@@ -160,183 +167,101 @@ type LatencySummary struct {
 	P99Ms  float64 `json:"p99Ms"`
 }
 
-func summarize(snap obs.HistogramSnapshot) LatencySummary {
-	return LatencySummary{
-		Count:  snap.Count,
-		MeanMs: snap.Mean() * 1e3,
-		P50Ms:  snap.Quantile(0.50) * 1e3,
-		P95Ms:  snap.Quantile(0.95) * 1e3,
-		P99Ms:  snap.Quantile(0.99) * 1e3,
-	}
-}
-
-// httpSummary snapshots per-endpoint request latency for /v1/stats.
-func (m *metricsRecorder) httpSummary() map[string]LatencySummary {
+// summaries renders one map of latency histograms, requestH or trialH, for
+// /v1/stats.
+func (m *metricsRecorder) summaries(hs map[string]*obs.Histogram) map[string]LatencySummary {
 	m.mu.Lock()
-	hs := make(map[string]*obs.Histogram, len(m.requestH))
-	for ep, h := range m.requestH {
-		hs[ep] = h
-	}
+	hs = maps.Clone(hs)
 	m.mu.Unlock()
 	out := make(map[string]LatencySummary, len(hs))
-	for ep, h := range hs {
-		out[ep] = summarize(h.Snapshot())
+	for k, h := range hs {
+		s := h.Snapshot()
+		out[k] = LatencySummary{Count: s.Count, MeanMs: s.Mean() * 1e3,
+			P50Ms: s.Quantile(0.50) * 1e3, P95Ms: s.Quantile(0.95) * 1e3, P99Ms: s.Quantile(0.99) * 1e3}
 	}
 	return out
 }
 
-// trialSummary snapshots per-backend trial latency for /v1/stats.
-func (m *metricsRecorder) trialSummary() map[string]LatencySummary {
-	m.mu.Lock()
-	hs := make(map[string]*obs.Histogram, len(m.trialH))
-	for b, h := range m.trialH {
-		hs[b] = h
+// bridge publishes a Stats snapshot as scrape-time series, so /metrics is
+// the same snapshot /v1/stats serves, walked. The stats structs stay the
+// single source of truth: each numeric or bool field names its family in
+// its metric tag (prefixed with subgraph_ here), and a name ending in
+// _total is a counter, any other a gauge.
+func (m *metricsRecorder) bridge(st Stats) { m.walk(reflect.ValueOf(st), nil) }
+
+// walk publishes every tagged leaf under v. A leaf is a number, a bool
+// (0/1) or a []string (its length); a ",ms" flag turns milliseconds into
+// seconds. It descends into structs, non-nil pointers and slices, and a
+// tag in braces is a label on what it encloses: {k=v} on a struct field is
+// a constant label, {k} on a map field labels each value with its key, and
+// {k} on a scalar field labels the fields of its struct that follow it
+// with its value. metric:"-" leaves a field out.
+func (m *metricsRecorder) walk(v reflect.Value, labels obs.Labels) {
+	switch v.Kind() {
+	case reflect.Pointer: // a nil one's Elem is the zero Value: nothing to walk
+		m.walk(v.Elem(), labels)
+	case reflect.Slice:
+		for i := range v.Len() {
+			m.walk(v.Index(i), labels)
+		}
+	case reflect.Struct:
+		t := v.Type()
+		for i := range t.NumField() {
+			f, fv := t.Field(i), v.Field(i)
+			switch name, ms := strings.CutSuffix(f.Tag.Get("metric"), ",ms"); {
+			case name == "-":
+			case name == "":
+				m.walk(fv, labels)
+			case name[0] != '{':
+				m.set(metricPrefix+name, f.Tag.Get("help"), labels, fv, ms)
+			default:
+				key, val, constant := strings.Cut(name[1:len(name)-1], "=")
+				switch {
+				case constant:
+					m.walk(fv, with(labels, key, val))
+				case fv.Kind() == reflect.Map:
+					for it := fv.MapRange(); it.Next(); {
+						m.walk(it.Value(), with(labels, key, it.Key().String()))
+					}
+				default:
+					labels = with(labels, key, fmt.Sprint(fv))
+				}
+			}
+		}
 	}
-	m.mu.Unlock()
-	out := make(map[string]LatencySummary, len(hs))
-	for b, h := range hs {
-		out[b] = summarize(h.Snapshot())
-	}
-	return out
 }
 
-// bridge copies the cumulative counters of every service layer into
-// scrape-time metric series. The layers' own stats structs stay the
-// single source of truth; /metrics is a projection of the same snapshot
-// /v1/stats serves, taken immediately before rendering.
-func (m *metricsRecorder) bridge(st Stats) {
-	reg := m.reg
-	gauge := func(name, help string, labels obs.Labels, v float64) {
-		reg.Gauge(name, help, labels).Set(v)
-	}
-	counter := func(name, help string, labels obs.Labels, v uint64) {
-		reg.Counter(name, help, labels).Set(v)
-	}
-
-	gauge("subgraph_uptime_seconds", "Seconds since the service started.", nil, st.UptimeSeconds)
-	counter("subgraph_estimates_total", "Estimations actually computed (cache replays excluded).", nil, st.Estimates)
-	counter("subgraph_batches_total", "Batch requests served.", nil, st.Batches)
-
-	counter("subgraph_precision_requests_total", "Precision-targeted requests resolved.", nil, st.Precision.Requests)
-	counter("subgraph_precision_early_stops_total", "Precision requests that stopped below their MaxTrials bound.", nil, st.Precision.EarlyStops)
-	counter("subgraph_precision_trials_saved_total", "Trials adaptive stopping skipped versus the worst-case bound.", nil, st.Precision.TrialsSaved)
-
-	counter("subgraph_cache_hits_total", "Result-cache hits.", nil, st.Cache.Hits)
-	counter("subgraph_cache_misses_total", "Result-cache misses.", nil, st.Cache.Misses)
-	counter("subgraph_cache_extended_total", "Cache entries extended in place with freshly computed trials.", nil, st.Cache.Extended)
-	counter("subgraph_cache_evictions_total", "Result-cache evictions.", nil, st.Cache.Evictions)
-	gauge("subgraph_cache_entries", "Resident result-cache entries.", nil, float64(st.Cache.Entries))
-	gauge("subgraph_cache_trials", "Trials accumulated across resident cache entries.", nil, float64(st.Cache.Trials))
-
-	counter("subgraph_registry_loads_total", "Graph loads into the registry.", nil, st.Registry.Loads)
-	counter("subgraph_registry_hits_total", "Registry lookups answered by a resident graph.", nil, st.Registry.Hits)
-	counter("subgraph_registry_evictions_total", "Graphs evicted to fit the registry budget.", nil, st.Registry.Evictions)
-	gauge("subgraph_registry_graphs", "Graphs currently resident.", nil, float64(st.Registry.Graphs))
-	gauge("subgraph_registry_bytes", "Bytes of resident graph memory.", nil, float64(st.Registry.Bytes))
-
-	gauge("subgraph_scheduler_queued", "Jobs waiting in the scheduler queue.", nil, float64(st.Scheduler.Queued))
-	gauge("subgraph_scheduler_running", "Jobs currently running on workers.", nil, float64(st.Scheduler.Running))
-	counter("subgraph_scheduler_submitted_total", "Jobs submitted to the scheduler.", nil, st.Scheduler.Submitted)
-	counter("subgraph_scheduler_completed_total", "Jobs the scheduler ran to completion.", nil, st.Scheduler.Completed)
-	counter("subgraph_scheduler_canceled_total", "Jobs dropped before running (context canceled while queued).", nil, st.Scheduler.Canceled)
-	counter("subgraph_scheduler_rejected_total", "Submissions rejected by the full queue.", nil, st.Scheduler.Rejected)
-
-	counter("subgraph_jobs_submitted_total", "Jobs registered with the job manager.", nil, st.Jobs.Submitted)
-	counter("subgraph_jobs_coalesced_total", "Jobs attached to an identical in-flight computation.", nil, st.Jobs.Coalesced)
-	counter("subgraph_jobs_canceled_total", "Jobs canceled by clients.", nil, st.Jobs.Canceled)
-	counter("subgraph_jobs_expired_total", "Finished jobs dropped from retention.", nil, st.Jobs.Expired)
-	gauge("subgraph_jobs_active", "Jobs currently queued or running.", nil, float64(st.Jobs.Active))
-	gauge("subgraph_jobs_retained", "Jobs still addressable by id.", nil, float64(st.Jobs.Retained))
-
-	// Lock-wait rollups, one series per locked layer: the count of
-	// acquisitions that blocked (failed the TryLock fast path) and the
-	// total time they spent blocked — uncontended acquisitions are free
-	// and uncounted. Same numbers as the lockWaits/lockWaitMs fields in
-	// /v1/stats, converted to seconds for Prometheus convention.
-	lockHelpN := "Mutex acquisitions that blocked (failed the uncontended fast path), by layer."
-	lockHelpS := "Cumulative seconds mutex acquisitions spent blocked, by layer."
-	lw := func(layer string, w LockWait) {
-		counter("subgraph_lock_waits_total", lockHelpN, obs.Labels{"layer": layer}, w.Waits)
-		gauge("subgraph_lock_wait_seconds", lockHelpS, obs.Labels{"layer": layer}, w.WaitMS/1e3)
-	}
-	lw("registry", st.Registry.LockWait)
-	lw("cache", st.Cache.LockWait)
-	lw("jobs", st.Jobs.LockWait)
-	lw("singleflight", st.Jobs.Singleflight.LockWait)
-
-	// Durability layer (absent on in-memory services): append volume,
-	// queue lag, replay and compaction counters, file sizes.
-	if d := st.Durable; d != nil {
-		counter("subgraph_durable_appends_total", "Records durably appended to the trial/job log.", nil, d.Appends)
-		gauge("subgraph_durable_lag", "Records accepted by the durable log but not yet written.", nil, float64(d.Lag))
-		counter("subgraph_durable_replayed_runs_total", "Trial-cache runs replayed from the log at boot.", nil, d.ReplayedRuns)
-		counter("subgraph_durable_replayed_jobs_total", "Terminal jobs replayed from the log at boot.", nil, d.ReplayedJobs)
-		counter("subgraph_durable_truncated_bytes_total", "Torn or corrupt log-tail bytes dropped during replay.", nil, uint64(d.TruncatedBytes))
-		counter("subgraph_durable_compactions_total", "Snapshot+truncate compactions of the durable log.", nil, d.Compactions)
-		counter("subgraph_durable_fsyncs_total", "fsync calls issued by the durable log.", nil, d.Fsyncs)
-		counter("subgraph_durable_write_errors_total", "Failed durable-log writes, encodes, or syncs.", nil, d.WriteErrors)
-		gauge("subgraph_durable_wal_bytes", "Current size of the durable write-ahead log.", nil, float64(d.WalBytes))
-		gauge("subgraph_durable_snapshot_bytes", "Current size of the durable snapshot file.", nil, float64(d.SnapshotBytes))
-	}
-
-	// Cluster serving tier (absent in single-replica mode): forwarding
-	// volume, degradation fallbacks, handoff traffic, and per-peer
-	// health/breaker state.
-	if cl := st.Cluster; cl != nil {
-		counter("subgraph_cluster_forwards_total", "Requests proxied to their ring-home replica.", nil, cl.Forwards)
-		counter("subgraph_cluster_forward_errors_total", "Transport-level forward failures (request then ran locally).", nil, cl.ForwardErrors)
-		counter("subgraph_cluster_local_fallbacks_total", "Non-owned requests served locally because their home was unavailable.", nil, cl.LocalFallbacks)
-		counter("subgraph_cluster_forwarded_served_total", "Requests served here after another replica forwarded them.", nil, cl.ForwardedServed)
-		counter("subgraph_cluster_handoff_exported_total", "Trial runs pushed to their new home during rebalancing.", nil, cl.HandoffExported)
-		counter("subgraph_cluster_handoff_imported_total", "Trial runs received from a peer during rebalancing.", nil, cl.HandoffImported)
-		gauge("subgraph_cluster_members", "Configured cluster members (self included).", nil, float64(len(cl.Members)))
-		handoff := 0.0
-		if cl.HandoffActive {
-			handoff = 1
+// set publishes one leaf's value as the series labels of family name.
+func (m *metricsRecorder) set(name, help string, labels obs.Labels, v reflect.Value, ms bool) {
+	var n uint64
+	var x float64
+	switch {
+	case v.Kind() == reflect.Bool:
+		if v.Bool() {
+			n, x = 1, 1
 		}
-		gauge("subgraph_cluster_handoff_active", "Whether a handoff replay is importing runs right now (readyz is 503).", nil, handoff)
-		for _, p := range cl.Peers {
-			l := obs.Labels{"peer": p.Addr}
-			up := 0.0
-			if p.Up {
-				up = 1
-			}
-			gauge("subgraph_cluster_peer_up", "Whether the peer's last readiness probe (or forward) succeeded.", l, up)
-			open := 0.0
-			if p.BreakerOpen {
-				open = 1
-			}
-			gauge("subgraph_cluster_peer_breaker_open", "Whether the peer's circuit breaker is open (forwards fail fast to local execution).", l, open)
-			counter("subgraph_cluster_peer_breaker_trips_total", "Times the peer's circuit breaker opened.", l, p.Trips)
-			counter("subgraph_cluster_peer_forwards_total", "Requests forwarded to the peer.", l, p.Forwards)
-			counter("subgraph_cluster_peer_failures_total", "Transport-level failures forwarding to the peer.", l, p.Failures)
-		}
+	case v.Kind() == reflect.Slice:
+		n, x = uint64(v.Len()), float64(v.Len())
+	case v.CanInt():
+		n, x = uint64(v.Int()), float64(v.Int())
+	case v.CanUint():
+		n, x = v.Uint(), float64(v.Uint())
+	case v.CanFloat():
+		n, x = uint64(v.Float()), v.Float()
 	}
+	if ms {
+		x /= 1e3
+	}
+	if strings.HasSuffix(name, "_total") {
+		m.reg.Counter(name, help, labels).Set(n)
+	} else {
+		m.reg.Gauge(name, help, labels).Set(x)
+	}
+}
 
-	for name, b := range st.Engine.Backends {
-		l := obs.Labels{"backend": name}
-		counter("subgraph_engine_runs_total", "Estimations computed, by execution backend.", l, b.Runs)
-		counter("subgraph_engine_supersteps_total", "Engine supersteps executed, by execution backend.", l, uint64(b.Supersteps))
-		counter("subgraph_engine_load_total", "Projection-function operations executed, by execution backend.", l, uint64(b.TotalLoad))
-		counter("subgraph_engine_messages_total", "Simulated messages exchanged, by execution backend.", l, uint64(b.Messages))
-		counter("subgraph_engine_steals_total", "Partition tasks stolen, by execution backend.", l, uint64(b.Steals))
-	}
-
-	// Distributed-backend worker nodes, one series per node. Transport
-	// bytes/frames are from the coordinator's perspective.
-	for _, node := range st.Engine.Dist {
-		l := obs.Labels{"node": strconv.Itoa(node.Rank)}
-		alive := 0.0
-		if node.Alive {
-			alive = 1
-		}
-		gauge("subgraph_dist_node_up", "Whether the dist worker node's connection is alive.", l, alive)
-		counter("subgraph_dist_node_bytes_sent_total", "Bytes the coordinator sent to the dist worker node.", l, uint64(node.BytesSent))
-		counter("subgraph_dist_node_bytes_recv_total", "Bytes the coordinator received from the dist worker node.", l, uint64(node.BytesRecv))
-		counter("subgraph_dist_node_frames_sent_total", "Protocol frames sent to the dist worker node.", l, uint64(node.FramesSent))
-		counter("subgraph_dist_node_frames_recv_total", "Protocol frames received from the dist worker node.", l, uint64(node.FramesRecv))
-		counter("subgraph_dist_node_exchanges_total", "Superstep completions the dist worker node reported.", l, uint64(node.Exchanges))
-		counter("subgraph_dist_node_load_total", "Projection operations executed on the dist worker node.", l, uint64(node.Load))
-		counter("subgraph_dist_node_jobs_total", "Finished rank reports from the dist worker node.", l, uint64(node.Jobs))
-	}
+// with returns labels plus k=v, leaving labels as they were.
+func with(labels obs.Labels, k, v string) obs.Labels {
+	out := obs.Labels{k: v}
+	maps.Copy(out, labels)
+	return out
 }

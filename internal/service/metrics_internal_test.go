@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -330,6 +332,60 @@ func TestBridgeOptionalSections(t *testing.T) {
 	for _, prefix := range []string{"subgraph_durable_", "subgraph_cluster_", "subgraph_dist_"} {
 		if strings.Contains(bare, prefix) {
 			t.Errorf("a Stats without the section still exposes %s* families", prefix)
+		}
+	}
+}
+
+// TestEveryStatHasAFamily: every numeric or bool leaf of Stats (and every
+// []string, published as its length) names its /metrics family, with its
+// HELP, or a label in a metric tag. Only the two latency summaries opt out:
+// they re-summarise histograms /metrics exposes in full. The numbers
+// /v1/stats reported before /metrics walked it but /metrics dropped are
+// families of their own, with the right TYPE.
+func TestEveryStatHasAFamily(t *testing.T) {
+	var skipped []string
+	var visit func(typ reflect.Type, path string)
+	visit = func(typ reflect.Type, path string) {
+		for k := typ.Kind(); k == reflect.Pointer || k == reflect.Map || k == reflect.Slice; k = typ.Kind() {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct {
+			return
+		}
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			tag, k := f.Tag.Get("metric"), f.Type.Kind()
+			leaf := k == reflect.Bool || k >= reflect.Int && k <= reflect.Float64 ||
+				k == reflect.Slice && f.Type.Elem().Kind() == reflect.String
+			switch {
+			case tag == "-":
+				skipped = append(skipped, path+f.Name)
+			case leaf && tag == "":
+				t.Errorf("%s%s has no metric tag", path, f.Name)
+			case tag != "" && tag[0] != '{' && f.Tag.Get("help") == "":
+				t.Errorf("%s%s names family %s without a help tag", path, f.Name, tag)
+			case !leaf:
+				visit(f.Type, path+f.Name+".")
+			}
+		}
+	}
+	visit(reflect.TypeOf(Stats{}), "Stats.")
+	if want := []string{"Stats.HTTP", "Stats.TrialLatency"}; !slices.Equal(skipped, want) {
+		t.Errorf("fields left out of /metrics: %v, want %v", skipped, want)
+	}
+
+	text := bridged(t, goldenStats())
+	for _, want := range []string{
+		"# TYPE subgraph_cache_capacity gauge", "subgraph_cache_capacity 33",
+		"# TYPE subgraph_registry_budget_bytes gauge", "subgraph_registry_budget_bytes 23",
+		"# TYPE subgraph_scheduler_workers gauge", "subgraph_scheduler_workers 41",
+		"# TYPE subgraph_jobs_singleflight_keys gauge", "subgraph_jobs_singleflight_keys 61",
+		"# TYPE subgraph_engine_default_workers gauge", "subgraph_engine_default_workers 71",
+		"# TYPE subgraph_engine_workers gauge", `subgraph_engine_workers{backend="sim"} 82`, `subgraph_engine_workers{backend="parallel"} 92`,
+		"# TYPE subgraph_engine_max_load gauge", `subgraph_engine_max_load{backend="sim"} 84`, `subgraph_engine_max_load{backend="parallel"} 94`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
 		}
 	}
 }

@@ -227,13 +227,13 @@ func (h *Handle) Release() {
 
 // RegistryStats are the registry's observability counters.
 type RegistryStats struct {
-	Graphs      int    `json:"graphs"`
-	Bytes       int64  `json:"bytes"`
-	BudgetBytes int64  `json:"budgetBytes"`
-	Loads       uint64 `json:"loads"`
-	Hits        uint64 `json:"hits"`
-	Evictions   uint64 `json:"evictions"`
-	LockWait
+	Graphs      int    `json:"graphs" metric:"registry_graphs" help:"Graphs currently resident."`
+	Bytes       int64  `json:"bytes" metric:"registry_bytes" help:"Bytes of resident graph memory."`
+	BudgetBytes int64  `json:"budgetBytes" metric:"registry_budget_bytes" help:"Resident graph bytes past which the registry evicts idle graphs."`
+	Loads       uint64 `json:"loads" metric:"registry_loads_total" help:"Graph loads into the registry."`
+	Hits        uint64 `json:"hits" metric:"registry_hits_total" help:"Registry lookups answered by a resident graph."`
+	Evictions   uint64 `json:"evictions" metric:"registry_evictions_total" help:"Graphs evicted to fit the registry budget."`
+	LockWait    `metric:"{layer=registry}"`
 }
 
 // GraphInfo describes one registered graph for listings and HTTP replies.

@@ -46,13 +46,13 @@ func (j *Job) Wait() error {
 
 // SchedulerStats are the scheduler's observability counters.
 type SchedulerStats struct {
-	Workers   int    `json:"workers"`
-	Queued    int    `json:"queued"`
-	Running   int    `json:"running"`
-	Submitted uint64 `json:"submitted"`
-	Completed uint64 `json:"completed"`
-	Canceled  uint64 `json:"canceled"`
-	Rejected  uint64 `json:"rejected"`
+	Workers   int    `json:"workers" metric:"scheduler_workers" help:"Worker goroutines the scheduler runs jobs on."`
+	Queued    int    `json:"queued" metric:"scheduler_queued" help:"Jobs waiting in the scheduler queue."`
+	Running   int    `json:"running" metric:"scheduler_running" help:"Jobs currently running on workers."`
+	Submitted uint64 `json:"submitted" metric:"scheduler_submitted_total" help:"Jobs submitted to the scheduler."`
+	Completed uint64 `json:"completed" metric:"scheduler_completed_total" help:"Jobs the scheduler ran to completion."`
+	Canceled  uint64 `json:"canceled" metric:"scheduler_canceled_total" help:"Jobs dropped before running (context canceled while queued)."`
+	Rejected  uint64 `json:"rejected" metric:"scheduler_rejected_total" help:"Submissions rejected by the full queue."`
 }
 
 // Scheduler runs submitted jobs on a bounded pool of worker goroutines,

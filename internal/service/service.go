@@ -1069,16 +1069,18 @@ func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]Batch
 // trial counts. Trials reused from the cache are counted separately, as
 // cache.extended.
 type PrecisionStats struct {
-	Requests    uint64 `json:"requests"`
-	EarlyStops  uint64 `json:"earlyStops"`
-	TrialsSaved uint64 `json:"trialsSaved"`
+	Requests    uint64 `json:"requests" metric:"precision_requests_total" help:"Precision-targeted requests resolved."`
+	EarlyStops  uint64 `json:"earlyStops" metric:"precision_early_stops_total" help:"Precision requests that stopped below their MaxTrials bound."`
+	TrialsSaved uint64 `json:"trialsSaved" metric:"precision_trials_saved_total" help:"Trials adaptive stopping skipped versus the worst-case bound."`
 }
 
-// Stats is the service-wide observability snapshot.
+// Stats is the service-wide observability snapshot: /v1/stats serves it
+// as JSON and /metrics walks it (bridge). Each numeric or bool field names
+// its Prometheus family in its metric tag, beside its JSON name.
 type Stats struct {
-	UptimeSeconds float64        `json:"uptimeSeconds"`
-	Estimates     uint64         `json:"estimates"`
-	Batches       uint64         `json:"batches"`
+	UptimeSeconds float64        `json:"uptimeSeconds" metric:"uptime_seconds" help:"Seconds since the service started."`
+	Estimates     uint64         `json:"estimates" metric:"estimates_total" help:"Estimations actually computed (cache replays excluded)."`
+	Batches       uint64         `json:"batches" metric:"batches_total" help:"Batch requests served."`
 	Precision     PrecisionStats `json:"precision"`
 	Registry      RegistryStats  `json:"registry"`
 	Cache         CacheStats     `json:"cache"`
@@ -1094,9 +1096,9 @@ type Stats struct {
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 	// HTTP is per-endpoint request latency (count, mean, p50/p95/p99),
 	// summarized from the same histograms /metrics exposes in full.
-	HTTP map[string]LatencySummary `json:"http,omitempty"`
+	HTTP map[string]LatencySummary `json:"http,omitempty" metric:"-"`
 	// TrialLatency is per-backend solve time of individual trials.
-	TrialLatency map[string]LatencySummary `json:"trialLatency,omitempty"`
+	TrialLatency map[string]LatencySummary `json:"trialLatency,omitempty" metric:"-"`
 }
 
 // Stats returns the current counters of every layer.
@@ -1127,8 +1129,8 @@ func (s *Service) Stats() Stats {
 			Backends: s.engine.snapshot(),
 			Dist:     s.distStats(),
 		},
-		HTTP:         s.metrics.httpSummary(),
-		TrialLatency: s.metrics.trialSummary(),
+		HTTP:         s.metrics.summaries(s.metrics.requestH),
+		TrialLatency: s.metrics.summaries(s.metrics.trialH),
 	}
 }
 

@@ -33,10 +33,11 @@ func (m *waitMutex) Lock() {
 func (m *waitMutex) Unlock() { m.mu.Unlock() }
 
 // LockWait is a lock-contention rollup: how many acquisitions blocked,
-// and for how long in total.
+// and for how long in total. Each locked layer embeds one under a
+// {layer=...} label, so /metrics has one series per layer.
 type LockWait struct {
-	Waits  uint64  `json:"lockWaits"`
-	WaitMS float64 `json:"lockWaitMs"`
+	Waits  uint64  `json:"lockWaits" metric:"lock_waits_total" help:"Mutex acquisitions that blocked (failed the uncontended fast path), by layer."`
+	WaitMS float64 `json:"lockWaitMs" metric:"lock_wait_seconds,ms" help:"Cumulative seconds mutex acquisitions spent blocked, by layer."`
 }
 
 func (m *waitMutex) wait() LockWait {

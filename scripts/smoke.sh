@@ -160,6 +160,19 @@ echo "trace: $span_count spans, $path_spans pathJoin supersteps, phases within w
 # request-latency families. The awk lint rejects any non-comment line
 # that is not `name{labels} value` with a numeric value.
 metrics=$(curl -fsS "$BASE/metrics")
+# /metrics is /v1/stats walked: neither request submits a job or hits the
+# cache, so the two must report the same counts exactly.
+stats=$(curl -fsS "$BASE/v1/stats")
+for pair in subgraph_jobs_submitted_total=.jobs.submitted subgraph_cache_hits_total=.cache.hits; do
+  family=${pair%%=*} field=${pair#*=}
+  scraped=$(awk -v f="$family" '$1 == f { print $2 }' <<<"$metrics")
+  served=$(jq "$field" <<<"$stats")
+  if [ -z "$scraped" ] || [ "$scraped" != "$served" ]; then
+    echo "FAIL: /metrics $family = '$scraped' but /v1/stats $field = $served" >&2
+    exit 1
+  fi
+done
+echo "metrics: jobs submitted and cache hits agree with /v1/stats"
 if ! grep -q '^subgraph_requests_total{' <<<"$metrics"; then
   echo "FAIL: /metrics missing subgraph_requests_total" >&2
   exit 1
