@@ -218,13 +218,13 @@ func (m *metricsRecorder) walk(v reflect.Value, labels obs.Labels) {
 				key, val, constant := strings.Cut(name[1:len(name)-1], "=")
 				switch {
 				case constant:
-					m.walk(fv, with(labels, key, val))
+					m.walk(fv, withLabel(labels, key, val))
 				case fv.Kind() == reflect.Map:
 					for it := fv.MapRange(); it.Next(); {
-						m.walk(it.Value(), with(labels, key, it.Key().String()))
+						m.walk(it.Value(), withLabel(labels, key, it.Key().String()))
 					}
 				default:
-					labels = with(labels, key, fmt.Sprint(fv))
+					labels = withLabel(labels, key, fmt.Sprint(fv))
 				}
 			}
 		}
@@ -259,8 +259,8 @@ func (m *metricsRecorder) set(name, help string, labels obs.Labels, v reflect.Va
 	}
 }
 
-// with returns labels plus k=v, leaving labels as they were.
-func with(labels obs.Labels, k, v string) obs.Labels {
+// withLabel returns labels plus k=v, leaving labels as they were.
+func withLabel(labels obs.Labels, k, v string) obs.Labels {
 	out := obs.Labels{k: v}
 	maps.Copy(out, labels)
 	return out
