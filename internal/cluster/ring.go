@@ -47,8 +47,8 @@ type Ring struct {
 // NewRing builds a ring over members (deduplicated, order-insensitive)
 // with vnodes virtual nodes per member (≤ 0 means DefaultVirtualNodes).
 // Two rings over the same member set are identical regardless of input
-// order, process, or machine: positions are pure FNV-1a over
-// "member#vnode" strings.
+// order, process, or machine: positions are a pure function of
+// "member#vnode" strings (pointHash).
 func NewRing(members []string, vnodes int) (*Ring, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
@@ -92,13 +92,21 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// pointHash positions one virtual node: FNV-1a over "member#vnode".
+// pointHash positions one virtual node: FNV-1a over "member#vnode",
+// finished with murmur3's 64-bit finalizer. FNV-1a alone leaves names that
+// differ in a few trailing bytes — one host's members at nearby ports —
+// close together on the ring, so one member of three could own most of it.
 func pointHash(member string, vnode int) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, member) //nolint:errcheck // fnv never fails
 	h.Write([]byte{'#'})
 	io.WriteString(h, strconv.Itoa(vnode)) //nolint:errcheck // fnv never fails
-	return h.Sum64()
+	k := h.Sum64()
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	return k ^ k>>33
 }
 
 // Owner maps a key hash (the service layer's TrialKey FNV-1a hash) to

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"testing"
@@ -114,22 +115,39 @@ func TestRingRemapFraction(t *testing.T) {
 }
 
 // TestRingBalance sanity-checks the vnode count: no member owns a
-// pathological share of a large random corpus.
+// pathological share of a large random corpus — for four members spread
+// over addresses, and for three on one host at random ports, the topology
+// of the tests and the smoke script, whose virtual nodes' names differ only
+// in a few bytes and must still land apart on the ring.
 func TestRingBalance(t *testing.T) {
-	const n = 4
-	r, err := NewRing(members(n), 0)
-	if err != nil {
-		t.Fatal(err)
+	corpus := keyCorpus(20000)
+	shares := func(ms []string) (lo, hi float64) {
+		r, err := NewRing(ms, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := map[string]int{}
+		for _, k := range corpus {
+			counts[r.Owner(k)]++
+		}
+		lo = 1
+		for _, m := range ms {
+			frac := float64(counts[m]) / float64(len(corpus))
+			lo, hi = min(lo, frac), max(hi, frac)
+		}
+		return lo, hi
 	}
-	counts := map[string]int{}
-	corpus := keyCorpus(40000)
-	for _, k := range corpus {
-		counts[r.Owner(k)]++
+	if lo, hi := shares(members(4)); lo < 0.5/4 || hi > 2.0/4 {
+		t.Fatalf("four members own %.3f to %.3f of keys; want within [%.3f, %.3f]", lo, hi, 0.5/4, 2.0/4)
 	}
-	for m, c := range counts {
-		frac := float64(c) / float64(len(corpus))
-		if frac < 0.5/n || frac > 2.0/n {
-			t.Fatalf("member %q owns %.3f of keys; want within [%.3f, %.3f]", m, frac, 0.5/n, 2.0/n)
+	rng := rand.New(rand.NewSource(3))
+	for range 50 {
+		var ms []string
+		for range 3 {
+			ms = append(ms, fmt.Sprintf("127.0.0.1:%d", 32768+rng.Intn(28232)))
+		}
+		if lo, hi := shares(ms); lo < 0.25 || hi > 0.45 {
+			t.Fatalf("%v own %.3f to %.3f of keys; want within [0.25, 0.45]", ms, lo, hi)
 		}
 	}
 }

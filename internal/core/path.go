@@ -44,9 +44,10 @@ import (
 // pullEdge): the owner of each vertex v sums its neighbours' box rows, each
 // shifted by the colour pair (sig.Shift), into v's row of its own box,
 // which it writes once (engine.Backend.Pull). No lane, stage or box merge
-// is made, and the counters read what the push form's would. It pushes
-// where a source shard is not an open box (one over boxCap) or the process
-// does not hold every partition (dist).
+// is made; load is counted as the push form counts it, and a message is a
+// neighbour row read from another partition. It pushes where a source shard
+// is not an open box (one over boxCap) or the process does not hold every
+// partition (dist).
 
 // pathStep extends the walk by one cycle node.
 type pathStep struct {
@@ -305,11 +306,12 @@ func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharde
 
 // pullFirst is initEdge's data-edge step of a start-free walk in pull form:
 // the owner of each vertex v counts v's neighbours of other colours by
-// colour into v's row. It reports false, building nothing, where the
+// colour into v's row. It reads colours alone, which every process holds,
+// so it sends nothing. It reports false, building nothing, where the
 // backend cannot pull.
 func (s *solver) pullFirst(out *engine.Sharded) bool {
 	rk := sig.RankingOf(s.k, 2)
-	return s.be.Pull(out, nil, func(w int, to *table.Flat, _ *engine.Lanes, _ bool) (sent int) {
+	return s.be.Pull(out, nil, func(w int, to *table.Flat, _ *engine.Lanes) int {
 		var load int64
 		var poll int
 		lo, hi := s.be.Range(w)
@@ -323,13 +325,12 @@ func (s *solver) pullFirst(out *engine.Sharded) bool {
 			for _, u := range nbrs {
 				if cu := s.colors[u]; !cv.Has(cu) {
 					row[rk.Rank[cv.Add(cu)]]++
-					sent++
 				}
 			}
 			return true
 		})
 		s.be.AddLoad(w, load)
-		return sent
+		return 0
 	})
 }
 
@@ -483,9 +484,10 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 // pullEdge is edgeJoin's data-edge step of a start-free walk in pull form,
 // where every shard of cur holds its entries in an open box: the owner of
 // each vertex v sums the rows of v's neighbours, each shifted by χ(v)
-// (sig.Shift), into v's row of its own (pullRows). It
-// reports false, building nothing, where cur has a shard of another form or
-// the backend cannot pull (Backend.Pull); edgeJoin then pushes.
+// (sig.Shift), into v's row of its own (pullRows); each row it reads from
+// another partition is a message. It reports false, building nothing, where
+// cur has a shard of another form or the backend cannot pull
+// (Backend.Pull); edgeJoin then pushes.
 func (s *solver) pullEdge(cur, out *engine.Sharded) bool {
 	var rk *sig.Ranking
 	for w := 0; w < s.be.P(); w++ {
@@ -505,18 +507,15 @@ func (s *solver) pullEdge(cur, out *engine.Sharded) bool {
 		return false // no signature is left to extend: the push form adds nothing
 	}
 	shifts, up := sig.ShiftsOf(s.k, h), sig.RankingOf(s.k, h+1)
-	return s.be.Pull(out, cur, func(w int, to *table.Flat, from *engine.Lanes, count bool) (sent int) {
+	return s.be.Pull(out, cur, func(w int, to *table.Flat, from *engine.Lanes) (sent int) {
 		var load int64
 		var poll int
 		lo, hi := s.be.Range(w)
 		pullRows(to, lo, hi, up, func(v uint32, sum []uint64) bool {
-			// v's own row, as the push form's source, is what the load and the
-			// messages count: each count once per neighbour.
+			// v's own row, as the push form's source, is what the load
+			// counts: each count once per neighbour.
 			if row, _ := from.At(v).Row(v); row != nil {
 				load += int64(table.NonZero(row) * len(s.g.Neighbors(v)))
-				if count {
-					sent += s.staged(v, row, rk)
-				}
 			}
 			for _, u := range s.g.Neighbors(v) {
 				row, _ := from.At(u).Row(u)
@@ -525,6 +524,9 @@ func (s *solver) pullEdge(cur, out *engine.Sharded) bool {
 				}
 				if row == nil {
 					continue
+				}
+				if u < lo || u >= hi {
+					sent++
 				}
 				sh := shifts[s.colors[u]][s.colors[v]]
 				at := sh.To[:len(sh.From)]
@@ -537,27 +539,6 @@ func (s *solver) pullEdge(cur, out *engine.Sharded) bool {
 		s.be.AddLoad(w, load)
 		return sent
 	})
-}
-
-// staged is how many entries the push form of a data-edge step stages from
-// row, vertex v's counts ranked by rk: one per count and neighbour whose
-// colour its signature lacks.
-func (s *solver) staged(v uint32, row []uint64, rk *sig.Ranking) (n int) {
-	var by [sig.MaxRankedColors]int // v's neighbours by colour
-	nbrs := s.g.Neighbors(v)
-	for _, u := range nbrs {
-		by[s.colors[u]]++
-	}
-	for j, c := range row {
-		if c == 0 {
-			continue
-		}
-		n += len(nbrs)
-		for sg := rk.Sigs[j]; sg != 0; sg &= sg - 1 {
-			n -= by[bits.TrailingZeros32(uint32(sg))]
-		}
-	}
-	return n
 }
 
 // nodeJoin folds a unary child table into the walk at its current end node

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/decomp"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/query"
@@ -63,8 +64,12 @@ func PickPlan(q *query.Graph) (*decomp.Tree, error) {
 		g, colors := calibration(q.K)
 		bestCost := int64(-1)
 		for _, tr := range trees {
+			// A named backend, not $SUBGRAPH_BACKEND: planCache is
+			// process-global and keyed by query alone. Load is the same on
+			// every backend, so the pick is too.
 			_, stats, err := CountColorful(g, q, colors, Options{
 				Algorithm: DB,
+				Backend:   engine.ParallelName,
 				Workers:   1,
 				Plan:      tr,
 			})

@@ -17,33 +17,80 @@ import (
 // start-free walk's data-edge step runs in push form.
 type pushOnly struct{ engine.Backend }
 
-func (pushOnly) Pull(*engine.Sharded, *engine.Sharded, func(int, *table.Flat, *engine.Lanes, bool) int) bool {
+func (pushOnly) Pull(*engine.Sharded, *engine.Sharded, func(int, *table.Flat, *engine.Lanes) int) bool {
 	return false
 }
 
-// pulling counts the steps its backend runs in pull form.
-type pulling struct {
+// booking records, for each superstep its backend runs, the messages the
+// backend books for it and whether it was pulled, and for a pulled one the
+// rows it reads from other partitions, counted apart from the solver: one
+// per arc (v, u) of g whose ends lie in different partitions and whose
+// source shard holds u's row (an open box).
+type booking struct {
 	engine.Backend
-	steps int
+	g     *graph.Graph
+	steps []booked
 }
 
-func (b *pulling) Pull(out, src *engine.Sharded, task func(int, *table.Flat, *engine.Lanes, bool) int) bool {
-	ok := b.Backend.Pull(out, src, task)
-	if ok {
-		b.steps++
+type booked struct {
+	pulled       bool
+	msgs, remote int64
+}
+
+func (b *booking) Step(out *engine.Sharded, produce func(int, *engine.Lanes)) {
+	before := b.Messages()
+	b.Backend.Step(out, produce)
+	b.steps = append(b.steps, booked{msgs: b.Messages() - before})
+}
+
+func (b *booking) Pull(out, src *engine.Sharded, task func(int, *table.Flat, *engine.Lanes) int) bool {
+	before := b.Messages()
+	if !b.Backend.Pull(out, src, task) {
+		return false
 	}
-	return ok
+	b.steps = append(b.steps, booked{pulled: true, msgs: b.Messages() - before, remote: b.remoteRows(src)})
+	return true
+}
+
+func (b *booking) remoteRows(src *engine.Sharded) (n int64) {
+	if src == nil {
+		return 0
+	}
+	for v := range uint32(b.g.N()) {
+		for _, u := range b.g.Neighbors(v) {
+			if w := b.Owner(u); w != b.Owner(v) {
+				if row, _ := src.Shard(w).Row(u); row != nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// pulled is how many of the steps were pulled, and the rows they read
+// from other partitions.
+func (b *booking) pulled() (steps int, remote int64) {
+	for _, st := range b.steps {
+		if st.pulled {
+			steps++
+			remote += st.remote
+		}
+	}
+	return steps, remote
 }
 
 // A start-free walk's data-edge step in pull form — each vertex's owner
 // sums its neighbours' rows into its own — is the push form's step, which
 // scatters each row to the neighbours' owners, run the other way round: the
 // same tables, so the same counts, scalar and per vertex, and the same
-// counters — supersteps, the load of every worker, sim's messages, table
-// entries — on sim and parallel, where shards are boxed, where some are
-// over the cap (a partition each of 1405 vertices at three ranks: those
+// content-determined counters — supersteps, the load of every worker,
+// table entries — on sim and parallel, where shards are boxed, where some
+// are over the cap (a partition each of 1405 vertices at three ranks: those
 // steps' outputs are entries, and the steps that read them push) and where
-// some partitions hold no vertex (7 vertices cut into 8).
+// some partitions hold no vertex (7 vertices cut into 8). Superstep by
+// superstep, a step both runs push books the same messages in each, and a
+// pulled step books on sim the rows it reads from other partitions.
 func TestPullIsPush(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	dense := gen.ErdosRenyi("dense", 400, 3000, rng)
@@ -78,34 +125,54 @@ func TestPullIsPush(t *testing.T) {
 		}
 		anchor := plan.Root.Nodes[0]
 		for name, mk := range runtimes {
-			pull := &pulling{Backend: mk(c.g.N())}
+			books := func() *booking { return &booking{Backend: mk(c.g.N()), g: c.g} }
+			pull, push, pullPer, pushPer := books(), books(), books(), books()
 			got, st, err := core.CountColorful(c.g, c.q, colors, core.Options{Engine: pull, Plan: plan})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantSt, err := core.CountColorful(c.g, c.q, colors, core.Options{Engine: pushOnly{mk(c.g.N())}, Plan: plan})
+			want, wantSt, err := core.CountColorful(c.g, c.q, colors, core.Options{Engine: pushOnly{push}, Plan: plan})
 			if err != nil {
 				t.Fatal(err)
 			}
-			per, _, stPer, err := core.CountColorfulPerVertex(c.g, c.q, colors, anchor, core.Options{Engine: mk(c.g.N()), Plan: plan})
+			per, _, stPer, err := core.CountColorfulPerVertex(c.g, c.q, colors, anchor, core.Options{Engine: pullPer, Plan: plan})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantPer, _, wantStPer, err := core.CountColorfulPerVertex(c.g, c.q, colors, anchor, core.Options{Engine: pushOnly{mk(c.g.N())}, Plan: plan})
+			wantPer, _, wantStPer, err := core.CountColorfulPerVertex(c.g, c.q, colors, anchor, core.Options{Engine: pushOnly{pushPer}, Plan: plan})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want || !slices.Equal(per, wantPer) {
 				t.Fatalf("%s on %s, %s: pulled %d, pushed %d; per vertex equal: %v", c.q.Name, c.g.Name, name, got, want, slices.Equal(per, wantPer))
 			}
-			for _, p := range [][2]core.Stats{{st, wantSt}, {stPer, wantStPer}} {
-				p[0].Steals, p[1].Steals = 0, 0 // scheduling, not content
-				if !slices.Equal(p[0].Loads, p[1].Loads) || p[0].Messages != p[1].Messages || p[0].Supersteps != p[1].Supersteps || p[0].TableEntries != p[1].TableEntries {
-					t.Errorf("%s on %s, %s: pulled %+v, pushed %+v", c.q.Name, c.g.Name, name, p[0], p[1])
+			for _, p := range []struct {
+				st, want   core.Stats
+				pull, push *booking
+			}{{st, wantSt, pull, push}, {stPer, wantStPer, pullPer, pushPer}} {
+				p.st.Steals, p.want.Steals = 0, 0 // scheduling, not content
+				if !slices.Equal(p.st.Loads, p.want.Loads) || p.st.Supersteps != p.want.Supersteps || p.st.TableEntries != p.want.TableEntries ||
+					len(p.pull.steps) != len(p.push.steps) {
+					t.Errorf("%s on %s, %s: pulled %+v, pushed %+v", c.q.Name, c.g.Name, name, p.st, p.want)
+					continue
+				}
+				for i, b := range p.pull.steps {
+					want := p.push.steps[i].msgs
+					if b.pulled {
+						want = 0
+						if p.st.Backend == engine.SimName {
+							want = b.remote
+						}
+					}
+					if b.msgs != want {
+						t.Errorf("%s on %s, %s: superstep %d (pulled: %v) booked %d messages, want %d", c.q.Name, c.g.Name, name, i, b.pulled, b.msgs, want)
+					}
 				}
 			}
-			if tree := len(plan.Root.Children) > 0 && c.q.M() == c.q.K-1; tree && pull.steps == 0 {
-				t.Errorf("%s on %s, %s: no step pulled", c.q.Name, c.g.Name, name)
+			if tree := len(plan.Root.Children) > 0 && c.q.M() == c.q.K-1; tree {
+				if n, _ := pull.pulled(); n == 0 {
+					t.Errorf("%s on %s, %s: no step pulled", c.q.Name, c.g.Name, name)
+				}
 			}
 		}
 	}
@@ -115,8 +182,8 @@ func TestPullIsPush(t *testing.T) {
 // stand-in at scale 2, every table a leaf block's matrix — parallel@2 and
 // sim@4, which pull, and dist@2, which pushes, agree on the count and on
 // every content-determined counter, per-worker loads included; and each of
-// those, and sim@4's messages, is what the push form counted before the
-// pull form existed.
+// those is what the push form counted before the pull form existed. sim@4's
+// messages are the rows its pulled steps read from other partitions.
 func TestPullAndPushAgreeAtScale(t *testing.T) {
 	g, q, colors := tree8(t, 4)
 	plan, err := core.PickPlan(q)
@@ -127,7 +194,7 @@ func TestPullAndPushAgreeAtScale(t *testing.T) {
 		count      = 343008068596418
 		supersteps = 7
 		totalLoad  = 16919987
-		simMsgs    = 5761286
+		simMsgs    = 537732
 	)
 	wantLoads := map[int][]int64{2: {13157955, 3762032}, 4: {10195723, 2962232, 1960024, 1802008}} // by workers
 	dist2 := loopback2(t)
@@ -145,7 +212,7 @@ func TestPullAndPushAgreeAtScale(t *testing.T) {
 		legs = legs[:1]
 	}
 	for _, leg := range legs {
-		be := &pulling{Backend: leg.be()}
+		be := &booking{Backend: leg.be(), g: g}
 		got, st, err := core.CountColorful(g, q, colors, core.Options{Engine: be, Plan: plan})
 		if err != nil {
 			t.Fatalf("%s: %v", leg.name, err)
@@ -157,11 +224,53 @@ func TestPullAndPushAgreeAtScale(t *testing.T) {
 		if want := wantLoads[st.Workers]; !slices.Equal(st.Loads, want) {
 			t.Errorf("%s: per-worker loads %v, want %v", leg.name, st.Loads, want)
 		}
-		if st.Backend == engine.SimName && st.Messages != simMsgs {
-			t.Errorf("%s: %d messages, want %d", leg.name, st.Messages, simMsgs)
+		pulled, remote := be.pulled()
+		if st.Backend == engine.SimName && (st.Messages != simMsgs || remote != simMsgs) {
+			t.Errorf("%s: %d messages, %d rows read from other partitions; want %d", leg.name, st.Messages, remote, simMsgs)
 		}
-		if (be.steps > 0) != leg.pulls {
-			t.Errorf("%s: %d steps pulled", leg.name, be.steps)
+		if (pulled > 0) != leg.pulls {
+			t.Errorf("%s: %d steps pulled", leg.name, pulled)
+		}
+	}
+}
+
+// A pulled step sends what it reads from other partitions: sim books one
+// message per neighbour row a partition's task reads from another's shard,
+// and none for a first step, which reads colours alone. A tree query's
+// steps all pull where its tables are boxed, so its whole run books exactly
+// the rows counted over the graph's cut arcs — none at one partition, and
+// none for star6, whose leaf walks are one edge each.
+func TestPulledMessagesAreRemoteRows(t *testing.T) {
+	g := gen.ErdosRenyi("dense", 400, 3000, rand.New(rand.NewSource(31)))
+	runtimes := []struct {
+		name string
+		mk   func(n int) engine.Backend
+	}{
+		{"sim, one partition", func(n int) engine.Backend { return engine.NewRuntime(engine.SimName, 1, 1, n) }},
+		{"sim@3, a partition each", func(n int) engine.Backend { return engine.NewRuntime(engine.SimName, 3, 3, n) }},
+		{"sim@3", func(n int) engine.Backend { return engine.NewCluster(3, n) }},
+	}
+	for _, c := range []struct {
+		q     *query.Graph
+		reads bool // some step reads a source table's rows
+	}{{query.MustByName("bintree8"), true}, {query.Star(6), false}, {query.PathGraph(7), true}} {
+		q := c.q
+		colors := colouring(g.N(), q.K, rand.New(rand.NewSource(int64(q.K))))
+		plan, err := core.PickPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rt := range runtimes {
+			be := &booking{Backend: rt.mk(g.N()), g: g}
+			_, st, err := core.CountColorful(g, q, colors, core.Options{Engine: be, Plan: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pulled, remote := be.pulled()
+			if pulled == 0 || st.Messages != remote || (c.reads && be.P() > 1) != (remote > 0) {
+				t.Errorf("%s on %d partitions (%s): %d messages; %d steps pulled, reading %d rows from other partitions",
+					q.Name, be.P(), rt.name, st.Messages, pulled, remote)
+			}
 		}
 	}
 }

@@ -247,7 +247,7 @@ func (b *stepped) Step(out *engine.Sharded, produce func(w int, to *engine.Lanes
 	b.out = out
 }
 
-func (b *stepped) Pull(out, src *engine.Sharded, task func(w int, to *table.Flat, from *engine.Lanes, count bool) int) bool {
+func (b *stepped) Pull(out, src *engine.Sharded, task func(w int, to *table.Flat, from *engine.Lanes) int) bool {
 	if !b.Backend.Pull(out, src, task) {
 		return false
 	}

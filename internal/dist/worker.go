@@ -19,13 +19,11 @@ type WorkerOptions struct {
 	// Conc is how many goroutines execute this rank's partitions; ≤ 0
 	// means GOMAXPROCS.
 	Conc int
-	// GraphCache is how many decoded graphs to keep (fingerprint LRU);
-	// ≤ 0 means 8. A miss costs one GraphReq round trip, never a failure.
-	GraphCache int
 	// Cache, when set, is a shared decoded-graph cache (see NewGraphCache):
 	// sgworker passes one per process so coordinators that reconnect reuse
-	// shipped graphs. Nil gives the session a private cache of GraphCache
-	// entries.
+	// shipped graphs. Nil gives the session a private cache of
+	// NewGraphCache's default size. A miss costs one GraphReq round trip,
+	// never a failure.
 	Cache *GraphCache
 	// Logger receives per-job debug logs; nil discards them.
 	Logger *slog.Logger
@@ -55,23 +53,19 @@ func ServeConn(nc net.Conn, opts WorkerOptions) error {
 	if opts.Conc <= 0 {
 		opts.Conc = runtime.GOMAXPROCS(0)
 	}
-	if opts.GraphCache <= 0 {
-		opts.GraphCache = 8
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	graphs := &graphCache{cap: opts.GraphCache, m: make(map[uint64]*graph.Graph)}
-	if opts.Cache != nil {
-		graphs = &opts.Cache.inner
+	if opts.Cache == nil {
+		opts.Cache = NewGraphCache(0)
 	}
 	w := &workerConn{
 		conn:    &conn{c: nc},
 		opts:    opts,
 		logger:  logger,
 		jobs:    make(map[uint64]*wjob),
-		graphs:  graphs,
+		graphs:  &opts.Cache.inner,
 		waiters: make(map[uint64][]chan *graph.Graph),
 	}
 	defer nc.Close()

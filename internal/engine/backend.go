@@ -91,11 +91,11 @@ type Backend interface {
 	// what was appended into out: no staged chunk outlives Step.
 	Step(out *Sharded, produce func(w int, to *Lanes))
 	// Pull runs a superstep that builds out in pull form: each task writes
-	// its own partition's shard of out and reads src's shards at any vertex
-	// (Runtime.Pull). It reports false, running nothing, where not every
-	// shard of src is in this process (dist); the caller then runs the
-	// step's push form (Step).
-	Pull(out, src *Sharded, task func(w int, to *table.Flat, from *Lanes, count bool) int) bool
+	// its own partition's shard of out, reads src's shards at any vertex and
+	// returns how many rows it read from other partitions' (Runtime.Pull).
+	// It reports false, running nothing, where not every shard of src is in
+	// this process (dist); the caller then runs the step's push form (Step).
+	Pull(out, src *Sharded, task func(w int, to *table.Flat, from *Lanes) int) bool
 	// Reduce combines per-process partial totals into the global total:
 	// single-process backends return local unchanged; the dist
 	// coordinator gathers every rank's contribution and sums. It is
@@ -113,10 +113,10 @@ type Backend interface {
 	// loads folded onto the worker whose band owns them; per worker node
 	// for dist). LoadStats summarizes it.
 	Loads() []int64
-	// Messages is the number of entries exchanged as messages, and means
-	// something different on each backend: sim counts every appended
-	// entry, including those a rank addresses to itself — for a pulled step,
-	// every entry its push form appends; dist counts only
+	// Messages is the number of messages exchanged, and means something
+	// different on each backend: sim counts every entry a pushed step
+	// appends, including those a rank addresses to itself, and every row a
+	// pulled step's partition reads from another; dist counts only
 	// entries addressed to a partition of another process; parallel hands
 	// lanes over whole and reports 0. The sim and dist numbers are not
 	// comparable with each other.

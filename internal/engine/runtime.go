@@ -284,16 +284,14 @@ func (r *Runtime) Step(out *Sharded, produce func(w int, to *Lanes)) {
 	}
 }
 
-// Pull runs one superstep in pull form, building out: task(w, to, from,
-// count) runs once for every partition w and writes to, w's shard of out,
-// itself, reading src — which no task writes — at any vertex v through
-// from.At(v). It returns, where count says the runtime books them (sim),
-// how many entries the step's push form would have staged; a task that
-// counts nothing returns 0. So no lane is staged, absorbed or merged, and
-// the counters read what Step's would have. Pull reports false, running
-// nothing, where the runtime executes a band of the partitions only (dist):
-// the other shards of src lie in other processes.
-func (r *Runtime) Pull(out, src *Sharded, task func(w int, to *table.Flat, from *Lanes, count bool) int) bool {
+// Pull runs one superstep in pull form, building out: task(w, to, from)
+// runs once for every partition w and writes to, w's shard of out, itself,
+// reading src — which no task writes — at any vertex v through from.At(v).
+// It returns how many rows it read from other partitions' shards, which sim
+// books as messages. So no lane is staged, absorbed or merged. Pull reports
+// false, running nothing, where the runtime executes a band of the
+// partitions only (dist): the other shards of src lie in other processes.
+func (r *Runtime) Pull(out, src *Sharded, task func(w int, to *table.Flat, from *Lanes) int) bool {
 	if r.wire != nil {
 		return false
 	}
@@ -303,7 +301,7 @@ func (r *Runtime) Pull(out, src *Sharded, task func(w int, to *table.Flat, from 
 		from.shards = src.shards
 	}
 	var sent atomic.Int64
-	r.Run(func(w int) { sent.Add(int64(task(w, out.Shard(w), from, r.counted))) })
+	r.Run(func(w int) { sent.Add(int64(task(w, out.Shard(w), from))) })
 	if r.counted {
 		r.Sent(int(sent.Load()))
 	}

@@ -307,17 +307,18 @@ func TestClusterRebalanceHandsOffRuns(t *testing.T) {
 
 	raw, _ := clusterPost(t, entry.addr, "/v1/cluster/rebalance", "", http.StatusOK, nil)
 	var reb struct {
-		Exported int `json:"exported"`
-		Kept     int `json:"kept"`
+		Exported int               `json:"exported"`
+		Kept     int               `json:"kept"`
+		Peers    map[string]string `json:"peers"`
 	}
 	if err := json.Unmarshal(raw, &reb); err != nil {
 		t.Fatal(err)
 	}
 	if reb.Exported == 0 {
-		t.Fatalf("rebalance exported 0 runs (kept %d) — all %d keys homed here is implausible", reb.Kept, n)
+		t.Fatalf("rebalance exported 0 runs (kept %d, peers %v) — all %d keys homed here is implausible", reb.Kept, reb.Peers, n)
 	}
 	if reb.Exported+reb.Kept != n {
-		t.Errorf("exported %d + kept %d != %d runs", reb.Exported, reb.Kept, n)
+		t.Errorf("exported %d + kept %d != %d runs; peers %v", reb.Exported, reb.Kept, n, reb.Peers)
 	}
 
 	// Every key is now warm at its home: requests through another entry

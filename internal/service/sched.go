@@ -7,41 +7,20 @@ import (
 	"sync"
 )
 
-// ErrQueueFull is returned by Submit when the scheduler's queue is at
+// ErrQueueFull is returned by SubmitJob when the scheduler's queue is at
 // capacity; callers should shed load (HTTP 503).
 var ErrQueueFull = errors.New("service: job queue full")
 
-// ErrClosed is returned by Submit after Close.
+// ErrClosed is returned by SubmitJob after Close.
 var ErrClosed = errors.New("service: scheduler closed")
 
-// Job is one unit of scheduled work. Wait blocks until the job finished,
-// was canceled while queued, or its context fired.
-type Job struct {
+// queued is one unit of scheduled work.
+type queued struct {
 	ctx     context.Context
 	pri     int
 	seq     uint64 // FIFO tie-break within a priority level
-	fn      func(context.Context) error
+	fn      func(context.Context)
 	cleanup func() // run exactly once: after fn, or when the job is dropped
-	done    chan struct{}
-	err     error
-}
-
-// Wait blocks until the job completes (returning its error) or the job's
-// context fires first (returning the context error; the job itself may
-// still be dequeued and discarded later). Completion wins ties: a job
-// that finished as its deadline fired reports its real outcome.
-func (j *Job) Wait() error {
-	select {
-	case <-j.done:
-		return j.err
-	case <-j.ctx.Done():
-	}
-	select {
-	case <-j.done:
-		return j.err
-	default:
-		return j.ctx.Err()
-	}
 }
 
 // SchedulerStats are the scheduler's observability counters.
@@ -94,35 +73,30 @@ func NewScheduler(workers, depth int) *Scheduler {
 	return s
 }
 
-// Submit enqueues fn at the given priority (higher runs first) and returns
-// the job. fn receives ctx and should honor its cancellation.
-func (s *Scheduler) Submit(ctx context.Context, priority int, fn func(context.Context) error) (*Job, error) {
-	return s.SubmitJob(ctx, priority, fn, nil)
-}
-
-// SubmitJob is Submit with a cleanup hook the scheduler guarantees to run
-// exactly once — after fn returns, or when the job is dropped because its
-// context was already canceled. Use it to release resources (e.g. a
-// registry handle) whose lifetime must cover the job, not the submitter.
-func (s *Scheduler) SubmitJob(ctx context.Context, priority int, fn func(context.Context) error, cleanup func()) (*Job, error) {
+// SubmitJob enqueues fn at the given priority (higher runs first). fn
+// receives ctx and should honor its cancellation; it reports its outcome
+// itself. cleanup, if not nil, runs exactly once — after fn returns, or
+// when the job is dropped because its context was already canceled. Use it
+// to release resources (e.g. a registry handle) whose lifetime must cover
+// the job, not the submitter.
+func (s *Scheduler) SubmitJob(ctx context.Context, priority int, fn func(context.Context), cleanup func()) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if s.queue.Len() >= s.maxQ {
 		s.rejected++
-		return nil, ErrQueueFull
+		return ErrQueueFull
 	}
 	s.seq++
-	j := &Job{ctx: ctx, pri: priority, seq: s.seq, fn: fn, cleanup: cleanup, done: make(chan struct{})}
-	heap.Push(&s.queue, j)
+	heap.Push(&s.queue, &queued{ctx: ctx, pri: priority, seq: s.seq, fn: fn, cleanup: cleanup})
 	s.submitted++
 	s.cond.Signal()
-	return j, nil
+	return nil
 }
 
 func (s *Scheduler) worker() {
@@ -136,11 +110,9 @@ func (s *Scheduler) worker() {
 			s.mu.Unlock()
 			return
 		}
-		j := heap.Pop(&s.queue).(*Job)
-		if err := j.ctx.Err(); err != nil {
-			j.err = err
+		j := heap.Pop(&s.queue).(*queued)
+		if j.ctx.Err() != nil {
 			s.canceled++
-			close(j.done)
 			s.mu.Unlock()
 			if j.cleanup != nil {
 				j.cleanup()
@@ -150,8 +122,7 @@ func (s *Scheduler) worker() {
 		s.running++
 		s.mu.Unlock()
 
-		j.err = j.fn(j.ctx)
-		close(j.done)
+		j.fn(j.ctx)
 		if j.cleanup != nil {
 			j.cleanup()
 		}
@@ -164,7 +135,7 @@ func (s *Scheduler) worker() {
 }
 
 // Close drains the queue (already-submitted jobs still run) and stops the
-// workers. Submit after Close fails with ErrClosed.
+// workers. SubmitJob after Close fails with ErrClosed.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -189,7 +160,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 }
 
 // jobHeap orders jobs by priority descending, then submission order.
-type jobHeap []*Job
+type jobHeap []*queued
 
 func (h jobHeap) Len() int { return len(h) }
 func (h jobHeap) Less(i, j int) bool {
@@ -199,7 +170,7 @@ func (h jobHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*Job)) }
+func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*queued)) }
 func (h *jobHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -10,21 +10,39 @@ import (
 	"repro/internal/service"
 )
 
+func nop(context.Context) {}
+
 // blockWorker occupies the scheduler's single worker until release is
 // closed, so subsequent submissions pile up in the priority queue.
 func blockWorker(t *testing.T, s *service.Scheduler) (release chan struct{}) {
 	t.Helper()
 	started := make(chan struct{})
 	release = make(chan struct{})
-	if _, err := s.Submit(context.Background(), 1<<30, func(context.Context) error {
+	if err := s.SubmitJob(context.Background(), 1<<30, func(context.Context) {
 		close(started)
 		<-release
-		return nil
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	return release
+}
+
+// settled returns a cleanup hook for each of n jobs and a function that
+// waits, up to a deadline, until every hook has run.
+func settled(t *testing.T, n int) (hook func(), wait func()) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	return wg.Done, func() {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a job's cleanup hook never ran")
+		}
+	}
 }
 
 func TestSchedulerPriorityOrder(t *testing.T) {
@@ -34,26 +52,19 @@ func TestSchedulerPriorityOrder(t *testing.T) {
 
 	var mu sync.Mutex
 	var order []int
-	var jobs []*service.Job
-	for _, pri := range []int{1, 3, 2, 3} {
-		pri := pri
-		j, err := s.Submit(context.Background(), pri, func(context.Context) error {
+	pris := []int{1, 3, 2, 3}
+	hook, wait := settled(t, len(pris))
+	for _, pri := range pris {
+		if err := s.SubmitJob(context.Background(), pri, func(context.Context) {
 			mu.Lock()
 			order = append(order, pri)
 			mu.Unlock()
-			return nil
-		})
-		if err != nil {
+		}, hook); err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, j)
 	}
 	close(release)
-	for _, j := range jobs {
-		if err := j.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	wait()
 	want := []int{3, 3, 2, 1} // priority desc, FIFO within a level
 	for i := range want {
 		if order[i] != want[i] {
@@ -69,34 +80,18 @@ func TestSchedulerDropsCanceledJobs(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := false
-	cleaned := make(chan struct{})
-	j, err := s.SubmitJob(ctx, 0, func(context.Context) error {
-		ran = true
-		return nil
-	}, func() { close(cleaned) })
-	if err != nil {
+	hook, wait := settled(t, 1)
+	if err := s.SubmitJob(ctx, 0, func(context.Context) { ran = true }, hook); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
 	close(release)
-	if err := j.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait = %v, want context.Canceled", err)
-	}
-	select {
-	case <-cleaned:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cleanup hook never ran for dropped job")
-	}
+	wait()
 	if ran {
 		t.Error("canceled job's fn ran anyway")
 	}
-	// The counter updates after the drop; poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Canceled == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("canceled counter never incremented: %+v", s.Stats())
-		}
-		time.Sleep(time.Millisecond)
+	if st := s.Stats(); st.Canceled != 1 || st.Completed != 1 {
+		t.Errorf("canceled %d, completed %d; want 1 and 1 (the blocker)", st.Canceled, st.Completed)
 	}
 }
 
@@ -104,17 +99,20 @@ func TestSchedulerDeadline(t *testing.T) {
 	s := service.NewScheduler(1, 0)
 	defer s.Close()
 	release := blockWorker(t, s)
-	defer close(release)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	j, err := s.Submit(ctx, 0, func(context.Context) error { return nil })
-	if err != nil {
+	ran := false
+	hook, wait := settled(t, 1)
+	if err := s.SubmitJob(ctx, 0, func(context.Context) { ran = true }, hook); err != nil {
 		t.Fatal(err)
 	}
 	// The worker is blocked, so the deadline fires while queued.
-	if err := j.Wait(); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Wait = %v, want context.DeadlineExceeded", err)
+	<-ctx.Done()
+	close(release)
+	wait()
+	if ran || s.Stats().Canceled != 1 {
+		t.Errorf("a job past its deadline while queued: ran %v, canceled %d; want false, 1", ran, s.Stats().Canceled)
 	}
 }
 
@@ -124,11 +122,10 @@ func TestSchedulerQueueFull(t *testing.T) {
 	release := blockWorker(t, s)
 	defer close(release)
 
-	if _, err := s.Submit(context.Background(), 0, func(context.Context) error { return nil }); err != nil {
+	if err := s.SubmitJob(context.Background(), 0, nop, nil); err != nil {
 		t.Fatalf("first queued job rejected: %v", err)
 	}
-	_, err := s.Submit(context.Background(), 0, func(context.Context) error { return nil })
-	if !errors.Is(err, service.ErrQueueFull) {
+	if err := s.SubmitJob(context.Background(), 0, nop, nil); !errors.Is(err, service.ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	if st := s.Stats(); st.Rejected != 1 {
@@ -140,29 +137,20 @@ func TestSchedulerCloseDrainsQueue(t *testing.T) {
 	s := service.NewScheduler(2, 0)
 	var mu sync.Mutex
 	done := 0
-	var jobs []*service.Job
 	for i := 0; i < 16; i++ {
-		j, err := s.Submit(context.Background(), 0, func(context.Context) error {
+		if err := s.SubmitJob(context.Background(), 0, func(context.Context) {
 			mu.Lock()
 			done++
 			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	s.Close() // must drain, not abandon
-	for _, j := range jobs {
-		if err := j.Wait(); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
+	s.Close() // must drain, not abandon: every fn has returned
 	if done != 16 {
 		t.Errorf("done = %d, want 16", done)
 	}
-	if _, err := s.Submit(context.Background(), 0, func(context.Context) error { return nil }); !errors.Is(err, service.ErrClosed) {
-		t.Errorf("Submit after Close = %v, want ErrClosed", err)
+	if err := s.SubmitJob(context.Background(), 0, nop, nil); !errors.Is(err, service.ErrClosed) {
+		t.Errorf("SubmitJob after Close = %v, want ErrClosed", err)
 	}
 }

@@ -765,7 +765,7 @@ func (s *Service) submitJob(req EstimateRequest) (*job, error) {
 	submitted := time.Now()
 	jobs.mu.Lock()
 	jobs.attachLocked(fl, j)
-	_, err = s.sched.SubmitJob(fctx, req.Priority, func(ctx context.Context) error {
+	err = s.sched.SubmitJob(fctx, req.Priority, func(ctx context.Context) {
 		s.jobs.flightStarted(fl)
 		// Queue wait: submission to worker pickup, the first section of
 		// every computed job's timeline.
@@ -774,7 +774,6 @@ func (s *Service) submitJob(req EstimateRequest) (*job, error) {
 			fl.prog.Store(&flightProgress{done: done, mean: mean, cv: cv})
 		})
 		s.jobs.finishFlight(fl, est, err)
-		return err
 	}, func() {
 		h.Release()
 		// Dropped without running (context canceled while queued): settle
