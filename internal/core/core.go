@@ -107,7 +107,7 @@ type Stats struct {
 	MaxLoad      int64
 	AvgLoad      float64
 	TotalLoad    int64
-	Messages     int64 // sim: every appended entry, every row a pull reads from another partition; dist: entries sent to another process; parallel: 0
+	Messages     int64 // sim: every appended entry plus every row a pull reads from another partition (two units: engine.Backend.Messages); dist: entries sent to another process; parallel: 0
 	Steals       int64 // stolen partition tasks; always 0 for sim and dist
 	Supersteps   int64 // supersteps executed; identical across backends
 	TableEntries int64 // distinct entries of the projection tables compacted as they were built

@@ -68,9 +68,9 @@ func loopback2(t *testing.T) backend {
 // on sim, on parallel at one, two and three workers and on a two-rank
 // loopback cluster, against the exact enumerator and against each other.
 // The work counters that are content-determined — supersteps, load, table
-// entries — must agree across the backends as well, and sim's message
-// count must not depend on how many ranks it simulates over one partition
-// cut (a pulled step's messages are the rows it reads across the cut).
+// entries — must agree across the backends as well. On every sim runtime,
+// whatever its cut, the pushed steps book the same messages, and each
+// pulled step books the rows it reads from other partitions.
 func TestSharingIsInvisible(t *testing.T) {
 	draws := 200
 	if core.RaceEnabled || testing.Short() {
@@ -93,18 +93,33 @@ func TestSharingIsInvisible(t *testing.T) {
 		wantPer := exact.ColorfulMatchesPerVertex(g, q, colors, anchor)
 		for _, alg := range []core.Algorithm{core.PS, core.PSEven, core.DB} {
 			var ref, refPer core.Stats
-			simRef := map[int][2]core.Stats{} // by partition count, 0 for the grain rule's
+			var simPushed [2]int64 // the first sim leg's pushed steps' messages, scalar and per vertex
+			seenSim := false
 			for i, be := range backends {
-				job := engine.Job{N: g.N(), Graph: g, Colors: colors, Query: q, Plan: plan, Algorithm: int(alg), Mode: engine.ModeCount, Anchor: anchor}
-				opts := be.opts(job)
-				opts.Algorithm, opts.Plan = alg, plan
+				run := func(mode engine.JobMode) (*booking, core.Options) {
+					job := engine.Job{N: g.N(), Graph: g, Colors: colors, Query: q, Plan: plan, Algorithm: int(alg), Mode: mode, Anchor: anchor}
+					opts := be.opts(job)
+					if opts.Engine == nil {
+						e, err := engine.New(opts.Backend, opts.Workers, job)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts.Engine = e
+					}
+					var bk *booking
+					if opts.Engine.Name() == engine.SimName {
+						bk = &booking{Backend: opts.Engine, g: g}
+						opts.Engine = bk
+					}
+					opts.Algorithm, opts.Plan = alg, plan
+					return bk, opts
+				}
+				bk, opts := run(engine.ModeCount)
 				got, st, err := core.CountColorful(g, q, colors, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				job.Mode = engine.ModePerVertex
-				opts = be.opts(job)
-				opts.Algorithm, opts.Plan = alg, plan
+				bkPer, opts := run(engine.ModePerVertex)
 				per, _, stPer, err := core.CountColorfulPerVertex(g, q, colors, anchor, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -116,26 +131,43 @@ func TestSharingIsInvisible(t *testing.T) {
 				if i == 0 {
 					ref, refPer = st, stPer
 				}
-				cut := 0
-				if opts.Engine != nil {
-					cut = opts.Engine.P()
-				}
-				if _, ok := simRef[cut]; !ok && st.Backend == engine.SimName {
-					simRef[cut] = [2]core.Stats{st, stPer}
-				}
 				for j, c := range []struct {
 					mode    string
 					st, ref core.Stats
-				}{{"scalar", st, ref}, {"per-vertex", stPer, refPer}} {
+					bk      *booking
+				}{{"scalar", st, ref, bk}, {"per-vertex", stPer, refPer, bkPer}} {
 					if c.st.Supersteps != c.ref.Supersteps || c.st.TotalLoad != c.ref.TotalLoad || c.st.TableEntries != c.ref.TableEntries {
 						t.Fatalf("%s %s %s on %s: %d supersteps, load %d, %d table entries; on %s %d, %d, %d\nquery: %s",
 							q.Name, alg, c.mode, be.name, c.st.Supersteps, c.st.TotalLoad, c.st.TableEntries,
 							backends[0].name, c.ref.Supersteps, c.ref.TotalLoad, c.ref.TableEntries, q)
 					}
-					if sim := simRef[cut][j]; c.st.Backend == "sim" && c.st.Messages != sim.Messages || c.st.Backend == "parallel" && c.st.Messages != 0 {
-						t.Fatalf("%s %s %s on %s: %d messages; on sim at the same cut %d", q.Name, alg, c.mode, be.name, c.st.Messages, sim.Messages)
+					if c.st.Backend == engine.ParallelName && c.st.Messages != 0 {
+						t.Fatalf("%s %s %s on %s: %d messages", q.Name, alg, c.mode, be.name, c.st.Messages)
+					}
+					if c.bk == nil {
+						continue
+					}
+					var pushed, booked int64
+					for s, b := range c.bk.steps {
+						booked += b.msgs
+						if !b.pulled {
+							pushed += b.msgs
+						} else if b.msgs != b.remote {
+							t.Fatalf("%s %s %s on %s: pulled superstep %d booked %d messages, read %d rows from other partitions\nquery: %s",
+								q.Name, alg, c.mode, be.name, s, b.msgs, b.remote, q)
+						}
+					}
+					if booked != c.st.Messages {
+						t.Fatalf("%s %s %s on %s: %d messages, %d booked by its supersteps", q.Name, alg, c.mode, be.name, c.st.Messages, booked)
+					}
+					if !seenSim {
+						simPushed[j] = pushed
+					} else if pushed != simPushed[j] {
+						t.Fatalf("%s %s %s on %s: pushed steps booked %d messages; on the first sim runtime %d\nquery: %s",
+							q.Name, alg, c.mode, be.name, pushed, simPushed[j], q)
 					}
 				}
+				seenSim = seenSim || bk != nil
 			}
 		}
 	}

@@ -119,7 +119,11 @@ type Backend interface {
 	// pulled step's partition reads from another; dist counts only
 	// entries addressed to a partition of another process; parallel hands
 	// lanes over whole and reports 0. The sim and dist numbers are not
-	// comparable with each other.
+	// comparable with each other. sim's adds two units: a pushed entry is
+	// one count cell, a pulled row is a row of C(k, h) cells read once per
+	// arc that reads it, so a remote row read by several of a partition's
+	// vertices counts once for each. The number is neither the volume the
+	// push form moved nor the rows a ghost-row exchange would ship.
 	Messages() int64
 	// Steals is the number of partition tasks executed by a worker other
 	// than the partition's home worker; always 0 for sim and dist, whose

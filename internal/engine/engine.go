@@ -11,9 +11,10 @@
 // addressed to it over whole, chunk by chunk. An entry is written once, in
 // its stored form, at its destination. The backends are that one runtime
 // and choose two things about its lanes: sim (NewCluster) has ranks for
-// workers and counts every staged entry as a message; parallel
-// (NewParallel) counts nothing; internal/dist runs a band per process and
-// puts the lanes of partitions another process owns on the wire. All
+// workers and counts as messages every staged entry and every row a pulled
+// step reads from another partition; parallel (NewParallel) counts nothing;
+// internal/dist runs a band per process and puts the lanes of partitions
+// another process owns on the wire. All
 // produce bit-identical counts. A superstep whose every task writes only its
 // own partition's shard, reading any shard of a finished table, runs in pull
 // form instead (Runtime.Pull): no lanes at all, in a process that holds every

@@ -118,13 +118,14 @@ func (c *Counters) Loads() []int64 {
 // Steps returns the number of supersteps begun so far.
 func (c *Counters) Steps() int64 { return c.steps.Load() }
 
-// Messages returns the entries recorded by Sent.
+// Messages returns the messages recorded by Sent (see Backend.Messages).
 func (c *Counters) Messages() int64 { return c.msgs.Load() }
 
 // Steals returns the partition tasks run off their home worker.
 func (c *Counters) Steals() int64 { return c.steals.Load() }
 
-// Sent counts n entries as exchanged messages.
+// Sent counts n messages: entries a pushed step appends, or rows a pulled
+// step reads from another partition.
 func (c *Counters) Sent(n int) { c.msgs.Add(int64(n)) }
 
 // Runtime is the superstep runtime, the one implementation of Backend: the
@@ -132,8 +133,9 @@ func (c *Counters) Sent(n int) { c.msgs.Add(int64(n)) }
 // executes and the goroutines that execute it, each the home of a sub-band
 // it drains before stealing from the others'. sim, parallel, a dist rank
 // and the dist coordinator are this type, and choose two things about the
-// lanes a superstep's tasks append to: whether every staged entry counts as
-// a message (counted, sim) and whether lanes leave the process (wire, dist).
+// lanes a superstep's tasks append to: whether messages are counted —
+// every staged entry, and every row a pulled step reads from another
+// partition (counted, sim) — and whether lanes leave the process (wire, dist).
 type Runtime struct {
 	Blocks
 	Counters

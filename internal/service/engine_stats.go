@@ -11,9 +11,9 @@ import (
 // across every estimate the service actually computed on it (cache
 // replays don't re-run the engine and so don't count). Load is the
 // paper's projection-function-operations metric; Messages is simulated
-// communication volume — entries a pushed step appends, rows a pulled step
-// reads from another partition (always 0 for parallel); Steals is stolen
-// partition tasks (always 0 for sim).
+// messages — entries a pushed step appends plus rows a pulled step reads
+// from another partition, two units (engine.Backend.Messages), always 0
+// for parallel; Steals is stolen partition tasks (always 0 for sim).
 type EngineBackendStats struct {
 	Runs      uint64 `json:"runs" metric:"engine_runs_total" help:"Estimations computed, by execution backend."`
 	Workers   int    `json:"workers" metric:"engine_workers" help:"Worker/rank count of the latest run, by execution backend."`
