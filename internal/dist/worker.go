@@ -32,7 +32,10 @@ type WorkerOptions struct {
 // GraphCache is a fingerprint-addressed LRU of decoded graphs, shareable
 // across worker sessions.
 type GraphCache struct {
-	inner graphCache
+	mu    sync.Mutex
+	cap   int
+	m     map[uint64]*graph.Graph
+	order []uint64 // front = least recently used
 }
 
 // NewGraphCache returns a cache holding up to capacity graphs (≤ 0 means 8).
@@ -40,7 +43,7 @@ func NewGraphCache(capacity int) *GraphCache {
 	if capacity <= 0 {
 		capacity = 8
 	}
-	return &GraphCache{inner: graphCache{cap: capacity, m: make(map[uint64]*graph.Graph)}}
+	return &GraphCache{cap: capacity, m: make(map[uint64]*graph.Graph)}
 }
 
 // ServeConn runs one worker session over an established coordinator
@@ -65,7 +68,7 @@ func ServeConn(nc net.Conn, opts WorkerOptions) error {
 		opts:    opts,
 		logger:  logger,
 		jobs:    make(map[uint64]*wjob),
-		graphs:  &opts.Cache.inner,
+		graphs:  opts.Cache,
 		waiters: make(map[uint64][]chan *graph.Graph),
 	}
 	defer nc.Close()
@@ -141,7 +144,7 @@ type workerConn struct {
 
 	mu      sync.Mutex
 	jobs    map[uint64]*wjob
-	graphs  *graphCache
+	graphs  *GraphCache
 	waiters map[uint64][]chan *graph.Graph // fingerprint → fetch waiters
 }
 
@@ -300,15 +303,7 @@ func (w *workerConn) execute(ctx context.Context, rk *rank, m jobStartMsg) (done
 	return
 }
 
-// graphCache is the worker-side fingerprint-addressed graph LRU.
-type graphCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[uint64]*graph.Graph
-	order []uint64 // front = least recently used
-}
-
-func (c *graphCache) get(fp uint64) *graph.Graph {
+func (c *GraphCache) get(fp uint64) *graph.Graph {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	g := c.m[fp]
@@ -318,7 +313,7 @@ func (c *graphCache) get(fp uint64) *graph.Graph {
 	return g
 }
 
-func (c *graphCache) put(fp uint64, g *graph.Graph) {
+func (c *GraphCache) put(fp uint64, g *graph.Graph) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[fp]; !ok {
@@ -333,7 +328,7 @@ func (c *graphCache) put(fp uint64, g *graph.Graph) {
 	}
 }
 
-func (c *graphCache) touch(fp uint64) {
+func (c *GraphCache) touch(fp uint64) {
 	for i, f := range c.order {
 		if f == fp {
 			c.order = append(append(c.order[:i:i], c.order[i+1:]...), fp)

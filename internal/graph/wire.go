@@ -52,23 +52,26 @@ func (g *Graph) GobDecode(b []byte) error {
 	return nil
 }
 
-// Fingerprint returns a structural FNV-1a hash of the graph (vertex count
-// and CSR arrays; the name does not participate). Graphs are immutable
-// after construction, so the hash is memoized per instance — the dist
-// coordinator calls this once per trial.
+// Fingerprint returns a structural FNV-1a hash of the graph: the vertex
+// count, then each vertex's degree and sorted neighbours (the name does
+// not participate). The byte layout is frozen: the service keys cached and
+// persisted trial runs by it and the replica ring places keys by it.
+// Graphs are immutable after construction, so the hash is memoized per
+// instance.
 func (g *Graph) Fingerprint() uint64 {
 	g.fpOnce.Do(func() {
 		h := fnv.New64a()
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], uint64(g.n))
 		h.Write(b[:])
-		for _, o := range g.off {
-			binary.LittleEndian.PutUint64(b[:], uint64(o))
-			h.Write(b[:])
-		}
-		for _, v := range g.nbr {
-			binary.LittleEndian.PutUint32(b[:4], v)
+		for v := uint32(0); v < uint32(g.n); v++ {
+			ns := g.Neighbors(v)
+			binary.LittleEndian.PutUint32(b[:4], uint32(len(ns)))
 			h.Write(b[:4])
+			for _, w := range ns {
+				binary.LittleEndian.PutUint32(b[:4], w)
+				h.Write(b[:4])
+			}
 		}
 		g.fp = h.Sum64()
 	})

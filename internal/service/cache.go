@@ -170,7 +170,7 @@ type Cache struct {
 // NewCache returns a cache holding up to capacity trial runs (≤ 0 means
 // 4096). The second argument is ignored: it was a shard count, and
 // benchmark/serving_probes.go (not editable outside a [benchmark] PR)
-// still passes one — ROADMAP "Ledger round 2 (g)" deletes it.
+// still passes one — ROADMAP "Ledger round 2 (f)" deletes it.
 func NewCache(capacity, _ int) *Cache {
 	if capacity <= 0 {
 		capacity = 4096
@@ -180,7 +180,7 @@ func NewCache(capacity, _ int) *Cache {
 
 // Close does nothing: the cache owns no goroutine. It survives only
 // because benchmark/serving_probes.go still calls it (ROADMAP "Ledger
-// round 2 (g)").
+// round 2 (f)").
 func (c *Cache) Close() {}
 
 // Get returns the cached trial run for k, if present — limited to the

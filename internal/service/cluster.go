@@ -65,33 +65,6 @@ func newForwardClient() *http.Client {
 	}
 }
 
-// routeKey computes a request's trial-stream key for ring routing,
-// without submitting anything: the same normalize → algorithm → query →
-// fingerprint pipeline submitJob runs, projected to the TrialKey. The
-// boolean is false when the request cannot be routed (malformed, or the
-// graph is not registered locally) — those requests are served locally,
-// where the real path produces the proper error.
-func (s *Service) routeKey(req EstimateRequest) (TrialKey, bool) {
-	nreq, err := s.normalize(req)
-	if err != nil {
-		return TrialKey{}, false
-	}
-	alg, err := ParseAlgorithm(nreq.Algorithm)
-	if err != nil {
-		return TrialKey{}, false
-	}
-	q, err := buildQuery(nreq)
-	if err != nil {
-		return TrialKey{}, false
-	}
-	h, ok := s.reg.Acquire(nreq.Graph)
-	if !ok {
-		return TrialKey{}, false
-	}
-	defer h.Release()
-	return s.key(h.Fingerprint(), q, alg, nreq).TrialKey(), true
-}
-
 // hash folds every TrialKey field into the FNV-1a value the ring places
 // keys by. Every replica — across restarts and versions — must compute
 // the same value for the same key, or a key's home moves and its cached
@@ -113,40 +86,42 @@ func (k TrialKey) hash() uint64 {
 	return h.Sum64()
 }
 
-// maybeForward routes one estimate/job request: if the cluster says its
-// trial stream belongs to another replica that looks reachable, the
-// request is proxied there and the response relayed verbatim (true).
-// Everything else — single-node mode, owned keys, already-forwarded
-// requests (the loop guard), unroutable requests, and homes that are
-// down or circuit-broken — is served locally (false). Local execution
-// of a non-owned key is deliberate degradation: the answer is still
+// resolveOrForward resolves one estimate/job request and routes it: if
+// the cluster says its trial stream belongs to another replica that looks
+// reachable, the request is proxied there and the response relayed
+// verbatim. Everything else — single-node mode, owned keys,
+// already-forwarded requests (the loop guard), and homes that are down or
+// circuit-broken — is served locally with the returned request, whose
+// lease the caller takes over. False means the response is written: the
+// request did not resolve, or it was forwarded. Local execution of a
+// non-owned key is deliberate degradation: the answer is still
 // bit-identical (trials are deterministic everywhere), it just costs a
 // duplicate computation instead of an error or a hang.
-func (s *Service) maybeForward(w http.ResponseWriter, r *http.Request, path string, req EstimateRequest) bool {
-	if s.cluster == nil {
-		return false
-	}
-	if r.Header.Get(forwardHeader) != "" {
+func (s *Service) resolveOrForward(w http.ResponseWriter, r *http.Request, path string, req EstimateRequest) (resolved, bool) {
+	forwarded := s.cluster != nil && r.Header.Get(forwardHeader) != ""
+	if forwarded {
 		s.clForwardedServed.Add(1)
-		return false
 	}
-	tk, ok := s.routeKey(req)
-	if !ok {
-		return false
+	rr, err := s.resolve(req)
+	if err != nil {
+		writeError(w, err)
+		return resolved{}, false
 	}
-	home := s.cluster.Owner(tk.hash())
+	if s.cluster == nil || forwarded {
+		return rr, true
+	}
+	home := s.cluster.Owner(rr.key.TrialKey().hash())
 	if s.cluster.IsSelf(home) {
-		return false
+		return rr, true
 	}
-	if !s.cluster.Allow(home) {
-		s.clLocalFallbacks.Add(1)
-		return false
-	}
-	if s.forward(w, r, home, path, req) {
-		return true
+	// The lease is held through the forward: a failed one falls back to
+	// serving the request here.
+	if s.cluster.Allow(home) && s.forward(w, r, home, path, req) {
+		rr.h.Release()
+		return resolved{}, false
 	}
 	s.clLocalFallbacks.Add(1)
-	return false
+	return rr, true
 }
 
 // forward proxies one request to its home replica and relays the

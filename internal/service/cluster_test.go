@@ -364,3 +364,28 @@ func TestClusterReadyz(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterResolvesEachRequestOnce: a request served where it lands takes
+// one registry lease — the ring route and the job share one resolution —
+// and a batch of N items takes N+1 (the batch's own lease, then one per
+// item).
+func TestClusterResolvesEachRequestOnce(t *testing.T) {
+	rep := startReplicas(t, 1)[0] // a one-member ring homes every key here
+	hits := func() uint64 { return rep.svc.Stats().Registry.Hits }
+	for i, c := range []struct {
+		path, body string
+		status     int
+		want       uint64
+	}{
+		{"/v1/estimate", estimateBody(1), http.StatusOK, 1},
+		{"/v1/estimate", estimateBody(1), http.StatusOK, 1}, // a cache hit
+		{"/v1/jobs", estimateBody(2), http.StatusAccepted, 1},
+		{"/v1/batch", `{"graph":"g","trials":2,"seed":3,"queries":[{"query":"glet1"},{"query":"path3"},{"query":"cycle4"}]}`, http.StatusOK, 4},
+	} {
+		before := hits()
+		clusterPost(t, rep.addr, c.path, c.body, c.status, nil)
+		if got := hits() - before; got != c.want {
+			t.Errorf("request %d (%s) took %d registry leases, want %d", i, c.path, got, c.want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	subgraph "repro"
+	"repro/internal/service"
 )
 
 // openDurable starts a service over dataDir (empty = in-memory) with the
@@ -277,8 +279,8 @@ func TestJobsSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if ci, ok := svc.CancelJob(cinfo.ID); !ok || ci.State != subgraph.JobCanceled {
-		t.Fatalf("cancel: ok=%v state=%v", ok, ci.State)
+	if ci, err := svc.CancelJob(cinfo.ID); err != nil || ci.State != subgraph.JobCanceled {
+		t.Fatalf("cancel: err=%v state=%v", err, ci.State)
 	}
 	svc.Close()
 
@@ -288,9 +290,9 @@ func TestJobsSurviveRestart(t *testing.T) {
 	if st.Durable == nil || st.Durable.ReplayedJobs < 2 {
 		t.Fatalf("restart replayed too few jobs: %+v", st.Durable)
 	}
-	got, ok := svc2.Job(info.ID)
-	if !ok || got.State != subgraph.JobDone {
-		t.Fatalf("done job lost across restart: ok=%v info=%+v", ok, got)
+	got, err := svc2.Job(info.ID)
+	if err != nil || got.State != subgraph.JobDone {
+		t.Fatalf("done job lost across restart: err=%v info=%+v", err, got)
 	}
 	if !got.Cached && got.Progress.TrialsDone != done.Progress.TrialsDone {
 		t.Errorf("replayed job progress diverges: %+v vs %+v", got.Progress, done.Progress)
@@ -302,13 +304,13 @@ func TestJobsSurviveRestart(t *testing.T) {
 	if !reflect.DeepEqual(res1.Estimate, res2.Estimate) {
 		t.Error("replayed job result diverges from the pre-restart one")
 	}
-	if ci, ok := svc2.Job(cinfo.ID); !ok || ci.State != subgraph.JobCanceled {
-		t.Fatalf("canceled job lost across restart: ok=%v info=%+v", ok, ci)
+	if ci, err := svc2.Job(cinfo.ID); err != nil || ci.State != subgraph.JobCanceled {
+		t.Fatalf("canceled job lost across restart: err=%v info=%+v", err, ci)
 	}
 	// Checked before any new submission (fresh jobs may reuse ids that
 	// were never persisted): the cache-hit job must not have a record.
-	if hi, ok := svc2.Job(hit.ID); ok {
-		t.Errorf("pure cache-hit job persisted across restart: %+v", hi)
+	if hi, err := svc2.Job(hit.ID); !errors.Is(err, service.ErrUnknownJob) {
+		t.Errorf("pure cache-hit job persisted across restart: %+v (err %v)", hi, err)
 	}
 	if _, err := svc2.JobResult(cinfo.ID); err == nil || !strings.Contains(err.Error(), "canceled") {
 		t.Errorf("replayed canceled job's result err = %v, want canceled", err)
@@ -322,8 +324,8 @@ func TestJobsSurviveRestart(t *testing.T) {
 	if fresh.ID == info.ID || fresh.ID == cinfo.ID {
 		t.Fatalf("fresh job id %s collides with a replayed id", fresh.ID)
 	}
-	if _, ok := svc2.Job(fresh.ID); !ok {
-		t.Fatal("fresh job not addressable")
+	if _, err := svc2.Job(fresh.ID); err != nil {
+		t.Fatalf("fresh job not addressable: %v", err)
 	}
 }
 
@@ -360,7 +362,7 @@ func TestShutdownSettledJobsNotPersisted(t *testing.T) {
 
 	svc2 := openDurable(t, dir)
 	defer svc2.Close()
-	if info, ok := svc2.Job(long.ID); ok {
-		t.Errorf("shutdown-settled job resurrected after restart: %+v", info)
+	if info, err := svc2.Job(long.ID); !errors.Is(err, service.ErrUnknownJob) {
+		t.Errorf("shutdown-settled job resurrected after restart: %+v (err %v)", info, err)
 	}
 }

@@ -289,19 +289,27 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if s.maybeForward(w, r, "/v1/estimate", req) {
+	rr, ok := s.resolveOrForward(w, r, "/v1/estimate", req)
+	if !ok {
 		return
 	}
-	res, err := s.Estimate(r.Context(), req)
+	res, err := s.estimate(r.Context(), rr)
+	writeResult(w, res, err)
+}
+
+// writeResult writes one estimate the way /v1/estimate and a job's
+// /result both serve it: the body is exactly the estimate, with X-Cache
+// and X-Elapsed-Ms headers; a failed one is an error body.
+func writeResult(w http.ResponseWriter, res EstimateResult, err error) {
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	cache := "MISS"
 	if res.Cached {
-		w.Header().Set("X-Cache", "HIT")
-	} else {
-		w.Header().Set("X-Cache", "MISS")
+		cache = "HIT"
 	}
+	w.Header().Set("X-Cache", cache)
 	w.Header().Set("X-Elapsed-Ms", fmt.Sprintf("%.3f", float64(res.Elapsed.Microseconds())/1000))
 	writeJSON(w, http.StatusOK, res.Estimate)
 }
@@ -375,16 +383,17 @@ func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if s.maybeForward(w, r, "/v1/jobs", req) {
+	rr, ok := s.resolveOrForward(w, r, "/v1/jobs", req)
+	if !ok {
 		return
 	}
-	info, err := s.SubmitEstimateJob(req)
+	j, err := s.submitJob(rr)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Location", "/v1/jobs/"+info.ID)
-	writeJSON(w, http.StatusAccepted, info)
+	w.Header().Set("Location", "/v1/jobs/"+j.id)
+	writeJSON(w, http.StatusAccepted, s.jobs.snapshot(j))
 }
 
 func (s *Service) handleListJobs(w http.ResponseWriter, _ *http.Request) {
@@ -398,9 +407,9 @@ func (s *Service) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	info, ok := s.WaitJob(r.Context(), id, wait)
-	if !ok {
-		writeError(w, fmt.Errorf("%w %q", ErrUnknownJob, id))
+	info, err := s.WaitJob(r.Context(), id, wait)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -416,30 +425,20 @@ func (s *Service) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wait > 0 {
-		if _, ok := s.WaitJob(r.Context(), id, wait); !ok {
-			writeError(w, fmt.Errorf("%w %q", ErrUnknownJob, id))
+		if _, err := s.WaitJob(r.Context(), id, wait); err != nil {
+			writeError(w, err)
 			return
 		}
 	}
 	res, err := s.JobResult(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if res.Cached {
-		w.Header().Set("X-Cache", "HIT")
-	} else {
-		w.Header().Set("X-Cache", "MISS")
-	}
-	w.Header().Set("X-Elapsed-Ms", fmt.Sprintf("%.3f", float64(res.Elapsed.Microseconds())/1000))
-	writeJSON(w, http.StatusOK, res.Estimate)
+	writeResult(w, res, err)
 }
 
 func (s *Service) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	info, ok := s.CancelJob(id)
-	if !ok {
-		writeError(w, fmt.Errorf("%w %q", ErrUnknownJob, id))
+	info, err := s.CancelJob(id)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)

@@ -28,10 +28,9 @@ const sseHeartbeatEvery = 15 * time.Second
 // DELETE), so a dropped subscriber never dooms another client's
 // computation.
 func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, ok := s.jobs.get(id)
-	if !ok {
-		writeError(w, fmt.Errorf("%w %q", ErrUnknownJob, id))
+	j, err := s.jobs.get(r.PathValue("id"))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	flusher, ok := w.(http.Flusher)

@@ -248,9 +248,6 @@ func (m *jobManager) assignID(j *job) {
 
 // registerLocked adds a job (already carrying its id) to the index.
 func (m *jobManager) registerLocked(j *job) {
-	if j.id == "" {
-		m.assignID(j)
-	}
 	m.byID[j.id] = j
 	m.order = append(m.order, j)
 	m.submitted++
@@ -293,9 +290,6 @@ func (m *jobManager) attachLocked(fl *flight, j *job) {
 // cloned it); ownership passes to the job, so the hot cache-hit path
 // pays no allocation under the manager's mutex.
 func (m *jobManager) addCached(j *job, est coloring.Estimate) {
-	if j.id == "" {
-		m.assignID(j)
-	}
 	relabel(&est, j.queryName, j.graphName)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -491,18 +485,16 @@ func (m *jobManager) lowWaterLocked() int {
 	return low
 }
 
-// get resolves a job by id. Only the looked-up job's own TTL is checked
-// (an expired one is dropped and reported unknown); the full sweep runs
-// on register and list, so poll-heavy traffic doesn't rescan the whole
-// retention list under the lock on every lookup.
-func (m *jobManager) get(id string) (*job, bool) {
+// get resolves a job by id, failing with ErrUnknownJob for an id it does
+// not hold. Only the looked-up job's own TTL is checked (an expired one is
+// dropped and reported unknown); the full sweep runs on register and
+// list, so poll-heavy traffic doesn't rescan the whole retention list
+// under the lock on every lookup.
+func (m *jobManager) get(id string) (*job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.byID[id]
-	if !ok {
-		return nil, false
-	}
-	if j.state.Terminal() && !j.expires.After(time.Now()) {
+	if ok && j.state.Terminal() && !j.expires.After(time.Now()) {
 		m.terminal--
 		delete(m.byID, id)
 		for i, o := range m.order {
@@ -512,9 +504,12 @@ func (m *jobManager) get(id string) (*job, bool) {
 			}
 		}
 		m.expired++
-		return nil, false
+		ok = false
 	}
-	return j, true
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
+	}
+	return j, nil
 }
 
 // infoLocked snapshots one job for the wire.

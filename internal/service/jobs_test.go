@@ -10,6 +10,7 @@ import (
 	"time"
 
 	subgraph "repro"
+	"repro/internal/service"
 )
 
 // slowService returns a 1-worker service with a graph big enough that a
@@ -38,9 +39,9 @@ func waitJobState(t *testing.T, svc *subgraph.Service, id string, want subgraph.
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		info, ok := svc.Job(id)
-		if !ok {
-			t.Fatalf("job %s vanished while waiting for %s", id, want)
+		info, err := svc.Job(id)
+		if err != nil {
+			t.Fatalf("job %s vanished while waiting for %s: %v", id, want, err)
 		}
 		if info.State == want {
 			return info
@@ -65,9 +66,9 @@ func TestJobResultBitIdenticalToDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, ok := svc.WaitJob(context.Background(), job.ID, 30*time.Second)
-	if !ok || info.State != subgraph.JobDone {
-		t.Fatalf("job = %+v, want done", info)
+	info, err := svc.WaitJob(context.Background(), job.ID, 30*time.Second)
+	if err != nil || info.State != subgraph.JobDone {
+		t.Fatalf("job = %+v (err %v), want done", info, err)
 	}
 	if info.Progress.TrialsDone != 4 || info.Progress.TrialsTotal != 4 {
 		t.Errorf("progress = %+v, want 4/4", info.Progress)
@@ -104,9 +105,9 @@ func TestCancelRunningJobFreesWorker(t *testing.T) {
 	waitJobState(t, svc, job.ID, subgraph.JobRunning)
 
 	start := time.Now()
-	info, ok := svc.CancelJob(job.ID)
-	if !ok || info.State != subgraph.JobCanceled {
-		t.Fatalf("cancel = %+v (ok=%v), want canceled", info, ok)
+	info, err := svc.CancelJob(job.ID)
+	if err != nil || info.State != subgraph.JobCanceled {
+		t.Fatalf("cancel = %+v (err=%v), want canceled", info, err)
 	}
 	// The job is terminal immediately; the worker itself must come free
 	// promptly. 10s is orders of magnitude below the uncanceled runtime
@@ -150,9 +151,9 @@ func TestCancelQueuedJob(t *testing.T) {
 	if got, _ := svc.Job(queued.ID); got.State != subgraph.JobQueued {
 		t.Fatalf("second job on a 1-worker pool is %s, want queued", got.State)
 	}
-	info, ok := svc.CancelJob(queued.ID)
-	if !ok || info.State != subgraph.JobCanceled {
-		t.Fatalf("cancel queued = %+v (ok=%v), want canceled", info, ok)
+	info, err := svc.CancelJob(queued.ID)
+	if err != nil || info.State != subgraph.JobCanceled {
+		t.Fatalf("cancel queued = %+v (err=%v), want canceled", info, err)
 	}
 	if info.StartedAt != nil {
 		t.Errorf("canceled queued job has StartedAt %v, want never started", info.StartedAt)
@@ -171,9 +172,9 @@ func TestCancelFinishedJobIsNoOp(t *testing.T) {
 	if info, _ := svc.WaitJob(context.Background(), job.ID, 30*time.Second); info.State != subgraph.JobDone {
 		t.Fatalf("job = %+v, want done", info)
 	}
-	info, ok := svc.CancelJob(job.ID)
-	if !ok || info.State != subgraph.JobDone {
-		t.Fatalf("cancel done job = %+v (ok=%v), want state unchanged (done)", info, ok)
+	info, err := svc.CancelJob(job.ID)
+	if err != nil || info.State != subgraph.JobDone {
+		t.Fatalf("cancel done job = %+v (err=%v), want state unchanged (done)", info, err)
 	}
 	if _, err := svc.JobResult(job.ID); err != nil {
 		t.Errorf("result gone after no-op cancel: %v", err)
@@ -296,8 +297,8 @@ func TestJobRetentionTTL(t *testing.T) {
 		t.Fatalf("job = %+v, want done", info)
 	}
 	time.Sleep(120 * time.Millisecond)
-	if _, ok := svc.Job(job.ID); ok {
-		t.Error("job still addressable after TTL")
+	if _, err := svc.Job(job.ID); !errors.Is(err, service.ErrUnknownJob) {
+		t.Errorf("job still addressable after TTL (err %v)", err)
 	}
 	if _, err := svc.JobResult(job.ID); err == nil {
 		t.Error("result still addressable after TTL")

@@ -259,9 +259,9 @@ func TestTraceSharedAcrossCoalescedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{decoy.ID, a.ID, b.ID} {
-		info, ok := svc.WaitJob(nil, id, 30*time.Second)
-		if !ok || !info.State.Terminal() {
-			t.Fatalf("job %s: ok=%v state=%s", id, ok, info.State)
+		info, err := svc.WaitJob(nil, id, 30*time.Second)
+		if err != nil || !info.State.Terminal() {
+			t.Fatalf("job %s: err=%v state=%s", id, err, info.State)
 		}
 	}
 	ta, err := svc.JobTrace(a.ID)

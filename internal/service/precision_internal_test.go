@@ -23,15 +23,19 @@ import (
 func TestKeyCompatibilityShim(t *testing.T) {
 	svc := New(Options{Workers: 1})
 	defer svc.Close()
-	req, err := svc.normalize(EstimateRequest{Graph: "g", Query: "glet1", Trials: 3, Seed: 7})
+	if _, err := svc.AddGraph(GraphSpec{Standin: "enron", Scale: 512, Seed: 1, Name: "g"}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := svc.resolve(EstimateRequest{Graph: "g", Query: "glet1", Trials: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.h.Release()
 	q, err := query.ByName("glet1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := svc.key(0xfeed, q, core.DB, req)
+	got := r.key
 	// The default backend resolves through $SUBGRAPH_BACKEND exactly as it
 	// did pre-redesign (CI runs this under both values).
 	backend, err := engine.Canonical("")
@@ -41,7 +45,7 @@ func TestKeyCompatibilityShim(t *testing.T) {
 	want := Key{
 		// The exact key the PR4 service built for this request: the five
 		// identity fields plus the three knobs, nothing else.
-		Graph:     0xfeed,
+		Graph:     r.h.Fingerprint(),
 		Query:     QuerySignature(q),
 		Algorithm: core.DB,
 		Backend:   backend,
@@ -55,12 +59,13 @@ func TestKeyCompatibilityShim(t *testing.T) {
 
 	// A precision request keys differently (it may stop at a different
 	// trial count) but projects onto the same trial stream.
-	preq, err := svc.normalize(EstimateRequest{Graph: "g", Query: "glet1", Seed: 7,
+	pr, err := svc.resolve(EstimateRequest{Graph: "g", Query: "glet1", Seed: 7,
 		Precision: &PrecisionSpec{RelErr: 0.1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkey := svc.key(0xfeed, q, core.DB, preq)
+	pr.h.Release()
+	preq, pkey := pr.req, pr.key
 	if pkey == got {
 		t.Error("precision request must not collide with the legacy key")
 	}
@@ -213,8 +218,8 @@ func TestJobEventsSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := svc.WaitJob(nil, quick.ID, 10*time.Second); !ok {
-		t.Fatal("quick job vanished")
+	if _, err := svc.WaitJob(nil, quick.ID, 10*time.Second); err != nil {
+		t.Fatalf("quick job vanished: %v", err)
 	}
 	resp, err = http.Get(ts.URL + "/v1/jobs/" + quick.ID + "/events")
 	if err != nil {

@@ -6,9 +6,7 @@
 package service
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"slices"
 	"sort"
@@ -144,28 +142,6 @@ func (sp GraphSpec) build() (*graph.Graph, error) {
 	}
 }
 
-// Fingerprint hashes the full CSR structure of g (vertex count plus every
-// adjacency list) with FNV-1a. It identifies the graph's exact topology in
-// result-cache keys, so renaming or re-registering a graph cannot alias
-// cached estimates of a different graph.
-func Fingerprint(g *graph.Graph) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(g.N()))
-	h.Write(buf[:])
-	var b4 [4]byte
-	for v := 0; v < g.N(); v++ {
-		ns := g.Neighbors(uint32(v))
-		binary.LittleEndian.PutUint32(b4[:], uint32(len(ns)))
-		h.Write(b4[:])
-		for _, w := range ns {
-			binary.LittleEndian.PutUint32(b4[:], w)
-			h.Write(b4[:])
-		}
-	}
-	return h.Sum64()
-}
-
 // approxBytes estimates the resident size of one registry entry: the
 // graph's CSR arrays (8-byte offsets per vertex, two 4-byte neighbor
 // entries per edge, a 4-byte rank per vertex) plus a flat floor for the
@@ -206,7 +182,9 @@ type Handle struct {
 // Graph returns the held graph.
 func (h *Handle) Graph() *graph.Graph { return h.e.g }
 
-// Fingerprint returns the topology fingerprint computed at load time.
+// Fingerprint returns the graph's topology fingerprint (graph.Fingerprint,
+// computed at load time). Cache keys carry it, so renaming or
+// re-registering a graph cannot alias another graph's cached runs.
 func (h *Handle) Fingerprint() uint64 { return h.e.fingerprint }
 
 // ID returns the registry id ("g1", "g2", ...).
@@ -310,7 +288,7 @@ func (r *Registry) Add(spec GraphSpec) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp, stats := Fingerprint(g), g.Stats()
+	fp, stats := g.Fingerprint(), g.Stats()
 
 	r.mu.Lock()
 	defer r.mu.Unlock()

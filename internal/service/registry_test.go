@@ -2,10 +2,12 @@ package service_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/service"
 )
 
@@ -288,7 +290,7 @@ func TestRegistryPinnedSurvivesConcurrentFlood(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				fp := service.Fingerprint(h.Graph())
+				fp := h.Graph().Fingerprint()
 				if again, ok := r.Acquire(h.ID()); !ok {
 					t.Errorf("held graph %s not resolvable", h.ID())
 				} else {
@@ -433,7 +435,41 @@ func TestFingerprintDistinguishesTopology(t *testing.T) {
 	if h1.Fingerprint() == h2.Fingerprint() {
 		t.Error("different graphs share a fingerprint")
 	}
-	if h1.Fingerprint() != service.Fingerprint(h1.Graph()) {
+	// The same spec built again is another instance, so its fingerprint
+	// is recomputed, not memoized.
+	again := gen.PowerLawGraph("again", 500, 1.6, rand.New(rand.NewSource(1)))
+	if h1.Fingerprint() != again.Fingerprint() {
 		t.Error("handle fingerprint differs from recomputation")
+	}
+}
+
+// TestGraphFingerprintIsFrozen pins graph fingerprints to the values the
+// registry has given them since it shipped: cache keys, the runs a WAL
+// persists and the ring's key homes all carry them, so a fingerprint that
+// moves strands every run stored under it. Each value is hashed over the
+// vertex count, then each vertex's degree and sorted neighbours.
+func TestGraphFingerprintIsFrozen(t *testing.T) {
+	r := service.NewRegistry(0)
+	for _, c := range []struct {
+		spec service.GraphSpec
+		want string
+	}{
+		{service.GraphSpec{Standin: "enron", Scale: 512, Seed: 1}, "c4e570417b666a0f"},
+		{plSpec(1), "900670c1118d3bb0"},
+		{service.GraphSpec{RMATScale: 8, EdgeFactor: 4, Seed: 3}, "cd892bd893608a9f"},
+	} {
+		h, err := r.Add(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, _ := r.Info(h.ID())
+		h.Release()
+		if info.Fingerprint != c.want {
+			t.Errorf("fingerprint of %+v = %s, want %s", c.spec, info.Fingerprint, c.want)
+		}
+	}
+	g := gen.ErdosRenyi("er", 40, 90, rand.New(rand.NewSource(5)))
+	if got, want := g.Fingerprint(), uint64(0x1c5eef316e7b152b); got != want {
+		t.Errorf("fingerprint of G(40, 90) = %#x, want %#x", got, want)
 	}
 }

@@ -396,7 +396,9 @@ func (req EstimateRequest) rule() coloring.Adaptive {
 type EstimateResult struct {
 	Estimate coloring.Estimate
 	Cached   bool
-	Elapsed  time.Duration
+	// Elapsed is the job's own time, submission to terminal state: the
+	// same figure for a sync estimate, a batch item and a job's result.
+	Elapsed time.Duration
 }
 
 // ParseAlgorithm maps the wire name to a core.Algorithm ("" means DB).
@@ -533,13 +535,40 @@ func (s *Service) armDeadline(j *job, req EstimateRequest) {
 	}
 }
 
-// key builds the request key for a normalized request. Fixed-trial
-// requests leave the precision fields zero, so their keys are unchanged
-// from the pre-precision API — the compatibility-shim test pins this
-// against silent re-keying.
-func (s *Service) key(fp uint64, q *query.Graph, alg core.Algorithm, req EstimateRequest) Key {
-	k := Key{
-		Graph:     fp,
+// resolved is one request after every check and lookup a submission
+// needs: normalized, its algorithm parsed, its query built, its graph
+// leased and its key derived. The lease is the holder's to release.
+type resolved struct {
+	req EstimateRequest
+	alg core.Algorithm
+	q   *query.Graph
+	h   *Handle
+	key Key
+}
+
+// resolve runs normalize, ParseAlgorithm, buildQuery, the registry lookup
+// and the key derivation for one request. Every entry — an estimate, a
+// job, a batch item, a cluster route — resolves its request exactly once
+// and hands the result on.
+func (s *Service) resolve(req EstimateRequest) (resolved, error) {
+	req, err := s.normalize(req)
+	if err != nil {
+		return resolved{}, err
+	}
+	alg, err := ParseAlgorithm(req.Algorithm)
+	if err != nil {
+		return resolved{}, err
+	}
+	q, err := buildQuery(req)
+	if err != nil {
+		return resolved{}, err
+	}
+	h, ok := s.reg.Acquire(req.Graph)
+	if !ok {
+		return resolved{}, fmt.Errorf("%w %q (register it first)", ErrUnknownGraph, req.Graph)
+	}
+	key := Key{
+		Graph:     h.Fingerprint(),
 		Query:     QuerySignature(q),
 		Algorithm: alg,
 		Backend:   req.Backend,
@@ -547,12 +576,15 @@ func (s *Service) key(fp uint64, q *query.Graph, alg core.Algorithm, req Estimat
 		Seed:      req.Seed,
 		Ranks:     req.Ranks,
 	}
+	// Fixed-trial requests leave the precision fields zero, so their keys
+	// are unchanged from the pre-precision API — the compatibility-shim
+	// test pins this against silent re-keying.
 	if p := req.Precision; p != nil {
-		k.RelErr = p.RelErr
-		k.Confidence = p.Confidence
-		k.MinTrials = p.MinTrials
+		key.RelErr = p.RelErr
+		key.Confidence = p.Confidence
+		key.MinTrials = p.MinTrials
 	}
-	return k
+	return resolved{req: req, alg: alg, q: q, h: h, key: key}, nil
 }
 
 // tryReplay answers a request purely from cached trials: the request's
@@ -587,6 +619,20 @@ func (s *Service) tryReplay(tk TrialKey, q *query.Graph, req EstimateRequest) (c
 	return est, true
 }
 
+// replayed answers j from the cache when tryReplay can: the job is born
+// done and r's lease is released. The attempt is spanned on j's trace
+// whether or not it answers, so a miss's cost is on the timeline too.
+func (s *Service) replayed(j *job, r resolved) bool {
+	begin := time.Now()
+	est, ok := s.tryReplay(r.key.TrialKey(), r.q, r.req)
+	j.tr.Add(spanCacheReplay, begin, time.Now())
+	if ok {
+		r.h.Release()
+		s.jobs.addCached(j, est)
+	}
+	return ok
+}
+
 // notePrecision records a precision-targeted request's adaptive outcome:
 // stopping below the MaxTrials bound is an early stop, and the trials not
 // run are the compute the declarative API saved over the worst case.
@@ -609,11 +655,12 @@ func (s *Service) notePrecision(req EstimateRequest, used int) {
 // It is the only place estimates are computed, and every path assembles
 // through coloring.Assemble, so cached, extended, and fresh results are
 // bit-identical by construction.
-func (s *Service) run(ctx context.Context, h *Handle, q *query.Graph, alg core.Algorithm, req EstimateRequest, key Key, onTrial func(done int, mean, cv float64)) (coloring.Estimate, error) {
-	sess, err := coloring.NewSession(h.Graph(), q, coloring.Options{
+func (s *Service) run(ctx context.Context, r resolved, onTrial func(done int, mean, cv float64)) (coloring.Estimate, error) {
+	req, tk := r.req, r.key.TrialKey()
+	sess, err := coloring.NewSession(r.h.Graph(), r.q, coloring.Options{
 		Seed: req.Seed,
 		Core: core.Options{
-			Algorithm: alg,
+			Algorithm: r.alg,
 			Backend:   req.Backend,
 			Workers:   req.Ranks,
 		},
@@ -625,7 +672,7 @@ func (s *Service) run(ctx context.Context, h *Handle, q *query.Graph, alg core.A
 	tr := obs.FromContext(ctx)
 	if !req.NoCache {
 		end := tr.Start(spanCacheLookup)
-		cached, ok := s.cache.Get(key.TrialKey(), req.Trials)
+		cached, ok := s.cache.Get(tk, req.Trials)
 		end()
 		if ok {
 			if err := sess.Preload(cached.Counts, cached.Stats); err != nil {
@@ -646,42 +693,26 @@ func (s *Service) run(ctx context.Context, h *Handle, q *query.Graph, alg core.A
 	}
 	counts, stats := sess.Run()
 	end := tr.Start(spanCacheStore)
-	s.cache.Put(key.TrialKey(), TrialRun{Counts: counts, Stats: stats})
+	s.cache.Put(tk, TrialRun{Counts: counts, Stats: stats})
 	end()
 	// Persist the accumulated stream (async append, off the hot path) so
 	// a restart replays it into the cache exactly as stored here.
-	s.persistRun(key.TrialKey(), TrialRun{Counts: counts, Stats: stats})
+	s.persistRun(tk, TrialRun{Counts: counts, Stats: stats})
 	s.notePrecision(req, used)
 	return est, nil
 }
 
-// submitJob validates and registers one estimation job, then either
-// replays it from the result cache (the job is born done), attaches it to
-// an identical in-flight job (singleflight), or schedules a fresh flight
-// on the worker pool. The job's deadline watchdog is armed before
-// returning.
-func (s *Service) submitJob(req EstimateRequest) (*job, error) {
-	req, err := s.normalize(req)
-	if err != nil {
-		return nil, err
-	}
-	alg, err := ParseAlgorithm(req.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	q, err := buildQuery(req)
-	if err != nil {
-		return nil, err
-	}
-	h, ok := s.reg.Acquire(req.Graph)
-	if !ok {
-		return nil, fmt.Errorf("%w %q (register it first)", ErrUnknownGraph, req.Graph)
-	}
-	key := s.key(h.Fingerprint(), q, alg, req)
+// submitJob registers one resolved estimation job, then either replays
+// it from the result cache (the job is born done), attaches it to an
+// identical in-flight job (singleflight), or schedules a fresh flight on
+// the worker pool. It takes over r's lease. The job's deadline watchdog is
+// armed before returning.
+func (s *Service) submitJob(r resolved) (*job, error) {
+	req, h, key := r.req, r.h, r.key
 	j := &job{
 		state:       JobQueued,
 		graphName:   h.Graph().Name,
-		queryName:   q.Name,
+		queryName:   r.q.Name,
 		trialsTotal: req.Trials,
 		created:     time.Now(),
 		done:        make(chan struct{}),
@@ -697,17 +728,9 @@ func (s *Service) submitJob(req EstimateRequest) (*job, error) {
 	tr := obs.NewTrace(j.id)
 	tr.SetSink(s.metrics.traceSink(req.Backend))
 	j.tr = tr
-	if !req.NoCache {
-		// The replay attempt is the submit path's cache lookup; span it
-		// whether or not it answers, so a miss's cost is on the timeline.
-		begin := time.Now()
-		est, ok := s.tryReplay(key.TrialKey(), q, req)
-		tr.Add(spanCacheReplay, begin, time.Now())
-		if ok {
-			h.Release()
-			s.jobs.addCached(j, est)
-			return j, nil
-		}
+	// The replay attempt is the submit path's cache lookup.
+	if !req.NoCache && s.replayed(j, r) {
+		return j, nil
 	}
 
 	// Singleflight: the index lock (held through flight creation)
@@ -745,13 +768,8 @@ func (s *Service) submitJob(req EstimateRequest) (*job, error) {
 		// check above and taking the index lock (its Put lands before it
 		// leaves the inflight index); re-check so the just-cached result
 		// is replayed instead of recomputed.
-		begin := time.Now()
-		est, ok := s.tryReplay(key.TrialKey(), q, req)
-		tr.Add(spanCacheReplay, begin, time.Now())
-		if ok {
+		if s.replayed(j, r) {
 			jobs.inflightMu.Unlock()
-			h.Release()
-			s.jobs.addCached(j, est)
 			return j, nil
 		}
 	}
@@ -765,12 +783,12 @@ func (s *Service) submitJob(req EstimateRequest) (*job, error) {
 	submitted := time.Now()
 	jobs.mu.Lock()
 	jobs.attachLocked(fl, j)
-	err = s.sched.SubmitJob(fctx, req.Priority, func(ctx context.Context) {
+	err := s.sched.SubmitJob(fctx, req.Priority, func(ctx context.Context) {
 		s.jobs.flightStarted(fl)
 		// Queue wait: submission to worker pickup, the first section of
 		// every computed job's timeline.
 		tr.Add(spanQueueWait, submitted, time.Now())
-		est, err := s.run(obs.WithTrace(ctx, tr), h, q, alg, req, key, func(done int, mean, cv float64) {
+		est, err := s.run(obs.WithTrace(ctx, tr), r, func(done int, mean, cv float64) {
 			fl.prog.Store(&flightProgress{done: done, mean: mean, cv: cv})
 		})
 		s.jobs.finishFlight(fl, est, err)
@@ -832,17 +850,20 @@ func (s *Service) waitJob(ctx context.Context, j *job) (EstimateResult, error) {
 // submit-and-wait wrapper over the same job path as SubmitEstimateJob, so
 // sync and async results are bit-identical.
 func (s *Service) Estimate(ctx context.Context, req EstimateRequest) (EstimateResult, error) {
-	start := time.Now()
-	j, err := s.submitJob(req)
+	r, err := s.resolve(req)
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	res, err := s.waitJob(ctx, j)
+	return s.estimate(ctx, r)
+}
+
+// estimate submits a resolved request and waits for its job.
+func (s *Service) estimate(ctx context.Context, r resolved) (EstimateResult, error) {
+	j, err := s.submitJob(r)
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return s.waitJob(ctx, j)
 }
 
 // SubmitEstimateJob registers req as an async job and returns immediately
@@ -851,20 +872,27 @@ func (s *Service) Estimate(ctx context.Context, req EstimateRequest) (EstimateRe
 // fingerprint, query signature, and knobs) is coalesced onto one
 // computation unless NoCache is set.
 func (s *Service) SubmitEstimateJob(req EstimateRequest) (JobInfo, error) {
-	j, err := s.submitJob(req)
+	r, err := s.resolve(req)
+	if err != nil {
+		return JobInfo{}, err
+	}
+	j, err := s.submitJob(r)
 	if err != nil {
 		return JobInfo{}, err
 	}
 	return s.jobs.snapshot(j), nil
 }
 
+// The job lookups below fail with ErrUnknownJob for unknown (or expired)
+// ids.
+
 // Job returns one job's current state by id.
-func (s *Service) Job(id string) (JobInfo, bool) {
-	j, ok := s.jobs.get(id)
-	if !ok {
-		return JobInfo{}, false
+func (s *Service) Job(id string) (JobInfo, error) {
+	j, err := s.jobs.get(id)
+	if err != nil {
+		return JobInfo{}, err
 	}
-	return s.jobs.snapshot(j), true
+	return s.jobs.snapshot(j), nil
 }
 
 // Jobs lists every retained job, newest first.
@@ -872,11 +900,11 @@ func (s *Service) Jobs() []JobInfo { return s.jobs.list() }
 
 // WaitJob blocks until the job reaches a terminal state, wait elapses
 // (wait ≤ 0 means no blocking), or ctx fires, and returns the job's state
-// at that moment. The second return is false for unknown ids.
-func (s *Service) WaitJob(ctx context.Context, id string, wait time.Duration) (JobInfo, bool) {
-	j, ok := s.jobs.get(id)
-	if !ok {
-		return JobInfo{}, false
+// at that moment.
+func (s *Service) WaitJob(ctx context.Context, id string, wait time.Duration) (JobInfo, error) {
+	j, err := s.jobs.get(id)
+	if err != nil {
+		return JobInfo{}, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -890,31 +918,29 @@ func (s *Service) WaitJob(ctx context.Context, id string, wait time.Duration) (J
 		case <-ctx.Done():
 		}
 	}
-	return s.jobs.snapshot(j), true
+	return s.jobs.snapshot(j), nil
 }
 
 // CancelJob cancels a queued or running job. Canceling a job that
 // already reached a terminal state leaves it untouched (the returned info
 // shows the unchanged state); canceling the last job attached to a
-// computation stops the computation mid-trial. The second return is false
-// for unknown ids.
-func (s *Service) CancelJob(id string) (JobInfo, bool) {
-	j, ok := s.jobs.get(id)
-	if !ok {
-		return JobInfo{}, false
+// computation stops the computation mid-trial.
+func (s *Service) CancelJob(id string) (JobInfo, error) {
+	j, err := s.jobs.get(id)
+	if err != nil {
+		return JobInfo{}, err
 	}
 	s.jobs.detach(j, context.Canceled)
-	return s.jobs.snapshot(j), true
+	return s.jobs.snapshot(j), nil
 }
 
-// JobResult returns a finished job's estimate. It fails with
-// ErrUnknownJob for unknown (or expired) ids, ErrJobNotDone while the job
-// is queued or running, and the job's own error for failed or canceled
-// jobs.
+// JobResult returns a finished job's estimate. Besides ErrUnknownJob it
+// fails with ErrJobNotDone while the job is queued or running, and with
+// the job's own error for failed or canceled jobs.
 func (s *Service) JobResult(id string) (EstimateResult, error) {
-	j, ok := s.jobs.get(id)
-	if !ok {
-		return EstimateResult{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
+	j, err := s.jobs.get(id)
+	if err != nil {
+		return EstimateResult{}, err
 	}
 	return s.jobs.outcome(j)
 }
@@ -987,14 +1013,8 @@ func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]Batch
 	s.batches.Add(1)
 
 	items := make([]BatchItem, len(breq.Queries))
-	type pendingJob struct {
-		i     int
-		j     *job
-		start time.Time
-	}
-	var pending []pendingJob
+	jobs := make([]*job, len(breq.Queries)) // nil where an item failed to submit
 	for i, qreq := range breq.Queries {
-		start := time.Now()
 		if qreq.Graph != "" && qreq.Graph != breq.Graph {
 			// Honoring a per-query graph would need its own registry
 			// lookup; silently computing against the batch graph instead
@@ -1029,34 +1049,18 @@ func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]Batch
 			qreq.Precision = breq.Precision
 		}
 		qreq.NoCache = qreq.NoCache || breq.NoCache
-		// Resolve the query here (submitJob will again, cheaply) to name
-		// the item whatever becomes of its submission.
-		nreq, err := s.normalize(qreq)
+		r, err := s.resolve(qreq)
 		if err != nil {
 			items[i] = BatchItem{Query: label(qreq, i), Err: err}
 			continue
 		}
-		q, err := buildQuery(nreq)
-		if err != nil {
-			items[i] = BatchItem{Query: label(qreq, i), Err: err}
-			continue
-		}
-		items[i].Query = q.Name
-		j, err := s.submitJob(qreq)
-		if err != nil {
-			items[i] = BatchItem{Query: q.Name, Err: err}
-			continue
-		}
-		pending = append(pending, pendingJob{i: i, j: j, start: start})
+		items[i].Query = r.q.Name
+		jobs[i], items[i].Err = s.submitJob(r)
 	}
-	for _, p := range pending {
-		res, err := s.waitJob(ctx, p.j)
-		if err != nil {
-			items[p.i].Err = err
-			continue
+	for i, j := range jobs {
+		if j != nil {
+			items[i].Result, items[i].Err = s.waitJob(ctx, j)
 		}
-		res.Elapsed = time.Since(p.start)
-		items[p.i].Result = res
 	}
 	return items, nil
 }

@@ -1,9 +1,6 @@
 package service
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // TraceSpan is one timed section of a job's timeline, in milliseconds
 // relative to the job's submission.
@@ -42,9 +39,9 @@ type TraceInfo struct {
 // ErrUnknownJob for unknown (or expired) ids. The trace is live: a
 // running job's snapshot grows between calls.
 func (s *Service) JobTrace(id string) (TraceInfo, error) {
-	j, ok := s.jobs.get(id)
-	if !ok {
-		return TraceInfo{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
+	j, err := s.jobs.get(id)
+	if err != nil {
+		return TraceInfo{}, err
 	}
 	info := s.jobs.snapshot(j)
 	out := TraceInfo{
