@@ -26,6 +26,15 @@ func clone(e coloring.Estimate) coloring.Estimate {
 	return e
 }
 
+// relabel stamps the requester's own display names onto a cache-hit
+// estimate: the cache key deliberately ignores names (same topology, same
+// knobs → one entry), so without this a hit would replay whatever names
+// the first requester used.
+func relabel(est *coloring.Estimate, queryName, graphName string) {
+	est.Query = queryName
+	est.Graph = graphName
+}
+
 // ErrJobNotDone is returned when a job's result is requested before the
 // job reached a terminal state.
 var ErrJobNotDone = errors.New("service: job not finished")
