@@ -64,7 +64,7 @@ func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]Batch
 	s.batches.Add(1)
 
 	items := make([]BatchItem, len(breq.Queries))
-	jobs := make([]*job, len(breq.Queries)) // nil where an item failed to submit
+	pending := make([]*job, len(breq.Queries)) // nil where an item failed to submit
 	for i, qreq := range breq.Queries {
 		if qreq.Graph != "" && qreq.Graph != breq.Graph {
 			// Honoring a per-query graph would need its own registry
@@ -106,9 +106,9 @@ func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]Batch
 			continue
 		}
 		items[i].Query = r.q.Name
-		jobs[i], items[i].Err = s.submitJob(r)
+		pending[i], items[i].Err = s.submitJob(r)
 	}
-	for i, j := range jobs {
+	for i, j := range pending {
 		if j != nil {
 			items[i].Result, items[i].Err = s.waitJob(ctx, j)
 		}

@@ -86,18 +86,22 @@ func (k TrialKey) hash() uint64 {
 	return h.Sum64()
 }
 
-// resolveOrForward resolves one estimate/job request and routes it: if
+// admit decodes and resolves one estimate/job request and routes it: if
 // the cluster says its trial stream belongs to another replica that looks
 // reachable, the request is proxied there and the response relayed
 // verbatim. Everything else — single-node mode, owned keys,
 // already-forwarded requests (the loop guard), and homes that are down or
 // circuit-broken — is served locally with the returned request, whose
 // lease the caller takes over. False means the response is written: the
-// request did not resolve, or it was forwarded. Local execution of a
-// non-owned key is deliberate degradation: the answer is still
-// bit-identical (trials are deterministic everywhere), it just costs a
-// duplicate computation instead of an error or a hang.
-func (s *Service) resolveOrForward(w http.ResponseWriter, r *http.Request, path string, req EstimateRequest) (resolved, bool) {
+// body did not decode, the request did not resolve, or it was forwarded.
+// Local execution of a non-owned key is deliberate degradation: the
+// answer is still bit-identical (trials are deterministic everywhere), it
+// just costs a duplicate computation instead of an error or a hang.
+func (s *Service) admit(w http.ResponseWriter, r *http.Request, path string) (resolved, bool) {
+	var req EstimateRequest
+	if !decodeBody(w, r, &req) {
+		return resolved{}, false
+	}
 	forwarded := s.cluster != nil && r.Header.Get(forwardHeader) != ""
 	if forwarded {
 		s.clForwardedServed.Add(1)

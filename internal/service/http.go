@@ -174,13 +174,18 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	info, err := s.JobTrace(id)
+	info, err := s.JobTrace(r.PathValue("id"))
+	reply(w, http.StatusOK, info, err)
+}
+
+// reply writes v as JSON with status, or err as the error body its
+// status maps to (writeError).
+func reply(w http.ResponseWriter, status int, v any, err error) {
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	writeJSON(w, status, v)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -259,11 +264,7 @@ func (s *Service) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, err := s.AddGraph(spec)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	reply(w, http.StatusOK, info, err)
 }
 
 func (s *Service) handleListGraphs(w http.ResponseWriter, _ *http.Request) {
@@ -285,11 +286,7 @@ func (s *Service) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	var req EstimateRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	rr, ok := s.resolveOrForward(w, r, "/v1/estimate", req)
+	rr, ok := s.admit(w, r, "/v1/estimate")
 	if !ok {
 		return
 	}
@@ -301,17 +298,15 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // /result both serve it: the body is exactly the estimate, with X-Cache
 // and X-Elapsed-Ms headers; a failed one is an error body.
 func writeResult(w http.ResponseWriter, res EstimateResult, err error) {
-	if err != nil {
-		writeError(w, err)
-		return
+	if err == nil {
+		cache := "MISS"
+		if res.Cached {
+			cache = "HIT"
+		}
+		w.Header().Set("X-Cache", cache)
+		w.Header().Set("X-Elapsed-Ms", fmt.Sprintf("%.3f", float64(res.Elapsed.Microseconds())/1000))
 	}
-	cache := "MISS"
-	if res.Cached {
-		cache = "HIT"
-	}
-	w.Header().Set("X-Cache", cache)
-	w.Header().Set("X-Elapsed-Ms", fmt.Sprintf("%.3f", float64(res.Elapsed.Microseconds())/1000))
-	writeJSON(w, http.StatusOK, res.Estimate)
+	reply(w, http.StatusOK, res.Estimate, err)
 }
 
 // batchItemBody is the wire form of one batch outcome.
@@ -359,31 +354,26 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 // a connection open indefinitely.
 const maxLongPoll = time.Minute
 
-// parseWait reads the optional ?wait= long-poll duration ("2s", "500ms").
-func parseWait(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("wait")
-	if raw == "" {
-		return 0, nil
+// pollJob serves a job's state and its result: it reads the optional
+// ?wait= long-poll duration ("2s", "500ms") and waits that long for the
+// path's job (WaitJob).
+func (s *Service) pollJob(r *http.Request) (JobInfo, error) {
+	var wait time.Duration
+	if raw := r.URL.Query().Get("wait"); raw != "" {
+		d, err := time.ParseDuration(raw)
+		if err != nil {
+			return JobInfo{}, fmt.Errorf("service: bad wait %q: %w", raw, err)
+		}
+		if d < 0 {
+			return JobInfo{}, fmt.Errorf("service: bad wait %q: negative", raw)
+		}
+		wait = min(d, maxLongPoll)
 	}
-	d, err := time.ParseDuration(raw)
-	if err != nil {
-		return 0, fmt.Errorf("service: bad wait %q: %w", raw, err)
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("service: bad wait %q: negative", raw)
-	}
-	if d > maxLongPoll {
-		d = maxLongPoll
-	}
-	return d, nil
+	return s.WaitJob(r.Context(), r.PathValue("id"), wait)
 }
 
 func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	var req EstimateRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	rr, ok := s.resolveOrForward(w, r, "/v1/jobs", req)
+	rr, ok := s.admit(w, r, "/v1/jobs")
 	if !ok {
 		return
 	}
@@ -401,47 +391,24 @@ func (s *Service) handleListJobs(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Service) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	wait, err := parseWait(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	info, err := s.WaitJob(r.Context(), id, wait)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	info, err := s.pollJob(r)
+	reply(w, http.StatusOK, info, err)
 }
 
 // handleJobResult serves a finished job's estimate with the exact body
 // and headers of the synchronous /v1/estimate path.
 func (s *Service) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	wait, err := parseWait(r)
-	if err != nil {
+	if _, err := s.pollJob(r); err != nil {
 		writeError(w, err)
 		return
 	}
-	if wait > 0 {
-		if _, err := s.WaitJob(r.Context(), id, wait); err != nil {
-			writeError(w, err)
-			return
-		}
-	}
-	res, err := s.JobResult(id)
+	res, err := s.JobResult(r.PathValue("id"))
 	writeResult(w, res, err)
 }
 
 func (s *Service) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	info, err := s.CancelJob(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	info, err := s.CancelJob(r.PathValue("id"))
+	reply(w, http.StatusOK, info, err)
 }
 
 // Serve runs the API on ln until ctx is canceled, then shuts down

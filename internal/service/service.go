@@ -519,6 +519,7 @@ func (s *Service) submitJob(r resolved) (*job, error) {
 	// running flight.
 	fctx, cancel := context.WithCancel(context.Background())
 	fl := &flight{key: key, cancel: cancel, tr: tr}
+	fr := r // the flight's copy: only a computed job moves one to the heap
 	submitted := time.Now()
 	jobs.mu.Lock()
 	jobs.attachLocked(fl, j)
@@ -527,7 +528,7 @@ func (s *Service) submitJob(r resolved) (*job, error) {
 		// Queue wait: submission to worker pickup, the first section of
 		// every computed job's timeline.
 		tr.Add(spanQueueWait, submitted, time.Now())
-		est, err := s.run(obs.WithTrace(ctx, tr), r, func(done int, mean, cv float64) {
+		est, err := s.run(obs.WithTrace(ctx, tr), fr, func(done int, mean, cv float64) {
 			fl.prog.Store(&flightProgress{done: done, mean: mean, cv: cv})
 		})
 		s.jobs.finishFlight(fl, est, err)
@@ -626,13 +627,7 @@ func (s *Service) SubmitEstimateJob(req EstimateRequest) (JobInfo, error) {
 // ids.
 
 // Job returns one job's current state by id.
-func (s *Service) Job(id string) (JobInfo, error) {
-	j, err := s.jobs.get(id)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	return s.jobs.snapshot(j), nil
-}
+func (s *Service) Job(id string) (JobInfo, error) { return s.WaitJob(context.Background(), id, 0) }
 
 // Jobs lists every retained job, newest first.
 func (s *Service) Jobs() []JobInfo { return s.jobs.list() }
