@@ -114,19 +114,19 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Connecting the worker cluster registers "dist" as a backend, so it
+	// Connecting the worker pool registers "dist" as a backend, so it
 	// must precede backend-name validation.
 	var distStats func() []subgraph.DistNodeStats
 	if *distAddrs != "" {
 		addrs := splitAddrs(*distAddrs)
-		cluster, err := dist.Connect(addrs, dist.Options{Logger: logger})
+		pool, err := dist.Connect(addrs, dist.Options{Logger: logger})
 		if err != nil {
 			fatal("dist workers unreachable", "err", err)
 		}
-		defer cluster.Close()
-		dist.Enable(cluster)
-		distStats = cluster.NodeStats
-		logger.Info("dist cluster connected", "workers", len(addrs))
+		defer pool.Close()
+		dist.Enable(pool)
+		distStats = pool.NodeStats
+		logger.Info("dist pool connected", "workers", len(addrs))
 	} else if *backend == "dist" {
 		fatal("backend dist needs -dist-workers")
 	}

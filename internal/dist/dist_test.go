@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,11 +33,11 @@ func randColors(n, k int, rng *rand.Rand) []uint8 {
 	return colors
 }
 
-// loopback builds a fresh loopback cluster registered as this test's
+// loopback builds a fresh loopback pool registered as this test's
 // backend via Options.Engine-free engine.New dispatch: jobs are created
-// straight through cluster.NewJob, so tests don't fight over the global
+// straight through pool.NewJob, so tests don't fight over the global
 // "dist" registration.
-func loopback(t *testing.T, ranks int) *dist.Cluster {
+func loopback(t *testing.T, ranks int) *dist.Pool {
 	t.Helper()
 	c, err := dist.Loopback(ranks, dist.WorkerOptions{})
 	if err != nil {
@@ -45,7 +47,7 @@ func loopback(t *testing.T, ranks int) *dist.Cluster {
 	return c
 }
 
-func countVia(t *testing.T, c *dist.Cluster, g *graph.Graph, q *query.Graph, colors []uint8, alg core.Algorithm) (uint64, core.Stats) {
+func countVia(t *testing.T, c *dist.Pool, g *graph.Graph, q *query.Graph, colors []uint8, alg core.Algorithm) (uint64, core.Stats) {
 	t.Helper()
 	plan, err := core.PickPlan(q)
 	if err != nil {
@@ -123,9 +125,9 @@ func TestLoopbackEquivalenceCatalog(t *testing.T) {
 	g := gen.PowerLawGraph("pl", 400, 1.5, rng)
 	queries := append(query.Catalog(), query.Cycle(6), query.Star(5))
 
-	clusters := map[int]*dist.Cluster{}
+	pools := map[int]*dist.Pool{}
 	for _, ranks := range []int{1, 2, 3} {
-		clusters[ranks] = loopback(t, ranks)
+		pools[ranks] = loopback(t, ranks)
 	}
 	for _, q := range queries {
 		colors := randColors(g.N(), q.K, rng)
@@ -134,7 +136,7 @@ func TestLoopbackEquivalenceCatalog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for ranks, c := range clusters {
+			for ranks, c := range pools {
 				got, stats := countVia(t, c, g, q, colors, alg)
 				if got != want || stats.Supersteps != wantStats.Supersteps {
 					t.Errorf("%s %s ranks=%d: dist %d in %d supersteps, sim %d in %d", q.Name, alg, ranks, got, stats.Supersteps, want, wantStats.Supersteps)
@@ -223,7 +225,7 @@ func TestLoopbackEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// Several jobs multiplexed over one cluster at once must not cross wires.
+// Several jobs multiplexed over one pool at once must not cross wires.
 func TestLoopbackConcurrentJobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := gen.PowerLawGraph("pl", 250, 1.5, rng)
@@ -430,6 +432,80 @@ func TestCancelInsideSharedPrefix(t *testing.T) {
 		}
 		awaitSlabs(t, held, fmt.Sprintf("canceled at poll %d of %d", n, polls))
 	}
+}
+
+// distGoroutines returns the stacks of the live goroutines that run this
+// package's code, or were started by it.
+func distGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "repro/internal/dist.") {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// awaitDistGoroutines waits until at most want goroutines run this
+// package's code.
+func awaitDistGoroutines(t *testing.T, want int, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); len(distGoroutines()) > want; time.Sleep(5 * time.Millisecond) {
+		if got := distGoroutines(); time.Now().After(deadline) {
+			t.Fatalf("%s, %d goroutines run dist code, want %d:\n%s", when, len(got), want, strings.Join(got, "\n\n"))
+		}
+	}
+}
+
+// Closing a loopback pool that has counted a job ends every goroutine on
+// both ends of its pipes: the coordinator's readers and the workers'
+// sessions.
+func TestPoolCloseLeavesNoGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := gen.PowerLawGraph("pl", 300, 1.5, rng)
+	q := query.MustByName("brain1")
+	before := len(distGoroutines())
+	c, err := dist.Loopback(2, dist.WorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	countVia(t, c, g, q, randColors(g.N(), q.K, rng), core.PS)
+	c.Close()
+	awaitDistGoroutines(t, before, "the pool closed")
+}
+
+// A job canceled mid-run leaves its pool as idle as it found it: no worker
+// job, graph send or context watch outlives the run.
+func TestCanceledJobLeavesNoGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := gen.PowerLawGraph("pl", 2000, 1.5, rng)
+	q := query.MustByName("brain1")
+	colors := randColors(g.N(), q.K, rng)
+	plan, err := core.PickPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := loopback(t, 2)
+	idle := len(distGoroutines())
+	run := func(ctx context.Context) error {
+		be, err := c.NewJob(0, engine.Job{N: g.N(), Graph: g, Colors: colors, Query: q, Plan: plan, Ctx: ctx})
+		if err != nil {
+			return err
+		}
+		_, _, err = core.CountColorfulContext(ctx, g, q, colors, core.Options{Plan: plan, Engine: be})
+		return err
+	}
+	whole := cancelAtPoll(1 << 60)
+	if err := run(whole); err != nil {
+		t.Fatal(err)
+	}
+	awaitDistGoroutines(t, idle, "the run finished")
+	if err := run(cancelAtPoll((1<<60 - whole.left.Load()) / 2)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled mid-run, got error %v", err)
+	}
+	awaitDistGoroutines(t, idle, "the run was canceled")
 }
 
 // handshakeConn drives just enough protocol to impersonate a worker.

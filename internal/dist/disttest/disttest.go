@@ -5,7 +5,7 @@
 //	func TestMain(m *testing.M) { os.Exit(disttest.Main(m)) }
 //
 // which, when the environment selects the dist backend, registers an
-// in-process loopback cluster (two worker "processes" over net.Pipe,
+// in-process loopback pool (two worker "processes" over net.Pipe,
 // full wire protocol) before the suite runs, and tears it down after.
 // Under any other backend Main is exactly m.Run().
 package disttest
@@ -19,7 +19,7 @@ import (
 	"repro/internal/engine"
 )
 
-// Main wraps m.Run with loopback-cluster setup when SUBGRAPH_BACKEND
+// Main wraps m.Run with loopback-pool setup when SUBGRAPH_BACKEND
 // selects the dist backend. It returns the exit code rather than
 // calling os.Exit so callers keep the standard TestMain shape.
 func Main(m *testing.M) int {
@@ -28,7 +28,7 @@ func Main(m *testing.M) int {
 	}
 	c, err := dist.Loopback(2, dist.WorkerOptions{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "disttest: enabling dist loopback cluster:", err)
+		fmt.Fprintln(os.Stderr, "disttest: enabling dist loopback pool:", err)
 		return 1
 	}
 	defer c.Close()

@@ -7,15 +7,15 @@ import (
 	"repro/internal/engine"
 )
 
-// Loopback builds a cluster whose workers are goroutines in this process,
+// Loopback builds a pool whose workers are goroutines in this process,
 // connected over synchronous in-memory pipes. Every frame still crosses
 // the full wire codec — encode, length-prefix, decode — so the loopback
-// cluster exercises the identical protocol as real worker processes,
+// pool exercises the identical protocol as real worker processes,
 // minus the sockets. It is the dist backend's debug and test transport,
 // and a way to run the wire path on one machine without spawning workers.
-func Loopback(ranks int, opts WorkerOptions) (*Cluster, error) {
+func Loopback(ranks int, opts WorkerOptions) (*Pool, error) {
 	if ranks <= 0 {
-		return nil, fmt.Errorf("dist: loopback cluster needs at least one rank, got %d", ranks)
+		return nil, fmt.Errorf("dist: loopback pool needs at least one rank, got %d", ranks)
 	}
 	conns := make([]net.Conn, ranks)
 	addrs := make([]string, ranks)
@@ -44,7 +44,7 @@ func LoopbackRanks(ranks, parts, n, conc int) (bes []engine.Backend, stop func()
 		coordSide, workerSide := net.Pipe()
 		pipes = append(pipes, coordSide, workerSide)
 		w := &workerConn{conn: &conn{c: workerSide}, jobs: make(map[uint64]*wjob)}
-		jobs[r] = w.registerJob(1, ranks)
+		jobs[r] = w.registerJob(1)
 		bes = append(bes, newRank(ranks, parts, n, r, jobs[r], conc))
 	}
 	for r := range jobs {

@@ -12,20 +12,19 @@ import (
 	"repro/internal/graph"
 )
 
-// Options configures a coordinator cluster.
+// Options configures a coordinator's worker pool.
 type Options struct {
 	// Logger receives node-lifecycle warnings; nil discards them.
 	Logger *slog.Logger
 }
 
-// Cluster is the coordinator's view of a fixed worker topology: one
+// Pool is the coordinator's view of a fixed worker topology: one
 // long-lived connection per worker process, shared by every concurrent
 // job (frames are multiplexed by job id). Create one per process with
 // Connect (real TCP workers) or Loopback (in-process workers), then make
 // it the "dist" backend with Enable.
-type Cluster struct {
+type Pool struct {
 	nodes  []*node
-	opts   Options
 	logger *slog.Logger
 
 	mu     sync.Mutex
@@ -41,8 +40,6 @@ type node struct {
 	addr string
 	conn *conn
 
-	wmu sync.Mutex // serializes frame writes
-
 	exchanges atomic.Int64 // StepDone frames received
 	load      atomic.Int64 // cumulative per-job load reported in JobDones
 	jobs      atomic.Int64 // JobDone frames received
@@ -53,14 +50,12 @@ func (n *node) write(f *frame) error {
 	if n.down.Load() {
 		return fmt.Errorf("dist: worker %d (%s) is down", n.rank, n.addr)
 	}
-	n.wmu.Lock()
-	defer n.wmu.Unlock()
 	return n.conn.writeFrame(f)
 }
 
 // Connect dials the given worker addresses and performs the protocol
 // handshake with each. The address order defines rank order.
-func Connect(addrs []string, opts Options) (*Cluster, error) {
+func Connect(addrs []string, opts Options) (*Pool, error) {
 	conns := make([]net.Conn, 0, len(addrs))
 	for _, a := range addrs {
 		c, err := net.Dial("tcp", a)
@@ -75,19 +70,18 @@ func Connect(addrs []string, opts Options) (*Cluster, error) {
 	return NewWithConns(conns, addrs, opts)
 }
 
-// NewWithConns builds a cluster over pre-established connections (used by
+// NewWithConns builds a pool over pre-established connections (used by
 // Connect and by the in-process Loopback transport). It handshakes each
 // connection and starts its reader. addrs is display-only; nil derives
 // labels from the connections.
-func NewWithConns(conns []net.Conn, addrs []string, opts Options) (*Cluster, error) {
+func NewWithConns(conns []net.Conn, addrs []string, opts Options) (*Pool, error) {
 	if len(conns) == 0 {
-		return nil, fmt.Errorf("dist: a cluster needs at least one worker")
+		return nil, fmt.Errorf("dist: a pool needs at least one worker")
 	}
-	logger := opts.Logger
-	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
+	if opts.Logger == nil {
+		opts.Logger = slog.New(slog.DiscardHandler)
 	}
-	c := &Cluster{opts: opts, logger: logger, jobs: make(map[uint64]*cjob)}
+	c := &Pool{logger: opts.Logger, jobs: make(map[uint64]*cjob)}
 	for i, nc := range conns {
 		addr := ""
 		if addrs != nil && i < len(addrs) {
@@ -100,35 +94,19 @@ func NewWithConns(conns []net.Conn, addrs []string, opts Options) (*Cluster, err
 		}
 		c.nodes = append(c.nodes, &node{rank: i, addr: addr, conn: &conn{c: nc}})
 	}
-	hello, err := encodePayload(helloMsg{Version: protoVersion})
-	if err != nil {
-		return nil, err
-	}
 	for _, n := range c.nodes {
-		if err := n.write(&frame{Kind: kHello, Src: -1, Payload: hello}); err != nil {
+		if err := n.conn.shake(true); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("dist: handshake with worker %d (%s): %w", n.rank, n.addr, err)
 		}
-		f, err := n.conn.readFrame()
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("dist: handshake with worker %d (%s): %w", n.rank, n.addr, err)
-		}
-		var h helloMsg
-		if f.Kind != kHello || decodePayload(f.Payload, &h) != nil || h.Version != protoVersion {
-			c.Close()
-			return nil, fmt.Errorf("dist: worker %d (%s) spoke protocol %d, want %d", n.rank, n.addr, h.Version, protoVersion)
-		}
-	}
-	for _, n := range c.nodes {
 		go c.readLoop(n)
 	}
 	return c, nil
 }
 
-// Close tears the cluster down: every in-flight job fails, and the worker
+// Close tears the pool down: every in-flight job fails, and the worker
 // connections close.
-func (c *Cluster) Close() error {
+func (c *Pool) Close() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -136,7 +114,7 @@ func (c *Cluster) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	c.failAll(fmt.Errorf("dist: cluster closed"))
+	failAll(&c.mu, c.jobs, fmt.Errorf("dist: pool closed"))
 	for _, n := range c.nodes {
 		n.down.Store(true)
 		n.conn.c.Close()
@@ -146,52 +124,43 @@ func (c *Cluster) Close() error {
 
 // job looks a live job up; nil means it already finished or failed (late
 // frames for it are dropped).
-func (c *Cluster) job(id uint64) *cjob {
+func (c *Pool) job(id uint64) *cjob {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.jobs[id]
 }
 
-func (c *Cluster) removeJob(id uint64) {
+// removeJob retires a job and ends its context watch.
+func (c *Pool) removeJob(id uint64) {
 	c.mu.Lock()
-	j := c.jobs[id]
+	var stop func() bool
+	if j := c.jobs[id]; j != nil {
+		stop = j.stop
+	}
 	delete(c.jobs, id)
 	c.mu.Unlock()
-	if j != nil {
-		j.finishOnce.Do(func() { close(j.finished) })
-	}
-}
-
-// failAll fails every live job (node loss, Close).
-func (c *Cluster) failAll(err error) {
-	c.mu.Lock()
-	live := make([]*cjob, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		live = append(live, j)
-	}
-	c.mu.Unlock()
-	for _, j := range live {
-		j.fail(err)
+	if stop != nil {
+		stop()
 	}
 }
 
 // nodeDown marks a worker dead and fails everything: with a rank gone no
 // superstep barrier can complete, and the fixed topology means the
-// cluster cannot re-partition mid-flight.
-func (c *Cluster) nodeDown(n *node, err error) {
+// pool cannot re-partition mid-flight.
+func (c *Pool) nodeDown(n *node, err error) {
 	if n.down.Swap(true) {
 		return
 	}
 	c.logger.Warn("dist worker down", "rank", n.rank, "addr", n.addr, "err", err)
 	n.conn.c.Close()
-	c.failAll(fmt.Errorf("dist: worker %d (%s) failed: %w", n.rank, n.addr, err))
+	failAll(&c.mu, c.jobs, fmt.Errorf("dist: worker %d (%s) failed: %w", n.rank, n.addr, err))
 }
 
 // readLoop is the per-node reader: it relays StepBatch frames to their
 // destination rank and dispatches everything else to the owning job. It
 // must never block on job state — only on the destination conn write,
 // which a live worker always drains.
-func (c *Cluster) readLoop(n *node) {
+func (c *Pool) readLoop(n *node) {
 	for {
 		f, err := n.conn.readFrame()
 		if err != nil {
@@ -243,8 +212,8 @@ func (c *Cluster) readLoop(n *node) {
 	}
 }
 
-func (c *Cluster) sendGraph(n *node, j *cjob) {
-	payload, err := encodePayload(graphDataMsg{FP: j.graphFP, G: j.graph})
+func (c *Pool) sendGraph(n *node, j *cjob) {
+	payload, err := encodePayload(graphDataMsg{FP: j.graph.Fingerprint(), G: j.graph})
 	if err != nil {
 		j.fail(fmt.Errorf("dist: encoding graph for worker %d: %w", n.rank, err))
 		return
@@ -254,46 +223,36 @@ func (c *Cluster) sendGraph(n *node, j *cjob) {
 	}
 }
 
-// NewJob starts one counting run across the cluster and returns the
-// coordinator backend driving it. The run's workers are the cluster's
+// NewJob starts one counting run across the pool and returns the
+// coordinator backend driving it. The run's workers are the pool's
 // worker processes, each a band of the partitions the engine's grain rule
 // cuts from job.N, as sim's ranks and parallel's goroutines are: the workers
 // argument, a width for the other backends, decides nothing here.
-func (c *Cluster) NewJob(_ int, job engine.Job) (engine.Backend, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("dist: cluster is closed")
-	}
+func (c *Pool) NewJob(_ int, job engine.Job) (engine.Backend, error) {
 	start, err := makeJobStart(len(c.nodes), job)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := encodePayload(start)
 	if err != nil {
 		return nil, err
 	}
 	j := &cjob{
 		id:        c.nextJob.Add(1),
 		c:         c,
-		ranks:     len(c.nodes),
 		graph:     job.Graph,
-		graphFP:   start.GraphFP,
 		stepDones: make(map[int64]int),
 		rankDones: make(map[int]*jobDoneMsg),
-		finished:  make(chan struct{}),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("dist: cluster is closed")
+		return nil, fmt.Errorf("dist: pool is closed")
 	}
 	c.jobs[j.id] = j
 	c.mu.Unlock()
 
-	payload, err := encodePayload(start)
-	if err != nil {
-		c.removeJob(j.id)
-		return nil, err
-	}
 	for _, n := range c.nodes {
 		if err := n.write(&frame{Kind: kJobStart, Job: j.id, Src: -1, Dst: int32(n.rank), Payload: payload}); err != nil {
 			c.nodeDown(n, err)
@@ -304,40 +263,38 @@ func (c *Cluster) NewJob(_ int, job engine.Job) (engine.Backend, error) {
 	j.release()
 
 	// A canceled run can return from the solver without reaching Reduce;
-	// the watchdog tears the remote job down in that case.
-	ctx := job.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			j.fail(ctx.Err())
-		case <-j.finished:
+	// its context's end tears the remote job down then. The watch starts
+	// once every worker has the job, so their cancel frames follow the
+	// start; if the job is already gone, removeJob has run and the watch
+	// ends here.
+	if ctx := job.Ctx; ctx != nil {
+		stop := context.AfterFunc(ctx, func() { j.fail(ctx.Err()) })
+		c.mu.Lock()
+		j.stop = stop
+		_, live := c.jobs[j.id]
+		c.mu.Unlock()
+		if !live {
+			stop()
 		}
-	}()
+	}
 
 	return newCoord(len(c.nodes), job.N, j), nil
 }
 
 // cjob is the coordinator-side state of one in-flight job.
 type cjob struct {
-	id      uint64
-	c       *Cluster
-	ranks   int
-	graph   *graph.Graph
-	graphFP uint64
+	id    uint64
+	c     *Pool
+	graph *graph.Graph
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	stepDones  map[int64]int       // superstep → ranks that finished producing it
-	rankDones  map[int]*jobDoneMsg // rank → final report
-	failErr    error
-	finished   chan struct{}
-	finishOnce sync.Once
-	cancelSent bool
-	started    bool     // every node has its jobStart frame
-	early      []*frame // batches held back until started (see readLoop)
+	mu        sync.Mutex
+	cond      *sync.Cond
+	stepDones map[int64]int       // superstep → ranks that finished producing it
+	rankDones map[int]*jobDoneMsg // rank → final report
+	failErr   error
+	stop      func() bool // ends the context watch; guarded by c.mu
+	started   bool        // every node has its jobStart frame
+	early     []*frame    // batches held back until started (see readLoop)
 }
 
 // holdEarly queues a batch frame when the job is not fully started yet;
@@ -399,20 +356,13 @@ func (j *cjob) fail(err error) {
 		return
 	}
 	j.failErr = err
-	sendCancel := !j.cancelSent
-	j.cancelSent = true
 	j.mu.Unlock()
 	j.cond.Broadcast()
 	j.c.removeJob(j.id)
-	if sendCancel {
-		payload, perr := encodePayload(cancelMsg{Reason: err.Error()})
-		if perr != nil {
-			payload = nil
-		}
-		for _, n := range j.c.nodes {
-			if werr := n.write(&frame{Kind: kJobCancel, Job: j.id, Src: -1, Payload: payload}); werr != nil {
-				j.c.nodeDown(n, werr)
-			}
+	payload, _ := encodePayload(cancelMsg{Reason: err.Error()}) // a string always encodes
+	for _, n := range j.c.nodes {
+		if werr := n.write(&frame{Kind: kJobCancel, Job: j.id, Src: -1, Payload: payload}); werr != nil {
+			j.c.nodeDown(n, werr)
 		}
 	}
 }
@@ -429,12 +379,12 @@ func (j *cjob) barrier(step int64) error {
 			j.mu.Unlock()
 			return err
 		}
-		if j.stepDones[step] >= j.ranks {
+		if j.stepDones[step] >= len(j.c.nodes) {
 			delete(j.stepDones, step)
 			j.mu.Unlock()
 			return nil
 		}
-		if len(j.rankDones) == j.ranks {
+		if len(j.rankDones) == len(j.c.nodes) {
 			// Every worker finished the whole job, yet this superstep never
 			// completed: the replicated solvers diverged — a protocol bug,
 			// not a data condition.
@@ -455,7 +405,7 @@ func (j *cjob) gather() (map[int]*jobDoneMsg, error) {
 		if j.failErr != nil {
 			return nil, j.failErr
 		}
-		if len(j.rankDones) == j.ranks {
+		if len(j.rankDones) == len(j.c.nodes) {
 			return j.rankDones, nil
 		}
 		j.cond.Wait()
@@ -463,7 +413,7 @@ func (j *cjob) gather() (map[int]*jobDoneMsg, error) {
 }
 
 // NodeStats is one worker process's transport-level counters, cumulative
-// over the cluster's lifetime (all jobs). The json tags are its /v1/stats
+// over the pool's lifetime (all jobs). The json tags are its /v1/stats
 // form (engine.dist, one row per node); the metric tags name its /metrics
 // families (the service adds the subgraph_ prefix), labelled by Rank.
 type NodeStats struct {
@@ -480,7 +430,7 @@ type NodeStats struct {
 }
 
 // NodeStats snapshots every worker node's counters.
-func (c *Cluster) NodeStats() []NodeStats {
+func (c *Pool) NodeStats() []NodeStats {
 	out := make([]NodeStats, len(c.nodes))
 	for i, n := range c.nodes {
 		out[i] = NodeStats{
@@ -501,9 +451,9 @@ func (c *Cluster) NodeStats() []NodeStats {
 
 // Enable registers c as the process's "dist" execution backend: after
 // this, engine.New (and every estimate request naming the backend "dist")
-// runs its supersteps across the cluster's worker processes. Calling
-// Enable again with a new cluster replaces the previous one for new jobs.
-func Enable(c *Cluster) {
+// runs its supersteps across the pool's worker processes. Calling
+// Enable again with a new pool replaces the previous one for new jobs.
+func Enable(c *Pool) {
 	engine.Register(engine.DistName, func(workers int, job engine.Job) (engine.Backend, error) {
 		return c.NewJob(workers, job)
 	})

@@ -47,7 +47,7 @@ func TestThreeBackendStepsDeterminism(t *testing.T) {
 }
 
 // TestTwoProcessWorkers is the real thing: build cmd/sgworker, spawn two
-// worker processes on loopback TCP, connect a cluster over actual
+// worker processes on loopback TCP, connect a pool over actual
 // sockets, and demand bit-identical results. Everything else in this
 // package runs over net.Pipe; this is the only test whose failure
 // implicates process startup, TCP framing, or -addr-file handshaking.

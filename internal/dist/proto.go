@@ -34,6 +34,22 @@ type jobStartMsg struct {
 	Anchor     int32
 }
 
+// maxQueryK is the solver's own query size limit (core rejects K > 16).
+const maxQueryK = 16
+
+// check bounds what a start sizes before the solver validates the rest:
+// the assigned rank must be one of the job's ranks, and the query's k×k
+// adjacency matrix no larger than the solver accepts.
+func (m *jobStartMsg) check(rank int) error {
+	if rank < 0 || rank >= int(m.Ranks) {
+		return fmt.Errorf("dist: job start assigns rank %d of %d", rank, m.Ranks)
+	}
+	if m.QueryK > maxQueryK {
+		return fmt.Errorf("dist: job start has a %d-node query; max %d", m.QueryK, maxQueryK)
+	}
+	return nil
+}
+
 type graphDataMsg struct {
 	FP uint64
 	G  *graph.Graph
@@ -103,48 +119,38 @@ func encodePlan(t *decomp.Tree) (planWire, error) {
 	for i, b := range t.Blocks {
 		idx[b] = int32(i)
 	}
-	ref := func(b *decomp.Block) (int32, error) {
-		if b == nil {
-			return -1, nil
-		}
-		i, ok := idx[b]
-		if !ok {
-			return 0, fmt.Errorf("dist: plan references a block outside its tree")
-		}
-		return i, nil
-	}
-	w := planWire{Blocks: make([]planBlock, len(t.Blocks))}
 	root, ok := idx[t.Root]
 	if !ok {
 		return planWire{}, fmt.Errorf("dist: plan root is not among its blocks")
 	}
-	w.Root = root
+	var err error
+	refs := func(bs []*decomp.Block) []int32 {
+		out := make([]int32, len(bs))
+		for j, b := range bs {
+			i, ok := idx[b]
+			switch {
+			case b == nil:
+				i = -1
+			case !ok:
+				err = fmt.Errorf("dist: plan references a block outside its tree")
+			}
+			out[j] = i
+		}
+		return out
+	}
+	w := planWire{Blocks: make([]planBlock, len(t.Blocks)), Root: root}
 	for i, b := range t.Blocks {
-		pb := planBlock{
+		w.Blocks[i] = planBlock{
 			Kind:     int32(b.Kind),
 			Nodes:    b.Nodes,
 			Boundary: b.Boundary,
-			NodeAnn:  make([]int32, len(b.NodeAnn)),
-			EdgeAnn:  make([]int32, len(b.EdgeAnn)),
-			Children: make([]int32, len(b.Children)),
+			NodeAnn:  refs(b.NodeAnn),
+			EdgeAnn:  refs(b.EdgeAnn),
+			Children: refs(b.Children),
 		}
-		var err error
-		for j, a := range b.NodeAnn {
-			if pb.NodeAnn[j], err = ref(a); err != nil {
-				return planWire{}, err
-			}
-		}
-		for j, a := range b.EdgeAnn {
-			if pb.EdgeAnn[j], err = ref(a); err != nil {
-				return planWire{}, err
-			}
-		}
-		for j, c := range b.Children {
-			if pb.Children[j], err = ref(c); err != nil {
-				return planWire{}, err
-			}
-		}
-		w.Blocks[i] = pb
+	}
+	if err != nil {
+		return planWire{}, err
 	}
 	return w, nil
 }
@@ -155,39 +161,30 @@ func decodePlan(w planWire, q *query.Graph) (*decomp.Tree, error) {
 	for i := range blocks {
 		blocks[i] = &decomp.Block{ID: i}
 	}
-	ref := func(i int32) (*decomp.Block, error) {
-		if i == -1 {
-			return nil, nil
+	var err error
+	refs := func(is []int32) []*decomp.Block {
+		out := make([]*decomp.Block, len(is))
+		for j, i := range is {
+			switch {
+			case i >= 0 && i < n:
+				out[j] = blocks[i]
+			case i != -1:
+				err = fmt.Errorf("dist: plan block reference %d out of range", i)
+			}
 		}
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("dist: plan block reference %d out of range", i)
-		}
-		return blocks[i], nil
+		return out
 	}
 	for i, pb := range w.Blocks {
 		b := blocks[i]
 		b.Kind = decomp.BlockKind(pb.Kind)
 		b.Nodes = pb.Nodes
 		b.Boundary = pb.Boundary
-		b.NodeAnn = make([]*decomp.Block, len(pb.NodeAnn))
-		b.EdgeAnn = make([]*decomp.Block, len(pb.EdgeAnn))
-		b.Children = make([]*decomp.Block, len(pb.Children))
-		var err error
-		for j, a := range pb.NodeAnn {
-			if b.NodeAnn[j], err = ref(a); err != nil {
-				return nil, err
-			}
-		}
-		for j, a := range pb.EdgeAnn {
-			if b.EdgeAnn[j], err = ref(a); err != nil {
-				return nil, err
-			}
-		}
-		for j, c := range pb.Children {
-			if b.Children[j], err = ref(c); err != nil {
-				return nil, err
-			}
-		}
+		b.NodeAnn = refs(pb.NodeAnn)
+		b.EdgeAnn = refs(pb.EdgeAnn)
+		b.Children = refs(pb.Children)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if w.Root < 0 || w.Root >= n {
 		return nil, fmt.Errorf("dist: plan root %d out of range", w.Root)

@@ -64,17 +64,17 @@ func (r *rank) exchange(st int64, stages []*engine.Sharded, out *engine.Sharded)
 			return
 		}
 		f := &frame{Kind: kStepBatch, Job: r.j.id, Step: st, Src: int32(r.rank), Dst: int32(dr), Payload: payload}
-		if err := r.j.w.send(f); err != nil {
+		if err := r.j.w.conn.writeFrame(f); err != nil {
 			r.j.fail(err)
 			return
 		}
 	}
 	done := &frame{Kind: kStepDone, Job: r.j.id, Step: st, Src: int32(r.rank)}
-	if err := r.j.w.send(done); err != nil {
+	if err := r.j.w.conn.writeFrame(done); err != nil {
 		r.j.fail(err)
 		return
 	}
-	payloads, err := r.j.await(st)
+	payloads, err := r.j.await(st, r.Workers()-1)
 	if err != nil {
 		return // already latched
 	}

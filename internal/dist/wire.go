@@ -29,8 +29,14 @@
 // per-vertex) answer is assembled by Reduce/ReduceVec, which gather every
 // rank's JobDone report.
 //
-// Graphs ship to workers once per structural fingerprint and are cached
-// worker-side (LRU), so per-trial jobs exchange only the coloring and
+// A worker session's reader only routes: every frame addressed to a job —
+// its start, its graph, its step batches — goes to that job's goroutine,
+// which decodes it, so a payload that does not decode fails its own job
+// and never the session.
+//
+// Every job ships its coloring. Its graph ships once per structural
+// fingerprint into a worker-side LRU, fetched by one GraphReq on a miss,
+// so per-trial jobs over a hot graph exchange only the coloring and
 // table entries.
 package dist
 
@@ -39,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 )
 
@@ -83,6 +90,20 @@ func kindName(k byte) string {
 	return fmt.Sprintf("kind(%d)", k)
 }
 
+// failAll fails every job live in jobs, a map mu guards (a lost
+// connection, Close), outside the lock.
+func failAll[J interface{ fail(error) }](mu *sync.Mutex, jobs map[uint64]J, err error) {
+	mu.Lock()
+	live := make([]J, 0, len(jobs))
+	for _, j := range jobs {
+		live = append(live, j)
+	}
+	mu.Unlock()
+	for _, j := range live {
+		j.fail(err)
+	}
+}
+
 // frame is one wire unit: a fixed header the router can act on without
 // touching the payload (StepBatch relays copy Payload verbatim), plus a
 // gob payload whose shape depends on Kind.
@@ -103,11 +124,11 @@ const headerLen = 1 + 8 + 8 + 4 + 4
 // drive a huge allocation.
 const maxFrame = 1 << 30
 
-// conn wraps a net.Conn with frame I/O and transport counters. Writers
-// must serialize through mu (held by callers via writeFrame); the single
-// reader goroutine owns Read.
+// conn wraps a net.Conn with frame I/O and transport counters. writeFrame
+// serializes writers through mu; the single reader goroutine owns Read.
 type conn struct {
 	c          net.Conn
+	mu         sync.Mutex
 	bytesSent  atomic.Int64
 	bytesRecv  atomic.Int64
 	framesSent atomic.Int64
@@ -127,6 +148,8 @@ func (c *conn) writeFrame(f *frame) error {
 	binary.BigEndian.PutUint32(buf[21:25], uint32(f.Src))
 	binary.BigEndian.PutUint32(buf[25:29], uint32(f.Dst))
 	buf = append(buf, f.Payload...)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, err := c.c.Write(buf); err != nil {
 		return err
 	}
@@ -158,4 +181,33 @@ func (c *conn) readFrame() (*frame, error) {
 		Dst:     int32(binary.BigEndian.Uint32(body[21:25])),
 		Payload: body[headerLen:],
 	}, nil
+}
+
+// shake exchanges hellos with the peer — first writes its hello before
+// reading the peer's, as the coordinator does — and fails unless the peer
+// speaks protoVersion.
+func (c *conn) shake(first bool) error {
+	hello, err := encodePayload(helloMsg{Version: protoVersion})
+	if err != nil {
+		return err
+	}
+	mine := &frame{Kind: kHello, Payload: hello}
+	if first {
+		mine.Src = -1 // the coordinator's
+		if err := c.writeFrame(mine); err != nil {
+			return err
+		}
+	}
+	f, err := c.readFrame()
+	if err != nil {
+		return err
+	}
+	var h helloMsg
+	if f.Kind != kHello || decodePayload(f.Payload, &h) != nil || h.Version != protoVersion {
+		return fmt.Errorf("dist: peer spoke protocol %d, want %d", h.Version, protoVersion)
+	}
+	if !first {
+		return c.writeFrame(mine)
+	}
+	return nil
 }

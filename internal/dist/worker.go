@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -51,73 +50,52 @@ func NewGraphCache(capacity int) *GraphCache {
 // worker process can serve several coordinators at once, and its rank,
 // topology, and jobs are all scoped to the connection. It returns the
 // read error that ended the session (io.EOF for a clean coordinator
-// shutdown).
+// shutdown), once every job the session started has returned.
 func ServeConn(nc net.Conn, opts WorkerOptions) error {
-	if opts.Conc <= 0 {
-		opts.Conc = runtime.GOMAXPROCS(0)
-	}
-	logger := opts.Logger
-	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
+	if opts.Logger == nil {
+		opts.Logger = slog.New(slog.DiscardHandler)
 	}
 	if opts.Cache == nil {
 		opts.Cache = NewGraphCache(0)
 	}
 	w := &workerConn{
-		conn:    &conn{c: nc},
-		opts:    opts,
-		logger:  logger,
-		jobs:    make(map[uint64]*wjob),
-		graphs:  opts.Cache,
-		waiters: make(map[uint64][]chan *graph.Graph),
+		conn: &conn{c: nc},
+		opts: opts,
+		jobs: make(map[uint64]*wjob),
 	}
+	// Deferred in this order, the conn closes first: a job blocked sending
+	// fails, and the session waits for every job to return.
+	defer w.running.Wait()
 	defer nc.Close()
 
 	// Handshake: the coordinator speaks first.
-	f, err := w.conn.readFrame()
-	if err != nil {
+	if err := w.conn.shake(false); err != nil {
 		return err
 	}
-	var h helloMsg
-	if f.Kind != kHello || decodePayload(f.Payload, &h) != nil || h.Version != protoVersion {
-		return fmt.Errorf("dist: coordinator spoke protocol %d, want %d", h.Version, protoVersion)
-	}
-	hello, err := encodePayload(helloMsg{Version: protoVersion})
-	if err != nil {
-		return err
-	}
-	if err := w.send(&frame{Kind: kHello, Payload: hello}); err != nil {
-		return err
-	}
-
 	for {
 		f, err := w.conn.readFrame()
 		if err != nil {
-			w.failAll(fmt.Errorf("dist: coordinator connection lost: %w", err))
+			failAll(&w.mu, w.jobs, fmt.Errorf("dist: coordinator connection lost: %w", err))
 			return err
 		}
 		switch f.Kind {
 		case kJobStart:
-			var m jobStartMsg
-			if err := decodePayload(f.Payload, &m); err != nil {
-				w.failAll(fmt.Errorf("dist: bad jobStart payload: %w", err))
-				return err
+			// Register the job here, not in its goroutine: the coordinator
+			// wrote this frame before any graph or batch for the job, so
+			// synchronous registration guarantees none ever races the job
+			// into the dropped-frame path. A second start for a live job is
+			// dropped.
+			if j := w.registerJob(f.Job); j != nil {
+				w.running.Add(1)
+				go w.runJob(j, int(f.Dst), f.Payload)
 			}
-			// Register the job here, not in the run goroutine: the
-			// coordinator wrote this frame before any relayed batch for the
-			// job, so synchronous registration guarantees no batch ever
-			// races the job into the dropped-frame path.
-			j := w.registerJob(f.Job, int(m.Ranks))
-			go w.runJob(j, int(f.Dst), m)
-		case kStepBatch:
+		case kGraphData, kStepBatch:
+			// The job's own goroutine decodes them: a graph rebuilds its
+			// rank order, too heavy for the reader, which must keep draining
+			// frames for running jobs.
 			if j := w.job(f.Job); j != nil {
 				j.enqueue(f.Step, f.Payload)
 			}
-		case kGraphData:
-			// Decoding a graph rebuilds its rank order — too heavy for the
-			// reader, which must keep draining batches for running jobs.
-			payload := f.Payload
-			go w.deliverGraph(payload)
 		case kJobCancel:
 			var m cancelMsg
 			reason := "canceled by coordinator"
@@ -129,7 +107,7 @@ func ServeConn(nc net.Conn, opts WorkerOptions) error {
 			}
 		default:
 			err := fmt.Errorf("dist: unexpected %s frame from coordinator", kindName(f.Kind))
-			w.failAll(err)
+			failAll(&w.mu, w.jobs, err)
 			return err
 		}
 	}
@@ -137,21 +115,12 @@ func ServeConn(nc net.Conn, opts WorkerOptions) error {
 
 // workerConn is one worker session's shared state.
 type workerConn struct {
-	conn   *conn
-	wmu    sync.Mutex
-	opts   WorkerOptions
-	logger *slog.Logger
+	conn    *conn
+	opts    WorkerOptions
+	running sync.WaitGroup // runJob goroutines
 
-	mu      sync.Mutex
-	jobs    map[uint64]*wjob
-	graphs  *GraphCache
-	waiters map[uint64][]chan *graph.Graph // fingerprint → fetch waiters
-}
-
-func (w *workerConn) send(f *frame) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	return w.conn.writeFrame(f)
+	mu   sync.Mutex
+	jobs map[uint64]*wjob
 }
 
 func (w *workerConn) job(id uint64) *wjob {
@@ -160,147 +129,127 @@ func (w *workerConn) job(id uint64) *wjob {
 	return w.jobs[id]
 }
 
-func (w *workerConn) failAll(err error) {
-	w.mu.Lock()
-	live := make([]*wjob, 0, len(w.jobs))
-	for _, j := range w.jobs {
-		live = append(live, j)
-	}
-	w.mu.Unlock()
-	for _, j := range live {
-		j.fail(err)
-	}
-}
-
-func (w *workerConn) deliverGraph(payload []byte) {
-	var m graphDataMsg
-	if err := decodePayload(payload, &m); err != nil || m.G == nil {
-		w.logger.Warn("dist worker: bad graph payload", "err", err)
-		return
-	}
-	w.graphs.put(m.FP, m.G)
-	w.mu.Lock()
-	chans := w.waiters[m.FP]
-	delete(w.waiters, m.FP)
-	w.mu.Unlock()
-	for _, ch := range chans {
-		ch <- m.G // buffered; never blocks
-	}
-}
-
-// graphFor resolves a job's graph: cache hit, or one GraphReq round trip.
-func (w *workerConn) graphFor(ctx context.Context, jobID, fp uint64) (*graph.Graph, error) {
-	if g := w.graphs.get(fp); g != nil {
+// graphFor resolves a job's graph: a cache hit, or one GraphReq whose
+// answer arrives in the job's queue at graphStep.
+func (w *workerConn) graphFor(j *wjob, fp uint64) (*graph.Graph, error) {
+	if g := w.opts.Cache.get(fp); g != nil {
 		return g, nil
 	}
-	ch := make(chan *graph.Graph, 1)
-	w.mu.Lock()
-	w.waiters[fp] = append(w.waiters[fp], ch)
-	w.mu.Unlock()
-	// Re-check after registering: the data may have landed in between.
-	if g := w.graphs.get(fp); g != nil {
-		return g, nil
-	}
-	if err := w.send(&frame{Kind: kGraphReq, Job: jobID}); err != nil {
+	if err := w.conn.writeFrame(&frame{Kind: kGraphReq, Job: j.id}); err != nil {
 		return nil, err
 	}
-	select {
-	case g := <-ch:
-		return g, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	payloads, err := j.await(graphStep, 1)
+	if err != nil {
+		return nil, err
 	}
+	var m graphDataMsg
+	if err := decodePayload(payloads[0], &m); err != nil || m.G == nil {
+		return nil, fmt.Errorf("dist: bad graph payload (%v)", err)
+	}
+	w.opts.Cache.put(m.FP, m.G)
+	return m.G, nil
 }
 
-// registerJob makes a job addressable for incoming frames. It must run on
-// the reader goroutine (see the kJobStart case) so batches relayed right
-// behind the start frame find it.
-func (w *workerConn) registerJob(id uint64, ranks int) *wjob {
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &wjob{id: id, w: w, ranks: ranks, ctx: ctx, cancel: cancel, batches: make(map[int64][][]byte)}
-	j.cond = sync.NewCond(&j.mu)
+// registerJob makes a job addressable for incoming frames, or returns nil
+// when a live job has the id already. It must run on the reader goroutine
+// (see the kJobStart case) so frames relayed right behind the start frame
+// find it.
+func (w *workerConn) registerJob(id uint64) *wjob {
 	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.jobs[id] != nil {
+		return nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	j := &wjob{id: id, w: w, ctx: ctx, cancel: cancel, batches: make(map[int64][][]byte)}
+	j.cond = sync.NewCond(&j.mu)
 	w.jobs[id] = j
-	w.mu.Unlock()
 	return j
 }
 
-// runJob executes one job as this session's assigned rank: the same
-// deterministic solver as every other rank, over a backend owning only
-// this rank's partition block.
-func (w *workerConn) runJob(j *wjob, rank int, m jobStartMsg) {
-	id := j.id
-	ctx := j.ctx
+// runJob executes one job, from its start frame's payload, as this
+// session's assigned rank, and reports the outcome to the coordinator.
+func (w *workerConn) runJob(j *wjob, rank int, start []byte) {
+	defer w.running.Done()
 	defer func() {
 		w.mu.Lock()
-		delete(w.jobs, id)
+		delete(w.jobs, j.id)
 		w.mu.Unlock()
 		j.cancel()
 	}()
 
-	rk := newRank(int(m.Ranks), 0, int(m.N), rank, j, w.opts.Conc)
-	done := w.execute(ctx, rk, m)
-	done.Steps = rk.Steps()
-	done.Msgs = rk.Messages()
+	done, err := w.execute(j, rank, start)
+	if err != nil {
+		done.Err = err.Error()
+	}
 	payload, err := encodePayload(done)
 	if err != nil {
-		w.logger.Warn("dist worker: encoding jobDone", "job", id, "err", err)
+		w.opts.Logger.Warn("dist worker: encoding jobDone", "job", j.id, "err", err)
 		return
 	}
 	// Best effort: if the conn died the coordinator has already failed the
 	// job.
-	if err := w.send(&frame{Kind: kJobDone, Job: id, Src: int32(rank), Payload: payload}); err != nil {
-		w.logger.Warn("dist worker: sending jobDone", "job", id, "err", err)
+	if err := w.conn.writeFrame(&frame{Kind: kJobDone, Job: j.id, Src: int32(rank), Payload: payload}); err != nil {
+		w.opts.Logger.Warn("dist worker: sending jobDone", "job", j.id, "err", err)
 	}
 }
 
-// execute runs the solver and shapes the final report. A panic (malformed
-// wire input reaching a library that validates by panicking) becomes a
-// clean job error instead of killing the whole worker session.
-func (w *workerConn) execute(ctx context.Context, rk *rank, m jobStartMsg) (done jobDoneMsg) {
+// execute decodes a job's start, resolves its graph and runs the same
+// deterministic solver as every other rank, over a backend owning only
+// this rank's partition block. A panic (malformed wire input reaching a
+// library that validates by panicking) becomes a clean job error instead
+// of killing the whole worker session.
+func (w *workerConn) execute(j *wjob, rank int, start []byte) (done jobDoneMsg, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			done.Err = fmt.Sprintf("worker panic: %v", r)
+			err = fmt.Errorf("worker panic: %v", r)
 		}
 	}()
-	g, err := w.graphFor(ctx, rk.j.id, m.GraphFP)
+	var m jobStartMsg
+	if err := decodePayload(start, &m); err != nil {
+		return done, fmt.Errorf("dist: bad jobStart payload: %w", err)
+	}
+	if err := m.check(rank); err != nil {
+		return done, err
+	}
+	g, err := w.graphFor(j, m.GraphFP)
 	if err != nil {
-		done.Err = err.Error()
-		return
+		return done, err
 	}
 	if g.N() != int(m.N) {
-		done.Err = fmt.Sprintf("graph %x has %d vertices, job says %d", m.GraphFP, g.N(), m.N)
-		return
+		return done, fmt.Errorf("graph %x has %d vertices, job says %d", m.GraphFP, g.N(), m.N)
 	}
 	q := query.FromEdges(m.QueryName, m.QueryK, m.QueryEdges)
 	plan, err := decodePlan(m.Plan, q)
 	if err != nil {
-		done.Err = err.Error()
-		return
+		return done, err
 	}
+	rk := newRank(int(m.Ranks), 0, int(m.N), rank, j, w.opts.Conc)
+	defer func() {
+		done.Steps = rk.Steps()
+		done.Msgs = rk.Messages()
+	}()
 	opts := core.Options{Algorithm: core.Algorithm(m.Algorithm), Plan: plan, Engine: rk}
 	if engine.JobMode(m.Mode) == engine.ModePerVertex {
-		per, _, stats, err := core.CountColorfulPerVertexContext(ctx, g, q, m.Colors, int(m.Anchor), opts)
+		per, _, stats, err := core.CountColorfulPerVertexContext(j.ctx, g, q, m.Colors, int(m.Anchor), opts)
 		if err != nil {
-			done.Err = err.Error()
-			return
+			return done, err
 		}
 		lo, hi := rk.Owned()
 		done.PerVertex = per[lo:hi]
 		done.OwnedLo, done.OwnedHi = lo, hi
 		done.Load = stats.TotalLoad
 		done.Entries = stats.TableEntries
-		return
+		return done, nil
 	}
-	count, stats, err := core.CountColorfulContext(ctx, g, q, m.Colors, opts)
+	count, stats, err := core.CountColorfulContext(j.ctx, g, q, m.Colors, opts)
 	if err != nil {
-		done.Err = err.Error()
-		return
+		return done, err
 	}
 	done.Count = count
 	done.Load = stats.TotalLoad
 	done.Entries = stats.TableEntries
-	return
+	return done, nil
 }
 
 func (c *GraphCache) get(fp uint64) *graph.Graph {
@@ -337,20 +286,23 @@ func (c *GraphCache) touch(fp uint64) {
 	}
 }
 
-// wjob is the worker-side state of one job: the incoming batch queue and
-// the failure latch.
+// wjob is the worker-side state of one job: the queue of its incoming
+// payloads and the failure latch.
 type wjob struct {
 	id     uint64
 	w      *workerConn
-	ranks  int
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	batches map[int64][][]byte // superstep → raw batch payloads received
+	batches map[int64][][]byte // superstep (graphStep: the graph) → raw payloads received
 	err     error
 }
+
+// graphStep is where a job's graph lands in its queue: GraphData frames
+// carry step 0, and supersteps count from 1.
+const graphStep = 0
 
 func (j *wjob) enqueue(step int64, payload []byte) {
 	j.mu.Lock()
@@ -371,11 +323,10 @@ func (j *wjob) fail(err error) {
 	j.cond.Broadcast()
 }
 
-// await blocks until every other rank's batch for the superstep has
-// arrived (one per rank, empty batches included — that is the barrier),
-// or the job has failed.
-func (j *wjob) await(step int64) ([][]byte, error) {
-	need := j.ranks - 1
+// await blocks until need payloads for the step have arrived — a
+// superstep's batches from every other rank, empty ones included (that is
+// the barrier), or the job's graph — or the job has failed.
+func (j *wjob) await(step int64, need int) ([][]byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for {
