@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -303,5 +305,46 @@ func TestFramesAreFreshEncodings(t *testing.T) {
 	})
 	if allocs > 20 { // a new encoder a record: about 70
 		t.Errorf("two warm frames allocate %.0f times, want ≤ 20", allocs)
+	}
+}
+
+// TestRunRecordBytesAreFrozen pins one run record's bytes in the log —
+// framed by a fresh encoder and by a warm one — and on the handoff wire:
+// a data dir an earlier build wrote must replay, and a peer on an earlier
+// build must read the handoff body. The literals are an earlier build's
+// output; moving a field, its type or its tag moves them.
+func TestRunRecordBytesAreFrozen(t *testing.T) {
+	rec := RunRecord{Graph: 0xfeedfacecafebeef, Query: "k3:6:5:3", Algorithm: 2, Backend: "sim", Seed: -7, Ranks: 4,
+		Counts: []uint64{3, 1 << 40},
+		Stats: []core.Stats{{Backend: "sim", Workers: 4, MaxLoad: 9, AvgLoad: 2.25, TotalLoad: 30, Messages: 12,
+			Steals: 1, Supersteps: 3, TableEntries: 17, Loads: []int64{9, 7, 8, 6}}, {}}}
+	const frame = "" +
+		"0000019d7f7ca83e016e7f0301010952756e5265636f726401ff800001080105" +
+		"477261706801060001055175657279010c000109416c676f726974686d010400" +
+		"01074261636b656e64010c00010453656564010400010552616e6b7301040001" +
+		"06436f756e747301ff82000105537461747301ff8800000016ff81020101085b" +
+		"5d75696e74363401ff8200010600001bff870201010c5b5d636f72652e537461" +
+		"747301ff880001ff840000ff94ff8303010105537461747301ff8400010a0107" +
+		"4261636b656e64010c000107576f726b65727301040001074d61784c6f616401" +
+		"040001074176674c6f61640108000109546f74616c4c6f616401040001084d65" +
+		"7373616765730104000106537465616c73010400010a53757065727374657073" +
+		"010400010c5461626c65456e747269657301040001054c6f61647301ff860000" +
+		"0015ff85020101075b5d696e74363401ff8600010400004dff8001f8feedface" +
+		"cafebeef01086b333a363a353a330104010373696d010d0108010203fa010000" +
+		"0000000102010373696d0108011201fe0240013c01180102010601220104120e" +
+		"100c000000"
+	const wire = `{"graph":18369614221190020847,"query":"k3:6:5:3","algorithm":2,"backend":"sim","seed":-7,"ranks":4,"counts":[3,1099511627776],"stats":[{"Backend":"sim","Workers":4,"MaxLoad":9,"AvgLoad":2.25,"TotalLoad":30,"Messages":12,"Steals":1,"Supersteps":3,"TableEntries":17,"Loads":[9,7,8,6]},{"Backend":"","Workers":0,"MaxLoad":0,"AvgLoad":0,"TotalLoad":0,"Messages":0,"Steals":0,"Supersteps":0,"TableEntries":0,"Loads":null}]}`
+	var fr frames
+	for _, pass := range []string{"cold", "warm"} {
+		var buf bytes.Buffer
+		if err := fr.appendFrame(&buf, &queued{kind: kindRun, run: rec}); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != frame {
+			t.Errorf("%s frame moved:\n got %s\nwant %s", pass, got, frame)
+		}
+	}
+	if b, err := json.Marshal(rec); err != nil || string(b) != wire {
+		t.Errorf("handoff JSON moved (err %v):\n got %s\nwant %s", err, b, wire)
 	}
 }

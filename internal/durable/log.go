@@ -91,37 +91,56 @@ const maxRecord = 1 << 28
 // both amd64 and arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// TrialKey identifies one seeded trial stream: every field that changes
+// the per-trial colorful counts or their engine stats — and nothing that
+// only changes how many of those trials a request consumes. Trial i is a
+// pure function of its TrialKey, so the service's result cache serves any
+// prefix of a stored run and extends it in place.
+type TrialKey struct {
+	Graph     uint64
+	Query     string
+	Algorithm core.Algorithm
+	Backend   string
+	Seed      int64
+	Ranks     int
+}
+
 // RunRecord is one trial stream's accumulated state, in the log and on
-// the wire: the stream identity (mirroring the service cache's TrialKey
-// field for field) and the per-trial counts and engine stats. The log
-// gob-encodes it (field names; the tags are not read), the cluster handoff
-// body JSON-encodes it under the tags. Trials over one stream are
-// deterministic, so a longer record strictly extends a shorter one and
-// replay merges records longest-wins.
+// the wire: its TrialKey's fields, flat, and the per-trial counts and
+// engine stats. The log gob-encodes it (field names; the tags are not
+// read), the cluster handoff body JSON-encodes it under the tags. Trials
+// over one stream are deterministic, so a longer record strictly extends
+// a shorter one and replay merges records longest-wins.
 type RunRecord struct {
-	Graph     uint64       `json:"graph"` // data-graph fingerprint
-	Query     string       `json:"query"` // canonical query signature
-	Algorithm int          `json:"algorithm"`
-	Backend   string       `json:"backend"`
-	Seed      int64        `json:"seed"`
-	Ranks     int          `json:"ranks"`
-	Counts    []uint64     `json:"counts"`
-	Stats     []core.Stats `json:"stats"`
+	Graph     uint64         `json:"graph"` // data-graph fingerprint
+	Query     string         `json:"query"` // canonical query signature
+	Algorithm core.Algorithm `json:"algorithm"`
+	Backend   string         `json:"backend"`
+	Seed      int64          `json:"seed"`
+	Ranks     int            `json:"ranks"`
+	Counts    []uint64       `json:"counts"`
+	Stats     []core.Stats   `json:"stats"`
 }
 
-// streamKey identifies a RunRecord's trial stream for the replay merge.
-type streamKey struct {
-	graph     uint64
-	query     string
-	algorithm int
-	backend   string
-	seed      int64
-	ranks     int
+// NewRunRecord pairs stream k with its per-trial counts and stats.
+func NewRunRecord(k TrialKey, counts []uint64, stats []core.Stats) RunRecord {
+	return RunRecord{Graph: k.Graph, Query: k.Query, Algorithm: k.Algorithm, Backend: k.Backend,
+		Seed: k.Seed, Ranks: k.Ranks, Counts: counts, Stats: stats}
 }
 
-func (r RunRecord) key() streamKey {
-	return streamKey{graph: r.Graph, query: r.Query, algorithm: r.Algorithm,
-		backend: r.Backend, seed: r.Seed, ranks: r.Ranks}
+// Key returns the record's trial stream.
+func (r RunRecord) Key() TrialKey {
+	return TrialKey{Graph: r.Graph, Query: r.Query, Algorithm: r.Algorithm, Backend: r.Backend,
+		Seed: r.Seed, Ranks: r.Ranks}
+}
+
+// Check reports whether the record can be served: trial i is Counts[i]
+// with Stats[i], so a run whose two differ in length panics when sliced.
+func (r RunRecord) Check() error {
+	if len(r.Counts) != len(r.Stats) {
+		return fmt.Errorf("durable: run has %d counts but %d stats", len(r.Counts), len(r.Stats))
+	}
+	return nil
 }
 
 // JobRecord persists one terminal job: everything GET /v1/jobs/{id} and
@@ -627,7 +646,7 @@ func syncDir(dir string) {
 // replayState accumulates records during Open: runs merged longest-wins
 // per stream, jobs deduplicated by id, both in first-appearance order.
 type replayState struct {
-	runIx  map[streamKey]int
+	runIx  map[TrialKey]int
 	runs   []RunRecord
 	jobIx  map[string]bool
 	jobs   []JobRecord
@@ -635,7 +654,7 @@ type replayState struct {
 }
 
 func newReplayState() *replayState {
-	return &replayState{runIx: make(map[streamKey]int), jobIx: make(map[string]bool)}
+	return &replayState{runIx: make(map[TrialKey]int), jobIx: make(map[string]bool)}
 }
 
 // replay consumes frames from b until the first invalid one and applies
@@ -675,15 +694,7 @@ func (st *replayState) apply(payload []byte) bool {
 		if dec.Decode(&r) != nil {
 			return false
 		}
-		k := r.key()
-		if i, ok := st.runIx[k]; ok {
-			if len(r.Counts) > len(st.runs[i].Counts) {
-				st.runs[i] = r
-			}
-			return true
-		}
-		st.runIx[k] = len(st.runs)
-		st.runs = append(st.runs, r)
+		st.addRun(r)
 	case kindJob:
 		var j JobRecord
 		if dec.Decode(&j) != nil {
@@ -698,6 +709,24 @@ func (st *replayState) apply(payload []byte) bool {
 		return false
 	}
 	return true
+}
+
+// addRun merges r into the runs longest-wins per stream: the one merge
+// of boot replay, ReadRuns and the cluster rebalance. A record that fails
+// Check is skipped; the records after it still merge.
+func (st *replayState) addRun(r RunRecord) {
+	if r.Check() != nil {
+		return
+	}
+	k := r.Key()
+	if i, ok := st.runIx[k]; ok {
+		if len(r.Counts) > len(st.runs[i].Counts) {
+			st.runs[i] = r
+		}
+		return
+	}
+	st.runIx[k] = len(st.runs)
+	st.runs = append(st.runs, r)
 }
 
 func (st *replayState) state() State {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/query"
 	"repro/internal/sig"
 )
@@ -34,22 +35,13 @@ type Key struct {
 	MinTrials  int
 }
 
-// TrialKey identifies one seeded trial stream: every field that changes
-// the per-trial colorful counts or their engine stats — and nothing that
-// only changes how many of those trials a request consumes. Trial i's
-// count is a pure function of a TrialKey, which is what makes the cache
-// trial-granular: a request needing T trials is a pure hit against any
-// entry holding ≥ T of them, a tighter request extends the entry instead
-// of starting over, and a looser one prefix-slices it — every answer
-// bit-identical to an uncached run at the same effective trial count.
-type TrialKey struct {
-	Graph     uint64
-	Query     string
-	Algorithm core.Algorithm
-	Backend   string
-	Seed      int64
-	Ranks     int
-}
+// TrialKey identifies one seeded trial stream (durable.TrialKey). It is
+// what makes the cache trial-granular: a request needing T trials is a
+// pure hit against any entry holding ≥ T of them, a tighter request
+// extends the entry instead of starting over, and a looser one
+// prefix-slices it — every answer bit-identical to an uncached run at the
+// same effective trial count.
+type TrialKey = durable.TrialKey
 
 // TrialKey projects the request key onto its trial stream: requests that
 // differ only in trial count or precision target share trials.
@@ -155,16 +147,10 @@ type centry struct {
 // at a full cache, always the least recently used one. It is safe for
 // concurrent use; hits refresh recency.
 type Cache struct {
-	mu  waitMutex
-	cap int
-	m   map[TrialKey]*list.Element
-	lru *list.List // front = most recently used
-
-	hits      uint64
-	misses    uint64
-	extended  uint64
-	evictions uint64
-	trials    int // accumulated trials across resident entries
+	mu    waitMutex
+	m     map[TrialKey]*list.Element
+	lru   *list.List // front = most recently used
+	stats CacheStats // all but Entries and LockWait, which Stats fills in
 }
 
 // NewCache returns a cache holding up to capacity trial runs (≤ 0 means
@@ -175,7 +161,7 @@ func NewCache(capacity, _ int) *Cache {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Cache{cap: capacity, m: make(map[TrialKey]*list.Element), lru: list.New()}
+	return &Cache{m: make(map[TrialKey]*list.Element), lru: list.New(), stats: CacheStats{Capacity: capacity}}
 }
 
 // Close does nothing: the cache owns no goroutine. It survives only
@@ -194,11 +180,11 @@ func (c *Cache) Get(k TrialKey, limit int) (TrialRun, bool) {
 	c.mu.Lock()
 	el, ok := c.m[k]
 	if !ok {
-		c.misses++
+		c.stats.Misses++
 		c.mu.Unlock()
 		return TrialRun{}, false
 	}
-	c.hits++
+	c.stats.Hits++
 	c.lru.MoveToFront(el)
 	v := el.Value.(*centry).val
 	c.mu.Unlock()
@@ -243,44 +229,37 @@ func (c *Cache) Put(k TrialKey, v TrialRun) {
 		ce := el.Value.(*centry)
 		if cur := ce.val.Len(); cur < v.Len() {
 			if cur > 0 {
-				c.extended++
+				c.stats.Extended++
 			}
-			c.trials += v.Len() - cur
+			c.stats.Trials += v.Len() - cur
 			ce.val = v.clone()
 		}
 		c.lru.MoveToFront(el)
 		return
 	}
-	if c.lru.Len() >= c.cap {
+	if c.lru.Len() >= c.stats.Capacity {
 		ce := c.lru.Remove(c.lru.Back()).(*centry)
-		c.trials -= ce.val.Len()
+		c.stats.Trials -= ce.val.Len()
 		delete(c.m, ce.key)
-		c.evictions++
+		c.stats.Evictions++
 	}
 	c.m[k] = c.lru.PushFront(&centry{key: k, val: v.clone()})
-	c.trials += v.Len()
+	c.stats.Trials += v.Len()
 }
 
-// ExportedRun pairs a trial stream's key with its accumulated run, for
-// the durability layer's compaction snapshot.
-type ExportedRun struct {
-	Key TrialKey
-	Run TrialRun
-}
-
-// Export snapshots every resident entry, by reference: the returned runs
-// share the cache's backing arrays. Safe to read concurrently with
-// serving traffic because stored runs are only ever replaced whole (Put
-// installs a fresh clone), never mutated in place — but callers must not
-// write through them. Entries come out oldest-first, matching eviction
-// order.
-func (c *Cache) Export() []ExportedRun {
+// Export snapshots every resident entry as a durable run record, by
+// reference: the returned records share the cache's backing arrays. Safe
+// to read concurrently with serving traffic because stored runs are only
+// ever replaced whole (Put installs a fresh clone), never mutated in
+// place — but callers must not write through them. Entries come out
+// oldest-first, matching eviction order.
+func (c *Cache) Export() []durable.RunRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]ExportedRun, 0, c.lru.Len())
+	out := make([]durable.RunRecord, 0, c.lru.Len())
 	for el := c.lru.Back(); el != nil; el = el.Prev() {
 		ce := el.Value.(*centry)
-		out = append(out, ExportedRun{Key: ce.key, Run: ce.val})
+		out = append(out, durable.NewRunRecord(ce.key, ce.val.Counts, ce.val.Stats))
 	}
 	return out
 }
@@ -289,14 +268,8 @@ func (c *Cache) Export() []ExportedRun {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
-		Entries:   c.lru.Len(),
-		Trials:    c.trials,
-		Capacity:  c.cap,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Extended:  c.extended,
-		Evictions: c.evictions,
-		LockWait:  c.mu.wait(),
-	}
+	st := c.stats
+	st.Entries = c.lru.Len()
+	st.LockWait = c.mu.wait()
+	return st
 }

@@ -65,11 +65,11 @@ func newForwardClient() *http.Client {
 	}
 }
 
-// hash folds every TrialKey field into the FNV-1a value the ring places
-// keys by. Every replica — across restarts and versions — must compute
-// the same value for the same key, or a key's home moves and its cached
-// runs are stranded; the bytes hashed here are frozen.
-func (k TrialKey) hash() uint64 {
+// ringHash folds every TrialKey field into the FNV-1a value the ring
+// places keys by. Every replica — across restarts and versions — must
+// compute the same value for the same key, or a key's home moves and its
+// cached runs are stranded; the bytes hashed here are frozen.
+func ringHash(k TrialKey) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], k.Graph)
@@ -114,7 +114,7 @@ func (s *Service) admit(w http.ResponseWriter, r *http.Request, path string) (re
 	if s.cluster == nil || forwarded {
 		return rr, true
 	}
-	home := s.cluster.Owner(rr.key.TrialKey().hash())
+	home := s.cluster.Owner(ringHash(rr.key.TrialKey()))
 	if s.cluster.IsSelf(home) {
 		return rr, true
 	}
@@ -200,24 +200,28 @@ const maxHandoffBody = 64 << 20
 
 // handleClusterImport receives trial runs from a peer rebalancing its
 // keys toward this replica: each run lands in the cache (longest-wins
-// merge, so re-imports are idempotent) and the durable log. The replica
-// reports itself unready (/readyz 503) while the replay runs.
+// merge, so re-imports are idempotent) and the durable log. A batch with
+// a run that fails its Check is refused whole. The replica reports itself
+// unready (/readyz 503) while the replay runs.
 func (s *Service) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Runs []durable.RunRecord `json:"runs"`
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxHandoffBody))
-	if err := dec.Decode(&body); err != nil {
+	err := dec.Decode(&body)
+	for i := 0; err == nil && i < len(body.Runs); i++ {
+		err = body.Runs[i].Check()
+	}
+	if err != nil {
 		writeError(w, fmt.Errorf("service: bad handoff body: %w", err))
 		return
 	}
 	s.handoffActive.Add(1)
 	defer s.handoffActive.Add(-1)
 	for _, rec := range body.Runs {
-		tk := trialKeyOf(rec)
 		run := TrialRun{Counts: rec.Counts, Stats: rec.Stats}
-		s.cache.Put(tk, run)
-		s.persistRun(tk, run)
+		s.cache.Put(rec.Key(), run)
+		s.persistRun(rec.Key(), run)
 	}
 	s.clHandoffImported.Add(uint64(len(body.Runs)))
 	s.logger.Info("cluster: handoff imported", "runs", len(body.Runs), "from", r.Header.Get(forwardHeader))
@@ -232,35 +236,27 @@ func (s *Service) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 // log, not just the live cache, is the export source when configured:
 // it also holds streams the cache has evicted.
 func (s *Service) handleClusterRebalance(w http.ResponseWriter, r *http.Request) {
-	merged := make(map[TrialKey]TrialRun)
-	for _, e := range s.cache.Export() {
-		merged[e.Key] = e.Run
-	}
+	runs := s.cache.Export()
 	if s.durable != nil {
-		// Flush so runs accepted before this call are on disk, then read
-		// the files back read-only; the live writer keeps appending.
+		// Flush so runs accepted before this call are on disk, then merge
+		// the files into the cache's runs. ReadRuns only reads them; the
+		// live writer keeps appending.
 		s.durable.Flush()
-		recs, err := durable.ReadRuns(s.opts.Durability.Dir)
-		if err != nil {
+		var err error
+		if runs, err = durable.ReadRuns(s.opts.Durability.Dir, runs...); err != nil {
 			writeError(w, err)
 			return
-		}
-		for _, rec := range recs {
-			tk := trialKeyOf(rec)
-			if cur, ok := merged[tk]; !ok || len(rec.Counts) > cur.Len() {
-				merged[tk] = TrialRun{Counts: rec.Counts, Stats: rec.Stats}
-			}
 		}
 	}
 	byHome := make(map[string][]durable.RunRecord)
 	kept := 0
-	for tk, run := range merged {
-		home := s.cluster.Owner(tk.hash())
+	for _, rec := range runs {
+		home := s.cluster.Owner(ringHash(rec.Key()))
 		if s.cluster.IsSelf(home) {
 			kept++
 			continue
 		}
-		byHome[home] = append(byHome[home], runRecord(tk, run))
+		byHome[home] = append(byHome[home], rec)
 	}
 	exported := 0
 	peerResults := make(map[string]string)

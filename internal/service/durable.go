@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/durable"
 )
 
@@ -53,7 +52,7 @@ func (s *Service) setupDurable() error {
 	}
 	for _, r := range state.Runs {
 		// Put clones, so the replayed record's slices stay the log's own.
-		s.cache.Put(trialKeyOf(r), TrialRun{Counts: r.Counts, Stats: r.Stats})
+		s.cache.Put(r.Key(), TrialRun{Counts: r.Counts, Stats: r.Stats})
 	}
 	now := time.Now()
 	restored := 0
@@ -79,7 +78,7 @@ func (s *Service) persistRun(tk TrialKey, run TrialRun) {
 	if s.durable == nil {
 		return
 	}
-	s.durable.AppendRun(runRecord(tk, run))
+	s.durable.AppendRun(durable.NewRunRecord(tk, run.Counts, run.Stats))
 }
 
 // persistJob is the job manager's onTerminal hook, invoked under its
@@ -118,38 +117,7 @@ func persistable(j *job) bool {
 // briefly and hand back live slices, safe because stored runs and
 // terminal estimates are replaced, never mutated in place.
 func (s *Service) durableSnapshot() ([]durable.RunRecord, []durable.JobRecord) {
-	entries := s.cache.Export()
-	runs := make([]durable.RunRecord, len(entries))
-	for i, e := range entries {
-		runs[i] = runRecord(e.Key, e.Run)
-	}
-	return runs, s.jobs.exportTerminal()
-}
-
-// runRecord and trialKeyOf convert between the cache's key/run pair and
-// the log's self-contained record, field for field.
-func runRecord(tk TrialKey, run TrialRun) durable.RunRecord {
-	return durable.RunRecord{
-		Graph:     tk.Graph,
-		Query:     tk.Query,
-		Algorithm: int(tk.Algorithm),
-		Backend:   tk.Backend,
-		Seed:      tk.Seed,
-		Ranks:     tk.Ranks,
-		Counts:    run.Counts,
-		Stats:     run.Stats,
-	}
-}
-
-func trialKeyOf(r durable.RunRecord) TrialKey {
-	return TrialKey{
-		Graph:     r.Graph,
-		Query:     r.Query,
-		Algorithm: core.Algorithm(r.Algorithm),
-		Backend:   r.Backend,
-		Seed:      r.Seed,
-		Ranks:     r.Ranks,
-	}
+	return s.cache.Export(), s.jobs.exportTerminal()
 }
 
 // jobRecord converts a terminal job to its persisted form. The estimate

@@ -176,7 +176,7 @@ func TestRestartReplaysFullCache(t *testing.T) {
 		}
 		life := restored{runs: map[string]any{}}
 		for _, e := range svc2.Cache().Export() {
-			life.runs[fmt.Sprint(e.Key)] = e.Run
+			life.runs[fmt.Sprint(e.Key())] = service.TrialRun{Counts: e.Counts, Stats: e.Stats}
 		}
 		for _, j := range svc2.Jobs() {
 			res, err := svc2.JobResult(j.ID)

@@ -219,11 +219,7 @@ type jobManager struct {
 	terminal   int       // finished jobs currently retained
 	nextSweep  time.Time // earliest time the next time-based sweep runs
 	sweepGap   time.Duration
-
-	submitted uint64
-	coalesced uint64
-	canceled  uint64
-	expired   uint64
+	stats      JobsStats // the counters; Stats fills in the gauges and lock waits
 
 	// onTerminal, when set, observes every terminal transition under the
 	// manager mutex — the durability layer's append hook. It must not
@@ -259,7 +255,7 @@ func (m *jobManager) assignID(j *job) {
 func (m *jobManager) registerLocked(j *job) {
 	m.byID[j.id] = j
 	m.order = append(m.order, j)
-	m.submitted++
+	m.stats.Submitted++
 	m.maybeSweepLocked(time.Now())
 }
 
@@ -281,7 +277,7 @@ func (m *jobManager) maybeSweepLocked(now time.Time) {
 func (m *jobManager) attachLocked(fl *flight, j *job) {
 	if len(fl.jobs) > 0 {
 		j.coalesced = true
-		m.coalesced++
+		m.stats.Coalesced++
 	}
 	if fl.tr != nil {
 		j.tr = fl.tr
@@ -427,7 +423,7 @@ func (m *jobManager) detach(j *job, cause error) bool {
 	}
 	m.finalizeLocked(j, coloring.Estimate{}, cause, time.Now())
 	if errors.Is(cause, context.Canceled) {
-		m.canceled++
+		m.stats.Canceled++
 	}
 	fl := j.fl
 	var cancelFlight bool
@@ -472,7 +468,7 @@ func (m *jobManager) sweepLocked(now time.Time) {
 		if j.state.Terminal() && (!j.expires.After(now) || m.terminal > low) {
 			m.terminal--
 			delete(m.byID, j.id)
-			m.expired++
+			m.stats.Expired++
 			continue
 		}
 		keep = append(keep, j)
@@ -512,7 +508,7 @@ func (m *jobManager) get(id string) (*job, error) {
 				break
 			}
 		}
-		m.expired++
+		m.stats.Expired++
 		ok = false
 	}
 	if !ok {
@@ -649,20 +645,17 @@ func (m *jobManager) shutdown() {
 	}
 }
 
-func (m *jobManager) stats() JobsStats {
+// Stats returns the job manager counters.
+func (m *jobManager) Stats() JobsStats {
 	m.inflightMu.Lock()
 	sf := SingleflightStats{Keys: len(m.inflight), LockWait: m.inflightMu.wait()}
 	m.inflightMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return JobsStats{
-		Singleflight: sf,
-		Submitted:    m.submitted,
-		Coalesced:    m.coalesced,
-		Canceled:     m.canceled,
-		Expired:      m.expired,
-		Active:       len(m.order) - m.terminal,
-		Retained:     len(m.order),
-		LockWait:     m.mu.wait(),
-	}
+	st := m.stats
+	st.Active = len(m.order) - m.terminal
+	st.Retained = len(m.order)
+	st.LockWait = m.mu.wait()
+	st.Singleflight = sf
+	return st
 }

@@ -237,17 +237,12 @@ type GraphInfo struct {
 // them.
 type Registry struct {
 	mu      waitMutex
-	budget  int64
-	bytes   int64
 	tick    uint64
 	nextID  uint64
 	bySrc   map[string]*gentry
 	byRef   map[string]*gentry
-	entries []*gentry // registration order
-
-	loads     uint64
-	hits      uint64
-	evictions uint64
+	entries []*gentry     // registration order
+	stats   RegistryStats // all but Graphs and LockWait, which Stats fills in
 }
 
 // NewRegistry returns a registry with the given memory budget in bytes
@@ -258,9 +253,9 @@ func NewRegistry(budgetBytes int64) *Registry {
 		budgetBytes = 1 << 30
 	}
 	return &Registry{
-		budget: budgetBytes,
-		bySrc:  make(map[string]*gentry),
-		byRef:  make(map[string]*gentry),
+		bySrc: make(map[string]*gentry),
+		byRef: make(map[string]*gentry),
+		stats: RegistryStats{BudgetBytes: budgetBytes},
 	}
 }
 
@@ -335,8 +330,8 @@ func (r *Registry) Add(spec GraphSpec) (*Handle, error) {
 	}
 	r.bySrc[src] = e
 	r.entries = append(r.entries, e)
-	r.bytes += e.bytes
-	r.loads++
+	r.stats.Bytes += e.bytes
+	r.stats.Loads++
 	h := r.acquireLocked(e)
 	r.evictLocked()
 	return h, nil
@@ -355,7 +350,7 @@ func (r *Registry) aliasAcquireLocked(e *gentry, name string) (*Handle, error) {
 			return nil, fmt.Errorf("service: graph name %q already in use", name)
 		}
 	}
-	r.hits++
+	r.stats.Hits++
 	return r.acquireLocked(e), nil
 }
 
@@ -367,7 +362,7 @@ func (r *Registry) Acquire(ref string) (*Handle, bool) {
 	if !ok {
 		return nil, false
 	}
-	r.hits++
+	r.stats.Hits++
 	return r.acquireLocked(e), true
 }
 
@@ -383,7 +378,7 @@ func (r *Registry) acquireLocked(e *gentry) *Handle {
 // key of a victim is removed, so an evicted entry can never be resolved
 // again and its graph is free for GC.
 func (r *Registry) evictLocked() {
-	for r.bytes > r.budget {
+	for r.stats.Bytes > r.stats.BudgetBytes {
 		vi := -1
 		for i, e := range r.entries {
 			if e.refs == 0 && (vi < 0 || e.lruTick < r.entries[vi].lruTick) {
@@ -399,8 +394,8 @@ func (r *Registry) evictLocked() {
 		for _, n := range victim.names {
 			delete(r.byRef, n)
 		}
-		r.bytes -= victim.bytes
-		r.evictions++
+		r.stats.Bytes -= victim.bytes
+		r.stats.Evictions++
 	}
 }
 
@@ -445,15 +440,10 @@ func infoLocked(e *gentry) GraphInfo {
 func (r *Registry) Stats() RegistryStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return RegistryStats{
-		Graphs:      len(r.entries),
-		Bytes:       r.bytes,
-		BudgetBytes: r.budget,
-		Loads:       r.loads,
-		Hits:        r.hits,
-		Evictions:   r.evictions,
-		LockWait:    r.mu.wait(),
-	}
+	st := r.stats
+	st.Graphs = len(r.entries)
+	st.LockWait = r.mu.wait()
+	return st
 }
 
 // StandinNames returns the known stand-in graph names, for error messages.

@@ -39,20 +39,14 @@ type SchedulerStats struct {
 // already canceled when a worker picks them up are dropped without
 // running.
 type Scheduler struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   jobHeap
-	maxQ    int
-	closed  bool
-	seq     uint64
-	running int
-	wg      sync.WaitGroup
-
-	workers   int
-	submitted uint64
-	completed uint64
-	canceled  uint64
-	rejected  uint64
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  jobHeap
+	maxQ   int
+	closed bool
+	seq    uint64
+	wg     sync.WaitGroup
+	stats  SchedulerStats // all but Queued, which Stats fills in
 }
 
 // NewScheduler starts a pool of workers goroutines (≤ 0 means 4) with a
@@ -64,7 +58,7 @@ func NewScheduler(workers, depth int) *Scheduler {
 	if depth <= 0 {
 		depth = 1024
 	}
-	s := &Scheduler{maxQ: depth, workers: workers}
+	s := &Scheduler{maxQ: depth, stats: SchedulerStats{Workers: workers}}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -89,12 +83,12 @@ func (s *Scheduler) SubmitJob(ctx context.Context, priority int, fn func(context
 		return ErrClosed
 	}
 	if s.queue.Len() >= s.maxQ {
-		s.rejected++
+		s.stats.Rejected++
 		return ErrQueueFull
 	}
 	s.seq++
 	heap.Push(&s.queue, &queued{ctx: ctx, pri: priority, seq: s.seq, fn: fn, cleanup: cleanup})
-	s.submitted++
+	s.stats.Submitted++
 	s.cond.Signal()
 	return nil
 }
@@ -112,14 +106,14 @@ func (s *Scheduler) worker() {
 		}
 		j := heap.Pop(&s.queue).(*queued)
 		if j.ctx.Err() != nil {
-			s.canceled++
+			s.stats.Canceled++
 			s.mu.Unlock()
 			if j.cleanup != nil {
 				j.cleanup()
 			}
 			continue
 		}
-		s.running++
+		s.stats.Running++
 		s.mu.Unlock()
 
 		j.fn(j.ctx)
@@ -128,8 +122,8 @@ func (s *Scheduler) worker() {
 		}
 
 		s.mu.Lock()
-		s.running--
-		s.completed++
+		s.stats.Running--
+		s.stats.Completed++
 		s.mu.Unlock()
 	}
 }
@@ -148,15 +142,9 @@ func (s *Scheduler) Close() {
 func (s *Scheduler) Stats() SchedulerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SchedulerStats{
-		Workers:   s.workers,
-		Queued:    s.queue.Len(),
-		Running:   s.running,
-		Submitted: s.submitted,
-		Completed: s.completed,
-		Canceled:  s.canceled,
-		Rejected:  s.rejected,
-	}
+	st := s.stats
+	st.Queued = s.queue.Len()
+	return st
 }
 
 // jobHeap orders jobs by priority descending, then submission order.

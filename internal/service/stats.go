@@ -64,7 +64,7 @@ func (s *Service) Stats() Stats {
 		Registry:  s.reg.Stats(),
 		Cache:     s.cache.Stats(),
 		Scheduler: s.sched.Stats(),
-		Jobs:      s.jobs.stats(),
+		Jobs:      s.jobs.Stats(),
 		Engine: EngineStats{
 			Backend:  s.opts.Backend,
 			Workers:  s.opts.DefaultRanks,
