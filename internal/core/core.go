@@ -93,9 +93,11 @@ type Options struct {
 // and table pressure. An operation of the load is a pair of entries a join
 // examines — except in a root cycle's join, whose signature match is one
 // lookup per entry of the walk table it streams (joinSplit): there it is an
-// entry streamed, unfolded duplicates included. That streamed table is never
-// compacted, and TableEntries counts the tables the solver compacts as they
-// are built: it is counted in the load only. So are a leaf block's tables,
+// entry streamed, unfolded duplicates included — or, where the join takes
+// the walk's last step itself (pullJoin), the same entry extended. That
+// streamed table is never compacted, or never built, and TableEntries
+// counts the tables the solver compacts as they are built: it is counted
+// in the load only. So are a leaf block's tables,
 // every one of which is read as it lies — its walk's, and its output, whose
 // boxes move into the walk its parent starts there, or whose rows a nodeJoin
 // or the per-vertex fold reads, or whose cells the root's Total sums — and
@@ -107,7 +109,7 @@ type Stats struct {
 	MaxLoad      int64
 	AvgLoad      float64
 	TotalLoad    int64
-	Messages     int64 // sim: every appended entry plus every row a pull reads from another partition (two units: engine.Backend.Messages); dist: entries sent to another process; parallel: 0
+	Messages     int64 // sim: every appended entry plus every row — or, in a pulled root join, every run of the walk's prefix — a pull reads from another partition (two units: engine.Backend.Messages); dist: entries sent to another process; parallel: 0
 	Steals       int64 // stolen partition tasks; always 0 for sim and dist
 	Supersteps   int64 // supersteps executed; identical across backends
 	TableEntries int64 // distinct entries of the projection tables compacted as they were built

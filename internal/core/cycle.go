@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/decomp"
 	"repro/internal/engine"
@@ -69,13 +70,15 @@ func (s *solver) joinSplits(b *decomp.Block, out *engine.Sharded, partial []uint
 
 // sides says which of a split's walks its join streams and which it indexes,
 // and whether the streamed one's table may be left pending — built by its
-// last superstep and never compacted. It may in a root block, whose join
-// makes a number, if this join is all that is still to read it: the walk's
-// table is not built yet, no other walk extends it and no other split joins
-// it (one use left), and it has a step to be built by. If exactly one walk
-// may pend, it streams; if both may or neither, the one with more steps —
-// the larger table, as a rule: the index then is the smaller — and of two
-// equally long ones P−. The trie decides, nothing else: there is no option.
+// last superstep and never compacted, or, where that step is a plain data
+// edge and the backend can pull, never built: the join takes the step
+// itself (joinSplit). It may in a root block, whose join makes a number, if
+// this join is all that is still to read it: the walk's table is not built
+// yet, no other walk extends it and no other split joins it (one use left),
+// and it has a step to be built by. If exactly one walk may pend, it
+// streams; if both may or neither, the one with more steps — the larger
+// table, as a rule: the index then is the smaller — and of two equally long
+// ones P−. The trie decides, nothing else: there is no option.
 func (sp split) sides(root bool) (stream, index *walk, pend bool) {
 	mayPend := func(n *walk) bool { return root && n.uses == 1 && n.table == nil && n.parent != nil }
 	stream, index = sp.minus, sp.plus
@@ -273,31 +276,70 @@ func (s *solver) makeSplit(b *decomp.Block, start, end int, ordered bool) split 
 // entries travel. It reports false, having joined nothing, if the run was
 // canceled before both tables were built.
 //
-// There is one join, and it streams one table against an index of the
-// other: each partition takes the chunks of stream's shard as they lie
-// (table.Flat.Chunks), finds every entry's (V,U) group in index's sorted
-// shard (groupIdx, built here and given back here; not at all where nothing
-// is streamed) and meets the entry with the group. A table that was
-// compacted arrives as one sorted chunk and the cursor reads it as a merge;
-// a pending one arrives as its superstep appended it, duplicates unfolded,
-// which a sum cannot tell from folded — Σ c·c′ distributes — so a root
-// block's largest table is read once, here, and never sorted.
-//
-// In a root block the two walks cover every colour between them and share
-// χ(U) and χ(V) alone, so an entry's partner signature is forced: the match
-// is one load in a dense group's partner row (groupIdx.partner), a binary
-// search elsewhere (withSig); an operation of the load is an entry streamed.
-// With boundary nodes the subquery is smaller than the query, the partner is
-// any signature that meets the entry's in exactly {χ(U), χ(V)}, and the
-// group is scanned; an operation is a pair examined.
+// A walk that may pend and whose last step is a plain data edge out of a
+// built prefix is not built at all where the backend can pull (pullJoin):
+// the join takes that step itself, reading the prefix where it lies, and
+// the largest table of the trial — the one it would stream — never exists.
+// Its prefix's extension use ends with the join, so the prefix is released
+// then, not at the block's end. Everywhere else — a process that does not
+// hold every partition (dist), a last step over an annotated edge or onto
+// an annotated node — the walk is built, pending, and streamed
+// (streamJoin). The join's span opens once, around the form that runs.
 func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, partial []uint64) bool {
-	root, full := len(b.Boundary) == 0, sig.Full(s.k)
-	stream, index, pend := sp.sides(root)
-	if !s.buildPath(index, false) || !s.buildPath(stream, pend) {
+	stream, index, pend := sp.sides(len(b.Boundary) == 0)
+	pull := pend && stream.pulls()
+	built := stream
+	if pull {
+		built = stream.parent // the join takes the walk's last step
+	}
+	if !s.buildPath(index, false) || !s.buildPath(built, pend && !pull) {
 		return false
 	}
 	defer sp.plus.done()
 	defer sp.minus.done()
+	begin := time.Now()
+	pulled := pull && s.pullJoin(stream, index, partial, sp.times)
+	if pull && !pulled {
+		// The Pull ran nothing: the step is built after all, in its own
+		// span, and the join's begins after it.
+		if !s.buildPath(stream, true) {
+			return false
+		}
+		begin = time.Now()
+	}
+	if pulled {
+		defer stream.parent.done() // the extension the join took
+	} else {
+		s.streamJoin(b, sp, stream, index, out, partial)
+	}
+	s.tr.Add(PhaseCycleJoin, begin, time.Now())
+	return true
+}
+
+// pulls says whether the walk's last step can be taken inside a root join:
+// a plain data edge, out of a prefix that has a table (not a bare start).
+func (n *walk) pulls() bool {
+	p := n.parent
+	return n.step.edgeAnn == nil && n.step.nodeAnn == nil && (p.parent != nil || p.startAnn != nil)
+}
+
+// streamJoin is the join with both walks built: each partition takes the
+// chunks of stream's shard as they lie (table.Flat.Chunks), finds every
+// entry's (V,U) group in index's sorted shard (groupIdx, built here and
+// given back here; not at all where nothing is streamed) and meets the
+// entry with the group. A table that was compacted arrives as one sorted
+// chunk and the cursor reads it as a merge; a pending one arrives as its
+// superstep appended it, duplicates unfolded, which a sum cannot tell from
+// folded — Σ c·c′ distributes — so it is read once, here, and never sorted.
+//
+// In a root block the two walks cover every colour between them and share
+// χ(U) and χ(V) alone, so an entry's partner signature is forced: the match
+// is one meet (groupIdx.meet), and an operation of the load is an entry
+// streamed. With boundary nodes the subquery is smaller than the query, the
+// partner is any signature that meets the entry's in exactly {χ(U), χ(V)},
+// and the group is scanned; an operation is a pair examined.
+func (s *solver) streamJoin(b *decomp.Block, sp split, stream, index *walk, out *engine.Sharded, partial []uint64) {
+	root, full := len(b.Boundary) == 0, sig.Full(s.k)
 	streamPlus := stream == sp.plus
 	var colors []uint8 // a root join's index lays out partner rows
 	if root {
@@ -328,15 +370,13 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 				grp, g := cur.seek(k.VU)
 				if root {
 					load++
-					if c, ok := ix.partner(g, k.S, need); ok {
-						sum += k.C * c
-						grp = nil
-					} else {
-						grp = withSig(grp, full.Without(k.S).Union(need))
+					if stopped = s.canceled(&poll); stopped {
+						return
 					}
-				} else {
-					load += int64(len(grp))
+					sum += k.C * ix.meet(grp, g, k.S, need, full)
+					continue
 				}
+				load += int64(len(grp))
 				if stopped = s.canceledAfter(&poll, 1+len(grp)); stopped {
 					return
 				}
@@ -350,17 +390,13 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 					}
 					total := kp.C * e.C
 					comb := kp.S.Union(e.S)
-					switch len(b.Boundary) {
-					case 0:
-						sum += total
-					case 1:
-						va := vertexAt(sp.locs[0], kp, e)
+					va := vertexAt(sp.locs[0], kp, e)
+					if len(b.Boundary) == 1 {
 						to.At(va).AddEnt(table.UnaryEnt(va, comb, total))
-					case 2:
-						va := vertexAt(sp.locs[0], kp, e)
-						vb := vertexAt(sp.locs[1], kp, e)
-						to.At(vb).AddEnt(table.BinaryEnt(va, vb, comb, total))
+						continue
 					}
+					vb := vertexAt(sp.locs[1], kp, e)
+					to.At(vb).AddEnt(table.BinaryEnt(va, vb, comb, total))
 				}
 			}
 		})
@@ -370,17 +406,115 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 			partial[w] += sum * sp.times
 		}
 	}
-	defer s.tr.Start(PhaseCycleJoin)()
 	if out != nil {
 		s.be.Step(out, produce)
-		return true
+		return
 	}
 	// Root cycle (no boundary): every product folds into the local partial
 	// sum, so nothing is ever appended — run the join without a superstep,
 	// and without lanes.
 	s.be.Run(func(w int) { produce(w, nil) })
-	return true
 }
+
+// pullJoin is a root join whose streamed walk is never built: one
+// Backend.Pull superstep with no output table, in which the owner of each V
+// indexes its shard of the other walk and, for each neighbour x of V, reads
+// x's run of the walk's parent where it lies (runIdx), extends each entry
+// to V as edgeJoin's push form would — the same order and colour filters —
+// and meets it with its partner (groupIdx.meet) at once. The load is the
+// push form's, step for step: each partition charges its own parent runs ×
+// degree, as the edge step did, and one per entry extended, as the join
+// did; a run read from another partition is a message. It reports false,
+// having read nothing, where the backend cannot pull.
+func (s *solver) pullJoin(stream, index *walk, partial []uint64, times uint64) bool {
+	parent, ordered, full := stream.parent.table, stream.ordered, sig.Full(s.k)
+	runs := s.indexRuns(parent)
+	defer runs.release()
+	return s.be.Pull(nil, parent, func(w int, _ *table.Flat, from *engine.Lanes) (sent int) {
+		var load int64
+		var poll int
+		var sum uint64
+		var ix groupIdx
+		var cur groupCursor
+		var need sig.Sig
+		lo, hi := s.be.Range(w)
+	scan:
+		for v := lo; v < hi; v++ {
+			nbrs := s.g.Neighbors(v)
+			load += int64(len(runs.of(v, w)) * len(nbrs))
+			cv, rank := s.colorOf(v), s.g.Rank(v)
+			for _, x := range nbrs {
+				run := runs.of(x, from.Owner(x))
+				if s.canceledAfter(&poll, len(run)) {
+					break scan
+				}
+				if len(run) == 0 {
+					continue
+				}
+				if x < lo || x >= hi {
+					sent++
+				}
+				if ix.rows == nil {
+					ix = indexGroups(lo, hi, index.table.Shard(w).Ents(), s.colors, s.k)
+					cur = ix.cursor()
+				}
+				for i := range run {
+					k := &run[i]
+					if !k.S.Disjoint(cv) || ordered && s.g.Rank(k.U()) <= rank {
+						continue
+					}
+					load++
+					vu := uint64(v)<<32 | uint64(k.U())
+					if vu != cur.vu {
+						need = s.colorOf(k.U()).Union(cv)
+					}
+					grp, g := cur.seek(vu)
+					sum += k.C * ix.meet(grp, g, k.S.Union(cv), need, full)
+				}
+			}
+		}
+		ix.release()
+		s.be.AddLoad(w, load)
+		partial[w] += sum * times
+		return sent
+	})
+}
+
+// runIdx finds any vertex's run in a compacted walk table: x's entries, x in
+// partition w, are ents[w][at[x+w] : at[x+w+1]] — partition w's offsets
+// are its vertices' and one past its last. The offsets are one run of
+// pooled words, laid by every partition for its own vertices in one Run,
+// and given back by release.
+type runIdx struct {
+	ents [][]table.Ent
+	at   table.Scratch
+}
+
+func (s *solver) indexRuns(t *engine.Sharded) runIdx {
+	r := runIdx{ents: make([][]table.Ent, s.be.P()), at: table.BorrowWords(s.g.N() + s.be.P())}
+	s.be.Run(func(w int) {
+		ents := t.Shard(w).Ents()
+		lo, hi := s.be.Range(w)
+		at, j := r.at.Words[int(lo)+w:int(hi)+w+1], 0
+		for v := lo; v < hi; v++ {
+			at[v-lo] = uint64(j)
+			for j < len(ents) && ents[j].V() == v {
+				j++
+			}
+		}
+		at[hi-lo] = uint64(j)
+		r.ents[w] = ents
+	})
+	return r
+}
+
+// of returns the run of x, a vertex of partition w.
+func (r *runIdx) of(x uint32, w int) []table.Ent {
+	i := int(x) + w
+	return r.ents[w][r.at.Words[i]:r.at.Words[i+1]]
+}
+
+func (r *runIdx) release() { r.at.Return() }
 
 // vertexAt extracts a boundary node's mapped vertex from the joined pair of
 // flat entries according to its resolved location.

@@ -48,6 +48,13 @@ import (
 // neighbour row read from another partition. It pushes where a source shard
 // is not an open box (one over boxCap) or the process does not hold every
 // partition (dist).
+//
+// A root cycle's join pulls too (pullJoin, cycle.go): where the walk it
+// would stream ends in a plain data edge, the walk is never built — the
+// join reads the walk's prefix a vertex's run at a time, extends each entry
+// across the edge as edgeJoin would and meets it with its partner at once.
+// Its groupIdx, partner rows and the root meet (meet) live here, beside
+// the cursor the streamed form reads with.
 
 // pathStep extends the walk by one cycle node.
 type pathStep struct {
@@ -726,6 +733,24 @@ func (ix *groupIdx) partner(g int, s, need sig.Sig) (c uint64, ok bool) {
 		return 0, false
 	}
 	return ix.cells[ix.at[g]+uint64(ix.rk.Rank[ix.full&^drop(s, need)])], true
+}
+
+// meet returns the count a root join multiplies an entry's by: that of its
+// one partner, the entry of group g (grp) whose signature completes s — the
+// entry's, whose (V, U) pair has the colours need — to full, every colour.
+// It is one load in a dense group's partner row, else a search (withSig),
+// and 0 if the group has no such entry. Both forms of the root join, the
+// streamed and the pulled, meet here.
+func (ix *groupIdx) meet(grp []table.Ent, g int, s, need, full sig.Sig) uint64 {
+	if c, ok := ix.partner(g, s, need); ok {
+		return c
+	}
+	for _, e := range withSig(grp, full.Without(s).Union(need)) {
+		if s.Inter(e.S) == need {
+			return e.C
+		}
+	}
+	return 0
 }
 
 // drop removes from s the two colour bits of pair, both of which s holds:

@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/decomp"
 	"repro/internal/engine"
 	"repro/internal/exact"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/table"
@@ -60,6 +63,46 @@ func RootCyclePlans(t testing.TB, q *query.Graph, limit int) []*decomp.Tree {
 	return plans
 }
 
+// joinByHand solves plan's blocks under its root cycle on be, then joins
+// the cycle's splits one at a time, handing each to visit with the join to
+// run — visit runs it, once — and returns the count the joins summed.
+func joinByHand(t testing.TB, be engine.Backend, g *graph.Graph, q *query.Graph, colors []uint8, plan *decomp.Tree, alg Algorithm, visit func(sp split, join func())) uint64 {
+	t.Helper()
+	s := newSolver(context.Background(), g, colors, q.K, be, alg)
+	root := s.solveBelowRoot(plan)
+	partial := make([]uint64, be.P())
+	for _, sp := range s.splits(root) {
+		visit(sp, func() {
+			if !s.joinSplit(root, sp, nil, partial) {
+				t.Fatal("an uncanceled run failed to build a walk")
+			}
+		})
+	}
+	s.walks.release()
+	s.drop(root.Children)
+	var sum uint64
+	for _, p := range partial {
+		sum += p
+	}
+	return sum
+}
+
+// PlainEdgeStreams returns how many of the root cycle's joins under plan and
+// alg stream a pending walk whose last step is a plain data edge out of a
+// prefix with a table — the joins a backend that can pull takes in pull
+// form — asking split.sides before each join, as the solver does.
+func PlainEdgeStreams(t testing.TB, g *graph.Graph, q *query.Graph, colors []uint8, plan *decomp.Tree, alg Algorithm) (n int) {
+	joinByHand(t, engine.NewCluster(2, g.N()), g, q, colors, plan, alg, func(sp split, join func()) {
+		stream, _, pend := sp.sides(true)
+		bare := stream.parent.parent == nil && stream.startAnn == nil
+		if st := stream.step; pend && st.edgeAnn == nil && st.nodeAnn == nil && !bare {
+			n++
+		}
+		join()
+	})
+	return n
+}
+
 // The rule that picks the streamed walk (split.sides) must reach every way a
 // walk's last table is made, or the backend suite next door proves nothing
 // about it: over the root-cycle shapes, under the three algorithms, the
@@ -69,7 +112,8 @@ func RootCyclePlans(t testing.TB, q *query.Graph, limit int) []*decomp.Tree {
 // because neither walk may pend. (A walk's first edge never makes the
 // pending table of these shapes: a one-step walk is the shorter of its split
 // and, unannotated, a prefix of others.) Each join is driven by hand, the
-// rule asked first, and the sum checked against exact enumeration.
+// rule asked first, and the sum checked against exact enumeration. A plain
+// edge step is the join's own on sim (pullJoin): that walk is never built.
 func TestPendingWalksCoverEveryBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := gen.ErdosRenyi("er", 40, 140, rng)
@@ -79,11 +123,7 @@ func TestPendingWalksCoverEveryBuilder(t *testing.T) {
 		want := exact.ColorfulMatches(g, q, colors)
 		for _, plan := range RootCyclePlans(t, q, 3) {
 			for _, alg := range []Algorithm{DB, PS, PSEven} {
-				be := engine.NewCluster(2, g.N())
-				s := newSolver(context.Background(), g, colors, q.K, be, alg)
-				root := s.solveBelowRoot(plan)
-				partial := make([]uint64, be.P())
-				for _, sp := range s.splits(root) {
+				got := joinByHand(t, engine.NewCluster(2, g.N()), g, q, colors, plan, alg, func(sp split, join func()) {
 					stream, index, pend := sp.sides(true)
 					// (A plain even cycle's two walks are one walk, joined with itself.)
 					if both := [2]*walk{stream, index}; both != [2]*walk{sp.plus, sp.minus} && both != [2]*walk{sp.minus, sp.plus} {
@@ -117,16 +157,8 @@ func TestPendingWalksCoverEveryBuilder(t *testing.T) {
 							t.Errorf("%s %v: a walk with %d uses, built %v, is left pending", q.Name, alg, stream.uses, stream.table != nil)
 						}
 					}
-					if !s.joinSplit(root, sp, nil, partial) {
-						t.Fatal("an uncanceled run failed to build a walk")
-					}
-				}
-				s.walks.release()
-				s.drop(root.Children)
-				var got uint64
-				for _, p := range partial {
-					got += p
-				}
+					join()
+				})
 				if got != want {
 					t.Errorf("%s %v, plan %s: counted %d, exact enumeration %d", q.Name, alg, plan.Encode(), got, want)
 				}
@@ -247,13 +279,24 @@ func (c *armedCancel) Done() <-chan struct{} {
 	return c.Context.Done()
 }
 
-// A run canceled while a pending table is being streamed: the context is
-// armed at the end of the superstep that built glet2's last walk table —
-// the pending one, its third — so the next poll is a join worker's, a few
-// thousand streamed entries in. The run must return ctx's error and no
-// count, the join's span must be the one the cancellation ended, and every
-// slab — the pending chunks, the built walk's, the index's words — must be
-// back in the pool.
+// Loopback2 returns the coordinator's backend of job on a two-rank
+// loopback pool that lives as long as t. internal/dist imports core, so the
+// external test package, which can import it, sets it (rootcycle_test.go).
+var Loopback2 func(t *testing.T, job engine.Job) engine.Backend
+
+// A run canceled inside a root join, in either of its forms. On sim and
+// parallel glet2's join pulls its last walk step (pullJoin): the context is
+// armed at the end of the superstep that built the walk's prefix — the
+// second — so the next poll is a join worker's, a few thousand runs in. On a
+// two-rank loopback pool, which cannot pull, the walk is built pending and
+// streamed: the context is canceled at the end of the superstep that built
+// it, the third, while the ranks go on to stream it. Each leg must return
+// ctx's error and no count, the join's span must be the first the
+// cancellation ended, and every slab — the pending chunks, the walks', the
+// index's and the run offsets' words, the ranks' — must be back in the pool.
+// And the prefix a pulled join extends is released as the join returns, not
+// when the block ends: glet2's, which its one join both extends and
+// indexes, is gone right after joinSplit.
 func TestCancelWhileStreaming(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g, ok := gen.StandinByName("enron", 2, 1) // hubs: parallel cuts 512 partitions, and a join task polls once in 4096 entries
@@ -262,7 +305,14 @@ func TestCancelWhileStreaming(t *testing.T) {
 	}
 	q := query.MustByName("glet2")
 	colors := randColors(g.N(), q.K, rng)
-	for _, backend := range []string{"sim", "parallel"} {
+	plan, err := PickPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct {
+		backend string
+		pulls   bool
+	}{{"sim", true}, {"parallel", true}, {"dist@2", false}} {
 		held := table.SlabsOut()
 		ctx := &armedCancel{}
 		ctx.Context, ctx.cancel = context.WithCancel(context.Background())
@@ -270,23 +320,54 @@ func TestCancelWhileStreaming(t *testing.T) {
 		var phases []string
 		canceledAt := ""
 		tr.SetSink(func(phase string, _ float64) {
-			if phases = append(phases, phase); len(phases) == 3 {
-				ctx.armed.Store(true)
-			}
 			if canceledAt == "" && ctx.Context.Err() != nil {
 				canceledAt = phase
 			}
+			switch phases = append(phases, phase); {
+			case leg.pulls && len(phases) == 2:
+				ctx.armed.Store(true)
+			case !leg.pulls && len(phases) == 3:
+				ctx.cancel() // the coordinator polls between supersteps only; its ranks watch the context
+			}
 		})
-		got, _, err := CountColorfulContext(obs.WithTrace(ctx, tr), g, q, colors, Options{Backend: backend, Workers: 2})
-		if !errors.Is(err, context.Canceled) || got != 0 {
-			t.Fatalf("%s: canceled while streaming, the run returned %d and %v", backend, got, err)
+		traced := obs.WithTrace(ctx, tr)
+		opts := Options{Backend: leg.backend, Workers: 2}
+		if !leg.pulls {
+			opts = Options{Plan: plan, Engine: Loopback2(t, engine.Job{N: g.N(), Graph: g, Colors: colors, Query: q, Plan: plan, Mode: engine.ModeCount, Ctx: traced})}
 		}
-		if len(phases) != 4 || phases[2] != PhasePathJoin || phases[3] != PhaseCycleJoin || canceledAt != PhaseCycleJoin {
-			t.Fatalf("%s: spans %v, the cancellation seen at the end of %q; want three walk steps and the join that was canceled", backend, phases, canceledAt)
+		got, _, err := CountColorfulContext(traced, g, q, colors, opts)
+		if !errors.Is(err, context.Canceled) || got != 0 {
+			t.Fatalf("%s: canceled in the join, the run returned %d and %v", leg.backend, got, err)
+		}
+		want := []string{PhasePathJoin, PhasePathJoin, PhaseCycleJoin}
+		if !leg.pulls {
+			want = []string{PhasePathJoin, PhasePathJoin, PhasePathJoin, PhaseCycleJoin}
+		}
+		if !slices.Equal(phases, want) || canceledAt != PhaseCycleJoin {
+			t.Fatalf("%s: spans %v, the cancellation seen at the end of %q; want %v and the join that was canceled", leg.backend, phases, canceledAt, want)
+		}
+		// A rank unwinds on its own goroutines after the coordinator returns.
+		for deadline := time.Now().Add(10 * time.Second); table.SlabsOut() != held && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		}
 		if left := table.SlabsOut() - held; left != 0 {
-			t.Fatalf("%s: canceled while streaming, the run kept %d slabs", backend, left)
+			t.Fatalf("%s: canceled in the join, the run kept %d slabs", leg.backend, left)
 		}
+	}
+	joins := 0
+	joinByHand(t, engine.NewCluster(2, g.N()), g, q, colors, plan, DB, func(sp split, join func()) {
+		stream, _, pend := sp.sides(true)
+		parent := stream.parent
+		if !pend || !stream.pulls() || parent.uses != 2 || parent != sp.plus {
+			t.Fatalf("glet2's join streams a walk that may pend: %v, pulls: %v, whose prefix, P+: %v, has %d uses", pend, stream.pulls(), parent == sp.plus, parent.uses)
+		}
+		join()
+		if parent.table != nil || parent.uses != 0 || stream.table != nil {
+			t.Fatalf("right after the pulled join: the prefix holds a table: %v, with %d uses; the walk holds one: %v", parent.table != nil, parent.uses, stream.table != nil)
+		}
+		joins++
+	})
+	if joins != 1 {
+		t.Fatalf("glet2's root cycle made %d joins, want its one", joins)
 	}
 	// And at every poll of root cycles with more than one join.
 	small := gen.PowerLawGraph("pl", 1500, 1.5, rng)

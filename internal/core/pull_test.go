@@ -3,6 +3,7 @@ package core_test
 import (
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -25,7 +26,8 @@ func (pushOnly) Pull(*engine.Sharded, *engine.Sharded, func(int, *table.Flat, *e
 // backend books for it and whether it was pulled, and for a pulled one the
 // rows it reads from other partitions, counted apart from the solver: one
 // per arc (v, u) of g whose ends lie in different partitions and whose
-// source shard holds u's row (an open box).
+// source shard holds u's row (an open box) or, a compacted source — the
+// walk prefix a root cycle's pulled join extends — u's run of entries.
 type booking struct {
 	engine.Backend
 	g     *graph.Graph
@@ -58,14 +60,23 @@ func (b *booking) remoteRows(src *engine.Sharded) (n int64) {
 	}
 	for v := range uint32(b.g.N()) {
 		for _, u := range b.g.Neighbors(v) {
-			if w := b.Owner(u); w != b.Owner(v) {
-				if row, _ := src.Shard(w).Row(u); row != nil {
-					n++
-				}
+			if w := b.Owner(u); w != b.Owner(v) && holds(src.Shard(w), u) {
+				n++
 			}
 		}
 	}
 	return n
+}
+
+// holds says whether sh, a pulled step's source shard, has a row or a run
+// at u.
+func holds(sh *table.Flat, u uint32) bool {
+	if row, _ := sh.Row(u); row != nil {
+		return true
+	}
+	ents := sh.Ents()
+	i := sort.Search(len(ents), func(i int) bool { return ents[i].V() >= u })
+	return i < len(ents) && ents[i].V() == u
 }
 
 // pulled is how many of the steps were pulled, and the rows they read

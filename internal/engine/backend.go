@@ -91,7 +91,8 @@ type Backend interface {
 	// what was appended into out: no staged chunk outlives Step.
 	Step(out *Sharded, produce func(w int, to *Lanes))
 	// Pull runs a superstep that builds out in pull form: each task writes
-	// its own partition's shard of out, reads src's shards at any vertex and
+	// its own partition's shard of out — or, with out nil, nothing: a root
+	// cycle's join sums what it reads — reads src's shards at any vertex and
 	// returns how many rows it read from other partitions' (Runtime.Pull).
 	// It reports false, running nothing, where not every shard of src is in
 	// this process (dist); the caller then runs the step's push form (Step).
@@ -120,10 +121,13 @@ type Backend interface {
 	// entries addressed to a partition of another process; parallel hands
 	// lanes over whole and reports 0. The sim and dist numbers are not
 	// comparable with each other. sim's adds two units: a pushed entry is
-	// one count cell, a pulled row is a row of C(k, h) cells read once per
-	// arc that reads it, so a remote row read by several of a partition's
-	// vertices counts once for each. The number is neither the volume the
-	// push form moved nor the rows a ghost-row exchange would ship.
+	// one count cell, a pulled row is a row of C(k, h) cells — or, in a
+	// root cycle's pulled join, a vertex's run of the streamed walk's parent
+	// — read once per arc that reads it, so a remote row read by several of
+	// a partition's vertices counts once for each. A pulled root join books
+	// those remote runs, not the entries its push form would append. The
+	// number is neither the volume the push form moved nor the rows a
+	// ghost-row exchange would ship.
 	Messages() int64
 	// Steals is the number of partition tasks executed by a worker other
 	// than the partition's home worker; always 0 for sim and dist, whose

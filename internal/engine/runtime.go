@@ -124,8 +124,9 @@ func (c *Counters) Messages() int64 { return c.msgs.Load() }
 // Steals returns the partition tasks run off their home worker.
 func (c *Counters) Steals() int64 { return c.steals.Load() }
 
-// Sent counts n messages: entries a pushed step appends, or rows a pulled
-// step reads from another partition.
+// Sent counts n messages: entries a pushed step appends, or rows — runs,
+// in a root cycle's pulled join — a pulled step reads from another
+// partition.
 func (c *Counters) Sent(n int) { c.msgs.Add(int64(n)) }
 
 // Runtime is the superstep runtime, the one implementation of Backend: the
@@ -289,6 +290,8 @@ func (r *Runtime) Step(out *Sharded, produce func(w int, to *Lanes)) {
 // Pull runs one superstep in pull form, building out: task(w, to, from)
 // runs once for every partition w and writes to, w's shard of out, itself,
 // reading src — which no task writes — at any vertex v through from.At(v).
+// With out nil a task builds nothing (to is nil) and keeps what it reads to
+// itself: a root cycle's join, which sums into a per-partition partial.
 // It returns how many rows it read from other partitions' shards, which sim
 // books as messages. So no lane is staged, absorbed or merged. Pull reports
 // false, running nothing, where the runtime executes a band of the
@@ -303,7 +306,13 @@ func (r *Runtime) Pull(out, src *Sharded, task func(w int, to *table.Flat, from 
 		from.shards = src.shards
 	}
 	var sent atomic.Int64
-	r.Run(func(w int) { sent.Add(int64(task(w, out.Shard(w), from))) })
+	r.Run(func(w int) {
+		var to *table.Flat
+		if out != nil {
+			to = out.Shard(w)
+		}
+		sent.Add(int64(task(w, to, from)))
+	})
 	if r.counted {
 		r.Sent(int(sent.Load()))
 	}
