@@ -287,7 +287,11 @@ func (s *solver) makeSplit(b *decomp.Block, start, end int, ordered bool) split 
 // (streamJoin). The join's span opens once, around the form that runs.
 func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, partial []uint64) bool {
 	stream, index, pend := sp.sides(len(b.Boundary) == 0)
-	pull := pend && stream.pulls()
+	// A process that does not hold every partition (a dist rank of two or
+	// more, or the coordinator) cannot pull: it builds and streams the walk
+	// without laying the pull's run index first.
+	lo, hi := s.be.Owned()
+	pull := pend && stream.pulls() && lo == 0 && int(hi) == s.g.N()
 	built := stream
 	if pull {
 		built = stream.parent // the join takes the walk's last step
@@ -390,13 +394,15 @@ func (s *solver) streamJoin(b *decomp.Block, sp split, stream, index *walk, out 
 					}
 					total := kp.C * e.C
 					comb := kp.S.Union(e.S)
-					va := vertexAt(sp.locs[0], kp, e)
-					if len(b.Boundary) == 1 {
+					switch len(b.Boundary) {
+					case 1:
+						va := vertexAt(sp.locs[0], kp, e)
 						to.At(va).AddEnt(table.UnaryEnt(va, comb, total))
-						continue
+					case 2:
+						va := vertexAt(sp.locs[0], kp, e)
+						vb := vertexAt(sp.locs[1], kp, e)
+						to.At(vb).AddEnt(table.BinaryEnt(va, vb, comb, total))
 					}
-					vb := vertexAt(sp.locs[1], kp, e)
-					to.At(vb).AddEnt(table.BinaryEnt(va, vb, comb, total))
 				}
 			}
 		})
