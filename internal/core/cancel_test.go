@@ -446,17 +446,17 @@ func TestCancelInsideSharedPrefix(t *testing.T) {
 	}
 }
 
-// A root join's index lays out partner rows in pooled words, and a worker
-// that stops mid-join must give them back with the rest. brain3 on the enron
-// stand-in at scale 64 — the benchmark's cycle10-3k, whose probed groups are
-// dense — ends with its root cycle's last join. The root's splits are first
-// joined by hand, to check that the table the last join indexes gives dense
-// groups rows. Then, on sim and parallel (parallel alone under -race), the
-// context is armed at the end of the span before that join, so the first
-// poll that sees it is a join worker's, with its index built. The run must
-// return ctx's error and no count, the join's span must be the one the
-// cancellation ended, and every slab must be back.
-func TestCancelThroughPartnerRows(t *testing.T) {
+// A root join lays its partners tables in pooled words, and a worker that
+// stops mid-join must give them back with the rest. brain3 on the enron
+// stand-in at scale 64 — the benchmark's cycle10-3k — ends with its root
+// cycle's last join. The root's splits are first joined by hand, to check
+// that the last join lays a table: the walk it indexes has entries, so some
+// home vertex's partners table is not empty. Then, on sim and parallel
+// (parallel alone under -race), the context is armed at the end of the span
+// before that join, so the first poll that sees it is a join worker's, with
+// a table laid. The run must return ctx's error and no count, the join's
+// span must be the one the cancellation ended, and every slab must be back.
+func TestCancelThroughPartnerTables(t *testing.T) {
 	g, ok := gen.StandinByName("enron", 64, 1)
 	if !ok {
 		t.Fatal("no enron stand-in")
@@ -485,21 +485,21 @@ func TestCancelThroughPartnerRows(t *testing.T) {
 	}
 	_, index, _ := splits[len(splits)-1].sides(true)
 	s.buildPath(index, false)
-	rows := 0
+	laid := 0
 	for w := 0; w < s.be.P(); w++ {
 		lo, hi := s.be.Range(w)
-		ix := indexGroups(lo, hi, index.table.Shard(w).Ents(), colors, q.K)
-		for _, at := range ix.at {
-			if at != noRow {
-				rows++
+		ix := indexPartners(lo, hi, index.table.Shard(w).Ents())
+		for v := lo; v < hi; v++ {
+			if len(ix.of(v)) > 0 {
+				laid++
 			}
 		}
 		ix.release()
 	}
 	s.joinSplit(root, splits[len(splits)-1], nil, partial)
 	s.walks.release()
-	if rows == 0 {
-		t.Fatal("the root's last join indexes a table with no dense group")
+	if laid == 0 {
+		t.Fatal("the root's last join lays no partners table")
 	}
 
 	backends := []string{"sim", "parallel"}

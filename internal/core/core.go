@@ -254,8 +254,8 @@ func validate(g *graph.Graph, q *query.Graph, colors []uint8, plan *decomp.Tree)
 	if q.K < 1 {
 		return fmt.Errorf("core: empty query")
 	}
-	if q.K > 16 {
-		return fmt.Errorf("core: query %s has %d nodes; max 16", q.Name, q.K)
+	if q.K > query.MaxK {
+		return fmt.Errorf("core: query %s has %d nodes; max %d", q.Name, q.K, query.MaxK)
 	}
 	if plan.Query != q && (plan.Query.K != q.K || plan.Query.M() != q.M()) {
 		return fmt.Errorf("core: plan was built for query %s, not %s", plan.Query.Name, q.Name)

@@ -328,58 +328,60 @@ func (n *walk) pulls() bool {
 }
 
 // streamJoin is the join with both walks built: each partition takes the
-// chunks of stream's shard as they lie (table.Flat.Chunks), finds every
-// entry's (V,U) group in index's sorted shard (groupIdx, built here and
-// given back here; not at all where nothing is streamed) and meets the
-// entry with the group. A table that was compacted arrives as one sorted
-// chunk and the cursor reads it as a merge; a pending one arrives as its
-// superstep appended it, duplicates unfolded, which a sum cannot tell from
-// folded — Σ c·c′ distributes — so it is read once, here, and never sorted.
+// chunks of stream's shard as they lie (table.Flat.Chunks) and matches every
+// entry in index's sorted shard through an index laid at the first chunk —
+// never where nothing is streamed. A pending table arrives as its superstep
+// appended it, duplicates unfolded, which a sum cannot tell from folded —
+// Σ c·c′ distributes — so it is read once, here, and never sorted.
 //
 // In a root block the two walks cover every colour between them and share
-// χ(U) and χ(V) alone, so an entry's partner signature is forced: the match
-// is one meet (groupIdx.meet), and an operation of the load is an entry
-// streamed. With boundary nodes the subquery is smaller than the query, the
-// partner is any signature that meets the entry's in exactly {χ(U), χ(V)},
-// and the group is scanned; an operation is a pair examined.
+// χ(U) and χ(V) alone, so an entry's partner is forced: the partition lays
+// every home vertex's partners table of the index shard (indexPartners), the
+// match is one probe, and an operation of the load is an entry streamed.
+// With boundary nodes the subquery is smaller than the query, the partner
+// is any signature that meets the entry's in exactly {χ(U), χ(V)}: the
+// entry's (V, U) group is found by a cursor over a groupIdx and scanned, and
+// an operation is a pair examined.
 func (s *solver) streamJoin(b *decomp.Block, sp split, stream, index *walk, out *engine.Sharded, partial []uint64) {
 	root, full := len(b.Boundary) == 0, sig.Full(s.k)
 	streamPlus := stream == sp.plus
-	var colors []uint8 // a root join's index lays out partner rows
-	if root {
-		colors = s.colors
-	}
 	produce := func(w int, to *engine.Lanes) {
 		var load int64
 		var poll int
 		var sum uint64
 		var ix groupIdx
 		var cur groupCursor
-		var need sig.Sig
-		stopped := false
+		var pt partnerIdx
+		vu, need := ^uint64(0), sig.Sig(0) // (None, None) is no entry's pair
+		laid, stopped := false, false
 		stream.table.Shard(w).Chunks(func(chunk []table.Ent) {
 			if stopped {
 				return
 			}
-			if ix.rows == nil {
+			if !laid {
+				laid = true
 				lo, hi := s.be.Range(w)
-				ix = indexGroups(lo, hi, index.table.Shard(w).Ents(), colors, s.k)
-				cur = ix.cursor()
+				if ents := index.table.Shard(w).Ents(); root {
+					pt = indexPartners(lo, hi, ents)
+				} else {
+					ix = indexGroups(lo, hi, ents)
+					cur = ix.cursor()
+				}
 			}
 			for i := range chunk {
 				k := &chunk[i]
-				if k.VU != cur.vu {
-					need = s.colorOf(k.U()).Union(s.colorOf(k.V()))
+				if k.VU != vu {
+					vu, need = k.VU, s.colorOf(k.U()).Union(s.colorOf(k.V()))
 				}
-				grp, g := cur.seek(k.VU)
 				if root {
 					load++
 					if stopped = s.canceled(&poll); stopped {
 						return
 					}
-					sum += k.C * ix.meet(grp, g, k.S, need, full)
+					sum += k.C * pt.of(k.V()).probe(k.U(), full.Without(k.S).Union(need))
 					continue
 				}
+				grp := cur.seek(k.VU)
 				load += int64(len(grp))
 				if stopped = s.canceledAfter(&poll, 1+len(grp)); stopped {
 					return
@@ -407,6 +409,7 @@ func (s *solver) streamJoin(b *decomp.Block, sp split, stream, index *walk, out 
 			}
 		})
 		ix.release()
+		pt.release()
 		s.be.AddLoad(w, load)
 		if partial != nil {
 			partial[w] += sum * sp.times
@@ -423,12 +426,15 @@ func (s *solver) streamJoin(b *decomp.Block, sp split, stream, index *walk, out 
 }
 
 // pullJoin is a root join whose streamed walk is never built: one
-// Backend.Pull superstep with no output table, in which the owner of each V
-// indexes its shard of the other walk and, for each neighbour x of V, reads
-// x's run of the walk's parent where it lies (runIdx), extends each entry
-// to V as edgeJoin's push form would — the same order and colour filters —
-// and meets it with its partner (groupIdx.meet) at once. The load is the
-// push form's, step for step: each partition charges its own parent runs ×
+// Backend.Pull superstep with no output table, in which the owner of each V,
+// for each neighbour x of V, reads x's run of the walk's parent where it
+// lies (runIdx), extends each entry to V as edgeJoin's push form would —
+// the same order and colour filters — and probes for its partner at once.
+// V's partners table (streamJoin has why one probe finds the partner) is
+// laid from V's run of the other walk's shard when the first non-empty
+// neighbour run of V is reached, into one run of pooled words that the task
+// reuses for every V and grows when a V needs more. The load is the push
+// form's, step for step: each partition charges its own parent runs ×
 // degree, as the edge step did, and one per entry extended, as the join
 // did; a run read from another partition is a message. It reports false,
 // having read nothing, where the backend cannot pull.
@@ -440,15 +446,18 @@ func (s *solver) pullJoin(stream, index *walk, partial []uint64, times uint64) b
 		var load int64
 		var poll int
 		var sum uint64
-		var ix groupIdx
-		var cur groupCursor
-		var need sig.Sig
+		var scratch table.Scratch
+		defer scratch.Return() // what it holds at the end, grown or not
 		lo, hi := s.be.Range(w)
+		ents, e := index.table.Shard(w).Ents(), 0
 	scan:
 		for v := lo; v < hi; v++ {
 			nbrs := s.g.Neighbors(v)
 			load += int64(len(runs.of(v, w)) * len(nbrs))
 			cv, rank := s.colorOf(v), s.g.Rank(v)
+			b := e
+			e = runEnd(ents, b, v)
+			var pt partners
 			for _, x := range nbrs {
 				run := runs.of(x, from.Owner(x))
 				if s.canceledAfter(&poll, len(run)) {
@@ -460,9 +469,14 @@ func (s *solver) pullJoin(stream, index *walk, partial []uint64, times uint64) b
 				if x < lo || x >= hi {
 					sent++
 				}
-				if ix.rows == nil {
-					ix = indexGroups(lo, hi, index.table.Shard(w).Ents(), s.colors, s.k)
-					cur = ix.cursor()
+				if pt == nil {
+					size := partnerWords(e - b)
+					if size > len(scratch.Words) {
+						scratch.Return()
+						scratch = table.BorrowWords(size)
+					}
+					pt = scratch.Words[:size]
+					pt.lay(ents[b:e])
 				}
 				for i := range run {
 					k := &run[i]
@@ -470,16 +484,12 @@ func (s *solver) pullJoin(stream, index *walk, partial []uint64, times uint64) b
 						continue
 					}
 					load++
-					vu := uint64(v)<<32 | uint64(k.U())
-					if vu != cur.vu {
-						need = s.colorOf(k.U()).Union(cv)
-					}
-					grp, g := cur.seek(vu)
-					sum += k.C * ix.meet(grp, g, k.S.Union(cv), need, full)
+					// The entry extended is (V, U, S ∪ χ(V)), and Full ∖ S
+					// holds χ(V): its partner's signature is (Full ∖ S) ∪ χ(U).
+					sum += k.C * pt.probe(k.U(), full.Without(k.S).Union(s.colorOf(k.U())))
 				}
 			}
 		}
-		ix.release()
 		s.be.AddLoad(w, load)
 		partial[w] += sum * times
 		return sent

@@ -9,8 +9,10 @@ import (
 	"repro/internal/table"
 )
 
-// undrop puts colour bits a and b back into r, the inverse of drop: the
-// lower goes in first, so the higher lands where it was.
+// undrop puts colour bits a and b into r, a signature over the other k−2
+// colours: the bits at and above each move up, the lower first, so the
+// higher lands where it was. Every signature of a root walk's (V, U) group
+// is one undropped at χ(U) and χ(V).
 func undrop(r sig.Sig, a, b uint8) sig.Sig {
 	if a > b {
 		a, b = b, a
@@ -22,24 +24,26 @@ func undrop(r sig.Sig, a, b uint8) sig.Sig {
 	return r
 }
 
-// A root join's partner row must answer as the binary search does: for
-// random root-shaped shards — every signature of a (V, U) group holds χ(U)
-// and χ(V) and has the shard's size h — over k ∈ {3, 5, 10, 16} colours and
-// every 2 ≤ h ≤ k, with groups on both sides of the rowed rule (no group is
-// rowed below width 4, and width is 1 at h = 2 and h = k), every signature
-// an entry streamed against the group can have finds the same count in the
-// row as withSig finds, or finds 0 where withSig finds nothing. Only the
-// dense groups have a row, and release gives back every slab the index took.
-func TestPartnerRowsMatchSearch(t *testing.T) {
+// A root join's partners table must answer as a linear scan of the home
+// vertex's entries does. For random root-shaped shards — every signature of
+// a (V, U) group holds χ(U) and χ(V) and has the shard's size h — over k ∈
+// {3, 5, 10, 16} colours and every 2 ≤ h ≤ k, the probe of every (V, U, S)
+// returns the count the scan finds, or 0 where it finds none: every key of
+// the shard, and for each U every signature a partner can have (a sample of
+// them where there are more than 64), absent keys and U's of V's own colour
+// included. A vertex with no entries has a table of one empty slot that answers 0. The
+// tables are laid both ways the joins lay them — all of a partition's at
+// once (indexPartners, the streamed join) and one vertex at a time into a
+// scratch grown as it goes (the pulled join) — and every slab comes back.
+// Last, many U's hashing to one slot.
+func TestPartnerProbeMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	const lo, hi, nv = 4, 10, 24
+	const lo, hi, nv, empty = 4, 10, 24, 6
 	for _, k := range []int{3, 5, 10, 16} {
-		full := sig.Full(k)
 		for h := 2; h <= k; h++ {
-			rows := sig.RankingOf(k-2, h-2)
-			width := len(rows.Sigs)
-			threshold := max(4, (width+3)/4) // the fewest entries a dense group has
-			sizes := []int{1, threshold - 1, threshold, width}
+			sigs := sig.RankingOf(k-2, h-2).Sigs
+			width := len(sigs)
+			sizes := []int{1, 2, 5, min(width, 12)}
 			colors := make([]uint8, nv)
 			for v := range colors {
 				colors[v] = uint8(rng.Intn(k))
@@ -47,67 +51,120 @@ func TestPartnerRowsMatchSearch(t *testing.T) {
 			var ents []table.Ent
 			for v := uint32(lo); v < hi; v++ {
 				for u := uint32(0); u < nv; u++ {
-					size := sizes[rng.Intn(len(sizes))]
-					if colors[u] == colors[v] || size < 1 || size > width || rng.Intn(3) == 0 {
+					size := min(sizes[rng.Intn(len(sizes))], width)
+					if v == empty || colors[u] == colors[v] || rng.Intn(3) == 0 {
 						continue
 					}
 					var grp []table.Ent
 					for _, i := range rng.Perm(width)[:size] {
-						s := undrop(rows.Sigs[i], colors[u], colors[v])
+						s := undrop(sigs[i], colors[u], colors[v])
 						grp = append(grp, table.BinaryEnt(u, v, s, 1+uint64(rng.Intn(1000))))
 					}
 					slices.SortFunc(grp, func(a, b table.Ent) int { return int(a.S) - int(b.S) })
 					ents = append(ents, grp...)
 				}
 			}
+			scan := func(v, u uint32, s sig.Sig) uint64 {
+				for _, e := range ents {
+					if e.V() == v && e.U() == u && e.S == s {
+						return e.C
+					}
+				}
+				return 0
+			}
 
 			held := table.SlabsOut()
-			ix := indexGroups(lo, hi, ents, colors, k)
-			cur := ix.cursor()
-			streamed := sig.RankingOf(k-2, k-h).Sigs
-			var withRow, searched int
-			for j := 0; j < len(ents); {
-				grp, g := cur.seek(ents[j].VU)
-				if g < 0 || &grp[0] != &ents[j] {
-					t.Fatalf("k=%d h=%d: seek(%x) found group %d, not the one at entry %d", k, h, ents[j].VU, g, j)
+			ix := indexPartners(lo, hi, ents)
+			var scratch table.Scratch
+			e := 0
+			for v := uint32(lo); v < hi; v++ {
+				b := e
+				e = runEnd(ents, b, v)
+				size := partnerWords(e - b)
+				if size > len(scratch.Words) {
+					scratch.Return()
+					scratch = table.BorrowWords(size)
 				}
-				cu, cv := colors[ents[j].U()], colors[ents[j].V()]
-				need := sig.Of(cu).Union(sig.Of(cv))
-				for _, r := range streamed {
-					s := undrop(r, cu, cv)
-					c, ok := ix.partner(g, s, need)
-					if ok != rowed(uint64(len(grp)), uint64(width)) {
-						t.Fatalf("k=%d h=%d: a group of %d entries at width %d has a row: %v", k, h, len(grp), width, ok)
+				one := partners(scratch.Words[:size])
+				one.lay(ents[b:e])
+				all := ix.of(v)
+				if len(all) != size || (size == 2) != (v == empty) {
+					t.Fatalf("k=%d h=%d: vertex %d's table has %d words, its run of %d entries needs %d", k, h, v, len(all), e-b, size)
+				}
+				probe := func(u uint32, s sig.Sig) {
+					want := scan(v, u, s)
+					if got := all.probe(u, s); got != want {
+						t.Fatalf("k=%d h=%d: (%d, %d, %b) probes to %d, the scan finds %d", k, h, v, u, s, got, want)
 					}
-					if !ok {
-						continue
-					}
-					var want uint64
-					if m := withSig(grp, full.Without(s).Union(need)); m != nil {
-						want = m[0].C
-					}
-					if c != want {
-						t.Fatalf("k=%d h=%d, group (%d, %d) of %d: the row holds %d for %b's partner, the search finds %d",
-							k, h, ents[j].V(), ents[j].U(), len(grp), c, s, want)
+					if got := one.probe(u, s); got != want {
+						t.Fatalf("k=%d h=%d: (%d, %d, %b) probes to %d in the vertex's own table, the scan finds %d", k, h, v, u, s, got, want)
 					}
 				}
-				if rowed(uint64(len(grp)), uint64(width)) {
-					withRow++
-				} else {
-					searched++
+				for _, en := range ents[b:e] {
+					probe(en.U(), en.S)
 				}
-				j += len(grp)
+				for u := uint32(0); u < nv; u++ {
+					pick := sigs
+					if width > 64 {
+						pick = make([]sig.Sig, 64)
+						for i := range pick {
+							pick[i] = sigs[rng.Intn(width)]
+						}
+					}
+					for _, r := range pick {
+						probe(u, undrop(r, colors[u], colors[v]))
+					}
+				}
 			}
-			if _, g := cur.seek(uint64(lo)<<32 | nv); g != -1 {
-				t.Fatalf("k=%d h=%d: seek found group %d for a pair with no entries", k, h, g)
-			}
+			scratch.Return()
 			ix.release()
 			if left := table.SlabsOut() - held; left != 0 {
-				t.Fatalf("k=%d h=%d: the index kept %d slabs", k, h, left)
-			}
-			if withRow == 0 && threshold <= width || searched == 0 {
-				t.Fatalf("k=%d h=%d, width %d: %d groups with a row, %d searched; the test needs both", k, h, width, withRow, searched)
+				t.Fatalf("k=%d h=%d: the partners tables kept %d slabs", k, h, left)
 			}
 		}
+	}
+
+	// Keys whose probes start at one slot must still each find their own
+	// count: n entries of one signature under n U's that all hash to the
+	// table's last slot fill a cluster that wraps round to its first, and an
+	// absent U that hashes there too walks the whole cluster to the empty
+	// slot after it and answers 0.
+	const n, v = 16, 7
+	s := sig.Of(1).Union(sig.Of(3))
+	size := partnerWords(n)
+	mask := uint64(size/2 - 1)
+	var us []uint32
+	for u := uint32(0); len(us) < n+1; u++ {
+		if homeSlot(uint64(u)<<32|uint64(s), mask) == mask {
+			us = append(us, u)
+		}
+	}
+	absent, us := us[n], us[:n]
+	run := make([]table.Ent, n)
+	for i, u := range us {
+		run[i] = table.BinaryEnt(u, v, s, uint64(100+i))
+	}
+	slices.SortFunc(run, func(a, b table.Ent) int { return int(int64(a.U()) - int64(b.U())) })
+
+	held := table.SlabsOut()
+	ix := indexPartners(v, v+1, run)
+	pt := ix.of(v)
+	if len(pt) != size {
+		t.Fatalf("the table has %d words, want %d", len(pt), size)
+	}
+	for i, u := range us {
+		if got := pt.probe(u, s); got != uint64(100+i) {
+			t.Fatalf("U %d: probe found %d, want %d", u, got, 100+i)
+		}
+	}
+	if got := pt.probe(absent, s); got != 0 {
+		t.Fatalf("U %d, absent, hashes to the cluster's slot: probe found %d, want 0", absent, got)
+	}
+	if got := pt.probe(us[0], s|sig.Of(0)); got != 0 {
+		t.Fatalf("an absent signature under a present U: probe found %d, want 0", got)
+	}
+	ix.release()
+	if left := table.SlabsOut() - held; left != 0 {
+		t.Fatalf("the partners table kept %d slabs", left)
 	}
 }

@@ -52,9 +52,10 @@ import (
 // A root cycle's join pulls too (pullJoin, cycle.go): where the walk it
 // would stream ends in a plain data edge, the walk is never built — the
 // join reads the walk's prefix a vertex's run at a time, extends each entry
-// across the edge as edgeJoin would and meets it with its partner at once.
-// Its groupIdx, partner rows and the root meet (meet) live here, beside
-// the cursor the streamed form reads with.
+// across the edge as edgeJoin would and finds its one partner at once, in
+// one probe of the home vertex's partners table. The join's indexes live
+// here: the partners tables, which both forms of a root join probe, and
+// the groupIdx and its cursor, which a join with boundary nodes reads.
 
 // pathStep extends the walk by one cycle node.
 type pathStep struct {
@@ -612,56 +613,25 @@ type groupKey struct {
 }
 
 // groupIdx indexes one sorted shard of a walk table by the (V, U) pair its
-// entries are grouped under, CSR-style, for the cycle join, which meets two
-// walks on both their ends. groups[rows[v-lo] :
-// rows[v-lo+1]] are the groups homed at vertex v, U ascending, one word
+// entries are grouped under, CSR-style, for the cycle join of a block with
+// boundary nodes, which meets two walks on both their ends. groups[rows[v-lo]
+// : rows[v-lo+1]] are the groups homed at vertex v, U ascending, one word
 // each: the group's U in the high half, the offset of its first entry in
 // the low. A group's entries end where the next group's begin, the last
 // one's at a sentinel word. Rows and groups are one run of pooled words
 // (table.BorrowWords) that release gives back, before the task that built
 // the index ends.
-//
-// A root join's index also gives every dense group (rowed) a partner row:
-// the group's counts laid out by signature, so that the one partner an entry
-// can have is one load (partner) instead of a binary search (withSig). Every
-// signature of a root group holds χ(U) and χ(V) and has the shard's size h,
-// so a row has width = C(k−2, h−2) cells, one per signature with the two
-// fixed bits dropped (drop). Other groups are searched. at and cells are a
-// second run of pooled words, given back by release too; a shard with no
-// dense group borrows none.
 type groupIdx struct {
 	lo      uint32
 	rows    []uint64 // len = partition size + 1
 	groups  []uint64 // len = groups + 1
 	ents    []table.Ent
 	scratch table.Scratch
-
-	at    []uint64     // per group: where its row starts in cells, or noRow
-	cells []uint64     // the dense groups' rows, width cells each
-	rk    *sig.Ranking // of the size-(h−2) signatures over k−2 colours
-	full  sig.Sig      // all k−2 colours
-	rowed table.Scratch
 }
 
-// noRow marks a group that is searched instead.
-const noRow = ^uint64(0)
-
-// rowed says whether a root group of n entries gets a partner row of width
-// cells. A row is laid out once and read once per entry streamed against
-// the group, and a small group has few: on cycle5-90k (glet2, width 3)
-// every group holds 1–3 entries and 1.3–1.5 entries stream per group, and a
-// row read that rarely costs more than the one or two probes a search of
-// the group takes (1.3–1.9× per streamed entry at one read per group). So a
-// row needs a group a search would probe 3 times: 4 entries or more. 4·n ≥
-// width keeps a row within the group's 32-byte entries, so the index at
-// most doubles; on cycle10-3k (width 56) that is the rule that binds.
-func rowed(n, width uint64) bool { return n >= 4 && 4*n >= width }
-
 // indexGroups indexes ents, a shard sorted by (V, U) whose home vertices lie
-// in [lo, hi): one linear walk. Given the colouring of a root join over k
-// colours, it lays out the dense groups' partner rows as well; given nil, it
-// lays out none.
-func indexGroups(lo, hi uint32, ents []table.Ent, colors []uint8, k int) groupIdx {
+// in [lo, hi): one linear walk.
+func indexGroups(lo, hi uint32, ents []table.Ent) groupIdx {
 	n := int(hi - lo)
 	scratch := table.BorrowWords(n + 1 + len(ents) + 1) // no more groups than entries
 	ix := groupIdx{lo: lo, rows: scratch.Words[:n+1], groups: scratch.Words[n+1:], ents: ents, scratch: scratch}
@@ -678,93 +648,10 @@ func indexGroups(lo, hi uint32, ents []table.Ent, colors []uint8, k int) groupId
 	ix.rows[n] = uint64(g)
 	ix.groups[g] = uint64(len(ents))
 	ix.groups = ix.groups[:g+1]
-	if colors != nil && g > 0 {
-		ix.layRows(colors, k)
-	}
 	return ix
 }
 
-// layRows gives every dense group its partner row.
-func (ix *groupIdx) layRows(colors []uint8, k int) {
-	h := ix.ents[0].S.Size()
-	ix.rk, ix.full = sig.RankingOf(k-2, h-2), sig.Full(k-2)
-	width := uint64(len(ix.rk.Sigs))
-	g := len(ix.groups) - 1
-	size := func(i int) uint64 { return uint64(uint32(ix.groups[i+1]) - uint32(ix.groups[i])) }
-	dense := 0
-	for i := 0; i < g; i++ {
-		if rowed(size(i), width) {
-			dense++
-		}
-	}
-	if dense == 0 {
-		return
-	}
-	ix.rowed = table.BorrowWords(g + dense*int(width))
-	ix.at, ix.cells = ix.rowed.Words[:g], ix.rowed.Words[g:]
-	clear(ix.cells)
-	next := uint64(0)
-	for i := 0; i < g; i++ {
-		if !rowed(size(i), width) {
-			ix.at[i] = noRow
-			continue
-		}
-		ix.at[i] = next
-		grp := ix.ents[uint32(ix.groups[i]):uint32(ix.groups[i+1])]
-		need := sig.Of(colors[grp[0].U()]).Union(sig.Of(colors[grp[0].V()]))
-		for e := range grp {
-			ix.cells[next+uint64(ix.rk.Rank[drop(grp[e].S, need)])] = grp[e].C
-		}
-		next += width
-	}
-}
-
-func (ix *groupIdx) release() {
-	ix.scratch.Return()
-	ix.rowed.Return()
-}
-
-// partner returns the count, in group g's row, of the signature that
-// completes s to every colour, s being an entry's signature and need its
-// {χ(U), χ(V)}; ok is false if g is no group (-1) or has no row. The count
-// is 0 if the group has no such entry.
-func (ix *groupIdx) partner(g int, s, need sig.Sig) (c uint64, ok bool) {
-	if g < 0 || ix.at == nil || ix.at[g] == noRow {
-		return 0, false
-	}
-	return ix.cells[ix.at[g]+uint64(ix.rk.Rank[ix.full&^drop(s, need)])], true
-}
-
-// meet returns the count a root join multiplies an entry's by: that of its
-// one partner, the entry of group g (grp) whose signature completes s — the
-// entry's, whose (V, U) pair has the colours need — to full, every colour.
-// It is one load in a dense group's partner row, else a search (withSig),
-// and 0 if the group has no such entry. Both forms of the root join, the
-// streamed and the pulled, meet here.
-func (ix *groupIdx) meet(grp []table.Ent, g int, s, need, full sig.Sig) uint64 {
-	if c, ok := ix.partner(g, s, need); ok {
-		return c
-	}
-	for _, e := range withSig(grp, full.Without(s).Union(need)) {
-		if s.Inter(e.S) == need {
-			return e.C
-		}
-	}
-	return 0
-}
-
-// drop removes from s the two colour bits of pair, both of which s holds:
-// the bits above each move down. The higher goes first, so the lower is
-// still where it was.
-func drop(s, pair sig.Sig) sig.Sig {
-	hi, lo := uint8(bits.Len32(uint32(pair))-1), uint8(bits.TrailingZeros32(uint32(pair)))
-	return dropBit(dropBit(s, hi), lo)
-}
-
-func dropBit(s sig.Sig, c uint8) sig.Sig {
-	low := sig.Sig(1)<<c - 1
-	return s&low | s>>1&^low
-}
+func (ix *groupIdx) release() { ix.scratch.Return() }
 
 // groupCursor finds in a groupIdx the group of each entry of a stream. A
 // lane's chunks arrive as the edge loops appended them — V repeating while
@@ -778,18 +665,16 @@ type groupCursor struct {
 	vu      uint64      // the pair last sought
 	at, end int         // in ix.groups: where that search ended, where V's row does
 	found   []table.Ent // what it found
-	g       int         // the group it found, -1 for none
 }
 
 func (ix *groupIdx) cursor() groupCursor {
-	return groupCursor{ix: ix, vu: ^uint64(0), g: -1} // (None, None) is no entry's pair
+	return groupCursor{ix: ix, vu: ^uint64(0)} // (None, None) is no entry's pair
 }
 
-// seek returns the entries grouped under vu and their group's number, or
-// nil and -1 if there are none.
-func (c *groupCursor) seek(vu uint64) ([]table.Ent, int) {
+// seek returns the entries grouped under vu, or nil if there are none.
+func (c *groupCursor) seek(vu uint64) []table.Ent {
 	if vu == c.vu {
-		return c.found, c.g
+		return c.found
 	}
 	ix := c.ix
 	if vu>>32 != c.vu>>32 || vu < c.vu {
@@ -810,24 +695,119 @@ func (c *groupCursor) seek(vu uint64) ([]table.Ent, int) {
 		lo += sort.Search(hi-lo, func(k int) bool { return g[lo+k]>>32 >= u })
 		i = lo
 	}
-	c.at, c.found, c.g = i, nil, -1
+	c.at, c.found = i, nil
 	if i < c.end && g[i]>>32 == u {
-		c.found, c.g = ix.ents[uint32(g[i]):uint32(g[i+1])], i
+		c.found = ix.ents[uint32(g[i]):uint32(g[i+1])]
 	}
-	return c.found, c.g
+	return c.found
 }
 
-// withSig returns the entries of grp — one at most — whose signature is
-// want. grp must be one (V, U) group of a table that records no vertices:
-// its entries then differ in their signatures alone and ascend with them.
-// A root join searches the groups too sparse for a partner row with it.
-func withSig(grp []table.Ent, want sig.Sig) []table.Ent {
-	i := sort.Search(len(grp), func(i int) bool { return grp[i].S >= want })
-	if i < len(grp) && grp[i].S == want {
-		return grp[i : i+1]
+// partners is a root join's table of one home vertex V's entries in the walk
+// it indexes, for the one question a root join asks of them. The two walks
+// of a root split cover every colour between them and share χ(U) and χ(V)
+// alone, so an entry streamed or extended to (V, U) with signature S has
+// exactly one partner: the index entry at (V, U) whose signature is
+// (Full ∖ S) ∪ {χ(U), χ(V)}. The table finds it in one probe: open
+// addressing with linear probing over a power of two of slots, at most half
+// of them full, two words a slot — the key U<<32 | S, then the count. A key
+// is never 0, since a walk's signature holds its start's colour, so a zero
+// key word is an empty slot. Keys are unique: a root walk records no
+// vertex, and its table is compacted.
+type partners []uint64
+
+// partnerWords is the size in words of the table of a vertex with n index
+// entries: two words a slot, and the least power of two of slots that is at
+// least 2n — for none, one slot, which is empty, so a probe needs no check
+// for an empty table.
+func partnerWords(n int) int {
+	if n == 0 {
+		return 2
 	}
-	return nil
+	return 4 << bits.Len(uint(n-1))
 }
+
+// homeSlot is the slot where key's probe starts in a table of mask+1 slots:
+// the top bits of a Fibonacci hash, as many as index them.
+func homeSlot(key, mask uint64) uint64 {
+	return key * 0x9e3779b97f4a7c15 >> bits.LeadingZeros64(mask)
+}
+
+// lay fills p, of partnerWords(len(run)) words, with run: one vertex's
+// entries of a compacted root walk table.
+func (p partners) lay(run []table.Ent) {
+	clear(p)
+	mask := uint64(len(p)/2 - 1)
+	for j := range run {
+		key := uint64(run[j].U())<<32 | uint64(run[j].S)
+		i := homeSlot(key, mask)
+		for p[2*i] != 0 {
+			i = (i + 1) & mask
+		}
+		p[2*i], p[2*i+1] = key, run[j].C
+	}
+}
+
+// probe returns the count of (u, s) in the table, 0 if it holds no such
+// entry. It inlines into the joins' loops.
+func (p partners) probe(u uint32, s sig.Sig) uint64 {
+	key, mask := uint64(u)<<32|uint64(s), uint64(len(p)/2-1)
+	for i := homeSlot(key, mask); ; i = (i + 1) & mask {
+		switch p[2*i] {
+		case key:
+			return p[2*i+1]
+		case 0:
+			return 0
+		}
+	}
+}
+
+// runEnd returns where v's run, which begins at j, ends in ents, a shard
+// sorted by home vertex.
+func runEnd(ents []table.Ent, j int, v uint32) int {
+	for j < len(ents) && ents[j].V() == v {
+		j++
+	}
+	return j
+}
+
+// partnerIdx holds the partners table of every home vertex of one partition,
+// [lo, hi), in one run of pooled words, CSR-style as groupIdx's rows are:
+// v's table is words[at[v-lo] : at[v-lo+1]]. release gives the words back.
+type partnerIdx struct {
+	lo      uint32
+	at      []uint64 // len = partition size + 1
+	words   []uint64
+	scratch table.Scratch
+}
+
+// indexPartners lays the partners tables of ents, one partition's shard of
+// a compacted root walk table: two linear walks, one to size the run of
+// words and one to fill it.
+func indexPartners(lo, hi uint32, ents []table.Ent) partnerIdx {
+	n, total := int(hi-lo), 0
+	for r, j := 0, 0; r < n; r++ {
+		e := runEnd(ents, j, lo+uint32(r))
+		total, j = total+partnerWords(e-j), e
+	}
+	scratch := table.BorrowWords(n + 1 + total)
+	ix := partnerIdx{lo: lo, at: scratch.Words[:n+1], words: scratch.Words[n+1:], scratch: scratch}
+	ix.at[0] = 0
+	for r, j := 0, 0; r < n; r++ {
+		e := runEnd(ents, j, lo+uint32(r))
+		ix.at[r+1] = ix.at[r] + uint64(partnerWords(e-j))
+		ix.of(lo + uint32(r)).lay(ents[j:e])
+		j = e
+	}
+	return ix
+}
+
+// of returns v's table.
+func (ix *partnerIdx) of(v uint32) partners {
+	r := v - ix.lo
+	return ix.words[ix.at[r]:ix.at[r+1]]
+}
+
+func (ix *partnerIdx) release() { ix.scratch.Return() }
 
 // groupBinary redistributes a child block's binary table so every entry is
 // homed at the owner of its "from" endpoint — the paper's "communication to

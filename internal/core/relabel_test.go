@@ -14,8 +14,9 @@ import (
 // Colours are names: relabelling them by a permutation π of [k] maps every
 // colourful match to one, so count(g, q, π∘χ) = count(g, q, χ). A
 // permutation moves every signature, every rank, every box cell and every
-// bit a partner row drops, so this is what a cell laid out or read at the
-// wrong place breaks. The instances are the benchmark's three solver
+// partner signature a root join probes for, (Full ∖ S) ∪ {χ(U), χ(V)}, with
+// the slot its key hashes to, so this is what a cell laid out or read at
+// the wrong place, or a partner sought under the wrong key, breaks. The instances are the benchmark's three solver
 // workloads — brain3 on the enron stand-in at scale 64 (cycle10-3k), glet2
 // and bintree8 at scale 2 (cycle5-90k, tree8-90k) — each counted as
 // coloured on its first leg and relabelled, twice, on every leg: sim,

@@ -105,13 +105,22 @@ func TestAnchorsSumToTheCount(t *testing.T) {
 }
 
 // For a connected query, count(g ⊔ g′) = count(g) + count(g′): a second
-// generated graph beside tree8-90k's, at ids above it, changes how full
-// every shard is and which partition a vertex lands in, never a
-// component's answer. On sim at two ranks, and on a runtime of one
-// partition, whose 24 000-row shards are over boxCap: its matrices are read
-// as boxes opened at compaction and as sorted shards.
+// generated graph beside the benchmark's enron stand-in at scale 2, at ids
+// above it, changes how full every shard is and which partition a vertex
+// lands in, never a component's answer. Two queries on it:
+//   - bintree8 (tree8-90k), on sim at two ranks and on a runtime of one
+//     partition, whose 24 000-row shards are over boxCap: its matrices are
+//     read as boxes opened at compaction and as sorted shards;
+//   - glet2 (cycle5-90k), a root cycle, on sim and parallel at two workers,
+//     whose root join pulls its last walk step and probes each extended
+//     entry's partner in a table laid a home vertex at a time, and on a
+//     two-rank loopback cluster, whose ranks stream the built walk against
+//     every vertex's table laid at once.
 func TestDisjointUnionAddsCounts(t *testing.T) {
-	g, q, colors := tree8(t, 3)
+	g, ok := gen.StandinByName("enron", 2, 1)
+	if !ok {
+		t.Fatal("no enron stand-in")
+	}
 	rng := rand.New(rand.NewSource(3))
 	h := gen.PowerLawGraph("pl", 6000, 1.5, rng)
 	var edges [][2]uint32
@@ -125,20 +134,32 @@ func TestDisjointUnionAddsCounts(t *testing.T) {
 			}
 		}
 	}
-	union, hColors := graph.FromEdges("union", g.N()+h.N(), edges), colouring(h.N(), q.K, rng)
-	plan, err := core.PickPlan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	union := graph.FromEdges("union", g.N()+h.N(), edges)
 	onePartition := backend{"sim, one partition over boxCap", func(job engine.Job) core.Options {
 		return core.Options{Engine: engine.NewRuntime(engine.SimName, 1, 1, job.N)}
 	}}
-	for _, be := range []backend{local(engine.SimName, 2), onePartition} {
-		inG, _ := counts(t, be, g, q, colors, plan, -1)
-		inH, _ := counts(t, be, h, q, hColors, plan, -1)
-		both, _ := counts(t, be, union, q, slices.Concat(colors, hColors), plan, -1)
-		if both != inG+inH || inG == 0 || inH == 0 {
-			t.Fatalf("%s: counted %d in the union, %d + %d in its parts", be.name, both, inG, inH)
-		}
+	for _, c := range []struct {
+		name, query string
+		legs        []backend
+	}{
+		{"tree8-90k", "bintree8", []backend{local(engine.SimName, 2), onePartition}},
+		{"cycle5-90k", "glet2", []backend{local(engine.SimName, 2), local(engine.ParallelName, 2), loopback2(t)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q := query.MustByName(c.query)
+			colors, hColors := colouring(g.N(), q.K, rng), colouring(h.N(), q.K, rng)
+			plan, err := core.PickPlan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, be := range c.legs {
+				inG, _ := counts(t, be, g, q, colors, plan, -1)
+				inH, _ := counts(t, be, h, q, hColors, plan, -1)
+				both, _ := counts(t, be, union, q, slices.Concat(colors, hColors), plan, -1)
+				if both != inG+inH || inG == 0 || inH == 0 {
+					t.Fatalf("%s: counted %d in the union, %d + %d in its parts", be.name, both, inG, inH)
+				}
+			}
+		})
 	}
 }

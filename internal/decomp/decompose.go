@@ -38,8 +38,8 @@ func Enumerate(q *query.Graph) ([]*Tree, error) {
 	if q.K == 0 {
 		return nil, fmt.Errorf("decomp: empty query")
 	}
-	if q.K > 16 {
-		return nil, fmt.Errorf("decomp: query %s has %d nodes; max 16", q.Name, q.K)
+	if q.K > query.MaxK {
+		return nil, fmt.Errorf("decomp: query %s has %d nodes; max %d", q.Name, q.K, query.MaxK)
 	}
 	if !q.Connected() {
 		return nil, fmt.Errorf("decomp: query %s is not connected", q.Name)

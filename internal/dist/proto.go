@@ -34,9 +34,6 @@ type jobStartMsg struct {
 	Anchor     int32
 }
 
-// maxQueryK is the solver's own query size limit (core rejects K > 16).
-const maxQueryK = 16
-
 // check bounds what a start sizes before the solver validates the rest:
 // the assigned rank must be one of the job's ranks, and the query's k×k
 // adjacency matrix no larger than the solver accepts.
@@ -44,8 +41,8 @@ func (m *jobStartMsg) check(rank int) error {
 	if rank < 0 || rank >= int(m.Ranks) {
 		return fmt.Errorf("dist: job start assigns rank %d of %d", rank, m.Ranks)
 	}
-	if m.QueryK > maxQueryK {
-		return fmt.Errorf("dist: job start has a %d-node query; max %d", m.QueryK, maxQueryK)
+	if m.QueryK > query.MaxK {
+		return fmt.Errorf("dist: job start has a %d-node query; max %d", m.QueryK, query.MaxK)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -121,8 +122,7 @@ func (s Stats) String() string {
 type Builder struct {
 	Name string
 	n    int
-	src  []uint32
-	dst  []uint32
+	arcs []uint64 // u<<32 | v, each edge both ways
 }
 
 // NewBuilder returns a Builder for a graph with at least n vertices.
@@ -134,56 +134,42 @@ func (b *Builder) AddEdge(u, v uint32) {
 	if u == v {
 		return
 	}
-	if int(u) >= b.n {
-		b.n = int(u) + 1
-	}
-	if int(v) >= b.n {
-		b.n = int(v) + 1
-	}
-	b.src = append(b.src, u, v)
-	b.dst = append(b.dst, v, u)
+	b.n = max(b.n, int(u)+1, int(v)+1)
+	b.arcs = append(b.arcs, uint64(u)<<32|uint64(v), uint64(v)<<32|uint64(u))
 }
 
-// Build finalizes the graph: counting-sorts the directed edge copies into
-// CSR, sorts neighbor lists, removes duplicates, and precomputes the
+// edges returns how many distinct edges have been added so far. Nothing
+// it allocates depends on the vertex count.
+func (b *Builder) edges() int {
+	slices.Sort(b.arcs)
+	b.arcs = slices.Compact(b.arcs)
+	return len(b.arcs) / 2
+}
+
+// Build finalizes the graph: counting-sorts the arcs by source into CSR,
+// sorts each neighbour list, drops duplicates, and precomputes the
 // degree-based order.
 func (b *Builder) Build() *Graph {
-	g := &Graph{Name: b.Name, n: b.n}
-	// Counting sort by source.
-	deg := make([]int64, b.n+1)
-	for _, u := range b.src {
-		deg[u+1]++
+	g := &Graph{Name: b.Name, n: b.n, off: make([]int64, b.n+1)}
+	for _, a := range b.arcs {
+		g.off[a>>32+1]++
 	}
-	off := make([]int64, b.n+1)
 	for v := 0; v < b.n; v++ {
-		off[v+1] = off[v] + deg[v+1]
+		g.off[v+1] += g.off[v]
 	}
-	nbr := make([]uint32, len(b.src))
-	cursor := make([]int64, b.n)
-	copy(cursor, off[:b.n])
-	for i, u := range b.src {
-		nbr[cursor[u]] = b.dst[i]
-		cursor[u]++
+	nbr, at := make([]uint32, len(b.arcs)), slices.Clone(g.off[:b.n])
+	for _, a := range b.arcs {
+		nbr[at[a>>32]] = uint32(a)
+		at[a>>32]++
 	}
-	// Sort each list and dedupe in place.
-	out := nbr[:0]
-	newOff := make([]int64, b.n+1)
+	out := nbr[:0] // each list moves down over the duplicates dropped before it
 	for v := 0; v < b.n; v++ {
-		lo, hi := off[v], off[v+1]
-		ns := nbr[lo:hi]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		start := int64(len(out))
-		for i, w := range ns {
-			if i > 0 && ns[i-1] == w {
-				continue
-			}
-			out = append(out, w)
-		}
-		newOff[v] = start
+		ns := nbr[g.off[v]:g.off[v+1]]
+		slices.Sort(ns)
+		g.off[v] = int64(len(out))
+		out = append(out, slices.Compact(ns)...)
 	}
-	newOff[b.n] = int64(len(out))
-	g.off = newOff
-	g.nbr = out
+	g.off[b.n], g.nbr = int64(len(out)), out
 	g.computeRank()
 	return g
 }

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -184,4 +186,60 @@ func TestQuickRankIsTotalOrder(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// An edge list whose ids are far sparser than its edges is refused before
+// the graph is sized by its max id, duplicate lines or not; one just inside
+// the bound is read.
+func TestReadEdgeListRefusesSparseIDs(t *testing.T) {
+	if _, err := ReadEdgeList("far", strings.NewReader("0 4294967294\n")); err == nil {
+		t.Fatal("a one-edge list naming vertex 2³²−2 was read")
+	}
+	far := strings.Repeat(fmt.Sprintf("0 %d\n", spareIDs+idsPerEdge), 100)
+	if _, err := ReadEdgeList("dup", strings.NewReader(far)); err == nil {
+		t.Fatal("a hundred copies of one edge raised the sparseness bound")
+	}
+	near := fmt.Sprintf("0 %d\n", spareIDs+idsPerEdge-1)
+	if g, err := ReadEdgeList("near", strings.NewReader(near)); err != nil || g.N() != spareIDs+idsPerEdge {
+		t.Fatalf("an edge list at the bound: %v", err)
+	}
+}
+
+// FuzzGraphEdgeList feeds hostile bytes to ReadEdgeList. Nothing may panic
+// or allocate by an id the list does not earn, and every graph read must
+// survive WriteEdgeList and a second read unchanged.
+func FuzzGraphEdgeList(f *testing.F) {
+	for _, seed := range []string{
+		"0 1\n1 2\n2 0\n2 3\n3 4\n",
+		"# comment\n% also\n\n0 1\n",
+		"5 5\n1 2 extra fields\n",
+		"0 65600\n0 65600\n",
+		"1 x\n",
+		"7\n",
+		"0 4294967295\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadEdgeList("fuzz", bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := g.WriteEdgeList(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h, err := ReadEdgeList("again", &buf)
+		if err != nil {
+			t.Fatalf("a graph read once is refused on its second read: %v", err)
+		}
+		if h.N() != g.N() || h.M() != g.M() {
+			t.Fatalf("round trip: %d vertices, %d edges; read first as %d, %d", h.N(), h.M(), g.N(), g.M())
+		}
+		for v := uint32(0); int(v) < g.N(); v++ {
+			if !slices.Equal(g.Neighbors(v), h.Neighbors(v)) {
+				t.Fatalf("vertex %d: neighbours %v after the round trip, %v before", v, h.Neighbors(v), g.Neighbors(v))
+			}
+		}
+	})
 }

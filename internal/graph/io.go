@@ -12,7 +12,10 @@ import (
 // ReadEdgeList parses a whitespace-separated edge list ("u v" per line,
 // '#' or '%' comment lines ignored) in the format used by the SNAP
 // collection, and builds a graph. Vertex ids must be non-negative integers;
-// they are used directly (the graph covers 0..max id).
+// they are used directly (the graph covers 0..max id). So that one line
+// naming vertex 4·10⁹ does not allocate tens of gigabytes, a max id over
+// spareIDs plus idsPerEdge per distinct edge — duplicates do not count, so
+// a graph read survives WriteEdgeList and a second read — is refused.
 func ReadEdgeList(name string, r io.Reader) (*Graph, error) {
 	b := NewBuilder(name, 0)
 	sc := bufio.NewScanner(r)
@@ -41,8 +44,19 @@ func ReadEdgeList(name string, r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: reading %s: %v", name, err)
 	}
+	if b.n > spareIDs {
+		if m := b.edges(); b.n > spareIDs+idsPerEdge*m {
+			return nil, fmt.Errorf("graph: %s: vertex id %d is too sparse for %d edges", name, b.n-1, m)
+		}
+	}
 	return b.Build(), nil
 }
+
+// The bound on how sparse an edge list's ids may be (ReadEdgeList).
+const (
+	spareIDs   = 1 << 16
+	idsPerEdge = 32
+)
 
 // LoadEdgeList reads an edge-list file from disk.
 func LoadEdgeList(path string) (*Graph, error) {

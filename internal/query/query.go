@@ -12,6 +12,11 @@ import (
 	"strings"
 )
 
+// MaxK is the most nodes a query the solver counts may have: a signature
+// is a set of colours, one per node, in 32 bits, and decomposition (decomp)
+// and the join tables (core) are sized for at most 16.
+const MaxK = 16
+
 // Graph is a small simple undirected query graph. Nodes are 0..K-1.
 // Queries are tiny (the paper's largest has 11 nodes), so adjacency is a
 // dense matrix plus an edge list; all operations favour clarity.
@@ -269,10 +274,11 @@ func (g *Graph) Automorphisms() uint64 {
 
 // ReadEdgeList parses a query graph from a whitespace edge list ("a b" per
 // line, '#' comments allowed, nodes are 0-based integers). The node count
-// is one more than the largest id seen. Useful for counting user-supplied
-// motifs via the CLI. Construction and semantic validation are
-// FromEdgesChecked's; the per-line checks here exist only to attach line
-// numbers, which matter when debugging a large motif file.
+// is one more than the largest id seen, at most MaxK: a larger id is
+// refused before the adjacency matrix is sized by it. Useful for counting
+// user-supplied motifs via the CLI. Construction and semantic validation
+// are FromEdgesChecked's; the per-line checks here exist only to attach
+// line numbers, which matter when debugging a large motif file.
 func ReadEdgeList(name string, r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	var edges [][2]int
@@ -298,5 +304,5 @@ func ReadEdgeList(name string, r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("query: reading %s: %v", name, err)
 	}
-	return FromEdgesChecked(name, edges, 0)
+	return FromEdgesChecked(name, edges, MaxK-1)
 }

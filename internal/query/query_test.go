@@ -1,6 +1,8 @@
 package query
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,4 +171,48 @@ func TestReadEdgeList(t *testing.T) {
 			t.Errorf("input %q accepted", bad)
 		}
 	}
+}
+
+// FuzzQueryEdgeList feeds hostile bytes to ReadEdgeList and so to
+// FromEdgesChecked. Nothing may panic or size an adjacency matrix past
+// MaxK, and every query read must round-trip through its edges: written
+// back as an edge list and read again, and rebuilt by FromEdges, it has the
+// same nodes and the same edges in the same order.
+func FuzzQueryEdgeList(f *testing.F) {
+	for _, seed := range []string{
+		"# a triangle\n0 1\n1 2\n0 2\n",
+		"0 1\n1 2\n2 3\n3 0\n0 2\n",
+		"0 1\n0 1\n1 0\n",
+		"0 15\n",
+		"0 16\n",
+		"0 1000000000\n",
+		"3 3\n",
+		"-1 2\n",
+		"0 x\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := ReadEdgeList("fuzz", strings.NewReader(string(data)))
+		if err != nil {
+			return
+		}
+		if q.K < 2 || q.K > MaxK || q.M() == 0 {
+			t.Fatalf("accepted a query of %d nodes and %d edges", q.K, q.M())
+		}
+		var text strings.Builder
+		for _, e := range q.Edges() {
+			fmt.Fprintf(&text, "%d %d\n", e[0], e[1])
+		}
+		again, err := ReadEdgeList("again", strings.NewReader(text.String()))
+		if err != nil {
+			t.Fatalf("its edges %q are refused: %v", text.String(), err)
+		}
+		for _, r := range []*Graph{again, FromEdges("rebuilt", q.K, q.Edges())} {
+			if r.K != q.K || !slices.Equal(r.Edges(), q.Edges()) {
+				t.Fatalf("%s: %d nodes, edges %v; read as %d nodes, edges %v", r.Name, r.K, r.Edges(), q.K, q.Edges())
+			}
+		}
+	})
 }

@@ -111,12 +111,6 @@ func ParseAlgorithm(name string) (core.Algorithm, error) {
 	return core.DB, fmt.Errorf("service: unknown algorithm %q (want DB, PS, or PSEven)", name)
 }
 
-// maxQueryK mirrors the solver's own query size limit (decomp and core
-// reject K > 16). Enforcing it here means oversized queries are rejected
-// at request time, before a worker slot is taken and trials×n bytes of
-// colorings are drawn for a job that can only fail.
-const maxQueryK = 16
-
 // buildQuery resolves the request's query: a catalog/parametric name, or
 // an explicit edge list. Both are untrusted: edge lists go through the
 // checked constructor with the solver's node bound (so a hostile request
@@ -137,13 +131,13 @@ func buildQuery(req EstimateRequest) (*query.Graph, error) {
 		if name == "" {
 			name = "custom"
 		}
-		q, err = query.FromEdgesChecked(name, req.QueryEdges, maxQueryK-1)
+		q, err = query.FromEdgesChecked(name, req.QueryEdges, query.MaxK-1)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if q.K > maxQueryK {
-		return nil, fmt.Errorf("service: query %s has %d nodes; the solver supports at most %d", q.Name, q.K, maxQueryK)
+	if q.K > query.MaxK {
+		return nil, fmt.Errorf("service: query %s has %d nodes; the solver supports at most %d", q.Name, q.K, query.MaxK)
 	}
 	return q, nil
 }

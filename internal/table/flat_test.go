@@ -1000,6 +1000,28 @@ func TestBuildStopsBetweenPasses(t *testing.T) {
 	}
 }
 
+// A task may defer its scratch's return and grow the scratch after, as a
+// root join's pulled form does for every home vertex that needs more words:
+// the deferred Return gives back what the scratch holds when it runs, so
+// the last scratch comes back and none of the earlier ones twice.
+func TestDeferredReturnGivesBackTheGrownScratch(t *testing.T) {
+	held := SlabsOut()
+	func() {
+		var scratch Scratch
+		defer scratch.Return()
+		for n := 1; n <= 1<<14; n <<= 3 {
+			scratch.Return()
+			scratch = BorrowWords(n)
+		}
+		if SlabsOut() != held+1 {
+			t.Fatalf("growing a scratch holds %d slabs, want 1", SlabsOut()-held)
+		}
+	}()
+	if left := SlabsOut() - held; left != 0 {
+		t.Fatalf("the deferred Return left %d slabs out", left)
+	}
+}
+
 // A pending shard can be read where it lies: Chunks over appended and
 // absorbed chunks hands out every entry, duplicates unfolded, and takes no
 // slab — nothing is compacted, before the Release that follows either — so
@@ -1057,7 +1079,10 @@ func TestChunksOverPendingNeverCompacts(t *testing.T) {
 	if f.sorted != nil || SlabsOut() != start {
 		t.Fatalf("Release after Chunks: sorted slab %v, %d slabs out", f.sorted != nil, SlabsOut()-start)
 	}
-	(Scratch{}).Return() // the zero Scratch holds nothing
+	if scratch.Words != nil {
+		t.Fatal("a returned Scratch still holds its words")
+	}
+	scratch.Return() // a returned Scratch is the zero one: it holds nothing
 	if SlabsOut() != start {
 		t.Fatal("returning the zero Scratch moved the slab count")
 	}

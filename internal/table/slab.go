@@ -86,9 +86,13 @@ func BorrowWords(n int) Scratch {
 	return Scratch{Words: words, slab: s}
 }
 
-// Return gives the words back to the pool. The zero Scratch holds nothing
-// and returns nothing.
-func (s Scratch) Return() { putSlab(s.slab) }
+// Return gives the words back to the pool and leaves s the zero Scratch,
+// which holds nothing and returns nothing. A deferred s.Return() gives back
+// what s holds when it runs, so a task may grow s after the defer.
+func (s *Scratch) Return() {
+	putSlab(s.slab)
+	*s = Scratch{}
+}
 
 // putSlabs returns a whole chunk list to the pool.
 func putSlabs(s *slab) {
