@@ -47,7 +47,7 @@ func newBenchFixture(b *testing.B) *benchFixture {
 	}
 
 	ann := &decomp.Block{Kind: decomp.LeafEdge, Nodes: []int{0, 1}, Boundary: []int{0}}
-	child := engine.NewMatrix(be, 5, false) // a leaf block's output: boxed (u, 2-colour set) rows
+	child := engine.NewMatrix(be, 5, colors, false) // a leaf block's output: boxed (u, 2-colour set) rows
 	for i := 0; i < 12000; i++ {
 		u := uint32(rng.Intn(n))
 		other := (colors[u] + 1 + uint8(rng.Intn(4))) % 5

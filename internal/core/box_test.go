@@ -25,11 +25,12 @@ import (
 // across backends; and sim's message count — every entry a pushed step
 // adds, whichever form took it, and every row a pulled step reads from
 // another partition — pinned at each of the three partition cuts the sim
-// runtimes make. On the 1405-vertex graph sim at three ranks of a
-// partition each cuts 469, 469 and 467 vertices: at 70 signatures to a row
-// (bintree8's widest tables) the first two exceed the cap of 2^15 cells and
-// the third does not, so one table holds both forms (the graph is too
-// sparse for compaction to box the first two after all).
+// runtimes make. On the 2810-vertex graph sim at three ranks of a
+// partition each cuts 937, 937 and 936 vertices: at 35 signatures to a row
+// (bintree8's widest own rows) the first two exceed the cap of 2^15 cells
+// and the third does not, so one table holds both forms (the graph is too
+// sparse for compaction to box the first two after all). The 1405-vertex
+// graph's partitions all fit.
 func TestBoxTablesAreInvisible(t *testing.T) {
 	backends := append(equivalenceBackends(t), backend{"sim@3, a partition each", func(job engine.Job) core.Options {
 		return core.Options{Engine: engine.NewRuntime(engine.SimName, 3, 3, job.N)}
@@ -38,6 +39,7 @@ func TestBoxTablesAreInvisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	small := gen.ErdosRenyi("small", 60, 150, rng)
 	mixed := gen.ErdosRenyi("mixed", 1405, 1800, rng)
+	wide := gen.ErdosRenyi("wide", 2810, 3600, rand.New(rand.NewSource(37)))
 	for _, c := range []struct {
 		g        *graph.Graph
 		q        *query.Graph
@@ -50,8 +52,9 @@ func TestBoxTablesAreInvisible(t *testing.T) {
 		{small, query.MustByName("ecoli1"), [3]int64{2041, 2041, 2041}},
 		{small, query.MustByName("dros"), [3]int64{2094, 2074, 2024}},
 		{small, query.MustByName("satellite"), [3]int64{11210, 11210, 11210}},
-		{mixed, query.MustByName("bintree8"), [3]int64{10656, 9770, 9770}},
+		{mixed, query.MustByName("bintree8"), [3]int64{10656, 8658, 7278}},
 		{mixed, query.MustByName("satellite"), [3]int64{31159, 31159, 31159}},
+		{wide, query.MustByName("bintree8"), [3]int64{21464, 15029, 17268}},
 	} {
 		colors := make([]uint8, c.g.N())
 		for i := range colors {

@@ -144,10 +144,11 @@ func TestCancelMidBuild(t *testing.T) {
 	// milliseconds of compaction, which polls between its passes. Canceled at
 	// any of those polls it gives its buffers back and leaves the shard
 	// unread; so does a box, whose sweep polls once — one opened as it was
-	// written, and one over boxCap (1024 rows of 70) that the compaction
+	// written, and one over boxCap (1024 rows of 35) that the compaction
 	// opens because its 2^16 entries fill a quarter of it, and leaves open.
+	// Every vertex there has colour 0, and every signature holds it.
 	one := engine.NewRuntime(engine.SimName, 1, 1, n)
-	sigs := sig.RankingOf(8, 4).Sigs
+	sigs, zeros := sig.OwnOf(8, 4).Sigs[0], make([]uint8, 1024)
 	for name, fill := range map[string]func() *engine.Sharded{
 		"chunks": func() *engine.Sharded {
 			hub := engine.NewSharded(one)
@@ -159,14 +160,14 @@ func TestCancelMidBuild(t *testing.T) {
 			return hub
 		},
 		"a box": func() *engine.Sharded {
-			box := engine.NewMatrix(engine.NewRuntime(engine.SimName, 1, 1, 256), 8, false)
+			box := engine.NewMatrix(engine.NewRuntime(engine.SimName, 1, 1, 256), 8, zeros, false)
 			for i := uint32(0); i < 1<<16; i++ {
 				box.Shard(0).AddEnt(table.UnaryEnt(i%256, 0b1111, 1))
 			}
 			return box
 		},
 		"a box opened at compaction": func() *engine.Sharded {
-			box := engine.NewMatrix(engine.NewRuntime(engine.SimName, 1, 1, 1024), 8, false)
+			box := engine.NewMatrix(engine.NewRuntime(engine.SimName, 1, 1, 1024), 8, zeros, false)
 			for i := uint32(0); i < 1<<16; i++ {
 				box.Shard(0).AddEnt(table.UnaryEnt(i%1024, sigs[i%uint32(len(sigs))], 1))
 			}
@@ -258,26 +259,25 @@ func TestCancelAtAnyPoll(t *testing.T) {
 // projected by moving its shards' open boxes, the edge table a nodeJoin
 // follows is read row by row, and a pending shard whose box never opened
 // is compacted by that reader, polling as track does. A bintree8 run — leaf
-// blocks alone — on box_test.go's 1405-vertex graph, under sim at three
-// ranks: as NewCluster cuts it, 87 partitions of 16 vertices whose boxes
-// all open, and as it was cut before PR 24, a partition a rank (469, 469
-// and 467 vertices: at 70 signatures to a row, bintree8's widest, the first
-// two shards are over the cap of 2^15 cells and the third is not). Between
+// blocks alone — on box_test.go's 2810-vertex graph, under sim at three
+// ranks: as NewCluster cuts it, partitions whose boxes all open, and as it
+// was cut before PR 24, a partition a rank (937, 937 and 936 vertices: at
+// 35 signatures to a row, bintree8's widest own rows, the first two shards
+// are over the cap of 2^15 cells and the third is not). Between
 // them all three readers are live, which an uncanceled run of each checks
 // first; then each is canceled at polls across the whole run — inside edge
 // steps pulled (boxed sources) and pushed (a source over the cap) — and
 // must return ctx's error and hand every slab back.
 func TestCancelThroughBoxRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	gen.ErdosRenyi("small", 60, 150, rng) // box_test.go draws it first
-	g := gen.ErdosRenyi("mixed", 1405, 1800, rng)
+	g := gen.ErdosRenyi("wide", 2810, 3600, rand.New(rand.NewSource(37))) // box_test.go's
 	q := query.MustByName("bintree8")
 	colors := randColors(g.N(), q.K, rng)
 	plan, err := PickPlan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for w, want := range []uint32{469, 469, 467} {
+	for w, want := range []uint32{937, 937, 936} {
 		if lo, hi := engine.NewRuntime(engine.SimName, 3, 3, g.N()).Range(w); hi-lo != want {
 			t.Fatalf("partition %d of 3 holds %d vertices, want %d", w, hi-lo, want)
 		}
@@ -338,9 +338,8 @@ func TestCancelThroughBoxRows(t *testing.T) {
 // that lets it finish must find the output's whole count in the walk's
 // table.
 func TestCancelWhileReadingAPendingLeafOutput(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	gen.ErdosRenyi("small", 60, 150, rng) // TestCancelThroughBoxRows' draws
-	g := gen.ErdosRenyi("mixed", 1405, 1800, rng)
+	rng := rand.New(rand.NewSource(21)) // TestCancelThroughBoxRows' draws
+	g := gen.ErdosRenyi("wide", 2810, 3600, rand.New(rand.NewSource(37)))
 	q := query.MustByName("bintree8")
 	colors := randColors(g.N(), q.K, rng)
 	plan, err := PickPlan(q)

@@ -49,7 +49,7 @@ type split struct {
 func (s *solver) solveCycle(b *decomp.Block) *engine.Sharded {
 	var out *engine.Sharded
 	if len(b.Boundary) == 1 {
-		out = engine.NewMatrix(s.be, s.k, false) // (π(boundary), α) ↦ count
+		out = engine.NewMatrix(s.be, s.k, s.colors, false) // (π(boundary), α) ↦ count
 	} else {
 		out = engine.NewSharded(s.be)
 	}
@@ -116,7 +116,7 @@ func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 	s.walks = walkTrie{}
 	defer s.walks.release()
 	walk := s.walks.add(pathStart{startAnn: b.NodeAnn[1], free: true}, step)
-	out := engine.NewMatrix(s.be, s.k, false)
+	out := engine.NewMatrix(s.be, s.k, s.colors, false)
 	if !s.buildPath(walk, true) {
 		return out
 	}

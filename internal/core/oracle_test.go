@@ -3,9 +3,11 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/decomp"
 	"repro/internal/engine"
 	"repro/internal/exact"
 	"repro/internal/gen"
@@ -172,4 +174,149 @@ func TestTreesAgreeWithSecondOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tupleMatches is the second oracle's cycle half, sharing no code with the
+// solver or with internal/exact: it tries every tuple of distinct data
+// vertices for q's nodes, 0 to k−1, whose colours are distinct, and keeps
+// those that carry every query edge onto a data edge. It returns how many
+// it kept, and per[a][v], how many of them map node a to vertex v. At most
+// 8!/(8−k)! tuples on 8 data vertices: brute force is the point.
+func tupleMatches(g *graph.Graph, q *query.Graph, colors []uint8) (total uint64, per [][]uint64) {
+	n := g.N()
+	per = make([][]uint64, q.K)
+	for a := range per {
+		per[a] = make([]uint64, n)
+	}
+	tuple := make([]uint32, q.K)
+	var used, seen uint32 // vertices and colours the tuple holds, as bitmaps
+	var try func(a int)
+	try = func(a int) {
+		if a == q.K {
+			for x := 0; x < q.K; x++ {
+				for _, y := range q.Neighbors(x) {
+					if !g.HasEdge(tuple[x], tuple[y]) {
+						return
+					}
+				}
+			}
+			total++
+			for x, v := range tuple {
+				per[x][v]++
+			}
+			return
+		}
+		for v := uint32(0); int(v) < n; v++ {
+			if used>>v&1 == 1 || seen>>colors[v]&1 == 1 {
+				continue
+			}
+			used, seen, tuple[a] = used|1<<v, seen|1<<colors[v], v
+			try(a + 1)
+			used, seen = used&^(1<<v), seen&^(1<<colors[v])
+		}
+	}
+	try(0)
+	return total, per
+}
+
+// Queries with cycles against the tuple oracle, which must agree with the
+// backtracking enumerator first: random treewidth-2 queries, a theta (three
+// paths between two nodes), a diamond (two triangles on an edge), a bowtie
+// (two triangles on a node) and a tadpole (a 4-cycle with a tail), on
+// random generated graphs of up to 8 vertices under random balanced colourings,
+// counted on sim and parallel at two workers and on a two-rank loopback
+// cluster — in total, and per vertex at every anchor some decomposition's
+// root holds. Leaf blocks and one-boundary cycle blocks make box tables,
+// each row holding only the signatures with its vertex's colour.
+func TestCyclesAgreeWithSecondOracle(t *testing.T) {
+	backends := []backend{local(engine.SimName, 2), local(engine.ParallelName, 2), loopback2(t)}
+	draws := 40
+	if testing.Short() || core.RaceEnabled {
+		draws = 8
+	}
+	rng := rand.New(rand.NewSource(37))
+	named := []*query.Graph{
+		query.FromEdges("theta", 5, [][2]int{{0, 2}, {2, 1}, {0, 3}, {3, 1}, {0, 4}, {4, 1}}),
+		query.FromEdges("diamond", 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}}),
+		// A cycle block with one boundary node, a box, and a leaf block
+		// whose output a cycle's walk reads.
+		query.FromEdges("bowtie", 5, [][2]int{{0, 1}, {1, 2}, {2, 0}, {0, 3}, {3, 4}, {4, 0}}),
+		query.FromEdges("tadpole", 6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4}, {4, 5}}),
+	}
+	none, anchors := 0, 0
+	for i := 0; i < draws+2*len(named); i++ {
+		q := core.RandomTW2Query(rng)
+		if i >= draws {
+			q = named[i%len(named)]
+		}
+		if q.K > 8 {
+			continue // no colourful match fits 8 vertices
+		}
+		if q.IsTree() {
+			t.Fatalf("%s has no cycle", q)
+		}
+		n := q.K + rng.Intn(9-q.K)
+		g := gen.ErdosRenyi("er", n, int64(n*(n-1)/2+rng.Intn(n*n)), rng)
+		colors := make([]uint8, n) // balanced, so that every colour is there to match
+		for v, p := range rng.Perm(n) {
+			colors[v] = uint8(p % q.K)
+		}
+		want, wantPer := tupleMatches(g, q, colors)
+		if want == 0 {
+			none++
+		}
+		if enumerated := exact.ColorfulMatches(g, q, colors); enumerated != want {
+			t.Fatalf("%s on %d vertices: the tuple oracle counts %d, the enumerator %d", q, n, want, enumerated)
+		}
+		trees, err := decomp.Enumerate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := core.PickPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, be := range backends {
+			job := engine.Job{N: n, Graph: g, Colors: colors, Query: q, Plan: plan, Mode: engine.ModeCount}
+			opts := be.opts(job)
+			opts.Plan = plan
+			got, _, err := core.CountColorful(g, q, colors, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s on %d vertices, %s: counted %d, the tuple oracle %d", q, n, be.name, got, want)
+			}
+			for anchor := 0; anchor < q.K; anchor++ {
+				rooted := rootedAt(trees, anchor)
+				if rooted == nil {
+					continue
+				}
+				anchors++
+				job := engine.Job{N: n, Graph: g, Colors: colors, Query: q, Plan: rooted, Mode: engine.ModePerVertex, Anchor: anchor}
+				opts := be.opts(job)
+				opts.Plan = rooted
+				per, _, _, err := core.CountColorfulPerVertex(g, q, colors, anchor, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(per, wantPer[anchor]) {
+					t.Fatalf("%s on %d vertices, %s, anchor %d (plan %s): per vertex %v, the tuple oracle %v", q, n, be.name, anchor, rooted.Encode(), per, wantPer[anchor])
+				}
+			}
+		}
+	}
+	if 2*none > draws || anchors == 0 {
+		t.Errorf("%d of %d draws have no colourful match, %d anchors were counted; the test needs matches to miscount", none, draws, anchors)
+	}
+}
+
+// rootedAt returns the first of trees whose root block holds node, or nil.
+func rootedAt(trees []*decomp.Tree, node int) *decomp.Tree {
+	for _, tr := range trees {
+		if slices.Contains(tr.Root.Nodes, node) {
+			return tr
+		}
+	}
+	return nil
 }

@@ -207,7 +207,7 @@ func (s *solver) buildPath(n *walk, pend bool) bool {
 // is told.
 func (s *solver) newTable(spec pathStart) *engine.Sharded {
 	if spec.free {
-		return engine.NewMatrix(s.be, s.k, true)
+		return engine.NewMatrix(s.be, s.k, s.colors, true)
 	}
 	return engine.NewSharded(s.be)
 }
@@ -318,21 +318,21 @@ func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharde
 // so it sends nothing. It reports false, building nothing, where the
 // backend cannot pull.
 func (s *solver) pullFirst(out *engine.Sharded) bool {
-	rk := sig.RankingOf(s.k, 2)
+	rk := sig.OwnOf(s.k, 2)
 	return s.be.Pull(out, nil, func(w int, to *table.Flat, _ *engine.Lanes) int {
 		var load int64
 		var poll int
 		lo, hi := s.be.Range(w)
-		pullRows(to, lo, hi, rk, func(v uint32, row []uint64) bool {
+		pullRows(to, lo, hi, rk, s.colors, func(v uint32, row []uint64) bool {
 			nbrs := s.g.Neighbors(v)
 			load += int64(len(nbrs))
 			if s.canceledAfter(&poll, len(nbrs)) {
 				return false
 			}
-			cv := s.colorOf(v)
+			c := s.colors[v]
 			for _, u := range nbrs {
-				if cu := s.colors[u]; !cv.Has(cu) {
-					row[rk.Rank[cv.Add(cu)]]++
+				if cu := s.colors[u]; cu != c {
+					row[rk.Pos(sig.Of(c).Add(cu), c)]++
 				}
 			}
 			return true
@@ -343,17 +343,17 @@ func (s *solver) pullFirst(out *engine.Sharded) bool {
 }
 
 // pullRows builds partition w's rows [lo, hi) of a start-free walk's table
-// in pull form: sum(v, row) adds v's counts, ranked by rk, into row, which
-// is zero, and reports false once the run is canceled. Where the
-// partition's rows fit a box, row is v's row in it (table.Flat.OpenRows),
-// cleared just before it is summed; else it is summed aside and written as
-// entries. A canceled task leaves the rows it did not reach unwritten: its
-// table is released unread (buildPath).
-func pullRows(to *table.Flat, lo, hi uint32, rk *sig.Ranking, sum func(v uint32, row []uint64) bool) {
+// in pull form: sum(v, row) adds v's counts, ranked by rk in the row of v's
+// colour under colors, into row, which is zero, and reports false once the
+// run is canceled. Where the partition's rows fit a box, row is v's row in
+// it (table.Flat.OpenRows), cleared just before it is summed; else it is
+// summed aside and written as entries. A canceled task leaves the rows it
+// did not reach unwritten: its table is released unread (buildPath).
+func pullRows(to *table.Flat, lo, hi uint32, rk *sig.Own, colors []uint8, sum func(v uint32, row []uint64) bool) {
 	var aside table.Scratch
 	boxed := to.OpenRows(rk)
 	if !boxed {
-		aside = table.BorrowWords(len(rk.Sigs))
+		aside = table.BorrowWords(len(rk.Sigs[0]))
 	}
 	defer aside.Return()
 	for v := lo; v < hi; v++ {
@@ -365,9 +365,10 @@ func pullRows(to *table.Flat, lo, hi uint32, rk *sig.Ranking, sum func(v uint32,
 		if !sum(v, row) {
 			return
 		}
+		sigs := rk.Sigs[colors[v]]
 		for j, c := range aside.Words {
 			if c != 0 {
-				to.AddEnt(table.BinaryEnt(table.None, v, rk.Sigs[j], c))
+				to.AddEnt(table.BinaryEnt(table.None, v, sigs[j], c))
 			}
 		}
 	}
@@ -497,7 +498,7 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 // cur has a shard of another form or the backend cannot pull
 // (Backend.Pull); edgeJoin then pushes.
 func (s *solver) pullEdge(cur, out *engine.Sharded) bool {
-	var rk *sig.Ranking
+	var rk *sig.Own
 	for w := 0; w < s.be.P(); w++ {
 		sh := cur.Shard(w)
 		if !sh.Boxed() {
@@ -510,16 +511,16 @@ func (s *solver) pullEdge(cur, out *engine.Sharded) bool {
 	if rk == nil {
 		return false
 	}
-	h := rk.Sigs[0].Size()
+	h := rk.Size()
 	if h == s.k {
 		return false // no signature is left to extend: the push form adds nothing
 	}
-	shifts, up := sig.ShiftsOf(s.k, h), sig.RankingOf(s.k, h+1)
+	shifts, up := sig.ShiftsOf(s.k, h), sig.OwnOf(s.k, h+1)
 	return s.be.Pull(out, cur, func(w int, to *table.Flat, from *engine.Lanes) (sent int) {
 		var load int64
 		var poll int
 		lo, hi := s.be.Range(w)
-		pullRows(to, lo, hi, up, func(v uint32, sum []uint64) bool {
+		pullRows(to, lo, hi, up, s.colors, func(v uint32, sum []uint64) bool {
 			// v's own row, as the push form's source, is what the load
 			// counts: each count once per neighbour.
 			if row, _ := from.At(v).Row(v); row != nil {
@@ -582,7 +583,7 @@ func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block
 				if s.canceledAfter(&poll, len(at)) {
 					break scan
 				}
-				nodeCell(sh, row, rk, at, s.colorOf(v), run[r])
+				nodeCell(sh, row, rk, at, s.colors[v], run[r])
 			}
 		}
 		s.be.AddLoad(w, load)
@@ -591,16 +592,17 @@ func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block
 }
 
 // nodeCell joins the walk entry k with child, the unary child's entries at
-// k's end vertex, whose colour is cv: into row, ranked by rk, where the
+// k's end vertex, whose colour is c: into row, ranked by rk, where the
 // output shard sh has its box open (Row), else through AddEnt.
-func nodeCell(sh *table.Flat, row []uint64, rk *sig.Ranking, child []table.Ent, cv sig.Sig, k table.Ent) {
+func nodeCell(sh *table.Flat, row []uint64, rk *sig.Own, child []table.Ent, c uint8, k table.Ent) {
+	cv := sig.Of(c)
 	for i := range child {
 		e := &child[i]
 		if k.S.Inter(e.S) != cv {
 			continue
 		}
 		if row != nil {
-			row[rk.Rank[k.S.Union(e.S)]] += k.C * e.C
+			row[rk.Pos(k.S.Union(e.S), c)] += k.C * e.C
 			continue
 		}
 		sh.AddEnt(table.Ent{VU: k.VU, XY: k.XY, S: k.S.Union(e.S), C: k.C * e.C})

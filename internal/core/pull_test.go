@@ -97,7 +97,7 @@ func (b *booking) pulled() (steps int, remote int64) {
 // same tables, so the same counts, scalar and per vertex, and the same
 // content-determined counters — supersteps, the load of every worker,
 // table entries — on sim and parallel, where shards are boxed, where some
-// are over the cap (a partition each of 1405 vertices at three ranks: those
+// are over the cap (a partition each of 2810 vertices at three ranks: those
 // steps' outputs are entries, and the steps that read them push) and where
 // some partitions hold no vertex (7 vertices cut into 8). Superstep by
 // superstep, a step both runs push books the same messages in each, and a
@@ -105,7 +105,7 @@ func (b *booking) pulled() (steps int, remote int64) {
 func TestPullIsPush(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	dense := gen.ErdosRenyi("dense", 400, 3000, rng)
-	mixed := gen.ErdosRenyi("mixed", 1405, 1800, rng)
+	mixed := gen.ErdosRenyi("mixed", 2810, 3600, rng)
 	tiny := gen.ErdosRenyi("tiny", 7, 18, rng)
 	runtimes := map[string]func(n int) engine.Backend{
 		"sim@3":                   func(n int) engine.Backend { return engine.NewCluster(3, n) },

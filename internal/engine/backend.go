@@ -121,7 +121,7 @@ type Backend interface {
 	// entries addressed to a partition of another process; parallel hands
 	// lanes over whole and reports 0. The sim and dist numbers are not
 	// comparable with each other. sim's adds two units: a pushed entry is
-	// one count cell, a pulled row is a row of C(k, h) cells — or, in a
+	// one count cell, a pulled row is a row of C(k−1, h−1) cells — or, in a
 	// root cycle's pulled join, a vertex's run of the streamed walk's parent
 	// — read once per arc that reads it, so a remote row read by several of
 	// a partition's vertices counts once for each. A pulled root join books

@@ -114,22 +114,24 @@ func newSharded(parts int) *Sharded {
 }
 
 // NewMatrix returns an empty sharded table on be whose every key will be
-// one vertex and a signature over k colours — a start-free walk's table
-// (inV: the vertex is the key's V, its U is None) or a unary projection
-// (the vertex is U, V is None): the |V| × C(k,h) count matrix of the tree
-// DP. The caller answers for that: an entry with a vertex in the other half
-// or a recorded X or Y has no cell to land in, and only the first entry of
-// each box is checked (table.Shape). Each shard is told its partition's
-// rows and accumulates them in place where they fit a box; readers see the
-// same sorted entries either way.
-func NewMatrix(be Backend, k int, inV bool) *Sharded {
+// one vertex and a signature over k colours that holds the vertex's colour
+// under colors, the trial's colouring of every vertex — a start-free walk's
+// table (inV: the vertex is the key's V, its U is None) or a unary
+// projection (the vertex is U, V is None): the |V| × C(k−1,h−1) count
+// matrix of the tree DP. The caller answers for that: an entry with a
+// vertex in the other half or a recorded X or Y has no cell to land in, and
+// only the first entry of each box is checked (table.Shape). Each shard is
+// told its partition's rows and their colours, and accumulates them in
+// place where they fit a box; readers see the same sorted entries either
+// way.
+func NewMatrix(be Backend, k int, colors []uint8, inV bool) *Sharded {
 	shape := table.Shape{K: uint8(k)}
 	if inV {
 		shape.Shift = 32
 	}
 	return newSharded(be.P()).declare(func(w int) table.Shape {
 		lo, hi := be.Range(w)
-		shape.Lo, shape.N = lo, hi-lo
+		shape.Lo, shape.N, shape.Colors = lo, hi-lo, colors[lo:hi]
 		return shape
 	})
 }

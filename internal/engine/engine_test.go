@@ -63,7 +63,7 @@ func TestShardedAccumulate(t *testing.T) {
 // of a released table panics.
 func TestReleaseTwiceSharesNoArrays(t *testing.T) {
 	c := NewRuntime(SimName, 4, 4, 40) // four partitions of ten vertices
-	dead := NewMatrix(c, 4, false)
+	dead := NewMatrix(c, 4, make([]uint8, 40), false)
 	dead.Add(1, table.Unary(12, 0b11), 1)
 	dead.Release()
 	a := NewSharded(c)

@@ -369,18 +369,24 @@ func checkStep(t *testing.T, r rig, n int) {
 // vertices all over the graph — every destination row hears from every
 // producer, so on parallel several workers' boxes are added into one — into
 // a table declared a matrix (the vertex in V, then in U) and into a plain
-// one. With 252 signatures to a row a partition of up to 130 vertices
-// keeps a box and a larger one chunks, which the widths here put on both
-// sides. The two tables must hold the same entries, and sim must count
-// every add as a message whichever form took it.
+// one, each signature holding its vertex's colour. With 126 signatures to
+// a row a partition of up to 260 vertices keeps a box and a larger one
+// chunks, which the widths here put on both sides. The two tables must
+// hold the same entries, and sim must count every add as a message
+// whichever form took it.
 func checkMatrix(t *testing.T, r rig, n int) {
 	const k, h, perTask = 10, 5, 300
-	sigs := sig.RankingOf(k, h).Sigs
+	own := sig.OwnOf(k, h)
+	colors := make([]uint8, n)
+	for v := range colors {
+		colors[v] = uint8(v * 7 % k)
+	}
 	for _, inV := range []bool{true, false} {
 		produce := func(be engine.Backend, w int, to *engine.Lanes) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perTask; i++ {
-				v, s, c := uint32(rng.Intn(n)), sigs[rng.Intn(40)], uint64(1+rng.Intn(9))
+				v := uint32(rng.Intn(n))
+				s, c := own.Sigs[colors[v]][rng.Intn(40)], uint64(1+rng.Intn(9))
 				e := table.UnaryEnt(v, s, c)
 				if inV {
 					e = table.BinaryEnt(table.None, v, s, c)
@@ -391,7 +397,7 @@ func checkMatrix(t *testing.T, r rig, n int) {
 			}
 		}
 		msgs := r.sum(engine.Backend.Messages)
-		boxed := r.stepInto(func(be engine.Backend) *engine.Sharded { return engine.NewMatrix(be, k, inV) }, produce)
+		boxed := r.stepInto(func(be engine.Backend) *engine.Sharded { return engine.NewMatrix(be, k, colors, inV) }, produce)
 		msgs = r.sum(engine.Backend.Messages) - msgs
 		plain := r.step(produce)
 		for i, be := range r {

@@ -55,7 +55,7 @@ func (s Sig) Size() int { return bits.OnesCount32(uint32(s)) }
 // Flat tables order entries that share a vertex by ascending Rank, so
 // consecutive signatures sit adjacent in memory and the join loops scan
 // them as one contiguous run. A table that holds signatures of one size
-// only can be indexed more tightly: see Ranking.
+// only can be indexed more tightly: see Ranking and Own.
 func (s Sig) Rank() uint32 { return uint32(s) }
 
 // Colors returns the colors in s in increasing order, appended to dst.
@@ -80,10 +80,11 @@ const MaxRankedColors = 16
 const NoRank = ^uint16(0)
 
 // Ranking is the dense order of the C(k,h) signatures of exactly h colours
-// out of k: the signature axis of a vertex×signature count matrix (the
-// |V| × C(k,h) table of the tree DP), where Rank() — the bitmap itself —
-// would leave 2^k − C(k,h) slots of every row unused. Positions ascend with
-// the bitmap, so a row swept in position order comes out in Rank() order.
+// out of k, where Rank() — the bitmap itself — would leave 2^k − C(k,h)
+// slots of a row of them unused. Positions ascend with the bitmap, so a row
+// swept in position order comes out in Rank() order. A row of the tree
+// DP's vertex×signature count matrix is narrower still: it holds only
+// signatures with its vertex's colour, ranked by RankingOf(k−1, h−1) (Own).
 type Ranking struct {
 	Rank []uint16 // indexed by bitmap, len 1<<k: the signature's position, or NoRank
 	Sigs []Sig    // the C(k,h) signatures in ascending order: Sigs[Rank[s]] == s
@@ -112,15 +113,77 @@ func RankingOf(k, h int) *Ranking {
 	return slot.Load()
 }
 
+// Squeeze returns s with bit c dropped and the bits above it moved down
+// one: a set over k colours that holds c as a set over the other k−1.
+func (s Sig) Squeeze(c uint8) Sig {
+	low := Sig(1)<<c - 1
+	return s&low | s>>1&^low
+}
+
+// Expand is Squeeze undone: s, a set over k−1 colours, with the bits from
+// c up moved up one and c added.
+func (s Sig) Expand(c uint8) Sig {
+	low := Sig(1)<<c - 1
+	return s&low | 1<<c | (s&^low)<<1
+}
+
+// Own is the dense order of a vertex's own row: the size-h signatures over
+// k colours that hold the vertex's colour c, which are all a row of the
+// tree DP's count matrix can hold. Signature s sits at RankingOf(k−1, h−1)'s
+// position of s.Squeeze(c), so a row is C(k−1, h−1) cells — h/k of the
+// C(k, h) a Ranking would give it. Squeezing keeps order, so positions
+// ascend with the bitmap, as a Ranking's do.
+type Own struct {
+	// Rank is RankingOf(k−1, h−1).Rank and as many NoRank slots again,
+	// which Pos sends a signature that lacks c to: squeezed, it would
+	// otherwise alias the cell of itself with c added.
+	Rank []uint16
+	Sigs [][]Sig // [c][j]: the signature at position j of a colour-c vertex's row
+	top  uint8   // k−1: the bit Pos sets for a signature that lacks c
+}
+
+// Pos returns the position of s in the row of a vertex of colour c, or
+// NoRank if s lacks c or has another size — out of range of the row, so
+// indexing one with it panics. It must stay inlinable: the join loops index
+// a row with it per entry.
+func (o *Own) Pos(s Sig, c uint8) uint16 { return o.Rank[s.Squeeze(c)|(^s>>c&1)<<o.top] }
+
+// Size returns the size of the signatures the rows hold.
+func (o *Own) Size() int { return o.Sigs[0][0].Size() }
+
+var owns [MaxRankedColors + 1][MaxRankedColors + 1]atomic.Pointer[Own]
+
+// OwnOf returns the own-colour ranking of the size-h signatures over k
+// colours, 1 ≤ h ≤ k ≤ MaxRankedColors; built once per process, as
+// RankingOf's rankings are.
+func OwnOf(k, h int) *Own {
+	slot := &owns[k][h]
+	if o := slot.Load(); o != nil {
+		return o
+	}
+	narrow := RankingOf(k-1, h-1)
+	o := &Own{Rank: make([]uint16, 1<<k), Sigs: make([][]Sig, k), top: uint8(k - 1)}
+	for i := copy(o.Rank, narrow.Rank); i < len(o.Rank); i++ {
+		o.Rank[i] = NoRank
+	}
+	for c := range o.Sigs {
+		o.Sigs[c] = make([]Sig, len(narrow.Sigs))
+		for j, s := range narrow.Sigs {
+			o.Sigs[c][j] = s.Expand(uint8(c))
+		}
+	}
+	slot.CompareAndSwap(nil, o)
+	return slot.Load()
+}
+
 // Shift is the edge step of the tree DP, written as a product, from a
 // vertex of colour a to a neighbour of colour b: a row of the first's
 // size-h signature counts over k colours is added into a row of the
-// second's size-h+1 ones by dst[To[i]] += src[From[i]]. From lists the
-// positions (RankingOf(k, h)) of the signatures that hold a and lack b — a
-// vertex's row counts only signatures that hold its own colour, and one that
-// holds b cannot take it — and To, ascending, where RankingOf(k, h+1) puts
-// each with b added. No two To are equal: the adds do not wait on one
-// another.
+// second's size-h+1 ones by dst[To[i]] += src[From[i]]. Both rows are own
+// rows (OwnOf): From lists the positions, in a's row, of the signatures
+// that lack b — one that holds b cannot take it — and To, ascending, where
+// each with b added sits in b's row. No two To are equal: the adds do not
+// wait on one another.
 type Shift struct {
 	From, To []uint16
 }
@@ -129,8 +192,9 @@ var shifts [MaxRankedColors + 1][MaxRankedColors + 1]atomic.Pointer[[][]Shift]
 
 // ShiftsOf returns the shifts of the size-h signatures over k colours,
 // indexed by the two colours, [a][b], 1 ≤ h ≤ k ≤ MaxRankedColors; built
-// once per process, as RankingOf's rankings are. Those with a = b are empty,
-// and so are all of them at h = k.
+// once per process, as RankingOf's rankings are. Each of a ≠ b has
+// C(k−2, h−1) pairs; those with a = b are empty, and so are all of them at
+// h = k.
 func ShiftsOf(k, h int) [][]Shift {
 	slot := &shifts[k][h]
 	if s := slot.Load(); s != nil {
@@ -143,11 +207,11 @@ func ShiftsOf(k, h int) [][]Shift {
 			if a == b || h == k {
 				continue
 			}
-			from, up, sh := RankingOf(k, h), RankingOf(k, h+1), &s[a][b]
-			for j, sg := range from.Sigs {
-				if sg.Has(uint8(a)) && !sg.Has(uint8(b)) {
+			from, up, sh := OwnOf(k, h), OwnOf(k, h+1), &s[a][b]
+			for j, sg := range from.Sigs[a] {
+				if !sg.Has(uint8(b)) {
 					sh.From = append(sh.From, uint16(j))
-					sh.To = append(sh.To, up.Rank[sg.Add(uint8(b))])
+					sh.To = append(sh.To, up.Pos(sg.Add(uint8(b)), uint8(b)))
 				}
 			}
 		}

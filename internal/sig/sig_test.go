@@ -86,11 +86,51 @@ func TestQuickColorsRoundTrip(t *testing.T) {
 	}
 }
 
+// A vertex's own row ranks the size-h signatures that hold its colour c:
+// for every 1 ≤ h ≤ k ≤ MaxRankedColors and every c, Squeeze and Expand
+// round-trip each of them, their positions are 0, 1, … in bitmap order — a
+// row swept in position order is in Rank() order — and Sigs lists them
+// there. A signature that lacks c, or has another size, ranks NoRank.
+func TestOwnRanksTheSignaturesThatHoldTheColour(t *testing.T) {
+	for k := 1; k <= MaxRankedColors; k++ {
+		for h := 1; h <= k; h++ {
+			own := OwnOf(k, h)
+			if len(own.Sigs) != k || own.Size() != h {
+				t.Fatalf("OwnOf(%d, %d) has %d rows of size %d", k, h, len(own.Sigs), own.Size())
+			}
+			for c := uint8(0); int(c) < k; c++ {
+				next := 0
+				for s := Sig(0); s < 1<<k; s++ {
+					pos := own.Pos(s, c)
+					if !s.Has(c) || s.Size() != h {
+						if pos != NoRank {
+							t.Fatalf("k=%d h=%d c=%d: %b ranks %d, want NoRank", k, h, c, s, pos)
+						}
+						continue
+					}
+					if back := s.Squeeze(c).Expand(c); back != s || s.Squeeze(c) >= 1<<(k-1) {
+						t.Fatalf("k=%d c=%d: %b squeezes to %b and expands to %b", k, c, s, s.Squeeze(c), back)
+					}
+					if int(pos) != next || own.Sigs[c][pos] != s {
+						t.Fatalf("k=%d h=%d c=%d: %b ranks %d, want %d (Sigs has %b there)", k, h, c, s, pos, next, own.Sigs[c][pos])
+					}
+					next++
+				}
+				if next != len(own.Sigs[c]) {
+					t.Fatalf("k=%d h=%d c=%d: %d signatures hold c, the row has %d cells", k, h, c, next, len(own.Sigs[c]))
+				}
+			}
+		}
+	}
+}
+
 // A shift from a vertex of colour a to a neighbour of colour b lists, in
-// order, every size-h signature that holds a and lacks b — the only cells of
-// a's row the step can extend — beside where that signature with b added
-// ranks among the size-h+1 ones; with a = b, or nothing left to add, none.
-// So a cell a shift leaves out is one whose signature lacks a or holds b.
+// order, the positions in a's own row of every size-h signature that lacks
+// b — the only cells of a's row the step can extend — beside where that
+// signature with b added sits in b's row; with a = b, or nothing left to
+// add, none. It is the shift over the whole of C(k, h) — every signature
+// that holds a and lacks b, to RankingOf(k, h+1) — mapped through the two
+// own rankings, pair for pair: C(k−2, h−1) of them.
 func TestShiftsExtendBySignature(t *testing.T) {
 	binom := func(n, r int) int {
 		if r < 0 || r > n {
@@ -108,9 +148,9 @@ func TestShiftsExtendBySignature(t *testing.T) {
 			if len(shifts) != k {
 				t.Fatalf("ShiftsOf(%d, %d) has %d rows, want %d", k, h, len(shifts), k)
 			}
-			from := RankingOf(k, h)
-			for a := 0; a < k; a++ {
-				for b := 0; b < k; b++ {
+			wide, from := RankingOf(k, h), OwnOf(k, h)
+			for a := uint8(0); int(a) < k; a++ {
+				for b := uint8(0); int(b) < k; b++ {
 					sh := shifts[a][b]
 					want := 0
 					if a != b {
@@ -119,15 +159,17 @@ func TestShiftsExtendBySignature(t *testing.T) {
 					if len(sh.From) != want || len(sh.To) != want {
 						t.Fatalf("k=%d h=%d %d→%d: %d from, %d to; want %d", k, h, a, b, len(sh.From), len(sh.To), want)
 					}
-					for i, j := range sh.From {
-						s := from.Sigs[j]
-						if !s.Has(uint8(a)) || s.Has(uint8(b)) {
-							t.Fatalf("k=%d h=%d %d→%d lists %b", k, h, a, b, s)
+					i := 0
+					for _, s := range wide.Sigs {
+						if a == b || h == k || !s.Has(a) || s.Has(b) {
+							continue
 						}
-						up := RankingOf(k, h+1)
-						if up.Sigs[sh.To[i]] != s.Add(uint8(b)) || i > 0 && (sh.From[i-1] >= j || sh.To[i-1] >= sh.To[i]) {
-							t.Fatalf("k=%d h=%d %d→%d: %b goes to %b at %d", k, h, a, b, s, up.Sigs[sh.To[i]], i)
+						up := OwnOf(k, h+1)
+						if sh.From[i] != from.Pos(s, a) || sh.To[i] != up.Pos(s.Add(b), b) || i > 0 && sh.To[i-1] >= sh.To[i] {
+							t.Fatalf("k=%d h=%d %d→%d: pair %d is %d→%d, want %b at %d → %b at %d", k, h, a, b, i,
+								sh.From[i], sh.To[i], s, from.Pos(s, a), s.Add(b), up.Pos(s.Add(b), b))
 						}
+						i++
 					}
 				}
 			}

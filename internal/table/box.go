@@ -2,54 +2,58 @@ package table
 
 import "repro/internal/sig"
 
-// Shape declares a shard whose every key is one vertex and a signature —
-// the vertex in [Lo, Lo+N), the shard's partition, the other key slots
-// None — i.e. the partition's rows of the |V| × C(k,h) count matrix of the
-// tree DP: a start-free walk's table (the vertex is the key's V) or a
-// unary projection (the vertex is its U). A box has a cell per (vertex,
-// signature) and nowhere to keep a second vertex or a recorded X or Y: the
-// declarer — core's newTable, solveLeaf and solveCycle — answers for the
-// other half of VU being None and XY being ^0 in every entry, and a box
-// checks the entry it opens on (ranking), not each add.
+// Shape declares a shard whose every key is one vertex and a signature
+// that holds the vertex's colour — the vertex in [Lo, Lo+N), the shard's
+// partition, the other key slots None — i.e. the partition's rows of the
+// |V| × C(k−1,h−1) count matrix of the tree DP: a start-free walk's table
+// (the vertex is the key's V) or a unary projection (the vertex is its U).
+// A box has a cell per (vertex, signature with the vertex's colour) and
+// nowhere to keep a second vertex or a recorded X or Y: the declarer —
+// core's newTable, solveLeaf and solveCycle — answers for the other half
+// of VU being None and XY being ^0 in every entry, and a box checks the
+// entry it opens on (ranking), not each add. A signature without its
+// vertex's colour has no cell: it panics at every add.
 type Shape struct {
-	Lo, N uint32
-	K     uint8 // colours: signatures are bitmaps below 1<<K
-	Shift uint8 // where VU holds the vertex: 32 for V (U = None), 0 for U (V = None)
+	Lo, N  uint32
+	K      uint8   // colours: signatures are bitmaps below 1<<K
+	Shift  uint8   // where VU holds the vertex: 32 for V (U = None), 0 for U (V = None)
+	Colors []uint8 // the partition's colouring: Colors[v−Lo] is vertex v's colour
 }
 
-// Box is the pending form of a shard with a Shape: N rows of C(K,h) counts,
-// h the size of the first signature added, indexed by (vertex − Lo,
-// sig.Ranking position) and accumulated in place. The header is the
+// Box is the pending form of a shard with a Shape: N rows of C(K−1,h−1)
+// counts, h the size of the first signature added, indexed by (vertex − Lo,
+// sig.Own position in the vertex's colour's row) and accumulated in place.
+// The header is the
 // caller's to allocate (one array per sharded table); the counts are a
 // pooled slab viewed as words, taken when the box is due (boxDue) and given
 // back by the sweep that turns them into sorted entries — or by the Release
 // of a table whose readers took the rows as they lie (Rows, Total, MoveBox).
 type Box struct {
 	Shape
-	rk    *sig.Ranking // of the open box's signature size
-	words []uint64     // the open box, N·len(rk.Sigs) counts; nil while none is open
-	slab  *slab        // words' storage
-	adds  int          // entries added to the open box through AddEnt (Absorb's count)
+	rk    *sig.Own // of the open box's signature size
+	w     int      // a row's cells, C(K−1,h−1)
+	words []uint64 // the open box, N·w counts; nil while none is open
+	slab  *slab    // words' storage
+	adds  int      // entries added to the open box through AddEnt (Absorb's count)
 }
 
 // boxCap bounds one box: 2^15 words, 256 KiB. It does not bound what a
 // join touches: a pushed superstep's destination working set is a box per
 // destination partition per staging goroutine — on tree8-90k 512 boxes of
-// 36 rows × 70, about 10 MB, written one (run, neighbour) row at a time. A
+// 36 rows × 35, about 5 MB, written one (run, neighbour) row at a time. A
 // pulled one (core's pullEdge) writes one row at a time, once, and reads
 // its sources' rows where they lie. A shard whose box would be larger keeps
 // chunks while it is written, boxed at compaction if dense by then
-// (boxDense). With 512 partitions an 18 k-vertex
-// graph at k = 8 is far below it (36 rows of 70) and a million vertices at
-// k = 10 far above (1954 rows of 252). Measured on tree8-90k: adds into one
-// 10 MB matrix per table miss cache on every row, 16 ns each; into
-// per-shard boxes of this size, 2–3. The benchmark has no workload near the
-// cap. By hand (CHANGES.md), bintree10 on dense R-MAT graphs: just under it
-// (2^16 vertices, 128 rows of 252) a trial is ×4 faster than when the
-// shards sorted chunks, at a third of the memory; just over it (2^17, 256
-// rows) boxing at compaction takes a 2-worker trial from 7.5 s to 6.2 on
-// parallel and 6.4 on sim, at the same peak memory. Where the cap should be
-// is open.
+// (boxDense). A row holds only the signatures with its vertex's colour, so
+// with 512 partitions an 18 k-vertex graph at k = 8 is far below it (36
+// rows of at most 35) and a million vertices at k = 10 far above (1954 rows
+// of 126). Measured on tree8-90k: adds into one 10 MB matrix per table
+// miss cache on every row, 16 ns each; into per-shard boxes of this size,
+// 2–3. The benchmark has no workload near the cap. By hand (CHANGES.md),
+// bintree10 on dense R-MAT graphs at k = 10, h = 5: up to 260 rows of 126
+// fit, so R-MAT 2^17 (256 rows to a shard) boxes as it is written, where
+// at C(10,5) = 252 cells a row it kept chunks and boxed at compaction.
+// Where the cap should be is open.
 const boxCap = 1 << 15
 
 // SetBox declares t, which must be empty, a shard of shape s with b as its
@@ -64,13 +68,18 @@ func (t *Flat) SetBox(b *Box, s Shape) {
 // ranking returns the ranking a box of shape s opens with on e, an entry of
 // the shard, and the cells the box then has. It panics if e has a vertex in
 // the other half of VU or a recorded X or Y: added to a box, those would be
-// dropped and the entry aliased onto its (vertex, signature) cell.
-func (s Shape) ranking(e Ent) (rk *sig.Ranking, cells int) {
+// dropped and the entry aliased onto its (vertex, signature) cell. It
+// panics, too, on a vertex outside the partition or a signature without
+// the vertex's colour, which no row has a cell for.
+func (s Shape) ranking(e Ent) (rk *sig.Own, cells int) {
 	if e.XY != ^uint64(0) || uint32(e.VU>>(32-s.Shift)) != None {
 		panic("table: a key with a second or a recorded vertex in a shard declared a vertex×signature matrix")
 	}
-	rk = sig.RankingOf(int(s.K), e.S.Size())
-	return rk, int(s.N) * len(rk.Sigs)
+	if !e.S.Has(s.Colors[uint32(e.VU>>s.Shift)-s.Lo]) {
+		panic("table: a signature without its vertex's colour in a shard declared a vertex×signature matrix")
+	}
+	rk = sig.OwnOf(int(s.K), e.S.Size())
+	return rk, int(s.N) * len(rk.Sigs[0])
 }
 
 // boxDue decides, for a declared shard with no box open that is out of room
@@ -103,9 +112,10 @@ func (t *Flat) boxDue(e Ent) bool {
 // boxCap or not. The box is then no larger than the entries it replaces (8
 // bytes a cell, 32 an entry), and sweeping it reads less than one pass of a
 // record sort would write. boxDue opens a shard within boxCap at half this
-// density, so what opens here is one over the cap: on R-MAT 2^17 at k = 10
-// (256 rows of 252 to a shard) 2048 shards a bintree10 trial, once indexed
-// by packed key (978) or sorted as records.
+// density, so what opens here is one over the cap: at k = 10, h = 5, a
+// shard of more than 260 rows of 126. (On R-MAT 2^17, 256 rows to a shard,
+// that was 2048 shards a bintree10 trial while a row had all C(10,5) = 252
+// cells, once indexed by packed key or sorted as records.)
 func (t *Flat) boxDense() bool {
 	t.retire()
 	if t.full == nil || len(t.full.ents) == 0 { // an empty slab: compacted entries that summed to 0
@@ -139,10 +149,9 @@ func (t *Flat) chained() (n int) {
 
 // openBox opens t's box for signatures ranked by rk and moves the pending
 // chunks into it.
-func (t *Flat) openBox(rk *sig.Ranking) {
+func (t *Flat) openBox(rk *sig.Own) {
 	b := t.box
-	b.rk = rk
-	b.slab, b.words = getWords(int(b.N) * len(rk.Sigs))
+	b.open(rk)
 	clear(b.words)
 	t.retire()
 	for c := t.full; c != nil; c = c.next {
@@ -155,42 +164,48 @@ func (t *Flat) openBox(rk *sig.Ranking) {
 	t.full = nil
 }
 
+// open takes b's words, uncleared, for signatures ranked by rk.
+func (b *Box) open(rk *sig.Own) {
+	b.rk, b.w = rk, len(rk.Sigs[0])
+	b.slab, b.words = getWords(int(b.N) * b.w)
+}
+
 // close gives the open box, if any, back to the pool.
 func (b *Box) close() {
 	putSlab(b.slab)
-	b.rk, b.words, b.slab, b.adds = nil, nil, nil, 0
+	b.rk, b.w, b.words, b.slab, b.adds = nil, 0, nil, nil, 0
 }
 
-// add accumulates e into the open box. A vertex outside the partition or a
-// signature of another size than the box was opened for indexes out of
-// range and panics.
+// add accumulates e into the open box. A vertex outside the partition, or a
+// signature without its colour or of another size than the box was opened
+// for, indexes out of range and panics.
 func (b *Box) add(e Ent) {
-	w := len(b.rk.Sigs)
-	i := int(uint32(e.VU>>b.Shift)-b.Lo) * w
-	row := b.words[i : i+w]
-	row[b.rk.Rank[e.S]] += e.C
+	r := uint32(e.VU>>b.Shift) - b.Lo
+	c := b.Colors[r]
+	i := int(r) * b.w
+	b.words[i : i+b.w][b.rk.Pos(e.S, c)] += e.C
 }
 
-// Row returns the row of vertex v in t's open box — v's counts, indexed by
-// rk.Rank of a signature — and the box's ranking, or nil and nil if t has
-// no box open. It is AddEnt for a join that writes many entries to one
-// vertex of a matrix in place (core's nodeJoin, a pull step): each becomes
-// row[rk.Rank[s]] += c, with no entry packed and no call made, and no add
-// counted: Absorb's count, sim's messages, is AddEnt's, so a stage must
-// not be written through Row (a pushed step appends with AddEnt). A pull
-// step reads its sources' rows through Row too. A vertex outside the
-// partition, or a signature of another size than the box's,
-// indexes out of range and panics, as through AddEnt. Entries compacted
-// before the box opened — a table read and then written again — are not in
-// the row. Row must stay inlinable.
-func (t *Flat) Row(v uint32) (row []uint64, rk *sig.Ranking) {
+// Row returns the row of vertex v in t's open box — v's counts, C(K−1,h−1)
+// of them, indexed by rk.Pos of a signature and v's colour — and the box's
+// ranking, or nil and nil if t has no box open. It is AddEnt for a join
+// that writes many entries to one vertex of a matrix in place (core's
+// nodeJoin, a pull step): each becomes row[rk.Pos(s, χ(v))] += c, with no
+// entry packed and no call made, and no add counted: Absorb's count, sim's
+// messages, is AddEnt's, so a stage must not be written through Row (a
+// pushed step appends with AddEnt). A pull step reads its sources' rows
+// through Row too. A vertex outside the partition, or a signature without
+// v's colour or of another size than the box's, indexes out of range and
+// panics, as through AddEnt. Entries compacted before the box opened — a
+// table read and then written again — are not in the row. Row must stay
+// inlinable.
+func (t *Flat) Row(v uint32) (row []uint64, rk *sig.Own) {
 	b := t.box
 	if b == nil || b.words == nil {
 		return nil, nil
 	}
-	w := len(b.rk.Sigs)
-	i := int(v-b.Lo) * w
-	return b.words[i : i+w], b.rk
+	i := int(v-b.Lo) * b.w
+	return b.words[i : i+b.w], b.rk
 }
 
 // OpenRows opens the box of t — declared, and holding nothing — for
@@ -199,16 +214,15 @@ func (t *Flat) Row(v uint32) (row []uint64, rk *sig.Ranking) {
 // of no rows. It is for a writer that owns t and writes each of its rows
 // whole, once (Row), before anything reads it — a pull step's, whose rows
 // are its own to sum — so a box is not cleared only to be overwritten.
-func (t *Flat) OpenRows(rk *sig.Ranking) bool {
+func (t *Flat) OpenRows(rk *sig.Own) bool {
 	b := t.box
 	if b.words != nil || !t.Boxed() {
 		panic("table: rows opened on a shard that holds entries")
 	}
-	if b.N == 0 || int(b.N)*len(rk.Sigs) > boxCap {
+	if b.N == 0 || int(b.N)*len(rk.Sigs[0]) > boxCap {
 		return false
 	}
-	b.rk = rk
-	b.slab, b.words = getWords(int(b.N) * len(rk.Sigs))
+	b.open(rk)
 	return true
 }
 
@@ -218,7 +232,7 @@ func (t *Flat) OpenRows(rk *sig.Ranking) bool {
 func (t *Flat) Boxed() bool { return len(t.fill) == 0 && t.full == nil && t.sorted == nil }
 
 // MoveBox hands src's open box, whole, to t — an empty shard declared with
-// the same rows (Lo, N, K), whichever half of VU holds their vertex — and
+// the same rows (Lo, N, K, Colors), whichever half of VU holds their vertex — and
 // reports false, moving nothing, if src has no box open. It is the
 // projection that keeps the vertex and the signature and moves the vertex
 // to the other key half — a start-free walk's table (None, v, α) becoming a
@@ -234,16 +248,23 @@ func (t *Flat) MoveBox(src *Flat) bool {
 		return false
 	}
 	tb := t.box
-	if tb == nil || tb.Lo != sb.Lo || tb.N != sb.N || tb.K != sb.K {
+	if tb == nil || tb.Lo != sb.Lo || tb.N != sb.N || tb.K != sb.K || !sameColors(tb.Colors, sb.Colors) {
 		panic("table: a box moved into a shard of other rows")
 	}
 	if t.retire(); tb.words != nil || t.full != nil || t.sorted != nil {
 		panic("table: a box moved into a shard that holds entries")
 	}
 	src.foldSorted()
-	tb.rk, tb.words, tb.slab, tb.adds = sb.rk, sb.words, sb.slab, sb.adds
+	tb.rk, tb.w, tb.words, tb.slab, tb.adds = sb.rk, sb.w, sb.words, sb.slab, sb.adds
 	*sb = Box{Shape: sb.Shape}
 	return true
+}
+
+// sameColors reports whether a and b are one colouring of one partition:
+// the same array, not equal values — two shards' rows are the same rows
+// only if they are the same vertices.
+func sameColors(a, b []uint8) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // foldSorted adds the entries t compacted before its box opened back into
@@ -292,7 +313,7 @@ func (t *Flat) sweepBox(stop func() bool) bool {
 		return false
 	}
 	if n := NonZero(b.words); n > 0 {
-		t.sorted = getSlab(n + len(b.rk.Sigs)) // appendRow's room for a whole row
+		t.sorted = getSlab(n + b.w) // appendRow's room for a whole row
 		for r := 0; r < int(b.N); r++ {
 			t.sorted.ents = b.appendRow(t.sorted.ents, r)
 		}
@@ -307,8 +328,8 @@ func (t *Flat) sweepBox(stop func() bool) bool {
 // are kept, with no branch per cell — whether a cell of a half-filled row
 // holds a count is a coin toss.
 func (b *Box) appendRow(ents []Ent, r int) []Ent {
-	sigs := b.rk.Sigs
-	w, n := len(sigs), len(ents)
+	sigs := b.rk.Sigs[b.Colors[r]]
+	w, n := b.w, len(ents)
 	vu := uint64(b.Lo+uint32(r))<<b.Shift | uint64(None)<<(32-b.Shift) // None in the other half
 	cells, room := b.words[r*w:(r+1)*w], ents[n:n+w]
 	for j, s := range sigs {

@@ -361,7 +361,7 @@ type Rows struct {
 func (t *Flat) Rows(stop func() bool) (r Rows) {
 	if b := t.box; b != nil && (b.words != nil || t.boxDense()) {
 		t.foldSorted()
-		s := getSlab(len(b.rk.Sigs))
+		s := getSlab(b.w)
 		return Rows{shift: b.Shift, box: b, row: s.ents, slab: s}
 	}
 	if t.compact(stop) {

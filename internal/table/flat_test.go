@@ -284,17 +284,16 @@ func BenchmarkFlatBuild(b *testing.B) {
 		{name: "recorded64k/n18k/k5", n: 64 << 10, verts: 18000, k: 5, homeLo: 4090, homes: 36, recorded: true},
 		{name: "dense64k/n50/k5", n: 64 << 10, verts: 50, k: 5, homeLo: 4090, homes: 36}, // 17 key bits, as cycle5-90k's largest shards: records of two digits
 		{name: "table1M/n18k/k8", n: 1 << 20, verts: 18000, k: 8, homes: 18000},
-		{name: "box36/n18k/k8", n: 5 * 36 * 70 / 2, k: 8, homeLo: 4090, homes: 36, box: true},
-		{name: "box36rows/n18k/k8", n: 5 * 36 * 70 / 2, k: 8, homeLo: 4090, homes: 36, box: true, rows: true},
+		{name: "box36/n18k/k8", n: 5 * 36 * 35 / 2, k: 8, homeLo: 4090, homes: 36, box: true},
+		{name: "box36rows/n18k/k8", n: 5 * 36 * 35 / 2, k: 8, homeLo: 4090, homes: 36, box: true, rows: true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			keys := make([]Key, c.n)
-			sized := sig.RankingOf(c.k, 4).Sigs
 			for i := range keys {
 				home := c.homeLo + uint32(rng.Intn(int(c.homes)))
 				if c.box { // half of the box's cells, five times each
-					keys[i] = Binary(None, home, sized[rng.Intn(len(sized))])
+					keys[i] = Binary(None, home, ownSig(rng, c.k, 4, home))
 					continue
 				}
 				keys[i] = Binary(uint32(rng.Intn(c.verts)), home, sig.Sig(1+rng.Intn(1<<c.k-1)))
@@ -312,7 +311,7 @@ func BenchmarkFlatBuild(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var f Flat
 				if c.box {
-					f.SetBox(&box, Shape{Lo: c.homeLo, N: c.homes, K: uint8(c.k), Shift: 32})
+					f.SetBox(&box, Shape{Lo: c.homeLo, N: c.homes, K: uint8(c.k), Shift: 32, Colors: palettes[c.k][c.homeLo : c.homeLo+c.homes]})
 				}
 				if c.rows {
 					addRuns(&f, keys)
@@ -343,16 +342,38 @@ func addRuns(f *Flat, keys []Key) {
 			}
 			continue
 		}
+		c := f.box.Colors[keys[i].V-f.box.Lo]
 		for _, k := range keys[i:j] {
-			row[rk.Rank[k.S]]++
+			row[rk.Pos(k.S, c)]++
 		}
 	}
 }
 
+// palettes colours the vertices [0, 2^13) for each k: one array per k, so
+// that boxes over the same rows share their colouring (MoveBox), and mixed,
+// so that neighbouring rows rank their cells differently.
+var palettes = func() (p [sig.MaxRankedColors + 1][]uint8) {
+	for k := 1; k < len(p); k++ {
+		p[k] = make([]uint8, 1<<13)
+		for v := range p[k] {
+			p[k][v] = uint8(uint32(v) * 2654435761 >> 24 % uint32(k))
+		}
+	}
+	return p
+}()
+
+// ownSig returns a random size-h signature over k colours that holds v's
+// colour under palettes[k]: one a box row of v has a cell for.
+func ownSig(rng *rand.Rand, k, h int, v uint32) sig.Sig {
+	row := sig.OwnOf(k, h).Sigs[palettes[k][v]]
+	return row[rng.Intn(len(row))]
+}
+
 // boxed returns an empty table declared a vertex×signature shard over the
-// vertices [lo, lo+n) and k colours, the vertex in V (inV) or in U.
+// vertices [lo, lo+n), coloured by palettes[k], and k colours, the vertex
+// in V (inV) or in U.
 func boxed(lo, n uint32, k int, inV bool) *Flat {
-	s := Shape{Lo: lo, N: n, K: uint8(k)}
+	s := Shape{Lo: lo, N: n, K: uint8(k), Colors: palettes[k][lo : lo+n]}
 	if inV {
 		s.Shift = 32
 	}
@@ -376,21 +397,43 @@ func sameTable(t *testing.T, what string, a, b *Flat) {
 	}
 }
 
+// sameRows fails the test unless Rows hands out f's entries, vertex by
+// vertex, as want's Ents has them.
+func sameRows(t *testing.T, what string, f, want *Flat) {
+	t.Helper()
+	rows := f.Rows(nil)
+	defer rows.Close()
+	var got []Ent
+	for run := rows.Next(); len(run) > 0; run = rows.Next() {
+		got = append(got, run...)
+	}
+	if !slices.Equal(got, want.Ents()) {
+		t.Fatalf("%s: the rows hold %d entries, the plain table %d (or they differ)", what, len(got), want.Len())
+	}
+}
+
+// flip moves e's vertex to the other half of VU: the projection MoveBox is.
+func flip(e Ent) Ent {
+	e.VU = e.VU<<32 | e.VU>>32
+	return e
+}
+
 // A shard declared a vertex×signature matrix accumulates in a box once it
 // is due one; one that is not appends and sorts. Nothing a reader can see
-// may differ: random (vertex, signature, count) streams — vertex in V or in
-// U, heavy duplication, boxes that open at once, after some chunks or not
-// at all — through both, across Absorb box←box and box←chunks, a box read
-// and then written again, Release, and a box nothing was added to.
+// may differ: random (vertex, signature, count) streams over vertices of
+// mixed colours at k ∈ {3, 8, 10, 16} — vertex in V or in U, heavy
+// duplication, boxes that open at once, after some chunks or not at all —
+// through both, across Absorb box←box and box←chunks, a box read and then
+// written again, Rows, MoveBox, Release, and a box nothing was added to.
 func TestBoxMatchesChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 60; trial++ {
-		k, inV := 3+rng.Intn(8), rng.Intn(2) == 0
+		k, inV := []int{3, 8, 10, 16}[trial%4], rng.Intn(2) == 0
 		h := 1 + rng.Intn(k-1)
 		lo, n := uint32(rng.Intn(1000)), uint32(1+rng.Intn(40))
-		sigs := sig.RankingOf(k, h).Sigs
 		ent := func() Ent {
-			v, s, c := lo+uint32(rng.Intn(int(n))), sigs[rng.Intn(len(sigs))], uint64(1+rng.Intn(9))
+			v := lo + uint32(rng.Intn(int(n)))
+			s, c := ownSig(rng, k, h, v), uint64(1+rng.Intn(9))
 			if inV {
 				return BinaryEnt(None, v, s, c)
 			}
@@ -428,6 +471,21 @@ func TestBoxMatchesChunks(t *testing.T) {
 		fill(stageChunks, plain)
 		box.Absorb(stageChunks)
 		sameTable(t, "Absorb box←chunks", box, plain)
+		fill(box, plain)
+		sameRows(t, "Rows", box, plain)
+
+		moved, projected := boxed(lo, n, k, !inV), new(Flat)
+		for _, e := range plain.Ents() {
+			projected.AddEnt(flip(e))
+		}
+		if !moved.MoveBox(box) { // a shard whose box never opened is projected entry by entry
+			for _, e := range box.Ents() {
+				moved.AddEnt(flip(e))
+			}
+		}
+		sameTable(t, "MoveBox", moved, projected)
+		moved.Release()
+		projected.Release()
 		box.Release()
 
 		held := SlabsOut() // the box is empty: it holds none of them
@@ -444,19 +502,29 @@ func TestBoxMatchesChunks(t *testing.T) {
 	}
 }
 
-// A signature of another size than the box was opened for, or a vertex of
-// another partition, must panic — never land in some other key's cell.
+// A signature of another size than the box was opened for, one without its
+// vertex's colour — of the box's size or one smaller, which squeezed would
+// alias the cell of itself with the colour added — or a vertex of another
+// partition, must panic — never land in some other key's cell.
 func TestBoxRejectsWhatItCannotIndex(t *testing.T) {
+	const k = 6
+	c := sig.Of(palettes[k][12])
+	others := sig.Full(k).Without(c).Colors(nil) // the colours vertex 12 has not
+	pair := c.Add(others[0])                     // a size-2 signature a row of vertex 12 holds
+	lacking := sig.Of(others[0]).Add(others[1])
 	for name, e := range map[string]Ent{
-		"a signature of another size": UnaryEnt(12, 0b0111, 1),
-		"a signature beyond k":        UnaryEnt(12, 1<<6|1, 1),
-		"a vertex below the range":    UnaryEnt(9, 0b0011, 1),
-		"a vertex above the range":    UnaryEnt(20, 0b0011, 1),
+		"a signature of another size":          UnaryEnt(12, pair.Add(others[1]), 1),
+		"a signature beyond k":                 UnaryEnt(12, c.Add(6), 1),
+		"a signature without the colour":       UnaryEnt(12, lacking, 1),
+		"a smaller one without the colour":     UnaryEnt(12, sig.Of(others[0]), 1),
+		"a vertex below the range":             UnaryEnt(9, sig.Of(palettes[k][9]).Add((palettes[k][9]+1)%k), 1),
+		"a vertex above the range":             UnaryEnt(20, sig.Of(palettes[k][20]).Add((palettes[k][20]+1)%k), 1),
+		"another vertex's colour, not its own": UnaryEnt(13, pair, 1),
 	} {
 		func() {
-			box := boxed(10, 10, 6, false)
+			box := boxed(10, 10, k, false)
 			defer box.Release()
-			box.AddEnt(UnaryEnt(12, 0b0101, 1))
+			box.AddEnt(UnaryEnt(12, pair, 1))
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s was added to a box of size-2 signatures over [10,20)", name)
@@ -467,8 +535,10 @@ func TestBoxRejectsWhatItCannotIndex(t *testing.T) {
 	}
 	// What a cell cannot hold is caught on the entry a box opens on.
 	for name, e := range map[string]Ent{
-		"a start vertex":    BinaryEnt(12, 3, 0b0101, 1),
-		"a recorded vertex": Key{U: 12, V: None, X: 4, Y: None, S: 0b0101}.Ent(1),
+		"a start vertex":                 BinaryEnt(12, 3, pair, 1),
+		"a recorded vertex":              Key{U: 12, V: None, X: 4, Y: None, S: pair}.Ent(1),
+		"a signature without the colour": UnaryEnt(12, lacking, 1),
+		"a vertex outside the range":     UnaryEnt(20, pair, 1),
 	} {
 		func() {
 			box := boxed(10, 10, 6, false)
@@ -486,22 +556,23 @@ func TestBoxRejectsWhatItCannotIndex(t *testing.T) {
 // A box opens once it is no more than twice the bytes of the chunks its
 // shard has filled and the one it would take next: at the first add if it
 // is no larger than two chunks, at the add that would chain a fifth chunk
-// for 40 rows of 252 — and then holds everything added so far.
+// for 80 rows of 126 — and then holds everything added so far.
 func TestBoxOpensWhenDue(t *testing.T) {
-	sigs := sig.RankingOf(10, 5).Sigs
+	rng := rand.New(rand.NewSource(22))
 	for _, c := range []struct {
 		rows uint32
 		at   int // the add that opens the box
-	}{{8, 1}, {9, 257}, {40, 1025}} {
+	}{{16, 1}, {17, 257}, {80, 1025}} {
 		box := boxed(0, c.rows, 10, true)
 		for i := 1; i <= c.at+10; i++ {
-			box.AddEnt(BinaryEnt(None, uint32(i)%c.rows, sigs[i%len(sigs)], 1))
+			v := uint32(i) % c.rows
+			box.AddEnt(BinaryEnt(None, v, ownSig(rng, 10, 5, v), 1))
 			if open := box.box.words != nil; open != (i >= c.at) {
-				t.Fatalf("%d rows of 252: box open = %v after %d adds, want it opened by add %d", c.rows, open, i, c.at)
+				t.Fatalf("%d rows of 126: box open = %v after %d adds, want it opened by add %d", c.rows, open, i, c.at)
 			}
 		}
 		if box.fill != nil || box.full != nil || box.box.adds != c.at+10 || box.Total() != uint64(c.at+10) {
-			t.Fatalf("%d rows of 252: the open box holds %d of %d adds", c.rows, box.box.adds, c.at+10)
+			t.Fatalf("%d rows of 126: the open box holds %d of %d adds", c.rows, box.box.adds, c.at+10)
 		}
 		box.Release()
 	}
@@ -517,11 +588,10 @@ func TestBoxOpensWhenDue(t *testing.T) {
 // declared destination. And a row is handed out only while a box is open.
 func TestRowWritesAreEntryAdds(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	sigs := sig.RankingOf(10, 5).Sigs // 252 to a row
 	for _, c := range []struct {
 		name string
 		rows uint32
-	}{{"box at the first add", 8}, {"box at a chunk fill", 40}, {"over the cap", 131}} {
+	}{{"box at the first add", 8}, {"box at a chunk fill", 40}, {"over the cap", 261}} { // 126 to a row
 		// Runs of entries that share their vertex, as a run-major join
 		// writes them.
 		type run struct {
@@ -533,7 +603,7 @@ func TestRowWritesAreEntryAdds(t *testing.T) {
 		for total < 6000 {
 			r := run{v: uint32(rng.Intn(int(c.rows)))}
 			for i := rng.Intn(12); i >= 0; i-- {
-				r.ents = append(r.ents, BinaryEnt(None, r.v, sigs[rng.Intn(len(sigs))], uint64(1+rng.Intn(9))))
+				r.ents = append(r.ents, BinaryEnt(None, r.v, ownSig(rng, 10, 5, r.v), uint64(1+rng.Intn(9))))
 			}
 			runs = append(runs, r)
 			total += len(r.ents)
@@ -558,7 +628,7 @@ func TestRowWritesAreEntryAdds(t *testing.T) {
 					continue
 				}
 				for _, e := range r.ents {
-					row[rk.Rank[e.S]] += e.C
+					row[rk.Pos(e.S, palettes[10][r.v])] += e.C
 				}
 				rowsTaken++
 			}
@@ -566,7 +636,7 @@ func TestRowWritesAreEntryAdds(t *testing.T) {
 		}
 		held := SlabsOut()
 		byEnt, byRow, rowsTaken := write()
-		if byRow.box == nil || (rowsTaken > 0) != (c.rows != 131) {
+		if byRow.box == nil || (rowsTaken > 0) != (c.rows != 261) {
 			t.Fatalf("%s: %d rows taken, the declaration kept %v", c.name, rowsTaken, byRow.box != nil)
 		}
 		if c.rows == 40 && rowsTaken == len(runs) {
@@ -597,9 +667,9 @@ func TestRowWritesAreEntryAdds(t *testing.T) {
 // walk's table (None, v, α) to the block's (v, None, α): the entries must be
 // exactly those a projection entry by entry makes, the walk's shard left
 // empty and releasable, and every slab given back. A box moved into a shard
-// of other rows — another partition, row count or colour count — or into
-// one that holds entries must panic and leave the box where it was: read
-// at other rows it would alias their cells.
+// of other rows — another partition, row count, colour count or colouring
+// — or into one that holds entries must panic and leave the box where it
+// was: read at other rows it would alias their cells.
 func TestMoveBoxIsTheProjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	held := SlabsOut()
@@ -607,14 +677,15 @@ func TestMoveBoxIsTheProjection(t *testing.T) {
 		k := 3 + rng.Intn(8)
 		h := 1 + rng.Intn(k-1)
 		lo, n := uint32(rng.Intn(1000)), uint32(1+rng.Intn(40))
-		sigs := sig.RankingOf(k, h).Sigs
+		own := func(v uint32) sig.Sig { return ownSig(rng, k, h, v) }
 		walk, entries := boxed(lo, n, k, true), new(Flat)
 		adds := rng.Intn(3000)
 		for i := 0; i <= adds; i++ {
 			if i == adds/2 && trial%2 == 1 {
 				walk.Len() // read, then written again: the move folds what was compacted back in
 			}
-			e := BinaryEnt(None, lo+uint32(rng.Intn(int(n))), sigs[rng.Intn(len(sigs))], uint64(1+rng.Intn(9)))
+			v := lo + uint32(rng.Intn(int(n)))
+			e := BinaryEnt(None, v, own(v), uint64(1+rng.Intn(9)))
 			walk.AddEnt(e)
 			entries.AddEnt(e)
 		}
@@ -624,15 +695,18 @@ func TestMoveBoxIsTheProjection(t *testing.T) {
 		}
 		open := walk.box.words != nil
 
+		recoloured := boxed(lo, n, k, false)
+		recoloured.box.Colors = slices.Clone(recoloured.box.Colors)
 		for name, dst := range map[string]*Flat{
 			"another partition": boxed(lo+1, n, k, false),
 			"more rows":         boxed(lo, n+1, k, false),
 			"another k":         boxed(lo, n, k+1, false),
+			"another colouring": recoloured,
 			"an undeclared one": new(Flat),
 			"one with entries":  boxed(lo, n, k, false),
 		} {
 			if name == "one with entries" {
-				dst.AddEnt(UnaryEnt(lo, sigs[0], 1))
+				dst.AddEnt(UnaryEnt(lo, own(lo), 1))
 			}
 			func() {
 				defer func() {
@@ -664,8 +738,9 @@ func TestMoveBoxIsTheProjection(t *testing.T) {
 			}
 		}
 		sameTable(t, "moved box", out, want)
-		out.AddEnt(UnaryEnt(lo, sigs[0], 1)) // a moved box takes adds as its own
-		want.AddEnt(UnaryEnt(lo, sigs[0], 1))
+		first := UnaryEnt(lo, own(lo), 1)
+		out.AddEnt(first) // a moved box takes adds as its own
+		want.AddEnt(first)
 		sameTable(t, "moved box, added to", out, want)
 
 		// And back, a U-shift shard into a V-shift one: a leaf block's output
@@ -673,7 +748,8 @@ func TestMoveBoxIsTheProjection(t *testing.T) {
 		// read above; more adds reopen its box, and the move folds what the
 		// read compacted back in.
 		for i := rng.Intn(3000); i >= 0; i-- {
-			e := UnaryEnt(lo+uint32(rng.Intn(int(n))), sigs[rng.Intn(len(sigs))], uint64(1+rng.Intn(9)))
+			v := lo + uint32(rng.Intn(int(n)))
+			e := UnaryEnt(v, own(v), uint64(1+rng.Intn(9)))
 			out.AddEnt(e)
 			want.AddEnt(e)
 		}
@@ -708,7 +784,6 @@ func TestMoveBoxIsTheProjection(t *testing.T) {
 // box's cells without sweeping it, and the scratch goes back on Close.
 func TestRowsAreEntsRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	wide, narrow := sig.RankingOf(10, 5).Sigs, sig.RankingOf(6, 3).Sigs
 	const lo = 500
 	for _, c := range []struct {
 		name           string
@@ -716,16 +791,16 @@ func TestRowsAreEntsRuns(t *testing.T) {
 		n              int
 		inV, undecl    bool
 		readAt         int // the add before which the shard is read, if any
-		sigs           []sig.Sig
+		h              int // the signatures' size: 5 is 126 cells a row at k = 10, 3 is 36
 		boxedWhenRead  bool
 		boxedAfterRead bool // the read opened a box it did not sweep
 	}{
-		{name: "box open while written", rows: 30, n: 4000, sigs: narrow, boxedWhenRead: true},
-		{name: "box opened at compaction", rows: 131, n: 10000, inV: true, sigs: wide, boxedAfterRead: true},
-		{name: "chunks sorted", rows: 40, n: 500, sigs: wide},
-		{name: "over the cap, sparse", rows: 131, n: 5000, sigs: wide},
-		{name: "a walk's shard, undeclared", rows: 40, n: 3000, inV: true, undecl: true, sigs: wide},
-		{name: "compacted, then written", rows: 30, n: 4000, readAt: 1500, sigs: narrow, boxedWhenRead: true},
+		{name: "box open while written", rows: 30, n: 4000, h: 3, boxedWhenRead: true},
+		{name: "box opened at compaction", rows: 261, n: 10000, inV: true, h: 5, boxedAfterRead: true},
+		{name: "chunks sorted", rows: 40, n: 500, h: 5},
+		{name: "over the cap, sparse", rows: 261, n: 5000, h: 5},
+		{name: "a walk's shard, undeclared", rows: 40, n: 3000, inV: true, undecl: true, h: 5},
+		{name: "compacted, then written", rows: 30, n: 4000, readAt: 1500, h: 3, boxedWhenRead: true},
 	} {
 		for _, read := range []string{"Next", "At"} {
 			held := SlabsOut()
@@ -737,7 +812,8 @@ func TestRowsAreEntsRuns(t *testing.T) {
 				if i == c.readAt && i > 0 {
 					f.Len()
 				}
-				v, s, n := lo+uint32(rng.Intn(int(c.rows))), c.sigs[rng.Intn(len(c.sigs))], uint64(1+rng.Intn(9))
+				v := lo + uint32(rng.Intn(int(c.rows)))
+				s, n := ownSig(rng, 10, c.h, v), uint64(1+rng.Intn(9))
 				e := UnaryEnt(v, s, n)
 				if c.inV {
 					e = BinaryEnt(None, v, s, n)
@@ -792,13 +868,14 @@ func TestRowsAreEntsRuns(t *testing.T) {
 // A box larger than boxCap is not opened while its shard is written: the
 // shard appends, keeping its declaration, and its chunks change hands whole
 // when another shard of the shape absorbs it. Compaction then boxes them if
-// the entries are at least a quarter of the cells (4·n ≥ 131·252 = 33 012:
+// the entries are at least a quarter of the cells (4·n ≥ 261·126 = 32 886:
 // 10 000 entries, not 5 000), folding in what an earlier read compacted,
 // and sorts them otherwise. Either way the shard reads as an undeclared one
 // does.
 func TestBoxOverCapKeepsChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	sigs := sig.RankingOf(10, 5).Sigs // 252 to a row: 131 rows exceed the cap, 130 do not
+	// Size-5 signatures over 10 colours, 126 to an own row: 261 rows exceed
+	// the cap, 260 do not.
 	for _, c := range []struct {
 		rows        uint32
 		n           int
@@ -806,18 +883,19 @@ func TestBoxOverCapKeepsChunks(t *testing.T) {
 		whileFilled bool // the box opens as the shard is written
 		atCompact   bool // the box opens when the shard is compacted
 	}{
-		{130, 5000, 0, true, false},
-		{131, 5000, 0, false, false},
-		{131, 10000, 0, false, true},
-		{131, 10000, 2500, false, true}, // 1 250 entries sorted, then 8 750 more boxed
+		{260, 5000, 0, true, false},
+		{261, 5000, 0, false, false},
+		{261, 10000, 0, false, true},
+		{261, 10000, 2500, false, true}, // 1 250 entries sorted, then 8 750 more boxed
 	} {
-		name := fmt.Sprintf("%d rows of 252, %d entries, read at %d", c.rows, c.n, c.readAt)
+		name := fmt.Sprintf("%d rows of 126, %d entries, read at %d", c.rows, c.n, c.readAt)
 		box, stage, plain := boxed(0, c.rows, 10, true), boxed(0, c.rows, 10, true), new(Flat)
 		for i := 0; i < c.n; i++ {
 			if i == c.readAt && i > 0 {
 				box.Len()
 			}
-			e := BinaryEnt(None, uint32(rng.Intn(int(c.rows))), sigs[rng.Intn(len(sigs))], 1)
+			v := uint32(rng.Intn(int(c.rows)))
+			e := BinaryEnt(None, v, ownSig(rng, 10, 5, v), 1)
 			if i%2 == 0 {
 				box.AddEnt(e)
 			} else {
@@ -859,9 +937,9 @@ func TestZeroSumIsAbsent(t *testing.T) {
 		t.AddEnt(e)
 		t.AddEnt(e)
 	}
-	box := boxed(0, 4, 4, false)
-	wrap(box, UnaryEnt(1, 0b11, 0))
-	box.AddEnt(UnaryEnt(2, 0b11, 5))
+	box, pair := boxed(0, 4, 4, false), func(v uint32) sig.Sig { return sig.OwnOf(4, 2).Sigs[palettes[4][v]][0] }
+	wrap(box, UnaryEnt(1, pair(1), 0))
+	box.AddEnt(UnaryEnt(2, pair(2), 5))
 	small, sorted := new(Flat), new(Flat)
 	wrap(small, Binary(1, 2, 3).Ent(0))
 	small.Add(Binary(1, 2, 4), 5)
@@ -869,12 +947,13 @@ func TestZeroSumIsAbsent(t *testing.T) {
 		wrap(sorted, Binary(uint32(i*97), uint32(i*89), 3).Ent(0))
 	}
 	sorted.Add(Binary(97, 89, 3), 5)
-	// Over boxCap (131 rows of 252), boxed at compaction: 10 001 entries.
-	late, sigs := boxed(0, 131, 10, false), sig.RankingOf(10, 5).Sigs
+	// Over boxCap (261 rows of 126), boxed at compaction: 10 001 entries.
+	late, own := boxed(0, 261, 10, false), sig.OwnOf(10, 5)
 	for i := 0; i < 5000; i++ {
-		wrap(late, UnaryEnt(uint32(i%131), sigs[i%len(sigs)], 0))
+		v := uint32(i % 261)
+		wrap(late, UnaryEnt(v, own.Sigs[palettes[10][v]][i%126], 0))
 	}
-	late.AddEnt(UnaryEnt(3, sigs[0], 5))
+	late.AddEnt(UnaryEnt(3, own.Sigs[palettes[10][3]][0], 5))
 	for name, f := range map[string]*Flat{"box": box, "comparison sort": small, "records": sorted, "box at compaction": late} {
 		if f.Len() != 1 || f.Total() != 5 {
 			t.Errorf("%s: %d entries totalling %d, want the one whose count is 5", name, f.Len(), f.Total())
@@ -948,22 +1027,25 @@ func TestCompactionTiers(t *testing.T) {
 // A compaction polls stop between its passes and, once it fires, gives
 // back what it borrowed and leaves the table as pending as it was — at any
 // poll, in any tier, and for a box. A box compaction opened over boxCap
-// (131 rows of 252, a third full) is the pending form it leaves: the chunks
+// (261 rows of 126, a third full) is the pending form it leaves: the chunks
 // are in it, and it is all the table holds.
 func TestBuildStopsBetweenPasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	sigs, wide := sig.RankingOf(6, 3).Sigs, sig.RankingOf(10, 5).Sigs
+	add := func(f *Flat, rows uint32, k, h int) {
+		v := uint32(rng.Intn(int(rows)))
+		f.AddEnt(UnaryEnt(v, ownSig(rng, k, h, v), 1))
+	}
 	for name, add := range map[string]func(f *Flat){
 		"records":           func(f *Flat) { f.Add(Binary(uint32(rng.Intn(5000)), uint32(rng.Intn(5000)), 1), 1) },
-		"box":               func(f *Flat) { f.AddEnt(UnaryEnt(uint32(rng.Intn(30)), sigs[rng.Intn(len(sigs))], 1)) },
-		"box at compaction": func(f *Flat) { f.AddEnt(UnaryEnt(uint32(rng.Intn(131)), wide[rng.Intn(len(wide))], 1)) },
+		"box":               func(f *Flat) { add(f, 30, 6, 3) },
+		"box at compaction": func(f *Flat) { add(f, 261, 10, 5) },
 	} {
 		f := new(Flat)
 		switch name {
 		case "box":
 			f = boxed(0, 30, 6, false)
 		case "box at compaction":
-			f = boxed(0, 131, 10, false)
+			f = boxed(0, 261, 10, false)
 		}
 		const n = 10000
 		for polls := 1; ; polls++ {
@@ -997,6 +1079,33 @@ func TestBuildStopsBetweenPasses(t *testing.T) {
 			}
 			f.Release()
 		}
+	}
+}
+
+// A words request takes the smallest slab class that fits it, however far
+// below a chunk — a box of 36 rows of 7 takes 2 KiB, not a chunk's 8 — and
+// gives it back; a slab of entries still takes a chunk at least, since a
+// table's entries grow.
+func TestWordsTakeTheSmallestClass(t *testing.T) {
+	held := SlabsOut()
+	for _, c := range []struct{ words, ents int }{
+		{1, 1}, {4, 1}, {5, 2}, {36 * 7, 64}, {36 * 7 * 4, 256}, {chunkEnts*entWords + 1, 2 * chunkEnts},
+	} {
+		s, words := getWords(c.words)
+		if len(words) != c.words || cap(s.ents) != c.ents || SlabsOut() != held+1 {
+			t.Errorf("%d words: a slab of %d entries (%d slabs out), want %d", c.words, cap(s.ents), SlabsOut()-held, c.ents)
+		}
+		putSlab(s)
+	}
+	for _, n := range []int{1, chunkEnts - 1, chunkEnts} {
+		if s := getSlab(n); cap(s.ents) != chunkEnts {
+			t.Errorf("getSlab(%d) holds %d entries, want a chunk's %d", n, cap(s.ents), chunkEnts)
+		} else {
+			putSlab(s)
+		}
+	}
+	if SlabsOut() != held {
+		t.Fatalf("%d slabs kept", SlabsOut()-held)
 	}
 }
 

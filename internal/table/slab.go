@@ -33,11 +33,16 @@ var slabsOut atomic.Int64
 // leaves it where it found it.
 func SlabsOut() int64 { return slabsOut.Load() }
 
-// getSlab returns an empty slab with capacity for at least n entries. Its
-// spare capacity holds stale entries of whoever used it last.
-func getSlab(n int) *slab {
+// getSlab returns an empty slab with capacity for at least n entries, and
+// for no fewer than a chunk: a table's entries grow. Its spare capacity
+// holds stale entries of whoever used it last.
+func getSlab(n int) *slab { return slabOf(max(n, chunkEnts)) }
+
+// slabOf is getSlab with no floor: a slab of the smallest class that holds
+// n ≥ 1 entries.
+func slabOf(n int) *slab {
 	slabsOut.Add(1)
-	c := bits.Len(uint(max(n, chunkEnts) - 1)) // smallest c with 2^c ≥ n
+	c := bits.Len(uint(n - 1)) // smallest c with 2^c ≥ n
 	if s, _ := slabPools[c].Get().(*slab); s != nil {
 		return s
 	}
@@ -62,9 +67,10 @@ const entWords = int(unsafe.Sizeof(Ent{}) / 8)
 // of counts, a compaction's records — holding whatever its last user left
 // there. An Ent is four aligned words and no pointer, so the same pool and
 // the same SlabsOut count cover entries and words alike; the slab goes
-// back with putSlab.
+// back with putSlab. It is of the smallest class that fits, however far
+// below a chunk: words do not grow, and a box of 36 rows of 7 takes 2 KiB.
 func getWords(n int) (*slab, []uint64) {
-	s := getSlab((n + entWords - 1) / entWords)
+	s := slabOf(max(n+entWords-1, entWords) / entWords)
 	return s, unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s.ents))), n)
 }
 
