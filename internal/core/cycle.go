@@ -271,20 +271,21 @@ func (s *solver) makeSplit(b *decomp.Block, start, end int, ordered bool) split 
 // — and joins them (Figure 4/6 Procedure 2): entries agree on (U,V),
 // signatures must intersect exactly in {χ(U), χ(V)}, and products are
 // emitted keyed by the block's boundary mappings — into out for
-// 1/2-boundary blocks, or summed into partial for a root cycle. Both tables
-// are homed at the owner of V, so the join itself is local; only the output
-// entries travel. It reports false, having joined nothing, if the run was
-// canceled before both tables were built.
+// 1/2-boundary blocks (boundaryJoin), or summed into partial for a root
+// cycle. Both tables are homed at the owner of V, so the join itself is
+// local; only the output entries travel. It reports false, having joined
+// nothing, if the run was canceled before both tables were built.
 //
-// A walk that may pend and whose last step is a plain data edge out of a
-// built prefix is not built at all where the backend can pull (pullJoin):
+// A root walk that may pend and whose last step is a plain data edge out of
+// a built prefix is not built at all where the backend can pull (pullJoin):
 // the join takes that step itself, reading the prefix where it lies, and
 // the largest table of the trial — the one it would stream — never exists.
 // Its prefix's extension use ends with the join, so the prefix is released
 // then, not at the block's end. Everywhere else — a process that does not
 // hold every partition (dist), a last step over an annotated edge or onto
-// an annotated node — the walk is built, pending, and streamed
-// (streamJoin). The join's span opens once, around the form that runs.
+// an annotated node — the walk is built, pending, and streamed against the
+// other's partners tables (streamJoin). The join's span opens once, around
+// the form that runs.
 func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, partial []uint64) bool {
 	stream, index, pend := sp.sides(len(b.Boundary) == 0)
 	// A process that does not hold every partition (a dist rank of two or
@@ -313,8 +314,10 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 	}
 	if pulled {
 		defer stream.parent.done() // the extension the join took
+	} else if len(b.Boundary) == 0 {
+		s.streamJoin(stream, index, partial, sp.times)
 	} else {
-		s.streamJoin(b, sp, stream, index, out, partial)
+		s.boundaryJoin(sp, stream, index, out)
 	}
 	s.tr.Add(PhaseCycleJoin, begin, time.Now())
 	return true
@@ -327,30 +330,20 @@ func (n *walk) pulls() bool {
 	return n.step.edgeAnn == nil && n.step.nodeAnn == nil && (p.parent != nil || p.startAnn != nil)
 }
 
-// streamJoin is the join with both walks built: each partition takes the
-// chunks of stream's shard as they lie (table.Flat.Chunks) and matches every
-// entry in index's sorted shard through an index laid at the first chunk —
-// never where nothing is streamed. A pending table arrives as its superstep
-// appended it, duplicates unfolded, which a sum cannot tell from folded —
-// Σ c·c′ distributes — so it is read once, here, and never sorted.
-//
-// In a root block the two walks cover every colour between them and share
-// χ(U) and χ(V) alone, so an entry's partner is forced: the partition lays
-// every home vertex's partners table of the index shard (indexPartners), the
-// match is one probe, and an operation of the load is an entry streamed.
-// With boundary nodes the subquery is smaller than the query, the partner
-// is any signature that meets the entry's in exactly {χ(U), χ(V)}: the
-// entry's (V, U) group is found by a cursor over a groupIdx and scanned, and
-// an operation is a pair examined.
-func (s *solver) streamJoin(b *decomp.Block, sp split, stream, index *walk, out *engine.Sharded, partial []uint64) {
-	root, full := len(b.Boundary) == 0, sig.Full(s.k)
-	streamPlus := stream == sp.plus
-	produce := func(w int, to *engine.Lanes) {
+// streamJoin is a root join with both walks built: each partition takes the
+// chunks of stream's shard as they lie (table.Flat.Chunks) and finds each
+// entry's one partner (partners has why there is one) in one probe of the
+// partners tables of index's shard (indexPartners), laid at the first chunk
+// — never where nothing is streamed. A pending table arrives as its
+// superstep appended it, duplicates unfolded, which a sum cannot tell from
+// folded — Σ c·c′ distributes — so it is read once, here, and never sorted.
+// An operation of the load is an entry streamed.
+func (s *solver) streamJoin(stream, index *walk, partial []uint64, times uint64) {
+	full := sig.Full(s.k)
+	s.be.Run(func(w int) {
 		var load int64
 		var poll int
 		var sum uint64
-		var ix groupIdx
-		var cur groupCursor
 		var pt partnerIdx
 		vu, need := ^uint64(0), sig.Sig(0) // (None, None) is no entry's pair
 		laid, stopped := false, false
@@ -361,68 +354,88 @@ func (s *solver) streamJoin(b *decomp.Block, sp split, stream, index *walk, out 
 			if !laid {
 				laid = true
 				lo, hi := s.be.Range(w)
-				if ents := index.table.Shard(w).Ents(); root {
-					pt = indexPartners(lo, hi, ents)
-				} else {
-					ix = indexGroups(lo, hi, ents)
-					cur = ix.cursor()
-				}
+				pt = indexPartners(lo, hi, index.table.Shard(w).Ents())
 			}
 			for i := range chunk {
 				k := &chunk[i]
 				if k.VU != vu {
 					vu, need = k.VU, s.colorOf(k.U()).Union(s.colorOf(k.V()))
 				}
-				if root {
-					load++
-					if stopped = s.canceled(&poll); stopped {
-						return
-					}
-					sum += k.C * pt.of(k.V()).probe(k.U(), full.Without(k.S).Union(need))
-					continue
-				}
-				grp := cur.seek(k.VU)
-				load += int64(len(grp))
-				if stopped = s.canceledAfter(&poll, 1+len(grp)); stopped {
+				load++
+				if stopped = s.canceled(&poll); stopped {
 					return
 				}
-				for j := range grp {
-					kp, e := k, &grp[j]
-					if kp.S.Inter(e.S) != need {
-						continue
-					}
-					if !streamPlus {
-						kp, e = e, kp
-					}
-					total := kp.C * e.C
-					comb := kp.S.Union(e.S)
-					switch len(b.Boundary) {
-					case 1:
-						va := vertexAt(sp.locs[0], kp, e)
-						to.At(va).AddEnt(table.UnaryEnt(va, comb, total))
-					case 2:
-						va := vertexAt(sp.locs[0], kp, e)
-						vb := vertexAt(sp.locs[1], kp, e)
-						to.At(vb).AddEnt(table.BinaryEnt(va, vb, comb, total))
-					}
-				}
+				sum += k.C * pt.of(k.V()).probe(k.U(), full.Without(k.S).Union(need))
 			}
 		})
-		ix.release()
 		pt.release()
 		s.be.AddLoad(w, load)
-		if partial != nil {
-			partial[w] += sum * sp.times
+		partial[w] += sum * times
+	})
+}
+
+// boundaryJoin is the join of a block with boundary nodes: an entry's
+// partners are the other walk's entries at its (V, U) whose signatures meet
+// its own in exactly {χ(U), χ(V)}. Both walks are compacted, so both shards
+// are sorted by (V, U), and each partition merges them: it walks stream's
+// shard in order, and one forward-only cursor into index's hands it each
+// (V, U) group once. An operation of the load is a pair examined; the
+// products go to out, keyed by the block's boundary mappings, in one Step.
+func (s *solver) boundaryJoin(sp split, stream, index *walk, out *engine.Sharded) {
+	streamPlus := stream == sp.plus
+	s.be.Step(out, func(w int, to *engine.Lanes) {
+		var load int64
+		var poll int
+		ents, others := stream.table.Shard(w).Ents(), index.table.Shard(w).Ents()
+		vu, need := ^uint64(0), sig.Sig(0) // (None, None) is no entry's pair
+		var grp []table.Ent
+		for i, j := 0, 0; i < len(ents); i++ {
+			k := &ents[i]
+			if k.VU != vu {
+				vu, need = k.VU, s.colorOf(k.U()).Union(s.colorOf(k.V()))
+				for ; j < len(others) && others[j].VU < vu; j++ {
+				}
+				g := j
+				for ; j < len(others) && others[j].VU == vu; j++ {
+				}
+				grp = others[g:j]
+			}
+			load += int64(len(grp))
+			if s.canceledAfter(&poll, 1+len(grp)) {
+				break
+			}
+			if len(grp) > 0 {
+				meetGroup(to, sp.locs, streamPlus, k, grp, need)
+			}
+		}
+		s.be.AddLoad(w, load)
+	})
+}
+
+// meetGroup emits k's product with each entry of grp, its (V, U) group in the
+// other walk, whose signature meets k's in exactly need. It is a function of
+// its own so that its loop keeps its index in a register: inlined into the
+// merge, the index was spilled every pair, and the join took a third longer.
+func meetGroup(to *engine.Lanes, locs []bndLoc, streamPlus bool, k *table.Ent, grp []table.Ent, need sig.Sig) {
+	for g := range grp {
+		kp, e := k, &grp[g]
+		if kp.S.Inter(e.S) != need {
+			continue
+		}
+		if !streamPlus {
+			kp, e = e, kp
+		}
+		total, comb := kp.C*e.C, kp.S.Union(e.S)
+		switch len(locs) {
+		case 1:
+			va := vertexAt(locs[0], kp, e)
+			to.At(va).AddEnt(table.UnaryEnt(va, comb, total))
+		case 2:
+			va := vertexAt(locs[0], kp, e)
+			vb := vertexAt(locs[1], kp, e)
+			to.At(vb).AddEnt(table.BinaryEnt(va, vb, comb, total))
 		}
 	}
-	if out != nil {
-		s.be.Step(out, produce)
-		return
-	}
-	// Root cycle (no boundary): every product folds into the local partial
-	// sum, so nothing is ever appended — run the join without a superstep,
-	// and without lanes.
-	s.be.Run(func(w int) { produce(w, nil) })
 }
 
 // pullJoin is a root join whose streamed walk is never built: one
@@ -430,7 +443,7 @@ func (s *solver) streamJoin(b *decomp.Block, sp split, stream, index *walk, out 
 // for each neighbour x of V, reads x's run of the walk's parent where it
 // lies (runIdx), extends each entry to V as edgeJoin's push form would —
 // the same order and colour filters — and probes for its partner at once.
-// V's partners table (streamJoin has why one probe finds the partner) is
+// V's partners table (partners has why one probe finds the partner) is
 // laid from V's run of the other walk's shard when the first non-empty
 // neighbour run of V is reached, into one run of pooled words that the task
 // reuses for every V and grows when a V needs more. The load is the push

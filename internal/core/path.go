@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sort"
 
 	"repro/internal/decomp"
 	"repro/internal/engine"
@@ -53,9 +52,9 @@ import (
 // would stream ends in a plain data edge, the walk is never built — the
 // join reads the walk's prefix a vertex's run at a time, extends each entry
 // across the edge as edgeJoin would and finds its one partner at once, in
-// one probe of the home vertex's partners table. The join's indexes live
-// here: the partners tables, which both forms of a root join probe, and
-// the groupIdx and its cursor, which a join with boundary nodes reads.
+// one probe of the home vertex's partners table, which lives here. A join
+// with boundary nodes needs no index: its two walks are built sorted, and it
+// merges them (boundaryJoin).
 
 // pathStep extends the walk by one cycle node.
 type pathStep struct {
@@ -614,96 +613,6 @@ type groupKey struct {
 	fromFirst bool
 }
 
-// groupIdx indexes one sorted shard of a walk table by the (V, U) pair its
-// entries are grouped under, CSR-style, for the cycle join of a block with
-// boundary nodes, which meets two walks on both their ends. groups[rows[v-lo]
-// : rows[v-lo+1]] are the groups homed at vertex v, U ascending, one word
-// each: the group's U in the high half, the offset of its first entry in
-// the low. A group's entries end where the next group's begin, the last
-// one's at a sentinel word. Rows and groups are one run of pooled words
-// (table.BorrowWords) that release gives back, before the task that built
-// the index ends.
-type groupIdx struct {
-	lo      uint32
-	rows    []uint64 // len = partition size + 1
-	groups  []uint64 // len = groups + 1
-	ents    []table.Ent
-	scratch table.Scratch
-}
-
-// indexGroups indexes ents, a shard sorted by (V, U) whose home vertices lie
-// in [lo, hi): one linear walk.
-func indexGroups(lo, hi uint32, ents []table.Ent) groupIdx {
-	n := int(hi - lo)
-	scratch := table.BorrowWords(n + 1 + len(ents) + 1) // no more groups than entries
-	ix := groupIdx{lo: lo, rows: scratch.Words[:n+1], groups: scratch.Words[n+1:], ents: ents, scratch: scratch}
-	g, j := 0, 0
-	for r := 0; r < n; r++ {
-		ix.rows[r] = uint64(g)
-		for v := lo + uint32(r); j < len(ents) && ents[j].V() == v; g++ {
-			vu := ents[j].VU
-			ix.groups[g] = vu<<32 | uint64(j) // U moves up, V falls off
-			for j++; j < len(ents) && ents[j].VU == vu; j++ {
-			}
-		}
-	}
-	ix.rows[n] = uint64(g)
-	ix.groups[g] = uint64(len(ents))
-	ix.groups = ix.groups[:g+1]
-	return ix
-}
-
-func (ix *groupIdx) release() { ix.scratch.Return() }
-
-// groupCursor finds in a groupIdx the group of each entry of a stream. A
-// lane's chunks arrive as the edge loops appended them — V repeating while
-// U ascends, one (run, neighbour) pair after another — and a sorted shard
-// arrives in the index's own order, so the group sought is the one last
-// found, or a little past it: the search gallops forward from where the
-// last one ended, and goes back to the start of a row only when V changes
-// or U falls. Against a sorted stream that is a merge.
-type groupCursor struct {
-	ix      *groupIdx
-	vu      uint64      // the pair last sought
-	at, end int         // in ix.groups: where that search ended, where V's row does
-	found   []table.Ent // what it found
-}
-
-func (ix *groupIdx) cursor() groupCursor {
-	return groupCursor{ix: ix, vu: ^uint64(0)} // (None, None) is no entry's pair
-}
-
-// seek returns the entries grouped under vu, or nil if there are none.
-func (c *groupCursor) seek(vu uint64) []table.Ent {
-	if vu == c.vu {
-		return c.found
-	}
-	ix := c.ix
-	if vu>>32 != c.vu>>32 || vu < c.vu {
-		r := uint32(vu>>32) - ix.lo
-		c.at, c.end = int(ix.rows[r]), int(ix.rows[r+1])
-	}
-	c.vu = vu
-	// The first group of the row at or after c.at — every group before it
-	// has a smaller U than the last one sought — whose U is not below u.
-	g, u, i := ix.groups, vu&(1<<32-1), c.at
-	if i < c.end && g[i]>>32 < u {
-		step := 1
-		for i+step < c.end && g[i+step]>>32 < u {
-			i += step
-			step <<= 1
-		}
-		lo, hi := i+1, min(i+step, c.end)
-		lo += sort.Search(hi-lo, func(k int) bool { return g[lo+k]>>32 >= u })
-		i = lo
-	}
-	c.at, c.found = i, nil
-	if i < c.end && g[i]>>32 == u {
-		c.found = ix.ents[uint32(g[i]):uint32(g[i+1])]
-	}
-	return c.found
-}
-
 // partners is a root join's table of one home vertex V's entries in the walk
 // it indexes, for the one question a root join asks of them. The two walks
 // of a root split cover every colour between them and share χ(U) and χ(V)
@@ -773,8 +682,8 @@ func runEnd(ents []table.Ent, j int, v uint32) int {
 }
 
 // partnerIdx holds the partners table of every home vertex of one partition,
-// [lo, hi), in one run of pooled words, CSR-style as groupIdx's rows are:
-// v's table is words[at[v-lo] : at[v-lo+1]]. release gives the words back.
+// [lo, hi), in one run of pooled words, CSR-style: v's table is
+// words[at[v-lo] : at[v-lo+1]]. release gives the words back.
 type partnerIdx struct {
 	lo      uint32
 	at      []uint64 // len = partition size + 1

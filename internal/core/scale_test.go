@@ -58,12 +58,22 @@ func counts(t *testing.T, be backend, g *graph.Graph, q *query.Graph, colors []u
 	return got, per
 }
 
-// Σ_v of the per-vertex counts anchored at the root is the scalar count:
-// the one sums the root table's box cells (Total), the other reads its rows
-// (table.Rows) into the vector. Under the default plan and two other plans
-// rooted at other singletons, on sim and parallel at two workers and on a
-// two-rank loopback cluster; -short and -race take the default plan on sim.
+// Σ_v of the per-vertex counts anchored at a root node is the scalar count,
+// on sim and parallel at two workers and on a two-rank loopback cluster;
+// -short and -race take one anchor on sim. Two instances:
+//   - tree8-90k's, under the default plan and two other plans rooted at
+//     other singletons: the one count sums the root table's box cells
+//     (Total), the other reads its rows (table.Rows) into the vector;
+//   - brain3 on the enron stand-in at scale 256, anchored at every node of
+//     its root cycle: the scalar run ends in a root join, which probes each
+//     entry's one partner, and each anchored run in a one-boundary join,
+//     which merges the two sorted walks (boundaryJoin).
 func TestAnchorsSumToTheCount(t *testing.T) {
+	short := testing.Short() || core.RaceEnabled
+	legs := []backend{local(engine.SimName, 2), local(engine.ParallelName, 2), loopback2(t)}
+	if short {
+		legs = legs[:1]
+	}
 	g, q, colors := tree8(t, 2)
 	plan, err := core.PickPlan(q)
 	if err != nil {
@@ -79,16 +89,43 @@ func TestAnchorsSumToTheCount(t *testing.T) {
 			plans, roots[r] = append(plans, tr), true
 		}
 	}
-	legs := []backend{local(engine.SimName, 2), local(engine.ParallelName, 2), loopback2(t)}
-	if testing.Short() || core.RaceEnabled {
-		plans, legs = plans[:1], legs[:1]
+	if short {
+		plans = plans[:1]
 	} else if len(plans) != 3 {
 		t.Fatalf("bintree8 has %d plans rooted at distinct singletons, want 3", len(plans))
 	}
 	var want uint64
 	for _, plan := range plans {
+		want = sumsToTheCount(t, legs, g, q, colors, plan, plan.Root.Nodes[:1], want)
+	}
+
+	g, ok := gen.StandinByName("enron", 256, 1)
+	if !ok {
+		t.Fatal("no enron stand-in")
+	}
+	q = query.MustByName("brain3")
+	colors = colouring(g.N(), q.K, rand.New(rand.NewSource(2)))
+	if plan, err = core.PickPlan(q); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Root.Kind != decomp.CycleBlock {
+		t.Fatalf("brain3's plan is rooted at a %v block, want a cycle", plan.Root.Kind)
+	}
+	anchors := plan.Root.Nodes
+	if short {
+		anchors = anchors[:1]
+	}
+	sumsToTheCount(t, legs, g, q, colors, plan, anchors, 0)
+}
+
+// sumsToTheCount checks, on each leg at each anchor, that the per-vertex
+// counts sum to the scalar count, and that the scalar count is want — or,
+// for want 0, the first one counted, which must not be 0. It returns the
+// count.
+func sumsToTheCount(t *testing.T, legs []backend, g *graph.Graph, q *query.Graph, colors []uint8, plan *decomp.Tree, anchors []int, want uint64) uint64 {
+	t.Helper()
+	for _, anchor := range anchors {
 		for _, be := range legs {
-			anchor := plan.Root.Nodes[0]
 			got, per := counts(t, be, g, q, colors, plan, anchor)
 			var sum uint64
 			for _, c := range per {
@@ -98,10 +135,11 @@ func TestAnchorsSumToTheCount(t *testing.T) {
 				want = got
 			}
 			if got != want || sum != got || got == 0 {
-				t.Fatalf("%s, plan rooted at %d: counted %d, %d per vertex anchored there; %d first", be.name, anchor, got, sum, want)
+				t.Fatalf("%s, %s anchored at %d: counted %d, %d per vertex; %d first", be.name, q.Name, anchor, got, sum, want)
 			}
 		}
 	}
+	return want
 }
 
 // For a connected query, count(g ⊔ g′) = count(g) + count(g′): a second

@@ -132,6 +132,71 @@ func TestDuplicateJobStartIsDropped(t *testing.T) {
 	}
 }
 
+// wireCSR has a graph's wire fields, so gob decodes it as one.
+type wireCSR struct {
+	Name string
+	N    int
+	Off  []int64
+	Nbr  []uint32
+}
+
+// rawGraph is a graph payload as given: a *graph.Graph decodes it, but
+// nothing checks it on the way out.
+type rawGraph []byte
+
+func (r rawGraph) GobEncode() ([]byte, error) { return r, nil }
+
+// csrPastN returns g's CSR with its last neighbour renamed to N, one past
+// the last vertex.
+func csrPastN(t *testing.T, g *graph.Graph) rawGraph {
+	w := wireCSR{Name: g.Name, N: g.N(), Off: []int64{0}}
+	for v := 0; v < g.N(); v++ {
+		w.Nbr = append(w.Nbr, g.Neighbors(uint32(v))...)
+		w.Off = append(w.Off, int64(len(w.Nbr)))
+	}
+	w.Nbr[len(w.Nbr)-1] = uint32(g.N())
+	return rawGraph(mustEncode(t, w))
+}
+
+// A graph frame that is not the graph its job asked for fails that job
+// alone: the worker caches nothing from it, so the next job on the same
+// fingerprint asks for the graph again and counts on the right one.
+func TestBadGraphFrameFailsOnlyItsJob(t *testing.T) {
+	g, start, want := path3Start(t, 1, 1)
+	other, _, _ := path3Start(t, 1, 2)
+	bad := []struct {
+		name    string
+		payload []byte
+	}{
+		{"another graph under the job's fingerprint", mustEncode(t, graphDataMsg{FP: start.GraphFP, G: other})},
+		{"the job's graph under another fingerprint", mustEncode(t, graphDataMsg{FP: other.Fingerprint(), G: g})},
+		{"a neighbour past the last vertex", mustEncode(t, struct {
+			FP uint64
+			G  rawGraph
+		}{start.GraphFP, csrPastN(t, g)})},
+	}
+	coord, _ := coordinate(t, WorkerOptions{})
+	job := uint64(1)
+	for _, b := range bad {
+		f, _ := answer(t, coord, &frame{Kind: kJobStart, Job: job, Src: -1, Payload: mustEncode(t, start)})
+		if f.Kind != kGraphReq || f.Job != job {
+			t.Fatalf("after %s, job %d's start got a %s frame for job %d, want its graph request", b.name, job, kindName(f.Kind), f.Job)
+		}
+		f, done := answer(t, coord, &frame{Kind: kGraphData, Job: job, Src: -1, Payload: b.payload})
+		if f.Kind != kJobDone || f.Job != job || done.Err == "" {
+			t.Fatalf("%s: job %d ended with a %s frame for job %d, count %d, error %q; want it failed", b.name, job, kindName(f.Kind), f.Job, done.Count, done.Err)
+		}
+		job++
+	}
+	if f, _ := answer(t, coord, &frame{Kind: kJobStart, Job: job, Src: -1, Payload: mustEncode(t, start)}); f.Kind != kGraphReq {
+		t.Fatalf("job %d's start got a %s frame, want its graph request", job, kindName(f.Kind))
+	}
+	f, done := answer(t, coord, &frame{Kind: kGraphData, Job: job, Src: -1, Payload: mustEncode(t, graphDataMsg{FP: start.GraphFP, G: g})})
+	if f.Kind != kJobDone || done.Err != "" || done.Count != want {
+		t.Errorf("job %d ended with a %s frame: count %d, error %q; sim counts %d", job, kindName(f.Kind), done.Count, done.Err, want)
+	}
+}
+
 // startFails sends a start the worker must refuse before it asks for the
 // graph, and returns the job's error.
 func startFails(t *testing.T, start jobStartMsg, rank int32) string {

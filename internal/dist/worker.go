@@ -130,7 +130,8 @@ func (w *workerConn) job(id uint64) *wjob {
 }
 
 // graphFor resolves a job's graph: a cache hit, or one GraphReq whose
-// answer arrives in the job's queue at graphStep.
+// answer, at graphStep, is cached only if its claimed fingerprint and its
+// own are both fp: a bad frame fails its own job and no later one.
 func (w *workerConn) graphFor(j *wjob, fp uint64) (*graph.Graph, error) {
 	if g := w.opts.Cache.get(fp); g != nil {
 		return g, nil
@@ -146,7 +147,10 @@ func (w *workerConn) graphFor(j *wjob, fp uint64) (*graph.Graph, error) {
 	if err := decodePayload(payloads[0], &m); err != nil || m.G == nil {
 		return nil, fmt.Errorf("dist: bad graph payload (%v)", err)
 	}
-	w.opts.Cache.put(m.FP, m.G)
+	if m.FP != fp || m.G.Fingerprint() != fp {
+		return nil, fmt.Errorf("dist: graph payload claims fingerprint %016x and hashes to %016x, the job asked for %016x", m.FP, m.G.Fingerprint(), fp)
+	}
+	w.opts.Cache.put(fp, m.G)
 	return m.G, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
+	"slices"
 )
 
 // Wire support for the dist backend: a Graph ships to worker processes
@@ -30,19 +31,21 @@ func (g *Graph) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode implements gob.GobDecoder, rebuilding the derived rank order.
+// GobDecode implements gob.GobDecoder, rebuilding the derived rank order. It
+// refuses offsets that do not rise from 0 to len(Nbr), and neighbours ≥ N.
 func (g *Graph) GobDecode(b []byte) error {
 	var w wireGraph
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return err
 	}
-	if len(w.Off) != w.N+1 {
+	if w.N < 0 || len(w.Off) != w.N+1 {
 		return fmt.Errorf("graph: wire CSR has %d offsets for %d vertices", len(w.Off), w.N)
 	}
-	for v := 0; v < w.N; v++ {
-		if w.Off[v] > w.Off[v+1] || w.Off[v+1] > int64(len(w.Nbr)) {
-			return fmt.Errorf("graph: wire CSR offsets out of order at vertex %d", v)
-		}
+	if w.Off[0] != 0 || w.Off[w.N] != int64(len(w.Nbr)) || !slices.IsSorted(w.Off) {
+		return fmt.Errorf("graph: wire CSR offsets do not run from 0 up to %d neighbours", len(w.Nbr))
+	}
+	if len(w.Nbr) > 0 && int64(slices.Max(w.Nbr)) >= int64(w.N) {
+		return fmt.Errorf("graph: wire CSR names neighbour %d of %d vertices", slices.Max(w.Nbr), w.N)
 	}
 	g.Name = w.Name
 	g.n = w.N

@@ -334,29 +334,46 @@ func TestCachedSubmitIsBornDone(t *testing.T) {
 
 // TestCloseCancelsRunningFlights: Close must not wait for a minutes-long
 // detached async job — it cancels outstanding flights and returns within
-// a check interval.
+// a check interval — and, with or without a WAL, no goroutine of the
+// service, its log or the solver's runtime outlives it once the canceled
+// solve has unwound.
 func TestCloseCancelsRunningFlights(t *testing.T) {
-	svc := subgraph.NewService(subgraph.ServiceOptions{Workers: 1})
-	if _, err := svc.AddGraph(subgraph.GraphSpec{PowerLawN: 8000, Alpha: 1.5, Seed: 2, Name: "slowg"}); err != nil {
-		t.Fatal(err)
-	}
-	job, err := svc.SubmitEstimateJob(slowReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJobState(t, svc, job.ID, subgraph.JobRunning)
-	start := time.Now()
-	svc.Close()
-	if elapsed := time.Since(start); elapsed > 15*time.Second {
-		t.Fatalf("Close blocked %v behind a running flight", elapsed)
-	}
-	// Shutdown kills are server-initiated: the job fails with the
-	// retryable ErrClosed (503 on the wire), not a client cancel (499).
-	if info, _ := svc.Job(job.ID); info.State != subgraph.JobFailed {
-		t.Errorf("job after Close = %s, want failed (server shutdown)", info.State)
-	}
-	if _, err := svc.JobResult(job.ID); !strings.Contains(fmt.Sprint(err), "closed") {
-		t.Errorf("JobResult after Close = %v, want scheduler-closed error", err)
+	for _, wal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", wal), func(t *testing.T) {
+			opts := subgraph.ServiceOptions{Workers: 1}
+			if wal {
+				opts.Durability.Dir = t.TempDir()
+			}
+			svc := subgraph.NewService(opts)
+			if _, err := svc.AddGraph(subgraph.GraphSpec{PowerLawN: 8000, Alpha: 1.5, Seed: 2, Name: "slowg"}); err != nil {
+				t.Fatal(err)
+			}
+			job, err := svc.SubmitEstimateJob(slowReq())
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitJobState(t, svc, job.ID, subgraph.JobRunning)
+			start := time.Now()
+			svc.Close()
+			if elapsed := time.Since(start); elapsed > 15*time.Second {
+				t.Fatalf("Close blocked %v behind a running flight", elapsed)
+			}
+			// Shutdown kills are server-initiated: the job fails with the
+			// retryable ErrClosed (503 on the wire), not a client cancel (499).
+			if info, _ := svc.Job(job.ID); info.State != subgraph.JobFailed {
+				t.Errorf("job after Close = %s, want failed (server shutdown)", info.State)
+			}
+			if _, err := svc.JobResult(job.ID); !strings.Contains(fmt.Sprint(err), "closed") {
+				t.Errorf("JobResult after Close = %v, want scheduler-closed error", err)
+			}
+			pkgs := []string{"service", "durable", "engine"}
+			for i := 0; i < 1000 && len(goroutinesOf(pkgs...)) > 0; i++ {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := goroutinesOf(pkgs...); len(got) != 0 {
+				t.Errorf("goroutines outlive Close: %v", got)
+			}
+		})
 	}
 }
 

@@ -129,16 +129,19 @@ func TestConcurrentServiceChurn(t *testing.T) {
 	}
 }
 
-// serviceGoroutines returns the "created by" line of every live goroutine
-// the service package started.
-func serviceGoroutines() []string {
+// goroutinesOf returns the "created by" line of every live goroutine that
+// one of pkgs, packages under repro/internal, started.
+func goroutinesOf(pkgs ...string) []string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	var out []string
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if i := strings.Index(g, "created by repro/internal/service."); i >= 0 {
-			line, _, _ := strings.Cut(g[i:], " in goroutine")
-			out = append(out, line)
+		for _, pkg := range pkgs {
+			if i := strings.Index(g, "created by repro/internal/"+pkg+"."); i >= 0 {
+				line, _, _ := strings.Cut(g[i:], " in goroutine")
+				out = append(out, line)
+				break
+			}
 		}
 	}
 	return out
@@ -149,11 +152,11 @@ func serviceGoroutines() []string {
 // or the cache — and Close ends them all.
 func TestServiceStartsOnlySchedulerGoroutines(t *testing.T) {
 	const workers = 3
-	if got := serviceGoroutines(); len(got) != 0 {
+	if got := goroutinesOf("service"); len(got) != 0 {
 		t.Fatalf("service goroutines before Open: %v", got)
 	}
 	svc := subgraph.NewService(subgraph.ServiceOptions{Workers: workers})
-	got := serviceGoroutines()
+	got := goroutinesOf("service")
 	if len(got) != workers {
 		t.Errorf("service started %d goroutines, want the %d scheduler workers: %v", len(got), workers, got)
 	}
@@ -163,10 +166,10 @@ func TestServiceStartsOnlySchedulerGoroutines(t *testing.T) {
 		}
 	}
 	svc.Close()
-	for i := 0; i < 200 && len(serviceGoroutines()) > 0; i++ {
+	for i := 0; i < 200 && len(goroutinesOf("service")) > 0; i++ {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := serviceGoroutines(); len(got) != 0 {
+	if got := goroutinesOf("service"); len(got) != 0 {
 		t.Errorf("goroutines outlive Close: %v", got)
 	}
 }
