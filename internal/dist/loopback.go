@@ -45,7 +45,7 @@ func LoopbackRanks(ranks, parts, n, conc int) (bes []engine.Backend, stop func()
 		pipes = append(pipes, coordSide, workerSide)
 		w := &workerConn{conn: &conn{c: workerSide}, jobs: make(map[uint64]*wjob)}
 		jobs[r] = w.registerJob(1)
-		bes = append(bes, newRank(ranks, parts, n, r, jobs[r], conc))
+		bes = append(bes, newRank(ranks, parts, n, 32, r, jobs[r], conc)) // no query: any signature
 	}
 	for r := range jobs {
 		relay := &conn{c: pipes[2*r]}

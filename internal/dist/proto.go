@@ -41,7 +41,7 @@ func (m *jobStartMsg) check(rank int) error {
 	if rank < 0 || rank >= int(m.Ranks) {
 		return fmt.Errorf("dist: job start assigns rank %d of %d", rank, m.Ranks)
 	}
-	if m.QueryK > query.MaxK {
+	if m.QueryK < 0 || m.QueryK > query.MaxK {
 		return fmt.Errorf("dist: job start has a %d-node query; max %d", m.QueryK, query.MaxK)
 	}
 	return nil

@@ -19,17 +19,19 @@ import (
 type rank struct {
 	*engine.Runtime
 	rank int
+	n    uint32 // the job's vertices and colours, which bound what a batch may hold
+	k    int
 	j    *wjob
 }
 
 // newRank returns rank r of a job whose n vertices are cut into parts
 // partitions (≤ 0: the grain rule's, as a job's are) dealt to ranks ranks,
-// running its tasks on conc goroutines (≤ 0: GOMAXPROCS).
-func newRank(ranks, parts, n, r int, j *wjob, conc int) *rank {
+// with k colours, running its tasks on conc goroutines (≤ 0: GOMAXPROCS).
+func newRank(ranks, parts, n, k, r int, j *wjob, conc int) *rank {
 	if conc <= 0 {
 		conc = runtime.GOMAXPROCS(0)
 	}
-	rk := &rank{Runtime: engine.NewRuntime(engine.DistName, parts, ranks, n), rank: r, j: j}
+	rk := &rank{Runtime: engine.NewRuntime(engine.DistName, parts, ranks, n), rank: r, n: uint32(n), k: k, j: j}
 	lo, hi := rk.Band(r)
 	rk.Wired(lo, hi, conc, rk.exchange)
 	return rk
@@ -90,10 +92,40 @@ func (r *rank) exchange(st int64, stages []*engine.Sharded, out *engine.Sharded)
 				r.j.fail(fmt.Errorf("dist: received entries for partition %d outside owned [%d,%d)", dst, lo, hi))
 				return
 			}
+			if err := r.check(dst, l.Ents); err != nil {
+				r.j.fail(err)
+				return
+			}
 			sh := out.Shard(dst)
 			for _, e := range l.Ents {
 				sh.AddEnt(e)
 			}
 		}
 	}
+}
+
+// check refuses a lane of entries no rank of the job could have sent to
+// partition dst: one homed outside dst's vertices (at V, or at U where V is
+// None, as every producer routes), one naming a vertex ≥ N other than None,
+// or one whose signature holds a colour ≥ k.
+func (r *rank) check(dst int, ents []table.Ent) error {
+	lo, hi := r.Range(dst)
+	for _, e := range ents {
+		home := e.V()
+		if home == table.None {
+			home = e.U()
+		}
+		if home < lo || home >= hi {
+			return fmt.Errorf("dist: partition %d [%d,%d) received an entry homed at vertex %d", dst, lo, hi, home)
+		}
+		for _, v := range [...]uint32{e.U(), e.V(), e.X(), e.Y()} {
+			if v >= r.n && v != table.None {
+				return fmt.Errorf("dist: partition %d received an entry naming vertex %d of %d", dst, v, r.n)
+			}
+		}
+		if uint64(e.S)>>r.k != 0 {
+			return fmt.Errorf("dist: partition %d received signature %#x, which holds a colour ≥ k = %d", dst, e.S, r.k)
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/query"
+	"repro/internal/sig"
 	"repro/internal/table"
 )
 
@@ -188,6 +190,77 @@ func TestBadGraphFrameFailsOnlyItsJob(t *testing.T) {
 		}
 		job++
 	}
+	if f, _ := answer(t, coord, &frame{Kind: kJobStart, Job: job, Src: -1, Payload: mustEncode(t, start)}); f.Kind != kGraphReq {
+		t.Fatalf("job %d's start got a %s frame, want its graph request", job, kindName(f.Kind))
+	}
+	f, done := answer(t, coord, &frame{Kind: kGraphData, Job: job, Src: -1, Payload: mustEncode(t, graphDataMsg{FP: start.GraphFP, G: g})})
+	if f.Kind != kJobDone || done.Err != "" || done.Count != want {
+		t.Errorf("job %d ended with a %s frame: count %d, error %q; sim counts %d", job, kindName(f.Kind), done.Count, done.Err, want)
+	}
+}
+
+// A step batch holding an entry no rank of the job could have sent fails
+// that job alone, with an error naming the partition: rank 0 of a two-rank
+// job gets one such entry per rule at its first barrier (empty batches
+// answer any later one). The session then counts its next job right.
+func TestBadLaneEntryFailsOnlyItsJob(t *testing.T) {
+	g1, twoRanks, _ := path3Start(t, 2, 2)
+	g, start, want := path3Start(t, 1, 1)
+	n := uint32(g1.N())
+	rt := engine.NewRuntime(engine.DistName, 0, 2, g1.N())
+	dst, _ := rt.Band(0)
+	lo, hi := rt.Range(dst)
+	if hi >= n {
+		t.Fatalf("partition %d holds every vertex [%d,%d)", dst, lo, hi)
+	}
+	bad := []struct {
+		name string
+		e    table.Ent
+	}{
+		{"an entry homed in another partition", table.UnaryEnt(hi, sig.Of(0), 1)},
+		{"an entry naming a vertex past the last", table.BinaryEnt(n, lo, sig.Of(0), 1)},
+		{"a signature holding colour k", table.UnaryEnt(lo, sig.Of(uint8(twoRanks.QueryK)), 1)},
+	}
+	coord, _ := coordinate(t, WorkerOptions{Conc: 1})
+	graph1 := mustEncode(t, graphDataMsg{FP: twoRanks.GraphFP, G: g1})
+	partition := fmt.Sprintf("partition %d ", dst)
+	for i, b := range bad {
+		job := uint64(i + 1)
+		if err := coord.writeFrame(&frame{Kind: kJobStart, Job: job, Src: -1, Dst: 0, Payload: mustEncode(t, twoRanks)}); err != nil {
+			t.Fatal(err)
+		}
+		lane := []wireLane{{Dst: int32(dst), Ents: []table.Ent{b.e}}}
+		var done jobDoneMsg
+	session:
+		for {
+			coord.c.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a pipe takes deadlines
+			f, err := coord.readFrame()
+			if err != nil {
+				t.Fatalf("%s: job %d's session ended: %v", b.name, job, err)
+			}
+			reply := &frame{Kind: kGraphData, Job: job, Src: -1, Payload: graph1}
+			switch f.Kind {
+			case kStepDone:
+				reply = &frame{Kind: kStepBatch, Job: job, Step: f.Step, Src: 1, Dst: 0, Payload: mustEncode(t, batchMsg{Lanes: lane})}
+				lane = nil
+			case kJobDone:
+				if err := decodePayload(f.Payload, &done); err != nil {
+					t.Fatal(err)
+				}
+				break session
+			case kStepBatch: // rank 0's batch for rank 1
+				continue
+			}
+			if err := coord.writeFrame(reply); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !strings.Contains(done.Err, partition) {
+			t.Errorf("%s: job %d ended with count %d, error %q; want its error to name %q", b.name, job, done.Count, done.Err, partition)
+		}
+	}
+	coord.c.SetReadDeadline(time.Time{}) //nolint:errcheck
+	job := uint64(len(bad) + 1)
 	if f, _ := answer(t, coord, &frame{Kind: kJobStart, Job: job, Src: -1, Payload: mustEncode(t, start)}); f.Kind != kGraphReq {
 		t.Fatalf("job %d's start got a %s frame, want its graph request", job, kindName(f.Kind))
 	}

@@ -183,6 +183,9 @@ func (w *workerConn) runJob(j *wjob, rank int, start []byte) {
 	}()
 
 	done, err := w.execute(j, rank, start)
+	if failed := j.failure(); failed != nil {
+		err = failed // what cancelled the solve, or a solve that ended regardless
+	}
 	if err != nil {
 		done.Err = err.Error()
 	}
@@ -228,7 +231,7 @@ func (w *workerConn) execute(j *wjob, rank int, start []byte) (done jobDoneMsg, 
 	if err != nil {
 		return done, err
 	}
-	rk := newRank(int(m.Ranks), 0, int(m.N), rank, j, w.opts.Conc)
+	rk := newRank(int(m.Ranks), 0, int(m.N), m.QueryK, rank, j, w.opts.Conc)
 	defer func() {
 		done.Steps = rk.Steps()
 		done.Msgs = rk.Messages()
@@ -325,6 +328,13 @@ func (j *wjob) fail(err error) {
 	j.mu.Unlock()
 	j.cancel()
 	j.cond.Broadcast()
+}
+
+// failure returns the failure fail latched, if any.
+func (j *wjob) failure() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.err
 }
 
 // await blocks until need payloads for the step have arrived — a

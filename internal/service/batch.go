@@ -65,42 +65,12 @@ func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]Batch
 
 	items := make([]BatchItem, len(breq.Queries))
 	pending := make([]*job, len(breq.Queries)) // nil where an item failed to submit
-	for i, qreq := range breq.Queries {
-		if qreq.Graph != "" && qreq.Graph != breq.Graph {
-			// Honoring a per-query graph would need its own registry
-			// lookup; silently computing against the batch graph instead
-			// would be a wrong answer without an error.
-			items[i] = BatchItem{Query: label(qreq, i),
-				Err: fmt.Errorf("service: batch query %d names graph %q; batches run against one graph (%q)", i, qreq.Graph, breq.Graph)}
-			continue
+	for i := range breq.Queries {
+		qreq, err := breq.item(i)
+		var r resolved
+		if err == nil {
+			r, err = s.resolve(qreq)
 		}
-		qreq.Graph = breq.Graph
-		if qreq.Algorithm == "" {
-			qreq.Algorithm = breq.Algorithm
-		}
-		if qreq.Backend == "" {
-			qreq.Backend = breq.Backend
-		}
-		if qreq.Trials <= 0 {
-			qreq.Trials = breq.Trials
-		}
-		if qreq.Seed == 0 {
-			qreq.Seed = breq.Seed
-		}
-		if qreq.Ranks <= 0 {
-			qreq.Ranks = breq.Ranks
-		}
-		if qreq.Priority == 0 {
-			qreq.Priority = breq.Priority
-		}
-		if qreq.TimeoutMS <= 0 {
-			qreq.TimeoutMS = breq.TimeoutMS
-		}
-		if qreq.Precision == nil {
-			qreq.Precision = breq.Precision
-		}
-		qreq.NoCache = qreq.NoCache || breq.NoCache
-		r, err := s.resolve(qreq)
 		if err != nil {
 			items[i] = BatchItem{Query: label(qreq, i), Err: err}
 			continue
@@ -114,4 +84,43 @@ func (s *Service) EstimateBatch(ctx context.Context, breq BatchRequest) ([]Batch
 		}
 	}
 	return items, nil
+}
+
+// item returns the batch's query i with the batch-level defaults merged
+// in, or the error that fails that item alone.
+func (b BatchRequest) item(i int) (EstimateRequest, error) {
+	req := b.Queries[i]
+	if req.Graph != "" && req.Graph != b.Graph {
+		// Honoring a per-query graph would need its own registry
+		// lookup; silently computing against the batch graph instead
+		// would be a wrong answer without an error.
+		return req, fmt.Errorf("service: batch query %d names graph %q; batches run against one graph (%q)", i, req.Graph, b.Graph)
+	}
+	req.Graph = b.Graph
+	if req.Algorithm == "" {
+		req.Algorithm = b.Algorithm
+	}
+	if req.Backend == "" {
+		req.Backend = b.Backend
+	}
+	if req.Trials <= 0 {
+		req.Trials = b.Trials
+	}
+	if req.Seed == 0 {
+		req.Seed = b.Seed
+	}
+	if req.Ranks <= 0 {
+		req.Ranks = b.Ranks
+	}
+	if req.Priority == 0 {
+		req.Priority = b.Priority
+	}
+	if req.TimeoutMS <= 0 {
+		req.TimeoutMS = b.TimeoutMS
+	}
+	if req.Precision == nil {
+		req.Precision = b.Precision
+	}
+	req.NoCache = req.NoCache || b.NoCache
+	return req, nil
 }

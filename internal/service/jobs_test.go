@@ -4,8 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -336,7 +341,9 @@ func TestCachedSubmitIsBornDone(t *testing.T) {
 // detached async job — it cancels outstanding flights and returns within
 // a check interval — and, with or without a WAL, no goroutine of the
 // service, its log or the solver's runtime outlives it once the canceled
-// solve has unwound.
+// solve has unwound. An events stream on the running job gets the job's
+// terminal event and ends, and a replica's connections to the replicas it
+// forwarded to close with it.
 func TestCloseCancelsRunningFlights(t *testing.T) {
 	for _, wal := range []bool{false, true} {
 		t.Run(fmt.Sprintf("wal=%v", wal), func(t *testing.T) {
@@ -375,6 +382,95 @@ func TestCloseCancelsRunningFlights(t *testing.T) {
 			}
 		})
 	}
+	t.Run("events stream", func(t *testing.T) {
+		svc := subgraph.NewService(subgraph.ServiceOptions{Workers: 1})
+		if _, err := svc.AddGraph(subgraph.GraphSpec{PowerLawN: 8000, Alpha: 1.5, Seed: 2, Name: "slowg"}); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(svc.Handler())
+		defer srv.Close()
+		job, err := svc.SubmitEstimateJob(slowReq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJobState(t, svc, job.ID, subgraph.JobRunning)
+		client := &http.Client{Timeout: 30 * time.Second}
+		resp, err := client.Get(srv.URL + "/v1/jobs/" + job.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		svc.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("the events stream did not end after Close: %v", err)
+		}
+		if !strings.Contains(string(raw), "event: failed\n") {
+			t.Errorf("the events stream ended without the failed event:\n%s", raw)
+		}
+	})
+	t.Run("forward connections", func(t *testing.T) {
+		var lns [2]net.Listener
+		var addrs []string
+		for i := range lns {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			lns[i], addrs = ln, append(addrs, ln.Addr().String())
+		}
+		// The home (replica 1) hears only from replica 0's forward client.
+		var mu sync.Mutex
+		open := map[net.Conn]bool{}
+		svcs := make([]*subgraph.Service, 2)
+		for i := range svcs {
+			cl, err := subgraph.NewCluster(subgraph.ClusterOptions{Self: addrs[i], Members: addrs, HealthEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			svcs[i] = subgraph.NewService(subgraph.ServiceOptions{Workers: 1, Cluster: cl})
+			if _, err := svcs[i].AddGraph(subgraph.GraphSpec{Standin: "enron", Scale: 256, Seed: 1, Name: "g"}); err != nil {
+				t.Fatal(err)
+			}
+			srv := &http.Server{Handler: svcs[i].Handler()}
+			if i == 1 {
+				srv.ConnState = func(c net.Conn, st http.ConnState) {
+					mu.Lock()
+					defer mu.Unlock()
+					switch st {
+					case http.StateNew:
+						open[c] = true
+					case http.StateClosed, http.StateHijacked:
+						delete(open, c)
+					}
+				}
+			}
+			go srv.Serve(lns[i]) //nolint:errcheck // closed on cleanup
+			t.Cleanup(func() {
+				srv.Close()
+				cl.Close()
+			})
+		}
+		defer svcs[1].Close()
+		for seed := 1; svcs[0].Stats().Cluster.Forwards == 0; seed++ {
+			if seed > 64 {
+				t.Fatal("no key of 64 seeds homes at replica 1")
+			}
+			clusterPost(t, addrs[0], "/v1/estimate", estimateBody(seed), http.StatusOK, nil)
+		}
+		svcs[0].Close()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			mu.Lock()
+			n := len(open)
+			mu.Unlock()
+			if n == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d forward connections to the home are still open 5s after Close", n)
+			}
+		}
+	})
 }
 
 // TestMaxJobsSweepDrainsToLowWater: finished jobs beyond MaxJobs are

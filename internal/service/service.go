@@ -231,10 +231,14 @@ func Open(opts Options) (*Service, error) {
 // within one cancel-check interval; queued ones are dropped) and then
 // stops the worker pool. Without the cancellation, a minutes-long async
 // job — whose flight context is detached from any request — would hold
-// shutdown hostage until it finished.
+// shutdown hostage until it finished. A replica's kept-alive connections
+// to its peers close with it, not an idle timeout later.
 func (s *Service) Close() {
 	s.jobs.shutdown()
 	s.sched.Close()
+	if s.fwd != nil {
+		s.fwd.CloseIdleConnections()
+	}
 	// The log closes last: the shutdown sweep above may still finalize
 	// jobs (filtered from persistence) and Close flushes everything the
 	// serving paths enqueued.
