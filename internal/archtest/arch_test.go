@@ -74,11 +74,24 @@ var facts = []struct {
 			return absent(tree("internal/core", goFile), `withSig|layRows|rowed\(|dropBit|partner\(`)
 		},
 	},
-	// One read view, one nodeJoin loop.
+	// One node step: a row × row product through one pair table.
 	{
-		"nodeCell is called once, from nodeJoin",
-		"a join reads its sides a vertex at a time through one view (table.Rows), whatever form a table lies in, so nodeJoin has one loop body",
-		func() error { return same(callers("internal/core", "nodeCell"), "nodeJoin") },
+		"PairsOf is read only by nodeJoin's kernel",
+		"a node step is the product of two own rows through the colour-free pair table, in one kernel (combine) that nodeJoin feeds from a start-free walk's rows and from a walk's (U, XY) groups; no other step combines two tables' counts that way",
+		func() error {
+			if err := same(callers("", "PairsOf"), "nodeJoin"); err != nil {
+				return fmt.Errorf("PairsOf: %v", err)
+			}
+			if err := same(callers("internal/core", "combine"), "nodeJoin", "nodeJoin"); err != nil {
+				return fmt.Errorf("combine: %v", err)
+			}
+			return nil
+		},
+	},
+	{
+		"the entry-by-entry node join stays deleted",
+		"nodeJoin combines rows through the pair table; the per-pair signature test and rank lookup it replaced stay deleted",
+		func() error { return absent(tree("", goFile, "benchmark/"), `nodeCell`) },
 	},
 	// One pull form, for data edges.
 	{

@@ -39,10 +39,12 @@ func newBenchFixture(b *testing.B) *benchFixture {
 	be := engine.NewParallel(1, n)
 	s := newSolver(context.Background(), g, colors, 5, be, DB)
 
-	cur := engine.NewSharded(be)
+	cur := engine.NewSharded(be) // a walk's first edges: two vertices of two colours each
 	for i := 0; i < 20000; i++ {
-		u := uint32(rng.Intn(n))
-		v := uint32(rng.Intn(n))
+		u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+		for colors[v] == colors[u] {
+			v = uint32(rng.Intn(n))
+		}
 		cur.Add(be.Owner(v), table.Binary(u, v, sig.Of(colors[u]).Add(colors[v])), 1)
 	}
 
@@ -57,16 +59,58 @@ func newBenchFixture(b *testing.B) *benchFixture {
 	return &benchFixture{s: s, cur: cur, ann: ann}
 }
 
-// BenchmarkNodeJoinInner times nodeJoin's inner loop: a scan of the dense
-// walk slice against the child's box rows, each gathered once per vertex
-// (table.Rows), as a leaf block's pending output is read.
+// BenchmarkNodeJoinInner times nodeJoin in its two forms. "start": a walk
+// with a start, read a vertex's run at a time, each (U, XY) group combined
+// with the child's box row at its end vertex and written as entries.
+// "free": a start-free walk's box rows, the form a tree query runs,
+// combined in place with the child's into the rows of a box (table.Row).
 func BenchmarkNodeJoinInner(b *testing.B) {
-	fx := newBenchFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fx.s.nodeJoin(fx.cur, pathStart{}, fx.ann, false)
+	b.Run("start", func(b *testing.B) {
+		fx := newBenchFixture(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fx.s.nodeJoin(fx.cur, pathStart{}, fx.ann, false).Release()
+		}
+	})
+	b.Run("free", func(b *testing.B) {
+		s, cur, ann := newFreeJoinFixture()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.nodeJoin(cur, pathStart{free: true}, ann, true).Release()
+		}
+	})
+}
+
+// newFreeJoinFixture returns a solver at k = 8 on a 4000-vertex graph, a
+// start-free walk's table of size-3 signatures and a leaf block's output of
+// size-2 ones, both boxed: a handful of counts in each vertex's rows of 21
+// and 7 cells, as bintree8 fills them on a sparse graph.
+func newFreeJoinFixture() (*solver, *engine.Sharded, *decomp.Block) {
+	rng := rand.New(rand.NewSource(31))
+	const n, k = 4000, 8
+	g := gen.ErdosRenyi("bench", n, 6*n, rng)
+	colors := make([]uint8, n)
+	for i := range colors {
+		colors[i] = uint8(rng.Intn(k))
 	}
+	be := engine.NewParallel(1, n)
+	s := newSolver(context.Background(), g, colors, k, be, DB)
+	cur, child := engine.NewMatrix(be, k, colors, true), engine.NewMatrix(be, k, colors, false)
+	for v := uint32(0); v < n; v++ {
+		own := sig.OwnOf(k, 3).Sigs[colors[v]]
+		for i := 0; i < 6; i++ {
+			cur.Add(be.Owner(v), table.Binary(table.None, v, own[rng.Intn(len(own))]), uint64(1+rng.Intn(4)))
+		}
+		own = sig.OwnOf(k, 2).Sigs[colors[v]]
+		for i := 0; i < 3; i++ {
+			child.Add(be.Owner(v), table.Unary(v, own[rng.Intn(len(own))]), 1)
+		}
+	}
+	ann := &decomp.Block{Kind: decomp.LeafEdge, Nodes: []int{0, 1}, Boundary: []int{0}}
+	s.tables[ann] = child
+	return s, cur, ann
 }
 
 // BenchmarkEdgeJoinInner times edgeJoin's data-edge extension: a flat scan

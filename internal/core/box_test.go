@@ -30,7 +30,10 @@ import (
 // (bintree8's widest own rows) the first two exceed the cap of 2^15 cells
 // and the third does not, so one table holds both forms (the graph is too
 // sparse for compaction to box the first two after all). The 1405-vertex
-// graph's partitions all fit.
+// graph's partitions all fit. A nodeJoin writes each partition's rows of a
+// start-free walk whole, into a box wherever one fits, so the edge step
+// after it pulls from every such shard, one that holds only empty rows
+// included: on the wide graph that step pulls at all three cuts.
 func TestBoxTablesAreInvisible(t *testing.T) {
 	backends := append(equivalenceBackends(t), backend{"sim@3, a partition each", func(job engine.Job) core.Options {
 		return core.Options{Engine: engine.NewRuntime(engine.SimName, 3, 3, job.N)}
@@ -54,7 +57,7 @@ func TestBoxTablesAreInvisible(t *testing.T) {
 		{small, query.MustByName("satellite"), [3]int64{11210, 11210, 11210}},
 		{mixed, query.MustByName("bintree8"), [3]int64{10656, 8658, 7278}},
 		{mixed, query.MustByName("satellite"), [3]int64{31159, 31159, 31159}},
-		{wide, query.MustByName("bintree8"), [3]int64{21464, 15029, 17268}},
+		{wide, query.MustByName("bintree8"), [3]int64{21468, 17178, 18451}},
 	} {
 		colors := make([]uint8, c.g.N())
 		for i := range colors {

@@ -225,9 +225,12 @@ func tupleMatches(g *graph.Graph, q *query.Graph, colors []uint8) (total uint64,
 // (two triangles on a node) and a tadpole (a 4-cycle with a tail), on
 // random generated graphs of up to 8 vertices under random balanced colourings,
 // counted on sim and parallel at two workers and on a two-rank loopback
-// cluster — in total, and per vertex at every anchor some decomposition's
-// root holds. Leaf blocks and one-boundary cycle blocks make box tables,
-// each row holding only the signatures with its vertex's colour.
+// cluster — in total under each algorithm (DB, PS and PSEven), and per
+// vertex at every anchor some decomposition's root holds. Leaf blocks and
+// one-boundary cycle blocks make box tables, each row holding only the
+// signatures with its vertex's colour; a pendant tree on a cycle node (the
+// tadpole's tail, and many random draws') is a nodeJoin into a walk with a
+// start, which each algorithm's walks reach in their own order.
 func TestCyclesAgreeWithSecondOracle(t *testing.T) {
 	backends := []backend{local(engine.SimName, 2), local(engine.ParallelName, 2), loopback2(t)}
 	draws := 40
@@ -277,15 +280,17 @@ func TestCyclesAgreeWithSecondOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, be := range backends {
-			job := engine.Job{N: n, Graph: g, Colors: colors, Query: q, Plan: plan, Mode: engine.ModeCount}
-			opts := be.opts(job)
-			opts.Plan = plan
-			got, _, err := core.CountColorful(g, q, colors, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("%s on %d vertices, %s: counted %d, the tuple oracle %d", q, n, be.name, got, want)
+			for _, alg := range []core.Algorithm{core.DB, core.PS, core.PSEven} {
+				job := engine.Job{N: n, Graph: g, Colors: colors, Query: q, Plan: plan, Algorithm: int(alg), Mode: engine.ModeCount}
+				opts := be.opts(job)
+				opts.Algorithm, opts.Plan = alg, plan
+				got, _, err := core.CountColorful(g, q, colors, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s on %d vertices, %s, %s: counted %d, the tuple oracle %d", q, n, be.name, alg, got, want)
+				}
 			}
 			for anchor := 0; anchor < q.K; anchor++ {
 				rooted := rootedAt(trees, anchor)

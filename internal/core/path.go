@@ -29,7 +29,9 @@ import (
 // shard's entries are grouped by the home vertex, and a join reads both its
 // sides a vertex at a time (table.Rows) — a sorted shard's runs, a pending
 // matrix's rows — so an inner loop is a linear scan and the child side needs
-// no hash map and no index. A join writes each entry
+// no hash map and no index. A node step is a product of two own rows of its
+// vertex through a colour-free pair table (nodeJoin, sig.Pairs). A join
+// writes each entry
 // it produces once, packed as the table stores it (table.Ent: V high and U
 // low in one word, X high and Y low in the other), straight into the lane
 // of the partition that owns its home vertex (engine.Lanes). The edge
@@ -551,13 +553,16 @@ func (s *solver) pullEdge(cur, out *engine.Sharded) bool {
 
 // nodeJoin folds a unary child table into the walk at its current end node
 // (Figure 7 NodeJoin). Both tables are homed at the owner of v, so the join
-// is communication-free, and both are read a vertex at a time (table.Rows):
-// the walk's run or row at each v, the child's entries at v. Either may be
-// pending — a start-free walk's edge table is, and so is a leaf block's
-// output — and is then read where it lies, a box cell that holds a count
-// standing for the entry a sweep would have made of it, or compacted here,
-// polling as track does. Into a start-free walk's table the entries of one
-// vertex are row adds once its box is open.
+// is communication-free, and at each v it is one product of two own rows
+// (combine): the child's row at v with the walk's — for a start-free walk,
+// its row at v, and the product is v's row of the output, written whole
+// (pullRows); for a walk with a start, each (U, XY) group of v's run, whose
+// entries are the cells of such a row that hold a count, and the product's
+// cells are that group's entries. Either table may be pending — a
+// start-free walk's edge table is, and so is a leaf block's output — and an
+// open box is read where it lies, any other form a vertex's run at a time
+// (ownRows). Load is, at each v or group, the pairs of a walk count and a
+// child count, whether they meet or not: NonZero(a)·NonZero(b).
 func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block, pend bool) *engine.Sharded {
 	out := s.newTable(spec)
 	child := s.tables[ann]
@@ -565,24 +570,80 @@ func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block
 	s.be.Run(func(w int) {
 		var load int64
 		var poll int
-		sh := out.Shard(w)
-		src, kids := cur.Shard(w).Rows(s.aborted), child.Shard(w).Rows(s.aborted)
+		walk, kid := cur.Shard(w), child.Shard(w)
+		ha, hb := walk.SigSize(), kid.SigSize()
+		if ha == 0 || hb == 0 {
+			return // nothing meets: the output's shard stays empty
+		}
+		kids := s.ownRows(kid, hb)
+		defer kids.close()
+		pairs, up := sig.PairsOf(s.k, ha, hb), sig.OwnOf(s.k, ha+hb-1)
+		if spec.free {
+			walks := s.ownRows(walk, ha)
+			defer walks.close()
+			lo, hi := s.be.Range(w)
+			pullRows(out.Shard(w), lo, hi, up, s.colors, func(v uint32, row []uint64) bool {
+				b := kids.at(v)
+				n := table.NonZero(b)
+				if n == 0 {
+					return true
+				}
+				a := walks.at(v)
+				if n *= table.NonZero(a); n == 0 {
+					return true
+				}
+				load += int64(n)
+				if s.canceledAfter(&poll, n) {
+					return false
+				}
+				for i, c := range a {
+					if c != 0 {
+						combine(row, b, pairs, i, c)
+					}
+				}
+				return true
+			})
+			s.be.AddLoad(w, load)
+			return
+		}
+		rk, sh := sig.OwnOf(s.k, ha), out.Shard(w)
+		scratch := table.BorrowWords(len(up.Sigs[0]))
+		defer scratch.Return()
+		sum := scratch.Words
+		clear(sum)
+		src := walk.Rows(s.aborted)
 		defer src.Close()
-		defer kids.Close()
-	scan:
 		for run := src.Next(); len(run) > 0; run = src.Next() {
 			v := run[0].V()
-			at := kids.At(v)
-			if len(at) == 0 {
+			b := kids.at(v)
+			n := len(run) * table.NonZero(b)
+			if n == 0 {
 				continue
 			}
-			row, rk := sh.Row(v)
-			for r := range run {
-				load += int64(len(at))
-				if s.canceledAfter(&poll, len(at)) {
-					break scan
+			load += int64(n)
+			if s.canceledAfter(&poll, n) {
+				break
+			}
+			c, sigs := s.colors[v], up.Sigs[s.colors[v]]
+			for len(run) > 0 {
+				g := 1
+				for g < len(run) && run[g].VU == run[0].VU && run[g].XY == run[0].XY {
+					g++
 				}
-				nodeCell(sh, row, rk, at, s.colors[v], run[r])
+				for i := range run[:g] {
+					combine(sum, b, pairs, int(rk.Pos(run[i].S, c)), run[i].C)
+				}
+				// The cells the group's pairs reached: the only ones that hold a count.
+				for i := range run[:g] {
+					at := rk.Pos(run[i].S, c)
+					for _, j := range pairs.T[pairs.At[at]:pairs.At[at+1]] {
+						if cnt := sum[j]; cnt != 0 {
+							sh.AddEnt(table.Ent{VU: run[0].VU, XY: run[0].XY, S: sigs[j], C: cnt})
+							sum[j] = 0
+						}
+					}
+				}
+				run = run[g:]
 			}
 		}
 		s.be.AddLoad(w, load)
@@ -590,22 +651,71 @@ func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block
 	return s.finish(out, pend)
 }
 
-// nodeCell joins the walk entry k with child, the unary child's entries at
-// k's end vertex, whose colour is c: into row, ranked by rk, where the
-// output shard sh has its box open (Row), else through AddEnt.
-func nodeCell(sh *table.Flat, row []uint64, rk *sig.Own, child []table.Ent, c uint8, k table.Ent) {
-	cv := sig.Of(c)
-	for i := range child {
-		e := &child[i]
-		if k.S.Inter(e.S) != cv {
-			continue
-		}
-		if row != nil {
-			row[rk.Pos(k.S.Union(e.S), c)] += k.C * e.C
-			continue
-		}
-		sh.AddEnt(table.Ent{VU: k.VU, XY: k.XY, S: k.S.Union(e.S), C: k.C * e.C})
+// combine adds c·b into out through the pairs of position i (sig.Pairs):
+// out[T[x]] += c·b[B[x]]. c is the count at position i of an own row a, b
+// and out are own rows of the same vertex, and over every i where a holds
+// a count it is the product of a and b — the node step's one product of
+// two counts.
+func combine(out, b []uint64, pairs *sig.Pairs, i int, c uint64) {
+	lo, hi := pairs.At[i], pairs.At[i+1]
+	from, to := pairs.B[lo:hi], pairs.T[lo:hi]
+	to = to[:len(from)]
+	for x, j := range from {
+		out[to[x]] += c * b[j]
 	}
+}
+
+// ownRows reads one shard of a walk's or a unary child's table — every
+// signature of size h, holding its vertex's colour — as own rows
+// (sig.OwnOf), a vertex at a time: an open box's rows where they lie, a
+// shard of any other form through table.Rows, polling as track does, each
+// vertex's run scattered into one pooled row.
+type ownRows struct {
+	sh     *table.Flat
+	runs   bool // the shard is read through rows, not in place
+	rows   table.Rows
+	rk     *sig.Own
+	row    table.Scratch
+	colors []uint8
+}
+
+func (s *solver) ownRows(sh *table.Flat, h int) ownRows {
+	o := ownRows{sh: sh, rk: sig.OwnOf(s.k, h), colors: s.colors}
+	if !sh.Boxed() {
+		// Compaction may open the box (boxDense); then it is read in place.
+		o.rows = sh.Rows(s.aborted)
+		if o.runs = !sh.Boxed(); o.runs {
+			o.row = table.BorrowWords(len(o.rk.Sigs[0]))
+		} else {
+			o.rows.Close()
+		}
+	}
+	return o
+}
+
+// at returns v's row, nil if v has none; v must lie in the shard's
+// partition and above every vertex read before. The row holds until the
+// next call.
+func (o *ownRows) at(v uint32) []uint64 {
+	if !o.runs {
+		row, _ := o.sh.Row(v)
+		return row
+	}
+	run := o.rows.At(v)
+	if len(run) == 0 {
+		return nil
+	}
+	row, c := o.row.Words, o.colors[v]
+	clear(row)
+	for i := range run {
+		row[o.rk.Pos(run[i].S, c)] += run[i].C
+	}
+	return row
+}
+
+func (o *ownRows) close() {
+	o.rows.Close()
+	o.row.Return()
 }
 
 type groupKey struct {

@@ -155,7 +155,7 @@ func (s *Service) forward(w http.ResponseWriter, r *http.Request, home, path str
 		s.logger.Warn("cluster: forward failed; serving locally", "home", home, "path", path, "err", err)
 		return false
 	}
-	defer resp.Body.Close()
+	defer s.doneForward(resp)
 	s.cluster.ReportSuccess(home)
 	s.clForwards.Add(1)
 	for _, h := range []string{"Content-Type", "X-Cache", "X-Elapsed-Ms", "Retry-After"} {
@@ -172,6 +172,18 @@ func (s *Service) forward(w http.ResponseWriter, r *http.Request, home, path str
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body) //nolint:errcheck // client gone; nothing to do
 	return true
+}
+
+// doneForward closes the body of a response from a peer, which hands its
+// connection back to the forward client's pool, and empties the pool again
+// if the service has begun to close: Close empties it once, and a forward
+// in flight then would leave its connection idling for the client's idle
+// timeout.
+func (s *Service) doneForward(resp *http.Response) {
+	resp.Body.Close()
+	if s.closed.Load() {
+		s.fwd.CloseIdleConnections()
+	}
 }
 
 // handleReadyz is the readiness probe, distinct from /healthz liveness:
@@ -299,7 +311,7 @@ func (s *Service) pushRuns(r *http.Request, home string, runs []durable.RunRecor
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer s.doneForward(resp)
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("peer returned %d: %s", resp.StatusCode, bytes.TrimSpace(b))

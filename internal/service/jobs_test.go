@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -409,68 +410,119 @@ func TestCloseCancelsRunningFlights(t *testing.T) {
 			t.Errorf("the events stream ended without the failed event:\n%s", raw)
 		}
 	})
-	t.Run("forward connections", func(t *testing.T) {
-		var lns [2]net.Listener
-		var addrs []string
-		for i := range lns {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			lns[i], addrs = ln, append(addrs, ln.Addr().String())
+	// A replica's connections to its home close at Close: the one it keeps
+	// alive idle then, and one whose forward is in flight then, as that
+	// forward ends. The request is held at the replica until its Close has
+	// returned, so the forward asks the client for a connection after Close
+	// emptied the pool: net/http's Transport closes a connection that goes
+	// idle after CloseIdleConnections only until the next request asks for
+	// one, so a forward whose request was sent before Close needs nothing.
+	for _, inFlight := range []bool{false, true} {
+		name := "forward connections"
+		if inFlight {
+			name += ", one in flight at Close"
 		}
-		// The home (replica 1) hears only from replica 0's forward client.
-		var mu sync.Mutex
-		open := map[net.Conn]bool{}
-		svcs := make([]*subgraph.Service, 2)
-		for i := range svcs {
-			cl, err := subgraph.NewCluster(subgraph.ClusterOptions{Self: addrs[i], Members: addrs, HealthEvery: -1})
-			if err != nil {
-				t.Fatal(err)
+		t.Run(name, func(t *testing.T) {
+			var lns [2]net.Listener
+			var addrs []string
+			for i := range lns {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				lns[i], addrs = ln, append(addrs, ln.Addr().String())
 			}
-			svcs[i] = subgraph.NewService(subgraph.ServiceOptions{Workers: 1, Cluster: cl})
-			if _, err := svcs[i].AddGraph(subgraph.GraphSpec{Standin: "enron", Scale: 256, Seed: 1, Name: "g"}); err != nil {
-				t.Fatal(err)
-			}
-			srv := &http.Server{Handler: svcs[i].Handler()}
-			if i == 1 {
-				srv.ConnState = func(c net.Conn, st http.ConnState) {
-					mu.Lock()
-					defer mu.Unlock()
-					switch st {
-					case http.StateNew:
-						open[c] = true
-					case http.StateClosed, http.StateHijacked:
-						delete(open, c)
+			// The home (replica 1) hears only from replica 0's forward client.
+			var mu sync.Mutex
+			open := map[net.Conn]bool{}
+			var hold atomic.Bool
+			held, release := make(chan struct{}), make(chan struct{})
+			svcs := make([]*subgraph.Service, 2)
+			for i := range svcs {
+				cl, err := subgraph.NewCluster(subgraph.ClusterOptions{Self: addrs[i], Members: addrs, HealthEvery: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				svcs[i] = subgraph.NewService(subgraph.ServiceOptions{Workers: 1, Cluster: cl})
+				if _, err := svcs[i].AddGraph(subgraph.GraphSpec{Standin: "enron", Scale: 256, Seed: 1, Name: "g"}); err != nil {
+					t.Fatal(err)
+				}
+				srv := &http.Server{Handler: svcs[i].Handler()}
+				if i == 0 {
+					h := srv.Handler
+					srv.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						if hold.CompareAndSwap(true, false) {
+							close(held)
+							<-release
+						}
+						h.ServeHTTP(w, r)
+					})
+				} else {
+					srv.ConnState = func(c net.Conn, st http.ConnState) {
+						mu.Lock()
+						defer mu.Unlock()
+						switch st {
+						case http.StateNew:
+							open[c] = true
+						case http.StateClosed, http.StateHijacked:
+							delete(open, c)
+						}
 					}
 				}
+				go srv.Serve(lns[i]) //nolint:errcheck // closed on cleanup
+				t.Cleanup(func() {
+					srv.Close()
+					cl.Close()
+				})
 			}
-			go srv.Serve(lns[i]) //nolint:errcheck // closed on cleanup
-			t.Cleanup(func() {
-				srv.Close()
-				cl.Close()
-			})
-		}
-		defer svcs[1].Close()
-		for seed := 1; svcs[0].Stats().Cluster.Forwards == 0; seed++ {
-			if seed > 64 {
-				t.Fatal("no key of 64 seeds homes at replica 1")
+			defer svcs[1].Close()
+			seed := 1
+			for ; svcs[0].Stats().Cluster.Forwards == 0; seed++ {
+				if seed > 64 {
+					t.Fatal("no key of 64 seeds homes at replica 1")
+				}
+				clusterPost(t, addrs[0], "/v1/estimate", estimateBody(seed), http.StatusOK, nil)
 			}
-			clusterPost(t, addrs[0], "/v1/estimate", estimateBody(seed), http.StatusOK, nil)
-		}
-		svcs[0].Close()
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-			mu.Lock()
-			n := len(open)
-			mu.Unlock()
-			if n == 0 {
-				break
+			if !inFlight {
+				svcs[0].Close()
+			} else {
+				hold.Store(true)
+				status := make(chan error, 1)
+				go func() {
+					resp, err := http.Post("http://"+addrs[0]+"/v1/estimate", "application/json", strings.NewReader(estimateBody(seed-1)))
+					if err == nil {
+						io.Copy(io.Discard, resp.Body) //nolint:errcheck // the status is what is checked
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							err = fmt.Errorf("status %d", resp.StatusCode)
+						}
+					}
+					status <- err
+				}()
+				select {
+				case <-held:
+				case <-time.After(10 * time.Second):
+					t.Fatal("the request did not reach the replica")
+				}
+				svcs[0].Close()
+				close(release)
+				if err := <-status; err != nil {
+					t.Fatalf("the forward in flight at Close: %v", err)
+				}
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%d forward connections to the home are still open 5s after Close", n)
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				mu.Lock()
+				n := len(open)
+				mu.Unlock()
+				if n == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d forward connections to the home are still open 5s after Close", n)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestMaxJobsSweepDrainsToLowWater: finished jobs beyond MaxJobs are

@@ -160,6 +160,7 @@ type Service struct {
 	durable *durable.Log     // nil when Durability.Dir is unset
 	cluster *cluster.Cluster // nil outside cluster mode
 	fwd     *http.Client     // forwarding client; nil outside cluster mode
+	closed  atomic.Bool      // Close has begun: a forward that ends later closes its connection
 	logger  *slog.Logger
 	start   time.Time
 
@@ -232,11 +233,13 @@ func Open(opts Options) (*Service, error) {
 // stops the worker pool. Without the cancellation, a minutes-long async
 // job — whose flight context is detached from any request — would hold
 // shutdown hostage until it finished. A replica's kept-alive connections
-// to its peers close with it, not an idle timeout later.
+// to its peers close with it, not an idle timeout later — those of
+// forwards still in flight as each one ends (doneForward).
 func (s *Service) Close() {
 	s.jobs.shutdown()
 	s.sched.Close()
 	if s.fwd != nil {
+		s.closed.Store(true)
 		s.fwd.CloseIdleConnections()
 	}
 	// The log closes last: the shutdown sweep above may still finalize

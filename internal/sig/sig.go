@@ -219,3 +219,45 @@ func ShiftsOf(k, h int) [][]Shift {
 	slot.CompareAndSwap(nil, &s)
 	return *slot.Load()
 }
+
+// Pairs is the node step of the tree DP, written as a product: two own rows
+// of one vertex of colour c (OwnOf), a of size-ha signatures and b of
+// size-hb ones, combine into a row of size-(ha+hb−1) ones by
+// out[T[x]] += a[i]·b[B[x]] for x in [At[i], At[i+1]) — the pairs whose
+// signatures meet exactly at {c}, T where their union sits. An own row has
+// c squeezed out of every position, so two meet exactly at {c} where their
+// positions' sets over the other k−1 colours are disjoint, and the table is
+// the same for every c. Within one a-position, T ascends.
+type Pairs struct {
+	At   []uint32 // len C(k−1, ha−1)+1
+	B, T []uint16
+}
+
+var pairs [MaxRankedColors + 1][MaxRankedColors + 1][MaxRankedColors + 1]atomic.Pointer[Pairs]
+
+// PairsOf returns the pairs of own rows of size-ha and size-hb signatures
+// over k colours, 1 ≤ ha, hb ≤ k ≤ MaxRankedColors; built once per process,
+// as RankingOf's rankings are. Where ha+hb−1 > k no union fits k colours,
+// and there are none.
+func PairsOf(k, ha, hb int) *Pairs {
+	slot := &pairs[k][ha][hb]
+	if p := slot.Load(); p != nil {
+		return p
+	}
+	a, b := RankingOf(k-1, ha-1), RankingOf(k-1, hb-1)
+	p := &Pairs{At: make([]uint32, len(a.Sigs)+1)}
+	if h := ha + hb - 1; h <= k {
+		up := RankingOf(k-1, h-1)
+		for i, sa := range a.Sigs {
+			for j, sb := range b.Sigs {
+				if sa.Disjoint(sb) {
+					p.B = append(p.B, uint16(j))
+					p.T = append(p.T, up.Rank[sa|sb])
+				}
+			}
+			p.At[i+1] = uint32(len(p.B))
+		}
+	}
+	slot.CompareAndSwap(nil, p)
+	return slot.Load()
+}

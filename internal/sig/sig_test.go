@@ -195,3 +195,52 @@ func TestShiftsAreBuiltOnce(t *testing.T) {
 		t.Fatal("two callers of ShiftsOf were handed different tables")
 	}
 }
+
+// The pairs of two own rows of one colour c are exactly the signatures that
+// meet at {c} and nowhere else, each listed once, under its a-position, with
+// T the position of their union in c's row of the sum of their sizes less
+// one — checked by brute force over the rows of every colour, which must all
+// agree, since the table is one for every c. Where the union would not fit k
+// colours, no pair is listed.
+func TestPairsMeetExactlyAtTheColour(t *testing.T) {
+	for k := 1; k <= 12; k++ {
+		for ha := 1; ha <= k; ha++ {
+			for hb := 1; hb <= k; hb++ {
+				p, a, b := PairsOf(k, ha, hb), OwnOf(k, ha), OwnOf(k, hb)
+				if n := len(a.Sigs[0]); len(p.At) != n+1 || p.At[0] != 0 || int(p.At[n]) != len(p.B) || len(p.T) != len(p.B) {
+					t.Fatalf("PairsOf(%d, %d, %d): %d offsets ending at %d, %d partners, %d targets; want %d offsets from 0", k, ha, hb, len(p.At), p.At[len(p.At)-1], len(p.B), len(p.T), n+1)
+				}
+				if ha+hb-1 > k && len(p.B) > 0 {
+					t.Fatalf("PairsOf(%d, %d, %d) lists %d pairs; no union fits %d colours", k, ha, hb, len(p.B), k)
+				}
+				listed := make([]int, len(b.Sigs[0])) // a b-position's index in p.B under the a-position at hand, or −1
+				for i := range a.Sigs[0] {
+					lo, hi := p.At[i], p.At[i+1]
+					if lo > hi {
+						t.Fatalf("PairsOf(%d, %d, %d): position %d's pairs run from %d to %d", k, ha, hb, i, lo, hi)
+					}
+					for j := range listed {
+						listed[j] = -1
+					}
+					for x := lo; x < hi; x++ {
+						if listed[p.B[x]] >= 0 || x > lo && p.T[x-1] >= p.T[x] {
+							t.Fatalf("PairsOf(%d, %d, %d): position %d lists partner %d twice or out of order", k, ha, hb, i, p.B[x])
+						}
+						listed[p.B[x]] = int(x)
+					}
+					for c := uint8(0); int(c) < k; c++ {
+						sa := a.Sigs[c][i]
+						for j, sb := range b.Sigs[c] {
+							meet := sa.Inter(sb) == Of(c)
+							if x := listed[j]; meet != (x >= 0) {
+								t.Fatalf("k=%d c=%d: %b and %b meet at %b; listed: %v", k, c, sa, sb, sa.Inter(sb), x >= 0)
+							} else if meet && p.T[x] != OwnOf(k, ha+hb-1).Pos(sa|sb, c) {
+								t.Fatalf("k=%d c=%d: %b and %b land at %d, want %d", k, c, sa, sb, p.T[x], OwnOf(k, ha+hb-1).Pos(sa|sb, c))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

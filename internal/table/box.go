@@ -188,12 +188,12 @@ func (b *Box) add(e Ent) {
 
 // Row returns the row of vertex v in t's open box — v's counts, C(K−1,h−1)
 // of them, indexed by rk.Pos of a signature and v's colour — and the box's
-// ranking, or nil and nil if t has no box open. It is AddEnt for a join
-// that writes many entries to one vertex of a matrix in place (core's
-// nodeJoin, a pull step): each becomes row[rk.Pos(s, χ(v))] += c, with no
-// entry packed and no call made, and no add counted: Absorb's count, sim's
-// messages, is AddEnt's, so a stage must not be written through Row (a
-// pushed step appends with AddEnt). A pull step reads its sources' rows
+// ranking, or nil and nil if t has no box open. It is AddEnt for a step
+// that writes a vertex's row of a matrix whole, in place (core's pull steps
+// and nodeJoin, after OpenRows): its counts are summed into the row, with
+// no entry packed and no call made, and no add counted: Absorb's count,
+// sim's messages, is AddEnt's, so a stage must not be written through Row
+// (a pushed step appends with AddEnt). Those steps read their sources' rows
 // through Row too. A vertex outside the partition, or a signature without
 // v's colour or of another size than the box's, indexes out of range and
 // panics, as through AddEnt. Entries compacted before the box opened — a

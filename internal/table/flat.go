@@ -321,6 +321,23 @@ func (t *Flat) Chunks(f func(ents []Ent)) {
 	}
 }
 
+// SigSize returns the size of the signatures t holds — all of one size in
+// every table the solver builds — or 0 if t holds none. It reads one entry,
+// or an open box's ranking, and compacts nothing.
+func (t *Flat) SigSize() int {
+	switch {
+	case t.box != nil && t.box.words != nil:
+		return t.box.rk.Size()
+	case len(t.fill) > 0:
+		return t.fill[0].S.Size()
+	case t.full != nil:
+		return t.full.ents[0].S.Size()
+	case t.sorted != nil && len(t.sorted.ents) > 0:
+		return t.sorted.ents[0].S.Size()
+	}
+	return 0
+}
+
 // Total returns the sum of all counts. Pending duplicates sum the same as
 // folded ones, and an open box's cells as the entries a sweep would make of
 // them, so nothing is compacted.
