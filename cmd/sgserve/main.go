@@ -139,8 +139,9 @@ func main() {
 
 	// Cluster mode: build this replica's ring view from the static
 	// membership. Every replica must be started with the same member set
-	// (ownership is a pure function of it); health checks and circuit
-	// breakers only gate forwarding, never ownership.
+	// (ownership is a pure function of it); a peer's liveness, set by
+	// health checks and forward outcomes, only gates forwarding, never
+	// ownership.
 	var clusterView *cluster.Cluster
 	if *peerAddrs != "" || *selfAddr != "" {
 		if *selfAddr == "" || *peerAddrs == "" {

@@ -142,6 +142,24 @@ var facts = []struct {
 			return nil
 		},
 	},
+	// One liveness signal per ring peer.
+	{
+		"a ring peer's liveness is one bit, written by ReportSuccess and ReportFailure, which in internal/cluster only CheckOnce calls",
+		"a peer is up or down by the last probe or forward outcome, and nothing else gates a forward; the circuit breaker that gated it a second time stays deleted",
+		func() error {
+			if err := absent(tree("internal/cluster", goFile), `Breaker|breaker`); err != nil {
+				return err
+			}
+			if err := same(unique(where("internal/cluster", livenessWrite)), "ReportFailure", "ReportSuccess"); err != nil {
+				return fmt.Errorf("down written: %v", err)
+			}
+			calls := append(callers("internal/cluster", "ReportSuccess"), callers("internal/cluster", "ReportFailure")...)
+			if err := same(calls, "CheckOnce", "CheckOnce"); err != nil {
+				return fmt.Errorf("ReportSuccess and ReportFailure called: %v", err)
+			}
+			return nil
+		},
+	},
 	// One superstep runtime, no second Step.
 	{
 		"engine has one Step method",
@@ -300,6 +318,17 @@ func phaseProducer(n ast.Node) bool {
 	}
 	s, ok := c.Fun.(*ast.SelectorExpr)
 	return ok && (s.Sel.Name == "Start" || s.Sel.Name == "Add")
+}
+
+// livenessWrite matches a write of a peer's liveness bit: x.down.Store(…),
+// x.down.Swap(…) or x.down.CompareAndSwap(…).
+func livenessWrite(n ast.Node) bool {
+	c, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	s, ok := c.Fun.(*ast.SelectorExpr)
+	return ok && ident(s.X) == "down" && slices.Contains([]string{"Store", "Swap", "CompareAndSwap"}, s.Sel.Name)
 }
 
 // familyLiteral matches a string literal that spells a metric family:

@@ -18,42 +18,29 @@ type Options struct {
 	// address, self included). Every replica must be configured with the
 	// same set — the ring is a pure function of it.
 	Members []string
-	// VirtualNodes per member (≤ 0 means DefaultVirtualNodes).
-	VirtualNodes int
-	// FailThreshold is the consecutive forward failures that open a
-	// peer's circuit (≤ 0 means 3).
-	FailThreshold int
-	// Cooldown is how long an open circuit rejects forwards before one
-	// probe request is let through (≤ 0 means 5s).
-	Cooldown time.Duration
 	// HealthEvery is the background peer health-check cadence; 0 means
 	// 2s, < 0 disables the checker (tests drive CheckOnce directly).
 	HealthEvery time.Duration
-	// HealthTimeout bounds one health probe (≤ 0 means 1s).
-	HealthTimeout time.Duration
 	// Probe checks one peer's readiness. Nil means GET
-	// http://<addr>/readyz expecting 200.
+	// http://<addr>/readyz expecting 200 within healthTimeout.
 	Probe func(addr string) error
 	// Logger receives membership and health transitions. Nil means
 	// slog.Default().
 	Logger *slog.Logger
 }
 
+// healthTimeout bounds one default readiness probe.
+const healthTimeout = time.Second
+
 func (o Options) withDefaults() (Options, error) {
 	if o.Self == "" {
 		return o, fmt.Errorf("cluster: Options.Self is required")
 	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 3
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 5 * time.Second
-	}
 	if o.HealthEvery == 0 {
 		o.HealthEvery = 2 * time.Second
 	}
-	if o.HealthTimeout <= 0 {
-		o.HealthTimeout = time.Second
+	if o.Probe == nil {
+		o.Probe = httpProbe
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -61,83 +48,14 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// Breaker is a per-peer circuit breaker: FailThreshold consecutive
-// failures open it for Cooldown, during which Allow rejects immediately
-// (the caller serves the key locally instead of waiting on a dead
-// host). After the cooldown one request is let through as the probe;
-// its outcome closes or re-opens the circuit. Methods take the clock as
-// a parameter so tests need no sleeping.
-type Breaker struct {
-	mu        sync.Mutex
-	failures  int
-	openUntil time.Time
-
-	threshold int
-	cooldown  time.Duration
-
-	trips atomic.Uint64
-}
-
-// NewBreaker returns a closed breaker (threshold ≤ 0 means 3, cooldown
-// ≤ 0 means 5s).
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
-	return &Breaker{threshold: threshold, cooldown: cooldown}
-}
-
-// Allow reports whether a request may go to the peer at time now: true
-// while the circuit is closed, false while open, true again once the
-// cooldown elapsed (the half-open probe).
-func (b *Breaker) Allow(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return !now.Before(b.openUntil)
-}
-
-// Success closes the circuit.
-func (b *Breaker) Success() {
-	b.mu.Lock()
-	b.failures = 0
-	b.openUntil = time.Time{}
-	b.mu.Unlock()
-}
-
-// Failure records one failure at time now; reaching the threshold (or
-// failing the half-open probe) opens the circuit for the cooldown.
-func (b *Breaker) Failure(now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.failures++
-	if b.failures >= b.threshold {
-		// A half-open probe failure re-opens immediately: failures is
-		// already at or past the threshold from the streak that opened it.
-		if now.After(b.openUntil) {
-			b.trips.Add(1)
-		}
-		b.openUntil = now.Add(b.cooldown)
-	}
-}
-
-// Open reports whether the circuit is open at time now.
-func (b *Breaker) Open(now time.Time) bool { return !b.Allow(now) }
-
-// Trips returns how many times the circuit opened.
-func (b *Breaker) Trips() uint64 { return b.trips.Load() }
-
 // peer is one remote member's forwarding state.
 type peer struct {
-	addr    string
-	breaker *Breaker
-	// up mirrors the last health probe (1 = ready). Peers start up:
-	// before the first probe lands, the breaker alone decides — an
-	// optimistic start means a briefly-unprobed peer still gets its
-	// keys, and a dead one trips the breaker on the first forward.
-	up       atomic.Int32
+	addr string
+	// down is the peer's one liveness bit: set by a failed probe or a
+	// failed forward, cleared by a passed probe or a served request.
+	// Peers start up: a briefly-unprobed peer still gets its keys, and a
+	// dead one costs the one forward that finds it dead.
+	down     atomic.Bool
 	lastErr  atomic.Pointer[string]
 	forwards atomic.Uint64 // requests this replica forwarded to the peer
 	failures atomic.Uint64 // transport-level forward failures
@@ -145,13 +63,11 @@ type peer struct {
 
 // PeerStats is one peer's snapshot for /v1/stats and, by its tags, /metrics.
 type PeerStats struct {
-	Addr        string `json:"addr" metric:"{peer}"`
-	Up          bool   `json:"up" metric:"cluster_peer_up" help:"Whether the peer's last readiness probe (or forward) succeeded."`
-	BreakerOpen bool   `json:"breakerOpen" metric:"cluster_peer_breaker_open" help:"Whether the peer's circuit breaker is open (forwards fail fast to local execution)."`
-	Trips       uint64 `json:"breakerTrips" metric:"cluster_peer_breaker_trips_total" help:"Times the peer's circuit breaker opened."`
-	Forwards    uint64 `json:"forwards" metric:"cluster_peer_forwards_total" help:"Requests forwarded to the peer."`
-	Failures    uint64 `json:"failures" metric:"cluster_peer_failures_total" help:"Transport-level failures forwarding to the peer."`
-	LastError   string `json:"lastError,omitempty"`
+	Addr      string `json:"addr" metric:"{peer}"`
+	Up        bool   `json:"up" metric:"cluster_peer_up" help:"Whether the peer's last readiness probe (or forward) succeeded."`
+	Forwards  uint64 `json:"forwards" metric:"cluster_peer_forwards_total" help:"Requests forwarded to the peer."`
+	Failures  uint64 `json:"failures" metric:"cluster_peer_failures_total" help:"Transport-level failures forwarding to the peer."`
+	LastError string `json:"lastError,omitempty"`
 }
 
 // Stats is the cluster layer's snapshot for /v1/stats.
@@ -162,8 +78,8 @@ type Stats struct {
 }
 
 // Cluster is one replica's view of the serving cluster: the shared ring
-// plus per-peer health and breaker state. Ownership is static (the
-// ring); Allow is the dynamic gate deciding forward vs. local fallback.
+// plus each peer's liveness bit. Ownership is static (the ring); Allow is
+// the dynamic gate deciding forward vs. local fallback.
 type Cluster struct {
 	opts  Options
 	ring  *Ring
@@ -192,12 +108,9 @@ func New(opts Options) (*Cluster, error) {
 	if !found {
 		members = append(members, opts.Self)
 	}
-	ring, err := NewRing(members, opts.VirtualNodes)
+	ring, err := NewRing(members, 0)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Probe == nil {
-		opts.Probe = httpProbe(opts.HealthTimeout)
 	}
 	c := &Cluster{
 		opts:  opts,
@@ -210,9 +123,7 @@ func New(opts Options) (*Cluster, error) {
 		if m == opts.Self {
 			continue
 		}
-		p := &peer{addr: m, breaker: NewBreaker(opts.FailThreshold, opts.Cooldown)}
-		p.up.Store(1)
-		c.peers[m] = p
+		c.peers[m] = &peer{addr: m}
 	}
 	if opts.HealthEvery > 0 && len(c.peers) > 0 {
 		go c.healthLoop()
@@ -222,21 +133,21 @@ func New(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// httpProbe returns the default readiness probe: GET /readyz with its
-// own short-timeout client, so a wedged peer cannot stall the checker.
-func httpProbe(timeout time.Duration) func(addr string) error {
-	client := &http.Client{Timeout: timeout}
-	return func(addr string) error {
-		resp, err := client.Get("http://" + addr + "/readyz")
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("cluster: %s /readyz returned %d", addr, resp.StatusCode)
-		}
-		return nil
+// probeClient is the default probe's own short-timeout client, so a
+// wedged peer cannot stall the checker.
+var probeClient = &http.Client{Timeout: healthTimeout}
+
+// httpProbe is the default readiness probe: GET /readyz expecting 200.
+func httpProbe(addr string) error {
+	resp, err := probeClient.Get("http://" + addr + "/readyz")
+	if err != nil {
+		return err
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: %s /readyz returned %d", addr, resp.StatusCode)
+	}
+	return nil
 }
 
 // Close stops the health checker.
@@ -257,60 +168,59 @@ func (c *Cluster) Owner(keyHash uint64) string { return c.ring.Owner(keyHash) }
 // IsSelf reports whether addr is this replica.
 func (c *Cluster) IsSelf(addr string) bool { return addr == c.opts.Self }
 
-// Allow reports whether a forward to addr should be attempted now:
-// the peer's last health probe passed and its circuit is closed (or
-// half-open). Unknown addresses — never in the membership — are never
-// forwarded to.
+// Allow reports whether a forward to addr should be attempted now: addr
+// is a peer and its liveness bit says up. Unknown addresses — never in
+// the membership — are never forwarded to.
 func (c *Cluster) Allow(addr string) bool {
 	p, ok := c.peers[addr]
-	if !ok {
-		return false
-	}
-	return p.up.Load() == 1 && p.breaker.Allow(time.Now())
+	return ok && !p.down.Load()
 }
 
-// ReportSuccess records a successful forward to addr: the breaker
-// closes and the peer counts as up (a served request is the strongest
-// health signal there is).
-func (c *Cluster) ReportSuccess(addr string) {
+// ReportSuccess records a request addr served: the peer is up (a served
+// request is the strongest health signal there is). forward says whether
+// the request was a forwarded estimate or job, which the peer's forward
+// tally counts.
+func (c *Cluster) ReportSuccess(addr string, forward bool) {
 	p, ok := c.peers[addr]
 	if !ok {
 		return
 	}
-	p.forwards.Add(1)
-	p.breaker.Success()
-	p.up.Store(1)
+	if forward {
+		p.forwards.Add(1)
+	}
+	p.lastErr.Store(nil)
+	if p.down.Swap(false) {
+		c.opts.Logger.Info("cluster: peer recovered", "peer", addr)
+	}
 }
 
-// ReportFailure records a transport-level forward failure to addr.
-func (c *Cluster) ReportFailure(addr string) {
+// ReportFailure records a transport-level failure reaching addr: the
+// peer is down until a probe passes or a request is served. forward says
+// whether the request was a forwarded estimate or job, which the peer's
+// failure tally counts.
+func (c *Cluster) ReportFailure(addr string, err error, forward bool) {
 	p, ok := c.peers[addr]
 	if !ok {
 		return
 	}
-	p.failures.Add(1)
-	p.breaker.Failure(time.Now())
+	if forward {
+		p.failures.Add(1)
+	}
+	msg := err.Error()
+	p.lastErr.Store(&msg)
+	if !p.down.Swap(true) {
+		c.opts.Logger.Warn("cluster: peer unhealthy", "peer", addr, "err", err)
+	}
 }
 
-// CheckOnce probes every peer once and updates its up state. Exposed so
+// CheckOnce probes every peer once and records each outcome. Exposed so
 // tests (and the first loop iteration) can force a synchronous pass.
 func (c *Cluster) CheckOnce() {
-	for _, p := range c.peers {
-		err := c.opts.Probe(p.addr)
-		was := p.up.Load()
-		if err != nil {
-			msg := err.Error()
-			p.lastErr.Store(&msg)
-			p.up.Store(0)
-			if was == 1 {
-				c.opts.Logger.Warn("cluster: peer unhealthy", "peer", p.addr, "err", err)
-			}
-			continue
-		}
-		p.lastErr.Store(nil)
-		p.up.Store(1)
-		if was == 0 {
-			c.opts.Logger.Info("cluster: peer recovered", "peer", p.addr)
+	for addr := range c.peers {
+		if err := c.opts.Probe(addr); err != nil {
+			c.ReportFailure(addr, err, false)
+		} else {
+			c.ReportSuccess(addr, false)
 		}
 	}
 }
@@ -332,19 +242,16 @@ func (c *Cluster) healthLoop() {
 // Stats snapshots the cluster view, peers in member order.
 func (c *Cluster) Stats() Stats {
 	st := Stats{Self: c.opts.Self, Members: c.ring.Members()}
-	now := time.Now()
 	for _, m := range st.Members {
 		p, ok := c.peers[m]
 		if !ok {
 			continue // self
 		}
 		ps := PeerStats{
-			Addr:        p.addr,
-			Up:          p.up.Load() == 1,
-			BreakerOpen: p.breaker.Open(now),
-			Trips:       p.breaker.Trips(),
-			Forwards:    p.forwards.Load(),
-			Failures:    p.failures.Load(),
+			Addr:     p.addr,
+			Up:       !p.down.Load(),
+			Forwards: p.forwards.Load(),
+			Failures: p.failures.Load(),
 		}
 		if msg := p.lastErr.Load(); msg != nil {
 			ps.LastError = *msg

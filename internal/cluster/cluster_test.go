@@ -16,64 +16,12 @@ func quiet() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-func TestBreakerOpensAfterThreshold(t *testing.T) {
-	b := NewBreaker(3, time.Minute)
-	now := time.Unix(1000, 0)
-	for i := 0; i < 2; i++ {
-		b.Failure(now)
-		if !b.Allow(now) {
-			t.Fatalf("breaker open after %d failures; threshold is 3", i+1)
-		}
-	}
-	b.Failure(now)
-	if b.Allow(now) {
-		t.Fatal("breaker still closed after threshold failures")
-	}
-	if got := b.Trips(); got != 1 {
-		t.Fatalf("trips = %d, want 1", got)
-	}
-}
-
-func TestBreakerHalfOpenProbe(t *testing.T) {
-	b := NewBreaker(2, time.Minute)
-	now := time.Unix(1000, 0)
-	b.Failure(now)
-	b.Failure(now)
-	if b.Allow(now.Add(30 * time.Second)) {
-		t.Fatal("breaker closed inside the cooldown")
-	}
-	probeTime := now.Add(61 * time.Second)
-	if !b.Allow(probeTime) {
-		t.Fatal("breaker still open after the cooldown (no half-open probe)")
-	}
-	// Probe fails: circuit re-opens immediately, no fresh streak needed.
-	b.Failure(probeTime)
-	if b.Allow(probeTime.Add(time.Second)) {
-		t.Fatal("breaker closed right after a failed half-open probe")
-	}
-	// Next probe succeeds: fully closed again.
-	recovered := probeTime.Add(61 * time.Second)
-	if !b.Allow(recovered) {
-		t.Fatal("no second probe after the cooldown")
-	}
-	b.Success()
-	if !b.Allow(recovered) {
-		t.Fatal("breaker open after success")
-	}
-	b.Failure(recovered)
-	if !b.Allow(recovered) {
-		t.Fatal("breaker re-opened after a single post-recovery failure")
-	}
-}
-
 func TestClusterAllowAndReports(t *testing.T) {
 	c, err := New(Options{
-		Self:          "a:1",
-		Members:       []string{"a:1", "b:2", "c:3"},
-		FailThreshold: 2,
-		Cooldown:      time.Hour,
-		HealthEvery:   -1, // no background checker; this test drives state by hand
-		Logger:        quiet(),
+		Self:        "a:1",
+		Members:     []string{"a:1", "b:2", "c:3"},
+		HealthEvery: -1, // no background checker; this test drives state by hand
+		Logger:      quiet(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,27 +36,25 @@ func TestClusterAllowAndReports(t *testing.T) {
 	if !c.Allow("b:2") {
 		t.Fatal("fresh peer not allowed; peers must start optimistic")
 	}
-	c.ReportFailure("b:2")
-	c.ReportFailure("b:2")
+	c.ReportFailure("b:2", fmt.Errorf("refused"), true)
 	if c.Allow("b:2") {
-		t.Fatal("peer allowed with an open breaker")
+		t.Fatal("peer allowed after a failed forward")
 	}
-	if c.Allow("c:3") == false {
-		t.Fatal("unrelated peer affected by b's breaker")
+	if !c.Allow("c:3") {
+		t.Fatal("unrelated peer affected by b's failure")
 	}
-	c.ReportSuccess("b:2")
+	c.ReportSuccess("b:2", true)
 	if !c.Allow("b:2") {
-		t.Fatal("peer still rejected after a success closed the breaker")
+		t.Fatal("peer still rejected after it served a request")
 	}
+	c.ReportFailure("b:2", fmt.Errorf("handoff refused"), false) // a handoff push: liveness only
 	st := c.Stats()
 	if st.Self != "a:1" || len(st.Members) != 3 || len(st.Peers) != 2 {
 		t.Fatalf("stats shape wrong: %+v", st)
 	}
 	for _, p := range st.Peers {
-		if p.Addr == "b:2" {
-			if p.Forwards != 1 || p.Failures != 2 || p.Trips != 1 {
-				t.Fatalf("b:2 counters wrong: %+v", p)
-			}
+		if p.Addr == "b:2" && (p.Up || p.Forwards != 1 || p.Failures != 1 || p.LastError != "handoff refused") {
+			t.Fatalf("b:2 state wrong: %+v", p)
 		}
 	}
 }

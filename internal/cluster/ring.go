@@ -1,15 +1,14 @@
 // Package cluster is the serving tier's multi-replica layer: a
 // deterministic consistent-hash ring assigning every trial stream
 // (TrialKey, hashed by the service layer) one home replica, plus the
-// per-peer health and circuit-breaker state the forwarding path needs to
-// fail fast when a home is down.
+// per-peer liveness bit the forwarding path needs to fail fast when a
+// home is down.
 //
 // The ring is built over the full configured membership and nothing
 // else: every replica constructs it from the same member list, so
-// key→home agreement needs no coordination protocol. Peer health and
-// breaker state never move keys — they only decide whether a non-owner
-// forwards to the home or serves the key locally (degraded but
-// available). A dead replica therefore costs its own keys one local
+// key→home agreement needs no coordination protocol. Peer liveness
+// never moves keys — it only decides whether a non-owner forwards to the
+// home or serves the key locally (degraded but available). A dead replica therefore costs its own keys one local
 // recompute per entry replica, not a ring-wide reshuffle; when it comes
 // back, its keys are still its own.
 package cluster

@@ -208,6 +208,9 @@ func solve(ctx context.Context, g *graph.Graph, q *query.Graph, colors []uint8, 
 	if err := ctx.Err(); err != nil {
 		return result{}, err
 	}
+	if s.overflow != nil {
+		return result{}, s.overflow
+	}
 	// On a multi-process backend every rank holds only its partitions'
 	// share of the answer — a partial sum, or the vector slots of its owned
 	// vertices (entries are homed at the anchor mapping's owner). Reduce and
@@ -286,6 +289,11 @@ type solver struct {
 	grouped map[groupKey]*engine.Sharded // binary children homed at their "from" ends (groupBinary)
 	walks   walkTrie                     // the walks of the block being solved (path.go)
 	entries int64
+	deg     uint64 // the graph's largest degree: the most terms a data-edge step sums
+	// partials bounds what the root cycle's joins have added to the count
+	// so far (overflow.go).
+	partials uint64
+	overflow error // ErrCountOverflow, wrapped, once a step's bound failed
 }
 
 // newSolver assembles the per-run solver state over a ready backend, for a
@@ -301,6 +309,9 @@ func newSolver(ctx context.Context, g *graph.Graph, colors []uint8, k int, be en
 		alg:     alg,
 		tables:  make(map[*decomp.Block]*engine.Sharded),
 		grouped: make(map[groupKey]*engine.Sharded),
+	}
+	if g != nil {
+		s.deg = uint64(g.MaxDegree())
 	}
 	return s
 }
@@ -350,20 +361,25 @@ func (s *solver) aborted() bool {
 
 // track finishes a freshly built table: every partition compacts its own
 // shard (the sweep, or sort and fold, a superstep's adds have been waiting
-// for), in parallel and inside the superstep's span, and the table's size
-// goes into the stats. A canceled run skips the shards not yet started and
-// stops the one it is in at its next pass over the entries — a hub's shard
-// of a million entries is tens of milliseconds of compaction — leaving it
-// unread; the caller discards the table.
+// for), in parallel and inside the superstep's span, the table's size goes
+// into the stats, and its bound becomes its largest count. A canceled run
+// skips the shards not yet started and stops the one it is in at its next
+// pass over the entries — a hub's shard of a million entries is tens of
+// milliseconds of compaction — leaving it unread; the caller discards the
+// table.
 func (s *solver) track(t *engine.Sharded) *engine.Sharded {
 	var entries atomic.Int64
+	var most atomic.Uint64
 	s.be.Run(func(w int) {
 		if !s.aborted() {
-			n, _ := t.Shard(w).Build(s.aborted)
+			sh := t.Shard(w)
+			n, _ := sh.Build(s.aborted)
 			entries.Add(int64(n))
+			raise(&most, sh.Max())
 		}
 	})
 	s.entries += entries.Load()
+	t.Max = most.Load()
 	return t
 }
 
@@ -441,7 +457,7 @@ func (s *solver) solveRoot(b *decomp.Block, anchor int, per []uint64) uint64 {
 		unary = s.tables[b.Children[0]]
 	}
 	if per == nil {
-		return unary.Total() // a box's cells are summed, not swept
+		return s.total(unary) // a box's cells are summed, not swept
 	}
 	defer s.tr.Start(PhasePerVertexJoin)()
 	s.be.Run(func(w int) {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/decomp"
@@ -92,6 +94,7 @@ func (sp split) sides(root bool) (stream, index *walk, pend bool) {
 // block (no boundary nodes, §5.2 end).
 func (s *solver) solveRootCycle(b *decomp.Block) uint64 {
 	partial := make([]uint64, s.be.P())
+	s.partials = 0
 	s.joinSplits(b, nil, partial)
 	var total uint64
 	for _, p := range partial {
@@ -126,16 +129,22 @@ func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 	// box moves over whole, its cells the entries projected; a shard whose
 	// box never opened is read a vertex at a time (table.Rows), compacted
 	// first, polling as track does, and its entries are added one by one.
+	// The pass that counts the entries projected also bounds them (Census):
+	// the output's bound is measured, not the walk's carried over.
 	defer s.tr.Start(PhaseLeafJoin)()
+	var most atomic.Uint64
 	s.be.Run(func(w int) {
 		sh, src := out.Shard(w), walk.table.Shard(w)
 		var load int64
 		var poll int
+		var bound uint64
 		if sh.MoveBox(src) {
 			lo, hi := s.be.Range(w)
 			for v := lo; v < hi; v++ { // the cells that hold a count: the entries projected
 				row, _ := sh.Row(v)
-				load += int64(table.NonZero(row))
+				n, b := table.Census(row)
+				load += int64(n)
+				bound |= b
 			}
 		} else {
 			rows := src.Rows(s.aborted)
@@ -147,12 +156,15 @@ func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 						break scan
 					}
 					sh.AddEnt(table.UnaryEnt(run[i].V(), run[i].S, run[i].C))
+					bound |= run[i].C
 				}
 			}
 			rows.Close()
 		}
 		s.be.AddLoad(w, load)
+		raise(&most, bound)
 	})
+	out.Max = most.Load()
 	walk.done()
 	return out
 }
@@ -297,7 +309,7 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 	if pull {
 		built = stream.parent // the join takes the walk's last step
 	}
-	if !s.buildPath(index, false) || !s.buildPath(built, pend && !pull) {
+	if !s.buildPath(index, false) || !s.buildPath(built, pend && !pull) || !s.joinFits(b, sp, stream, index, pull, out) {
 		return false
 	}
 	defer sp.plus.done()
@@ -321,6 +333,40 @@ func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, parti
 	}
 	s.tr.Add(PhaseCycleJoin, begin, time.Now())
 	return true
+}
+
+// joinFits checks the split's join before it runs. A root join adds to the
+// count, for each entry it streams — or, pulling, for each entry of the
+// walk's parent and each neighbour it is extended to — one product of two
+// counts, times the split's multiplicity: its bound adds to the bound of
+// what the block's joins added before it. A boundary join's output cell
+// sums one product for every vertex of U and of V that is no boundary
+// node's mapping and every split of its signature meeting at their
+// colours, and the block's splits add into out.
+func (s *solver) joinFits(b *decomp.Block, sp split, stream, index *walk, pull bool, out *engine.Sharded) bool {
+	if len(b.Boundary) == 0 {
+		src, reach := stream.table, uint64(1)
+		if pull {
+			src, reach = stream.parent.table, s.deg
+		}
+		bound, ok := s.fits("the root join", reach, lying(src, s.be.P()), src.Max, index.table.Max, sp.times)
+		if ok {
+			s.partials, ok = s.add("the root join", s.partials, bound)
+		}
+		return ok
+	}
+	factors := []uint64{stream.table.Max, index.table.Max}
+	for _, end := range []bndLoc{locStart, locEnd} {
+		if !slices.Contains(sp.locs, end) {
+			factors = append(factors, uint64(s.g.N()))
+		}
+	}
+	ha, hb := sigSize(stream.table, s.be.P()), sigSize(index.table, s.be.P())
+	bound, ok := s.fits("boundaryJoin", append(factors, choose(ha+hb-4, ha-2))...)
+	if ok {
+		out.Max, ok = s.add("boundaryJoin", out.Max, bound)
+	}
+	return ok
 }
 
 // pulls says whether the walk's last step can be taken inside a root join:

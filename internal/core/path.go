@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/decomp"
 	"repro/internal/engine"
@@ -256,6 +257,7 @@ func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharde
 	slot := slotOf(st.record)
 	defer s.tr.Start(PhasePathJoin)()
 	if st.edgeAnn == nil {
+		out.Max = s.deg // a vertex's edges to other colours, at most
 		if spec.free && s.pullFirst(out) {
 			return s.finish(out, pend)
 		}
@@ -289,6 +291,14 @@ func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharde
 		return s.finish(out, pend)
 	}
 	child := s.tables[st.edgeAnn]
+	starts := uint64(1)
+	if spec.free {
+		starts = uint64(s.g.N()) // entries that differ only in their start fold
+	}
+	var ok bool
+	if out.Max, ok = s.fits("initEdge", child.Max, starts); !ok {
+		return out
+	}
 	s.be.Step(out, func(w int, to *engine.Lanes) {
 		var load int64
 		var poll int
@@ -384,6 +394,7 @@ func pullRows(to *table.Flat, lo, hi uint32, rk *sig.Own, colors []uint8, sum fu
 func (s *solver) lift(spec pathStart) *engine.Sharded {
 	child := s.tables[spec.startAnn]
 	out := s.newTable(spec)
+	out.Max = child.Max
 	defer s.tr.Start(PhasePathJoin)()
 	s.be.Run(func(w int) {
 		sh, src := out.Shard(w), child.Shard(w)
@@ -421,6 +432,11 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 	slot := slotOf(st.record)
 	if st.edgeAnn == nil {
 		defer s.tr.Start(PhasePathJoin)()
+		// An entry sums the entries of its end's neighbours.
+		var ok bool
+		if out.Max, ok = s.fits("edgeJoin", cur.Max, s.deg); !ok {
+			return out
+		}
 		if spec.free && s.pullEdge(cur, out) {
 			return s.finish(out, pend)
 		}
@@ -456,6 +472,13 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 	// groupBinary runs (and traces) its own supersteps; span only ours.
 	byFrom := s.groupBinary(st.edgeAnn, st.edgeFromFirst)
 	defer s.tr.Start(PhasePathJoin)()
+	// An entry sums, over the vertices the child joins its end to, the
+	// products of the splits of its signature at that vertex's colour.
+	ha, hb := sigSize(cur, s.be.P()), sigSize(byFrom, s.be.P())
+	var ok bool
+	if out.Max, ok = s.fits("edgeJoin", cur.Max, byFrom.Max, uint64(s.g.N()), choose(ha+hb-2, ha-1)); !ok {
+		return out
+	}
 	s.be.Step(out, func(w int, to *engine.Lanes) {
 		var load int64
 		var poll int
@@ -567,6 +590,14 @@ func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block
 	out := s.newTable(spec)
 	child := s.tables[ann]
 	defer s.tr.Start(PhasePathJoin)()
+	// An output cell sums the products of its pairs (sig.Pairs).
+	ha, hb := sigSize(cur, s.be.P()), sigSize(child, s.be.P())
+	pairs := choose(ha+hb-2, ha-1)
+	var ok bool
+	if out.Max, ok = s.fits("nodeJoin", cur.Max, child.Max, pairs); !ok {
+		return out
+	}
+	var boundA, boundB atomic.Uint64 // a start-free walk's: the rows' counts the products read
 	s.be.Run(func(w int) {
 		var load int64
 		var poll int
@@ -582,16 +613,20 @@ func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block
 			walks := s.ownRows(walk, ha)
 			defer walks.close()
 			lo, hi := s.be.Range(w)
+			var ba, bb uint64
+			defer func() { raise(&boundA, ba); raise(&boundB, bb) }()
 			pullRows(out.Shard(w), lo, hi, up, s.colors, func(v uint32, row []uint64) bool {
 				b := kids.at(v)
-				n := table.NonZero(b)
+				n, mb := table.Census(b)
 				if n == 0 {
 					return true
 				}
 				a := walks.at(v)
-				if n *= table.NonZero(a); n == 0 {
+				na, ma := table.Census(a)
+				if n *= na; n == 0 {
 					return true
 				}
+				ba, bb = ba|ma, bb|mb
 				load += int64(n)
 				if s.canceledAfter(&poll, n) {
 					return false
@@ -648,6 +683,9 @@ func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block
 		}
 		s.be.AddLoad(w, load)
 	})
+	if spec.free { // measured, and no greater than what was checked
+		out.Max = min(boundA.Load(), cur.Max) * min(boundB.Load(), child.Max) * pairs
+	}
 	return s.finish(out, pend)
 }
 
@@ -845,6 +883,7 @@ func (s *solver) groupBinary(b *decomp.Block, fromFirst bool) *engine.Sharded {
 	}
 	child := s.tables[b]
 	byFrom := engine.NewSharded(s.be)
+	byFrom.Max = child.Max
 	end := s.tr.Start(PhaseTableMerge)
 	s.be.Step(byFrom, func(w int, to *engine.Lanes) {
 		var poll int

@@ -2,8 +2,10 @@ package dist
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -35,16 +37,19 @@ func newCoord(ranks, n int, j *cjob) *Coord {
 }
 
 // Reduce gathers every rank's final report and returns the global count.
-// This is where a lost worker, a remote error, or an SPMD divergence
-// surfaces as the run's error.
+// This is where a lost worker, a remote error, an SPMD divergence, or a
+// sum that reaches 2⁶⁴ surfaces as the run's error.
 func (d *Coord) Reduce(local uint64) (uint64, error) {
 	dones, err := d.gather()
 	if err != nil {
 		return 0, err
 	}
 	total := local
-	for _, m := range dones {
-		total += m.Count
+	for rank, m := range dones {
+		var carry uint64
+		if total, carry = bits.Add64(total, m.Count, 0); carry != 0 {
+			return 0, fmt.Errorf("%w: the partial counts summed up to worker %d's reach 2^64", core.ErrCountOverflow, rank)
+		}
 	}
 	return total, nil
 }

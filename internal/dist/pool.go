@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 )
@@ -338,7 +340,11 @@ func (j *cjob) stepDone(step int64) {
 // rankDone records one rank's final report; an error report fails the job.
 func (j *cjob) rankDone(rank int, m *jobDoneMsg) {
 	if m.Err != "" {
-		j.fail(fmt.Errorf("dist: worker %d: %s", rank, m.Err))
+		err := fmt.Errorf("dist: worker %d: %s", rank, m.Err)
+		if rest, ok := strings.CutPrefix(m.Err, core.ErrCountOverflow.Error()); ok {
+			err = fmt.Errorf("dist: worker %d: %w%s", rank, core.ErrCountOverflow, rest) // typed again
+		}
+		j.fail(err)
 		return
 	}
 	j.mu.Lock()

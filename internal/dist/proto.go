@@ -61,6 +61,7 @@ type wireLane struct {
 
 type batchMsg struct {
 	Lanes []wireLane
+	Max   uint64 // the sender's bound on the step's output (engine.Sharded.Max)
 }
 
 type jobDoneMsg struct {

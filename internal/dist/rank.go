@@ -41,7 +41,7 @@ func newRank(ranks, parts, n, k, r int, j *wjob, conc int) *rank {
 // the barrier token) holding the staged chunks of that rank's partitions,
 // signals StepDone to the coordinator, then awaits the other ranks'
 // batches for this superstep and appends their entries to out's shards,
-// single-threaded. Whatever happens here, the runtime has every staged
+// single-threaded, raising out's bound to the largest a sender declared. Whatever happens here, the runtime has every staged
 // chunk back in the slab pool when its Step returns. Any transport failure
 // latches the job failure, which cancels the job context; the solver
 // unwinds at its next poll and the error surfaces in the coordinator's
@@ -51,7 +51,7 @@ func (r *rank) exchange(st int64, stages []*engine.Sharded, out *engine.Sharded)
 		if dr == r.rank {
 			continue
 		}
-		var bm batchMsg
+		bm := batchMsg{Max: out.Max}
 		for dst, hi := r.Band(dr); dst < hi; dst++ {
 			for _, stage := range stages {
 				stage.Shard(dst).Chunks(func(ents []table.Ent) {
@@ -86,6 +86,7 @@ func (r *rank) exchange(st int64, stages []*engine.Sharded, out *engine.Sharded)
 			r.j.fail(fmt.Errorf("dist: bad step batch: %w", err))
 			return
 		}
+		out.Max = max(out.Max, bm.Max)
 		for _, l := range bm.Lanes {
 			dst := int(l.Dst)
 			if lo, hi := r.Band(r.rank); dst < lo || dst >= hi {

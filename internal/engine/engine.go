@@ -78,6 +78,13 @@ func (b *Batcher) Flush() {}
 type Sharded struct {
 	*shardArrays      // nil once released
 	matrix       bool // NewMatrix made the table: the shards are declared
+	// Max bounds every count the table holds once its duplicates fold: the
+	// solver sets it to the bound the step that builds the table was
+	// checked against, or to one a pass over the table measured.
+	// A process of a wired run raises it at each superstep barrier to the
+	// largest any process declared for the step's output, whose entries it
+	// may have received.
+	Max uint64
 }
 
 // shardArrays is a table's storage: its shards and, once it has been a

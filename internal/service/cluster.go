@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -31,13 +32,14 @@ const homeHeader = "X-Subgraph-Home"
 // counters.
 type ClusterStats struct {
 	cluster.Stats
-	// Forwards counts requests this replica proxied to their home.
+	// Forwards counts requests this replica proxied to their home: the
+	// peers' Forwards summed.
 	Forwards uint64 `json:"forwards" metric:"cluster_forwards_total" help:"Requests proxied to their ring-home replica."`
 	// ForwardErrors counts transport-level forward failures (the request
-	// then ran locally).
+	// then ran locally): the peers' Failures summed.
 	ForwardErrors uint64 `json:"forwardErrors" metric:"cluster_forward_errors_total" help:"Transport-level forward failures (request then ran locally)."`
 	// LocalFallbacks counts non-owned requests served locally because the
-	// home was unreachable, unhealthy, or circuit-broken.
+	// home was down or the forward to it failed.
 	LocalFallbacks uint64 `json:"localFallbacks" metric:"cluster_local_fallbacks_total" help:"Non-owned requests served locally because their home was unavailable."`
 	// ForwardedServed counts requests that arrived with a forward header
 	// (another replica proxied them here).
@@ -90,10 +92,10 @@ func ringHash(k TrialKey) uint64 {
 // the cluster says its trial stream belongs to another replica that looks
 // reachable, the request is proxied there and the response relayed
 // verbatim. Everything else — single-node mode, owned keys,
-// already-forwarded requests (the loop guard), and homes that are down or
-// circuit-broken — is served locally with the returned request, whose
-// lease the caller takes over. False means the response is written: the
-// body did not decode, the request did not resolve, or it was forwarded.
+// already-forwarded requests (the loop guard), and homes that are down —
+// is served locally with the returned request, whose lease the caller
+// takes over. False means the response is written: the body did not
+// decode, the request did not resolve, or it was forwarded.
 // Local execution of a non-owned key is deliberate degradation: the
 // answer is still bit-identical (trials are deterministic everywhere), it
 // just costs a duplicate computation instead of an error or a hang.
@@ -130,34 +132,20 @@ func (s *Service) admit(w http.ResponseWriter, r *http.Request, path string) (re
 
 // forward proxies one request to its home replica and relays the
 // response. Returns false (nothing written) on transport failure, so
-// the caller falls back to local execution; the failure feeds the
-// home's circuit breaker. A failure caused by the client's own context
-// is not the peer's fault — it is reported to the client directly.
+// the caller falls back to local execution; the failure marks the home
+// down. A failure caused by the client's own context is not the peer's
+// fault — it is reported to the client directly.
 func (s *Service) forward(w http.ResponseWriter, r *http.Request, home, path string, req EstimateRequest) bool {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false
-	}
-	freq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "http://"+home+path, bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	freq.Header.Set("Content-Type", "application/json")
-	freq.Header.Set(forwardHeader, s.cluster.Self())
-	resp, err := s.fwd.Do(freq)
+	resp, err := s.postPeer(r.Context(), home, path, req, true)
 	if err != nil {
 		if r.Context().Err() != nil {
 			writeError(w, r.Context().Err())
 			return true
 		}
-		s.cluster.ReportFailure(home)
-		s.clForwardErrors.Add(1)
 		s.logger.Warn("cluster: forward failed; serving locally", "home", home, "path", path, "err", err)
 		return false
 	}
 	defer s.doneForward(resp)
-	s.cluster.ReportSuccess(home)
-	s.clForwards.Add(1)
 	for _, h := range []string{"Content-Type", "X-Cache", "X-Elapsed-Ms", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -172,6 +160,33 @@ func (s *Service) forward(w http.ResponseWriter, r *http.Request, home, path str
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body) //nolint:errcheck // client gone; nothing to do
 	return true
+}
+
+// postPeer POSTs v as JSON to path on peer addr, marked as forwarded by
+// this replica, and records what the attempt says about the peer's
+// liveness: a response marks it up, a transport failure down — unless
+// ctx, the caller's own context, ended first. forward says whether the
+// POST counts in the peer's forward tallies (a handoff push does not).
+// The caller hands a returned response to doneForward.
+func (s *Service) postPeer(ctx context.Context, addr, path string, v any, forward bool) (*http.Response, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(forwardHeader, s.cluster.Self())
+	resp, err := s.fwd.Do(req)
+	switch {
+	case err == nil:
+		s.cluster.ReportSuccess(addr, forward)
+	case ctx.Err() == nil:
+		s.cluster.ReportFailure(addr, err, forward)
+	}
+	return resp, err
 }
 
 // doneForward closes the body of a response from a peer, which hands its
@@ -278,12 +293,10 @@ func (s *Service) handleClusterRebalance(w http.ResponseWriter, r *http.Request)
 			continue
 		}
 		if err := s.pushRuns(r, home, runs); err != nil {
-			s.cluster.ReportFailure(home)
 			peerResults[home] = "error: " + err.Error()
 			s.logger.Warn("cluster: handoff push failed", "home", home, "runs", len(runs), "err", err)
 			continue
 		}
-		s.cluster.ReportSuccess(home)
 		exported += len(runs)
 		s.clHandoffExported.Add(uint64(len(runs)))
 		peerResults[home] = fmt.Sprintf("exported %d runs", len(runs))
@@ -297,17 +310,7 @@ func (s *Service) handleClusterRebalance(w http.ResponseWriter, r *http.Request)
 
 // pushRuns ships one batch of runs to a peer's import endpoint.
 func (s *Service) pushRuns(r *http.Request, home string, runs []durable.RunRecord) error {
-	body, err := json.Marshal(map[string]any{"runs": runs})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "http://"+home+"/v1/cluster/runs", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardHeader, s.cluster.Self())
-	resp, err := s.fwd.Do(req)
+	resp, err := s.postPeer(r.Context(), home, "/v1/cluster/runs", map[string]any{"runs": runs}, false)
 	if err != nil {
 		return err
 	}
@@ -320,19 +323,22 @@ func (s *Service) pushRuns(r *http.Request, home string, runs []durable.RunRecor
 }
 
 // clusterStats assembles the /v1/stats cluster section; nil outside
-// cluster mode.
+// cluster mode. Forwards and ForwardErrors are the peers' tallies summed.
 func (s *Service) clusterStats() *ClusterStats {
 	if s.cluster == nil {
 		return nil
 	}
-	return &ClusterStats{
+	st := &ClusterStats{
 		Stats:           s.cluster.Stats(),
-		Forwards:        s.clForwards.Load(),
-		ForwardErrors:   s.clForwardErrors.Load(),
 		LocalFallbacks:  s.clLocalFallbacks.Load(),
 		ForwardedServed: s.clForwardedServed.Load(),
 		HandoffExported: s.clHandoffExported.Load(),
 		HandoffImported: s.clHandoffImported.Load(),
 		HandoffActive:   s.handoffActive.Load() > 0,
 	}
+	for _, p := range st.Peers {
+		st.Forwards += p.Forwards
+		st.ForwardErrors += p.Failures
+	}
+	return st
 }

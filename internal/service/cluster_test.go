@@ -11,6 +11,7 @@ import (
 	"time"
 
 	subgraph "repro"
+	"repro/internal/cluster"
 )
 
 // replica is one cluster member under test: a real service behind a real
@@ -21,14 +22,17 @@ type replica struct {
 	svc  *subgraph.Service
 	srv  *http.Server
 	ln   net.Listener
+	cl   *subgraph.ClusterView
 }
 
 // startReplicas binds n listeners first (so the full membership is known
 // before any ring is built), then starts one service per address with a
-// cluster view over that membership. Health checking is disabled: peers
-// stay optimistic and only the forward-path breaker reacts to failures,
-// which keeps the tests deterministic and sleep-free.
-func startReplicas(t *testing.T, n int) []*replica {
+// cluster view over that membership. The background health checker is
+// off: peers start up and only forward outcomes (or a CheckOnce the test
+// makes) move their liveness, which keeps the tests deterministic and
+// sleep-free. probe, when non-nil, stands in for every view's readiness
+// probe.
+func startReplicas(t *testing.T, n int, probe ...func(addr string) error) []*replica {
 	t.Helper()
 	reps := make([]*replica, n)
 	addrs := make([]string, n)
@@ -41,14 +45,15 @@ func startReplicas(t *testing.T, n int) []*replica {
 		addrs[i] = reps[i].addr
 	}
 	for _, rep := range reps {
-		cl, err := subgraph.NewCluster(subgraph.ClusterOptions{
-			Self:        rep.addr,
-			Members:     addrs,
-			HealthEvery: -1,
-		})
+		opts := subgraph.ClusterOptions{Self: rep.addr, Members: addrs, HealthEvery: -1}
+		if len(probe) > 0 {
+			opts.Probe = probe[0]
+		}
+		cl, err := subgraph.NewCluster(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep.cl = cl
 		rep.svc = subgraph.NewService(subgraph.ServiceOptions{Workers: 2, Cluster: cl})
 		rep.srv = &http.Server{Handler: rep.svc.Handler()}
 		go rep.srv.Serve(rep.ln) //nolint:errcheck // closed on cleanup
@@ -198,40 +203,52 @@ func TestClusterForwardedJobLocationIsAbsolute(t *testing.T) {
 	}
 }
 
+// remoteSeed returns the first seed from lo whose estimate, entered at
+// entry, is forwarded, with the replica that served it and the body.
+func remoteSeed(t *testing.T, reps []*replica, entry *replica, lo int) (int, *replica, []byte) {
+	t.Helper()
+	for s := lo; s < lo+40; s++ {
+		raw, hdr := clusterPost(t, entry.addr, "/v1/estimate", estimateBody(s), http.StatusOK, nil)
+		for _, rep := range reps {
+			if rep.addr == hdr.Get("X-Subgraph-Home") {
+				return s, rep, raw
+			}
+		}
+	}
+	t.Fatalf("no seed in [%d,%d) hashed to a remote home", lo, lo+40)
+	return 0, nil, nil
+}
+
+// peerState returns entry's view of peer addr.
+func peerState(t *testing.T, entry *replica, addr string) subgraph.ClusterServiceStats {
+	t.Helper()
+	st := entry.svc.Stats().Cluster
+	for _, p := range st.Peers {
+		if p.Addr == addr {
+			st.Peers = []cluster.PeerStats{p}
+			return *st
+		}
+	}
+	t.Fatalf("%s is not a peer of %s", addr, entry.addr)
+	return *st
+}
+
 // TestClusterHomeDownFallsBackLocally kills one replica and checks the
 // degraded-but-available contract: requests homed on the dead member
-// still answer through a survivor — identically to before the kill —
-// and after enough failures the breaker opens so later requests skip
-// the dead host without dialing it.
+// still answer through a survivor — identically to before the kill — and
+// the one forward that finds the home dead marks it down, so later
+// requests skip it without dialing it.
 func TestClusterHomeDownFallsBackLocally(t *testing.T) {
 	reps := startReplicas(t, 3)
 	entry := reps[0]
-
-	// Find a request homed on another replica, and remember its answer.
-	var victim *replica
-	var seed int
-	var want []byte
-	for s := 100; s < 140; s++ {
-		raw, hdr := clusterPost(t, entry.addr, "/v1/estimate", estimateBody(s), http.StatusOK, nil)
-		if home := hdr.Get("X-Subgraph-Home"); home != "" {
-			for _, rep := range reps {
-				if rep.addr == home {
-					victim = rep
-				}
-			}
-			seed, want = s, raw
-			break
-		}
-	}
-	if victim == nil {
-		t.Fatal("no seed in [100,140) hashed to a remote home")
-	}
+	seed, victim, want := remoteSeed(t, reps, entry, 100)
 
 	victim.srv.Close()
 
 	// The home is gone; the entry must serve the key locally, fast, with
 	// the identical body (trials are deterministic everywhere).
-	for i := 0; i < 4; i++ {
+	const n = 4
+	for i := 0; i < n; i++ {
 		start := time.Now()
 		raw, hdr := clusterPost(t, entry.addr, "/v1/estimate", estimateBody(seed), http.StatusOK, nil)
 		if !bytes.Equal(raw, want) {
@@ -245,21 +262,64 @@ func TestClusterHomeDownFallsBackLocally(t *testing.T) {
 		}
 	}
 
-	st := entry.svc.Stats()
-	if st.Cluster.LocalFallbacks == 0 {
-		t.Error("no local fallbacks counted after home died")
+	st := peerState(t, entry, victim.addr)
+	if st.LocalFallbacks != n {
+		t.Errorf("%d local fallbacks after the home died, want %d", st.LocalFallbacks, n)
 	}
-	if st.Cluster.ForwardErrors == 0 {
-		t.Error("no forward errors counted after home died")
+	if st.ForwardErrors != 1 || st.Peers[0].Failures != 1 {
+		t.Errorf("%d forward errors (peer: %d), want exactly 1: later requests must not dial the dead home",
+			st.ForwardErrors, st.Peers[0].Failures)
 	}
-	var tripped bool
-	for _, p := range st.Cluster.Peers {
-		if p.Addr == victim.addr && p.Trips > 0 {
-			tripped = true
+	if st.Peers[0].Up {
+		t.Errorf("dead peer %s still reads up: %+v", victim.addr, st.Peers[0])
+	}
+}
+
+// TestClusterLivenessFollowsProbeAndForwards drives one peer's liveness
+// bit through a stand-in probe that always passes. While the peer's
+// forwards fail, each probe round lets through at most one forward,
+// which finds it dead; once the peer serves again, one passed probe
+// gives it its keys back.
+func TestClusterLivenessFollowsProbeAndForwards(t *testing.T) {
+	reps := startReplicas(t, 3, func(string) error { return nil })
+	entry := reps[0]
+	seed, victim, want := remoteSeed(t, reps, entry, 100)
+
+	victim.srv.Close() // its readiness probe still passes
+	const rounds, perRound = 3, 3
+	for r := 1; r <= rounds; r++ {
+		entry.cl.CheckOnce()
+		for i := 0; i < perRound; i++ {
+			raw, hdr := clusterPost(t, entry.addr, "/v1/estimate", estimateBody(seed), http.StatusOK, nil)
+			if home := hdr.Get("X-Subgraph-Home"); home != "" || !bytes.Equal(raw, want) {
+				t.Fatalf("round %d: served by %q with body %s, want local with %s", r, home, raw, want)
+			}
+		}
+		if st := peerState(t, entry, victim.addr); st.ForwardErrors != uint64(r) || st.Peers[0].Up {
+			t.Fatalf("after %d probe rounds: %d forward errors, up=%v; want %d and down",
+				r, st.ForwardErrors, st.Peers[0].Up, r)
 		}
 	}
-	if !tripped {
-		t.Errorf("breaker for dead peer %s never tripped; peers: %+v", victim.addr, st.Cluster.Peers)
+
+	// The peer serves again on its address. It stays down, and its key
+	// stays local, until a probe passes.
+	ln, err := net.Listen("tcp", victim.addr)
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", victim.addr, err)
+	}
+	srv := &http.Server{Handler: victim.svc.Handler()}
+	go srv.Serve(ln) //nolint:errcheck // closed on cleanup
+	t.Cleanup(func() { srv.Close() })
+	if _, hdr := clusterPost(t, entry.addr, "/v1/estimate", estimateBody(seed), http.StatusOK, nil); hdr.Get("X-Subgraph-Home") != "" {
+		t.Fatal("a down peer got a forward before any probe passed")
+	}
+	entry.cl.CheckOnce()
+	raw, hdr := clusterPost(t, entry.addr, "/v1/estimate", estimateBody(seed), http.StatusOK, nil)
+	if home := hdr.Get("X-Subgraph-Home"); home != victim.addr || !bytes.Equal(raw, want) {
+		t.Fatalf("after one passed probe: served by %q, want %s with the same body", home, victim.addr)
+	}
+	if st := peerState(t, entry, victim.addr); !st.Peers[0].Up || st.ForwardErrors != rounds {
+		t.Errorf("recovered peer: up=%v, %d forward errors; want up and %d", st.Peers[0].Up, st.ForwardErrors, rounds)
 	}
 }
 

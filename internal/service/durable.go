@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/durable"
 )
 
@@ -92,11 +93,13 @@ func (s *Service) persistJob(j *job) {
 	s.durable.AppendJob(jobRecord(j))
 }
 
-// persistable decides which terminal jobs earn a log record. Two classes
+// persistable decides which terminal jobs earn a log record. Three classes
 // do not:
 //
 //   - Jobs settled with ErrClosed are the shutdown sweep, not real
 //     outcomes — a restart must not resurrect them as failed.
+//   - Jobs refused with core.ErrCountOverflow computed nothing that a
+//     restart could use: the count they asked for does not fit.
 //   - Jobs answered purely from the result cache (born done, zero fresh
 //     trials). Their estimate is reconstructible bit for bit from the
 //     runs log, so persisting them would add no information — but it
@@ -108,7 +111,7 @@ func (s *Service) persistJob(j *job) {
 //     while any job that computed, failed, or was canceled keeps its id
 //     across restarts.
 func persistable(j *job) bool {
-	return !errors.Is(j.err, ErrClosed) && !(j.state == JobDone && j.cached)
+	return !errors.Is(j.err, ErrClosed) && !errors.Is(j.err, core.ErrCountOverflow) && !(j.state == JobDone && j.cached)
 }
 
 // durableSnapshot supplies the compaction state: every resident cache

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -233,6 +234,8 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, ErrJobNotDone):
 		status = http.StatusConflict
+	case errors.Is(err, core.ErrCountOverflow):
+		status = http.StatusUnprocessableEntity
 	}
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }

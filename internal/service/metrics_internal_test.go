@@ -214,14 +214,6 @@ subgraph_cluster_members 3
 # TYPE subgraph_cluster_peer_up gauge
 subgraph_cluster_peer_up{peer="b:2"} 1
 subgraph_cluster_peer_up{peer="c:3"} 0
-# HELP subgraph_cluster_peer_breaker_open Whether the peer's circuit breaker is open (forwards fail fast to local execution).
-# TYPE subgraph_cluster_peer_breaker_open gauge
-subgraph_cluster_peer_breaker_open{peer="b:2"} 0
-subgraph_cluster_peer_breaker_open{peer="c:3"} 1
-# HELP subgraph_cluster_peer_breaker_trips_total Times the peer's circuit breaker opened.
-# TYPE subgraph_cluster_peer_breaker_trips_total counter
-subgraph_cluster_peer_breaker_trips_total{peer="b:2"} 211
-subgraph_cluster_peer_breaker_trips_total{peer="c:3"} 221
 # HELP subgraph_cluster_peer_forwards_total Requests forwarded to the peer.
 # TYPE subgraph_cluster_peer_forwards_total counter
 subgraph_cluster_peer_forwards_total{peer="b:2"} 212
@@ -287,8 +279,8 @@ func goldenStats() Stats {
 				Self:    "a:1",
 				Members: []string{"a:1", "b:2", "c:3"},
 				Peers: []cluster.PeerStats{
-					{Addr: "b:2", Up: true, Trips: 211, Forwards: 212, Failures: 213},
-					{Addr: "c:3", BreakerOpen: true, Trips: 221, Forwards: 222, Failures: 223, LastError: "refused"},
+					{Addr: "b:2", Up: true, Forwards: 212, Failures: 213},
+					{Addr: "c:3", Forwards: 222, Failures: 223, LastError: "refused"},
 				},
 			},
 			Forwards: 201, ForwardErrors: 202, LocalFallbacks: 203, ForwardedServed: 204,

@@ -174,8 +174,6 @@ type Service struct {
 	trialsSaved   atomic.Uint64 // trials the adaptive stops skipped vs MaxTrials
 
 	// Cluster-mode counters (see ClusterStats for semantics).
-	clForwards        atomic.Uint64
-	clForwardErrors   atomic.Uint64
 	clLocalFallbacks  atomic.Uint64
 	clForwardedServed atomic.Uint64
 	clHandoffExported atomic.Uint64

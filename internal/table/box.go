@@ -290,6 +290,19 @@ func NonZero(cells []uint64) (n int) {
 	return n
 }
 
+// Census is NonZero and a bound on the largest count of cells in one pass:
+// what a load pass charges, and the bound the counts it reads are checked
+// by. The bound is the cells' bitwise or — no count exceeds it, and it is
+// less than twice the largest — which costs the loop one instruction and
+// no compare.
+func Census(cells []uint64) (n int, bound uint64) {
+	for _, c := range cells {
+		n += int((c | -c) >> 63)
+		bound |= c
+	}
+	return n, bound
+}
+
 // merge adds src's open box, of the same shape, into b's cell by cell and
 // closes it.
 func (b *Box) merge(src *Box) {

@@ -37,6 +37,7 @@
 package table
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/sig"
@@ -338,23 +339,49 @@ func (t *Flat) SigSize() int {
 	return 0
 }
 
-// Total returns the sum of all counts. Pending duplicates sum the same as
-// folded ones, and an open box's cells as the entries a sweep would make of
-// them, so nothing is compacted.
-func (t *Flat) Total() (total uint64) {
+// Total returns the sum of all counts, modulo 2⁶⁴.
+func (t *Flat) Total() uint64 {
+	total, _ := t.Sum()
+	return total
+}
+
+// Sum returns the sum of all counts and whether it stays below 2⁶⁴.
+// Pending duplicates sum the same as folded ones, and an open box's cells
+// as the entries a sweep would make of them, so nothing is compacted.
+func (t *Flat) Sum() (sum uint64, ok bool) {
+	var carry, c uint64
 	if b := t.box; b != nil && b.words != nil {
 		t.foldSorted() // an open box holds every entry but those read before it opened
-		for _, c := range b.words {
-			total += c
+		for _, n := range b.words {
+			sum, c = bits.Add64(sum, n, 0)
+			carry |= c
 		}
-		return total
+		return sum, carry == 0
 	}
 	t.Chunks(func(ents []Ent) {
 		for i := range ents {
-			total += ents[i].C
+			sum, c = bits.Add64(sum, ents[i].C, 0)
+			carry |= c
 		}
 	})
-	return total
+	return sum, carry == 0
+}
+
+// Max returns the largest count t holds: its open box's largest cell, or
+// its largest entry once compacted. Pending chunks are compacted first, as
+// Ents would: an unfolded duplicate holds only part of its key's count.
+func (t *Flat) Max() (m uint64) {
+	if b := t.box; b != nil && b.words != nil {
+		t.foldSorted()
+		for _, c := range b.words {
+			m = max(m, c)
+		}
+		return m
+	}
+	for _, e := range t.Ents() {
+		m = max(m, e.C)
+	}
+	return m
 }
 
 // Rows reads a shard a vertex at a time — the vertex it is partitioned on: a

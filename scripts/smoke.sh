@@ -460,4 +460,22 @@ for port in "$C1_PORT" "$C3_PORT"; do
   fi
 done
 echo "cluster: survivors keep serving goldens (and agree on fresh keys) after kill -9"
+
+# Each survivor's liveness bit for the dead replica must read down within
+# 5 s: a failed forward marks it at once, a failed /readyz probe within
+# one 2 s health interval.
+for port in "$C1_PORT" "$C3_PORT"; do
+  up=""
+  for _ in $(seq 1 50); do
+    up=$(curl -fsS "http://127.0.0.1:$port/v1/stats" |
+      jq -r --arg dead "127.0.0.1:$C2_PORT" '.cluster.peers[] | select(.addr == $dead) | .up')
+    [ "$up" = "false" ] && break
+    sleep 0.1
+  done
+  if [ "$up" != "false" ]; then
+    echo "FAIL: survivor :$port still reads the dead replica :$C2_PORT as up=$up after 5 s" >&2
+    exit 1
+  fi
+done
+echo "cluster: both survivors read the dead replica as up: false"
 echo "smoke OK"
