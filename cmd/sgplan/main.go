@@ -1,6 +1,7 @@
 // Command sgplan inspects query decomposition trees (paper §4.1, §6): it
-// prints every decomposition tree of a query with its heuristic score, and
-// marks the plan the §6 heuristic selects.
+// prints every decomposition tree of a query with its §6 structural score,
+// and marks the plan every solve runs: PickPlan's pick, the tree whose
+// calibration run costs least.
 //
 // Examples:
 //
@@ -53,7 +54,7 @@ func main() {
 			score := tr.Score()
 			mark := " "
 			if tr.Encode() == best.Encode() {
-				mark = "*" // heuristic's pick
+				mark = "*" // PickPlan's calibrated pick
 			}
 			fmt.Printf("%s plan %d  score(work max %d total %d, longest cycle %d, boundary %d, annotations %d)\n",
 				mark, i+1, score.MaxCycleWork, score.TotalCycleWork, score.LongestCycle, score.BoundarySum, score.Annotations)

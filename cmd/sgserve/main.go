@@ -42,9 +42,8 @@
 //	sgserve -addr :8082 -self 127.0.0.1:8082 -peers 127.0.0.1:8081,127.0.0.1:8082,127.0.0.1:8083
 //	sgserve -addr :8083 -self 127.0.0.1:8083 -peers 127.0.0.1:8081,127.0.0.1:8082,127.0.0.1:8083
 //
-// GET /readyz distinguishes readiness from /healthz liveness, and POST
-// /v1/cluster/rebalance ships each key's durable trial runs to its ring
-// home after a membership change.
+// Each replica probes its peers' GET /healthz every 2 s. Membership is
+// static: changing it moves keys to new homes, which start them cold.
 //
 // SIGINT/SIGTERM shut down gracefully: in-flight requests finish, the
 // worker pool drains, then the listener closes.

@@ -144,20 +144,27 @@ var facts = []struct {
 	},
 	// One liveness signal per ring peer.
 	{
-		"a ring peer's liveness is one bit, written by ReportSuccess and ReportFailure, which in internal/cluster only CheckOnce calls",
-		"a peer is up or down by the last probe or forward outcome, and nothing else gates a forward; the circuit breaker that gated it a second time stays deleted",
+		"a ring peer's liveness is one bit, written by ReportSuccess, ReportFailure and CheckOnce through mark alone; in internal/cluster nothing calls ReportSuccess or ReportFailure",
+		"a peer is up or down by the last probe or forward outcome, and nothing else gates a forward; a probe's outcome moves the bit without counting as a forward, and the circuit breaker that gated it a second time stays deleted",
 		func() error {
 			if err := absent(tree("internal/cluster", goFile), `Breaker|breaker`); err != nil {
 				return err
 			}
-			if err := same(unique(where("internal/cluster", livenessWrite)), "ReportFailure", "ReportSuccess"); err != nil {
+			if err := same(unique(where("internal/cluster", livenessWrite)), "mark"); err != nil {
 				return fmt.Errorf("down written: %v", err)
 			}
-			calls := append(callers("internal/cluster", "ReportSuccess"), callers("internal/cluster", "ReportFailure")...)
-			if err := same(calls, "CheckOnce", "CheckOnce"); err != nil {
-				return fmt.Errorf("ReportSuccess and ReportFailure called: %v", err)
+			if err := same(callers("internal/cluster", "mark"), "CheckOnce", "ReportFailure", "ReportSuccess"); err != nil {
+				return fmt.Errorf("mark called: %v", err)
 			}
-			return nil
+			calls := append(callers("internal/cluster", "ReportSuccess"), callers("internal/cluster", "ReportFailure")...)
+			return count(calls, 0)
+		},
+	},
+	{
+		"the ring's handoff stays deleted",
+		"membership is static and a new home starts its keys cold: the run import, the rebalance that pushed to it, the durable-log reader it exported from and the readiness state an import held are gone, and /healthz is the one probe",
+		func() error {
+			return absent(tree("", programFile, "benchmark/"), `ReadRuns|handoff|/v1/cluster/runs|/v1/cluster/rebalance|/readyz`)
 		},
 	},
 	// One superstep runtime, no second Step.
@@ -369,6 +376,10 @@ func unique(s []string) []string { return slices.Compact(slices.Sorted(slices.Va
 
 func goFile(rel string) bool  { return strings.HasSuffix(rel, ".go") }
 func anyFile(rel string) bool { return true }
+
+// programFile keeps the non-test Go files: a test may name a deleted route
+// to check that it is not served.
+func programFile(rel string) bool { return goFile(rel) && !strings.HasSuffix(rel, "_test.go") }
 
 // notRecord keeps every file but the Markdown at the module root that
 // records the project's changes, plans and tasks, which name what was

@@ -21,15 +21,15 @@ type Options struct {
 	// HealthEvery is the background peer health-check cadence; 0 means
 	// 2s, < 0 disables the checker (tests drive CheckOnce directly).
 	HealthEvery time.Duration
-	// Probe checks one peer's readiness. Nil means GET
-	// http://<addr>/readyz expecting 200 within healthTimeout.
+	// Probe checks one peer's health. Nil means GET
+	// http://<addr>/healthz expecting 200 within healthTimeout.
 	Probe func(addr string) error
 	// Logger receives membership and health transitions. Nil means
 	// slog.Default().
 	Logger *slog.Logger
 }
 
-// healthTimeout bounds one default readiness probe.
+// healthTimeout bounds one default health probe.
 const healthTimeout = time.Second
 
 func (o Options) withDefaults() (Options, error) {
@@ -64,7 +64,7 @@ type peer struct {
 // PeerStats is one peer's snapshot for /v1/stats and, by its tags, /metrics.
 type PeerStats struct {
 	Addr      string `json:"addr" metric:"{peer}"`
-	Up        bool   `json:"up" metric:"cluster_peer_up" help:"Whether the peer's last readiness probe (or forward) succeeded."`
+	Up        bool   `json:"up" metric:"cluster_peer_up" help:"Whether the peer's last health probe (or forward) succeeded."`
 	Forwards  uint64 `json:"forwards" metric:"cluster_peer_forwards_total" help:"Requests forwarded to the peer."`
 	Failures  uint64 `json:"failures" metric:"cluster_peer_failures_total" help:"Transport-level failures forwarding to the peer."`
 	LastError string `json:"lastError,omitempty"`
@@ -137,15 +137,15 @@ func New(opts Options) (*Cluster, error) {
 // wedged peer cannot stall the checker.
 var probeClient = &http.Client{Timeout: healthTimeout}
 
-// httpProbe is the default readiness probe: GET /readyz expecting 200.
+// httpProbe is the default health probe: GET /healthz expecting 200.
 func httpProbe(addr string) error {
-	resp, err := probeClient.Get("http://" + addr + "/readyz")
+	resp, err := probeClient.Get("http://" + addr + "/healthz")
 	if err != nil {
 		return err
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s /readyz returned %d", addr, resp.StatusCode)
+		return fmt.Errorf("cluster: %s /healthz returned %d", addr, resp.StatusCode)
 	}
 	return nil
 }
@@ -176,52 +176,46 @@ func (c *Cluster) Allow(addr string) bool {
 	return ok && !p.down.Load()
 }
 
-// ReportSuccess records a request addr served: the peer is up (a served
-// request is the strongest health signal there is). forward says whether
-// the request was a forwarded estimate or job, which the peer's forward
-// tally counts.
-func (c *Cluster) ReportSuccess(addr string, forward bool) {
-	p, ok := c.peers[addr]
-	if !ok {
-		return
-	}
-	if forward {
+// ReportSuccess records a forwarded request addr served: the peer is up
+// (a served request is the strongest health signal there is).
+func (c *Cluster) ReportSuccess(addr string) {
+	if p, ok := c.peers[addr]; ok {
 		p.forwards.Add(1)
-	}
-	p.lastErr.Store(nil)
-	if p.down.Swap(false) {
-		c.opts.Logger.Info("cluster: peer recovered", "peer", addr)
+		c.mark(p, nil)
 	}
 }
 
-// ReportFailure records a transport-level failure reaching addr: the
-// peer is down until a probe passes or a request is served. forward says
-// whether the request was a forwarded estimate or job, which the peer's
-// failure tally counts.
-func (c *Cluster) ReportFailure(addr string, err error, forward bool) {
-	p, ok := c.peers[addr]
-	if !ok {
-		return
-	}
-	if forward {
+// ReportFailure records a transport-level failure forwarding to addr:
+// the peer is down until a probe passes or a request is served.
+func (c *Cluster) ReportFailure(addr string, err error) {
+	if p, ok := c.peers[addr]; ok {
 		p.failures.Add(1)
-	}
-	msg := err.Error()
-	p.lastErr.Store(&msg)
-	if !p.down.Swap(true) {
-		c.opts.Logger.Warn("cluster: peer unhealthy", "peer", addr, "err", err)
+		c.mark(p, err)
 	}
 }
 
 // CheckOnce probes every peer once and records each outcome. Exposed so
 // tests (and the first loop iteration) can force a synchronous pass.
 func (c *Cluster) CheckOnce() {
-	for addr := range c.peers {
-		if err := c.opts.Probe(addr); err != nil {
-			c.ReportFailure(addr, err, false)
-		} else {
-			c.ReportSuccess(addr, false)
+	for _, p := range c.peers {
+		c.mark(p, c.opts.Probe(p.addr))
+	}
+}
+
+// mark sets p's liveness bit from one outcome of reaching it, a probe's
+// or a forward's: nil marks it up, an error down.
+func (c *Cluster) mark(p *peer, err error) {
+	if err == nil {
+		p.lastErr.Store(nil)
+		if p.down.Swap(false) {
+			c.opts.Logger.Info("cluster: peer recovered", "peer", p.addr)
 		}
+		return
+	}
+	msg := err.Error()
+	p.lastErr.Store(&msg)
+	if !p.down.Swap(true) {
+		c.opts.Logger.Warn("cluster: peer unhealthy", "peer", p.addr, "err", err)
 	}
 }
 

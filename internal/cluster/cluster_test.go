@@ -36,24 +36,24 @@ func TestClusterAllowAndReports(t *testing.T) {
 	if !c.Allow("b:2") {
 		t.Fatal("fresh peer not allowed; peers must start optimistic")
 	}
-	c.ReportFailure("b:2", fmt.Errorf("refused"), true)
+	c.ReportFailure("b:2", fmt.Errorf("refused"))
 	if c.Allow("b:2") {
 		t.Fatal("peer allowed after a failed forward")
 	}
 	if !c.Allow("c:3") {
 		t.Fatal("unrelated peer affected by b's failure")
 	}
-	c.ReportSuccess("b:2", true)
+	c.ReportSuccess("b:2")
 	if !c.Allow("b:2") {
 		t.Fatal("peer still rejected after it served a request")
 	}
-	c.ReportFailure("b:2", fmt.Errorf("handoff refused"), false) // a handoff push: liveness only
+	c.ReportFailure("b:2", fmt.Errorf("reset"))
 	st := c.Stats()
 	if st.Self != "a:1" || len(st.Members) != 3 || len(st.Peers) != 2 {
 		t.Fatalf("stats shape wrong: %+v", st)
 	}
 	for _, p := range st.Peers {
-		if p.Addr == "b:2" && (p.Up || p.Forwards != 1 || p.Failures != 1 || p.LastError != "handoff refused") {
+		if p.Addr == "b:2" && (p.Up || p.Forwards != 1 || p.Failures != 2 || p.LastError != "reset") {
 			t.Fatalf("b:2 state wrong: %+v", p)
 		}
 	}
@@ -90,6 +90,9 @@ func TestClusterHealthProbes(t *testing.T) {
 	for _, p := range c.Stats().Peers {
 		if p.Addr == "b:2" && (p.Up || p.LastError == "") {
 			t.Fatalf("b:2 should be down with a lastError: %+v", p)
+		}
+		if p.Forwards != 0 || p.Failures != 0 {
+			t.Fatalf("a probe counted as a forward: %+v", p)
 		}
 	}
 	mu.Lock()

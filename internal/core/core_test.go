@@ -209,7 +209,7 @@ func TestValidationErrors(t *testing.T) {
 	if _, _, err := CountColorful(g, k4, make([]uint8, g.N()), Options{}); err == nil {
 		t.Error("treewidth-3 query accepted")
 	}
-	other, _ := decomp.Decompose(query.Cycle(5))
+	other, _ := PickPlan(query.Cycle(5))
 	if _, _, err := CountColorful(g, q, make([]uint8, g.N()), Options{Plan: other}); err == nil {
 		t.Error("mismatched plan accepted")
 	}

@@ -32,7 +32,8 @@ var (
 )
 
 // PickPlan returns the decomposition tree used when Options.Plan is nil:
-// the calibrated-cost minimum over all enumerated trees.
+// the calibrated-cost minimum over all enumerated trees. A query with too
+// many trees to list fails with an error wrapping decomp.ErrPlanSpace.
 func PickPlan(q *query.Graph) (*decomp.Tree, error) {
 	key := queryKey(q)
 	if v, ok := planCache.Load(key); ok {
@@ -47,16 +48,9 @@ func PickPlan(q *query.Graph) (*decomp.Tree, error) {
 	// pre-filter, and join-order variants of equal score are near-equal).
 	const maxCalibrated = 64
 	if len(trees) > maxCalibrated {
-		sort.Slice(trees, func(i, j int) bool {
-			si, sj := trees[i].Score(), trees[j].Score()
-			if si.Less(sj) {
-				return true
-			}
-			if sj.Less(si) {
-				return false
-			}
-			return trees[i].Encode() < trees[j].Encode()
-		})
+		// Enumerate lists the trees by encoding, so a stable sort breaks
+		// score ties by encoding.
+		sort.SliceStable(trees, func(i, j int) bool { return trees[i].Score().Less(trees[j].Score()) })
 		trees = trees[:maxCalibrated]
 	}
 	best := trees[0]

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
+	"time"
 
+	"repro/internal/decomp"
 	"repro/internal/query"
 )
 
@@ -34,5 +37,23 @@ func TestPickPlanCatalogGolden(t *testing.T) {
 	}
 	if n := len(query.Catalog()); n != 10 {
 		t.Errorf("the catalog has %d queries, the golden ten", n)
+	}
+}
+
+// TestPickPlanRefusesAHub: a star of k nodes has 2·(k−1)! decomposition
+// trees, so star10 (725 760) and a 16-node star (2.6·10¹³) would hold the
+// caller for minutes or forever. PickPlan refuses both with
+// decomp.ErrPlanSpace, each in well under 5 s (the race detector's
+// slowdown is let off the clock).
+func TestPickPlanRefusesAHub(t *testing.T) {
+	for _, k := range []int{10, 16} {
+		start := time.Now()
+		_, err := PickPlan(query.Star(k))
+		if d := time.Since(start); d > 5*time.Second && !raceEnabled {
+			t.Errorf("PickPlan(star%d) took %v", k, d)
+		}
+		if !errors.Is(err, decomp.ErrPlanSpace) {
+			t.Errorf("PickPlan(star%d): err %v, want ErrPlanSpace", k, err)
+		}
 	}
 }

@@ -1,39 +1,31 @@
 package decomp
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
 	"repro/internal/query"
 )
 
-// Decompose returns the decomposition tree chosen by the §6 heuristic:
-// enumerate every tree, score each by (longest cycle block, boundary nodes,
-// annotations), and pick the lexicographic minimum (ties broken by
-// canonical encoding for determinism). Errors if the query is not a
-// connected treewidth-≤2 graph.
-func Decompose(q *query.Graph) (*Tree, error) {
-	trees, err := Enumerate(q)
-	if err != nil {
-		return nil, err
-	}
-	best := trees[0]
-	bestScore := best.Score()
-	for _, t := range trees[1:] {
-		s := t.Score()
-		if s.Less(bestScore) || (!bestScore.Less(s) && t.Encode() < best.Encode()) {
-			best, bestScore = t, s
-		}
-	}
-	return best, nil
-}
+// maxTrees caps the decomposition trees Enumerate lists. The count grows
+// factorially on a hub (a star of k nodes has 2·(k−1)! trees: star8 has
+// 10 080, star9 80 640), while a catalog query has at most 31 and
+// bintree12 has 352.
+const maxTrees = 1 << 14
+
+// ErrPlanSpace reports a query with more than maxTrees decomposition
+// trees: listing them, let alone pricing them, would take minutes.
+var ErrPlanSpace = errors.New("decomp: too many decomposition trees")
 
 // Enumerate returns every distinct decomposition tree of the query, sorted
-// by canonical encoding. Distinct contraction orders that produce the same
-// tree are deduplicated, and intermediate states are memoized (contraction
-// of independent blocks commutes, so the state space is small even though
-// the order space is factorial).
+// by canonical encoding, or an error wrapping ErrPlanSpace past maxTrees.
+// Distinct contraction orders that produce the same tree are deduplicated,
+// and intermediate states are memoized (contraction of independent blocks
+// commutes, so the state space is small even though the order space is
+// factorial).
 func Enumerate(q *query.Graph) ([]*Tree, error) {
 	if q.K == 0 {
 		return nil, fmt.Errorf("decomp: empty query")
@@ -47,18 +39,23 @@ func Enumerate(q *query.Graph) ([]*Tree, error) {
 	if !q.TreewidthAtMost2() {
 		return nil, fmt.Errorf("decomp: query %s has treewidth > 2", q.Name)
 	}
-	w := newWork(q)
-	memo := map[string]map[string]*Block{}
-	roots := enumerate(w, memo)
-	trees := make([]*Tree, 0, len(roots))
-	for _, root := range roots {
+	roots, ok := enumerate(newWork(q), map[string]map[string]*Block{})
+	if !ok {
+		return nil, fmt.Errorf("%w: %s has more than %d", ErrPlanSpace, q.Name, maxTrees)
+	}
+	// The roots are keyed by their encodings, which order the trees.
+	encs := make([]string, 0, len(roots))
+	for enc := range roots {
+		encs = append(encs, enc)
+	}
+	sort.Strings(encs)
+	trees := make([]*Tree, len(encs))
+	for i, enc := range encs {
 		// Enumeration memoizes and shares subtree blocks across trees;
 		// deep-copy so each tree owns its blocks (IDs are per-tree).
-		t := &Tree{Query: q, Root: root.deepClone()}
-		t.assignIDs()
-		trees = append(trees, t)
+		trees[i] = &Tree{Query: q, Root: roots[enc].deepClone()}
+		trees[i].assignIDs()
 	}
-	sort.Slice(trees, func(i, j int) bool { return trees[i].Encode() < trees[j].Encode() })
 	if len(trees) == 0 {
 		// Unreachable for connected treewidth-2 queries (Lemma 4.1).
 		return nil, fmt.Errorf("decomp: no decomposition found for %s", q.Name)
@@ -373,8 +370,10 @@ func canonicalCycle(cyc []int) []int {
 
 // enumerate explores all contraction choices from state w, returning all
 // distinct final root blocks keyed by canonical encoding. memo caches
-// results by state key.
-func enumerate(w *work, memo map[string]map[string]*Block) map[string]*Block {
+// results by state key. Every root reachable from a reachable state is a
+// root of the query, so it gives up (false) as soon as one state has more
+// than maxTrees.
+func enumerate(w *work, memo map[string]map[string]*Block) (map[string]*Block, bool) {
 	// Terminal: a single node remains — singleton root.
 	if len(w.alive) == 1 {
 		v := w.sortedAlive()[0]
@@ -382,11 +381,11 @@ func enumerate(w *work, memo map[string]map[string]*Block) map[string]*Block {
 		if w.nodeAnn[v] != nil {
 			b.Children = []*Block{w.nodeAnn[v]}
 		}
-		return map[string]*Block{b.encode(): b}
+		return map[string]*Block{b.encode(): b}, true
 	}
 	k := w.key()
 	if got, ok := memo[k]; ok {
-		return got
+		return got, true
 	}
 	out := map[string]*Block{}
 	for _, c := range w.candidates() {
@@ -394,13 +393,18 @@ func enumerate(w *work, memo map[string]map[string]*Block) map[string]*Block {
 			// The cycle covers the whole remaining query: it is a root.
 			_, b := w.contract(c)
 			out[b.encode()] = b
-			continue
+		} else {
+			nw, _ := w.contract(c)
+			roots, ok := enumerate(nw, memo)
+			if !ok {
+				return nil, false
+			}
+			maps.Copy(out, roots)
 		}
-		nw, _ := w.contract(c)
-		for enc, root := range enumerate(nw, memo) {
-			out[enc] = root
+		if len(out) > maxTrees {
+			return nil, false
 		}
 	}
 	memo[k] = out
-	return out
+	return out, true
 }

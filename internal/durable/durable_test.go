@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -308,11 +307,10 @@ func TestFramesAreFreshEncodings(t *testing.T) {
 	}
 }
 
-// TestRunRecordBytesAreFrozen pins one run record's bytes in the log —
-// framed by a fresh encoder and by a warm one — and on the handoff wire:
-// a data dir an earlier build wrote must replay, and a peer on an earlier
-// build must read the handoff body. The literals are an earlier build's
-// output; moving a field, its type or its tag moves them.
+// TestRunRecordBytesAreFrozen pins one run record's bytes in the log,
+// framed by a fresh encoder and by a warm one: a data dir an earlier build
+// wrote must replay. The literal is an earlier build's output; moving a
+// field or its type moves it.
 func TestRunRecordBytesAreFrozen(t *testing.T) {
 	rec := RunRecord{Graph: 0xfeedfacecafebeef, Query: "k3:6:5:3", Algorithm: 2, Backend: "sim", Seed: -7, Ranks: 4,
 		Counts: []uint64{3, 1 << 40},
@@ -333,7 +331,6 @@ func TestRunRecordBytesAreFrozen(t *testing.T) {
 		"cafebeef01086b333a363a353a330104010373696d010d0108010203fa010000" +
 		"0000000102010373696d0108011201fe0240013c01180102010601220104120e" +
 		"100c000000"
-	const wire = `{"graph":18369614221190020847,"query":"k3:6:5:3","algorithm":2,"backend":"sim","seed":-7,"ranks":4,"counts":[3,1099511627776],"stats":[{"Backend":"sim","Workers":4,"MaxLoad":9,"AvgLoad":2.25,"TotalLoad":30,"Messages":12,"Steals":1,"Supersteps":3,"TableEntries":17,"Loads":[9,7,8,6]},{"Backend":"","Workers":0,"MaxLoad":0,"AvgLoad":0,"TotalLoad":0,"Messages":0,"Steals":0,"Supersteps":0,"TableEntries":0,"Loads":null}]}`
 	var fr frames
 	for _, pass := range []string{"cold", "warm"} {
 		var buf bytes.Buffer
@@ -343,8 +340,5 @@ func TestRunRecordBytesAreFrozen(t *testing.T) {
 		if got := hex.EncodeToString(buf.Bytes()); got != frame {
 			t.Errorf("%s frame moved:\n got %s\nwant %s", pass, got, frame)
 		}
-	}
-	if b, err := json.Marshal(rec); err != nil || string(b) != wire {
-		t.Errorf("handoff JSON moved (err %v):\n got %s\nwant %s", err, b, wire)
 	}
 }

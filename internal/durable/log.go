@@ -105,21 +105,20 @@ type TrialKey struct {
 	Ranks     int
 }
 
-// RunRecord is one trial stream's accumulated state, in the log and on
-// the wire: its TrialKey's fields, flat, and the per-trial counts and
-// engine stats. The log gob-encodes it (field names; the tags are not
-// read), the cluster handoff body JSON-encodes it under the tags. Trials
-// over one stream are deterministic, so a longer record strictly extends
-// a shorter one and replay merges records longest-wins.
+// RunRecord is one trial stream's accumulated state in the log: its
+// TrialKey's fields, flat, and the per-trial counts and engine stats. The
+// log gob-encodes it by field name. Trials over one stream are
+// deterministic, so a longer record strictly extends a shorter one and
+// replay merges records longest-wins.
 type RunRecord struct {
-	Graph     uint64         `json:"graph"` // data-graph fingerprint
-	Query     string         `json:"query"` // canonical query signature
-	Algorithm core.Algorithm `json:"algorithm"`
-	Backend   string         `json:"backend"`
-	Seed      int64          `json:"seed"`
-	Ranks     int            `json:"ranks"`
-	Counts    []uint64       `json:"counts"`
-	Stats     []core.Stats   `json:"stats"`
+	Graph     uint64 // data-graph fingerprint
+	Query     string // canonical query signature
+	Algorithm core.Algorithm
+	Backend   string
+	Seed      int64
+	Ranks     int
+	Counts    []uint64
+	Stats     []core.Stats
 }
 
 // NewRunRecord pairs stream k with its per-trial counts and stats.
@@ -711,9 +710,8 @@ func (st *replayState) apply(payload []byte) bool {
 	return true
 }
 
-// addRun merges r into the runs longest-wins per stream: the one merge
-// of boot replay, ReadRuns and the cluster rebalance. A record that fails
-// Check is skipped; the records after it still merge.
+// addRun merges r into the runs longest-wins per stream. A record that
+// fails Check is skipped; the records after it still merge.
 func (st *replayState) addRun(r RunRecord) {
 	if r.Check() != nil {
 		return

@@ -30,7 +30,7 @@ type replica struct {
 // cluster view over that membership. The background health checker is
 // off: peers start up and only forward outcomes (or a CheckOnce the test
 // makes) move their liveness, which keeps the tests deterministic and
-// sleep-free. probe, when non-nil, stands in for every view's readiness
+// sleep-free. probe, when non-nil, stands in for every view's health
 // probe.
 func startReplicas(t *testing.T, n int, probe ...func(addr string) error) []*replica {
 	t.Helper()
@@ -285,7 +285,7 @@ func TestClusterLivenessFollowsProbeAndForwards(t *testing.T) {
 	entry := reps[0]
 	seed, victim, want := remoteSeed(t, reps, entry, 100)
 
-	victim.srv.Close() // its readiness probe still passes
+	victim.srv.Close() // its stand-in health probe still passes
 	const rounds, perRound = 3, 3
 	for r := 1; r <= rounds; r++ {
 		entry.cl.CheckOnce()
@@ -350,77 +350,43 @@ func TestClusterLoopGuard(t *testing.T) {
 	}
 }
 
-// TestClusterRebalanceHandsOffRuns computes keys on the "wrong" replica
-// (via the loop-guard header), rebalances, and checks every key then
-// serves as a warm cache hit through any entry — the runs moved to
-// their homes.
-func TestClusterRebalanceHandsOffRuns(t *testing.T) {
-	reps := startReplicas(t, 3)
-	entry := reps[0]
-
-	const n = 8
-	hdrs := http.Header{}
-	hdrs.Set("X-Subgraph-Forward", "10.9.9.9:1")
-	for seed := 300; seed < 300+n; seed++ {
-		clusterPost(t, entry.addr, "/v1/estimate", estimateBody(seed), http.StatusOK, hdrs)
-	}
-
-	raw, _ := clusterPost(t, entry.addr, "/v1/cluster/rebalance", "", http.StatusOK, nil)
-	var reb struct {
-		Exported int               `json:"exported"`
-		Kept     int               `json:"kept"`
-		Peers    map[string]string `json:"peers"`
-	}
-	if err := json.Unmarshal(raw, &reb); err != nil {
-		t.Fatal(err)
-	}
-	if reb.Exported == 0 {
-		t.Fatalf("rebalance exported 0 runs (kept %d, peers %v) — all %d keys homed here is implausible", reb.Kept, reb.Peers, n)
-	}
-	if reb.Exported+reb.Kept != n {
-		t.Errorf("exported %d + kept %d != %d runs; peers %v", reb.Exported, reb.Kept, n, reb.Peers)
-	}
-
-	// Every key is now warm at its home: requests through another entry
-	// must all be cache hits — zero new computation anywhere.
-	for seed := 300; seed < 300+n; seed++ {
-		_, hdr := clusterPost(t, reps[1].addr, "/v1/estimate", estimateBody(seed), http.StatusOK, nil)
-		if hdr.Get("X-Cache") != "HIT" {
-			t.Errorf("seed %d after rebalance: X-Cache = %q, want HIT", seed, hdr.Get("X-Cache"))
-		}
-	}
-	var imported uint64
-	for _, rep := range reps[1:] {
-		imported += rep.svc.Stats().Cluster.HandoffImported
-	}
-	if imported != uint64(reb.Exported) {
-		t.Errorf("peers imported %d runs, exporter shipped %d", imported, reb.Exported)
-	}
-	if got := entry.svc.Stats().Cluster.HandoffExported; got != uint64(reb.Exported) {
-		t.Errorf("exporter counter = %d, response said %d", got, reb.Exported)
-	}
-}
-
-// TestClusterReadyz: ready replicas answer 200 with uptime; /healthz
-// stays the liveness probe.
-func TestClusterReadyz(t *testing.T) {
+// TestClusterHealthzIsTheOneProbe: every replica answers /healthz 200,
+// which is what the ring's default prober reads, and the membership-change
+// routes — the run import, the rebalance and the readiness probe that
+// reported an import in flight — are not served. The default prober then
+// reads live peers up and a replica whose listener closed down.
+func TestClusterHealthzIsTheOneProbe(t *testing.T) {
 	reps := startReplicas(t, 3)
 	client := &http.Client{Timeout: 5 * time.Second}
 	for _, rep := range reps {
-		resp, err := client.Get("http://" + rep.addr + "/readyz")
-		if err != nil {
-			t.Fatal(err)
+		for _, c := range []struct {
+			method, path string
+			want         int
+		}{
+			{http.MethodGet, "/healthz", http.StatusOK},
+			{http.MethodGet, "/readyz", http.StatusNotFound},
+			{http.MethodPost, "/v1/cluster/runs", http.StatusNotFound},
+			{http.MethodPost, "/v1/cluster/rebalance", http.StatusNotFound},
+		} {
+			req, err := http.NewRequest(c.method, "http://"+rep.addr+c.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Errorf("%s %s%s = %d, want %d", c.method, rep.addr, c.path, resp.StatusCode, c.want)
+			}
 		}
-		var body struct {
-			Status string `json:"status"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK || body.Status != "ready" {
-			t.Errorf("%s /readyz = %d %q, want 200 ready", rep.addr, resp.StatusCode, body.Status)
+	}
+	reps[2].srv.Close()
+	reps[0].cl.CheckOnce()
+	for _, p := range reps[0].cl.Stats().Peers {
+		if want := p.Addr != reps[2].addr; p.Up != want {
+			t.Errorf("after a probe round %s reads up=%v (%q), want %v", p.Addr, p.Up, p.LastError, want)
 		}
 	}
 }

@@ -12,16 +12,15 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/decomp"
 	"repro/internal/obs"
 )
 
 // Handler returns the service's HTTP API:
 //
-//	GET    /healthz             liveness probe
-//	GET    /readyz              readiness probe: 503 (with Retry-After) while a
-//	                            handoff replay is importing runs; boot replay
+//	GET    /healthz             liveness and readiness probe: boot replay
 //	                            happens before the listener binds, so a cold
-//	                            replica reads as connection-refused instead
+//	                            replica reads as connection-refused, never 200
 //	GET    /metrics             Prometheus text-format exposition: request/trial/
 //	                            phase latency histograms recorded live, plus the
 //	                            /v1/stats snapshot walked at scrape time
@@ -49,10 +48,7 @@ import (
 //	GET    /v1/jobs/{id}/result a finished job's estimate (?wait= supported)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //
-// In cluster mode (Options.Cluster set) two peer endpoints appear:
-// POST /v1/cluster/runs receives trial runs handed off by a peer, and
-// POST /v1/cluster/rebalance pushes every locally-held run whose ring
-// home is another replica to that home. Estimate and job submissions
+// In cluster mode (Options.Cluster set) estimate and job submissions
 // whose trial stream belongs to another replica are transparently
 // proxied there (response relayed verbatim, plus an X-Subgraph-Home
 // header); a request carrying the X-Subgraph-Forward loop-guard header
@@ -73,7 +69,6 @@ import (
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("POST /v1/graphs", s.handleAddGraph)
@@ -88,10 +83,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
-	if s.cluster != nil {
-		mux.HandleFunc("POST /v1/cluster/runs", s.handleClusterImport)
-		mux.HandleFunc("POST /v1/cluster/rebalance", s.handleClusterRebalance)
-	}
 	return s.instrument(mux)
 }
 
@@ -208,7 +199,7 @@ type errorBody struct {
 const StatusClientClosedRequest = 499
 
 // retryAfterSeconds is the Retry-After value every 503 carries: shed
-// load and readiness blips clear in about a second, and the header is
+// load and a closing service clear in about a second, and the header is
 // what lets a well-behaved client (or a cluster peer) back off instead
 // of hammering a replica that is already saturated.
 const retryAfterSeconds = "1"
@@ -217,7 +208,8 @@ const retryAfterSeconds = "1"
 // load, with a Retry-After header), deadline → 504, canceled client →
 // 499, a canceled job's result → 410 (the fetcher completed its request;
 // the result is just gone), unknown graph or job → 404, not-yet-finished
-// job result → 409, anything else (malformed specs, bad queries) → 400.
+// job result → 409, a count past 64 bits or a query with too many plans
+// to list → 422, anything else (malformed specs, bad queries) → 400.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {
@@ -234,7 +226,7 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, ErrJobNotDone):
 		status = http.StatusConflict
-	case errors.Is(err, core.ErrCountOverflow):
+	case errors.Is(err, core.ErrCountOverflow), errors.Is(err, decomp.ErrPlanSpace):
 		status = http.StatusUnprocessableEntity
 	}
 	writeJSON(w, status, errorBody{Error: err.Error()})

@@ -210,7 +210,7 @@ subgraph_durable_snapshot_bytes 110
 # HELP subgraph_cluster_members Configured cluster members (self included).
 # TYPE subgraph_cluster_members gauge
 subgraph_cluster_members 3
-# HELP subgraph_cluster_peer_up Whether the peer's last readiness probe (or forward) succeeded.
+# HELP subgraph_cluster_peer_up Whether the peer's last health probe (or forward) succeeded.
 # TYPE subgraph_cluster_peer_up gauge
 subgraph_cluster_peer_up{peer="b:2"} 1
 subgraph_cluster_peer_up{peer="c:3"} 0
@@ -234,15 +234,6 @@ subgraph_cluster_local_fallbacks_total 203
 # HELP subgraph_cluster_forwarded_served_total Requests served here after another replica forwarded them.
 # TYPE subgraph_cluster_forwarded_served_total counter
 subgraph_cluster_forwarded_served_total 204
-# HELP subgraph_cluster_handoff_exported_total Trial runs pushed to their new home during rebalancing.
-# TYPE subgraph_cluster_handoff_exported_total counter
-subgraph_cluster_handoff_exported_total 205
-# HELP subgraph_cluster_handoff_imported_total Trial runs received from a peer during rebalancing.
-# TYPE subgraph_cluster_handoff_imported_total counter
-subgraph_cluster_handoff_imported_total 206
-# HELP subgraph_cluster_handoff_active Whether a handoff replay is importing runs right now (readyz is 503).
-# TYPE subgraph_cluster_handoff_active gauge
-subgraph_cluster_handoff_active 1
 `
 
 // goldenStats gives every field of every /v1/stats section a number of
@@ -284,7 +275,6 @@ func goldenStats() Stats {
 				},
 			},
 			Forwards: 201, ForwardErrors: 202, LocalFallbacks: 203, ForwardedServed: 204,
-			HandoffExported: 205, HandoffImported: 206, HandoffActive: true,
 		},
 	}
 }

@@ -71,3 +71,42 @@ func TestCountOverflowIsRefused(t *testing.T) {
 			st.Cache.Entries, st.Durable.Appends, st.Durable.Lag)
 	}
 }
+
+// TestPlanSpaceIsRefused: star10 has 2·9! decomposition trees, past the
+// planner's cap. The estimate answers 422 at once, and the job for it ends
+// failed, its result 422 too, with nothing cached.
+func TestPlanSpaceIsRefused(t *testing.T) {
+	svc := subgraph.NewService(subgraph.ServiceOptions{Workers: 1})
+	t.Cleanup(svc.Close)
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	post(t, ts, "/v1/graphs", `{"standin":"enron","scale":512,"seed":1,"name":"g"}`, http.StatusOK)
+
+	raw, _ := post(t, ts, "/v1/estimate", `{"graph":"g","query":"star10","trials":1,"seed":1}`, http.StatusUnprocessableEntity)
+	if !strings.Contains(string(raw), "too many decomposition trees") {
+		t.Errorf("estimate refused with %s, want too many decomposition trees", raw)
+	}
+	raw, _ = post(t, ts, "/v1/jobs", `{"graph":"g","query":"star10","trials":1,"seed":2}`, http.StatusAccepted)
+	var job struct {
+		ID    string `json:"id"`
+		State string `json:"state"`
+	}
+	if err := json.Unmarshal(raw, &job); err != nil {
+		t.Fatal(err)
+	}
+	get(t, ts, "/v1/jobs/"+job.ID+"?wait=20s", &job)
+	if job.State != "failed" {
+		t.Fatalf("job %s is %q, want failed", job.ID, job.State)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("the failed job's result answers %d, want 422", resp.StatusCode)
+	}
+	if n := svc.Stats().Cache.Entries; n != 0 {
+		t.Errorf("refused plans left %d cache entries", n)
+	}
+}

@@ -176,9 +176,6 @@ type Service struct {
 	// Cluster-mode counters (see ClusterStats for semantics).
 	clLocalFallbacks  atomic.Uint64
 	clForwardedServed atomic.Uint64
-	clHandoffExported atomic.Uint64
-	clHandoffImported atomic.Uint64
-	handoffActive     atomic.Int32 // in-progress handoff imports; /readyz is 503 while > 0
 }
 
 // New starts a service. Close releases its workers. With

@@ -33,7 +33,7 @@ type Stats struct {
 	// service runs in-memory.
 	Durable *DurableStats `json:"durable,omitempty"`
 	// Cluster is the multi-replica serving tier's section (membership,
-	// peer health, forwarding and handoff counters); nil (omitted) in
+	// peer health and forwarding counters); nil (omitted) in
 	// single-replica mode.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 	// HTTP is per-endpoint request latency (count, mean, p50/p95/p99),

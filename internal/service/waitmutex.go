@@ -10,7 +10,7 @@ import (
 // that could not be satisfied immediately counts as one wait and adds the
 // time spent blocked. Every serving structure (registry, cache, job
 // manager, singleflight index) sits behind one, so /v1/stats can report
-// how much of the serving hot path is lost to lock handoff — the number
+// how much of the serving hot path is lost to lock waits — the number
 // that would justify splitting a lock, should it ever stop being zero.
 // The uncontended fast path is a single TryLock, so instrumenting costs
 // nothing when there is no contention to observe.

@@ -377,7 +377,7 @@ start_cluster() {
   for port in "$C1_PORT" "$C2_PORT" "$C3_PORT"; do
     local ok=""
     for _ in $(seq 1 100); do
-      curl -fsS "http://127.0.0.1:$port/readyz" >/dev/null 2>&1 && { ok=1; break; }
+      curl -fsS "http://127.0.0.1:$port/healthz" >/dev/null 2>&1 && { ok=1; break; }
       sleep 0.1
     done
     if [ -z "$ok" ]; then
@@ -462,7 +462,7 @@ done
 echo "cluster: survivors keep serving goldens (and agree on fresh keys) after kill -9"
 
 # Each survivor's liveness bit for the dead replica must read down within
-# 5 s: a failed forward marks it at once, a failed /readyz probe within
+# 5 s: a failed forward marks it at once, a failed /healthz probe within
 # one 2 s health interval.
 for port in "$C1_PORT" "$C3_PORT"; do
   up=""

@@ -69,18 +69,18 @@ type (
 	// ClusterView is one replica's view of the multi-replica serving
 	// tier (ServiceOptions.Cluster): a deterministic consistent-hash
 	// ring over the static membership plus one liveness bit per peer,
-	// set by readiness probes and forward outcomes. Build one with
+	// set by health probes and forward outcomes. Build one with
 	// NewCluster and inject it; the replica then proxies estimate/job
 	// requests whose trial stream hashes to another member, falling back
 	// to local execution when the home is down.
 	ClusterView = cluster.Cluster
 	// ClusterOptions configure a ClusterView: Self (this replica's
 	// advertised address), Members (every replica's address — identical
-	// on every replica), the health-check cadence, the readiness probe
-	// and the logger.
+	// on every replica), the health-check cadence, the health probe and
+	// the logger.
 	ClusterOptions = cluster.Options
 	// ClusterServiceStats is the cluster section of ServiceStats
-	// (membership, peer health, forwarding and handoff counters); nil in
+	// (membership, peer health and forwarding counters); nil in
 	// single-replica mode.
 	ClusterServiceStats = service.ClusterStats
 )

@@ -114,6 +114,8 @@ func ReadQuery(name string, r io.Reader) (*Query, error) {
 // Plan computes the decomposition tree the solver will use: all trees are
 // enumerated (§4.1) and ranked by measured cost on a tiny fixed calibration
 // graph — the §6 enumerate-and-rank design, independent of the data graph.
+// Plan and EnumeratePlans refuse a query with more trees than the planner
+// lists (16 384; a star of nine or more nodes has more).
 func Plan(q *Query) (*PlanTree, error) { return core.PickPlan(q) }
 
 // EnumeratePlans returns every distinct decomposition tree of q (used by
