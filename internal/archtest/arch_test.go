@@ -77,12 +77,12 @@ var facts = []struct {
 	// One node step: a row × row product through one pair table.
 	{
 		"PairsOf is read only by nodeJoin's kernel",
-		"a node step is the product of two own rows through the colour-free pair table, in one kernel (combine) that nodeJoin feeds from a start-free walk's rows and from a walk's (U, XY) groups; no other step combines two tables' counts that way",
+		"a node step (Figure 7's NodeJoin) is the product of two own rows through the colour-free pair table, in one kernel (combine) fed from a start-free walk's rows (freeNode's meet, which nodeJoin and the fused pullNode share) and from a walk's (U, XY) groups (nodeJoin); no other step combines two tables' counts that way",
 		func() error {
-			if err := same(callers("", "PairsOf"), "nodeJoin"); err != nil {
+			if err := same(callers("", "PairsOf"), "freeNode", "nodeJoin"); err != nil {
 				return fmt.Errorf("PairsOf: %v", err)
 			}
-			if err := same(callers("internal/core", "combine"), "nodeJoin", "nodeJoin"); err != nil {
+			if err := same(callers("internal/core", "combine"), "meet", "nodeJoin"); err != nil {
 				return fmt.Errorf("combine: %v", err)
 			}
 			return nil
@@ -100,9 +100,9 @@ var facts = []struct {
 		func() error { return count(methods("internal/engine", "Pull", "*Sharded"), 1) },
 	},
 	{
-		"the solver pulls from pullEdge, pullFirst and pullJoin, once each",
-		"the two data-edge builders of a start-free walk and a root cycle's join, which takes its streamed walk's last step itself, pull; no other step writes only its own shard from others'",
-		func() error { return same(callers("internal/core", "Pull"), "pullEdge", "pullFirst", "pullJoin") },
+		"pullEdge, pullNode and pullJoin each call Pull once",
+		"a start-free walk's data edge (pullEdge; a first edge too), that edge fused with the node step after it (pullNode), and a root cycle's join, which takes its streamed walk's last step itself, pull; no other step writes only its own shard from others'",
+		func() error { return same(callers("internal/core", "Pull"), "pullEdge", "pullJoin", "pullNode") },
 	},
 	{
 		"initEdge and edgeJoin write no box row",

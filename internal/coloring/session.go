@@ -43,8 +43,8 @@ const (
 const TrialMeasurement = "trial"
 
 // Precision declares a target accuracy: the estimate's two-sided
-// Confidence-level confidence interval (normal approximation over the
-// per-trial counts) should have half-width at most RelErr of the mean.
+// Confidence-level confidence interval (Student's t over the per-trial
+// counts) should have half-width at most RelErr of the mean.
 // The zero value (RelErr 0) means "no target": fixed-trial estimation.
 type Precision struct {
 	// RelErr is the target relative error (0.1 = ±10%); must be > 0 for
@@ -58,17 +58,70 @@ type Precision struct {
 // Enabled reports whether a target is declared.
 func (p Precision) Enabled() bool { return p.RelErr > 0 }
 
-// z returns the two-sided normal quantile of the confidence level: the
-// half-width of the CI is z·s/√T.
-func (p Precision) z() float64 {
+// quantile returns the two-sided quantile of the confidence level for an
+// interval over t ≥ 2 trials: the half-width of the CI is quantile·s/√t.
+// The sample deviation s is itself estimated from the t trials, so the
+// quantile is Student's t with t−1 degrees of freedom, not the normal one
+// it tends to: 2.13 at t = 5 and 90%, where the normal quantile is 1.645,
+// too narrow an interval for a handful of trials. Up to 30 degrees of
+// freedom it is solved for exactly, by bisection on the distribution's
+// closed form (Abramowitz & Stegun 26.7.3–4); beyond, it is the normal
+// quantile corrected by the first four terms of its expansion in 1/ν
+// (26.7.5), which are within 10⁻⁶ of it there.
+func (p Precision) quantile(t int) float64 {
 	c := p.Confidence
 	if c <= 0 {
 		c = DefaultConfidence
 	}
-	if c >= 1 {
+	if c >= 1 || t < 2 {
 		return math.Inf(1)
 	}
-	return math.Sqrt2 * math.Erfinv(c)
+	nu := t - 1
+	if nu > 30 {
+		x, n := math.Sqrt2*math.Erfinv(c), float64(nu)
+		x2 := x * x
+		g1 := x * (x2 + 1) / 4
+		g2 := x * ((5*x2+16)*x2 + 3) / 96
+		g3 := x * (((3*x2+19)*x2+17)*x2 - 15) / 384
+		g4 := x * ((((79*x2+776)*x2+1482)*x2-1920)*x2 - 945) / 92160
+		return x + (g1+(g2+(g3+g4/n)/n)/n)/n
+	}
+	hi := 1.0
+	for within(hi, nu) < c {
+		hi *= 2
+	}
+	lo := 0.0
+	for i := 0; i < 64; i++ {
+		if mid := (lo + hi) / 2; within(mid, nu) < c {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// within is P(|T| ≤ x) for T Student's t with nu degrees of freedom, in
+// closed form (Abramowitz & Stegun 26.7.3–4): with θ = atan(x/√nu), a sum of
+// nu/2 powers of cos θ.
+func within(x float64, nu int) float64 {
+	th := math.Atan(x / math.Sqrt(float64(nu)))
+	sin, cos := math.Sincos(th)
+	term, sum, from := 1.0, 1.0, 2 // nu even: sin θ·(1 + ½cos²θ + (1·3)/(2·4)cos⁴θ + …)
+	if nu%2 == 1 {                 // nu odd: (2/π)(θ + sin θ·(cos θ + ⅔cos³θ + …)), no sum at nu = 1
+		term, sum, from = cos, cos, 3
+		if nu == 1 {
+			sum = 0
+		}
+	}
+	for j := from; j < nu; j += 2 {
+		term *= cos * cos * float64(j-1) / float64(j)
+		sum += term
+	}
+	if nu%2 == 0 {
+		return sin * sum
+	}
+	return 2 / math.Pi * (th + sin*sum)
 }
 
 // Adaptive is the stopping rule of every run: it fires at the first trial
@@ -108,15 +161,15 @@ func (a Adaptive) withDefaults() Adaptive {
 
 // StopAt applies the stopping rule to a prefix of per-trial colorful
 // counts: it returns the first trial count t in [MinTrials, min(len,
-// MaxTrials)] at which z·s/√t ≤ RelErr·mean (a zero-variance prefix —
-// including the all-zero one — always qualifies; with no target declared
-// nothing does), or MaxTrials when the prefix already spans the cap. It is
+// MaxTrials)] at which q·s/√t ≤ RelErr·mean, q the quantile of t trials
+// (Precision.quantile) — a zero-variance prefix, the all-zero one included,
+// always qualifies; with no target declared nothing does — or MaxTrials
+// when the prefix already spans the cap. It is
 // a pure function of the count sequence, which is what makes runs
 // replayable: walking the rule over cached trials stops at exactly the
 // trial the original run stopped at.
 func (a Adaptive) StopAt(counts []uint64) (int, bool) {
 	a = a.withDefaults()
-	z := a.z()
 	n := min(len(counts), a.MaxTrials)
 	if !a.Enabled() {
 		n = 0 // no target to meet: only the cap below fires
@@ -131,7 +184,7 @@ func (a Adaptive) StopAt(counts []uint64) (int, bool) {
 			continue
 		}
 		variance := m2 / float64(t-1)
-		if z*math.Sqrt(variance/float64(t)) <= a.RelErr*mean {
+		if a.quantile(t)*math.Sqrt(variance/float64(t)) <= a.RelErr*mean {
 			return t, true
 		}
 	}
@@ -143,10 +196,10 @@ func (a Adaptive) StopAt(counts []uint64) (int, bool) {
 
 // RelCI returns the estimate's observed relative confidence-interval
 // half-width at the given confidence level (≤ 0 means DefaultConfidence):
-// z·s/(√T·mean), the quantity the adaptive stopping rule drives below
-// RelErr. A single-trial or zero-mean-with-spread estimate has no finite
-// CI and reports +Inf; an exactly-zero estimate (all counts zero) has a
-// zero-width interval.
+// q·s/(√T·mean), q the quantile of T trials (Precision.quantile): the
+// quantity the adaptive stopping rule drives below RelErr. A single-trial
+// or zero-mean-with-spread estimate has no finite CI and reports +Inf; an
+// exactly-zero estimate (all counts zero) has a zero-width interval.
 func (e Estimate) RelCI(confidence float64) float64 {
 	if e.MeanColorful == 0 {
 		if e.Trials > 1 && e.VarColorful == 0 {
@@ -157,8 +210,8 @@ func (e Estimate) RelCI(confidence float64) float64 {
 	if e.Trials < 2 {
 		return math.Inf(1)
 	}
-	z := Precision{Confidence: confidence}.z()
-	return z * math.Sqrt(e.VarColorful/float64(e.Trials)) / e.MeanColorful
+	q := Precision{Confidence: confidence}.quantile(e.Trials)
+	return q * math.Sqrt(e.VarColorful/float64(e.Trials)) / e.MeanColorful
 }
 
 // Stream is the one source of colorings: a deterministic sequence drawn

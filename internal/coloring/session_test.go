@@ -328,3 +328,26 @@ func TestSessionOnTrial(t *testing.T) {
 		t.Errorf("onTrial calls=%d maxDone=%d, want 4 and 4", calls, maxDone)
 	}
 }
+
+// The interval's quantile is Student's t with T−1 degrees of freedom:
+// exact up to 30 degrees of freedom, the normal quantile's expansion in
+// 1/ν above, which meets it there without a step, and the normal quantile
+// itself in the limit. Reference values to four decimals.
+func TestQuantileIsStudentsT(t *testing.T) {
+	for _, c := range []struct {
+		conf   float64
+		trials int
+		want   float64
+	}{
+		{0.95, 2, 12.7062}, {0.99, 3, 9.9248}, {0.9, 4, 2.3534}, {0.9, 5, 2.1318},
+		{0.95, 11, 2.2281}, {0.95, 31, 2.0423}, {0.95, 32, 2.0395}, {0.95, 164, 1.9746},
+		{0.9, 1001, 1.6464}, {0.95, 1 << 30, 1.9600},
+	} {
+		if got := (Precision{Confidence: c.conf}).quantile(c.trials); math.Abs(got-c.want) > 5e-5 {
+			t.Errorf("quantile(%v, %d trials) = %.5f, want %.4f", c.conf, c.trials, got, c.want)
+		}
+	}
+	if q := (Precision{Confidence: 0.9}).quantile(1); !math.IsInf(q, 1) {
+		t.Errorf("a single trial's quantile is %v, want +Inf", q)
+	}
+}

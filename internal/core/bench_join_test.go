@@ -9,6 +9,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/sig"
@@ -62,8 +63,10 @@ func newBenchFixture(b *testing.B) *benchFixture {
 // BenchmarkNodeJoinInner times nodeJoin in its two forms. "start": a walk
 // with a start, read a vertex's run at a time, each (U, XY) group combined
 // with the child's box row at its end vertex and written as entries.
-// "free": a start-free walk's box rows, the form a tree query runs,
-// combined in place with the child's into the rows of a box (table.Row).
+// "free": a start-free walk's box rows combined in place with the child's
+// into the rows of a box (table.Row). "fused": the form a tree query runs,
+// a data edge from those walk rows fused with the node step (pullNode),
+// each edge row pulled into scratch and combined at once.
 func BenchmarkNodeJoinInner(b *testing.B) {
 	b.Run("start", func(b *testing.B) {
 		fx := newBenchFixture(b)
@@ -79,6 +82,14 @@ func BenchmarkNodeJoinInner(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.nodeJoin(cur, pathStart{free: true}, ann, true).Release()
+		}
+	})
+	b.Run("fused", func(b *testing.B) {
+		s, cur, ann := newFreeJoinFixture()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.extend(cur, pathStart{free: true}, pathStep{nodeAnn: ann}, true).Release()
 		}
 	})
 }
@@ -166,40 +177,58 @@ func TestLaneStepZeroAllocsPerEntry(t *testing.T) {
 // benchmark's workloads run, and on `sim`, the default backend, which none
 // does: this is its standing timing. parallel's workers follow GOMAXPROCS,
 // so `-cpu 1,2` is its scaling curve; sim simulates its default 4 ranks on
-// as many goroutines.
+// as many goroutines. tree8-1m and cycle5-1m run bintree8 and glet2 on an
+// R-MAT graph of 2^17 vertices and 2^20 edges (edge factor 8), a design
+// probe of the regime no ledger workload reaches (one iteration of each
+// takes about 2.5 s and 0.6 GB for cycle5-1m, 0.4 s and 0.1 GB for
+// tree8-1m, 2-vCPU container). Each instance's graph is built inside its
+// own sub-benchmark, so a run that leaves a case out does not pay for it.
 func BenchmarkTrial(b *testing.B) {
 	for _, c := range []struct {
 		name, query string
-		scale       int
+		graph       func() *graph.Graph
 	}{
-		{"cycle10-3k", "brain3", 64},
-		{"cycle5-90k", "glet2", 2},
-		{"tree8-90k", "bintree8", 2},
-		{"serve-1k", "cycle4", 0},
+		{"cycle10-3k", "brain3", enron(64)},
+		{"cycle5-90k", "glet2", enron(2)},
+		{"tree8-90k", "bintree8", enron(2)},
+		{"serve-1k", "cycle4", func() *graph.Graph { return gen.PowerLawGraph("load", 1000, 1.6, rand.New(rand.NewSource(1))) }},
+		{"tree8-1m", "bintree8", rmat17},
+		{"cycle5-1m", "glet2", rmat17},
 	} {
-		g := gen.PowerLawGraph("load", 1000, 1.6, rand.New(rand.NewSource(1)))
-		if c.scale > 0 {
-			var ok bool
-			if g, ok = gen.StandinByName("enron", c.scale, 1); !ok {
-				b.Fatal("no enron stand-in")
-			}
-		}
-		q := query.MustByName(c.query)
-		colors := randColors(g.N(), q.K, rand.New(rand.NewSource(1)))
-		for _, backend := range []string{engine.ParallelName, engine.SimName} {
-			b.Run(c.name+"/"+backend, func(b *testing.B) {
-				opts := Options{Algorithm: DB, Backend: backend}
-				want := count(b, g, q, colors, opts) // also warms the plan cache and the heap
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if got := count(b, g, q, colors, opts); got != want {
-						b.Fatalf("trial %d counted %d, the first counted %d", i, got, want)
+		b.Run(c.name, func(b *testing.B) {
+			g, q := c.graph(), query.MustByName(c.query)
+			colors := randColors(g.N(), q.K, rand.New(rand.NewSource(1)))
+			for _, backend := range []string{engine.ParallelName, engine.SimName} {
+				b.Run(backend, func(b *testing.B) {
+					opts := Options{Algorithm: DB, Backend: backend}
+					want := count(b, g, q, colors, opts) // also warms the plan cache and the heap
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if got := count(b, g, q, colors, opts); got != want {
+							b.Fatalf("trial %d counted %d, the first counted %d", i, got, want)
+						}
 					}
-				}
-			})
-		}
+				})
+			}
+		})
 	}
+}
+
+// enron returns a builder of the enron stand-in at 1/scale.
+func enron(scale int) func() *graph.Graph {
+	return func() *graph.Graph {
+		g, ok := gen.StandinByName("enron", scale, 1)
+		if !ok {
+			panic("no enron stand-in")
+		}
+		return g
+	}
+}
+
+// rmat17 builds the Graph500 R-MAT graph of 2^17 vertices, edge factor 8.
+func rmat17() *graph.Graph {
+	return gen.RMAT("rmat17", 17, 8, gen.Graph500, rand.New(rand.NewSource(1)))
 }
 
 // Tables are built in slabs that dead tables gave back (table/slab.go), so

@@ -256,9 +256,10 @@ func TestCancelAtAnyPoll(t *testing.T) {
 }
 
 // A leaf block's matrices are read where they lie: the walk's last table is
-// projected by moving its shards' open boxes, the edge table a nodeJoin
-// follows is read row by row, and a pending shard whose box never opened
-// is compacted by that reader, polling as track does. A bintree8 run — leaf
+// projected by moving its shards' open boxes, a data edge into a node
+// annotation reads its source's rows in place and builds no edge table at
+// all (pullNode), and a pending shard whose box never opened is compacted
+// by its reader, polling as track does. A bintree8 run — leaf
 // blocks alone — on box_test.go's 2810-vertex graph, under sim at three
 // ranks: as NewCluster cuts it, partitions whose boxes all open, and as it
 // was cut before PR 24, a partition a rank (937, 937 and 936 vertices: at
@@ -282,9 +283,9 @@ func TestCancelThroughBoxRows(t *testing.T) {
 			t.Fatalf("partition %d of 3 holds %d vertices, want %d", w, hi-lo, want)
 		}
 	}
-	// Edge steps' tables with a box, moved by the projection or read by a
-	// nodeJoin, and their shards that hold entries and no box.
-	var moved, readInPlace, unboxed int
+	// Walk tables with a box, moved by the projection; edge steps fused with
+	// their node step; shards that hold entries and no box.
+	var moved, fused, unboxed int
 	for name, sim3 := range map[string]func() engine.Backend{
 		"sim@3":                   func() engine.Backend { return engine.NewCluster(3, g.N()) },
 		"sim@3, a partition each": func() engine.Backend { return engine.NewRuntime(engine.SimName, 3, 3, g.N()) },
@@ -292,7 +293,7 @@ func TestCancelThroughBoxRows(t *testing.T) {
 		be := &stepped{Backend: sim3()}
 		tr := obs.NewTrace(t.Name())
 		s := newSolver(obs.WithTrace(context.Background(), tr), g, colors, q.K, be, DB)
-		edgeBoxed := false // the last edge step left a box its block has not read yet
+		edgeBoxed := false // the last walk step left a box its block has not read yet
 		tr.SetSink(func(phase string, _ float64) {
 			switch {
 			case phase == PhaseLeafJoin: // the projection: it moves what is boxed
@@ -301,7 +302,10 @@ func TestCancelThroughBoxRows(t *testing.T) {
 				}
 				edgeBoxed = false
 			case phase != PhasePathJoin:
-			case be.out != nil: // an edge step's table, left pending
+			case be.out != nil: // a walk step's table, left pending
+				if be.fused {
+					fused++
+				}
 				for w := 0; w < be.P(); w++ {
 					lo, _ := be.Range(w)
 					if row, _ := be.out.Shard(w).Row(lo); row != nil {
@@ -310,9 +314,6 @@ func TestCancelThroughBoxRows(t *testing.T) {
 						unboxed++
 					}
 				}
-			case edgeBoxed: // no superstep, after an edge step: the nodeJoin that read it
-				readInPlace++
-				edgeBoxed = false
 			}
 			be.out = nil
 		})
@@ -323,8 +324,8 @@ func TestCancelThroughBoxRows(t *testing.T) {
 			return c != 0, err
 		})
 	}
-	if moved == 0 || readInPlace == 0 || unboxed == 0 {
-		t.Fatalf("%d boxes moved, %d read in place, %d pending shards without a box; the test needs each", moved, readInPlace, unboxed)
+	if moved == 0 || fused == 0 || unboxed == 0 {
+		t.Fatalf("%d boxes moved, %d fused steps, %d pending shards without a box; the test needs each", moved, fused, unboxed)
 	}
 }
 

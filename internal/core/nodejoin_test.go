@@ -16,14 +16,22 @@ import (
 // nodeJoin against the entry-pair join it replaced, written out here: each
 // walk entry k and child entry e at k's end vertex v whose signatures meet
 // at {χ(v)} alone add k.C·e.C at k's key with signature k.S ∪ e.S, and the
-// load is Σ_v (walk entries at v)·(child entries at v). Both feeds — a
-// start-free walk, whose output is written as rows, and a walk with a start
-// and a recorded vertex, whose (U, XY) groups are written as entries — over
-// every form a side can be read in: an open box in place, a shard compacted
-// before the join, a shard over the box cap (one partition of 2000 vertices
-// at 21 cells a row), sparse enough to be sorted at compaction or dense
-// enough to be boxed then; and an output that fits a box and one over the
-// cap. Every slab the join borrows comes back.
+// load is Σ_v (walk entries at v)·(child entries at v). Three feeds — a
+// start-free walk, whose output is written as rows; a walk with a start and
+// a recorded vertex, whose (U, XY) groups are written as entries; and a
+// start-free walk's data edge into the node, fused into one pulled step
+// (pullNode) where its source is boxed, else an edge step and the first
+// feed (extend), against the edge written out too: each walk entry at a
+// neighbour u of v whose signature lacks χ(v) adds its count at v with
+// χ(v) added, at a load of (walk entries at v)·deg(v) — over every form a
+// side can be read in: an open box in place, a shard compacted before the
+// join, a shard over the box cap (one partition of 2000 vertices at 21
+// cells a row), sparse enough to be sorted at compaction or dense enough to
+// be boxed then; and an output that fits a box and one over the cap (two
+// partitions of 1000 vertices at 35 cells a row). The fused feed runs with
+// a child of size-2 signatures and one of size-4 ones, whose product's rows
+// (7 cells) fit a box where the edge's (35) do not: there the edge is
+// pulled and then joined. Every slab the join borrows comes back.
 func TestNodeJoinFeedsMatchEntryPairs(t *testing.T) {
 	const n, k = 2000, 8
 	rng := rand.New(rand.NewSource(40))
@@ -37,13 +45,18 @@ func TestNodeJoinFeedsMatchEntryPairs(t *testing.T) {
 		s      sig.Sig
 	}
 	seen := map[string]bool{}
-	for _, parts := range []int{1, 8} {
+	for _, parts := range []int{1, 2, 8} {
 		for _, perVertex := range []int{1, 6} {
 			for _, compacted := range []bool{false, true} {
-				for _, free := range []bool{true, false} {
-					name := fmt.Sprintf("parts=%d draws=%d compacted=%v free=%v", parts, perVertex, compacted, free)
+				for _, f := range []struct {
+					feed string
+					hb   int // the child's signature size
+				}{{"free", 2}, {"start", 2}, {"fused", 2}, {"fused", 4}} {
+					feed, hb := f.feed, f.hb
+					free := feed != "start"
+					name := fmt.Sprintf("parts=%d draws=%d compacted=%v feed=%s child=%d", parts, perVertex, compacted, feed, hb)
 					held := table.SlabsOut()
-					be := engine.NewRuntime(engine.ParallelName, parts, 2, n)
+					be := &stepped{Backend: engine.NewRuntime(engine.ParallelName, parts, 2, n)}
 					s := newSolver(context.Background(), g, colors, k, be, DB)
 					cur, child := engine.NewSharded(be), engine.NewMatrix(be, k, colors, false)
 					if free {
@@ -64,7 +77,7 @@ func TestNodeJoinFeedsMatchEntryPairs(t *testing.T) {
 							}
 							cur.Shard(be.Owner(v)).AddEnt(e)
 							walk[key{e.VU, e.XY, e.S}] += e.C
-							own = sig.OwnOf(k, 2).Sigs[colors[v]]
+							own = sig.OwnOf(k, hb).Sigs[colors[v]]
 							sb := own[rng.Intn(len(own))]
 							child.Add(be.Owner(v), table.Unary(v, sb), 1)
 							kids[v][sb]++
@@ -78,11 +91,25 @@ func TestNodeJoinFeedsMatchEntryPairs(t *testing.T) {
 						lo, _ := be.Range(w)
 						for side, sh := range map[string]*table.Flat{"start-free walk": cur.Shard(w), "child": child.Shard(w)} {
 							if row, _ := sh.Row(lo); free || side == "child" {
-								seen[fmt.Sprintf("%s in place: %v", side, sh.Boxed() && row != nil)] = true
+								seen[fmt.Sprintf("%s: %s in place: %v", feed, side, sh.Boxed() && row != nil)] = true
 							}
 						}
 					}
-					want, load := map[key]uint64{}, int64(0)
+					var load int64
+					if feed == "fused" { // the edge step, pushed
+						edge := map[key]uint64{}
+						for kk, c := range walk {
+							u := uint32(kk.vu >> 32)
+							for _, v := range g.Neighbors(u) {
+								load++ // each walk entry at u, once per neighbour v
+								if !kk.s.Has(colors[v]) {
+									edge[key{uint64(v)<<32 | uint64(table.None), kk.xy, kk.s.Add(colors[v])}] += c
+								}
+							}
+						}
+						walk = edge
+					}
+					want := map[key]uint64{}
 					for kk, c := range walk {
 						v := uint32(kk.vu >> 32)
 						load += int64(len(kids[v]))
@@ -94,14 +121,30 @@ func TestNodeJoinFeedsMatchEntryPairs(t *testing.T) {
 					}
 					ann := &decomp.Block{Kind: decomp.LeafEdge, Nodes: []int{0, 1}, Boundary: []int{0}}
 					s.tables[ann] = child
-					out := s.nodeJoin(cur, pathStart{free: free}, ann, free)
-					got := map[key]uint64{}
+					var out *engine.Sharded
+					if feed == "fused" {
+						out = s.extend(cur, pathStart{free: true}, pathStep{nodeAnn: ann}, true)
+						switch {
+						case be.fused:
+							seen["fused: one pulled step"] = true
+						case be.pulled:
+							seen["fused: the edge pulled, then joined"] = true
+						default:
+							seen["fused: the edge pushed, then joined"] = true
+						}
+					} else {
+						out = s.nodeJoin(cur, pathStart{free: free}, ann, free)
+					}
+					got, wrote := map[key]uint64{}, feed
+					if feed == "fused" && be.fused {
+						wrote = "fused, pulled"
+					}
 					for w := 0; w < be.P(); w++ {
 						lo, _ := be.Range(w)
 						if row, _ := out.Shard(w).Row(lo); free && row != nil {
-							seen["output rows"] = true
+							seen[wrote+": output rows"] = true
 						} else if free && out.Shard(w).SigSize() > 0 {
-							seen["output entries"] = true
+							seen[wrote+": output entries"] = true
 						}
 						for _, e := range out.Shard(w).Ents() {
 							got[key{e.VU, e.XY, e.S}] += e.C
@@ -128,7 +171,14 @@ func TestNodeJoinFeedsMatchEntryPairs(t *testing.T) {
 			}
 		}
 	}
-	for _, form := range []string{"start-free walk in place: true", "start-free walk in place: false", "child in place: true", "child in place: false", "output rows", "output entries"} {
+	forms := []string{"start: child in place: true", "start: child in place: false", "fused, pulled: output rows", "fused, pulled: output entries",
+		"fused: one pulled step", "fused: the edge pulled, then joined", "fused: the edge pushed, then joined"}
+	for _, feed := range []string{"free", "fused"} {
+		for _, form := range []string{"start-free walk in place: true", "start-free walk in place: false", "child in place: true", "child in place: false", "output rows", "output entries"} {
+			forms = append(forms, feed+": "+form)
+		}
+	}
+	for _, form := range forms {
 		if !seen[form] {
 			t.Errorf("no case reads or writes %q", form)
 		}

@@ -42,14 +42,16 @@ import (
 //
 // A start-free walk's data-edge step is the tree DP's sparse adjacency
 // matrix times its vertex × colour-set matrix (engine.NewMatrix), and the
-// data graph is undirected, so it runs the other way round (pullFirst,
-// pullEdge): the owner of each vertex v sums its neighbours' box rows, each
-// shifted by the colour pair (sig.Shift), into v's row of its own box,
-// which it writes once (engine.Backend.Pull). No lane, stage or box merge
-// is made; load is counted as the push form counts it, and a message is a
-// neighbour row read from another partition. It pushes where a source shard
-// is not an open box (one over boxCap) or the process does not hold every
-// partition (dist).
+// data graph is undirected, so it runs the other way round (edgePull): the
+// owner of each vertex v sums its neighbours' box rows by colour, then
+// shifts each colour's sum by the colour pair (sig.Shift) into v's row of
+// its own box, which it writes once (engine.Backend.Pull). Where a node
+// annotation follows, the two steps are one (pullNode): v's row of the
+// edge is combined with the child's at once, and the edge's table is never
+// built. No lane, stage or box merge is made; load is counted as the push
+// form counts it, and a message is a neighbour row read from another
+// partition. It pushes where a source shard is not an open box (one over
+// boxCap) or the process does not hold every partition (dist).
 //
 // A root cycle's join pulls too (pullJoin, cycle.go): where the walk it
 // would stream ends in a plain data edge, the walk is never built — the
@@ -172,9 +174,6 @@ func (s *solver) buildPath(n *walk, pend bool) bool {
 		return true
 	}
 	p := n.parent
-	last := n.step.nodeAnn == nil // the step's edge table is the walk's
-	pend = pend || n.free
-	edgePend := pend && (last || n.free)
 	var t *engine.Sharded
 	switch {
 	case p == nil && n.startAnn == nil:
@@ -183,15 +182,8 @@ func (s *solver) buildPath(n *walk, pend bool) bool {
 		t = s.lift(n.pathStart)
 	case !s.buildPath(p, false) || s.aborted():
 		return false
-	case p.table == nil:
-		t = s.initEdge(n.pathStart, n.step, edgePend)
 	default:
-		t = s.edgeJoin(p.table, n.pathStart, n.step, edgePend)
-	}
-	if !last {
-		edge := t
-		t = s.nodeJoin(edge, n.pathStart, n.step.nodeAnn, pend)
-		edge.Release()
+		t = s.extend(p.table, n.pathStart, n.step, pend || n.free)
 	}
 	if p != nil {
 		p.done()
@@ -202,6 +194,33 @@ func (s *solver) buildPath(n *walk, pend bool) bool {
 	}
 	n.table = t
 	return true
+}
+
+// extend builds the table of a walk one step past cur, the table of the walk
+// before the step (nil where the step is the walk's first edge): the step's
+// edge, then its node annotation, if it has one. A start-free walk's data
+// edge into a node annotation is one pulled step (pullNode) where it can
+// be; otherwise the edge's table is built, the node step reads it, and it
+// is released.
+func (s *solver) extend(cur *engine.Sharded, spec pathStart, st pathStep, pend bool) *engine.Sharded {
+	last := st.nodeAnn == nil // the step's edge table is the walk's
+	if !last && spec.free && st.edgeAnn == nil {
+		if t := s.pullNode(cur, spec, st.nodeAnn); t != nil {
+			return t
+		}
+	}
+	edgePend := pend && (last || spec.free)
+	var t *engine.Sharded
+	if cur == nil {
+		t = s.initEdge(spec, st, edgePend)
+	} else {
+		t = s.edgeJoin(cur, spec, st, edgePend)
+	}
+	if last {
+		return t
+	}
+	defer t.Release()
+	return s.nodeJoin(t, spec, st.nodeAnn, pend)
 }
 
 // newTable returns the empty table of a walk from spec: a start-free walk's
@@ -251,14 +270,15 @@ func (r recordSlot) ent(start, end uint32, kept uint64, s sig.Sig, c uint64) tab
 // initEdge seeds the walk's table from its first edge: either the data
 // graph's edges (count 1 per edge per direction, signature {χ(u),χ(v)},
 // Figure 4/6 Procedure 1 line 1) or the annotating child block's table. A
-// start-free walk's data edge is pulled (pullFirst) where the backend can.
+// start-free walk's data edge is pulled (pullEdge, from no table) where the
+// backend can.
 func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharded {
 	out := s.newTable(spec)
 	slot := slotOf(st.record)
 	defer s.tr.Start(PhasePathJoin)()
 	if st.edgeAnn == nil {
 		out.Max = s.deg // a vertex's edges to other colours, at most
-		if spec.free && s.pullFirst(out) {
+		if spec.free && s.pullEdge(nil, out) {
 			return s.finish(out, pend)
 		}
 		s.be.Step(out, func(w int, to *engine.Lanes) {
@@ -321,36 +341,6 @@ func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharde
 		s.be.AddLoad(w, load)
 	})
 	return s.finish(out, pend)
-}
-
-// pullFirst is initEdge's data-edge step of a start-free walk in pull form:
-// the owner of each vertex v counts v's neighbours of other colours by
-// colour into v's row. It reads colours alone, which every process holds,
-// so it sends nothing. It reports false, building nothing, where the
-// backend cannot pull.
-func (s *solver) pullFirst(out *engine.Sharded) bool {
-	rk := sig.OwnOf(s.k, 2)
-	return s.be.Pull(out, nil, func(w int, to *table.Flat, _ *engine.Lanes) int {
-		var load int64
-		var poll int
-		lo, hi := s.be.Range(w)
-		pullRows(to, lo, hi, rk, s.colors, func(v uint32, row []uint64) bool {
-			nbrs := s.g.Neighbors(v)
-			load += int64(len(nbrs))
-			if s.canceledAfter(&poll, len(nbrs)) {
-				return false
-			}
-			c := s.colors[v]
-			for _, u := range nbrs {
-				if cu := s.colors[u]; cu != c {
-					row[rk.Pos(sig.Of(c).Add(cu), c)]++
-				}
-			}
-			return true
-		})
-		s.be.AddLoad(w, load)
-		return 0
-	})
 }
 
 // pullRows builds partition w's rows [lo, hi) of a start-free walk's table
@@ -514,64 +504,256 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 	return s.finish(out, pend)
 }
 
-// pullEdge is edgeJoin's data-edge step of a start-free walk in pull form,
-// where every shard of cur holds its entries in an open box: the owner of
-// each vertex v sums the rows of v's neighbours, each shifted by χ(v)
-// (sig.Shift), into v's row of its own (pullRows); each row it reads from
-// another partition is a message. It reports false, building nothing, where
-// cur has a shard of another form or the backend cannot pull
-// (Backend.Pull); edgeJoin then pushes.
-func (s *solver) pullEdge(cur, out *engine.Sharded) bool {
-	var rk *sig.Own
-	for w := 0; w < s.be.P(); w++ {
-		sh := cur.Shard(w)
-		if !sh.Boxed() {
+// edgePull is a start-free walk's data-edge step in pull form: the owner of
+// each vertex v sums v's neighbours' rows of src — size-h signatures, every
+// shard an open box or empty — into v's row of size-(h+1) ones. A first
+// edge pulls from no table: every vertex's row is then the one count 1
+// (h = 1), and its sum reads colours alone. The sum is bucketed by colour:
+// each neighbour u's row is added whole, its C(k−1, h−1) cells
+// contiguously, into the bucket of χ(u), and each bucket then goes into v's
+// row once, through ShiftsOf(k, h)[χ(u)][χ(v)] — at most k−1 shifts a
+// vertex, where a shift per neighbour took deg(v). A neighbour of v's own
+// colour extends nothing and is not added. Load is charged as the push
+// form charges it: each count of v's own row once per neighbour. A
+// neighbour row read from another partition is a message, whatever its
+// colour.
+type edgePull struct {
+	src    *engine.Sharded
+	shifts [][]sig.Shift // ShiftsOf(k, h)
+	up     *sig.Own      // OwnOf(k, h+1): the rows the step writes
+	width  int           // C(k−1, h−1): a row of src
+	cells  [][]uint64    // each partition's shard of src, its box's cells (table.Flat.Cells)
+	los    []uint32      // each partition's first vertex
+}
+
+// edgePull returns the pull of the data edge after src (nil: a first
+// edge), and false where the step cannot pull: a shard of src holds entries
+// outside an open box (one over boxCap), or no shard has a box open, or
+// src's signatures hold every colour, so that none extends.
+func (s *solver) edgePull(src *engine.Sharded) (edgePull, bool) {
+	e := edgePull{src: src}
+	h := 1
+	if src != nil {
+		var rk *sig.Own
+		e.cells, e.los = make([][]uint64, s.be.P()), make([]uint32, s.be.P())
+		for w := range e.cells {
+			sh := src.Shard(w)
+			if !sh.Boxed() {
+				return edgePull{}, false
+			}
+			e.los[w], _ = s.be.Range(w)
+			if e.cells[w] = sh.Cells(); rk == nil {
+				_, rk = sh.Row(e.los[w])
+			}
+		}
+		if rk == nil {
+			return edgePull{}, false
+		}
+		h = rk.Size()
+	}
+	if h == s.k {
+		return edgePull{}, false
+	}
+	e.shifts, e.up, e.width = sig.ShiftsOf(s.k, h), sig.OwnOf(s.k, h+1), int(choose(s.k-1, h-1))
+	return e, true
+}
+
+// row returns u's row of src, nil if it has none; from routes u to its
+// partition.
+func (e *edgePull) row(from *engine.Lanes, u uint32) []uint64 {
+	w := from.Owner(u)
+	cells := e.cells[w]
+	if cells == nil {
+		return nil
+	}
+	return cells[int(u-e.los[w])*e.width:][:e.width]
+}
+
+// pullTask is one partition's share of an edgePull: its buckets, a row of
+// width cells per colour (a first edge needs none), and its books.
+type pullTask struct {
+	edgePull
+	s       *solver
+	from    *engine.Lanes
+	lo, hi  uint32
+	buckets table.Scratch
+	first   [sig.MaxRankedColors][]uint64 // a colour's first neighbour row at the vertex being summed
+	load    int64
+	sent    int // rows read from other partitions
+	poll    int
+}
+
+func (e edgePull) task(s *solver, w int, from *engine.Lanes) pullTask {
+	t := pullTask{edgePull: e, s: s, from: from}
+	t.lo, t.hi = s.be.Range(w)
+	if e.src != nil {
+		t.buckets = table.BorrowWords(s.k * e.width)
+	}
+	return t
+}
+
+func (t *pullTask) close() { t.buckets.Return() }
+
+// sum adds v's row of the step into row, which is zero, and reports false
+// once the run is canceled.
+func (t *pullTask) sum(v uint32, row []uint64) bool {
+	colors, from := t.s.colors, t.from
+	nbrs, cv := t.s.g.Neighbors(v), colors[v]
+	if t.src == nil { // a first edge: each neighbour of another colour is one count
+		t.load += int64(len(nbrs))
+		if t.s.canceledAfter(&t.poll, len(nbrs)) {
 			return false
 		}
-		if lo, _ := s.be.Range(w); rk == nil {
-			_, rk = sh.Row(lo)
+		for _, u := range nbrs {
+			if cu := colors[u]; cu != cv {
+				row[t.up.Pos(sig.Of(cv).Add(cu), cv)]++
+			}
+		}
+		return true
+	}
+	if own := t.row(from, v); own != nil {
+		t.load += int64(table.NonZero(own) * len(nbrs))
+	}
+	// A colour's first neighbour row is kept where it lies; its bucket opens
+	// at the second, so a colour with one neighbour costs one shift, as a
+	// shift per neighbour did.
+	b, w, first := t.buckets.Words, t.width, &t.first
+	var one, more uint32 // the colours with a neighbour row; those with two or more
+	for _, u := range nbrs {
+		src := t.row(from, u)
+		if t.s.canceledAfter(&t.poll, len(src)) {
+			return false
+		}
+		if src == nil {
+			continue
+		}
+		if u < t.lo || u >= t.hi {
+			t.sent++
+		}
+		cu := colors[u]
+		bit := uint32(1) << cu
+		dst := b[int(cu)*w:][:len(src)]
+		switch {
+		case cu == cv:
+		case more&bit != 0:
+			for i, c := range src {
+				dst[i] += c
+			}
+		case one&bit != 0:
+			for i, c := range first[cu][:len(src)] {
+				dst[i] = c + src[i]
+			}
+			more |= bit
+		default:
+			first[cu] = src
+			one |= bit
 		}
 	}
-	if rk == nil {
+	for ; one != 0; one &= one - 1 {
+		cu := bits.TrailingZeros32(one)
+		src := first[cu]
+		if more&(1<<cu) != 0 {
+			src = b[cu*w:][:w]
+		}
+		sh := t.shifts[cu][cv]
+		at := sh.To[:len(sh.From)]
+		for i, j := range sh.From {
+			row[at[i]] += src[j]
+		}
+	}
+	return true
+}
+
+// pullEdge builds out, the table of a start-free walk's data-edge step
+// after src (nil: the walk's first edge), in pull form (edgePull): each
+// partition's task writes its rows (pullRows) and returns the rows it read
+// from other partitions. It reports false, building nothing, where the step
+// cannot pull (edgePull, Backend.Pull); the step then pushes.
+func (s *solver) pullEdge(src, out *engine.Sharded) bool {
+	e, ok := s.edgePull(src)
+	if !ok {
 		return false
 	}
-	h := rk.Size()
-	if h == s.k {
-		return false // no signature is left to extend: the push form adds nothing
-	}
-	shifts, up := sig.ShiftsOf(s.k, h), sig.OwnOf(s.k, h+1)
-	return s.be.Pull(out, cur, func(w int, to *table.Flat, from *engine.Lanes) (sent int) {
-		var load int64
-		var poll int
-		lo, hi := s.be.Range(w)
-		pullRows(to, lo, hi, up, s.colors, func(v uint32, sum []uint64) bool {
-			// v's own row, as the push form's source, is what the load
-			// counts: each count once per neighbour.
-			if row, _ := from.At(v).Row(v); row != nil {
-				load += int64(table.NonZero(row) * len(s.g.Neighbors(v)))
-			}
-			for _, u := range s.g.Neighbors(v) {
-				row, _ := from.At(u).Row(u)
-				if s.canceledAfter(&poll, len(row)) {
-					return false
-				}
-				if row == nil {
-					continue
-				}
-				if u < lo || u >= hi {
-					sent++
-				}
-				sh := shifts[s.colors[u]][s.colors[v]]
-				at := sh.To[:len(sh.From)]
-				for i, j := range sh.From {
-					sum[at[i]] += row[j]
-				}
-			}
-			return true
-		})
-		s.be.AddLoad(w, load)
-		return sent
+	return s.be.Pull(out, src, func(w int, to *table.Flat, from *engine.Lanes) int {
+		t := e.task(s, w, from)
+		defer t.close()
+		pullRows(to, t.lo, t.hi, e.up, s.colors, t.sum)
+		s.be.AddLoad(w, t.load)
+		return t.sent
 	})
+}
+
+// pullNode is a start-free walk's step over a data edge into a node
+// annotation, ann, after src (nil: the walk's first edge), as one pulled
+// superstep: at each vertex v the edge's row is summed into a task's
+// scratch (edgePull) and at once combined with the child's row at v
+// (freeNode), and only the product is written (pullRows). The edge's table
+// is never built. Bounds, load and messages are those of the two steps it
+// fuses: edgeJoin's bound is checked, then nodeJoin's on it, and the
+// output's is measured from the products' rows as nodeJoin measures it.
+//
+// It returns nil, building nothing, where the edge cannot pull — the caller
+// then builds the edge's table and joins it (extend) — and where some
+// partition's edge rows would not fit a box while the product's would: the
+// two steps write such a partition's rows only if the edge holds a count
+// there, which is not known before the pull.
+func (s *solver) pullNode(src *engine.Sharded, spec pathStart, ann *decomp.Block) *engine.Sharded {
+	e, ok := s.edgePull(src)
+	if !ok {
+		return nil
+	}
+	child := s.tables[ann]
+	ha, hb := e.up.Size(), sigSize(child, s.be.P())
+	if hb > 0 {
+		for w := 0; w < s.be.P(); w++ {
+			lo, hi := s.be.Range(w)
+			if !table.BoxFits(int(hi-lo), e.up) && table.BoxFits(int(hi-lo), sig.OwnOf(s.k, ha+hb-1)) {
+				return nil
+			}
+		}
+	}
+	out := s.newTable(spec)
+	defer s.tr.Start(PhasePathJoin)()
+	edgeMax, pairs := s.deg, choose(ha+hb-2, ha-1)
+	if src != nil {
+		if edgeMax, ok = s.fits("edgeJoin", src.Max, s.deg); !ok {
+			return out
+		}
+	}
+	if _, ok = s.fits("nodeJoin", edgeMax, child.Max, pairs); !ok {
+		return out
+	}
+	var boundA, boundB atomic.Uint64
+	pulled := s.be.Pull(out, src, func(w int, to *table.Flat, from *engine.Lanes) int {
+		t := e.task(s, w, from)
+		defer t.close()
+		edge := table.BorrowWords(len(e.up.Sigs[0]))
+		defer edge.Return()
+		a, kid := edge.Words, child.Shard(w)
+		hb := kid.SigSize()
+		if hb == 0 { // nothing meets: the output's shard stays empty; the edge's books are kept
+			for v := t.lo; v < t.hi && t.sum(v, a); v++ {
+			}
+			s.be.AddLoad(w, t.load)
+			return t.sent
+		}
+		j := s.freeNode(kid, ha, hb)
+		defer j.close()
+		pullRows(to, t.lo, t.hi, j.up, s.colors, func(v uint32, row []uint64) bool {
+			clear(a)
+			return t.sum(v, a) && j.meet(row, a, v)
+		})
+		raise(&boundA, j.ba)
+		raise(&boundB, j.bb)
+		s.be.AddLoad(w, t.load+j.load)
+		return t.sent
+	})
+	if !pulled {
+		out.Release()
+		return nil
+	}
+	out.Max = min(boundA.Load(), edgeMax) * min(boundB.Load(), child.Max) * pairs
+	return out
 }
 
 // nodeJoin folds a unary child table into the walk at its current end node
@@ -579,13 +761,14 @@ func (s *solver) pullEdge(cur, out *engine.Sharded) bool {
 // is communication-free, and at each v it is one product of two own rows
 // (combine): the child's row at v with the walk's — for a start-free walk,
 // its row at v, and the product is v's row of the output, written whole
-// (pullRows); for a walk with a start, each (U, XY) group of v's run, whose
-// entries are the cells of such a row that hold a count, and the product's
-// cells are that group's entries. Either table may be pending — a
-// start-free walk's edge table is, and so is a leaf block's output — and an
-// open box is read where it lies, any other form a vertex's run at a time
-// (ownRows). Load is, at each v or group, the pairs of a walk count and a
-// child count, whether they meet or not: NonZero(a)·NonZero(b).
+// (pullRows, freeNode); for a walk with a start, each (U, XY) group of v's
+// run, whose entries are the cells of such a row that hold a count, and the
+// product's cells are that group's entries. Either table may be pending — a
+// start-free walk's edge table is, where it is built at all (pullNode), and
+// so is a leaf block's output — and an open box is read where it lies, any
+// other form a vertex's run at a time (ownRows). Load is, at each v or
+// group, the pairs of a walk count and a child count, whether they meet or
+// not: NonZero(a)·NonZero(b).
 func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block, pend bool) *engine.Sharded {
 	out := s.newTable(spec)
 	child := s.tables[ann]
@@ -599,48 +782,30 @@ func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block
 	}
 	var boundA, boundB atomic.Uint64 // a start-free walk's: the rows' counts the products read
 	s.be.Run(func(w int) {
-		var load int64
-		var poll int
 		walk, kid := cur.Shard(w), child.Shard(w)
 		ha, hb := walk.SigSize(), kid.SigSize()
 		if ha == 0 || hb == 0 {
 			return // nothing meets: the output's shard stays empty
 		}
-		kids := s.ownRows(kid, hb)
-		defer kids.close()
-		pairs, up := sig.PairsOf(s.k, ha, hb), sig.OwnOf(s.k, ha+hb-1)
 		if spec.free {
+			j := s.freeNode(kid, ha, hb)
+			defer j.close()
 			walks := s.ownRows(walk, ha)
 			defer walks.close()
 			lo, hi := s.be.Range(w)
-			var ba, bb uint64
-			defer func() { raise(&boundA, ba); raise(&boundB, bb) }()
-			pullRows(out.Shard(w), lo, hi, up, s.colors, func(v uint32, row []uint64) bool {
-				b := kids.at(v)
-				n, mb := table.Census(b)
-				if n == 0 {
-					return true
-				}
-				a := walks.at(v)
-				na, ma := table.Census(a)
-				if n *= na; n == 0 {
-					return true
-				}
-				ba, bb = ba|ma, bb|mb
-				load += int64(n)
-				if s.canceledAfter(&poll, n) {
-					return false
-				}
-				for i, c := range a {
-					if c != 0 {
-						combine(row, b, pairs, i, c)
-					}
-				}
-				return true
+			pullRows(out.Shard(w), lo, hi, j.up, s.colors, func(v uint32, row []uint64) bool {
+				return j.meet(row, walks.at(v), v)
 			})
-			s.be.AddLoad(w, load)
+			raise(&boundA, j.ba)
+			raise(&boundB, j.bb)
+			s.be.AddLoad(w, j.load)
 			return
 		}
+		var load int64
+		var poll int
+		kids := s.ownRows(kid, hb)
+		defer kids.close()
+		pairs, up := sig.PairsOf(s.k, ha, hb), sig.OwnOf(s.k, ha+hb-1)
 		rk, sh := sig.OwnOf(s.k, ha), out.Shard(w)
 		scratch := table.BorrowWords(len(up.Sigs[0]))
 		defer scratch.Return()
@@ -701,6 +866,56 @@ func combine(out, b []uint64, pairs *sig.Pairs, i int, c uint64) {
 	for x, j := range from {
 		out[to[x]] += c * b[j]
 	}
+}
+
+// freeNode is one partition's node step of a start-free walk, at a vertex
+// at a time: the child's rows there (ownRows), the pair table of the two
+// rows' sizes, and the books — load, and the bounds of the counts the
+// products read. nodeJoin feeds it the walk's rows as they lie; pullNode
+// feeds it each row of an edge as the edge's pull sums it.
+type freeNode struct {
+	s      *solver
+	kids   ownRows
+	pairs  *sig.Pairs
+	up     *sig.Own // the product's rows
+	poll   int
+	load   int64
+	ba, bb uint64
+}
+
+// freeNode reads kid, a shard of a child's table of size-hb signatures, for
+// the node step of a walk of size-ha ones.
+func (s *solver) freeNode(kid *table.Flat, ha, hb int) freeNode {
+	return freeNode{s: s, kids: s.ownRows(kid, hb), pairs: sig.PairsOf(s.k, ha, hb), up: sig.OwnOf(s.k, ha+hb-1)}
+}
+
+func (j *freeNode) close() { j.kids.close() }
+
+// meet adds into row, v's row of the output, the product of a, v's row of
+// the walk, and the child's row at v, and reports false once the run is
+// canceled. v must lie above every vertex met before.
+func (j *freeNode) meet(row, a []uint64, v uint32) bool {
+	b := j.kids.at(v)
+	nb, mb := table.Census(b)
+	if nb == 0 {
+		return true
+	}
+	na, ma := table.Census(a)
+	n := na * nb
+	if n == 0 {
+		return true
+	}
+	j.ba, j.bb = j.ba|ma, j.bb|mb
+	j.load += int64(n)
+	if j.s.canceledAfter(&j.poll, n) {
+		return false
+	}
+	for i, c := range a {
+		if c != 0 {
+			combine(row, b, j.pairs, i, c)
+		}
+	}
+	return true
 }
 
 // ownRows reads one shard of a walk's or a unary child's table — every

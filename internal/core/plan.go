@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -24,7 +25,7 @@ import (
 // selection remains independent of the data graph and is cached per query.
 
 var (
-	planCache sync.Map // query canonical key → *decomp.Tree
+	planCache sync.Map // query canonical key → *decomp.Tree, or the error refusing its plan space
 	calOnce   sync.Once
 	calGraph  *graph.Graph
 	calColors map[int][]uint8
@@ -33,13 +34,22 @@ var (
 
 // PickPlan returns the decomposition tree used when Options.Plan is nil:
 // the calibrated-cost minimum over all enumerated trees. A query with too
-// many trees to list fails with an error wrapping decomp.ErrPlanSpace.
+// many trees to list fails with an error wrapping decomp.ErrPlanSpace. The
+// pick and that refusal are functions of the query's structure alone, so
+// both are cached: a refused query costs a second caller a map load, not
+// the half second of enumeration it cost the first.
 func PickPlan(q *query.Graph) (*decomp.Tree, error) {
 	key := queryKey(q)
 	if v, ok := planCache.Load(key); ok {
+		if err, refused := v.(error); refused {
+			return nil, err
+		}
 		return v.(*decomp.Tree), nil
 	}
 	trees, err := decomp.Enumerate(q)
+	if errors.Is(err, decomp.ErrPlanSpace) {
+		planCache.Store(key, err)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -44,7 +44,8 @@ func TestPickPlanCatalogGolden(t *testing.T) {
 // trees, so star10 (725 760) and a 16-node star (2.6·10¹³) would hold the
 // caller for minutes or forever. PickPlan refuses both with
 // decomp.ErrPlanSpace, each in well under 5 s (the race detector's
-// slowdown is let off the clock).
+// slowdown is let off the clock), and remembers the refusal: asked again,
+// it refuses in under 50 ms, with the same error.
 func TestPickPlanRefusesAHub(t *testing.T) {
 	for _, k := range []int{10, 16} {
 		start := time.Now()
@@ -54,6 +55,14 @@ func TestPickPlanRefusesAHub(t *testing.T) {
 		}
 		if !errors.Is(err, decomp.ErrPlanSpace) {
 			t.Errorf("PickPlan(star%d): err %v, want ErrPlanSpace", k, err)
+		}
+		start = time.Now()
+		_, again := PickPlan(query.Star(k))
+		if d := time.Since(start); d > 50*time.Millisecond {
+			t.Errorf("PickPlan(star%d) asked again took %v", k, d)
+		}
+		if again != err {
+			t.Errorf("PickPlan(star%d) asked again: err %v, the first %v", k, again, err)
 		}
 	}
 }

@@ -35,8 +35,8 @@ type booking struct {
 }
 
 type booked struct {
-	pulled       bool
-	msgs, remote int64
+	pulled, fused bool
+	msgs, remote  int64
 }
 
 func (b *booking) Step(out *engine.Sharded, produce func(int, *engine.Lanes)) {
@@ -50,8 +50,23 @@ func (b *booking) Pull(out, src *engine.Sharded, task func(int, *table.Flat, *en
 	if !b.Backend.Pull(out, src, task) {
 		return false
 	}
-	b.steps = append(b.steps, booked{pulled: true, msgs: b.Messages() - before, remote: b.remoteRows(src)})
+	from := 1 // a first edge's: the one count of a vertex's own colour
+	if src != nil {
+		from = sigSize(b, src)
+	}
+	fused := out != nil && sigSize(b, out) > from+1
+	b.steps = append(b.steps, booked{pulled: true, fused: fused, msgs: b.Messages() - before, remote: b.remoteRows(src)})
 	return true
+}
+
+// sigSize is the size of the signatures t holds, 0 if it holds none.
+func sigSize(be engine.Backend, t *engine.Sharded) int {
+	for w := 0; w < be.P(); w++ {
+		if h := t.Shard(w).SigSize(); h > 0 {
+			return h
+		}
+	}
+	return 0
 }
 
 func (b *booking) remoteRows(src *engine.Sharded) (n int64) {
@@ -89,6 +104,18 @@ func (b *booking) pulled() (steps int, remote int64) {
 		}
 	}
 	return steps, remote
+}
+
+// fused is how many of the steps were a data edge fused with the node step
+// after it (a pulled step whose signatures grew by more than the edge's one
+// colour).
+func (b *booking) fused() (steps int) {
+	for _, st := range b.steps {
+		if st.fused {
+			steps++
+		}
+	}
+	return steps
 }
 
 // A start-free walk's data-edge step in pull form — each vertex's owner
@@ -282,6 +309,46 @@ func TestPulledMessagesAreRemoteRows(t *testing.T) {
 				t.Errorf("%s on %d partitions (%s): %d messages; %d steps pulled, reading %d rows from other partitions",
 					q.Name, be.P(), rt.name, st.Messages, pulled, remote)
 			}
+		}
+	}
+}
+
+// On tree8-90k's instance every start-free walk's data edge into a node
+// annotation — three of bintree8's seven supersteps — is one pulled step
+// with the node step (pullNode), on parallel@2 and sim@4, so a silent fall
+// back to an edge step and a node join fails here; dist@2, which cannot
+// pull, runs the two steps. The count and the supersteps are
+// TestPullAndPushAgreeAtScale's.
+func TestNodeStepsFuseAtScale(t *testing.T) {
+	g, q, colors := tree8(t, 4)
+	plan, err := core.PickPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const count, supersteps, fused = 343008068596418, 7, 3
+	dist2 := loopback2(t)
+	job := engine.Job{N: g.N(), Graph: g, Colors: colors, Query: q, Plan: plan, Mode: engine.ModeCount}
+	legs := []struct {
+		name  string
+		be    func() engine.Backend
+		fused int
+	}{
+		{"parallel@2", func() engine.Backend { return engine.NewParallel(2, g.N()) }, fused},
+		{"sim@4", func() engine.Backend { return engine.NewCluster(4, g.N()) }, fused},
+		{dist2.name, func() engine.Backend { return dist2.opts(job).Engine }, 0},
+	}
+	if testing.Short() || core.RaceEnabled {
+		legs = legs[:1]
+	}
+	for _, leg := range legs {
+		be := &booking{Backend: leg.be(), g: g}
+		got, st, err := core.CountColorful(g, q, colors, core.Options{Engine: be, Plan: plan})
+		if err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		if got != count || st.Supersteps != supersteps || be.fused() != leg.fused {
+			t.Errorf("%s: counted %d in %d supersteps, %d of them fused; want %d, %d, %d",
+				leg.name, got, st.Supersteps, be.fused(), count, supersteps, leg.fused)
 		}
 	}
 }

@@ -248,22 +248,31 @@ func TestWalkLiveTablesBrain3(t *testing.T) {
 }
 
 // stepped is a backend that keeps the table its last superstep built, for a
-// test to size before any reader takes it.
+// test to size before any reader takes it, and whether that step was pulled
+// and fused: a start-free walk's data edge and the node step after it in
+// one (pullNode), told by its signatures growing by more than the edge's
+// one colour (a first edge's source rows are the one count of a vertex's
+// own colour).
 type stepped struct {
 	engine.Backend
-	out *engine.Sharded
+	out           *engine.Sharded
+	pulled, fused bool
 }
 
 func (b *stepped) Step(out *engine.Sharded, produce func(w int, to *engine.Lanes)) {
 	b.Backend.Step(out, produce)
-	b.out = out
+	b.out, b.pulled, b.fused = out, false, false
 }
 
 func (b *stepped) Pull(out, src *engine.Sharded, task func(w int, to *table.Flat, from *engine.Lanes) int) bool {
 	if !b.Backend.Pull(out, src, task) {
 		return false
 	}
-	b.out = out
+	from := 1
+	if src != nil {
+		from = sigSize(src, b.P())
+	}
+	b.out, b.pulled, b.fused = out, true, out != nil && sigSize(out, b.P()) > from+1
 	return true
 }
 

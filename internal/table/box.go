@@ -208,6 +208,18 @@ func (t *Flat) Row(v uint32) (row []uint64, rk *sig.Own) {
 	return b.words[i : i+b.w], b.rk
 }
 
+// Cells returns t's open box whole — its rows back to back, vertex v's
+// C(K−1,h−1) counts at (v−Lo)·C(K−1,h−1) — or nil if t has no box open. It
+// is Row for a reader of many rows of many shards (core's pull steps),
+// which keeps each shard's cells at hand where Row reads the shard's header
+// and its box's at every call.
+func (t *Flat) Cells() []uint64 {
+	if t.box == nil {
+		return nil
+	}
+	return t.box.words
+}
+
 // OpenRows opens the box of t — declared, and holding nothing — for
 // signatures ranked by rk, without clearing its cells, and reports whether
 // it did: a box over boxCap does not open, and t keeps chunks, nor does one
@@ -219,12 +231,16 @@ func (t *Flat) OpenRows(rk *sig.Own) bool {
 	if b.words != nil || !t.Boxed() {
 		panic("table: rows opened on a shard that holds entries")
 	}
-	if b.N == 0 || int(b.N)*len(rk.Sigs[0]) > boxCap {
+	if !BoxFits(int(b.N), rk) {
 		return false
 	}
 	b.open(rk)
 	return true
 }
+
+// BoxFits reports whether rows rows ranked by rk make a box OpenRows opens:
+// at least one, and no more than boxCap cells.
+func BoxFits(rows int, rk *sig.Own) bool { return rows > 0 && rows*len(rk.Sigs[0]) <= boxCap }
 
 // Boxed reports whether every entry of t lies in an open box — none in
 // chunks or compacted beside it — or t holds none: then once writes stop,
