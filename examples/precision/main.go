@@ -47,9 +47,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The floor of 3 trials mirrors the adaptive rule's MinTrials, so this
-	// hand-rolled loop stops at the same trial the Spec run did.
-	for sess.Trials() < 256 && (sess.Trials() < 3 || !sess.Met(target)) {
+	// The floor of 8 trials mirrors the adaptive rule's first possible
+	// stop, so this hand-rolled loop stops at the same trial the Spec run
+	// did; the cap of 256 is the Spec's, and bounds a loop on Met, which
+	// a zero mean never meets.
+	for sess.Trials() < 256 && (sess.Trials() < 8 || !sess.Met(target)) {
 		if _, err := sess.Next(context.Background()); err != nil {
 			log.Fatal(err)
 		}

@@ -41,6 +41,34 @@ var facts = []struct {
 			return absent(tree("", goFile, "benchmark/"), `RunWith|Predraw|colorGroup|resolveTrials|wireRun`)
 		},
 	},
+	{
+		"the trial loop is serial and its rule has no per-call knobs",
+		"the paper's parallelism is inside one colouring's count (engine.Runtime), so Session.ExtendTo runs trials one after another on its caller's goroutine; the stopping rule's inputs are a precision target and a trial cap, so the fields that ran trials concurrently, bounded a run by wall time or moved the rule's first stop stay deleted",
+		func() error {
+			if err := count(where("internal/coloring", goStmt), 0); err != nil {
+				return fmt.Errorf("go statements in internal/coloring: %v", err)
+			}
+			var at []string
+			for _, f := range goFiles("", false) {
+				if dir := path.Dir(f.rel); dir != "." && dir != "internal/coloring" && dir != "internal/service" {
+					continue
+				}
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					if st, ok := n.(*ast.StructType); ok {
+						for _, fd := range st.Fields.List {
+							for _, id := range fd.Names {
+								if slices.Contains([]string{"MinTrials", "Parallel", "Budget"}, id.Name) {
+									at = append(at, f.rel+" "+id.Name)
+								}
+							}
+						}
+					}
+					return true
+				})
+			}
+			return count(at, 0)
+		},
+	},
 	// One compaction, no second sort.
 	{
 		"the entry-moving radix sort stays deleted",
@@ -315,6 +343,8 @@ func orderedVU(n ast.Node) bool {
 	isVU := func(e ast.Expr) bool { s, ok := e.(*ast.SelectorExpr); return ok && s.Sel.Name == "VU" }
 	return isVU(b.X) || isVU(b.Y)
 }
+
+func goStmt(n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }
 
 // phaseProducer matches a span of the cycleJoin phase opened or added:
 // x.Start(PhaseCycleJoin, …) or x.Add(PhaseCycleJoin, …).

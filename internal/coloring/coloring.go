@@ -49,10 +49,6 @@ type Options struct {
 	Core   core.Options
 	Trials int   // number of independent colorings; ≤ 0 means DefaultTrials
 	Seed   int64 // RNG seed for the colorings
-	// Parallel runs up to this many trials concurrently (each with its own
-	// simulated cluster). Colorings are drawn sequentially from Seed, so
-	// results are identical to the serial run. ≤ 1 means serial.
-	Parallel int
 }
 
 // Estimate is the result of a multi-trial color-coding estimation.
@@ -116,7 +112,7 @@ func RunContext(ctx context.Context, g *graph.Graph, q *query.Graph, opts Option
 	if err != nil {
 		return Estimate{}, err
 	}
-	stop, err := sess.RunUntil(ctx, Adaptive{MaxTrials: opts.Trials}, opts.Parallel, 0)
+	stop, err := sess.RunUntil(ctx, Adaptive{MaxTrials: opts.Trials}, 0, 0)
 	if err != nil {
 		return Estimate{}, err
 	}

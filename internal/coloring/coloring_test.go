@@ -122,46 +122,6 @@ func TestRunErrorPropagation(t *testing.T) {
 	}
 }
 
-// Parallel trials must produce bit-identical results to serial runs.
-func TestParallelTrialsIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	g := gen.PowerLawGraph("pl", 200, 1.6, rng)
-	q := query.MustByName("glet1")
-	serial, err := Run(g, q, Options{Trials: 8, Seed: 5, Core: core.Options{Workers: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(g, q, Options{Trials: 8, Seed: 5, Parallel: 4, Core: core.Options{Workers: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.Counts {
-		if serial.Counts[i] != parallel.Counts[i] {
-			t.Fatalf("trial %d: serial %d vs parallel %d", i, serial.Counts[i], parallel.Counts[i])
-		}
-	}
-	if serial.Matches != parallel.Matches || serial.CV != parallel.CV {
-		t.Fatalf("aggregates differ: %v vs %v", serial, parallel)
-	}
-	if parallel.Stats.TotalLoad != serial.Stats.TotalLoad {
-		t.Fatalf("stats differ: %d vs %d", parallel.Stats.TotalLoad, serial.Stats.TotalLoad)
-	}
-}
-
-// Parallelism degrees beyond the trial count are clamped, and errors from
-// any trial propagate.
-func TestParallelEdgeCases(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := gen.ErdosRenyi("er", 20, 40, rng)
-	if _, err := Run(g, query.Cycle(4), Options{Trials: 2, Parallel: 16, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	k4 := query.FromEdges("k4", 4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	if _, err := Run(g, k4, Options{Trials: 4, Parallel: 2}); err == nil {
-		t.Fatal("error not propagated from parallel trial")
-	}
-}
-
 // TestRunContextMatchesRun: a live context changes nothing — bit-for-bit.
 func TestRunContextMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -182,8 +142,9 @@ func TestRunContextMatchesRun(t *testing.T) {
 }
 
 // TestRunContextCancelBetweenTrials: a cancellation between two trials of
-// a chunk surfaces ctx's error instead of finishing the remaining trials,
-// and rolls the whole chunk back — the session keeps what it held before.
+// one ExtendTo surfaces ctx's error instead of finishing the remaining
+// trials, and rolls every trial of the call back — the session keeps what
+// it held before.
 func TestRunContextCancelBetweenTrials(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	g := gen.ErdosRenyi("er", 60, 240, rng)
@@ -192,26 +153,26 @@ func TestRunContextCancelBetweenTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.ExtendTo(context.Background(), 2, 1); err != nil {
+	if err := sess.ExtendTo(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	held := sess.Estimate()
 	ctx, cancel := context.WithCancel(context.Background())
 	landed := 0
 	sess.OnTrial(func(done int, _, _ float64) {
-		// Cancel as soon as the chunk's first trial lands; the remaining 61
-		// must not run to completion.
+		// Cancel as soon as the call's first trial lands; the remaining 61
+		// must not run.
 		landed++
 		cancel()
 	})
-	if err := sess.ExtendTo(ctx, 64, 1); !errors.Is(err, context.Canceled) {
+	if err := sess.ExtendTo(ctx, 64); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if landed != 1 {
 		t.Errorf("%d trials landed after the cancel, want only the first", landed)
 	}
 	if sess.Trials() != 2 || !reflect.DeepEqual(sess.Estimate(), held) {
-		t.Errorf("canceled chunk left %d trials, want the 2 held before it, unchanged", sess.Trials())
+		t.Errorf("canceled ExtendTo left %d trials, want the 2 held before it, unchanged", sess.Trials())
 	}
 	if _, err := RunContext(ctx, g, q, Options{Trials: 64}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext on a canceled ctx: err = %v, want context.Canceled", err)
@@ -219,23 +180,21 @@ func TestRunContextCancelBetweenTrials(t *testing.T) {
 }
 
 // TestRunProgressReporting: every trial reports exactly once through
-// Session.OnTrial, in done order, serial and parallel.
+// Session.OnTrial, in done order.
 func TestRunProgressReporting(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := gen.ErdosRenyi("er", 40, 160, rng)
 	q := query.MustByName("wiki")
-	for _, parallel := range []int{1, 4} {
-		sess, err := NewSession(g, q, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var dones []int // the callback is serialized by the session
-		sess.OnTrial(func(done int, _, _ float64) { dones = append(dones, done) })
-		if err := sess.ExtendTo(context.Background(), 6, parallel); err != nil {
-			t.Fatal(err)
-		}
-		if want := []int{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(dones, want) {
-			t.Errorf("parallel=%d: trials reported done = %v, want %v", parallel, dones, want)
-		}
+	sess, err := NewSession(g, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dones []int
+	sess.OnTrial(func(done int, _, _ float64) { dones = append(dones, done) })
+	if err := sess.ExtendTo(context.Background(), 6); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(dones, want) {
+		t.Errorf("trials reported done = %v, want %v", dones, want)
 	}
 }

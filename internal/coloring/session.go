@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -30,9 +28,15 @@ import (
 // Defaults of the adaptive stopping rule.
 const (
 	DefaultConfidence = 0.95
-	DefaultMinTrials  = 3
 	DefaultMaxTrials  = 1024
 )
+
+// firstStop is the earliest trial count at which a rule with a target may
+// fire. Stopping sooner stops on the streams whose spread happens to look
+// small: over 1000 seeds of TestErrorBarsHoldTheirLevel, a ±20%-at-90%
+// rule landed within 20% of glet1's exact count in 0.848 of them when it
+// could fire at 3 trials, and 0.878 at 8, against a bound of 0.872.
+const firstStop = 8
 
 // TrialMeasurement is the name under which each trial's wall time is
 // reported to a ctx-attached obs.Trace. It is an Observe (sink-only
@@ -57,6 +61,20 @@ type Precision struct {
 
 // Enabled reports whether a target is declared.
 func (p Precision) Enabled() bool { return p.RelErr > 0 }
+
+// relHalfWidth is the observed relative half-width of the confidence
+// interval over t trials of the given mean and sample variance:
+// q·s/(√t·mean), q the quantile of t trials. It is +Inf below two trials,
+// where there is no variance estimate, and at a zero mean, which meets no
+// relative target: an all-zero prefix says only that no trial has found a
+// match yet. The stopping rule, Estimate.RelCI and the library's
+// Session.Met all read the interval here.
+func (p Precision) relHalfWidth(t int, mean, variance float64) float64 {
+	if t < 2 || mean <= 0 {
+		return math.Inf(1)
+	}
+	return p.quantile(t) * math.Sqrt(variance/float64(t)) / mean
+}
 
 // quantile returns the two-sided quantile of the confidence level for an
 // interval over t ≥ 2 trials: the half-width of the CI is quantile·s/√t.
@@ -125,27 +143,22 @@ func within(x float64, nu int) float64 {
 }
 
 // Adaptive is the stopping rule of every run: it fires at the first trial
-// count in [MinTrials, MaxTrials] whose observed CI meets the Precision
-// target, and at MaxTrials regardless. With no target declared (Precision
-// not Enabled) it fires at MaxTrials and nowhere earlier — a fixed-trial
-// run.
+// count from firstStop on whose observed CI meets the Precision target, and
+// at MaxTrials regardless. With no target declared (Precision not Enabled)
+// it fires at MaxTrials and nowhere earlier — a fixed-trial run.
 type Adaptive struct {
 	Precision
-	// MinTrials is the earliest trial the rule may fire at (≤ 0 means
-	// DefaultMinTrials, clamped to ≥ 2 — below two trials there is no
-	// variance estimate).
-	MinTrials int
 	// MaxTrials caps the run (≤ 0 means DefaultMaxTrials, or DefaultTrials
 	// with no target declared).
 	MaxTrials int
 }
 
-func (a Adaptive) withDefaults() Adaptive {
-	if a.MinTrials <= 0 {
-		a.MinTrials = DefaultMinTrials
-	}
-	if a.MinTrials < 2 {
-		a.MinTrials = 2
+// WithDefaults returns the rule with its defaults filled in: the
+// confidence level (DefaultConfidence) and the cap. The rule reads them
+// the same way unfilled, so only a key built from the rule needs this.
+func (a Adaptive) WithDefaults() Adaptive {
+	if a.Confidence <= 0 {
+		a.Confidence = DefaultConfidence
 	}
 	if a.MaxTrials <= 0 {
 		a.MaxTrials = DefaultMaxTrials
@@ -153,23 +166,20 @@ func (a Adaptive) withDefaults() Adaptive {
 			a.MaxTrials = DefaultTrials
 		}
 	}
-	if a.MinTrials > a.MaxTrials {
-		a.MinTrials = a.MaxTrials
-	}
 	return a
 }
 
 // StopAt applies the stopping rule to a prefix of per-trial colorful
-// counts: it returns the first trial count t in [MinTrials, min(len,
-// MaxTrials)] at which q·s/√t ≤ RelErr·mean, q the quantile of t trials
-// (Precision.quantile) — a zero-variance prefix, the all-zero one included,
-// always qualifies; with no target declared nothing does — or MaxTrials
-// when the prefix already spans the cap. It is
-// a pure function of the count sequence, which is what makes runs
-// replayable: walking the rule over cached trials stops at exactly the
-// trial the original run stopped at.
+// counts: it returns the first trial count t in [firstStop, min(len,
+// MaxTrials)] at which the CI's relative half-width (relHalfWidth) is at
+// most RelErr — a zero-variance prefix with a nonzero mean always
+// qualifies, an all-zero one never does; with no target declared nothing
+// does — or MaxTrials when the prefix already spans the cap. It is a pure
+// function of the count sequence, which is what makes runs replayable:
+// walking the rule over cached trials stops at exactly the trial the
+// original run stopped at.
 func (a Adaptive) StopAt(counts []uint64) (int, bool) {
-	a = a.withDefaults()
+	a = a.WithDefaults()
 	n := min(len(counts), a.MaxTrials)
 	if !a.Enabled() {
 		n = 0 // no target to meet: only the cap below fires
@@ -180,11 +190,7 @@ func (a Adaptive) StopAt(counts []uint64) (int, bool) {
 		d := x - mean
 		mean += d / float64(t)
 		m2 += d * (x - mean)
-		if t < a.MinTrials {
-			continue
-		}
-		variance := m2 / float64(t-1)
-		if a.quantile(t)*math.Sqrt(variance/float64(t)) <= a.RelErr*mean {
+		if t >= firstStop && a.relHalfWidth(t, mean, m2/float64(t-1)) <= a.RelErr {
 			return t, true
 		}
 	}
@@ -198,20 +204,9 @@ func (a Adaptive) StopAt(counts []uint64) (int, bool) {
 // half-width at the given confidence level (≤ 0 means DefaultConfidence):
 // q·s/(√T·mean), q the quantile of T trials (Precision.quantile): the
 // quantity the adaptive stopping rule drives below RelErr. A single-trial
-// or zero-mean-with-spread estimate has no finite CI and reports +Inf; an
-// exactly-zero estimate (all counts zero) has a zero-width interval.
+// or zero-mean estimate has no finite relative CI and reports +Inf.
 func (e Estimate) RelCI(confidence float64) float64 {
-	if e.MeanColorful == 0 {
-		if e.Trials > 1 && e.VarColorful == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	if e.Trials < 2 {
-		return math.Inf(1)
-	}
-	q := Precision{Confidence: confidence}.quantile(e.Trials)
-	return q * math.Sqrt(e.VarColorful/float64(e.Trials)) / e.MeanColorful
+	return Precision{Confidence: confidence}.relHalfWidth(e.Trials, e.MeanColorful, e.VarColorful)
 }
 
 // Stream is the one source of colorings: a deterministic sequence drawn
@@ -284,10 +279,9 @@ func AccumulateStats(stats []core.Stats) core.Stats {
 
 // Session is the estimator: it runs deterministic coloring trials from a
 // seeded trial stream and snapshots the estimate at any prefix. However a
-// Session reaches T trials — one Next at a time, one ExtendTo at any
-// parallelism, preloaded from a cache and extended — its estimate at T is
-// the same, bit for bit. Sessions are not safe for concurrent use;
-// ExtendTo's internal workers are the one sanctioned concurrency.
+// Session reaches T trials — one Next at a time, one ExtendTo, preloaded
+// from a cache and extended — its estimate at T is the same, bit for bit.
+// Sessions are not safe for concurrent use.
 type Session struct {
 	g     *graph.Graph
 	q     *query.Graph
@@ -297,20 +291,15 @@ type Session struct {
 	stream    *Stream // lazily seeded and skipped to the next trial index
 	preloaded int     // trials seeded from a cache rather than computed here
 
-	counts []uint64
-	stats  []core.Stats
-
-	mu      sync.Mutex // guards the running tallies and onTrial during parallel chunks
-	done    int
-	sum     float64
-	sumsq   float64
+	counts  []uint64
+	stats   []core.Stats
 	onTrial func(done int, mean, cv float64)
 }
 
 // NewSession prepares an estimation of q in g. Only Seed and Core are read
-// from opts; Trials and Parallel belong to Run. The plan is resolved once
-// up front: trials share it, and the calibration behind the default
-// planner should not run concurrently per trial.
+// from opts; Trials belongs to Run. The plan is resolved once up front:
+// trials share it, and the calibration behind the default planner should
+// not run per trial.
 func NewSession(g *graph.Graph, q *query.Graph, opts Options) (*Session, error) {
 	copts := opts.Core
 	if copts.Plan == nil {
@@ -325,9 +314,8 @@ func NewSession(g *graph.Graph, q *query.Graph, opts Options) (*Session, error) 
 
 // OnTrial registers a callback fired after every trial that lands (and
 // once at Preload) with the session's trial count at that moment and the
-// running mean and CV over those trials. During a parallel ExtendTo the
-// callback is invoked from worker goroutines under the session's mutex —
-// serialized and in done order — so it must be cheap and must not call
+// running mean and CV over those trials. It runs on the goroutine that runs
+// the trials, between two of them, so it must be cheap and must not call
 // back into the session.
 func (s *Session) OnTrial(fn func(done int, mean, cv float64)) { s.onTrial = fn }
 
@@ -346,37 +334,31 @@ func (s *Session) Preload(counts []uint64, stats []core.Stats) error {
 	s.counts = counts
 	s.stats = stats
 	s.preloaded = len(counts)
-	s.resum()
-	if s.onTrial != nil && s.done > 0 {
+	if s.onTrial != nil && len(counts) > 0 {
 		mean, cv := s.tally()
-		s.onTrial(s.done, mean, cv)
+		s.onTrial(len(counts), mean, cv)
 	}
 	return nil
-}
-
-// resum recomputes the running tallies from the count prefix (after
-// Preload or a rolled-back chunk).
-func (s *Session) resum() {
-	s.done = len(s.counts)
-	s.sum, s.sumsq = 0, 0
-	for _, c := range s.counts {
-		f := float64(c)
-		s.sum += f
-		s.sumsq += f * f
-	}
 }
 
 // tally returns the running mean and CV of the landed trials. Telemetry
 // only: the Estimate's own statistics come from Assemble's two-pass
 // computation.
 func (s *Session) tally() (mean, cv float64) {
-	if s.done == 0 {
+	done := len(s.counts)
+	if done == 0 {
 		return 0, 0
 	}
-	n := float64(s.done)
-	mean = s.sum / n
-	if s.done > 1 && mean > 0 {
-		variance := (s.sumsq - n*mean*mean) / (n - 1)
+	var sum, sumsq float64
+	for _, c := range s.counts {
+		f := float64(c)
+		sum += f
+		sumsq += f * f
+	}
+	n := float64(done)
+	mean = sum / n
+	if done > 1 && mean > 0 {
+		variance := (sumsq - n*mean*mean) / (n - 1)
 		if variance > 0 {
 			cv = math.Sqrt(variance) / mean
 		}
@@ -384,28 +366,9 @@ func (s *Session) tally() (mean, cv float64) {
 	return mean, cv
 }
 
-// land records one computed trial's count in the tallies and fires the
-// callback. The callback runs under the session mutex — that is what
-// makes the "serialized, in done order" contract hold when parallel
-// ExtendTo workers land trials concurrently (done=5 must never be
-// published after done=6); it is also why OnTrial callbacks must be
-// cheap and must not call back into the session.
-func (s *Session) land(x uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.done++
-	f := float64(x)
-	s.sum += f
-	s.sumsq += f * f
-	if s.onTrial != nil {
-		mean, cv := s.tally()
-		s.onTrial(s.done, mean, cv)
-	}
-}
-
 // coloringAt returns trial i's coloring. Callers consume indexes
 // sequentially; the stream is (re)aligned by skipping when needed, so a
-// rolled-back chunk cannot desynchronize it.
+// rolled-back ExtendTo cannot desynchronize it.
 func (s *Session) coloringAt(i int) []uint8 {
 	if s.stream == nil || s.stream.Drawn() != i {
 		s.stream = NewStream(s.g.N(), s.q.K, s.seed)
@@ -448,119 +411,73 @@ func (s *Session) ComputedStats() core.Stats {
 // Next runs one more trial and returns its colorful count.
 func (s *Session) Next(ctx context.Context) (uint64, error) {
 	i := len(s.counts)
-	if err := s.ExtendTo(ctx, i+1, 1); err != nil {
+	if err := s.ExtendTo(ctx, i+1); err != nil {
 		return 0, err
 	}
 	return s.counts[i], nil
 }
 
-// ExtendTo advances the session to the given trial count, running up to
-// parallel trials concurrently (≤ 1 means serial); a session already at
-// or past it is a no-op. It is the one trial loop — the only caller of the
-// solver in this package. Results are bit-identical at any parallelism:
-// colorings are drawn sequentially up front and counts land at their
-// trial index. On error (including cancellation) the whole chunk is
-// rolled back and the session stays at its prior trial count.
-func (s *Session) ExtendTo(ctx context.Context, trials, parallel int) error {
+// ExtendTo advances the session to the given trial count, one trial after
+// another on the calling goroutine; a session already at or past it is a
+// no-op. It is the one trial loop — the only caller of the solver in this
+// package. On error (cancellation between or inside trials included) every
+// trial of the call is rolled back and the session stays at its prior
+// trial count.
+func (s *Session) ExtendTo(ctx context.Context, trials int) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := len(s.counts)
-	if trials <= start {
-		return nil
-	}
-	m := trials - start
-	colorings := make([][]uint8, m)
-	for j := range colorings {
-		colorings[j] = s.coloringAt(start + j)
-	}
-	s.counts = append(s.counts, make([]uint64, m)...)
-	s.stats = append(s.stats, make([]core.Stats, m)...)
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > m {
-		parallel = m
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-		next     atomic.Int64
-	)
-	wg.Add(parallel)
-	for w := 0; w < parallel; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= m {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				begin := time.Now()
-				cnt, st, err := core.CountColorfulContext(ctx, s.g, s.q, colorings[j], s.copts)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("coloring: trial %d: %w", start+j, err)
-					}
-					errMu.Unlock()
-					return
-				}
-				obs.FromContext(ctx).Observe(TrialMeasurement, time.Since(begin))
-				s.counts[start+j] = cnt
-				s.stats[start+j] = st
-				s.land(cnt)
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		s.counts = s.counts[:start]
-		s.stats = s.stats[:start]
-		s.resum()
-		return firstErr
+	for i := start; i < trials; i++ {
+		if err := s.trial(ctx, i); err != nil {
+			s.counts = s.counts[:start]
+			s.stats = s.stats[:start]
+			return err
+		}
 	}
 	return nil
 }
 
-// RunUntil advances the session until the stopping rule fires and returns
-// the stopping trial count — the prefix EstimateAt should snapshot. A rule
-// with a target is consulted after every chunk of max(parallel, 1) trials;
-// a chunk that overshoots the stopping trial leaves the extra trials in
-// the session (valid cached work) but the returned stop point is the
-// rule's, so the estimate matches a serial run exactly. A rule without one
-// can only fire at MaxTrials, so the run is a single chunk up to there.
-// A positive budget bounds the wall-clock time: once exceeded the session
-// stops at its current trial count (at least one chunk always runs);
-// budget stops are a time-based safety valve and are not replayable the
-// way rule stops are.
-func (s *Session) RunUntil(ctx context.Context, ad Adaptive, parallel int, budget time.Duration) (int, error) {
-	ad = ad.withDefaults()
-	var deadline time.Time
-	if budget > 0 {
-		deadline = time.Now().Add(budget)
+// trial runs trial i, the session's next, and lands its count and
+// stats; the callback hears of it.
+func (s *Session) trial(ctx context.Context, i int) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
+	colors := s.coloringAt(i)
+	begin := time.Now()
+	cnt, st, err := core.CountColorfulContext(ctx, s.g, s.q, colors, s.copts)
+	if err != nil {
+		return fmt.Errorf("coloring: trial %d: %w", i, err)
+	}
+	obs.FromContext(ctx).Observe(TrialMeasurement, time.Since(begin))
+	s.counts = append(s.counts, cnt)
+	s.stats = append(s.stats, st)
+	if s.onTrial != nil {
+		mean, cv := s.tally()
+		s.onTrial(len(s.counts), mean, cv)
+	}
+	return nil
+}
+
+// RunUntil advances the session one trial at a time until the stopping
+// rule fires and returns the stopping trial count — the prefix EstimateAt
+// should snapshot. A rule without a target can only fire at MaxTrials, so
+// that run is one ExtendTo up to there. The last two arguments are
+// ignored: they were a trial concurrency and a wall-clock budget, and
+// benchmark/serving.go still passes them — ROADMAP shrink (f) deletes
+// them with that call.
+func (s *Session) RunUntil(ctx context.Context, ad Adaptive, _ int, _ time.Duration) (int, error) {
+	ad = ad.WithDefaults()
 	for {
 		if stop, ok := ad.StopAt(s.counts); ok {
 			return stop, nil
 		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) && len(s.counts) > 0 {
-			return len(s.counts), nil
-		}
 		next := ad.MaxTrials
 		if ad.Enabled() {
-			next = min(len(s.counts)+max(parallel, 1), ad.MaxTrials)
+			next = len(s.counts) + 1
 		}
-		if err := s.ExtendTo(ctx, next, parallel); err != nil {
+		if err := s.ExtendTo(ctx, next); err != nil {
 			return 0, err
 		}
 	}

@@ -45,8 +45,8 @@ func sameEstimate(t *testing.T, label string, a, b Estimate) {
 
 // TestSessionMatchesBatch is the determinism invariant of the one trial
 // loop: however a run reaches T trials — Run, a Session advanced by Next T
-// times, one ExtendTo serial or parallel, RunUntil under a rule without a
-// target — the estimate at T is the same, bit for bit, on both backends.
+// times, one ExtendTo, RunUntil under a rule without a target — the
+// estimate at T is the same, bit for bit, on both backends.
 // (The library and service paths join this table in internal/service's
 // TestEstimateMatchesLibraryBitForBit.)
 func TestSessionMatchesBatch(t *testing.T) {
@@ -71,10 +71,9 @@ func TestSessionMatchesBatch(t *testing.T) {
 			}
 			sameEstimate(t, backend+"/Next", stepped.EstimateAt(T), want)
 			for name, advance := range map[string]func(*Session) error{
-				"ExtendTo/1": func(s *Session) error { return s.ExtendTo(ctx, T, 1) },
-				"ExtendTo/4": func(s *Session) error { return s.ExtendTo(ctx, T, 4) },
+				"ExtendTo": func(s *Session) error { return s.ExtendTo(ctx, T) },
 				"RunUntil": func(s *Session) error {
-					stop, err := s.RunUntil(ctx, Adaptive{MaxTrials: T}, 2, 0)
+					stop, err := s.RunUntil(ctx, Adaptive{MaxTrials: T}, 0, 0)
 					if err == nil && stop != T {
 						err = fmt.Errorf("a rule without a target stopped at %d, want %d", stop, T)
 					}
@@ -110,7 +109,7 @@ func TestSessionPreloadExtends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := first.ExtendTo(context.Background(), 3, 1); err != nil {
+	if err := first.ExtendTo(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
 	counts, stats := first.Run()
@@ -122,7 +121,7 @@ func TestSessionPreloadExtends(t *testing.T) {
 	if err := second.Preload(counts, stats); err != nil {
 		t.Fatal(err)
 	}
-	if err := second.ExtendTo(context.Background(), 8, 2); err != nil {
+	if err := second.ExtendTo(context.Background(), 8); err != nil {
 		t.Fatal(err)
 	}
 	if second.Computed() != 5 {
@@ -134,30 +133,6 @@ func TestSessionPreloadExtends(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameEstimate(t, "preload+extend vs cold", second.Estimate(), cold)
-}
-
-// TestSessionExtendParallelIdentical: ExtendTo at any parallelism is
-// bit-identical to serial.
-func TestSessionExtendParallelIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	g := gen.ErdosRenyi("er", 50, 200, rng)
-	q := query.Cycle(5)
-	opts := Options{Seed: 5}
-	serial, err := NewSession(g, q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := serial.ExtendTo(context.Background(), 9, 1); err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewSession(g, q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := par.ExtendTo(context.Background(), 9, 4); err != nil {
-		t.Fatal(err)
-	}
-	sameEstimate(t, "parallel extend", par.Estimate(), serial.Estimate())
 }
 
 // TestAdaptiveStopDeterminism: an adaptive run stops at some T, equals
@@ -174,12 +149,12 @@ func TestAdaptiveStopDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop, err := sess.RunUntil(context.Background(), ad, 1, 0)
+	stop, err := sess.RunUntil(context.Background(), ad, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stop < 2 || stop > 64 {
-		t.Fatalf("stop = %d outside [2,64]", stop)
+	if stop < firstStop || stop > 64 {
+		t.Fatalf("stop = %d outside [%d,64]", stop, firstStop)
 	}
 	adaptive := sess.EstimateAt(stop)
 
@@ -194,43 +169,35 @@ func TestAdaptiveStopDeterminism(t *testing.T) {
 	if again, ok := ad.StopAt(sess.Counts()); !ok || again != stop {
 		t.Errorf("replayed stop = %d/%v, want %d", again, ok, stop)
 	}
-
-	// A chunked (parallel) adaptive run may overshoot with extra trials
-	// but must return the same stop and estimate.
-	psess, err := NewSession(g, q, Options{Seed: 17, Core: core.Options{Workers: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pstop, err := psess.RunUntil(context.Background(), ad, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pstop != stop {
-		t.Fatalf("parallel adaptive stopped at %d, serial at %d", pstop, stop)
-	}
-	sameEstimate(t, "parallel adaptive", psess.EstimateAt(pstop), adaptive)
 }
 
 // TestStopAtRule covers the stopping rule's edges: too few trials, a
 // zero-variance prefix, the all-zero stream, the MaxTrials backstop, and
 // the rule with no target.
 func TestStopAtRule(t *testing.T) {
-	ad := Adaptive{Precision: Precision{RelErr: 0.1}, MinTrials: 3, MaxTrials: 8}
-	if _, ok := ad.StopAt([]uint64{5, 5}); ok {
-		t.Error("rule fired below MinTrials")
+	ad := Adaptive{Precision: Precision{RelErr: 0.1}, MaxTrials: 12}
+	fives := []uint64{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}
+	if stop, ok := ad.StopAt(fives[:firstStop-1]); ok {
+		t.Errorf("rule fired at %d, below its first stop %d", stop, firstStop)
 	}
-	if stop, ok := ad.StopAt([]uint64{5, 5, 5}); !ok || stop != 3 {
-		t.Errorf("zero-variance prefix: stop=%d ok=%v, want 3 true", stop, ok)
+	if stop, ok := ad.StopAt(fives[:firstStop]); !ok || stop != firstStop {
+		t.Errorf("zero-variance prefix: stop=%d ok=%v, want %d true", stop, ok, firstStop)
 	}
-	if stop, ok := ad.StopAt([]uint64{0, 0, 0}); !ok || stop != 3 {
-		t.Errorf("all-zero prefix: stop=%d ok=%v, want 3 true", stop, ok)
+	// A zero mean meets no relative target: an all-zero stream runs on to
+	// the cap.
+	zeros := make([]uint64, 12)
+	if stop, ok := ad.StopAt(zeros[:11]); ok {
+		t.Errorf("all-zero prefix below the cap: fired at %d", stop)
+	}
+	if stop, ok := ad.StopAt(zeros); !ok || stop != 12 {
+		t.Errorf("all-zero prefix at the cap: stop=%d ok=%v, want MaxTrials 12", stop, ok)
 	}
 	// Wildly spread counts never meet ±10%, so the cap decides.
-	spread := []uint64{1, 1000, 2, 2000, 3, 3000, 4, 4000}
-	if stop, ok := ad.StopAt(spread); !ok || stop != 8 {
-		t.Errorf("spread prefix: stop=%d ok=%v, want MaxTrials 8", stop, ok)
+	spread := []uint64{1, 1000, 2, 2000, 3, 3000, 4, 4000, 5, 5000, 6, 6000}
+	if stop, ok := ad.StopAt(spread); !ok || stop != 12 {
+		t.Errorf("spread prefix: stop=%d ok=%v, want MaxTrials 12", stop, ok)
 	}
-	if _, ok := ad.StopAt(spread[:5]); ok {
+	if _, ok := ad.StopAt(spread[:10]); ok {
 		t.Error("rule fired on a spread prefix below the cap")
 	}
 	// Tighter confidence needs more trials than looser at equal spread.
@@ -281,7 +248,7 @@ func TestAssembleMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.ExtendTo(context.Background(), 5, 1); err != nil {
+	if err := sess.ExtendTo(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	counts, stats := sess.Run()
@@ -294,8 +261,8 @@ func TestRelCI(t *testing.T) {
 	if ci := (Estimate{Trials: 1, MeanColorful: 5}).RelCI(0.95); !math.IsInf(ci, 1) {
 		t.Errorf("single trial RelCI = %v, want +Inf", ci)
 	}
-	if ci := (Estimate{Trials: 4, MeanColorful: 0, VarColorful: 0}).RelCI(0.95); ci != 0 {
-		t.Errorf("exact-zero estimate RelCI = %v, want 0", ci)
+	if ci := (Estimate{Trials: 4, MeanColorful: 0, VarColorful: 0}).RelCI(0.95); !math.IsInf(ci, 1) {
+		t.Errorf("all-zero estimate RelCI = %v, want +Inf: a zero mean meets no relative target", ci)
 	}
 	few := Estimate{Trials: 4, MeanColorful: 100, VarColorful: 400}
 	many := Estimate{Trials: 64, MeanColorful: 100, VarColorful: 400}
@@ -321,7 +288,7 @@ func TestSessionOnTrial(t *testing.T) {
 			maxDone = done
 		}
 	})
-	if err := sess.ExtendTo(context.Background(), 4, 1); err != nil {
+	if err := sess.ExtendTo(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 4 || maxDone != 4 {

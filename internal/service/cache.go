@@ -32,7 +32,6 @@ type Key struct {
 	// fixed-trial requests.
 	RelErr     float64
 	Confidence float64
-	MinTrials  int
 }
 
 // TrialKey identifies one seeded trial stream (durable.TrialKey). It is

@@ -80,8 +80,8 @@ func TestHealthz(t *testing.T) {
 
 // TestEstimateMatchesLibraryBitForBit is the end-to-end contract: there is
 // one estimator, so every way of asking for T trials at one seed — the
-// coloring layer's Run, a Session advanced by Next or by ExtendTo at any
-// parallelism, the library's Estimate with a fixed count or with a Spec
+// coloring layer's Run, a Session advanced by Next or by ExtendTo, the
+// library's Estimate with a fixed count or with a Spec
 // that stops at T, and the service's sync, cached, job and batch paths —
 // marshals to the same bytes.
 func TestEstimateMatchesLibraryBitForBit(t *testing.T) {
@@ -137,11 +137,8 @@ func TestEstimateMatchesLibraryBitForBit(t *testing.T) {
 				return nil
 			})
 		}},
-		{"Session.ExtendTo/1", func() []byte {
-			return session(func(s *coloring.Session) error { return s.ExtendTo(ctx, T, 1) })
-		}},
-		{"Session.ExtendTo/4", func() []byte {
-			return session(func(s *coloring.Session) error { return s.ExtendTo(ctx, T, 4) })
+		{"Session.ExtendTo", func() []byte {
+			return session(func(s *coloring.Session) error { return s.ExtendTo(ctx, T) })
 		}},
 		{"subgraph.Estimate/fixed", func() []byte {
 			return marshal(subgraph.Estimate(g, q, subgraph.EstimateOptions{Trials: T, Seed: seed, Workers: 4}))
@@ -149,7 +146,7 @@ func TestEstimateMatchesLibraryBitForBit(t *testing.T) {
 		{"subgraph.Estimate/spec", func() []byte {
 			// A target no T trials can meet: the rule stops at its cap.
 			spec := subgraph.Spec{Precision: subgraph.Precision{RelErr: 1e-9}, MaxTrials: T}
-			return marshal(subgraph.Estimate(g, q, subgraph.EstimateOptions{Seed: seed, Workers: 4, Spec: spec, Parallel: 3}))
+			return marshal(subgraph.Estimate(g, q, subgraph.EstimateOptions{Seed: seed, Workers: 4, Spec: spec}))
 		}},
 		{"service/sync", func() []byte { return served("/v1/estimate", body, http.StatusOK) }},
 		{"service/cached", func() []byte { return served("/v1/estimate", body, http.StatusOK) }},
@@ -366,6 +363,10 @@ func TestEstimateErrors(t *testing.T) {
 	post(t, ts, "/v1/estimate", `{"graph":"bench","query":"cycle2"}`, http.StatusBadRequest)
 	post(t, ts, "/v1/estimate", `{"graph":"bench","query":"cycle-3"}`, http.StatusBadRequest)
 	post(t, ts, "/v1/estimate", `{"graph":"bench","query":"path20"}`, http.StatusBadRequest)
+	// The trial loop is serial and the rule's first stop is fixed: the
+	// fields that once set them are unknown now, and refused as such.
+	post(t, ts, "/v1/estimate", `{"graph":"bench","query":"glet1","parallel":2}`, http.StatusBadRequest)
+	post(t, ts, "/v1/estimate", `{"graph":"bench","query":"glet1","precision":{"relErr":0.2,"minTrials":3}}`, http.StatusBadRequest)
 	// A per-query graph override inside a batch is a per-item error, not
 	// a silent recompute against the batch graph.
 	raw, _ := post(t, ts, "/v1/batch",

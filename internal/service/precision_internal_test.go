@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coloring"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/query"
@@ -72,7 +73,7 @@ func TestKeyCompatibilityShim(t *testing.T) {
 	if pkey.TrialKey() != got.TrialKey() {
 		t.Error("precision and legacy requests over one seed must share a TrialKey")
 	}
-	if pkey.RelErr != 0.1 || pkey.Confidence != 0.95 || pkey.MinTrials != 3 {
+	if pkey.RelErr != 0.1 || pkey.Confidence != 0.95 {
 		t.Errorf("normalized precision fields wrong in key: %+v", pkey)
 	}
 	if preq.Trials != svc.opts.MaxTrials {
@@ -98,13 +99,14 @@ func TestPrecisionNormalization(t *testing.T) {
 	if _, err := svc.normalize(EstimateRequest{Precision: &PrecisionSpec{RelErr: 0.2, MaxTrials: 101}}); err == nil {
 		t.Error("maxTrials beyond the server limit accepted")
 	}
-	// minTrials clamps to ≥ 2 and ≤ maxTrials.
-	req, err = svc.normalize(EstimateRequest{Precision: &PrecisionSpec{RelErr: 0.2, MinTrials: 1, MaxTrials: 10}})
-	if err != nil {
-		t.Fatal(err)
+	// A zero confidence takes the rule's default; outside (0,1) is refused.
+	if req.Precision.Confidence != coloring.DefaultConfidence {
+		t.Errorf("confidence = %g, want the rule's default %g", req.Precision.Confidence, coloring.DefaultConfidence)
 	}
-	if req.Precision.MinTrials != 2 {
-		t.Errorf("minTrials = %d, want clamped to 2", req.Precision.MinTrials)
+	for _, c := range []float64{-0.5, 1, 1.5} {
+		if _, err := svc.normalize(EstimateRequest{Precision: &PrecisionSpec{RelErr: 0.2, Confidence: c}}); err == nil {
+			t.Errorf("confidence %g accepted", c)
+		}
 	}
 	// Normalization must not mutate the caller's spec (batches share one).
 	shared := &PrecisionSpec{RelErr: 0.2}

@@ -244,7 +244,6 @@ func TestTrialKeySharing(t *testing.T) {
 	b.Trials = 64
 	b.RelErr = 0.1
 	b.Confidence = 0.95
-	b.MinTrials = 3
 	if a.TrialKey() != b.TrialKey() {
 		t.Error("fixed and precision requests over one stream must share a TrialKey")
 	}

@@ -40,9 +40,6 @@ type EstimateRequest struct {
 	// follows the graph, not this. Under "dist" the width is the worker
 	// processes, and Ranks is ignored.
 	Ranks int `json:"ranks,omitempty"`
-	// Parallel runs up to this many trials concurrently inside the job;
-	// results are bit-identical to serial (≤ 1 means serial).
-	Parallel int `json:"parallel,omitempty"`
 	// Priority orders queued jobs; higher runs first.
 	Priority int `json:"priority,omitempty"`
 	// TimeoutMS bounds the job, queue time included; 0 means the service
@@ -70,8 +67,6 @@ type PrecisionSpec struct {
 	RelErr float64 `json:"relErr"`
 	// Confidence is the two-sided confidence level in (0,1); 0 means 0.95.
 	Confidence float64 `json:"confidence,omitempty"`
-	// MinTrials is the earliest trial the rule may fire at (0 means 3).
-	MinTrials int `json:"minTrials,omitempty"`
 	// MaxTrials caps the adaptive run (0 means the request's trials, else
 	// the server's max-trials limit).
 	MaxTrials int `json:"maxTrials,omitempty"`
@@ -84,7 +79,6 @@ func (req EstimateRequest) rule() coloring.Adaptive {
 	ad := coloring.Adaptive{MaxTrials: req.Trials}
 	if p := req.Precision; p != nil {
 		ad.Precision = coloring.Precision{RelErr: p.RelErr, Confidence: p.Confidence}
-		ad.MinTrials = p.MinTrials
 	}
 	return ad
 }
@@ -160,17 +154,8 @@ func (s *Service) normalize(req EstimateRequest) (EstimateRequest, error) {
 		if np.RelErr <= 0 {
 			return req, fmt.Errorf("service: precision.relErr must be > 0 (got %g)", np.RelErr)
 		}
-		if np.Confidence == 0 {
-			np.Confidence = coloring.DefaultConfidence
-		}
-		if np.Confidence <= 0 || np.Confidence >= 1 {
+		if np.Confidence < 0 || np.Confidence >= 1 {
 			return req, fmt.Errorf("service: precision.confidence %g outside (0,1)", np.Confidence)
-		}
-		if np.MinTrials <= 0 {
-			np.MinTrials = coloring.DefaultMinTrials
-		}
-		if np.MinTrials < 2 {
-			np.MinTrials = 2
 		}
 		if np.MaxTrials <= 0 {
 			if req.Trials > 0 {
@@ -179,14 +164,14 @@ func (s *Service) normalize(req EstimateRequest) (EstimateRequest, error) {
 				np.MaxTrials = s.opts.MaxTrials
 			}
 		}
-		if np.MinTrials > np.MaxTrials {
-			np.MinTrials = np.MaxTrials
-		}
 		// The adaptive bound rides in Trials from here on: it is the
 		// worst-case trial count (sizing, limits, progress totals) and
 		// keys the request together with the precision fields.
 		req.Trials = np.MaxTrials
 		req.Precision = &np
+		// The rule's own default fills a zero confidence, so a request
+		// that names the default keys with one that leaves it out.
+		np.Confidence = req.rule().WithDefaults().Confidence
 	}
 	if req.Trials <= 0 {
 		req.Trials = s.opts.DefaultTrials
@@ -200,18 +185,8 @@ func (s *Service) normalize(req EstimateRequest) (EstimateRequest, error) {
 	if req.Ranks > s.opts.MaxRanks {
 		return req, fmt.Errorf("service: ranks %d exceeds server limit %d", req.Ranks, s.opts.MaxRanks)
 	}
-	// Parallel multiplies per-job memory (one simulated cluster per
-	// concurrent trial) without changing results, so clamp rather than
-	// reject: the request stays valid, the blast radius stays bounded.
-	if req.Parallel > maxParallelPerJob {
-		req.Parallel = maxParallelPerJob
-	}
 	return req, nil
 }
-
-// maxParallelPerJob caps intra-job trial concurrency; cross-job
-// concurrency is already bounded by the worker pool.
-const maxParallelPerJob = 16
 
 // resolved is one request after every check and lookup a submission
 // needs: normalized, its algorithm parsed, its query built, its graph
@@ -260,7 +235,6 @@ func (s *Service) resolve(req EstimateRequest) (resolved, error) {
 	if p := req.Precision; p != nil {
 		key.RelErr = p.RelErr
 		key.Confidence = p.Confidence
-		key.MinTrials = p.MinTrials
 	}
 	return resolved{req: req, alg: alg, q: q, h: h, key: key}, nil
 }

@@ -24,9 +24,9 @@ func FuzzRequestBody(f *testing.F) {
 	}
 	for _, req := range []EstimateRequest{
 		{Graph: "g", Query: "glet1", Trials: 3, Seed: 7},
-		{Graph: "g1", Query: "brain3", Algorithm: "PS", Backend: "parallel", Ranks: 2, Parallel: 4},
+		{Graph: "g1", Query: "brain3", Algorithm: "PS", Backend: "parallel", Ranks: 2},
 		{Graph: "g", QueryEdges: [][2]int{{0, 1}, {1, 2}, {2, 0}}, QueryName: "tri", Seed: -3},
-		{Graph: "g", Query: "cycle5", Precision: &PrecisionSpec{RelErr: 0.1, Confidence: 0.9, MinTrials: 2, MaxTrials: 32}},
+		{Graph: "g", Query: "cycle5", Precision: &PrecisionSpec{RelErr: 0.1, Confidence: 0.9, MaxTrials: 32}},
 		{Graph: "g", Query: "path4", Algorithm: "PSEven", TimeoutMS: 5, NoCache: true, Priority: 2},
 		{Graph: "missing", Query: "glet1"},
 	} {

@@ -421,7 +421,7 @@ func (s *Service) run(ctx context.Context, r resolved, onTrial func(done int, me
 			}
 		}
 	}
-	used, err := sess.RunUntil(ctx, req.rule(), req.Parallel, 0)
+	used, err := sess.RunUntil(ctx, req.rule(), 0, 0)
 	if err != nil {
 		return coloring.Estimate{}, err
 	}

@@ -19,10 +19,9 @@ type TracePhase struct {
 // TraceInfo is the wire form of GET /v1/jobs/{id}/trace: the phase
 // timeline one job recorded on its way through the stack — queue wait,
 // cache lookup/store, and one span per solver superstep (path joins,
-// cycle joins, table merges, per-vertex joins). Spans on a serial job
-// never nest, so the per-phase totals sum to at most WallMs; a job
-// running trials in parallel overlaps solver spans across workers, and
-// its totals measure aggregate worker time instead. Coalesced jobs share
+// cycle joins, table merges, per-vertex joins). A job runs its trials one
+// after another, so its spans never nest and the per-phase totals sum to
+// at most WallMs. Coalesced jobs share
 // their flight's trace; cache-replayed jobs carry a single cacheReplay
 // span. The span list is capped (DroppedSpans counts the overflow); the
 // phase aggregates stay exact past the cap.

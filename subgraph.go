@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"repro/internal/coloring"
 	"repro/internal/core"
@@ -161,29 +160,23 @@ type Precision = coloring.Precision
 // an imperative trial count: the estimator keeps running independent
 // colorings until the observed variance says the Precision target is met
 // (the per-coloring counts are i.i.d., so the needed trial count can be
-// decided while running), bounded by MinTrials/MaxTrials and optionally
-// by a wall-clock Budget.
+// decided while running), bounded by MaxTrials. The rule's first possible
+// stop is at 8 trials: stopping sooner stops on the streams whose spread
+// happens to look small.
 type Spec struct {
 	// Precision is the declared target; a zero RelErr disables the
 	// adaptive path and EstimateOptions.Trials applies as before.
 	Precision Precision
-	// MinTrials is the earliest trial the stopping rule may fire at
-	// (≤ 0 means 3; clamped to ≥ 2).
-	MinTrials int
 	// MaxTrials caps the adaptive run (≤ 0 means 1024).
 	MaxTrials int
-	// Budget, when positive, bounds the adaptive run's wall-clock time:
-	// once exceeded the estimate is snapshotted at the trials done so far
-	// (at least one). Budget stops are a time-based safety valve — unlike
-	// rule stops they are not reproducible across machines.
-	Budget time.Duration
 }
 
-// rule is the run's stopping rule: the Spec's bounds when it declares a
-// target, otherwise "exactly Trials" — a rule with no target fires at its
-// cap and nowhere earlier.
+// rule is the run's stopping rule: the Spec's target and cap when it
+// declares a target, otherwise "exactly Trials" — a rule with no target
+// fires at its cap and nowhere earlier. coloring.Adaptive fills in every
+// default.
 func (o EstimateOptions) rule() coloring.Adaptive {
-	ad := coloring.Adaptive{Precision: o.Spec.Precision, MinTrials: o.Spec.MinTrials, MaxTrials: o.Spec.MaxTrials}
+	ad := coloring.Adaptive{Precision: o.Spec.Precision, MaxTrials: o.Spec.MaxTrials}
 	if !ad.Enabled() {
 		ad.MaxTrials = o.Trials
 	}
@@ -214,9 +207,6 @@ type EstimateOptions struct {
 	Trials int
 	Seed   int64
 	Plan   *PlanTree
-	// Parallel runs up to this many trials concurrently; results are
-	// bit-identical to the serial run. ≤ 1 means serial.
-	Parallel int
 	// Spec, when its Precision is enabled, switches the run from "run
 	// Trials colorings" to "reach this precision": trials are added until
 	// the observed confidence interval meets the target (or Spec's
@@ -291,10 +281,11 @@ func (s *Session) Estimate() Estimation { return s.inner.Estimate() }
 // precision target: the observed confidence interval at p.Confidence has
 // half-width at most p.RelErr of the mean. Unlike the adaptive stopping
 // rule — which also fires at a MaxTrials cap so a bounded run always
-// resolves — Met never reports an unmet target as met.
+// resolves — Met never reports an unmet target as met. Fewer than two
+// trials, or a zero mean, meet no target: a loop on Met needs its own
+// trial bound.
 func (s *Session) Met(p Precision) bool {
-	est := s.inner.Estimate()
-	return est.Trials >= 2 && est.RelCI(p.Confidence) <= p.RelErr
+	return s.inner.Estimate().RelCI(p.Confidence) <= p.RelErr
 }
 
 // RunToSpec advances the session until the options' Spec is met (or its
@@ -313,7 +304,7 @@ func (s *Session) RunToSpec(ctx context.Context) (Estimation, error) {
 // run advances the session to its options' stopping rule and snapshots the
 // estimate there.
 func (s *Session) run(ctx context.Context) (Estimation, error) {
-	stop, err := s.inner.RunUntil(ctx, s.opts.rule(), s.opts.Parallel, s.opts.Spec.Budget)
+	stop, err := s.inner.RunUntil(ctx, s.opts.rule(), 0, 0)
 	if err != nil {
 		return Estimation{}, err
 	}
