@@ -91,9 +91,14 @@ var facts = []struct {
 		func() error { return count(where("", phaseProducer, "benchmark/"), 1) },
 	},
 	{
-		"the partner probe is called from pullJoin and streamJoin, once each",
-		"a root join finds an entry's one partner in one probe of its home vertex's partners table, in the streamed join and in the pulled one",
-		func() error { return same(callers("internal/core", "probe"), "pullJoin", "streamJoin") },
+		"a root cycle has one form",
+		"a root cycle is counted a start at a time (perStart): its walks are rows built, joined and dropped in a task's scratch, so the root join's two forms — a streamed walk table and a pulled last step — and the partner tables they probed stay deleted",
+		func() error {
+			return count(where("internal/core", func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				return ok && slices.Contains([]string{"pullJoin", "streamJoin", "partners", "indexPartners"}, id.Name)
+			}), 0)
+		},
 	},
 	{
 		"the lookups the partner probe replaced stay deleted",
@@ -104,10 +109,10 @@ var facts = []struct {
 	},
 	// One node step: a row × row product through one pair table.
 	{
-		"PairsOf is read only by nodeJoin's kernel",
-		"a node step (Figure 7's NodeJoin) is the product of two own rows through the colour-free pair table, in one kernel (combine) fed from a start-free walk's rows (freeNode's meet, which nodeJoin and the fused pullNode share) and from a walk's (U, XY) groups (nodeJoin); no other step combines two tables' counts that way",
+		"PairsOf is read only by the node steps' kernels",
+		"a node step (Figure 7's NodeJoin) is the product of two own rows through the colour-free pair table: in one kernel (combine) fed from a start-free walk's rows (freeNode's meet, which nodeJoin and the fused pullNode share) and from a walk's (U, XY) groups (nodeJoin), and in the per-start pass's node step (nodeStep), whose every product and sum is checked; no other step combines two tables' counts that way",
 		func() error {
-			if err := same(callers("", "PairsOf"), "freeNode", "nodeJoin"); err != nil {
+			if err := same(callers("", "PairsOf"), "freeNode", "nodeJoin", "nodeStep"); err != nil {
 				return fmt.Errorf("PairsOf: %v", err)
 			}
 			if err := same(callers("internal/core", "combine"), "meet", "nodeJoin"); err != nil {
@@ -128,9 +133,9 @@ var facts = []struct {
 		func() error { return count(methods("internal/engine", "Pull", "*Sharded"), 1) },
 	},
 	{
-		"pullEdge, pullNode and pullJoin each call Pull once",
-		"a start-free walk's data edge (pullEdge; a first edge too), that edge fused with the node step after it (pullNode), and a root cycle's join, which takes its streamed walk's last step itself, pull; no other step writes only its own shard from others'",
-		func() error { return same(callers("internal/core", "Pull"), "pullEdge", "pullJoin", "pullNode") },
+		"pullEdge and pullNode each call Pull once",
+		"a start-free walk's data edge (pullEdge; a first edge too) and that edge fused with the node step after it (pullNode) pull; no other step writes only its own shard from others'",
+		func() error { return same(callers("internal/core", "Pull"), "pullEdge", "pullNode") },
 	},
 	{
 		"initEdge and edgeJoin write no box row",

@@ -73,7 +73,7 @@ func BenchmarkNodeJoinInner(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fx.s.nodeJoin(fx.cur, pathStart{}, fx.ann, false).Release()
+			fx.s.nodeJoin(fx.cur, pathStart{}, fx.ann).Release()
 		}
 	})
 	b.Run("free", func(b *testing.B) {
@@ -81,7 +81,7 @@ func BenchmarkNodeJoinInner(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.nodeJoin(cur, pathStart{free: true}, ann, true).Release()
+			s.nodeJoin(cur, pathStart{free: true}, ann).Release()
 		}
 	})
 	b.Run("fused", func(b *testing.B) {
@@ -89,7 +89,7 @@ func BenchmarkNodeJoinInner(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.extend(cur, pathStart{free: true}, pathStep{nodeAnn: ann}, true).Release()
+			s.extend(cur, pathStart{free: true}, pathStep{nodeAnn: ann}).Release()
 		}
 	})
 }
@@ -133,7 +133,7 @@ func BenchmarkEdgeJoinInner(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.s.edgeJoin(fx.cur, pathStart{}, pathStep{}, false).Release()
+		fx.s.edgeJoin(fx.cur, pathStart{}, pathStep{}).Release()
 	}
 }
 

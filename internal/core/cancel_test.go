@@ -445,90 +445,3 @@ func TestCancelInsideSharedPrefix(t *testing.T) {
 		})
 	}
 }
-
-// A root join lays its partners tables in pooled words, and a worker that
-// stops mid-join must give them back with the rest. brain3 on the enron
-// stand-in at scale 64 — the benchmark's cycle10-3k — ends with its root
-// cycle's last join. The root's splits are first joined by hand, to check
-// that the last join lays a table: the walk it indexes has entries, so some
-// home vertex's partners table is not empty. Then, on sim and parallel
-// (parallel alone under -race), the context is armed at the end of the span
-// before that join, so the first poll that sees it is a join worker's, with
-// a table laid. The run must return ctx's error and no count, the join's
-// span must be the one the cancellation ended, and every slab must be back.
-func TestCancelThroughPartnerTables(t *testing.T) {
-	g, ok := gen.StandinByName("enron", 64, 1)
-	if !ok {
-		t.Fatal("no enron stand-in")
-	}
-	q := query.MustByName("brain3")
-	colors := randColors(g.N(), q.K, rand.New(rand.NewSource(1)))
-	plan, err := PickPlan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spans []string
-	s := tracedSolver(t, context.Background(), "parallel", 2, g, colors, q.K, func(_ *solver, phase string) {
-		spans = append(spans, phase)
-	})
-	s.run(plan, 0, nil)
-	last := len(spans)
-	if spans[last-1] != PhaseCycleJoin {
-		t.Fatalf("spans %v; want a run that ends with a join", spans)
-	}
-	// The root's splits joined by hand, the last one's index sized first.
-	s = tracedSolver(t, context.Background(), "parallel", 2, g, colors, q.K, func(*solver, string) {})
-	root := s.solveBelowRoot(plan)
-	splits, partial := s.splits(root), make([]uint64, s.be.P())
-	for _, sp := range splits[:len(splits)-1] {
-		s.joinSplit(root, sp, nil, partial)
-	}
-	_, index, _ := splits[len(splits)-1].sides(true)
-	s.buildPath(index, false)
-	laid := 0
-	for w := 0; w < s.be.P(); w++ {
-		lo, hi := s.be.Range(w)
-		ix := indexPartners(lo, hi, index.table.Shard(w).Ents())
-		for v := lo; v < hi; v++ {
-			if len(ix.of(v)) > 0 {
-				laid++
-			}
-		}
-		ix.release()
-	}
-	s.joinSplit(root, splits[len(splits)-1], nil, partial)
-	s.walks.release()
-	if laid == 0 {
-		t.Fatal("the root's last join lays no partners table")
-	}
-
-	backends := []string{"sim", "parallel"}
-	if raceEnabled {
-		backends = backends[1:]
-	}
-	for _, backend := range backends {
-		held := table.SlabsOut()
-		ctx := &armedCancel{}
-		ctx.Context, ctx.cancel = context.WithCancel(context.Background())
-		tr := obs.NewTrace(t.Name())
-		n, canceledAt := 0, ""
-		tr.SetSink(func(phase string, _ float64) {
-			if n++; n == last-1 {
-				ctx.armed.Store(true)
-			}
-			if canceledAt == "" && ctx.Context.Err() != nil {
-				canceledAt = phase
-			}
-		})
-		got, _, err := CountColorfulContext(obs.WithTrace(ctx, tr), g, q, colors, Options{Backend: backend, Workers: 2, Plan: plan})
-		if !errors.Is(err, context.Canceled) || got != 0 {
-			t.Fatalf("%s: canceled in the root join, the run returned %d and %v", backend, got, err)
-		}
-		if n != last || canceledAt != PhaseCycleJoin {
-			t.Fatalf("%s: %d spans of %d, the cancellation seen at the end of %q; want the last join canceled", backend, n, last, canceledAt)
-		}
-		if left := table.SlabsOut() - held; left != 0 {
-			t.Fatalf("%s: canceled in the root join, the run kept %d slabs", backend, left)
-		}
-	}
-}

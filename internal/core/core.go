@@ -92,12 +92,12 @@ type Options struct {
 // metric (projection-function operations, Figure 11), communication volume,
 // and table pressure. An operation of the load is a pair of entries a join
 // examines — except in a root cycle's join, whose signature match is one
-// lookup per entry of the walk table it streams (joinSplit): there it is an
-// entry streamed, unfolded duplicates included — or, where the join takes
-// the walk's last step itself (pullJoin), the same entry extended. That
-// streamed table is never compacted, or never built, and TableEntries
-// counts the tables the solver compacts as they are built: it is counted
-// in the load only. So are a leaf block's tables,
+// lookup per entry of one walk's table: there it is an entry of that walk,
+// or, where its last step appended its entries unfolded, an entry appended.
+// A root cycle builds no walk table (perStart): it charges, start by start,
+// what building and joining its walks' tables charged, and TableEntries,
+// which counts the tables the solver compacts as they are built, leaves
+// them out. So are a leaf block's tables,
 // every one of which is read as it lies — its walk's, and its output, whose
 // boxes move into the walk its parent starts there, or whose rows a nodeJoin
 // or the per-vertex fold reads, or whose cells the root's Total sums — and
@@ -109,7 +109,7 @@ type Stats struct {
 	MaxLoad      int64
 	AvgLoad      float64
 	TotalLoad    int64
-	Messages     int64 // sim: every appended entry plus every row — or, in a pulled root join, every run of the walk's prefix — a pull reads from another partition (two units: engine.Backend.Messages); dist: entries sent to another process; parallel: 0
+	Messages     int64 // sim: every appended entry plus every row a pull reads from another partition (two units: engine.Backend.Messages); dist: entries sent to another process, a root cycle's replicated child tables included; parallel: 0
 	Steals       int64 // stolen partition tasks; always 0 for sim and dist
 	Supersteps   int64 // supersteps executed; identical across backends
 	TableEntries int64 // distinct entries of the projection tables compacted as they were built
@@ -277,23 +277,20 @@ func validate(g *graph.Graph, q *query.Graph, colors []uint8, plan *decomp.Tree)
 // solver carries the per-run state: the block result tables and the cached
 // CSR groupings of child tables used by joins.
 type solver struct {
-	ctx     context.Context
-	tr      *obs.Trace  // nil when the run carries no trace; all methods tolerate nil
-	stop    atomic.Bool // latched ctx cancellation, visible to every worker
-	g       *graph.Graph
-	colors  []uint8
-	k       int // colours: the query's node count
-	be      engine.Backend
-	alg     Algorithm
-	tables  map[*decomp.Block]*engine.Sharded
-	grouped map[groupKey]*engine.Sharded // binary children homed at their "from" ends (groupBinary)
-	walks   walkTrie                     // the walks of the block being solved (path.go)
-	entries int64
-	deg     uint64 // the graph's largest degree: the most terms a data-edge step sums
-	// partials bounds what the root cycle's joins have added to the count
-	// so far (overflow.go).
-	partials uint64
-	overflow error // ErrCountOverflow, wrapped, once a step's bound failed
+	ctx      context.Context
+	tr       *obs.Trace  // nil when the run carries no trace; all methods tolerate nil
+	stop     atomic.Bool // latched ctx cancellation, visible to every worker
+	g        *graph.Graph
+	colors   []uint8
+	k        int // colours: the query's node count
+	be       engine.Backend
+	alg      Algorithm
+	tables   map[*decomp.Block]*engine.Sharded
+	grouped  map[groupKey]*engine.Sharded // binary children homed at their "from" ends (groupBinary)
+	walks    walkTrie                     // the walks of the block being solved (path.go)
+	entries  int64
+	deg      uint64 // the graph's largest degree: the most terms a data-edge step sums
+	overflow error  // ErrCountOverflow, wrapped, once a step's bound or a checked sum failed
 }
 
 // newSolver assembles the per-run solver state over a ready backend, for a
@@ -383,12 +380,11 @@ func (s *solver) track(t *engine.Sharded) *engine.Sharded {
 	return t
 }
 
-// finish is track for a walk's table, which a root cycle's join or a
-// start-free walk's reader may want pending (buildPath): left as its
-// superstep's adds lie — chunks or open boxes, not compacted here, so not
-// counted in the stats' table entries, which are entries of the tables
-// track compacts. Its entries are counted once, in the load of the join
-// that reads them.
+// finish is track for a walk's table, which a start-free walk's reader
+// wants pending (buildPath): left as its superstep's adds lie — chunks or
+// open boxes, not compacted here, so not counted in the stats' table
+// entries, which are entries of the tables track compacts. Its entries are
+// counted once, in the load of the step that reads them.
 func (s *solver) finish(t *engine.Sharded, pend bool) *engine.Sharded {
 	if pend {
 		return t

@@ -296,7 +296,7 @@ func TestChildTableSurvivesItsParentsWalks(t *testing.T) {
 				}
 				out := engine.NewSharded(be)
 				for i, sp := range s.splits(b) {
-					if !s.joinSplit(b, sp, out, make([]uint64, be.P())) {
+					if !s.joinSplit(sp, out) {
 						t.Fatal("an uncanceled run failed to build a walk")
 					}
 					for _, c := range b.Children {

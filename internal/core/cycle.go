@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/decomp"
 	"repro/internal/engine"
@@ -24,7 +23,9 @@ import (
 // The splits' 2L walks go into the block's walk trie (path.go) before the
 // first is built, so Equation 1 is evaluated with every distinct walk built
 // once; and the terms of a root cycle's sum that join the same two walks
-// are equal, so one is joined and counted as many times as it occurs.
+// are equal, so one is joined and counted as many times as it occurs. A
+// root cycle builds no walk table at all: its count is a sum over the
+// splits' start, and one pass counts it a start at a time (perstart.go).
 
 // bndLoc says where a boundary node's mapped vertex is found after the
 // final join of one split.
@@ -55,52 +56,35 @@ func (s *solver) solveCycle(b *decomp.Block) *engine.Sharded {
 	} else {
 		out = engine.NewSharded(s.be)
 	}
-	s.joinSplits(b, out, nil)
-	return s.track(out)
-}
-
-// joinSplits joins b's splits in turn, into out or partial as joinSplit
-// does. A canceled run stops at the split whose walks could not be built.
-func (s *solver) joinSplits(b *decomp.Block, out *engine.Sharded, partial []uint64) {
 	for _, sp := range s.splits(b) {
-		if !s.joinSplit(b, sp, out, partial) {
-			break
+		if !s.joinSplit(sp, out) {
+			break // canceled: the split's walks could not be built
 		}
 	}
 	s.walks.release()
+	return s.track(out)
 }
 
-// sides says which of a split's walks its join streams and which it indexes,
-// and whether the streamed one's table may be left pending — built by its
-// last superstep and never compacted, or, where that step is a plain data
-// edge and the backend can pull, never built: the join takes the step
-// itself (joinSplit). It may in a root block, whose join makes a number, if
-// this join is all that is still to read it: the walk's table is not built
-// yet, no other walk extends it and no other split joins it (one use left),
-// and it has a step to be built by. If exactly one walk may pend, it
-// streams; if both may or neither, the one with more steps — the larger
-// table, as a rule: the index then is the smaller — and of two equally long
-// ones P−. The trie decides, nothing else: there is no option.
-func (sp split) sides(root bool) (stream, index *walk, pend bool) {
-	mayPend := func(n *walk) bool { return root && n.uses == 1 && n.table == nil && n.parent != nil }
-	stream, index = sp.minus, sp.plus
-	if p, m := mayPend(sp.plus), mayPend(sp.minus); p && !m || p == m && sp.plus.steps() > sp.minus.steps() {
-		stream, index = sp.plus, sp.minus
+// sides says which of a split's walks its join walks in order and which it
+// keeps a cursor into: the one with more steps — the larger table, as a
+// rule — and of two equally long ones P−. The trie decides, nothing else:
+// there is no option.
+func (sp split) sides() (stream, index *walk) {
+	if sp.plus.steps() > sp.minus.steps() {
+		return sp.plus, sp.minus
 	}
-	return stream, index, mayPend(stream)
+	return sp.minus, sp.plus
 }
 
 // solveRootCycle computes the total colorful-match count of a root cycle
-// block (no boundary nodes, §5.2 end).
-func (s *solver) solveRootCycle(b *decomp.Block) uint64 {
-	partial := make([]uint64, s.be.P())
-	s.partials = 0
-	s.joinSplits(b, nil, partial)
-	var total uint64
-	for _, p := range partial {
-		total += p
-	}
-	return total
+// block (no boundary nodes, §5.2 end), a start at a time (perStart).
+func (s *solver) solveRootCycle(b *decomp.Block) uint64 { return s.perStart(b) }
+
+// cycleJoin runs a cycle block's join in its span: a boundary split's merge
+// or a root block's per-start pass.
+func (s *solver) cycleJoin(join func()) {
+	defer s.tr.Start(PhaseCycleJoin)()
+	join()
 }
 
 // solveLeaf computes the unary projection table of a leaf-edge block
@@ -120,7 +104,7 @@ func (s *solver) solveLeaf(b *decomp.Block) *engine.Sharded {
 	defer s.walks.release()
 	walk := s.walks.add(pathStart{startAnn: b.NodeAnn[1], free: true}, step)
 	out := engine.NewMatrix(s.be, s.k, s.colors, false)
-	if !s.buildPath(walk, true) {
+	if !s.buildPath(walk) {
 		return out
 	}
 	// Project (π(a), α) out of the walk's keys: local, entries live at
@@ -278,83 +262,29 @@ func (s *solver) makeSplit(b *decomp.Block, start, end int, ordered bool) split 
 	return split{plus: layWalk(+1, true), minus: layWalk(-1, false), locs: locs, times: 1}
 }
 
-// joinSplit builds the P+ and P− tables of one split — the one the join
-// indexes first, the one it streams last, left pending if it may be (sides)
-// — and joins them (Figure 4/6 Procedure 2): entries agree on (U,V),
-// signatures must intersect exactly in {χ(U), χ(V)}, and products are
-// emitted keyed by the block's boundary mappings — into out for
-// 1/2-boundary blocks (boundaryJoin), or summed into partial for a root
-// cycle. Both tables are homed at the owner of V, so the join itself is
-// local; only the output entries travel. It reports false, having joined
-// nothing, if the run was canceled before both tables were built.
-//
-// A root walk that may pend and whose last step is a plain data edge out of
-// a built prefix is not built at all where the backend can pull (pullJoin):
-// the join takes that step itself, reading the prefix where it lies, and
-// the largest table of the trial — the one it would stream — never exists.
-// Its prefix's extension use ends with the join, so the prefix is released
-// then, not at the block's end. Everywhere else — a process that does not
-// hold every partition (dist), a last step over an annotated edge or onto
-// an annotated node — the walk is built, pending, and streamed against the
-// other's partners tables (streamJoin). The join's span opens once, around
-// the form that runs.
-func (s *solver) joinSplit(b *decomp.Block, sp split, out *engine.Sharded, partial []uint64) bool {
-	stream, index, pend := sp.sides(len(b.Boundary) == 0)
-	// A process that does not hold every partition (a dist rank of two or
-	// more, or the coordinator) cannot pull: it builds and streams the walk
-	// without laying the pull's run index first.
-	lo, hi := s.be.Owned()
-	pull := pend && stream.pulls() && lo == 0 && int(hi) == s.g.N()
-	built := stream
-	if pull {
-		built = stream.parent // the join takes the walk's last step
-	}
-	if !s.buildPath(index, false) || !s.buildPath(built, pend && !pull) || !s.joinFits(b, sp, stream, index, pull, out) {
+// joinSplit builds the P+ and P− tables of one split of a block with
+// boundary nodes and joins them (Figure 4/6 Procedure 2): entries agree on
+// (U,V), signatures must intersect exactly in {χ(U), χ(V)}, and products
+// are emitted into out keyed by the block's boundary mappings
+// (boundaryJoin). Both tables are homed at the owner of V, so the join
+// itself is local; only the output entries travel. It reports false, having
+// joined nothing, if the run was canceled before both tables were built.
+func (s *solver) joinSplit(sp split, out *engine.Sharded) bool {
+	stream, index := sp.sides()
+	if !s.buildPath(index) || !s.buildPath(stream) || !s.joinFits(sp, stream, index, out) {
 		return false
 	}
 	defer sp.plus.done()
 	defer sp.minus.done()
-	begin := time.Now()
-	pulled := pull && s.pullJoin(stream, index, partial, sp.times)
-	if pull && !pulled {
-		// The Pull ran nothing: the step is built after all, in its own
-		// span, and the join's begins after it.
-		if !s.buildPath(stream, true) {
-			return false
-		}
-		begin = time.Now()
-	}
-	if pulled {
-		defer stream.parent.done() // the extension the join took
-	} else if len(b.Boundary) == 0 {
-		s.streamJoin(stream, index, partial, sp.times)
-	} else {
-		s.boundaryJoin(sp, stream, index, out)
-	}
-	s.tr.Add(PhaseCycleJoin, begin, time.Now())
+	s.cycleJoin(func() { s.boundaryJoin(sp, stream, index, out) })
 	return true
 }
 
-// joinFits checks the split's join before it runs. A root join adds to the
-// count, for each entry it streams — or, pulling, for each entry of the
-// walk's parent and each neighbour it is extended to — one product of two
-// counts, times the split's multiplicity: its bound adds to the bound of
-// what the block's joins added before it. A boundary join's output cell
-// sums one product for every vertex of U and of V that is no boundary
-// node's mapping and every split of its signature meeting at their
-// colours, and the block's splits add into out.
-func (s *solver) joinFits(b *decomp.Block, sp split, stream, index *walk, pull bool, out *engine.Sharded) bool {
-	if len(b.Boundary) == 0 {
-		src, reach := stream.table, uint64(1)
-		if pull {
-			src, reach = stream.parent.table, s.deg
-		}
-		bound, ok := s.fits("the root join", reach, lying(src, s.be.P()), src.Max, index.table.Max, sp.times)
-		if ok {
-			s.partials, ok = s.add("the root join", s.partials, bound)
-		}
-		return ok
-	}
+// joinFits checks the split's join before it runs. A boundary join's output
+// cell sums one product for every vertex of U and of V that is no boundary
+// node's mapping and every split of its signature meeting at their colours,
+// and the block's splits add into out.
+func (s *solver) joinFits(sp split, stream, index *walk, out *engine.Sharded) bool {
 	factors := []uint64{stream.table.Max, index.table.Max}
 	for _, end := range []bndLoc{locStart, locEnd} {
 		if !slices.Contains(sp.locs, end) {
@@ -367,57 +297,6 @@ func (s *solver) joinFits(b *decomp.Block, sp split, stream, index *walk, pull b
 		out.Max, ok = s.add("boundaryJoin", out.Max, bound)
 	}
 	return ok
-}
-
-// pulls says whether the walk's last step can be taken inside a root join:
-// a plain data edge, out of a prefix that has a table (not a bare start).
-func (n *walk) pulls() bool {
-	p := n.parent
-	return n.step.edgeAnn == nil && n.step.nodeAnn == nil && (p.parent != nil || p.startAnn != nil)
-}
-
-// streamJoin is a root join with both walks built: each partition takes the
-// chunks of stream's shard as they lie (table.Flat.Chunks) and finds each
-// entry's one partner (partners has why there is one) in one probe of the
-// partners tables of index's shard (indexPartners), laid at the first chunk
-// — never where nothing is streamed. A pending table arrives as its
-// superstep appended it, duplicates unfolded, which a sum cannot tell from
-// folded — Σ c·c′ distributes — so it is read once, here, and never sorted.
-// An operation of the load is an entry streamed.
-func (s *solver) streamJoin(stream, index *walk, partial []uint64, times uint64) {
-	full := sig.Full(s.k)
-	s.be.Run(func(w int) {
-		var load int64
-		var poll int
-		var sum uint64
-		var pt partnerIdx
-		vu, need := ^uint64(0), sig.Sig(0) // (None, None) is no entry's pair
-		laid, stopped := false, false
-		stream.table.Shard(w).Chunks(func(chunk []table.Ent) {
-			if stopped {
-				return
-			}
-			if !laid {
-				laid = true
-				lo, hi := s.be.Range(w)
-				pt = indexPartners(lo, hi, index.table.Shard(w).Ents())
-			}
-			for i := range chunk {
-				k := &chunk[i]
-				if k.VU != vu {
-					vu, need = k.VU, s.colorOf(k.U()).Union(s.colorOf(k.V()))
-				}
-				load++
-				if stopped = s.canceled(&poll); stopped {
-					return
-				}
-				sum += k.C * pt.of(k.V()).probe(k.U(), full.Without(k.S).Union(need))
-			}
-		})
-		pt.release()
-		s.be.AddLoad(w, load)
-		partial[w] += sum * times
-	})
 }
 
 // boundaryJoin is the join of a block with boundary nodes: an entry's
@@ -483,113 +362,6 @@ func meetGroup(to *engine.Lanes, locs []bndLoc, streamPlus bool, k *table.Ent, g
 		}
 	}
 }
-
-// pullJoin is a root join whose streamed walk is never built: one
-// Backend.Pull superstep with no output table, in which the owner of each V,
-// for each neighbour x of V, reads x's run of the walk's parent where it
-// lies (runIdx), extends each entry to V as edgeJoin's push form would —
-// the same order and colour filters — and probes for its partner at once.
-// V's partners table (partners has why one probe finds the partner) is
-// laid from V's run of the other walk's shard when the first non-empty
-// neighbour run of V is reached, into one run of pooled words that the task
-// reuses for every V and grows when a V needs more. The load is the push
-// form's, step for step: each partition charges its own parent runs ×
-// degree, as the edge step did, and one per entry extended, as the join
-// did; a run read from another partition is a message. It reports false,
-// having read nothing, where the backend cannot pull.
-func (s *solver) pullJoin(stream, index *walk, partial []uint64, times uint64) bool {
-	parent, ordered, full := stream.parent.table, stream.ordered, sig.Full(s.k)
-	runs := s.indexRuns(parent)
-	defer runs.release()
-	return s.be.Pull(nil, parent, func(w int, _ *table.Flat, from *engine.Lanes) (sent int) {
-		var load int64
-		var poll int
-		var sum uint64
-		var scratch table.Scratch
-		defer scratch.Return() // what it holds at the end, grown or not
-		lo, hi := s.be.Range(w)
-		ents, e := index.table.Shard(w).Ents(), 0
-	scan:
-		for v := lo; v < hi; v++ {
-			nbrs := s.g.Neighbors(v)
-			load += int64(len(runs.of(v, w)) * len(nbrs))
-			cv, rank := s.colorOf(v), s.g.Rank(v)
-			b := e
-			e = runEnd(ents, b, v)
-			var pt partners
-			for _, x := range nbrs {
-				run := runs.of(x, from.Owner(x))
-				if s.canceledAfter(&poll, len(run)) {
-					break scan
-				}
-				if len(run) == 0 {
-					continue
-				}
-				if x < lo || x >= hi {
-					sent++
-				}
-				if pt == nil {
-					size := partnerWords(e - b)
-					if size > len(scratch.Words) {
-						scratch.Return()
-						scratch = table.BorrowWords(size)
-					}
-					pt = scratch.Words[:size]
-					pt.lay(ents[b:e])
-				}
-				for i := range run {
-					k := &run[i]
-					if !k.S.Disjoint(cv) || ordered && s.g.Rank(k.U()) <= rank {
-						continue
-					}
-					load++
-					// The entry extended is (V, U, S ∪ χ(V)), and Full ∖ S
-					// holds χ(V): its partner's signature is (Full ∖ S) ∪ χ(U).
-					sum += k.C * pt.probe(k.U(), full.Without(k.S).Union(s.colorOf(k.U())))
-				}
-			}
-		}
-		s.be.AddLoad(w, load)
-		partial[w] += sum * times
-		return sent
-	})
-}
-
-// runIdx finds any vertex's run in a compacted walk table: x's entries, x in
-// partition w, are ents[w][at[x+w] : at[x+w+1]] — partition w's offsets
-// are its vertices' and one past its last. The offsets are one run of
-// pooled words, laid by every partition for its own vertices in one Run,
-// and given back by release.
-type runIdx struct {
-	ents [][]table.Ent
-	at   table.Scratch
-}
-
-func (s *solver) indexRuns(t *engine.Sharded) runIdx {
-	r := runIdx{ents: make([][]table.Ent, s.be.P()), at: table.BorrowWords(s.g.N() + s.be.P())}
-	s.be.Run(func(w int) {
-		ents := t.Shard(w).Ents()
-		lo, hi := s.be.Range(w)
-		at, j := r.at.Words[int(lo)+w:int(hi)+w+1], 0
-		for v := lo; v < hi; v++ {
-			at[v-lo] = uint64(j)
-			for j < len(ents) && ents[j].V() == v {
-				j++
-			}
-		}
-		at[hi-lo] = uint64(j)
-		r.ents[w] = ents
-	})
-	return r
-}
-
-// of returns the run of x, a vertex of partition w.
-func (r *runIdx) of(x uint32, w int) []table.Ent {
-	i := int(x) + w
-	return r.ents[w][r.at.Words[i]:r.at.Words[i+1]]
-}
-
-func (r *runIdx) release() { r.at.Return() }
 
 // vertexAt extracts a boundary node's mapped vertex from the joined pair of
 // flat entries according to its resolved location.

@@ -123,7 +123,7 @@ func TestNodeJoinFeedsMatchEntryPairs(t *testing.T) {
 					s.tables[ann] = child
 					var out *engine.Sharded
 					if feed == "fused" {
-						out = s.extend(cur, pathStart{free: true}, pathStep{nodeAnn: ann}, true)
+						out = s.extend(cur, pathStart{free: true}, pathStep{nodeAnn: ann})
 						switch {
 						case be.fused:
 							seen["fused: one pulled step"] = true
@@ -133,7 +133,7 @@ func TestNodeJoinFeedsMatchEntryPairs(t *testing.T) {
 							seen["fused: the edge pushed, then joined"] = true
 						}
 					} else {
-						out = s.nodeJoin(cur, pathStart{free: free}, ann, free)
+						out = s.nodeJoin(cur, pathStart{free: free}, ann)
 					}
 					got, wrote := map[key]uint64{}, feed
 					if feed == "fused" && be.fused {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/engine"
-	"repro/internal/table"
 )
 
 // Counts are uint64, and the joins multiply and the pulls sum them with no
@@ -113,14 +112,4 @@ func sigSize(t *engine.Sharded, parts int) int {
 		}
 	}
 	return 0
-}
-
-// lying counts t's entries as they lie, duplicates unfolded, without
-// compacting anything: the entries a root join streams.
-func lying(t *engine.Sharded, parts int) uint64 {
-	var n uint64
-	for w := 0; w < parts; w++ {
-		t.Shard(w).Chunks(func(ents []table.Ent) { n += uint64(len(ents)) })
-	}
-	return n
 }

@@ -53,13 +53,10 @@ import (
 // partition. It pushes where a source shard is not an open box (one over
 // boxCap) or the process does not hold every partition (dist).
 //
-// A root cycle's join pulls too (pullJoin, cycle.go): where the walk it
-// would stream ends in a plain data edge, the walk is never built — the
-// join reads the walk's prefix a vertex's run at a time, extends each entry
-// across the edge as edgeJoin would and finds its one partner at once, in
-// one probe of the home vertex's partners table, which lives here. A join
-// with boundary nodes needs no index: its two walks are built sorted, and it
-// merges them (boundaryJoin).
+// Only blocks with boundary nodes and leaf blocks build walk tables here. A
+// root cycle's walks are built a start at a time, as rows, by the per-start
+// pass (perstart.go), over the same trie; a join with boundary nodes merges
+// its two walks' sorted tables (boundaryJoin).
 
 // pathStep extends the walk by one cycle node.
 type pathStep struct {
@@ -160,16 +157,11 @@ func (t walkTrie) release() {
 // buildPath makes sure the walk's table exists, building the prefixes of it
 // that no earlier walk of the block left behind. It reports false when the
 // run is canceled: a table whose build saw the cancellation is partial, so
-// it is released on the spot, never stored for another walk to extend.
-//
-// pend leaves the walk's own table — the last one built, never a prefix's —
-// as its superstep left it: chunks of entries in the order they were
-// appended, duplicates unfolded, or an open box (track). Only a reader that
-// wants neither order nor folded counts may ask for that: a root cycle's
-// join (split.sides). A start-free walk's tables are all left pending,
-// whatever is asked: each has one reader — a join or the projection — and
-// every one takes a table as it lies (table.Rows, MoveBox).
-func (s *solver) buildPath(n *walk, pend bool) bool {
+// it is released on the spot, never stored for another walk to extend. A
+// start-free walk's tables are all left pending: each has one reader — a
+// step or the projection — and every one takes a table as it lies
+// (table.Rows, MoveBox). Any other walk's are compacted (track).
+func (s *solver) buildPath(n *walk) bool {
 	if n.table != nil {
 		return true
 	}
@@ -180,10 +172,10 @@ func (s *solver) buildPath(n *walk, pend bool) bool {
 		return true // a bare start has no table: its first edge seeds the walk
 	case p == nil:
 		t = s.lift(n.pathStart)
-	case !s.buildPath(p, false) || s.aborted():
+	case !s.buildPath(p) || s.aborted():
 		return false
 	default:
-		t = s.extend(p.table, n.pathStart, n.step, pend || n.free)
+		t = s.extend(p.table, n.pathStart, n.step)
 	}
 	if p != nil {
 		p.done()
@@ -202,25 +194,24 @@ func (s *solver) buildPath(n *walk, pend bool) bool {
 // edge into a node annotation is one pulled step (pullNode) where it can
 // be; otherwise the edge's table is built, the node step reads it, and it
 // is released.
-func (s *solver) extend(cur *engine.Sharded, spec pathStart, st pathStep, pend bool) *engine.Sharded {
+func (s *solver) extend(cur *engine.Sharded, spec pathStart, st pathStep) *engine.Sharded {
 	last := st.nodeAnn == nil // the step's edge table is the walk's
 	if !last && spec.free && st.edgeAnn == nil {
 		if t := s.pullNode(cur, spec, st.nodeAnn); t != nil {
 			return t
 		}
 	}
-	edgePend := pend && (last || spec.free)
 	var t *engine.Sharded
 	if cur == nil {
-		t = s.initEdge(spec, st, edgePend)
+		t = s.initEdge(spec, st)
 	} else {
-		t = s.edgeJoin(cur, spec, st, edgePend)
+		t = s.edgeJoin(cur, spec, st)
 	}
 	if last {
 		return t
 	}
 	defer t.Release()
-	return s.nodeJoin(t, spec, st.nodeAnn, pend)
+	return s.nodeJoin(t, spec, st.nodeAnn)
 }
 
 // newTable returns the empty table of a walk from spec: a start-free walk's
@@ -272,14 +263,14 @@ func (r recordSlot) ent(start, end uint32, kept uint64, s sig.Sig, c uint64) tab
 // Figure 4/6 Procedure 1 line 1) or the annotating child block's table. A
 // start-free walk's data edge is pulled (pullEdge, from no table) where the
 // backend can.
-func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharded {
+func (s *solver) initEdge(spec pathStart, st pathStep) *engine.Sharded {
 	out := s.newTable(spec)
 	slot := slotOf(st.record)
 	defer s.tr.Start(PhasePathJoin)()
 	if st.edgeAnn == nil {
 		out.Max = s.deg // a vertex's edges to other colours, at most
 		if spec.free && s.pullEdge(nil, out) {
-			return s.finish(out, pend)
+			return s.finish(out, spec.free)
 		}
 		s.be.Step(out, func(w int, to *engine.Lanes) {
 			lo, hi := s.be.Range(w)
@@ -308,7 +299,7 @@ func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharde
 			}
 			s.be.AddLoad(w, load)
 		})
-		return s.finish(out, pend)
+		return s.finish(out, spec.free)
 	}
 	child := s.tables[st.edgeAnn]
 	starts := uint64(1)
@@ -340,7 +331,7 @@ func (s *solver) initEdge(spec pathStart, st pathStep, pend bool) *engine.Sharde
 		}
 		s.be.AddLoad(w, load)
 	})
-	return s.finish(out, pend)
+	return s.finish(out, spec.free)
 }
 
 // pullRows builds partition w's rows [lo, hi) of a start-free walk's table
@@ -417,7 +408,7 @@ func (s *solver) lift(spec pathStart) *engine.Sharded {
 // vertex's entries as table.Rows serves them: a start-free walk's source is
 // pending, and its runs are its box rows. Where every one of those is
 // boxed, a data edge is pulled instead (pullEdge).
-func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend bool) *engine.Sharded {
+func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep) *engine.Sharded {
 	out := s.newTable(spec)
 	slot := slotOf(st.record)
 	if st.edgeAnn == nil {
@@ -428,7 +419,7 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 			return out
 		}
 		if spec.free && s.pullEdge(cur, out) {
-			return s.finish(out, pend)
+			return s.finish(out, spec.free)
 		}
 		s.be.Step(out, func(w int, to *engine.Lanes) {
 			var load int64
@@ -457,7 +448,7 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 			}
 			s.be.AddLoad(w, load)
 		})
-		return s.finish(out, pend)
+		return s.finish(out, spec.free)
 	}
 	// groupBinary runs (and traces) its own supersteps; span only ours.
 	byFrom := s.groupBinary(st.edgeAnn, st.edgeFromFirst)
@@ -501,7 +492,7 @@ func (s *solver) edgeJoin(cur *engine.Sharded, spec pathStart, st pathStep, pend
 		}
 		s.be.AddLoad(w, load)
 	})
-	return s.finish(out, pend)
+	return s.finish(out, spec.free)
 }
 
 // edgePull is a start-free walk's data-edge step in pull form: the owner of
@@ -769,7 +760,7 @@ func (s *solver) pullNode(src *engine.Sharded, spec pathStart, ann *decomp.Block
 // other form a vertex's run at a time (ownRows). Load is, at each v or
 // group, the pairs of a walk count and a child count, whether they meet or
 // not: NonZero(a)·NonZero(b).
-func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block, pend bool) *engine.Sharded {
+func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block) *engine.Sharded {
 	out := s.newTable(spec)
 	child := s.tables[ann]
 	defer s.tr.Start(PhasePathJoin)()
@@ -851,7 +842,7 @@ func (s *solver) nodeJoin(cur *engine.Sharded, spec pathStart, ann *decomp.Block
 	if spec.free { // measured, and no greater than what was checked
 		out.Max = min(boundA.Load(), cur.Max) * min(boundB.Load(), child.Max) * pairs
 	}
-	return s.finish(out, pend)
+	return s.finish(out, spec.free)
 }
 
 // combine adds c·b into out through the pairs of position i (sig.Pairs):
@@ -975,113 +966,6 @@ type groupKey struct {
 	block     *decomp.Block
 	fromFirst bool
 }
-
-// partners is a root join's table of one home vertex V's entries in the walk
-// it indexes, for the one question a root join asks of them. The two walks
-// of a root split cover every colour between them and share χ(U) and χ(V)
-// alone, so an entry streamed or extended to (V, U) with signature S has
-// exactly one partner: the index entry at (V, U) whose signature is
-// (Full ∖ S) ∪ {χ(U), χ(V)}. The table finds it in one probe: open
-// addressing with linear probing over a power of two of slots, at most half
-// of them full, two words a slot — the key U<<32 | S, then the count. A key
-// is never 0, since a walk's signature holds its start's colour, so a zero
-// key word is an empty slot. Keys are unique: a root walk records no
-// vertex, and its table is compacted.
-type partners []uint64
-
-// partnerWords is the size in words of the table of a vertex with n index
-// entries: two words a slot, and the least power of two of slots that is at
-// least 2n — for none, one slot, which is empty, so a probe needs no check
-// for an empty table.
-func partnerWords(n int) int {
-	if n == 0 {
-		return 2
-	}
-	return 4 << bits.Len(uint(n-1))
-}
-
-// homeSlot is the slot where key's probe starts in a table of mask+1 slots:
-// the top bits of a Fibonacci hash, as many as index them.
-func homeSlot(key, mask uint64) uint64 {
-	return key * 0x9e3779b97f4a7c15 >> bits.LeadingZeros64(mask)
-}
-
-// lay fills p, of partnerWords(len(run)) words, with run: one vertex's
-// entries of a compacted root walk table.
-func (p partners) lay(run []table.Ent) {
-	clear(p)
-	mask := uint64(len(p)/2 - 1)
-	for j := range run {
-		key := uint64(run[j].U())<<32 | uint64(run[j].S)
-		i := homeSlot(key, mask)
-		for p[2*i] != 0 {
-			i = (i + 1) & mask
-		}
-		p[2*i], p[2*i+1] = key, run[j].C
-	}
-}
-
-// probe returns the count of (u, s) in the table, 0 if it holds no such
-// entry. It inlines into the joins' loops.
-func (p partners) probe(u uint32, s sig.Sig) uint64 {
-	key, mask := uint64(u)<<32|uint64(s), uint64(len(p)/2-1)
-	for i := homeSlot(key, mask); ; i = (i + 1) & mask {
-		switch p[2*i] {
-		case key:
-			return p[2*i+1]
-		case 0:
-			return 0
-		}
-	}
-}
-
-// runEnd returns where v's run, which begins at j, ends in ents, a shard
-// sorted by home vertex.
-func runEnd(ents []table.Ent, j int, v uint32) int {
-	for j < len(ents) && ents[j].V() == v {
-		j++
-	}
-	return j
-}
-
-// partnerIdx holds the partners table of every home vertex of one partition,
-// [lo, hi), in one run of pooled words, CSR-style: v's table is
-// words[at[v-lo] : at[v-lo+1]]. release gives the words back.
-type partnerIdx struct {
-	lo      uint32
-	at      []uint64 // len = partition size + 1
-	words   []uint64
-	scratch table.Scratch
-}
-
-// indexPartners lays the partners tables of ents, one partition's shard of
-// a compacted root walk table: two linear walks, one to size the run of
-// words and one to fill it.
-func indexPartners(lo, hi uint32, ents []table.Ent) partnerIdx {
-	n, total := int(hi-lo), 0
-	for r, j := 0, 0; r < n; r++ {
-		e := runEnd(ents, j, lo+uint32(r))
-		total, j = total+partnerWords(e-j), e
-	}
-	scratch := table.BorrowWords(n + 1 + total)
-	ix := partnerIdx{lo: lo, at: scratch.Words[:n+1], words: scratch.Words[n+1:], scratch: scratch}
-	ix.at[0] = 0
-	for r, j := 0, 0; r < n; r++ {
-		e := runEnd(ents, j, lo+uint32(r))
-		ix.at[r+1] = ix.at[r] + uint64(partnerWords(e-j))
-		ix.of(lo + uint32(r)).lay(ents[j:e])
-		j = e
-	}
-	return ix
-}
-
-// of returns v's table.
-func (ix *partnerIdx) of(v uint32) partners {
-	r := v - ix.lo
-	return ix.words[ix.at[r]:ix.at[r+1]]
-}
-
-func (ix *partnerIdx) release() { ix.scratch.Return() }
 
 // groupBinary redistributes a child block's binary table so every entry is
 // homed at the owner of its "from" endpoint — the paper's "communication to

@@ -2,21 +2,15 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math/rand"
-	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/decomp"
 	"repro/internal/engine"
 	"repro/internal/exact"
 	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/table"
 )
 
 // RootCycleShapes are the queries whose root block can be a cycle, one per
@@ -63,57 +57,17 @@ func RootCyclePlans(t testing.TB, q *query.Graph, limit int) []*decomp.Tree {
 	return plans
 }
 
-// joinByHand solves plan's blocks under its root cycle on be, then joins
-// the cycle's splits one at a time, handing each to visit with the join to
-// run — visit runs it, once — and returns the count the joins summed.
-func joinByHand(t testing.TB, be engine.Backend, g *graph.Graph, q *query.Graph, colors []uint8, plan *decomp.Tree, alg Algorithm, visit func(sp split, join func())) uint64 {
-	t.Helper()
-	s := newSolver(context.Background(), g, colors, q.K, be, alg)
-	root := s.solveBelowRoot(plan)
-	partial := make([]uint64, be.P())
-	for _, sp := range s.splits(root) {
-		visit(sp, func() {
-			if !s.joinSplit(root, sp, nil, partial) {
-				t.Fatal("an uncanceled run failed to build a walk")
-			}
-		})
-	}
-	s.walks.release()
-	s.drop(root.Children)
-	var sum uint64
-	for _, p := range partial {
-		sum += p
-	}
-	return sum
-}
-
-// PlainEdgeStreams returns how many of the root cycle's joins under plan and
-// alg stream a pending walk whose last step is a plain data edge out of a
-// prefix with a table — the joins a backend that can pull takes in pull
-// form — asking split.sides before each join, as the solver does.
-func PlainEdgeStreams(t testing.TB, g *graph.Graph, q *query.Graph, colors []uint8, plan *decomp.Tree, alg Algorithm) (n int) {
-	joinByHand(t, engine.NewCluster(2, g.N()), g, q, colors, plan, alg, func(sp split, join func()) {
-		stream, _, pend := sp.sides(true)
-		bare := stream.parent.parent == nil && stream.startAnn == nil
-		if st := stream.step; pend && st.edgeAnn == nil && st.nodeAnn == nil && !bare {
-			n++
-		}
-		join()
-	})
-	return n
-}
-
-// The rule that picks the streamed walk (split.sides) must reach every way a
-// walk's last table is made, or the backend suite next door proves nothing
-// about it: over the root-cycle shapes, under the three algorithms, the
-// pending table is the output of a plain edge step, of an annotated edge
-// step and of a nodeJoin; it belongs to a P− and to a P+, to a walk that
-// started at an annotated node, and some joins stream a compacted table
-// because neither walk may pend. (A walk's first edge never makes the
-// pending table of these shapes: a one-step walk is the shorter of its split
-// and, unannotated, a prefix of others.) Each join is driven by hand, the
-// rule asked first, and the sum checked against exact enumeration. A plain
-// edge step is the join's own on sim (pullJoin): that walk is never built.
+// The per-start pass charges each join what the old form charged for
+// reading one of its walks, and the rule that picks that walk and how it
+// was read (perStartPlan) must reach every way a walk's last rows are made,
+// or the load goldens next door prove nothing about it: over the root-cycle
+// shapes, under the three algorithms, a pending walk's last step is a plain
+// edge (the join takes it as it goes), an annotated edge and a node step;
+// it belongs to a P− and to a P+, to a walk that started at an annotated
+// node, and some joins read a walk that is built and read more than once.
+// (A walk's first edge never makes the pending walk of these shapes: a
+// one-step walk is the shorter of its split and, unannotated, a prefix of
+// others.) Each plan's count is checked against exact enumeration.
 func TestPendingWalksCoverEveryBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := gen.ErdosRenyi("er", 40, 140, rng)
@@ -123,42 +77,48 @@ func TestPendingWalksCoverEveryBuilder(t *testing.T) {
 		want := exact.ColorfulMatches(g, q, colors)
 		for _, plan := range RootCyclePlans(t, q, 3) {
 			for _, alg := range []Algorithm{DB, PS, PSEven} {
-				got := joinByHand(t, engine.NewCluster(2, g.N()), g, q, colors, plan, alg, func(sp split, join func()) {
-					stream, index, pend := sp.sides(true)
+				s := newSolver(context.Background(), g, colors, q.K, engine.NewCluster(2, g.N()), alg)
+				root := s.solveBelowRoot(plan)
+				p := s.perStartPlan(root)
+				s.walks.release()
+				for _, sp := range p.splits {
 					// (A plain even cycle's two walks are one walk, joined with itself.)
-					if both := [2]*walk{stream, index}; both != [2]*walk{sp.plus, sp.minus} && both != [2]*walk{sp.minus, sp.plus} {
-						t.Fatalf("%s: the rule made %p and %p of the walks %p and %p", q.Name, stream, index, sp.plus, sp.minus)
+					if sp.stream != sp.plus && sp.stream != sp.minus {
+						t.Fatalf("%s: the rule read walk %d of the split (%d, %d)", q.Name, sp.stream, sp.plus, sp.minus)
 					}
-					switch st := stream.step; {
-					case !pend:
+					n := p.nodes[sp.stream]
+					switch par := p.nodes[n.parent]; {
+					case !sp.pend:
 						seen["compacted"]++
-						if stream.table == nil && stream.uses == 1 {
-							t.Errorf("%s %v: a walk of %d steps that only this join reads is compacted", q.Name, alg, stream.steps())
-						}
-					case st.nodeAnn != nil:
+					case n.step.nodeAnn != nil:
 						seen["nodeJoin"]++
-					case stream.parent.parent == nil && stream.startAnn == nil:
+					case par.parent < 0 && par.ann == nil:
 						seen["initEdge"]++
-					case st.edgeAnn != nil:
+					case n.step.edgeAnn != nil:
 						seen["annotated edge"]++
 					default:
 						seen["plain edge"]++
+						if !sp.fused {
+							t.Errorf("%s %v: a pending walk whose last step is a plain edge is built", q.Name, alg)
+						}
 					}
-					if pend {
-						if stream == sp.plus {
+					if sp.pend {
+						if sp.stream == sp.plus {
 							seen["P+"]++
 						} else {
 							seen["P−"]++
 						}
-						if stream.startAnn != nil {
+						at := sp.stream
+						for p.nodes[at].parent >= 0 {
+							at = p.nodes[at].parent
+						}
+						if p.nodes[at].ann != nil {
 							seen["start annotation"]++
 						}
-						if stream.uses != 1 || stream.table != nil {
-							t.Errorf("%s %v: a walk with %d uses, built %v, is left pending", q.Name, alg, stream.uses, stream.table != nil)
-						}
 					}
-					join()
-				})
+				}
+				got := s.solveRootCycle(root)
+				s.drop(root.Children)
 				if got != want {
 					t.Errorf("%s %v, plan %s: counted %d, exact enumeration %d", q.Name, alg, plan.Encode(), got, want)
 				}
@@ -167,7 +127,7 @@ func TestPendingWalksCoverEveryBuilder(t *testing.T) {
 	}
 	for _, kind := range []string{"plain edge", "annotated edge", "nodeJoin", "P+", "P−", "start annotation", "compacted"} {
 		if seen[kind] == 0 {
-			t.Errorf("no join of the suite streamed a table of the kind %q: %v", kind, seen)
+			t.Errorf("no join of the suite read a walk of the kind %q: %v", kind, seen)
 		}
 	}
 }
@@ -283,106 +243,3 @@ func (c *armedCancel) Done() <-chan struct{} {
 // loopback pool that lives as long as t. internal/dist imports core, so the
 // external test package, which can import it, sets it (rootcycle_test.go).
 var Loopback2 func(t *testing.T, job engine.Job) engine.Backend
-
-// A run canceled inside a root join, in either of its forms. On sim and
-// parallel glet2's join pulls its last walk step (pullJoin): the context is
-// armed at the end of the superstep that built the walk's prefix — the
-// second — so the next poll is a join worker's, a few thousand runs in. On a
-// two-rank loopback pool, which cannot pull, the walk is built pending and
-// streamed: the context is canceled at the end of the superstep that built
-// it, the third, while the ranks go on to stream it. Each leg must return
-// ctx's error and no count, the join's span must be the first the
-// cancellation ended, and every slab — the pending chunks, the walks', the
-// index's and the run offsets' words, the ranks' — must be back in the pool.
-// And the prefix a pulled join extends is released as the join returns, not
-// when the block ends: glet2's, which its one join both extends and
-// indexes, is gone right after joinSplit.
-func TestCancelWhileStreaming(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g, ok := gen.StandinByName("enron", 2, 1) // hubs: parallel cuts 512 partitions, and a join task polls once in 4096 entries
-	if !ok {
-		t.Fatal("no enron stand-in")
-	}
-	q := query.MustByName("glet2")
-	colors := randColors(g.N(), q.K, rng)
-	plan, err := PickPlan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, leg := range []struct {
-		backend string
-		pulls   bool
-	}{{"sim", true}, {"parallel", true}, {"dist@2", false}} {
-		held := table.SlabsOut()
-		ctx := &armedCancel{}
-		ctx.Context, ctx.cancel = context.WithCancel(context.Background())
-		tr := obs.NewTrace(t.Name())
-		var phases []string
-		canceledAt := ""
-		tr.SetSink(func(phase string, _ float64) {
-			if canceledAt == "" && ctx.Context.Err() != nil {
-				canceledAt = phase
-			}
-			switch phases = append(phases, phase); {
-			case leg.pulls && len(phases) == 2:
-				ctx.armed.Store(true)
-			case !leg.pulls && len(phases) == 3:
-				ctx.cancel() // the coordinator polls between supersteps only; its ranks watch the context
-			}
-		})
-		traced := obs.WithTrace(ctx, tr)
-		opts := Options{Backend: leg.backend, Workers: 2}
-		if !leg.pulls {
-			opts = Options{Plan: plan, Engine: Loopback2(t, engine.Job{N: g.N(), Graph: g, Colors: colors, Query: q, Plan: plan, Mode: engine.ModeCount, Ctx: traced})}
-		}
-		got, _, err := CountColorfulContext(traced, g, q, colors, opts)
-		if !errors.Is(err, context.Canceled) || got != 0 {
-			t.Fatalf("%s: canceled in the join, the run returned %d and %v", leg.backend, got, err)
-		}
-		want := []string{PhasePathJoin, PhasePathJoin, PhaseCycleJoin}
-		if !leg.pulls {
-			want = []string{PhasePathJoin, PhasePathJoin, PhasePathJoin, PhaseCycleJoin}
-		}
-		if !slices.Equal(phases, want) || canceledAt != PhaseCycleJoin {
-			t.Fatalf("%s: spans %v, the cancellation seen at the end of %q; want %v and the join that was canceled", leg.backend, phases, canceledAt, want)
-		}
-		// A loopback rank unwinds on its own goroutines after the
-		// coordinator returns; sim and parallel must be back at once.
-		if !leg.pulls {
-			for deadline := time.Now().Add(10 * time.Second); table.SlabsOut() != held && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			}
-		}
-		if left := table.SlabsOut() - held; left != 0 {
-			t.Fatalf("%s: canceled in the join, the run kept %d slabs", leg.backend, left)
-		}
-	}
-	joins := 0
-	joinByHand(t, engine.NewCluster(2, g.N()), g, q, colors, plan, DB, func(sp split, join func()) {
-		stream, _, pend := sp.sides(true)
-		parent := stream.parent
-		if !pend || !stream.pulls() || parent.uses != 2 || parent != sp.plus {
-			t.Fatalf("glet2's join streams a walk that may pend: %v, pulls: %v, whose prefix, P+: %v, has %d uses", pend, stream.pulls(), parent == sp.plus, parent.uses)
-		}
-		join()
-		if parent.table != nil || parent.uses != 0 || stream.table != nil {
-			t.Fatalf("right after the pulled join: the prefix holds a table: %v, with %d uses; the walk holds one: %v", parent.table != nil, parent.uses, stream.table != nil)
-		}
-		joins++
-	})
-	if joins != 1 {
-		t.Fatalf("glet2's root cycle made %d joins, want its one", joins)
-	}
-	// And at every poll of root cycles with more than one join.
-	small := gen.PowerLawGraph("pl", 1500, 1.5, rng)
-	for _, qn := range []string{"glet1", "cycle6"} {
-		q := query.MustByName(qn)
-		colors := randColors(small.N(), q.K, rng)
-		for _, backend := range []string{"sim", "parallel"} {
-			opts := Options{Backend: backend, Workers: 2}
-			cancelEverywhere(t, qn+"/"+backend+"/count", 40, func(ctx context.Context) (bool, error) {
-				c, _, err := CountColorfulContext(ctx, small, q, colors, opts)
-				return c != 0, err
-			})
-		}
-	}
-}

@@ -13,10 +13,11 @@ import (
 
 // Colours are names: relabelling them by a permutation π of [k] maps every
 // colourful match to one, so count(g, q, π∘χ) = count(g, q, χ). A
-// permutation moves every signature, every rank, every box cell and every
-// partner signature a root join probes for, (Full ∖ S) ∪ {χ(U), χ(V)}, with
-// the slot its key hashes to, so this is what a cell laid out or read at
-// the wrong place, or a partner sought under the wrong key, breaks. The instances are the benchmark's three solver
+// permutation moves every signature, every rank, every box cell, every
+// start's squeezed palette and every partner cell a root cycle's join reads
+// (the complement of a cell in its vertex's own row), so this is what a
+// cell laid out or read at the wrong place, or a partner read at the wrong
+// cell, breaks. The instances are the benchmark's three solver
 // workloads — brain3 on the enron stand-in at scale 64 (cycle10-3k), glet2
 // and bintree8 at scale 2 (cycle5-90k, tree8-90k) — each counted as
 // coloured on its first leg and relabelled, twice, on every leg: sim,

@@ -65,9 +65,9 @@ func counts(t *testing.T, be backend, g *graph.Graph, q *query.Graph, colors []u
 //     other singletons: the one count sums the root table's box cells
 //     (Total), the other reads its rows (table.Rows) into the vector;
 //   - brain3 on the enron stand-in at scale 256, anchored at every node of
-//     its root cycle: the scalar run ends in a root join, which probes each
-//     entry's one partner, and each anchored run in a one-boundary join,
-//     which merges the two sorted walks (boundaryJoin).
+//     its root cycle: the scalar run ends in the per-start pass, which
+//     joins each start's rows, and each anchored run in a one-boundary
+//     join, which merges the two sorted walks (boundaryJoin).
 func TestAnchorsSumToTheCount(t *testing.T) {
 	short := testing.Short() || core.RaceEnabled
 	legs := []backend{local(engine.SimName, 2), local(engine.ParallelName, 2), loopback2(t)}
@@ -149,11 +149,9 @@ func sumsToTheCount(t *testing.T, legs []backend, g *graph.Graph, q *query.Graph
 //   - bintree8 (tree8-90k), on sim at two ranks and on a runtime of one
 //     partition, whose 24 000-row shards are over boxCap: its matrices are
 //     read as boxes opened at compaction and as sorted shards;
-//   - glet2 (cycle5-90k), a root cycle, on sim and parallel at two workers,
-//     whose root join pulls its last walk step and probes each extended
-//     entry's partner in a table laid a home vertex at a time, and on a
-//     two-rank loopback cluster, whose ranks stream the built walk against
-//     every vertex's table laid at once.
+//   - glet2 (cycle5-90k), a root cycle, on sim and parallel at two workers
+//     and on a two-rank loopback cluster, counted start by start: a
+//     component's starts reach no other component's vertices.
 func TestDisjointUnionAddsCounts(t *testing.T) {
 	g, ok := gen.StandinByName("enron", 2, 1)
 	if !ok {

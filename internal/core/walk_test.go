@@ -15,7 +15,8 @@ import (
 )
 
 // built returns the trie's step nodes — the distinct walks of a block, each
-// a table to build unless a root join takes its last step (pullJoin).
+// a table to build, or in a root block rows to build at every start, unless
+// the join takes its last step as it goes.
 func (t walkTrie) built() int {
 	c := 0
 	for _, n := range t {
@@ -208,15 +209,17 @@ func TestWalkSharedPrefixLivesUntilItsLastUse(t *testing.T) {
 	}
 }
 
-// Sharing must not turn into hoarding: a prefix is released after the last
-// split that extends it, so the walk tables alive at once during brain3's
-// 8-cycle — 24 distinct walks — are the few that refcounting in split
-// order has to keep. Of those walks, the ones a root join streams with a
-// plain data edge for a last step are never built on sim: the join takes
-// that step itself (pullJoin). Six of the cycle's eight joins do, so the 24
-// walks cost 18 tables, where building every walk streamed cost 24. Every
-// table built is read by a later superstep, so it is seen alive at that
-// one's end.
+// Sharing must not turn into hoarding, start by start: the pass drops a
+// walk's rows after the last split that extends or joins it, so the rows
+// alive at once during any start of brain3's 8-cycle — 24 distinct walks —
+// are the few that refcounting in split order keeps. Of those walks, the
+// ones a join reads as their last step appends them, that step a plain data
+// edge, are never built: the join takes the step as it goes. Six of the
+// cycle's eight joins do, so at each start 18 of the 24 walks hold rows, at
+// most 6 at once — the old form's 5 tables alive at a superstep's end and
+// the one that superstep built; and a task's scratch, after a pass over every start,
+// holds no more row sets than that and one for a node step's edge rows. No
+// walk table is built: the trie's nodes hold none at any superstep's end.
 func TestWalkLiveTablesBrain3(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.PowerLawGraph("pl", 120, 1.5, rng)
@@ -225,25 +228,48 @@ func TestWalkLiveTablesBrain3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peak, tables := 0, map[*walk]bool{}
+	tables := 0
 	s := tracedSolver(t, context.Background(), "sim", 2, g, randColors(g.N(), q.K, rng), q.K, func(s *solver, _ string) {
-		peak = max(peak, s.walks.live())
-		for _, n := range s.walks {
-			if n.table != nil {
-				tables[n] = true
-			}
-		}
+		tables = max(tables, s.walks.live())
 	})
 	root := s.solveBelowRoot(plan)
 	if root.Kind != decomp.CycleBlock || root.Len() != 8 {
 		t.Fatalf("brain3's root block is %v %v, not its 8-cycle", root.Kind, root.Nodes)
 	}
-	peak, tables = 0, map[*walk]bool{}
-	s.solveRootCycle(root)
-	const wantWalks, wantBuilt, wantPeak = 24, 18, 5
-	if walks := s.walks.built(); walks != wantWalks || len(tables) != wantBuilt || peak != wantPeak {
-		t.Errorf("brain3's 8-cycle: %d walks, %d walk tables built, at most %d alive at a superstep's end; want %d, %d and %d",
-			walks, len(tables), peak, wantWalks, wantBuilt, wantPeak)
+	tables = 0
+	e, ok := s.startEnv(root)
+	if !ok {
+		t.Fatal("an uncanceled run was stopped")
+	}
+	defer e.release()
+	walks := s.walks.built()
+	built, peak, live := map[int]bool{}, 0, map[int]bool{}
+	for _, op := range e.p.ops {
+		switch op.kind {
+		case opBuild:
+			if e.p.nodes[op.i].parent >= 0 {
+				built[op.i], live[op.i] = true, true
+			}
+		case opDrop:
+			delete(live, op.i)
+		}
+		peak = max(peak, len(live))
+	}
+	task := e.task()
+	defer task.close()
+	task.sc.spare = task.sc.spare[:0]
+	var sum uint64
+	for u := range uint32(g.N()) {
+		sum += task.start(u)
+	}
+	sets := len(task.sc.spare)
+	if want := s.solveRootCycle(root); sum != want || tables != 0 {
+		t.Fatalf("one task over every start summed %d, the pass %d; %d walk tables held at a superstep's end", sum, want, tables)
+	}
+	const wantWalks, wantBuilt, wantPeak = 24, 18, 6
+	if walks != wantWalks || len(built) != wantBuilt || peak != wantPeak || sets > peak+1 {
+		t.Errorf("brain3's 8-cycle: %d walks, %d built at a start, at most %d holding rows at once, %d row sets in the scratch; want %d, %d, %d and at most %d",
+			walks, len(built), peak, sets, wantWalks, wantBuilt, wantPeak, wantPeak+1)
 	}
 }
 

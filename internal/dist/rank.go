@@ -46,18 +46,32 @@ func newRank(ranks, parts, n, k, r int, j *wjob, conc int) *rank {
 // latches the job failure, which cancels the job context; the solver
 // unwinds at its next poll and the error surfaces in the coordinator's
 // Reduce.
+//
+// With no stages the superstep is a Replicate: the batch to every other
+// rank holds the shards of out in this rank's band, each lane addressed to
+// the partition it comes from, and what arrives is appended to the shards
+// of those partitions, outside the band.
 func (r *rank) exchange(st int64, stages []*engine.Sharded, out *engine.Sharded) {
+	replicate := stages == nil
 	for dr := 0; dr < r.Workers(); dr++ {
 		if dr == r.rank {
 			continue
 		}
 		bm := batchMsg{Max: out.Max}
+		lane := func(dst int, sh *table.Flat) {
+			sh.Chunks(func(ents []table.Ent) {
+				bm.Lanes = append(bm.Lanes, wireLane{Dst: int32(dst), Ents: ents})
+				r.Sent(len(ents))
+			})
+		}
+		if replicate {
+			for src, hi := r.Band(r.rank); src < hi; src++ {
+				lane(src, out.Shard(src))
+			}
+		}
 		for dst, hi := r.Band(dr); dst < hi; dst++ {
 			for _, stage := range stages {
-				stage.Shard(dst).Chunks(func(ents []table.Ent) {
-					bm.Lanes = append(bm.Lanes, wireLane{Dst: int32(dst), Ents: ents})
-					r.Sent(len(ents))
-				})
+				lane(dst, stage.Shard(dst))
 			}
 		}
 		payload, err := encodePayload(bm)
@@ -89,8 +103,8 @@ func (r *rank) exchange(st int64, stages []*engine.Sharded, out *engine.Sharded)
 		out.Max = max(out.Max, bm.Max)
 		for _, l := range bm.Lanes {
 			dst := int(l.Dst)
-			if lo, hi := r.Band(r.rank); dst < lo || dst >= hi {
-				r.j.fail(fmt.Errorf("dist: received entries for partition %d outside owned [%d,%d)", dst, lo, hi))
+			if lo, hi := r.Band(r.rank); dst < 0 || dst >= r.P() || (dst < lo || dst >= hi) != replicate {
+				r.j.fail(fmt.Errorf("dist: received entries for partition %d, owned [%d,%d), in a superstep that replicates: %v", dst, lo, hi, replicate))
 				return
 			}
 			if err := r.check(dst, l.Ents); err != nil {

@@ -91,12 +91,18 @@ type Backend interface {
 	// what was appended into out: no staged chunk outlives Step.
 	Step(out *Sharded, produce func(w int, to *Lanes))
 	// Pull runs a superstep that builds out in pull form: each task writes
-	// its own partition's shard of out — or, with out nil, nothing: a root
-	// cycle's join sums what it reads — reads src's shards at any vertex and
+	// its own partition's shard of out, reads src's shards at any vertex and
 	// returns how many rows it read from other partitions' (Runtime.Pull).
 	// It reports false, running nothing, where not every shard of src is in
 	// this process (dist); the caller then runs the step's push form (Step).
 	Pull(out, src *Sharded, task func(w int, to *table.Flat, from *Lanes) int) bool
+	// Replicate runs a superstep after which every shard of t — a finished
+	// table, written no more — lies in this process, to be read at any
+	// vertex: a root cycle's per-start pass reads its children's tables
+	// there. In a process that holds every partition (sim, parallel) it
+	// moves nothing; a dist rank sends its band's shards to every other rank
+	// and appends the shards the others send it.
+	Replicate(t *Sharded)
 	// Reduce combines per-process partial totals into the global total:
 	// single-process backends return local unchanged; the dist
 	// coordinator gathers every rank's contribution and sums. It is
@@ -121,11 +127,11 @@ type Backend interface {
 	// entries addressed to a partition of another process; parallel hands
 	// lanes over whole and reports 0. The sim and dist numbers are not
 	// comparable with each other. sim's adds two units: a pushed entry is
-	// one count cell, a pulled row is a row of C(k−1, h−1) cells — or, in a
-	// root cycle's pulled join, a vertex's run of the streamed walk's parent
-	// — read once per arc that reads it, so a remote row read by several of
-	// a partition's vertices counts once for each. A pulled root join books
-	// those remote runs, not the entries its push form would append. The
+	// one count cell, a pulled row is a row of C(k−1, h−1) cells read once
+	// per arc that reads it, so a remote row read by several of a
+	// partition's vertices counts once for each. A root cycle's per-start
+	// pass reads every table where it lies and books nothing on sim; on
+	// dist, the entries its Replicate supersteps send are messages. The
 	// number is neither the volume the push form moved nor the rows a
 	// ghost-row exchange would ship.
 	Messages() int64
@@ -134,8 +140,8 @@ type Backend interface {
 	// workers are ranks: the goroutines that run a rank's partitions steal
 	// from one another all the same, and no rank runs another's.
 	Steals() int64
-	// Steps is the number of supersteps executed so far (Step calls and
-	// Pull calls that ran). The count is deterministic for a given plan — it
+	// Steps is the number of supersteps executed so far (Step calls, Pull
+	// calls that ran and Replicate calls). The count is deterministic for a given plan — it
 	// depends only on the solver's phase structure, not on scheduling — and identical
 	// across backends, which makes it the natural x-axis for per-superstep
 	// telemetry (the paper's Figures 11–15) and a unit of work for the

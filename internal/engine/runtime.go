@@ -124,9 +124,8 @@ func (c *Counters) Messages() int64 { return c.msgs.Load() }
 // Steals returns the partition tasks run off their home worker.
 func (c *Counters) Steals() int64 { return c.steals.Load() }
 
-// Sent counts n messages: entries a pushed step appends, or rows — runs,
-// in a root cycle's pulled join — a pulled step reads from another
-// partition.
+// Sent counts n messages: entries a pushed step appends or a dist rank
+// sends, or rows a pulled step reads from another partition.
 func (c *Counters) Sent(n int) { c.msgs.Add(int64(n)) }
 
 // Runtime is the superstep runtime, the one implementation of Backend: the
@@ -162,7 +161,8 @@ func NewRuntime(name string, parts, workers, n int) *Runtime {
 // once its tasks are done and the staged lanes of [lo, hi) absorbed into
 // out, with the superstep's ordinal. wire puts the stages' other lanes on
 // the wire, holds the barrier and appends what arrives to out; the stages
-// are released when it returns.
+// are released when it returns. Replicate calls it with no stages: then it
+// puts the band's shards of out on the wire for every other process.
 func (r *Runtime) Wired(lo, hi, conc int, wire func(step int64, stages []*Sharded, out *Sharded)) *Runtime {
 	r.lo, r.hi, r.conc, r.wire = lo, hi, conc, wire
 	return r
@@ -290,8 +290,6 @@ func (r *Runtime) Step(out *Sharded, produce func(w int, to *Lanes)) {
 // Pull runs one superstep in pull form, building out: task(w, to, from)
 // runs once for every partition w and writes to, w's shard of out, itself,
 // reading src — which no task writes — at any vertex v through from.At(v).
-// With out nil a task builds nothing (to is nil) and keeps what it reads to
-// itself: a root cycle's join, which sums into a per-partition partial.
 // It returns how many rows it read from other partitions' shards, which sim
 // books as messages. So no lane is staged, absorbed or merged. Pull reports
 // false, running nothing, where the runtime executes a band of the
@@ -306,17 +304,23 @@ func (r *Runtime) Pull(out, src *Sharded, task func(w int, to *table.Flat, from 
 		from.shards = src.shards
 	}
 	var sent atomic.Int64
-	r.Run(func(w int) {
-		var to *table.Flat
-		if out != nil {
-			to = out.Shard(w)
-		}
-		sent.Add(int64(task(w, to, from)))
-	})
+	r.Run(func(w int) { sent.Add(int64(task(w, out.Shard(w), from))) })
 	if r.counted {
 		r.Sent(int(sent.Load()))
 	}
 	return true
+}
+
+// Replicate runs one superstep that leaves every shard of t in this
+// process. A runtime that executes every partition holds them already and
+// moves nothing; a wired one calls its wire with no stages, and the wire
+// puts the band's shards of t on it for every other process and appends
+// what the others put there.
+func (r *Runtime) Replicate(t *Sharded) {
+	step := r.steps.Add(1)
+	if r.wire != nil {
+		r.wire(step, nil, t)
+	}
 }
 
 // LoadStats returns (max, avg, total) over per-worker loads.

@@ -1109,9 +1109,8 @@ func TestWordsTakeTheSmallestClass(t *testing.T) {
 	}
 }
 
-// A task may defer its scratch's return and grow the scratch after, as a
-// root join's pulled form does for every home vertex that needs more words:
-// the deferred Return gives back what the scratch holds when it runs, so
+// A task may defer its scratch's return and grow the scratch after, as one
+// that needs more words for a later vertex does: the deferred Return gives back what the scratch holds when it runs, so
 // the last scratch comes back and none of the earlier ones twice.
 func TestDeferredReturnGivesBackTheGrownScratch(t *testing.T) {
 	held := SlabsOut()
