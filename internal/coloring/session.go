@@ -66,14 +66,23 @@ func (p Precision) Enabled() bool { return p.RelErr > 0 }
 // interval over t trials of the given mean and sample variance:
 // q·s/(√t·mean), q the quantile of t trials. It is +Inf below two trials,
 // where there is no variance estimate, and at a zero mean, which meets no
-// relative target: an all-zero prefix says only that no trial has found a
-// match yet. The stopping rule, Estimate.RelCI and the library's
-// Session.Met all read the interval here.
+// relative target: an all-zero prefix bounds the count instead (noMatch).
+// The stopping rule, Estimate.RelCI and the library's Session.Met all read
+// the interval here.
 func (p Precision) relHalfWidth(t int, mean, variance float64) float64 {
 	if t < 2 || mean <= 0 {
 		return math.Inf(1)
 	}
 	return p.quantile(t) * math.Sqrt(variance/float64(t)) / mean
+}
+
+// noMatch reports whether t all-zero trials of a k-node query put its
+// count below one match at confidence c: any one match is colourful in a
+// trial with probability k!/kᵏ, so were the count ≥ 1, t all-zero trials
+// would occur with probability at most (1 − k!/kᵏ)ᵗ. At c = 0.9 that takes
+// 59 trials at k = 5, 149 at k = 6, 957 at k = 8 and 6 345 at k = 10.
+func noMatch(k, t int, c float64) bool {
+	return t >= firstStop && math.Pow(1-1/ScaleFactor(k), float64(t)) <= 1-c
 }
 
 // quantile returns the two-sided quantile of the confidence level for an
@@ -143,9 +152,11 @@ func within(x float64, nu int) float64 {
 }
 
 // Adaptive is the stopping rule of every run: it fires at the first trial
-// count from firstStop on whose observed CI meets the Precision target, and
-// at MaxTrials regardless. With no target declared (Precision not Enabled)
-// it fires at MaxTrials and nowhere earlier — a fixed-trial run.
+// count from firstStop on whose observed CI meets the Precision target, or
+// whose trials are all zero and enough to bound the count below one match
+// at the target's confidence (noMatch), and at MaxTrials regardless. With
+// no target declared (Precision not Enabled) it fires at MaxTrials and
+// nowhere earlier — a fixed-trial run.
 type Adaptive struct {
 	Precision
 	// MaxTrials caps the run (≤ 0 means DefaultMaxTrials, or DefaultTrials
@@ -170,15 +181,17 @@ func (a Adaptive) WithDefaults() Adaptive {
 }
 
 // StopAt applies the stopping rule to a prefix of per-trial colorful
-// counts: it returns the first trial count t in [firstStop, min(len,
-// MaxTrials)] at which the CI's relative half-width (relHalfWidth) is at
-// most RelErr — a zero-variance prefix with a nonzero mean always
-// qualifies, an all-zero one never does; with no target declared nothing
-// does — or MaxTrials when the prefix already spans the cap. It is a pure
-// function of the count sequence, which is what makes runs replayable:
-// walking the rule over cached trials stops at exactly the trial the
-// original run stopped at.
-func (a Adaptive) StopAt(counts []uint64) (int, bool) {
+// counts of a k-node query: it returns the first trial count t in
+// [firstStop, min(len, MaxTrials)] at which the CI's relative half-width
+// (relHalfWidth) is at most RelErr — a zero-variance prefix with a nonzero
+// mean always qualifies — or at which an all-zero prefix bounds the count
+// below one match (noMatch; the estimate is then 0, and
+// Estimate.BelowOne, not RelCI, reports it); with no target declared
+// nothing does. Failing those, it returns MaxTrials when the prefix already
+// spans the cap. It is a pure function of k and the count sequence, which
+// is what makes runs replayable: walking the rule over cached trials stops
+// at exactly the trial the original run stopped at.
+func (a Adaptive) StopAt(k int, counts []uint64) (int, bool) {
 	a = a.WithDefaults()
 	n := min(len(counts), a.MaxTrials)
 	if !a.Enabled() {
@@ -190,7 +203,7 @@ func (a Adaptive) StopAt(counts []uint64) (int, bool) {
 		d := x - mean
 		mean += d / float64(t)
 		m2 += d * (x - mean)
-		if t >= firstStop && a.relHalfWidth(t, mean, m2/float64(t-1)) <= a.RelErr {
+		if t >= firstStop && a.relHalfWidth(t, mean, m2/float64(t-1)) <= a.RelErr || mean == 0 && noMatch(k, t, a.Confidence) {
 			return t, true
 		}
 	}
@@ -198,6 +211,17 @@ func (a Adaptive) StopAt(counts []uint64) (int, bool) {
 		return a.MaxTrials, true
 	}
 	return 0, false
+}
+
+// BelowOne reports whether the estimate's trials are all zero and enough
+// of them to put the count below one match at the given confidence level
+// (≤ 0 means DefaultConfidence): where the adaptive rule stops a run whose
+// relative target a zero mean can never meet.
+func (e Estimate) BelowOne(confidence float64) bool {
+	if confidence <= 0 {
+		confidence = DefaultConfidence
+	}
+	return e.MeanColorful == 0 && noMatch(e.K, e.Trials, confidence)
 }
 
 // RelCI returns the estimate's observed relative confidence-interval
@@ -470,7 +494,7 @@ func (s *Session) trial(ctx context.Context, i int) error {
 func (s *Session) RunUntil(ctx context.Context, ad Adaptive, _ int, _ time.Duration) (int, error) {
 	ad = ad.WithDefaults()
 	for {
-		if stop, ok := ad.StopAt(s.counts); ok {
+		if stop, ok := ad.StopAt(s.q.K, s.counts); ok {
 			return stop, nil
 		}
 		next := ad.MaxTrials

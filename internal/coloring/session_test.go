@@ -166,8 +166,43 @@ func TestAdaptiveStopDeterminism(t *testing.T) {
 	sameEstimate(t, "adaptive vs batch", adaptive, batch)
 
 	// Replay: the rule over the accumulated counts finds the same stop.
-	if again, ok := ad.StopAt(sess.Counts()); !ok || again != stop {
+	if again, ok := ad.StopAt(q.K, sess.Counts()); !ok || again != stop {
 		t.Errorf("replayed stop = %d/%v, want %d", again, ok, stop)
+	}
+}
+
+// An all-zero stream stops once it bounds the count below one match at
+// the rule's confidence: (1 − k!/kᵏ)ᵗ ≤ 1 − c first holds at t = 59, 149 and
+// 957 for k = 5, 6 and 8 at 90%, and the estimate there says so (BelowOne)
+// a trial later than it would not. k = 10 needs 6 345 trials, past the
+// default cap, so the run stops at the cap without the bound. One match in
+// the prefix disarms the stop, and a rule with no target never takes it.
+func TestStopAtNoMatch(t *testing.T) {
+	ad := Adaptive{Precision: Precision{RelErr: 0.2, Confidence: 0.9}}
+	zeros := make([]uint64, DefaultMaxTrials)
+	for k, want := range map[int]int{5: 59, 6: 149, 8: 957, 10: DefaultMaxTrials} {
+		stop, ok := ad.StopAt(k, zeros)
+		if !ok || stop != want {
+			t.Errorf("k = %d, all zero: stop=%d ok=%v, want %d", k, stop, ok, want)
+		}
+		bound := want < DefaultMaxTrials
+		if e := (Estimate{K: k, Trials: stop}); e.BelowOne(0.9) != bound {
+			t.Errorf("k = %d, %d zero trials: BelowOne(0.9) = %v, want %v", k, stop, !bound, bound)
+		}
+		if e := (Estimate{K: k, Trials: stop - 1}); e.BelowOne(0.9) {
+			t.Errorf("k = %d, %d zero trials: BelowOne(0.9) before the bound", k, stop-1)
+		}
+	}
+	one := make([]uint64, 200)
+	one[40] = 1
+	if stop, ok := ad.StopAt(5, one); ok {
+		t.Errorf("one match in 200 trials: fired at %d", stop)
+	}
+	if e := (Estimate{K: 5, Trials: 200, MeanColorful: 1.0 / 200}); e.BelowOne(0.9) {
+		t.Error("an estimate with a match is below one match")
+	}
+	if stop, ok := (Adaptive{MaxTrials: 100}).StopAt(5, zeros[:99]); ok {
+		t.Errorf("no target, 99 zero trials of 100: fired at %d", stop)
 	}
 }
 
@@ -175,37 +210,39 @@ func TestAdaptiveStopDeterminism(t *testing.T) {
 // zero-variance prefix, the all-zero stream, the MaxTrials backstop, and
 // the rule with no target.
 func TestStopAtRule(t *testing.T) {
+	const k = 5
 	ad := Adaptive{Precision: Precision{RelErr: 0.1}, MaxTrials: 12}
 	fives := []uint64{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}
-	if stop, ok := ad.StopAt(fives[:firstStop-1]); ok {
+	if stop, ok := ad.StopAt(k, fives[:firstStop-1]); ok {
 		t.Errorf("rule fired at %d, below its first stop %d", stop, firstStop)
 	}
-	if stop, ok := ad.StopAt(fives[:firstStop]); !ok || stop != firstStop {
+	if stop, ok := ad.StopAt(k, fives[:firstStop]); !ok || stop != firstStop {
 		t.Errorf("zero-variance prefix: stop=%d ok=%v, want %d true", stop, ok, firstStop)
 	}
-	// A zero mean meets no relative target: an all-zero stream runs on to
-	// the cap.
+	// A zero mean meets no relative target: an all-zero stream shorter
+	// than the no-match bound (77 trials at k = 5 and 95%) runs on to the
+	// cap.
 	zeros := make([]uint64, 12)
-	if stop, ok := ad.StopAt(zeros[:11]); ok {
+	if stop, ok := ad.StopAt(k, zeros[:11]); ok {
 		t.Errorf("all-zero prefix below the cap: fired at %d", stop)
 	}
-	if stop, ok := ad.StopAt(zeros); !ok || stop != 12 {
+	if stop, ok := ad.StopAt(k, zeros); !ok || stop != 12 {
 		t.Errorf("all-zero prefix at the cap: stop=%d ok=%v, want MaxTrials 12", stop, ok)
 	}
 	// Wildly spread counts never meet ±10%, so the cap decides.
 	spread := []uint64{1, 1000, 2, 2000, 3, 3000, 4, 4000, 5, 5000, 6, 6000}
-	if stop, ok := ad.StopAt(spread); !ok || stop != 12 {
+	if stop, ok := ad.StopAt(k, spread); !ok || stop != 12 {
 		t.Errorf("spread prefix: stop=%d ok=%v, want MaxTrials 12", stop, ok)
 	}
-	if _, ok := ad.StopAt(spread[:10]); ok {
+	if _, ok := ad.StopAt(k, spread[:10]); ok {
 		t.Error("rule fired on a spread prefix below the cap")
 	}
 	// Tighter confidence needs more trials than looser at equal spread.
 	counts := []uint64{100, 110, 90, 105, 95, 102, 98, 101, 99, 100, 103, 97}
 	loose := Adaptive{Precision: Precision{RelErr: 0.05, Confidence: 0.8}, MaxTrials: 100}
 	tight := Adaptive{Precision: Precision{RelErr: 0.05, Confidence: 0.999}, MaxTrials: 100}
-	lStop, lOK := loose.StopAt(counts)
-	tStop, tOK := tight.StopAt(counts)
+	lStop, lOK := loose.StopAt(k, counts)
+	tStop, tOK := tight.StopAt(k, counts)
 	if lOK && tOK && tStop < lStop {
 		t.Errorf("tighter confidence stopped earlier (%d) than looser (%d)", tStop, lStop)
 	}
@@ -221,19 +258,19 @@ func TestStopAtRule(t *testing.T) {
 	// target — and fires there whatever the counts.
 	fixed := Adaptive{MaxTrials: 5}
 	for _, counts := range [][]uint64{{5, 5, 5, 5}, {0, 0, 0}, spread[:4], nil} {
-		if stop, ok := fixed.StopAt(counts); ok {
+		if stop, ok := fixed.StopAt(k, counts); ok {
 			t.Errorf("no target, %d of 5 trials %v: fired at %d", len(counts), counts, stop)
 		}
 	}
 	for _, counts := range [][]uint64{{5, 5, 5, 5, 5}, spread} {
-		if stop, ok := fixed.StopAt(counts); !ok || stop != 5 {
+		if stop, ok := fixed.StopAt(k, counts); !ok || stop != 5 {
 			t.Errorf("no target, %d trials: stop=%d ok=%v, want MaxTrials 5", len(counts), stop, ok)
 		}
 	}
-	if stop, ok := (Adaptive{}).StopAt(spread); !ok || stop != DefaultTrials {
+	if stop, ok := (Adaptive{}).StopAt(k, spread); !ok || stop != DefaultTrials {
 		t.Errorf("no target and no cap: stop=%d ok=%v, want DefaultTrials", stop, ok)
 	}
-	if stop, ok := (Adaptive{MaxTrials: 1}).StopAt([]uint64{7}); !ok || stop != 1 {
+	if stop, ok := (Adaptive{MaxTrials: 1}).StopAt(k, []uint64{7}); !ok || stop != 1 {
 		t.Errorf("no target, one trial: stop=%d ok=%v, want 1", stop, ok)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/query"
 )
 
@@ -30,8 +31,18 @@ var knownShort = map[string]bool{}
 //     0.9} lands within 20% of the exact count in at least 90% of seeds.
 //
 // Each rate may fall short of its level by three binomial standard
-// deviations, 3·sqrt(p(1−p)/n), and no more. Seeds, graph and backend are
-// fixed, so the rates are the same on every run.
+// deviations, 3·sqrt(p(1−p)/n), and no more. The same rule stops a query
+// with no match on its all-zero prefix once that puts the count below one
+// match at 90% (Estimate.BelowOne); every query of five nodes matches on
+// the power-law graph, so 5-cycles are counted on a 40-vertex ring instead:
+//   - none: on the ring, the rule stops at the bound's trial count at every
+//     seed;
+//   - one: on the ring with a chord that closes one 5-cycle, the rule stops
+//     there, wrongly, in at most 10% of seeds (plus 3σ): the bound is made
+//     for exactly one match set, colourful with probability 5!/5⁵.
+//
+// Seeds, graphs and backend are fixed, so the rates are the same on every
+// run.
 func TestErrorBarsHoldTheirLevel(t *testing.T) {
 	seeds := 1000
 	if testing.Short() || raceEnabled {
@@ -39,7 +50,8 @@ func TestErrorBarsHoldTheirLevel(t *testing.T) {
 	}
 	const level, relErr = 0.9, 0.2
 	g := gen.ChungLu("pl40", gen.ScaleWeights(gen.PowerLawWeights(40, 1.6), 8), rand.New(rand.NewSource(7)))
-	bound := level - 3*math.Sqrt(level*(1-level)/float64(seeds))
+	sigma3 := 3 * math.Sqrt(level*(1-level)/float64(seeds))
+	bound := level - sigma3
 	ctx := context.Background()
 	for _, name := range []string{"glet1", "path4"} {
 		q := query.MustByName(name)
@@ -81,6 +93,47 @@ func TestErrorBarsHoldTheirLevel(t *testing.T) {
 			case knownShort[key] && rate >= bound && seeds == 1000:
 				t.Errorf("%s now holds its bound (%.3f ≥ %.3f): drop it from knownShort", key, rate, bound)
 			}
+		}
+	}
+	q := query.MustByName("cycle5")
+	want := 1
+	for !noMatch(q.K, want, level) {
+		want++
+	}
+	ad := Adaptive{Precision: Precision{RelErr: relErr, Confidence: level}}
+	ring := make([][2]uint32, 40)
+	for v := range ring {
+		ring[v] = [2]uint32{uint32(v), uint32(v+1) % 40}
+	}
+	for _, c := range []struct {
+		name  string
+		edges [][2]uint32
+	}{{"none", ring}, {"one", append(ring, [2]uint32{0, 4})}} {
+		g := graph.FromEdges("ring40", 40, c.edges)
+		truth := exact.Matches(g, q)
+		stops := 0
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			s, err := NewSession(g, q, Options{Seed: seed, Core: core.Options{Algorithm: core.DB, Backend: "parallel", Workers: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ExtendTo(ctx, want); err != nil {
+				t.Fatal(err)
+			}
+			// The rule walks the prefix as a live run would; a run it does
+			// not stop there goes on to other stops, which ci5..adaptive
+			// cover.
+			if stop, ok := ad.StopAt(q.K, s.Counts()); ok {
+				if e := s.EstimateAt(stop); stop != want || e.Matches != 0 || !e.BelowOne(level) {
+					t.Fatalf("%s (%d matches), seed %d: stopped at %d with %v matches, below one: %v; the bound is at %d", c.name, truth, seed, stop, e.Matches, e.BelowOne(level), want)
+				}
+				stops++
+			}
+		}
+		rate := float64(stops) / float64(seeds)
+		t.Logf("%s (%d matches): stopped below one match at %d trials in %.3f of %d seeds", c.name, truth, want, rate, seeds)
+		if truth == 0 && stops != seeds || truth > 0 && rate > 1-level+sigma3 {
+			t.Errorf("%s (%d matches): stopped below one match in %.3f of %d seeds", c.name, truth, rate, seeds)
 		}
 	}
 }

@@ -179,10 +179,11 @@ func TestLaneStepZeroAllocsPerEntry(t *testing.T) {
 // so `-cpu 1,2` is its scaling curve; sim simulates its default 4 ranks on
 // as many goroutines. tree8-1m and cycle5-1m run bintree8 and glet2 on an
 // R-MAT graph of 2^17 vertices and 2^20 edges (edge factor 8), a design
-// probe of the regime no ledger workload reaches (one iteration of each
-// takes about 2.5 s and 0.6 GB for cycle5-1m, 0.4 s and 0.1 GB for
-// tree8-1m, 2-vCPU container). Each instance's graph is built inside its
-// own sub-benchmark, so a run that leaves a case out does not pay for it.
+// probe of the regime no ledger workload reaches (one iteration of
+// cycle5-1m on parallel at -cpu 2 takes 0.89–0.94 s, in a process that
+// peaks at 56–63 MB resident; one of tree8-1m about 0.4 s and 0.1 GB;
+// 2-vCPU container). Each instance's graph is built inside its own
+// sub-benchmark, so a run that leaves a case out does not pay for it.
 func BenchmarkTrial(b *testing.B) {
 	for _, c := range []struct {
 		name, query string
@@ -293,5 +294,39 @@ func TestRepeatedCountAllocatesLessThanOneTable(t *testing.T) {
 		if tables == 0 && mallocs >= tasks {
 			t.Errorf("%s: a repeated count made %d allocations in %d partition tasks", qn, mallocs, tasks)
 		}
+	}
+}
+
+// BenchmarkColourBuckets times what a per-start pass lays before its
+// starts (walkKeys): every vertex's walk key and the colour buckets of the
+// vertices of degree above k, on one goroutine (parallel, one worker),
+// into warm pooled storage. The instances are BenchmarkTrial's graphs:
+// cycle5-90k's enron stand-in at scale 2 with glet2's five colours, and
+// serve-1k's 1000-vertex power-law graph with cycle4's four.
+func BenchmarkColourBuckets(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		k     int
+		graph func() *graph.Graph
+	}{
+		{"cycle5-90k", 5, enron(2)},
+		{"serve-1k", 4, func() *graph.Graph { return gen.PowerLawGraph("load", 1000, 1.6, rand.New(rand.NewSource(1))) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.graph()
+			colors := randColors(g.N(), c.k, rand.New(rand.NewSource(1)))
+			s := newSolver(context.Background(), g, colors, c.k, engine.NewParallel(1, g.N()), DB)
+			lay := func() {
+				keys, bk := s.walkKeys(true)
+				keys.Return()
+				colourBucketPool.Put(bk)
+			}
+			lay()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lay()
+			}
+		})
 	}
 }

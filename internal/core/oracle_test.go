@@ -225,16 +225,18 @@ func tupleMatches(g *graph.Graph, q *query.Graph, colors []uint8) (total uint64,
 // (two triangles on a node) and a tadpole (a 4-cycle with a tail), on
 // random generated graphs of up to 8 vertices under random balanced colourings,
 // counted on sim and parallel at two workers and on a two-rank loopback
-// cluster — in total under each algorithm (DB, PS and PSEven), and per
-// vertex at every anchor some decomposition's root holds. Leaf blocks and
+// cluster — in total and per vertex, at every anchor some decomposition's
+// root holds, under each algorithm (DB, PS and PSEven; per vertex, under
+// -short or the race detector, one algorithm an anchor in turn). Leaf blocks and
 // one-boundary cycle blocks make box tables, each row holding only the
 // signatures with its vertex's colour; a pendant tree on a cycle node (the
 // tadpole's tail, and many random draws') is a nodeJoin into a walk with a
 // start, which each algorithm's walks reach in their own order.
 func TestCyclesAgreeWithSecondOracle(t *testing.T) {
 	backends := []backend{local(engine.SimName, 2), local(engine.ParallelName, 2), loopback2(t)}
-	draws := 40
-	if testing.Short() || core.RaceEnabled {
+	algs := []core.Algorithm{core.DB, core.PS, core.PSEven}
+	draws, short := 40, testing.Short() || core.RaceEnabled
+	if short {
 		draws = 8
 	}
 	rng := rand.New(rand.NewSource(37))
@@ -280,7 +282,7 @@ func TestCyclesAgreeWithSecondOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, be := range backends {
-			for _, alg := range []core.Algorithm{core.DB, core.PS, core.PSEven} {
+			for _, alg := range algs {
 				job := engine.Job{N: n, Graph: g, Colors: colors, Query: q, Plan: plan, Algorithm: int(alg), Mode: engine.ModeCount}
 				opts := be.opts(job)
 				opts.Algorithm, opts.Plan = alg, plan
@@ -298,15 +300,20 @@ func TestCyclesAgreeWithSecondOracle(t *testing.T) {
 					continue
 				}
 				anchors++
-				job := engine.Job{N: n, Graph: g, Colors: colors, Query: q, Plan: rooted, Mode: engine.ModePerVertex, Anchor: anchor}
-				opts := be.opts(job)
-				opts.Plan = rooted
-				per, _, _, err := core.CountColorfulPerVertex(g, q, colors, anchor, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(per, wantPer[anchor]) {
-					t.Fatalf("%s on %d vertices, %s, anchor %d (plan %s): per vertex %v, the tuple oracle %v", q, n, be.name, anchor, rooted.Encode(), per, wantPer[anchor])
+				for a, alg := range algs {
+					if short && a != anchors%len(algs) {
+						continue // one algorithm an anchor, in turn
+					}
+					job := engine.Job{N: n, Graph: g, Colors: colors, Query: q, Plan: rooted, Algorithm: int(alg), Mode: engine.ModePerVertex, Anchor: anchor}
+					opts := be.opts(job)
+					opts.Algorithm, opts.Plan = alg, rooted
+					per, _, _, err := core.CountColorfulPerVertex(g, q, colors, anchor, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(per, wantPer[anchor]) {
+						t.Fatalf("%s on %d vertices, %s, %s, anchor %d (plan %s): per vertex %v, the tuple oracle %v", q, n, be.name, alg, anchor, rooted.Encode(), per, wantPer[anchor])
+					}
 				}
 			}
 		}

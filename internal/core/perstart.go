@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/decomp"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/sig"
 	"repro/internal/table"
 )
@@ -41,6 +42,15 @@ import (
 // the other's partner tables — charged, term by term and start by start
 // (build and join list the terms), so PickPlan's ranking and Figure 11 see
 // the same totals. It is charged to U's partition.
+//
+// A step past a walk's first extends a row at x over x's neighbours of
+// each colour but χ(U)'s and χ(x)'s. Where deg(x) > k the trial's colour
+// buckets hold them grouped (colourBuckets), so the step reads only those,
+// looks the colour pair's shift up once a bucket, and charges the old
+// form's load a bucket at a time; where deg(x) ≤ k, a bucket would hold
+// about one neighbour, and the step tests each neighbour's colour instead.
+// Both forms share the loop that extends a row (grow, meet). A start's own
+// first step reads N(U) as it is.
 
 // psNode is one node of a root block's walk trie as the pass builds it.
 type psNode struct {
@@ -87,6 +97,9 @@ type psPlan struct {
 	// many first edges its schedule then charges deg(U) for.
 	bare       bool
 	firstEdges int64
+	// rowSteps: some node extends a step's rows, not a start's, over a
+	// plain data edge, so the pass reads colour buckets.
+	rowSteps bool
 }
 
 // perStartPlan lays b's splits into the trie and replays the old form's
@@ -177,6 +190,7 @@ func (s *solver) perStartPlan(b *decomp.Block) *psPlan {
 	p.bare = true
 	for _, n := range p.nodes {
 		p.bare = p.bare && n.ann == nil && (n.depth != 1 || n.step.edgeAnn == nil)
+		p.rowSteps = p.rowSteps || n.depth > 1 && n.step.edgeAnn == nil
 	}
 	for _, op := range p.ops {
 		switch {
@@ -288,13 +302,15 @@ type startTask struct {
 }
 
 // startEnv is what every task of a block's pass reads: the schedule, the
-// walk keys, and the children's tables the walks read, indexed.
+// walk keys and colour buckets, and the children's tables the walks read,
+// indexed.
 type startEnv struct {
-	s     *solver
-	p     *psPlan
-	keys  table.Scratch
-	edges map[groupKey]*runs
-	kids  map[*decomp.Block]*runs
+	s       *solver
+	p       *psPlan
+	keys    table.Scratch
+	buckets *colourBuckets // nil where no step's rows take a plain edge, or no vertex has buckets
+	edges   map[groupKey]*runs
+	kids    map[*decomp.Block]*runs
 }
 
 // startEnv lays b's schedule and replicates and indexes the children's
@@ -323,7 +339,7 @@ func (s *solver) startEnv(b *decomp.Block) (*startEnv, bool) {
 		e.release()
 		return nil, false
 	}
-	e.keys = s.walkKeys()
+	e.keys, e.buckets = s.walkKeys(e.p.rowSteps)
 	return e, true
 }
 
@@ -335,6 +351,9 @@ func (e *startEnv) release() {
 		r.release()
 	}
 	e.keys.Return()
+	if e.buckets != nil {
+		colourBucketPool.Put(e.buckets)
+	}
 }
 
 // task returns a pass over starts on a pooled scratch, which close gives
@@ -393,14 +412,24 @@ func (s *solver) perStart(b *decomp.Block) uint64 {
 
 // walkKeys returns, for every vertex, what a walk asks of it as it adds it
 // — its rank in the degree order, above its colour's eight bits — in one
-// word, pooled: the pass reads it at every neighbour it looks at. One Run
-// lays the band's vertices, in the span of the walks' steps; a dist rank
-// lays the others' after it.
-func (s *solver) walkKeys() table.Scratch {
+// word, pooled: the pass reads it at every neighbour of a start and of a
+// vertex without colour buckets. With buckets set, and a vertex of degree
+// above k in the graph, it also lays the colour buckets, pooled, that the
+// steps after a walk's first extend rows through. One Run lays the band's
+// vertices, in the span of the walks' steps; a dist rank lays the others'
+// after it, for a walk reaches any vertex.
+func (s *solver) walkKeys(buckets bool) (table.Scratch, *colourBuckets) {
 	keys := table.BorrowWords(s.g.N())
+	var b *colourBuckets
+	if buckets && s.deg > uint64(s.k) {
+		b = s.colourBuckets()
+	}
 	lay := func(lo, hi uint32) {
 		for v := lo; v < hi; v++ {
 			keys.Words[v] = uint64(s.g.Rank(v))<<8 | uint64(s.colors[v])
+			if b != nil && s.g.Degree(v) > s.k {
+				b.lay(v)
+			}
 		}
 	}
 	end := s.tr.Start(PhasePathJoin)
@@ -409,7 +438,79 @@ func (s *solver) walkKeys() table.Scratch {
 	lo, hi := s.be.Owned()
 	lay(0, lo)
 	lay(hi, uint32(s.g.N()))
-	return keys
+	return keys, b
+}
+
+// colourBuckets hold a trial's neighbour lists of the vertices of degree
+// above k, each regrouped into one bucket per colour, in id order. x's
+// buckets sit where g.Neighbors(x) sits among the graph's arcs, in colour
+// order, and x's line of k+1 words in at holds the colours whose bucket is
+// not empty, then where each bucket ends (of, bucket). A vertex of degree k
+// or less has none, and nothing of its slots is written or read: its
+// buckets would hold about one arc each, and a scan of its neighbours reads
+// no more.
+type colourBuckets struct {
+	g      *graph.Graph
+	colors []uint8
+	k      int
+	arcs   []uint32
+	at     []uint32 // x's line is at[x·(k+1):][:k+1]
+}
+
+// colourBucketPool holds the storage of the last trial's buckets, so the
+// next trial on the graph lays its own into the same arrays.
+var colourBucketPool sync.Pool
+
+// colourBuckets returns pooled bucket storage sized for s's graph and k.
+func (s *solver) colourBuckets() *colourBuckets {
+	b, _ := colourBucketPool.Get().(*colourBuckets)
+	if b == nil {
+		b = &colourBuckets{}
+	}
+	n, arcs := s.g.N(), 2*int(s.g.M())
+	b.g, b.colors, b.k = s.g, s.colors, s.k
+	b.arcs = slices.Grow(b.arcs[:0], arcs)[:arcs]
+	b.at = slices.Grow(b.at[:0], n*(s.k+1))[:n*(s.k+1)]
+	return b
+}
+
+// lay lays x's buckets: a count of each colour, and the neighbours dealt to
+// their colours' buckets in id order.
+func (b *colourBuckets) lay(x uint32) {
+	at, arcs := b.of(x)
+	var next [sig.MaxRankedColors]uint32 // a count of each colour, then where its bucket fills next
+	for _, v := range b.g.Neighbors(x) {
+		next[b.colors[v]]++
+	}
+	mask, end := uint32(0), uint32(0)
+	for c := range b.k {
+		if next[c] != 0 {
+			mask |= 1 << c
+		}
+		next[c], end = end, end+next[c]
+		at[c+1] = end
+	}
+	at[0] = mask
+	for _, v := range b.g.Neighbors(x) {
+		c := b.colors[v]
+		arcs[next[c]] = v
+		next[c]++
+	}
+}
+
+// of returns x's line and its buckets' arcs.
+func (b *colourBuckets) of(x uint32) (at, arcs []uint32) {
+	return b.at[int(x)*(b.k+1):][:b.k+1], b.arcs[b.g.ArcOffset(x):][:b.g.Degree(x)]
+}
+
+// bucket returns the bucket of colour c among arcs, a vertex's buckets'
+// arcs; at is its line.
+func bucket(at, arcs []uint32, c int) []uint32 {
+	lo := uint32(0)
+	if c > 0 {
+		lo = at[c]
+	}
+	return arcs[lo:at[c+1]]
 }
 
 // add and mul are the pass's checked arithmetic.
@@ -594,7 +695,9 @@ func (t *startTask) build(i int) {
 }
 
 // keep reports whether a walk at the start may add v: under DB, v ranks
-// below U, and v's colour is not U's.
+// below U, and v's colour is not U's. A step past the first asks the colour
+// half by bucket or by neighbour (plainEdge), and the rank half in grow and
+// meet.
 func (t *startTask) keep(v uint32) bool {
 	key := t.keys.Words[v]
 	return key>>8 < t.rank && uint8(key) != t.cu
@@ -635,10 +738,24 @@ func (t *startTask) plainEdge(p int, into, join *rowSet) (sum uint64) {
 	src := t.sc.nodes[p]
 	shifts, own := sig.ShiftsOf(t.k, h), sig.OwnOf(t.k, h)
 	var has [sig.MaxRankedColors]int
-	// The books stay in registers: load, and the carries of the adds and
-	// the high words of the products, ORed.
-	load, carry := t.load, t.carry
-	defer func() { t.load, t.carry = load, carry }()
+	// The books stay in locals: load, and the carries of the sums, ORed.
+	load, carry := t.load, uint64(0)
+	defer func() { t.load, t.carry = load, t.carry|carry }()
+	// step takes row over x's edges to vs, which share a colour and so the
+	// shift sh, and charges what the old form's pull did: each extension
+	// made, the row's nonzero cells less the held that hold that colour.
+	// Both forms of a row's step below go through it.
+	step := func(row []uint64, sh *sig.Shift, vs []uint32, nz, held int) {
+		if into != nil {
+			t.grow(row, sh, vs, into)
+			return
+		}
+		n, part := t.meet(row, sh, vs, join)
+		load += int64(n * (nz - held))
+		var c uint64
+		sum, c = bits.Add64(sum, part, 0)
+		carry |= c
+	}
 	for r, x := range src.reach {
 		row := src.cells[r*src.w:][:src.w]
 		nz := table.NonZero(row)
@@ -650,7 +767,8 @@ func (t *startTask) plainEdge(p int, into, join *rowSet) (sum uint64) {
 		if t.polled(len(nbrs)) {
 			return 0
 		}
-		cx := t.sq(t.keys.Words[x])
+		kx := t.keys.Words[x]
+		cx := t.sq(kx)
 		shx := shifts[cx]
 		if join != nil { // the nonzero cells that hold each colour
 			has = [sig.MaxRankedColors]int{}
@@ -662,38 +780,66 @@ func (t *startTask) plainEdge(p int, into, join *rowSet) (sum uint64) {
 				}
 			}
 		}
-		for _, v := range nbrs {
-			if !t.keep(v) {
-				continue
-			}
-			cv := t.sq(t.keys.Words[v])
-			if cv == cx {
-				continue
-			}
-			sh := shx[cv]
-			to := sh.To[:len(sh.From)]
-			if into != nil {
-				dst := t.rowFor(into, v)
-				for j, f := range sh.From {
-					var c uint64
-					dst[to[j]], c = bits.Add64(dst[to[j]], row[f], 0)
-					carry |= c
-				}
-				continue
-			}
-			load += int64(nz - has[cv])
-			if dst := t.rowAt(join, v); dst != nil {
-				last := len(dst) - 1
-				for j, f := range sh.From {
-					hi, lo := bits.Mul64(row[f], dst[last-int(to[j])])
-					var c uint64
-					sum, c = bits.Add64(sum, lo, 0)
-					carry |= hi | c
+		if len(nbrs) <= s.k { // no buckets: a neighbour at a time, but χ(U)'s and χ(x)'s
+			for i, v := range nbrs {
+				if c := uint8(t.keys.Words[v]); c != t.cu && c != uint8(kx) {
+					cv := t.sq(uint64(c))
+					step(row, &shx[cv], nbrs[i:i+1], nz, has[cv])
 				}
 			}
+			continue
+		}
+		// A bucket of each colour but χ(U)'s and χ(x)'s.
+		at, arcs := t.buckets.of(x)
+		for m := at[0] &^ (1<<t.cu | 1<<uint8(kx)); m != 0; m &= m - 1 {
+			c := bits.TrailingZeros32(m)
+			cv := t.sq(uint64(c))
+			step(row, &shx[cv], bucket(at, arcs, c), nz, has[cv])
 		}
 	}
 	return sum
+}
+
+// grow adds row, shifted by sh, into the row in into of each of vs that
+// ranks below U.
+func (t *startTask) grow(row []uint64, sh *sig.Shift, vs []uint32, into *rowSet) {
+	to, carry := sh.To[:len(sh.From)], uint64(0)
+	for _, v := range vs {
+		if t.keys.Words[v]>>8 >= t.rank {
+			continue
+		}
+		dst := t.rowFor(into, v)
+		for j, f := range sh.From {
+			var c uint64
+			dst[to[j]], c = bits.Add64(dst[to[j]], row[f], 0)
+			carry |= c
+		}
+	}
+	t.carry |= carry
+}
+
+// meet sums row, shifted by sh, against the partner row in join, read
+// backwards, of each of vs that ranks below U. It returns how many of vs
+// rank below U, and the sum.
+func (t *startTask) meet(row []uint64, sh *sig.Shift, vs []uint32, join *rowSet) (n int, sum uint64) {
+	to, carry := sh.To[:len(sh.From)], uint64(0)
+	for _, v := range vs {
+		if t.keys.Words[v]>>8 >= t.rank {
+			continue
+		}
+		n++
+		if dst := t.rowAt(join, v); dst != nil {
+			last := len(dst) - 1
+			for j, f := range sh.From {
+				hi, lo := bits.Mul64(row[f], dst[last-int(to[j])])
+				var c uint64
+				sum, c = bits.Add64(sum, lo, 0)
+				carry |= hi | c
+			}
+		}
+	}
+	t.carry |= carry
+	return n, sum
 }
 
 // annotatedEdge extends node p's rows over the edges an edge annotation's

@@ -3,14 +3,18 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/exact"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/table"
@@ -309,6 +313,108 @@ func TestCancelWhileStreaming(t *testing.T) {
 		}
 		if left := runtime.NumGoroutine() - routines; leg == "dist@2" && left > 0 {
 			t.Fatalf("%s: canceled in the pass, the run left %d goroutines", leg, left)
+		}
+	}
+}
+
+// A step's rows are extended through colour buckets at every vertex of
+// degree above k (colourBuckets). On Erdős–Rényi and power-law graphs,
+// under several colourings, on sim, on parallel and on each rank of a
+// two-rank dist band — which lays its band in one Run and every other
+// vertex after it — every such vertex's buckets must hold exactly its
+// neighbours of each colour, in id order, with a mask of the colours
+// present. Nothing of a vertex of degree k or less may be written: the
+// storage is poisoned first, so that its line panics if the pass reads it
+// through buckets, and a count over storage so laid, on sim and parallel,
+// must match the oracle.
+func TestPerStartColourBuckets(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	graphs := []*graph.Graph{gen.ErdosRenyi("er", 60, 240, rng), gen.PowerLawGraph("pl", 200, 1.5, rng)}
+	for _, g := range graphs {
+		for _, qn := range []string{"cycle4", "cycle5", "cycle6"} {
+			q := query.MustByName(qn)
+			for c := 0; c < 2; c++ {
+				colors := randColors(g.N(), q.K, rng)
+				bands := map[string]*engine.Runtime{"sim": engine.NewCluster(4, g.N()), "parallel": engine.NewParallel(2, g.N())}
+				for r := 0; r < 2; r++ {
+					be := engine.NewRuntime(engine.DistName, 0, 2, g.N())
+					lo, hi := be.Band(r)
+					bands[fmt.Sprintf("dist@2 rank %d", r)] = be.Wired(lo, hi, 2, nil)
+				}
+				for name, be := range bands {
+					s := newSolver(context.Background(), g, colors, q.K, be, DB)
+					keys, b := layPoisoned(t, s)
+					checkColourBuckets(t, fmt.Sprintf("%s %s colouring %d on %s", g.Name, qn, c, name), s, b)
+					keys.Return()
+					if name != "sim" && name != "parallel" {
+						continue
+					}
+					colourBucketPool.Put(b) // the count's lay takes it, if the pool keeps it
+					want := exact.ColorfulMatches(g, q, colors)
+					if got := count(t, g, q, colors, Options{Algorithm: DB, Backend: name, Workers: 2}); got != want {
+						t.Errorf("%s %s colouring %d on %s, over poisoned storage: counted %d, the oracle %d", g.Name, qn, c, name, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// poison fills a bucket layout's storage before a lay: a line of it names
+// every colour and ends past the graph's arcs.
+const poison = ^uint32(0)
+
+// layPoisoned lays s's walk keys and colour buckets into bucket storage
+// filled with poison first.
+func layPoisoned(t *testing.T, s *solver) (table.Scratch, *colourBuckets) {
+	t.Helper()
+	p := s.colourBuckets()
+	for _, a := range [][]uint32{p.arcs, p.at} {
+		for i := range a {
+			a[i] = poison
+		}
+	}
+	for try := 0; ; try++ { // under -race, the pool drops a Put now and then
+		colourBucketPool.Put(p)
+		keys, b := s.walkKeys(true)
+		if b == p {
+			return keys, b
+		}
+		keys.Return()
+		if try == 100 {
+			t.Fatal("the pool never handed the poisoned storage back")
+		}
+	}
+}
+
+// checkColourBuckets checks b's layout over s's graph and colouring.
+func checkColourBuckets(t *testing.T, name string, s *solver, b *colourBuckets) {
+	t.Helper()
+	g, k := s.g, s.k
+	for x := uint32(0); x < uint32(g.N()); x++ {
+		at, arcs := b.of(x)
+		if g.Degree(x) <= k {
+			if slices.ContainsFunc(slices.Concat(at, arcs), func(w uint32) bool { return w != poison }) {
+				t.Fatalf("%s: vertex %d, of degree %d ≤ k = %d, had buckets laid", name, x, g.Degree(x), k)
+			}
+			continue
+		}
+		for c := 0; c < k; c++ {
+			var want []uint32
+			for _, v := range g.Neighbors(x) {
+				if int(s.colors[v]) == c {
+					want = append(want, v)
+				}
+			}
+			if got := bucket(at, arcs, c); !slices.Equal(got, want) {
+				t.Fatalf("%s: vertex %d's bucket %d holds %v; its neighbours of colour %d are %v", name, x, c, got, c, want)
+			}
+			if has := at[0]>>c&1 == 1; has != (len(want) > 0) {
+				t.Fatalf("%s: vertex %d's mask %b says colour %d is present: %v; its bucket holds %d", name, x, at[0], c, has, len(want))
+			}
+		}
+		if at[0]>>k != 0 {
+			t.Fatalf("%s: vertex %d's mask %b names colours past k = %d", name, x, at[0], k)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func Figure15(w io.Writer, cfg Config) (Figure15Result, error) {
 					Precision: coloring.Precision{RelErr: cfg.RelErr, Confidence: cfg.Confidence},
 					MaxTrials: cfg.Trials,
 				}
-				cell.TrialsToTarget, _ = rule.StopAt(est.Counts)
+				cell.TrialsToTarget, _ = rule.StopAt(q.K, est.Counts)
 			}
 			res.Cells = append(res.Cells, cell)
 			if adaptive {

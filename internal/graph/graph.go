@@ -42,6 +42,11 @@ func (g *Graph) M() int64 { return int64(len(g.nbr)) / 2 }
 // Neighbors returns the sorted neighbor list of v. Callers must not modify it.
 func (g *Graph) Neighbors(v uint32) []uint32 { return g.nbr[g.off[v]:g.off[v+1]] }
 
+// ArcOffset returns where v's neighbour list starts among the graph's
+// 2·M() arcs: an array with one slot per arc holds v's at
+// [ArcOffset(v), ArcOffset(v)+Degree(v)).
+func (g *Graph) ArcOffset(v uint32) int64 { return g.off[v] }
+
 // Degree returns the degree of v.
 func (g *Graph) Degree(v uint32) int { return int(g.off[v+1] - g.off[v]) }
 

@@ -57,12 +57,14 @@ import (
 // Estimate and job requests accept a "precision" object alongside
 // "trials" (see PrecisionSpec): instead of a fixed trial count the job
 // runs its trials, one after another, until the declared (relErr,
-// confidence) target is met or maxTrials is reached, reusing and
-// extending previously cached trials for the same stream; the adaptive
-// outcome is visible in /v1/stats under "precision" (earlyStops,
-// trialsSaved) and "cache" (extended). Request bodies are decoded with
-// unknown fields refused, so "parallel" and "precision.minTrials", which
-// the serial trial loop and its fixed first stop no longer read, are 400s.
+// confidence) target is met, its all-zero trials put the count below one
+// match at that confidence (the estimate is then 0), or maxTrials is
+// reached, reusing and extending previously cached trials for the same
+// stream; the adaptive outcome is visible in /v1/stats under "precision"
+// (earlyStops, trialsSaved) and "cache" (extended). Request bodies are
+// decoded with unknown fields refused, so "parallel" and
+// "precision.minTrials", which the serial trial loop and its fixed first
+// stop no longer read, are 400s.
 //
 // Estimate responses carry X-Cache: HIT|MISS and X-Elapsed-Ms headers; the
 // body is exactly the estimate, so a cache hit replays the original body

@@ -345,7 +345,7 @@ func (s *Service) tryReplay(tk TrialKey, q *query.Graph, req EstimateRequest) (c
 	if !ok {
 		return coloring.Estimate{}, false
 	}
-	used, ok := req.rule().StopAt(counts)
+	used, ok := req.rule().StopAt(q.K, counts)
 	if !ok {
 		return coloring.Estimate{}, false
 	}

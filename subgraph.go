@@ -162,7 +162,9 @@ type Precision = coloring.Precision
 // (the per-coloring counts are i.i.d., so the needed trial count can be
 // decided while running), bounded by MaxTrials. The rule's first possible
 // stop is at 8 trials: stopping sooner stops on the streams whose spread
-// happens to look small.
+// happens to look small. A run whose trials are all zero stops once they
+// put the count below one match at the target's confidence, with estimate
+// 0 (Estimation.BelowOne).
 type Spec struct {
 	// Precision is the declared target; a zero RelErr disables the
 	// adaptive path and EstimateOptions.Trials applies as before.
