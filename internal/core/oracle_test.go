@@ -332,3 +332,52 @@ func rootedAt(trees []*decomp.Tree, node int) *decomp.Tree {
 	}
 	return nil
 }
+
+// Colour coding's scaling, pinned exactly (Malík et al. list it among the
+// pitfalls): a match of a k-node query maps its nodes to k distinct
+// vertices, which get k distinct colours under k!·k^(n−k) of the k^n
+// colourings of n vertices. So on a graph of six vertices, the colourful
+// counts over every colouring sum to exact.Matches·k!·k^(n−k) — for a path,
+// a cycle and a cycle with an annotated edge (the last not under the race
+// detector), with no sampling in it.
+func TestColourfulScalingIsExact(t *testing.T) {
+	g := graph.FromEdges("k6-2", 6, [][2]uint32{
+		{0, 2}, {0, 3}, {0, 4}, {0, 5}, {1, 2}, {1, 3}, {1, 4}, {1, 5},
+		{2, 4}, {2, 5}, {3, 4}, {3, 5}, {4, 5},
+	})
+	queries := []string{"path3", "cycle4", "glet1"}
+	if core.RaceEnabled { // glet1's 5^6 serial runs find no race the others do not
+		queries = queries[:2]
+	}
+	for _, qn := range queries {
+		q := query.MustByName(qn)
+		n, k := g.N(), q.K
+		want := exact.Matches(g, q)
+		for i := range k {
+			want *= uint64(i + 1)
+		}
+		for range n - k {
+			want *= uint64(k)
+		}
+		colors := make([]uint8, n)
+		var sum uint64
+		for {
+			c, _, err := core.CountColorful(g, q, colors, core.Options{Backend: engine.ParallelName, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += c
+			i := 0 // the next colouring, counting in base k
+			for ; i < n && int(colors[i]) == k-1; i++ {
+				colors[i] = 0
+			}
+			if i == n {
+				break
+			}
+			colors[i]++
+		}
+		if sum != want || want == 0 {
+			t.Errorf("%s: the colourful counts over all %d^%d colourings sum to %d; exact.Matches·k!·k^(n−k) = %d", qn, k, n, sum, want)
+		}
+	}
+}

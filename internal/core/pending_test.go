@@ -243,3 +243,9 @@ func (c *armedCancel) Done() <-chan struct{} {
 // loopback pool that lives as long as t. internal/dist imports core, so the
 // external test package, which can import it, sets it (rootcycle_test.go).
 var Loopback2 func(t *testing.T, job engine.Job) engine.Backend
+
+// LoopbackRanks returns the worker-side backends of a solverless loopback
+// session of ranks ranks over parts partitions of n vertices, for a test to
+// drive at once (SPMD), and the func that closes the session
+// (dist.LoopbackRanks). The external test package sets it, as Loopback2.
+var LoopbackRanks func(ranks, parts, n int) ([]engine.Backend, func())

@@ -51,6 +51,19 @@ import (
 // about one neighbour, and the step tests each neighbour's colour instead.
 // Both forms share the loop that extends a row (grow, meet). A start's own
 // first step reads N(U) as it is.
+//
+// A symmetric query makes mirror images of a block's walks and splits. An
+// edge annotation whose subquery swaps its two boundary nodes (decomp's
+// Block.Mirrored) has one table read from either end, so a walk that takes
+// it one way builds the rows of the walk that takes it the other; and a
+// split whose two walks are another's, in either order, joins what that
+// split joins. The schedule names these twins once (psPlan.fold), and the
+// pass builds and joins each once: a folded build or join is never run and
+// adds, at each start, the load its twin charged there — a join its sum
+// too. So the load is still the old form's, which built and joined both
+// twins, and PickPlan and Figure 11 see the same totals. Both groupings of
+// a marked child are still made and replicated, so the supersteps,
+// messages and wire bytes are as they were.
 
 // psNode is one node of a root block's walk trie as the pass builds it.
 type psNode struct {
@@ -62,6 +75,7 @@ type psNode struct {
 	w      int           // a row's width, and that of the step's edge rows before its node annotation
 	edgeH  int           // the edge rows' signature size
 	edgeW  int
+	fold   int // the twin whose rows it repeats, its build (if any) never run; −1 if none
 }
 
 // psSplit is one split's join: its two walks, the walk the old form read
@@ -72,6 +86,7 @@ type psSplit struct {
 	pend        bool   // that walk was read as its last step appended it, not compacted
 	fused       bool   // it is never built: its last step, a plain edge, is joined as it is taken
 	times       uint64 // the block's splits this one stands for
+	fold        int    // the split whose join it repeats, its own never run; −1 if none
 }
 
 // Ops of a block's schedule.
@@ -105,7 +120,8 @@ type psPlan struct {
 // perStartPlan lays b's splits into the trie and replays the old form's
 // joins over it, once, to learn which walk each join read and how (the
 // rule split.sides applied with the pend rule it had: a walk may pend if
-// it is not built yet, is not a bare start and this join is its last use).
+// it is not built yet, is not a bare start and this join is its last use),
+// then names the mirror images the pass runs once (fold).
 func (s *solver) perStartPlan(b *decomp.Block) *psPlan {
 	splits := s.splits(b)
 	p := &psPlan{}
@@ -116,7 +132,7 @@ func (s *solver) perStartPlan(b *decomp.Block) *psPlan {
 		if i, ok := index[n]; ok {
 			return i
 		}
-		nd := psNode{parent: -1, step: n.step}
+		nd := psNode{parent: -1, step: n.step, fold: -1}
 		if n.parent != nil {
 			nd.parent = add(n.parent)
 			par := p.nodes[nd.parent]
@@ -139,7 +155,7 @@ func (s *solver) perStartPlan(b *decomp.Block) *psPlan {
 		return index[n]
 	}
 	for _, sp := range splits {
-		p.splits = append(p.splits, psSplit{plus: add(sp.plus), minus: add(sp.minus), times: sp.times})
+		p.splits = append(p.splits, psSplit{plus: add(sp.plus), minus: add(sp.minus), times: sp.times, fold: -1})
 	}
 	built := make([]bool, len(p.nodes))
 	done := func(i int) {
@@ -199,7 +215,83 @@ func (s *solver) perStartPlan(b *decomp.Block) *psPlan {
 			p.firstEdges++
 		}
 	}
+	p.fold()
 	return p
+}
+
+// fold names the schedule's mirror images (see the header). Two nodes are
+// twins if their parents are and their steps agree, a mirrored edge
+// annotation's two groupings taken as one: twins' rows are equal at every
+// start. A split folds into the first split with the same unordered pair of
+// twin walks, the same streamed twin and the same pend, fused and times: a
+// join Σ_j P[j]·M[w−1−j] is symmetric in its walks, and the rest fixes what
+// it charges. A node folds if no split that is run reads it and no node
+// that is run extends it: into the first of its twins built, in op order,
+// if it is built, and into its twin if it is a fused walk, never built.
+// One split reads every node, or extends it, so nothing of it folds.
+func (p *psPlan) fold() {
+	if len(p.splits) < 2 {
+		return
+	}
+	type key struct {
+		parent int
+		step   pathStep
+	}
+	twin, first := make([]int, len(p.nodes)), map[key]int{}
+	for i, n := range p.nodes { // a parent's index is below its children's
+		twin[i] = i
+		if n.parent >= 0 {
+			st := n.step
+			if st.edgeAnn != nil && st.edgeAnn.Mirrored {
+				st.edgeFromFirst = false
+			}
+			k := key{twin[n.parent], st}
+			if t, ok := first[k]; ok {
+				twin[i] = t
+			} else {
+				first[k] = i
+			}
+		}
+	}
+	type splitKey struct {
+		lo, hi, stream int
+		pend, fused    bool
+		times          uint64
+	}
+	firstSplit := map[splitKey]int{}
+	read := make([]bool, len(p.nodes)) // a split that is run reads its rows, or a node that is built extends them
+	for j := range p.splits {
+		sp := &p.splits[j]
+		a, b := twin[sp.plus], twin[sp.minus]
+		k := splitKey{min(a, b), max(a, b), twin[sp.stream], sp.pend, sp.fused, sp.times}
+		if f, ok := firstSplit[k]; ok {
+			sp.fold = f
+		} else {
+			firstSplit[k] = j
+			read[sp.plus], read[sp.minus] = true, true
+		}
+	}
+	built, firstBuilt := make([]bool, len(p.nodes)), map[int]int{}
+	for _, op := range p.ops {
+		if op.kind == opBuild {
+			built[op.i] = true
+			if _, ok := firstBuilt[twin[op.i]]; !ok {
+				firstBuilt[twin[op.i]] = op.i
+			}
+		}
+	}
+	for i := len(p.nodes) - 1; i >= 0; i-- {
+		n := &p.nodes[i]
+		t := twin[i]
+		if built[i] {
+			t = firstBuilt[t]
+		}
+		if n.parent >= 0 && !read[i] && t != i {
+			n.fold = t
+		} else if n.parent >= 0 && (built[i] || read[i]) {
+			read[n.parent] = true
+		}
+	}
 }
 
 // runs reads a child table's entries a home vertex at a time, at any vertex
@@ -276,6 +368,17 @@ type startScratch struct {
 	spare []*rowSet
 	kid   []uint64   // a child's row at a vertex, χ(U) squeezed out
 	cells []startEnt // a row's cells that hold a count
+	// What each node's build and each split's join charged at this start,
+	// for the builds and joins that fold into them.
+	built  []int64
+	joined []joined
+}
+
+// joined is what a split's join added at a start: its sum, times the
+// split's multiplicity, and the load it charged.
+type joined struct {
+	sum  uint64
+	load int64
 }
 
 // startEnt is a cell of a row: a signature over the squeezed palette and
@@ -548,16 +651,33 @@ func (t *startTask) start(u uint32) (sum uint64) {
 	if len(sc.nodes) < len(t.p.nodes) {
 		sc.nodes = append(sc.nodes, make([]*rowSet, len(t.p.nodes)-len(sc.nodes))...)
 	}
+	if len(sc.built) < len(t.p.nodes) || len(sc.joined) < len(t.p.splits) {
+		sc.built, sc.joined = make([]int64, len(t.p.nodes)), make([]joined, len(t.p.splits))
+	}
 	for _, op := range t.p.ops {
 		if t.halted {
 			break
 		}
 		switch op.kind {
 		case opBuild:
+			if f := t.p.nodes[op.i].fold; f >= 0 {
+				t.load += sc.built[f]
+				break
+			}
+			load := t.load
 			t.build(op.i)
+			sc.built[op.i] = t.load - load
 		case opJoin:
 			sp := &t.p.splits[op.i]
-			sum = t.add(sum, t.mul(t.join(sp), sp.times))
+			if sp.fold >= 0 {
+				j := sc.joined[sp.fold]
+				sum, t.load = t.add(sum, j.sum), t.load+j.load
+				break
+			}
+			load := t.load
+			part := t.mul(t.join(sp), sp.times)
+			sc.joined[op.i] = joined{part, t.load - load}
+			sum = t.add(sum, part)
 		case opDrop:
 			t.drop(op.i)
 		}

@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/decomp"
 	"repro/internal/engine"
 	"repro/internal/exact"
 	"repro/internal/gen"
@@ -417,4 +419,153 @@ func checkColourBuckets(t *testing.T, name string, s *solver, b *colourBuckets) 
 			t.Fatalf("%s: vertex %d's mask %b names colours past k = %d", name, x, at[0], k)
 		}
 	}
+}
+
+// The pass builds and joins a root cycle's mirror images once (psPlan.fold)
+// and charges them as if it had not. The nodes and splits that fold are
+// counted on the picked plans of brain1, brain3 and glet1, whose roots
+// carry an edge annotation decomp marks as mirrored, and on a brain3 with a
+// tail that its 4-cycle holds, which is not marked and folds nothing. On
+// power-law and Erdős–Rényi graphs (the first alone under the race
+// detector, and for the tailed query) each plan's count must be the
+// oracle's, with one load, on sim, parallel and a two-rank loopback
+// cluster. The fold rests on the mark: every marked block's two groupings
+// must hold the same entries in every partition, on sim, on parallel and
+// on each rank of a two-rank dist session.
+func TestPerStartFoldsMirrorWalks(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	graphs := []*graph.Graph{gen.ChungLu("pl", gen.AddHubs(gen.ScaleWeights(gen.PowerLawWeights(60, 1.5), 8), 20, 3), rng), gen.ErdosRenyi("er", 32, 200, rng)}
+	if raceEnabled {
+		graphs = graphs[:1]
+	}
+	brain3 := query.MustByName("brain3")
+	tailed := query.FromEdges("brain3-tailed", 11, append(brain3.Edges(), [2]int{0, 10}))
+	for _, c := range []struct {
+		q                    *query.Graph
+		plan                 string // a tree's encoding; "" for PickPlan's
+		nodes, foldedNodes   int
+		splits, foldedSplits int
+	}{
+		{query.MustByName("brain1"), "", 16, 6, 6, 3},
+		{brain3, "", 25, 10, 8, 4},
+		{query.MustByName("glet1"), "", 9, 3, 4, 2},
+		// The 4-cycle holds the tail, so its ends differ: nothing folds.
+		{tailed, "C[0,1,2,3,4,5,6,7;0@C[0@L[0,10;;b,0],1,9,8;;b,0,1];b]", 25, 0, 8, 0},
+	} {
+		q, plan := c.q, (*decomp.Tree)(nil)
+		if c.plan == "" {
+			var err error
+			if plan, err = PickPlan(q); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			plans := RootCyclePlans(t, q, 1<<10)
+			i := slices.IndexFunc(plans, func(tr *decomp.Tree) bool { return tr.Encode() == c.plan })
+			if i < 0 {
+				t.Fatalf("%s has no tree %s", q.Name, c.plan)
+			}
+			plan = plans[i]
+		}
+		p := newSolver(context.Background(), nil, nil, q.K, nil, DB).perStartPlan(plan.Root)
+		nodes, splits := 0, 0
+		for _, n := range p.nodes {
+			if n.fold >= 0 {
+				nodes++
+			}
+		}
+		for _, sp := range p.splits {
+			if sp.fold >= 0 {
+				splits++
+			}
+		}
+		if len(p.nodes) != c.nodes || nodes != c.foldedNodes || len(p.splits) != c.splits || splits != c.foldedSplits {
+			t.Errorf("%s: %d of %d nodes and %d of %d splits fold; want %d of %d and %d of %d",
+				plan.Encode(), nodes, len(p.nodes), splits, len(p.splits), c.foldedNodes, c.nodes, c.foldedSplits, c.splits)
+		}
+		for gi, g := range graphs {
+			if gi > 0 && q == tailed { // its oracle is the slowest: one graph is enough to see no fold
+				break
+			}
+			colors := randColors(g.N(), q.K, rng)
+			want := exact.ColorfulMatches(g, q, colors)
+			var load int64
+			for i, leg := range []string{"sim", "parallel", "dist@2"} {
+				opts := Options{Backend: leg, Workers: 2, Plan: plan}
+				if leg == "dist@2" {
+					opts = Options{Plan: plan, Engine: Loopback2(t, engine.Job{N: g.N(), Graph: g, Colors: colors, Query: q, Plan: plan, Mode: engine.ModeCount})}
+				}
+				got, st, err := CountColorful(g, q, colors, opts)
+				if err != nil || got != want || i > 0 && st.TotalLoad != load {
+					t.Errorf("%s on %s, %s: counted %d with load %d, err %v; the oracle %d, sim's load %d", q.Name, g.Name, leg, got, st.TotalLoad, err, want, load)
+				}
+				if i == 0 {
+					load = st.TotalLoad
+				}
+			}
+			if !slices.ContainsFunc(plan.Blocks, func(b *decomp.Block) bool { return b.Mirrored }) {
+				continue
+			}
+			legs := map[string][]engine.Backend{"sim": {engine.NewCluster(4, g.N())}, "parallel": {engine.NewParallel(2, g.N())}}
+			ranks, stop := LoopbackRanks(2, 4, g.N())
+			legs["dist@2"] = ranks
+			for leg, bes := range legs {
+				errs := make([]error, len(bes))
+				var ents atomic.Int64
+				var wg sync.WaitGroup
+				for r, be := range bes {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						n, err := mirroredGroupings(newSolver(context.Background(), g, colors, q.K, be, DB), plan)
+						ents.Add(int64(n))
+						errs[r] = err
+					}()
+				}
+				wg.Wait()
+				if err := errors.Join(errs...); err != nil {
+					t.Errorf("%s on %s, %s: %v", q.Name, g.Name, leg, err)
+				}
+				if ents.Load() == 0 {
+					t.Errorf("%s on %s, %s: the marked blocks' groupings hold no entry; the check compares nothing", q.Name, g.Name, leg)
+				}
+			}
+			stop()
+		}
+	}
+}
+
+// mirroredGroupings solves plan's blocks below its root on s, and checks
+// that each block decomp marks has two groupings with the same entries in
+// every partition s executes. It returns how many entries it compared.
+func mirroredGroupings(s *solver, plan *decomp.Tree) (int, error) {
+	defer s.drop(plan.Blocks)
+	for _, b := range plan.Blocks {
+		switch {
+		case b == plan.Root:
+		case b.Kind == decomp.LeafEdge:
+			s.tables[b] = s.solveLeaf(b)
+		case b.Kind == decomp.CycleBlock:
+			s.tables[b] = s.solveCycle(b)
+		}
+	}
+	var ents atomic.Int64
+	var errs []error
+	for _, b := range plan.Blocks {
+		if !b.Mirrored {
+			continue
+		}
+		from, to := s.groupBinary(b, true), s.groupBinary(b, false)
+		differ := make([]bool, s.be.P())
+		s.be.Run(func(w int) {
+			a, c := from.Shard(w).Ents(), to.Shard(w).Ents()
+			differ[w] = !slices.Equal(a, c)
+			ents.Add(int64(len(a)))
+		})
+		for w, d := range differ {
+			if d {
+				errs = append(errs, fmt.Errorf("block %v, partition %d: the groupings from %d and from %d differ", b, w, b.Boundary[0], b.Boundary[1]))
+			}
+		}
+	}
+	return int(ents.Load()), errors.Join(errs...)
 }

@@ -14,6 +14,7 @@ import (
 
 func init() {
 	core.Loopback2 = func(t *testing.T, job engine.Job) engine.Backend { return loopback2(t).opts(job).Engine }
+	core.LoopbackRanks = func(ranks, parts, n int) ([]engine.Backend, func()) { return dist.LoopbackRanks(ranks, parts, n, 2) }
 }
 
 // A root cycle is counted a start at a time, and what a backend and its

@@ -8,6 +8,7 @@ package decomp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,6 +58,13 @@ type Block struct {
 	NodeAnn  []*Block
 	EdgeAnn  []*Block
 	Children []*Block
+	// Mirrored marks a block with two boundary nodes whose subquery has an
+	// automorphism that swaps them: every match with the boundary nodes at
+	// (a, b) is one at (b, a) read through it, so the block's table holds
+	// (a, b, S) and (b, a, S) with one count, and its two groupings (one
+	// from each boundary node) hold the same entries. Enumerate sets it; a
+	// tree built by hand carries no mark.
+	Mirrored bool
 }
 
 // Len returns the number of nodes in the block itself (cycle length, 2 for
@@ -251,6 +259,7 @@ func (b *Block) deepClone() *Block {
 			Kind:     x.Kind,
 			Nodes:    append([]int(nil), x.Nodes...),
 			Boundary: append([]int(nil), x.Boundary...),
+			Mirrored: x.Mirrored,
 			NodeAnn:  make([]*Block, len(x.NodeAnn)),
 			EdgeAnn:  make([]*Block, len(x.EdgeAnn)),
 		}
@@ -267,6 +276,70 @@ func (b *Block) deepClone() *Block {
 		return d
 	}
 	return cp(b)
+}
+
+// MarkMirrored sets every block's Mirrored mark from the tree's query.
+// Enumerate calls it on the trees it lists; a process that rebuilds a
+// listed tree from another form calls it again.
+func (t *Tree) MarkMirrored() {
+	for _, b := range t.Blocks {
+		b.Mirrored = swapsBoundary(t.Query, b)
+	}
+}
+
+// swapsBoundary reports whether the subgraph of q induced by b's subquery
+// nodes has an automorphism that swaps b's two boundary nodes: the
+// backtracking of query.Graph.Automorphisms, the boundary nodes placed
+// first, each onto the other. An edge between the boundary nodes maps to
+// itself, so whether the subquery holds it does not matter.
+func swapsBoundary(q *query.Graph, b *Block) bool {
+	if len(b.Boundary) != 2 {
+		return false
+	}
+	nodes := slices.Clone(b.Boundary)
+	for _, n := range b.SubqueryNodes() {
+		if !slices.Contains(b.Boundary, n) {
+			nodes = append(nodes, n)
+		}
+	}
+	deg := make(map[int]int, len(nodes)) // degree in the induced subgraph
+	for _, x := range nodes {
+		for _, y := range nodes {
+			if q.HasEdge(x, y) {
+				deg[x]++
+			}
+		}
+	}
+	img := make([]int, len(nodes))
+	used := make(map[int]bool, len(nodes))
+	var place func(i int) bool
+	place = func(i int) bool {
+		if i == len(nodes) {
+			return true
+		}
+		cands := nodes[2:]
+		if i < 2 {
+			cands = nodes[1-i : 2-i]
+		}
+		for _, v := range cands {
+			if used[v] || deg[v] != deg[nodes[i]] {
+				continue
+			}
+			ok := true
+			for j := 0; j < i && ok; j++ {
+				ok = q.HasEdge(nodes[i], nodes[j]) == q.HasEdge(v, img[j])
+			}
+			if ok {
+				img[i], used[v] = v, true
+				if place(i + 1) {
+					return true
+				}
+				used[v] = false
+			}
+		}
+		return false
+	}
+	return place(0)
 }
 
 // assignIDs numbers blocks in postorder and fills t.Blocks.

@@ -55,6 +55,7 @@ func Enumerate(q *query.Graph) ([]*Tree, error) {
 		// deep-copy so each tree owns its blocks (IDs are per-tree).
 		trees[i] = &Tree{Query: q, Root: roots[enc].deepClone()}
 		trees[i].assignIDs()
+		trees[i].MarkMirrored()
 	}
 	if len(trees) == 0 {
 		// Unreachable for connected treewidth-2 queries (Lemma 4.1).

@@ -3,6 +3,7 @@ package decomp
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -400,6 +401,37 @@ func TestThetaAndDiamond(t *testing.T) {
 		trees := mustEnumerate(t, q)
 		for _, tr := range trees {
 			checkTree(t, tr)
+		}
+	}
+}
+
+// Enumerate marks a block whose subquery has an automorphism that swaps its
+// two boundary nodes (Block.Mirrored). In brain3, an 8-cycle and a 4-cycle
+// sharing edge (0,1), whichever cycle is the child is marked: either, read
+// from 1 round to 0, is itself read from 0 round to 1. With a tail on node
+// 0, a child that holds the tail has boundary nodes of degrees 3 and 2 in
+// its subquery and is not marked; one that leaves it to the root still is.
+// A block with fewer than two boundary nodes is never marked.
+func TestMirroredMark(t *testing.T) {
+	brain3 := query.MustByName("brain3")
+	tailed := query.FromEdges("brain3-tailed", 11, append(brain3.Edges(), [2]int{0, 10}))
+	for _, q := range []*query.Graph{brain3, tailed} {
+		marked, unmarked := 0, 0
+		for _, tr := range mustEnumerate(t, q) {
+			for _, b := range tr.Blocks {
+				want := len(b.Boundary) == 2 && !slices.Contains(b.SubqueryNodes(), 10)
+				if b.Mirrored != want {
+					t.Errorf("%s, tree %s: block %v (subquery %v) marked %v, want %v", q.Name, tr.Encode(), b, b.SubqueryNodes(), b.Mirrored, want)
+				}
+				if len(b.Boundary) == 2 && b.Mirrored {
+					marked++
+				} else if len(b.Boundary) == 2 {
+					unmarked++
+				}
+			}
+		}
+		if marked == 0 || q == tailed && unmarked == 0 {
+			t.Errorf("%s: %d two-boundary blocks marked, %d not; the test needs both kinds", q.Name, marked, unmarked)
 		}
 	}
 }

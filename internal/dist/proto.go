@@ -187,7 +187,9 @@ func decodePlan(w planWire, q *query.Graph) (*decomp.Tree, error) {
 	if w.Root < 0 || w.Root >= n {
 		return nil, fmt.Errorf("dist: plan root %d out of range", w.Root)
 	}
-	return &decomp.Tree{Query: q, Root: blocks[w.Root], Blocks: blocks}, nil
+	t := &decomp.Tree{Query: q, Root: blocks[w.Root], Blocks: blocks}
+	t.MarkMirrored()
+	return t, nil
 }
 
 // makeJobStart returns the validated, wire-ready form of an engine.Job. The

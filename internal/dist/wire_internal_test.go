@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/decomp"
+	"repro/internal/query"
 )
 
 // A peer that speaks out of turn ends the session with an error that names
@@ -62,4 +65,39 @@ func (l logLines) Write(p []byte) (int, error) {
 	default:
 	}
 	return len(p), nil
+}
+
+// A plan crosses the wire as indices, and a rank marks its blocks again
+// (decomp.Tree.MarkMirrored), so it folds the mirror images of a root
+// cycle's pass as the coordinator's plan does: on every tree of every
+// catalog query, the decoded plan's blocks carry the marks Enumerate set.
+func TestDecodedPlanKeepsMirroredMarks(t *testing.T) {
+	marked := 0
+	for _, q := range query.Catalog() {
+		trees, err := decomp.Enumerate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range trees {
+			w, err := encodePlan(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := decodePlan(w, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range tr.Blocks {
+				if got.Blocks[i].Mirrored != b.Mirrored {
+					t.Errorf("%s, tree %s: block %v decoded with mark %v, sent with %v", q.Name, tr.Encode(), b, got.Blocks[i].Mirrored, b.Mirrored)
+				}
+				if b.Mirrored {
+					marked++
+				}
+			}
+		}
+	}
+	if marked == 0 {
+		t.Fatal("no catalog tree has a marked block; the test compares nothing")
+	}
 }

@@ -27,6 +27,9 @@ type Graph struct {
 	// vertices sorted by (degree, id) increasing. rank[u] > rank[v] means
 	// "u ≻ v" — u is higher than v.
 	rank []int32
+	// maxDeg is the largest degree, the degree of the vertex ranked last;
+	// it is derived with rank.
+	maxDeg int
 
 	// fp memoizes the structural Fingerprint (wire.go).
 	fpOnce sync.Once
@@ -66,15 +69,7 @@ func (g *Graph) Rank(v uint32) int32 { return g.rank[v] }
 func (g *Graph) Higher(u, v uint32) bool { return g.rank[u] > g.rank[v] }
 
 // MaxDegree returns the maximum vertex degree (0 for an empty graph).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.n; v++ {
-		if d := g.Degree(uint32(v)); d > max {
-			max = d
-		}
-	}
-	return max
-}
+func (g *Graph) MaxDegree() int { return g.maxDeg }
 
 // AvgDegree returns the average vertex degree.
 func (g *Graph) AvgDegree() float64 {
@@ -194,6 +189,10 @@ func (g *Graph) computeRank() {
 	g.rank = make([]int32, g.n)
 	for pos, v := range order {
 		g.rank[v] = int32(pos)
+	}
+	g.maxDeg = 0
+	if g.n > 0 {
+		g.maxDeg = g.Degree(order[g.n-1])
 	}
 }
 

@@ -154,7 +154,8 @@ func TestQuickBuildMatchesNaive(t *testing.T) {
 }
 
 // Property: the rank array is a permutation consistent with the (degree,id)
-// total order.
+// total order, and MaxDegree, derived with it, is the largest degree, also
+// in a graph decoded from the wire.
 func TestQuickRankIsTotalOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -164,6 +165,14 @@ func TestQuickRankIsTotalOrder(t *testing.T) {
 			b.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
 		}
 		g := b.Build()
+		most := 0
+		for v := 0; v < n; v++ {
+			most = max(most, g.Degree(uint32(v)))
+		}
+		var h Graph
+		if w, err := g.GobEncode(); err != nil || h.GobDecode(w) != nil || g.MaxDegree() != most || h.MaxDegree() != most {
+			return false
+		}
 		seen := make([]bool, n)
 		for v := 0; v < n; v++ {
 			r := g.Rank(uint32(v))

@@ -31,8 +31,9 @@ func (g *Graph) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode implements gob.GobDecoder, rebuilding the derived rank order. It
-// refuses offsets that do not rise from 0 to len(Nbr), and neighbours ≥ N.
+// GobDecode implements gob.GobDecoder, rebuilding the derived rank order and
+// largest degree. It refuses offsets that do not rise from 0 to len(Nbr),
+// and neighbours ≥ N.
 func (g *Graph) GobDecode(b []byte) error {
 	var w wireGraph
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
